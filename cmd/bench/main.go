@@ -15,9 +15,9 @@
 //
 // Each preset runs nine selection tiers over one workload: baseline
 // (term-independence top-k), rd (probabilistic, no probing), apro
-// (adaptive probing to the certainty threshold), two context-aware
-// tiers on a latency-injected copy of the testbed — apro-ctx-m1
-// (sequential, through the probe-execution engine) and apro-ctx-m2
+// (adaptive probing to the certainty threshold), two tiers on a
+// latency-injected copy of the testbed — apro-ctx-m1 (one probe at a
+// time) and apro-ctx-m2
 // (speculation 2, two candidates probed concurrently per round) — two
 // service tiers that measure the metaprobed daemon path (service:
 // waves of identical concurrent requests through the batch coalescer

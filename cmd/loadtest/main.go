@@ -6,10 +6,9 @@
 // trade-off the paper's Section 5.2 worries about — every probe is a
 // remote round trip — shows up in wall-clock numbers.
 //
-// With -speculation or -deadline the replay goes through the
-// context-aware selection path (SelectWithCertaintyContext): probes for
-// the policy's runners-up are prefetched concurrently, and a per-query
-// deadline abandons selections that overrun it.
+// With -speculation probes for the policy's runners-up are prefetched
+// concurrently, and with -deadline a per-query deadline abandons
+// selections that overrun it.
 //
 // With -trace every selection records a span tree (the run reports
 // the slowest query's trace ID), and with -serve the process stays up
@@ -77,12 +76,6 @@ type loadConfig struct {
 	serve       string
 }
 
-// useContext reports whether the run should go through the
-// context-aware selection path.
-func (c loadConfig) useContext() bool {
-	return c.speculation > 1 || c.deadline > 0 || c.maxInflight > 0 || c.trace
-}
-
 // loadReport summarizes a run.
 type loadReport struct {
 	queries     int
@@ -104,8 +97,7 @@ type loadReport struct {
 	// trace ID (set with -trace).
 	slowest      time.Duration
 	slowestTrace string
-	// Probe-cost totals aggregated from every selection's cost account
-	// (populated on the context path).
+	// Probe-cost totals aggregated from every selection's cost account.
 	costProbes, costHedgesWasted, costCacheHits int
 	costBytes                                   int64
 	// slo is the end-of-run burn-rate snapshot.
@@ -133,10 +125,10 @@ func main() {
 	flag.DurationVar(&cfg.latency, "latency", 5*time.Millisecond, "injected per-probe latency")
 	flag.IntVar(&cfg.k, "k", 3, "databases to select")
 	flag.Float64Var(&cfg.t, "t", 0.9, "certainty threshold")
-	flag.IntVar(&cfg.speculation, "speculation", 1, "probes dispatched per selection round (>1 enables the context path)")
-	flag.DurationVar(&cfg.deadline, "deadline", 0, "per-query deadline (0 = none; >0 enables the context path)")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "global cap on concurrent probes (0 = executor default; >0 enables the context path)")
-	flag.BoolVar(&cfg.trace, "trace", false, "record a span tree per selection (enables the context path)")
+	flag.IntVar(&cfg.speculation, "speculation", 1, "probes in flight per selection round (>1 prefetches the policy's runners-up)")
+	flag.DurationVar(&cfg.deadline, "deadline", 0, "per-query deadline (0 = none)")
+	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "global cap on concurrent probes (0 = executor default)")
+	flag.BoolVar(&cfg.trace, "trace", false, "record a span tree per selection")
 	flag.StringVar(&cfg.serve, "serve", "", "after the replay, serve /metrics /debug/spans /debug/slo on this address")
 	var rc remoteConfig
 	flag.StringVar(&rc.target, "target", "", "base URL of a running metaprobed (remote mode; empty drives the in-process library)")
@@ -339,18 +331,12 @@ func runLoadTest(cfg loadConfig, log *slog.Logger) (loadReport, error) {
 			defer wg.Done()
 			for qi := range jobs {
 				qStart := time.Now()
-				var res *metaprobe.SelectionResult
-				var err error
-				if cfg.useContext() {
-					ctx, cancel := context.Background(), context.CancelFunc(func() {})
-					if cfg.deadline > 0 {
-						ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-					}
-					res, err = ms.SelectWithCertaintyContext(ctx, workload[qi].String(), cfg.k, metaprobe.Absolute, cfg.t, -1)
-					cancel()
-				} else {
-					res, err = ms.SelectWithCertainty(workload[qi].String(), cfg.k, metaprobe.Absolute, cfg.t, -1)
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if cfg.deadline > 0 {
+					ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
 				}
+				res, err := ms.SelectWithCertaintyContext(ctx, workload[qi].String(), cfg.k, metaprobe.Absolute, cfg.t, -1)
+				cancel()
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {

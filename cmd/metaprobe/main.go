@@ -19,7 +19,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -144,7 +143,7 @@ func remoteQuery(args []string) {
 	if err := ms.Train(train); err != nil {
 		fatal(err)
 	}
-	report(ms, query, *k, *t, *spec > 1 || *probeTimeout > 0)
+	report(ms, query, *k, *t)
 }
 
 // demo is serve+query fused into one process.
@@ -177,7 +176,6 @@ func demo(args []string) {
 	}
 
 	cfg := &metaprobe.Config{Speculation: *spec, ProbeTimeout: *probeTimeout}
-	ctxPath := *spec > 1 || *probeTimeout > 0
 
 	// A persisted model skips both summary building and training.
 	if *modelPath != "" {
@@ -187,7 +185,7 @@ func demo(args []string) {
 			if err != nil {
 				fatal(err)
 			}
-			report(ms, query, *k, *t, ctxPath)
+			report(ms, query, *k, *t)
 			return
 		}
 	}
@@ -232,14 +230,12 @@ func demo(args []string) {
 		}
 		logger.Info("saved model", "path", *modelPath)
 	}
-	report(ms, query, *k, *t, ctxPath)
+	report(ms, query, *k, *t)
 }
 
-// report prints the three tiers and the fused results for one query.
-// With ctxPath the adaptive-probing tier goes through the concurrent
-// probe-execution engine (SelectWithCertaintyContext) and reports
-// degradation when backends had to be excluded.
-func report(ms *metaprobe.Metasearcher, query string, k int, t float64, ctxPath bool) {
+// report prints the three tiers and the fused results for one query,
+// noting degradation when backends had to be excluded.
+func report(ms *metaprobe.Metasearcher, query string, k int, t float64) {
 	fmt.Printf("\nquery: %q  (k=%d, certainty %.2f)\n\n", query, k, t)
 
 	expl, err := ms.Explain(query, k)
@@ -261,12 +257,7 @@ func report(ms *metaprobe.Metasearcher, query string, k int, t float64, ctxPath 
 		fatal(err)
 	}
 	fmt.Printf("RD-based:  %v (certainty %.3f)\n", set, e)
-	var res *metaprobe.SelectionResult
-	if ctxPath {
-		res, err = ms.SelectWithCertaintyContext(context.Background(), query, k, metaprobe.Absolute, t, -1)
-	} else {
-		res, err = ms.SelectWithCertainty(query, k, metaprobe.Absolute, t, -1)
-	}
+	res, err := ms.SelectWithCertainty(query, k, metaprobe.Absolute, t, -1)
 	if err != nil {
 		fatal(err)
 	}

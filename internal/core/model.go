@@ -324,7 +324,7 @@ func (s *Selection) Unprobed() []int {
 
 // UnprobedView returns the unprobed database indices in ascending
 // order without allocating. The slice is owned by the selection and
-// valid only until the next probe, mark or probed hypothesis.
+// valid only until the next probe or probed hypothesis.
 func (s *Selection) UnprobedView() []int {
 	if s.unprobedStale {
 		s.unprobedBuf = s.unprobedBuf[:0]
@@ -446,13 +446,6 @@ func (s *Selection) invalidate() {
 	if s.scratch != nil {
 		s.scratch.valid = false
 	}
-}
-
-// MarkUnprobeable excludes a database from future probing without
-// changing its RD (used when a live probe fails).
-func (s *Selection) MarkUnprobeable(i int) {
-	s.probed[i] = true
-	s.unprobedStale = true
 }
 
 // Best returns the current best k-set and its expected correctness.

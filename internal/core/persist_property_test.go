@@ -273,6 +273,7 @@ func TestConcurrentRegisterAndLoad(t *testing.T) {
 	if err := tinyModel(t).Save(path); err != nil {
 		t.Fatal(err)
 	}
+	run := relNameRun.Add(1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -280,7 +281,7 @@ func TestConcurrentRegisterAndLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				if w%2 == 0 {
-					name := fmt.Sprintf("race-rel-%d-%d", w, i)
+					name := fmt.Sprintf("race-rel-%d-%d-%d", run, w, i)
 					if err := RegisterRelevancy(name, func() estimate.Relevancy { return estimate.NewDocFrequency() }); err != nil {
 						t.Errorf("RegisterRelevancy(%s): %v", name, err)
 						return

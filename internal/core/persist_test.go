@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"metaprobe/internal/estimate"
@@ -81,13 +83,19 @@ func TestLoadModelErrors(t *testing.T) {
 	}
 }
 
+// relNameRun numbers the runs of tests that register relevancy names:
+// the registry is process-global, and -cpu 1,4 or -count N run every
+// test several times in one process.
+var relNameRun atomic.Int64
+
 func TestRegisterRelevancy(t *testing.T) {
-	if err := RegisterRelevancy("custom-test-rel", func() estimate.Relevancy {
+	name := fmt.Sprintf("custom-test-rel-%d", relNameRun.Add(1))
+	if err := RegisterRelevancy(name, func() estimate.Relevancy {
 		return estimate.NewDocFrequency()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterRelevancy("custom-test-rel", nil); err == nil {
+	if err := RegisterRelevancy(name, nil); err == nil {
 		t.Error("duplicate registration must fail")
 	}
 	if err := RegisterRelevancy("doc-frequency", nil); err == nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"metaprobe/internal/stats"
 )
@@ -11,8 +13,34 @@ import (
 // relevancy (the caller binds the query and the testbed).
 type ProbeFunc func(i int) (float64, error)
 
+// Prober is how the APro loop reaches the backends. The loop calls it
+// from one goroutine. ProbeFunc probers answer inline; the probe
+// executor's (internal/probeexec) adds pooling, circuit breakers,
+// hedging and speculative prefetch behind the same three calls.
+type Prober interface {
+	// Prefetch announces the policy's current ranking: ranked[0] is the
+	// database the loop waits on next, ranked[1:] the ones it would pick
+	// after it. A prober may start any of them early; it must not keep
+	// the slice.
+	Prefetch(ctx context.Context, ranked []int)
+	// Wait returns database i's relevancy, blocking until it is known.
+	Wait(ctx context.Context, i int) (float64, error)
+	// Drain cancels every probe that was started but never waited for,
+	// and returns once they have all finished.
+	Drain()
+}
+
+// inlineProber probes on the loop's goroutine, one database at a time.
+type inlineProber ProbeFunc
+
+func (inlineProber) Prefetch(context.Context, []int)                  {}
+func (p inlineProber) Wait(_ context.Context, i int) (float64, error) { return p(i) }
+func (inlineProber) Drain()                                           {}
+
 // Policy chooses which database to probe next (the SelectDb step of
-// the APro algorithm, Figure 11).
+// the APro algorithm, Figure 11). Policies are immutable values: Next
+// is a function of the selection state alone, so one policy may serve
+// any number of concurrent selections.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -31,11 +59,11 @@ type ProbeStep struct {
 	// Err is the probe failure, if any.
 	Err error
 	// Usefulness is the policy's expected usefulness of this probe at
-	// the moment it was chosen, when the policy reports one (see
-	// UsefulnessReporter); 0 otherwise.
+	// the moment it was chosen, when the policy is a Ranker; 0
+	// otherwise.
 	Usefulness float64
 	// CertaintyAfter is E[Cor] of the best set after this step was
-	// applied (unchanged from before the step when Err != nil).
+	// applied.
 	CertaintyAfter float64
 }
 
@@ -52,34 +80,27 @@ type Outcome struct {
 	Steps []ProbeStep
 	// Reached reports whether Certainty met the user's threshold.
 	Reached bool
-	// ProbeErrs are the errors of failed probe attempts, in step
-	// order. A selection can reach the threshold even after probes
-	// failed and marked databases unprobeable; the errors are
-	// surfaced here (and joined into APro's error return) on every
-	// exit, so callers learn the selection degraded even when
-	// Reached is true.
+	// Degraded reports that one or more databases were excluded because
+	// their probe failed, so the selection was computed over a reduced
+	// testbed.
+	Degraded bool
+	// Excluded lists the excluded database indices, ascending.
+	Excluded []int
+	// ProbeErrs are the errors of the failed probes, in step order.
 	ProbeErrs []error
-}
-
-// UsefulnessReporter is implemented by probe policies that compute an
-// expected usefulness for the database they choose; APro records it in
-// the outcome's steps so selection traces can show why each probe is
-// picked. LastUsefulness refers to the most recent Next call.
-type UsefulnessReporter interface {
-	LastUsefulness() float64
 }
 
 // Ranker is implemented by probe policies that can rank several probe
 // candidates at once, in the order Next would choose them on the
-// current state. The speculative parallel APro (internal/probeexec)
-// uses it to dispatch the top-m candidates concurrently; policies
-// without it fall back to strictly sequential probing. Rank must
-// return the same first element Next would return, so m=1 speculation
-// is exactly the paper's greedy sequential loop.
+// current state. The APro loop hands the ranking to its Prober, which
+// may dispatch the runners-up speculatively; policies without it are
+// probed strictly one at a time. Rank must return the same first
+// element Next would return.
 type Ranker interface {
 	// Rank returns up to m unprobed candidate databases in decreasing
 	// expected-usefulness order along with each candidate's raw
-	// usefulness; m <= 0 ranks all candidates.
+	// usefulness; m <= 0 ranks all candidates. The slices are views
+	// owned by the selection, valid until the next Rank on it.
 	Rank(s *Selection, t float64, m int) (dbs []int, usefulness []float64, err error)
 }
 
@@ -101,20 +122,8 @@ func (o Outcome) Probes() int {
 // as a graceful stop, returning the best set with Reached=false.
 var ErrNoInformativeProbe = errors.New("core: no informative probe available")
 
-// APro is the adaptive probing algorithm (Figure 11): starting from
-// the RD-based state, repeatedly check whether some k-set reaches the
-// user-required expected correctness t; if not, pick a database with
-// the policy, probe it live, collapse its RD to an impulse, and try
-// again. maxProbes < 0 means unbounded (bounded anyway by the number
-// of databases).
-//
-// Failed probes mark the database unprobeable and continue; they are
-// recorded in Outcome.ProbeErrs and joined into the returned error on
-// every exit — including when the threshold is eventually reached —
-// so callers always learn the selection degraded. If the threshold
-// remains unreachable after every database is probed or unprobeable,
-// or the policy reports ErrNoInformativeProbe, the best available set
-// is returned with Reached=false.
+// APro runs AProContext without cancellation, probing inline through
+// probe.
 func APro(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes int) (Outcome, error) {
 	var out Outcome
 	err := AProInto(s, probe, policy, t, maxProbes, &out)
@@ -122,72 +131,123 @@ func APro(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes int
 }
 
 // AProInto is APro writing into a caller-owned Outcome, reusing its
-// Set/Steps/ProbeErrs capacity — the steady-state form for callers
-// that run many selections back to back (paired with Selection.Reuse
-// it keeps the whole probe loop allocation-free). out is reset first.
+// slices' capacity — the steady-state form for callers that run many
+// selections back to back (paired with Selection.Reuse it keeps the
+// whole probe loop allocation-free).
 func AProInto(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes int, out *Outcome) error {
-	*out = Outcome{Set: out.Set[:0], Steps: out.Steps[:0], ProbeErrs: out.ProbeErrs[:0]}
+	if probe == nil {
+		return fmt.Errorf("core: APro needs a probe function")
+	}
+	return AProContext(context.Background(), s, inlineProber(probe), policy, t, maxProbes, out)
+}
+
+// AProContext is the adaptive probing algorithm (Figure 11): starting
+// from the RD-based state, repeatedly check whether some k-set reaches
+// the user-required expected correctness t; if not, pick a database
+// with the policy, probe it live, collapse its RD to an impulse, and
+// try again. maxProbes < 0 means unbounded (bounded anyway by the
+// number of databases). out is reset first and holds the best
+// available selection on every return.
+//
+// A failed probe does not fail the selection: the database is treated
+// as serving nothing for this query — its RD collapses to relevancy 0,
+// pushing it out of the best set whenever a live alternative exists —
+// and the run continues, reporting it in out.Excluded and its error in
+// out.ProbeErrs. If the threshold remains unreachable after every
+// database is probed, or the policy reports ErrNoInformativeProbe, the
+// best available set is returned with Reached=false. The returned
+// error is reserved for bad arguments, policy failures and ctx ending.
+func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t float64, maxProbes int, out *Outcome) error {
+	*out = Outcome{Set: out.Set[:0], Steps: out.Steps[:0], Excluded: out.Excluded[:0], ProbeErrs: out.ProbeErrs[:0]}
 	if t < 0 || t > 1 {
 		return fmt.Errorf("core: certainty threshold %v outside [0,1]", t)
 	}
-	if probe == nil || policy == nil {
-		return fmt.Errorf("core: APro needs a probe function and a policy")
+	if p == nil || policy == nil {
+		return fmt.Errorf("core: APro needs a prober and a policy")
 	}
-	first := true
+	defer p.Drain()
+	ranker, _ := policy.(Ranker)
 	for {
 		mark := s.BeginStage()
 		set, e := s.BestView()
 		s.EndStage(mark, StageECorDP)
 		out.Set = append(out.Set[:0], set...)
 		out.Certainty = e
-		// Every loop entry after a step re-evaluates the best set, so
-		// this is the natural place to close out the trajectory: the
-		// first evaluation is the RD-based starting certainty, later
-		// ones are the certainty after the previous step.
-		if first {
-			out.Initial = e
-			first = false
-		} else if n := len(out.Steps); n > 0 {
+		// Every iteration re-evaluates the best set, so this is where the
+		// trajectory is written: the first evaluation is the RD-based
+		// starting certainty, later ones the certainty after the previous
+		// step.
+		if n := len(out.Steps); n > 0 {
 			out.Steps[n-1].CertaintyAfter = e
+		} else {
+			out.Initial = e
 		}
 		if e >= t {
 			out.Reached = true
-			return errors.Join(out.ProbeErrs...)
+			return nil
 		}
-		if len(s.UnprobedView()) == 0 || (maxProbes >= 0 && out.Probes() >= maxProbes) {
-			return errors.Join(out.ProbeErrs...)
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: selection abandoned: %w", err)
 		}
+		budget := len(s.UnprobedView()) // probes this run may still issue
+		if maxProbes >= 0 {
+			budget = min(budget, maxProbes-out.Probes())
+		}
+		if budget <= 0 {
+			return nil
+		}
+
+		// SelectDb. The head of a ranking is what Next would return; the
+		// tail is only ever prefetched, so the trajectory is the paper's
+		// sequential one whatever the prober does with it.
+		var head int
+		var usefulness float64
+		var ranked []int
+		var err error
 		mark = s.BeginStage()
-		i, err := policy.Next(s, t)
-		s.EndStage(mark, StageRank)
-		if err != nil {
-			if errors.Is(err, ErrNoInformativeProbe) {
-				// Every remaining unprobed RD is an impulse: further
-				// probes cannot move E[Cor], so stop with the best
-				// available set instead of issuing informationless
-				// backend traffic.
-				return errors.Join(out.ProbeErrs...)
+		if ranker != nil {
+			var us []float64
+			if ranked, us, err = ranker.Rank(s, t, 0); err == nil {
+				head, usefulness = ranked[0], us[0]
 			}
+		} else {
+			head, err = policy.Next(s, t)
+		}
+		s.EndStage(mark, StageRank)
+		if errors.Is(err, ErrNoInformativeProbe) {
+			// Every remaining unprobed RD is an impulse: further probes
+			// cannot move E[Cor], so stop with the best available set
+			// instead of issuing informationless backend traffic.
+			return nil
+		}
+		if err != nil {
 			return fmt.Errorf("core: probe policy %s: %w", policy.Name(), err)
 		}
-		if s.Probed(i) {
-			return fmt.Errorf("core: policy %s chose already-probed database %d", policy.Name(), i)
+		if s.Probed(head) {
+			return fmt.Errorf("core: policy %s chose already-probed database %d", policy.Name(), head)
 		}
-		usefulness := 0.0
-		if ur, ok := policy.(UsefulnessReporter); ok {
-			usefulness = ur.LastUsefulness()
+		if ranked = ranked[:min(len(ranked), budget)]; len(ranked) > 1 {
+			p.Prefetch(ctx, ranked)
 		}
+
+		// The probe stage is the time the loop spends blocked on the
+		// probe it needs next; a prefetched probe has (partly) paid its
+		// latency already.
 		mark = s.BeginStage()
-		v, err := probe(i)
+		v, err := p.Wait(ctx, head)
 		s.EndStage(mark, StageProbe)
 		if err != nil {
-			s.MarkUnprobeable(i)
-			out.Steps = append(out.Steps, ProbeStep{DB: i, Err: err, Usefulness: usefulness})
+			if ctx.Err() != nil {
+				return fmt.Errorf("core: selection abandoned: %w", ctx.Err())
+			}
+			v = 0
+			out.Degraded = true
+			out.Excluded = append(out.Excluded, head)
+			sort.Ints(out.Excluded)
 			out.ProbeErrs = append(out.ProbeErrs, err)
-			continue
 		}
-		s.ApplyProbe(i, v)
-		out.Steps = append(out.Steps, ProbeStep{DB: i, Value: v, Usefulness: usefulness})
+		s.ApplyProbe(head, v)
+		out.Steps = append(out.Steps, ProbeStep{DB: head, Value: v, Err: err, Usefulness: usefulness})
 	}
 }
 
@@ -197,38 +257,19 @@ func AProInto(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes
 // set, usefulness gains are divided by per-database probe cost
 // (Section 5.2's extension to non-uniform costs).
 type Greedy struct {
-	// Cost returns the probe cost of database i; nil means uniform.
+	// Cost returns the probe cost of database i; nil means uniform. It
+	// must be safe for concurrent use when the policy is shared.
 	Cost func(i int) float64
-
-	// lastUsefulness is the raw (cost-unnormalized) usefulness of the
-	// database most recently chosen by Next, for tracing. Per-call
-	// state: share one Greedy per selection, not across goroutines
-	// (the facade allocates a fresh policy per query).
-	lastUsefulness float64
-
-	// Ranking buffers, reused across rank calls so the steady-state
-	// probe loop does not allocate. Same sharing rule as
-	// lastUsefulness: one Greedy per concurrent selection.
-	candIdx   []int
-	candRaw   []float64
-	candScore []float64
-	candCost  []float64
-	picked    []bool
-	dbs       []int
-	us        []float64
 }
 
 // Name implements Policy.
-func (g *Greedy) Name() string { return "greedy" }
-
-// LastUsefulness implements UsefulnessReporter.
-func (g *Greedy) LastUsefulness() float64 { return g.lastUsefulness }
+func (g Greedy) Name() string { return "greedy" }
 
 // Usefulness computes the expected usefulness of probing database i:
 // Σ_v P(rᵢ = v) · max_set E[Cor(set) | rᵢ = v] (Figure 13). The
 // hypothesis scope is an explicit begin/end pair, not a callback, so
 // the per-support-value sweep does not allocate a closure.
-func (g *Greedy) Usefulness(s *Selection, i int) float64 {
+func (g Greedy) Usefulness(s *Selection, i int) float64 {
 	rd := s.RD(i)
 	u := 0.0
 	for vi := 0; vi < rd.Len(); vi++ {
@@ -242,97 +283,81 @@ func (g *Greedy) Usefulness(s *Selection, i int) float64 {
 }
 
 // Next implements Policy: the top-ranked candidate.
-func (g *Greedy) Next(s *Selection, t float64) (int, error) {
-	dbs, us, err := g.rank(s, t, 1)
+func (g Greedy) Next(s *Selection, t float64) (int, error) {
+	dbs, _, err := g.Rank(s, t, 1)
 	if err != nil {
 		return 0, err
 	}
-	g.lastUsefulness = us[0]
 	return dbs[0], nil
 }
 
 // Rank implements Ranker: the top-m unprobed databases in the order
-// Next would choose them, by repeated selection with Next's exact
-// comparison rules (score above an epsilon margin wins; near-equal
-// scores prefer the cheaper probe; remaining ties the lower index).
-// Usefulness values are the raw (cost-unnormalized) expectations,
-// matching LastUsefulness. The returned slices are fresh copies the
-// caller may keep.
-func (g *Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
-	dbs, us, err := g.rank(s, t, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return append([]int(nil), dbs...), append([]float64(nil), us...), nil
-}
-
-// rank is Rank over g's reusable buffers: the returned slices are
-// owned by g and valid until the next rank call. Next uses it so the
-// steady-state probe loop stays allocation-free.
-func (g *Greedy) rank(s *Selection, t float64, m int) ([]int, []float64, error) {
+// Next would choose them, by repeated selection with one comparison
+// rule (score above an epsilon margin wins; near-equal scores prefer
+// the cheaper probe; remaining ties the lower index). Usefulness values
+// are the raw (cost-unnormalized) expectations. The working buffers
+// live in the selection's pooled scratch, so a steady-state probe loop
+// does not allocate and the policy itself holds no state.
+func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	unprobed := s.UnprobedView()
 	if len(unprobed) == 0 {
 		return nil, nil, fmt.Errorf("no unprobed database left")
 	}
 	_, current := s.best()
-	cost := func(i int) float64 {
-		if g.Cost == nil {
-			return 1
-		}
-		if c := g.Cost(i); c > 0 {
-			return c
-		}
-		return 1
+	sc := s.scratch
+	if sc == nil {
+		// Reference-path and degenerate-k selections carry no pooled
+		// scratch; they may allocate.
+		sc = new(selScratch)
 	}
-	g.candIdx = g.candIdx[:0]
-	g.candRaw = g.candRaw[:0]
-	g.candScore = g.candScore[:0]
-	g.candCost = g.candCost[:0]
+	sc.candIdx = growInts(sc.candIdx, len(unprobed))[:0]
+	sc.candRaw = growFloats(sc.candRaw, len(unprobed))[:0]
+	sc.candScore = growFloats(sc.candScore, len(unprobed))[:0]
+	sc.candCost = growFloats(sc.candCost, len(unprobed))[:0]
 	for _, i := range unprobed {
 		if s.RD(i).IsImpulse() {
 			// Probing a known value cannot change E[Cor]; skip it.
 			continue
 		}
 		raw := g.Usefulness(s, i)
-		score := raw
-		c := cost(i)
+		score, c := raw, 1.0
 		if g.Cost != nil {
+			if gc := g.Cost(i); gc > 0 {
+				c = gc
+			}
 			// Normalize the *gain* by cost, not the absolute level:
 			// two candidates with equal usefulness but different cost
 			// should prefer the cheaper probe.
 			score = (score - current) / c
 		}
-		g.candIdx = append(g.candIdx, i)
-		g.candRaw = append(g.candRaw, raw)
-		g.candScore = append(g.candScore, score)
-		g.candCost = append(g.candCost, c)
+		sc.candIdx = append(sc.candIdx, i)
+		sc.candRaw = append(sc.candRaw, raw)
+		sc.candScore = append(sc.candScore, score)
+		sc.candCost = append(sc.candCost, c)
 	}
-	if len(g.candIdx) == 0 {
+	if len(sc.candIdx) == 0 {
 		// Every remaining unprobed RD is an impulse: a probe would be
 		// informationless backend traffic. Report it so APro stops
 		// instead of issuing probes that cannot change the selection.
 		return nil, nil, ErrNoInformativeProbe
 	}
-	if m <= 0 || m > len(g.candIdx) {
-		m = len(g.candIdx)
+	if m <= 0 || m > len(sc.candIdx) {
+		m = len(sc.candIdx)
 	}
-	g.dbs = g.dbs[:0]
-	g.us = g.us[:0]
-	if cap(g.picked) < len(g.candIdx) {
-		g.picked = make([]bool, len(g.candIdx))
+	sc.rankDBs = growInts(sc.rankDBs, m)[:0]
+	sc.rankUs = growFloats(sc.rankUs, m)[:0]
+	sc.picked = growBools(sc.picked, len(sc.candIdx))
+	for ci := range sc.picked {
+		sc.picked[ci] = false
 	}
-	g.picked = g.picked[:len(g.candIdx)]
-	for ci := range g.picked {
-		g.picked[ci] = false
-	}
-	for len(g.dbs) < m {
+	for len(sc.rankDBs) < m {
 		best := -1
 		bestScore, bestCost := 0.0, 0.0
-		for ci := range g.candIdx {
-			if g.picked[ci] {
+		for ci := range sc.candIdx {
+			if sc.picked[ci] {
 				continue
 			}
-			score, c := g.candScore[ci], g.candCost[ci]
+			score, c := sc.candScore[ci], sc.candCost[ci]
 			switch {
 			case best < 0,
 				score > bestScore+probEpsilon,
@@ -341,17 +366,20 @@ func (g *Greedy) rank(s *Selection, t float64, m int) ([]int, []float64, error) 
 				best, bestScore, bestCost = ci, score, c
 			}
 		}
-		g.picked[best] = true
-		g.dbs = append(g.dbs, g.candIdx[best])
-		g.us = append(g.us, g.candRaw[best])
+		sc.picked[best] = true
+		sc.rankDBs = append(sc.rankDBs, sc.candIdx[best])
+		sc.rankUs = append(sc.rankUs, sc.candRaw[best])
 	}
-	return g.dbs, g.us, nil
+	return sc.rankDBs, sc.rankUs, nil
 }
 
 // Random probes a uniformly random unprobed database — the naive
 // baseline for the policy ablation (A1).
 type Random struct {
-	// RNG is the randomness source (required).
+	// RNG is the randomness source (required). It is the one piece of
+	// policy state that advances per call and a stats.RNG is not safe
+	// for concurrent use, so concurrent selections each need their own
+	// Random.
 	RNG *stats.RNG
 }
 

@@ -143,9 +143,12 @@ func TestAProMaxProbesBudget(t *testing.T) {
 }
 
 func TestAProProbeFailuresAreSkipped(t *testing.T) {
+	// db1 can observe 0, so once db0's failed probe collapses it to 0 the
+	// tie (broken towards the lower index) keeps the answer uncertain and
+	// the run has to go on to probe db1.
 	rds := []*RD{
 		MustRD([]float64{0, 100}, []float64{0.5, 0.5}),
-		MustRD([]float64{1, 99}, []float64{0.5, 0.5}),
+		MustRD([]float64{0, 99}, []float64{0.5, 0.5}),
 	}
 	sel := NewSelectionFromRDs(rds, Absolute, 1)
 	boom := errors.New("db down")
@@ -156,9 +159,8 @@ func TestAProProbeFailuresAreSkipped(t *testing.T) {
 		return 99, nil
 	}
 	out, err := APro(sel, probe, &ByEstimate{}, 0.99, -1)
-	// db0 (estimate 50) vs db1 (estimate 50)... ByEstimate picks the
-	// higher estimate; regardless, the failed probe must be recorded
-	// and the run continues with the other database.
+	// ByEstimate picks the higher estimate (db0); the failed probe must
+	// be recorded and the run continues with the other database.
 	if out.Probes() != 1 {
 		t.Errorf("successful probes = %d, want 1 (outcome %+v, err %v)", out.Probes(), out, err)
 	}
@@ -171,21 +173,40 @@ func TestAProProbeFailuresAreSkipped(t *testing.T) {
 	if failed != 1 {
 		t.Errorf("failed steps = %d, want 1", failed)
 	}
+	if err != nil || !out.Reached || len(out.Set) != 1 || out.Set[0] != 1 {
+		t.Errorf("outcome = %+v, err %v; want db1 selected without error", out, err)
+	}
 }
 
-func TestAProAllProbesFailReturnsBestEffort(t *testing.T) {
+// TestAProAllProbesFail pins the failed-probe rule end to end: every
+// failure collapses its database to relevancy 0, is listed in Excluded
+// with its error in ProbeErrs and a failed Step, and the selection over
+// what is left is returned without an error.
+func TestAProAllProbesFail(t *testing.T) {
 	rds := []*RD{
 		MustRD([]float64{0, 100}, []float64{0.5, 0.5}),
-		MustRD([]float64{1, 99}, []float64{0.5, 0.5}),
+		MustRD([]float64{0, 99}, []float64{0.5, 0.5}),
 	}
 	sel := NewSelectionFromRDs(rds, Absolute, 1)
-	probe := func(i int) (float64, error) { return 0, fmt.Errorf("down") }
+	down := fmt.Errorf("down")
+	probe := func(i int) (float64, error) { return 0, down }
 	out, err := APro(sel, probe, &ByEstimate{}, 0.99, -1)
-	if out.Reached {
-		t.Error("threshold cannot be reached with all probes failing")
+	if err != nil {
+		t.Fatalf("probe failures must degrade, not fail: %v", err)
 	}
-	if err == nil {
-		t.Error("accumulated probe errors should be returned")
+	if !out.Degraded || len(out.Excluded) != 2 || out.Excluded[0] != 0 || out.Excluded[1] != 1 {
+		t.Errorf("Degraded = %v, Excluded = %v; want both databases excluded", out.Degraded, out.Excluded)
+	}
+	if len(out.ProbeErrs) != 2 || !errors.Is(out.ProbeErrs[0], down) || !errors.Is(out.ProbeErrs[1], down) {
+		t.Errorf("ProbeErrs = %v, want both failures", out.ProbeErrs)
+	}
+	if out.Probes() != 0 || len(out.Steps) != 2 || out.Steps[0].Err == nil || out.Steps[1].Err == nil {
+		t.Errorf("steps = %+v, want two failed steps", out.Steps)
+	}
+	for i := range rds {
+		if rd := sel.RD(i); !rd.IsImpulse() || rd.Value(0) != 0 {
+			t.Errorf("db%d RD not collapsed to relevancy 0", i)
+		}
 	}
 	if len(out.Set) != 1 {
 		t.Errorf("best-effort set missing: %+v", out)
@@ -226,8 +247,8 @@ func TestRandomPolicy(t *testing.T) {
 	if !seen[0] || !seen[1] {
 		t.Error("random policy never explored both databases")
 	}
-	sel.MarkUnprobeable(0)
-	sel.MarkUnprobeable(1)
+	sel.ApplyProbe(0, 50)
+	sel.ApplyProbe(1, 65)
 	if _, err := r.Next(sel, 0.9); err == nil {
 		t.Error("exhausted selection must error")
 	}
@@ -241,7 +262,7 @@ func TestByEstimatePolicy(t *testing.T) {
 	if err != nil || first != 1 {
 		t.Errorf("first = %d, %v; want 1", first, err)
 	}
-	sel.MarkUnprobeable(1)
+	sel.ApplyProbe(1, 100)
 	second, err := p.Next(sel, 0.9)
 	if err != nil || second != 2 {
 		t.Errorf("second = %d, %v; want 2", second, err)
@@ -385,6 +406,8 @@ func TestGreedyRankMatchesNext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Rank returns views the next Rank on sel overwrites.
+		dbs, us = append([]int(nil), dbs...), append([]float64(nil), us...)
 		if len(dbs) == 0 || len(dbs) != len(us) {
 			t.Fatalf("trial %d: Rank returned %d dbs, %d usefulness", trial, len(dbs), len(us))
 		}
@@ -395,8 +418,13 @@ func TestGreedyRankMatchesNext(t *testing.T) {
 		if next != dbs[0] {
 			t.Fatalf("trial %d: Next = %d, Rank head = %d", trial, next, dbs[0])
 		}
-		if g.LastUsefulness() != us[0] {
-			t.Errorf("trial %d: LastUsefulness = %v, Rank usefulness = %v", trial, g.LastUsefulness(), us[0])
+		// The loop records the head's usefulness on its step.
+		out, err := APro(NewSelectionFromRDs(rds, Absolute, 1), func(i int) (float64, error) { return rds[i].Value(0), nil }, g, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Initial < 1 && (len(out.Steps) != 1 || out.Steps[0].DB != dbs[0] || out.Steps[0].Usefulness != us[0]) {
+			t.Errorf("trial %d: first step %+v, want db %d at usefulness %v", trial, out.Steps, dbs[0], us[0])
 		}
 		// A truncated ranking must be a prefix of the full one (single-
 		// value RDs are impulses, so some trials rank fewer than 2).
@@ -461,7 +489,10 @@ func TestAProStopsOnUninformativeProbes(t *testing.T) {
 		Impulse(50),
 	}
 	sel = NewSelectionFromRDs(rds, Absolute, 1)
-	sel.MarkUnprobeable(0) // the only informative probe target is gone
+	// The only informative probe target is gone without its RD having
+	// collapsed — a state the loop itself never produces (a failed probe
+	// collapses to 0), set up directly to pin the policy sentinel.
+	sel.probed[0], sel.unprobedStale = true, true
 	out, err = APro(sel, probe, &Greedy{}, 0.999, -1)
 	if err != nil {
 		t.Fatal(err)

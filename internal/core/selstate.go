@@ -80,7 +80,7 @@ type selScratch struct {
 	hypMarg    []float64 // marginals under the hypothesis
 	impulse    *RD       // reusable impulse RD for the rds swap
 
-	// Enumeration and ranking buffers.
+	// Best-set enumeration buffers.
 	order    []int
 	comboIdx []int
 	combo    []int
@@ -88,6 +88,17 @@ type selScratch struct {
 	bestBuf  []int
 	setMask  []bool
 	pbRow    []float64
+
+	// Greedy.Rank's working buffers: the informative candidates with
+	// their raw usefulness, score and cost, and the ranking handed back
+	// to the caller (rankDBs/rankUs, valid until the next Rank).
+	candIdx   []int
+	candRaw   []float64
+	candScore []float64
+	candCost  []float64
+	picked    []bool
+	rankDBs   []int
+	rankUs    []float64
 }
 
 var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}

@@ -54,43 +54,25 @@ func TestAProOutcomeTrajectory(t *testing.T) {
 	}
 }
 
-// TestAProFailedProbeKeepsCertainty checks that a failed probe's
-// CertaintyAfter reports the unchanged certainty (marking a database
-// unprobeable does not move E[Cor]).
-func TestAProFailedProbeKeepsCertainty(t *testing.T) {
+// TestAProFailedProbeCertaintyAfter: a failed probe collapses its
+// database to relevancy 0, so the failed step's CertaintyAfter is E[Cor]
+// over that reduced testbed — here the surviving database wins outright.
+func TestAProFailedProbeCertaintyAfter(t *testing.T) {
 	rds := []*RD{
 		MustRD([]float64{50, 100}, []float64{0.5, 0.5}),
 		MustRD([]float64{60, 90}, []float64{0.5, 0.5}),
 	}
 	sel := NewSelectionFromRDs(rds, Absolute, 1)
-	_, e0 := sel.Best()
-	calls := 0
-	probe := func(i int) (float64, error) {
-		calls++
-		if calls == 1 {
-			return 0, fmt.Errorf("down")
-		}
-		return 100, nil
-	}
+	probe := func(i int) (float64, error) { return 0, fmt.Errorf("down") }
 	out, err := APro(sel, probe, &Greedy{}, 0.99, -1)
-	if err != nil && len(out.Set) == 0 {
+	if err != nil {
 		t.Fatal(err)
 	}
-	var failed *ProbeStep
-	for i := range out.Steps {
-		if out.Steps[i].Err != nil {
-			failed = &out.Steps[i]
-			break
-		}
+	if len(out.Steps) != 1 || out.Steps[0].Err == nil {
+		t.Fatalf("steps = %+v, want exactly the one failed probe", out.Steps)
 	}
-	if failed == nil {
-		t.Fatal("expected a failed step")
-	}
-	if failed != &out.Steps[0] {
-		t.Fatalf("first step should have failed, got %+v", out.Steps)
-	}
-	if failed.CertaintyAfter != e0 {
-		t.Errorf("failed step CertaintyAfter = %v, want unchanged %v", failed.CertaintyAfter, e0)
+	if failed := out.Steps[0]; failed.CertaintyAfter != 1 || out.Certainty != 1 || len(out.Set) != 1 || out.Set[0] == failed.DB {
+		t.Errorf("failed step %+v, outcome %+v; want the surviving database at certainty 1", failed, out)
 	}
 }
 

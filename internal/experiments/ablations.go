@@ -20,11 +20,11 @@ func AblationPolicies(env *Env, t float64, k int) (*Table, error) {
 		Title:   fmt.Sprintf("Ablation A1: probe policies (t=%.2f, k=%d, %s metric)", t, k, core.Absolute),
 		Columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
 	}
-	policies := []core.Policy{
-		&core.Greedy{},
-		&core.Random{RNG: stats.NewRNG(env.Cfg.Seed).Fork(99)},
-		core.ByEstimate{},
-		core.MaxEntropy{},
+	policies := []func(qi int) core.Policy{
+		shared(core.Greedy{}),
+		randomPerQuery(env.Cfg.Seed, 99),
+		shared(core.ByEstimate{}),
+		shared(core.MaxEntropy{}),
 	}
 	for _, policy := range policies {
 		row, err := runPolicy(env, policy, t, k)
@@ -36,14 +36,32 @@ func AblationPolicies(env *Env, t float64, k int) (*Table, error) {
 	return table, nil
 }
 
-// runPolicy evaluates one policy over the golden standard.
-func runPolicy(env *Env, policy core.Policy, t float64, k int) ([]string, error) {
+// shared serves every query with the one policy p: policies hold no
+// per-selection state, so the evalParallel workers may share it.
+func shared(p core.Policy) func(qi int) core.Policy {
+	return func(int) core.Policy { return p }
+}
+
+// randomPerQuery gives every query its own Random policy whose stream
+// is a function of (seed, label, query index) alone. A stats.RNG is not
+// safe for concurrent use, and one shared across the workers would also
+// make the row depend on how they interleave.
+func randomPerQuery(seed, label int64) func(qi int) core.Policy {
+	base := stats.NewRNG(seed).Fork(label).Int63()
+	return func(qi int) core.Policy {
+		return &core.Random{RNG: stats.NewRNG(base).Fork(int64(qi))}
+	}
+}
+
+// runPolicy evaluates one policy over the golden standard; policy(qi)
+// is the policy for query qi.
+func runPolicy(env *Env, policy func(qi int) core.Policy, t float64, k int) ([]string, error) {
 	var probes, corA, corP, reached float64
 	var firstErr error
 	evalParallel(len(env.Golden), func(qi int, add func(update func())) {
 		g := env.Golden[qi]
 		sel := env.Selection(g.Query, core.Absolute, k)
-		out, err := core.APro(sel, env.Probe(g.Query.String()), policy, t, -1)
+		out, err := core.APro(sel, env.Probe(g.Query.String()), policy(qi), t, -1)
 		if err != nil {
 			add(func() { firstErr = err })
 			return
@@ -61,7 +79,7 @@ func runPolicy(env *Env, policy core.Policy, t float64, k int) ([]string, error)
 		return nil, firstErr
 	}
 	n := float64(len(env.Golden))
-	return []string{policy.Name(), f2(probes / n), f3(corA / n), f3(corP / n), f3(reached / n)}, nil
+	return []string{policy(0).Name(), f2(probes / n), f3(corA / n), f3(corP / n), f3(reached / n)}, nil
 }
 
 // AblationOptimalPolicy (A1b) compares the greedy policy against the
@@ -93,10 +111,10 @@ func AblationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
 		Columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
 		Notes:   []string{"the optimal policy is expectimin over probe orders and outcomes — O(n!) as the paper notes"},
 	}
-	policies := []core.Policy{
-		&core.Greedy{},
-		&core.Optimal{MaxDBs: numDBs},
-		&core.Random{RNG: stats.NewRNG(cfg.Seed).Fork(123)},
+	policies := []func(qi int) core.Policy{
+		shared(core.Greedy{}),
+		shared(&core.Optimal{MaxDBs: numDBs}),
+		randomPerQuery(cfg.Seed, 123),
 	}
 	for _, policy := range policies {
 		row, err := runPolicy(env, policy, t, 1)
@@ -225,8 +243,8 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 		label  string
 		policy core.Policy
 	}{
-		{"greedy (cost-blind)", &core.Greedy{}},
-		{"greedy (cost-aware)", &core.Greedy{Cost: func(i int) float64 { return costs[i] }}},
+		{"greedy (cost-blind)", core.Greedy{}},
+		{"greedy (cost-aware)", core.Greedy{Cost: func(i int) float64 { return costs[i] }}},
 	} {
 		var probes, cost, corA float64
 		var firstErr error

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"metaprobe/internal/core"
@@ -14,220 +13,114 @@ import (
 // ProbeFunc issues the live probe to database i under ctx.
 type ProbeFunc func(ctx context.Context, i int) (float64, error)
 
-// Result is the outcome of a context-aware APro run. Backend failures
-// do not fail the selection: a database whose probe failed (or whose
-// circuit breaker rejected the probe) is treated as serving nothing
-// for this query — its RD collapses to relevancy zero, pushing it out
-// of the best set whenever a live alternative exists — and the
-// selection over the remaining databases is returned with Degraded
-// set.
-type Result struct {
-	core.Outcome
-	// Degraded reports that one or more backends were excluded
-	// (probe failure or open circuit breaker), so the selection was
-	// computed over a reduced testbed.
-	Degraded bool
-	// Excluded lists the excluded database indices, ascending.
-	Excluded []int
-}
+// Result is the outcome of an APro run through the executor.
+type Result = core.Outcome
 
-// APro runs the adaptive probing loop (paper Figure 11) through the
-// executor, with speculative prefetch. Every iteration folds exactly
-// the database the policy picks — the paper's sequential trajectory,
-// byte for byte, at any Speculation level — but when Speculation > 1
-// and the policy implements core.Ranker, probes for the next
-// lower-ranked candidates are dispatched in the background. If a later
-// iteration picks a prefetched database its result is already in
-// flight (or done), hiding that probe's latency; prefetches the policy
-// never picks are cancelled when the selection finishes and counted as
-// speculative waste. With Speculation ≤ 1 — or a policy that is not a
-// Ranker — no prefetch happens and the loop is exactly the sequential
-// algorithm.
+// APro runs the adaptive probing loop (core.AProContext, paper Figure
+// 11) with every probe going through the executor — breaker, pool,
+// timeout, hedge — and, when Speculation > 1 and the policy is a
+// core.Ranker, with the next lower-ranked candidates probed in the
+// background. The loop still folds exactly the database the policy
+// picks each round, so the trajectory is the sequential one at any
+// Speculation level; a prefetched probe that is picked later has its
+// latency already (partly) paid, and those never picked are cancelled
+// when the selection finishes and counted as speculative waste.
 //
 // name maps a database index to the backend name used for breaker and
-// per-backend pool accounting. The returned error is reserved for bad
-// arguments, policy failures and caller cancellation; probe failures
-// degrade the result instead (see Result).
+// per-backend pool accounting. Probe failures and breaker rejections
+// degrade the result (see core.AProContext); the returned error is
+// reserved for bad arguments, policy failures and caller cancellation.
 func (e *Executor) APro(ctx context.Context, s *core.Selection, name func(i int) string, probe ProbeFunc, policy core.Policy, t float64, maxProbes int) (Result, error) {
-	if t < 0 || t > 1 {
-		return Result{}, fmt.Errorf("probeexec: certainty threshold %v outside [0,1]", t)
+	if probe == nil || name == nil {
+		return Result{}, fmt.Errorf("probeexec: APro needs a probe function and a name mapping")
 	}
-	if probe == nil || policy == nil || name == nil {
-		return Result{}, fmt.Errorf("probeexec: APro needs a probe function, a policy and a name mapping")
+	var out Result
+	p := &prober{e: e, name: name, probe: probe, sp: span.FromContext(ctx)}
+	err := core.AProContext(ctx, s, p, policy, t, maxProbes, &out)
+	if err == nil && out.Degraded {
+		e.degraded.Inc()
 	}
-	m := e.cfg.Speculation
-	if m < 1 {
-		m = 1
-	}
-	ranker, _ := policy.(core.Ranker)
+	return out, err
+}
 
-	var res Result
-	out := &res.Outcome
-	var excluded []int
+// prober is one selection's view of the executor: core.Prober over
+// Executor.Probe, plus the speculative prefetches in flight.
+type prober struct {
+	e     *Executor
+	name  func(i int) string
+	probe ProbeFunc
+	sp    *span.Span // selection root (nil when tracing is off)
 
-	// Speculative prefetches run under one context for the whole
-	// selection. finish cancels and drains them, so every probe has
-	// returned — and its pool slot is released — before APro does.
-	type probeResult struct {
-		v   float64
-		err error
+	// Prefetches run under one context for the whole selection, so Drain
+	// stops them all; pending holds those not yet waited for.
+	specCtx context.Context
+	cancel  context.CancelFunc
+	pending map[int]chan probeResult
+}
+
+type probeResult struct {
+	v   float64
+	err error
+}
+
+func (p *prober) run(ctx context.Context, i int) (float64, error) {
+	return p.e.Probe(ctx, p.name(i), func(c context.Context) (float64, error) { return p.probe(c, i) })
+}
+
+// Prefetch starts the runners-up of the ranking in the background, up
+// to Speculation probes counting the head, which Wait probes inline.
+func (p *prober) Prefetch(ctx context.Context, ranked []int) {
+	if m := p.e.cfg.Speculation; len(ranked) > m {
+		ranked = ranked[:max(m, 1)]
 	}
-	sp := span.FromContext(ctx) // selection root (nil when tracing is off)
-	specCtx, cancelSpec := context.WithCancel(ctx)
-	pending := make(map[int]chan probeResult)
-	dispatch := func(i int) {
+	for _, i := range ranked[1:] {
+		if _, ok := p.pending[i]; ok {
+			continue
+		}
+		if p.pending == nil {
+			p.specCtx, p.cancel = context.WithCancel(ctx)
+			p.pending = make(map[int]chan probeResult)
+		}
 		ch := make(chan probeResult, 1)
-		pending[i] = ch
+		p.pending[i] = ch
 		go func() {
-			v, err := e.Probe(specCtx, name(i), func(c context.Context) (float64, error) {
-				return probe(c, i)
-			})
+			v, err := p.run(p.specCtx, i)
 			ch <- probeResult{v: v, err: err}
 		}()
+		p.sp.AddEvent("speculative_prefetch", "backend", p.name(i))
 	}
-	finish := func() Result {
-		cancelSpec()
-		if len(pending) > 0 {
-			sp.AddEvent("speculation_cancelled", "count", strconv.Itoa(len(pending)))
-		}
-		for _, ch := range pending {
-			<-ch
-			e.specWaste.Inc()
-		}
-		if len(excluded) > 0 {
-			res.Degraded = true
-			sort.Ints(excluded)
-			res.Excluded = excluded
-		}
-		return res
+}
+
+// Wait collects database i's prefetched probe, or probes it now on the
+// caller's goroutine.
+func (p *prober) Wait(ctx context.Context, i int) (float64, error) {
+	var r probeResult
+	if ch, ok := p.pending[i]; ok {
+		r = <-ch
+		delete(p.pending, i)
+	} else {
+		r.v, r.err = p.run(ctx, i)
 	}
+	if r.err != nil && ctx.Err() == nil {
+		p.sp.AddEvent("backend_excluded", "backend", p.name(i), "error", r.err.Error())
+	}
+	return r.v, r.err
+}
 
-	first := true
-	for {
-		mark := s.BeginStage()
-		set, cur := s.BestView()
-		s.EndStage(mark, core.StageECorDP)
-		out.Set = append(out.Set[:0], set...)
-		out.Certainty = cur
-		if first {
-			out.Initial = cur
-			first = false
-		} else if n := len(out.Steps); n > 0 {
-			out.Steps[n-1].CertaintyAfter = cur
-		}
-		if cur >= t {
-			out.Reached = true
-			if res.Degraded = len(excluded) > 0; res.Degraded {
-				e.degraded.Inc()
-			}
-			return finish(), nil
-		}
-		if err := ctx.Err(); err != nil {
-			return finish(), fmt.Errorf("probeexec: selection abandoned: %w", err)
-		}
-		if len(s.UnprobedView()) == 0 || (maxProbes >= 0 && out.Probes() >= maxProbes) {
-			if len(excluded) > 0 {
-				e.degraded.Inc()
-			}
-			return finish(), nil
-		}
-
-		// SelectDb: the head of the ranking is this iteration's probe —
-		// exactly the choice the sequential loop would make through the
-		// same policy. The tail (requires a Ranker) is only prefetched.
-		var cands []int
-		useful := make(map[int]float64)
-		mark = s.BeginStage()
-		if m == 1 || ranker == nil {
-			i, err := policy.Next(s, t)
-			if err != nil {
-				if errors.Is(err, core.ErrNoInformativeProbe) {
-					// Every remaining unprobed RD is an impulse — stop
-					// with the best available set instead of issuing
-					// informationless probes (Reached stays false).
-					if len(excluded) > 0 {
-						e.degraded.Inc()
-					}
-					return finish(), nil
-				}
-				return finish(), fmt.Errorf("probeexec: probe policy %s: %w", policy.Name(), err)
-			}
-			if s.Probed(i) {
-				return finish(), fmt.Errorf("probeexec: policy %s chose already-probed database %d", policy.Name(), i)
-			}
-			cands = []int{i}
-			if ur, ok := policy.(core.UsefulnessReporter); ok {
-				useful[i] = ur.LastUsefulness()
-			}
-		} else {
-			dbs, us, err := ranker.Rank(s, t, m)
-			if err != nil {
-				if errors.Is(err, core.ErrNoInformativeProbe) {
-					if len(excluded) > 0 {
-						e.degraded.Inc()
-					}
-					return finish(), nil
-				}
-				return finish(), fmt.Errorf("probeexec: probe policy %s: %w", policy.Name(), err)
-			}
-			for idx, i := range dbs {
-				if s.Probed(i) {
-					return finish(), fmt.Errorf("probeexec: policy %s ranked already-probed database %d", policy.Name(), i)
-				}
-				useful[i] = us[idx]
-			}
-			cands = dbs
-		}
-		s.EndStage(mark, core.StageRank)
-		if maxProbes >= 0 {
-			if remaining := maxProbes - out.Probes(); len(cands) > remaining {
-				cands = cands[:remaining]
-			}
-		}
-
-		// Dispatch this iteration's probe plus any prefetch candidates
-		// not already in flight; only this goroutine touches s. A probe
-		// prefetched in an earlier iteration and picked now folds from
-		// its pending channel — its latency already (partly) paid.
-		for _, i := range cands {
-			if _, ok := pending[i]; !ok {
-				dispatch(i)
-				if i != cands[0] {
-					sp.AddEvent("speculative_prefetch", "backend", name(i))
-				}
-			}
-		}
-		// The probe stage here is the time this loop spends *blocked*
-		// on the probe it needs next — under speculation the wire time
-		// may be longer, but only the blocking tail delays the
-		// selection, and that is what a waterfall should show.
-		head := cands[0]
-		mark = s.BeginStage()
-		r := <-pending[head]
-		s.EndStage(mark, core.StageProbe)
-		delete(pending, head)
-		if r.err != nil {
-			if ctx.Err() != nil {
-				return finish(), fmt.Errorf("probeexec: selection abandoned: %w", ctx.Err())
-			}
-			// Degrade: an unreachable backend serves nothing for this
-			// query, so its effective relevancy is zero — collapsing
-			// the RD pushes it out of the best set whenever a live
-			// alternative exists (unlike core.APro's best-effort,
-			// which keeps the estimated RD of failed databases).
-			s.ApplyProbe(head, 0)
-			excluded = append(excluded, head)
-			out.ProbeErrs = append(out.ProbeErrs, r.err)
-			sp.AddEvent("backend_excluded", "backend", name(head), "error", r.err.Error())
-		} else {
-			s.ApplyProbe(head, r.v)
-		}
-		mark = s.BeginStage()
-		_, after := s.BestView()
-		s.EndStage(mark, core.StageECorDP)
-		out.Steps = append(out.Steps, core.ProbeStep{
-			DB: head, Value: r.v, Err: r.err, Usefulness: useful[head], CertaintyAfter: after,
-		})
+// Drain cancels the prefetches the loop never picked and waits for
+// them, so every probe has returned — and its pool slot is released —
+// before APro does.
+func (p *prober) Drain() {
+	if p.cancel == nil {
+		return
+	}
+	p.cancel()
+	if len(p.pending) > 0 {
+		p.sp.AddEvent("speculation_cancelled", "count", strconv.Itoa(len(p.pending)))
+	}
+	for _, ch := range p.pending {
+		<-ch
+		p.e.specWaste.Inc()
 	}
 }
 

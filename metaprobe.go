@@ -122,8 +122,8 @@ type (
 	DriftAlert = obs.DriftAlert
 	// DriftStatus is the state of one monitored (database, query type).
 	DriftStatus = obs.DriftStatus
-	// ProbeLimits bounds probe concurrency for the context-aware
-	// selection paths. See Config.ProbeConcurrency.
+	// ProbeLimits bounds probe concurrency. See
+	// Config.ProbeConcurrency.
 	ProbeLimits = probeexec.Limits
 	// BreakerConfig tunes the per-backend circuit breakers guarding
 	// live probes. See Config.Breaker.
@@ -245,37 +245,34 @@ type Config struct {
 	// refresh traffic cannot starve serving. Call Metasearcher.Close to
 	// stop the background worker.
 	Refresh *RefreshConfig
-	// ProbeConcurrency bounds the probes in flight on the context-aware
-	// selection paths (SelectWithCertaintyContext and friends): a
-	// global cap shared by every concurrent selection, plus an optional
-	// per-backend cap. The zero value defaults to 16 global, unlimited
-	// per backend. The context-free paths probe strictly sequentially
-	// and ignore it.
+	// ProbeConcurrency bounds the probes in flight: a global cap shared
+	// by every concurrent selection, plus an optional per-backend cap.
+	// The zero value defaults to 16 global, unlimited per backend.
 	ProbeConcurrency ProbeLimits
 	// Speculation is the number of policy candidates each adaptive-
-	// probing round dispatches concurrently on the context-aware paths.
-	// 0 or 1 — the default — reproduces the paper's sequential greedy
-	// loop exactly (same probe sequence, same certainty trajectory);
-	// higher values trade extra probes for wall-clock latency on slow
-	// backends.
+	// probing round has in flight: the one the loop waits for plus
+	// prefetched runners-up. 0 or 1 — the default — probes strictly one
+	// at a time; higher values keep the paper's probe sequence and
+	// certainty trajectory but trade extra probes for wall-clock latency
+	// on slow backends.
 	Speculation int
 	// HedgeAfter, when positive, launches a second attempt for any
-	// context-aware probe that has not answered after this delay; the
+	// probe that has not answered after this delay; the
 	// first answer wins and the loser is cancelled. Effective against
 	// tail latency; 0 disables hedging.
 	HedgeAfter time.Duration
-	// ProbeTimeout caps each context-aware probe (hedge included) end
-	// to end; a timed-out probe counts as a backend failure. 0 leaves
-	// probes bounded only by the caller's context.
+	// ProbeTimeout caps each probe (hedge included) end to end; a
+	// timed-out probe counts as a backend failure. 0 leaves probes
+	// bounded only by the caller's context.
 	ProbeTimeout time.Duration
-	// Breaker tunes the per-backend circuit breakers on the context-
-	// aware paths: consecutive failures open a backend's breaker, and
-	// while open its probes are skipped (the selection degrades
+	// Breaker tunes the per-backend circuit breakers: consecutive
+	// failures open a backend's breaker, and while open its probes are
+	// skipped (the selection degrades
 	// gracefully instead of waiting on a dead backend). The zero value
 	// opens after 5 consecutive failures with a 30s cooldown.
 	Breaker BreakerConfig
 	// Spans, when non-nil, records a hierarchical span tree for every
-	// context-aware selection: a root "selection" span with each probe,
+	// selection: a root "selection" span with each probe,
 	// its attempts (hedges included), breaker transitions, middleware
 	// cache/retry events and wire sizes nested below it, retrievable by
 	// trace ID (span.Handler serves /debug/spans?trace=<id>). The trace
@@ -322,9 +319,11 @@ type Metasearcher struct {
 	// refresher retrains drifted EDs in the background (nil unless
 	// cfg.Refresh is set).
 	refresher *refresh.Refresher
-	// exec runs context-aware probes: worker pool, circuit breakers,
-	// hedging, speculative rounds (internal/probeexec).
-	exec *probeexec.Executor
+	// exec runs every live probe: worker pool, circuit breakers,
+	// hedging, speculative prefetch (internal/probeexec). dbName is the
+	// index → backend-name mapping it accounts by, built once.
+	exec   *probeexec.Executor
+	dbName func(i int) string
 	// modelMu serializes access to the serving model's mutable state
 	// and to version publication: Model.ObserveProbe (online
 	// refinement) mutates the ED histograms that NewSelection and the
@@ -450,10 +449,11 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		registerSelectionMetrics(c.Metrics, tb)
 	}
 	m := &Metasearcher{
-		tb:   tb,
-		sums: &summary.Set{Summaries: sums},
-		rel:  c.Relevancy,
-		cfg:  c,
+		tb:     tb,
+		sums:   &summary.Set{Summaries: sums},
+		rel:    c.Relevancy,
+		cfg:    c,
+		dbName: func(i int) string { return tb.DB(i).Name() },
 		exec: probeexec.NewExecutor(probeexec.Config{
 			Limits:       c.ProbeConcurrency,
 			Speculation:  c.Speculation,
@@ -632,31 +632,16 @@ func (m *Metasearcher) SelectBaseline(query string, k int) []string {
 // the probabilistic relevancy model, with no probing (the paper's
 // RD-based method), along with that expected correctness.
 func (m *Metasearcher) Select(query string, k int, metric Metric) ([]string, float64, error) {
-	start := m.obsNow()
-	rec := m.stageRecorder()
-	sel, ver, err := m.selection(query, metric, k, rec)
-	if err != nil {
-		return nil, 0, err
-	}
-	mark := sel.BeginStage()
-	set, e := sel.Best()
-	sel.EndStage(mark, core.StageECorDP)
-	m.flushStages(rec, nil)
-	m.recordSLO(start, true)
-	m.observe(m.nextSelectionID(), "", query, metric, 0, sel, core.Outcome{Set: set, Certainty: e, Initial: e, Reached: true}, start)
-	m.recycleSelection(ver, sel)
-	return m.names(set), e, nil
+	return m.SelectContext(context.Background(), query, k, metric)
 }
 
-// SelectContext is Select bounded by ctx. The RD-based computation
-// issues no probes and runs in microseconds, so the bound is a
-// fail-fast check at entry (a request whose caller already gave up is
-// not worth even the DP), not a mid-flight cancellation point.
+// SelectContext is Select bounded by ctx: the adaptive loop with
+// threshold 0, which its first evaluation always meets. The RD-based
+// computation issues no probes and runs in microseconds, so the bound
+// is a fail-fast check at entry, not a mid-flight cancellation point.
 func (m *Metasearcher) SelectContext(ctx context.Context, query string, k int, metric Metric) ([]string, float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return m.Select(query, k, metric)
+	res, err := m.selectWithPolicyContext(ctx, query, k, metric, 0, 0, greedy)
+	return res.Databases, res.Certainty, err
 }
 
 // SelectionResult reports an adaptive-probing selection.
@@ -672,89 +657,48 @@ type SelectionResult struct {
 	Certainty float64
 	// Probes is the number of live probes spent.
 	Probes int
-	// ProbeFailures is the number of probe attempts that failed and
-	// marked their database unprobeable (or excluded it, on the
-	// context-aware paths). A selection can reach the certainty even
-	// after failures; this surfaces that it ran degraded.
+	// ProbeFailures is the number of probes that failed and excluded
+	// their database. A selection can reach the certainty even after
+	// failures; this surfaces that it ran degraded.
 	ProbeFailures int
 	// Reached reports whether the requested certainty was met.
 	Reached bool
 	// Degraded reports that one or more backends were excluded from
 	// the selection (probe failure or open circuit breaker), so the
-	// answer was computed over a reduced testbed. Only the context-
-	// aware selection paths degrade; the context-free paths leave it
-	// false.
+	// answer was computed over a reduced testbed.
 	Degraded bool
 	// ExcludedDBs names the excluded backends (testbed order) when
 	// Degraded is set.
 	ExcludedDBs []string
-	// TraceID identifies the selection's span tree, set on the context-
-	// aware paths when Config.Spans is configured (retrieve it via
-	// SpanTracer.Tree or /debug/spans?trace=<id>). Empty otherwise.
+	// TraceID identifies the selection's span tree, set when
+	// Config.Spans is configured (retrieve it via SpanTracer.Tree or
+	// /debug/spans?trace=<id>). Empty otherwise.
 	TraceID string
 	// Cost is the selection's probe-cost account — probes issued,
 	// hedges won and wasted, cache hits, bytes fetched and per-backend
-	// wall time — populated on the context-aware paths when any
-	// observability sink (Metrics, Spans or SLO) is configured; nil
-	// otherwise.
+	// wall time — populated when any observability sink (Metrics,
+	// Spans or SLO) is configured; nil otherwise.
 	Cost *CostSummary
 }
 
-// SelectWithCertainty runs the paper's APro algorithm: select k
-// databases whose expected correctness meets the user-required
-// certainty t, probing as few databases as possible (greedy usefulness
-// policy). maxProbes < 0 leaves probing unbounded. Even when the
-// certainty cannot be reached (all probes failed or exhausted), the
-// best available set is returned with Reached=false.
+// greedy is the default probe policy. Policies hold no per-selection
+// state, so one value serves every request.
+var greedy Policy = core.Greedy{}
+
+// SelectWithCertainty is SelectWithCertaintyContext without
+// cancellation.
 func (m *Metasearcher) SelectWithCertainty(query string, k int, metric Metric, t float64, maxProbes int) (*SelectionResult, error) {
-	return m.selectWithPolicy(query, k, metric, t, maxProbes, &core.Greedy{})
+	return m.SelectWithPolicyContext(context.Background(), query, k, metric, t, maxProbes, greedy)
 }
 
-// SelectWithPolicy is SelectWithCertainty with a custom probe policy.
+// SelectWithPolicy is SelectWithPolicyContext without cancellation.
 func (m *Metasearcher) SelectWithPolicy(query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (*SelectionResult, error) {
-	return m.selectWithPolicy(query, k, metric, t, maxProbes, policy)
-}
-
-func (m *Metasearcher) selectWithPolicy(query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (*SelectionResult, error) {
-	start := m.obsNow()
-	rec := m.stageRecorder()
-	sel, ver, err := m.selection(query, metric, k, rec)
-	if err != nil {
-		return nil, err
-	}
-	numTerms := countTerms(query)
-	probe := func(i int) (float64, error) {
-		v, err := m.rel.Probe(m.tb.DB(i), query)
-		if err == nil {
-			if ferr := m.probeFeedback(i, query, numTerms, v); ferr != nil {
-				return 0, ferr
-			}
-		}
-		return v, err
-	}
-	out, err := core.APro(sel, probe, policy, t, maxProbes)
-	if err != nil && len(out.Set) == 0 {
-		m.recordSLO(start, false)
-		return nil, fmt.Errorf("metaprobe: %w", err)
-	}
-	m.flushStages(rec, nil)
-	m.recordSLO(start, true)
-	id := m.nextSelectionID()
-	m.observe(id, "", query, metric, t, sel, out, start)
-	m.recycleSelection(ver, sel)
-	return &SelectionResult{
-		ID:            id,
-		Databases:     m.names(out.Set),
-		Certainty:     out.Certainty,
-		Probes:        out.Probes(),
-		ProbeFailures: len(out.ProbeErrs),
-		Reached:       out.Reached,
-	}, nil
+	return m.SelectWithPolicyContext(context.Background(), query, k, metric, t, maxProbes, policy)
 }
 
 // probeFeedback folds one successful live probe back into the shared
-// model state (online refinement, drift detection). Both selection
-// paths route through it; modelMu makes the feedback safe when many
+// model state (online refinement, drift detection). modelMu makes the
+// feedback safe when many
 // selections — or one selection's speculative probes — land
 // concurrently, since Model.ObserveProbe mutates histograms the drift
 // detector also reads. The feedback deliberately does not touch the
@@ -788,31 +732,45 @@ func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float6
 	return nil
 }
 
-// SelectWithCertaintyContext is SelectWithCertainty bounded by ctx and
-// executed through the probe-execution engine: probes run under the
-// configured concurrency limits, circuit breakers and hedging
+// SelectWithCertaintyContext runs the paper's APro algorithm: select k
+// databases whose expected correctness meets the user-required
+// certainty t, probing as few databases as possible (greedy usefulness
+// policy). maxProbes < 0 leaves probing unbounded. Even when the
+// certainty cannot be reached (probes exhausted), the best available
+// set is returned with Reached=false.
+//
+// Probes run through the probe-execution engine under the configured
+// concurrency limits, circuit breakers and hedging
 // (Config.ProbeConcurrency, Breaker, HedgeAfter), and with
-// Config.Speculation > 1 each probing round dispatches several policy
-// candidates concurrently. Cancelling ctx abandons the selection.
+// Config.Speculation > 1 the runners-up of each round are probed
+// speculatively. Cancelling ctx abandons the selection.
 //
 // Failures degrade instead of erroring: a backend whose probe fails —
 // or whose breaker is open — is treated as serving nothing for this
 // query and excluded, and the result reports Degraded/ExcludedDBs.
-// With Speculation ≤ 1 and no failures, the result is identical to
-// SelectWithCertainty's.
 func (m *Metasearcher) SelectWithCertaintyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int) (*SelectionResult, error) {
-	return m.selectWithPolicyContext(ctx, query, k, metric, t, maxProbes, &core.Greedy{})
+	return m.SelectWithPolicyContext(ctx, query, k, metric, t, maxProbes, greedy)
 }
 
 // SelectWithPolicyContext is SelectWithCertaintyContext with a custom
 // probe policy. Policies implementing the internal Ranker interface
-// (the greedy policy does) support speculative rounds; others fall
-// back to sequential probing regardless of Config.Speculation.
+// (the greedy policy does) support speculative prefetch; others are
+// probed sequentially regardless of Config.Speculation.
 func (m *Metasearcher) SelectWithPolicyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (*SelectionResult, error) {
-	return m.selectWithPolicyContext(ctx, query, k, metric, t, maxProbes, policy)
+	res, err := m.selectWithPolicyContext(ctx, query, k, metric, t, maxProbes, policy)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
-func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (*SelectionResult, error) {
+// selectWithPolicyContext is the one selection body behind every
+// Select* entry point. It returns the result by value so that Select,
+// which hands back only the set and its certainty, allocates none.
+func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (SelectionResult, error) {
+	if err := ctx.Err(); err != nil {
+		return SelectionResult{}, err
+	}
 	start := m.obsNow()
 	// Root span and cost account. The span tree nests every probe,
 	// attempt and middleware event below "selection"; the cost account
@@ -823,15 +781,17 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	// root span's window, and the per-stage totals attached as events
 	// sum to ≈ the span's duration.
 	ctx, sp := m.cfg.Spans.Start(ctx, "selection")
-	sp.SetAttr("query", query)
-	sp.SetAttr("k", strconv.Itoa(k))
-	sp.SetAttr("metric", metric.String())
-	sp.SetAttr("threshold", strconv.FormatFloat(t, 'g', -1, 64))
+	if sp != nil { // formatting the attributes allocates
+		sp.SetAttr("query", query)
+		sp.SetAttr("k", strconv.Itoa(k))
+		sp.SetAttr("metric", metric.String())
+		sp.SetAttr("threshold", strconv.FormatFloat(t, 'g', -1, 64))
+	}
 	rec := m.stageRecorder()
 	sel, ver, err := m.selection(query, metric, k, rec)
 	if err != nil {
 		sp.EndErr(err)
-		return nil, err
+		return SelectionResult{}, err
 	}
 	var acct *obs.CostAccount
 	if m.cfg.Metrics != nil || m.cfg.Spans != nil || m.cfg.SLO != nil {
@@ -850,28 +810,30 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 		}
 		return v, err
 	}
-	res, err := m.exec.APro(ctx, sel, func(i int) string { return m.tb.DB(i).Name() }, probe, policy, t, maxProbes)
+	res, err := m.exec.APro(ctx, sel, m.dbName, probe, policy, t, maxProbes)
 	if err != nil {
 		m.recordSLO(start, false)
 		sp.EndErr(err)
-		return nil, fmt.Errorf("metaprobe: %w", err)
+		return SelectionResult{}, fmt.Errorf("metaprobe: %w", err)
 	}
 	id := m.nextSelectionID()
-	if id != "" {
-		sp.SetAttr("id", id)
-	}
-	sp.SetAttr("certainty", strconv.FormatFloat(res.Certainty, 'f', 4, 64))
-	sp.SetAttr("probes", strconv.Itoa(res.Probes()))
-	sp.SetAttr("reached", strconv.FormatBool(res.Reached))
-	if res.Degraded {
-		sp.SetAttr("degraded", "true")
+	if sp != nil {
+		if id != "" {
+			sp.SetAttr("id", id)
+		}
+		sp.SetAttr("certainty", strconv.FormatFloat(res.Certainty, 'f', 4, 64))
+		sp.SetAttr("probes", strconv.Itoa(res.Probes()))
+		sp.SetAttr("reached", strconv.FormatBool(res.Reached))
+		if res.Degraded {
+			sp.SetAttr("degraded", "true")
+		}
 	}
 	m.flushStages(rec, sp)
 	sp.End()
 	m.recordSLO(start, true)
-	m.observe(id, sp.Trace(), query, metric, t, sel, res.Outcome, start)
+	m.observe(id, sp.Trace(), query, metric, t, sel, res, start)
 	m.recycleSelection(ver, sel)
-	out := &SelectionResult{
+	out := SelectionResult{
 		ID:            id,
 		TraceID:       sp.Trace(),
 		Databases:     m.names(res.Set),
@@ -1052,25 +1014,16 @@ func (m *Metasearcher) observe(id, traceID, query string, metric Metric, thresho
 	}
 }
 
-// Metasearch performs the full pipeline of the paper's Figure 1:
-// select k databases with certainty t, forward the query to them, and
-// fuse the per-database results into one ranked list of resultSize
-// documents.
+// Metasearch is MetasearchContext without cancellation.
 func (m *Metasearcher) Metasearch(query string, k int, metric Metric, t float64, resultSize int) ([]MergedResult, *SelectionResult, error) {
-	selRes, err := m.SelectWithCertainty(query, k, metric, t, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	items, err := m.fuse(context.Background(), query, selRes, resultSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return items, selRes, nil
+	return m.MetasearchContext(context.Background(), query, k, metric, t, resultSize)
 }
 
-// MetasearchContext is Metasearch bounded by ctx and executed through
-// the probe-execution engine (see SelectWithCertaintyContext for the
-// selection semantics). When Config.Spans is set the whole pipeline
+// MetasearchContext performs the full pipeline of the paper's Figure 1
+// under ctx: select k databases with certainty t (see
+// SelectWithCertaintyContext for the selection semantics), forward the
+// query to them, and fuse the per-database results into one ranked list
+// of resultSize documents. When Config.Spans is set the whole pipeline
 // records one trace: a root "metasearch" span with the selection and
 // each per-database result fetch as children, so a slow answer can be
 // broken down into selection versus fetch time on the waterfall.
@@ -1143,7 +1096,7 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 // rd_convolve stage — including any wait on modelMu, which is real
 // serving latency — so the stage keeps reporting honestly; it has
 // shrunk to lookup cost, not disappeared from the waterfall. The
-// recorder is attached to the selection so the APro loops report the
+// recorder is attached to the selection so the APro loop reports the
 // remaining stages to it.
 func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.StageRecorder) (*core.Selection, *core.ModelVersion, error) {
 	if !m.Trained() {
