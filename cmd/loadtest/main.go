@@ -12,9 +12,10 @@
 //
 // With -trace every selection records a span tree (the run reports
 // the slowest query's trace ID), and with -serve the process stays up
-// after the replay serving /metrics (with trace exemplars),
-// /debug/spans, /debug/slo, /healthz and /readyz — so the recorded
-// traces and burn rates can be inspected.
+// after the replay serving the shared ops tree — /metrics (with trace
+// exemplars), /debug/spans, /debug/slo, /debug/profiles, /debug/pprof,
+// /healthz and /readyz — so the recorded traces and burn rates can be
+// inspected.
 //
 // With -target the same workload is replayed against a running
 // metaprobed daemon instead of the in-process library: each query
@@ -53,8 +54,8 @@ import (
 	"metaprobe/internal/eval"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/obs"
+	"metaprobe/internal/obs/ops"
 	"metaprobe/internal/obs/prof"
-	"metaprobe/internal/obs/span"
 	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
 )
@@ -190,19 +191,11 @@ func serveObservability(addr string, rep loadReport, logger *slog.Logger) error 
 	captor.Start(ctx)
 	sampler.Start(ctx)
 
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(rep.reg))
-	mux.Handle("/debug/spans", span.Handler(rep.spans))
-	mux.Handle("/debug/slo", obs.SLOHandler(rep.sloT))
-	mux.Handle("/debug/profiles", prof.Handler(captor))
-	mux.Handle("/debug/goroutines", prof.GoroutineDumpHandler())
-	mux.Handle("/healthz", obs.HealthzHandler())
-	mux.Handle("/readyz", obs.ReadyzCheckHandler(nil))
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := &http.Server{Addr: addr, Handler: newServeMux(rep, captor)}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("serving observability endpoints",
-		"addr", addr, "endpoints", "/metrics /debug/spans /debug/slo /debug/profiles /debug/goroutines /healthz /readyz")
+		"addr", addr, "endpoints", "/metrics /debug/spans /debug/slo /debug/profiles /debug/goroutines /debug/pprof /healthz /readyz")
 	select {
 	case err := <-errc:
 		return err
@@ -218,6 +211,19 @@ func serveObservability(addr string, rep loadReport, logger *slog.Logger) error 
 		logger.Info("profiler stopped", "captures_retained", len(captor.List()))
 		return nil
 	}
+}
+
+// newServeMux is the -serve surface: the shared ops tree over the
+// replay's recorded sinks (no spans without -trace; always ready).
+func newServeMux(rep loadReport, captor *prof.Captor) *http.ServeMux {
+	mux := http.NewServeMux()
+	ops.Mount(mux, ops.Sinks{
+		Metrics:  rep.reg,
+		Spans:    rep.spans,
+		SLO:      rep.sloT,
+		Profiles: captor,
+	})
+	return mux
 }
 
 // runLoadTest builds the testbed, trains, and replays the workload.

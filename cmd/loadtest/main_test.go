@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"metaprobe/internal/obs/ops"
+	"metaprobe/internal/obs/ops/opstest"
 )
 
 func TestRunLoadTest(t *testing.T) {
@@ -59,4 +62,8 @@ func TestRunLoadTest(t *testing.T) {
 			t.Errorf("metrics snapshot missing %q", want)
 		}
 	}
+	// The -serve surface is the shared ops tree over the run's sinks:
+	// without -trace there is no span store, so no /debug/spans, and no
+	// profiles without a captor.
+	opstest.CheckRoutes(t, newServeMux(rep, nil), ops.Sinks{Metrics: rep.reg, SLO: rep.sloT})
 }

@@ -36,7 +36,8 @@ import (
 // logger is the process-wide structured logger. Human-facing report
 // tables still print with fmt; everything operational goes through
 // slog so log lines carry machine-readable fields (notably the
-// per-selection correlation ID also present in SelectionTrace.ID).
+// per-selection correlation ID, which is also the root span's "id"
+// attribute).
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 // fatal logs err and exits non-zero.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
-	"net/http/pprof"
 	"os/signal"
 	"strconv"
 	"syscall"
@@ -17,6 +16,7 @@ import (
 	"metaprobe/internal/corpus"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/obs"
+	"metaprobe/internal/obs/ops"
 	"metaprobe/internal/obs/prof"
 	"metaprobe/internal/obs/span"
 	"metaprobe/internal/queries"
@@ -27,11 +27,11 @@ import (
 // form, the fused results with snippets, the selection diagnostics
 // (which databases were chosen, at what certainty, with how many
 // probes) with a span waterfall of the request path, plus the
-// operational endpoints /metrics (Prometheus text format with trace
-// exemplars), /debug/trace, /debug/spans, /debug/slo,
-// /debug/calibration and /debug/model (JSON), /debug/pprof, and the
-// /healthz + /readyz probes (readiness covers training state and
-// refresher health).
+// shared ops tree (ops.Mount): /metrics (Prometheus text format with
+// trace exemplars), /debug/spans, /debug/slo, /debug/calibration,
+// /debug/model and /debug/profiles (JSON), /debug/goroutines,
+// /debug/pprof, and the /healthz + /readyz probes (readiness covers
+// training state and refresher health).
 func web(args []string) {
 	fs := flag.NewFlagSet("web", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
@@ -70,7 +70,7 @@ func web(args []string) {
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("serving the metasearch UI",
 		"addr", *addr,
-		"endpoints", "/metrics /debug/trace /debug/spans /debug/slo /debug/calibration /debug/model /debug/profiles /debug/goroutines /debug/pprof /healthz /readyz")
+		"endpoints", "/metrics /debug/spans /debug/slo /debug/calibration /debug/model /debug/profiles /debug/goroutines /debug/pprof /healthz /readyz")
 	select {
 	case err := <-errc:
 		fatal(err)
@@ -88,21 +88,20 @@ func web(args []string) {
 }
 
 // webEnv bundles the observability state behind the demo server: the
-// metrics registry and trace ring the metasearcher writes into, the
+// metrics registry and span store the metasearcher writes into, the
 // certainty-calibration accumulator fed by post-selection audits, and
 // direct handles on the per-database result caches for the
 // diagnostics panel.
 type webEnv struct {
 	reg    *metaprobe.Metrics
-	tracer *metaprobe.RingTracer
 	spans  *metaprobe.SpanTracer
 	slo    *metaprobe.SLO
 	cal    *metaprobe.Calibration
 	caches []webCache
 	// captor and sampler are the continuous profiler and the
-	// runtime-metrics sampler; nil when profiling is disabled (the
-	// /debug/profiles handler and the telemetry panel degrade
-	// gracefully).
+	// runtime-metrics sampler; nil when profiling is disabled
+	// (/debug/profiles is then not mounted and the telemetry panel
+	// degrades gracefully).
 	captor  *prof.Captor
 	sampler *prof.Sampler
 }
@@ -135,13 +134,11 @@ func buildDemoMetasearcher(scale float64, seed int64, trainN int) (*metaprobe.Me
 		return nil, nil, err
 	}
 	env := &webEnv{
-		reg:    metaprobe.NewMetrics(),
-		tracer: metaprobe.NewRingTracer(256),
-		spans:  metaprobe.NewSpanTracer(0),
-		slo:    metaprobe.NewSLO(metaprobe.SLOConfig{}),
-		cal:    metaprobe.NewCalibration(0),
+		reg:   metaprobe.NewMetrics(),
+		spans: metaprobe.NewSpanTracer(0),
+		slo:   metaprobe.NewSLO(metaprobe.SLOConfig{}),
+		cal:   metaprobe.NewCalibration(0),
 	}
-	env.tracer.Bind(env.reg)
 	env.spans.Bind(env.reg)
 	env.slo.Bind(env.reg)
 	env.cal.Bind(env.reg)
@@ -176,7 +173,6 @@ func buildDemoMetasearcher(scale float64, seed int64, trainN int) (*metaprobe.Me
 	}
 	ms, err := metaprobe.New(dbs, sums, &metaprobe.Config{
 		Metrics: env.reg,
-		Tracer:  env.tracer,
 		Spans:   env.spans,
 		SLO:     env.slo,
 		Drift:   &metaprobe.DriftConfig{},
@@ -207,25 +203,20 @@ func buildDemoMetasearcher(scale float64, seed int64, trainN int) (*metaprobe.Me
 	return ms, env, nil
 }
 
-// newWebMux routes the UI alongside the operational endpoints.
+// newWebMux routes the UI at "/" alongside the shared ops tree; any
+// other path is a 404.
 func newWebMux(ms *metaprobe.Metasearcher, env *webEnv) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/", NewWebUI(ms, env))
-	mux.Handle("/metrics", obs.MetricsHandler(env.reg))
-	mux.Handle("/debug/trace", obs.TraceHandler(env.tracer))
-	mux.Handle("/debug/spans", span.Handler(env.spans))
-	mux.Handle("/debug/slo", obs.SLOHandler(env.slo))
-	mux.Handle("/debug/calibration", obs.CalibrationHandler(env.cal))
-	mux.Handle("/debug/model", obs.JSONHandler(func() any { return ms.ModelInfo() }))
-	mux.Handle("/healthz", obs.HealthzHandler())
-	mux.Handle("/readyz", obs.ReadyzCheckHandler(ms.Ready))
-	mux.Handle("/debug/profiles", prof.Handler(env.captor))
-	mux.Handle("/debug/goroutines", prof.GoroutineDumpHandler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/{$}", NewWebUI(ms, env))
+	ops.Mount(mux, ops.Sinks{
+		Metrics:     env.reg,
+		Spans:       env.spans,
+		SLO:         env.slo,
+		Calibration: env.cal,
+		Profiles:    env.captor,
+		Model:       func() any { return ms.ModelInfo() },
+		Ready:       ms.Ready,
+	})
 	return mux
 }
 
@@ -536,8 +527,8 @@ with certainty {{printf "%.3f" .Selection.Certainty}} after {{.Selection.Probes}
 {{range .Caches}}<tr><td>{{.Database}}</td><td>{{.Hits}}</td><td>{{.Misses}}</td>
 <td>{{printf "%.1f%%" .HitRate}}</td></tr>{{end}}
 </table>
-<p class="meta">full metrics at <a href="/metrics">/metrics</a>; recent selection traces at
-<a href="/debug/trace">/debug/trace</a>; span store at <a href="/debug/spans">/debug/spans</a>;
+<p class="meta">full metrics at <a href="/metrics">/metrics</a>; recent requests, one span tree each, at
+<a href="/debug/spans">/debug/spans</a>;
 SLO burn rates at <a href="/debug/slo">/debug/slo</a>; profiles at <a href="/debug/pprof/">/debug/pprof</a></p>
 {{end}}{{end}}{{end}}
 {{if .Runtime}}

@@ -4,12 +4,18 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"metaprobe"
 	"metaprobe/internal/obs"
+	"metaprobe/internal/obs/ops"
+	"metaprobe/internal/obs/ops/opstest"
 	"metaprobe/internal/obs/prof"
+	"metaprobe/internal/obs/span"
 )
 
 func TestWebUIEndToEnd(t *testing.T) {
@@ -114,7 +120,7 @@ func TestWebUIEndToEnd(t *testing.T) {
 		`metaprobe_db_search_latency_seconds{db="`,
 		"metaprobe_db_cache_misses_total{db=",
 		"metaprobe_selections_total{reached=",
-		"metaprobe_traces_recorded_total",
+		"mp_spans_recorded_total",
 		"mp_calibration_samples_total",
 		"mp_calibration_brier_score",
 		"mp_ed_drift_tests_total",
@@ -127,30 +133,74 @@ func TestWebUIEndToEnd(t *testing.T) {
 		t.Error("/metrics missing selection latency count")
 	}
 
-	// /debug/trace returns the recent selections as JSON, newest first.
-	var traces []obs.SelectionTrace
-	if err := json.Unmarshal([]byte(get(srv.URL+"/debug/trace?n=3")), &traces); err != nil {
-		t.Fatalf("/debug/trace is not JSON: %v", err)
+	// /debug/spans lists the recent traces, newest first; the oldest
+	// of the three is the first real query, one "metasearch" trace.
+	var list struct {
+		Traces []span.TraceSummary `json:"traces"`
 	}
-	if len(traces) != 3 {
-		t.Fatalf("/debug/trace returned %d traces, want 3", len(traces))
+	if err := json.Unmarshal([]byte(get(srv.URL+"/debug/spans?n=3")), &list); err != nil {
+		t.Fatalf("/debug/spans is not JSON: %v", err)
 	}
-	// Newest first: the oldest of the three is the first real query.
-	if traces[2].Query != "breast cancer" {
-		t.Errorf("oldest trace = %q, want the first real query", traces[2].Query)
+	if len(list.Traces) != 3 || list.Traces[2].Root != "metasearch" {
+		t.Fatalf("/debug/spans?n=3 = %+v, want 3 metasearch traces", list.Traces)
 	}
-	if len(traces[2].Estimates) != len(ms.Databases()) {
-		t.Errorf("trace estimates %d, want one per database", len(traces[2].Estimates))
+	// Its selection span is the request's whole record: the call's
+	// arguments, r̂ per database, the answer and the probe trajectory.
+	sel, roots := opstest.ReadSelection(t, srv.Config.Handler, list.Traces[2].TraceID)
+	if len(roots) != 1 || roots[0].Name != "metasearch" || sel.ParentID != roots[0].SpanID {
+		t.Errorf("selection span is not a child of the one metasearch root")
+	}
+	a := sel.Attrs
+	if a["query"] != "breast cancer" || a["k"] != "2" || a["metric"] != "partial" || a["threshold"] != "0.8" || !strings.HasPrefix(a["id"], "sel-") {
+		t.Errorf("selection header attributes = %v", a)
+	}
+	if sel.StartTime.IsZero() || sel.DurationMs <= 0 {
+		t.Errorf("selection window start=%v duration=%vms", sel.StartTime, sel.DurationMs)
+	}
+	if !reflect.DeepEqual(sel.Databases, ms.Databases()) {
+		t.Errorf("estimates keyed by %v, want testbed order %v", sel.Databases, ms.Databases())
+	}
+	if len(sel.Selected) != 2 || a["reached"] == "" {
+		t.Errorf("selected %v reached %q", sel.Selected, a["reached"])
+	}
+	certainty, initial := opstest.Float(t, a, "certainty"), opstest.Float(t, a, "initial_certainty")
+	if probes, _ := strconv.Atoi(a["probes"]); len(sel.Steps) < probes {
+		t.Errorf("%d step events for %d probes", len(sel.Steps), probes)
+	}
+	for i, st := range sel.Steps {
+		if !slices.Contains(sel.Databases, st.DB) || st.Err != "" {
+			t.Errorf("step %d = %+v, want a healthy probe of a mediated database", i, st)
+		}
+	}
+	if n := len(sel.Steps); n > 0 && sel.Steps[n-1].CertaintyAfter != certainty {
+		t.Errorf("trajectory ends at %v, certainty attribute %v", sel.Steps[n-1].CertaintyAfter, certainty)
+	} else if n == 0 && initial != certainty {
+		t.Errorf("no steps but initial certainty %v ≠ certainty %v", initial, certainty)
 	}
 
 	// A malformed trace limit is rejected, not ignored.
-	resp, err := srv.Client().Get(srv.URL + "/debug/trace?n=bogus")
+	resp, err := srv.Client().Get(srv.URL + "/debug/spans?n=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
-		t.Errorf("/debug/trace?n=bogus status = %d, want 400", resp.StatusCode)
+		t.Errorf("/debug/spans?n=bogus status = %d, want 400", resp.StatusCode)
+	}
+
+	// Every ops route answers as on the other binaries, and nothing but
+	// "/" reaches the UI.
+	opstest.CheckRoutes(t, srv.Config.Handler, ops.Sinks{
+		Metrics: env.reg, Spans: env.spans, SLO: env.slo, Calibration: env.cal,
+		Profiles: env.captor, Model: func() any { return nil },
+	})
+	// With no sink configured, only the always-on routes and the model
+	// document remain.
+	opstest.CheckRoutes(t, newWebMux(ms, &webEnv{}), ops.Sinks{Model: func() any { return nil }})
+	if resp, err := srv.Client().Get(srv.URL + "/no/such/page"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != 404 {
+		t.Errorf("unknown path status = %d, want 404", resp.StatusCode)
 	}
 
 	// /debug/calibration serves the per-bin reliability data recorded

@@ -94,7 +94,7 @@ func main() {
 	go func() { errc <- hs.ListenAndServe() }()
 	logger.Info("metaprobed serving",
 		"addr", *addr, "tenants", len(names),
-		"endpoints", "/v1/select /v1/tenants /metrics /debug/model /debug/server /debug/spans /debug/pprof /healthz /readyz")
+		"endpoints", "/v1/select /v1/tenants /debug/server /metrics /debug/spans /debug/model /debug/goroutines /debug/pprof /healthz /readyz")
 
 	select {
 	case err := <-errc:

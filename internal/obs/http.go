@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 )
 
 // MetricsHandler serves the registry in Prometheus text exposition
@@ -18,70 +17,22 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// TraceHandler serves the ring tracer's retained selection traces as a
-// JSON array, newest first — mount it at /debug/trace. The optional
-// ?n= query parameter limits the count; a malformed or non-positive n
-// is rejected with 400 rather than silently ignored.
-func TraceHandler(t *RingTracer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 0
-		if s := req.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v <= 0 {
-				http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(t.Last(n)); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+// WriteJSON writes v as indented JSON: the one encoder behind every
+// /debug/* document.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
-// CalibrationHandler serves the reliability accumulator's snapshot as
-// JSON — mount it at /debug/calibration. A nil accumulator serves the
-// zero snapshot, so the endpoint can be mounted unconditionally.
-func CalibrationHandler(c *Calibration) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(c.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-}
-
-// SLOHandler serves the SLO tracker's burn-rate snapshot as JSON —
-// mount it at /debug/slo. A nil tracker serves the zero snapshot, so
-// the endpoint can be mounted unconditionally.
-func SLOHandler(s *SLO) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(s.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-}
-
-// JSONHandler serves snapshot() as indented JSON on every request —
-// the generic /debug/* endpoint builder (the model-version endpoint
-// mounts it at /debug/model). snapshot runs per request, so the served
-// view is always current.
+// JSONHandler serves snapshot() through WriteJSON on every request.
+// snapshot runs per request, so the served view is always current.
 func JSONHandler(snapshot func() any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		WriteJSON(w, snapshot())
 	})
 }
 
@@ -95,10 +46,9 @@ func HealthzHandler() http.Handler {
 }
 
 // ReadyzCheckHandler reports readiness with a reason: 200 "ready" when
-// check() returns nil, 503 with the error text otherwise. Use this
-// over ReadyzHandler when readiness can fail for more than one reason
-// (not yet trained, refresher wedged) and operators need to see which.
-// A nil check means always ready.
+// check() returns nil, 503 with the error text otherwise, so operators
+// see which of several causes (not yet trained, refresher wedged,
+// draining) applies. A nil check means always ready.
 func ReadyzCheckHandler(check func() error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -107,22 +57,6 @@ func ReadyzCheckHandler(check func() error) http.Handler {
 				http.Error(w, "not ready: "+err.Error(), http.StatusServiceUnavailable)
 				return
 			}
-		}
-		w.Write([]byte("ready\n"))
-	})
-}
-
-// ReadyzHandler reports readiness to serve traffic: 200 "ready" when
-// ready() is true, 503 otherwise. For a metasearcher, readiness means
-// summaries and error distributions are loaded — before that, every
-// selection call fails. Mount it at /readyz. A nil ready func means
-// always ready.
-func ReadyzHandler(ready func() bool) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if ready != nil && !ready() {
-			http.Error(w, "not ready", http.StatusServiceUnavailable)
-			return
 		}
 		w.Write([]byte("ready\n"))
 	})

@@ -2,84 +2,60 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-func TestTraceHandlerRejectsBadLimits(t *testing.T) {
-	rt := NewRingTracer(4)
-	rt.TraceSelection(SelectionTrace{Query: "q"})
-	srv := httptest.NewServer(TraceHandler(rt))
+func TestMetricsHandler(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total", nil).Inc()
+	srv := httptest.NewServer(MetricsHandler(r))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "x_total 1") {
+		t.Errorf("metrics body = %q", string(body))
+	}
+}
+
+// TestJSONHandler covers the one /debug/* encoder: content type,
+// a fresh snapshot per request, and a decodable document.
+func TestJSONHandler(t *testing.T) {
+	c := NewCalibration(10)
+	srv := httptest.NewServer(JSONHandler(func() any { return c.Snapshot() }))
 	defer srv.Close()
 
-	for _, n := range []string{"bogus", "0", "-1", "1.5", "9999999999999999999999"} {
-		resp, err := srv.Client().Get(srv.URL + "/?n=" + n)
+	for want := int64(0); want < 2; want++ {
+		resp, err := srv.Client().Get(srv.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+			t.Errorf("Content-Type = %q", ct)
+		}
+		var snap CalibrationSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&snap)
 		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("?n=%s status = %d, want 400", n, resp.StatusCode)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(string(body), "positive integer") {
-			t.Errorf("?n=%s body = %q, want explanation", n, body)
+		if snap.Samples != want || len(snap.Bins) != 10 {
+			t.Errorf("snapshot = %+v, want %d samples in 10 bins", snap, want)
 		}
-	}
-
-	// An absent n still serves everything.
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("no-limit status = %d", resp.StatusCode)
-	}
-}
-
-func TestCalibrationHandler(t *testing.T) {
-	c := NewCalibration(10)
-	c.Observe(0.9, 1)
-	srv := httptest.NewServer(CalibrationHandler(c))
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var snap CalibrationSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Samples != 1 || len(snap.Bins) != 10 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-}
-
-func TestCalibrationHandlerNilAccumulator(t *testing.T) {
-	srv := httptest.NewServer(CalibrationHandler(nil))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("nil accumulator status = %d", resp.StatusCode)
-	}
-	var snap CalibrationSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Samples != 0 {
-		t.Errorf("nil accumulator snapshot = %+v", snap)
+		c.Observe(0.9, 1)
 	}
 }
 
@@ -97,34 +73,35 @@ func TestHealthzHandler(t *testing.T) {
 	}
 }
 
-func TestReadyzHandler(t *testing.T) {
-	ready := false
-	srv := httptest.NewServer(ReadyzHandler(func() bool { return ready }))
+func TestReadyzCheckHandler(t *testing.T) {
+	var cause error = errors.New("not trained")
+	srv := httptest.NewServer(ReadyzCheckHandler(func() error { return cause }))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Errorf("not-ready status = %d, want 503", resp.StatusCode)
+	if resp.StatusCode != 503 || !strings.Contains(string(body), "not trained") {
+		t.Errorf("not-ready = %d %q, want 503 naming the cause", resp.StatusCode, body)
 	}
 
-	ready = true
+	cause = nil
 	resp, err = srv.Client().Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != 200 || string(body) != "ready\n" {
 		t.Errorf("ready = %d %q", resp.StatusCode, body)
 	}
 }
 
-func TestReadyzHandlerNilFuncAlwaysReady(t *testing.T) {
-	srv := httptest.NewServer(ReadyzHandler(nil))
+func TestReadyzCheckHandlerNilAlwaysReady(t *testing.T) {
+	srv := httptest.NewServer(ReadyzCheckHandler(nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -132,6 +109,6 @@ func TestReadyzHandlerNilFuncAlwaysReady(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Errorf("nil ready func status = %d, want 200", resp.StatusCode)
+		t.Errorf("nil check status = %d, want 200", resp.StatusCode)
 	}
 }

@@ -1,11 +1,12 @@
 package prof
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime/pprof"
 	"strconv"
+
+	"metaprobe/internal/obs"
 )
 
 // Handler serves the captor's ring store — mount it at
@@ -18,9 +19,7 @@ import (
 //
 // Blobs are standard gzip-compressed pprof protobufs: save one and
 // inspect it with `go tool pprof <file>`, or diff two heap captures
-// with `go tool pprof -diff_base old.pb.gz new.pb.gz`. A nil captor
-// serves an empty list, so the endpoint can be mounted
-// unconditionally.
+// with `go tool pprof -diff_base old.pb.gz new.pb.gz`.
 func Handler(c *Captor) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -41,16 +40,11 @@ func Handler(c *Captor) http.Handler {
 			serveBlob(w, c.Latest(kind))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 		list := c.List()
 		if list == nil {
 			list = []*Capture{}
 		}
-		if err := enc.Encode(list); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		obs.WriteJSON(w, list)
 	})
 }
 

@@ -1,9 +1,10 @@
 package span
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"metaprobe/internal/obs"
 )
 
 // Handler serves the span store — mount it at /debug/spans.
@@ -17,21 +18,13 @@ import (
 func Handler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
-		writeJSON := func(v any) {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(v); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		}
 		if id := q.Get("trace"); id != "" {
 			if q.Get("format") == "otlp" {
 				if len(t.TraceSpans(id)) == 0 {
 					http.Error(w, "unknown trace", http.StatusNotFound)
 					return
 				}
-				writeJSON(t.OTLP(id, "metaprobe"))
+				obs.WriteJSON(w, t.OTLP(id, "metaprobe"))
 				return
 			}
 			tree := t.Tree(id)
@@ -39,7 +32,7 @@ func Handler(t *Tracer) http.Handler {
 				http.Error(w, "unknown trace", http.StatusNotFound)
 				return
 			}
-			writeJSON(map[string]any{"traceId": id, "spans": tree})
+			obs.WriteJSON(w, map[string]any{"traceId": id, "spans": tree})
 			return
 		}
 		n := 50
@@ -51,7 +44,7 @@ func Handler(t *Tracer) http.Handler {
 			}
 			n = v
 		}
-		writeJSON(map[string]any{
+		obs.WriteJSON(w, map[string]any{
 			"recorded": t.Recorded(),
 			"dropped":  t.Dropped(),
 			"traces":   t.Traces(n),

@@ -26,9 +26,10 @@ import (
 	"time"
 )
 
-// maxEventsPerSpan bounds the event list of a single span so a hot
-// loop annotating one span cannot grow it without limit. Overflow is
-// counted and surfaced as a "dropped_events" attribute at End.
+// maxEventsPerSpan is the event count past which AddEvent drops, so a
+// hot loop annotating one span cannot grow it without limit. Overflow
+// is counted and surfaced as a "dropped_events" attribute at End.
+// AddRecord is exempt.
 const maxEventsPerSpan = 64
 
 // DefaultCapacity is the span-store size used when NewTracer is given
@@ -156,7 +157,16 @@ func (s *Span) SetAttr(key, value string) {
 // AddEvent appends a timestamped event; kv is alternating key/value
 // pairs for its attributes. Events past maxEventsPerSpan are dropped
 // and counted.
-func (s *Span) AddEvent(name string, kv ...string) {
+func (s *Span) AddEvent(name string, kv ...string) { s.addEvent(true, name, kv) }
+
+// AddRecord appends an event that is part of the span's result rather
+// than an annotation made along the way: maxEventsPerSpan does not
+// apply, so however many annotations came first, the record survives.
+// The caller bounds how many it writes — the selection root writes one "step" per folded probe (at
+// most one per database) and one "stage" per pipeline stage.
+func (s *Span) AddRecord(name string, kv ...string) { s.addEvent(false, name, kv) }
+
+func (s *Span) addEvent(capped bool, name string, kv []string) {
 	if s == nil {
 		return
 	}
@@ -165,7 +175,7 @@ func (s *Span) AddEvent(name string, kv ...string) {
 	if s.ended {
 		return
 	}
-	if len(s.Events) >= maxEventsPerSpan {
+	if capped && len(s.Events) >= maxEventsPerSpan {
 		s.droppedEvents++
 		return
 	}

@@ -120,10 +120,15 @@ func TestEventCap(t *testing.T) {
 	for i := 0; i < maxEventsPerSpan+5; i++ {
 		s.AddEvent("e")
 	}
+	// A record written after the annotations filled the cap is kept.
+	s.AddRecord("step", "db", "a")
 	s.End()
 	got := tr.TraceSpans(s.TraceID)[0]
-	if len(got.Events) != maxEventsPerSpan {
-		t.Errorf("events = %d, want cap %d", len(got.Events), maxEventsPerSpan)
+	if len(got.Events) != maxEventsPerSpan+1 {
+		t.Errorf("events = %d, want cap %d plus the record", len(got.Events), maxEventsPerSpan)
+	}
+	if last := got.Events[len(got.Events)-1]; last.Name != "step" || last.Attrs["db"] != "a" {
+		t.Errorf("last event = %+v, want the step record", last)
 	}
 	if got.Attrs["dropped_events"] != "5" {
 		t.Errorf("dropped_events attr = %q, want 5", got.Attrs["dropped_events"])
@@ -310,7 +315,11 @@ func TestHandler(t *testing.T) {
 	if rec := get("/debug/spans?trace=feedfacefeedfacefeedfacefeedface"); rec.Code != 404 {
 		t.Errorf("unknown trace: code=%d, want 404", rec.Code)
 	}
-	if rec := get("/debug/spans?n=bogus"); rec.Code != 400 {
-		t.Errorf("bad n: code=%d, want 400", rec.Code)
+	// A malformed or non-positive limit is rejected, not ignored.
+	for _, n := range []string{"bogus", "0", "-1", "1.5", "9999999999999999999999"} {
+		rec := get("/debug/spans?n=" + n)
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "positive integer") {
+			t.Errorf("?n=%s: code=%d body=%q, want 400 with an explanation", n, rec.Code, rec.Body.String())
+		}
 	}
 }

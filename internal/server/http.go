@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 
 	"metaprobe/internal/obs"
-	"metaprobe/internal/obs/span"
+	"metaprobe/internal/obs/ops"
 )
 
 // SelectRequest is the /v1/select request body (or, for GET, its
@@ -54,9 +53,10 @@ type SelectResponse struct {
 	// selection (see metaprobe.SelectionResult).
 	Degraded    bool     `json:"degraded,omitempty"`
 	ExcludedDBs []string `json:"excludedDBs,omitempty"`
-	// ID and TraceID correlate with logs, /debug/trace and
-	// /debug/spans. For a coalesced request they identify the shared
-	// run, which is the one that did the work.
+	// ID and TraceID correlate with logs and /debug/spans?trace=<id>,
+	// whose root "selection" span carries ID as its "id" attribute.
+	// For a coalesced request they identify the shared run, which is
+	// the one that did the work.
 	ID        string  `json:"id,omitempty"`
 	TraceID   string  `json:"traceId,omitempty"`
 	ElapsedMs float64 `json:"elapsedMs"`
@@ -83,35 +83,27 @@ type badRequestError struct{ msg string }
 
 func (e *badRequestError) Error() string { return e.msg }
 
-// Handler returns the daemon's full HTTP surface:
+// Handler returns the daemon's full HTTP surface: its own routes
 //
 //	POST/GET /v1/select   — tiered, coalesced selection
 //	GET /v1/tenants       — registered tenants
-//	GET /healthz /readyz  — liveness and (drain-aware) readiness
-//	GET /metrics          — Prometheus exposition (when configured)
-//	GET /debug/model      — per-tenant model versions + skew
 //	GET /debug/server     — admission/coalescer counters
-//	GET /debug/spans      — span store (when configured)
-//	GET /debug/pprof/*    — runtime profiling
+//
+// plus the shared ops tree (ops.Mount): /healthz, /readyz
+// (drain-aware), /debug/model (per-tenant model versions + skew),
+// /debug/goroutines and /debug/pprof/* always, /metrics and
+// /debug/spans when Config.Metrics and Config.Spans are set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/select", s.SelectHandler())
 	mux.Handle("/v1/tenants", obs.JSONHandler(func() any { return s.Tenants() }))
-	mux.Handle("/healthz", obs.HealthzHandler())
-	mux.Handle("/readyz", obs.ReadyzCheckHandler(s.Ready))
-	if s.cfg.Metrics != nil {
-		mux.Handle("/metrics", obs.MetricsHandler(s.cfg.Metrics))
-	}
-	mux.Handle("/debug/model", obs.JSONHandler(func() any { return s.ModelsInfo() }))
 	mux.Handle("/debug/server", obs.JSONHandler(func() any { return s.debugState() }))
-	if s.cfg.Spans != nil {
-		mux.Handle("/debug/spans", span.Handler(s.cfg.Spans))
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ops.Mount(mux, ops.Sinks{
+		Metrics: s.cfg.Metrics,
+		Spans:   s.cfg.Spans,
+		Model:   func() any { return s.ModelsInfo() },
+		Ready:   s.Ready,
+	})
 	return mux
 }
 
@@ -146,10 +138,7 @@ func (s *Server) SelectHandler() http.Handler {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
+		obs.WriteJSON(w, resp)
 	})
 }
 

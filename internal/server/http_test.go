@@ -7,10 +7,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"metaprobe"
 	"metaprobe/internal/obs"
+	"metaprobe/internal/obs/ops"
+	"metaprobe/internal/obs/ops/opstest"
+	"metaprobe/internal/obs/span"
 )
 
 // TestHandlerSelect drives the full HTTP surface: GET and POST
@@ -122,6 +130,10 @@ func TestHandlerSelect(t *testing.T) {
 		t.Error("idle server shows non-zero sheds")
 	}
 
+	// The ops routes are the shared tree; without Config.Spans there is
+	// no /debug/spans.
+	opstest.CheckRoutes(t, s.Handler(), ops.Sinks{Metrics: reg, Model: func() any { return nil }})
+
 	// Drain flips readiness to 503 and selection to 503.
 	if err := s.Drain(t.Context()); err != nil {
 		t.Fatal(err)
@@ -132,4 +144,73 @@ func TestHandlerSelect(t *testing.T) {
 	if code, _ := get("/v1/select?q=x"); code != http.StatusServiceUnavailable {
 		t.Errorf("draining select = %d, want 503", code)
 	}
+}
+
+// TestHandlerSelectionRecord reads one /v1/select request's record back
+// from the daemon's own handler tree: the response's traceId resolves
+// at /debug/spans to a root "selection" span carrying the request's
+// arguments, r̂ per database, the answer and the probe trajectory — and
+// the ops routes around it are the shared tree.
+func TestHandlerSelectionRecord(t *testing.T) {
+	reg := obs.NewRegistry()
+	spans := span.NewTracer(0)
+	ms, qs := buildTestMetasearcher(t, &metaprobe.Config{Metrics: reg, Spans: spans}, nil)
+	s := New(Config{Metrics: reg, Spans: spans})
+	if err := s.AddTenant(DefaultTenant, ms); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+
+	before := time.Now()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/select", strings.NewReader(
+		fmt.Sprintf(`{"query": %q, "k": 2, "metric": "partial", "threshold": 0.95}`, qs[0]))))
+	var resp SelectResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("POST select = %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	if resp.TraceID == "" || resp.ID == "" || resp.Probes == 0 {
+		t.Fatalf("response %+v: want a traced, probing selection", resp)
+	}
+
+	sel, roots := opstest.ReadSelection(t, h, resp.TraceID)
+	if len(roots) != 1 || roots[0] != sel.Node {
+		t.Fatalf("trace %s: the selection span is not the one root", resp.TraceID)
+	}
+	a := sel.Attrs
+	if a["id"] != resp.ID || a["query"] != qs[0] || a["k"] != "2" || a["metric"] != "partial" || a["threshold"] != "0.95" {
+		t.Errorf("header attributes = %v, response %+v", a, resp)
+	}
+	if sel.StartTime.Before(before) || sel.DurationMs <= 0 || sel.DurationMs > resp.ElapsedMs {
+		t.Errorf("selection window start=%v duration=%vms inside a %vms request", sel.StartTime, sel.DurationMs, resp.ElapsedMs)
+	}
+	if !reflect.DeepEqual(sel.Databases, ms.Databases()) {
+		t.Errorf("estimates keyed by %v, want testbed order %v", sel.Databases, ms.Databases())
+	}
+	if !reflect.DeepEqual(sel.Selected, resp.Databases) {
+		t.Errorf("selected %v, response %v", sel.Selected, resp.Databases)
+	}
+	if got := opstest.Float(t, a, "certainty"); got != resp.Certainty {
+		t.Errorf("certainty %v, response %v", got, resp.Certainty)
+	}
+	if a["reached"] != strconv.FormatBool(resp.Reached) || a["probes"] != strconv.Itoa(resp.Probes) {
+		t.Errorf("reached/probes attributes = %v, response %+v", a, resp)
+	}
+	if init := opstest.Float(t, a, "initial_certainty"); init < 0 || init > resp.Certainty {
+		t.Errorf("initial certainty %v, final %v", init, resp.Certainty)
+	}
+	if len(sel.Steps) != resp.Probes {
+		t.Fatalf("%d step events, response reports %d probes on a healthy testbed", len(sel.Steps), resp.Probes)
+	}
+	for i, st := range sel.Steps {
+		if !slices.Contains(sel.Databases, st.DB) || st.Err != "" || st.Usefulness <= 0 {
+			t.Errorf("step %d = %+v, want a useful healthy probe of a mediated database", i, st)
+		}
+	}
+	if last := sel.Steps[len(sel.Steps)-1]; last.CertaintyAfter != resp.Certainty {
+		t.Errorf("trajectory ends at %v, response certainty %v", last.CertaintyAfter, resp.Certainty)
+	}
+
+	opstest.CheckRoutes(t, h, ops.Sinks{Metrics: reg, Spans: spans, Model: func() any { return nil }})
 }

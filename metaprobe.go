@@ -34,6 +34,7 @@ package metaprobe
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -81,16 +82,6 @@ type (
 	// latency histograms with p50/p90/p99 snapshots) with Prometheus
 	// text-format exposition. See Config.Metrics.
 	Metrics = obs.Registry
-	// Tracer receives one structured SelectionTrace per selection call.
-	// See Config.Tracer.
-	Tracer = obs.Tracer
-	// SelectionTrace is the structured record of one selection:
-	// estimates, chosen set, certainty trajectory, per-probe detail.
-	SelectionTrace = obs.SelectionTrace
-	// ProbeTrace is one probe inside a SelectionTrace.
-	ProbeTrace = obs.ProbeTrace
-	// RingTracer is a Tracer retaining the last N traces in memory.
-	RingTracer = obs.RingTracer
 	// SpanTracer records hierarchical request spans with a bounded
 	// in-memory store and OTLP-compatible JSON export. See Config.Spans
 	// and NewSpanTracer; span.Handler serves /debug/spans.
@@ -144,10 +135,6 @@ type (
 
 // NewMetrics returns an empty metrics registry for Config.Metrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// NewRingTracer returns a Tracer keeping the last capacity traces
-// (capacity ≤ 0 defaults to 64) for Config.Tracer.
-func NewRingTracer(capacity int) *RingTracer { return obs.NewRingTracer(capacity) }
 
 // NewSpanTracer returns a span tracer with a bounded in-memory store
 // of capacity spans (≤ 0 defaults to 8192; the oldest spans are
@@ -213,11 +200,6 @@ type Config struct {
 	// recording entirely; the only cost left on the selection path is
 	// one pointer comparison.
 	Metrics *Metrics
-	// Tracer, when non-nil, receives one SelectionTrace per Select /
-	// SelectWithCertainty / SelectWithPolicy / Metasearch call:
-	// estimates, the chosen set, and each probe's target, usefulness
-	// and certainty-after. Nil disables tracing at the same zero cost.
-	Tracer Tracer
 	// Drift, when non-nil, enables online drift detection on the
 	// learned error distributions: every live probe's fresh error feeds
 	// a bounded sliding window per (database, query type), periodically
@@ -271,21 +253,35 @@ type Config struct {
 	// gracefully instead of waiting on a dead backend). The zero value
 	// opens after 5 consecutive failures with a 30s cooldown.
 	Breaker BreakerConfig
-	// Spans, when non-nil, records a hierarchical span tree for every
-	// selection: a root "selection" span with each probe,
-	// its attempts (hedges included), breaker transitions, middleware
-	// cache/retry events and wire sizes nested below it, retrievable by
-	// trace ID (span.Handler serves /debug/spans?trace=<id>). The trace
-	// ID is reported on SelectionResult.TraceID and, when Metrics is
-	// also set, attached as an exemplar to the selection-latency
-	// histogram so a slow bucket links to a concrete trace. Nil — the
-	// default — keeps the selection path span-free.
+	// Spans, when non-nil, records a span tree for every selection —
+	// the one per-request record. The root "selection" span carries
+	// the call and its answer as attributes (id, query, k, metric,
+	// threshold, estimates — r̂ per database as a JSON object in
+	// testbed order —, initial_certainty, selected, certainty, probes,
+	// reached, degraded), one "step" event per folded probe (db,
+	// usefulness, value, certainty_after, error) and one "stage" event
+	// per pipeline stage; each probe, its attempts (hedges included),
+	// breaker transitions, middleware cache/retry events and wire
+	// sizes nest below it. Floats are written with
+	// strconv.FormatFloat(v, 'g', -1, 64), so they parse back exactly.
+	// Retrieve a tree by trace ID (SpanTracer.Tree, or
+	// /debug/spans?trace=<id>). The trace ID is reported on
+	// SelectionResult.TraceID and, when Metrics is also set, attached
+	// as an exemplar to the selection-latency histogram so a slow
+	// bucket links to a concrete trace. Nil — the default — keeps the
+	// selection path span-free.
 	Spans *SpanTracer
 	// SLO, when non-nil, feeds every selection's latency and outcome
 	// into multi-window burn-rate tracking. Call SLO.Bind(Metrics) to
-	// export mp_slo_* series; obs.SLOHandler serves /debug/slo. Nil
+	// export mp_slo_* series; /debug/slo serves its snapshot. Nil
 	// disables SLO accounting.
 	SLO *SLO
+}
+
+// observed reports whether any per-selection observability sink is
+// configured.
+func (c *Config) observed() bool {
+	return c.Metrics != nil || c.Spans != nil || c.SLO != nil
 }
 
 // DocFrequencyRelevancy returns the paper's default relevancy: number
@@ -319,11 +315,18 @@ type Metasearcher struct {
 	// refresher retrains drifted EDs in the background (nil unless
 	// cfg.Refresh is set).
 	refresher *refresh.Refresher
+	// observed caches cfg.observed(): the one test the selection path
+	// makes before it reads the clock, numbers the selection, opens a
+	// span or allocates a stage recorder and cost account.
+	observed bool
 	// exec runs every live probe: worker pool, circuit breakers,
 	// hedging, speculative prefetch (internal/probeexec). dbName is the
-	// index → backend-name mapping it accounts by, built once.
+	// index → backend-name mapping it accounts by, built once; dbKey is
+	// the same name as a JSON object key (`"name":`), for the root
+	// span's estimates attribute.
 	exec   *probeexec.Executor
 	dbName func(i int) string
+	dbKey  []string
 	// modelMu serializes access to the serving model's mutable state
 	// and to version publication: Model.ObserveProbe (online
 	// refinement) mutates the ED histograms that NewSelection and the
@@ -449,11 +452,13 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		registerSelectionMetrics(c.Metrics, tb)
 	}
 	m := &Metasearcher{
-		tb:     tb,
-		sums:   &summary.Set{Summaries: sums},
-		rel:    c.Relevancy,
-		cfg:    c,
-		dbName: func(i int) string { return tb.DB(i).Name() },
+		tb:       tb,
+		sums:     &summary.Set{Summaries: sums},
+		rel:      c.Relevancy,
+		cfg:      c,
+		observed: c.observed(),
+		dbName:   func(i int) string { return tb.DB(i).Name() },
+		dbKey:    make([]string, tb.Len()),
 		exec: probeexec.NewExecutor(probeexec.Config{
 			Limits:       c.ProbeConcurrency,
 			Speculation:  c.Speculation,
@@ -462,6 +467,10 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 			Breaker:      c.Breaker,
 			Metrics:      c.Metrics,
 		}),
+	}
+	for i := range m.dbKey {
+		key, _ := json.Marshal(tb.DB(i).Name()) // a string always marshals
+		m.dbKey[i] = string(key) + ":"
 	}
 	if c.Refresh != nil {
 		rc := *c.Refresh
@@ -647,9 +656,9 @@ func (m *Metasearcher) SelectContext(ctx context.Context, query string, k int, m
 // SelectionResult reports an adaptive-probing selection.
 type SelectionResult struct {
 	// ID is the selection's correlation identifier ("sel-000042"),
-	// shared with the SelectionTrace and intended for structured logs.
-	// Empty when neither Metrics nor Tracer is configured (the disabled
-	// path allocates nothing).
+	// shared with the root span's "id" attribute and intended for
+	// structured logs. Empty when no observability sink (Metrics, Spans
+	// or SLO) is configured (the disabled path allocates nothing).
 	ID string
 	// Databases are the selected database names (testbed order).
 	Databases []string
@@ -771,32 +780,37 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	if err := ctx.Err(); err != nil {
 		return SelectionResult{}, err
 	}
-	start := m.obsNow()
-	// Root span and cost account. The span tree nests every probe,
-	// attempt and middleware event below "selection"; the cost account
-	// rides the context so attempts charge it from whatever goroutine
-	// they land on. Both are nil-safe no-ops when unconfigured. The
-	// span opens before the selection state is built so the
+	// Root span, clock, stage recorder and cost account exist together
+	// or not at all. The span tree nests every probe, attempt and
+	// middleware event below "selection"; the cost account rides the
+	// context so attempts charge it from whatever goroutine they land
+	// on. The span opens before the selection state is built so the
 	// rd_convolve stage — deriving every database's RD — is inside the
 	// root span's window, and the per-stage totals attached as events
 	// sum to ≈ the span's duration.
-	ctx, sp := m.cfg.Spans.Start(ctx, "selection")
-	if sp != nil { // formatting the attributes allocates
-		sp.SetAttr("query", query)
-		sp.SetAttr("k", strconv.Itoa(k))
-		sp.SetAttr("metric", metric.String())
-		sp.SetAttr("threshold", strconv.FormatFloat(t, 'g', -1, 64))
+	var (
+		start time.Time
+		sp    *span.Span
+		rec   *obs.StageRecorder
+		acct  *obs.CostAccount
+	)
+	if m.observed {
+		start = time.Now()
+		ctx, sp = m.cfg.Spans.Start(ctx, "selection")
+		if sp != nil { // formatting the attributes allocates
+			sp.SetAttr("query", query)
+			sp.SetAttr("k", strconv.Itoa(k))
+			sp.SetAttr("metric", metric.String())
+			sp.SetAttr("threshold", formatFloat(t))
+		}
+		rec = obs.NewStageRecorder()
+		acct = obs.NewCostAccount()
+		ctx = obs.WithCost(ctx, acct)
 	}
-	rec := m.stageRecorder()
 	sel, ver, err := m.selection(query, metric, k, rec)
 	if err != nil {
 		sp.EndErr(err)
 		return SelectionResult{}, err
-	}
-	var acct *obs.CostAccount
-	if m.cfg.Metrics != nil || m.cfg.Spans != nil || m.cfg.SLO != nil {
-		acct = obs.NewCostAccount()
-		ctx = obs.WithCost(ctx, acct)
 	}
 	numTerms := countTerms(query)
 	probe := func(ctx context.Context, i int) (float64, error) {
@@ -812,29 +826,13 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	}
 	res, err := m.exec.APro(ctx, sel, m.dbName, probe, policy, t, maxProbes)
 	if err != nil {
-		m.recordSLO(start, false)
+		if m.cfg.SLO != nil {
+			m.cfg.SLO.Observe(time.Since(start), false)
+		}
 		sp.EndErr(err)
 		return SelectionResult{}, fmt.Errorf("metaprobe: %w", err)
 	}
-	id := m.nextSelectionID()
-	if sp != nil {
-		if id != "" {
-			sp.SetAttr("id", id)
-		}
-		sp.SetAttr("certainty", strconv.FormatFloat(res.Certainty, 'f', 4, 64))
-		sp.SetAttr("probes", strconv.Itoa(res.Probes()))
-		sp.SetAttr("reached", strconv.FormatBool(res.Reached))
-		if res.Degraded {
-			sp.SetAttr("degraded", "true")
-		}
-	}
-	m.flushStages(rec, sp)
-	sp.End()
-	m.recordSLO(start, true)
-	m.observe(id, sp.Trace(), query, metric, t, sel, res, start)
-	m.recycleSelection(ver, sel)
 	out := SelectionResult{
-		ID:            id,
 		TraceID:       sp.Trace(),
 		Databases:     m.names(res.Set),
 		Certainty:     res.Certainty,
@@ -844,22 +842,15 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 		Degraded:      res.Degraded,
 		ExcludedDBs:   m.names(res.Excluded),
 	}
-	if acct != nil {
+	if m.observed {
+		out.ID = fmt.Sprintf("sel-%06d", m.selSeq.Add(1))
+		m.observe(&out, sp, rec, sel, &res, start)
 		sum := acct.Summary()
 		out.Cost = &sum
 		m.recordCost(numTerms, &sum)
 	}
+	m.recycleSelection(ver, sel)
 	return out, nil
-}
-
-// recordSLO feeds one finished selection into the SLO tracker. Client
-// errors (untrained model, k out of range) are not recorded: the
-// tracker measures serving quality, not caller mistakes.
-func (m *Metasearcher) recordSLO(start time.Time, ok bool) {
-	if m.cfg.SLO == nil || start.IsZero() {
-		return
-	}
-	m.cfg.SLO.Observe(time.Since(start), ok)
 }
 
 // recordCost aggregates one selection's probe-cost account into
@@ -904,16 +895,6 @@ func (m *Metasearcher) observeDrift(model *core.Model, i int, query string, numT
 	m.drift.Observe(m.tb.DB(i).Name(), key.String(), ed.Quantize(v))
 }
 
-// nextSelectionID returns the next selection correlation ID, or ""
-// when observability is disabled (keeping the nil-sink path
-// allocation-free).
-func (m *Metasearcher) nextSelectionID() string {
-	if m.cfg.Metrics == nil && m.cfg.Tracer == nil {
-		return ""
-	}
-	return fmt.Sprintf("sel-%06d", m.selSeq.Add(1))
-}
-
 // registerSelectionMetrics pre-creates the selection-path series (with
 // help texts) so a metrics endpoint shows them at zero before the
 // first query arrives, rather than materializing lazily.
@@ -942,76 +923,79 @@ func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) {
 	}
 }
 
-// obsNow reads the clock only when some observability sink is
-// configured, keeping the disabled path free of syscalls.
-func (m *Metasearcher) obsNow() time.Time {
-	if m.cfg.Metrics == nil && m.cfg.Tracer == nil && m.cfg.SLO == nil {
-		return time.Time{}
+// formatFloat renders v for a span attribute so that it parses back to
+// exactly v.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// observe publishes one finished selection to the configured sinks:
+// the answer and the per-probe trajectory onto the root span (closing
+// it), then the SLO tracker and the selection metrics. One walk over
+// the steps feeds both the per-database probe counters and the span's
+// "step" events. The latency observation carries the trace ID as an
+// exemplar, so a latency bucket in /metrics links back to the span
+// tree that filled it. Client errors (untrained model, k out of range)
+// never get here: the sinks measure serving, not caller mistakes.
+func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.StageRecorder, sel *core.Selection, res *core.Outcome, start time.Time) {
+	reg := m.cfg.Metrics
+	if sp != nil {
+		sp.SetAttr("id", out.ID)
+		sp.SetAttr("estimates", m.estimatesAttr(sel))
+		sp.SetAttr("initial_certainty", formatFloat(res.Initial))
+		selected, _ := json.Marshal(out.Databases) // strings always marshal
+		sp.SetAttr("selected", string(selected))
+		sp.SetAttr("certainty", formatFloat(res.Certainty))
+		sp.SetAttr("probes", strconv.Itoa(out.Probes))
+		sp.SetAttr("reached", strconv.FormatBool(res.Reached))
+		if res.Degraded {
+			sp.SetAttr("degraded", "true")
+		}
 	}
-	return time.Now()
+	for _, step := range res.Steps {
+		name := m.dbName(step.DB)
+		if reg != nil {
+			series := "metaprobe_probes_total"
+			if step.Err != nil {
+				series = "metaprobe_probe_errors_total"
+			}
+			reg.Counter(series, obs.Labels{"db": name}).Inc()
+		}
+		if sp != nil {
+			kv := []string{"db", name,
+				"usefulness", formatFloat(step.Usefulness),
+				"value", formatFloat(step.Value),
+				"certainty_after", formatFloat(step.CertaintyAfter)}
+			if step.Err != nil {
+				kv = append(kv, "error", step.Err.Error())
+			}
+			sp.AddRecord("step", kv...)
+		}
+	}
+	m.flushStages(rec, sp)
+	sp.End()
+	elapsed := time.Since(start)
+	if m.cfg.SLO != nil {
+		m.cfg.SLO.Observe(elapsed, true)
+	}
+	if reg != nil {
+		reg.Histogram("metaprobe_select_latency_seconds", nil).ObserveExemplar(elapsed.Seconds(), out.TraceID)
+		reg.Counter("metaprobe_selections_total", obs.Labels{"reached": strconv.FormatBool(res.Reached)}).Inc()
+		reg.Histogram("metaprobe_selection_certainty", nil).Observe(res.Certainty)
+	}
 }
 
-// observe records metrics and emits a trace for one finished
-// selection. With both sinks nil it returns immediately. A non-empty
-// traceID is attached to the latency observation as an exemplar, so a
-// latency bucket in /metrics links back to the span tree that filled
-// it.
-func (m *Metasearcher) observe(id, traceID, query string, metric Metric, threshold float64, sel *core.Selection, out core.Outcome, start time.Time) {
-	if m.cfg.Metrics == nil && m.cfg.Tracer == nil {
-		return
+// estimatesAttr renders r̂(db, q) for every database as a JSON object
+// in testbed order — the root span's "estimates" attribute.
+func (m *Metasearcher) estimatesAttr(sel *core.Selection) string {
+	b := make([]byte, 0, 32*len(m.dbKey))
+	b = append(b, '{')
+	for i, key := range m.dbKey {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, key...)
+		b = strconv.AppendFloat(b, sel.Estimate(i), 'g', -1, 64)
 	}
-	elapsed := time.Since(start)
-	if reg := m.cfg.Metrics; reg != nil {
-		reg.Histogram("metaprobe_select_latency_seconds", nil).ObserveExemplar(elapsed.Seconds(), traceID)
-		reg.Counter("metaprobe_selections_total", obs.Labels{"reached": strconv.FormatBool(out.Reached)}).Inc()
-		reg.Histogram("metaprobe_selection_certainty", nil).Observe(out.Certainty)
-		for _, step := range out.Steps {
-			name := m.tb.DB(step.DB).Name()
-			if step.Err != nil {
-				reg.Counter("metaprobe_probe_errors_total", obs.Labels{"db": name}).Inc()
-			} else {
-				reg.Counter("metaprobe_probes_total", obs.Labels{"db": name}).Inc()
-			}
-		}
-	}
-	if tr := m.cfg.Tracer; tr != nil {
-		n := m.tb.Len()
-		trace := SelectionTrace{
-			ID:               id,
-			Time:             start,
-			Query:            query,
-			K:                sel.K,
-			Metric:           metric.String(),
-			Threshold:        threshold,
-			Databases:        m.Databases(),
-			Estimates:        make([]float64, n),
-			InitialCertainty: out.Initial,
-			Selected:         m.names(out.Set),
-			Certainty:        out.Certainty,
-			Reached:          out.Reached,
-			Elapsed:          elapsed,
-		}
-		for i := 0; i < n; i++ {
-			trace.Estimates[i] = sel.Estimate(i)
-		}
-		if len(out.Steps) > 0 {
-			trace.Probes = make([]ProbeTrace, len(out.Steps))
-			for i, s := range out.Steps {
-				pt := ProbeTrace{
-					DB:             m.tb.DB(s.DB).Name(),
-					Index:          s.DB,
-					Usefulness:     s.Usefulness,
-					Value:          s.Value,
-					CertaintyAfter: s.CertaintyAfter,
-				}
-				if s.Err != nil {
-					pt.Err = s.Err.Error()
-				}
-				trace.Probes[i] = pt
-			}
-		}
-		tr.TraceSelection(trace)
-	}
+	return string(append(b, '}'))
 }
 
 // Metasearch is MetasearchContext without cancellation.
@@ -1146,26 +1130,11 @@ func countTerms(q string) int {
 	return n
 }
 
-// stageRecorder returns a fresh per-selection stage recorder, or nil
-// when neither metrics nor span tracing is configured — the nil
-// keeps the disabled hot path at a single pointer comparison per
-// stage boundary (see core.Selection.BeginStage).
-func (m *Metasearcher) stageRecorder() *obs.StageRecorder {
-	if m.cfg.Metrics == nil && m.cfg.Spans == nil {
-		return nil
-	}
-	return obs.NewStageRecorder()
-}
-
 // flushStages publishes one finished selection's stage totals: a
 // per-stage observation into the mp_selection_stage_* histograms and
 // one "stage" event per stage on the root span (added before End, so
-// the events land in the recorded tree). Nil recorder or span are
-// no-ops.
+// the events land in the recorded tree). A nil span is a no-op.
 func (m *Metasearcher) flushStages(rec *obs.StageRecorder, sp *span.Span) {
-	if rec == nil {
-		return
-	}
 	totals := rec.Totals()
 	reg := m.cfg.Metrics
 	for _, stage := range rec.Stages() {
@@ -1175,7 +1144,7 @@ func (m *Metasearcher) flushStages(rec *obs.StageRecorder, sp *span.Span) {
 			reg.Histogram("mp_selection_stage_seconds", lbl).Observe(t.Seconds)
 			reg.Histogram("mp_selection_stage_allocs", lbl).Observe(float64(t.Allocs))
 		}
-		sp.AddEvent("stage",
+		sp.AddRecord("stage",
 			"stage", stage,
 			"seconds", strconv.FormatFloat(t.Seconds, 'g', 6, 64),
 			"allocs", strconv.FormatUint(t.Allocs, 10),

@@ -3,6 +3,7 @@ package metaprobe
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,10 +63,10 @@ func TestSelectContextMatchesSequential(t *testing.T) {
 // safety proof for the probe-feedback path.
 func TestConcurrentSelectionsRace(t *testing.T) {
 	reg := NewMetrics()
-	tracer := NewRingTracer(64)
+	spans := NewSpanTracer(0)
 	cfg := &Config{
 		Metrics:          reg,
-		Tracer:           tracer,
+		Spans:            spans,
 		Drift:            &DriftConfig{},
 		OnlineRefinement: true,
 		Speculation:      2,
@@ -106,8 +107,21 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if tracer.Total() == 0 {
-		t.Error("no selection traces recorded")
+	// 32 selections, each one trace with its record on the root span.
+	traces := spans.Traces(0)
+	if len(traces) != 32 {
+		t.Errorf("recorded %d traces, want 32", len(traces))
+	}
+	ids := make(map[string]bool)
+	for _, tr := range traces {
+		rec := readSelection(t, spans, tr.TraceID)
+		ids[rec.Attrs["id"]] = true
+		if want, _ := strconv.Atoi(rec.Attrs["probes"]); len(rec.Steps) < want {
+			t.Errorf("trace %s: %d step events for %d probes", tr.TraceID, len(rec.Steps), want)
+		}
+	}
+	if len(ids) != len(traces) {
+		t.Errorf("%d distinct selection IDs over %d traces", len(ids), len(traces))
 	}
 	if cal.Snapshot().Samples == 0 {
 		t.Error("no calibration observations recorded")

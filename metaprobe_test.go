@@ -23,8 +23,14 @@ func buildTestMetasearcher(t testing.TB) (*Metasearcher, []string) {
 // are built, so summaries always reflect the unwrapped content).
 func buildTestMetasearcherWith(t testing.TB, cfg *Config, wrap func(i int, db Database) Database) (*Metasearcher, []string) {
 	t.Helper()
+	return buildTestMetasearcherOn(t, corpus.HealthTestbed(0.01)[:6], cfg, wrap)
+}
+
+// buildTestMetasearcherOn is buildTestMetasearcherWith over the given
+// health-world database specs.
+func buildTestMetasearcherOn(t testing.TB, specs []corpus.DatabaseSpec, cfg *Config, wrap func(i int, db Database) Database) (*Metasearcher, []string) {
+	t.Helper()
 	world := corpus.HealthWorld()
-	specs := corpus.HealthTestbed(0.01)[:6]
 	tb, err := hidden.BuildTestbed(world, specs, 23)
 	if err != nil {
 		t.Fatal(err)

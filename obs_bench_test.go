@@ -2,37 +2,39 @@ package metaprobe
 
 import "testing"
 
+// setSinks swaps the observability sinks of a built metasearcher, so
+// one trained instance can be benchmarked under several configurations.
+func (m *Metasearcher) setSinks(reg *Metrics, spans *SpanTracer) {
+	m.cfg.Metrics, m.cfg.Spans = reg, spans
+	m.observed = m.cfg.observed()
+}
+
 // BenchmarkSelect measures the observability layer's cost on the hot
 // selection path. The acceptance bar is that the disabled path (the
-// default nil Metrics/Tracer config) stays within 2% of a build with
-// no instrumentation at all — it performs exactly two nil pointer
-// comparisons per Select (obsNow and observe both bail immediately),
-// so compare the sub-benchmarks:
+// default config with no sink) stays within 2% of a build with no
+// instrumentation at all — it tests the one "any sink configured" flag
+// twice per Select — so compare the sub-benchmarks:
 //
 //	go test -bench BenchmarkSelect -benchtime 2s .
 //
-// "disabled" is the nil path; "metrics", "tracer" and "full" show what
-// enabling each collector costs on top.
+// "disabled" is the nil path; "metrics", "spans" and "full" show what
+// enabling each sink costs on top.
 func BenchmarkSelect(b *testing.B) {
 	ms, queries := buildTestMetasearcher(b)
 	configs := []struct {
 		name    string
 		metrics *Metrics
-		tracer  Tracer
+		spans   *SpanTracer
 	}{
 		{"disabled", nil, nil},
 		{"metrics", NewMetrics(), nil},
-		{"tracer", nil, NewRingTracer(64)},
-		{"full", NewMetrics(), NewRingTracer(64)},
+		{"spans", nil, NewSpanTracer(0)},
+		{"full", NewMetrics(), NewSpanTracer(0)},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
-			ms.cfg.Metrics = cfg.metrics
-			ms.cfg.Tracer = cfg.tracer
-			defer func() {
-				ms.cfg.Metrics = nil
-				ms.cfg.Tracer = nil
-			}()
+			ms.setSinks(cfg.metrics, cfg.spans)
+			defer ms.setSinks(nil, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -45,15 +47,14 @@ func BenchmarkSelect(b *testing.B) {
 }
 
 // BenchmarkSelectWithCertainty covers the probing path, where the
-// per-step trace bookkeeping lives.
+// per-step span events are written.
 func BenchmarkSelectWithCertainty(b *testing.B) {
 	ms, queries := buildTestMetasearcher(b)
 	for _, enabled := range []bool{false, true} {
 		name := "disabled"
 		if enabled {
 			name = "full"
-			ms.cfg.Metrics = NewMetrics()
-			ms.cfg.Tracer = NewRingTracer(64)
+			ms.setSinks(NewMetrics(), NewSpanTracer(0))
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -65,6 +66,5 @@ func BenchmarkSelectWithCertainty(b *testing.B) {
 			}
 		})
 	}
-	ms.cfg.Metrics = nil
-	ms.cfg.Tracer = nil
+	ms.setSinks(nil, nil)
 }

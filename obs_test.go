@@ -1,20 +1,33 @@
 package metaprobe
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"metaprobe/internal/corpus"
+	"metaprobe/internal/obs/ops/opstest"
+	"metaprobe/internal/obs/span"
 )
 
 // buildObservedMetasearcher is buildTestMetasearcher with metrics and
-// tracing switched on.
-func buildObservedMetasearcher(t testing.TB) (*Metasearcher, []string, *Metrics, *RingTracer) {
+// span tracing switched on.
+func buildObservedMetasearcher(t testing.TB) (*Metasearcher, []string, *Metrics, *SpanTracer) {
 	t.Helper()
-	ms, queries := buildTestMetasearcher(t)
 	reg := NewMetrics()
-	tracer := NewRingTracer(32)
-	ms.cfg.Metrics = reg
-	ms.cfg.Tracer = tracer
-	return ms, queries, reg, tracer
+	spans := NewSpanTracer(0)
+	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, Spans: spans}, nil)
+	return ms, queries, reg, spans
+}
+
+// readSelection decodes the selection span of traceID as served at
+// /debug/spans.
+func readSelection(t testing.TB, spans *SpanTracer, traceID string) opstest.Selection {
+	t.Helper()
+	sel, _ := opstest.ReadSelection(t, span.Handler(spans), traceID)
+	return sel
 }
 
 func TestSelectionMetricsRecorded(t *testing.T) {
@@ -50,67 +63,99 @@ func TestSelectionMetricsRecorded(t *testing.T) {
 	}
 }
 
-func TestSelectionTracesEmitted(t *testing.T) {
-	ms, queries, _, tracer := buildObservedMetasearcher(t)
+// TestSelectionRecordOnRootSpan reads every field the selection record
+// carries off the root span of a real probing selection: the call's
+// arguments, the model's estimates, the answer, and the per-probe
+// certainty trajectory.
+func TestSelectionRecordOnRootSpan(t *testing.T) {
+	ms, queries, reg, spans := buildObservedMetasearcher(t)
+	before := time.Now()
 	res, err := ms.SelectWithCertainty(queries[0], 2, Partial, 0.95, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := tracer.Last(0)
-	if len(traces) != 1 {
-		t.Fatalf("recorded %d traces, want 1", len(traces))
+	if got := spans.Traces(0); len(got) != 1 {
+		t.Fatalf("recorded %d traces, want 1", len(got))
 	}
-	tr := traces[0]
-	if tr.Query != queries[0] || tr.K != 2 || tr.Metric != "partial" || tr.Threshold != 0.95 {
-		t.Errorf("trace header = %+v", tr)
+	rec := readSelection(t, spans, res.TraceID)
+	attrs := rec.Attrs
+
+	// Header: the call's arguments and the correlation ID.
+	if attrs["id"] != res.ID || res.ID == "" {
+		t.Errorf("id attribute %q, result ID %q", attrs["id"], res.ID)
 	}
-	if len(tr.Databases) != len(ms.Databases()) || len(tr.Estimates) != len(tr.Databases) {
-		t.Errorf("trace estimates misaligned: %d dbs, %d estimates", len(tr.Databases), len(tr.Estimates))
+	if attrs["query"] != queries[0] || attrs["k"] != "2" || attrs["metric"] != "partial" {
+		t.Errorf("header attributes = %v", attrs)
 	}
-	if len(tr.Selected) != len(res.Databases) {
-		t.Errorf("trace selected %v, result %v", tr.Selected, res.Databases)
+	if got := opstest.Float(t, attrs, "threshold"); got != 0.95 {
+		t.Errorf("threshold = %v, want 0.95", got)
 	}
-	if tr.Certainty != res.Certainty || tr.Reached != res.Reached {
-		t.Errorf("trace certainty/reached mismatch: %+v vs %+v", tr, res)
+	if rec.StartTime.Before(before) || rec.DurationMs <= 0 {
+		t.Errorf("span window start=%v duration=%vms", rec.StartTime, rec.DurationMs)
 	}
-	if len(tr.Probes) != res.Probes {
-		// Probes in the result counts successful ones only; the trace
-		// has every step. The trace can only have more.
-		if len(tr.Probes) < res.Probes {
-			t.Errorf("trace has %d probe steps, result reports %d", len(tr.Probes), res.Probes)
+
+	// Estimates: one per database, in testbed order, equal to r̂.
+	if !reflect.DeepEqual(rec.Databases, ms.Databases()) {
+		t.Errorf("estimates keyed by %v, want testbed order %v", rec.Databases, ms.Databases())
+	}
+	for i, db := range ms.tb.Databases() {
+		if want := ms.rel.Estimate(ms.sums.Summaries[i], queries[0]); rec.Estimates[i] != want {
+			t.Errorf("estimate[%s] = %v, want %v", db.Name(), rec.Estimates[i], want)
 		}
 	}
-	for i, p := range tr.Probes {
-		if p.DB == "" {
-			t.Errorf("probe %d has no database name", i)
+
+	// Answer.
+	if !reflect.DeepEqual(rec.Selected, res.Databases) {
+		t.Errorf("selected %v, result %v", rec.Selected, res.Databases)
+	}
+	if got := opstest.Float(t, attrs, "certainty"); got != res.Certainty {
+		t.Errorf("certainty %v, result %v", got, res.Certainty)
+	}
+	if attrs["reached"] != strconv.FormatBool(res.Reached) || attrs["probes"] != strconv.Itoa(res.Probes) {
+		t.Errorf("reached/probes attributes = %v, result %+v", attrs, res)
+	}
+	if init := opstest.Float(t, attrs, "initial_certainty"); init < 0 || init > 1 {
+		t.Errorf("initial certainty %v outside [0,1]", init)
+	}
+
+	// Trajectory: every folded probe, failed ones included, so the
+	// record can only hold more steps than the result counts probes;
+	// it ends on the returned certainty.
+	if len(rec.Steps) < res.Probes || res.Probes == 0 {
+		t.Fatalf("%d step events for %d probes (want a probing query)", len(rec.Steps), res.Probes)
+	}
+	for i, s := range rec.Steps {
+		if ms.tb.IndexOf(s.DB) < 0 {
+			t.Errorf("step %d names unknown database %q", i, s.DB)
 		}
-		if p.CertaintyAfter < 0 || p.CertaintyAfter > 1 {
-			t.Errorf("probe %d certainty-after %v outside [0,1]", i, p.CertaintyAfter)
+		if s.CertaintyAfter < 0 || s.CertaintyAfter > 1 {
+			t.Errorf("step %d certainty-after %v outside [0,1]", i, s.CertaintyAfter)
+		}
+		if s.Err != "" {
+			t.Errorf("step %d failed on a healthy testbed: %s", i, s.Err)
+		}
+		if got := reg.Counter("metaprobe_probes_total", map[string]string{"db": s.DB}).Value(); got != 1 {
+			t.Errorf("probes_total{db=%s} = %d after one step on it", s.DB, got)
 		}
 	}
-	// The trajectory starts at the RD-based certainty and ends at the
-	// final one.
-	if len(tr.Probes) > 0 {
-		last := tr.Probes[len(tr.Probes)-1]
-		if last.CertaintyAfter != tr.Certainty {
-			t.Errorf("trajectory end %v ≠ final certainty %v", last.CertaintyAfter, tr.Certainty)
-		}
-	} else if tr.InitialCertainty != tr.Certainty {
-		t.Errorf("no probes but initial %v ≠ final %v", tr.InitialCertainty, tr.Certainty)
+	if last := rec.Steps[len(rec.Steps)-1]; last.CertaintyAfter != res.Certainty {
+		t.Errorf("trajectory ends at %v, result certainty %v", last.CertaintyAfter, res.Certainty)
 	}
 }
 
-func TestPlainSelectTraced(t *testing.T) {
-	ms, queries, reg, tracer := buildObservedMetasearcher(t)
+func TestPlainSelectRecorded(t *testing.T) {
+	ms, queries, reg, spans := buildObservedMetasearcher(t)
 	if _, _, err := ms.Select(queries[0], 1, Absolute); err != nil {
 		t.Fatal(err)
 	}
-	traces := tracer.Last(0)
+	traces := spans.Traces(0)
 	if len(traces) != 1 {
 		t.Fatalf("recorded %d traces, want 1", len(traces))
 	}
-	if tr := traces[0]; tr.Threshold != 0 || len(tr.Probes) != 0 || tr.InitialCertainty != tr.Certainty {
-		t.Errorf("plain Select trace = %+v", tr)
+	rec := readSelection(t, spans, traces[0].TraceID)
+	attrs := rec.Attrs
+	if attrs["threshold"] != "0" || len(rec.Steps) != 0 || attrs["initial_certainty"] != attrs["certainty"] {
+		t.Errorf("plain Select record: %d steps, attributes %v", len(rec.Steps), attrs)
 	}
 	if got := reg.Histogram("metaprobe_select_latency_seconds", nil).Count(); got != 1 {
 		t.Errorf("latency observations = %d, want 1", got)
@@ -119,7 +164,7 @@ func TestPlainSelectTraced(t *testing.T) {
 
 func TestNilObservabilityUnaffected(t *testing.T) {
 	// The default config must behave exactly as before: no metrics, no
-	// traces, identical results.
+	// spans, identical results.
 	ms, queries := buildTestMetasearcher(t)
 	res, err := ms.SelectWithCertainty(queries[0], 2, Absolute, 0.9, -1)
 	if err != nil {
@@ -128,14 +173,120 @@ func TestNilObservabilityUnaffected(t *testing.T) {
 	if len(res.Databases) != 2 {
 		t.Errorf("selected %v", res.Databases)
 	}
+	if res.ID != "" || res.TraceID != "" || res.Cost != nil {
+		t.Errorf("disabled path filled observability fields: %+v", res)
+	}
 }
 
-func TestMetasearchEmitsTrace(t *testing.T) {
-	ms, queries, _, tracer := buildObservedMetasearcher(t)
-	if _, _, err := ms.Metasearch(queries[0], 2, Partial, 0.9, 5); err != nil {
+func TestMetasearchRecordsOneTrace(t *testing.T) {
+	ms, queries, _, spans := buildObservedMetasearcher(t)
+	_, res, err := ms.Metasearch(queries[0], 2, Partial, 0.9, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tracer.Last(0)); n != 1 {
-		t.Errorf("Metasearch recorded %d traces, want 1", n)
+	traces := spans.Traces(0)
+	if len(traces) != 1 || traces[0].Root != "metasearch" || traces[0].TraceID != res.TraceID {
+		t.Fatalf("Metasearch traces = %+v, want one rooted at metasearch", traces)
+	}
+	roots := spans.Tree(res.TraceID)
+	if rec := readSelection(t, spans, res.TraceID); rec.ParentID != roots[0].Span.SpanID {
+		t.Errorf("selection span parented to %q, want the metasearch root %q", rec.ParentID, roots[0].Span.SpanID)
+	}
+}
+
+// TestEverySinkAloneGetsIDClockAndCost pins the one "any sink
+// configured" rule: whichever single sink is set, the selection is
+// numbered, timed and cost-accounted the same way. With only Spans
+// set the ID used to stay empty, so the root span had no "id" to
+// correlate with logs.
+func TestEverySinkAloneGetsIDClockAndCost(t *testing.T) {
+	spans := NewSpanTracer(0)
+	slo := NewSLO(SLOConfig{})
+	for name, cfg := range map[string]*Config{
+		"metrics": {Metrics: NewMetrics()},
+		"spans":   {Spans: spans},
+		"slo":     {SLO: slo},
+	} {
+		ms, queries := buildTestMetasearcherWith(t, cfg, nil)
+		res, err := ms.SelectWithCertainty(queries[0], 2, Absolute, 0.9, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ID != "sel-000001" || res.Cost == nil {
+			t.Errorf("%s only: ID %q, cost %v; want sel-000001 and a cost account", name, res.ID, res.Cost)
+		}
+	}
+	if traces := spans.Traces(0); len(traces) != 1 {
+		t.Fatalf("spans only: %d traces, want 1", len(traces))
+	} else if rec := readSelection(t, spans, traces[0].TraceID); rec.Attrs["id"] != "sel-000001" {
+		t.Errorf("spans only: root span id attribute = %q, want sel-000001", rec.Attrs["id"])
+	}
+	if snap := slo.Snapshot(); snap.Total != 1 {
+		t.Errorf("slo only: tracker counted %d requests, want 1", snap.Total)
+	}
+}
+
+// TestStepAndStageEventsSurviveEventCap runs selections at Speculation
+// 4, t = 1.0 and unbounded probes over a 40-database testbed (the
+// health testbed twice) with every backend down, so each probed
+// database leaves a speculative_prefetch and a backend_excluded
+// annotation on the root span. Where those plus the step and stage
+// records exceed the per-span event cap, the records — written last —
+// must not be what is dropped.
+func TestStepAndStageEventsSurviveEventCap(t *testing.T) {
+	specs := corpus.HealthTestbed(0.005)
+	for _, spec := range specs[:len(specs):len(specs)] {
+		spec.Name += "-mirror"
+		specs = append(specs, spec)
+	}
+	var failers []*toggleFail
+	spans := NewSpanTracer(0)
+	cfg := &Config{Spans: spans, Speculation: 4,
+		// Probe every dead backend rather than short-circuit it.
+		Breaker: BreakerConfig{FailureThreshold: 1 << 20}}
+	ms, queries := buildTestMetasearcherOn(t, specs, cfg, func(i int, db Database) Database {
+		f := &toggleFail{Database: db}
+		failers = append(failers, f)
+		return f
+	})
+	for _, f := range failers {
+		f.down.Store(true)
+	}
+
+	overCap := 0
+	for _, q := range queries[:10] {
+		res, err := ms.SelectWithCertainty(q, 2, Absolute, 1.0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := readSelection(t, spans, res.TraceID)
+		if len(rec.Events) > 64 {
+			overCap++
+		}
+		stages := 0
+		for _, ev := range rec.Events {
+			if ev.Name == "stage" {
+				stages++
+			}
+		}
+		wantStages := 4
+		if res.ProbeFailures == 0 {
+			wantStages = 2 // no probing round: rd_convolve and ecor_dp only
+		}
+		if len(rec.Steps) != res.ProbeFailures || stages != wantStages {
+			t.Errorf("%q: %d step and %d stage events, want %d and %d (dropped_events=%q)",
+				q, len(rec.Steps), stages, res.ProbeFailures, wantStages, rec.Attrs["dropped_events"])
+		}
+		for i, s := range rec.Steps {
+			if s.Err == "" {
+				t.Errorf("%q: step %d on %s carries no error though every backend is down", q, i, s.DB)
+			}
+		}
+		if n := len(rec.Steps); n > 0 && rec.Steps[n-1].CertaintyAfter != res.Certainty {
+			t.Errorf("%q: trajectory ends at %v, result certainty %v", q, rec.Steps[n-1].CertaintyAfter, res.Certainty)
+		}
+	}
+	if overCap == 0 {
+		t.Error("no selection put more than 64 events on its root span: the cap was never exercised")
 	}
 }

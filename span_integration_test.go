@@ -15,12 +15,9 @@ import (
 // trace, the SLO tracker counted the request, and the cost summary
 // accounts for the probes spent.
 func TestSelectionSpanTreeExemplarAndSLO(t *testing.T) {
-	ms, queries := buildTestMetasearcher(t)
 	reg := NewMetrics()
 	tracer := NewSpanTracer(256)
-	ms.cfg.Metrics = reg
-	ms.cfg.Spans = tracer
-	ms.cfg.SLO = NewSLO(SLOConfig{})
+	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, Spans: tracer, SLO: NewSLO(SLOConfig{})}, nil)
 
 	res, err := ms.SelectWithCertaintyContext(context.Background(), queries[0], 2, Partial, 0.95, -1)
 	if err != nil {

@@ -113,8 +113,8 @@ func TestStageTotalsSumToSelectionSpan(t *testing.T) {
 // the observer nil — the zero-overhead path.
 func TestStageAttributionDisabledByDefault(t *testing.T) {
 	ms, queries := buildTestMetasearcher(t)
-	if rec := ms.stageRecorder(); rec != nil {
-		t.Fatal("stage recorder created with observability disabled")
+	if ms.observed {
+		t.Fatal("observability flag set with no sink configured")
 	}
 	sel, _, err := ms.selection(queries[0], Absolute, 2, nil)
 	if err != nil {
