@@ -58,12 +58,23 @@ func (e *ED) Observations() int64 { return e.Hist.Total() }
 // for the zero band. Values are floored at 0 (relevancies cannot be
 // negative).
 func (e *ED) RD(rhat float64) (*RD, error) {
-	if e.Hist.Total() == 0 {
-		return nil, fmt.Errorf("core: ED has no observations")
-	}
+	f := e.freeze()
+	return f.rd(rhat, f.reps) // in place: the snapshot is this call's own
+}
+
+// frozenED is everything ED.RD reads of an ED — the representative
+// value and probability of each occupied bin — copied out of the
+// histogram, so it stays fixed while online refinement keeps observing.
+// RD-table rows hold one (rdtable.go); ED.RD goes through a transient
+// one, which is what makes the two derivations bit-identical.
+type frozenED struct {
+	absolute    bool
+	reps, probs []float64
+}
+
+func (e *ED) freeze() frozenED {
 	n := e.Hist.Bins()
-	values := make([]float64, 0, n)
-	probs := make([]float64, 0, n)
+	f := frozenED{absolute: e.Absolute, reps: make([]float64, 0, n), probs: make([]float64, 0, n)}
 	for i := 0; i < n; i++ {
 		p := e.Hist.Prob(i)
 		if p == 0 {
@@ -73,19 +84,29 @@ func (e *ED) RD(rhat float64) (*RD, error) {
 		if e.UseBinMean {
 			rep = e.Hist.BinMean(i)
 		}
-		var v float64
-		if e.Absolute {
-			v = rep
-		} else {
+		f.reps = append(f.reps, rep)
+		f.probs = append(f.probs, p)
+	}
+	return f
+}
+
+// rd convolves the snapshot with rhat, writing the support into values
+// (len(f.reps); may be f.reps itself).
+func (f frozenED) rd(rhat float64, values []float64) (*RD, error) {
+	if len(f.reps) == 0 {
+		return nil, fmt.Errorf("core: ED has no observations")
+	}
+	for i, rep := range f.reps {
+		v := rep
+		if !f.absolute {
 			v = rhat * (1 + rep)
 		}
 		if v < 0 {
 			v = 0
 		}
-		values = append(values, v)
-		probs = append(probs, p)
+		values[i] = v
 	}
-	return NewRD(values, probs)
+	return NewRD(values, f.probs)
 }
 
 // Probs returns the per-bin probabilities (for chi-square comparisons

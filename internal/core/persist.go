@@ -471,8 +471,15 @@ func decodeModel(path string, jm jsonModel) (*Model, error) {
 // sample, so the error distributions keep improving (and track
 // database drift) during operation.
 func (m *Model) ObserveProbe(dbIdx int, query string, numTerms int, actual float64) error {
+	_, err := m.observe(dbIdx, query, numTerms, actual)
+	return err
+}
+
+// observe is ObserveProbe, also reporting the query type the
+// observation was filed under.
+func (m *Model) observe(dbIdx int, query string, numTerms int, actual float64) (TypeKey, error) {
 	if dbIdx < 0 || dbIdx >= len(m.DBs) {
-		return fmt.Errorf("core: ObserveProbe: database index %d outside [0, %d)", dbIdx, len(m.DBs))
+		return TypeKey{}, fmt.Errorf("core: ObserveProbe: database index %d outside [0, %d)", dbIdx, len(m.DBs))
 	}
 	rhat := m.Rel.Estimate(m.Summaries.Summaries[dbIdx], query)
 	key := m.Cfg.Classifier.Classify(numTerms, rhat)
@@ -487,17 +494,17 @@ func (m *Model) ObserveProbe(dbIdx int, query string, numTerms int, actual float
 		var err error
 		ed, err = NewED(edges, absolute, m.Cfg.UseBinMean)
 		if err != nil {
-			return err
+			return key, err
 		}
 		dm.EDs[key] = ed
 	}
 	if err := ed.Observe(rhat, actual); err != nil {
-		return fmt.Errorf("core: ObserveProbe: %w", err)
+		return key, fmt.Errorf("core: ObserveProbe: %w", err)
 	}
 	if key.Band != BandZero {
 		if err := dm.Pooled.Observe(rhat, actual); err != nil {
-			return err
+			return key, err
 		}
 	}
-	return nil
+	return key, nil
 }

@@ -3,16 +3,16 @@ package core
 // Precomputed RD tables: the per-query cost of NewSelection used to be
 // dominated by RD derivation — for every database: estimate, classify,
 // then convolve the error distribution into a relevancy distribution
-// (Model.RDFor). The EDs are immutable between refreshes, so that
-// convolution work is a pure function of (database, query type) plus a
-// per-query scale: for the relative-error bands, ED.RD(r̂) produces
-// values r̂·(1 + e_bin) with probabilities that do not depend on r̂ at
-// all, and for the r̂ = 0 band the whole RD is independent of r̂.
+// (Model.RDFor). That convolution is a pure function of (database,
+// query type) plus a per-query scale: for the relative-error bands,
+// ED.RD(r̂) produces values r̂·(1 + e_bin) with probabilities that do
+// not depend on r̂ at all, and for the r̂ = 0 band the whole RD is
+// independent of r̂.
 //
-// A ModelVersion therefore carries an rdTable: one entry per
-// (database, classifier key), built when the version is published
-// (NewModelVersion / Next) and rebuilt lazily after invalidation.
-// Entries come in three kinds:
+// A ModelVersion therefore carries an rdTable: one row per (database,
+// classifier key) plus one per database for its pooled ED, all built
+// when the version is published (NewModelVersion / Next). Rows come in
+// three kinds:
 //
 //   - rdEntryScaled: a template RD built with ED.RD(1), so its support
 //     is exactly the per-bin factors (1 + e_bin). A selection derives
@@ -20,23 +20,25 @@ package core
 //     identical float expression r̂·(1 + e_bin) the from-scratch path
 //     computes, so table-lookup selections are bit-equal to
 //     RDFor-derived ones — while sharing the template's probabilities
-//     and cumulative tails (both scale-invariant).
+//     and cumulative tails (both scale-invariant). The row also keeps
+//     the frozenED it was built from, for the estimates a template
+//     cannot be scaled by.
 //   - rdEntryAbsolute: the r̂ = 0 band's RD, shared outright (its
 //     values ignore r̂).
 //   - rdEntryCold: no usable error model for the key; selections fall
 //     back to an impulse at the estimate, exactly like RDFor.
 //
-// Coherence: table rows are atomic pointers. Online refinement
-// (ModelVersion.ObserveProbe) mutates ED histograms in place and then
-// clears the affected database's rows, so the next selection rebuilds
-// them from the refined histograms. Version swaps need no coordination
-// at all — a refresh (ModelVersion.Next) derives the successor's table
-// copy-on-write, sharing every row whose underlying EDs are untouched
-// and rebuilding only the retrained ones; old versions keep their
-// tables until released, so in-flight selections never see a torn or
-// stale row. Callers must serialize ED mutation with table reads on
-// the same version (the facade's modelMu does); published RDs are
-// read-only everywhere — ApplyProbe replaces entries, never mutates.
+// Coherence: readers read summaries, configuration and table rows —
+// never an ED. A row is immutable and always present; whoever changes
+// an ED (online refinement through ModelVersion.ObserveProbe, a
+// refresh or reload through ModelVersion.Next) builds the rows over it
+// anew and stores them through the rows' atomic pointers. Those
+// writers, and anything else that reads an ED of a serving model
+// (saving it, copying one ED out for a refresh), hold the owner's one
+// model lock; FillSelection takes none. Next derives the successor's
+// table copy-on-write, sharing every row whose EDs are untouched, and
+// old versions keep their tables until released, so in-flight
+// selections never see a torn row.
 
 import (
 	"math"
@@ -71,23 +73,25 @@ const (
 	rdEntryAbsolute
 )
 
-// rdEntry is one immutable (database, query-type) table row.
+// rdEntry is one immutable table row.
 type rdEntry struct {
 	kind rdEntryKind
-	rd   *RD // nil for rdEntryCold
+	rd   *RD      // nil for rdEntryCold
+	src  frozenED // the ED behind an rdEntryScaled template
 }
 
 // coldRDEntry is the shared row for keys without a usable error model.
 var coldRDEntry = &rdEntry{kind: rdEntryCold}
 
-// rdTable is a ModelVersion's precomputed RD lookup: a dense
-// (database × classifier key) grid of atomic row pointers. A nil row
-// means "not built yet" — entry() rebuilds it from the model on
-// demand, which is also how invalidation after online refinement
-// repopulates.
+// rdTable is a ModelVersion's precomputed RD lookup: per database,
+// nKeys classifier-key rows followed by the pooled ED's row. A key
+// whose own ED is not trusted is served by the pooled row itself (the
+// same pointer), so refinement of the pooled ED re-points those rows
+// instead of re-convolving each.
 type rdTable struct {
 	// nKeys is the classifier's key-space size (effective MaxTerms × 3
-	// bands); rows are indexed db*nKeys + (Terms-1)*3 + Band.
+	// bands); a key's offset within its database is (Terms-1)*3 + Band,
+	// the pooled row's is nKeys.
 	nKeys int
 	rows  []atomic.Pointer[rdEntry]
 }
@@ -105,115 +109,137 @@ func classifierKeySpace(c Classifier) int {
 // newRDTable allocates an empty table shaped for m.
 func newRDTable(m *Model) *rdTable {
 	nKeys := classifierKeySpace(m.Cfg.Classifier)
-	return &rdTable{nKeys: nKeys, rows: make([]atomic.Pointer[rdEntry], len(m.DBs)*nKeys)}
+	return &rdTable{nKeys: nKeys, rows: make([]atomic.Pointer[rdEntry], len(m.DBs)*(nKeys+1))}
 }
 
-// idx maps (database, key) to the dense row index. Classify clamps
-// Terms into [1, MaxTerms] and Band into the three bands, so the index
-// is always in range for keys it produced.
-func (t *rdTable) idx(dbIdx int, key TypeKey) int {
-	return dbIdx*t.nKeys + (key.Terms-1)*3 + int(key.Band)
+// row returns database dbIdx's row at offset k (nKeys = pooled).
+func (t *rdTable) row(dbIdx, k int) *atomic.Pointer[rdEntry] {
+	return &t.rows[dbIdx*(t.nKeys+1)+k]
 }
 
-// keyAt is idx's inverse for the per-db key offset.
+// keyOffset maps a key to its row offset. Classify clamps Terms into
+// [1, MaxTerms] and Band into the three bands, so the offset is always
+// below nKeys for keys it produced.
+func keyOffset(key TypeKey) int { return (key.Terms-1)*3 + int(key.Band) }
+
+// keyAt is keyOffset's inverse.
 func keyAt(k int) TypeKey {
 	return TypeKey{Terms: k/3 + 1, Band: EstimateBand(k % 3)}
 }
 
-// entry returns the row for (dbIdx, key), building it from the model's
-// current EDs when the row was never built or was invalidated. Builds
-// are deterministic for a quiescent model, so concurrent builders
-// racing on the same row store equivalent entries; callers must still
-// serialize entry() with ED mutation (ModelVersion.ObserveProbe).
-func (t *rdTable) entry(m *Model, dbIdx int, key TypeKey) *rdEntry {
-	row := &t.rows[t.idx(dbIdx, key)]
-	if e := row.Load(); e != nil {
-		return e
+// edRow preconvolves one ED into a row: the finished RD of a zero-band
+// ED, the r̂ = 1 template of a relative one. Cold when the ED is
+// missing, has fewer than minObs observations or does not convolve.
+func edRow(ed *ED, minObs int64, zeroBand bool) *rdEntry {
+	if ed == nil || ed.Observations() < minObs {
+		return coldRDEntry
 	}
-	e := buildRDEntry(m, dbIdx, key)
-	row.Store(e)
+	f := ed.freeze()
+	kind, rhat := rdEntryScaled, 1.0
+	if zeroBand {
+		kind, rhat = rdEntryAbsolute, 0
+	}
+	rd, err := f.rd(rhat, make([]float64, len(f.reps)))
+	if err != nil {
+		return coldRDEntry
+	}
+	return &rdEntry{kind: kind, rd: rd, src: f}
+}
+
+// keyRow builds the row at key offset k, replicating RDFor's fallback
+// chain: the key's own ED when trusted, else — for the relative bands
+// — the database's pooled row, else cold.
+func (t *rdTable) keyRow(m *Model, dbIdx, k int, pooled *rdEntry) *rdEntry {
+	key := keyAt(k)
+	e := edRow(m.DBs[dbIdx].EDs[key], m.Cfg.MinObservations, key.Band == BandZero)
+	if e == coldRDEntry && key.Band != BandZero {
+		return pooled
+	}
 	return e
 }
 
-// buildRDEntry preconvolves one (database, key) row, replicating
-// RDFor's exact fallback chain: the key's own ED when trusted, else
-// the pooled ED for the relative bands, else cold.
-func buildRDEntry(m *Model, dbIdx int, key TypeKey) *rdEntry {
-	dm := m.DBs[dbIdx]
-	if ed, ok := dm.EDs[key]; ok && ed.Observations() >= m.Cfg.MinObservations {
-		if key.Band == BandZero {
-			if rd, err := ed.RD(0); err == nil {
-				return &rdEntry{kind: rdEntryAbsolute, rd: rd}
-			}
-		} else if rd, err := ed.RD(1); err == nil {
-			return &rdEntry{kind: rdEntryScaled, rd: rd}
-		}
-	}
-	if key.Band != BandZero && dm.Pooled != nil && dm.Pooled.Observations() >= m.Cfg.MinObservations {
-		if rd, err := dm.Pooled.RD(1); err == nil {
-			return &rdEntry{kind: rdEntryScaled, rd: rd}
-		}
-	}
-	return coldRDEntry
-}
-
-// prebuild materializes every unbuilt row, so a freshly published
+// prebuild materializes every row not yet set, so a freshly published
 // version pays the convolution cost once, off the query path.
 func (t *rdTable) prebuild(m *Model) {
-	for db := range m.DBs {
-		base := db * t.nKeys
+	for db, dm := range m.DBs {
+		pr := t.row(db, t.nKeys)
+		if pr.Load() == nil {
+			pr.Store(edRow(dm.Pooled, m.Cfg.MinObservations, false))
+		}
+		pooled := pr.Load()
 		for k := 0; k < t.nKeys; k++ {
-			row := &t.rows[base+k]
-			if row.Load() == nil {
-				row.Store(buildRDEntry(m, db, keyAt(k)))
+			if r := t.row(db, k); r.Load() == nil {
+				r.Store(t.keyRow(m, db, k, pooled))
 			}
 		}
 	}
 }
 
-// invalidateDB clears one database's rows after its EDs changed in
-// place (online refinement also feeds the pooled ED, so the whole
-// database — a dozen pointers — is cleared rather than one key).
-func (t *rdTable) invalidateDB(dbIdx int) {
-	base := dbIdx * t.nKeys
-	for k := 0; k < t.nKeys; k++ {
-		t.rows[base+k].Store(nil)
+// observed rebuilds the rows over the EDs one observation of (dbIdx,
+// key) changed: the key's own row and, for a relative band — whose
+// observations also feed the pooled ED — the pooled row and every
+// relative-band row it serves.
+func (t *rdTable) observed(m *Model, dbIdx int, key TypeKey) {
+	pr := t.row(dbIdx, t.nKeys)
+	pooled := pr.Load()
+	if key.Band != BandZero {
+		was := pooled
+		pooled = edRow(m.DBs[dbIdx].Pooled, m.Cfg.MinObservations, false)
+		pr.Store(pooled)
+		for k := 0; k < t.nKeys; k++ {
+			if r := t.row(dbIdx, k); r.Load() == was && keyAt(k).Band != BandZero {
+				r.Store(pooled)
+			}
+		}
 	}
+	k := keyOffset(key)
+	t.row(dbIdx, k).Store(t.keyRow(m, dbIdx, k, pooled))
 }
 
 // derive builds the successor version's table copy-on-write against
 // this one: databases whose DBModel pointer is unchanged share all
-// rows; a replaced DBModel (a refresh commit) shares the rows whose ED
-// pointers — including the pooled fallback every relative-band row may
-// depend on — are identical, and rebuilds only the retrained ones.
-// Works from a nil receiver (a version built outside NewModelVersion)
-// by building everything fresh.
+// rows; a replaced DBModel (a refresh commit) with the same pooled ED
+// shares the pooled row and the rows whose ED pointers are identical,
+// and rebuilds only the retrained ones.
 func (t *rdTable) derive(oldM, newM *Model) *rdTable {
 	out := newRDTable(newM)
-	if t != nil && oldM != nil && t.nKeys == out.nKeys {
+	if t.nKeys == out.nKeys {
 		n := len(newM.DBs)
 		if len(oldM.DBs) < n {
 			n = len(oldM.DBs)
 		}
 		for db := 0; db < n; db++ {
 			od, nd := oldM.DBs[db], newM.DBs[db]
-			switch {
-			case od == nd:
-				for k := 0; k < out.nKeys; k++ {
-					out.rows[db*out.nKeys+k].Store(t.rows[db*t.nKeys+k].Load())
-				}
-			case od.Pooled == nd.Pooled:
-				for k := 0; k < out.nKeys; k++ {
-					key := keyAt(k)
-					if od.EDs[key] == nd.EDs[key] {
-						out.rows[db*out.nKeys+k].Store(t.rows[db*t.nKeys+k].Load())
-					}
+			if od != nd && od.Pooled != nd.Pooled {
+				continue
+			}
+			out.row(db, t.nKeys).Store(t.row(db, t.nKeys).Load())
+			for k := 0; k < t.nKeys; k++ {
+				if key := keyAt(k); od == nd || od.EDs[key] == nd.EDs[key] {
+					out.row(db, k).Store(t.row(db, k).Load())
 				}
 			}
 		}
 	}
 	out.prebuild(newM)
 	return out
+}
+
+// unscaled derives database dbIdx's RD for an estimate that scaled
+// row e's template cannot take — a non-finite r̂, or one that makes two
+// support points collide or overflow — from the frozen EDs instead, in
+// RDFor's order: the row's own, the pooled row's, an impulse at the
+// estimate. Rare, and bit-equal to RDFor.
+func (t *rdTable) unscaled(dbIdx int, e *rdEntry, rhat float64) *RD {
+	for _, c := range [2]*rdEntry{e, t.row(dbIdx, t.nKeys).Load()} {
+		if c.kind != rdEntryScaled {
+			continue
+		}
+		if rd, err := c.src.rd(rhat, make([]float64, len(c.src.reps))); err == nil {
+			return rd
+		}
+	}
+	return Impulse(rhat)
 }
 
 // NewSelection builds the initial (unprobed) state for a query through
@@ -231,11 +257,8 @@ func (v *ModelVersion) NewSelection(query string, numTerms int, metric Metric, k
 // and a reusable impulse for cold keys. sel may be nil (one is
 // allocated) or a recycled shell from any earlier query or model
 // version — every field is rewritten, so after warm-up the fill
-// allocates nothing. Returns sel for chaining.
-//
-// Callers must serialize FillSelection with ED mutation on the same
-// version (ModelVersion.ObserveProbe); concurrent fills against a
-// version swap are safe.
+// allocates nothing. Returns sel for chaining. Safe to call from any
+// number of goroutines, whatever the writers are doing.
 func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int, metric Metric, k int) *Selection {
 	if sel == nil {
 		sel = &Selection{}
@@ -250,12 +273,6 @@ func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int,
 		terms = te.Terms(query)
 	}
 	for i := 0; i < n; i++ {
-		if tab == nil {
-			// A version assembled outside NewModelVersion/Next carries no
-			// table; serve from scratch.
-			sel.rds[i], sel.estimates[i] = m.RDFor(i, query, numTerms)
-			continue
-		}
 		var rhat float64
 		if batch {
 			rhat = te.EstimateTerms(m.Summaries.Summaries[i], terms)
@@ -263,8 +280,7 @@ func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int,
 			rhat = m.Rel.Estimate(m.Summaries.Summaries[i], query)
 		}
 		sel.estimates[i] = rhat
-		key := m.Cfg.Classifier.Classify(numTerms, rhat)
-		e := tab.entry(m, i, key)
+		e := tab.row(i, keyOffset(m.Cfg.Classifier.Classify(numTerms, rhat))).Load()
 		switch {
 		case e.kind == rdEntryAbsolute:
 			sel.rds[i] = e.rd
@@ -275,25 +291,20 @@ func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int,
 		case e.kind == rdEntryCold:
 			sel.rds[i] = sel.ownedImpulse(i, rhat)
 		default:
-			// Scaled-entry pathologies — a non-finite estimate, or two
-			// support points colliding after scaling — take the
-			// from-scratch derivation for this database (rare, correct).
-			sel.rds[i], sel.estimates[i] = m.RDFor(i, query, numTerms)
+			sel.rds[i] = tab.unscaled(i, e, rhat)
 		}
 	}
 	return sel
 }
 
 // ObserveProbe folds a live probe observation into this version's
-// model (Model.ObserveProbe) and invalidates the affected database's
-// RD table rows, so subsequent selections re-derive from the refined
-// histograms instead of serving stale distributions. Callers must hold
-// whatever lock serializes selections against refinement (the facade's
-// modelMu).
+// model (Model.ObserveProbe) and rebuilds the table rows over the EDs
+// it changed, so the next selection serves the refined distributions.
+// A writer: callers hold the model lock.
 func (v *ModelVersion) ObserveProbe(dbIdx int, query string, numTerms int, actual float64) error {
-	err := v.Model.ObserveProbe(dbIdx, query, numTerms, actual)
-	if v.rdtab != nil && dbIdx >= 0 && dbIdx < len(v.Model.DBs) {
-		v.rdtab.invalidateDB(dbIdx)
+	key, err := v.Model.observe(dbIdx, query, numTerms, actual)
+	if err == nil {
+		v.rdtab.observed(v.Model, dbIdx, key)
 	}
 	return err
 }

@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"metaprobe/internal/estimate"
+	"metaprobe/internal/summary"
 )
 
 // requireSameSelection pins a table-lookup selection against the
@@ -51,24 +54,58 @@ func requireSameSelection(t *testing.T, got, want *Selection, ctx string) {
 	}
 }
 
+// fixedEstimate overrides r̂ for the queries it names, to reach
+// estimates no summary produces.
+type fixedEstimate struct {
+	estimate.Relevancy
+	rhat map[string]float64
+}
+
+func (f fixedEstimate) Estimate(s *summary.Summary, query string) float64 {
+	if v, ok := f.rhat[query]; ok {
+		return v
+	}
+	return f.Relevancy.Estimate(s, query)
+}
+
 // TestVersionSelectionMatchesModel is the core differential: for every
 // held-out query, the RD-table path (ModelVersion.NewSelection) must
 // produce exactly the selection the from-scratch path (RDFor per
 // database) produces — same floats, same set — for both metrics and
-// several k, with and without shell reuse.
+// several k, with and without shell reuse. Two more inputs carry
+// estimates a template cannot be scaled by — a denormal, under which
+// support points collide, and one large enough to overflow them — so
+// the rows' frozen EDs are pinned against Model.RDFor as well.
 func TestVersionSelectionMatchesModel(t *testing.T) {
-	model, _, test := buildTrainedModel(t)
-	ver := NewModelVersion(model, "train", time.Now())
+	trained, _, test := buildTrainedModel(t)
+	model := *trained
+	odd := map[string]float64{"denormal estimate": 5e-324, "huge estimate": 1e308}
+	model.Rel = fixedEstimate{trained.Rel, odd}
+	ver := NewModelVersion(&model, "train", time.Now())
 	shell := &Selection{}
+	check := func(qs string, numTerms int, metric Metric, k int) {
+		want := model.NewSelection(qs, numTerms, metric, k)
+		requireSameSelection(t, ver.NewSelection(qs, numTerms, metric, k), want, qs)
+		// The recycled-shell path must be identical to the fresh one.
+		requireSameSelection(t, ver.FillSelection(shell, qs, numTerms, metric, k), want, qs+" (reused shell)")
+		shell.Release()
+	}
 	for _, metric := range []Metric{Absolute, Partial} {
 		for _, k := range []int{1, 3} {
 			for _, q := range test {
-				qs := q.String()
-				want := model.NewSelection(qs, q.NumTerms(), metric, k)
-				requireSameSelection(t, ver.NewSelection(qs, q.NumTerms(), metric, k), want, qs)
-				// The recycled-shell path must be identical to the fresh one.
-				requireSameSelection(t, ver.FillSelection(shell, qs, q.NumTerms(), metric, k), want, qs+" (reused shell)")
-				shell.Release()
+				check(q.String(), q.NumTerms(), metric, k)
+			}
+			for qs, rhat := range odd {
+				check(qs, 2, metric, k)
+				scaled := 0
+				for i := range model.DBs {
+					if ver.rdtab.row(i, keyOffset(model.Cfg.Classifier.Classify(2, rhat))).Load().kind == rdEntryScaled {
+						scaled++
+					}
+				}
+				if scaled == 0 {
+					t.Fatalf("%s: no database serves it from a scaled row", qs)
+				}
 			}
 		}
 	}
@@ -93,22 +130,16 @@ func pickRetrainKey(t *testing.T, m *Model, dbIdx int) TypeKey {
 	return best
 }
 
-// cowRefresh replicates the facade's refresh commit: a successor model
-// sharing every DBModel pointer except dbIdx's, which shares every ED
-// pointer (and the pooled ED) except the retrained key's. Returns the
-// model and the retrained key.
+// cowRefresh replicates the facade's refresh commit: the WithED
+// successor sharing everything with m except the retrained key's ED.
+// Returns the model and the retrained key.
 func cowRefresh(t *testing.T, m *Model, dbIdx int) (*Model, TypeKey) {
 	t.Helper()
 	key := pickRetrainKey(t, m, dbIdx)
-	next := &Model{Cfg: m.Cfg, Rel: m.Rel, Summaries: m.Summaries, DBs: make([]*DBModel, len(m.DBs))}
-	copy(next.DBs, m.DBs)
-	src := m.DBs[dbIdx]
-	dm := &DBModel{Name: src.Name, Pooled: src.Pooled, EDs: make(map[TypeKey]*ED, len(src.EDs))}
-	for k, ed := range src.EDs {
-		dm.EDs[k] = ed
+	next, err := m.WithED(dbIdx, key, m.DBs[dbIdx].EDs[key].Clone())
+	if err != nil {
+		t.Fatal(err)
 	}
-	dm.EDs[key] = src.EDs[key].Clone()
-	next.DBs[dbIdx] = dm
 	return next, key
 }
 
@@ -127,13 +158,13 @@ func TestRDTableRefreshSwapCOW(t *testing.T) {
 
 	ot, nt := ver.rdtab, next.rdtab
 	for db := range model.DBs {
-		for k := 0; k < nt.nKeys; k++ {
-			oldRow := ot.rows[db*ot.nKeys+k].Load()
-			newRow := nt.rows[db*nt.nKeys+k].Load()
+		for k := 0; k <= nt.nKeys; k++ { // k == nKeys is the pooled row
+			oldRow := ot.row(db, k).Load()
+			newRow := nt.row(db, k).Load()
 			if newRow == nil {
 				t.Fatalf("db %d key %v: prebuild left a nil row", db, keyAt(k))
 			}
-			retrained := db == dbIdx && keyAt(k) == key
+			retrained := db == dbIdx && k == keyOffset(key)
 			if retrained {
 				if newRow == oldRow {
 					t.Fatalf("retrained key %v row shared across Next", key)
@@ -157,24 +188,23 @@ func TestRDTableRefreshSwapCOW(t *testing.T) {
 	}
 }
 
-// TestObserveProbeInvalidatesRDTable checks RCU coherence with online
-// refinement: folding a probe into the version clears the refined
-// database's rows, and the next selection — rebuilt lazily from the
-// mutated histograms — again matches the from-scratch path exactly.
-func TestObserveProbeInvalidatesRDTable(t *testing.T) {
+// TestObserveProbeRebuildsRDTable checks coherence with online
+// refinement: folding a probe into the version leaves no row of the
+// refined database unset, and the next selection — served from the
+// rows rebuilt over the mutated histograms — again matches the
+// from-scratch path exactly.
+func TestObserveProbeRebuildsRDTable(t *testing.T) {
 	model, _, test := buildTrainedModel(t)
 	ver := NewModelVersion(model, "train", time.Now())
 	for n, q := range test[:40] {
 		qs := q.String()
-		// Warm the rows, refine, then check invalidation and rebuild.
-		ver.NewSelection(qs, q.NumTerms(), Absolute, 2)
 		dbIdx := n % len(model.DBs)
 		if err := ver.ObserveProbe(dbIdx, qs, q.NumTerms(), float64(n%9)); err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < ver.rdtab.nKeys; k++ {
-			if ver.rdtab.rows[dbIdx*ver.rdtab.nKeys+k].Load() != nil {
-				t.Fatalf("db %d key %v row not invalidated after ObserveProbe", dbIdx, keyAt(k))
+		for k := 0; k <= ver.rdtab.nKeys; k++ {
+			if ver.rdtab.row(dbIdx, k).Load() == nil {
+				t.Fatalf("db %d row %d unset after ObserveProbe", dbIdx, k)
 			}
 		}
 		requireSameSelection(t, ver.NewSelection(qs, q.NumTerms(), Absolute, 2),
@@ -182,16 +212,16 @@ func TestObserveProbeInvalidatesRDTable(t *testing.T) {
 	}
 }
 
-// TestVersionSwapUnderTraffic hammers table-lookup fills against
-// concurrent online refinement and refresh-style version swaps; run
-// with -race it proves selections never see a torn or stale row. Fills
-// and ED mutation are serialized by a mutex (the facade's modelMu
-// contract); version publication itself needs no coordination.
+// TestVersionSwapUnderTraffic hammers table-lookup fills — taking no
+// lock at all — against one writer doing online refinement and
+// refresh-style version swaps; run with -race it proves the read path
+// touches nothing a writer mutates. While the writer runs every filled
+// RD must be a valid distribution; once it is done a fill must equal
+// the from-scratch path bit for bit.
 func TestVersionSwapUnderTraffic(t *testing.T) {
 	model, _, test := buildTrainedModel(t)
 	var cur atomic.Pointer[ModelVersion]
 	cur.Store(NewModelVersion(model, "train", time.Now()))
-	var mu sync.Mutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -206,37 +236,38 @@ func TestVersionSwapUnderTraffic(t *testing.T) {
 				default:
 				}
 				q := test[(seed*31+n)%len(test)]
-				qs := q.String()
-				mu.Lock()
-				v := cur.Load()
-				v.FillSelection(sel, qs, q.NumTerms(), Absolute, 2)
-				ref := v.Model.NewSelection(qs, q.NumTerms(), Absolute, 2)
-				mu.Unlock()
-				requireSameSelection(t, sel, ref, qs+" (under swap)")
+				cur.Load().FillSelection(sel, q.String(), q.NumTerms(), Absolute, 2)
+				for i := 0; i < sel.Len(); i++ {
+					if err := sel.RD(i).validate(); err != nil {
+						t.Errorf("%s: db %d under swap: %v", q, i, err)
+						return
+					}
+				}
+				sel.BestView()
 				sel.Release()
 			}
 		}(r)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		for n := 0; n < 150; n++ {
-			q := test[n%len(test)]
-			mu.Lock()
-			v := cur.Load()
-			if err := v.ObserveProbe(n%len(v.Model.DBs), q.String(), q.NumTerms(), float64(n%7)); err != nil {
-				t.Error(err)
-			}
-			if n%10 == 9 {
-				dbIdx := n % len(v.Model.DBs)
-				nm, _ := cowRefresh(t, v.Model, dbIdx)
-				cur.Store(v.Next(nm, "refresh", nm.DBs[dbIdx].Name, time.Now()))
-			}
-			mu.Unlock()
+	for n := 0; n < 150; n++ {
+		q := test[n%len(test)]
+		v := cur.Load()
+		dbIdx := n % len(v.Model.DBs)
+		if err := v.ObserveProbe(dbIdx, q.String(), q.NumTerms(), float64(n%7)); err != nil {
+			t.Error(err)
 		}
-	}()
+		if n%10 == 9 {
+			nm, _ := cowRefresh(t, v.Model, dbIdx)
+			cur.Store(v.Next(nm, "refresh", nm.DBs[dbIdx].Name, time.Now()))
+		}
+	}
+	close(stop)
 	wg.Wait()
+	v := cur.Load()
+	for _, q := range test[:40] {
+		qs := q.String()
+		requireSameSelection(t, v.NewSelection(qs, q.NumTerms(), Absolute, 2),
+			v.Model.NewSelection(qs, q.NumTerms(), Absolute, 2), qs+" (writer done)")
+	}
 }
 
 // TestReuseDoesNotAliasTableState checks the read-only contract around
@@ -283,7 +314,7 @@ func TestReuseDoesNotAliasTableState(t *testing.T) {
 // per query.
 func TestRDForSharesZeroImpulse(t *testing.T) {
 	model, _, test := buildTrainedModel(t)
-	nm := model.Clone()
+	nm := model // freshly trained for this test, so its EDs are ours to drop
 	for _, dm := range nm.DBs {
 		for key := range dm.EDs {
 			if key.Band == BandZero {

@@ -7,15 +7,17 @@ import (
 )
 
 // Model versioning: serving reads a *ModelVersion through an RCU-style
-// atomic pointer (the facade owns the pointer), refreshes build a
-// copy-on-write successor with Clone, validate it off to the side, and
-// publish it with one atomic store. In-flight selections keep the
-// version they started with; nothing ever blocks on a swap.
+// atomic pointer (the facade owns the pointer); a refresh builds a
+// copy-on-write successor model with WithED, a reload loads one, and
+// either is published with one atomic store. In-flight selections keep
+// the version they started with; nothing ever blocks on a swap.
 
-// ModelVersion is one immutable, numbered model snapshot plus its
-// provenance. Treat the whole value — including the Model it points to
-// — as frozen once published; mutating state (online refinement)
-// belongs to whoever holds the serving pointer and its lock.
+// ModelVersion is one numbered model snapshot plus its provenance.
+// Readers — selections — use only what never changes after
+// publication: the model's configuration, relevancy definition and
+// summaries, and the rows of the RD table (rdtable.go gives the rule).
+// The model's EDs do change, through ObserveProbe; they belong to the
+// writers, who hold the lock of whoever owns the serving pointer.
 type ModelVersion struct {
 	// Version counts published models, starting at 1 for the first
 	// Train or load.
@@ -31,10 +33,11 @@ type ModelVersion struct {
 	// rebuilt any of that database's EDs (carried across versions).
 	RefreshedAt map[string]time.Time
 	// rdtab is the version's precomputed RD table (rdtable.go):
-	// per-(database, query-type) templates preconvolved from the
-	// immutable EDs at publication and shared copy-on-write across
-	// Next. Unexported and derived — never serialized; loading a
-	// snapshot rebuilds it through NewModelVersion.
+	// per-(database, query-type) rows preconvolved from the EDs at
+	// publication, kept current by ObserveProbe and shared
+	// copy-on-write across Next. Unexported and derived — never
+	// serialized; loading a snapshot rebuilds it through
+	// NewModelVersion.
 	rdtab *rdTable
 }
 
@@ -79,34 +82,25 @@ func (v *ModelVersion) Next(m *Model, source, refreshedDB string, now time.Time)
 	return next
 }
 
-// Clone deep-copies the database model: the ED histograms are the
-// mutable state (online refinement writes into them), so a refresh
-// must copy them before building a candidate model.
-func (dm *DBModel) Clone() *DBModel {
-	out := &DBModel{Name: dm.Name, EDs: make(map[TypeKey]*ED, len(dm.EDs))}
-	for k, ed := range dm.EDs {
-		out.EDs[k] = ed.Clone()
+// WithED returns the copy-on-write successor of m in which database
+// dbIdx's ED for key is ed: every other ED, the pooled EDs and all
+// other databases are shared with m, so observations refined into them
+// meanwhile are kept. m is read, not changed; callers hold the lock
+// that serializes m's writers.
+func (m *Model) WithED(dbIdx int, key TypeKey, ed *ED) (*Model, error) {
+	if dbIdx < 0 || dbIdx >= len(m.DBs) {
+		return nil, fmt.Errorf("core: WithED: database index %d outside [0, %d)", dbIdx, len(m.DBs))
 	}
-	if dm.Pooled != nil {
-		out.Pooled = dm.Pooled.Clone()
+	src := m.DBs[dbIdx]
+	dm := &DBModel{Name: src.Name, Pooled: src.Pooled, EDs: make(map[TypeKey]*ED, len(src.EDs)+1)}
+	for k, e := range src.EDs {
+		dm.EDs[k] = e
 	}
-	return out
-}
-
-// Clone deep-copies the model's mutable state (the per-database EDs);
-// the configuration, relevancy definition and content summaries are
-// read-only after training and are shared.
-func (m *Model) Clone() *Model {
-	out := &Model{
-		Cfg:       m.Cfg,
-		Rel:       m.Rel,
-		Summaries: m.Summaries,
-		DBs:       make([]*DBModel, len(m.DBs)),
-	}
-	for i, dm := range m.DBs {
-		out.DBs[i] = dm.Clone()
-	}
-	return out
+	dm.EDs[key] = ed
+	next := *m
+	next.DBs = append([]*DBModel(nil), m.DBs...)
+	next.DBs[dbIdx] = dm
+	return &next, nil
 }
 
 // ParseTypeKey parses the String form of a TypeKey ("2-term/high") —

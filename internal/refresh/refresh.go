@@ -7,10 +7,10 @@
 // probe-execution lane, so refresh traffic can never starve live
 // selections.
 //
-// A refresh never mutates the serving model. It clones the serving
-// snapshot copy-on-write, rebuilds the drifted ED from fresh probes,
-// validates the candidate against a holdout slice of those probes
-// (the candidate's distributional fit must not regress beyond
+// A refresh never mutates the serving model. It works from a private
+// copy of the one drifted ED, trains a replacement from fresh probes,
+// validates it against a holdout slice of those probes (the
+// replacement's distributional fit must not regress beyond
 // Config.MaxRegression), and asks the host to publish it with one
 // atomic pointer swap — or discards it and counts a rollback.
 package refresh
@@ -25,8 +25,10 @@ import (
 	"time"
 
 	"metaprobe/internal/core"
+	"metaprobe/internal/estimate"
 	"metaprobe/internal/obs"
 	"metaprobe/internal/obs/span"
+	"metaprobe/internal/summary"
 )
 
 // Config tunes a Refresher. The zero value selects the defaults
@@ -110,23 +112,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Serving is what one refresh task works from: the parts of the serving
+// model a task only reads, shared with it, and its own copy of the one
+// ED it is about to replace.
+type Serving struct {
+	// Version is the serving model version the rest was read from.
+	Version int64
+	// Cfg and Rel are the model's training configuration and relevancy
+	// definition; Summary is the alerted database's content summary.
+	Cfg     core.Config
+	Rel     estimate.Relevancy
+	Summary *summary.Summary
+	// ED is a private copy of the alerted (database, query type) ED, nil
+	// when the model has none.
+	ED *core.ED
+}
+
 // Host is what a Refresher needs from the metasearcher it maintains.
 // Implementations must be safe for concurrent use.
 type Host interface {
-	// CloneServing returns the serving model version number and a deep
-	// copy of its model, consistent under the host's model lock. The
-	// copy is the refresher's to mutate.
-	CloneServing() (version int64, clone *core.Model)
+	// Serving returns the task's view of the serving model, its ED
+	// copied under the host's model lock. It fails when there is no
+	// serving model or dbIdx is not one of its databases.
+	Serving(dbIdx int, key core.TypeKey) (Serving, error)
 	// Probe issues one live training probe to database dbIdx through
 	// the host's bounded probe-execution lane and returns the actual
 	// relevancy.
 	Probe(ctx context.Context, dbIdx int, query string) (float64, error)
-	// Commit publishes candidate as the successor of baseVersion with
-	// one atomic swap and returns the new version number. Hosts reject
-	// the commit (ErrSuperseded) when the serving version is no longer
-	// baseVersion — the candidate was built against a model that has
-	// since been replaced.
-	Commit(baseVersion int64, candidate *core.Model, db string, key core.TypeKey, val Validation) (int64, error)
+	// Commit publishes the successor of baseVersion in which ed is
+	// database dbIdx's ED for key — every other ED stays the serving
+	// one — with one atomic swap and returns the new version number.
+	// Hosts reject the commit (ErrSuperseded) when the serving version
+	// is no longer baseVersion: ed was validated against a model that
+	// has since been replaced.
+	Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED, val Validation) (int64, error)
 }
 
 // ErrSuperseded is returned by Host.Commit when the serving model
@@ -355,8 +374,8 @@ const (
 	outcomeSuperseded outcome = "superseded"
 )
 
-// runTask executes one refresh end to end: clone, re-probe, rebuild,
-// validate, commit or roll back.
+// runTask executes one refresh end to end: re-probe, retrain, validate,
+// commit or roll back.
 func (r *Refresher) runTask(a Alert) {
 	start := time.Now()
 	out, val, err := r.refreshKey(a)
@@ -439,12 +458,9 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 		sp.EndErr(err)
 	}()
 
-	baseVersion, clone := r.host.CloneServing()
-	if clone == nil {
-		return outcomeAborted, nil, fmt.Errorf("refresh: no serving model")
-	}
-	if a.DBIdx < 0 || a.DBIdx >= len(clone.DBs) {
-		return outcomeAborted, nil, fmt.Errorf("refresh: database index %d outside [0, %d)", a.DBIdx, len(clone.DBs))
+	base, err := r.host.Serving(a.DBIdx, a.Key)
+	if err != nil {
+		return outcomeAborted, nil, err
 	}
 	if r.cfg.Queries == nil {
 		return outcomeAborted, nil, fmt.Errorf("refresh: no query source configured")
@@ -453,7 +469,6 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 	// Candidate queries that classify into the alerted key need no
 	// probe to identify: classification is summary-only. Over-ask the
 	// source since only a fraction lands in the key.
-	sum := clone.Summaries.Summaries[a.DBIdx]
 	raw := r.cfg.Queries(a.Key.Terms, 8*r.cfg.ProbeBudget)
 	var cands []probePair
 	seen := make(map[string]bool, len(raw))
@@ -463,8 +478,8 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 		}
 		seen[q] = true
 		terms := len(strings.Fields(q))
-		rhat := clone.Rel.Estimate(sum, q)
-		if clone.Cfg.Classifier.Classify(terms, rhat) != a.Key {
+		rhat := base.Rel.Estimate(base.Summary, q)
+		if base.Cfg.Classifier.Classify(terms, rhat) != a.Key {
 			continue
 		}
 		cands = append(cands, probePair{query: q, terms: terms, rhat: rhat})
@@ -508,16 +523,16 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 	}
 	val.TrainSamples, val.HoldoutSamples = len(train), len(holdout)
 
-	// Score the serving distribution first (the clone is still
-	// unmodified), then rebuild only the alerted key's ED and score the
-	// candidate on the same holdout.
+	// Score the serving distribution and the one retrained on the fresh
+	// pairs on the same holdout.
 	_, vsp := span.Start(ctx, "refresh.validate")
-	val.OldScore = holdoutScore(clone, a.DBIdx, a.Key, holdout)
-	if err := rebuildED(clone, a.DBIdx, a.Key, train); err != nil {
+	val.OldScore = holdoutScore(base.ED, holdout)
+	ed, err := trainED(base.Cfg, a, train)
+	if err != nil {
 		vsp.EndErr(err)
 		return outcomeAborted, val, err
 	}
-	val.NewScore = holdoutScore(clone, a.DBIdx, a.Key, holdout)
+	val.NewScore = holdoutScore(ed, holdout)
 	vsp.SetAttr("old_score", fmt.Sprintf("%.4f", val.OldScore))
 	vsp.SetAttr("new_score", fmt.Sprintf("%.4f", val.NewScore))
 
@@ -530,7 +545,7 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 	vsp.End()
 	val.Accepted = true
 	_, csp := span.Start(ctx, "refresh.commit")
-	if _, err := r.host.Commit(baseVersion, clone, a.DB, a.Key, *val); err != nil {
+	if _, err := r.host.Commit(base.Version, a.DBIdx, a.Key, ed, *val); err != nil {
 		val.Accepted = false
 		csp.EndErr(err)
 		if err == ErrSuperseded {
@@ -582,33 +597,31 @@ func (r *Refresher) probeAll(ctx context.Context, dbIdx int, cands []probePair) 
 	return out, issued
 }
 
-// rebuildED replaces the (dbIdx, key) ED in m with one trained from
-// scratch on the fresh pairs — the paper's Section 4 procedure over
-// post-drift data. The database's pooled ED is left alone: it is a
-// long-run aggregate across all query types, and the serving fallback
-// semantics expect it to change slowly.
-func rebuildED(m *core.Model, dbIdx int, key core.TypeKey, train []probePair) error {
-	edges := m.Cfg.ErrorEdges
-	absolute := key.Band == core.BandZero
+// trainED trains the alerted key's ED from scratch on the fresh pairs —
+// the paper's Section 4 procedure over post-drift data. The database's
+// pooled ED is left alone: it is a long-run aggregate across all query
+// types, and the serving fallback semantics expect it to change slowly.
+func trainED(cfg core.Config, a Alert, train []probePair) (*core.ED, error) {
+	edges := cfg.ErrorEdges
+	absolute := a.Key.Band == core.BandZero
 	if absolute {
-		edges = m.Cfg.AbsoluteEdges
+		edges = cfg.AbsoluteEdges
 	}
-	ed, err := core.NewED(edges, absolute, m.Cfg.UseBinMean)
+	ed, err := core.NewED(edges, absolute, cfg.UseBinMean)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, p := range train {
 		if err := ed.Observe(p.rhat, p.actual); err != nil {
-			return fmt.Errorf("refresh: rebuilding %s/%s: %w", m.DBs[dbIdx].Name, key, err)
+			return nil, fmt.Errorf("refresh: retraining %s/%s: %w", a.DB, a.Key, err)
 		}
 	}
-	m.DBs[dbIdx].EDs[key] = ed
-	return nil
+	return ed, nil
 }
 
 // holdoutScore is the validation measure: the mean negative
 // log-likelihood, in nats, of the holdout error observations under the
-// (dbIdx, key) error distribution, with add-one smoothing across the
+// error distribution ed, with add-one smoothing across the
 // histogram bins so unoccupied bins cost log(total+bins) rather than
 // infinity. It scores distributional fit — how much probability the ED
 // puts where fresh probes actually land — rather than point-prediction
@@ -617,10 +630,9 @@ func rebuildED(m *core.Model, dbIdx int, key core.TypeKey, train []probePair) er
 // are unbounded), so against a heterogeneous holdout a stale model
 // that underestimates a grown collection would outscore an honest
 // retrain. Lower is better; a drifted ED scores badly because its mass
-// sits in bins the fresh errors no longer occupy. A model with no ED
-// for the key scores +Inf — any retrain beats serving nothing.
-func holdoutScore(m *core.Model, dbIdx int, key core.TypeKey, holdout []probePair) float64 {
-	ed := m.DBs[dbIdx].EDs[key]
+// sits in bins the fresh errors no longer occupy. No ED at all scores
+// +Inf — any retrain beats serving nothing.
+func holdoutScore(ed *core.ED, holdout []probePair) float64 {
 	if ed == nil || ed.Observations() == 0 {
 		return math.Inf(1)
 	}

@@ -115,6 +115,7 @@ type fakeHost struct {
 	model   *core.Model
 	calls   int
 	commits int
+	copies  int // EDs copied out for tasks
 }
 
 func newFakeHost(h *harness) *fakeHost {
@@ -122,10 +123,18 @@ func newFakeHost(h *harness) *fakeHost {
 		probeValue: func(_ int, _, real float64) (float64, error) { return real, nil }}
 }
 
-func (f *fakeHost) CloneServing() (int64, *core.Model) {
+func (f *fakeHost) Serving(dbIdx int, key core.TypeKey) (Serving, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.version, f.model.Clone()
+	if dbIdx < 0 || dbIdx >= len(f.model.DBs) {
+		return Serving{}, fmt.Errorf("database index %d out of range", dbIdx)
+	}
+	s := Serving{Version: f.version, Cfg: f.model.Cfg, Rel: f.model.Rel, Summary: f.model.Summaries.Summaries[dbIdx]}
+	if ed := f.model.DBs[dbIdx].EDs[key]; ed != nil {
+		s.ED = ed.Clone()
+		f.copies++
+	}
+	return s, nil
 }
 
 func (f *fakeHost) Probe(ctx context.Context, dbIdx int, query string) (float64, error) {
@@ -144,14 +153,18 @@ func (f *fakeHost) Probe(ctx context.Context, dbIdx int, query string) (float64,
 	return f.probeValue(call, rhat, real)
 }
 
-func (f *fakeHost) Commit(baseVersion int64, candidate *core.Model, db string, key core.TypeKey, val Validation) (int64, error) {
+func (f *fakeHost) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED, val Validation) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if baseVersion != f.version {
 		return 0, ErrSuperseded
 	}
+	next, err := f.model.WithED(dbIdx, key, ed)
+	if err != nil {
+		return 0, err
+	}
 	f.version++
-	f.model = candidate
+	f.model = next
 	f.commits++
 	return f.version, nil
 }
@@ -222,6 +235,9 @@ func TestRefreshRetrainsDriftedKey(t *testing.T) {
 	host.mu.Unlock()
 	if version != 2 || host.commits != 1 {
 		t.Fatalf("version=%d commits=%d after one refresh", version, host.commits)
+	}
+	if host.copies != 1 {
+		t.Errorf("the task had %d EDs copied for it, want exactly the alerted one", host.copies)
 	}
 	if serving == h.model {
 		t.Fatal("commit published the original model, not a copy-on-write successor")
@@ -335,8 +351,8 @@ func TestRefreshAborts(t *testing.T) {
 	})
 }
 
-// TestRefreshSuperseded: a hot-reload between clone and commit bumps
-// the serving version, so the host rejects the stale candidate.
+// TestRefreshSuperseded: a hot-reload between the task's start and its
+// commit bumps the serving version, so the host rejects the stale ED.
 func TestRefreshSuperseded(t *testing.T) {
 	h := buildHarness(t)
 	host := newFakeHost(h)
@@ -361,7 +377,7 @@ func TestRefreshSuperseded(t *testing.T) {
 
 // TestAlertIntake exercises coalescing, cooldown suppression and
 // queue-overflow drops without letting any task run: the worker is
-// parked on a blocked clone.
+// parked on a blocked Serving call.
 func TestAlertIntake(t *testing.T) {
 	h := buildHarness(t)
 	host := newFakeHost(h)
@@ -373,7 +389,7 @@ func TestAlertIntake(t *testing.T) {
 	b := Alert{DB: h.model.DBs[0].Name, DBIdx: 0, Key: core.TypeKey{Terms: 3, Band: core.BandHigh}}
 	c := Alert{DB: h.model.DBs[0].Name, DBIdx: 0, Key: core.TypeKey{Terms: 2, Band: core.BandLow}}
 
-	r.Alert(a) // picked up by the worker, parked on the clone
+	r.Alert(a) // picked up by the worker, parked on Serving
 	<-blocking.entered
 	r.Alert(b)           // fills the queue
 	r.Alert(b)           // coalesced with the queued copy
@@ -399,8 +415,8 @@ func TestAlertIntake(t *testing.T) {
 	_ = nilR.Stats()
 }
 
-// blockingHost parks CloneServing until released, so tests can observe
-// the queue state while the worker is busy.
+// blockingHost parks Serving until released, so tests can observe the
+// queue state while the worker is busy.
 type blockingHost struct {
 	Host
 	once    sync.Once
@@ -408,10 +424,10 @@ type blockingHost struct {
 	release chan struct{}
 }
 
-func (b *blockingHost) CloneServing() (int64, *core.Model) {
+func (b *blockingHost) Serving(dbIdx int, key core.TypeKey) (Serving, error) {
 	b.once.Do(func() { close(b.entered) })
 	<-b.release
-	return b.Host.CloneServing()
+	return b.Host.Serving(dbIdx, key)
 }
 
 // TestParseTypeKeyRoundTrip pins the alert-wiring contract: the string

@@ -309,8 +309,8 @@ type Metasearcher struct {
 	// Train, ReloadModel and the online refresher publish successors
 	// with a single atomic store, so a swap never blocks a selection.
 	version atomic.Pointer[core.ModelVersion]
-	// drift is the online ED drift detector, built from cfg.Drift once
-	// a model exists (nil when disabled or untrained).
+	// drift is the online ED drift detector (nil unless cfg.Drift is
+	// set); it monitors nothing until a model is installed.
 	drift *obs.DriftDetector
 	// refresher retrains drifted EDs in the background (nil unless
 	// cfg.Refresh is set).
@@ -327,74 +327,19 @@ type Metasearcher struct {
 	exec   *probeexec.Executor
 	dbName func(i int) string
 	dbKey  []string
-	// modelMu serializes access to the serving model's mutable state
-	// and to version publication: Model.ObserveProbe (online
-	// refinement) mutates the ED histograms that NewSelection and the
-	// drift detector read, and a refresh must clone and commit against
-	// a quiescent model — so concurrent selections, probe feedback and
-	// version swaps all take this lock. Readers that only need the
-	// pointer (Trained, ModelInfo) load it atomically without the lock.
+	// modelMu is the writers' lock. Selections read only what a
+	// published version never changes (core.ModelVersion says what) and
+	// take no lock; whoever writes or reads the serving model's EDs
+	// does: probe feedback (online refinement, drift windows),
+	// publication with its drift re-anchoring (install, refresh commit),
+	// SaveModel and the refresher's copy of one ED.
 	modelMu sync.Mutex
 	// selSeq numbers selections for trace/log correlation IDs.
 	selSeq atomic.Int64
-	// shellMu guards the recycled Selection shells below. It is a leaf
-	// lock (never held while taking modelMu).
-	shellMu sync.Mutex
-	// shellVer stamps the model version the cached shells were filled
-	// from. A version swap (refresh, reload) invalidates the cache:
-	// shells reference the old version's table RDs, and the next
-	// selection must serve the new tables.
-	shellVer *core.ModelVersion
-	// shells is a bounded LIFO of released Selection shells — the
-	// template selections behind the table-lookup serving path. Each
-	// query takes one, FillSelection rewrites it in place (warm derived
-	// buffers, owned impulses, zero allocations), and recycleSelection
-	// returns it once the selection is finished and unreferenced. A
-	// shell is never in the cache while a request holds it, so a
-	// template cannot be refilled while shared.
-	shells []*core.Selection
-}
-
-// maxSelShells bounds the recycled-shell cache; beyond it, shells are
-// dropped to the garbage collector (more than this many concurrent
-// selections simply allocate fresh state).
-const maxSelShells = 64
-
-// takeShell pops a recycled Selection shell filled against ver, or
-// returns nil when the cache is empty or was filled under another
-// version (the cache is then invalidated wholesale).
-func (m *Metasearcher) takeShell(ver *core.ModelVersion) *core.Selection {
-	m.shellMu.Lock()
-	defer m.shellMu.Unlock()
-	if m.shellVer != ver {
-		for i := range m.shells {
-			m.shells[i] = nil
-		}
-		m.shells = m.shells[:0]
-		m.shellVer = ver
-	}
-	if n := len(m.shells); n > 0 {
-		s := m.shells[n-1]
-		m.shells[n-1] = nil
-		m.shells = m.shells[:n-1]
-		return s
-	}
-	return nil
-}
-
-// recycleSelection releases sel's pooled scratch and hands the shell
-// back to the template cache for the next selection, provided the
-// serving version hasn't moved since it was filled (a stale shell
-// would pin the old version's RD tables in memory). Callers must not
-// touch sel afterwards.
-func (m *Metasearcher) recycleSelection(ver *core.ModelVersion, sel *core.Selection) {
-	sel.Release()
-	m.shellMu.Lock()
-	defer m.shellMu.Unlock()
-	if m.shellVer != ver || len(m.shells) >= maxSelShells {
-		return
-	}
-	m.shells = append(m.shells, sel)
+	// shells recycles finished *core.Selection shells: FillSelection
+	// rewrites every field of whatever shell it is handed, so a warm one
+	// (derived buffers, owned impulses) makes the fill allocation-free.
+	shells sync.Pool
 }
 
 // serving returns the serving model, nil before training.
@@ -417,6 +362,28 @@ func (m *Metasearcher) publish(model *core.Model, source, refreshedDB string) *c
 	}
 	m.version.Store(next)
 	return next
+}
+
+// install publishes a trained or loaded model and re-anchors the drift
+// detector on it: every (database, query type) whose ED carries at
+// least MinObservations samples gets that ED's reference sample to
+// test fresh probe errors against, with an empty window. Both happen
+// under modelMu because the EDs are open to refinement by probe
+// feedback from the moment the version is stored.
+func (m *Metasearcher) install(model *core.Model, source string) {
+	m.modelMu.Lock()
+	defer m.modelMu.Unlock()
+	m.publish(model, source, "")
+	if m.drift == nil {
+		return
+	}
+	for i, dm := range model.DBs {
+		for key, ed := range dm.EDs {
+			if ed.Observations() >= model.Cfg.MinObservations {
+				m.drift.SetReference(m.dbName(i), key.String(), ed.ReferenceSample(0))
+			}
+		}
+	}
 }
 
 // New builds a metasearcher over the given databases and their content
@@ -472,6 +439,11 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		key, _ := json.Marshal(tb.DB(i).Name()) // a string always marshals
 		m.dbKey[i] = string(key) + ":"
 	}
+	if c.Drift != nil {
+		m.drift = obs.NewDriftDetector(*c.Drift)
+		m.drift.SetMetrics(c.Metrics)
+		m.drift.SetOnAlert(m.onDriftAlert)
+	}
 	if c.Refresh != nil {
 		rc := *c.Refresh
 		if rc.Metrics == nil {
@@ -517,46 +489,8 @@ func (m *Metasearcher) Train(trainQueries []string) error {
 	if err != nil {
 		return fmt.Errorf("metaprobe: %w", err)
 	}
-	m.modelMu.Lock()
-	m.publish(model, "train", "")
-	m.modelMu.Unlock()
-	m.initDrift(model)
+	m.install(model, "train")
 	return nil
-}
-
-// initDrift builds the drift detector (once) and points every
-// monitored (database, query type) at the model's trained EDs: each
-// key whose ED carries at least MinObservations training samples gets
-// a reference sample to test fresh probe errors against. A nil
-// cfg.Drift disables detection entirely.
-func (m *Metasearcher) initDrift(model *core.Model) {
-	if m.cfg.Drift == nil {
-		return
-	}
-	if m.drift == nil {
-		d := obs.NewDriftDetector(*m.cfg.Drift)
-		d.SetMetrics(m.cfg.Metrics)
-		d.SetOnAlert(m.onDriftAlert)
-		m.drift = d
-	}
-	m.setDriftReferences(model)
-}
-
-// setDriftReferences re-anchors the drift detector on model's EDs,
-// resetting each re-anchored key's sliding window.
-func (m *Metasearcher) setDriftReferences(model *core.Model) {
-	if m.drift == nil {
-		return
-	}
-	minObs := model.Cfg.MinObservations
-	for i, dm := range model.DBs {
-		name := m.tb.DB(i).Name()
-		for key, ed := range dm.EDs {
-			if ed.Observations() >= minObs {
-				m.drift.SetReference(name, key.String(), ed.ReferenceSample(0))
-			}
-		}
-	}
 }
 
 // onDriftAlert fans one failed drift test out to the user callback and
@@ -706,14 +640,13 @@ func (m *Metasearcher) SelectWithPolicy(query string, k int, metric Metric, t fl
 }
 
 // probeFeedback folds one successful live probe back into the shared
-// model state (online refinement, drift detection). modelMu makes the
-// feedback safe when many
-// selections — or one selection's speculative probes — land
-// concurrently, since Model.ObserveProbe mutates histograms the drift
-// detector also reads. The feedback deliberately does not touch the
-// selection it came from: a losing hedge attempt can deliver its probe
-// result after the winning attempt already finished the selection and
-// recycled its shell, so everything here is recomputed from the model.
+// model state (online refinement, drift detection) — a writer, so it
+// holds modelMu; many selections, or one selection's speculative
+// probes, land here concurrently. The feedback deliberately does not
+// touch the selection it came from: a losing hedge attempt can deliver
+// its probe result after the winning attempt already finished the
+// selection and recycled its shell, so everything here is recomputed
+// from the model.
 func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float64) error {
 	if !m.cfg.OnlineRefinement && m.drift == nil {
 		return nil
@@ -722,10 +655,9 @@ func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float6
 	defer m.modelMu.Unlock()
 	// Feedback lands on the current serving version, which may be newer
 	// than the version this selection was built from: fresh probe data
-	// belongs to whatever model serves next. Routing through the
-	// version (rather than its model directly) invalidates the affected
-	// database's precomputed RD rows, so the next selection re-derives
-	// them from the refined histograms.
+	// belongs to whatever model serves next. Going through the version
+	// (rather than its model directly) rebuilds the RD rows over the
+	// refined EDs.
 	ver := m.version.Load()
 	if ver == nil {
 		return nil
@@ -807,7 +739,7 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 		acct = obs.NewCostAccount()
 		ctx = obs.WithCost(ctx, acct)
 	}
-	sel, ver, err := m.selection(query, metric, k, rec)
+	sel, _, err := m.selection(query, metric, k, rec)
 	if err != nil {
 		sp.EndErr(err)
 		return SelectionResult{}, err
@@ -849,7 +781,7 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 		out.Cost = &sum
 		m.recordCost(numTerms, &sum)
 	}
-	m.recycleSelection(ver, sel)
+	m.recycleSelection(sel)
 	return out, nil
 }
 
@@ -1071,45 +1003,45 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 }
 
 // selection builds the per-query state from the serving version's
-// precomputed RD table: a recycled shell (takeShell) is refilled in
-// place by ModelVersion.FillSelection — table lookups plus an estimate
-// shift per database instead of re-convolving every ED. It returns the
-// version the selection was filled from, for recycleSelection.
+// precomputed RD table: a recycled shell is refilled in place by
+// ModelVersion.FillSelection — table lookups plus an estimate shift per
+// database instead of re-convolving every ED. No lock: the version is
+// loaded once and the fill reads only what it never changes, so a
+// version published meanwhile does not affect this selection. It also
+// returns the version the selection was filled from.
 //
 // With a non-nil stage recorder the RD work is still charged to the
-// rd_convolve stage — including any wait on modelMu, which is real
-// serving latency — so the stage keeps reporting honestly; it has
+// rd_convolve stage, so the stage keeps reporting honestly; it has
 // shrunk to lookup cost, not disappeared from the waterfall. The
 // recorder is attached to the selection so the APro loop reports the
 // remaining stages to it.
 func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.StageRecorder) (*core.Selection, *core.ModelVersion, error) {
-	if !m.Trained() {
+	ver := m.version.Load()
+	if ver == nil {
 		return nil, nil, fmt.Errorf("metaprobe: model not trained; call Train first or use SelectBaseline")
 	}
 	if k <= 0 || k > m.tb.Len() {
 		return nil, nil, fmt.Errorf("metaprobe: k=%d outside [1, %d]", k, m.tb.Len())
 	}
-	numTerms := countTerms(query)
 	var stageStart time.Time
 	var stageAllocs uint64
 	if rec != nil {
 		stageStart, stageAllocs = time.Now(), core.ReadHeapAllocs()
 	}
-	// FillSelection reads the ED histograms (for rows invalidated by
-	// online refinement) that ObserveProbe mutates; the lock makes
-	// selection building safe against probe feedback from concurrent
-	// selections and against a refresh swap mid-build. The filled
-	// Selection owns its mutable state, so a version published later
-	// never affects this selection.
-	m.modelMu.Lock()
-	ver := m.version.Load()
-	sel := ver.FillSelection(m.takeShell(ver), query, numTerms, metric, k)
-	m.modelMu.Unlock()
+	shell, _ := m.shells.Get().(*core.Selection) // nil when the pool is empty
+	sel := ver.FillSelection(shell, query, countTerms(query), metric, k)
 	if rec != nil {
 		rec.Observe(core.StageRDConvolve, time.Since(stageStart).Seconds(), core.ReadHeapAllocs()-stageAllocs)
 		sel.WithStageObserver(rec.Observe)
 	}
 	return sel.WithBestSetOptions(m.cfg.BestSet), ver, nil
+}
+
+// recycleSelection releases sel's pooled scratch and hands the shell
+// back for the next selection. Callers must not touch sel afterwards.
+func (m *Metasearcher) recycleSelection(sel *core.Selection) {
+	sel.Release()
+	m.shells.Put(sel)
 }
 
 // countTerms counts whitespace-separated terms without allocating; it
@@ -1214,7 +1146,7 @@ func (m *Metasearcher) Explain(query string, k int) ([]Explanation, error) {
 			QueryType:         classifier.Classify(numTerms, rhat).String(),
 		}
 	}
-	m.recycleSelection(ver, sel)
+	m.recycleSelection(sel)
 	return out, nil
 }
 
@@ -1264,10 +1196,7 @@ func NewFromModel(dbs []Database, modelPath string, cfg *Config) (*Metasearcher,
 		return nil, err
 	}
 	ms.rel = model.Rel
-	ms.modelMu.Lock()
-	ms.publish(model, "load", "")
-	ms.modelMu.Unlock()
-	ms.initDrift(model)
+	ms.install(model, "load")
 	return ms, nil
 }
 
@@ -1294,10 +1223,7 @@ func (m *Metasearcher) ReloadModel(path string) error {
 		return fmt.Errorf("metaprobe: model uses relevancy %q but the metasearcher runs %q",
 			model.Rel.Name(), m.rel.Name())
 	}
-	m.modelMu.Lock()
-	m.publish(model, "reload", "")
-	m.modelMu.Unlock()
-	m.initDrift(model)
+	m.install(model, "reload")
 	return nil
 }
 
@@ -1384,22 +1310,30 @@ func (m *Metasearcher) Ready() error {
 }
 
 // refreshHost adapts the Metasearcher for the background refresher:
-// cloning the serving model, probing through the shared executor (so
-// refresh traffic is subject to the same concurrency limits, breakers
-// and hedging as live selections), and committing validated candidates
-// with an atomic version swap.
+// copying the one alerted ED out of the serving model, probing through
+// the shared executor (so refresh traffic is subject to the same
+// concurrency limits, breakers and hedging as live selections), and
+// committing a validated ED with an atomic version swap.
 type refreshHost struct{ m *Metasearcher }
 
-func (h refreshHost) CloneServing() (int64, *core.Model) {
+func (h refreshHost) Serving(dbIdx int, key core.TypeKey) (refresh.Serving, error) {
 	m := h.m
 	m.modelMu.Lock()
 	defer m.modelMu.Unlock()
 	v := m.version.Load()
 	if v == nil {
-		return 0, nil
+		return refresh.Serving{}, fmt.Errorf("metaprobe: refresh: no serving model")
 	}
-	// The lock quiesces online refinement while histograms are copied.
-	return v.Version, v.Model.Clone()
+	if dbIdx < 0 || dbIdx >= len(v.Model.DBs) {
+		return refresh.Serving{}, fmt.Errorf("metaprobe: refresh: database index %d outside [0, %d)", dbIdx, len(v.Model.DBs))
+	}
+	s := refresh.Serving{Version: v.Version, Cfg: v.Model.Cfg, Rel: v.Model.Rel, Summary: v.Model.Summaries.Summaries[dbIdx]}
+	// The lock keeps online refinement out of the histogram while it is
+	// copied.
+	if ed := v.Model.DBs[dbIdx].EDs[key]; ed != nil {
+		s.ED = ed.Clone()
+	}
+	return s, nil
 }
 
 func (h refreshHost) Probe(ctx context.Context, dbIdx int, query string) (float64, error) {
@@ -1410,16 +1344,8 @@ func (h refreshHost) Probe(ctx context.Context, dbIdx int, query string) (float6
 	})
 }
 
-func (h refreshHost) Commit(baseVersion int64, candidate *core.Model, db string, key core.TypeKey, val refresh.Validation) (int64, error) {
+func (h refreshHost) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED, val refresh.Validation) (int64, error) {
 	m := h.m
-	dbIdx := m.tb.IndexOf(db)
-	if dbIdx < 0 {
-		return 0, fmt.Errorf("metaprobe: refresh commit for unknown database %q", db)
-	}
-	retrained, ok := candidate.DBs[dbIdx].EDs[key]
-	if !ok {
-		return 0, fmt.Errorf("metaprobe: refresh candidate carries no ED for %s/%s", db, key)
-	}
 	m.modelMu.Lock()
 	defer m.modelMu.Unlock()
 	cur := m.version.Load()
@@ -1428,25 +1354,17 @@ func (h refreshHost) Commit(baseVersion int64, candidate *core.Model, db string,
 	}
 	// Copy-on-write at the narrowest granularity: the successor shares
 	// every ED with the serving model — so refinement observations that
-	// landed while the refresh probed are kept — except the single
-	// retrained one. The lock makes the swap atomic with respect to
-	// selections and feedback.
-	next := &core.Model{Cfg: cur.Model.Cfg, Rel: cur.Model.Rel, Summaries: cur.Model.Summaries,
-		DBs: make([]*core.DBModel, len(cur.Model.DBs))}
-	copy(next.DBs, cur.Model.DBs)
-	dm := &core.DBModel{Name: cur.Model.DBs[dbIdx].Name, Pooled: cur.Model.DBs[dbIdx].Pooled,
-		EDs: make(map[core.TypeKey]*core.ED, len(cur.Model.DBs[dbIdx].EDs))}
-	for k, ed := range cur.Model.DBs[dbIdx].EDs {
-		dm.EDs[k] = ed
+	// landed while the refresh probed are kept — except the retrained
+	// one.
+	next, err := cur.Model.WithED(dbIdx, key, ed)
+	if err != nil {
+		return 0, fmt.Errorf("metaprobe: refresh commit: %w", err)
 	}
-	dm.EDs[key] = retrained
-	next.DBs[dbIdx] = dm
+	db := m.dbName(dbIdx)
 	nv := m.publish(next, "refresh", db)
 	// Re-anchor the drift window on the retrained distribution so the
 	// detector tests future probes against what now serves.
-	if m.drift != nil {
-		m.drift.SetReference(db, key.String(), retrained.ReferenceSample(0))
-	}
+	m.drift.SetReference(db, key.String(), ed.ReferenceSample(0))
 	return nv.Version, nil
 }
 

@@ -1,6 +1,9 @@
 package metaprobe
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // setSinks swaps the observability sinks of a built metasearcher, so
 // one trained instance can be benchmarked under several configurations.
@@ -67,4 +70,45 @@ func BenchmarkSelectWithCertainty(b *testing.B) {
 		})
 	}
 	ms.setSinks(nil, nil)
+}
+
+// BenchmarkSelectParallel measures the probing selection path under
+// concurrent callers (run it at several -cpu values): the read path
+// against itself with the model frozen, and against the write side —
+// every probe folded back by online refinement — with it on, each with
+// no sink and with Metrics.
+func BenchmarkSelectParallel(b *testing.B) {
+	ms, queries := buildTestMetasearcher(b)
+	for _, refine := range []bool{false, true} {
+		for _, metrics := range []bool{false, true} {
+			name := "frozen"
+			if refine {
+				name = "refining"
+			}
+			if metrics {
+				name += "/metrics"
+			} else {
+				name += "/disabled"
+			}
+			b.Run(name, func(b *testing.B) {
+				ms.cfg.OnlineRefinement = refine
+				if metrics {
+					ms.setSinks(NewMetrics(), nil)
+				}
+				defer ms.setSinks(nil, nil)
+				var next atomic.Int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						q := queries[int(next.Add(1))%len(queries)]
+						if _, err := ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+			})
+		}
+	}
 }

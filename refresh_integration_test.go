@@ -1,6 +1,7 @@
 package metaprobe
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -287,4 +288,84 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if _, err := ms.SelectWithCertainty(test[0].String(), 2, Absolute, 0.9, -1); err != nil {
 		t.Fatalf("selection after hot reload: %v", err)
 	}
+}
+
+// TestSelectUnderRefinementAndReload hammers the lock-free read path
+// from the facade: with online refinement, drift detection and the
+// refresher all on, eight goroutines select and explain while another
+// keeps reloading, saving and refreshing the model. Run with -race it
+// proves that selections read nothing a writer touches and that the
+// writers — probe feedback, publication with its drift re-anchoring,
+// SaveModel, the refresher's ED copy and commit — exclude one another.
+func TestSelectUnderRefinementAndReload(t *testing.T) {
+	leakcheck.Check(t)
+	var test []string
+	cfg := &Config{
+		OnlineRefinement: true,
+		Drift:            &DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8},
+		Refresh: &RefreshConfig{
+			ProbeBudget: 24, MinProbes: 4, Cooldown: time.Millisecond,
+			Queries: func(numTerms, n int) []string {
+				var out []string
+				for _, q := range test {
+					if len(strings.Fields(q)) == numTerms && len(out) < n {
+						out = append(out, q)
+					}
+				}
+				return out
+			},
+		},
+	}
+	ms, qs := buildTestMetasearcherWith(t, cfg, nil)
+	defer ms.Close()
+	test = qs // the refresher is idle until the first RefreshNow below
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := ms.SaveModel(path); err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 2
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := test[(g*7+i)%len(test)]
+				if g%4 == 3 {
+					if ex, err := ms.Explain(q, k); err != nil || len(ex) != len(ms.Databases()) {
+						t.Errorf("Explain(%q) = %d rows, %v", q, len(ex), err)
+						return
+					}
+					continue
+				}
+				res, err := ms.SelectWithCertaintyContext(context.Background(), q, k, Absolute, 0.95, -1)
+				if err != nil || len(res.Databases) != k {
+					t.Errorf("select %q = %+v, %v", q, res, err)
+					return
+				}
+			}
+		}(g)
+	}
+	dbs := ms.Databases()
+	for i := 0; i < 12; i++ {
+		if err := ms.ReloadModel(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.SaveModel(path); err != nil {
+			t.Fatal(err)
+		}
+		key := core.TypeKey{Terms: 1 + i%2, Band: core.EstimateBand(i % 3)}
+		if err := ms.RefreshNow(dbs[i%len(dbs)], key.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -2,90 +2,46 @@ package metaprobe
 
 import (
 	"testing"
+
+	"metaprobe/internal/core"
 )
 
-// TestShellCacheRecycling pins the selection-shell cache's ownership
+// TestShellCacheRecycling pins the selection-shell pool's ownership
 // rules: a shell handed out by selection() is never handed out again
 // until it is recycled, and recycled shells are reused for later
-// queries instead of allocating fresh selections.
+// queries instead of allocating fresh selections. (A sync.Pool may drop
+// a shell — under the race detector it does so at random — so reuse is
+// asserted over many rounds, not for one particular Put.)
 func TestShellCacheRecycling(t *testing.T) {
 	ms, test := buildTestMetasearcher(t)
-	s1, v1, err := ms.selection(test[0], Absolute, 2, nil)
-	if err != nil {
-		t.Fatal(err)
+	seen := map[*core.Selection]bool{}
+	reused := 0
+	for round := 0; round < 64; round++ {
+		s1, v1, err := ms.selection(test[round%len(test)], Absolute, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v1 != ms.version.Load() {
+			t.Fatal("selection filled from a non-serving version")
+		}
+		s2, _, err := ms.selection(test[(round+1)%len(test)], Absolute, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s1 == s2 {
+			t.Fatal("two live selections share one shell")
+		}
+		for _, s := range []*core.Selection{s1, s2} {
+			if seen[s] {
+				reused++
+			}
+			seen[s] = true
+			ms.recycleSelection(s)
+		}
 	}
-	if v1 != ms.version.Load() {
-		t.Fatal("selection filled from a non-serving version")
+	if reused == 0 {
+		t.Fatal("no recycled shell was ever reused")
 	}
-	s2, v2, err := ms.selection(test[1], Absolute, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 == s2 {
-		t.Fatal("two live selections share one shell")
-	}
-	ms.recycleSelection(v1, s1)
-	ms.recycleSelection(v2, s2)
-	s3, v3, err := ms.selection(test[2], Absolute, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 != s1 && s3 != s2 {
-		t.Fatal("recycled shell not reused")
-	}
-	s4, v4, err := ms.selection(test[3], Absolute, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4 == s3 {
-		t.Fatal("held shell handed out twice")
-	}
-	ms.recycleSelection(v3, s3)
-	ms.recycleSelection(v4, s4)
-}
-
-// TestShellCacheInvalidatedOnSwap checks that publishing a new model
-// version drops cached shells: a shell filled (and recycled) under the
-// old version must not be served again after the swap, since it would
-// pin the old version's RD tables and could alias released state.
-func TestShellCacheInvalidatedOnSwap(t *testing.T) {
-	ms, test := buildTestMetasearcher(t)
-	held, v0, err := ms.selection(test[0], Absolute, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, v1, err := ms.selection(test[1], Absolute, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms.recycleSelection(v1, cached)
-
-	ms.modelMu.Lock()
-	ms.publish(ms.serving().Clone(), "reload", "")
-	ms.modelMu.Unlock()
-	// A shell still held across the swap recycles without harm; the
-	// cache must refuse it (stale version) rather than serve it later.
-	ms.recycleSelection(v0, held)
-
-	after, v2, err := ms.selection(test[0], Absolute, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 == v0 {
-		t.Fatal("publish did not advance the serving version")
-	}
-	if after == cached || after == held {
-		t.Fatal("stale shell served across a version swap")
-	}
-	ms.recycleSelection(v2, after)
-	again, v3, err := ms.selection(test[1], Absolute, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != after {
-		t.Fatal("new-version shell not recycled")
-	}
-	ms.recycleSelection(v3, again)
 }
 
 // TestSelectionSteadyStateAllocs guards the template-reuse serving
@@ -96,12 +52,12 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 	ms, test := buildTestMetasearcher(t)
 	qs := test[:4]
 	for _, q := range qs {
-		sel, ver, err := ms.selection(q, Absolute, 2, nil)
+		sel, _, err := ms.selection(q, Absolute, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sel.BestView()
-		ms.recycleSelection(ver, sel)
+		ms.recycleSelection(sel)
 	}
 	var qi int
 	baseline := testing.AllocsPerRun(200, func() {
@@ -115,12 +71,12 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 	cycle := testing.AllocsPerRun(200, func() {
 		q := qs[qi%len(qs)]
 		qi++
-		sel, ver, err := ms.selection(q, Absolute, 2, nil)
+		sel, _, err := ms.selection(q, Absolute, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sel.BestView()
-		ms.recycleSelection(ver, sel)
+		ms.recycleSelection(sel)
 	})
 	if cycle > baseline {
 		t.Fatalf("steady-state selection cycle allocates %v objects per op, want at most the estimator's %v", cycle, baseline)
