@@ -364,6 +364,63 @@ func BenchmarkAProSelectSteady(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedyRankColdTail pins the query shape that sets the serving
+// tail (the 3–4 % of cpu-select queries that need eleven or more
+// probes): 20 databases, 12 of them already probed at relevancy 0, and
+// 8 wide RDs of 11 support values each that overlap so heavily that the
+// best E[Cor] stays far under t until almost all are probed — so every
+// rank step sweeps many hypotheses and the marginal prune cuts little.
+// One iteration is Reuse + AProInto from that state to t = 0.9 at k = 3;
+// it must not allocate.
+func BenchmarkGreedyRankColdTail(b *testing.B) {
+	const n, cold, bins = 20, 12, 11
+	rds := make([]*core.RD, n)
+	truth := make([]float64, n)
+	probs := make([]float64, bins)
+	for j := range probs {
+		probs[j] = 1 + float64(j%3) // uneven, so no two outcomes tie
+	}
+	for i := range rds {
+		if i%5 < 3 { // 12 cold databases spread over the index range
+			rds[i] = core.Impulse(0)
+			continue
+		}
+		vals := make([]float64, bins)
+		for j := range vals {
+			vals[j] = 100 + 10*float64(j) + float64(i)/4
+		}
+		rds[i] = core.MustRD(vals, probs)
+		truth[i] = vals[bins/2]
+	}
+	template := core.NewSelectionFromRDs(rds, core.Absolute, 3)
+	for i, rd := range rds {
+		if rd.IsImpulse() {
+			template.ApplyProbe(i, 0)
+		}
+	}
+	probe := func(db int) (float64, error) { return truth[db], nil }
+	sel := core.NewSelectionFromRDs(rds, core.Absolute, 3)
+	g := core.Greedy{}
+	var out core.Outcome
+	run := func() {
+		sel.Reuse(template)
+		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm-up: grow buffers, fill the pool
+		run()
+	}
+	if out.Probes() < n-cold-1 {
+		b.Fatalf("the cold tail took %d probes, want at least %d: the shape no longer stresses rank", out.Probes(), n-cold-1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkObserveProbe measures folding one observed (estimate,
 // actual) pair back into the model's error distributions — the
 // per-probe cost of online refinement.

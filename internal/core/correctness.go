@@ -269,8 +269,10 @@ func BestSet(metric Metric, rds []*RD, k int, opts BestSetOptions) ([]int, float
 	best := make([]int, k)
 	set := make([]int, k)
 	chosen := make([]int, k)
-	var recurse func(start, depth int)
-	recurse = func(start, depth int) {
+	// skipped is the first position of candidates the combination so far
+	// leaves out (−1 while it is a gapless prefix).
+	var recurse func(start, depth, skipped int)
+	recurse = func(start, depth, skipped int) {
 		if depth == k {
 			copy(chosen, set)
 			sort.Ints(chosen)
@@ -282,24 +284,32 @@ func BestSet(metric Metric, rds []*RD, k int, opts BestSetOptions) ([]int, float
 			return
 		}
 		for i := start; i <= len(candidates)-(k-depth); i++ {
-			// Exact bound: a correct set has every member in the true
-			// top-k, so E[Cor_a(S)] ≤ min_{i∈S} P(i ∈ topk). Candidates
-			// are ordered by decreasing marginal, so once one cannot
-			// beat the incumbent the whole suffix at this level goes
-			// with it. The slack guards the boundary against
+			if skipped < 0 && i > depth {
+				skipped = depth
+			}
+			// Two exact bounds. A correct set has every member in the
+			// true top-k and every non-member outside it, so
+			// E[Cor_a(S)] ≤ min_{i∈S} P(i ∈ topk) and
+			// E[Cor_a(S)] ≤ 1 − max_{j∉S} P(j ∈ topk). Candidates are
+			// ordered by decreasing marginal, so the best excluded
+			// database is the first position skipped, and once either
+			// bound cannot beat the incumbent the whole suffix at this
+			// level goes with it. The slack guards the boundary against
 			// floating-point rounding in the two sides of the compare.
-			if bestE >= 0 && marginals[candidates[i]]+pruneSlack <= bestE {
+			if bestE >= 0 && (marginals[candidates[i]]+pruneSlack <= bestE ||
+				(skipped >= 0 && 1-marginals[candidates[skipped]]+pruneSlack <= bestE)) {
 				break
 			}
 			set[depth] = candidates[i]
-			recurse(i+1, depth+1)
+			recurse(i+1, depth+1, skipped)
 		}
 	}
-	recurse(0, 0)
+	recurse(0, 0, -1)
 	return best, bestE
 }
 
-// pruneSlack pads the marginal-bound prune in the best-set search: the
-// bound is exact in real arithmetic, and the slack keeps float rounding
-// from pruning a subset that would have (numerically) won by an ulp.
+// pruneSlack pads the marginal-bound prunes in the best-set search and
+// in Greedy.Rank: the bounds are exact in real arithmetic, and the slack
+// keeps float rounding from pruning a subset or a candidate that would
+// have (numerically) won by an ulp.
 const pruneSlack = 1e-12

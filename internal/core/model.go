@@ -253,7 +253,27 @@ type Selection struct {
 	// unprobedBuf caches the unprobed index list for UnprobedView.
 	unprobedBuf   []int
 	unprobedStale bool
+	// work counts what the greedy sweeps cost; see RankWork.
+	work RankWork
 }
+
+// RankWork counts what one selection's greedy ranking paid for — the
+// numbers behind "why was this selection slow?". Counts accumulate over
+// the selection's probe steps on the serving path (the reference path
+// counts no sets).
+type RankWork struct {
+	// Swept counts probe candidates whose usefulness was evaluated,
+	// Skipped those the marginal bound ruled out unevaluated.
+	Swept, Skipped int
+	// Hypotheses counts "suppose dbₕ yields w" evaluations.
+	Hypotheses int
+	// Sets counts k-sets whose E[Cor] was computed, in the base and the
+	// hypothesis searches alike.
+	Sets int
+}
+
+// Work returns the ranking work counted since the selection was filled.
+func (s *Selection) Work() RankWork { return s.work }
 
 // NewSelection builds the initial (unprobed) state for a query.
 func (m *Model) NewSelection(query string, numTerms int, metric Metric, k int) *Selection {
@@ -438,6 +458,7 @@ func (s *Selection) reset(query string, metric Metric, k, n int) {
 	}
 	s.hypDepth, s.hypVI = 0, -1
 	s.unprobedStale = true
+	s.work = RankWork{}
 	s.invalidate()
 }
 
@@ -469,26 +490,30 @@ func (s *Selection) BestView() ([]int, float64) {
 // path, the from-scratch reference on edge cases (k ≥ n, nested
 // hypotheses) and when noScratch pins the reference for tests.
 func (s *Selection) best() ([]int, float64) {
-	n := len(s.rds)
-	if s.noScratch || s.K <= 0 || s.K >= n || s.hypDepth > 1 {
+	if !s.onScratch() || s.hypDepth > 1 {
 		return BestSet(s.Metric, s.rds, s.K, s.opts)
 	}
-	if s.hypDepth == 1 {
-		sc := s.scratch
-		if sc == nil || !sc.valid || sc.k != s.K || sc.n != n || s.hypVI < 0 {
-			// The hypothesis swap is already in s.rds, so the scratch
-			// cannot be (re)built from base state here — evaluate from
-			// scratch instead. Only reachable when a hypothesis was
-			// opened without the scratch path (see beginHypothesisIdx).
-			return BestSet(s.Metric, s.rds, s.K, s.opts)
-		}
-		if !sc.hypActive {
-			sc.beginHypothesis(s.hypDB, s.hypVI)
-		}
-		return sc.bestFrom(sc.hypMarg, s.Metric, s.opts)
+	if s.hypDepth == 0 {
+		s.ensureScratch()
+	} else if sc := s.scratch; sc == nil || !sc.valid || sc.k != s.K || sc.n != len(s.rds) || s.hypVI < 0 {
+		// The hypothesis swap is already in s.rds, so the scratch
+		// cannot be (re)built from base state here — evaluate from
+		// scratch instead. Only reachable when a hypothesis was
+		// opened without the scratch path (see beginHypothesisIdx).
+		return BestSet(s.Metric, s.rds, s.K, s.opts)
+	} else if !sc.hypActive {
+		sc.beginHypothesis(s.hypDB, s.hypVI)
 	}
-	s.ensureScratch()
-	return s.scratch.bestFrom(s.scratch.marg, s.Metric, s.opts)
+	sc := s.scratch
+	set, e := sc.bestFrom(s.Metric, s.opts)
+	s.work.Sets += sc.sets
+	return set, e
+}
+
+// onScratch reports whether the selection evaluates on the incremental
+// scratch: 0 < K < n and the reference path not pinned.
+func (s *Selection) onScratch() bool {
+	return !s.noScratch && s.K > 0 && s.K < len(s.rds)
 }
 
 // ensureScratch acquires the pooled scratch and rebuilds it from the
@@ -550,6 +575,7 @@ func (s *Selection) Reuse(src *Selection) {
 	}
 	s.hypDepth, s.hypVI = 0, -1
 	s.unprobedStale = true
+	s.work = RankWork{}
 	s.invalidate()
 }
 
@@ -594,7 +620,7 @@ func (s *Selection) beginHypothesisIdx(i, vi int) *RD {
 	s.hypDepth++
 	if s.hypDepth == 1 {
 		s.hypDB, s.hypVI = i, vi
-		if !s.noScratch && s.K > 0 && s.K < len(s.rds) {
+		if s.onScratch() {
 			// Build (or refresh) the scratch from the base RDs before
 			// the swap; afterwards the base state is unobservable.
 			s.ensureScratch()

@@ -16,12 +16,18 @@ type ProbeFunc func(i int) (float64, error)
 // Prober is how the APro loop reaches the backends. The loop calls it
 // from one goroutine. ProbeFunc probers answer inline; the probe
 // executor's (internal/probeexec) adds pooling, circuit breakers,
-// hedging and speculative prefetch behind the same three calls.
+// hedging and speculative prefetch behind the same four calls.
 type Prober interface {
-	// Prefetch announces the policy's current ranking: ranked[0] is the
-	// database the loop waits on next, ranked[1:] the ones it would pick
-	// after it. A prober may start any of them early; it must not keep
-	// the slice.
+	// Width is how much of a ranking the prober can use: the head it is
+	// asked to Wait for plus the runners-up it may start early. The loop
+	// asks a Ranker for that many candidates and no more, which lets the
+	// ranker skip candidates that provably cannot make the cut; zero or
+	// less asks for the full ranking.
+	Width() int
+	// Prefetch announces the policy's current ranking, at most Width
+	// long: ranked[0] is the database the loop waits on next, ranked[1:]
+	// the ones it would pick after it. A prober may start any of them
+	// early; it must not keep the slice.
 	Prefetch(ctx context.Context, ranked []int)
 	// Wait returns database i's relevancy, blocking until it is known.
 	Wait(ctx context.Context, i int) (float64, error)
@@ -33,6 +39,7 @@ type Prober interface {
 // inlineProber probes on the loop's goroutine, one database at a time.
 type inlineProber ProbeFunc
 
+func (inlineProber) Width() int                                       { return 1 }
 func (inlineProber) Prefetch(context.Context, []int)                  {}
 func (p inlineProber) Wait(_ context.Context, i int) (float64, error) { return p(i) }
 func (inlineProber) Drain()                                           {}
@@ -92,14 +99,16 @@ type Outcome struct {
 
 // Ranker is implemented by probe policies that can rank several probe
 // candidates at once, in the order Next would choose them on the
-// current state. The APro loop hands the ranking to its Prober, which
-// may dispatch the runners-up speculatively; policies without it are
-// probed strictly one at a time. Rank must return the same first
-// element Next would return.
+// current state. The APro loop asks for as many as its Prober is wide
+// and hands the ranking over, so the prober may dispatch the runners-up
+// speculatively; policies without it are probed strictly one at a time.
+// Rank must return the same first element Next would return.
 type Ranker interface {
 	// Rank returns up to m unprobed candidate databases in decreasing
 	// expected-usefulness order along with each candidate's raw
-	// usefulness; m <= 0 ranks all candidates. The slices are views
+	// usefulness; m <= 0 ranks all candidates. Rank(s, t, m) is exactly
+	// the first m entries of Rank(s, t, 0): m tells the policy how much
+	// of the order will be read, never which order. The slices are views
 	// owned by the selection, valid until the next Rank on it.
 	Rank(s *Selection, t float64, m int) (dbs []int, usefulness []float64, err error)
 }
@@ -167,6 +176,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 	}
 	defer p.Drain()
 	ranker, _ := policy.(Ranker)
+	probes := 0 // successful ones, as out.Probes() counts them
 	for {
 		mark := s.BeginStage()
 		set, e := s.BestView()
@@ -191,7 +201,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		}
 		budget := len(s.UnprobedView()) // probes this run may still issue
 		if maxProbes >= 0 {
-			budget = min(budget, maxProbes-out.Probes())
+			budget = min(budget, maxProbes-probes)
 		}
 		if budget <= 0 {
 			return nil
@@ -207,7 +217,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		mark = s.BeginStage()
 		if ranker != nil {
 			var us []float64
-			if ranked, us, err = ranker.Rank(s, t, 0); err == nil {
+			if ranked, us, err = ranker.Rank(s, t, p.Width()); err == nil {
 				head, usefulness = ranked[0], us[0]
 			}
 		} else {
@@ -245,6 +255,8 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 			out.Excluded = append(out.Excluded, head)
 			sort.Ints(out.Excluded)
 			out.ProbeErrs = append(out.ProbeErrs, err)
+		} else {
+			probes++
 		}
 		s.ApplyProbe(head, v)
 		out.Steps = append(out.Steps, ProbeStep{DB: head, Value: v, Err: err, Usefulness: usefulness})
@@ -271,6 +283,7 @@ func (g Greedy) Name() string { return "greedy" }
 // the per-support-value sweep does not allocate a closure.
 func (g Greedy) Usefulness(s *Selection, i int) float64 {
 	rd := s.RD(i)
+	s.work.Hypotheses += rd.Len()
 	u := 0.0
 	for vi := 0; vi < rd.Len(); vi++ {
 		p := rd.Prob(vi)
@@ -298,58 +311,129 @@ func (g Greedy) Next(s *Selection, t float64) (int, error) {
 // are the raw (cost-unnormalized) expectations. The working buffers
 // live in the selection's pooled scratch, so a steady-state probe loop
 // does not allocate and the policy itself holds no state.
+//
+// When fewer than all candidates are asked for, the absolute metric
+// lets Rank leave some unevaluated. With B the best E[Cor] over all
+// k-sets now and p = P(dbₕ ∈ top-k), the usefulness of probing dbₕ is
+// at most B + 2·min(p, 1−p): a set without h is the true top-k only if
+// it is the top-k of the others, an event independent of r_h whose
+// probability is at most B + p, and a set with h is the top-k only if
+// h is in it, which given r_h = w has probability P(h ∈ top-k | w);
+// max ≤ sum, and averaging over w gives B + 2p. Trading "without" and
+// "with" gives B + 2(1−p). Candidates are swept in decreasing order of
+// that bound, and the sweep stops once the bound, plus a margin, is
+// below the m-th best exact score so far.
+//
+// The margin is (candidates + 2)·probEpsilon + pruneSlack and not one
+// epsilon, because the comparison rule is not transitive: it lets an
+// incumbent be replaced by a cheaper candidate up to an epsilon worse,
+// so a run of near-equal scores can step down one epsilon per
+// candidate, and which of them holds the lead when a clear winner
+// arrives may depend on a low scorer having been in the scan. A
+// candidate more than that many epsilons below the m-th best score can
+// hold the lead only while every score seen is as low as its own, and
+// loses it to the first of the top m to arrive, so leaving it out of the
+// scan changes none of the first m places: the ranking returned is
+// exactly the first m entries of the full sweep's.
 func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	unprobed := s.UnprobedView()
 	if len(unprobed) == 0 {
 		return nil, nil, fmt.Errorf("no unprobed database left")
 	}
 	_, current := s.best()
-	sc := s.scratch
-	if sc == nil {
-		// Reference-path and degenerate-k selections carry no pooled
-		// scratch; they may allocate.
-		sc = new(selScratch)
+	if s.scratch == nil {
+		// Reference-path and degenerate-k selections evaluate without the
+		// scratch; they take one for the rank buffers, once.
+		s.scratch = acquireScratch()
 	}
+	sc := s.scratch
 	sc.candIdx = growInts(sc.candIdx, len(unprobed))[:0]
-	sc.candRaw = growFloats(sc.candRaw, len(unprobed))[:0]
-	sc.candScore = growFloats(sc.candScore, len(unprobed))[:0]
 	sc.candCost = growFloats(sc.candCost, len(unprobed))[:0]
 	for _, i := range unprobed {
 		if s.RD(i).IsImpulse() {
 			// Probing a known value cannot change E[Cor]; skip it.
 			continue
 		}
-		raw := g.Usefulness(s, i)
-		score, c := raw, 1.0
+		c := 1.0
 		if g.Cost != nil {
 			if gc := g.Cost(i); gc > 0 {
 				c = gc
 			}
-			// Normalize the *gain* by cost, not the absolute level:
-			// two candidates with equal usefulness but different cost
-			// should prefer the cheaper probe.
-			score = (score - current) / c
 		}
 		sc.candIdx = append(sc.candIdx, i)
-		sc.candRaw = append(sc.candRaw, raw)
-		sc.candScore = append(sc.candScore, score)
 		sc.candCost = append(sc.candCost, c)
 	}
-	if len(sc.candIdx) == 0 {
+	nCand := len(sc.candIdx)
+	if nCand == 0 {
 		// Every remaining unprobed RD is an impulse: a probe would be
 		// informationless backend traffic. Report it so APro stops
 		// instead of issuing probes that cannot change the selection.
 		return nil, nil, ErrNoInformativeProbe
 	}
-	if m <= 0 || m > len(sc.candIdx) {
-		m = len(sc.candIdx)
+	if m <= 0 || m > nCand {
+		m = nCand
 	}
+	sc.candRaw = growFloats(sc.candRaw, nCand)
+	sc.candScore = growFloats(sc.candScore, nCand)
+	sc.picked = growBools(sc.picked, nCand)
+	sc.sweep = growInts(sc.sweep, nCand)
+	for ci := range sc.sweep {
+		sc.sweep[ci] = ci
+		sc.picked[ci] = true // until swept
+	}
+
+	// The bound needs the cached marginals, so the partial metric and
+	// the reference path keep the full sweep.
+	bounded := m < nCand && s.Metric == Absolute && s.onScratch() && s.hypDepth == 0
+	if bounded {
+		// When the set search was truncated to the top marginals, current
+		// is not a proven maximum; min(p₍k₎, 1 − p₍k+1₎) over the sorted
+		// marginals is (every k-set has a member at or below the k-th and
+		// leaves out one at or above the k+1-th).
+		ceiling := current
+		if !sc.exhaustive {
+			ceiling = min(sc.marg[sc.order[s.K-1]], 1-sc.marg[sc.order[s.K]])
+		}
+		sc.candBound = growFloats(sc.candBound, nCand)
+		for ci, i := range sc.candIdx {
+			bound := ceiling + 2*min(sc.marg[i], 1-sc.marg[i])
+			if g.Cost != nil {
+				bound = (bound - current) / sc.candCost[ci]
+			}
+			sc.candBound[ci] = bound
+		}
+		insertionSortByDesc(sc.sweep, sc.candBound)
+	}
+	margin := float64(nCand+2)*probEpsilon + pruneSlack
+	top := growFloats(sc.topScores, m)[:0] // best scores so far, descending
+	for n, ci := range sc.sweep {
+		if bounded && len(top) == m && sc.candBound[ci]+margin < top[m-1] {
+			s.work.Skipped += nCand - n
+			break
+		}
+		raw := g.Usefulness(s, sc.candIdx[ci])
+		score := raw
+		if g.Cost != nil {
+			// Normalize the *gain* by cost, not the absolute level:
+			// two candidates with equal usefulness but different cost
+			// should prefer the cheaper probe.
+			score = (score - current) / sc.candCost[ci]
+		}
+		sc.candRaw[ci], sc.candScore[ci], sc.picked[ci] = raw, score, false
+		s.work.Swept++
+		if len(top) < m {
+			top = append(top, score)
+		} else if score > top[m-1] {
+			top[m-1] = score
+		}
+		for x := len(top) - 1; x > 0 && top[x] > top[x-1]; x-- {
+			top[x], top[x-1] = top[x-1], top[x]
+		}
+	}
+	sc.topScores = top
+
 	sc.rankDBs = growInts(sc.rankDBs, m)[:0]
 	sc.rankUs = growFloats(sc.rankUs, m)[:0]
-	sc.picked = growBools(sc.picked, len(sc.candIdx))
-	for ci := range sc.picked {
-		sc.picked[ci] = false
-	}
 	for len(sc.rankDBs) < m {
 		best := -1
 		bestScore, bestCost := 0.0, 0.0

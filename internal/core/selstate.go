@@ -30,10 +30,22 @@ import (
 // swap is applied by deconvolving the old Bernoulli factor out of the
 // cached row and convolving the new one in — O(k) per row instead of
 // O(n·k) — falling back to an O(n·k) row rebuild when deconvolution
-// would be numerically unsafe (see deconvMaxP). Keys of dbₕ whose
-// value differs from w contribute exactly zero afterwards (their
-// P(κ ≥ K) and P(κ > K) products coincide term by term), so the key
-// grid itself never needs restructuring.
+// would be numerically unsafe (see deconvMaxP). Either way the swapped
+// row's tail depends on the key, on h and on p' but not on w, so it is
+// computed once per (key, p') while h is the candidate (hypTail) and
+// every support value of h reads it back. Keys of dbₕ whose value
+// differs from w contribute exactly zero afterwards (their P(κ ≥ K)
+// and P(κ > K) products coincide term by term), so the key grid itself
+// never needs restructuring.
+//
+// Databases whose RD is already an impulse — probed ones, and the cold
+// majority that was never observed — put a factor of exactly 0 or 1
+// into every "all non-members are below K" product. ×1.0 is the
+// identity and ×0 gives +0, so build records which databases are live
+// and, per key, how many impulses are not below it (deadNeed); a set
+// that leaves one of those out scores exactly 0 at that key, and every
+// other product multiplies the live factors only, in the same
+// ascending order.
 //
 // The base (no-hypothesis) tables replicate the reference arithmetic
 // operation for operation — same factor order, same clamps, same early
@@ -53,6 +65,10 @@ const (
 	deconvMaxK = 16
 )
 
+// tailUnset marks a hypTail entry not computed yet; a tail is a
+// probability up to round-off, never −1.
+const tailUnset = -1
+
 // selScratch is the reusable state. It is owned by exactly one
 // Selection at a time and returned to selScratchPool by
 // Selection.Release; the pool makes steady-state selections
@@ -71,6 +87,14 @@ type selScratch struct {
 	marg     []float64 // P(dbᵢ ∈ topk) per database
 	valid    bool
 
+	// Impulse bookkeeping: the non-impulse databases ascending, the same
+	// as a per-database flag, and per key the number of impulse databases
+	// j with less[t][j] == 0 — the ones a set must contain for the key to
+	// contribute at all.
+	live     []int
+	isLive   []bool
+	deadNeed []int
+
 	// Hypothesis overlay (depth-1 greedy hypotheses only).
 	hypActive  bool
 	hypDB      int
@@ -79,6 +103,11 @@ type selScratch struct {
 	hypEqSave  []float64 // saved keyEq of h's keys
 	hypMarg    []float64 // marginals under the hypothesis
 	impulse    *RD       // reusable impulse RD for the rds swap
+	// hypTail[2t+p'] is the tail of key t's DP row with factor tailDB
+	// swapped to p' ∈ {0, 1}, or tailUnset. It is wiped when the
+	// candidate changes and when the scratch is rebuilt.
+	hypTail []float64
+	tailDB  int
 
 	// Best-set enumeration buffers.
 	order    []int
@@ -86,16 +115,27 @@ type selScratch struct {
 	combo    []int
 	chosen   []int
 	bestBuf  []int
-	setMask  []bool
+	comboGap []int
+	setMask  []bool // all false between expectedAbsolute calls
 	pbRow    []float64
+	// exhaustive reports that the last bestFrom enumerated every k-set,
+	// so the E[Cor] it returned is a proven maximum; sets counts the
+	// k-sets it scored.
+	exhaustive bool
+	sets       int
 
-	// Greedy.Rank's working buffers: the informative candidates with
-	// their raw usefulness, score and cost, and the ranking handed back
-	// to the caller (rankDBs/rankUs, valid until the next Rank).
+	// Greedy.Rank's working buffers: the informative candidates in index
+	// order with their cost, usefulness upper bound, and — once swept —
+	// raw usefulness and score; the order they are swept in; the best
+	// scores seen so far; and the ranking handed back to the caller
+	// (rankDBs/rankUs, valid until the next Rank).
 	candIdx   []int
 	candRaw   []float64
 	candScore []float64
 	candCost  []float64
+	candBound []float64
+	sweep     []int
+	topScores []float64
 	picked    []bool
 	rankDBs   []int
 	rankUs    []float64
@@ -174,7 +214,19 @@ func (sc *selScratch) build(rds []*RD, k int) {
 	sc.hypGTCol = growFloats(sc.hypGTCol, nK)
 	sc.hypLessCol = growFloats(sc.hypLessCol, nK)
 	sc.hypMarg = growFloats(sc.hypMarg, n)
+	sc.hypTail = growFloats(sc.hypTail, 2*nK)
+	sc.tailDB = -1
 	sc.pbRow = growFloats(sc.pbRow, k)
+	sc.setMask = growBools(sc.setMask, n)
+	sc.isLive = growBools(sc.isLive, n)
+	sc.deadNeed = growInts(sc.deadNeed, nK)
+	sc.live = growInts(sc.live, n)[:0]
+	for j, rd := range rds {
+		sc.isLive[j] = !rd.IsImpulse()
+		if sc.isLive[j] {
+			sc.live = append(sc.live, j)
+		}
+	}
 
 	for i, rd := range rds {
 		for vi := 0; vi < rd.Len(); vi++ {
@@ -184,10 +236,15 @@ func (sc *selScratch) build(rds []*RD, k int) {
 			sc.keyEq[t] = rd.Prob(vi)
 			gtRow := sc.gt[t*n : t*n+n]
 			lessRow := sc.less[t*n : t*n+n]
+			dead := 0
 			for j, rdj := range rds {
 				gtRow[j] = prKeyGreater(rdj, j, v, i)
 				lessRow[j] = prKeyLess(rdj, j, v, i)
+				if !sc.isLive[j] && lessRow[j] == 0 {
+					dead++
+				}
 			}
+			sc.deadNeed[t] = dead
 		}
 	}
 
@@ -310,39 +367,29 @@ func (sc *selScratch) beginHypothesis(h, vi int) {
 
 	// Hypothesis marginals. dbₕ's own rows exclude factor h, so its
 	// marginal is the tail at the hypothesized key directly; every
-	// other database swaps exactly the h factor of each row.
+	// other database swaps exactly the h factor of each row, and the
+	// swapped tail is shared by every support value of h that puts the
+	// same p' there.
+	if sc.tailDB != h {
+		tails := sc.hypTail[:2*sc.keyStart[n]]
+		for x := range tails {
+			tails[x] = tailUnset
+		}
+		sc.tailDB = h
+	}
 	for i := 0; i < n; i++ {
 		if i == h {
-			row := sc.dp[(hb+vi)*k : (hb+vi)*k+k]
-			m := sumTail(row)
-			if m > 1 {
-				m = 1
-			}
-			sc.hypMarg[h] = m
+			sc.hypMarg[h] = sumTail(sc.dp[(hb+vi)*k : (hb+vi)*k+k])
 			continue
 		}
 		m := 0.0
 		for t := sc.keyStart[i]; t < sc.keyStart[i+1]; t++ {
-			oldP := sc.hypGTCol[t]
-			if oldP < 0 {
-				oldP = 0
-			} else if oldP > 1 {
-				oldP = 1
-			}
 			newP := sc.gt[t*n+h]
-			var tail float64
-			switch {
-			case oldP == newP:
-				tail = sumTail(sc.dp[t*k : t*k+k])
-			case oldP <= deconvMaxP && k <= deconvMaxK:
-				deconvolveBernoulli(sc.pbRow, sc.dp[t*k:t*k+k], oldP)
-				convolveBernoulli(sc.pbRow, newP)
-				tail = sumTail(sc.pbRow)
-			default:
-				sc.dpRowInto(sc.pbRow, sc.gt[t*n:t*n+n], i)
-				tail = sumTail(sc.pbRow)
+			memo := &sc.hypTail[2*t+int(newP)]
+			if *memo == tailUnset {
+				*memo = sc.swappedTail(t, i, sc.hypGTCol[t], newP)
 			}
-			m += sc.keyEq[t] * tail
+			m += sc.keyEq[t] * *memo
 		}
 		if m > 1 {
 			m = 1
@@ -352,6 +399,28 @@ func (sc *selScratch) beginHypothesis(h, vi int) {
 
 	sc.hypDB = h
 	sc.hypActive = true
+}
+
+// swappedTail returns the tail of key t's DP row (owner i ≠ h) with
+// factor h swapped from its base value oldP to newP ∈ {0, 1}; the h
+// column of the grid already holds the overlay.
+func (sc *selScratch) swappedTail(t, i int, oldP, newP float64) float64 {
+	n, k := sc.n, sc.k
+	if oldP < 0 {
+		oldP = 0
+	} else if oldP > 1 {
+		oldP = 1
+	}
+	switch {
+	case oldP == newP:
+		return sumTail(sc.dp[t*k : t*k+k])
+	case oldP <= deconvMaxP && k <= deconvMaxK:
+		deconvolveBernoulli(sc.pbRow, sc.dp[t*k:t*k+k], oldP)
+		convolveBernoulli(sc.pbRow, newP)
+	default:
+		sc.dpRowInto(sc.pbRow, sc.gt[t*n:t*n+n], i)
+	}
+	return sumTail(sc.pbRow)
 }
 
 // endHypothesis restores the base grid saved by beginHypothesis.
@@ -370,19 +439,30 @@ func (sc *selScratch) endHypothesis() {
 // expectedAbsolute evaluates E[Cor_a(set)] from the grid (base or
 // hypothesis overlay), mirroring ExpectedAbsolute's conditioning on
 // the set's minimum key: identical factor order, clamps and early
-// exits. set must be ascending.
+// exits, minus the impulse factors that are exactly 1 and the keys an
+// impulse factor of exactly 0 wipes out. set must be ascending.
 func (sc *selScratch) expectedAbsolute(set []int) float64 {
 	n := sc.n
 	mask := sc.setMask
-	for j := 0; j < n; j++ {
-		mask[j] = false
-	}
 	for _, i := range set {
 		mask[i] = true
 	}
 	total := 0.0
 	for _, pivot := range set {
 		for t := sc.keyStart[pivot]; t < sc.keyStart[pivot+1]; t++ {
+			lessRow := sc.less[t*n : t*n+n]
+			// An impulse outside the set that is not below K makes the
+			// non-member product exactly 0: the key adds nothing.
+			if need := sc.deadNeed[t]; need > 0 {
+				for _, i := range set {
+					if !sc.isLive[i] && lessRow[i] == 0 {
+						need--
+					}
+				}
+				if need > 0 {
+					continue
+				}
+			}
 			gtRow := sc.gt[t*n : t*n+n]
 			eq := sc.keyEq[t]
 			// P(min over the set = K): Π P(κᵢ ≥ K) − Π P(κᵢ > K). The
@@ -400,9 +480,13 @@ func (sc *selScratch) expectedAbsolute(set []int) float64 {
 			if pMinEq <= 0 {
 				continue
 			}
+			// Every remaining impulse factor is exactly 1; multiply the
+			// live non-members only.
 			pBelow := 1.0
-			lessRow := sc.less[t*n : t*n+n]
-			for j := 0; j < n && pBelow > 0; j++ {
+			for _, j := range sc.live {
+				if pBelow <= 0 {
+					break
+				}
 				if !mask[j] {
 					pBelow *= lessRow[j]
 				}
@@ -410,20 +494,28 @@ func (sc *selScratch) expectedAbsolute(set []int) float64 {
 			total += pMinEq * pBelow
 		}
 	}
+	for _, i := range set {
+		mask[i] = false
+	}
 	if total > 1 {
 		total = 1
 	}
 	return total
 }
 
-// bestFrom runs BestSet's search over the scratch tables using the
-// given marginals (base or hypothesis), without allocating: the
+// bestFrom runs BestSet's search over the scratch tables (base, or the
+// hypothesis overlay when one is active), without allocating: the
 // returned set lives in sc.bestBuf and is valid until the next call.
 // Requires 0 < k < n. The candidate ordering, enumeration order,
 // pruning and tie-breaking replicate BestSet exactly.
-func (sc *selScratch) bestFrom(marg []float64, metric Metric, opts BestSetOptions) ([]int, float64) {
+func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float64) {
 	opts.setDefaults()
 	n, k := sc.n, sc.k
+	marg := sc.marg
+	if sc.hypActive {
+		marg = sc.hypMarg
+	}
+	sc.sets = 0
 
 	order := growInts(sc.order, n)
 	for i := range order {
@@ -451,25 +543,31 @@ func (sc *selScratch) bestFrom(marg []float64, metric Metric, opts BestSetOption
 	if stats.BinomialCoefficient(n, k) <= float64(opts.ExhaustiveLimit) {
 		m = n
 	}
+	sc.exhaustive = m == n
 	candidates := order[:m]
 
 	sc.comboIdx = growInts(sc.comboIdx, k)
+	sc.comboGap = growInts(sc.comboGap, k)
 	sc.combo = growInts(sc.combo, k)
 	sc.chosen = growInts(sc.chosen, k)
-	sc.setMask = growBools(sc.setMask, n)
 
 	// Iterative combination enumeration — the same visit order as
-	// BestSet's recursion (idx[d] is the loop variable at depth d),
-	// with the same marginal-bound prune, kept loop-shaped so the hot
-	// path allocates no closures.
+	// BestSet's recursion (idx[d] is the loop variable at depth d, gap[d]
+	// its skipped argument), with the same two marginal-bound prunes,
+	// kept loop-shaped so the hot path allocates no closures.
 	bestE := -1.0
-	idx := sc.comboIdx
+	idx, gap := sc.comboIdx, sc.comboGap
 	depth := 0
-	idx[0] = 0
+	idx[0], gap[0] = 0, -1
 	for depth >= 0 {
 		i := idx[depth]
+		skipped := gap[depth]
+		if skipped < 0 && i > depth {
+			skipped = depth
+		}
 		if i > len(candidates)-(k-depth) ||
-			(bestE >= 0 && marg[candidates[i]]+pruneSlack <= bestE) {
+			(bestE >= 0 && (marg[candidates[i]]+pruneSlack <= bestE ||
+				(skipped >= 0 && 1-marg[candidates[skipped]]+pruneSlack <= bestE))) {
 			depth--
 			if depth >= 0 {
 				idx[depth]++
@@ -480,6 +578,7 @@ func (sc *selScratch) bestFrom(marg []float64, metric Metric, opts BestSetOption
 		if depth == k-1 {
 			copy(sc.chosen, sc.combo)
 			insertionSortInts(sc.chosen)
+			sc.sets++
 			e := sc.expectedAbsolute(sc.chosen)
 			if e > bestE {
 				bestE = e
@@ -489,7 +588,7 @@ func (sc *selScratch) bestFrom(marg []float64, metric Metric, opts BestSetOption
 			continue
 		}
 		depth++
-		idx[depth] = i + 1
+		idx[depth], gap[depth] = i+1, skipped
 	}
 	return sc.bestBuf, bestE
 }

@@ -67,12 +67,12 @@ func (p *prober) run(ctx context.Context, i int) (float64, error) {
 	return p.e.Probe(ctx, p.name(i), func(c context.Context) (float64, error) { return p.probe(c, i) })
 }
 
-// Prefetch starts the runners-up of the ranking in the background, up
-// to Speculation probes counting the head, which Wait probes inline.
+// Width is Speculation probes counting the head, which Wait probes
+// inline.
+func (p *prober) Width() int { return max(p.e.cfg.Speculation, 1) }
+
+// Prefetch starts the runners-up of the ranking in the background.
 func (p *prober) Prefetch(ctx context.Context, ranked []int) {
-	if m := p.e.cfg.Speculation; len(ranked) > m {
-		ranked = ranked[:max(m, 1)]
-	}
 	for _, i := range ranked[1:] {
 		if _, ok := p.pending[i]; ok {
 			continue

@@ -881,6 +881,14 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 		if res.Degraded {
 			sp.SetAttr("degraded", "true")
 		}
+		// What the greedy sweeps paid for: a slow selection with few
+		// probes and many sets is the set search, many hypotheses the
+		// wide RDs, few skips a state the marginal bound cannot thin.
+		work := sel.Work()
+		sp.SetAttr("rank_swept", strconv.Itoa(work.Swept))
+		sp.SetAttr("rank_skipped", strconv.Itoa(work.Skipped))
+		sp.SetAttr("rank_hypotheses", strconv.Itoa(work.Hypotheses))
+		sp.SetAttr("rank_sets", strconv.Itoa(work.Sets))
 	}
 	for _, step := range res.Steps {
 		name := m.dbName(step.DB)

@@ -2,6 +2,7 @@ package metaprobe
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -78,5 +79,56 @@ func TestReady(t *testing.T) {
 	var untrained Metasearcher
 	if err := untrained.Ready(); err == nil || !strings.Contains(err.Error(), "not trained") {
 		t.Errorf("untrained Ready() = %v, want not-trained error", err)
+	}
+}
+
+// TestSelectionSpanRankWork: the root span says what the greedy sweeps
+// of a many-probe selection paid for — candidates swept and skipped,
+// hypotheses evaluated, k-sets scored — so "why was this selection
+// slow?" has an answer in the trace; with no span sink there is no
+// record and nothing is formatted for one.
+func TestSelectionSpanRankWork(t *testing.T) {
+	tracer := NewSpanTracer(256)
+	ms, queries := buildTestMetasearcherWith(t, &Config{Spans: tracer}, nil)
+	var slow *SelectionResult
+	for _, q := range queries {
+		res, err := ms.SelectWithCertaintyContext(context.Background(), q, 2, Absolute, 0.99, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow == nil || res.Probes > slow.Probes {
+			slow = res
+		}
+	}
+	if slow.Probes < 3 {
+		t.Fatalf("no test query needed more than %d probes: nothing exercises the sweep", slow.Probes)
+	}
+	attrs := tracer.Tree(slow.TraceID)[0].Span.Attrs
+	work := map[string]int{}
+	for _, name := range []string{"rank_swept", "rank_skipped", "rank_hypotheses", "rank_sets"} {
+		v, err := strconv.Atoi(attrs[name])
+		if err != nil {
+			t.Fatalf("root span attribute %s = %q: %v", name, attrs[name], err)
+		}
+		work[name] = v
+	}
+	// Every step evaluates at least one candidate, a candidate has at
+	// least two outcomes, and every outcome scores at least one k-set.
+	if work["rank_swept"] < slow.Probes || work["rank_hypotheses"] < 2*work["rank_swept"] || work["rank_sets"] < work["rank_hypotheses"] {
+		t.Errorf("rank work %v does not add up for a selection of %d probes", work, slow.Probes)
+	}
+
+	reg := NewMetrics()
+	quiet, _ := buildTestMetasearcherWith(t, &Config{Metrics: reg}, nil)
+	res, err := quiet.SelectWithCertaintyContext(context.Background(), queries[0], 2, Absolute, 0.99, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if res.TraceID != "" || strings.Contains(sb.String(), "rank_") {
+		t.Errorf("without a span sink the rank work left a record: trace %q, exposition\n%s", res.TraceID, sb.String())
 	}
 }
