@@ -37,7 +37,7 @@ var (
 	printOnce sync.Map
 )
 
-func benchEnv(b *testing.B) *experiments.Env {
+func benchEnv(b testing.TB) *experiments.Env {
 	b.Helper()
 	benchEnvOnce.Do(func() {
 		benchEnvVal, benchEnvErr = experiments.Setup(experiments.SmallConfig())
@@ -298,71 +298,82 @@ func BenchmarkGreedyProbeStep(b *testing.B) {
 	}
 }
 
-// BenchmarkAProSelect measures one full adaptive-probing selection:
-// build the per-query state (RD convolution) and run greedy APro to a
-// 0.9 certainty, probes answered from a precomputed table so the
-// number measures selection compute, not index lookups. This is the
-// primary perf-regression gate (ns/op, B/op, allocs/op against the
-// committed BENCH_seed.json).
-func BenchmarkAProSelect(b *testing.B) {
-	env := benchEnv(b)
-	q := env.Test[0]
-	actual := make([]float64, env.Testbed.Len())
-	for i := range actual {
-		v, err := env.Rel.Probe(env.Testbed.DB(i), q.String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		actual[i] = v
-	}
-	probe := func(db int) (float64, error) { return actual[db], nil }
+// runHotPath times one hot-path body: set-up outside the timer, then
+// one call per iteration with allocations reported.
+func runHotPath(b *testing.B, body func(testing.TB) func()) {
+	run := body(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// precomputedProbe answers probes for the first test query from a table
+// filled up front, so a selection body measures selection compute, not
+// index lookups.
+func precomputedProbe(tb testing.TB, env *experiments.Env) core.ProbeFunc {
+	q := env.Test[0].String()
+	actual := make([]float64, env.Testbed.Len())
+	for i := range actual {
+		v, err := env.Rel.Probe(env.Testbed.DB(i), q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		actual[i] = v
+	}
+	return func(db int) (float64, error) { return actual[db], nil }
+}
+
+// aproSelectBody is one full adaptive-probing selection: build the
+// per-query state (RD convolution) and run greedy APro to a 0.9
+// certainty.
+func aproSelectBody(tb testing.TB) func() {
+	env := benchEnv(tb)
+	q := env.Test[0]
+	probe := precomputedProbe(tb, env)
+	return func() {
 		sel := env.Selection(q, core.Absolute, 3)
 		if _, err := core.APro(sel, probe, &core.Greedy{}, 0.9, -1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkAProSelectSteady measures the steady-state serving path:
-// the per-query state is Reuse'd from a prebuilt template and APro
-// writes into a reused Outcome, so after warm-up the whole selection —
-// incremental E[Cor], greedy ranking, probe application — runs out of
-// pooled scratch. CI gates this benchmark's allocs/op at ≤ 2 absolute
-// (cmd/bench/compare.go), not just ratio-vs-baseline.
-func BenchmarkAProSelectSteady(b *testing.B) {
-	env := benchEnv(b)
+// aproSelectSteadyBody is the steady-state serving path: the per-query
+// state is Reuse'd from a prebuilt template and APro writes into a
+// reused Outcome, so after warm-up the whole selection — incremental
+// E[Cor], greedy ranking, probe application — runs out of pooled
+// scratch.
+func aproSelectSteadyBody(tb testing.TB) func() {
+	env := benchEnv(tb)
 	q := env.Test[0]
-	actual := make([]float64, env.Testbed.Len())
-	for i := range actual {
-		v, err := env.Rel.Probe(env.Testbed.DB(i), q.String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		actual[i] = v
-	}
-	probe := func(db int) (float64, error) { return actual[db], nil }
+	probe := precomputedProbe(tb, env)
 	template := env.Selection(q, core.Absolute, 3)
 	sel := env.Selection(q, core.Absolute, 3)
 	g := &core.Greedy{}
 	var out core.Outcome
+	run := func() {
+		sel.Reuse(template)
+		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	for i := 0; i < 3; i++ { // warm-up: grow buffers, fill the pool
-		sel.Reuse(template)
-		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
-			b.Fatal(err)
-		}
+		run()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sel.Reuse(template)
-		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return run
 }
+
+// BenchmarkAProSelect measures one full adaptive-probing selection,
+// probes answered from a precomputed table. TestHotPathAllocCaps holds
+// its allocs/op; the ns/op gate is the pipeline's bounds on benchmark/.
+func BenchmarkAProSelect(b *testing.B) { runHotPath(b, aproSelectBody) }
+
+// BenchmarkAProSelectSteady measures the steady-state serving path.
+// TestHotPathAllocCaps holds it to ≤ 2 allocs/op absolute, whatever an
+// earlier commit measured.
+func BenchmarkAProSelectSteady(b *testing.B) { runHotPath(b, aproSelectSteadyBody) }
 
 // BenchmarkGreedyRankColdTail pins the query shape that sets the serving
 // tail (the 3–4 % of cpu-select queries that need eleven or more
@@ -421,61 +432,95 @@ func BenchmarkGreedyRankColdTail(b *testing.B) {
 	}
 }
 
-// BenchmarkObserveProbe measures folding one observed (estimate,
-// actual) pair back into the model's error distributions — the
-// per-probe cost of online refinement.
-func BenchmarkObserveProbe(b *testing.B) {
-	env := benchEnv(b)
+// observeProbeBody folds one observed (estimate, actual) pair back into
+// the model's error distributions, cycling over the databases.
+func observeProbeBody(tb testing.TB) func() {
+	env := benchEnv(tb)
 	q := env.Test[0]
 	actual, err := env.Rel.Probe(env.Testbed.DB(0), q.String())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		db := i % env.Testbed.Len()
+		i++
 		if err := env.Model.ObserveProbe(db, q.String(), q.NumTerms(), actual); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkRDConvolve measures deriving every database's relevancy
-// distribution for a fresh query (estimate → classify → convolve the
-// error distribution) — the rd_convolve stage in isolation.
-func BenchmarkRDConvolve(b *testing.B) {
-	env := benchEnv(b)
+// rdConvolveBody derives every database's relevancy distribution for a
+// fresh query (estimate → classify → convolve the error distribution).
+func rdConvolveBody(tb testing.TB) func() {
+	env := benchEnv(tb)
 	q := env.Test[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if sel := env.Model.NewSelection(q.String(), q.NumTerms(), core.Absolute, 3); sel == nil {
-			b.Fatal("nil selection")
+			tb.Fatal("nil selection")
 		}
 	}
 }
 
-// BenchmarkNewSelection measures building the per-query state through
-// a ModelVersion's precomputed RD table into a recycled shell — the
-// table-lookup serving path that replaced per-query RD derivation.
-// BenchmarkRDConvolve above is kept unchanged as the from-scratch
-// comparator: the gap between the two is what precomputation buys.
-func BenchmarkNewSelection(b *testing.B) {
-	env := benchEnv(b)
+// newSelectionBody builds the per-query state through a ModelVersion's
+// precomputed RD table into a recycled shell, cycling over the test
+// queries.
+func newSelectionBody(tb testing.TB) func() {
+	env := benchEnv(tb)
 	ver := core.NewModelVersion(env.Model, "bench", time.Now())
 	qs := env.Test
 	sel := &core.Selection{}
-	for i := 0; i < 3; i++ {
+	i := 0
+	run := func() {
 		q := qs[i%len(qs)]
-		ver.FillSelection(sel, q.String(), q.NumTerms(), core.Absolute, 3)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
+		i++
 		if ver.FillSelection(sel, q.String(), q.NumTerms(), core.Absolute, 3) == nil {
-			b.Fatal("nil selection")
+			tb.Fatal("nil selection")
+		}
+	}
+	for w := 0; w < 3; w++ {
+		run()
+	}
+	return run
+}
+
+// BenchmarkObserveProbe measures the per-probe cost of online
+// refinement.
+func BenchmarkObserveProbe(b *testing.B) { runHotPath(b, observeProbeBody) }
+
+// BenchmarkRDConvolve measures the rd_convolve stage in isolation,
+// derived from scratch.
+func BenchmarkRDConvolve(b *testing.B) { runHotPath(b, rdConvolveBody) }
+
+// BenchmarkNewSelection measures the table-lookup serving path that
+// replaced per-query RD derivation. BenchmarkRDConvolve is kept as the
+// from-scratch comparator: the gap between the two is what
+// precomputation buys.
+func BenchmarkNewSelection(b *testing.B) { runHotPath(b, newSelectionBody) }
+
+// TestHotPathAllocCaps holds the hot paths' heap objects per operation,
+// measured on the benchmarks' own bodies. Each cap is ×1.10 + 2 over
+// the count at the commit that last moved it (488, 9, 417 and 11
+// allocs/op), except the steady-state serving path, which stays at ≤ 2
+// absolute. Object counts are the machine-independent gate; time is
+// held by the pipeline's bounds on benchmark/.
+func TestHotPathAllocCaps(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body func(testing.TB) func()
+		max  float64
+	}{
+		{"AProSelect", aproSelectBody, 488*1.10 + 2},
+		{"AProSelectSteady", aproSelectSteadyBody, 2},
+		{"ObserveProbe", observeProbeBody, 9*1.10 + 2},
+		{"RDConvolve", rdConvolveBody, 417*1.10 + 2},
+		{"NewSelection", newSelectionBody, 11*1.10 + 2},
+	} {
+		got := testing.AllocsPerRun(100, c.body(t))
+		t.Logf("%s: %.0f allocs/op (cap %.1f)", c.name, got, c.max)
+		if got > c.max {
+			t.Errorf("%s allocates %.0f objects per op, cap %.1f", c.name, got, c.max)
 		}
 	}
 }

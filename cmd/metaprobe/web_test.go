@@ -271,7 +271,6 @@ func TestWebUIEndToEnd(t *testing.T) {
 		`mp_prof_captures_total{kind="heap"}`,
 		`mp_selection_stage_seconds{stage="rd_convolve"`,
 		`mp_selection_stage_seconds{stage="ecor_dp"`,
-		`mp_selection_stage_allocs{stage="rd_convolve"`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -1,6 +1,7 @@
 package metaprobe
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -164,6 +165,49 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, "mp_ed_drift_tests_total") {
 		t.Error("metrics output lacks mp_ed_drift_tests_total")
+	}
+}
+
+// TestOnDriftMaySaveModel: a drift alert is delivered with the writers'
+// lock released, so the callback can do what Config.OnDrift's doc says
+// callers do — here persist the model, which takes that lock. (With the
+// alert raised under modelMu this test never returned.)
+func TestOnDriftMaySaveModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.json")
+	var (
+		ms      *Metasearcher
+		queries []string
+		saves   int
+		saveErr error
+	)
+	cfg := &Config{
+		// Alpha 1 fails every KS test whose p-value is below 1, so the
+		// first full window alerts without any drift being injected.
+		Drift: &DriftConfig{WindowSize: 4, MinSamples: 4, Interval: 1, Alpha: 1},
+		OnDrift: func(DriftAlert) {
+			saves++
+			if err := ms.SaveModel(path); err != nil {
+				saveErr = err
+			}
+		},
+	}
+	ms, queries = buildTestMetasearcherWith(t, cfg, nil)
+	for _, q := range queries {
+		if _, err := ms.SelectWithCertainty(q, 2, Absolute, 0.99, -1); err != nil {
+			t.Fatal(err)
+		}
+		if saves > 0 {
+			break
+		}
+	}
+	if saves == 0 {
+		t.Fatal("no drift alert fired; OnDrift was never exercised")
+	}
+	if saveErr != nil {
+		t.Fatalf("SaveModel from OnDrift: %v", saveErr)
+	}
+	if err := ms.ReloadModel(path); err != nil {
+		t.Fatalf("the snapshot OnDrift saved does not load: %v", err)
 	}
 }
 

@@ -348,7 +348,7 @@ func BenchmarkSelectParallel(b *testing.B) {
 
 // TestSteadyStateSelectionDoesNotAllocate: after warm-up, a full
 // Reuse + AProInto cycle over a template selection must stay within
-// the 2 allocs/op budget the CI bench gate enforces.
+// the 2 allocs/op budget TestHotPathAllocCaps holds the benchmark to.
 func TestSteadyStateSelectionDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 8

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"runtime/metrics"
-	"time"
-)
+import "time"
 
 // Hot-path stage names reported through a Selection's StageObserver.
 // They partition where a selection's compute goes, mirroring the
@@ -31,20 +28,10 @@ const (
 	StageProbe = "probe"
 )
 
-// StageObserver receives one completed hot-path stage: its name, the
-// wall time it took, and how many heap objects the process allocated
-// while it ran. Implementations must be cheap and must not retain kv
-// state per call; metaprobe binds an obs.StageRecorder here.
-//
-// Allocation counts come from one runtime/metrics read of
-// /gc/heap/allocs:objects at each stage boundary. The counter is
-// process-wide, so under concurrent selections a stage is charged
-// with allocations of whatever else ran during it — exact in
-// single-selection benchmarks, approximate attribution in concurrent
-// serving. That trade keeps the accounting dependency-free and
-// allocation-cheap; per-goroutine alloc counters do not exist in the
-// runtime's public API.
-type StageObserver func(stage string, seconds float64, allocObjects uint64)
+// StageObserver receives one completed hot-path stage: its name and
+// the wall time it took. Implementations must be cheap and must not
+// retain kv state per call; metaprobe binds an obs.StageRecorder here.
+type StageObserver func(stage string, seconds float64)
 
 // WithStageObserver attaches a stage observer and returns the
 // selection for chaining. A nil observer (the default) makes
@@ -58,26 +45,7 @@ func (s *Selection) WithStageObserver(obs StageObserver) *Selection {
 // StageMark is an open stage interval returned by BeginStage.
 type StageMark struct {
 	start  time.Time
-	allocs uint64
 	active bool
-}
-
-// allocsSample is the runtime/metrics key for cumulative heap object
-// allocations (stable since Go 1.16).
-const allocsSample = "/gc/heap/allocs:objects"
-
-// ReadHeapAllocs returns the process-wide cumulative heap allocation
-// count. One runtime/metrics.Read of a single sample — no
-// stop-the-world, unlike runtime.ReadMemStats. Exported so metaprobe
-// can charge the RD-convolution stage (which runs inside
-// NewSelection, before any observer can be attached) the same way.
-func ReadHeapAllocs() uint64 {
-	sample := [1]metrics.Sample{{Name: allocsSample}}
-	metrics.Read(sample[:])
-	if sample[0].Value.Kind() == metrics.KindUint64 {
-		return sample[0].Value.Uint64()
-	}
-	return 0
 }
 
 // BeginStage opens a stage interval. Zero cost (one nil check) when
@@ -86,7 +54,7 @@ func (s *Selection) BeginStage() StageMark {
 	if s.stageObs == nil {
 		return StageMark{}
 	}
-	return StageMark{start: time.Now(), allocs: ReadHeapAllocs(), active: true}
+	return StageMark{start: time.Now(), active: true}
 }
 
 // EndStage closes a stage interval opened by BeginStage and reports
@@ -95,5 +63,5 @@ func (s *Selection) EndStage(m StageMark, stage string) {
 	if !m.active || s.stageObs == nil {
 		return
 	}
-	s.stageObs(stage, time.Since(m.start).Seconds(), ReadHeapAllocs()-m.allocs)
+	s.stageObs(stage, time.Since(m.start).Seconds())
 }

@@ -98,10 +98,9 @@ type DriftStatus struct {
 type DriftDetector struct {
 	cfg DriftConfig
 
-	mu      sync.Mutex
-	keys    map[driftKey]*driftWindow
-	reg     *Registry
-	onAlert func(DriftAlert)
+	mu   sync.Mutex
+	keys map[driftKey]*driftWindow
+	reg  *Registry
 }
 
 // driftKey identifies one monitored stream.
@@ -148,20 +147,6 @@ func (d *DriftDetector) SetMetrics(reg *Registry) {
 	}
 }
 
-// SetOnAlert installs the callback invoked (synchronously, on the
-// probing goroutine) for every failed test. Callers that re-train or
-// re-probe in response should hop to their own goroutine and debounce:
-// a persistently drifted key re-alerts every Interval observations
-// until its reference is refreshed with SetReference.
-func (d *DriftDetector) SetOnAlert(fn func(DriftAlert)) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	d.onAlert = fn
-	d.mu.Unlock()
-}
-
 // SetReference registers (or refreshes) the trained reference sample
 // for one (database, query type) and resets that key's window and test
 // cadence. The sample is kept as given (sorted internally); see
@@ -185,16 +170,20 @@ func (d *DriftDetector) SetReference(db, queryType string, sample []float64) {
 // dropped. When the window has at least MinSamples observations and
 // Interval new ones arrived since the last test, the KS test runs
 // inline (probes are remote round trips; a sort of ≤ WindowSize floats
-// is noise next to one).
-func (d *DriftDetector) Observe(db, queryType string, v float64) {
+// is noise next to one). A failed test is returned as an alert (ok
+// true) for the caller to act on once it has released its own locks;
+// callers that re-train or re-probe in response should debounce, since
+// a persistently drifted key re-alerts every Interval observations
+// until its reference is refreshed with SetReference.
+func (d *DriftDetector) Observe(db, queryType string, v float64) (alert DriftAlert, ok bool) {
 	if d == nil {
-		return
+		return DriftAlert{}, false
 	}
 	d.mu.Lock()
-	w, ok := d.keys[driftKey{db, queryType}]
-	if !ok {
+	w, tracked := d.keys[driftKey{db, queryType}]
+	if !tracked {
 		d.mu.Unlock()
-		return
+		return DriftAlert{}, false
 	}
 	if len(w.buf) < d.cfg.WindowSize {
 		w.buf = append(w.buf, v)
@@ -206,23 +195,21 @@ func (d *DriftDetector) Observe(db, queryType string, v float64) {
 	w.sinceTest++
 	if len(w.buf) < d.cfg.MinSamples || w.sinceTest < d.cfg.Interval {
 		d.mu.Unlock()
-		return
+		return DriftAlert{}, false
 	}
-	// Time to test: snapshot the state needed, run the KS test while
-	// still holding the lock (cheap, keeps the bookkeeping atomic), and
-	// only release before the callback.
+	// Time to test: run the KS test while still holding the lock
+	// (cheap, keeps the bookkeeping atomic).
 	w.sinceTest = 0
 	w.tests++
 	res, err := stats.KolmogorovSmirnov(w.buf, w.ref)
 	if err != nil {
 		d.mu.Unlock()
-		return
+		return DriftAlert{}, false
 	}
 	w.lastStat, w.lastP = res.Statistic, res.PValue
-	reg, onAlert := d.reg, d.onAlert
-	drifted := res.PValue < d.cfg.Alpha
-	var alert DriftAlert
-	if drifted {
+	reg := d.reg
+	ok = res.PValue < d.cfg.Alpha
+	if ok {
 		w.alerts++
 		alert = DriftAlert{DB: db, QueryType: queryType, Statistic: res.Statistic, PValue: res.PValue, Samples: len(w.buf)}
 	}
@@ -233,13 +220,11 @@ func (d *DriftDetector) Observe(db, queryType string, v float64) {
 		reg.Counter("mp_ed_drift_tests_total", nil).Inc()
 		reg.Gauge("mp_ed_drift_statistic", lbl).Set(res.Statistic)
 		reg.Gauge("mp_ed_drift_pvalue", lbl).Set(res.PValue)
-		if drifted {
+		if ok {
 			reg.Counter("mp_ed_drift_alerts_total", Labels{"db": db}).Inc()
 		}
 	}
-	if drifted && onAlert != nil {
-		onAlert(alert)
-	}
+	return alert, ok
 }
 
 // Snapshot lists the state of every monitored key, sorted by (db,

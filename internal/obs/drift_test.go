@@ -22,7 +22,6 @@ func TestDriftNilDetectorIsNoop(t *testing.T) {
 	d.SetReference("db", "1-term/low", []float64{1, 2, 3})
 	d.Observe("db", "1-term/low", 1.5)
 	d.SetMetrics(NewRegistry())
-	d.SetOnAlert(func(DriftAlert) {})
 	if s := d.Snapshot(); len(s) != 0 {
 		t.Errorf("nil snapshot = %+v", s)
 	}
@@ -65,14 +64,15 @@ func repeat(vals []float64, n int) []float64 {
 func TestDriftTestCadenceAndNoFalseAlarm(t *testing.T) {
 	var alerts []DriftAlert
 	d := NewDriftDetector(DriftConfig{WindowSize: 8, MinSamples: 8, Interval: 4, Alpha: 0.01})
-	d.SetOnAlert(func(a DriftAlert) { alerts = append(alerts, a) })
 	ref := repeat([]float64{0.5, 1.5, 2.5}, 20)
 	d.SetReference("db", "1-term/low", ref)
 
 	// Fresh samples drawn from the same discrete support: no drift.
 	support := []float64{0.5, 1.5, 2.5}
 	for i := 0; i < 24; i++ {
-		d.Observe("db", "1-term/low", support[i%3])
+		if a, ok := d.Observe("db", "1-term/low", support[i%3]); ok {
+			alerts = append(alerts, a)
+		}
 	}
 	snap := d.Snapshot()
 	if len(snap) != 1 {
@@ -88,7 +88,7 @@ func TestDriftTestCadenceAndNoFalseAlarm(t *testing.T) {
 		t.Errorf("tests = %d, want 5 (window fill + every 4th observation)", s.Tests)
 	}
 	if s.Alerts != 0 || len(alerts) != 0 {
-		t.Errorf("same-distribution samples alerted: status=%+v callback=%+v", s, alerts)
+		t.Errorf("same-distribution samples alerted: status=%+v returned=%+v", s, alerts)
 	}
 	if s.LastPValue <= 0.01 {
 		t.Errorf("same-distribution p-value = %v, suspiciously low", s.LastPValue)
@@ -100,12 +100,13 @@ func TestDriftAlertOnShiftedDistribution(t *testing.T) {
 	reg := NewRegistry()
 	d := NewDriftDetector(DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 4, Alpha: 0.01})
 	d.SetMetrics(reg)
-	d.SetOnAlert(func(a DriftAlert) { alerts = append(alerts, a) })
 	d.SetReference("db", "2-term/low", repeat([]float64{0.5, 1.5}, 30))
 
 	// Every fresh error lands far above the reference support.
 	for i := 0; i < 16; i++ {
-		d.Observe("db", "2-term/low", 6.5)
+		if a, ok := d.Observe("db", "2-term/low", 6.5); ok {
+			alerts = append(alerts, a)
+		}
 	}
 	if len(alerts) == 0 {
 		t.Fatal("fully shifted window raised no alert")
@@ -148,10 +149,11 @@ func TestDriftAlertOnShiftedDistribution(t *testing.T) {
 func TestDriftSetReferenceResetsWindow(t *testing.T) {
 	var alerts []DriftAlert
 	d := NewDriftDetector(DriftConfig{WindowSize: 8, MinSamples: 8, Interval: 2, Alpha: 0.01})
-	d.SetOnAlert(func(a DriftAlert) { alerts = append(alerts, a) })
 	d.SetReference("db", "1-term/low", repeat([]float64{0.5}, 20))
 	for i := 0; i < 8; i++ {
-		d.Observe("db", "1-term/low", 9.5)
+		if a, ok := d.Observe("db", "1-term/low", 9.5); ok {
+			alerts = append(alerts, a)
+		}
 	}
 	if len(alerts) == 0 {
 		t.Fatal("shifted window raised no alert before retrain")
@@ -166,7 +168,9 @@ func TestDriftSetReferenceResetsWindow(t *testing.T) {
 		t.Fatalf("window not reset by SetReference: %+v", snap)
 	}
 	for i := 0; i < 8; i++ {
-		d.Observe("db", "1-term/low", 9.5)
+		if a, ok := d.Observe("db", "1-term/low", 9.5); ok {
+			alerts = append(alerts, a)
+		}
 	}
 	if len(alerts) != 0 {
 		t.Errorf("post-retrain samples matching the new reference alerted: %+v", alerts)

@@ -6,18 +6,16 @@ import (
 )
 
 // StageTotals accumulates one hot-path stage's contribution to a
-// selection: total wall time, total heap objects allocated while the
-// stage ran, and how many intervals were recorded.
+// selection: total wall time and how many intervals were recorded.
 type StageTotals struct {
 	Seconds float64 `json:"seconds"`
-	Allocs  uint64  `json:"allocs"`
 	Count   int64   `json:"count"`
 }
 
 // StageRecorder aggregates per-stage timings for one selection. Its
 // Observe method matches core.StageObserver, so metaprobe binds one
 // recorder per selection via Selection.WithStageObserver, then
-// flushes the totals into the mp_selection_stage_* histograms and the
+// flushes the totals into the mp_selection_stage_seconds histogram and the
 // root span's events when the selection ends. A mutex (not atomics)
 // keeps it simple: stages are recorded a handful of times per probe
 // step, far off any fast path.
@@ -33,7 +31,7 @@ func NewStageRecorder() *StageRecorder {
 
 // Observe records one stage interval (signature-compatible with
 // core.StageObserver). Safe on a nil recorder.
-func (r *StageRecorder) Observe(stage string, seconds float64, allocs uint64) {
+func (r *StageRecorder) Observe(stage string, seconds float64) {
 	if r == nil {
 		return
 	}
@@ -44,7 +42,6 @@ func (r *StageRecorder) Observe(stage string, seconds float64, allocs uint64) {
 		r.totals[stage] = t
 	}
 	t.Seconds += seconds
-	t.Allocs += allocs
 	t.Count++
 	r.mu.Unlock()
 }

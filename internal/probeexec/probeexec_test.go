@@ -337,6 +337,12 @@ func TestAProSpeculationCancelsLosers(t *testing.T) {
 	if cancelled == 0 {
 		t.Fatal("speculative loser was never cancelled")
 	}
+	// Two probes really were on the wire at once: every acquire observes
+	// the in-flight count including itself, so a sum above the count
+	// means one of them saw at least 2.
+	if h := reg.Histogram("mp_probe_inflight_at_acquire", nil); h.Sum() <= float64(h.Count()) {
+		t.Errorf("mp_probe_inflight_at_acquire: %d acquires summing to %v, none saw a second probe in flight", h.Count(), h.Sum())
+	}
 	// The losers stay healthy: round cancellation is neutral.
 	for i := 0; i < len(rds); i++ {
 		if i == winner {

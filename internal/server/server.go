@@ -98,7 +98,7 @@ type tenant struct {
 
 // Server is the multi-tenant selection service core. It is an
 // http.Handler factory (Handler) plus a direct API (Do) that the
-// bench harness and tests drive in-process.
+// benchmark's traced replay and tests drive in-process.
 type Server struct {
 	cfg  Config
 	adm  *admission

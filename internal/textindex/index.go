@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Index is an inverted index over a document collection. It supports
@@ -23,9 +24,13 @@ type Index struct {
 	tokenizer *Tokenizer
 	postings  map[string][]posting
 	docIDs    []string
-	docNorm   []float64 // tf·idf vector norms, computed lazily
-	docLen    []int     // number of terms per document
-	normDirty bool
+	docLen    []int // number of terms per document
+
+	// docNorm holds the tf·idf vector norms of the current build. The
+	// first Search after a change computes them, once, under normOnce
+	// however many readers arrive together; Add and AddTerms re-arm it.
+	docNorm  []float64
+	normOnce sync.Once
 }
 
 // posting records one (document, term frequency) pair. Documents are
@@ -64,7 +69,7 @@ func (ix *Index) Add(id, text string) int {
 	for term, tf := range counts {
 		ix.postings[term] = append(ix.postings[term], posting{doc: ord, tf: tf})
 	}
-	ix.normDirty = true
+	ix.normOnce = sync.Once{}
 	return int(ord)
 }
 
@@ -81,7 +86,7 @@ func (ix *Index) AddTerms(id string, terms []string) int {
 	for term, tf := range counts {
 		ix.postings[term] = append(ix.postings[term], posting{doc: ord, tf: tf})
 	}
-	ix.normDirty = true
+	ix.normOnce = sync.Once{}
 	return int(ord)
 }
 
@@ -294,25 +299,23 @@ func (ix *Index) Search(query string, k int) []Hit {
 	return hits
 }
 
-// ensureNorms (re)computes per-document tf vector norms. Norms use the
-// same log-tf damping as Search's accumulation so the cosine is
-// consistent.
+// ensureNorms computes per-document tf vector norms on the first call
+// after a build. Norms use the same log-tf damping as Search's
+// accumulation so the cosine is consistent.
 func (ix *Index) ensureNorms() {
-	if !ix.normDirty && ix.docNorm != nil {
-		return
-	}
-	norms := make([]float64, len(ix.docIDs))
-	for _, pl := range ix.postings {
-		for _, p := range pl {
-			w := 1 + math.Log(float64(p.tf))
-			norms[p.doc] += w * w
+	ix.normOnce.Do(func() {
+		norms := make([]float64, len(ix.docIDs))
+		for _, pl := range ix.postings {
+			for _, p := range pl {
+				w := 1 + math.Log(float64(p.tf))
+				norms[p.doc] += w * w
+			}
 		}
-	}
-	for i := range norms {
-		norms[i] = math.Sqrt(norms[i])
-	}
-	ix.docNorm = norms
-	ix.normDirty = false
+		for i := range norms {
+			norms[i] = math.Sqrt(norms[i])
+		}
+		ix.docNorm = norms
+	})
 }
 
 // Validate checks internal invariants (sorted posting lists, ordinals

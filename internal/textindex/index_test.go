@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +174,34 @@ func TestSearchAfterIncrementalAdd(t *testing.T) {
 	after := ix.Search("cancer", 10)
 	if len(after) != len(before)+1 {
 		t.Errorf("after add: %d hits, want %d", len(after), len(before)+1)
+	}
+}
+
+// TestFirstSearchConcurrent: an index is safe for concurrent readers
+// once building has finished, including the readers that arrive
+// together at the first Search, which computes the document norms.
+// Run with -race.
+func TestFirstSearchConcurrent(t *testing.T) {
+	want := newTestIndex().Search("breast cancer", 3)
+	ix := newTestIndex()
+	const readers = 8
+	start := make(chan struct{})
+	got := make([][]Hit, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = ix.Search("breast cancer", 3)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, hits := range got {
+		if fmt.Sprint(hits) != fmt.Sprint(want) {
+			t.Errorf("reader %d got %v, want %v", g, hits, want)
+		}
 	}
 }
 

@@ -131,7 +131,6 @@ func ReadIndex(r io.Reader, tok *Tokenizer) (*Index, error) {
 		}
 		ix.postings[term] = pl
 	}
-	ix.normDirty = true
 	return ix, nil
 }
 

@@ -212,8 +212,10 @@ type Config struct {
 	// OnDrift, when non-nil alongside Drift, is invoked synchronously
 	// on the probing goroutine for every failed drift test, so callers
 	// can schedule re-probing or re-training (the paper's adaptive loop
-	// closed online). Implementations should be fast and debounce: a
-	// persistently drifted key re-alerts every Drift.Interval probes.
+	// closed online). No metasearcher lock is held during the call, so
+	// it may use SaveModel, ReloadModel or Train. Implementations should
+	// be fast and debounce: a persistently drifted key re-alerts every
+	// Drift.Interval probes.
 	OnDrift func(DriftAlert)
 	// Refresh, when non-nil alongside Drift, closes the drift loop
 	// automatically: every drift alert is handed to a background
@@ -442,7 +444,6 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 	if c.Drift != nil {
 		m.drift = obs.NewDriftDetector(*c.Drift)
 		m.drift.SetMetrics(c.Metrics)
-		m.drift.SetOnAlert(m.onDriftAlert)
 	}
 	if c.Refresh != nil {
 		rc := *c.Refresh
@@ -651,26 +652,32 @@ func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float6
 	if !m.cfg.OnlineRefinement && m.drift == nil {
 		return nil
 	}
+	var (
+		alert   DriftAlert
+		drifted bool
+		err     error
+	)
 	m.modelMu.Lock()
-	defer m.modelMu.Unlock()
 	// Feedback lands on the current serving version, which may be newer
 	// than the version this selection was built from: fresh probe data
 	// belongs to whatever model serves next. Going through the version
 	// (rather than its model directly) rebuilds the RD rows over the
 	// refined EDs.
-	ver := m.version.Load()
-	if ver == nil {
-		return nil
-	}
-	if m.cfg.OnlineRefinement {
-		if err := ver.ObserveProbe(i, query, numTerms, v); err != nil {
-			return err
+	if ver := m.version.Load(); ver != nil {
+		if m.cfg.OnlineRefinement {
+			err = ver.ObserveProbe(i, query, numTerms, v)
+		}
+		if err == nil && m.drift != nil {
+			alert, drifted = m.observeDrift(ver.Model, i, query, numTerms, v)
 		}
 	}
-	if m.drift != nil {
-		m.observeDrift(ver.Model, i, query, numTerms, v)
+	m.modelMu.Unlock()
+	if drifted {
+		// Delivered outside modelMu: OnDrift is caller code that may
+		// save, reload or retrain the model, all of which take the lock.
+		m.onDriftAlert(alert)
 	}
-	return nil
+	return err
 }
 
 // SelectWithCertaintyContext runs the paper's APro algorithm: select k
@@ -813,18 +820,18 @@ func (m *Metasearcher) recordCost(numTerms int, sum *CostSummary) {
 // so the value is identical to what the selection was built with)
 // rather than read from the selection, which may already be recycled
 // when a losing hedge attempt delivers late.
-func (m *Metasearcher) observeDrift(model *core.Model, i int, query string, numTerms int, actual float64) {
+func (m *Metasearcher) observeDrift(model *core.Model, i int, query string, numTerms int, actual float64) (DriftAlert, bool) {
 	rhat := model.Rel.Estimate(model.Summaries.Summaries[i], query)
 	key := model.Cfg.Classifier.Classify(numTerms, rhat)
 	ed, ok := model.DBs[i].EDs[key]
 	if !ok {
-		return
+		return DriftAlert{}, false
 	}
 	v := actual
 	if key.Band != core.BandZero {
 		v = (actual - rhat) / rhat
 	}
-	m.drift.Observe(m.tb.DB(i).Name(), key.String(), ed.Quantize(v))
+	return m.drift.Observe(m.tb.DB(i).Name(), key.String(), ed.Quantize(v))
 }
 
 // registerSelectionMetrics pre-creates the selection-path series (with
@@ -842,7 +849,6 @@ func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) {
 	reg.Help("mp_selection_cost_cache_hits_total", "Probe searches answered from the result cache, by query term count.")
 	reg.Help("mp_selection_cost_wall_seconds", "Cumulative backend wall time per selection, by query term count.")
 	reg.Help("mp_selection_stage_seconds", "Per-selection wall time spent in one hot-path stage (rd_convolve, ecor_dp, rank, probe).")
-	reg.Help("mp_selection_stage_allocs", "Per-selection heap objects allocated while one hot-path stage ran (process-wide counter; exact only without concurrent selections).")
 	reg.Histogram("metaprobe_select_latency_seconds", nil)
 	reg.Histogram("metaprobe_selection_certainty", nil)
 	for _, reached := range []string{"true", "false"} {
@@ -1032,14 +1038,13 @@ func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.St
 		return nil, nil, fmt.Errorf("metaprobe: k=%d outside [1, %d]", k, m.tb.Len())
 	}
 	var stageStart time.Time
-	var stageAllocs uint64
 	if rec != nil {
-		stageStart, stageAllocs = time.Now(), core.ReadHeapAllocs()
+		stageStart = time.Now()
 	}
 	shell, _ := m.shells.Get().(*core.Selection) // nil when the pool is empty
 	sel := ver.FillSelection(shell, query, countTerms(query), metric, k)
 	if rec != nil {
-		rec.Observe(core.StageRDConvolve, time.Since(stageStart).Seconds(), core.ReadHeapAllocs()-stageAllocs)
+		rec.Observe(core.StageRDConvolve, time.Since(stageStart).Seconds())
 		sel.WithStageObserver(rec.Observe)
 	}
 	return sel.WithBestSetOptions(m.cfg.BestSet), ver, nil
@@ -1071,7 +1076,7 @@ func countTerms(q string) int {
 }
 
 // flushStages publishes one finished selection's stage totals: a
-// per-stage observation into the mp_selection_stage_* histograms and
+// per-stage observation into the mp_selection_stage_seconds histogram and
 // one "stage" event per stage on the root span (added before End, so
 // the events land in the recorded tree). A nil span is a no-op.
 func (m *Metasearcher) flushStages(rec *obs.StageRecorder, sp *span.Span) {
@@ -1080,14 +1085,11 @@ func (m *Metasearcher) flushStages(rec *obs.StageRecorder, sp *span.Span) {
 	for _, stage := range rec.Stages() {
 		t := totals[stage]
 		if reg != nil {
-			lbl := obs.Labels{"stage": stage}
-			reg.Histogram("mp_selection_stage_seconds", lbl).Observe(t.Seconds)
-			reg.Histogram("mp_selection_stage_allocs", lbl).Observe(float64(t.Allocs))
+			reg.Histogram("mp_selection_stage_seconds", obs.Labels{"stage": stage}).Observe(t.Seconds)
 		}
 		sp.AddRecord("stage",
 			"stage", stage,
 			"seconds", strconv.FormatFloat(t.Seconds, 'g', 6, 64),
-			"allocs", strconv.FormatUint(t.Allocs, 10),
 			"count", strconv.FormatInt(t.Count, 10))
 	}
 }

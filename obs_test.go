@@ -1,6 +1,8 @@
 package metaprobe
 
 import (
+	"context"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -8,7 +10,9 @@ import (
 	"time"
 
 	"metaprobe/internal/corpus"
+	"metaprobe/internal/hidden"
 	"metaprobe/internal/obs/ops/opstest"
+	"metaprobe/internal/obs/prof"
 	"metaprobe/internal/obs/span"
 )
 
@@ -289,4 +293,102 @@ func TestStepAndStageEventsSurviveEventCap(t *testing.T) {
 	if overCap == 0 {
 		t.Error("no selection put more than 64 events on its root span: the cap was never exercised")
 	}
+}
+
+// TestObservabilityOverheadOnProbeBoundSelections bounds what the
+// observability layers cost where selections are probe-bound, as they
+// are against remote databases: one trained model serves the same
+// workload behind backends that each add 20 ms per search, bare, then
+// with a bound span tracer (every selection records its full span
+// tree), then with the profile captor and the runtime sampler running —
+// at a 200 ms CPU window per second, a far harsher duty cycle than the
+// 30 s production default. The probe trajectories are identical, so
+// the injected delay is too, and each configuration's mean selection
+// latency must stay within 5 % of bare. Each mean is the best of its
+// rounds: interference from the rest of the machine only ever adds.
+func TestObservabilityOverheadOnProbeBoundSelections(t *testing.T) {
+	const (
+		delay  = 20 * time.Millisecond
+		budget = 0.05
+	)
+	trained, queries := buildTestMetasearcher(t)
+	queries = queries[:20]
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := trained.SaveModel(path); err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg *Config) *Metasearcher {
+		dbs := make([]Database, trained.tb.Len())
+		for i := range dbs {
+			dbs[i] = hidden.NewLatency(trained.tb.DB(i), delay)
+		}
+		cfg.Speculation = 2
+		ms, err := NewFromModel(dbs, path, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
+	}
+	probes := -1
+	round := func(ms *Metasearcher) time.Duration {
+		n := 0
+		start := time.Now()
+		for _, q := range queries {
+			res, err := ms.SelectWithCertaintyContext(context.Background(), q, 2, Absolute, 0.99, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += res.Probes
+		}
+		took := time.Since(start)
+		if probes < 0 {
+			probes = n
+		} else if n != probes {
+			t.Fatalf("a round spent %d probes, the first spent %d: the configurations are not comparable", n, probes)
+		}
+		return took
+	}
+	best := func(ms *Metasearcher, rounds int) time.Duration {
+		fastest := round(ms)
+		for i := 1; i < rounds; i++ {
+			if d := round(ms); d < fastest {
+				fastest = d
+			}
+		}
+		return fastest
+	}
+
+	bare := best(build(&Config{Metrics: NewMetrics()}), 2)
+	check := func(name string, got time.Duration) {
+		frac := float64(got-bare) / float64(bare)
+		t.Logf("%s: %v per selection against %v bare (%+.2f%%)", name, got/time.Duration(len(queries)), bare/time.Duration(len(queries)), 100*frac)
+		if frac > budget {
+			t.Errorf("%s adds %.1f%% to the mean selection latency, budget %.0f%%", name, 100*frac, 100*budget)
+		}
+	}
+
+	reg, spans := NewMetrics(), NewSpanTracer(0)
+	spans.Bind(reg)
+	check("span tracing", best(build(&Config{Metrics: reg, Spans: spans}), 2))
+	if spans.Recorded() == 0 {
+		t.Error("the traced configuration recorded no spans")
+	}
+
+	reg = NewMetrics()
+	captor, err := prof.New(prof.Config{Interval: time.Second, CPUDuration: 200 * time.Millisecond, Capacity: 16, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := prof.NewSampler(prof.SamplerConfig{Interval: 200 * time.Millisecond, Metrics: reg})
+	captor.Start(context.Background())
+	sampler.Start(context.Background())
+	// Three rounds, so the captor's first CPU window (1.0–1.2 s in)
+	// falls inside the measurement.
+	profiled := best(build(&Config{Metrics: reg}), 3)
+	captor.Stop()
+	sampler.Stop()
+	if reg.Counter("mp_prof_captures_total", map[string]string{"kind": prof.KindCPU}).Value() == 0 {
+		t.Error("the profiled configuration was measured without a single CPU capture")
+	}
+	check("continuous profiling", profiled)
 }

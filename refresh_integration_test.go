@@ -3,6 +3,7 @@ package metaprobe
 import (
 	"context"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/corpus"
+	"metaprobe/internal/eval"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/leakcheck"
 	"metaprobe/internal/queries"
@@ -25,6 +27,11 @@ import (
 // query type) keys within its budget, validates the retrained EDs on a
 // holdout, and hot-swaps a successor model — all while concurrent
 // selections keep running with zero failures (run under -race).
+//
+// It also states what the loop is for: plain RD selection over the
+// held-out workload, scored against the golden standard, loses
+// correctness when the model goes stale and gets it back from the
+// committed refreshes.
 func TestRefreshEndToEnd(t *testing.T) {
 	// The refresher spawns a background retraining goroutine per alert
 	// burst; none may outlive the metasearcher's Close.
@@ -108,6 +115,36 @@ func TestRefreshEndToEnd(t *testing.T) {
 		t.Fatalf("post-train ModelInfo = %+v", info)
 	}
 
+	// Correctness of plain RD selection (no probing, so the numbers
+	// isolate model quality) on the held-out workload, before the drift;
+	// and the trained snapshot, to serve stale over the drifted testbed.
+	const k = 2
+	scoreRD := func(ms *Metasearcher) eval.MethodScore {
+		t.Helper()
+		golden, err := eval.BuildGolden(tb, DocFrequencyRelevancy(), test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		score, err := eval.Score(golden, k, func(q queries.Query) ([]int, int, error) {
+			names, _, err := ms.Select(q.String(), k, Absolute)
+			set := make([]int, len(names))
+			for i, name := range names {
+				set[i] = tb.IndexOf(name)
+			}
+			sort.Ints(set)
+			return set, 0, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return score
+	}
+	preDrift := scoreRD(ms)
+	stalePath := filepath.Join(t.TempDir(), "stale.json")
+	if err := ms.SaveModel(stalePath); err != nil {
+		t.Fatal(err)
+	}
+
 	// Snapshot the trained model's ED pointers: with OnlineRefinement
 	// off, any pointer that differs afterwards was replaced by a refresh
 	// commit — and must belong to an alerted key.
@@ -119,10 +156,14 @@ func TestRefreshEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The drift: NeuroBase grows to ~10× its size with documents drawn
+	// The drift: OncoLink grows to ~10× its size with documents drawn
 	// from its own spec — same topic profile, ten times the volume — so
-	// every query's match count scales while the model serves stale.
-	const driftDB = "NeuroBase"
+	// every query's match count scales while the model serves stale. At
+	// 120 → 1 200 documents it overtakes NIH's 637 and enters the true
+	// top-2 of the oncology queries, so the staleness is visible to a
+	// selector (growing one of the 50-document databases is not: it
+	// changes too few answer sets to move Cor_p).
+	const driftDB = "OncoLink"
 	dbIdx := tb.IndexOf(driftDB)
 	if dbIdx < 0 {
 		t.Fatalf("testbed lost %s", driftDB)
@@ -147,6 +188,12 @@ func TestRefreshEndToEnd(t *testing.T) {
 		local.Index().AddTerms(d.ID, terms)
 		local.StoreText(d.ID, d.Text())
 	}
+
+	staleMs, err := NewFromModel(dbs, stalePath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := scoreRD(staleMs)
 
 	// Concurrent selections run throughout detection, retraining and the
 	// version swaps; every one of them must succeed (the swap is a
@@ -178,11 +225,11 @@ func TestRefreshEndToEnd(t *testing.T) {
 		}(g)
 	}
 
-	// Drive the workload over the drifted corpus until a refresh
-	// commits: probes fill the drift windows, alerts queue refreshes,
-	// and rolled-back attempts retry after the cooldown.
+	// Drive the workload over the drifted corpus until a refresh of the
+	// drifted database commits: probes fill the drift windows, alerts
+	// queue refreshes, and rolled-back attempts retry after the cooldown.
 	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) && ms.RefreshStats().Refreshes == 0 {
+	for time.Now().Before(deadline) && ms.ModelInfo().RefreshedAt[driftDB].IsZero() {
 		for _, q := range test {
 			if _, err := ms.SelectWithCertainty(q.String(), 2, Absolute, 0.99, -1); err != nil {
 				t.Fatal(err)
@@ -261,6 +308,22 @@ func TestRefreshEndToEnd(t *testing.T) {
 		if origED[driftDB+"|"+key.String()] != ed {
 			t.Errorf("refresh mutated the original model's ED %s", key)
 		}
+	}
+
+	// What the loop buys: staleness cost correctness against the
+	// post-drift golden standard, and the refreshed model recovers it.
+	refreshed := scoreRD(ms)
+	t.Logf("RD selection, k=%d, %d queries: pre-drift Cor_a %.3f Cor_p %.3f; stale %.3f %.3f; after %d refreshes %.3f %.3f",
+		k, preDrift.Queries, preDrift.AvgCorA, preDrift.AvgCorP, stale.AvgCorA, stale.AvgCorP,
+		st.Refreshes, refreshed.AvgCorA, refreshed.AvgCorP)
+	if stale.AvgCorP >= preDrift.AvgCorP {
+		t.Errorf("stale Cor_p %v did not drop below the pre-drift %v", stale.AvgCorP, preDrift.AvgCorP)
+	}
+	if refreshed.AvgCorP <= stale.AvgCorP {
+		t.Errorf("refreshed Cor_p %v did not recover above the stale %v", refreshed.AvgCorP, stale.AvgCorP)
+	}
+	if refreshed.AvgCorA < stale.AvgCorA {
+		t.Errorf("refreshed Cor_a %v fell below the stale %v", refreshed.AvgCorA, stale.AvgCorA)
 	}
 
 	// The refresh outcome counters surface in the exposition.
