@@ -255,6 +255,8 @@ type Selection struct {
 	unprobedStale bool
 	// work counts what the greedy sweeps cost; see RankWork.
 	work RankWork
+	// ahead counts the loop's lookaheads; see AheadWork.
+	ahead AheadWork
 }
 
 // RankWork counts what one selection's greedy ranking paid for — the
@@ -458,7 +460,7 @@ func (s *Selection) reset(query string, metric Metric, k, n int) {
 	}
 	s.hypDepth, s.hypVI = 0, -1
 	s.unprobedStale = true
-	s.work = RankWork{}
+	s.work, s.ahead = RankWork{}, AheadWork{}
 	s.invalidate()
 }
 
@@ -575,7 +577,7 @@ func (s *Selection) Reuse(src *Selection) {
 	}
 	s.hypDepth, s.hypVI = 0, -1
 	s.unprobedStale = true
-	s.work = RankWork{}
+	s.work, s.ahead = RankWork{}, AheadWork{}
 	s.invalidate()
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"time"
 
 	"metaprobe/internal/stats"
 )
@@ -176,6 +178,16 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 	}
 	defer p.Drain()
 	ranker, _ := policy.(Ranker)
+	// Thinking behind a probe takes a policy whose choice can be asked
+	// for on another state and a prober that probes in the background.
+	var over Overlapper
+	var la *lookahead
+	if ranker != nil {
+		if over, _ = p.(Overlapper); over != nil {
+			la = lookaheadPool.Get().(*lookahead)
+			defer la.release()
+		}
+	}
 	probes := 0 // successful ones, as out.Probes() counts them
 	for {
 		mark := s.BeginStage()
@@ -214,12 +226,15 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		var usefulness float64
 		var ranked []int
 		var err error
+		var rankTime time.Duration
 		mark = s.BeginStage()
 		if ranker != nil {
 			var us []float64
+			start := time.Now()
 			if ranked, us, err = ranker.Rank(s, t, p.Width()); err == nil {
 				head, usefulness = ranked[0], us[0]
 			}
+			rankTime = time.Since(start)
 		} else {
 			head, err = policy.Next(s, t)
 		}
@@ -240,10 +255,21 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 			p.Prefetch(ctx, ranked)
 		}
 
-		// The probe stage is the time the loop spends blocked on the
-		// probe it needs next; a prefetched probe has (partly) paid its
-		// latency already.
+		// The probe stage is the time the loop spends on the probe it
+		// needs next: blocked, or thinking ahead while it is in flight. A
+		// prefetched probe has (partly) paid its latency already.
 		mark = s.BeginStage()
+		if over != nil && budget >= 2 && over.Latency(head) > thinkRatio*(thinkFixed+rankTime) {
+			over.Start(ctx, head)
+			// Let the probe's goroutine reach the wire before this one
+			// takes the processor for the lookahead; without the yield the
+			// probe leaves late by about as much as the overlap saves.
+			runtime.Gosched()
+			if next, ok := la.certainNext(s, ranker, head, t, func() bool { return over.Answered(head) }); ok {
+				la.pair = [2]int{head, next}
+				p.Prefetch(ctx, la.pair[:])
+			}
+		}
 		v, err := p.Wait(ctx, head)
 		s.EndStage(mark, StageProbe)
 		if err != nil {

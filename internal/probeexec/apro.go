@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/obs/span"
@@ -18,13 +19,16 @@ type Result = core.Outcome
 
 // APro runs the adaptive probing loop (core.AProContext, paper Figure
 // 11) with every probe going through the executor — breaker, pool,
-// timeout, hedge — and, when Speculation > 1 and the policy is a
-// core.Ranker, with the next lower-ranked candidates probed in the
-// background. The loop still folds exactly the database the policy
-// picks each round, so the trajectory is the sequential one at any
-// Speculation level; a prefetched probe that is picked later has its
-// latency already (partly) paid, and those never picked are cancelled
-// when the selection finishes and counted as speculative waste.
+// timeout, hedge. With a core.Ranker policy two things may start a
+// probe before the loop asks for it: the loop's own lookahead, which
+// while one probe is in flight works out whether every outcome of it
+// leads to the same next database (core.Overlapper), and, when
+// Speculation > 1, the next lower-ranked candidates of each round. The
+// loop still folds exactly the database the policy picks each round, so
+// the trajectory is the sequential one either way; a prefetched probe
+// that is picked later has its latency already (partly) paid, and those
+// never picked are cancelled when the selection finishes and counted as
+// speculative waste.
 //
 // name maps a database index to the backend name used for breaker and
 // per-backend pool accounting. Probe failures and breaker rejections
@@ -43,16 +47,16 @@ func (e *Executor) APro(ctx context.Context, s *core.Selection, name func(i int)
 	return out, err
 }
 
-// prober is one selection's view of the executor: core.Prober over
-// Executor.Probe, plus the speculative prefetches in flight.
+// prober is one selection's view of the executor: core.Overlapper over
+// Executor.Probe, plus the background probes in flight.
 type prober struct {
 	e     *Executor
 	name  func(i int) string
 	probe ProbeFunc
 	sp    *span.Span // selection root (nil when tracing is off)
 
-	// Prefetches run under one context for the whole selection, so Drain
-	// stops them all; pending holds those not yet waited for.
+	// Background probes run under one context for the whole selection, so
+	// Drain stops them all; pending holds those not yet waited for.
 	specCtx context.Context
 	cancel  context.CancelFunc
 	pending map[int]chan probeResult
@@ -71,27 +75,46 @@ func (p *prober) run(ctx context.Context, i int) (float64, error) {
 // inline.
 func (p *prober) Width() int { return max(p.e.cfg.Speculation, 1) }
 
+// Latency implements core.Overlapper with the executor's reading for
+// database i's backend.
+func (p *prober) Latency(i int) time.Duration { return p.e.Latency(p.name(i)) }
+
+// Start implements core.Overlapper.
+func (p *prober) Start(ctx context.Context, i int) { p.start(ctx, i) }
+
+// start probes database i in the background, unless that is under way
+// already, and reports whether it started one. The answer is delivered
+// to a buffered channel, so Answered can ask for it without blocking.
+func (p *prober) start(ctx context.Context, i int) bool {
+	if _, ok := p.pending[i]; ok {
+		return false
+	}
+	if p.pending == nil {
+		p.specCtx, p.cancel = context.WithCancel(ctx)
+		p.pending = make(map[int]chan probeResult)
+	}
+	ch := make(chan probeResult, 1)
+	p.pending[i] = ch
+	go func() {
+		v, err := p.run(p.specCtx, i)
+		ch <- probeResult{v: v, err: err}
+	}()
+	return true
+}
+
+// Answered implements core.Overlapper.
+func (p *prober) Answered(i int) bool { return len(p.pending[i]) > 0 }
+
 // Prefetch starts the runners-up of the ranking in the background.
 func (p *prober) Prefetch(ctx context.Context, ranked []int) {
 	for _, i := range ranked[1:] {
-		if _, ok := p.pending[i]; ok {
-			continue
+		if p.start(ctx, i) {
+			p.sp.AddEvent("speculative_prefetch", "backend", p.name(i))
 		}
-		if p.pending == nil {
-			p.specCtx, p.cancel = context.WithCancel(ctx)
-			p.pending = make(map[int]chan probeResult)
-		}
-		ch := make(chan probeResult, 1)
-		p.pending[i] = ch
-		go func() {
-			v, err := p.run(p.specCtx, i)
-			ch <- probeResult{v: v, err: err}
-		}()
-		p.sp.AddEvent("speculative_prefetch", "backend", p.name(i))
 	}
 }
 
-// Wait collects database i's prefetched probe, or probes it now on the
+// Wait collects database i's background probe, or probes it now on the
 // caller's goroutine.
 func (p *prober) Wait(ctx context.Context, i int) (float64, error) {
 	var r probeResult
@@ -107,9 +130,9 @@ func (p *prober) Wait(ctx context.Context, i int) (float64, error) {
 	return r.v, r.err
 }
 
-// Drain cancels the prefetches the loop never picked and waits for
-// them, so every probe has returned — and its pool slot is released —
-// before APro does.
+// Drain cancels the background probes the loop never picked and waits
+// for them, so every probe has returned — and its pool slot is released
+// — before APro does.
 func (p *prober) Drain() {
 	if p.cancel == nil {
 		return

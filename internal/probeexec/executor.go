@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"metaprobe/internal/obs"
@@ -45,7 +46,7 @@ type Executor struct {
 	now  func() time.Time
 
 	mu       sync.Mutex
-	breakers map[string]*breaker
+	backends map[string]*backendState
 
 	hedges    *obs.Counter
 	hedgeWins *obs.Counter
@@ -62,7 +63,7 @@ func NewExecutor(cfg Config) *Executor {
 		cfg:       cfg,
 		pool:      newPool(cfg.Limits, reg),
 		now:       time.Now,
-		breakers:  make(map[string]*breaker),
+		backends:  make(map[string]*backendState),
 		hedges:    reg.Counter("mp_probe_hedges_total", nil),
 		hedgeWins: reg.Counter("mp_probe_hedge_wins_total", nil),
 		degraded:  reg.Counter("mp_selections_degraded_total", nil),
@@ -71,22 +72,43 @@ func NewExecutor(cfg Config) *Executor {
 	reg.Help("mp_probe_hedges_total", "Hedged (second) probe attempts launched after HedgeAfter.")
 	reg.Help("mp_probe_hedge_wins_total", "Probes whose hedged attempt answered before the original.")
 	reg.Help("mp_selections_degraded_total", "Selections completed with one or more backends excluded.")
-	reg.Help("mp_probes_speculative_cancelled_total", "Speculative probes cancelled because the round reached its threshold early.")
+	reg.Help("mp_probes_speculative_cancelled_total", "Probes started early — speculated runners-up, a lookahead's certain successor — and cancelled because the selection never asked for them.")
 	reg.Help("mp_breaker_state", "Circuit-breaker state per backend: 0 closed, 1 half-open, 2 open.")
 	return e
 }
 
-// breakerFor returns the breaker for name, creating it (and its state
-// gauge) on first use.
-func (e *Executor) breakerFor(name string) *breaker {
+// backendState is what the executor knows about one backend: its
+// circuit breaker and how long its probes have been taking.
+type backendState struct {
+	br *breaker
+	// latency is a running mean (weight 1/8 on the newest) of the wall
+	// time of the backend's successful probe calls, pool wait excluded,
+	// in nanoseconds; 0 until the first one. Concurrent probes may drop
+	// each other's sample, which a mean that is only ever compared with
+	// an order of magnitude does not notice.
+	latency atomic.Int64
+}
+
+func (b *backendState) observeLatency(d time.Duration) {
+	old := b.latency.Load()
+	if old == 0 {
+		b.latency.Store(int64(d))
+		return
+	}
+	b.latency.Store(old + (int64(d)-old)/8)
+}
+
+// backendFor returns the state for name, creating it (and the breaker's
+// state gauge) on first use.
+func (e *Executor) backendFor(name string) *backendState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	b, ok := e.breakers[name]
+	b, ok := e.backends[name]
 	if !ok {
-		b = newBreaker(e.cfg.Breaker, e.now)
-		e.breakers[name] = b
+		b = &backendState{br: newBreaker(e.cfg.Breaker, e.now)}
+		e.backends[name] = b
 		e.cfg.Metrics.GaugeFunc("mp_breaker_state", obs.Labels{"backend": name}, func() float64 {
-			return float64(b.State())
+			return float64(b.br.State())
 		})
 	}
 	return b
@@ -96,12 +118,24 @@ func (e *Executor) breakerFor(name string) *breaker {
 // (BreakerClosed for backends never probed).
 func (e *Executor) BreakerState(name string) BreakerState {
 	e.mu.Lock()
-	b := e.breakers[name]
+	b := e.backends[name]
 	e.mu.Unlock()
 	if b == nil {
 		return BreakerClosed
 	}
-	return b.State()
+	return b.br.State()
+}
+
+// Latency reports how long the named backend's successful probes have
+// recently taken (0 for a backend that has not answered one yet).
+func (e *Executor) Latency(name string) time.Duration {
+	e.mu.Lock()
+	b := e.backends[name]
+	e.mu.Unlock()
+	if b == nil {
+		return 0
+	}
+	return time.Duration(b.latency.Load())
 }
 
 // Inflight returns the number of probes currently in flight.
@@ -126,7 +160,8 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 	acct := obs.CostFromContext(ctx)
 	ctx, ps := span.Start(ctx, "probe")
 	ps.SetAttr("backend", name)
-	br := e.breakerFor(name)
+	be := e.backendFor(name)
+	br := be.br
 	stateBefore := br.State()
 	if !br.Allow() {
 		err := fmt.Errorf("probeexec: %s: %w", name, ErrBreakerOpen)
@@ -170,8 +205,15 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 				results <- attemptResult{err: err, hedge: hedge}
 				return
 			}
-			defer release()
+			called := time.Now()
 			v, err := fn(actx)
+			if err == nil {
+				be.observeLatency(time.Since(called))
+			}
+			// The slot goes back before the answer goes out: whoever
+			// receives it — Probe's caller, a selection's Drain — may count
+			// on the pool no longer holding anything for this attempt.
+			release()
 			acct.AddProbe(name, time.Since(start), err != nil)
 			as.EndErr(err)
 			results <- attemptResult{v: v, err: err, hedge: hedge}

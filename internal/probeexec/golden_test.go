@@ -11,18 +11,24 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"metaprobe/internal/core"
+	"metaprobe/internal/leakcheck"
+	"metaprobe/internal/obs"
 )
 
 // The golden trajectories pin Figure 11's loop across refactors: the
 // fixture was recorded with core.APro before the sequential and the
 // executor loops were merged, and every way of running the loop — the
-// inline prober, and the executor's prober at Speculation 1, 2 and 4 —
-// must reproduce it bit for bit (probe order, each step's usefulness and
-// certainty-after, the final set). Speculation only prefetches; it never
-// changes which probe folds next, so all four share one trajectory.
+// inline prober, the executor's prober at Speculation 1, 2 and 4, and
+// the same prober with a lookahead offered at every step — must
+// reproduce it bit for bit (probe order, each step's usefulness and
+// certainty-after, the final set). Speculation and the lookahead only
+// start probes early; neither changes which probe folds next, so all of
+// them share one trajectory.
 //
 // Regenerate (only when the algorithm is meant to change) with
 //
@@ -143,6 +149,7 @@ func recordGolden(t *testing.T) {
 }
 
 func TestGoldenTrajectories(t *testing.T) {
+	leakcheck.Check(t)
 	if *updateGolden {
 		recordGolden(t)
 	}
@@ -166,11 +173,21 @@ func TestGoldenTrajectories(t *testing.T) {
 		}
 		return math.Abs(got-w) <= 1e-9
 	}
-	name := func(i int) string { return "db" + strconv.Itoa(i) }
-	execs := map[string]*Executor{
-		"speculation=1": NewExecutor(Config{Speculation: 1}),
-		"speculation=2": NewExecutor(Config{Speculation: 2}),
-		"speculation=4": NewExecutor(Config{Speculation: 4}),
+	// A thinking leg's backends read an hour away and really take a
+	// moment, so every step that may think does and most thoughts finish.
+	type leg struct {
+		e              *Executor
+		thinks         bool
+		started, steps atomic.Int64
+		ahead          core.AheadWork
+	}
+	legs := map[string]*leg{
+		"speculation=1": {e: NewExecutor(Config{Speculation: 1})},
+		"speculation=2": {e: NewExecutor(Config{Speculation: 2})},
+		"speculation=4": {e: NewExecutor(Config{Speculation: 4})},
+	}
+	for _, width := range []int{1, 2} {
+		legs["thinking, speculation="+strconv.Itoa(width)] = &leg{e: NewExecutor(Config{Speculation: width, Metrics: obs.NewRegistry()}), thinks: true}
 	}
 	runs := 0
 	for _, c := range cases {
@@ -205,11 +222,52 @@ func TestGoldenTrajectories(t *testing.T) {
 			out, err := core.APro(core.NewSelectionFromRDs(rds, metric, want.K),
 				func(i int) (float64, error) { return c.Truth[i], nil }, &core.Greedy{}, want.T, -1)
 			check("inline", out, err)
-			for via, e := range execs {
-				out, err := e.APro(context.Background(), core.NewSelectionFromRDs(rds, metric, want.K), name,
-					func(_ context.Context, i int) (float64, error) { return c.Truth[i], nil }, &core.Greedy{}, want.T, -1)
+			for via, l := range legs {
+				sel := core.NewSelectionFromRDs(rds, metric, want.K)
+				probe := func(_ context.Context, i int) (float64, error) { return c.Truth[i], nil }
+				if l.thinks {
+					l.e.farAway(len(rds))
+					probe = func(_ context.Context, i int) (float64, error) {
+						l.started.Add(1)
+						// Yielding, not sleeping: a timer would round this up
+						// to a millisecond, 12 000 times over.
+						for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
+							runtime.Gosched()
+						}
+						return c.Truth[i], nil
+					}
+				}
+				out, err := l.e.APro(context.Background(), sel, dbName, probe, &core.Greedy{}, want.T, -1)
 				check(via, out, err)
+				ahead := sel.Ahead()
+				l.steps.Add(int64(len(out.Steps)))
+				l.ahead.Certain += ahead.Certain
+				l.ahead.Disagreed += ahead.Disagreed
+				l.ahead.Stops += ahead.Stops
+				l.ahead.Abandoned += ahead.Abandoned
 			}
+		}
+	}
+	for via, l := range legs {
+		if !l.thinks {
+			continue
+		}
+		// A probe that reached its backend and was never folded was
+		// cancelled by Drain and counted (so were those cancelled before
+		// they got that far). With on-support truths a certain successor is
+		// always the next head, so at Speculation 1 there are none.
+		orphans := l.started.Load() - l.steps.Load()
+		cancelled := l.e.cfg.Metrics.Counter("mp_probes_speculative_cancelled_total", nil).Value()
+		t.Logf("%s: %d steps, lookaheads %+v, %d probes reached a backend and were never picked, %d cancelled",
+			via, l.steps.Load(), l.ahead, orphans, cancelled)
+		if cancelled < orphans || (l.e.cfg.Speculation == 1 && cancelled != 0) {
+			t.Errorf("%s: %d probes never picked, mp_probes_speculative_cancelled_total = %d", via, orphans, cancelled)
+		}
+		if l.ahead.Certain == 0 {
+			t.Errorf("%s: no lookahead ever found a certain successor: %+v", via, l.ahead)
+		}
+		if got := l.e.Inflight(); got != 0 {
+			t.Errorf("%s: %d probes in flight after the last selection", via, got)
 		}
 	}
 	if len(cases) < 202 || runs < 3600 {

@@ -1,0 +1,184 @@
+package probeexec
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"metaprobe/internal/core"
+	"metaprobe/internal/leakcheck"
+	"metaprobe/internal/obs"
+)
+
+func dbName(i int) string { return "db" + strconv.Itoa(i) }
+
+// farAway sets the latency reading of backends db0..db(n-1) to an hour:
+// slower than any rank, so the loop offers a lookahead at every step
+// that has the budget for one.
+func (e *Executor) farAway(n int) {
+	for i := 0; i < n; i++ {
+		e.backendFor(dbName(i)).latency.Store(int64(time.Hour))
+	}
+}
+
+// orphanRDs is a state whose first lookahead is certain and wrong once
+// the head fails. At k = 1 greedy probes db0 first (usefulness 0.8
+// against db1's 0.7); whichever of 60 and 100 it returns, nothing
+// reaches 0.95 and db1 is the only probe that can, so db1 is started
+// early. A failed db0 collapses to 0 — below its whole support — where
+// db1 wins outright and is never asked for.
+func orphanRDs() []*core.RD {
+	return []*core.RD{
+		core.MustRD([]float64{60, 100}, []float64{5, 5}),
+		core.MustRD([]float64{50, 70, 90, 110}, []float64{2, 3, 3, 2}),
+		core.MustRD([]float64{10, 20}, []float64{5, 5}),
+	}
+}
+
+// TestLatencyReading: the reading follows successful probe calls, leaves
+// failures and the pool wait out, and is zero for a backend never heard
+// from.
+func TestLatencyReading(t *testing.T) {
+	leakcheck.Check(t)
+	e := NewExecutor(Config{})
+	if got := e.Latency("db"); got != 0 {
+		t.Fatalf("latency of an unknown backend = %v", got)
+	}
+	slow := func(context.Context) (float64, error) { time.Sleep(5 * time.Millisecond); return 1, nil }
+	if _, err := e.Probe(context.Background(), "db", slow); err != nil {
+		t.Fatal(err)
+	}
+	first := e.Latency("db")
+	if first < 5*time.Millisecond || first > time.Second {
+		t.Fatalf("latency after one 5 ms probe = %v", first)
+	}
+	if _, err := e.Probe(context.Background(), "db", func(context.Context) (float64, error) { return 0, errors.New("down") }); err == nil {
+		t.Fatal("failing probe succeeded")
+	}
+	if got := e.Latency("db"); got != first {
+		t.Fatalf("a failed probe moved the reading: %v → %v", first, got)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := e.Probe(context.Background(), "db", func(context.Context) (float64, error) { return 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Latency("db"); got >= first/8 {
+		t.Fatalf("64 instant probes left the reading at %v (from %v)", got, first)
+	}
+}
+
+// TestLookaheadFailedHeadDrainsOrphan: the head fails after the
+// lookahead has started its certain successor. The failed-probe rule
+// applies as it does inline, the successor is never waited for, and
+// Drain cancels it: one speculative cancellation, a neutral breaker,
+// nothing left in flight.
+func TestLookaheadFailedHeadDrainsOrphan(t *testing.T) {
+	leakcheck.Check(t)
+	down := errors.New("backend down")
+	want, err := core.APro(core.NewSelectionFromRDs(orphanRDs(), core.Absolute, 1), func(i int) (float64, error) {
+		if i == 0 {
+			return 0, down
+		}
+		t.Errorf("inline run probed db%d", i)
+		return 0, nil
+	}, core.Greedy{}, 0.95, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	e := NewExecutor(Config{Metrics: reg})
+	e.farAway(3)
+	successorStarted := make(chan struct{})
+	probe := func(ctx context.Context, i int) (float64, error) {
+		switch i {
+		case 0:
+			// Fail only once the successor is on the wire.
+			select {
+			case <-successorStarted:
+			case <-time.After(10 * time.Second):
+				t.Error("the lookahead never started db1")
+			}
+			return 0, down
+		case 1:
+			close(successorStarted)
+			<-ctx.Done()
+			return 0, ctx.Err()
+		}
+		t.Errorf("probed db%d", i)
+		return 0, nil
+	}
+	sel := core.NewSelectionFromRDs(orphanRDs(), core.Absolute, 1)
+	got, err := e.APro(context.Background(), sel, dbName, probe, core.Greedy{}, 0.95, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Degraded || !got.Reached || !reflect.DeepEqual(got.Set, []int{1}) || !reflect.DeepEqual(got.Excluded, []int{0}) ||
+		len(got.Steps) != 1 || !errors.Is(got.Steps[0].Err, down) {
+		t.Fatalf("outcome %+v", got)
+	}
+	if !reflect.DeepEqual(got.Set, want.Set) || got.Certainty != want.Certainty || got.Reached != want.Reached ||
+		!reflect.DeepEqual(got.Excluded, want.Excluded) || got.Steps[0].Usefulness != want.Steps[0].Usefulness {
+		t.Fatalf("outcome %+v, inline %+v", got, want)
+	}
+	if ahead := sel.Ahead(); ahead.Certain != 1 || ahead.Disagreed+ahead.Stops+ahead.Abandoned != 0 {
+		t.Errorf("ahead = %+v, want one certain lookahead", ahead)
+	}
+	if got := reg.Counter("mp_probes_speculative_cancelled_total", nil).Value(); got != 1 {
+		t.Errorf("mp_probes_speculative_cancelled_total = %d, want 1", got)
+	}
+	if got := e.Inflight(); got != 0 {
+		t.Errorf("inflight after APro = %d", got)
+	}
+	if s := e.BreakerState(dbName(1)); s != BreakerClosed {
+		t.Errorf("cancelled successor moved db1's breaker to %v", s)
+	}
+}
+
+// cancelOnSecondRank walks away during the first rank of the lookahead
+// (the loop's own rank is the first).
+type cancelOnSecondRank struct {
+	core.Greedy
+	ranks  *int
+	cancel context.CancelFunc
+}
+
+func (p cancelOnSecondRank) Rank(s *core.Selection, t float64, m int) ([]int, []float64, error) {
+	if *p.ranks++; *p.ranks == 2 {
+		p.cancel()
+	}
+	return p.Greedy.Rank(s, t, m)
+}
+
+// TestLookaheadCancelledMidThought: the caller gives up while the loop
+// is thinking behind a probe. The selection is abandoned, whatever the
+// lookahead had started is drained, and no goroutine or slot outlives
+// it.
+func TestLookaheadCancelledMidThought(t *testing.T) {
+	leakcheck.Check(t)
+	e := NewExecutor(Config{})
+	e.farAway(3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ranks := 0
+	probe := func(c context.Context, i int) (float64, error) {
+		<-c.Done()
+		return 0, c.Err()
+	}
+	sel := core.NewSelectionFromRDs(orphanRDs(), core.Absolute, 1)
+	_, err := e.APro(ctx, sel, dbName, probe, cancelOnSecondRank{ranks: &ranks, cancel: cancel}, 0.95, -1)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "selection abandoned") {
+		t.Fatalf("err = %v, want selection abandoned by the caller", err)
+	}
+	if ranks < 2 {
+		t.Fatalf("%d ranks: the lookahead never ran", ranks)
+	}
+	if got := e.Inflight(); got != 0 {
+		t.Errorf("inflight after APro = %d", got)
+	}
+}

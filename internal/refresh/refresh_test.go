@@ -391,10 +391,10 @@ func TestAlertIntake(t *testing.T) {
 
 	r.Alert(a) // picked up by the worker, parked on Serving
 	<-blocking.entered
-	r.Alert(b)           // fills the queue
-	r.Alert(b)           // coalesced with the queued copy
-	r.Alert(c)           // queue full: dropped
-	r.Alert(a)           // a is mid-task (cooldown stamped): suppressed
+	r.Alert(b) // fills the queue
+	r.Alert(b) // coalesced with the queued copy
+	r.Alert(c) // queue full: dropped
+	r.Alert(a) // a is mid-task (cooldown stamped): suppressed
 
 	s := r.Stats()
 	if s.Queued != 2 || s.Coalesced != 1 || s.Dropped != 1 || s.Cooldown != 1 {

@@ -235,10 +235,12 @@ type Config struct {
 	ProbeConcurrency ProbeLimits
 	// Speculation is the number of policy candidates each adaptive-
 	// probing round has in flight: the one the loop waits for plus
-	// prefetched runners-up. 0 or 1 — the default — probes strictly one
-	// at a time; higher values keep the paper's probe sequence and
-	// certainty trajectory but trade extra probes for wall-clock latency
-	// on slow backends.
+	// prefetched runners-up. 0 or 1 — the default — starts a probe early
+	// only where the model proves it comes next whatever the one in
+	// flight returns (see core.Overlapper), which costs no extra probe;
+	// higher values keep the paper's probe sequence and certainty
+	// trajectory but trade extra probes for wall-clock latency on slow
+	// backends.
 	Speculation int
 	// HedgeAfter, when positive, launches a second attempt for any
 	// probe that has not answered after this delay; the
@@ -689,9 +691,11 @@ func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float6
 //
 // Probes run through the probe-execution engine under the configured
 // concurrency limits, circuit breakers and hedging
-// (Config.ProbeConcurrency, Breaker, HedgeAfter), and with
-// Config.Speculation > 1 the runners-up of each round are probed
-// speculatively. Cancelling ctx abandons the selection.
+// (Config.ProbeConcurrency, Breaker, HedgeAfter). Against backends much
+// slower than a rank the loop starts the next probe early whenever every
+// outcome of the one in flight picks it, and with Config.Speculation > 1
+// the runners-up of each round are probed speculatively as well.
+// Cancelling ctx abandons the selection.
 //
 // Failures degrade instead of erroring: a backend whose probe fails —
 // or whose breaker is open — is treated as serving nothing for this
@@ -895,6 +899,15 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 		sp.SetAttr("rank_skipped", strconv.Itoa(work.Skipped))
 		sp.SetAttr("rank_hypotheses", strconv.Itoa(work.Hypotheses))
 		sp.SetAttr("rank_sets", strconv.Itoa(work.Sets))
+		// What the loop thought out while probes were in flight (all zero
+		// where probes answer faster than a rank): how many lookaheads
+		// found the certain next probe, and why the others did not.
+		ahead := sel.Ahead()
+		sp.SetAttr("ahead_certain", strconv.Itoa(ahead.Certain))
+		sp.SetAttr("ahead_disagreed", strconv.Itoa(ahead.Disagreed))
+		sp.SetAttr("ahead_stops", strconv.Itoa(ahead.Stops))
+		sp.SetAttr("ahead_abandoned", strconv.Itoa(ahead.Abandoned))
+		sp.SetAttr("ahead_us", strconv.FormatInt(ahead.Time.Microseconds(), 10))
 	}
 	for _, step := range res.Steps {
 		name := m.dbName(step.DB)

@@ -2,10 +2,16 @@ package metaprobe
 
 import (
 	"context"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"metaprobe/internal/corpus"
+	"metaprobe/internal/hidden"
+	"metaprobe/internal/leakcheck"
 	"metaprobe/internal/obs/span"
 )
 
@@ -131,4 +137,91 @@ func TestSelectionSpanRankWork(t *testing.T) {
 	if res.TraceID != "" || strings.Contains(sb.String(), "rank_") {
 		t.Errorf("without a span sink the rank work left a record: trace %q, exposition\n%s", res.TraceID, sb.String())
 	}
+}
+
+// farDB answers from memory until far is set, and two milliseconds late
+// from then on, so training stays fast and serving is probe-bound.
+type farDB struct {
+	Database
+	far *atomic.Bool
+}
+
+func (d farDB) Search(query string, topK int) (hidden.Result, error) {
+	if d.far.Load() {
+		time.Sleep(2 * time.Millisecond)
+	}
+	return d.Database.Search(query, topK)
+}
+
+// TestSelectionSpanAheadWork: the root span says what the loop thought
+// out behind its probes. Over in-memory backends, which answer faster
+// than a rank, no lookahead ever starts and all five attributes read
+// zero; over backends milliseconds away lookaheads run, their time lies
+// inside the probe stage, and every answer and probe count is what the
+// in-memory run gave — the overlap buys no probe and changes no
+// selection.
+func TestSelectionSpanAheadWork(t *testing.T) {
+	leakcheck.Check(t)
+	aheadAttrs := []string{"ahead_certain", "ahead_disagreed", "ahead_stops", "ahead_abandoned", "ahead_us"}
+	var far atomic.Bool
+	tracer := NewSpanTracer(1024)
+	// All twenty databases: a rank over them costs what it does when
+	// serving, many times an in-memory search.
+	ms, queries := buildTestMetasearcherOn(t, corpus.HealthTestbed(0.01), &Config{Spans: tracer}, func(_ int, db Database) Database {
+		return farDB{Database: db, far: &far}
+	})
+	run := func(q string) (*SelectionResult, map[string]int, float64) {
+		t.Helper()
+		res, err := ms.SelectWithCertaintyContext(context.Background(), q, 3, Absolute, 0.9, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := tracer.Tree(res.TraceID)[0].Span
+		ahead := map[string]int{}
+		for _, name := range aheadAttrs {
+			v, err := strconv.Atoi(root.Attrs[name])
+			if err != nil {
+				t.Fatalf("root span attribute %s = %q: %v", name, root.Attrs[name], err)
+			}
+			ahead[name] = v
+		}
+		probeSec := 0.0
+		for _, ev := range root.Events {
+			if ev.Name == "stage" && ev.Attrs["stage"] == "probe" {
+				probeSec, _ = strconv.ParseFloat(ev.Attrs["seconds"], 64)
+			}
+		}
+		return res, ahead, probeSec
+	}
+
+	near := make([]*SelectionResult, len(queries))
+	for i, q := range queries {
+		res, ahead, _ := run(q)
+		near[i] = res
+		for name, v := range ahead {
+			if v != 0 {
+				t.Fatalf("%q over in-memory backends: %s = %d, want no lookahead at all", q, name, v)
+			}
+		}
+	}
+
+	far.Store(true)
+	total := map[string]int{}
+	for i, q := range queries {
+		res, ahead, probeSec := run(q)
+		if !reflect.DeepEqual(res.Databases, near[i].Databases) || res.Probes != near[i].Probes || res.Certainty != near[i].Certainty {
+			t.Fatalf("%q: far backends gave %v after %d probes (%v), in-memory ones %v after %d (%v)",
+				q, res.Databases, res.Probes, res.Certainty, near[i].Databases, near[i].Probes, near[i].Certainty)
+		}
+		if float64(ahead["ahead_us"])/1e6 > probeSec {
+			t.Errorf("%q: %d µs of lookahead in a probe stage of %.6f s", q, ahead["ahead_us"], probeSec)
+		}
+		for name, v := range ahead {
+			total[name] += v
+		}
+	}
+	if total["ahead_certain"] == 0 || total["ahead_us"] == 0 {
+		t.Errorf("no lookahead found a certain successor over %d probe-bound selections: %v", len(queries), total)
+	}
+	t.Logf("lookaheads over %d probe-bound selections: %v", len(queries), total)
 }
