@@ -101,7 +101,6 @@ func remoteQuery(args []string) {
 	trainN := fs.Int("train", 200, "training queries per term count")
 	sampleN := fs.Int("sample", 60, "sampling probes per database for summaries")
 	html := fs.Bool("html", true, "scrape HTML answer pages (false: JSON)")
-	spec := fs.Int("speculation", 1, "probes dispatched per adaptive-probing round")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline (0 = none)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
@@ -123,7 +122,7 @@ func remoteQuery(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	ms, err := metaprobe.New(dbs, sums, &metaprobe.Config{Speculation: *spec, ProbeTimeout: *probeTimeout})
+	ms, err := metaprobe.New(dbs, sums, &metaprobe.Config{ProbeTimeout: *probeTimeout})
 	if err != nil {
 		fatal(err)
 	}
@@ -157,7 +156,6 @@ func demo(args []string) {
 	seed := fs.Int64("seed", 2004, "random seed")
 	modelPath := fs.String("model", "", "model file: loaded when present, written after training otherwise")
 	trainLog := fs.String("trainlog", "", "file with training queries (one per line) instead of generated ones")
-	spec := fs.Int("speculation", 1, "probes dispatched per adaptive-probing round")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline (0 = none)")
 	fs.Parse(args)
 	query := "breast cancer"
@@ -176,7 +174,7 @@ func demo(args []string) {
 		dbs[i] = tb.DB(i)
 	}
 
-	cfg := &metaprobe.Config{Speculation: *spec, ProbeTimeout: *probeTimeout}
+	cfg := &metaprobe.Config{ProbeTimeout: *probeTimeout}
 
 	// A persisted model skips both summary building and training.
 	if *modelPath != "" {

@@ -1,0 +1,275 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httputil"
+	"net/url"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+	"time"
+
+	"metaprobe/internal/corpus"
+	"metaprobe/internal/obs/ops/opstest"
+	"metaprobe/internal/queries"
+	"metaprobe/internal/server"
+	"metaprobe/internal/stats"
+)
+
+// drillDrainTimeout is the -drain-timeout the daemon is booted with, and
+// so how long it may take to exit after SIGTERM.
+const drillDrainTimeout = 5 * time.Second
+
+// daemon is a metaprobed process built from this checkout.
+type daemon struct {
+	cmd  *exec.Cmd
+	base string // http://host:port, read off the "metaprobed serving" line
+	// exited is closed once the process is gone; waitErr is what Wait
+	// returned.
+	exited  chan struct{}
+	waitErr error
+
+	mu  sync.Mutex
+	log bytes.Buffer // everything the daemon wrote to stderr
+}
+
+func (d *daemon) stderr() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.log.String()
+}
+
+var servingAddr = regexp.MustCompile(`msg="metaprobed serving" addr=(\S+)`)
+
+// bootDaemon builds cmd/metaprobed, starts it on a free port and returns
+// once /readyz answers 200. The process is killed when the test ends,
+// however it ends.
+func bootDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "metaprobed")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	d := &daemon{cmd: exec.Command(bin, args...), exited: make(chan struct{})}
+	pipe, err := d.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	addr := make(chan string, 1)
+	go func() {
+		// Reads to EOF, so the daemon never blocks on a full pipe; Wait
+		// only after that, as os/exec asks.
+		sc := bufio.NewScanner(pipe)
+		for sc.Scan() {
+			d.mu.Lock()
+			d.log.Write(sc.Bytes())
+			d.log.WriteByte('\n')
+			d.mu.Unlock()
+			if m := servingAddr.FindSubmatch(sc.Bytes()); m != nil {
+				select {
+				case addr <- string(m[1]):
+				default:
+				}
+			}
+		}
+		d.waitErr = d.cmd.Wait()
+		close(d.exited)
+	}()
+	t.Cleanup(func() {
+		d.cmd.Process.Kill() // a no-op error once it has exited
+		select {
+		case <-d.exited:
+		case <-time.After(10 * time.Second):
+			t.Error("metaprobed did not die on SIGKILL")
+		}
+		if t.Failed() {
+			t.Logf("metaprobed stderr:\n%s", d.stderr())
+		}
+	})
+	select {
+	case a := <-addr:
+		d.base = "http://" + a
+	case <-d.exited:
+		t.Fatalf("metaprobed exited before serving: %v", d.waitErr)
+	case <-time.After(2 * time.Minute):
+		t.Fatal("metaprobed never logged its serving address")
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get(d.base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return d
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET /readyz never answered 200 (last error %v)", err)
+		}
+	}
+}
+
+// get fetches path and returns the body of a 200.
+func (d *daemon) get(t *testing.T, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(d.base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d %s (%v)", path, resp.StatusCode, body, err)
+	}
+	return body
+}
+
+// postSelect issues one POST /v1/select.
+func (d *daemon) postSelect(req server.SelectRequest) (server.SelectResponse, error) {
+	var out server.SelectResponse
+	body, err := json.Marshal(req)
+	if err != nil {
+		return out, err
+	}
+	resp, err := http.Post(d.base+"/v1/select", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		return out, fmt.Errorf("POST /v1/select %q = %d %s", req.Query, resp.StatusCode, msg)
+	}
+	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
+// TestDaemonDrill boots the real binary at CI scale and holds it to what
+// an idle daemon owes a burst of batched traffic: everything answered at
+// the full tier, identical concurrent requests coalesced, no shed
+// counter moved, every tenant trained, one request's record readable at
+// /debug/spans, and a clean exit on SIGTERM inside the drain timeout.
+func TestDaemonDrill(t *testing.T) {
+	d := bootDaemon(t, "-addr", "127.0.0.1:0", "-scale", "0.006", "-train", "80",
+		"-tenants", "default,ops", "-drain-timeout", drillDrainTimeout.String())
+
+	// The burst: 30 waves, each four concurrent identical requests — the
+	// coalescer's unit of mergeable work.
+	gen, err := queries.NewGenerator(corpus.HealthWorld(), queries.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload, err := gen.Pool(stats.NewRNG(2004).Fork(2), 15, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coalesced := 0
+	for _, q := range workload {
+		var wg sync.WaitGroup
+		var wave [4]server.SelectResponse
+		var errs [4]error
+		for r := range wave {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wave[r], errs[r] = d.postSelect(server.SelectRequest{Query: q.String(), K: 3, Threshold: 0.9})
+			}()
+		}
+		wg.Wait()
+		for r, resp := range wave {
+			if errs[r] != nil {
+				t.Fatal(errs[r])
+			}
+			if resp.Tier != "full" || resp.ShedReason != "" {
+				t.Errorf("%q served at tier %q (shed reason %q) by an idle daemon", q, resp.Tier, resp.ShedReason)
+			}
+			if resp.Coalesced {
+				coalesced++
+			}
+		}
+	}
+	t.Logf("%d of %d responses rode a shared run", coalesced, 4*len(workload))
+	if coalesced == 0 {
+		t.Errorf("none of %d responses rode a shared run", 4*len(workload))
+	}
+
+	// /metrics agrees: the coalescer merged, and nothing was shed.
+	merged := false
+	for _, line := range strings.Split(string(d.get(t, "/metrics")), "\n") {
+		if v, ok := strings.CutPrefix(line, `mp_batch_coalesced_total{tenant="default"} `); ok {
+			merged = v != "0"
+		}
+		if strings.HasPrefix(line, "mp_shed_total{") && !strings.HasSuffix(line, " 0") {
+			t.Errorf("shed at idle load: %s", line)
+		}
+	}
+	if !merged {
+		t.Error(`mp_batch_coalesced_total{tenant="default"} is absent or 0 after the burst`)
+	}
+
+	var models server.ModelsInfo
+	if err := json.Unmarshal(d.get(t, "/debug/model"), &models); err != nil {
+		t.Fatal(err)
+	}
+	if len(models.Tenants) != 2 || models.Skew.Untrained != 0 {
+		t.Errorf("/debug/model = %+v, want 2 tenants, none untrained", models)
+	}
+
+	// One request, one record: the response's traceId resolves at
+	// /debug/spans to a root "selection" span carrying what the model
+	// believed, what it chose and the probe trajectory. t = 1 on a query
+	// with several plausible databases forces at least one probe.
+	var one server.SelectResponse
+	if err := json.Unmarshal(d.get(t, "/v1/select?q=cancer+treatment&k=2&t=1"), &one); err != nil {
+		t.Fatal(err)
+	}
+	base, err := url.Parse(d.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, roots := opstest.ReadSelection(t, httputil.NewSingleHostReverseProxy(base), one.TraceID)
+	if len(roots) != 1 || roots[0].Name != "selection" {
+		t.Fatalf("trace %s has %d roots, want the selection span alone", one.TraceID, len(roots))
+	}
+	for _, key := range []string{"id", "estimates", "initial_certainty", "selected", "certainty"} {
+		if _, ok := sel.Attrs[key]; !ok {
+			t.Errorf("selection span lacks attribute %q: %v", key, sel.Attrs)
+		}
+	}
+	if len(sel.Databases) != 20 || !reflect.DeepEqual(sel.Selected, one.Databases) || len(sel.Selected) != 2 {
+		t.Errorf("record holds %d estimates and selected %v; the response selected %v", len(sel.Databases), sel.Selected, one.Databases)
+	}
+	if n := len(sel.Steps); n == 0 {
+		t.Errorf("t = 1 left no step event: %+v", sel.Events)
+	} else if got, want := sel.Steps[n-1].CertaintyAfter, opstest.Float(t, sel.Attrs, "certainty"); got != want {
+		t.Errorf("trajectory ends at %v, certainty attribute %v", got, want)
+	}
+
+	// The burst's racing dials left connections this client opened and
+	// never sent a request on; http.Server.Shutdown waits five seconds on
+	// such a connection before it calls it idle. Hang up first, as a
+	// client that is done does.
+	http.DefaultClient.CloseIdleConnections()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.exited:
+		if d.waitErr != nil {
+			t.Errorf("metaprobed after SIGTERM: %v", d.waitErr)
+		}
+	case <-time.After(drillDrainTimeout):
+		t.Errorf("metaprobed still running %v after SIGTERM", drillDrainTimeout)
+	}
+}

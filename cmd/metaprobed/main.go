@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -89,11 +90,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
+	// The bound address, not the flag: -addr 127.0.0.1:0 asks for a free
+	// port and this line is where a caller reads which one it got.
 	logger.Info("metaprobed serving",
-		"addr", *addr, "tenants", len(names),
+		"addr", ln.Addr().String(), "tenants", len(names),
 		"endpoints", "/v1/select /v1/tenants /debug/server /metrics /debug/spans /debug/model /debug/goroutines /debug/pprof /healthz /readyz")
 
 	select {

@@ -19,8 +19,8 @@ import (
 // support, and a backend may answer with a relevancy between two
 // support values; and a failed probe collapses to 0, which need not be
 // on the support at all. Either way the policy may pick another
-// database, and the one started early is cancelled by Drain like any
-// prefetch never waited for.
+// database, and the one started early is cancelled by Drain, never
+// waited for.
 type Overlapper interface {
 	Prober
 	// Latency is how long database i's probes have recently taken, or 0
@@ -82,8 +82,6 @@ func (s *Selection) Ahead() AheadWork { return s.ahead }
 // is folding probes into.
 type lookahead struct {
 	shell Selection
-	// pair is the ranking handed to Prefetch: the head and what follows.
-	pair [2]int
 }
 
 var lookaheadPool = sync.Pool{New: func() any { return new(lookahead) }}

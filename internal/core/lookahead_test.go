@@ -220,32 +220,39 @@ func TestCertainNextAbandonsWithinOneOutcome(t *testing.T) {
 }
 
 // scriptedOverlapper is an Overlapper over a truth table that records
-// what the loop asked of it. Its probes "take" latency and are never
-// answered early, so an offered lookahead always runs to its verdict.
+// what the loop asked of it: the heads it started, and as (head, next)
+// every probe started while a head was out. Its probes "take" latency
+// and are never answered early, so an offered lookahead always runs to
+// its verdict.
 type scriptedOverlapper struct {
-	truth      []float64
-	latency    time.Duration
-	started    []int
-	prefetched [][]int
+	truth   []float64
+	latency time.Duration
+	started []int
+	early   [][2]int
+	headOut bool
 }
 
-func (p *scriptedOverlapper) Width() int                     { return 1 }
-func (p *scriptedOverlapper) Latency(int) time.Duration      { return p.latency }
-func (p *scriptedOverlapper) Start(_ context.Context, i int) { p.started = append(p.started, i) }
-func (p *scriptedOverlapper) Answered(int) bool              { return false }
-func (p *scriptedOverlapper) Drain()                         {}
-func (p *scriptedOverlapper) Wait(_ context.Context, i int) (float64, error) {
-	return p.truth[i], nil
+func (p *scriptedOverlapper) Latency(int) time.Duration { return p.latency }
+func (p *scriptedOverlapper) Start(_ context.Context, i int) {
+	if p.headOut {
+		p.early = append(p.early, [2]int{p.started[len(p.started)-1], i})
+		return
+	}
+	p.headOut = true
+	p.started = append(p.started, i)
 }
-func (p *scriptedOverlapper) Prefetch(_ context.Context, ranked []int) {
-	p.prefetched = append(p.prefetched, append([]int(nil), ranked...))
+func (p *scriptedOverlapper) Answered(int) bool { return false }
+func (p *scriptedOverlapper) Drain()            {}
+func (p *scriptedOverlapper) Wait(_ context.Context, i int) (float64, error) {
+	p.headOut = false
+	return p.truth[i], nil
 }
 
 // TestAProLookaheadGate: the loop thinks behind a probe only when the
 // prober's latency dwarfs the step's rank, only with two probes of
 // budget left, and only for a Ranker; when it does, every certain
-// verdict is handed to Prefetch as (head, next) and the next step's head
-// is that next. The outcome is the inline one in every case.
+// verdict starts next's probe while head's is out and the next step's
+// head is that next. The outcome is the inline one in every case.
 func TestAProLookaheadGate(t *testing.T) {
 	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(23))
@@ -278,17 +285,17 @@ func TestAProLookaheadGate(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: outcome with lookahead %+v, inline %+v", trial, got, want)
 		}
-		if started := ahead.Certain + ahead.Disagreed + ahead.Stops + ahead.Abandoned; started != len(eager.started) || ahead.Abandoned != 0 || ahead.Certain != len(eager.prefetched) {
-			t.Fatalf("trial %d: %d heads started, %d prefetches, ahead %+v", trial, len(eager.started), len(eager.prefetched), ahead)
+		if started := ahead.Certain + ahead.Disagreed + ahead.Stops + ahead.Abandoned; started != len(eager.started) || ahead.Abandoned != 0 || ahead.Certain != len(eager.early) {
+			t.Fatalf("trial %d: %d heads started, %d early starts, ahead %+v", trial, len(eager.started), len(eager.early), ahead)
 		}
-		for _, pair := range eager.prefetched {
+		for _, pair := range eager.early {
 			// On-support truths: what was certain is what came next.
 			step := 0
 			for step < len(got.Steps) && got.Steps[step].DB != pair[0] {
 				step++
 			}
-			if len(pair) != 2 || step+1 >= len(got.Steps) || got.Steps[step+1].DB != pair[1] {
-				t.Fatalf("trial %d: prefetched %v, steps %+v", trial, pair, got.Steps)
+			if step+1 >= len(got.Steps) || got.Steps[step+1].DB != pair[1] {
+				t.Fatalf("trial %d: started early %v, steps %+v", trial, pair, got.Steps)
 			}
 		}
 		total.Certain += ahead.Certain
@@ -307,8 +314,8 @@ func TestAProLookaheadGate(t *testing.T) {
 			"no ranker":    {&scriptedOverlapper{truth: truth, latency: time.Hour}, ByEstimate{}, -1},
 		} {
 			_, ahead := run(c.p, c.policy, c.maxProbes)
-			if len(c.p.started) != 0 || len(c.p.prefetched) != 0 || ahead != (AheadWork{}) {
-				t.Fatalf("trial %d, %s: started %v, prefetched %v, ahead %+v", trial, name, c.p.started, c.p.prefetched, ahead)
+			if len(c.p.started) != 0 || len(c.p.early) != 0 || ahead != (AheadWork{}) {
+				t.Fatalf("trial %d, %s: started %v, early %v, ahead %+v", trial, name, c.p.started, c.p.early, ahead)
 			}
 		}
 	}

@@ -17,20 +17,10 @@ type ProbeFunc func(i int) (float64, error)
 
 // Prober is how the APro loop reaches the backends. The loop calls it
 // from one goroutine. ProbeFunc probers answer inline; the probe
-// executor's (internal/probeexec) adds pooling, circuit breakers,
-// hedging and speculative prefetch behind the same four calls.
+// executor's (internal/probeexec) adds pooling, circuit breakers and
+// hedging behind the same calls, and as an Overlapper probes in the
+// background.
 type Prober interface {
-	// Width is how much of a ranking the prober can use: the head it is
-	// asked to Wait for plus the runners-up it may start early. The loop
-	// asks a Ranker for that many candidates and no more, which lets the
-	// ranker skip candidates that provably cannot make the cut; zero or
-	// less asks for the full ranking.
-	Width() int
-	// Prefetch announces the policy's current ranking, at most Width
-	// long: ranked[0] is the database the loop waits on next, ranked[1:]
-	// the ones it would pick after it. A prober may start any of them
-	// early; it must not keep the slice.
-	Prefetch(ctx context.Context, ranked []int)
 	// Wait returns database i's relevancy, blocking until it is known.
 	Wait(ctx context.Context, i int) (float64, error)
 	// Drain cancels every probe that was started but never waited for,
@@ -41,8 +31,6 @@ type Prober interface {
 // inlineProber probes on the loop's goroutine, one database at a time.
 type inlineProber ProbeFunc
 
-func (inlineProber) Width() int                                       { return 1 }
-func (inlineProber) Prefetch(context.Context, []int)                  {}
 func (p inlineProber) Wait(_ context.Context, i int) (float64, error) { return p(i) }
 func (inlineProber) Drain()                                           {}
 
@@ -101,10 +89,11 @@ type Outcome struct {
 
 // Ranker is implemented by probe policies that can rank several probe
 // candidates at once, in the order Next would choose them on the
-// current state. The APro loop asks for as many as its Prober is wide
-// and hands the ranking over, so the prober may dispatch the runners-up
-// speculatively; policies without it are probed strictly one at a time.
-// Rank must return the same first element Next would return.
+// current state, and say how useful each is. The APro loop asks for the
+// first, and asks again on hypothetical next states when it thinks
+// ahead of a probe in flight (Overlapper); policies without it are
+// probed strictly one at a time. Rank must return the same first
+// element Next would return.
 type Ranker interface {
 	// Rank returns up to m unprobed candidate databases in decreasing
 	// expected-usefulness order along with each candidate's raw
@@ -219,19 +208,17 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 			return nil
 		}
 
-		// SelectDb. The head of a ranking is what Next would return; the
-		// tail is only ever prefetched, so the trajectory is the paper's
-		// sequential one whatever the prober does with it.
+		// SelectDb. The head of a ranking is what Next would return.
 		var head int
 		var usefulness float64
-		var ranked []int
 		var err error
 		var rankTime time.Duration
 		mark = s.BeginStage()
 		if ranker != nil {
+			var ranked []int
 			var us []float64
 			start := time.Now()
-			if ranked, us, err = ranker.Rank(s, t, p.Width()); err == nil {
+			if ranked, us, err = ranker.Rank(s, t, 1); err == nil {
 				head, usefulness = ranked[0], us[0]
 			}
 			rankTime = time.Since(start)
@@ -251,13 +238,10 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		if s.Probed(head) {
 			return fmt.Errorf("core: policy %s chose already-probed database %d", policy.Name(), head)
 		}
-		if ranked = ranked[:min(len(ranked), budget)]; len(ranked) > 1 {
-			p.Prefetch(ctx, ranked)
-		}
 
 		// The probe stage is the time the loop spends on the probe it
 		// needs next: blocked, or thinking ahead while it is in flight. A
-		// prefetched probe has (partly) paid its latency already.
+		// probe started early has (partly) paid its latency already.
 		mark = s.BeginStage()
 		if over != nil && budget >= 2 && over.Latency(head) > thinkRatio*(thinkFixed+rankTime) {
 			over.Start(ctx, head)
@@ -266,8 +250,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 			// probe leaves late by about as much as the overlap saves.
 			runtime.Gosched()
 			if next, ok := la.certainNext(s, ranker, head, t, func() bool { return over.Answered(head) }); ok {
-				la.pair = [2]int{head, next}
-				p.Prefetch(ctx, la.pair[:])
+				over.Start(ctx, next)
 			}
 		}
 		v, err := p.Wait(ctx, head)

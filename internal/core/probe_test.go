@@ -385,7 +385,8 @@ func TestGreedySkipsImpulses(t *testing.T) {
 func TestGreedyRankMatchesNext(t *testing.T) {
 	// Rank's head must equal Next on every reachable state, and the
 	// full ranking must be the order repeated Next calls would visit
-	// (the structural guarantee speculative probing relies on).
+	// (the structural guarantee the lookahead's Rank(·, t, 1) on a
+	// hypothetical state relies on).
 	rng := stats.NewRNG(91)
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + rng.Intn(4)

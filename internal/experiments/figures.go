@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -227,42 +226,29 @@ func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64
 		sel := env.Selection(g.Query, metric, k)
 		baseCor := cor(sel.BaselineSelect(), topk)
 
-		greedy := &core.Greedy{}
+		// One probe per call: each APro folds at most one and reports the
+		// best set after it. None folded — certainty 1, nothing left to
+		// probe, or nothing informative — and the curve is flat from here.
 		curve := make([]float64, maxProbes+1)
 		probe := env.Probe(g.Query.String())
-		for p := 0; p <= maxProbes; p++ {
-			set, _ := sel.Best()
-			curve[p] = cor(set, topk)
-			if p == maxProbes {
-				break
-			}
-			unprobed := sel.Unprobed()
-			if len(unprobed) == 0 {
-				for rest := p + 1; rest <= maxProbes; rest++ {
-					curve[rest] = curve[p]
-				}
-				break
-			}
-			i, err := greedy.Next(sel, 1)
-			if errors.Is(err, core.ErrNoInformativeProbe) {
-				// Every remaining unprobed RD is an impulse: further
-				// probes cannot move the selection, so the curve stays
-				// flat for the rest of the budget.
-				for rest := p + 1; rest <= maxProbes; rest++ {
-					curve[rest] = curve[p]
-				}
-				break
+		set, _ := sel.Best()
+		curve[0] = cor(set, topk)
+		for p := 1; p <= maxProbes; p++ {
+			out, err := core.APro(sel, probe, core.Greedy{}, 1, 1)
+			if err == nil && out.Degraded {
+				err = out.ProbeErrs[0] // the figure is over answered probes only
 			}
 			if err != nil {
 				add(func() { firstErr = err })
 				return
 			}
-			v, err := probe(i)
-			if err != nil {
-				add(func() { firstErr = err })
-				return
+			if len(out.Steps) == 0 {
+				for ; p <= maxProbes; p++ {
+					curve[p] = curve[p-1]
+				}
+				break
 			}
-			sel.ApplyProbe(i, v)
+			curve[p] = cor(out.Set, topk)
 		}
 		add(func() {
 			baselineSum += baseCor

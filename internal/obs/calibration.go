@@ -16,7 +16,7 @@ import (
 // Observe takes one (predicted certainty, realized correctness) pair;
 // realized correctness is 0/1 under the absolute metric and fractional
 // under the partial metric, computed from ground truth where available
-// (experiments, loadtest) or from live-probe outcomes. The accumulator
+// (experiments, the benchmark) or from live-probe outcomes. The accumulator
 // bins predictions over [0, 1] and exposes per-bin counts,
 // the Brier score and the expected-vs-observed gap — the online analog
 // of the offline E-CAL study.

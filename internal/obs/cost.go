@@ -7,7 +7,7 @@ import (
 )
 
 // CostAccount accumulates the probe cost of one selection: probes
-// issued (including hedges and cancelled speculation — everything that
+// issued (including hedges and cancelled early starts — everything that
 // consumed backend capacity), hedge outcomes, cache hits, bytes
 // fetched, and wall time per backend. The paper treats probing cost as
 // the budget the adaptive loop spends; this makes the *operational*

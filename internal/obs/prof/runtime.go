@@ -234,7 +234,7 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 
 // Snapshot returns the most recent sampled values by output series
 // name (histogram series appear as "name{q=0.99}"). Used by the web
-// UI panel and loadtest report. Safe on a nil sampler.
+// UI panel. Safe on a nil sampler.
 func (s *Sampler) Snapshot() map[string]float64 {
 	if s == nil {
 		return nil

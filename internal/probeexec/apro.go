@@ -19,16 +19,14 @@ type Result = core.Outcome
 
 // APro runs the adaptive probing loop (core.AProContext, paper Figure
 // 11) with every probe going through the executor — breaker, pool,
-// timeout, hedge. With a core.Ranker policy two things may start a
-// probe before the loop asks for it: the loop's own lookahead, which
-// while one probe is in flight works out whether every outcome of it
-// leads to the same next database (core.Overlapper), and, when
-// Speculation > 1, the next lower-ranked candidates of each round. The
-// loop still folds exactly the database the policy picks each round, so
-// the trajectory is the sequential one either way; a prefetched probe
-// that is picked later has its latency already (partly) paid, and those
-// never picked are cancelled when the selection finishes and counted as
-// speculative waste.
+// timeout, hedge. With a core.Ranker policy one thing may start a probe
+// before the loop asks for it: the loop's own lookahead, which while
+// one probe is in flight works out whether every outcome of it leads to
+// the same next database (core.Overlapper). The loop still folds exactly
+// the database the policy picks each round, so the trajectory is the
+// sequential one; a probe started early and picked later has its
+// latency already (partly) paid, and one never picked is cancelled when
+// the selection finishes and counted as speculative waste.
 //
 // name maps a database index to the backend name used for breaker and
 // per-backend pool accounting. Probe failures and breaker rejections
@@ -60,6 +58,9 @@ type prober struct {
 	specCtx context.Context
 	cancel  context.CancelFunc
 	pending map[int]chan probeResult
+	// headOut is set between the Start of the probe the loop waits on
+	// next and its Wait: a Start in that window is a successor's.
+	headOut bool
 }
 
 type probeResult struct {
@@ -71,23 +72,20 @@ func (p *prober) run(ctx context.Context, i int) (float64, error) {
 	return p.e.Probe(ctx, p.name(i), func(c context.Context) (float64, error) { return p.probe(c, i) })
 }
 
-// Width is Speculation probes counting the head, which Wait probes
-// inline.
-func (p *prober) Width() int { return max(p.e.cfg.Speculation, 1) }
-
 // Latency implements core.Overlapper with the executor's reading for
 // database i's backend.
 func (p *prober) Latency(i int) time.Duration { return p.e.Latency(p.name(i)) }
 
-// Start implements core.Overlapper.
-func (p *prober) Start(ctx context.Context, i int) { p.start(ctx, i) }
-
-// start probes database i in the background, unless that is under way
-// already, and reports whether it started one. The answer is delivered
+// Start implements core.Overlapper: it probes database i in the
+// background, unless that is under way already. The answer is delivered
 // to a buffered channel, so Answered can ask for it without blocking.
-func (p *prober) start(ctx context.Context, i int) bool {
+// The loop starts the probe it waits on next and then, at most, the one
+// it is certain to want after it; that second one is started early.
+func (p *prober) Start(ctx context.Context, i int) {
+	early := p.headOut
+	p.headOut = true
 	if _, ok := p.pending[i]; ok {
-		return false
+		return
 	}
 	if p.pending == nil {
 		p.specCtx, p.cancel = context.WithCancel(ctx)
@@ -99,24 +97,18 @@ func (p *prober) start(ctx context.Context, i int) bool {
 		v, err := p.run(p.specCtx, i)
 		ch <- probeResult{v: v, err: err}
 	}()
-	return true
+	if early {
+		p.sp.AddEvent("speculative_prefetch", "backend", p.name(i))
+	}
 }
 
 // Answered implements core.Overlapper.
 func (p *prober) Answered(i int) bool { return len(p.pending[i]) > 0 }
 
-// Prefetch starts the runners-up of the ranking in the background.
-func (p *prober) Prefetch(ctx context.Context, ranked []int) {
-	for _, i := range ranked[1:] {
-		if p.start(ctx, i) {
-			p.sp.AddEvent("speculative_prefetch", "backend", p.name(i))
-		}
-	}
-}
-
 // Wait collects database i's background probe, or probes it now on the
 // caller's goroutine.
 func (p *prober) Wait(ctx context.Context, i int) (float64, error) {
+	p.headOut = false
 	var r probeResult
 	if ch, ok := p.pending[i]; ok {
 		r = <-ch

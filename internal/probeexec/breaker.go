@@ -1,10 +1,10 @@
 // Package probeexec is the concurrent probe-execution engine: it owns
 // how live probes reach hidden databases — bounded worker pools,
-// per-backend circuit breakers, optional request hedging — and runs a
-// speculative variant of the paper's APro loop on top. With
-// speculation m=1 (the default) the engine reproduces the sequential
-// greedy algorithm exactly; m>1 trades extra probes for wall-clock
-// latency. Backend failures degrade the selection gracefully instead
+// per-backend circuit breakers, optional request hedging — and runs
+// the paper's APro loop on top. The engine reproduces the sequential
+// greedy algorithm exactly; a probe the loop proves comes next may leave
+// before the one in flight answers, and is still folded in the policy's
+// order. Backend failures degrade the selection gracefully instead
 // of failing it: broken databases are excluded and the result is
 // flagged Degraded.
 package probeexec
@@ -75,7 +75,7 @@ const (
 	probeSuccess probeOutcome = iota
 	probeFailure
 	// probeCancelled means the caller abandoned the probe (hedge loser,
-	// speculation cancelled, selection done). It says nothing about the
+	// early start never picked, selection done). It says nothing about the
 	// backend's health and must not move the breaker.
 	probeCancelled
 )
@@ -138,7 +138,7 @@ func (b *breaker) Allow() bool {
 
 // Record feeds one probe outcome back. Cancelled probes release the
 // trial slot without moving the state: a hedge loser or an abandoned
-// speculation is not evidence about the backend.
+// early start is not evidence about the backend.
 func (b *breaker) Record(o probeOutcome) {
 	if b.cfg.Disabled {
 		return

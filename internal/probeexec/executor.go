@@ -20,10 +20,6 @@ var ErrBreakerOpen = errors.New("probeexec: circuit breaker open")
 type Config struct {
 	// Limits bounds probe concurrency (see Limits).
 	Limits Limits
-	// Speculation is the number of policy candidates each APro round
-	// probes concurrently; 0 or 1 reproduces the paper's sequential
-	// greedy loop exactly.
-	Speculation int
 	// HedgeAfter, when positive, launches a second attempt for a probe
 	// that has not answered after this long; the first answer wins and
 	// the loser is cancelled. 0 disables hedging.
@@ -72,7 +68,7 @@ func NewExecutor(cfg Config) *Executor {
 	reg.Help("mp_probe_hedges_total", "Hedged (second) probe attempts launched after HedgeAfter.")
 	reg.Help("mp_probe_hedge_wins_total", "Probes whose hedged attempt answered before the original.")
 	reg.Help("mp_selections_degraded_total", "Selections completed with one or more backends excluded.")
-	reg.Help("mp_probes_speculative_cancelled_total", "Probes started early — speculated runners-up, a lookahead's certain successor — and cancelled because the selection never asked for them.")
+	reg.Help("mp_probes_speculative_cancelled_total", "Probes started early — a lookahead's certain successor — and cancelled because the selection never asked for them.")
 	reg.Help("mp_breaker_state", "Circuit-breaker state per backend: 0 closed, 1 half-open, 2 open.")
 	return e
 }

@@ -23,12 +23,11 @@ import (
 // The golden trajectories pin Figure 11's loop across refactors: the
 // fixture was recorded with core.APro before the sequential and the
 // executor loops were merged, and every way of running the loop — the
-// inline prober, the executor's prober at Speculation 1, 2 and 4, and
-// the same prober with a lookahead offered at every step — must
-// reproduce it bit for bit (probe order, each step's usefulness and
-// certainty-after, the final set). Speculation and the lookahead only
-// start probes early; neither changes which probe folds next, so all of
-// them share one trajectory.
+// inline prober, the executor's prober, and the same prober with a
+// lookahead offered at every step — must reproduce it bit for bit
+// (probe order, each step's usefulness and certainty-after, the final
+// set). The lookahead only starts probes early; it does not change
+// which probe folds next, so all of them share one trajectory.
 //
 // Regenerate (only when the algorithm is meant to change) with
 //
@@ -182,12 +181,8 @@ func TestGoldenTrajectories(t *testing.T) {
 		ahead          core.AheadWork
 	}
 	legs := map[string]*leg{
-		"speculation=1": {e: NewExecutor(Config{Speculation: 1})},
-		"speculation=2": {e: NewExecutor(Config{Speculation: 2})},
-		"speculation=4": {e: NewExecutor(Config{Speculation: 4})},
-	}
-	for _, width := range []int{1, 2} {
-		legs["thinking, speculation="+strconv.Itoa(width)] = &leg{e: NewExecutor(Config{Speculation: width, Metrics: obs.NewRegistry()}), thinks: true}
+		"executor":          {e: NewExecutor(Config{})},
+		"thinking executor": {e: NewExecutor(Config{Metrics: obs.NewRegistry()}), thinks: true},
 	}
 	runs := 0
 	for _, c := range cases {
@@ -255,12 +250,12 @@ func TestGoldenTrajectories(t *testing.T) {
 		// A probe that reached its backend and was never folded was
 		// cancelled by Drain and counted (so were those cancelled before
 		// they got that far). With on-support truths a certain successor is
-		// always the next head, so at Speculation 1 there are none.
+		// always the next head, so there are none.
 		orphans := l.started.Load() - l.steps.Load()
 		cancelled := l.e.cfg.Metrics.Counter("mp_probes_speculative_cancelled_total", nil).Value()
 		t.Logf("%s: %d steps, lookaheads %+v, %d probes reached a backend and were never picked, %d cancelled",
 			via, l.steps.Load(), l.ahead, orphans, cancelled)
-		if cancelled < orphans || (l.e.cfg.Speculation == 1 && cancelled != 0) {
+		if cancelled < orphans || cancelled != 0 {
 			t.Errorf("%s: %d probes never picked, mp_probes_speculative_cancelled_total = %d", via, orphans, cancelled)
 		}
 		if l.ahead.Certain == 0 {

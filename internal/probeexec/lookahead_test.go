@@ -72,25 +72,14 @@ func TestLatencyReading(t *testing.T) {
 	}
 }
 
-// TestLookaheadFailedHeadDrainsOrphan: the head fails after the
-// lookahead has started its certain successor. The failed-probe rule
-// applies as it does inline, the successor is never waited for, and
-// Drain cancels it: one speculative cancellation, a neutral breaker,
-// nothing left in flight.
-func TestLookaheadFailedHeadDrainsOrphan(t *testing.T) {
-	leakcheck.Check(t)
-	down := errors.New("backend down")
-	want, err := core.APro(core.NewSelectionFromRDs(orphanRDs(), core.Absolute, 1), func(i int) (float64, error) {
-		if i == 0 {
-			return 0, down
-		}
-		t.Errorf("inline run probed db%d", i)
-		return 0, nil
-	}, core.Greedy{}, 0.95, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// runOrphan runs orphanRDs at k = 1, t = 0.95 through an executor whose
+// backends read far away. db0 answers with head() only once the
+// lookahead has db1 on the wire, and db1 hangs until cancelled. However
+// db0 ends, db1 was started early, was never waited for, and Drain
+// cancelled it: one certain lookahead, one speculative cancellation, two
+// probes in flight at once, a neutral breaker, nothing left in flight.
+func runOrphan(t *testing.T, head func() (float64, error)) core.Outcome {
+	t.Helper()
 	reg := obs.NewRegistry()
 	e := NewExecutor(Config{Metrics: reg})
 	e.farAway(3)
@@ -98,13 +87,13 @@ func TestLookaheadFailedHeadDrainsOrphan(t *testing.T) {
 	probe := func(ctx context.Context, i int) (float64, error) {
 		switch i {
 		case 0:
-			// Fail only once the successor is on the wire.
+			// Answer only once the successor is on the wire.
 			select {
 			case <-successorStarted:
 			case <-time.After(10 * time.Second):
 				t.Error("the lookahead never started db1")
 			}
-			return 0, down
+			return head()
 		case 1:
 			close(successorStarted)
 			<-ctx.Done()
@@ -118,6 +107,43 @@ func TestLookaheadFailedHeadDrainsOrphan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ahead := sel.Ahead(); ahead.Certain != 1 || ahead.Disagreed+ahead.Stops+ahead.Abandoned != 0 {
+		t.Errorf("ahead = %+v, want one certain lookahead", ahead)
+	}
+	if got := reg.Counter("mp_probes_speculative_cancelled_total", nil).Value(); got != 1 {
+		t.Errorf("mp_probes_speculative_cancelled_total = %d, want 1", got)
+	}
+	// Every acquire observes the in-flight count including itself, so a
+	// sum above the count means one of them saw a second probe.
+	if h := reg.Histogram("mp_probe_inflight_at_acquire", nil); h.Sum() <= float64(h.Count()) {
+		t.Errorf("mp_probe_inflight_at_acquire: %d acquires summing to %v, none saw a second probe in flight", h.Count(), h.Sum())
+	}
+	if got := e.Inflight(); got != 0 {
+		t.Errorf("inflight after APro = %d", got)
+	}
+	if s := e.BreakerState(dbName(1)); s != BreakerClosed {
+		t.Errorf("cancelled successor moved db1's breaker to %v", s)
+	}
+	return got
+}
+
+// TestLookaheadFailedHeadDrainsOrphan: the head fails after the
+// lookahead has started its certain successor. The failed-probe rule
+// applies as it does inline, and the successor is an orphan (runOrphan).
+func TestLookaheadFailedHeadDrainsOrphan(t *testing.T) {
+	leakcheck.Check(t)
+	down := errors.New("backend down")
+	want, err := core.APro(core.NewSelectionFromRDs(orphanRDs(), core.Absolute, 1), func(i int) (float64, error) {
+		if i == 0 {
+			return 0, down
+		}
+		t.Errorf("inline run probed db%d", i)
+		return 0, nil
+	}, core.Greedy{}, 0.95, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runOrphan(t, func() (float64, error) { return 0, down })
 	if !got.Degraded || !got.Reached || !reflect.DeepEqual(got.Set, []int{1}) || !reflect.DeepEqual(got.Excluded, []int{0}) ||
 		len(got.Steps) != 1 || !errors.Is(got.Steps[0].Err, down) {
 		t.Fatalf("outcome %+v", got)
@@ -126,17 +152,17 @@ func TestLookaheadFailedHeadDrainsOrphan(t *testing.T) {
 		!reflect.DeepEqual(got.Excluded, want.Excluded) || got.Steps[0].Usefulness != want.Steps[0].Usefulness {
 		t.Fatalf("outcome %+v, inline %+v", got, want)
 	}
-	if ahead := sel.Ahead(); ahead.Certain != 1 || ahead.Disagreed+ahead.Stops+ahead.Abandoned != 0 {
-		t.Errorf("ahead = %+v, want one certain lookahead", ahead)
-	}
-	if got := reg.Counter("mp_probes_speculative_cancelled_total", nil).Value(); got != 1 {
-		t.Errorf("mp_probes_speculative_cancelled_total = %d, want 1", got)
-	}
-	if got := e.Inflight(); got != 0 {
-		t.Errorf("inflight after APro = %d", got)
-	}
-	if s := e.BreakerState(dbName(1)); s != BreakerClosed {
-		t.Errorf("cancelled successor moved db1's breaker to %v", s)
+}
+
+// TestLookaheadOffSupportHeadDrainsOrphan: the head answers above its
+// whole support, which settles the selection on the spot. The successor
+// every on-support outcome led to is an orphan (runOrphan), and
+// cancelling it does not degrade the result.
+func TestLookaheadOffSupportHeadDrainsOrphan(t *testing.T) {
+	leakcheck.Check(t)
+	got := runOrphan(t, func() (float64, error) { return 1000, nil })
+	if got.Degraded || !got.Reached || !reflect.DeepEqual(got.Set, []int{0}) || len(got.Steps) != 1 || got.Steps[0].Err != nil {
+		t.Fatalf("outcome %+v", got)
 	}
 }
 

@@ -291,102 +291,6 @@ func TestAProDegradesOnDeadBackend(t *testing.T) {
 	}
 }
 
-func TestAProSpeculationCancelsLosers(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := NewExecutor(Config{Speculation: 2, Metrics: reg})
-	rds := randomRDs(stats.NewRNG(31), 5)
-	sel := core.NewSelectionFromRDs(rds, core.Absolute, 1)
-	// Results fold in rank order, so the decisive answer must come from
-	// the round's top-ranked candidate: ask the policy which that is.
-	winner, err := (&core.Greedy{}).Next(core.NewSelectionFromRDs(rds, core.Absolute, 1), 0.999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	cancelled := 0
-	loserStarted := make(chan struct{})
-	var once sync.Once
-	probe := func(ctx context.Context, i int) (float64, error) {
-		// The top-ranked probe answers with a decisive value as soon as
-		// the prefetched runner-up is on the wire; that one hangs until
-		// cancelled.
-		if i == winner {
-			<-loserStarted
-			return 1000, nil
-		}
-		once.Do(func() { close(loserStarted) })
-		<-ctx.Done()
-		mu.Lock()
-		cancelled++
-		mu.Unlock()
-		return 0, ctx.Err()
-	}
-	res, err := e.APro(context.Background(), sel, func(i int) string { return fmt.Sprintf("db%d", i) },
-		probe, &core.Greedy{}, 0.999, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reached {
-		t.Fatalf("decisive probe did not reach threshold: %+v", res)
-	}
-	if res.Degraded {
-		t.Fatalf("cancelled speculation must not degrade the result: %+v", res)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if cancelled == 0 {
-		t.Fatal("speculative loser was never cancelled")
-	}
-	// Two probes really were on the wire at once: every acquire observes
-	// the in-flight count including itself, so a sum above the count
-	// means one of them saw at least 2.
-	if h := reg.Histogram("mp_probe_inflight_at_acquire", nil); h.Sum() <= float64(h.Count()) {
-		t.Errorf("mp_probe_inflight_at_acquire: %d acquires summing to %v, none saw a second probe in flight", h.Count(), h.Sum())
-	}
-	// The losers stay healthy: round cancellation is neutral.
-	for i := 0; i < len(rds); i++ {
-		if i == winner {
-			continue
-		}
-		if s := e.BreakerState(fmt.Sprintf("db%d", i)); s != BreakerClosed {
-			t.Errorf("db%d breaker = %v after round cancellation", i, s)
-		}
-	}
-}
-
-func TestAProSpeculationM2ReachesSameSet(t *testing.T) {
-	// m=2 probes more but must land on the same quality of answer:
-	// threshold reached, certainty no lower than sequential.
-	rng := stats.NewRNG(13)
-	name := func(i int) string { return fmt.Sprintf("db%d", i) }
-	for trial := 0; trial < 10; trial++ {
-		rds := randomRDs(rng, 5)
-		observe := make([]float64, len(rds))
-		for i := range observe {
-			observe[i] = rds[i].Value(rng.Intn(rds[i].Len()))
-		}
-		seqSel := core.NewSelectionFromRDs(rds, core.Absolute, 1)
-		seqOut, err := core.APro(seqSel, func(i int) (float64, error) { return observe[i], nil }, &core.Greedy{}, 0.95, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewExecutor(Config{Speculation: 2})
-		sel := core.NewSelectionFromRDs(rds, core.Absolute, 1)
-		res, err := e.APro(context.Background(), sel, name,
-			func(ctx context.Context, i int) (float64, error) { return observe[i], nil },
-			&core.Greedy{}, 0.95, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Reached != seqOut.Reached {
-			t.Fatalf("trial %d: reached %v != sequential %v", trial, res.Reached, seqOut.Reached)
-		}
-		if res.Reached && res.Certainty < 0.95 {
-			t.Fatalf("trial %d: certainty %v below threshold", trial, res.Certainty)
-		}
-	}
-}
-
 func TestAProCallerCancellation(t *testing.T) {
 	e := NewExecutor(Config{})
 	rds := randomRDs(stats.NewRNG(77), 4)
@@ -422,7 +326,7 @@ func TestAProValidatesArguments(t *testing.T) {
 }
 
 func TestAProMaxProbesBudget(t *testing.T) {
-	e := NewExecutor(Config{Speculation: 2})
+	e := NewExecutor(Config{})
 	rds := randomRDs(stats.NewRNG(5), 6)
 	sel := core.NewSelectionFromRDs(rds, core.Absolute, 1)
 	probes := 0

@@ -233,15 +233,6 @@ type Config struct {
 	// by every concurrent selection, plus an optional per-backend cap.
 	// The zero value defaults to 16 global, unlimited per backend.
 	ProbeConcurrency ProbeLimits
-	// Speculation is the number of policy candidates each adaptive-
-	// probing round has in flight: the one the loop waits for plus
-	// prefetched runners-up. 0 or 1 — the default — starts a probe early
-	// only where the model proves it comes next whatever the one in
-	// flight returns (see core.Overlapper), which costs no extra probe;
-	// higher values keep the paper's probe sequence and certainty
-	// trajectory but trade extra probes for wall-clock latency on slow
-	// backends.
-	Speculation int
 	// HedgeAfter, when positive, launches a second attempt for any
 	// probe that has not answered after this delay; the
 	// first answer wins and the loser is cancelled. Effective against
@@ -324,7 +315,7 @@ type Metasearcher struct {
 	// span or allocates a stage recorder and cost account.
 	observed bool
 	// exec runs every live probe: worker pool, circuit breakers,
-	// hedging, speculative prefetch (internal/probeexec). dbName is the
+	// hedging, background probes (internal/probeexec). dbName is the
 	// index → backend-name mapping it accounts by, built once; dbKey is
 	// the same name as a JSON object key (`"name":`), for the root
 	// span's estimates attribute.
@@ -432,7 +423,6 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		dbKey:    make([]string, tb.Len()),
 		exec: probeexec.NewExecutor(probeexec.Config{
 			Limits:       c.ProbeConcurrency,
-			Speculation:  c.Speculation,
 			HedgeAfter:   c.HedgeAfter,
 			ProbeTimeout: c.ProbeTimeout,
 			Breaker:      c.Breaker,
@@ -644,12 +634,12 @@ func (m *Metasearcher) SelectWithPolicy(query string, k int, metric Metric, t fl
 
 // probeFeedback folds one successful live probe back into the shared
 // model state (online refinement, drift detection) — a writer, so it
-// holds modelMu; many selections, or one selection's speculative
-// probes, land here concurrently. The feedback deliberately does not
-// touch the selection it came from: a losing hedge attempt can deliver
-// its probe result after the winning attempt already finished the
-// selection and recycled its shell, so everything here is recomputed
-// from the model.
+// holds modelMu; many selections, or one selection's probe and the
+// successor started behind it, land here concurrently. The feedback
+// deliberately does not touch the selection it came from: a losing
+// hedge attempt can deliver its probe result after the winning attempt
+// already finished the selection and recycled its shell, so everything
+// here is recomputed from the model.
 func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float64) error {
 	if !m.cfg.OnlineRefinement && m.drift == nil {
 		return nil
@@ -693,9 +683,8 @@ func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float6
 // concurrency limits, circuit breakers and hedging
 // (Config.ProbeConcurrency, Breaker, HedgeAfter). Against backends much
 // slower than a rank the loop starts the next probe early whenever every
-// outcome of the one in flight picks it, and with Config.Speculation > 1
-// the runners-up of each round are probed speculatively as well.
-// Cancelling ctx abandons the selection.
+// outcome of the one in flight picks it (core.Overlapper), which costs
+// no extra probe. Cancelling ctx abandons the selection.
 //
 // Failures degrade instead of erroring: a backend whose probe fails —
 // or whose breaker is open — is treated as serving nothing for this
@@ -706,8 +695,8 @@ func (m *Metasearcher) SelectWithCertaintyContext(ctx context.Context, query str
 
 // SelectWithPolicyContext is SelectWithCertaintyContext with a custom
 // probe policy. Policies implementing the internal Ranker interface
-// (the greedy policy does) support speculative prefetch; others are
-// probed sequentially regardless of Config.Speculation.
+// (the greedy policy does) can have their next probe started early;
+// others are probed strictly one at a time.
 func (m *Metasearcher) SelectWithPolicyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (*SelectionResult, error) {
 	res, err := m.selectWithPolicyContext(ctx, query, k, metric, t, maxProbes, policy)
 	if err != nil {
@@ -1015,12 +1004,14 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 	}
 	tok := textindex.DefaultTokenizer()
 	for i := range items {
-		db := m.tb.DB(m.tb.IndexOf(items[i].Database))
-		f, ok := db.(hidden.Fetcher)
-		if !ok {
-			continue
+		if ctx.Err() != nil {
+			// The caller has gone: the merged list stands as it is.
+			break
 		}
-		text, err := f.Fetch(items[i].Doc.ID)
+		// The bound view fetches under ctx where the database can, and
+		// answers with an error where it cannot fetch at all.
+		db := hidden.WithContext(ctx, m.tb.DB(m.tb.IndexOf(items[i].Database)))
+		text, err := db.(hidden.Fetcher).Fetch(items[i].Doc.ID)
 		if err != nil {
 			continue
 		}

@@ -28,8 +28,8 @@ func (f *toggleFail) Search(query string, topK int) (hidden.Result, error) {
 	return f.Database.Search(query, topK)
 }
 
-// TestSelectContextMatchesSequential: with default configuration
-// (Speculation ≤ 1) and healthy backends, the context path must return
+// TestSelectContextMatchesSequential: with default configuration and
+// healthy backends, the context path must return
 // exactly what the sequential paper algorithm returns — same set, same
 // certainty, same probe count.
 func TestSelectContextMatchesSequential(t *testing.T) {
@@ -57,8 +57,8 @@ func TestSelectContextMatchesSequential(t *testing.T) {
 }
 
 // TestConcurrentSelectionsRace drives a shared Metasearcher — with
-// metrics, tracing, drift detection, online refinement and speculative
-// probing all enabled — from many goroutines mixing the sequential and
+// metrics, tracing, drift detection and online refinement all enabled
+// — from many goroutines mixing the sequential and
 // context paths. Run under -race (CI does), this is the concurrency-
 // safety proof for the probe-feedback path.
 func TestConcurrentSelectionsRace(t *testing.T) {
@@ -69,7 +69,6 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 		Spans:            spans,
 		Drift:            &DriftConfig{},
 		OnlineRefinement: true,
-		Speculation:      2,
 		ProbeConcurrency: ProbeLimits{Global: 8, PerBackend: 2},
 	}
 	ms, testQueries := buildTestMetasearcherWith(t, cfg, nil)
@@ -174,5 +173,81 @@ func TestSelectContextDegradesOnDeadBackend(t *testing.T) {
 	// probe without a network attempt.
 	if calls := dead.downCalls.Load(); calls > 2 {
 		t.Errorf("dead backend contacted %d times; breaker should cap at 2", calls)
+	}
+}
+
+// fetchLog is what a testbed of fetchRecorders saw: calls to the
+// context-free Fetch, and the context of every FetchContext.
+type fetchLog struct {
+	plain   int
+	ctxs    []context.Context
+	onFetch func() // runs inside each FetchContext
+}
+
+// fetchRecorder is a database that fetches both ways and says which way
+// it was asked.
+type fetchRecorder struct {
+	Database
+	log *fetchLog
+}
+
+func (f fetchRecorder) Fetch(id string) (string, error) {
+	f.log.plain++
+	return f.Database.(hidden.Fetcher).Fetch(id)
+}
+
+func (f fetchRecorder) FetchContext(ctx context.Context, id string) (string, error) {
+	f.log.ctxs = append(f.log.ctxs, ctx)
+	if f.log.onFetch != nil {
+		f.log.onFetch()
+	}
+	return f.Database.(hidden.Fetcher).Fetch(id)
+}
+
+// TestMetasearchFetchesSnippetsUnderContext: the enrichment half of the
+// pipeline runs under the caller's context like the rest — a database
+// that can fetch under a context is asked to, with a context descended
+// from the caller's, and once that context is done no further document
+// is fetched.
+func TestMetasearchFetchesSnippetsUnderContext(t *testing.T) {
+	log := &fetchLog{}
+	ms, test := buildTestMetasearcherWith(t, nil, func(_ int, db Database) Database {
+		return fetchRecorder{Database: db, log: log}
+	})
+	type callerKey struct{}
+	ctx := context.WithValue(context.Background(), callerKey{}, "caller")
+	query, fused := "", 0
+	for _, q := range test {
+		*log = fetchLog{}
+		items, _, err := ms.MetasearchContext(ctx, q, 2, Partial, 0.7, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(items) >= 2 {
+			query, fused = q, len(items)
+			break
+		}
+	}
+	if query == "" {
+		t.Fatal("no test query fused two results")
+	}
+	if log.plain != 0 || len(log.ctxs) != fused {
+		t.Errorf("%d fused results: %d FetchContext and %d context-free Fetch calls from a pipeline that holds a context", fused, len(log.ctxs), log.plain)
+	}
+	for _, c := range log.ctxs {
+		if c.Value(callerKey{}) != "caller" {
+			t.Fatal("FetchContext saw a context that does not descend from the caller's")
+		}
+	}
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	log.ctxs, log.onFetch = nil, cancel
+	items, _, err := ms.MetasearchContext(ctx, query, 2, Partial, 0.7, 10)
+	if err != nil || len(items) < 2 {
+		t.Fatalf("cancelled while enriching: %d items, err %v", len(items), err)
+	}
+	if len(log.ctxs) != 1 || log.plain != 0 {
+		t.Errorf("%d FetchContext and %d Fetch calls, want the one that cancelled and none after", len(log.ctxs), log.plain)
 	}
 }

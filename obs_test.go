@@ -230,22 +230,23 @@ func TestEverySinkAloneGetsIDClockAndCost(t *testing.T) {
 	}
 }
 
-// TestStepAndStageEventsSurviveEventCap runs selections at Speculation
-// 4, t = 1.0 and unbounded probes over a 40-database testbed (the
-// health testbed twice) with every backend down, so each probed
-// database leaves a speculative_prefetch and a backend_excluded
-// annotation on the root span. Where those plus the step and stage
-// records exceed the per-span event cap, the records — written last —
-// must not be what is dropped.
+// TestStepAndStageEventsSurviveEventCap runs selections at t = 1.0 and
+// unbounded probes over an 80-database testbed (the health testbed four
+// times) with every backend down, so each probed database leaves a
+// backend_excluded annotation on the root span. Where those plus the
+// step and stage records exceed the per-span event cap, the records —
+// written last — must not be what is dropped.
 func TestStepAndStageEventsSurviveEventCap(t *testing.T) {
-	specs := corpus.HealthTestbed(0.005)
-	for _, spec := range specs[:len(specs):len(specs)] {
-		spec.Name += "-mirror"
-		specs = append(specs, spec)
+	var specs []corpus.DatabaseSpec
+	for m := 0; m < 4; m++ {
+		for _, spec := range corpus.HealthTestbed(0.005) {
+			spec.Name += "-mirror" + strconv.Itoa(m)
+			specs = append(specs, spec)
+		}
 	}
 	var failers []*toggleFail
 	spans := NewSpanTracer(0)
-	cfg := &Config{Spans: spans, Speculation: 4,
+	cfg := &Config{Spans: spans,
 		// Probe every dead backend rather than short-circuit it.
 		Breaker: BreakerConfig{FailureThreshold: 1 << 20}}
 	ms, queries := buildTestMetasearcherOn(t, specs, cfg, func(i int, db Database) Database {
@@ -322,7 +323,6 @@ func TestObservabilityOverheadOnProbeBoundSelections(t *testing.T) {
 		for i := range dbs {
 			dbs[i] = hidden.NewLatency(trained.tb.DB(i), delay)
 		}
-		cfg.Speculation = 2
 		ms, err := NewFromModel(dbs, path, cfg)
 		if err != nil {
 			t.Fatal(err)
