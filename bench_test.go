@@ -365,6 +365,34 @@ func aproSelectSteadyBody(tb testing.TB) func() {
 	return run
 }
 
+// aproSelectMemoHitBody is the repeated query: the selection is Reuse'd
+// from a template filled through a ModelVersion, so it carries the
+// template's memo node, and every decision of the trajectory — warmed up
+// once — is read back from the version's memo.
+func aproSelectMemoHitBody(tb testing.TB) func() {
+	env := benchEnv(tb)
+	q := env.Test[0]
+	probe := precomputedProbe(tb, env)
+	ver := core.NewModelVersion(env.Model, "bench", time.Now())
+	template := ver.NewSelection(q.String(), q.NumTerms(), core.Absolute, 3).WithBestSetOptions(env.Cfg.BestSetOpts)
+	sel := &core.Selection{}
+	g := core.Greedy{}
+	var out core.Outcome
+	run := func() {
+		sel.Reuse(template)
+		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm-up: fill the memo, grow buffers
+		run()
+	}
+	if w := sel.Work(); w.MemoMisses != 0 || w.MemoHits == 0 || out.Probes() == 0 {
+		tb.Fatalf("the warmed-up body is no memo hit: %d probes, work %+v", out.Probes(), w)
+	}
+	return run
+}
+
 // BenchmarkAProSelect measures one full adaptive-probing selection,
 // probes answered from a precomputed table. TestHotPathAllocCaps holds
 // its allocs/op; the ns/op gate is the pipeline's bounds on benchmark/.
@@ -374,6 +402,13 @@ func BenchmarkAProSelect(b *testing.B) { runHotPath(b, aproSelectBody) }
 // TestHotPathAllocCaps holds it to ≤ 2 allocs/op absolute, whatever an
 // earlier commit measured.
 func BenchmarkAProSelectSteady(b *testing.B) { runHotPath(b, aproSelectSteadyBody) }
+
+// BenchmarkAProSelectMemoHit measures the same trajectory with every
+// decision read from the version's memo: what is left is folding the
+// probes. The two benchmarks above build memo-less selections
+// (Env.Selection derives from the model, not from a version) and keep
+// measuring rank.
+func BenchmarkAProSelectMemoHit(b *testing.B) { runHotPath(b, aproSelectMemoHitBody) }
 
 // BenchmarkGreedyRankColdTail pins the query shape that sets the serving
 // tail (the 3–4 % of cpu-select queries that need eleven or more
@@ -503,8 +538,9 @@ func BenchmarkNewSelection(b *testing.B) { runHotPath(b, newSelectionBody) }
 // measured on the benchmarks' own bodies. Each cap is ×1.10 + 2 over
 // the count at the commit that last moved it (488, 9, 417 and 11
 // allocs/op), except the steady-state serving path, which stays at ≤ 2
-// absolute. Object counts are the machine-independent gate; time is
-// held by the pipeline's bounds on benchmark/.
+// absolute, and the memo-hit path, which after the fill allocates
+// nothing. Object counts are the machine-independent gate; time is held
+// by the pipeline's bounds on benchmark/.
 func TestHotPathAllocCaps(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -513,6 +549,7 @@ func TestHotPathAllocCaps(t *testing.T) {
 	}{
 		{"AProSelect", aproSelectBody, 488*1.10 + 2},
 		{"AProSelectSteady", aproSelectSteadyBody, 2},
+		{"AProSelectMemoHit", aproSelectMemoHitBody, 0},
 		{"ObserveProbe", observeProbeBody, 9*1.10 + 2},
 		{"RDConvolve", rdConvolveBody, 417*1.10 + 2},
 		{"NewSelection", newSelectionBody, 11*1.10 + 2},

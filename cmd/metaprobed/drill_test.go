@@ -159,7 +159,8 @@ func (d *daemon) postSelect(req server.SelectRequest) (server.SelectResponse, er
 // an idle daemon owes a burst of batched traffic: everything answered at
 // the full tier, identical concurrent requests coalesced, no shed
 // counter moved, every tenant trained, one request's record readable at
-// /debug/spans, and a clean exit on SIGTERM inside the drain timeout.
+// /debug/spans, its repeat decided from the version's memo, and a clean
+// exit on SIGTERM inside the drain timeout.
 func TestDaemonDrill(t *testing.T) {
 	d := bootDaemon(t, "-addr", "127.0.0.1:0", "-scale", "0.006", "-train", "80",
 		"-tenants", "default,ops", "-drain-timeout", drillDrainTimeout.String())
@@ -225,6 +226,9 @@ func TestDaemonDrill(t *testing.T) {
 	if len(models.Tenants) != 2 || models.Skew.Untrained != 0 {
 		t.Errorf("/debug/model = %+v, want 2 tenants, none untrained", models)
 	}
+	if def := models.Tenants["default"]; !def.MemoOn || def.MemoNodes == 0 {
+		t.Errorf("/debug/model: the default tenant's frozen version remembers nothing of the burst: memoOn %v, memoNodes %d", def.MemoOn, def.MemoNodes)
+	}
 
 	// One request, one record: the response's traceId resolves at
 	// /debug/spans to a root "selection" span carrying what the model
@@ -254,6 +258,31 @@ func TestDaemonDrill(t *testing.T) {
 		t.Errorf("t = 1 left no step event: %+v", sel.Events)
 	} else if got, want := sel.Steps[n-1].CertaintyAfter, opstest.Float(t, sel.Attrs, "certainty"); got != want {
 		t.Errorf("trajectory ends at %v, certainty attribute %v", got, want)
+	}
+
+	// The same request again is the same answer — the probes are sent
+	// again — decided from what the serving version remembers of the
+	// first: its record counts memo hits, and so does /metrics.
+	var two server.SelectResponse
+	if err := json.Unmarshal(d.get(t, "/v1/select?q=cancer+treatment&k=2&t=1"), &two); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := opstest.ReadSelection(t, httputil.NewSingleHostReverseProxy(base), two.TraceID)
+	if again.Attrs["memo_hits"] == "" || again.Attrs["memo_hits"] == "0" || again.Attrs["memo_misses"] != "0" {
+		t.Errorf("the repeated request's record: memo_hits %q, memo_misses %q; want hits and no miss", again.Attrs["memo_hits"], again.Attrs["memo_misses"])
+	}
+	if again.Attrs["selected"] != sel.Attrs["selected"] || again.Attrs["certainty"] != sel.Attrs["certainty"] || two.Probes != one.Probes {
+		t.Errorf("the repeated request selected %s at %s after %d probes, its first sight %s at %s after %d",
+			again.Attrs["selected"], again.Attrs["certainty"], two.Probes, sel.Attrs["selected"], sel.Attrs["certainty"], one.Probes)
+	}
+	remembered := false
+	for _, line := range strings.Split(string(d.get(t, "/metrics")), "\n") {
+		if v, ok := strings.CutPrefix(line, "mp_decision_memo_hits_total "); ok {
+			remembered = v != "0"
+		}
+	}
+	if !remembered {
+		t.Error("mp_decision_memo_hits_total is absent or 0 after a repeated request")
 	}
 
 	// The burst's racing dials left connections this client opened and

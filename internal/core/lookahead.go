@@ -135,6 +135,9 @@ func (la *lookahead) certainNext(s *Selection, ranker Ranker, head int, t float6
 		if x%2 == 1 {
 			vi = n - 1 - vi
 		}
+		// Each outcome is a child of s's state, not of the outcome before
+		// it: that is the node the real step finds when the answer is vi's.
+		la.shell.memo = s.memo
 		la.shell.ApplyProbe(head, rd.Value(vi))
 		dbs, _, err := ranker.Rank(&la.shell, t, 1)
 		if err != nil || (next >= 0 && dbs[0] != next) {

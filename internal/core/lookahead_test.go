@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -113,32 +111,13 @@ func TestCertainNextMatchesBruteForce(t *testing.T) {
 		t.Errorf("random sets compared %d states, %d with a certain next probe: too few to mean anything", states, certain)
 	}
 
-	raw, err := os.ReadFile("testdata/apro_golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cases []struct {
-		Name  string     `json:"name"`
-		RDs   [][][2]int `json:"rds"`
-		Truth []float64  `json:"truth"`
-	}
-	if err := json.Unmarshal(raw, &cases); err != nil {
-		t.Fatal(err)
-	}
-	for ci, c := range cases {
-		rds := make([]*RD, len(c.RDs))
-		for i, pairs := range c.RDs {
-			vals, weights := make([]float64, len(pairs)), make([]float64, len(pairs))
-			for j, p := range pairs {
-				vals[j], weights[j] = float64(p[0]), float64(p[1])
-			}
-			rds[i] = MustRD(vals, weights)
-		}
+	names, sets, truths := goldenRDSets(t)
+	for ci, rds := range sets {
 		// One operating point per case, cycling through the fixture's.
 		metric := Metric(ci % 2)
 		k := 1 + ci%min(3, len(rds)-1)
 		thr := []float64{0.5, 0.8, 0.95}[ci%3]
-		add(walkCertainNext(t, c.Name, la, rds, c.Truth, metric, k, thr))
+		add(walkCertainNext(t, names[ci], la, rds, truths[ci], metric, k, thr))
 	}
 	t.Logf("%d states compared, %d with a certain next probe", states, certain)
 }

@@ -1,0 +1,646 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"metaprobe/internal/estimate"
+	"metaprobe/internal/hidden"
+	"metaprobe/internal/queries"
+)
+
+// testMemo is a decision memo outside any ModelVersion, for selections
+// built from bare RDs.
+type testMemo struct{ slot atomic.Pointer[memoTree] }
+
+func newTestMemo() *testMemo {
+	m := &testMemo{}
+	startMemo(&m.slot)
+	return m
+}
+
+// attach points s — unprobed — at its root in the memo's current tree.
+func (m *testMemo) attach(s *Selection) *Selection {
+	s.attachMemo(m.slot.Load(), 0)
+	return s
+}
+
+func (m *testMemo) nodes() int { return int(m.slot.Load().nodes.Load()) }
+
+// outcomeBits renders everything a trajectory decides — the set, every
+// step's database, value, usefulness and certainty-after, the initial
+// and final certainty — with floats in hex, so two outcomes print alike
+// only when they agree bit for bit.
+func outcomeBits(o Outcome) string {
+	hex := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+	var b strings.Builder
+	fmt.Fprintf(&b, "set %v e %s e0 %s reached %v degraded %v excluded %v", o.Set, hex(o.Certainty), hex(o.Initial), o.Reached, o.Degraded, o.Excluded)
+	for _, s := range o.Steps {
+		fmt.Fprintf(&b, " | db %d v %s u %s after %s err %v", s.DB, hex(s.Value), hex(s.Usefulness), hex(s.CertaintyAfter), s.Err != nil)
+	}
+	return b.String()
+}
+
+func tableProbe(truth []float64) ProbeFunc {
+	return func(i int) (float64, error) { return truth[i], nil }
+}
+
+// goldenRDSets loads the RD sets and truths of the golden fixture.
+func goldenRDSets(t *testing.T) (names []string, rds [][]*RD, truth [][]float64) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/apro_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name  string     `json:"name"`
+		RDs   [][][2]int `json:"rds"`
+		Truth []float64  `json:"truth"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		set := make([]*RD, len(c.RDs))
+		for i, pairs := range c.RDs {
+			vals, weights := make([]float64, len(pairs)), make([]float64, len(pairs))
+			for j, p := range pairs {
+				vals[j], weights[j] = float64(p[0]), float64(p[1])
+			}
+			set[i] = MustRD(vals, weights)
+		}
+		names, rds, truth = append(names, c.Name), append(rds, set), append(truth, c.Truth)
+	}
+	return names, rds, truth
+}
+
+// TestDecisionMemoDifferentialGolden: on the golden fixture's 202 RD
+// sets, at every operating point the fixture records, a run without a
+// memo, a run that fills one (all misses) and a run that reads it back
+// (all hits) produce the same Outcome bit for bit, and the third computes
+// nothing: no miss, no k-set scored, no hypothesis.
+func TestDecisionMemoDifferentialGolden(t *testing.T) {
+	names, sets, truths := goldenRDSets(t)
+	if len(sets) != 202 {
+		t.Fatalf("golden fixture has %d cases, want 202", len(sets))
+	}
+	runs := 0
+	for ci, rds := range sets {
+		probe := tableProbe(truths[ci])
+		for _, metric := range []Metric{Absolute, Partial} {
+			for k := 1; k <= 3 && k < len(rds); k++ {
+				memo := newTestMemo() // one tree per (case, metric, k): the three thresholds share it
+				for _, thr := range []float64{0.5, 0.8, 0.95} {
+					id := fmt.Sprintf("%s %v k=%d t=%v", names[ci], metric, k, thr)
+					want, err := APro(NewSelectionFromRDs(rds, metric, k), probe, Greedy{}, thr, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fill := memo.attach(NewSelectionFromRDs(rds, metric, k))
+					got, err := APro(fill, probe, Greedy{}, thr, -1)
+					if err != nil || outcomeBits(got) != outcomeBits(want) {
+						t.Fatalf("%s, filling the memo:\n got %s\nwant %s (%v)", id, outcomeBits(got), outcomeBits(want), err)
+					}
+					read := memo.attach(NewSelectionFromRDs(rds, metric, k))
+					got, err = APro(read, probe, Greedy{}, thr, -1)
+					if err != nil || outcomeBits(got) != outcomeBits(want) {
+						t.Fatalf("%s, reading the memo:\n got %s\nwant %s (%v)", id, outcomeBits(got), outcomeBits(want), err)
+					}
+					w := read.Work()
+					if w.MemoMisses != 0 || w.Sets != 0 || w.Hypotheses != 0 || w.Swept != 0 || w.MemoHits == 0 {
+						t.Fatalf("%s: the second pass still worked: %+v", id, w)
+					}
+					if fw := fill.Work(); fw.MemoHits+fw.MemoMisses != w.MemoHits {
+						t.Fatalf("%s: filled %d+%d decisions, read back %d", id, fw.MemoHits, fw.MemoMisses, w.MemoHits)
+					}
+					fill.Release()
+					read.Release()
+					runs++
+				}
+			}
+		}
+	}
+	t.Logf("%d operating points, each run three ways", runs)
+}
+
+// memoFixture is a trained six-database model behind a version, with the
+// test queries' true relevancies.
+type memoFixture struct {
+	model   *Model
+	tb      *hidden.Testbed
+	queries []queries.Query
+	truth   map[string][]float64
+}
+
+func newMemoFixture(t *testing.T) *memoFixture {
+	t.Helper()
+	model, tb, test := buildTrainedModel(t)
+	f := &memoFixture{model: model, tb: tb, truth: make(map[string][]float64)}
+	rel := estimate.NewDocFrequency()
+	for _, q := range test {
+		qs := q.String()
+		if _, dup := f.truth[qs]; dup {
+			continue
+		}
+		truth := make([]float64, tb.Len())
+		for i := range truth {
+			v, err := rel.Probe(tb.DB(i), qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth[i] = v
+		}
+		f.truth[qs] = truth
+		f.queries = append(f.queries, q)
+	}
+	return f
+}
+
+// direct is the memo-less engine's answer for q: a selection derived
+// from the model's EDs (no version, no table, no memo).
+func (f *memoFixture) direct(t *testing.T, m *Model, q queries.Query, k int, thr float64) Outcome {
+	t.Helper()
+	out, err := APro(m.NewSelection(q.String(), q.NumTerms(), Absolute, k), tableProbe(f.truth[q.String()]), Greedy{}, thr, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// through runs q on a selection filled from v and returns what it cost.
+func (f *memoFixture) through(t *testing.T, v *ModelVersion, sel *Selection, q queries.Query, k int, thr float64) (Outcome, RankWork) {
+	t.Helper()
+	v.FillSelection(sel, q.String(), q.NumTerms(), Absolute, k)
+	out, err := APro(sel, tableProbe(f.truth[q.String()]), Greedy{}, thr, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, sel.Work()
+}
+
+// TestDecisionMemoDifferentialTestbed is the same three-way differential
+// on selections filled through a ModelVersion from trained EDs: distinct
+// testbed queries at k = 2 and k = 3, first sight then repeat.
+func TestDecisionMemoDifferentialTestbed(t *testing.T) {
+	f := newMemoFixture(t)
+	ver := NewModelVersion(f.model, "train", time.Now())
+	sel := &Selection{}
+	defer sel.Release()
+	compared, probing := 0, 0
+	for _, k := range []int{2, 3} {
+		for _, q := range f.queries {
+			want := outcomeBits(f.direct(t, f.model, q, k, 0.9))
+			first, fw := f.through(t, ver, sel, q, k, 0.9)
+			if outcomeBits(first) != want {
+				t.Fatalf("%s k=%d at first sight:\n got %s\nwant %s", q, k, outcomeBits(first), want)
+			}
+			if fw.MemoHits != 0 {
+				t.Fatalf("%s k=%d: %d hits at first sight of a distinct query", q, k, fw.MemoHits)
+			}
+			again, aw := f.through(t, ver, sel, q, k, 0.9)
+			if outcomeBits(again) != want {
+				t.Fatalf("%s k=%d repeated:\n got %s\nwant %s", q, k, outcomeBits(again), want)
+			}
+			if aw.MemoMisses != 0 || aw.Sets != 0 || aw.Hypotheses != 0 || aw.MemoHits != fw.MemoMisses {
+				t.Fatalf("%s k=%d repeated: work %+v after a first sight of %+v", q, k, aw, fw)
+			}
+			compared++
+			if len(first.Steps) > 0 {
+				probing++
+			}
+		}
+	}
+	if compared < 300 || probing < 100 {
+		t.Fatalf("%d selections compared, %d of them probing: too few to mean anything", compared, probing)
+	}
+	nodes, on := ver.Memo()
+	t.Logf("%d selections compared, %d probing; the memo holds %d nodes", compared, probing, nodes)
+	if !on || nodes < compared {
+		t.Errorf("memo on=%v with %d nodes after %d distinct (query, k) roots", on, nodes, compared)
+	}
+}
+
+// TestDecisionMemoThresholdsShareTree: the threshold is not part of a
+// state, so a run at t = 0.5 and a later one at t = 0.95 walk the same
+// path: the second reads every decision the first made and computes only
+// from where the first stopped.
+func TestDecisionMemoThresholdsShareTree(t *testing.T) {
+	f := newMemoFixture(t)
+	sel := &Selection{}
+	defer sel.Release()
+	for _, q := range f.queries {
+		ver := NewModelVersion(f.model, "train", time.Now())
+		low, lw := f.through(t, ver, sel, q, 2, 0.5)
+		high, hw := f.through(t, ver, sel, q, 2, 0.95)
+		if len(high.Steps) <= len(low.Steps) || len(low.Steps) == 0 {
+			continue
+		}
+		if want := f.direct(t, f.model, q, 2, 0.95); outcomeBits(high) != outcomeBits(want) {
+			t.Fatalf("%s at 0.95 after 0.5:\n got %s\nwant %s", q, outcomeBits(high), outcomeBits(want))
+		}
+		// The first run decided a best set at each of its states and a head
+		// at all but the last; the second needs a head there too, and both
+		// decisions at each state beyond.
+		beyond := len(high.Steps) - len(low.Steps)
+		if hw.MemoHits != lw.MemoMisses || hw.MemoMisses != 2*beyond {
+			t.Fatalf("%s: %d steps at 0.5 (%+v), %d at 0.95 (%+v): want %d hits and %d misses",
+				q, len(low.Steps), lw, len(high.Steps), hw, lw.MemoMisses, 2*beyond)
+		}
+		return
+	}
+	t.Fatal("no test query probes at t = 0.5 and further at t = 0.95")
+}
+
+// TestDecisionMemoHammer: eight goroutines answer the same 64 queries
+// against one version, over and over, so every node is raced for; every
+// answer is the memo-less engine's.
+func TestDecisionMemoHammer(t *testing.T) {
+	f := newMemoFixture(t)
+	ver := NewModelVersion(f.model, "train", time.Now())
+	qs := f.queries[:64]
+	want := make([]string, len(qs))
+	for i, q := range qs {
+		want[i] = outcomeBits(f.direct(t, f.model, q, 2, 0.9))
+	}
+	var wg sync.WaitGroup
+	var hits atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sel := &Selection{}
+			defer sel.Release()
+			for round := 0; round < 4; round++ {
+				for i := range qs {
+					i = (i + g*8) % len(qs)
+					ver.FillSelection(sel, qs[i].String(), qs[i].NumTerms(), Absolute, 2)
+					out, err := APro(sel, tableProbe(f.truth[qs[i].String()]), Greedy{}, 0.9, -1)
+					if err != nil || outcomeBits(out) != want[i] {
+						t.Errorf("goroutine %d, %s:\n got %s\nwant %s (%v)", g, qs[i], outcomeBits(out), want[i], err)
+						return
+					}
+					hits.Add(int64(sel.Work().MemoHits))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Error("2 048 selections over 64 queries never hit the memo")
+	}
+}
+
+// TestDecisionMemoUnderSwap is TestVersionSwapUnderTraffic's reader with
+// the decisions checked: while a writer refines and swaps versions, every
+// decision a reader gets for a selection — remembered or not — is the one
+// a detached copy of that very selection computes. A decision remembered
+// from rows the selection was not built from would differ.
+func TestDecisionMemoUnderSwap(t *testing.T) {
+	f := newMemoFixture(t)
+	var cur atomic.Pointer[ModelVersion]
+	cur.Store(NewModelVersion(f.model, "train", time.Now()))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var hits atomic.Int64
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			sel, ref := &Selection{}, &Selection{}
+			defer sel.Release()
+			defer ref.Release()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := f.queries[(seed*31+n)%32]
+				cur.Load().FillSelection(sel, q.String(), q.NumTerms(), Absolute, 2)
+				ref.Reuse(sel)
+				ref.memoRoot, ref.memo = nil, nil
+				got, err := APro(sel, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1)
+				want, werr := APro(ref, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1)
+				if err != nil || werr != nil || outcomeBits(got) != outcomeBits(want) {
+					t.Errorf("%s under swap:\n got %s\nwant %s (%v, %v)", q, outcomeBits(got), outcomeBits(want), err, werr)
+					return
+				}
+				hits.Add(int64(sel.Work().MemoHits))
+			}
+		}(r)
+	}
+	for n := 0; n < 120; n++ {
+		// Let the readers fill and reuse the version's memo before the
+		// refinement that switches it off.
+		time.Sleep(200 * time.Microsecond)
+		q := f.queries[n%32]
+		v := cur.Load()
+		dbIdx := n % len(v.Model.DBs)
+		if n%3 == 2 {
+			if err := v.ObserveProbe(dbIdx, q.String(), q.NumTerms(), float64(n%7)); err != nil {
+				t.Error(err)
+			}
+			if _, on := v.Memo(); on {
+				t.Error("the memo is still on after ObserveProbe")
+			}
+		}
+		if n%6 == 5 {
+			nm, _ := cowRefresh(t, v.Model, dbIdx)
+			next := v.Next(nm, "refresh", nm.DBs[dbIdx].Name, time.Now())
+			if nodes, on := next.Memo(); !on || nodes != 0 {
+				t.Errorf("a successor version starts with memo on=%v, %d nodes", on, nodes)
+			}
+			cur.Store(next)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Error("no reader ever hit a memo: the test raced nothing")
+	}
+}
+
+// TestDecisionMemoRefinementCutOff: an observation that changes a query's
+// first probe switches the version's memo off; a selection filled
+// afterwards reads nothing remembered and decides as the memo-less
+// engine does over the refined rows, not as the version once did.
+func TestDecisionMemoRefinementCutOff(t *testing.T) {
+	f := newMemoFixture(t)
+	sel := &Selection{}
+	defer sel.Release()
+	for _, q := range f.queries[:40] {
+		for db := 0; db < f.tb.Len(); db++ {
+			for _, actual := range []float64{0, 1e6} {
+				// A private model per attempt: ObserveProbe changes its EDs.
+				model, _, _ := buildTrainedModel(t)
+				ver := NewModelVersion(model, "train", time.Now())
+				before, bw := f.through(t, ver, sel, q, 2, 0.9)
+				if len(before.Steps) == 0 {
+					break
+				}
+				if nodes, on := ver.Memo(); !on || nodes == 0 || bw.MemoMisses == 0 {
+					t.Fatalf("before refinement: memo on=%v, %d nodes, work %+v", on, nodes, bw)
+				}
+				for i := 0; i < 40; i++ {
+					if err := ver.ObserveProbe(db, q.String(), q.NumTerms(), actual); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if nodes, on := ver.Memo(); on || nodes != 0 {
+					t.Fatalf("after refinement: memo on=%v, %d nodes", on, nodes)
+				}
+				want := f.direct(t, model, q, 2, 0.9)
+				if len(want.Steps) == 0 || want.Steps[0].DB == before.Steps[0].DB {
+					continue // this observation did not move the head; try another
+				}
+				after, aw := f.through(t, ver, sel, q, 2, 0.9)
+				if outcomeBits(after) != outcomeBits(want) {
+					t.Fatalf("%s after refining db %d:\n got %s\nwant %s\n was %s", q, db, outcomeBits(after), outcomeBits(want), outcomeBits(before))
+				}
+				if aw.MemoHits != 0 || aw.MemoMisses != 0 {
+					t.Fatalf("a selection filled after the cut-off used the memo: %+v", aw)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no observation changed any query's first probe")
+}
+
+// TestDecisionMemoBound: distinct queries fill a tree to its node limit
+// and no further; the next node starts a fresh tree, and a query answered
+// before the reset answers the same after it.
+func TestDecisionMemoBound(t *testing.T) {
+	_, sets, truths := goldenRDSets(t)
+	memo := newTestMemo()
+	first := memo.slot.Load()
+	run := func(n int) (Outcome, RankWork) {
+		ci := 2 + n%200 // the random cases; the two paper examples are tiny
+		s := NewSelectionFromRDs(sets[ci], Absolute, 2)
+		s.Query = "q" + strconv.Itoa(n)
+		defer s.Release()
+		out, err := APro(memo.attach(s), tableProbe(truths[ci]), Greedy{}, 0.95, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, s.Work()
+	}
+	early, _ := run(0)
+	n := 1
+	for ; memo.slot.Load() == first; n++ {
+		if n > 4*memoMaxNodes {
+			t.Fatalf("%d distinct queries never filled the tree (%d nodes)", n, memo.nodes())
+		}
+		run(n)
+		if got := first.nodes.Load(); got > memoMaxNodes {
+			t.Fatalf("after %d queries the tree holds %d nodes, limit %d", n, got, memoMaxNodes)
+		}
+	}
+	if got := first.nodes.Load(); got != memoMaxNodes {
+		t.Errorf("the tree was replaced at %d nodes, limit %d", got, memoMaxNodes)
+	}
+	if got := memo.nodes(); got > 16 {
+		t.Errorf("the fresh tree starts with %d nodes", got)
+	}
+	t.Logf("%d distinct queries filled %d nodes", n, memoMaxNodes)
+	again, w := run(0)
+	if outcomeBits(again) != outcomeBits(early) {
+		t.Errorf("query 0 after the reset:\n got %s\nwant %s", outcomeBits(again), outcomeBits(early))
+	}
+	if w.MemoHits != 0 || w.MemoMisses == 0 {
+		t.Errorf("query 0 after the reset read a forgotten tree: %+v", w)
+	}
+	if again, w = run(0); outcomeBits(again) != outcomeBits(early) || w.MemoMisses != 0 {
+		t.Errorf("query 0 a third time: work %+v\n got %s\nwant %s", w, outcomeBits(again), outcomeBits(early))
+	}
+}
+
+// TestDecisionMemoNodeSizes holds the struct sizes behind memoMaxNodes'
+// arithmetic (memo.go): a full tree stays under 8 MiB.
+func TestDecisionMemoNodeSizes(t *testing.T) {
+	node, root, tree := unsafe.Sizeof(memoNode{}), unsafe.Sizeof(memoRoot{}), unsafe.Sizeof(memoTree{})
+	t.Logf("memoNode %d, memoRoot %d, empty tree %d bytes", node, root, tree)
+	if node > 80 || root > 88 {
+		t.Errorf("a memo struct grew: node %d (80), root %d (88)", node, root)
+	}
+	const queryBytes = 64
+	full := memoMaxNodes*node + memoMaxNodes/2*(root+queryBytes) + tree
+	t.Logf("a full memo is %.2f MiB", float64(full)/(1<<20))
+	if full > 8<<20 {
+		t.Errorf("a full memo is %d bytes, over 8 MiB", full)
+	}
+}
+
+// rankWatch is Greedy recording, for every Rank on one selection,
+// whether it swept any candidate.
+type rankWatch struct {
+	Greedy
+	on       *Selection
+	computed []bool
+}
+
+func (g *rankWatch) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
+	before := s.work.Swept
+	dbs, us, err := g.Greedy.Rank(s, t, m)
+	if s == g.on {
+		g.computed = append(g.computed, s.work.Swept != before)
+	}
+	return dbs, us, err
+}
+
+// TestDecisionMemoLookahead: a lookahead ranks the state after each
+// outcome of the probe in flight on a second shell; with a memo those
+// ranks land in the children of the real state's node, so when the
+// verdict was "certain" and the answer is on the support, the real next
+// step finds its head there and sweeps nothing.
+func TestDecisionMemoLookahead(t *testing.T) {
+	_, sets, truths := goldenRDSets(t)
+	certain, remembered := 0, 0
+	for ci := 2; ci < len(sets); ci++ {
+		rds, truth := sets[ci], truths[ci] // fixture truths are support values
+		want, err := APro(NewSelectionFromRDs(rds, Absolute, 2), tableProbe(truth), Greedy{}, 0.95, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestMemo().attach(NewSelectionFromRDs(rds, Absolute, 2))
+		p := &scriptedOverlapper{truth: truth, latency: time.Hour}
+		watch := &rankWatch{on: s}
+		var got Outcome
+		if err := AProContext(context.Background(), s, p, watch, 0.95, -1, &got); err != nil {
+			t.Fatal(err)
+		}
+		if outcomeBits(got) != outcomeBits(want) {
+			t.Fatalf("case %d with lookahead and memo:\n got %s\nwant %s", ci, outcomeBits(got), outcomeBits(want))
+		}
+		if len(watch.computed) != len(got.Steps) || len(p.early) != s.Ahead().Certain {
+			t.Fatalf("case %d: %d ranks for %d steps, %d early starts for %d certain verdicts",
+				ci, len(watch.computed), len(got.Steps), len(p.early), s.Ahead().Certain)
+		}
+		for _, pair := range p.early {
+			certain++
+			for step := 1; step < len(got.Steps); step++ {
+				if got.Steps[step-1].DB == pair[0] && got.Steps[step].DB == pair[1] {
+					if watch.computed[step] {
+						t.Fatalf("case %d: step %d ranked again what the lookahead behind step %d had ranked", ci, step, step-1)
+					}
+					remembered++
+				}
+			}
+		}
+		s.Release()
+	}
+	if certain < 20 || remembered != certain {
+		t.Errorf("%d certain verdicts, %d next steps read from the memo", certain, remembered)
+	}
+}
+
+// TestDecisionMemoFailedProbeAndNaN: a failed probe folds as relevancy 0,
+// so its edge is the one a genuine answer of 0 takes and either run finds
+// the other's decisions; an answer of NaN equals nothing, so the
+// selection stops remembering there and stores no node for it.
+func TestDecisionMemoFailedProbeAndNaN(t *testing.T) {
+	rds := []*RD{
+		MustRD([]float64{0, 40, 90}, []float64{1, 2, 3}),
+		MustRD([]float64{10, 50, 80}, []float64{2, 2, 1}),
+		MustRD([]float64{20, 60, 70}, []float64{1, 1, 1}),
+		MustRD([]float64{0, 30, 100}, []float64{3, 1, 2}),
+	}
+	truth := []float64{90, 50, 20, 30}
+	base, err := APro(NewSelectionFromRDs(rds, Absolute, 2), tableProbe(truth), Greedy{}, 0.99, -1)
+	if err != nil || len(base.Steps) < 2 {
+		t.Fatalf("fixture: %d steps, %v", len(base.Steps), err)
+	}
+	head := base.Steps[0].DB
+
+	memo := newTestMemo()
+	down := errors.New("backend down")
+	failing := func(i int) (float64, error) {
+		if i == head {
+			return 0, down
+		}
+		return truth[i], nil
+	}
+	zero := append([]float64(nil), truth...)
+	zero[head] = 0
+	failed, err := APro(memo.attach(NewSelectionFromRDs(rds, Absolute, 2)), failing, Greedy{}, 0.99, -1)
+	if err != nil || !failed.Degraded {
+		t.Fatalf("failing probe: %+v, %v", failed, err)
+	}
+	filled := memo.nodes()
+	genuine := memo.attach(NewSelectionFromRDs(rds, Absolute, 2))
+	answered, err := APro(genuine, tableProbe(zero), Greedy{}, 0.99, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := genuine.Work(); w.MemoMisses != 0 || memo.nodes() != filled {
+		t.Errorf("a genuine 0 from db %d took another path than its failure: work %+v, nodes %d → %d", head, w, filled, memo.nodes())
+	}
+	if answered.Degraded || answered.Certainty != failed.Certainty || fmt.Sprint(answered.Set) != fmt.Sprint(failed.Set) || len(answered.Steps) != len(failed.Steps) {
+		t.Errorf("genuine 0: %s\nfailed probe: %s", outcomeBits(answered), outcomeBits(failed))
+	}
+
+	nan := append([]float64(nil), truth...)
+	nan[head] = math.NaN()
+	for pass := 0; pass < 2; pass++ {
+		s := memo.attach(NewSelectionFromRDs(rds, Absolute, 2))
+		before := memo.nodes()
+		if _, err := APro(s, tableProbe(nan), Greedy{}, 0.99, -1); err != nil {
+			t.Fatal(err)
+		}
+		// The root's two decisions are remembered; nothing after the NaN is.
+		if w := s.Work(); s.memo != nil || memo.nodes() != before || w.MemoHits != 2 || w.MemoMisses != 0 {
+			t.Errorf("pass %d over a NaN answer: attached %v, nodes %d → %d, work %+v", pass, s.memo != nil, before, memo.nodes(), w)
+		}
+	}
+}
+
+// TestDecisionMemoOutsideThePureForms: what a node remembers is the
+// state's decision, so the forms of Rank that depend on more — a cost
+// function, more than one candidate — a hypothesis and the reference
+// path neither read it nor write it.
+func TestDecisionMemoOutsideThePureForms(t *testing.T) {
+	_, sets, _ := goldenRDSets(t)
+	rds := sets[5]
+	memo := newTestMemo()
+	s := memo.attach(NewSelectionFromRDs(rds, Absolute, 2))
+	defer s.Release()
+	costly := Greedy{Cost: func(i int) float64 { return float64(1 + i) }}
+	if _, _, err := costly.Rank(s, 0.9, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (Greedy{}).Rank(s, 0.9, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.withHypothesisIdx(0, 0, func() { s.Best() })
+	s.noScratch = true
+	s.Best()
+	if _, _, err := (Greedy{}).Rank(s, 0.9, 1); err != nil {
+		t.Fatal(err)
+	}
+	s.noScratch = false
+	if w := s.Work(); w.MemoHits != 0 || w.MemoMisses != 0 || s.memo.best.Load() != memoUnset || s.memo.rank.Load() != memoUnset {
+		t.Fatalf("a form outside the memo touched it: %+v", w)
+	}
+
+	// Other set-search options are another root: same query, nothing shared.
+	s.Best()
+	wide := memo.attach(NewSelectionFromRDs(rds, Absolute, 2)).WithBestSetOptions(BestSetOptions{ExtraCandidates: 2})
+	if wide.memo == nil || wide.memo == s.memo {
+		t.Fatalf("options did not re-root the selection: %p vs %p", wide.memo, s.memo)
+	}
+	wide.ApplyProbe(0, rds[0].Value(0))
+	if wide.WithBestSetOptions(BestSetOptions{}); wide.memo != nil {
+		t.Error("changing options after a probe kept a node of the old options' tree")
+	}
+}

@@ -257,12 +257,25 @@ type Selection struct {
 	work RankWork
 	// ahead counts the loop's lookaheads; see AheadWork.
 	ahead AheadWork
+	// memo is the node of the version's decision memo (memo.go) that
+	// stands for the current state, memoRoot the root it descends from;
+	// both nil when the selection remembers nothing — it was not filled
+	// from a version, the version's memo is off or full, or a probe
+	// answered NaN. memoSet, memoHead and memoU are where a remembered
+	// best set and one-entry ranking are handed out from.
+	memoRoot *memoRoot
+	memo     *memoNode
+	memoSet  []int
+	memoHead [1]int
+	memoU    [1]float64
 }
 
 // RankWork counts what one selection's greedy ranking paid for — the
 // numbers behind "why was this selection slow?". Counts accumulate over
 // the selection's probe steps on the serving path (the reference path
-// counts no sets).
+// counts no sets). A decision read from the version's memo pays for
+// nothing: a selection whose every step was decided before counts hits
+// and zeros.
 type RankWork struct {
 	// Swept counts probe candidates whose usefulness was evaluated,
 	// Skipped those the marginal bound ruled out unevaluated.
@@ -272,6 +285,10 @@ type RankWork struct {
 	// Sets counts k-sets whose E[Cor] was computed, in the base and the
 	// hypothesis searches alike.
 	Sets int
+	// MemoHits counts decisions (a state's best set, a state's greedy
+	// head) read from the version's decision memo, MemoMisses those
+	// computed and stored there. Both stay 0 on a selection without one.
+	MemoHits, MemoMisses int
 }
 
 // Work returns the ranking work counted since the selection was filled.
@@ -315,9 +332,20 @@ func NewSelectionFromRDs(rds []*RD, metric Metric, k int) *Selection {
 }
 
 // WithBestSetOptions overrides the set-search options used by Best and
-// returns the selection for chaining.
+// returns the selection for chaining. The options are part of what a
+// remembered decision depends on, so a selection carrying a memo node
+// moves to the root of its query under the new ones — from its initial
+// state; after a probe it stops remembering instead.
 func (s *Selection) WithBestSetOptions(opts BestSetOptions) *Selection {
+	changed := opts != s.opts
 	s.opts = opts
+	if r := s.memoRoot; r != nil && changed {
+		if s.memo == r.node {
+			s.attachMemo(r.tree, r.key.numTerms)
+		} else {
+			s.memoRoot, s.memo = nil, nil
+		}
+	}
 	return s
 }
 
@@ -365,6 +393,9 @@ func (s *Selection) UnprobedView() []int {
 // and reused across Reuse cycles, so steady-state probing allocates
 // nothing after warm-up.
 func (s *Selection) ApplyProbe(i int, value float64) {
+	if s.memo != nil {
+		s.memo = s.memo.child(s.memoRoot.tree, i, value)
+	}
 	s.rds[i] = s.ownedImpulse(i, value)
 	s.probed[i] = true
 	s.unprobedStale = true
@@ -443,6 +474,7 @@ func (s *Selection) reset(query string, metric Metric, k, n int) {
 	s.opts = BestSetOptions{}
 	s.stageObs = nil
 	s.noScratch = false
+	s.memoRoot, s.memo = nil, nil
 	if cap(s.rds) < n {
 		s.rds = make([]*RD, n)
 	}
@@ -488,10 +520,29 @@ func (s *Selection) BestView() ([]int, float64) {
 	return s.best()
 }
 
-// best routes the evaluation: the incremental scratch on the serving
+// best is the current state's best k-set and its E[Cor]: read from the
+// state's memo node when it has one that knows, evaluated and — with a
+// node — stored otherwise.
+func (s *Selection) best() ([]int, float64) {
+	n := s.memoNode()
+	if n == nil {
+		return s.evaluate()
+	}
+	s.memoSet = growInts(s.memoSet, s.K)
+	if set, e, ok := n.bestInto(s.memoSet); ok {
+		s.work.MemoHits++
+		return set, e
+	}
+	set, e := s.evaluate()
+	s.work.MemoMisses++
+	n.setBest(set, e)
+	return set, e
+}
+
+// evaluate routes the evaluation: the incremental scratch on the serving
 // path, the from-scratch reference on edge cases (k ≥ n, nested
 // hypotheses) and when noScratch pins the reference for tests.
-func (s *Selection) best() ([]int, float64) {
+func (s *Selection) evaluate() ([]int, float64) {
 	if !s.onScratch() || s.hypDepth > 1 {
 		return BestSet(s.Metric, s.rds, s.K, s.opts)
 	}
@@ -557,6 +608,7 @@ func (s *Selection) Release() {
 func (s *Selection) Reuse(src *Selection) {
 	s.Metric, s.K, s.Query = src.Metric, src.K, src.Query
 	s.opts = src.opts
+	s.memoRoot, s.memo = src.memoRoot, src.memo
 	s.rds = append(s.rds[:0], src.rds...)
 	s.estimates = append(s.estimates[:0], src.estimates...)
 	if cap(s.probed) < len(src.probed) {

@@ -159,7 +159,7 @@ func AProInto(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes
 // error is reserved for bad arguments, policy failures and ctx ending.
 func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t float64, maxProbes int, out *Outcome) error {
 	*out = Outcome{Set: out.Set[:0], Steps: out.Steps[:0], Excluded: out.Excluded[:0], ProbeErrs: out.ProbeErrs[:0]}
-	if t < 0 || t > 1 {
+	if !(t >= 0 && t <= 1) { // written so that NaN fails it
 		return fmt.Errorf("core: certainty threshold %v outside [0,1]", t)
 	}
 	if p == nil || policy == nil {
@@ -349,7 +349,28 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	if len(unprobed) == 0 {
 		return nil, nil, fmt.Errorf("no unprobed database left")
 	}
-	_, current := s.best()
+	// The head and its usefulness are a function of the state when no cost
+	// function weighs in (t never does), so with a memo node they are read
+	// from it, or computed below and stored.
+	node := s.memoNode()
+	if m != 1 || g.Cost != nil {
+		node = nil
+	}
+	if node != nil {
+		switch node.rank.Load() {
+		case memoSet:
+			s.work.MemoHits++
+			s.memoHead[0], s.memoU[0] = int(node.head), node.u
+			return s.memoHead[:], s.memoU[:], nil
+		case memoNoProbe:
+			s.work.MemoHits++
+			return nil, nil, ErrNoInformativeProbe
+		}
+		s.work.MemoMisses++
+	}
+	// evaluate, not best: the sweep below reads the scratch the evaluation
+	// leaves behind, which a remembered best set would not have built.
+	_, current := s.evaluate()
 	if s.scratch == nil {
 		// Reference-path and degenerate-k selections evaluate without the
 		// scratch; they take one for the rank buffers, once.
@@ -377,6 +398,9 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 		// Every remaining unprobed RD is an impulse: a probe would be
 		// informationless backend traffic. Report it so APro stops
 		// instead of issuing probes that cannot change the selection.
+		if node != nil {
+			node.setRank(memoNoProbe, 0, 0)
+		}
 		return nil, nil, ErrNoInformativeProbe
 	}
 	if m <= 0 || m > nCand {
@@ -462,6 +486,9 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 		sc.picked[best] = true
 		sc.rankDBs = append(sc.rankDBs, sc.candIdx[best])
 		sc.rankUs = append(sc.rankUs, sc.candRaw[best])
+	}
+	if node != nil {
+		node.setRank(memoSet, sc.rankDBs[0], sc.rankUs[0])
 	}
 	return sc.rankDBs, sc.rankUs, nil
 }

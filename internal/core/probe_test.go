@@ -228,6 +228,11 @@ func TestAProValidation(t *testing.T) {
 	if _, err := APro(sel, probe, &Greedy{}, -0.1, -1); err == nil {
 		t.Error("negative threshold must fail")
 	}
+	probed := 0
+	counting := func(i int) (float64, error) { probed++; return 0, nil }
+	if _, err := APro(sel, counting, &Greedy{}, math.NaN(), -1); err == nil || probed != 0 {
+		t.Errorf("NaN threshold: err %v after %d probes, want an error and none (no certainty is >= NaN)", err, probed)
+	}
 }
 
 func TestRandomPolicy(t *testing.T) {

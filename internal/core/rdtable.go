@@ -294,14 +294,22 @@ func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int,
 			sel.rds[i] = tab.unscaled(i, e, rhat)
 		}
 	}
+	// After the last row read: a memo still on here means every row above
+	// is the one the version was published with (memo.go).
+	sel.attachMemo(v.memo.Load(), numTerms)
 	return sel
 }
 
 // ObserveProbe folds a live probe observation into this version's
 // model (Model.ObserveProbe) and rebuilds the table rows over the EDs
 // it changed, so the next selection serves the refined distributions.
-// A writer: callers hold the model lock.
+// A writer: callers hold the model lock. The first call switches the
+// version's decision memo off, before any row changes: what it remembers
+// was decided from the rows as published.
 func (v *ModelVersion) ObserveProbe(dbIdx int, query string, numTerms int, actual float64) error {
+	if v.memo.Load() != nil {
+		v.memo.Store(nil)
+	}
 	key, err := v.Model.observe(dbIdx, query, numTerms, actual)
 	if err == nil {
 		v.rdtab.observed(v.Model, dbIdx, key)

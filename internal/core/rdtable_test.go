@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,8 +217,10 @@ func TestObserveProbeRebuildsRDTable(t *testing.T) {
 // lock at all — against one writer doing online refinement and
 // refresh-style version swaps; run with -race it proves the read path
 // touches nothing a writer mutates. While the writer runs every filled
-// RD must be a valid distribution; once it is done a fill must equal
-// the from-scratch path bit for bit.
+// RD must be a valid distribution and the best set the selection gets —
+// from the version's decision memo or not — the one a detached copy of
+// it computes; once the writer is done a fill must equal the
+// from-scratch path bit for bit.
 func TestVersionSwapUnderTraffic(t *testing.T) {
 	model, _, test := buildTrainedModel(t)
 	var cur atomic.Pointer[ModelVersion]
@@ -228,7 +231,7 @@ func TestVersionSwapUnderTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			sel := &Selection{}
+			sel, ref := &Selection{}, &Selection{}
 			for n := 0; ; n++ {
 				select {
 				case <-stop:
@@ -243,8 +246,15 @@ func TestVersionSwapUnderTraffic(t *testing.T) {
 						return
 					}
 				}
-				sel.BestView()
+				ref.Reuse(sel)
+				ref.memoRoot, ref.memo = nil, nil
+				set, e := sel.BestView()
+				if wantSet, wantE := ref.BestView(); e != wantE || !slices.Equal(set, wantSet) {
+					t.Errorf("%s under swap: best set %v (%v), a detached copy computes %v (%v)", q, set, e, wantSet, wantE)
+					return
+				}
 				sel.Release()
+				ref.Release()
 			}
 		}(r)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,6 +40,11 @@ type ModelVersion struct {
 	// serialized; loading a snapshot rebuilds it through
 	// NewModelVersion.
 	rdtab *rdTable
+	// memo is the version's decision memo (memo.go): what selections over
+	// the table's rows as published have decided, per state. Nil once
+	// ObserveProbe has changed a row. Like the table it is derived and
+	// never serialized, and no successor inherits it.
+	memo atomic.Pointer[memoTree]
 }
 
 // NewModelVersion wraps a freshly trained or loaded model as version
@@ -47,7 +53,7 @@ type ModelVersion struct {
 func NewModelVersion(m *Model, source string, now time.Time) *ModelVersion {
 	tab := newRDTable(m)
 	tab.prebuild(m)
-	return &ModelVersion{
+	v := &ModelVersion{
 		Version:     1,
 		CreatedAt:   now,
 		Source:      source,
@@ -55,6 +61,8 @@ func NewModelVersion(m *Model, source string, now time.Time) *ModelVersion {
 		RefreshedAt: make(map[string]time.Time),
 		rdtab:       tab,
 	}
+	startMemo(&v.memo)
+	return v
 }
 
 // Next derives the successor version holding m. refreshedDB, when
@@ -79,6 +87,7 @@ func (v *ModelVersion) Next(m *Model, source, refreshedDB string, now time.Time)
 	if refreshedDB != "" {
 		next.RefreshedAt[refreshedDB] = now
 	}
+	startMemo(&next.memo)
 	return next
 }
 

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // StageTotals accumulates one hot-path stage's contribution to a
 // selection: total wall time and how many intervals were recorded.
@@ -57,22 +54,5 @@ func (r *StageRecorder) Totals() map[string]StageTotals {
 	for k, v := range r.totals {
 		out[k] = *v
 	}
-	return out
-}
-
-// Stages returns the recorded stage names in sorted order, for
-// deterministic flushing (metrics series and span events come out in
-// the same order every selection).
-func (r *StageRecorder) Stages() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.totals))
-	for k := range r.totals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

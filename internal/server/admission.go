@@ -25,6 +25,8 @@ const (
 	// pre-paper baseline. Cheapest possible answer: no probes, no RD
 	// convolution, no certainty claim.
 	TierRhatOnly
+	// numTiers sizes the per-tier series arrays.
+	numTiers = int(TierRhatOnly) + 1
 )
 
 // String returns the wire form reported in the response "tier" field

@@ -42,11 +42,16 @@ type coalescer struct {
 	// runCtx outlives every request; leader runs detach onto it.
 	runCtx context.Context
 
-	// Metric hooks; no-ops when the server runs without a registry.
-	requests  func(tenant string)
-	runs      func(tenant string)
-	coalesced func(tenant string)
-	fanout    *obs.Histogram
+	// reg receives the mp_batch_* series; nil disables them. series
+	// holds each tenant's, resolved on its first request (under mu).
+	reg    *obs.Registry
+	series map[string]*batchSeries
+	fanout *obs.Histogram
+}
+
+// batchSeries are one tenant's coalescer counters.
+type batchSeries struct {
+	requests, runs, coalesced *obs.Counter
 }
 
 // newCoalescer wires the coalescer's metrics into reg (nil disables
@@ -56,26 +61,33 @@ func newCoalescer(runCtx context.Context, reg *obs.Registry) *coalescer {
 	c := &coalescer{
 		calls:  make(map[string]*call),
 		runCtx: runCtx,
+		reg:    reg,
+		series: make(map[string]*batchSeries),
 	}
-	nop := func(string) {}
-	c.requests, c.runs, c.coalesced = nop, nop, nop
 	if reg != nil {
 		reg.Help("mp_batch_requests_total", "Selection requests entering the batch coalescer, per tenant.")
 		reg.Help("mp_batch_runs_total", "Underlying selection runs executed (coalesce leaders), per tenant.")
 		reg.Help("mp_batch_coalesced_total", "Requests that joined an already-inflight identical selection, per tenant.")
 		reg.Help("mp_batch_fanout", "Waiters served per completed coalesced run (1 = no sharing).")
-		c.requests = func(t string) {
-			reg.Counter("mp_batch_requests_total", obs.Labels{"tenant": t}).Inc()
-		}
-		c.runs = func(t string) {
-			reg.Counter("mp_batch_runs_total", obs.Labels{"tenant": t}).Inc()
-		}
-		c.coalesced = func(t string) {
-			reg.Counter("mp_batch_coalesced_total", obs.Labels{"tenant": t}).Inc()
-		}
 		c.fanout = reg.Histogram("mp_batch_fanout", nil)
 	}
 	return c
+}
+
+// seriesFor returns the tenant's counters (dead ones without a
+// registry). Callers hold c.mu.
+func (c *coalescer) seriesFor(tenant string) *batchSeries {
+	s, ok := c.series[tenant]
+	if !ok {
+		lbl := obs.Labels{"tenant": tenant}
+		s = &batchSeries{
+			requests:  c.reg.Counter("mp_batch_requests_total", lbl),
+			runs:      c.reg.Counter("mp_batch_runs_total", lbl),
+			coalesced: c.reg.Counter("mp_batch_coalesced_total", lbl),
+		}
+		c.series[tenant] = s
+	}
+	return s
 }
 
 // coalesceKey builds the identity under which requests share one run.
@@ -113,12 +125,13 @@ func coalesceKey(tenant, query string, k int, metric string, t float64, maxProbe
 // requests the completed run served (0 when the caller's ctx expired
 // before the run finished).
 func (c *coalescer) do(ctx context.Context, tenant, key string, fn func(ctx context.Context) (*selectAnswer, error)) (ans *selectAnswer, joined bool, fanout int64, err error) {
-	c.requests(tenant)
 	c.mu.Lock()
+	ser := c.seriesFor(tenant)
+	ser.requests.Inc()
 	if cl, ok := c.calls[key]; ok {
 		cl.waiters++
 		c.mu.Unlock()
-		c.coalesced(tenant)
+		ser.coalesced.Inc()
 		select {
 		case <-cl.done:
 			return cl.res, true, cl.waiters, cl.err
@@ -129,7 +142,7 @@ func (c *coalescer) do(ctx context.Context, tenant, key string, fn func(ctx cont
 	cl := &call{done: make(chan struct{}), waiters: 1}
 	c.calls[key] = cl
 	c.mu.Unlock()
-	c.runs(tenant)
+	ser.runs.Inc()
 	go func() {
 		res, err := fn(c.runCtx)
 		// Unlist before publishing: a request arriving after this point

@@ -11,10 +11,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"metaprobe"
+	"metaprobe/internal/hidden"
 	"metaprobe/internal/obs"
 	"metaprobe/internal/obs/ops"
 	"metaprobe/internal/obs/ops/opstest"
@@ -83,17 +85,18 @@ func TestHandlerSelect(t *testing.T) {
 	}
 
 	// Error mapping.
-	if code, _ := get("/v1/select"); code != http.StatusBadRequest {
-		t.Errorf("missing query = %d, want 400", code)
-	}
-	if code, _ := get("/v1/select?q=x&k=frog"); code != http.StatusBadRequest {
-		t.Errorf("bad k = %d, want 400", code)
-	}
-	if code, _ := get("/v1/select?q=x&metric=bogus"); code != http.StatusBadRequest {
-		t.Errorf("bad metric = %d, want 400", code)
-	}
-	if code, _ := get("/v1/select?q=x&tenant=nobody"); code != http.StatusNotFound {
-		t.Errorf("unknown tenant = %d, want 404", code)
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/select", http.StatusBadRequest},
+		{"/v1/select?q=x&k=frog", http.StatusBadRequest},
+		{"/v1/select?q=x&metric=bogus", http.StatusBadRequest},
+		{"/v1/select?q=x&tenant=nobody", http.StatusNotFound},
+	} {
+		if code, _ := get(c.path); code != c.want {
+			t.Errorf("GET %s = %d, want %d", c.path, code, c.want)
+		}
 	}
 
 	// Tenants and the multi-tenant model document.
@@ -143,6 +146,79 @@ func TestHandlerSelect(t *testing.T) {
 	}
 	if code, _ := get("/v1/select?q=x"); code != http.StatusServiceUnavailable {
 		t.Errorf("draining select = %d, want 503", code)
+	}
+}
+
+// searchCounter counts the searches that reach a backend.
+type searchCounter struct {
+	metaprobe.Database
+	n *atomic.Int64
+}
+
+func (c searchCounter) Search(query string, topK int) (hidden.Result, error) {
+	c.n.Add(1)
+	return c.Database.Search(query, topK)
+}
+
+// TestHandlerRejectsBadThresholdAndK: a threshold that is NaN or outside
+// [0, 1] and a k beyond the tenant's databases are the caller's
+// mistakes. They are answered 400 and counted as client errors before
+// the request is admitted: no backend is searched and the SLO tracker,
+// which measures serving, sees nothing. (NaN used to pass both range
+// checks, meet no certainty and so probe every database of the tenant;
+// t=7 and k=999 reached the engine, came back 500 and burnt SLO budget.)
+func TestHandlerRejectsBadThresholdAndK(t *testing.T) {
+	reg := obs.NewRegistry()
+	slo := metaprobe.NewSLO(metaprobe.SLOConfig{})
+	var searches atomic.Int64
+	ms, qs := buildTestMetasearcher(t, &metaprobe.Config{Metrics: reg, SLO: slo}, func(db metaprobe.Database) metaprobe.Database {
+		return searchCounter{db, &searches}
+	})
+	s := New(Config{Metrics: reg})
+	if err := s.AddTenant(DefaultTenant, ms); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	q := url.QueryEscape(qs[0])
+	trained := searches.Load()
+
+	bad := []*http.Request{
+		httptest.NewRequest("GET", "/v1/select?q="+q+"&t=NaN", nil),
+		httptest.NewRequest("GET", "/v1/select?q="+q+"&t=Inf", nil),
+		httptest.NewRequest("GET", "/v1/select?q="+q+"&t=7", nil),
+		httptest.NewRequest("POST", "/v1/select", strings.NewReader(fmt.Sprintf(`{"query": %q, "threshold": 7}`, qs[0]))),
+		httptest.NewRequest("GET", "/v1/select?q="+q+"&k=999", nil),
+		httptest.NewRequest("POST", "/v1/select", strings.NewReader(fmt.Sprintf(`{"query": %q, "k": 999}`, qs[0]))),
+	}
+	for _, r := range bad {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s = %d %s, want 400", r.Method, r.URL, rec.Code, rec.Body)
+		}
+	}
+	if got := searches.Load() - trained; got != 0 {
+		t.Errorf("rejected requests caused %d backend searches, want 0", got)
+	}
+	if snap := slo.Snapshot(); snap.Total != 0 {
+		t.Errorf("SLO tracker observed %d requests (%d failures), want none: client errors are not serving", snap.Total, snap.AvailabilityFails)
+	}
+	if got := reg.Counter("mp_server_errors_total", obs.Labels{"kind": "client"}).Value(); got != int64(len(bad)) {
+		t.Errorf(`mp_server_errors_total{kind="client"} = %d, want %d`, got, len(bad))
+	}
+	if got := reg.Counter("mp_server_errors_total", obs.Labels{"kind": "internal"}).Value(); got != 0 {
+		t.Errorf(`mp_server_errors_total{kind="internal"} = %d, want 0`, got)
+	}
+	if st := s.Stats(); st.PeakInflight != 0 {
+		t.Errorf("peak inflight %d: a rejected request was admitted", st.PeakInflight)
+	}
+
+	// The same query with a legal threshold is served, and probes.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/select?q="+q+"&t=1", nil))
+	if rec.Code != http.StatusOK || searches.Load() == trained {
+		t.Errorf("t=1 = %d %s with %d searches, want a probing 200", rec.Code, rec.Body, searches.Load()-trained)
 	}
 }
 

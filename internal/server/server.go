@@ -93,7 +93,10 @@ func (cfg Config) withDefaults() Config {
 type tenant struct {
 	name   string
 	ms     *metaprobe.Metasearcher
+	dbs    int // databases ms mediates: the largest k it can answer
 	bucket *tokenBucket
+	// served is mp_server_requests_total for this tenant, by tier.
+	served [numTiers]*obs.Counter
 }
 
 // Server is the multi-tenant selection service core. It is an
@@ -114,6 +117,9 @@ type Server struct {
 	drainMu  sync.Mutex
 	drainOn  bool
 
+	// latency is mp_server_request_seconds by tier.
+	latency [numTiers]*obs.Histogram
+
 	started time.Time
 }
 
@@ -130,6 +136,9 @@ func New(cfg Config) *Server {
 		lifetime: ctx,
 		cancel:   cancel,
 		started:  time.Now(),
+	}
+	for tier := range s.latency {
+		s.latency[tier] = cfg.Metrics.Histogram("mp_server_request_seconds", obs.Labels{"tier": Tier(tier).String()})
 	}
 	if reg := cfg.Metrics; reg != nil {
 		reg.Help("mp_server_requests_total", "Selection requests served, by tenant and served tier.")
@@ -160,11 +169,16 @@ func (s *Server) AddTenant(name string, ms *metaprobe.Metasearcher) error {
 	if _, ok := s.tenants[name]; ok {
 		return fmt.Errorf("server: tenant %q already registered", name)
 	}
-	s.tenants[name] = &tenant{
+	t := &tenant{
 		name:   name,
 		ms:     ms,
+		dbs:    len(ms.Databases()),
 		bucket: newTokenBucket(s.cfg.TenantRate, s.cfg.TenantBurst),
 	}
+	for tier := range t.served {
+		t.served[tier] = s.cfg.Metrics.Counter("mp_server_requests_total", obs.Labels{"tenant": name, "tier": Tier(tier).String()})
+	}
+	s.tenants[name] = t
 	return nil
 }
 
@@ -283,23 +297,19 @@ type selectAnswer struct {
 // Do serves one selection request end to end: admission (tier
 // decision), coalescing, tiered execution, metrics. It is the
 // transport-independent core the HTTP handler and in-process callers
-// share. Client mistakes (unknown tenant, bad metric, k out of range)
-// return errors; under load the answer degrades instead of failing.
+// share. Client mistakes (unknown tenant, bad metric, a threshold or k
+// out of range) return errors before the request is admitted, so they
+// cost no probe and reach no serving sink; under load the answer
+// degrades instead of failing.
 func (s *Server) Do(ctx context.Context, req SelectRequest) (*SelectResponse, error) {
 	if s.Draining() {
 		return nil, errDraining
 	}
 	req = s.fillDefaults(req)
-	metric, err := parseMetric(req.Metric)
+	metric, ten, err := s.check(req)
 	if err != nil {
+		s.countError(err)
 		return nil, err
-	}
-	ten, err := s.tenant(req.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	if req.Query == "" {
-		return nil, fmt.Errorf("empty query")
 	}
 	start := time.Now()
 	tier, shedReason := s.adm.acquire(ten.bucket)
@@ -331,12 +341,36 @@ func (s *Server) Do(ctx context.Context, req SelectRequest) (*SelectResponse, er
 		TraceID:     ans.traceID,
 		ElapsedMs:   float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if reg := s.cfg.Metrics; reg != nil {
-		reg.Counter("mp_server_requests_total", obs.Labels{"tenant": ten.name, "tier": resp.Tier}).Inc()
-		reg.Histogram("mp_server_request_seconds", obs.Labels{"tier": resp.Tier}).
-			ObserveExemplar(time.Since(start).Seconds(), ans.traceID)
+	if s.cfg.Metrics != nil {
+		ten.served[tier].Inc()
+		s.latency[tier].ObserveExemplar(time.Since(start).Seconds(), ans.traceID)
 	}
 	return resp, nil
+}
+
+// check resolves a defaulted request's metric and tenant and rejects
+// what no selection could answer. A NaN threshold passes every ordered
+// comparison a range check is usually written with — and then no
+// certainty ever meets it, so the request would probe every database of
+// the tenant; the test is written so that NaN fails it.
+func (s *Server) check(req SelectRequest) (metaprobe.Metric, *tenant, error) {
+	metric, err := parseMetric(req.Metric)
+	if err != nil {
+		return 0, nil, err
+	}
+	ten, err := s.tenant(req.Tenant)
+	if err != nil {
+		return 0, nil, err
+	}
+	switch {
+	case req.Query == "":
+		return 0, nil, &badRequestError{"empty query"}
+	case !(req.Threshold >= 0 && req.Threshold <= 1):
+		return 0, nil, &badRequestError{fmt.Sprintf("threshold %v outside [0, 1]", req.Threshold)}
+	case req.K > ten.dbs:
+		return 0, nil, &badRequestError{fmt.Sprintf("k=%d outside [1, %d], the databases of tenant %q", req.K, ten.dbs, ten.name)}
+	}
+	return metric, ten, nil
 }
 
 // errDraining is returned for requests arriving after Drain began.

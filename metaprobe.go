@@ -314,6 +314,9 @@ type Metasearcher struct {
 	// makes before it reads the clock, numbers the selection, opens a
 	// span or allocates a stage recorder and cost account.
 	observed bool
+	// series are the selection path's metric series in cfg.Metrics,
+	// resolved once; nil without a registry.
+	series *selectionSeries
 	// exec runs every live probe: worker pool, circuit breakers,
 	// hedging, background probes (internal/probeexec). dbName is the
 	// index → backend-name mapping it accounts by, built once; dbKey is
@@ -410,15 +413,13 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 	if c.Relevancy == nil {
 		c.Relevancy = estimate.NewDocFrequency()
 	}
-	if c.Metrics != nil {
-		registerSelectionMetrics(c.Metrics, tb)
-	}
 	m := &Metasearcher{
 		tb:       tb,
 		sums:     &summary.Set{Summaries: sums},
 		rel:      c.Relevancy,
 		cfg:      c,
 		observed: c.observed(),
+		series:   registerSelectionMetrics(c.Metrics, tb),
 		dbName:   func(i int) string { return tb.DB(i).Name() },
 		dbKey:    make([]string, tb.Len()),
 		exec: probeexec.NewExecutor(probeexec.Config{
@@ -433,6 +434,13 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		key, _ := json.Marshal(tb.DB(i).Name()) // a string always marshals
 		m.dbKey[i] = string(key) + ":"
 	}
+	c.Metrics.GaugeFunc("mp_decision_memo_nodes", nil, func() float64 {
+		if v := m.version.Load(); v != nil {
+			nodes, _ := v.Memo()
+			return float64(nodes)
+		}
+		return 0
+	})
 	if c.Drift != nil {
 		m.drift = obs.NewDriftDetector(*c.Drift)
 		m.drift.SetMetrics(c.Metrics)
@@ -712,6 +720,12 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	if err := ctx.Err(); err != nil {
 		return SelectionResult{}, err
 	}
+	// A threshold no certainty can meet (NaN compares false with
+	// everything) would probe every database: the caller's mistake, so
+	// it is refused before any sink sees a selection.
+	if !(t >= 0 && t <= 1) {
+		return SelectionResult{}, fmt.Errorf("metaprobe: certainty threshold %v outside [0,1]", t)
+	}
 	// Root span, clock, stage recorder and cost account exist together
 	// or not at all. The span tree nests every probe, attempt and
 	// middleware event below "selection"; the cost account rides the
@@ -790,16 +804,15 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 // what an average "3-term" selection costs in probes, bytes and
 // backend wall time.
 func (m *Metasearcher) recordCost(numTerms int, sum *CostSummary) {
-	reg := m.cfg.Metrics
-	if reg == nil {
+	if m.series == nil {
 		return
 	}
-	lbl := obs.Labels{"terms": strconv.Itoa(numTerms)}
-	reg.Counter("mp_selection_cost_probes_total", lbl).Add(int64(sum.ProbesIssued))
-	reg.Counter("mp_selection_cost_bytes_total", lbl).Add(sum.BytesFetched)
-	reg.Counter("mp_selection_cost_hedges_wasted_total", lbl).Add(int64(sum.HedgesWasted))
-	reg.Counter("mp_selection_cost_cache_hits_total", lbl).Add(int64(sum.CacheHits))
-	reg.Histogram("mp_selection_cost_wall_seconds", lbl).Observe(sum.WallMs / 1000)
+	c := m.series.costFor(numTerms)
+	c.probes.Add(int64(sum.ProbesIssued))
+	c.bytes.Add(sum.BytesFetched)
+	c.hedgesWasted.Add(int64(sum.HedgesWasted))
+	c.cacheHits.Add(int64(sum.CacheHits))
+	c.wall.Observe(sum.WallMs / 1000)
 }
 
 // observeDrift feeds one successful live probe into the drift
@@ -827,10 +840,54 @@ func (m *Metasearcher) observeDrift(model *core.Model, i int, query string, numT
 	return m.drift.Observe(m.tb.DB(i).Name(), key.String(), ed.Quantize(v))
 }
 
+// selectionSeries holds the selection path's series. Asking the
+// registry for one builds a label map, sorts it into a key and takes the
+// registry's read lock — some twenty times per request when every use
+// asked — so each is resolved once: per database, per stage and per
+// outcome up front, per query term count on first use.
+type selectionSeries struct {
+	reg                  *Metrics
+	latency, certainty   *obs.Histogram
+	selections           [2]*obs.Counter // by reached: false, true
+	probes, probeErrs    []*obs.Counter  // by database
+	stages               [len(stageNames)]*obs.Histogram
+	memoHits, memoMisses *obs.Counter
+	cost                 sync.Map // term count → *costSeries
+}
+
+// stageNames are the hot-path stages a selection reports, in the order
+// their totals are flushed (sorted, as the series come out in /metrics).
+var stageNames = [...]string{core.StageECorDP, core.StageProbe, core.StageRank, core.StageRDConvolve}
+
+// costSeries are the mp_selection_cost_* series of one term count.
+type costSeries struct {
+	probes, bytes, hedgesWasted, cacheHits *obs.Counter
+	wall                                   *obs.Histogram
+}
+
+func (s *selectionSeries) costFor(numTerms int) *costSeries {
+	if c, ok := s.cost.Load(numTerms); ok {
+		return c.(*costSeries)
+	}
+	lbl := obs.Labels{"terms": strconv.Itoa(numTerms)}
+	c, _ := s.cost.LoadOrStore(numTerms, &costSeries{
+		probes:       s.reg.Counter("mp_selection_cost_probes_total", lbl),
+		bytes:        s.reg.Counter("mp_selection_cost_bytes_total", lbl),
+		hedgesWasted: s.reg.Counter("mp_selection_cost_hedges_wasted_total", lbl),
+		cacheHits:    s.reg.Counter("mp_selection_cost_cache_hits_total", lbl),
+		wall:         s.reg.Histogram("mp_selection_cost_wall_seconds", lbl),
+	})
+	return c.(*costSeries)
+}
+
 // registerSelectionMetrics pre-creates the selection-path series (with
 // help texts) so a metrics endpoint shows them at zero before the
-// first query arrives, rather than materializing lazily.
-func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) {
+// first query arrives, rather than materializing lazily, and returns
+// them; nil for a nil registry.
+func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) *selectionSeries {
+	if reg == nil {
+		return nil
+	}
 	reg.Help("metaprobe_select_latency_seconds", "End-to-end latency of selection calls.")
 	reg.Help("metaprobe_selections_total", "Selection calls, by whether the requested certainty was reached.")
 	reg.Help("metaprobe_selection_certainty", "Expected correctness of the returned database set.")
@@ -842,16 +899,30 @@ func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) {
 	reg.Help("mp_selection_cost_cache_hits_total", "Probe searches answered from the result cache, by query term count.")
 	reg.Help("mp_selection_cost_wall_seconds", "Cumulative backend wall time per selection, by query term count.")
 	reg.Help("mp_selection_stage_seconds", "Per-selection wall time spent in one hot-path stage (rd_convolve, ecor_dp, rank, probe).")
-	reg.Histogram("metaprobe_select_latency_seconds", nil)
-	reg.Histogram("metaprobe_selection_certainty", nil)
-	for _, reached := range []string{"true", "false"} {
-		reg.Counter("metaprobe_selections_total", obs.Labels{"reached": reached})
+	reg.Help("mp_decision_memo_hits_total", "Selection decisions (a state's best set, a state's greedy head) read from the serving version's decision memo instead of computed.")
+	reg.Help("mp_decision_memo_misses_total", "Selection decisions computed and stored in the serving version's decision memo.")
+	reg.Help("mp_decision_memo_nodes", "States the serving version's decision memo holds; 0 once online refinement has switched it off.")
+	s := &selectionSeries{
+		reg:        reg,
+		latency:    reg.Histogram("metaprobe_select_latency_seconds", nil),
+		certainty:  reg.Histogram("metaprobe_selection_certainty", nil),
+		memoHits:   reg.Counter("mp_decision_memo_hits_total", nil),
+		memoMisses: reg.Counter("mp_decision_memo_misses_total", nil),
+		probes:     make([]*obs.Counter, tb.Len()),
+		probeErrs:  make([]*obs.Counter, tb.Len()),
 	}
-	for i := 0; i < tb.Len(); i++ {
+	for i, reached := range []string{"false", "true"} {
+		s.selections[i] = reg.Counter("metaprobe_selections_total", obs.Labels{"reached": reached})
+	}
+	for i := range s.probes {
 		lbl := obs.Labels{"db": tb.DB(i).Name()}
-		reg.Counter("metaprobe_probes_total", lbl)
-		reg.Counter("metaprobe_probe_errors_total", lbl)
+		s.probes[i] = reg.Counter("metaprobe_probes_total", lbl)
+		s.probeErrs[i] = reg.Counter("metaprobe_probe_errors_total", lbl)
 	}
+	for i, stage := range stageNames {
+		s.stages[i] = reg.Histogram("mp_selection_stage_seconds", obs.Labels{"stage": stage})
+	}
+	return s
 }
 
 // formatFloat renders v for a span attribute so that it parses back to
@@ -867,7 +938,8 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 // tree that filled it. Client errors (untrained model, k out of range)
 // never get here: the sinks measure serving, not caller mistakes.
 func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.StageRecorder, sel *core.Selection, res *core.Outcome, start time.Time) {
-	reg := m.cfg.Metrics
+	ser := m.series
+	work := sel.Work()
 	if sp != nil {
 		sp.SetAttr("id", out.ID)
 		sp.SetAttr("estimates", m.estimatesAttr(sel))
@@ -882,12 +954,16 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 		}
 		// What the greedy sweeps paid for: a slow selection with few
 		// probes and many sets is the set search, many hypotheses the
-		// wide RDs, few skips a state the marginal bound cannot thin.
-		work := sel.Work()
+		// wide RDs, few skips a state the marginal bound cannot thin. A
+		// decision the version's memo remembered is a hit and pays for
+		// none of it: a selection decided before end to end reads 0 in
+		// all four rank_* counts and 0 misses.
 		sp.SetAttr("rank_swept", strconv.Itoa(work.Swept))
 		sp.SetAttr("rank_skipped", strconv.Itoa(work.Skipped))
 		sp.SetAttr("rank_hypotheses", strconv.Itoa(work.Hypotheses))
 		sp.SetAttr("rank_sets", strconv.Itoa(work.Sets))
+		sp.SetAttr("memo_hits", strconv.Itoa(work.MemoHits))
+		sp.SetAttr("memo_misses", strconv.Itoa(work.MemoMisses))
 		// What the loop thought out while probes were in flight (all zero
 		// where probes answer faster than a rank): how many lookaheads
 		// found the certain next probe, and why the others did not.
@@ -899,16 +975,15 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 		sp.SetAttr("ahead_us", strconv.FormatInt(ahead.Time.Microseconds(), 10))
 	}
 	for _, step := range res.Steps {
-		name := m.dbName(step.DB)
-		if reg != nil {
-			series := "metaprobe_probes_total"
+		if ser != nil {
 			if step.Err != nil {
-				series = "metaprobe_probe_errors_total"
+				ser.probeErrs[step.DB].Inc()
+			} else {
+				ser.probes[step.DB].Inc()
 			}
-			reg.Counter(series, obs.Labels{"db": name}).Inc()
 		}
 		if sp != nil {
-			kv := []string{"db", name,
+			kv := []string{"db", m.dbName(step.DB),
 				"usefulness", formatFloat(step.Usefulness),
 				"value", formatFloat(step.Value),
 				"certainty_after", formatFloat(step.CertaintyAfter)}
@@ -924,10 +999,16 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 	if m.cfg.SLO != nil {
 		m.cfg.SLO.Observe(elapsed, true)
 	}
-	if reg != nil {
-		reg.Histogram("metaprobe_select_latency_seconds", nil).ObserveExemplar(elapsed.Seconds(), out.TraceID)
-		reg.Counter("metaprobe_selections_total", obs.Labels{"reached": strconv.FormatBool(res.Reached)}).Inc()
-		reg.Histogram("metaprobe_selection_certainty", nil).Observe(res.Certainty)
+	if ser != nil {
+		ser.latency.ObserveExemplar(elapsed.Seconds(), out.TraceID)
+		reached := 0
+		if res.Reached {
+			reached = 1
+		}
+		ser.selections[reached].Inc()
+		ser.certainty.Observe(res.Certainty)
+		ser.memoHits.Add(int64(work.MemoHits))
+		ser.memoMisses.Add(int64(work.MemoMisses))
 	}
 }
 
@@ -1085,11 +1166,13 @@ func countTerms(q string) int {
 // the events land in the recorded tree). A nil span is a no-op.
 func (m *Metasearcher) flushStages(rec *obs.StageRecorder, sp *span.Span) {
 	totals := rec.Totals()
-	reg := m.cfg.Metrics
-	for _, stage := range rec.Stages() {
-		t := totals[stage]
-		if reg != nil {
-			reg.Histogram("mp_selection_stage_seconds", obs.Labels{"stage": stage}).Observe(t.Seconds)
+	for i, stage := range stageNames {
+		t, ok := totals[stage]
+		if !ok {
+			continue
+		}
+		if m.series != nil {
+			m.series.stages[i].Observe(t.Seconds)
 		}
 		sp.AddRecord("stage",
 			"stage", stage,
@@ -1265,6 +1348,13 @@ type ModelInfo struct {
 	// Refresh carries the refresher counters and the last validation
 	// scores; nil without Config.Refresh.
 	Refresh *RefreshStats `json:"refresh,omitempty"`
+	// MemoNodes counts the states this version's decision memo holds —
+	// what selections over it have decided already and a repeated query
+	// reads back instead of computing — and MemoOn whether it still
+	// remembers: it does until the version's first online refinement
+	// changes the rows those decisions were made from.
+	MemoNodes int  `json:"memoNodes"`
+	MemoOn    bool `json:"memoOn"`
 }
 
 // ModelInfo reports the serving model version, its age and provenance,
@@ -1282,6 +1372,7 @@ func (m *Metasearcher) ModelInfo() ModelInfo {
 		AgeSeconds: time.Since(v.CreatedAt).Seconds(),
 		Databases:  len(v.Model.DBs),
 	}
+	info.MemoNodes, info.MemoOn = v.Memo()
 	if len(v.RefreshedAt) > 0 {
 		info.RefreshedAt = make(map[string]time.Time, len(v.RefreshedAt))
 		for db, ts := range v.RefreshedAt {
