@@ -39,17 +39,17 @@ type Overlapper interface {
 // rank of the step just taken plus thinkFixed. A lookahead is one
 // hypothesis per support value and then one Rank(·, t, 1) on a rebuilt
 // state per value until two disagree. Measured on the benchmark's
-// slow-probe workload (CHANGES.md, PR 19) that is 426 µs on average
-// against 115 µs for a step's own rank — under four ranks — and up to
-// one rank per support value, nine on average, when the verdict is
-// "certain"; thinkFixed stands for what no rank time shows, the probe's
-// goroutine and channel, the yield and filling the second shell, 9 µs
-// per lookahead on steps whose rank takes one. At a ratio of eight the
-// average thought is over in half a round trip and the longest about
-// when the answer arrives, which also ends it. A backend that answers
-// from memory (tens of microseconds, against a rank of a hundred) never
-// starts one, and neither does a step whose rank alone takes
-// milliseconds of a ten-millisecond probe.
+// slow-probe population (CHANGES.md, PR 23; PR 19 read 426 and 115 µs)
+// that is 329 µs on average against 106 µs for a step's own rank — about
+// three ranks — and up to one rank per support value, nine on average,
+// when the verdict is "certain"; thinkFixed stands for what no rank time
+// shows, the probe's goroutine and channel, the yield and filling the
+// second shell, 9 µs per lookahead on steps whose rank takes one. At a
+// ratio of eight the average thought is over in under half a round trip
+// and the longest about when the answer arrives, which also ends it. A
+// backend that answers from memory (tens of microseconds, against a rank
+// of a hundred) never starts one, and neither does a step whose rank
+// alone takes milliseconds of a ten-millisecond probe.
 const (
 	thinkRatio = 8
 	thinkFixed = 10 * time.Microsecond

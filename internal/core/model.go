@@ -227,7 +227,7 @@ type Selection struct {
 	// scratch is the pooled incremental evaluation state (selstate.go),
 	// acquired lazily on the first Best and handed back by Release. It
 	// caches the key grid, Poisson-binomial DP rows and membership
-	// marginals of the current RDs; ApplyProbe invalidates it.
+	// marginals of the current RDs; ApplyProbe marks it stale.
 	scratch *selScratch
 	// noScratch forces the from-scratch reference path — the
 	// differential tests use it to pin the incremental path against
@@ -283,8 +283,13 @@ type RankWork struct {
 	// Hypotheses counts "suppose dbₕ yields w" evaluations.
 	Hypotheses int
 	// Sets counts k-sets whose E[Cor] was computed, in the base and the
-	// hypothesis searches alike.
-	Sets int
+	// hypothesis searches alike; SetsShared those of them, all under a
+	// hypothesis, whose per-key terms an earlier support value of the same
+	// candidate had left behind.
+	Sets, SetsShared int
+	// GridReuses counts evaluations after a probe that kept the key grid
+	// and recomputed the probed database's part of it only.
+	GridReuses int
 	// MemoHits counts decisions (a state's best set, a state's greedy
 	// head) read from the version's decision memo, MemoMisses those
 	// computed and stored there. Both stay 0 on a selection without one.
@@ -399,7 +404,12 @@ func (s *Selection) ApplyProbe(i int, value float64) {
 	s.rds[i] = s.ownedImpulse(i, value)
 	s.probed[i] = true
 	s.unprobedStale = true
-	s.invalidate()
+	if sc := s.scratch; sc != nil && sc.valid && sc.isLive[i] {
+		// The grid stands but for i's column and keys (selScratch.collapse).
+		sc.valid, sc.collapsed = false, i
+	} else {
+		s.invalidate()
+	}
 }
 
 // ownedImpulse returns the selection's reusable impulse RD for
@@ -496,10 +506,10 @@ func (s *Selection) reset(query string, metric Metric, k, n int) {
 	s.invalidate()
 }
 
-// invalidate marks the incremental scratch stale after an RD changed.
+// invalidate marks the incremental scratch stale after RDs changed.
 func (s *Selection) invalidate() {
 	if s.scratch != nil {
-		s.scratch.valid = false
+		s.scratch.invalidate()
 	}
 }
 
@@ -560,6 +570,7 @@ func (s *Selection) evaluate() ([]int, float64) {
 	sc := s.scratch
 	set, e := sc.bestFrom(s.Metric, s.opts)
 	s.work.Sets += sc.sets
+	s.work.SetsShared += sc.shared
 	return set, e
 }
 
@@ -569,15 +580,21 @@ func (s *Selection) onScratch() bool {
 	return !s.noScratch && s.K > 0 && s.K < len(s.rds)
 }
 
-// ensureScratch acquires the pooled scratch and rebuilds it from the
-// current RDs when stale. Callers guarantee 0 < K < len(rds) and no
-// active hypothesis swap in s.rds.
+// ensureScratch acquires the pooled scratch and, when stale, repairs it
+// (one live database probed since) or rebuilds it from the current RDs.
+// Callers guarantee 0 < K < len(rds) and no active hypothesis swap in
+// s.rds.
 func (s *Selection) ensureScratch() {
 	if s.scratch == nil {
 		s.scratch = acquireScratch()
 	}
 	sc := s.scratch
-	if !sc.valid || sc.k != s.K || sc.n != len(s.rds) {
+	switch same := sc.k == s.K && sc.n == len(s.rds); {
+	case same && sc.valid:
+	case same && sc.collapsed >= 0:
+		sc.collapse(s.rds, sc.collapsed)
+		s.work.GridReuses++
+	default:
 		sc.build(s.rds, s.K)
 	}
 }
@@ -691,8 +708,8 @@ func (s *Selection) beginHypothesisIdx(i, vi int) *RD {
 func (s *Selection) endHypothesisIdx(i int, old *RD) {
 	s.rds[i] = old
 	if s.hypDepth == 1 {
-		if s.scratch != nil && s.scratch.hypActive {
-			s.scratch.endHypothesis()
+		if s.scratch != nil {
+			s.scratch.hypActive = false
 		}
 		s.hypVI = -1
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"metaprobe/internal/stats"
@@ -24,19 +25,23 @@ import (
 //     membership marginals are per-key tails.
 //
 // A greedy-usefulness hypothesis ("suppose probing dbₕ yields w")
-// collapses exactly one RD to an impulse, which perturbs exactly one
-// factor of every DP row: column h of the grid becomes a step
-// function, and each row's factor h swaps from p to p' ∈ {0, 1}. The
-// swap is applied by deconvolving the old Bernoulli factor out of the
-// cached row and convolving the new one in — O(k) per row instead of
-// O(n·k) — falling back to an O(n·k) row rebuild when deconvolution
-// would be numerically unsafe (see deconvMaxP). Either way the swapped
-// row's tail depends on the key, on h and on p' but not on w, so it is
-// computed once per (key, p') while h is the candidate (hypTail) and
-// every support value of h reads it back. Keys of dbₕ whose value
-// differs from w contribute exactly zero afterwards (their P(κ ≥ K)
-// and P(κ > K) products coincide term by term), so the key grid itself
-// never needs restructuring.
+// collapses exactly one RD to an impulse, and the grid is never touched
+// for it. In every DP row factor h becomes p' ∈ {0, 1}, and a 0/1 factor
+// acts on the truncated DP without rounding (0 is the identity, 1 a
+// one-cell shift that commutes with every other factor), so the row
+// without factor h (see swappedTails) gives both swapped tails at once;
+// they depend on the key and on h but not on w, so they are computed
+// once while h is the candidate (hypTail). In E[Cor_a(S)] the hypothesis
+// puts a factor of exactly 0 or 1 into every per-key term: with h's own
+// factor left out the term depends on (h, S, key) only, and w decides
+// whether it counts. Those terms are kept per (candidate, set) in the
+// term cache, and a hypothesis sums, in the same left-to-right order,
+// the ones its w lets through (hypExpected).
+//
+// A probe does the same to the real state, so the next evaluation
+// recomputes that database's column and keys (collapse), keeps the rest
+// of the grid, and redoes the DP rows and marginals, which every factor
+// enters, in full.
 //
 // Databases whose RD is already an impulse — probed ones, and the cold
 // majority that was never observed — put a factor of exactly 0 or 1
@@ -49,9 +54,10 @@ import (
 //
 // The base (no-hypothesis) tables replicate the reference arithmetic
 // operation for operation — same factor order, same clamps, same early
-// exits — so base results are bit-identical to BestSet; only
-// hypothesis evaluations deviate, by deconvolution round-off far below
-// the probEpsilon the policies compare with. The differential tests in
+// exits — so base results are bit-identical to BestSet, and so is the
+// E[Cor] of any one set under a hypothesis; only a hypothesis's
+// marginals deviate, by deconvolution round-off far below the
+// probEpsilon the policies compare with. The differential tests in
 // incremental_test.go pin both paths together.
 
 // deconvMaxP bounds the Bernoulli success probability up to which the
@@ -68,6 +74,23 @@ const (
 // tailUnset marks a hypTail entry not computed yet; a tail is a
 // probability up to round-off, never −1.
 const tailUnset = -1
+
+// The term cache is bounded by two constants; past either a term vector
+// is computed into a temporary and not kept — same arithmetic, shared
+// less. maxTermSets: the index table has one 8-byte slot per k-set,
+// addressed by the set's combinatorial rank, so at most 4 096 × 8 B =
+// 32 KiB (C(20, 3) = 1 140 sets on the health testbed); a larger C(n, k)
+// gets no table. maxTermFloats: the arena holds at most 32 768 floats =
+// 256 KiB per scratch; the high-water mark over the benchmark's 6 000
+// cpu-select queries is 8 184 floats (64 KiB).
+const (
+	maxTermSets   = 4096
+	maxTermFloats = 1 << 15
+)
+
+// termSlot says where in the arena a set's term vector starts; it is
+// there only when epoch is the scratch's current termEpoch.
+type termSlot struct{ epoch, off uint32 }
 
 // selScratch is the reusable state. It is owned by exactly one
 // Selection at a time and returned to selScratchPool by
@@ -86,6 +109,9 @@ type selScratch struct {
 	dp       []float64 // [key t][count c] → truncated PB DP row, t*k+c
 	marg     []float64 // P(dbᵢ ∈ topk) per database
 	valid    bool
+	// collapsed ≥ 0 on a stale scratch names the one database whose RD
+	// became an impulse since the grid was built (see collapse).
+	collapsed int
 
 	// Impulse bookkeeping: the non-impulse databases ascending, the same
 	// as a per-database flag, and per key the number of impulse databases
@@ -95,28 +121,48 @@ type selScratch struct {
 	isLive   []bool
 	deadNeed []int
 
-	// Hypothesis overlay (depth-1 greedy hypotheses only).
-	hypActive  bool
-	hypDB      int
-	hypGTCol   []float64 // saved base column h of gt
-	hypLessCol []float64 // saved base column h of less
-	hypEqSave  []float64 // saved keyEq of h's keys
-	hypMarg    []float64 // marginals under the hypothesis
-	impulse    *RD       // reusable impulse RD for the rds swap
+	// The active hypothesis "dbₕ = w" (depth-1 greedy hypotheses only):
+	// h, the key (w, h), and per database i ≠ h where w falls among i's
+	// keys — κₕ > K for the keys [keyStart[i], hypGTEnd[i]) and κₕ < K for
+	// [hypLessStart[i], keyStart[i+1]); the two meet unless i is an
+	// impulse at NaN.
+	hypActive    bool
+	hypDB        int
+	hypKey       int
+	hypGTEnd     []int
+	hypLessStart []int
+	hypMarg      []float64 // marginals under the hypothesis
+	impulse      *RD       // reusable impulse RD for the rds swap
 	// hypTail[2t+p'] is the tail of key t's DP row with factor tailDB
 	// swapped to p' ∈ {0, 1}, or tailUnset. It is wiped when the
 	// candidate changes and when the scratch is rebuilt.
 	hypTail []float64
 	tailDB  int
 
-	// Best-set enumeration buffers.
+	// Term cache of the candidate tailDB: termSlots by combinatorial rank
+	// (choose[d*n+c] = C(c, d+1); both empty when C(n, k) > maxTermSets),
+	// vectors in termArena, termTmp for one that is not kept. A new
+	// candidate or a rebuild starts a new termEpoch with an empty arena.
+	// shared counts the last bestFrom's scorings that found their vector.
+	choose    []int
+	termSlots []termSlot
+	termEpoch uint32
+	termArena []float64
+	termTmp   []float64
+	shared    int
+
+	// Best-set enumeration buffers; pool is how many of the top-marginal
+	// candidates the absolute search enumerates over under poolOpts (all
+	// n: the search is exhaustive), 0 until decided for this (n, k).
+	pool     int
+	poolOpts BestSetOptions
 	order    []int
 	comboIdx []int
 	combo    []int
 	chosen   []int
 	bestBuf  []int
 	comboGap []int
-	setMask  []bool // all false between expectedAbsolute calls
+	setMask  []bool // all false between scorings
 	pbRow    []float64
 	// exhaustive reports that the last bestFrom enumerated every k-set,
 	// so the E[Cor] it returned is a proven maximum; sets counts the
@@ -145,15 +191,18 @@ var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
 
 func acquireScratch() *selScratch {
 	sc := selScratchPool.Get().(*selScratch)
-	sc.valid = false
-	sc.hypActive = false
+	sc.invalidate()
 	return sc
 }
 
 func (sc *selScratch) release() {
-	sc.valid = false
-	sc.hypActive = false
+	sc.invalidate()
 	selScratchPool.Put(sc)
+}
+
+// invalidate marks the whole scratch stale.
+func (sc *selScratch) invalidate() {
+	sc.valid, sc.collapsed, sc.hypActive = false, -1, false
 }
 
 // hypImpulse returns the scratch-owned impulse RD re-pointed at v. It
@@ -191,11 +240,14 @@ func growBools(buf []bool, n int) []bool {
 }
 
 // build rebuilds the full grid, DP rows and marginals from the
-// selection's RDs. Called when the scratch is invalid (fresh scratch,
-// or a probe collapsed an RD). Requires 0 < k < n.
+// selection's RDs. Called when the scratch is stale beyond what collapse
+// repairs (fresh scratch, a refill, two probes). Requires 0 < k < n.
 func (sc *selScratch) build(rds []*RD, k int) {
 	n := len(rds)
-	sc.n, sc.k = n, k
+	if n != sc.n || k != sc.k {
+		sc.n, sc.k, sc.pool = n, k, 0
+		sc.sizeTermTable()
+	}
 
 	sc.keyStart = growInts(sc.keyStart, n+1)
 	nK := 0
@@ -211,11 +263,10 @@ func (sc *selScratch) build(rds []*RD, k int) {
 	sc.less = growFloats(sc.less, nK*n)
 	sc.dp = growFloats(sc.dp, nK*k)
 	sc.marg = growFloats(sc.marg, n)
-	sc.hypGTCol = growFloats(sc.hypGTCol, nK)
-	sc.hypLessCol = growFloats(sc.hypLessCol, nK)
+	sc.hypGTEnd = growInts(sc.hypGTEnd, n)
+	sc.hypLessStart = growInts(sc.hypLessStart, n)
 	sc.hypMarg = growFloats(sc.hypMarg, n)
 	sc.hypTail = growFloats(sc.hypTail, 2*nK)
-	sc.tailDB = -1
 	sc.pbRow = growFloats(sc.pbRow, k)
 	sc.setMask = growBools(sc.setMask, n)
 	sc.isLive = growBools(sc.isLive, n)
@@ -230,33 +281,79 @@ func (sc *selScratch) build(rds []*RD, k int) {
 
 	for i, rd := range rds {
 		for vi := 0; vi < rd.Len(); vi++ {
-			t := sc.keyStart[i] + vi
-			v := rd.Value(vi)
-			sc.keyVal[t] = v
-			sc.keyEq[t] = rd.Prob(vi)
-			gtRow := sc.gt[t*n : t*n+n]
-			lessRow := sc.less[t*n : t*n+n]
-			dead := 0
-			for j, rdj := range rds {
-				gtRow[j] = prKeyGreater(rdj, j, v, i)
-				lessRow[j] = prKeyLess(rdj, j, v, i)
-				if !sc.isLive[j] && lessRow[j] == 0 {
-					dead++
-				}
-			}
-			sc.deadNeed[t] = dead
+			sc.fillKey(rds, sc.keyStart[i]+vi, i, rd.Value(vi), rd.Prob(vi))
 		}
 	}
+	sc.finish()
+}
 
-	// DP rows and marginals, replicating MembershipProb exactly: for
-	// key t of dbᵢ the row's factors are P(beats(j, i) | rᵢ = v) =
-	// gt[t][j] over j ≠ i ascending, and the marginal is the
-	// prob-weighted sum of row tails.
-	for i := range rds {
+// fillKey writes key t = (v, i) of the grid: its value, P(rᵢ = v), its
+// row of gt and less against every database, and its deadNeed.
+func (sc *selScratch) fillKey(rds []*RD, t, i int, v, eq float64) {
+	n := sc.n
+	sc.keyVal[t], sc.keyEq[t] = v, eq
+	gtRow := sc.gt[t*n : t*n+n]
+	lessRow := sc.less[t*n : t*n+n]
+	dead := 0
+	for j, rdj := range rds {
+		gtRow[j] = prKeyGreater(rdj, j, v, i)
+		lessRow[j] = prKeyLess(rdj, j, v, i)
+		if !sc.isLive[j] && lessRow[j] == 0 {
+			dead++
+		}
+	}
+	sc.deadNeed[t] = dead
+}
+
+// collapse repairs a grid built before database h's RD became the
+// impulse rds[h], with the calls build would make: h's key block shrinks
+// to its one key, column h and h's own row are recomputed, h leaves the
+// live list and enters deadNeed. The caller guarantees h was live in the
+// grid and nothing else changed.
+func (sc *selScratch) collapse(rds []*RD, h int) {
+	n := sc.n
+	hb, he, nK := sc.keyStart[h], sc.keyStart[h+1], sc.keyStart[n]
+	copy(sc.keyVal[hb+1:], sc.keyVal[he:nK])
+	copy(sc.keyEq[hb+1:], sc.keyEq[he:nK])
+	copy(sc.deadNeed[hb+1:], sc.deadNeed[he:nK])
+	copy(sc.gt[(hb+1)*n:], sc.gt[he*n:nK*n])
+	copy(sc.less[(hb+1)*n:], sc.less[he*n:nK*n])
+	for j := h + 1; j <= n; j++ {
+		sc.keyStart[j] -= he - hb - 1
+	}
+	sc.isLive[h] = false
+	at := slices.Index(sc.live, h)
+	sc.live = slices.Delete(sc.live, at, at+1)
+
+	rd := rds[h]
+	for i := 0; i < n; i++ {
+		if i == h {
+			sc.fillKey(rds, hb, h, rd.Value(0), rd.Prob(0))
+			continue
+		}
+		for t := sc.keyStart[i]; t < sc.keyStart[i+1]; t++ {
+			sc.gt[t*n+h] = prKeyGreater(rd, h, sc.keyVal[t], i)
+			sc.less[t*n+h] = prKeyLess(rd, h, sc.keyVal[t], i)
+			if sc.less[t*n+h] == 0 {
+				sc.deadNeed[t]++
+			}
+		}
+	}
+	sc.finish()
+}
+
+// finish derives the DP rows and marginals from the grid, replicating
+// MembershipProb exactly: for key t of dbᵢ the row's factors are
+// P(beats(j, i) | rᵢ = v) = gt[t][j] over j ≠ i ascending, and the
+// marginal is the prob-weighted sum of row tails. What was cached for a
+// candidate is void afterwards.
+func (sc *selScratch) finish() {
+	n, k := sc.n, sc.k
+	for i := 0; i < n; i++ {
 		m := 0.0
 		for t := sc.keyStart[i]; t < sc.keyStart[i+1]; t++ {
 			row := sc.dp[t*k : t*k+k]
-			sc.dpRowInto(row, sc.gt[t*n:t*n+n], i)
+			sc.dpRowInto(row, sc.gt[t*n:t*n+n], i, -1)
 			m += sc.keyEq[t] * sumTail(row)
 		}
 		if m > 1 {
@@ -264,21 +361,48 @@ func (sc *selScratch) build(rds []*RD, k int) {
 		}
 		sc.marg[i] = m
 	}
-	sc.valid = true
+	sc.tailDB = -1
+	sc.valid, sc.collapsed = true, -1
+}
+
+// sizeTermTable sets up the term cache's index for (n, k): a slot per
+// k-set and the binomials its rank is summed from, or neither when there
+// are more than maxTermSets sets. A set's rank is below C(n, k), so the
+// binomials it reads are too, and the others may saturate.
+func (sc *selScratch) sizeTermTable() {
+	n, k := sc.n, sc.k
+	sc.choose, sc.termSlots = sc.choose[:0], sc.termSlots[:0]
+	sets := stats.BinomialCoefficient(n, k)
+	if sets > maxTermSets {
+		return
+	}
+	sc.choose = growInts(sc.choose, k*n)
+	for c := 0; c < n; c++ {
+		sc.choose[c] = c
+	}
+	for x := n; x < k*n; x++ {
+		sc.choose[x] = 0
+		if x%n > 0 {
+			sc.choose[x] = min(sc.choose[x-1]+sc.choose[x-n-1], maxTermSets)
+		}
+	}
+	sc.termSlots = slices.Grow(sc.termSlots, int(sets))[:int(sets)]
+	clear(sc.termSlots)
 }
 
 // dpRowInto fills dst (length k) with the truncated Poisson-binomial
-// DP over factors[j] for j ≠ skip — the same top-down update, factor
-// order and per-factor clamping as stats.PoissonBinomialAtMost on the
-// beat probabilities MembershipProb would gather.
-func (sc *selScratch) dpRowInto(dst, factors []float64, skip int) {
+// DP over factors[j] for j other than skip and skip2 — the same top-down
+// update, factor order and per-factor clamping as
+// stats.PoissonBinomialAtMost on the beat probabilities MembershipProb
+// would gather.
+func (sc *selScratch) dpRowInto(dst, factors []float64, skip, skip2 int) {
 	for c := range dst {
 		dst[c] = 0
 	}
 	dst[0] = 1
 	hi := len(dst) - 1
 	for j, p := range factors {
-		if j == skip {
+		if j == skip || j == skip2 {
 			continue
 		}
 		if p < 0 {
@@ -319,183 +443,222 @@ func deconvolveBernoulli(dst, src []float64, p float64) {
 	}
 }
 
-// convolveBernoulli folds one Bernoulli(p) factor into a DP row in
-// place (truncated at the row length).
-func convolveBernoulli(row []float64, p float64) {
-	q := 1 - p
-	for c := len(row) - 1; c >= 1; c-- {
-		row[c] = row[c]*q + row[c-1]*p
-	}
-	row[0] *= q
-}
-
-// beginHypothesis overlays "dbₕ's RD collapses to an impulse at its
-// vi-th support value" onto the grid: column h becomes a step
-// function, keyEq of h's keys becomes an indicator, and hypothesis
-// marginals are derived from the cached DP rows by swapping the single
-// changed factor. The base tables are saved and restored by
-// endHypothesis; dp rows are never mutated.
+// beginHypothesis arms "dbₕ's RD collapses to an impulse at its vi-th
+// support value" without touching the grid or the DP rows: it locates w
+// among every other database's keys and derives the hypothesis marginals
+// from the swapped tails. A new candidate voids the tails and terms kept
+// for the last one. An h that is an impulse already hypothesises the
+// base state and arms nothing.
 func (sc *selScratch) beginHypothesis(h, vi int) {
+	if !sc.isLive[h] {
+		return
+	}
 	n, k := sc.n, sc.k
-	hb, he := sc.keyStart[h], sc.keyStart[h+1]
-	w := sc.keyVal[hb+vi]
-
-	sc.hypEqSave = growFloats(sc.hypEqSave, he-hb)
-	copy(sc.hypEqSave, sc.keyEq[hb:he])
-	for i := 0; i < n; i++ {
-		for t := sc.keyStart[i]; t < sc.keyStart[i+1]; t++ {
-			sc.hypGTCol[t] = sc.gt[t*n+h]
-			sc.hypLessCol[t] = sc.less[t*n+h]
-			v := sc.keyVal[t]
-			// Impulse at w against key K = (v, i): P(κₕ > K) and
-			// P(κₕ < K) are indicators with the index tie-break.
-			var g, l float64
-			if w > v || (w == v && h < i) {
-				g = 1
-			}
-			if w < v || (w == v && h > i) {
-				l = 1
-			}
-			sc.gt[t*n+h] = g
-			sc.less[t*n+h] = l
-		}
-	}
-	for t := hb; t < he; t++ {
-		sc.keyEq[t] = 0
-	}
-	sc.keyEq[hb+vi] = 1
-
-	// Hypothesis marginals. dbₕ's own rows exclude factor h, so its
-	// marginal is the tail at the hypothesized key directly; every
-	// other database swaps exactly the h factor of each row, and the
-	// swapped tail is shared by every support value of h that puts the
-	// same p' there.
+	sc.hypDB, sc.hypKey = h, sc.keyStart[h]+vi
+	w := sc.keyVal[sc.hypKey]
 	if sc.tailDB != h {
 		tails := sc.hypTail[:2*sc.keyStart[n]]
 		for x := range tails {
 			tails[x] = tailUnset
 		}
 		sc.tailDB = h
+		sc.termArena = sc.termArena[:0]
+		if sc.termEpoch++; sc.termEpoch == 0 {
+			clear(sc.termSlots)
+			sc.termEpoch = 1
+		}
 	}
 	for i := 0; i < n; i++ {
+		lo, hi := sc.keyStart[i], sc.keyStart[i+1]
 		if i == h {
-			sc.hypMarg[h] = sumTail(sc.dp[(hb+vi)*k : (hb+vi)*k+k])
+			// dbₕ's own rows exclude factor h.
+			sc.hypMarg[h] = sumTail(sc.dp[sc.hypKey*k : sc.hypKey*k+k])
 			continue
 		}
+		// An impulse at w against key K = (v, i): P(κₕ > K) and P(κₕ < K)
+		// are indicators with the index tie-break, and i's keys ascend.
+		gtEnd := lo
+		for gtEnd < hi && (w > sc.keyVal[gtEnd] || (w == sc.keyVal[gtEnd] && h < i)) {
+			gtEnd++
+		}
+		lessStart := gtEnd
+		for lessStart < hi && !(w < sc.keyVal[lessStart] || (w == sc.keyVal[lessStart] && h > i)) {
+			lessStart++
+		}
+		sc.hypGTEnd[i], sc.hypLessStart[i] = gtEnd, lessStart
+		// Row t of dbᵢ swaps its h factor to 1 below gtEnd, to 0 from there.
 		m := 0.0
-		for t := sc.keyStart[i]; t < sc.keyStart[i+1]; t++ {
-			newP := sc.gt[t*n+h]
-			memo := &sc.hypTail[2*t+int(newP)]
-			if *memo == tailUnset {
-				*memo = sc.swappedTail(t, i, sc.hypGTCol[t], newP)
+		for t := lo; t < hi; t++ {
+			newP := 0
+			if t < gtEnd {
+				newP = 1
 			}
-			m += sc.keyEq[t] * *memo
+			tail := sc.hypTail[2*t+newP]
+			if tail == tailUnset {
+				tail = sc.swappedTails(t, i, newP)
+			}
+			m += sc.keyEq[t] * tail
 		}
 		if m > 1 {
 			m = 1
 		}
 		sc.hypMarg[i] = m
 	}
-
-	sc.hypDB = h
 	sc.hypActive = true
 }
 
-// swappedTail returns the tail of key t's DP row (owner i ≠ h) with
-// factor h swapped from its base value oldP to newP ∈ {0, 1}; the h
-// column of the grid already holds the overlay.
-func (sc *selScratch) swappedTail(t, i int, oldP, newP float64) float64 {
-	n, k := sc.n, sc.k
+// swappedTails computes the tails of key t's DP row (owner i ≠ tailDB)
+// with factor tailDB swapped to 0 and to 1, stores them in hypTail and
+// returns the one asked for. Both come from the row without that factor
+// — the cached row when the factor is 0, one deconvolution when it is
+// small, one O(n·k) rebuild otherwise: swapped to 0 the row is that one,
+// swapped to 1 it is that one shifted up a cell, whose tail is the sum of
+// all cells but the last. A factor of exactly 1 is in the cached row
+// already, and every support value of the candidate leaves it there.
+func (sc *selScratch) swappedTails(t, i, want int) float64 {
+	n, k, h := sc.n, sc.k, sc.tailDB
+	tails := sc.hypTail[2*t : 2*t+2]
+	row := sc.dp[t*k : t*k+k]
+	oldP := sc.gt[t*n+h]
 	if oldP < 0 {
 		oldP = 0
 	} else if oldP > 1 {
 		oldP = 1
 	}
 	switch {
-	case oldP == newP:
-		return sumTail(sc.dp[t*k : t*k+k])
+	case oldP == 0:
+	case oldP == 1 && want == 1:
+		tails[1] = sumTail(row)
+		return tails[1]
 	case oldP <= deconvMaxP && k <= deconvMaxK:
-		deconvolveBernoulli(sc.pbRow, sc.dp[t*k:t*k+k], oldP)
-		convolveBernoulli(sc.pbRow, newP)
+		deconvolveBernoulli(sc.pbRow, row, oldP)
+		row = sc.pbRow
 	default:
-		sc.dpRowInto(sc.pbRow, sc.gt[t*n:t*n+n], i)
+		sc.dpRowInto(sc.pbRow, sc.gt[t*n:t*n+n], i, h)
+		row = sc.pbRow
 	}
-	return sumTail(sc.pbRow)
+	tails[0], tails[1] = sumTail(row), sumTail(row[:k-1])
+	return tails[want]
 }
 
-// endHypothesis restores the base grid saved by beginHypothesis.
-func (sc *selScratch) endHypothesis() {
-	n := sc.n
-	h := sc.hypDB
-	hb, he := sc.keyStart[h], sc.keyStart[h+1]
-	for t := 0; t < sc.keyStart[n]; t++ {
-		sc.gt[t*n+h] = sc.hypGTCol[t]
-		sc.less[t*n+h] = sc.hypLessCol[t]
-	}
-	copy(sc.keyEq[hb:he], sc.hypEqSave)
-	sc.hypActive = false
-}
-
-// expectedAbsolute evaluates E[Cor_a(set)] from the grid (base or
-// hypothesis overlay), mirroring ExpectedAbsolute's conditioning on
-// the set's minimum key: identical factor order, clamps and early
-// exits, minus the impulse factors that are exactly 1 and the keys an
-// impulse factor of exactly 0 wipes out. set must be ascending.
-func (sc *selScratch) expectedAbsolute(set []int) float64 {
-	n := sc.n
-	mask := sc.setMask
+// markSet sets the set-membership mask of set's members.
+func (sc *selScratch) markSet(set []int, on bool) {
 	for _, i := range set {
-		mask[i] = true
+		sc.setMask[i] = on
 	}
+}
+
+// keyTerm returns key t's term of E[Cor_a(set)], P(min over the set =
+// K)·P(every non-member is below K) for K = key t of set member pivot,
+// with database skip's factor left out of both products (−1: none;
+// skip = pivot: K is the hypothesised key, which dbₕ is at and not
+// above). It mirrors ExpectedAbsolute: identical factor order, clamps and
+// early exits, minus the impulse factors that are exactly 1 and the keys
+// an impulse factor of exactly 0 wipes out, which add +0. set must be
+// ascending and, like skip, marked in setMask.
+func (sc *selScratch) keyTerm(t, pivot int, set []int, skip int) float64 {
+	n := sc.n
+	lessRow := sc.less[t*n : t*n+n]
+	// An impulse outside the set that is not below K makes the
+	// non-member product exactly 0: the key adds nothing.
+	if need := sc.deadNeed[t]; need > 0 {
+		for _, i := range set {
+			if !sc.isLive[i] && lessRow[i] == 0 {
+				need--
+			}
+		}
+		if need > 0 {
+			return 0
+		}
+	}
+	gtRow := sc.gt[t*n : t*n+n]
+	// P(min over the set = K): Π P(κᵢ ≥ K) − Π P(κᵢ > K). The two
+	// factors differ only at the pivot, by P(r_pivot = v).
+	pGE, pGT := 1.0, 1.0
+	for _, i := range set {
+		if i == skip {
+			continue
+		}
+		f := gtRow[i]
+		pGT *= f
+		if i == pivot {
+			f += sc.keyEq[t]
+		}
+		pGE *= f
+	}
+	if pivot == skip {
+		pGT = 0
+	}
+	pMinEq := pGE - pGT
+	if pMinEq <= 0 {
+		return 0
+	}
+	// Every remaining impulse factor is exactly 1; multiply the live
+	// non-members only.
+	pBelow := 1.0
+	for _, j := range sc.live {
+		if pBelow <= 0 {
+			break
+		}
+		if !sc.setMask[j] {
+			pBelow *= lessRow[j]
+		}
+	}
+	return pMinEq * pBelow
+}
+
+// expectedAbsolute evaluates E[Cor_a(set)] of the base state from the
+// grid. set must be ascending.
+func (sc *selScratch) expectedAbsolute(set []int) float64 {
+	sc.markSet(set, true)
 	total := 0.0
 	for _, pivot := range set {
 		for t := sc.keyStart[pivot]; t < sc.keyStart[pivot+1]; t++ {
-			lessRow := sc.less[t*n : t*n+n]
-			// An impulse outside the set that is not below K makes the
-			// non-member product exactly 0: the key adds nothing.
-			if need := sc.deadNeed[t]; need > 0 {
-				for _, i := range set {
-					if !sc.isLive[i] && lessRow[i] == 0 {
-						need--
-					}
-				}
-				if need > 0 {
-					continue
-				}
-			}
-			gtRow := sc.gt[t*n : t*n+n]
-			eq := sc.keyEq[t]
-			// P(min over the set = K): Π P(κᵢ ≥ K) − Π P(κᵢ > K). The
-			// two factors differ only at the pivot, by P(r_pivot = v).
-			pGE, pGT := 1.0, 1.0
-			for _, i := range set {
-				f := gtRow[i]
-				pGT *= f
-				if i == pivot {
-					f += eq
-				}
-				pGE *= f
-			}
-			pMinEq := pGE - pGT
-			if pMinEq <= 0 {
-				continue
-			}
-			// Every remaining impulse factor is exactly 1; multiply the
-			// live non-members only.
-			pBelow := 1.0
-			for _, j := range sc.live {
-				if pBelow <= 0 {
-					break
-				}
-				if !mask[j] {
-					pBelow *= lessRow[j]
-				}
-			}
-			total += pMinEq * pBelow
+			total += sc.keyTerm(t, pivot, set, -1)
 		}
 	}
+	sc.markSet(set, false)
+	if total > 1 {
+		total = 1
+	}
+	return total
+}
+
+// hypExpected evaluates E[Cor_a(set)] under the active hypothesis
+// "dbₕ = w". With h's factor left out a key's term does not depend on w
+// (termVector); the factor itself is exactly 1 or 0. Outside the set h
+// must be below K, so the term counts for the keys above w; inside it h
+// must be above the minimum key, so it counts for the keys below w; and
+// where h is the minimum only the hypothesised key has P(rₕ = v) > 0.
+// ×1.0 is the identity and a term of +0 adds nothing, so summing the
+// counted terms in key order gives the bits the full products would.
+// set must be ascending.
+func (sc *selScratch) hypExpected(set []int) float64 {
+	h := sc.hypDB
+	inSet := false
 	for _, i := range set {
-		mask[i] = false
+		inSet = inSet || i == h
+	}
+	vec := sc.termVector(set)
+	total := 0.0
+	for _, pivot := range set {
+		lo, hi := sc.keyStart[pivot], sc.keyStart[pivot+1]
+		if pivot == h {
+			sc.markSet(set, true)
+			total += sc.keyTerm(sc.hypKey, h, set, h)
+			sc.markSet(set, false)
+			continue
+		}
+		terms := vec[:hi-lo]
+		vec = vec[hi-lo:]
+		if inSet {
+			terms = terms[:sc.hypGTEnd[pivot]-lo]
+		} else {
+			terms = terms[sc.hypLessStart[pivot]-lo:]
+		}
+		for _, term := range terms {
+			total += term
+		}
 	}
 	if total > 1 {
 		total = 1
@@ -503,19 +666,82 @@ func (sc *selScratch) expectedAbsolute(set []int) float64 {
 	return total
 }
 
-// bestFrom runs BestSet's search over the scratch tables (base, or the
-// hypothesis overlay when one is active), without allocating: the
+// termVector returns keyTerm with the candidate's factor left out for
+// every key of every member of set other than the candidate, members and
+// keys ascending — from the term cache when an earlier support value
+// scored the set, computed and, room permitting, kept otherwise. Valid
+// until the next call.
+func (sc *selScratch) termVector(set []int) []float64 {
+	h := sc.hypDB
+	size := 0
+	for _, i := range set {
+		if i != h {
+			size += sc.keyStart[i+1] - sc.keyStart[i]
+		}
+	}
+	var slot *termSlot
+	if len(sc.termSlots) > 0 {
+		rank := 0
+		for d, c := range set {
+			rank += sc.choose[d*sc.n+c]
+		}
+		slot = &sc.termSlots[rank]
+		if slot.epoch == sc.termEpoch {
+			sc.shared++
+			return sc.termArena[slot.off : int(slot.off)+size]
+		}
+	}
+	sc.termTmp = growFloats(sc.termTmp, size)
+	vec := sc.termTmp
+	if off := len(sc.termArena); slot != nil && off+size <= maxTermFloats {
+		sc.termArena = slices.Grow(sc.termArena, size)[:off+size]
+		vec = sc.termArena[off:]
+		*slot = termSlot{sc.termEpoch, uint32(off)}
+	}
+	sc.markSet(set, true)
+	sc.setMask[h] = true
+	x := 0
+	for _, pivot := range set {
+		if pivot == h {
+			continue
+		}
+		for t := sc.keyStart[pivot]; t < sc.keyStart[pivot+1]; t++ {
+			vec[x] = sc.keyTerm(t, pivot, set, h)
+			x++
+		}
+	}
+	sc.markSet(set, false)
+	sc.setMask[h] = false
+	return vec
+}
+
+// searchPool returns how many of the top-marginal candidates the
+// absolute search enumerates over under opts — BestSet's rule, decided
+// once per (n, k, options) instead of once per call.
+func (sc *selScratch) searchPool(opts BestSetOptions) int {
+	if sc.pool == 0 || opts != sc.poolOpts {
+		sc.poolOpts = opts
+		opts.setDefaults()
+		sc.pool = min(sc.k+opts.ExtraCandidates, sc.n)
+		if stats.BinomialCoefficient(sc.n, sc.k) <= float64(opts.ExhaustiveLimit) {
+			sc.pool = sc.n
+		}
+	}
+	return sc.pool
+}
+
+// bestFrom runs BestSet's search over the scratch tables (the base
+// state, or the hypothesis when one is active), without allocating: the
 // returned set lives in sc.bestBuf and is valid until the next call.
 // Requires 0 < k < n. The candidate ordering, enumeration order,
 // pruning and tie-breaking replicate BestSet exactly.
 func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float64) {
-	opts.setDefaults()
 	n, k := sc.n, sc.k
 	marg := sc.marg
 	if sc.hypActive {
 		marg = sc.hypMarg
 	}
-	sc.sets = 0
+	sc.sets, sc.shared = 0, 0
 
 	order := growInts(sc.order, n)
 	for i := range order {
@@ -536,13 +762,7 @@ func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float
 		return set, total / float64(k)
 	}
 
-	m := k + opts.ExtraCandidates
-	if m > n {
-		m = n
-	}
-	if stats.BinomialCoefficient(n, k) <= float64(opts.ExhaustiveLimit) {
-		m = n
-	}
+	m := sc.searchPool(opts)
 	sc.exhaustive = m == n
 	candidates := order[:m]
 
@@ -579,7 +799,12 @@ func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float
 			copy(sc.chosen, sc.combo)
 			insertionSortInts(sc.chosen)
 			sc.sets++
-			e := sc.expectedAbsolute(sc.chosen)
+			var e float64
+			if sc.hypActive {
+				e = sc.hypExpected(sc.chosen)
+			} else {
+				e = sc.expectedAbsolute(sc.chosen)
+			}
 			if e > bestE {
 				bestE = e
 				copy(sc.bestBuf, sc.chosen)

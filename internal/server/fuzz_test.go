@@ -1,0 +1,60 @@
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"metaprobe"
+)
+
+// FuzzSelectRequest throws arbitrary methods, query strings and bodies at
+// the real /v1/select handler over a two-database tenant. Whatever the
+// decoder or check can refuse is the caller's mistake: it is never a
+// panic and never a 5xx, and a refused request searches no backend and
+// is not an SLO observation. The seeds — the bad-request table, one good
+// GET and one good POST — run as an ordinary test.
+func FuzzSelectRequest(f *testing.F) {
+	slo := metaprobe.NewSLO(metaprobe.SLOConfig{})
+	var searches atomic.Int64
+	ms, qs := buildTestMetasearcherN(f, 2, &metaprobe.Config{SLO: slo}, func(db metaprobe.Database) metaprobe.Database {
+		return searchCounter{db, &searches}
+	})
+	s := New(Config{})
+	if err := s.AddTenant(DefaultTenant, ms); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	h := s.Handler()
+
+	for _, row := range badSelectRequests(qs[0]) {
+		f.Add(row.method, row.query, row.body)
+	}
+	f.Add("GET", "q="+url.QueryEscape(qs[0])+"&k=1&t=0.9", "")
+	f.Add("POST", "", `{"query": "`+qs[1]+`", "k": 2, "metric": "partial", "threshold": 0.5, "maxProbes": 1}`)
+
+	f.Fuzz(func(t *testing.T, method, query, body string) {
+		r, err := http.NewRequest(method, "http://daemon/v1/select", strings.NewReader(body))
+		if err != nil {
+			t.Skip("not a request:", err)
+		}
+		r.URL.RawQuery = query
+		searched, observed := searches.Load(), slo.Snapshot().Total
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		switch {
+		case rec.Code >= 500:
+			t.Fatalf("%s ?%s %q = %d %s", method, query, body, rec.Code, rec.Body)
+		case rec.Code >= 400:
+			if got := searches.Load() - searched; got != 0 {
+				t.Fatalf("%s ?%s %q = %d after %d backend searches", method, query, body, rec.Code, got)
+			}
+			if got := slo.Snapshot().Total - observed; got != 0 {
+				t.Fatalf("%s ?%s %q = %d and %d SLO observations", method, query, body, rec.Code, got)
+			}
+		}
+	})
+}

@@ -160,6 +160,26 @@ func (c searchCounter) Search(query string, topK int) (hidden.Result, error) {
 	return c.Database.Search(query, topK)
 }
 
+// selectRow is one /v1/select request as the tests and the fuzzer's seeds
+// spell it: a method, a raw query string and a body.
+type selectRow struct{ method, query, body string }
+
+// badSelectRequests are the requests check must refuse, over query q.
+func badSelectRequests(q string) []selectRow {
+	get := func(params string) selectRow { return selectRow{"GET", "q=" + url.QueryEscape(q) + "&" + params, ""} }
+	post := func(fields string) selectRow {
+		return selectRow{"POST", "", fmt.Sprintf(`{"query": %q, %s}`, q, fields)}
+	}
+	return []selectRow{
+		get("t=NaN"), get("t=Inf"), get("t=7"), post(`"threshold": 7`),
+		get("k=999"), post(`"k": 999`),
+		// Negative values are mistakes too, not "unset": only the zero
+		// value takes the default.
+		get("t=-0.5"), post(`"threshold": -0.5`),
+		get("k=-3"), post(`"k": -3`),
+	}
+}
+
 // TestHandlerRejectsBadThresholdAndK: a threshold that is NaN or outside
 // [0, 1] and a k beyond the tenant's databases are the caller's
 // mistakes. They are answered 400 and counted as client errors before
@@ -180,16 +200,11 @@ func TestHandlerRejectsBadThresholdAndK(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	h := s.Handler()
-	q := url.QueryEscape(qs[0])
 	trained := searches.Load()
 
-	bad := []*http.Request{
-		httptest.NewRequest("GET", "/v1/select?q="+q+"&t=NaN", nil),
-		httptest.NewRequest("GET", "/v1/select?q="+q+"&t=Inf", nil),
-		httptest.NewRequest("GET", "/v1/select?q="+q+"&t=7", nil),
-		httptest.NewRequest("POST", "/v1/select", strings.NewReader(fmt.Sprintf(`{"query": %q, "threshold": 7}`, qs[0]))),
-		httptest.NewRequest("GET", "/v1/select?q="+q+"&k=999", nil),
-		httptest.NewRequest("POST", "/v1/select", strings.NewReader(fmt.Sprintf(`{"query": %q, "k": 999}`, qs[0]))),
+	var bad []*http.Request
+	for _, row := range badSelectRequests(qs[0]) {
+		bad = append(bad, httptest.NewRequest(row.method, "/v1/select?"+row.query, strings.NewReader(row.body)))
 	}
 	for _, r := range bad {
 		rec := httptest.NewRecorder()
@@ -216,7 +231,7 @@ func TestHandlerRejectsBadThresholdAndK(t *testing.T) {
 
 	// The same query with a legal threshold is served, and probes.
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/select?q="+q+"&t=1", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/select?q="+url.QueryEscape(qs[0])+"&t=1", nil))
 	if rec.Code != http.StatusOK || searches.Load() == trained {
 		t.Errorf("t=1 = %d %s with %d searches, want a probing 200", rec.Code, rec.Body, searches.Load()-trained)
 	}

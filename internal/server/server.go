@@ -367,7 +367,7 @@ func (s *Server) check(req SelectRequest) (metaprobe.Metric, *tenant, error) {
 		return 0, nil, &badRequestError{"empty query"}
 	case !(req.Threshold >= 0 && req.Threshold <= 1):
 		return 0, nil, &badRequestError{fmt.Sprintf("threshold %v outside [0, 1]", req.Threshold)}
-	case req.K > ten.dbs:
+	case req.K < 1 || req.K > ten.dbs:
 		return 0, nil, &badRequestError{fmt.Sprintf("k=%d outside [1, %d], the databases of tenant %q", req.K, ten.dbs, ten.name)}
 	}
 	return metric, ten, nil
@@ -376,15 +376,17 @@ func (s *Server) check(req SelectRequest) (metaprobe.Metric, *tenant, error) {
 // errDraining is returned for requests arriving after Drain began.
 var errDraining = fmt.Errorf("server draining")
 
-// fillDefaults applies the configured request defaults.
+// fillDefaults applies the configured request defaults to the fields
+// left at their zero value — an absent parameter, an omitted JSON field.
+// A negative k or threshold is not "unset": it stays for check to refuse.
 func (s *Server) fillDefaults(req SelectRequest) SelectRequest {
 	if req.Tenant == "" {
 		req.Tenant = DefaultTenant
 	}
-	if req.K <= 0 {
+	if req.K == 0 {
 		req.K = s.cfg.DefaultK
 	}
-	if req.Threshold <= 0 {
+	if req.Threshold == 0 {
 		req.Threshold = s.cfg.DefaultThreshold
 	}
 	if req.Metric == "" {

@@ -16,8 +16,15 @@ import (
 // summaries are built (so summaries reflect the raw content).
 func buildTestMetasearcher(t testing.TB, cfg *metaprobe.Config, wrap func(db metaprobe.Database) metaprobe.Database) (*metaprobe.Metasearcher, []string) {
 	t.Helper()
+	return buildTestMetasearcherN(t, 6, cfg, wrap)
+}
+
+// buildTestMetasearcherN is buildTestMetasearcher over the first n
+// databases of the testbed.
+func buildTestMetasearcherN(t testing.TB, n int, cfg *metaprobe.Config, wrap func(db metaprobe.Database) metaprobe.Database) (*metaprobe.Metasearcher, []string) {
+	t.Helper()
 	world := corpus.HealthWorld()
-	tb, err := hidden.BuildTestbed(world, corpus.HealthTestbed(0.01)[:6], 23)
+	tb, err := hidden.BuildTestbed(world, corpus.HealthTestbed(0.01)[:n], 23)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -957,11 +957,14 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 		// wide RDs, few skips a state the marginal bound cannot thin. A
 		// decision the version's memo remembered is a hit and pays for
 		// none of it: a selection decided before end to end reads 0 in
-		// all four rank_* counts and 0 misses.
+		// all six rank_* counts and 0 misses. The last two say how much
+		// of the work was shared (core.RankWork).
 		sp.SetAttr("rank_swept", strconv.Itoa(work.Swept))
 		sp.SetAttr("rank_skipped", strconv.Itoa(work.Skipped))
 		sp.SetAttr("rank_hypotheses", strconv.Itoa(work.Hypotheses))
 		sp.SetAttr("rank_sets", strconv.Itoa(work.Sets))
+		sp.SetAttr("rank_sets_shared", strconv.Itoa(work.SetsShared))
+		sp.SetAttr("rank_grid_reuses", strconv.Itoa(work.GridReuses))
 		sp.SetAttr("memo_hits", strconv.Itoa(work.MemoHits))
 		sp.SetAttr("memo_misses", strconv.Itoa(work.MemoMisses))
 		// What the loop thought out while probes were in flight (all zero

@@ -111,7 +111,7 @@ func TestSelectionSpanRankWork(t *testing.T) {
 	}
 	attrs := tracer.Tree(slow.TraceID)[0].Span.Attrs
 	work := map[string]int{}
-	for _, name := range []string{"rank_swept", "rank_skipped", "rank_hypotheses", "rank_sets"} {
+	for _, name := range []string{"rank_swept", "rank_skipped", "rank_hypotheses", "rank_sets", "rank_sets_shared", "rank_grid_reuses"} {
 		v, err := strconv.Atoi(attrs[name])
 		if err != nil {
 			t.Fatalf("root span attribute %s = %q: %v", name, attrs[name], err)
@@ -122,6 +122,11 @@ func TestSelectionSpanRankWork(t *testing.T) {
 	// least two outcomes, and every outcome scores at least one k-set.
 	if work["rank_swept"] < slow.Probes || work["rank_hypotheses"] < 2*work["rank_swept"] || work["rank_sets"] < work["rank_hypotheses"] {
 		t.Errorf("rank work %v does not add up for a selection of %d probes", work, slow.Probes)
+	}
+	// A candidate's later outcomes score sets its first one scored, and
+	// every probe but a re-probe leaves the rest of the grid standing.
+	if work["rank_sets_shared"] <= 0 || work["rank_sets_shared"] > work["rank_sets"] || work["rank_grid_reuses"] <= 0 || work["rank_grid_reuses"] > slow.Probes {
+		t.Errorf("rank work %v: want 0 < rank_sets_shared ≤ rank_sets and 0 < rank_grid_reuses ≤ %d probes", work, slow.Probes)
 	}
 
 	reg := NewMetrics()
