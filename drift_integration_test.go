@@ -171,7 +171,7 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 // TestOnDriftMaySaveModel: a drift alert is delivered with the writers'
 // lock released, so the callback can do what Config.OnDrift's doc says
 // callers do — here persist the model, which takes that lock. (With the
-// alert raised under modelMu this test never returned.)
+// alert raised under the model lock this test never returned.)
 func TestOnDriftMaySaveModel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
 	var (

@@ -220,6 +220,11 @@ func decodeED(j jsonED, useBinMean bool) (*ED, error) {
 		return nil, fmt.Errorf("core: persisted ED has %d counts / %d sums for %d bins",
 			len(j.Counts), len(j.Sums), ed.Hist.Bins())
 	}
+	for i, c := range j.Counts {
+		if c < 0 {
+			return nil, fmt.Errorf("core: persisted ED counts %d observations in bin %d", c, i)
+		}
+	}
 	copy(ed.Hist.Counts, j.Counts)
 	copy(ed.Hist.Sums, j.Sums)
 	return ed, nil
@@ -411,6 +416,12 @@ func LoadModelInfo(path string) (*Model, SnapshotInfo, error) {
 	return m, info, err
 }
 
+// maxSnapshotTerms bounds the term-count split a snapshot may ask for.
+// The file is outside input and the classifier's key space — AllKeys,
+// the rows of every version's RD table — is sized by this number, so
+// it is not the file's to choose freely.
+const maxSnapshotTerms = 64
+
 // decodeModel reconstructs a Model from its persisted form.
 func decodeModel(path string, jm jsonModel) (*Model, error) {
 	factory, ok := relevancyFactory(jm.Relevancy)
@@ -419,6 +430,9 @@ func decodeModel(path string, jm jsonModel) (*Model, error) {
 	}
 	if len(jm.DBs) == 0 {
 		return nil, fmt.Errorf("core: model %s has no databases", path)
+	}
+	if jm.Config.MaxTerms < 0 || jm.Config.MaxTerms > maxSnapshotTerms {
+		return nil, fmt.Errorf("core: model %s: maxTerms %d outside [0, %d]", path, jm.Config.MaxTerms, maxSnapshotTerms)
 	}
 	if len(jm.Summaries) != len(jm.DBs) {
 		return nil, fmt.Errorf("core: model %s has %d summaries for %d databases", path, len(jm.Summaries), len(jm.DBs))
@@ -439,6 +453,7 @@ func decodeModel(path string, jm jsonModel) (*Model, error) {
 		Rel:       factory(),
 		Summaries: &summary.Set{Summaries: jm.Summaries},
 	}
+	maxTerms := classifierKeySpace(m.Cfg.Classifier) / 3
 	var err error
 	for _, jd := range jm.DBs {
 		dm := &DBModel{Name: jd.Name, EDs: make(map[TypeKey]*ED, len(jd.EDs))}
@@ -446,6 +461,11 @@ func decodeModel(path string, jm jsonModel) (*Model, error) {
 			ed, err := decodeED(je, m.Cfg.UseBinMean)
 			if err != nil {
 				return nil, fmt.Errorf("core: model %s db %s: %w", path, jd.Name, err)
+			}
+			// A key the classifier never produces would load, serve
+			// nothing and vanish at the next Save.
+			if je.Terms < 1 || je.Terms > maxTerms || je.Band < 0 || je.Band > int(BandHigh) {
+				return nil, fmt.Errorf("core: model %s db %s: query type (%d terms, band %d) outside the classifier's", path, jd.Name, je.Terms, je.Band)
 			}
 			dm.EDs[TypeKey{Terms: je.Terms, Band: EstimateBand(je.Band)}] = ed
 		}

@@ -84,14 +84,7 @@ func (c *Cached) Unwrap() Database { return c.db }
 // Search implements Database with memoization. Errors are never
 // cached.
 func (c *Cached) Search(query string, topK int) (Result, error) {
-	if res, ok := c.lookup(query, topK); ok {
-		return res, nil
-	}
-	res, err := c.db.Search(query, topK)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.store(query, topK, res), nil
+	return c.SearchContext(context.Background(), query, topK)
 }
 
 // SearchContext implements ContextDatabase. Hits answer from memory

@@ -109,14 +109,7 @@ func (n *Instrumented) Unwrap() Database { return n.db }
 
 // Search implements Database, recording count, errors and latency.
 func (n *Instrumented) Search(query string, topK int) (Result, error) {
-	start := time.Now()
-	res, err := n.db.Search(query, topK)
-	n.searchLat.Observe(time.Since(start).Seconds())
-	n.searches.Inc()
-	if err != nil {
-		n.searchErrs.Inc()
-	}
-	return res, err
+	return n.SearchContext(context.Background(), query, topK)
 }
 
 // SearchContext implements ContextDatabase with the same accounting:

@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -96,9 +97,9 @@ func TestInstrumentedWiresMiddlewareChain(t *testing.T) {
 	// Fake clock so the test does not sleep.
 	now := time.Unix(0, 0)
 	rl.now = func() time.Time { return now }
-	rl.sleep = func(d time.Duration) { now = now.Add(d) }
+	rl.sleep = func(_ context.Context, d time.Duration) error { now = now.Add(d); return nil }
 	rt := NewRetry(rl, 3, 0)
-	rt.sleep = func(time.Duration) {}
+	rt.sleep = func(context.Context, time.Duration) error { return nil }
 	in := NewInstrumented(rt, reg)
 
 	if _, err := in.Search("q", 0); err != nil {
@@ -142,7 +143,7 @@ func TestInstrumentedWiresMiddlewareChain(t *testing.T) {
 func TestInstrumentedKeepsCallerHooks(t *testing.T) {
 	called := 0
 	rt := NewRetry(&flaky{name: "db", failUntil: 2}, 3, 0)
-	rt.sleep = func(time.Duration) {}
+	rt.sleep = func(context.Context, time.Duration) error { return nil }
 	rt.OnRetry = func(error) { called++ }
 	reg := obs.NewRegistry()
 	in := NewInstrumented(rt, reg)

@@ -39,7 +39,7 @@ type RateLimited struct {
 	mu   sync.Mutex
 	next time.Time
 	// sleep is replaceable in tests.
-	sleep func(time.Duration)
+	sleep func(context.Context, time.Duration) error
 	// now is replaceable in tests.
 	now func() time.Time
 }
@@ -49,7 +49,7 @@ func NewRateLimited(db Database, interval time.Duration) *RateLimited {
 	return &RateLimited{
 		db:       db,
 		interval: interval,
-		sleep:    time.Sleep,
+		sleep:    sleepContext,
 		now:      time.Now,
 	}
 }
@@ -73,13 +73,7 @@ func (r *RateLimited) reserve() time.Duration {
 
 // Search implements Database, delaying as needed to honor the interval.
 func (r *RateLimited) Search(query string, topK int) (Result, error) {
-	if wait := r.reserve(); wait > 0 {
-		if r.OnWait != nil {
-			r.OnWait(wait)
-		}
-		r.sleep(wait)
-	}
-	return r.db.Search(query, topK)
+	return r.SearchContext(context.Background(), query, topK)
 }
 
 // SearchContext implements ContextDatabase: the politeness delay itself
@@ -91,7 +85,7 @@ func (r *RateLimited) SearchContext(ctx context.Context, query string, topK int)
 		if r.OnWait != nil {
 			r.OnWait(wait)
 		}
-		if err := sleepContext(ctx, wait); err != nil {
+		if err := r.sleep(ctx, wait); err != nil {
 			return Result{}, fmt.Errorf("hidden: %s: %w", r.db.Name(), err)
 		}
 	}
@@ -150,7 +144,7 @@ type Retry struct {
 	OnRetry func(error)
 
 	// sleep is replaceable in tests.
-	sleep func(time.Duration)
+	sleep func(context.Context, time.Duration) error
 	// jitter draws the actual delay from a ceiling; replaceable in
 	// tests (the default is full jitter: uniform in [0, d]).
 	jitter func(d time.Duration) time.Duration
@@ -162,7 +156,7 @@ func NewRetry(db Database, attempts int, backoff time.Duration) *Retry {
 	if attempts < 1 {
 		attempts = 1
 	}
-	return &Retry{db: db, attempts: attempts, backoff: backoff, sleep: time.Sleep, jitter: fullJitter}
+	return &Retry{db: db, attempts: attempts, backoff: backoff, sleep: sleepContext, jitter: fullJitter}
 }
 
 // fullJitter returns a uniformly random duration in [0, d].
@@ -196,36 +190,12 @@ func (r *Retry) Name() string { return r.db.Name() }
 // Unwrap returns the wrapped database.
 func (r *Retry) Unwrap() Database { return r.db }
 
-// Search implements Database with retries on transient failures.
-func (r *Retry) Search(query string, topK int) (Result, error) {
-	delay := r.backoff
-	var lastErr error
-	for attempt := 0; attempt < r.attempts; attempt++ {
-		if attempt > 0 {
-			if r.OnRetry != nil {
-				r.OnRetry(lastErr)
-			}
-			var sleep time.Duration
-			sleep, delay = r.nextDelay(delay)
-			r.sleep(sleep)
-		}
-		res, err := r.db.Search(query, topK)
-		if err == nil {
-			return res, nil
-		}
-		if !errors.Is(err, ErrUnavailable) {
-			return Result{}, err
-		}
-		lastErr = err
-	}
-	return Result{}, fmt.Errorf("hidden: %s failed after %d attempts: %w", r.db.Name(), r.attempts, lastErr)
-}
-
-// SearchContext implements ContextDatabase: backoff sleeps abort on
-// cancellation and the context reaches the wrapped database. Each
-// retried attempt is recorded as an event on the ambient trace span
-// (when one is present), with the triggering error.
-func (r *Retry) SearchContext(ctx context.Context, query string, topK int) (Result, error) {
+// retry runs op until it succeeds, fails with anything but
+// ErrUnavailable, ctx is done or the attempts are spent; outcome words
+// the final error ("failed", "fetch failed"). Backoff sleeps abort on
+// cancellation. Each retried attempt is recorded as an event on the
+// ambient trace span (when one is present), with the triggering error.
+func (r *Retry) retry(ctx context.Context, outcome string, op func() error) error {
 	sp := span.FromContext(ctx)
 	delay := r.backoff
 	var lastErr error
@@ -239,24 +209,43 @@ func (r *Retry) SearchContext(ctx context.Context, query string, topK int) (Resu
 			sp.AddEvent("retry", "attempt", strconv.Itoa(attempt+1), "error", lastErr.Error())
 			var sleep time.Duration
 			sleep, delay = r.nextDelay(delay)
-			if err := sleepContext(ctx, sleep); err != nil {
-				return Result{}, fmt.Errorf("hidden: %s: %w", r.db.Name(), err)
+			if err := r.sleep(ctx, sleep); err != nil {
+				return fmt.Errorf("hidden: %s: %w", r.db.Name(), err)
 			}
 		}
-		res, err := SearchContext(ctx, r.db, query, topK)
+		err := op()
 		if err == nil {
 			if retries > 0 {
 				sp.SetAttr("retries", strconv.Itoa(retries))
 			}
-			return res, nil
+			return nil
 		}
 		if !errors.Is(err, ErrUnavailable) || ctx.Err() != nil {
-			return Result{}, err
+			return err
 		}
 		lastErr = err
 	}
 	sp.SetAttr("retries", strconv.Itoa(retries))
-	return Result{}, fmt.Errorf("hidden: %s failed after %d attempts: %w", r.db.Name(), r.attempts, lastErr)
+	return fmt.Errorf("hidden: %s %s after %d attempts: %w", r.db.Name(), outcome, r.attempts, lastErr)
+}
+
+// Search implements Database with retries on transient failures.
+func (r *Retry) Search(query string, topK int) (Result, error) {
+	return r.SearchContext(context.Background(), query, topK)
+}
+
+// SearchContext implements ContextDatabase: the context reaches the
+// wrapped database and the backoff sleeps (see retry).
+func (r *Retry) SearchContext(ctx context.Context, query string, topK int) (Result, error) {
+	var res Result
+	err := r.retry(ctx, "failed", func() (err error) {
+		res, err = SearchContext(ctx, r.db, query, topK)
+		return err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }
 
 // Fetch passes through with the same retry discipline.
@@ -265,27 +254,15 @@ func (r *Retry) Fetch(id string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("hidden: %s does not support document fetching", r.db.Name())
 	}
-	delay := r.backoff
-	var lastErr error
-	for attempt := 0; attempt < r.attempts; attempt++ {
-		if attempt > 0 {
-			if r.OnRetry != nil {
-				r.OnRetry(lastErr)
-			}
-			var sleep time.Duration
-			sleep, delay = r.nextDelay(delay)
-			r.sleep(sleep)
-		}
-		text, err := f.Fetch(id)
-		if err == nil {
-			return text, nil
-		}
-		if !errors.Is(err, ErrUnavailable) {
-			return "", err
-		}
-		lastErr = err
+	var text string
+	err := r.retry(context.Background(), "fetch failed", func() (err error) {
+		text, err = f.Fetch(id)
+		return err
+	})
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("hidden: %s fetch failed after %d attempts: %w", r.db.Name(), r.attempts, lastErr)
+	return text, nil
 }
 
 // Size passes through when available.
@@ -303,12 +280,12 @@ type Latency struct {
 	db    Database
 	delay time.Duration
 	// sleep is replaceable in tests.
-	sleep func(time.Duration)
+	sleep func(context.Context, time.Duration) error
 }
 
 // NewLatency wraps db with a per-search delay.
 func NewLatency(db Database, delay time.Duration) *Latency {
-	return &Latency{db: db, delay: delay, sleep: time.Sleep}
+	return &Latency{db: db, delay: delay, sleep: sleepContext}
 }
 
 // Name implements Database.
@@ -319,8 +296,7 @@ func (l *Latency) Unwrap() Database { return l.db }
 
 // Search implements Database with the injected delay.
 func (l *Latency) Search(query string, topK int) (Result, error) {
-	l.sleep(l.delay)
-	return l.db.Search(query, topK)
+	return l.SearchContext(context.Background(), query, topK)
 }
 
 // SearchContext implements ContextDatabase: the injected delay is
@@ -328,7 +304,7 @@ func (l *Latency) Search(query string, topK int) (Result, error) {
 // return immediately — exactly the behavior of a real remote round
 // trip aborted mid-flight.
 func (l *Latency) SearchContext(ctx context.Context, query string, topK int) (Result, error) {
-	if err := sleepContext(ctx, l.delay); err != nil {
+	if err := l.sleep(ctx, l.delay); err != nil {
 		return Result{}, fmt.Errorf("hidden: %s: %w", l.db.Name(), err)
 	}
 	return SearchContext(ctx, l.db, query, topK)

@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -75,7 +76,7 @@ func TestRateLimitedConcurrentSearches(t *testing.T) {
 func TestRetryConcurrentSearches(t *testing.T) {
 	flk := &atomicFlaky{name: "f", every: 5}
 	r := NewRetry(flk, 4, 0)
-	r.sleep = func(time.Duration) {}
+	r.sleep = func(context.Context, time.Duration) error { return nil }
 	var retries, exhausted atomic.Int64
 	r.OnRetry = func(error) { retries.Add(1) }
 	hammer(t, 8, 200, func(w, i int) error {

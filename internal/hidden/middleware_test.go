@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,11 +18,12 @@ func TestRateLimitedSpacesSearches(t *testing.T) {
 	now := time.Unix(0, 0)
 	var slept []time.Duration
 	rl.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	rl.sleep = func(d time.Duration) {
+	rl.sleep = func(_ context.Context, d time.Duration) error {
 		mu.Lock()
 		defer mu.Unlock()
 		slept = append(slept, d)
 		now = now.Add(d)
+		return nil
 	}
 
 	for i := 0; i < 3; i++ {
@@ -84,7 +86,7 @@ func TestRetryRecoversFromTransientFailures(t *testing.T) {
 	f := &flaky{name: "f", failUntil: 3}
 	r := NewRetry(f, 4, time.Millisecond)
 	var slept []time.Duration
-	r.sleep = func(d time.Duration) { slept = append(slept, d) }
+	r.sleep = func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil }
 	// Pin jitter to the ceiling so the doubling schedule is observable.
 	r.jitter = func(d time.Duration) time.Duration { return d }
 
@@ -112,7 +114,7 @@ func TestRetryBackoffIsCappedAndJittered(t *testing.T) {
 	// Record the pre-jitter ceilings the schedule produces.
 	r.jitter = func(d time.Duration) time.Duration { ceilings = append(ceilings, d); return d / 2 }
 	var slept []time.Duration
-	r.sleep = func(d time.Duration) { slept = append(slept, d) }
+	r.sleep = func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil }
 
 	if _, err := r.Search("q", 0); err == nil {
 		t.Fatal("want failure after exhausting retries")
@@ -139,7 +141,7 @@ func TestRetryDefaultJitterStaysWithinCeiling(t *testing.T) {
 	f := &flaky{name: "f", failUntil: 100}
 	r := NewRetry(f, 5, 8*time.Millisecond)
 	var slept []time.Duration
-	r.sleep = func(d time.Duration) { slept = append(slept, d) }
+	r.sleep = func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil }
 	if _, err := r.Search("q", 0); err == nil {
 		t.Fatal("want failure")
 	}
@@ -157,7 +159,7 @@ func TestRetryDefaultJitterStaysWithinCeiling(t *testing.T) {
 func TestRetryGivesUpAndWrapsError(t *testing.T) {
 	f := &flaky{name: "f", failUntil: 100}
 	r := NewRetry(f, 3, 0)
-	r.sleep = func(time.Duration) {}
+	r.sleep = func(context.Context, time.Duration) error { return nil }
 	_, err := r.Search("q", 0)
 	if err == nil {
 		t.Fatal("want failure after exhausting retries")
@@ -173,7 +175,10 @@ func TestRetryGivesUpAndWrapsError(t *testing.T) {
 func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	bad := NewStaticError("bad", errors.New("malformed answer page"))
 	r := NewRetry(bad, 5, 0)
-	r.sleep = func(time.Duration) { t.Fatal("must not back off on permanent errors") }
+	r.sleep = func(context.Context, time.Duration) error {
+		t.Fatal("must not back off on permanent errors")
+		return nil
+	}
 	if _, err := r.Search("q", 0); err == nil {
 		t.Fatal("want error")
 	}
@@ -185,7 +190,7 @@ func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 func TestRetryFetch(t *testing.T) {
 	local := buildSmallLocal(t)
 	r := NewRetry(local, 2, 0)
-	r.sleep = func(time.Duration) {}
+	r.sleep = func(context.Context, time.Duration) error { return nil }
 	if _, err := r.Fetch("d0"); err != nil {
 		t.Errorf("Fetch: %v", err)
 	}
@@ -201,7 +206,7 @@ func TestRetryFetch(t *testing.T) {
 	}
 	// attempts < 1 clamps to 1.
 	one := NewRetry(&flaky{name: "f", failUntil: 2}, 0, 0)
-	one.sleep = func(time.Duration) {}
+	one.sleep = func(context.Context, time.Duration) error { return nil }
 	if _, err := one.Search("q", 0); err == nil {
 		t.Error("single attempt against first-call failure must fail")
 	}
@@ -211,7 +216,7 @@ func TestLatencyInjectsDelay(t *testing.T) {
 	inner := NewStatic("s", Result{MatchCount: 2})
 	l := NewLatency(inner, 42*time.Millisecond)
 	var got time.Duration
-	l.sleep = func(d time.Duration) { got = d }
+	l.sleep = func(_ context.Context, d time.Duration) error { got = d; return nil }
 	res, err := l.Search("q", 0)
 	if err != nil || res.MatchCount != 2 {
 		t.Fatalf("res=%+v err=%v", res, err)
@@ -231,9 +236,9 @@ func TestMiddlewareComposition(t *testing.T) {
 	counting := NewCounting(local)
 	rl := NewRateLimited(counting, 0)
 	r := NewRetry(rl, 2, 0)
-	r.sleep = func(time.Duration) {}
+	r.sleep = func(context.Context, time.Duration) error { return nil }
 	lat := NewLatency(r, 0)
-	lat.sleep = func(time.Duration) {}
+	lat.sleep = func(context.Context, time.Duration) error { return nil }
 
 	res, err := lat.Search("breast cancer", 0)
 	if err != nil {

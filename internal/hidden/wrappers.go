@@ -33,8 +33,7 @@ func (c *Counting) Unwrap() Database { return c.db }
 
 // Search implements Database, incrementing the probe counter.
 func (c *Counting) Search(query string, topK int) (Result, error) {
-	c.searches.Add(1)
-	return c.db.Search(query, topK)
+	return c.SearchContext(context.Background(), query, topK)
 }
 
 // SearchContext implements ContextDatabase with the same accounting.
@@ -92,11 +91,7 @@ func (f *FailEvery) Unwrap() Database { return f.db }
 
 // Search implements Database with deterministic failures.
 func (f *FailEvery) Search(query string, topK int) (Result, error) {
-	c := f.calls.Add(1)
-	if f.n > 0 && c%f.n == 0 {
-		return Result{}, fmt.Errorf("%w: injected failure on call %d to %s", ErrUnavailable, c, f.db.Name())
-	}
-	return f.db.Search(query, topK)
+	return f.SearchContext(context.Background(), query, topK)
 }
 
 // SearchContext implements ContextDatabase with the same failure

@@ -1,0 +1,261 @@
+// Package modelhost owns the serving model: the RCU pointer selections
+// read it through, the one lock its writers hold, the drift detector
+// whose references must move with every publication, and the database
+// names the detector is keyed by. It is a package, not a type inside
+// the facade, because Go has no privacy inside a package: here the rule
+// "readers read what a published version never changes; writers hold
+// the lock" is what compiles, not what a comment asks for.
+//
+// Readers take a View: one pointer, loaded once, whose methods are all a
+// reader may do. It has no path to a *core.Model, an *core.ED or a
+// histogram, so ranging over EDs outside the lock is not something the
+// facade can write. Writers are a closed set of methods, each one
+// critical section. None calls code it was handed except Locked, and
+// Observe returns the drift alert instead of delivering it, so there is
+// no place to run a user callback while the lock is held.
+package modelhost
+
+import (
+	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"metaprobe/internal/core"
+	"metaprobe/internal/obs"
+	"metaprobe/internal/refresh"
+	"metaprobe/internal/summary"
+)
+
+// Host is the one owner of the serving model. All methods are safe for
+// concurrent use.
+type Host struct {
+	names []string
+	// drift is nil when drift detection is off; the nil detector's
+	// methods are no-ops.
+	drift *obs.DriftDetector
+	// mu is the writers' lock: whoever writes or reads the serving
+	// model's EDs holds it. Selections do not (see View).
+	mu sync.Mutex
+	// version is stored only under mu; readers load it without.
+	version atomic.Pointer[core.ModelVersion]
+}
+
+// New returns a host serving nothing yet. names are the mediated
+// databases in testbed order; drift may be nil.
+func New(names []string, drift *obs.DriftDetector) *Host {
+	return &Host{names: names, drift: drift}
+}
+
+// Names returns the database names in testbed order. The slice is
+// shared; callers must not change it.
+func (h *Host) Names() []string { return h.names }
+
+// DriftStatuses reports every drift-monitored (database, query type).
+func (h *Host) DriftStatuses() []obs.DriftStatus { return h.drift.Snapshot() }
+
+// DriftConfig returns the detector's effective configuration, the zero
+// value without one.
+func (h *Host) DriftConfig() obs.DriftConfig {
+	if h.drift == nil {
+		return obs.DriftConfig{}
+	}
+	return h.drift.Config()
+}
+
+// View is a reader's handle on one published version: everything it
+// reaches — configuration, relevancy definition, summaries, RD-table
+// rows, the decision memo — is safe to read with no lock for as long as
+// the View is kept, whatever is published meanwhile. The zero View
+// (nothing serving yet) answers Trained false; its other methods must
+// not be called.
+type View struct{ v *core.ModelVersion }
+
+// View loads the serving version once. A nil host serves nothing (the
+// zero Metasearcher is untrained, not a crash).
+func (h *Host) View() View {
+	if h == nil {
+		return View{}
+	}
+	return View{h.version.Load()}
+}
+
+// Trained reports whether the view holds a version.
+func (v View) Trained() bool { return v.v != nil }
+
+// Fill is core.ModelVersion.FillSelection on the viewed version.
+func (v View) Fill(shell *core.Selection, query string, numTerms int, metric core.Metric, k int) *core.Selection {
+	return v.v.FillSelection(shell, query, numTerms, metric, k)
+}
+
+// Classify returns the query type a numTerms-term query with estimate
+// rhat falls into under the version's decision tree.
+func (v View) Classify(numTerms int, rhat float64) core.TypeKey {
+	return v.v.Model.Cfg.Classifier.Classify(numTerms, rhat)
+}
+
+// Summaries returns the content summaries the version estimates from,
+// in testbed order. They are shared and read-only.
+func (v View) Summaries() []*summary.Summary { return v.v.Model.Summaries.Summaries }
+
+// Memo reports the version's decision memo: states held, and whether it
+// still remembers.
+func (v View) Memo() (nodes int, on bool) { return v.v.Memo() }
+
+// Provenance says which version a view holds and how it came to be.
+type Provenance struct {
+	Version   int64
+	Source    string
+	CreatedAt time.Time
+	// RefreshedAt is the view's own copy.
+	RefreshedAt map[string]time.Time
+}
+
+// Provenance describes the viewed version.
+func (v View) Provenance() Provenance {
+	return Provenance{
+		Version:     v.v.Version,
+		Source:      v.v.Source,
+		CreatedAt:   v.v.CreatedAt,
+		RefreshedAt: maps.Clone(v.v.RefreshedAt),
+	}
+}
+
+// publish stores the successor version holding model, under mu.
+func (h *Host) publish(model *core.Model, source, refreshedDB string) *core.ModelVersion {
+	now := time.Now()
+	var next *core.ModelVersion
+	if cur := h.version.Load(); cur != nil {
+		next = cur.Next(model, source, refreshedDB, now)
+	} else {
+		next = core.NewModelVersion(model, source, now)
+	}
+	h.version.Store(next)
+	return next
+}
+
+// Install publishes a trained or loaded model and re-anchors the drift
+// detector on it: every (database, query type) whose ED carries at
+// least MinObservations samples gets that ED's reference sample to
+// test fresh probe errors against, with an empty window. Both happen in
+// one critical section because the EDs are open to refinement by
+// Observe from the moment the version is stored.
+func (h *Host) Install(model *core.Model, source string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.publish(model, source, "")
+	if h.drift == nil {
+		return
+	}
+	for i, dm := range model.DBs {
+		for key, ed := range dm.EDs {
+			if ed.Observations() >= model.Cfg.MinObservations {
+				h.drift.SetReference(h.names[i], key.String(), ed.ReferenceSample(0))
+			}
+		}
+	}
+}
+
+// Observe folds one successful live probe of database db into the
+// serving model: with refine, the observation enters the matching ED
+// and its RD rows are rebuilt (core.ModelVersion.ObserveProbe); with a
+// drift detector, the fresh error enters that key's window. A failed
+// drift test comes back as the alert (ok true) for the caller to
+// deliver once Observe has returned — the host has no callback to call,
+// so alert handlers are free to save, reload or retrain.
+//
+// Feedback lands on the version serving now, which may be newer than
+// the one the probing selection was built from: fresh probe data
+// belongs to whatever model serves next.
+func (h *Host) Observe(db int, query string, numTerms int, actual float64, refine bool) (alert obs.DriftAlert, ok bool, err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ver := h.version.Load()
+	if ver == nil {
+		return obs.DriftAlert{}, false, nil
+	}
+	if refine {
+		if err := ver.ObserveProbe(db, query, numTerms, actual); err != nil {
+			return obs.DriftAlert{}, false, err
+		}
+	}
+	if h.drift == nil {
+		return obs.DriftAlert{}, false, nil
+	}
+	// The drift window takes the relative error (r − r̂)/r̂ for the
+	// relative-error query types and the absolute relevancy for the
+	// r̂ = 0 band — the value space the matching ED was trained in —
+	// quantized onto the ED's bin support (see ED.ReferenceSample) so
+	// the KS comparison is apples to apples. r̂ is recomputed from the
+	// model rather than taken from the selection, which may already be
+	// recycled when a losing hedge attempt delivers late. A query type
+	// with no trained ED has no reference to be tested against.
+	model := ver.Model
+	rhat := model.Rel.Estimate(model.Summaries.Summaries[db], query)
+	key := model.Cfg.Classifier.Classify(numTerms, rhat)
+	ed, tracked := model.DBs[db].EDs[key]
+	if !tracked {
+		return obs.DriftAlert{}, false, nil
+	}
+	v := actual
+	if key.Band != core.BandZero {
+		v = (actual - rhat) / rhat
+	}
+	alert, ok = h.drift.Observe(h.names[db], key.String(), ed.Quantize(v))
+	return alert, ok, nil
+}
+
+// Serving implements refresh.Host: the task's view of the serving
+// model, the alerted ED copied under the lock so online refinement
+// stays out of the histogram meanwhile.
+func (h *Host) Serving(dbIdx int, key core.TypeKey) (refresh.Serving, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	v := h.version.Load()
+	if v == nil {
+		return refresh.Serving{}, fmt.Errorf("metaprobe: refresh: no serving model")
+	}
+	if dbIdx < 0 || dbIdx >= len(v.Model.DBs) {
+		return refresh.Serving{}, fmt.Errorf("metaprobe: refresh: database index %d outside [0, %d)", dbIdx, len(v.Model.DBs))
+	}
+	s := refresh.Serving{Version: v.Version, Cfg: v.Model.Cfg, Rel: v.Model.Rel, Summary: v.Model.Summaries.Summaries[dbIdx]}
+	if ed := v.Model.DBs[dbIdx].EDs[key]; ed != nil {
+		s.ED = ed.Clone()
+	}
+	return s, nil
+}
+
+// Commit implements refresh.Host: it publishes the successor of
+// baseVersion in which ed is database dbIdx's ED for key, and
+// re-anchors that key's drift window on it so the detector tests future
+// probes against what now serves. The successor is copy-on-write at the
+// narrowest granularity: it shares every other ED with the serving
+// model, so refinements that landed while the refresh probed are kept.
+func (h *Host) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED) (int64, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	cur := h.version.Load()
+	if cur == nil || cur.Version != baseVersion {
+		return 0, refresh.ErrSuperseded
+	}
+	next, err := cur.Model.WithED(dbIdx, key, ed)
+	if err != nil {
+		return 0, fmt.Errorf("metaprobe: refresh commit: %w", err)
+	}
+	db := h.names[dbIdx]
+	nv := h.publish(next, "refresh", db)
+	h.drift.SetReference(db, key.String(), ed.ReferenceSample(0))
+	return nv.Version, nil
+}
+
+// Locked runs fn on the serving version (nil before the first Install)
+// with the writers' lock held, for a caller that must read every ED
+// consistently — SaveModel's encode — and for tests. It is the only
+// method that runs code it is handed: fn must not call back into the
+// host, and must not keep the version past its return.
+func (h *Host) Locked(fn func(*core.ModelVersion) error) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return fn(h.version.Load())
+}

@@ -145,7 +145,7 @@ type Host interface {
 	// Hosts reject the commit (ErrSuperseded) when the serving version
 	// is no longer baseVersion: ed was validated against a model that
 	// has since been replaced.
-	Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED, val Validation) (int64, error)
+	Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED) (int64, error)
 }
 
 // ErrSuperseded is returned by Host.Commit when the serving model
@@ -545,7 +545,7 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 	vsp.End()
 	val.Accepted = true
 	_, csp := span.Start(ctx, "refresh.commit")
-	if _, err := r.host.Commit(base.Version, a.DBIdx, a.Key, ed, *val); err != nil {
+	if _, err := r.host.Commit(base.Version, a.DBIdx, a.Key, ed); err != nil {
 		val.Accepted = false
 		csp.EndErr(err)
 		if err == ErrSuperseded {

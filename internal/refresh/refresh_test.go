@@ -153,7 +153,7 @@ func (f *fakeHost) Probe(ctx context.Context, dbIdx int, query string) (float64,
 	return f.probeValue(call, rhat, real)
 }
 
-func (f *fakeHost) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED, val Validation) (int64, error) {
+func (f *fakeHost) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if baseVersion != f.version {

@@ -13,7 +13,6 @@ import (
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/leakcheck"
-	"metaprobe/internal/refresh"
 )
 
 // memoAttrs reads the root span's rank_* and memo_* counts.
@@ -35,8 +34,7 @@ func memoAttrs(t *testing.T, tracer *SpanTracer, traceID string) map[string]int 
 // a selection derived from the EDs, probed inline, no feedback.
 func (m *Metasearcher) direct(t testing.TB, query string, k int, thr float64) core.Outcome {
 	t.Helper()
-	ver := m.version.Load()
-	sel := ver.Model.NewSelection(query, countTerms(query), Absolute, k).WithBestSetOptions(m.cfg.BestSet)
+	sel := m.serving().NewSelection(query, countTerms(query), Absolute, k).WithBestSetOptions(m.cfg.BestSet)
 	out, err := core.APro(sel, func(i int) (float64, error) { return m.rel.Probe(m.tb.DB(i), query) }, core.Greedy{}, thr, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +140,7 @@ func TestDecisionMemoFacade(t *testing.T) {
 	}
 
 	// Refresh commit: the successor starts empty too.
-	host := refreshHost{ms}
+	host := ms.host
 	var key core.TypeKey
 	for key = range ms.serving().DBs[0].EDs {
 		break
@@ -151,7 +149,7 @@ func TestDecisionMemoFacade(t *testing.T) {
 	if err != nil || serving.ED == nil {
 		t.Fatalf("serving ED for %v: %v", key, err)
 	}
-	if _, err := host.Commit(serving.Version, 0, key, serving.ED, refresh.Validation{}); err != nil {
+	if _, err := host.Commit(serving.Version, 0, key, serving.ED); err != nil {
 		t.Fatal(err)
 	}
 	if info := ms.ModelInfo(); info.Source != "refresh" || !info.MemoOn || info.MemoNodes != 0 {

@@ -49,6 +49,7 @@ import (
 	"metaprobe/internal/eval"
 	"metaprobe/internal/fusion"
 	"metaprobe/internal/hidden"
+	"metaprobe/internal/modelhost"
 	"metaprobe/internal/obs"
 	"metaprobe/internal/obs/span"
 	"metaprobe/internal/probeexec"
@@ -299,14 +300,12 @@ type Metasearcher struct {
 	sums *summary.Set
 	rel  Relevancy
 	cfg  Config
-	// version is the serving model snapshot, read RCU-style: selections
-	// load the pointer once and keep that version for their lifetime;
-	// Train, ReloadModel and the online refresher publish successors
-	// with a single atomic store, so a swap never blocks a selection.
-	version atomic.Pointer[core.ModelVersion]
-	// drift is the online ED drift detector (nil unless cfg.Drift is
-	// set); it monitors nothing until a model is installed.
-	drift *obs.DriftDetector
+	// host owns the serving model — pointer, writers' lock, drift
+	// anchors (internal/modelhost). Selections read it through a View and
+	// take no lock; Train, ReloadModel, probe feedback and the online
+	// refresher go through its writer methods, so a swap never blocks a
+	// selection.
+	host *modelhost.Host
 	// refresher retrains drifted EDs in the background (nil unless
 	// cfg.Refresh is set).
 	refresher *refresh.Refresher
@@ -319,69 +318,18 @@ type Metasearcher struct {
 	series *selectionSeries
 	// exec runs every live probe: worker pool, circuit breakers,
 	// hedging, background probes (internal/probeexec). dbName is the
-	// index → backend-name mapping it accounts by, built once; dbKey is
-	// the same name as a JSON object key (`"name":`), for the root
-	// span's estimates attribute.
+	// index → backend-name mapping it accounts by, a lookup in the host's
+	// name slice built once; dbKey is the same name as a JSON object key
+	// (`"name":`), for the root span's estimates attribute.
 	exec   *probeexec.Executor
 	dbName func(i int) string
 	dbKey  []string
-	// modelMu is the writers' lock. Selections read only what a
-	// published version never changes (core.ModelVersion says what) and
-	// take no lock; whoever writes or reads the serving model's EDs
-	// does: probe feedback (online refinement, drift windows),
-	// publication with its drift re-anchoring (install, refresh commit),
-	// SaveModel and the refresher's copy of one ED.
-	modelMu sync.Mutex
 	// selSeq numbers selections for trace/log correlation IDs.
 	selSeq atomic.Int64
 	// shells recycles finished *core.Selection shells: FillSelection
 	// rewrites every field of whatever shell it is handed, so a warm one
 	// (derived buffers, owned impulses) makes the fill allocation-free.
 	shells sync.Pool
-}
-
-// serving returns the serving model, nil before training.
-func (m *Metasearcher) serving() *core.Model {
-	if v := m.version.Load(); v != nil {
-		return v.Model
-	}
-	return nil
-}
-
-// publish stores the successor version holding model. Callers must
-// hold modelMu.
-func (m *Metasearcher) publish(model *core.Model, source, refreshedDB string) *core.ModelVersion {
-	now := time.Now()
-	var next *core.ModelVersion
-	if cur := m.version.Load(); cur != nil {
-		next = cur.Next(model, source, refreshedDB, now)
-	} else {
-		next = core.NewModelVersion(model, source, now)
-	}
-	m.version.Store(next)
-	return next
-}
-
-// install publishes a trained or loaded model and re-anchors the drift
-// detector on it: every (database, query type) whose ED carries at
-// least MinObservations samples gets that ED's reference sample to
-// test fresh probe errors against, with an empty window. Both happen
-// under modelMu because the EDs are open to refinement by probe
-// feedback from the moment the version is stored.
-func (m *Metasearcher) install(model *core.Model, source string) {
-	m.modelMu.Lock()
-	defer m.modelMu.Unlock()
-	m.publish(model, source, "")
-	if m.drift == nil {
-		return
-	}
-	for i, dm := range model.DBs {
-		for key, ed := range dm.EDs {
-			if ed.Observations() >= model.Cfg.MinObservations {
-				m.drift.SetReference(m.dbName(i), key.String(), ed.ReferenceSample(0))
-			}
-		}
-	}
 }
 
 // New builds a metasearcher over the given databases and their content
@@ -413,15 +361,25 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 	if c.Relevancy == nil {
 		c.Relevancy = estimate.NewDocFrequency()
 	}
+	names := make([]string, tb.Len())
+	for i := range names {
+		names[i] = tb.DB(i).Name()
+	}
+	var drift *obs.DriftDetector
+	if c.Drift != nil {
+		drift = obs.NewDriftDetector(*c.Drift)
+		drift.SetMetrics(c.Metrics)
+	}
 	m := &Metasearcher{
 		tb:       tb,
 		sums:     &summary.Set{Summaries: sums},
 		rel:      c.Relevancy,
 		cfg:      c,
+		host:     modelhost.New(names, drift),
 		observed: c.observed(),
 		series:   registerSelectionMetrics(c.Metrics, tb),
-		dbName:   func(i int) string { return tb.DB(i).Name() },
-		dbKey:    make([]string, tb.Len()),
+		dbName:   func(i int) string { return names[i] },
+		dbKey:    make([]string, len(names)),
 		exec: probeexec.NewExecutor(probeexec.Config{
 			Limits:       c.ProbeConcurrency,
 			HedgeAfter:   c.HedgeAfter,
@@ -430,21 +388,17 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 			Metrics:      c.Metrics,
 		}),
 	}
-	for i := range m.dbKey {
-		key, _ := json.Marshal(tb.DB(i).Name()) // a string always marshals
+	for i, name := range names {
+		key, _ := json.Marshal(name) // a string always marshals
 		m.dbKey[i] = string(key) + ":"
 	}
 	c.Metrics.GaugeFunc("mp_decision_memo_nodes", nil, func() float64 {
-		if v := m.version.Load(); v != nil {
+		if v := m.host.View(); v.Trained() {
 			nodes, _ := v.Memo()
 			return float64(nodes)
 		}
 		return 0
 	})
-	if c.Drift != nil {
-		m.drift = obs.NewDriftDetector(*c.Drift)
-		m.drift.SetMetrics(c.Metrics)
-	}
 	if c.Refresh != nil {
 		rc := *c.Refresh
 		if rc.Metrics == nil {
@@ -453,7 +407,7 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		if rc.Spans == nil {
 			rc.Spans = c.Spans
 		}
-		m.refresher = refresh.New(rc, refreshHost{m})
+		m.refresher = refresh.New(rc, refreshHost{m.host, m})
 	}
 	return m, nil
 }
@@ -467,15 +421,11 @@ func (m *Metasearcher) Close() {
 
 // Databases returns the mediated database names in order.
 func (m *Metasearcher) Databases() []string {
-	out := make([]string, m.tb.Len())
-	for i := range out {
-		out[i] = m.tb.DB(i).Name()
-	}
-	return out
+	return append([]string(nil), m.host.Names()...)
 }
 
 // Trained reports whether the error model has been learned.
-func (m *Metasearcher) Trained() bool { return m.version.Load() != nil }
+func (m *Metasearcher) Trained() bool { return m.host.View().Trained() }
 
 // Train learns the per-database, per-query-type error distributions by
 // issuing the training queries to every database (Section 4 of the
@@ -490,7 +440,7 @@ func (m *Metasearcher) Train(trainQueries []string) error {
 	if err != nil {
 		return fmt.Errorf("metaprobe: %w", err)
 	}
-	m.install(model, "train")
+	m.host.Install(model, "train")
 	return nil
 }
 
@@ -544,23 +494,26 @@ func (m *Metasearcher) RefreshStats() RefreshStats {
 // statistic and p-value. Empty unless Config.Drift is set and the
 // model is trained.
 func (m *Metasearcher) DriftStatuses() []DriftStatus {
-	return m.drift.Snapshot()
+	return m.host.DriftStatuses()
 }
 
 // DriftConfig returns the effective drift-detection configuration with
 // defaults applied, or the zero value when detection is disabled.
 func (m *Metasearcher) DriftConfig() DriftConfig {
-	if m.drift == nil {
-		return DriftConfig{}
-	}
-	return m.drift.Config()
+	return m.host.DriftConfig()
 }
 
-// Estimates returns r̂(db, q) for every database, in order.
+// Estimates returns r̂(db, q) for every database, in order, from the
+// summaries the serving model selects with (a reloaded snapshot brings
+// its own); before the first model, from the constructor's.
 func (m *Metasearcher) Estimates(query string) []float64 {
-	out := make([]float64, m.tb.Len())
+	sums := m.sums.Summaries
+	if v := m.host.View(); v.Trained() {
+		sums = v.Summaries()
+	}
+	out := make([]float64, len(sums))
 	for i := range out {
-		out[i] = m.rel.Estimate(m.sums.Summaries[i], query)
+		out[i] = m.rel.Estimate(sums[i], query)
 	}
 	return out
 }
@@ -641,40 +594,21 @@ func (m *Metasearcher) SelectWithPolicy(query string, k int, metric Metric, t fl
 }
 
 // probeFeedback folds one successful live probe back into the shared
-// model state (online refinement, drift detection) — a writer, so it
-// holds modelMu; many selections, or one selection's probe and the
-// successor started behind it, land here concurrently. The feedback
-// deliberately does not touch the selection it came from: a losing
-// hedge attempt can deliver its probe result after the winning attempt
-// already finished the selection and recycled its shell, so everything
-// here is recomputed from the model.
+// model state (online refinement, drift detection) through the host's
+// Observe; many selections, or one selection's probe and the successor
+// started behind it, land here concurrently. The feedback deliberately
+// does not touch the selection it came from: a losing hedge attempt can
+// deliver its probe result after the winning attempt already finished
+// the selection and recycled its shell, so the host recomputes what it
+// needs from the model. A drift alert comes back as a value and is
+// delivered here, after the host's lock is released: OnDrift is caller
+// code that may save, reload or retrain the model.
 func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float64) error {
-	if !m.cfg.OnlineRefinement && m.drift == nil {
+	if !m.cfg.OnlineRefinement && m.cfg.Drift == nil {
 		return nil
 	}
-	var (
-		alert   DriftAlert
-		drifted bool
-		err     error
-	)
-	m.modelMu.Lock()
-	// Feedback lands on the current serving version, which may be newer
-	// than the version this selection was built from: fresh probe data
-	// belongs to whatever model serves next. Going through the version
-	// (rather than its model directly) rebuilds the RD rows over the
-	// refined EDs.
-	if ver := m.version.Load(); ver != nil {
-		if m.cfg.OnlineRefinement {
-			err = ver.ObserveProbe(i, query, numTerms, v)
-		}
-		if err == nil && m.drift != nil {
-			alert, drifted = m.observeDrift(ver.Model, i, query, numTerms, v)
-		}
-	}
-	m.modelMu.Unlock()
+	alert, drifted, err := m.host.Observe(i, query, numTerms, v, m.cfg.OnlineRefinement)
 	if drifted {
-		// Delivered outside modelMu: OnDrift is caller code that may
-		// save, reload or retrain the model, all of which take the lock.
 		m.onDriftAlert(alert)
 	}
 	return err
@@ -813,31 +747,6 @@ func (m *Metasearcher) recordCost(numTerms int, sum *CostSummary) {
 	c.hedgesWasted.Add(int64(sum.HedgesWasted))
 	c.cacheHits.Add(int64(sum.CacheHits))
 	c.wall.Observe(sum.WallMs / 1000)
-}
-
-// observeDrift feeds one successful live probe into the drift
-// detector: the relative error (r − r̂)/r̂ for the relative-error query
-// types, the absolute relevancy for the r̂ = 0 band — the same value
-// space the matching ED was trained in — quantized onto the ED's bin
-// support (see ED.ReferenceSample) so the KS comparison is apples to
-// apples. Probes whose query type has no trained ED are skipped; the
-// detector has no reference to test them against anyway. The estimate
-// is recomputed from the model (summaries are shared across versions,
-// so the value is identical to what the selection was built with)
-// rather than read from the selection, which may already be recycled
-// when a losing hedge attempt delivers late.
-func (m *Metasearcher) observeDrift(model *core.Model, i int, query string, numTerms int, actual float64) (DriftAlert, bool) {
-	rhat := model.Rel.Estimate(model.Summaries.Summaries[i], query)
-	key := model.Cfg.Classifier.Classify(numTerms, rhat)
-	ed, ok := model.DBs[i].EDs[key]
-	if !ok {
-		return DriftAlert{}, false
-	}
-	v := actual
-	if key.Band != core.BandZero {
-		v = (actual - rhat) / rhat
-	}
-	return m.drift.Observe(m.tb.DB(i).Name(), key.String(), ed.Quantize(v))
 }
 
 // selectionSeries holds the selection path's series. Asking the
@@ -1106,36 +1015,36 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 
 // selection builds the per-query state from the serving version's
 // precomputed RD table: a recycled shell is refilled in place by
-// ModelVersion.FillSelection — table lookups plus an estimate shift per
-// database instead of re-convolving every ED. No lock: the version is
-// loaded once and the fill reads only what it never changes, so a
-// version published meanwhile does not affect this selection. It also
-// returns the version the selection was filled from.
+// View.Fill — table lookups plus an estimate shift per database
+// instead of re-convolving every ED. No lock: the view is taken once and
+// the fill reads only what a version never changes, so a version
+// published meanwhile does not affect this selection. It also returns
+// the view the selection was filled from.
 //
 // With a non-nil stage recorder the RD work is still charged to the
 // rd_convolve stage, so the stage keeps reporting honestly; it has
 // shrunk to lookup cost, not disappeared from the waterfall. The
 // recorder is attached to the selection so the APro loop reports the
 // remaining stages to it.
-func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.StageRecorder) (*core.Selection, *core.ModelVersion, error) {
-	ver := m.version.Load()
-	if ver == nil {
-		return nil, nil, fmt.Errorf("metaprobe: model not trained; call Train first or use SelectBaseline")
+func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.StageRecorder) (*core.Selection, modelhost.View, error) {
+	view := m.host.View()
+	if !view.Trained() {
+		return nil, view, fmt.Errorf("metaprobe: model not trained; call Train first or use SelectBaseline")
 	}
 	if k <= 0 || k > m.tb.Len() {
-		return nil, nil, fmt.Errorf("metaprobe: k=%d outside [1, %d]", k, m.tb.Len())
+		return nil, view, fmt.Errorf("metaprobe: k=%d outside [1, %d]", k, m.tb.Len())
 	}
 	var stageStart time.Time
 	if rec != nil {
 		stageStart = time.Now()
 	}
 	shell, _ := m.shells.Get().(*core.Selection) // nil when the pool is empty
-	sel := ver.FillSelection(shell, query, countTerms(query), metric, k)
+	sel := view.Fill(shell, query, countTerms(query), metric, k)
 	if rec != nil {
 		rec.Observe(core.StageRDConvolve, time.Since(stageStart).Seconds())
 		sel.WithStageObserver(rec.Observe)
 	}
-	return sel.WithBestSetOptions(m.cfg.BestSet), ver, nil
+	return sel.WithBestSetOptions(m.cfg.BestSet), view, nil
 }
 
 // recycleSelection releases sel's pooled scratch and hands the shell
@@ -1188,7 +1097,7 @@ func (m *Metasearcher) flushStages(rec *obs.StageRecorder, sp *span.Span) {
 func (m *Metasearcher) names(set []int) []string {
 	out := make([]string, len(set))
 	for i, idx := range set {
-		out[i] = m.tb.DB(idx).Name()
+		out[i] = m.dbName(idx)
 	}
 	return out
 }
@@ -1228,22 +1137,21 @@ type Explanation struct {
 // estimate, the error-corrected expected relevancy, and the membership
 // probability that drives selection. Requires a trained model.
 func (m *Metasearcher) Explain(query string, k int) ([]Explanation, error) {
-	sel, ver, err := m.selection(query, Absolute, k, nil)
+	sel, view, err := m.selection(query, Absolute, k, nil)
 	if err != nil {
 		return nil, err
 	}
-	classifier := ver.Model.Cfg.Classifier
 	marginals := sel.Marginals()
 	numTerms := countTerms(query)
 	out := make([]Explanation, m.tb.Len())
 	for i := range out {
 		rhat := sel.Estimate(i)
 		out[i] = Explanation{
-			Database:          m.tb.DB(i).Name(),
+			Database:          m.dbName(i),
 			Estimate:          rhat,
 			ExpectedRelevancy: sel.RD(i).Mean(),
 			MembershipProb:    marginals[i],
-			QueryType:         classifier.Classify(numTerms, rhat).String(),
+			QueryType:         view.Classify(numTerms, rhat).String(),
 		}
 	}
 	m.recycleSelection(sel)
@@ -1255,15 +1163,14 @@ func (m *Metasearcher) Explain(query string, k int) ([]Explanation, error) {
 // (temp file + fsync + rename), so future sessions can skip training
 // and a crash mid-write never corrupts the previous snapshot.
 func (m *Metasearcher) SaveModel(path string) error {
-	m.modelMu.Lock()
-	defer m.modelMu.Unlock()
-	model := m.serving()
-	if model == nil {
-		return fmt.Errorf("metaprobe: nothing to save; call Train first")
-	}
-	// The lock keeps online refinement from mutating histograms while
-	// they are encoded.
-	return model.Save(path)
+	// The host's lock keeps online refinement from mutating histograms
+	// while they are encoded.
+	return m.host.Locked(func(ver *core.ModelVersion) error {
+		if ver == nil {
+			return fmt.Errorf("metaprobe: nothing to save; call Train first")
+		}
+		return ver.Model.Save(path)
+	})
 }
 
 // checkModelMatches validates a loaded model against the mediated
@@ -1296,7 +1203,7 @@ func NewFromModel(dbs []Database, modelPath string, cfg *Config) (*Metasearcher,
 		return nil, err
 	}
 	ms.rel = model.Rel
-	ms.install(model, "load")
+	ms.host.Install(model, "load")
 	return ms, nil
 }
 
@@ -1323,7 +1230,7 @@ func (m *Metasearcher) ReloadModel(path string) error {
 		return fmt.Errorf("metaprobe: model uses relevancy %q but the metasearcher runs %q",
 			model.Rel.Name(), m.rel.Name())
 	}
-	m.install(model, "reload")
+	m.host.Install(model, "reload")
 	return nil
 }
 
@@ -1363,24 +1270,22 @@ type ModelInfo struct {
 // ModelInfo reports the serving model version, its age and provenance,
 // per-database refresh timestamps, and refresher statistics.
 func (m *Metasearcher) ModelInfo() ModelInfo {
-	v := m.version.Load()
-	if v == nil {
+	v := m.host.View()
+	if !v.Trained() {
 		return ModelInfo{}
 	}
+	p := v.Provenance()
 	info := ModelInfo{
 		Trained:    true,
-		Version:    v.Version,
-		Source:     v.Source,
-		CreatedAt:  v.CreatedAt,
-		AgeSeconds: time.Since(v.CreatedAt).Seconds(),
-		Databases:  len(v.Model.DBs),
+		Version:    p.Version,
+		Source:     p.Source,
+		CreatedAt:  p.CreatedAt,
+		AgeSeconds: time.Since(p.CreatedAt).Seconds(),
+		Databases:  m.tb.Len(),
 	}
 	info.MemoNodes, info.MemoOn = v.Memo()
-	if len(v.RefreshedAt) > 0 {
-		info.RefreshedAt = make(map[string]time.Time, len(v.RefreshedAt))
-		for db, ts := range v.RefreshedAt {
-			info.RefreshedAt[db] = ts
-		}
+	if len(p.RefreshedAt) > 0 {
+		info.RefreshedAt = p.RefreshedAt
 	}
 	if m.refresher != nil {
 		s := m.refresher.Stats()
@@ -1417,31 +1322,14 @@ func (m *Metasearcher) Ready() error {
 	return nil
 }
 
-// refreshHost adapts the Metasearcher for the background refresher:
-// copying the one alerted ED out of the serving model, probing through
-// the shared executor (so refresh traffic is subject to the same
-// concurrency limits, breakers and hedging as live selections), and
-// committing a validated ED with an atomic version swap.
-type refreshHost struct{ m *Metasearcher }
-
-func (h refreshHost) Serving(dbIdx int, key core.TypeKey) (refresh.Serving, error) {
-	m := h.m
-	m.modelMu.Lock()
-	defer m.modelMu.Unlock()
-	v := m.version.Load()
-	if v == nil {
-		return refresh.Serving{}, fmt.Errorf("metaprobe: refresh: no serving model")
-	}
-	if dbIdx < 0 || dbIdx >= len(v.Model.DBs) {
-		return refresh.Serving{}, fmt.Errorf("metaprobe: refresh: database index %d outside [0, %d)", dbIdx, len(v.Model.DBs))
-	}
-	s := refresh.Serving{Version: v.Version, Cfg: v.Model.Cfg, Rel: v.Model.Rel, Summary: v.Model.Summaries.Summaries[dbIdx]}
-	// The lock keeps online refinement out of the histogram while it is
-	// copied.
-	if ed := v.Model.DBs[dbIdx].EDs[key]; ed != nil {
-		s.ED = ed.Clone()
-	}
-	return s, nil
+// refreshHost is what the background refresher runs against: the
+// model host for the one alerted ED (copied out, committed back with an
+// atomic version swap) and the shared executor for its probes, so
+// refresh traffic is subject to the same concurrency limits, breakers
+// and hedging as live selections.
+type refreshHost struct {
+	*modelhost.Host
+	m *Metasearcher
 }
 
 func (h refreshHost) Probe(ctx context.Context, dbIdx int, query string) (float64, error) {
@@ -1450,30 +1338,6 @@ func (h refreshHost) Probe(ctx context.Context, dbIdx int, query string) (float6
 	return m.exec.Probe(ctx, db.Name(), func(ctx context.Context) (float64, error) {
 		return m.rel.Probe(hidden.WithContext(ctx, db), query)
 	})
-}
-
-func (h refreshHost) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED, val refresh.Validation) (int64, error) {
-	m := h.m
-	m.modelMu.Lock()
-	defer m.modelMu.Unlock()
-	cur := m.version.Load()
-	if cur == nil || cur.Version != baseVersion {
-		return 0, refresh.ErrSuperseded
-	}
-	// Copy-on-write at the narrowest granularity: the successor shares
-	// every ED with the serving model — so refinement observations that
-	// landed while the refresh probed are kept — except the retrained
-	// one.
-	next, err := cur.Model.WithED(dbIdx, key, ed)
-	if err != nil {
-		return 0, fmt.Errorf("metaprobe: refresh commit: %w", err)
-	}
-	db := m.dbName(dbIdx)
-	nv := m.publish(next, "refresh", db)
-	// Re-anchor the drift window on the retrained distribution so the
-	// detector tests future probes against what now serves.
-	m.drift.SetReference(db, key.String(), ed.ReferenceSample(0))
-	return nv.Version, nil
 }
 
 // Audit computes the realized correctness of a returned answer by

@@ -1,7 +1,12 @@
 package metaprobe
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -209,4 +214,125 @@ func TestMetasearchSnippets(t *testing.T) {
 		}
 	}
 	t.Error("no query produced results")
+}
+
+// TestEstimatesFollowReload: a reloaded snapshot brings its own content
+// summaries, and everything that estimates must read those — Estimates
+// and SelectBaseline (the server's never-fail floor) as well as the
+// selections. The snapshot here was trained over re-sampled summaries of
+// the same databases, so the constructor's exact ones answer differently.
+func TestEstimatesFollowReload(t *testing.T) {
+	ms, test := buildTestMetasearcher(t)
+	dbs := ms.tb.Databases()
+	sampled, err := SampleSummaries(dbs, strings.Fields(strings.Join(test, " ")), 40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := New(dbs, sampled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Train(test); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "resampled.json")
+	if err := owner.SaveModel(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.ReloadModel(path); err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 2
+	moved := 0
+	for _, q := range test {
+		est := ms.Estimates(q)
+		ex, err := ms.Explain(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range ex {
+			if est[i] != e.Estimate {
+				t.Errorf("%q, %s: Estimates says %v, the serving version selects with %v", q, e.Database, est[i], e.Estimate)
+			}
+			if est[i] != ms.rel.Estimate(ms.sums.Summaries[i], q) {
+				moved++
+			}
+		}
+		if got, want := ms.SelectBaseline(q, k), owner.SelectBaseline(q, k); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: SelectBaseline %v, the snapshot's own summaries pick %v", q, got, want)
+		}
+	}
+	if moved == 0 {
+		t.Error("the re-sampled summaries estimate exactly like the exact ones: the reload changed nothing to follow")
+	}
+}
+
+// TestReloadRejectsBadSnapshot: a snapshot ReloadModel refuses — cut
+// short, altered under its checksum, carrying an edge no histogram has,
+// asking for a key space only the file could want, or describing other
+// databases — leaves the serving version and its answers exactly as they
+// were.
+func TestReloadRejectsBadSnapshot(t *testing.T) {
+	ms, test := buildTestMetasearcher(t)
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := ms.SaveModel(good); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Model json.RawMessage `json:"model"`
+	}
+	if err := json.Unmarshal(snapshot, &env); err != nil {
+		t.Fatal(err)
+	}
+	bare := func(old, new string) []byte { // a format-1 file: no envelope, no checksum to trip first
+		bent := bytes.Replace(env.Model, []byte(old), []byte(new), 1)
+		if bytes.Equal(bent, env.Model) {
+			t.Fatalf("the snapshot has no %s to bend", old)
+		}
+		return bent
+	}
+	bad := map[string][]byte{
+		"truncated":         snapshot[:len(snapshot)/2],
+		"checksum mismatch": bytes.Replace(snapshot, []byte(`"threshold": 100`), []byte(`"threshold": 101`), 1),
+		"edge string":       bare(`"+Inf"`, `"NaN"`),
+		"key space":         bare(`"maxTerms": 4`, `"maxTerms": 4000`),
+		"other database":    bare(`"name": "`+ms.Databases()[0]+`"`, `"name": "elsewhere"`),
+		"other relevancy":   bare(`"relevancy": "doc-frequency"`, `"relevancy": "doc-similarity"`),
+		"empty":             nil,
+	}
+
+	q := test[0]
+	version := ms.ModelInfo().Version
+	want, err := ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range bad {
+		path := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.ReloadModel(path); err == nil {
+			t.Errorf("%s: the snapshot was accepted", name)
+		}
+		if v := ms.ModelInfo().Version; v != version {
+			t.Errorf("%s: a refused reload left version %d, before %d", name, v, version)
+		}
+		got, err := ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %q answers %+v after a refused reload, before %+v", name, q, got, want)
+		}
+	}
+	if err := ms.ReloadModel(good); err != nil || ms.ModelInfo().Version != version+1 {
+		t.Errorf("the good snapshot: %v, version %d", err, ms.ModelInfo().Version)
+	}
 }

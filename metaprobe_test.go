@@ -6,11 +6,26 @@ import (
 	"strings"
 	"testing"
 
+	"metaprobe/internal/core"
 	"metaprobe/internal/corpus"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
 )
+
+// serving returns the serving model, nil before training, for tests that
+// look inside it. The pointer outlives the host's lock: read its EDs only
+// while nothing probes with OnlineRefinement on.
+func (m *Metasearcher) serving() *core.Model {
+	var model *core.Model
+	m.host.Locked(func(ver *core.ModelVersion) error {
+		if ver != nil {
+			model = ver.Model
+		}
+		return nil
+	})
+	return model
+}
 
 // buildTestMetasearcher wires 6 generated health databases through the
 // public API with a trained error model.

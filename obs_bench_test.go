@@ -31,7 +31,7 @@ var sightLegs = []struct {
 // when a fresh leg starts a pass.
 func (m *Metasearcher) nextQuery(queries []string, i int, fresh bool) string {
 	if fresh && i%len(queries) == 0 {
-		m.install(m.serving(), "bench")
+		m.host.Install(m.serving(), "bench")
 	}
 	return queries[i%len(queries)]
 }

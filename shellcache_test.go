@@ -21,7 +21,7 @@ func TestShellCacheRecycling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v1 != ms.version.Load() {
+		if v1 != ms.host.View() {
 			t.Fatal("selection filled from a non-serving version")
 		}
 		s2, _, err := ms.selection(test[(round+1)%len(test)], Absolute, 3, nil)
