@@ -416,10 +416,9 @@ func LoadModelInfo(path string) (*Model, SnapshotInfo, error) {
 	return m, info, err
 }
 
-// maxSnapshotTerms bounds the term-count split a snapshot may ask for.
-// The file is outside input and the classifier's key space — AllKeys,
-// the rows of every version's RD table — is sized by this number, so
-// it is not the file's to choose freely.
+// maxSnapshotTerms bounds the term-count split a snapshot may ask for:
+// the file is outside input, and that number sizes the classifier's key
+// space — AllKeys, the rows of every version's RD table.
 const maxSnapshotTerms = 64
 
 // decodeModel reconstructs a Model from its persisted form.

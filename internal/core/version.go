@@ -8,7 +8,7 @@ import (
 )
 
 // Model versioning: serving reads a *ModelVersion through an RCU-style
-// atomic pointer (the facade owns the pointer); a refresh builds a
+// atomic pointer (internal/modelhost owns the pointer); a refresh builds a
 // copy-on-write successor model with WithED, a reload loads one, and
 // either is published with one atomic store. In-flight selections keep
 // the version they started with; nothing ever blocks on a swap.

@@ -3,7 +3,6 @@ package hidden
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 
 	"metaprobe/internal/obs"
@@ -155,20 +154,10 @@ func (c *Cached) store(query string, topK int, res Result) Result {
 
 // Fetch passes through uncached (documents are fetched once during
 // sampling; caching them would only duplicate memory).
-func (c *Cached) Fetch(id string) (string, error) {
-	if f, ok := c.db.(Fetcher); ok {
-		return f.Fetch(id)
-	}
-	return "", fmt.Errorf("hidden: %s does not support document fetching", c.db.Name())
-}
+func (c *Cached) Fetch(id string) (string, error) { return fetchFrom(c.db, id) }
 
 // Size passes through when available.
-func (c *Cached) Size() int {
-	if s, ok := c.db.(Sizer); ok {
-		return s.Size()
-	}
-	return 0
-}
+func (c *Cached) Size() int { return sizeOf(c.db) }
 
 // Stats returns cache hits and misses so far.
 func (c *Cached) Stats() (hits, misses int64) {

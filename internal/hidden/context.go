@@ -81,17 +81,12 @@ func (b *boundContext) Fetch(id string) (string, error) {
 }
 
 // Size passes through when available.
-func (b *boundContext) Size() int {
-	if s, ok := b.db.(Sizer); ok {
-		return s.Size()
-	}
-	return 0
-}
+func (b *boundContext) Size() int { return sizeOf(b.db) }
 
 // sleepContext blocks for d or until ctx is done, whichever comes
-// first, returning ctx.Err() in the latter case. The context-aware
-// middleware paths use it in place of time.Sleep so politeness delays,
-// backoffs and injected latency all abort promptly on cancellation.
+// first, returning ctx.Err() in the latter case. It is the middleware's
+// sleep (tests replace it), so politeness delays, backoffs and injected
+// latency all abort promptly on cancellation.
 func sleepContext(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

@@ -110,3 +110,19 @@ func EstimateSize(db Database, probeTerms []string) (int, error) {
 	}
 	return best, nil
 }
+
+// fetchFrom fetches a document through db when it supports fetching.
+func fetchFrom(db Database, id string) (string, error) {
+	if f, ok := db.(Fetcher); ok {
+		return f.Fetch(id)
+	}
+	return "", fmt.Errorf("hidden: %s does not support document fetching", db.Name())
+}
+
+// sizeOf reports db's size when it exports one, 0 otherwise.
+func sizeOf(db Database) int {
+	if s, ok := db.(Sizer); ok {
+		return s.Size()
+	}
+	return 0
+}

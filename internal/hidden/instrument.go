@@ -151,9 +151,4 @@ func (n *Instrumented) Fetch(id string) (string, error) {
 }
 
 // Size passes through when available.
-func (n *Instrumented) Size() int {
-	if s, ok := n.db.(Sizer); ok {
-		return s.Size()
-	}
-	return 0
-}
+func (n *Instrumented) Size() int { return sizeOf(n.db) }

@@ -98,20 +98,10 @@ func (r *RateLimited) Unwrap() Database { return r.db }
 
 // Fetch passes through (document fetches piggyback on result pages and
 // are not separately throttled).
-func (r *RateLimited) Fetch(id string) (string, error) {
-	if f, ok := r.db.(Fetcher); ok {
-		return f.Fetch(id)
-	}
-	return "", fmt.Errorf("hidden: %s does not support document fetching", r.db.Name())
-}
+func (r *RateLimited) Fetch(id string) (string, error) { return fetchFrom(r.db, id) }
 
 // Size passes through when available.
-func (r *RateLimited) Size() int {
-	if s, ok := r.db.(Sizer); ok {
-		return s.Size()
-	}
-	return 0
-}
+func (r *RateLimited) Size() int { return sizeOf(r.db) }
 
 // defaultMaxBackoff caps the exponential backoff doubling when
 // Retry.MaxBackoff is unset. Without a ceiling, delay *= 2 grows
@@ -195,7 +185,8 @@ func (r *Retry) Unwrap() Database { return r.db }
 // the final error ("failed", "fetch failed"). Backoff sleeps abort on
 // cancellation. Each retried attempt is recorded as an event on the
 // ambient trace span (when one is present), with the triggering error.
-func (r *Retry) retry(ctx context.Context, outcome string, op func() error) error {
+func retry[T any](ctx context.Context, r *Retry, outcome string, op func() (T, error)) (T, error) {
+	var zero T
 	sp := span.FromContext(ctx)
 	delay := r.backoff
 	var lastErr error
@@ -210,23 +201,23 @@ func (r *Retry) retry(ctx context.Context, outcome string, op func() error) erro
 			var sleep time.Duration
 			sleep, delay = r.nextDelay(delay)
 			if err := r.sleep(ctx, sleep); err != nil {
-				return fmt.Errorf("hidden: %s: %w", r.db.Name(), err)
+				return zero, fmt.Errorf("hidden: %s: %w", r.db.Name(), err)
 			}
 		}
-		err := op()
+		res, err := op()
 		if err == nil {
 			if retries > 0 {
 				sp.SetAttr("retries", strconv.Itoa(retries))
 			}
-			return nil
+			return res, nil
 		}
 		if !errors.Is(err, ErrUnavailable) || ctx.Err() != nil {
-			return err
+			return zero, err
 		}
 		lastErr = err
 	}
 	sp.SetAttr("retries", strconv.Itoa(retries))
-	return fmt.Errorf("hidden: %s %s after %d attempts: %w", r.db.Name(), outcome, r.attempts, lastErr)
+	return zero, fmt.Errorf("hidden: %s %s after %d attempts: %w", r.db.Name(), outcome, r.attempts, lastErr)
 }
 
 // Search implements Database with retries on transient failures.
@@ -237,41 +228,16 @@ func (r *Retry) Search(query string, topK int) (Result, error) {
 // SearchContext implements ContextDatabase: the context reaches the
 // wrapped database and the backoff sleeps (see retry).
 func (r *Retry) SearchContext(ctx context.Context, query string, topK int) (Result, error) {
-	var res Result
-	err := r.retry(ctx, "failed", func() (err error) {
-		res, err = SearchContext(ctx, r.db, query, topK)
-		return err
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return retry(ctx, r, "failed", func() (Result, error) { return SearchContext(ctx, r.db, query, topK) })
 }
 
 // Fetch passes through with the same retry discipline.
 func (r *Retry) Fetch(id string) (string, error) {
-	f, ok := r.db.(Fetcher)
-	if !ok {
-		return "", fmt.Errorf("hidden: %s does not support document fetching", r.db.Name())
-	}
-	var text string
-	err := r.retry(context.Background(), "fetch failed", func() (err error) {
-		text, err = f.Fetch(id)
-		return err
-	})
-	if err != nil {
-		return "", err
-	}
-	return text, nil
+	return retry(context.Background(), r, "fetch failed", func() (string, error) { return fetchFrom(r.db, id) })
 }
 
 // Size passes through when available.
-func (r *Retry) Size() int {
-	if s, ok := r.db.(Sizer); ok {
-		return s.Size()
-	}
-	return 0
-}
+func (r *Retry) Size() int { return sizeOf(r.db) }
 
 // Latency injects a fixed delay before every search — used by
 // benchmarks and examples to simulate remote round-trip times without
@@ -311,9 +277,4 @@ func (l *Latency) SearchContext(ctx context.Context, query string, topK int) (Re
 }
 
 // Size passes through when available.
-func (l *Latency) Size() int {
-	if s, ok := l.db.(Sizer); ok {
-		return s.Size()
-	}
-	return 0
-}
+func (l *Latency) Size() int { return sizeOf(l.db) }

@@ -43,22 +43,12 @@ func (c *Counting) SearchContext(ctx context.Context, query string, topK int) (R
 }
 
 // Size passes through when the wrapped database exports its size.
-func (c *Counting) Size() int {
-	if s, ok := c.db.(Sizer); ok {
-		return s.Size()
-	}
-	return 0
-}
+func (c *Counting) Size() int { return sizeOf(c.db) }
 
 // Fetch passes through when the wrapped database supports fetching.
 // Document fetches are not counted as probes (the paper's probing cost
 // counts queries, and fetches only occur during offline sampling).
-func (c *Counting) Fetch(id string) (string, error) {
-	if f, ok := c.db.(Fetcher); ok {
-		return f.Fetch(id)
-	}
-	return "", fmt.Errorf("hidden: %s does not support document fetching", c.db.Name())
-}
+func (c *Counting) Fetch(id string) (string, error) { return fetchFrom(c.db, id) }
 
 // Searches returns the number of searches issued so far.
 func (c *Counting) Searches() int64 { return c.searches.Load() }
@@ -105,12 +95,7 @@ func (f *FailEvery) SearchContext(ctx context.Context, query string, topK int) (
 }
 
 // Fetch passes through when the wrapped database supports fetching.
-func (f *FailEvery) Fetch(id string) (string, error) {
-	if fetcher, ok := f.db.(Fetcher); ok {
-		return fetcher.Fetch(id)
-	}
-	return "", fmt.Errorf("hidden: %s does not support document fetching", f.db.Name())
-}
+func (f *FailEvery) Fetch(id string) (string, error) { return fetchFrom(f.db, id) }
 
 // Static is a fixed-answer database used in unit tests: every query
 // gets the canned result. It also records the queries it received.

@@ -2,17 +2,15 @@
 // read it through, the one lock its writers hold, the drift detector
 // whose references must move with every publication, and the database
 // names the detector is keyed by. It is a package, not a type inside
-// the facade, because Go has no privacy inside a package: here the rule
-// "readers read what a published version never changes; writers hold
-// the lock" is what compiles, not what a comment asks for.
+// the facade, because Go has no privacy inside a package: here "readers
+// read what a published version never changes; writers hold the lock"
+// is what compiles, not what a comment asks for.
 //
-// Readers take a View: one pointer, loaded once, whose methods are all a
-// reader may do. It has no path to a *core.Model, an *core.ED or a
-// histogram, so ranging over EDs outside the lock is not something the
-// facade can write. Writers are a closed set of methods, each one
-// critical section. None calls code it was handed except Locked, and
-// Observe returns the drift alert instead of delivering it, so there is
-// no place to run a user callback while the lock is held.
+// Readers take a View, which has no path to a *core.Model, an *core.ED
+// or a histogram. Writers are a closed set of methods, each one critical
+// section; none runs code it was handed except Locked, and Observe
+// returns the drift alert instead of delivering it, so there is no place
+// to call user code while the lock is held.
 package modelhost
 
 import (
@@ -32,9 +30,7 @@ import (
 // concurrent use.
 type Host struct {
 	names []string
-	// drift is nil when drift detection is off; the nil detector's
-	// methods are no-ops.
-	drift *obs.DriftDetector
+	drift *obs.DriftDetector // nil when detection is off; its methods are nil-safe
 	// mu is the writers' lock: whoever writes or reads the serving
 	// model's EDs holds it. Selections do not (see View).
 	mu sync.Mutex
@@ -64,16 +60,15 @@ func (h *Host) DriftConfig() obs.DriftConfig {
 	return h.drift.Config()
 }
 
-// View is a reader's handle on one published version: everything it
-// reaches — configuration, relevancy definition, summaries, RD-table
+// View is a reader's handle on one published version, one pointer by
+// value: everything it reaches — configuration, summaries, RD-table
 // rows, the decision memo — is safe to read with no lock for as long as
 // the View is kept, whatever is published meanwhile. The zero View
-// (nothing serving yet) answers Trained false; its other methods must
-// not be called.
+// answers Trained false; its other methods must not be called.
 type View struct{ v *core.ModelVersion }
 
-// View loads the serving version once. A nil host serves nothing (the
-// zero Metasearcher is untrained, not a crash).
+// View loads the serving version once. A nil host (the zero
+// Metasearcher) serves nothing.
 func (h *Host) View() View {
 	if h == nil {
 		return View{}
@@ -137,10 +132,9 @@ func (h *Host) publish(model *core.Model, source, refreshedDB string) *core.Mode
 
 // Install publishes a trained or loaded model and re-anchors the drift
 // detector on it: every (database, query type) whose ED carries at
-// least MinObservations samples gets that ED's reference sample to
-// test fresh probe errors against, with an empty window. Both happen in
-// one critical section because the EDs are open to refinement by
-// Observe from the moment the version is stored.
+// least MinObservations samples gets that ED's reference sample and an
+// empty window. One critical section, because the EDs are open to
+// refinement by Observe from the moment the version is stored.
 func (h *Host) Install(model *core.Model, source string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -158,52 +152,43 @@ func (h *Host) Install(model *core.Model, source string) {
 }
 
 // Observe folds one successful live probe of database db into the
-// serving model: with refine, the observation enters the matching ED
-// and its RD rows are rebuilt (core.ModelVersion.ObserveProbe); with a
-// drift detector, the fresh error enters that key's window. A failed
-// drift test comes back as the alert (ok true) for the caller to
-// deliver once Observe has returned — the host has no callback to call,
-// so alert handlers are free to save, reload or retrain.
-//
-// Feedback lands on the version serving now, which may be newer than
-// the one the probing selection was built from: fresh probe data
-// belongs to whatever model serves next.
+// version serving now (fresh data belongs to whatever serves next, not
+// to the version the probing selection was built from). With refine the
+// observation enters the matching ED and its RD rows are rebuilt
+// (core.ModelVersion.ObserveProbe); with a drift detector the fresh
+// error enters that key's window. A failed drift test comes back as the
+// alert (ok true) for the caller to deliver once Observe has returned:
+// the host has no callback, so handlers may save, reload or retrain.
 func (h *Host) Observe(db int, query string, numTerms int, actual float64, refine bool) (alert obs.DriftAlert, ok bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ver := h.version.Load()
 	if ver == nil {
-		return obs.DriftAlert{}, false, nil
+		return
 	}
 	if refine {
-		if err := ver.ObserveProbe(db, query, numTerms, actual); err != nil {
-			return obs.DriftAlert{}, false, err
-		}
+		err = ver.ObserveProbe(db, query, numTerms, actual)
 	}
-	if h.drift == nil {
-		return obs.DriftAlert{}, false, nil
+	if err != nil || h.drift == nil {
+		return
 	}
-	// The drift window takes the relative error (r − r̂)/r̂ for the
-	// relative-error query types and the absolute relevancy for the
-	// r̂ = 0 band — the value space the matching ED was trained in —
-	// quantized onto the ED's bin support (see ED.ReferenceSample) so
-	// the KS comparison is apples to apples. r̂ is recomputed from the
-	// model rather than taken from the selection, which may already be
-	// recycled when a losing hedge attempt delivers late. A query type
-	// with no trained ED has no reference to be tested against.
+	// The window takes what the matching ED was trained on — (r − r̂)/r̂,
+	// or r itself in the r̂ = 0 band — quantized onto the ED's bins (see
+	// ED.ReferenceSample) so the KS test compares like with like. r̂ is
+	// recomputed from the model: the selection may already be recycled
+	// when a losing hedge attempt delivers late. A query type with no
+	// trained ED has no reference to be tested against.
 	model := ver.Model
 	rhat := model.Rel.Estimate(model.Summaries.Summaries[db], query)
 	key := model.Cfg.Classifier.Classify(numTerms, rhat)
-	ed, tracked := model.DBs[db].EDs[key]
-	if !tracked {
-		return obs.DriftAlert{}, false, nil
+	if ed, tracked := model.DBs[db].EDs[key]; tracked {
+		v := actual
+		if key.Band != core.BandZero {
+			v = (actual - rhat) / rhat
+		}
+		alert, ok = h.drift.Observe(h.names[db], key.String(), ed.Quantize(v))
 	}
-	v := actual
-	if key.Band != core.BandZero {
-		v = (actual - rhat) / rhat
-	}
-	alert, ok = h.drift.Observe(h.names[db], key.String(), ed.Quantize(v))
-	return alert, ok, nil
+	return
 }
 
 // Serving implements refresh.Host: the task's view of the serving
@@ -227,11 +212,10 @@ func (h *Host) Serving(dbIdx int, key core.TypeKey) (refresh.Serving, error) {
 }
 
 // Commit implements refresh.Host: it publishes the successor of
-// baseVersion in which ed is database dbIdx's ED for key, and
-// re-anchors that key's drift window on it so the detector tests future
-// probes against what now serves. The successor is copy-on-write at the
-// narrowest granularity: it shares every other ED with the serving
-// model, so refinements that landed while the refresh probed are kept.
+// baseVersion in which ed is database dbIdx's ED for key and re-anchors
+// that key's drift window on it. The successor shares every other ED
+// with the serving model (copy-on-write at the narrowest granularity),
+// so refinements that landed while the refresh probed are kept.
 func (h *Host) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED) (int64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -250,10 +234,9 @@ func (h *Host) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.E
 }
 
 // Locked runs fn on the serving version (nil before the first Install)
-// with the writers' lock held, for a caller that must read every ED
-// consistently — SaveModel's encode — and for tests. It is the only
-// method that runs code it is handed: fn must not call back into the
-// host, and must not keep the version past its return.
+// with the writers' lock held, for the caller that must read every ED
+// consistently — SaveModel's encode — and for tests. fn must not call
+// back into the host or keep the version past its return.
 func (h *Host) Locked(fn func(*core.ModelVersion) error) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

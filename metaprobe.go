@@ -300,11 +300,10 @@ type Metasearcher struct {
 	sums *summary.Set
 	rel  Relevancy
 	cfg  Config
-	// host owns the serving model — pointer, writers' lock, drift
-	// anchors (internal/modelhost). Selections read it through a View and
-	// take no lock; Train, ReloadModel, probe feedback and the online
-	// refresher go through its writer methods, so a swap never blocks a
-	// selection.
+	// host owns the serving model: pointer, writers' lock, drift anchors
+	// (internal/modelhost). Selections read it through a View and take no
+	// lock; Train, ReloadModel, probe feedback and the online refresher
+	// go through its writer methods, so a swap never blocks a selection.
 	host *modelhost.Host
 	// refresher retrains drifted EDs in the background (nil unless
 	// cfg.Refresh is set).
@@ -427,10 +426,10 @@ func (m *Metasearcher) Databases() []string {
 // Trained reports whether the error model has been learned.
 func (m *Metasearcher) Trained() bool { return m.host.View().Trained() }
 
-// Estimates returns r̂(db, q) for every database, in order, from the
-// summaries the serving model selects with (a reloaded snapshot brings
-// its own); before the first model, from the constructor's.
+// Estimates returns r̂(db, q) for every database, in order.
 func (m *Metasearcher) Estimates(query string) []float64 {
+	// The serving model's summaries, which a reloaded snapshot brings
+	// with it; the constructor's only before the first model.
 	sums := m.sums.Summaries
 	if v := m.host.View(); v.Trained() {
 		sums = v.Summaries()

@@ -39,15 +39,8 @@ func (m *Metasearcher) onDriftAlert(a DriftAlert) {
 	if m.cfg.OnDrift != nil {
 		m.cfg.OnDrift(a)
 	}
-	if m.refresher == nil {
-		return
-	}
-	key, err := core.ParseTypeKey(a.QueryType)
-	if err != nil {
-		return
-	}
-	if i := m.tb.IndexOf(a.DB); i >= 0 {
-		m.refresher.Alert(refresh.Alert{DB: a.DB, DBIdx: i, Key: key})
+	if m.refresher != nil {
+		_ = m.RefreshNow(a.DB, a.QueryType) // an alert names a served database and a parsable key
 	}
 }
 
@@ -93,15 +86,14 @@ func (m *Metasearcher) DriftConfig() DriftConfig {
 }
 
 // probeFeedback folds one successful live probe back into the shared
-// model state (online refinement, drift detection) through the host's
-// Observe; many selections, or one selection's probe and the successor
-// started behind it, land here concurrently. The feedback deliberately
-// does not touch the selection it came from: a losing hedge attempt can
-// deliver its probe result after the winning attempt already finished
-// the selection and recycled its shell, so the host recomputes what it
-// needs from the model. A drift alert comes back as a value and is
-// delivered here, after the host's lock is released: OnDrift is caller
-// code that may save, reload or retrain the model.
+// model state (online refinement, drift detection); many selections, or
+// one selection's probe and the successor started behind it, land here
+// concurrently. The feedback does not touch the selection it came from:
+// a losing hedge attempt can deliver after the winner finished the
+// selection and recycled its shell, so the host recomputes what it needs
+// from the model. A drift alert comes back as a value and is delivered
+// after the host's lock is released: OnDrift is caller code that may
+// save, reload or retrain the model.
 func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float64) error {
 	if !m.cfg.OnlineRefinement && m.cfg.Drift == nil {
 		return nil
@@ -174,11 +166,7 @@ func (m *Metasearcher) ReloadModel(path string) error {
 	if err != nil {
 		return fmt.Errorf("metaprobe: %w", err)
 	}
-	dbs := make([]Database, m.tb.Len())
-	for i := range dbs {
-		dbs[i] = m.tb.DB(i)
-	}
-	if err := checkModelMatches(dbs, model); err != nil {
+	if err := checkModelMatches(m.tb.Databases(), model); err != nil {
 		return err
 	}
 	if model.Rel.Name() != m.rel.Name() {
