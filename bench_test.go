@@ -486,6 +486,28 @@ func observeProbeBody(tb testing.TB) func() {
 	}
 }
 
+// versionObserveProbeBody is the serving write path: one observation
+// folded into a ModelVersion — into the ED at once, into its RD rows
+// with the epoch's publication, which the per-op numbers amortise —
+// cycling over queries × databases so that several keys go dirty.
+func versionObserveProbeBody(tb testing.TB) func() {
+	env := benchEnv(tb)
+	ver := core.NewModelVersion(env.Model, "bench", time.Now())
+	qs := env.Test[:16]
+	actual, err := env.Rel.Probe(env.Testbed.DB(0), qs[0].String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	i := 0
+	return func() {
+		q, db := qs[i%len(qs)], i/len(qs)%env.Testbed.Len()
+		i++
+		if err := ver.ObserveProbe(db, q.String(), q.NumTerms(), actual); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // rdConvolveBody derives every database's relevancy distribution for a
 // fresh query (estimate → classify → convolve the error distribution).
 func rdConvolveBody(tb testing.TB) func() {
@@ -524,6 +546,10 @@ func newSelectionBody(tb testing.TB) func() {
 // refinement.
 func BenchmarkObserveProbe(b *testing.B) { runHotPath(b, observeProbeBody) }
 
+// BenchmarkVersionObserveProbe measures what a serving version pays per
+// probe for it: BenchmarkObserveProbe plus the epoch's row publication.
+func BenchmarkVersionObserveProbe(b *testing.B) { runHotPath(b, versionObserveProbeBody) }
+
 // BenchmarkRDConvolve measures the rd_convolve stage in isolation,
 // derived from scratch.
 func BenchmarkRDConvolve(b *testing.B) { runHotPath(b, rdConvolveBody) }
@@ -536,7 +562,7 @@ func BenchmarkNewSelection(b *testing.B) { runHotPath(b, newSelectionBody) }
 
 // TestHotPathAllocCaps holds the hot paths' heap objects per operation,
 // measured on the benchmarks' own bodies. Each cap is ×1.10 + 2 over
-// the count at the commit that last moved it (488, 9, 417 and 11
+// the count at the commit that last moved it (488, 9, 12, 417 and 11
 // allocs/op), except the steady-state serving path, which stays at ≤ 2
 // absolute, and the memo-hit path, which after the fill allocates
 // nothing. Object counts are the machine-independent gate; time is held
@@ -551,6 +577,7 @@ func TestHotPathAllocCaps(t *testing.T) {
 		{"AProSelectSteady", aproSelectSteadyBody, 2},
 		{"AProSelectMemoHit", aproSelectMemoHitBody, 0},
 		{"ObserveProbe", observeProbeBody, 9*1.10 + 2},
+		{"VersionObserveProbe", versionObserveProbeBody, 12*1.10 + 2},
 		{"RDConvolve", rdConvolveBody, 417*1.10 + 2},
 		{"NewSelection", newSelectionBody, 11*1.10 + 2},
 	} {

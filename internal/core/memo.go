@@ -17,12 +17,14 @@ package core
 //
 //   - NewModelVersion and Next start empty, so a refresh, a reload or a
 //     retrain drops everything remembered.
-//   - The first ObserveProbe on a version switches its memo off for good
-//     before it stores a row, and FillSelection attaches a selection only
-//     if the memo is still on after the last row it read. A selection
-//     that saw any refined row therefore also sees the switch, and never
-//     reads a decision made from the rows as published; one attached
-//     earlier was built from exactly those rows, and keeps its nodes.
+//   - Online refinement republishes rows once per epochObservations
+//     observations (publishRows): it stores nil in the version's slot,
+//     then the rows, then a fresh empty tree. FillSelection loads the slot
+//     before its first row read and attaches only if the slot holds that
+//     same tree after its last. A fill that read any republished row
+//     therefore sees another tree or none, and remembers nothing; one
+//     that attaches read exactly the rows its tree's decisions were made
+//     from, and keeps its nodes when the tree is replaced.
 //   - The threshold t, the prober and the forms of Rank that depend on
 //     more than the state (m > 1, a Cost function) are outside the memo.
 //
@@ -64,6 +66,15 @@ const (
 	// memoMaxK is the largest k-set a node has room for; selections of
 	// more databases than that remember nothing.
 	memoMaxK = 8
+	// epochObservations is how many observations a version folds into its
+	// EDs before it republishes their rows and starts a fresh tree. A tree
+	// serves repeats only within its epoch, so a longer one is faster; rows
+	// that lag cost probes, because a hot query's own observations sharpen
+	// its RDs later. On the churn workload (EXPERIMENTS.md, E-EPOCH) 64
+	// took 24 % off the median latency for 1.5 % more probes per query,
+	// 128 took 28 % for 2.4 % — past the 2 % the benchmark lets a
+	// speed-up cost.
+	epochObservations = 64
 )
 
 // A decision's flag: unset, being written by the goroutine that took it
@@ -157,7 +168,8 @@ type memoRoot struct {
 type memoChunk [1 << memoChunkBits]memoNode
 
 // memoTree is one version's memo. slot is where the version keeps it:
-// nil there means the memo is off, and a full tree replaces itself there.
+// nil there means rows are being republished, and a full tree replaces
+// itself there.
 // nodes counts the nodes handed out, which is also the last one's index.
 type memoTree struct {
 	slot    *atomic.Pointer[memoTree]
@@ -178,8 +190,8 @@ func (t *memoTree) at(i int32) *memoNode {
 }
 
 // alloc hands out the tree's next node and its index. At the limit it
-// returns nil and starts a fresh tree in this one's place, unless the
-// memo has been switched off or somebody else has done so already. A node
+// returns nil and starts a fresh tree in this one's place, unless a row
+// publication or somebody else has replaced it already. A node
 // handed out and then not published — its caller lost a race to add the
 // same edge — stays counted: a hole, and rare.
 func (t *memoTree) alloc() (*memoNode, int32) {
@@ -285,7 +297,7 @@ func (s *Selection) memoNode() *memoNode {
 }
 
 // Memo reports how many nodes the version's decision memo holds and
-// whether it is still on (it is until the version's first ObserveProbe).
+// whether it is on (it is except while rows are being republished).
 func (v *ModelVersion) Memo() (nodes int, on bool) {
 	t := v.memo.Load()
 	if t == nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"metaprobe/internal/estimate"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/queries"
+	"metaprobe/internal/summary"
 )
 
 // testMemo is a decision memo outside any ModelVersion, for selections
@@ -50,6 +52,13 @@ func outcomeBits(o Outcome) string {
 		fmt.Fprintf(&b, " | db %d v %s u %s after %s err %v", s.DB, hex(s.Value), hex(s.Usefulness), hex(s.CertaintyAfter), s.Err != nil)
 	}
 	return b.String()
+}
+
+// detach makes ref a copy of sel — unprobed — that remembers nothing: what
+// it decides, the engine computes.
+func detach(ref, sel *Selection) {
+	ref.Reuse(sel)
+	ref.memoRoot, ref.memo = nil, nil
 }
 
 func tableProbe(truth []float64) ProbeFunc {
@@ -302,10 +311,12 @@ func TestDecisionMemoHammer(t *testing.T) {
 }
 
 // TestDecisionMemoUnderSwap is TestVersionSwapUnderTraffic's reader with
-// the decisions checked: while a writer refines and swaps versions, every
-// decision a reader gets for a selection — remembered or not — is the one
-// a detached copy of that very selection computes. A decision remembered
-// from rows the selection was not built from would differ.
+// the decisions checked: while a writer refines — every step of it across
+// an epoch boundary, so rows are republished and the tree replaced under
+// the readers — and swaps versions, every decision a reader gets for a
+// selection, remembered or not, is the one a detached copy of that very
+// selection computes. A decision remembered from rows the selection was
+// not built from would differ.
 func TestDecisionMemoUnderSwap(t *testing.T) {
 	f := newMemoFixture(t)
 	var cur atomic.Pointer[ModelVersion]
@@ -328,8 +339,7 @@ func TestDecisionMemoUnderSwap(t *testing.T) {
 				}
 				q := f.queries[(seed*31+n)%32]
 				cur.Load().FillSelection(sel, q.String(), q.NumTerms(), Absolute, 2)
-				ref.Reuse(sel)
-				ref.memoRoot, ref.memo = nil, nil
+				detach(ref, sel)
 				got, err := APro(sel, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1)
 				want, werr := APro(ref, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1)
 				if err != nil || werr != nil || outcomeBits(got) != outcomeBits(want) {
@@ -341,19 +351,24 @@ func TestDecisionMemoUnderSwap(t *testing.T) {
 		}(r)
 	}
 	for n := 0; n < 120; n++ {
-		// Let the readers fill and reuse the version's memo before the
-		// refinement that switches it off.
+		// Let the readers fill and reuse the tree before the publication
+		// that replaces it.
 		time.Sleep(200 * time.Microsecond)
-		q := f.queries[n%32]
 		v := cur.Load()
 		dbIdx := n % len(v.Model.DBs)
-		if n%3 == 2 {
-			if err := v.ObserveProbe(dbIdx, q.String(), q.NumTerms(), float64(n%7)); err != nil {
+		// A little over an epoch, so the boundary falls somewhere else in
+		// every step and Next finds observations pending; over every
+		// database and the readers' queries, so a publication rebuilds many
+		// rows — it lasts, and fills begin and end inside it.
+		tree := v.memo.Load()
+		for i := n; i < n+epochObservations+n%3; i++ {
+			q := f.queries[i%32]
+			if err := v.ObserveProbe(i%len(v.Model.DBs), q.String(), q.NumTerms(), float64(i%7)); err != nil {
 				t.Error(err)
 			}
-			if _, on := v.Memo(); on {
-				t.Error("the memo is still on after ObserveProbe")
-			}
+		}
+		if now := v.memo.Load(); now == nil || now == tree {
+			t.Errorf("step %d: an epoch of observations left the tree in place (nil: %v)", n, now == nil)
 		}
 		if n%6 == 5 {
 			nm, _ := cowRefresh(t, v.Model, dbIdx)
@@ -371,10 +386,98 @@ func TestDecisionMemoUnderSwap(t *testing.T) {
 	}
 }
 
-// TestDecisionMemoRefinementCutOff: an observation that changes a query's
-// first probe switches the version's memo off; a selection filled
-// afterwards reads nothing remembered and decides as the memo-less
-// engine does over the refined rows, not as the version once did.
+// midFillEstimate runs during once, in the middle of a fill: inside the
+// estimate of database at, which FillSelection takes after it has read
+// the rows of the databases before it.
+type midFillEstimate struct {
+	estimate.Relevancy
+	at     *summary.Summary
+	during func()
+}
+
+func (e *midFillEstimate) Estimate(s *summary.Summary, q string) float64 {
+	if s == e.at && e.during != nil {
+		during := e.during
+		e.during = nil
+		during()
+	}
+	return e.Relevancy.Estimate(s, q)
+}
+
+// TestDecisionMemoFillStraddlesEpoch is the one interleaving the hammer
+// above can only hope for, made to happen on one goroutine: a fill reads
+// its first database's row, a whole epoch is observed and published, the
+// fill reads the rest. Such a selection belongs to neither epoch: it
+// attaches to no tree, and what it decides is neither read from nor left
+// in the fresh tree, where the next fill of the same query must find
+// nothing and decide as its own detached copy does.
+func TestDecisionMemoFillStraddlesEpoch(t *testing.T) {
+	f := newMemoFixture(t)
+	sel, ref := &Selection{}, &Selection{}
+	defer sel.Release()
+	defer ref.Release()
+	straddled := 0
+	for _, q := range f.queries {
+		if straddled == 8 {
+			break
+		}
+		model, _, _ := buildTrainedModel(t) // private: the epoch changes its EDs
+		rel := &midFillEstimate{Relevancy: model.Rel, at: model.Summaries.Summaries[1]}
+		model.Rel = rel
+		ver := NewModelVersion(model, "train", time.Now())
+		before, _ := f.through(t, ver, sel, q, 2, 0.9)
+		if len(before.Steps) == 0 {
+			continue
+		}
+		was := tableRows(ver.rdtab)
+		tree := ver.memo.Load()
+		rel.during = func() {
+			for i := 0; i < epochObservations; i++ {
+				// Database 0: the row the fill has already read.
+				if err := ver.ObserveProbe(0, q.String(), q.NumTerms(), 1e6); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ver.FillSelection(sel, q.String(), q.NumTerms(), Absolute, 2)
+		if rel.during != nil || ver.memo.Load() == tree || slices.Equal(tableRows(ver.rdtab), was) {
+			t.Fatalf("%s: no epoch was published inside the fill", q)
+		}
+		if sel.memo != nil || sel.memoRoot != nil {
+			t.Fatalf("%s: a fill that straddled a publication attached to a tree", q)
+		}
+		if _, err := APro(sel, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1); err != nil {
+			t.Fatal(err)
+		}
+		if w := sel.Work(); w.MemoHits != 0 || w.MemoMisses != 0 {
+			t.Fatalf("%s: the straddling selection used a memo: %+v", q, w)
+		}
+		if nodes, on := ver.Memo(); !on || nodes != 0 {
+			t.Fatalf("%s: the fresh tree holds %d nodes (on=%v) before any fill of its epoch", q, nodes, on)
+		}
+		ver.FillSelection(sel, q.String(), q.NumTerms(), Absolute, 2)
+		detach(ref, sel)
+		got, err := APro(sel, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1)
+		want, werr := APro(ref, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1)
+		if err != nil || werr != nil || outcomeBits(got) != outcomeBits(want) {
+			t.Fatalf("%s after the straddled fill:\n got %s\nwant %s (%v, %v)", q, outcomeBits(got), outcomeBits(want), err, werr)
+		}
+		if w := sel.Work(); w.MemoHits != 0 || w.MemoMisses == 0 {
+			t.Fatalf("%s: the first fill of the new epoch read a memo: %+v", q, w)
+		}
+		straddled++
+	}
+	if straddled == 0 {
+		t.Fatal("no query probed: nothing straddled")
+	}
+}
+
+// TestDecisionMemoRefinementCutOff: observations that change a query's
+// first probe reach neither fills nor the memo while their epoch lasts —
+// the query is answered as before, from memory — and both when it ends:
+// the tree starts over, and the next fill decides as the memo-less engine
+// does over the refined EDs. A selection attached before the publication
+// keeps the nodes of the tree it was filled under.
 func TestDecisionMemoRefinementCutOff(t *testing.T) {
 	f := newMemoFixture(t)
 	sel := &Selection{}
@@ -389,27 +492,46 @@ func TestDecisionMemoRefinementCutOff(t *testing.T) {
 				if len(before.Steps) == 0 {
 					break
 				}
-				if nodes, on := ver.Memo(); !on || nodes == 0 || bw.MemoMisses == 0 {
+				nodes, on := ver.Memo()
+				if !on || nodes == 0 || bw.MemoMisses == 0 {
 					t.Fatalf("before refinement: memo on=%v, %d nodes, work %+v", on, nodes, bw)
 				}
-				for i := 0; i < 40; i++ {
+				held := ver.NewSelection(q.String(), q.NumTerms(), Absolute, 2)
+				for i := 0; i < epochObservations-1; i++ {
 					if err := ver.ObserveProbe(db, q.String(), q.NumTerms(), actual); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if nodes, on := ver.Memo(); on || nodes != 0 {
-					t.Fatalf("after refinement: memo on=%v, %d nodes", on, nodes)
+				mid, mw := f.through(t, ver, sel, q, 2, 0.9)
+				if outcomeBits(mid) != outcomeBits(before) || mw.MemoMisses != 0 || mw.MemoHits != bw.MemoMisses {
+					t.Fatalf("%s one observation short of an epoch (work %+v, first sight %+v):\n got %s\n was %s", q, mw, bw, outcomeBits(mid), outcomeBits(before))
+				}
+				if n, on := ver.Memo(); !on || n != nodes {
+					t.Fatalf("one observation short of an epoch: memo on=%v, %d nodes, were %d", on, n, nodes)
+				}
+				if err := ver.ObserveProbe(db, q.String(), q.NumTerms(), actual); err != nil {
+					t.Fatal(err)
+				}
+				if n, on := ver.Memo(); !on || n != 0 {
+					t.Fatalf("after the epoch: memo on=%v, %d nodes", on, n)
 				}
 				want := f.direct(t, model, q, 2, 0.9)
 				if len(want.Steps) == 0 || want.Steps[0].DB == before.Steps[0].DB {
-					continue // this observation did not move the head; try another
+					continue // these observations did not move the head; try others
 				}
 				after, aw := f.through(t, ver, sel, q, 2, 0.9)
 				if outcomeBits(after) != outcomeBits(want) {
 					t.Fatalf("%s after refining db %d:\n got %s\nwant %s\n was %s", q, db, outcomeBits(after), outcomeBits(want), outcomeBits(before))
 				}
-				if aw.MemoHits != 0 || aw.MemoMisses != 0 {
-					t.Fatalf("a selection filled after the cut-off used the memo: %+v", aw)
+				if aw.MemoHits != 0 || aw.MemoMisses == 0 {
+					t.Fatalf("the first fill of the new epoch read a memo: %+v", aw)
+				}
+				kept, err := APro(held, tableProbe(f.truth[q.String()]), Greedy{}, 0.9, -1)
+				if err != nil || outcomeBits(kept) != outcomeBits(before) {
+					t.Fatalf("%s, attached before the publication:\n got %s\nwant %s (%v)", q, outcomeBits(kept), outcomeBits(before), err)
+				}
+				if w := held.Work(); w.MemoMisses != 0 || w.MemoHits != bw.MemoMisses {
+					t.Fatalf("a selection attached before the publication lost its nodes: %+v", w)
 				}
 				return
 			}

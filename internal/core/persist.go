@@ -490,18 +490,18 @@ func decodeModel(path string, jm jsonModel) (*Model, error) {
 // sample, so the error distributions keep improving (and track
 // database drift) during operation.
 func (m *Model) ObserveProbe(dbIdx int, query string, numTerms int, actual float64) error {
-	_, err := m.observe(dbIdx, query, numTerms, actual)
+	_, _, err := m.observe(dbIdx, query, numTerms, actual)
 	return err
 }
 
 // observe is ObserveProbe, also reporting the query type the
-// observation was filed under.
-func (m *Model) observe(dbIdx int, query string, numTerms int, actual float64) (TypeKey, error) {
+// observation was filed under and the estimate that classified it.
+func (m *Model) observe(dbIdx int, query string, numTerms int, actual float64) (key TypeKey, rhat float64, err error) {
 	if dbIdx < 0 || dbIdx >= len(m.DBs) {
-		return TypeKey{}, fmt.Errorf("core: ObserveProbe: database index %d outside [0, %d)", dbIdx, len(m.DBs))
+		return TypeKey{}, 0, fmt.Errorf("core: ObserveProbe: database index %d outside [0, %d)", dbIdx, len(m.DBs))
 	}
-	rhat := m.Rel.Estimate(m.Summaries.Summaries[dbIdx], query)
-	key := m.Cfg.Classifier.Classify(numTerms, rhat)
+	rhat = m.Rel.Estimate(m.Summaries.Summaries[dbIdx], query)
+	key = m.Cfg.Classifier.Classify(numTerms, rhat)
 	dm := m.DBs[dbIdx]
 	ed, ok := dm.EDs[key]
 	if !ok {
@@ -510,20 +510,16 @@ func (m *Model) observe(dbIdx int, query string, numTerms int, actual float64) (
 		if absolute {
 			edges = m.Cfg.AbsoluteEdges
 		}
-		var err error
-		ed, err = NewED(edges, absolute, m.Cfg.UseBinMean)
-		if err != nil {
-			return key, err
+		if ed, err = NewED(edges, absolute, m.Cfg.UseBinMean); err != nil {
+			return key, rhat, err
 		}
 		dm.EDs[key] = ed
 	}
 	if err := ed.Observe(rhat, actual); err != nil {
-		return key, fmt.Errorf("core: ObserveProbe: %w", err)
+		return key, rhat, fmt.Errorf("core: ObserveProbe: %w", err)
 	}
 	if key.Band != BandZero {
-		if err := dm.Pooled.Observe(rhat, actual); err != nil {
-			return key, err
-		}
+		err = dm.Pooled.Observe(rhat, actual)
 	}
-	return key, nil
+	return key, rhat, err
 }

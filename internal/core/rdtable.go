@@ -29,16 +29,17 @@ package core
 //     back to an impulse at the estimate, exactly like RDFor.
 //
 // Coherence: readers read summaries, configuration and table rows —
-// never an ED. A row is immutable and always present; whoever changes
-// an ED (online refinement through ModelVersion.ObserveProbe, a
-// refresh or reload through ModelVersion.Next) builds the rows over it
-// anew and stores them through the rows' atomic pointers. Those
-// writers, and anything else that reads an ED of a serving model
-// (saving it, copying one ED out for a refresh), hold the owner's one
-// model lock; FillSelection takes none. Next derives the successor's
-// table copy-on-write, sharing every row whose EDs are untouched, and
-// old versions keep their tables until released, so in-flight
-// selections never see a torn row.
+// never an ED. A row is immutable and always present. Online refinement
+// (ModelVersion.Observe) changes an ED at once and marks its rows dirty;
+// every epochObservations observations, and before Next derives a
+// successor, the dirty rows are built anew over their EDs and stored
+// through the rows' atomic pointers (ModelVersion.publishRows), so a row
+// lags its ED by less than one epoch. The writers, and anything else
+// that reads an ED of a serving model (saving it, copying one ED out
+// for a refresh), hold the owner's one model lock; FillSelection takes
+// none. Next derives the successor's table copy-on-write, sharing every
+// row whose EDs are untouched, and old versions keep their tables until
+// released, so in-flight selections never see a torn row.
 
 import (
 	"math"
@@ -94,6 +95,11 @@ type rdTable struct {
 	// the pooled row's is nKeys.
 	nKeys int
 	rows  []atomic.Pointer[rdEntry]
+	// dirty marks, row for row, the rows whose ED has taken an
+	// observation since they were built; pending counts the observations
+	// since the last publication. Both are the writers' (see Coherence).
+	dirty   []bool
+	pending int
 }
 
 // classifierKeySpace returns the dense key-space size for c, matching
@@ -109,7 +115,8 @@ func classifierKeySpace(c Classifier) int {
 // newRDTable allocates an empty table shaped for m.
 func newRDTable(m *Model) *rdTable {
 	nKeys := classifierKeySpace(m.Cfg.Classifier)
-	return &rdTable{nKeys: nKeys, rows: make([]atomic.Pointer[rdEntry], len(m.DBs)*(nKeys+1))}
+	n := len(m.DBs) * (nKeys + 1)
+	return &rdTable{nKeys: nKeys, rows: make([]atomic.Pointer[rdEntry], n), dirty: make([]bool, n)}
 }
 
 // row returns database dbIdx's row at offset k (nKeys = pooled).
@@ -175,25 +182,44 @@ func (t *rdTable) prebuild(m *Model) {
 	}
 }
 
-// observed rebuilds the rows over the EDs one observation of (dbIdx,
-// key) changed: the key's own row and, for a relative band — whose
-// observations also feed the pooled ED — the pooled row and every
-// relative-band row it serves.
-func (t *rdTable) observed(m *Model, dbIdx int, key TypeKey) {
-	pr := t.row(dbIdx, t.nKeys)
-	pooled := pr.Load()
+// observed marks dirty the rows over the EDs one observation of
+// (dbIdx, key) changed: the key's own and, for a relative band — whose
+// observations also feed the pooled ED — the pooled row.
+func (t *rdTable) observed(dbIdx int, key TypeKey) {
+	base := dbIdx * (t.nKeys + 1)
+	t.dirty[base+keyOffset(key)] = true
 	if key.Band != BandZero {
-		was := pooled
-		pooled = edRow(m.DBs[dbIdx].Pooled, m.Cfg.MinObservations, false)
-		pr.Store(pooled)
+		t.dirty[base+t.nKeys] = true
+	}
+	t.pending++
+}
+
+// publish rebuilds every dirty row over its ED as it stands: per
+// database the pooled row first, re-pointing the relative-band rows it
+// serves, then the dirty keys' own.
+func (t *rdTable) publish(m *Model) {
+	for db := range m.DBs {
+		dirty := t.dirty[db*(t.nKeys+1):][:t.nKeys+1]
+		pr := t.row(db, t.nKeys)
+		pooled := pr.Load()
+		if dirty[t.nKeys] {
+			was := pooled
+			pooled = edRow(m.DBs[db].Pooled, m.Cfg.MinObservations, false)
+			pr.Store(pooled)
+			for k := 0; k < t.nKeys; k++ {
+				if r := t.row(db, k); r.Load() == was && keyAt(k).Band != BandZero {
+					r.Store(pooled)
+				}
+			}
+		}
 		for k := 0; k < t.nKeys; k++ {
-			if r := t.row(dbIdx, k); r.Load() == was && keyAt(k).Band != BandZero {
-				r.Store(pooled)
+			if dirty[k] {
+				t.row(db, k).Store(t.keyRow(m, db, k, pooled))
 			}
 		}
 	}
-	k := keyOffset(key)
-	t.row(dbIdx, k).Store(t.keyRow(m, dbIdx, k, pooled))
+	clear(t.dirty)
+	t.pending = 0
 }
 
 // derive builds the successor version's table copy-on-write against
@@ -267,6 +293,9 @@ func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int,
 	n := len(m.DBs)
 	sel.reset(query, metric, k, n)
 	tab := v.rdtab
+	// Before the first row read: the tree a publication would take away
+	// (memo.go).
+	memo := v.memo.Load()
 	te, batch := m.Rel.(termsEstimator)
 	var terms []string
 	if batch {
@@ -294,25 +323,46 @@ func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int,
 			sel.rds[i] = tab.unscaled(i, e, rhat)
 		}
 	}
-	// After the last row read: a memo still on here means every row above
-	// is the one the version was published with (memo.go).
-	sel.attachMemo(v.memo.Load(), numTerms)
+	// After the last row read: the same tree still in place means no row
+	// above was republished in between.
+	if v.memo.Load() != memo {
+		memo = nil
+	}
+	sel.attachMemo(memo, numTerms)
 	return sel
 }
 
-// ObserveProbe folds a live probe observation into this version's
-// model (Model.ObserveProbe) and rebuilds the table rows over the EDs
-// it changed, so the next selection serves the refined distributions.
-// A writer: callers hold the model lock. The first call switches the
-// version's decision memo off, before any row changes: what it remembers
-// was decided from the rows as published.
+// ObserveProbe is Observe for callers that need only the error.
 func (v *ModelVersion) ObserveProbe(dbIdx int, query string, numTerms int, actual float64) error {
-	if v.memo.Load() != nil {
-		v.memo.Store(nil)
-	}
-	key, err := v.Model.observe(dbIdx, query, numTerms, actual)
-	if err == nil {
-		v.rdtab.observed(v.Model, dbIdx, key)
-	}
+	_, _, err := v.Observe(dbIdx, query, numTerms, actual)
 	return err
+}
+
+// Observe folds a live probe observation into this version's model
+// (Model.ObserveProbe) — at once, so whoever reads the EDs reads it — and
+// returns the query type it was filed under with the estimate that
+// classified it. Selections read rows, and see it when the epoch's rows
+// are published: with the epochObservations-th observation since the
+// last publication, or by Next. A writer: callers hold the model lock.
+func (v *ModelVersion) Observe(dbIdx int, query string, numTerms int, actual float64) (key TypeKey, rhat float64, err error) {
+	if key, rhat, err = v.Model.observe(dbIdx, query, numTerms, actual); err != nil {
+		return key, rhat, err
+	}
+	v.rdtab.observed(dbIdx, key)
+	if v.rdtab.pending >= epochObservations {
+		v.publishRows()
+	}
+	return key, rhat, nil
+}
+
+// publishRows makes every pending observation visible to selections. The
+// order is the writer's half of the memo's coherence rule (memo.go): take
+// the tree away, store the rows, put an empty tree in its place.
+func (v *ModelVersion) publishRows() {
+	if v.rdtab.pending == 0 {
+		return
+	}
+	v.memo.Store(nil)
+	v.rdtab.publish(v.Model)
+	startMemo(&v.memo)
 }

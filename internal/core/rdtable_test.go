@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -189,28 +190,98 @@ func TestRDTableRefreshSwapCOW(t *testing.T) {
 	}
 }
 
+// tableRows snapshots a table's row pointers.
+func tableRows(tab *rdTable) []*rdEntry {
+	rows := make([]*rdEntry, len(tab.rows))
+	for i := range rows {
+		rows[i] = tab.rows[i].Load()
+	}
+	return rows
+}
+
+// requireFreshTable holds every row of tab to a table built from
+// scratch over m's EDs as they stand: the same content, and the pooled
+// row itself wherever the fresh build serves a key by it.
+func requireFreshTable(t *testing.T, tab *rdTable, m *Model, ctx string) {
+	t.Helper()
+	fresh := newRDTable(m)
+	fresh.prebuild(m)
+	if tab.nKeys != fresh.nKeys || len(tab.rows) != len(fresh.rows) {
+		t.Fatalf("%s: table shaped %d×%d, a fresh one %d×%d", ctx, len(tab.rows), tab.nKeys, len(fresh.rows), fresh.nKeys)
+	}
+	for db := range m.DBs {
+		for k := 0; k <= tab.nKeys; k++ { // k == nKeys is the pooled row
+			got, want := tab.row(db, k).Load(), fresh.row(db, k).Load()
+			if got == nil || !reflect.DeepEqual(*got, *want) {
+				t.Fatalf("%s: db %d row %d is not the row a fresh build over the EDs has", ctx, db, k)
+			}
+			if byPooled := want == fresh.row(db, fresh.nKeys).Load(); byPooled != (got == tab.row(db, tab.nKeys).Load()) {
+				t.Fatalf("%s: db %d row %d served by the pooled row: %v, in a fresh build %v", ctx, db, k, !byPooled, byPooled)
+			}
+		}
+	}
+}
+
 // TestObserveProbeRebuildsRDTable checks coherence with online
-// refinement: folding a probe into the version leaves no row of the
-// refined database unset, and the next selection — served from the
-// rows rebuilt over the mutated histograms — again matches the
-// from-scratch path exactly.
+// refinement, epoch by epoch: the first epochObservations − 1
+// observations of an epoch leave every row pointer as published, the
+// next one leaves the table equal to one built from scratch over the
+// EDs, and selections match the from-scratch path exactly again. Next
+// publishes whatever is pending before it derives: both its tables equal
+// a fresh build over their models.
 func TestObserveProbeRebuildsRDTable(t *testing.T) {
 	model, _, test := buildTrainedModel(t)
 	ver := NewModelVersion(model, "train", time.Now())
-	for n, q := range test[:40] {
-		qs := q.String()
-		dbIdx := n % len(model.DBs)
-		if err := ver.ObserveProbe(dbIdx, qs, q.NumTerms(), float64(n%9)); err != nil {
+	observe := func(v *ModelVersion, n int) {
+		t.Helper()
+		q := test[n%len(test)]
+		if err := v.ObserveProbe(n%len(v.Model.DBs), q.String(), q.NumTerms(), float64(n%9)); err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k <= ver.rdtab.nKeys; k++ {
-			if ver.rdtab.row(dbIdx, k).Load() == nil {
-				t.Fatalf("db %d row %d unset after ObserveProbe", dbIdx, k)
+	}
+	n := 0
+	for epoch := 0; epoch < 3; epoch++ {
+		published := tableRows(ver.rdtab)
+		for i := 0; i < epochObservations-1; i++ {
+			observe(ver, n)
+			n++
+			if !slices.Equal(tableRows(ver.rdtab), published) {
+				t.Fatalf("epoch %d: observation %d of %d moved a row", epoch, i+1, epochObservations)
 			}
 		}
-		requireSameSelection(t, ver.NewSelection(qs, q.NumTerms(), Absolute, 2),
-			model.NewSelection(qs, q.NumTerms(), Absolute, 2), qs+" (after refinement)")
+		observe(ver, n)
+		n++
+		if slices.Equal(tableRows(ver.rdtab), published) {
+			t.Fatalf("epoch %d: %d observations moved no row", epoch, epochObservations)
+		}
+		requireFreshTable(t, ver.rdtab, model, "after a whole epoch")
+		for _, q := range test[:20] {
+			qs := q.String()
+			requireSameSelection(t, ver.NewSelection(qs, q.NumTerms(), Absolute, 2),
+				model.NewSelection(qs, q.NumTerms(), Absolute, 2), qs+" (after a whole epoch)")
+		}
 	}
+
+	// Half an epoch pending when the successor is derived.
+	for i := 0; i < epochObservations/2; i++ {
+		observe(ver, n)
+		n++
+	}
+	nm, _ := cowRefresh(t, model, 0)
+	next := ver.Next(nm, "refresh", nm.DBs[0].Name, time.Now())
+	requireFreshTable(t, ver.rdtab, model, "the predecessor after Next")
+	requireFreshTable(t, next.rdtab, nm, "the successor")
+	// The successor's epoch starts at its publication, not its predecessor's.
+	published := tableRows(next.rdtab)
+	for i := 0; i < epochObservations-1; i++ {
+		observe(next, n)
+		n++
+	}
+	if !slices.Equal(tableRows(next.rdtab), published) {
+		t.Fatalf("the successor republished within %d observations", epochObservations-1)
+	}
+	observe(next, n)
+	requireFreshTable(t, next.rdtab, nm, "the successor after a whole epoch")
 }
 
 // TestVersionSwapUnderTraffic hammers table-lookup fills — taking no
@@ -246,8 +317,7 @@ func TestVersionSwapUnderTraffic(t *testing.T) {
 						return
 					}
 				}
-				ref.Reuse(sel)
-				ref.memoRoot, ref.memo = nil, nil
+				detach(ref, sel)
 				set, e := sel.BestView()
 				if wantSet, wantE := ref.BestView(); e != wantE || !slices.Equal(set, wantSet) {
 					t.Errorf("%s under swap: best set %v (%v), a detached copy computes %v (%v)", q, set, e, wantSet, wantE)

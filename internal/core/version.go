@@ -17,7 +17,7 @@ import (
 // Readers — selections — use only what never changes after
 // publication: the model's configuration, relevancy definition and
 // summaries, and the rows of the RD table (rdtable.go gives the rule).
-// The model's EDs do change, through ObserveProbe; they belong to the
+// The model's EDs do change, through Observe; they belong to the
 // writers, who hold the lock of whoever owns the serving pointer.
 type ModelVersion struct {
 	// Version counts published models, starting at 1 for the first
@@ -35,15 +35,16 @@ type ModelVersion struct {
 	RefreshedAt map[string]time.Time
 	// rdtab is the version's precomputed RD table (rdtable.go):
 	// per-(database, query-type) rows preconvolved from the EDs at
-	// publication, kept current by ObserveProbe and shared
-	// copy-on-write across Next. Unexported and derived — never
+	// publication, republished once per epoch of observations and
+	// shared copy-on-write across Next. Unexported and derived — never
 	// serialized; loading a snapshot rebuilds it through
 	// NewModelVersion.
 	rdtab *rdTable
 	// memo is the version's decision memo (memo.go): what selections over
-	// the table's rows as published have decided, per state. Nil once
-	// ObserveProbe has changed a row. Like the table it is derived and
-	// never serialized, and no successor inherits it.
+	// the table's rows as last published have decided, per state. Nil
+	// only while rows are being republished; a fresh tree follows. Like
+	// the table it is derived and never serialized, and no successor
+	// inherits it.
 	memo atomic.Pointer[memoTree]
 }
 
@@ -70,9 +71,12 @@ func NewModelVersion(m *Model, source string, now time.Time) *ModelVersion {
 // refresh history carries over. The successor's RD table is derived
 // copy-on-write: rows over EDs shared with this version's model are
 // shared, only rows over replaced EDs (the retrained key, a reloaded
-// model) are preconvolved anew. This version keeps its own table
-// untouched, so in-flight selections against it stay coherent.
+// model) are preconvolved anew. Sharing goes by ED identity, so this
+// version's pending rows are published first; otherwise its table is
+// untouched, and in-flight selections against it stay coherent. A
+// writer: callers hold the model lock.
 func (v *ModelVersion) Next(m *Model, source, refreshedDB string, now time.Time) *ModelVersion {
+	v.publishRows()
 	next := &ModelVersion{
 		Version:     v.Version + 1,
 		CreatedAt:   now,

@@ -154,11 +154,12 @@ func (h *Host) Install(model *core.Model, source string) {
 // Observe folds one successful live probe of database db into the
 // version serving now (fresh data belongs to whatever serves next, not
 // to the version the probing selection was built from). With refine the
-// observation enters the matching ED and its RD rows are rebuilt
-// (core.ModelVersion.ObserveProbe); with a drift detector the fresh
-// error enters that key's window. A failed drift test comes back as the
-// alert (ok true) for the caller to deliver once Observe has returned:
-// the host has no callback, so handlers may save, reload or retrain.
+// observation enters the matching ED, and selections see it when the
+// version next republishes its RD rows (core.ModelVersion.Observe); with
+// a drift detector the fresh error enters that key's window. A failed
+// drift test comes back as the alert (ok true) for the caller to deliver
+// once Observe has returned: the host has no callback, so handlers may
+// save, reload or retrain.
 func (h *Host) Observe(db int, query string, numTerms int, actual float64, refine bool) (alert obs.DriftAlert, ok bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -166,21 +167,24 @@ func (h *Host) Observe(db int, query string, numTerms int, actual float64, refin
 	if ver == nil {
 		return
 	}
+	// r̂ is computed from the model, once: the selection may already be
+	// recycled when a losing hedge attempt delivers late.
+	model := ver.Model
+	var key core.TypeKey
+	var rhat float64
 	if refine {
-		err = ver.ObserveProbe(db, query, numTerms, actual)
+		key, rhat, err = ver.Observe(db, query, numTerms, actual)
+	} else if h.drift != nil {
+		rhat = model.Rel.Estimate(model.Summaries.Summaries[db], query)
+		key = model.Cfg.Classifier.Classify(numTerms, rhat)
 	}
 	if err != nil || h.drift == nil {
 		return
 	}
 	// The window takes what the matching ED was trained on — (r − r̂)/r̂,
 	// or r itself in the r̂ = 0 band — quantized onto the ED's bins (see
-	// ED.ReferenceSample) so the KS test compares like with like. r̂ is
-	// recomputed from the model: the selection may already be recycled
-	// when a losing hedge attempt delivers late. A query type with no
-	// trained ED has no reference to be tested against.
-	model := ver.Model
-	rhat := model.Rel.Estimate(model.Summaries.Summaries[db], query)
-	key := model.Cfg.Classifier.Classify(numTerms, rhat)
+	// ED.ReferenceSample) so the KS test compares like with like. A query
+	// type with no trained ED has no reference to be tested against.
 	if ed, tracked := model.DBs[db].EDs[key]; tracked {
 		v := actual
 		if key.Band != core.BandZero {

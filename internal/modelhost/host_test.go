@@ -77,6 +77,10 @@ func deepCopy(m *core.Model) *core.Model {
 	return &cp
 }
 
+// epoch is core's epochObservations: how many refining observations a
+// version takes between two publications of its RD rows.
+const epoch = 64
+
 // picture is everything a reader took out of one selection, detached
 // from the shell it was filled into.
 type picture struct {
@@ -123,7 +127,11 @@ func (p picture) same(q picture) bool {
 // The writers take a test mutex around each (write, copy) pair, so that
 // no state a reader can see goes uncopied; they still meet the readers,
 // the lock-holding Serving calls and the drift-only Observe calls
-// unserialized. Refinement is kept to database 0: a fill reads one row
+// unserialized. Readers see an observation when its epoch's rows are
+// published, so a copy is a state they can see only when no observation
+// is pending: the refining writer observes a whole epoch between copies
+// (every version starts with none pending, and every other write
+// publishes one). Refinement is kept to database 0: a fill reads one row
 // per database, so with one database moving, what it read is one state.
 func TestViewCoherentUnderWriters(t *testing.T) {
 	tr := train(t)
@@ -202,12 +210,14 @@ func TestViewCoherentUnderWriters(t *testing.T) {
 		written()
 		time.Sleep(time.Millisecond)
 	})
-	writer(300, func(n int) { // online refinement, database 0
-		q := tr.test[n%len(tr.test)]
+	writer(40, func(n int) { // online refinement, database 0, an epoch at a time
 		wmu.Lock()
 		defer wmu.Unlock()
-		if _, _, err := h.Observe(0, q.String(), q.NumTerms(), float64(n%9), true); err != nil {
-			t.Error(err)
+		for i := n * epoch; i < (n+1)*epoch; i++ {
+			q := tr.test[i%len(tr.test)]
+			if _, _, err := h.Observe(0, q.String(), q.NumTerms(), float64(i%9), true); err != nil {
+				t.Error(err)
+			}
 		}
 		written()
 	})
@@ -272,6 +282,102 @@ func TestViewCoherentUnderWriters(t *testing.T) {
 	t.Logf("%d selections checked over %d of %d versions; %d commits superseded", checked, len(versions), final, superseded)
 	if checked == 0 || len(versions) < 2 {
 		t.Errorf("the readers saw %d selections over %d versions: nothing was raced", checked, len(versions))
+	}
+}
+
+// TestEpochKeepsVersion: refinement republishes rows inside a version,
+// never as a new one, so however many epochs pass while a refresh probes,
+// its Commit is not superseded; and the successor, derived with
+// observations pending, serves no stale row.
+func TestEpochKeepsVersion(t *testing.T) {
+	tr := train(t)
+	h := New(tr.names, nil)
+	h.Install(deepCopy(tr.base), "train")
+	var key core.TypeKey
+	for key = range tr.base.DBs[1].EDs {
+		break
+	}
+	s, err := h.Serving(1, key)
+	if err != nil || s.ED == nil {
+		t.Fatalf("Serving(1, %v) = %+v, %v", key, s, err)
+	}
+	fill := func(q queries.Query) picture {
+		sel := h.View().Fill(nil, q.String(), q.NumTerms(), core.Absolute, 2)
+		defer sel.Release()
+		return depict(sel)
+	}
+	before := fill(tr.test[0])
+	for n := 0; n < 1000; n++ { // 15 epochs and 40 observations
+		q := tr.test[n%len(tr.test)]
+		if _, _, err := h.Observe(n%len(tr.names), q.String(), q.NumTerms(), float64(n%9), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := h.View().Provenance().Version; v != s.Version {
+		t.Fatalf("1000 refining observations moved version %d to %d", s.Version, v)
+	}
+	if fill(tr.test[0]).same(before) {
+		t.Error("1000 refining observations republished no row the first query reads")
+	}
+	if v, err := h.Commit(s.Version, 1, key, s.ED); err != nil || v != s.Version+1 {
+		t.Fatalf("Commit across the epochs = %d, %v", v, err)
+	}
+	var model *core.Model
+	h.Locked(func(ver *core.ModelVersion) error {
+		model = deepCopy(ver.Model)
+		return nil
+	})
+	for _, q := range tr.test[:40] {
+		fresh := model.NewSelection(q.String(), q.NumTerms(), core.Absolute, 2)
+		if !fill(q).same(depict(fresh)) {
+			t.Errorf("%q on the committed version is not what its EDs derive from scratch", q)
+		}
+		fresh.Release()
+	}
+}
+
+// estimateCounter counts the estimates a model asks for.
+type estimateCounter struct {
+	estimate.Relevancy
+	calls int
+}
+
+func (e *estimateCounter) Estimate(s *summary.Summary, q string) float64 {
+	e.calls++
+	return e.Relevancy.Estimate(s, q)
+}
+
+// TestObserveEstimatesOnce: one observation is one estimate under the
+// lock, whether it goes to the ED, the drift window or both.
+func TestObserveEstimatesOnce(t *testing.T) {
+	tr := train(t)
+	q := tr.test[0]
+	for _, c := range []struct {
+		name          string
+		drift, refine bool
+		want          int
+	}{
+		{"refinement and drift", true, true, 1},
+		{"refinement", false, true, 1},
+		{"drift", true, false, 1},
+		{"neither", false, false, 0},
+	} {
+		var drift *obs.DriftDetector
+		if c.drift {
+			drift = obs.NewDriftDetector(obs.DriftConfig{})
+		}
+		h := New(tr.names, drift)
+		model := deepCopy(tr.base)
+		rel := &estimateCounter{Relevancy: model.Rel}
+		model.Rel = rel
+		h.Install(model, "train")
+		rel.calls = 0
+		if _, _, err := h.Observe(0, q.String(), q.NumTerms(), 3, c.refine); err != nil {
+			t.Fatal(err)
+		}
+		if rel.calls != c.want {
+			t.Errorf("%s: %d estimates for one observation, want %d", c.name, rel.calls, c.want)
+		}
 	}
 }
 

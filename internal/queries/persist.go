@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -13,14 +14,21 @@ import (
 // in. Lines are whitespace-separated terms; blank lines and lines
 // starting with '#' are skipped.
 
-// WriteLog streams queries to w, one per line.
+// maxLogLine is the longest line, newline included, ReadLog takes.
+const maxLogLine = 1 << 20
+
+// WriteLog streams queries to w, one per line. It refuses a query whose
+// line ReadLog would not read back as the same terms: an empty one, one
+// with an empty term or white space inside a term, one that starts with
+// '#', one too long for a line.
 func WriteLog(w io.Writer, qs []Query) error {
 	bw := bufio.NewWriter(w)
 	for i, q := range qs {
-		if q.NumTerms() == 0 {
-			return fmt.Errorf("queries: query %d is empty", i)
+		line := q.String()
+		if line == "" || line[0] == '#' || len(line) >= maxLogLine || !slices.Equal(strings.Fields(line), q.Terms) {
+			return fmt.Errorf("queries: query %d would not read back from its log line (no terms, an empty term, white space in a term, a leading '#' or %d bytes and over)", i, maxLogLine)
 		}
-		if _, err := bw.WriteString(q.String()); err != nil {
+		if _, err := bw.WriteString(line); err != nil {
 			return fmt.Errorf("queries: writing log: %w", err)
 		}
 		if err := bw.WriteByte('\n'); err != nil {
@@ -35,7 +43,7 @@ func WriteLog(w io.Writer, qs []Query) error {
 func ReadLog(r io.Reader) ([]Query, error) {
 	var out []Query
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLogLine)
 	line := 0
 	for sc.Scan() {
 		line++

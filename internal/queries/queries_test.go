@@ -212,10 +212,24 @@ func TestReadLogSkipsCommentsAndBlanks(t *testing.T) {
 	}
 }
 
+// TestWriteLogRejectsEmptyQuery: WriteLog refuses, by index, every query
+// ReadLog would not return as written.
 func TestWriteLogRejectsEmptyQuery(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteLog(&sb, []Query{{}}); err == nil {
-		t.Error("empty query must fail")
+	ok := Query{Terms: []string{"breast", "#cancer"}}
+	for name, bad := range map[string]Query{
+		"empty query":          {},
+		"empty term":           {Terms: []string{"heart", ""}},
+		"term with a space":    {Terms: []string{"heart attack"}},
+		"term with a newline":  {Terms: []string{"heart\nattack"}},
+		"term with U+00A0":     {Terms: []string{"heart\u00a0attack"}},
+		"comment marker first": {Terms: []string{"#heart", "attack"}},
+		"line over the cap":    {Terms: []string{strings.Repeat("a", 1<<20)}},
+	} {
+		var sb strings.Builder
+		err := WriteLog(&sb, []Query{ok, bad})
+		if err == nil || !strings.Contains(err.Error(), "query 1 ") {
+			t.Errorf("%s: WriteLog = %v, want an error naming query 1", name, err)
+		}
 	}
 }
 

@@ -34,8 +34,26 @@ func memoAttrs(t *testing.T, tracer *SpanTracer, traceID string) map[string]int 
 // a selection derived from the EDs, probed inline, no feedback.
 func (m *Metasearcher) direct(t testing.TB, query string, k int, thr float64) core.Outcome {
 	t.Helper()
-	sel := m.serving().NewSelection(query, countTerms(query), Absolute, k).WithBestSetOptions(m.cfg.BestSet)
-	out, err := core.APro(sel, func(i int) (float64, error) { return m.rel.Probe(m.tb.DB(i), query) }, core.Greedy{}, thr, -1)
+	return m.engine(t, m.serving().NewSelection(query, countTerms(query), Absolute, k), query, thr)
+}
+
+// directOverRows is direct over what selections read: the RD rows the
+// serving version has published, which under online refinement lag its
+// EDs by up to an epoch of observations.
+func (m *Metasearcher) directOverRows(t testing.TB, query string, k int, thr float64) core.Outcome {
+	t.Helper()
+	filled := m.host.View().Fill(nil, query, countTerms(query), Absolute, k)
+	rds := make([]*core.RD, filled.Len())
+	for i := range rds {
+		rds[i] = filled.RD(i)
+	}
+	return m.engine(t, core.NewSelectionFromRDs(rds, Absolute, k), query, thr)
+}
+
+// engine runs the memo-less loop on sel, probing inline.
+func (m *Metasearcher) engine(t testing.TB, sel *core.Selection, query string, thr float64) core.Outcome {
+	t.Helper()
+	out, err := core.APro(sel.WithBestSetOptions(m.cfg.BestSet), func(i int) (float64, error) { return m.rel.Probe(m.tb.DB(i), query) }, core.Greedy{}, thr, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,36 +186,90 @@ func TestDecisionMemoFacade(t *testing.T) {
 	}
 }
 
-// TestDecisionMemoOffUnderRefinement: with online refinement every probe
-// changes the rows decisions are made from, so a version remembers only
-// until its first probe lands: repeats are computed, and answered as the
-// memo-less engine answers over the model as refined so far.
-func TestDecisionMemoOffUnderRefinement(t *testing.T) {
+// TestDecisionMemoSurvivesRefinement: with online refinement a version's
+// rows, and with them its memo, last one epoch of observations (64: core's
+// epochObservations). Every selection is the memo-less engine's answer
+// over the rows as they stood when it was filled; inside an epoch the
+// second of two identical selections is decided from the memo; when the
+// epoch ends the rows are the refined EDs', the memo starts over on the
+// same version, and the next selection is computed from both.
+func TestDecisionMemoSurvivesRefinement(t *testing.T) {
 	reg := NewMetrics()
-	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, OnlineRefinement: true}, nil)
-	probed := 0
-	for round := 0; round < 3; round++ {
-		for _, q := range queries[:20] {
-			want := ms.direct(t, q, 2, 0.9) // before the selection's own probes refine the model
-			res, err := ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The selection was built before its probes landed, so it is
-			// the engine's answer over the model as it stood.
-			if err := ms.sameAnswer(res, want); err != nil {
-				t.Fatalf("round %d, %q: %v", round, q, err)
-			}
-			probed += res.Probes
+	tracer := NewSpanTracer(256)
+	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, Spans: tracer, OnlineRefinement: true}, nil)
+	version := ms.ModelInfo().Version
+	answer := func(q string) (*SelectionResult, map[string]int, core.Outcome) {
+		t.Helper()
+		want := ms.directOverRows(t, q, 2, 0.9) // before the selection's own probes refine the model
+		res, err := ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.sameAnswer(res, want); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		return res, memoAttrs(t, tracer, res.TraceID), want
+	}
+
+	// Back-to-back pairs, as many as the first epoch holds: the first's
+	// probes refine the EDs and leave the rows alone.
+	var hot string
+	var before core.Outcome
+	probes := 0
+	for _, q := range queries {
+		first, was, rowsWere := answer(q)
+		again, now, _ := answer(q)
+		if probes += first.Probes + again.Probes; probes >= 64 {
+			break
+		}
+		if err := ms.sameAnswer(again, rowsWere); err != nil {
+			t.Fatalf("%q repeated inside the epoch: %v", q, err)
+		}
+		if first.Probes == 0 {
+			continue
+		}
+		if now["memo_hits"] != was["memo_hits"]+was["memo_misses"] || now["memo_misses"] != 0 {
+			t.Fatalf("%q repeated inside the epoch: %v after a first sight of %v", q, now, was)
+		}
+		hot, before = q, rowsWere
+	}
+	if hot == "" {
+		t.Fatal("no probing pair of selections fitted the first epoch")
+	}
+	if hits := reg.Counter("mp_decision_memo_hits_total", nil).Value(); hits == 0 {
+		t.Error("no memo hit on a refining model")
+	}
+
+	// End an epoch with observations that change hot's answer. The tree
+	// holds nodes before them, so the moment it holds none is the
+	// publication, with no observation pending.
+	for ms.ModelInfo().MemoNodes == 0 {
+		answer(hot)
+	}
+	for n := 0; ms.ModelInfo().MemoNodes != 0; n++ {
+		if n == 64 {
+			t.Fatal("64 refining observations published nothing")
+		}
+		if _, _, err := ms.host.Observe(n%ms.tb.Len(), hot, countTerms(hot), 1e6, true); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if info := ms.ModelInfo(); probed == 0 || info.MemoOn || info.MemoNodes != 0 {
-		t.Errorf("after %d refining probes: memo on=%v, %d nodes", probed, info.MemoOn, info.MemoNodes)
+	if info := ms.ModelInfo(); !info.MemoOn || info.Version != version {
+		t.Fatalf("after the publication: memo on=%v at version %d, was %d", info.MemoOn, info.Version, version)
 	}
-	// Only what ran before the first probe landed could be remembered: the
-	// first query's root, at most.
-	if hits := reg.Counter("mp_decision_memo_hits_total", nil).Value(); hits > 2 {
-		t.Errorf("%d memo hits on a refining model", hits)
+	refined := ms.direct(t, hot, 2, 0.9) // over the EDs, which the rows now equal
+	if refined.Certainty == before.Certainty && refined.Probes() == before.Probes() && reflect.DeepEqual(refined.Set, before.Set) {
+		t.Fatalf("%q: the refinement did not change the answer (%v at %v)", hot, refined.Set, refined.Certainty)
+	}
+	res, attrs, _ := answer(hot)
+	if err := ms.sameAnswer(res, refined); err != nil {
+		t.Errorf("%q on the republished rows: %v", hot, err)
+	}
+	if attrs["memo_hits"] != 0 || attrs["memo_misses"] == 0 {
+		t.Errorf("%q first in its epoch: %v", hot, attrs)
+	}
+	if info := ms.ModelInfo(); !info.MemoOn || info.MemoNodes == 0 {
+		t.Errorf("after a selection in the new epoch: memo on=%v, %d nodes", info.MemoOn, info.MemoNodes)
 	}
 }
 

@@ -203,9 +203,10 @@ type ModelInfo struct {
 	Refresh *RefreshStats `json:"refresh,omitempty"`
 	// MemoNodes counts the states this version's decision memo holds —
 	// what selections over it have decided already and a repeated query
-	// reads back instead of computing — and MemoOn whether it still
-	// remembers: it does until the version's first online refinement
-	// changes the rows those decisions were made from.
+	// reads back instead of computing — and MemoOn whether it
+	// remembers: it does except while online refinement is republishing
+	// the rows those decisions are made from, after which it starts
+	// over at 0 nodes.
 	MemoNodes int  `json:"memoNodes"`
 	MemoOn    bool `json:"memoOn"`
 }

@@ -93,7 +93,7 @@ func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) *selectionSeries
 	reg.Help("mp_selection_stage_seconds", "Per-selection wall time spent in one hot-path stage (rd_convolve, ecor_dp, rank, probe).")
 	reg.Help("mp_decision_memo_hits_total", "Selection decisions (a state's best set, a state's greedy head) read from the serving version's decision memo instead of computed.")
 	reg.Help("mp_decision_memo_misses_total", "Selection decisions computed and stored in the serving version's decision memo.")
-	reg.Help("mp_decision_memo_nodes", "States the serving version's decision memo holds; 0 once online refinement has switched it off.")
+	reg.Help("mp_decision_memo_nodes", "States the serving version's decision memo holds; under online refinement it restarts at 0 with every publication of refined RD rows.")
 	s := &selectionSeries{
 		reg:        reg,
 		latency:    reg.Histogram("metaprobe_select_latency_seconds", nil),
