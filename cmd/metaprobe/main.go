@@ -55,8 +55,6 @@ func main() {
 		serve(os.Args[2:])
 	case "query":
 		remoteQuery(os.Args[2:])
-	case "web":
-		web(os.Args[2:])
 	case "demo":
 		demo(os.Args[2:])
 	default:
@@ -65,7 +63,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: metaprobe <serve|web|query|demo> [flags] [query terms...]")
+	fmt.Fprintln(os.Stderr, "usage: metaprobe <serve|query|demo> [flags] [query terms...]")
 	os.Exit(2)
 }
 

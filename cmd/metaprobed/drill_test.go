@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -159,11 +162,31 @@ func (d *daemon) postSelect(req server.SelectRequest) (server.SelectResponse, er
 // an idle daemon owes a burst of batched traffic: everything answered at
 // the full tier, identical concurrent requests coalesced, no shed
 // counter moved, every tenant trained, one request's record readable at
-// /debug/spans, its repeat decided from the version's memo, and a clean
-// exit on SIGTERM inside the drain timeout.
+// /debug/spans, its repeat decided from the version's memo, a peer that
+// stalls inside its request line hung up on while all of that goes on,
+// and a clean exit on SIGTERM inside the drain timeout.
 func TestDaemonDrill(t *testing.T) {
 	d := bootDaemon(t, "-addr", "127.0.0.1:0", "-scale", "0.006", "-train", "80",
 		"-tenants", "default,ops", "-drain-timeout", drillDrainTimeout.String())
+
+	// A peer that writes half a request and stops. The daemon owes it
+	// readHeaderTimeout and no more; every scene below runs with the
+	// connection held, and the drill collects the verdict before SIGTERM.
+	stalled, err := net.Dial("tcp", strings.TrimPrefix(d.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "GET /v1/select HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	stalled.SetReadDeadline(time.Now().Add(readHeaderTimeout + time.Second))
+	hungUp := make(chan error, 1)
+	go func() {
+		// The daemon answers a header timeout with a close and no bytes.
+		_, err := io.Copy(io.Discard, stalled)
+		hungUp <- err
+	}()
 
 	// The burst: 30 waves, each four concurrent identical requests — the
 	// coalescer's unit of mergeable work.
@@ -283,6 +306,12 @@ func TestDaemonDrill(t *testing.T) {
 	}
 	if !remembered {
 		t.Error("mp_decision_memo_hits_total is absent or 0 after a repeated request")
+	}
+
+	// io.Copy returns at the daemon's close, or with the deadline's error
+	// if the daemon is still listening to the stalled peer by then.
+	if err := <-hungUp; errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("half a request line still held its connection %v later: %v", readHeaderTimeout+time.Second, err)
 	}
 
 	// The burst's racing dials left connections this client opened and

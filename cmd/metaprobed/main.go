@@ -47,6 +47,13 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// readHeaderTimeout is how long a client has to deliver a request's
+// header once it has connected or begun the request. Without it a peer
+// that sends half a request line holds its connection and the goroutine
+// serving it until the process exits. It does not time an idle
+// keep-alive connection, nor a request's body, nor the selection.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	fs := flag.NewFlagSet("metaprobed", flag.ExitOnError)
 	addr := fs.String("addr", ":8091", "listen address")
@@ -94,7 +101,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	// The bound address, not the flag: -addr 127.0.0.1:0 asks for a free

@@ -84,3 +84,8 @@ func TestCostAccountConcurrent(t *testing.T) {
 		t.Errorf("summary = %+v", sum)
 	}
 }
+
+func approx(got, want, eps float64) bool {
+	d := got - want
+	return d < eps && d > -eps
+}

@@ -26,10 +26,7 @@ var routes = []struct {
 	{"/readyz", "text/plain", always},
 	{"/metrics", "text/plain; version=0.0.4", func(s ops.Sinks) bool { return s.Metrics != nil }},
 	{"/debug/spans", "application/json", func(s ops.Sinks) bool { return s.Spans != nil }},
-	{"/debug/slo", "application/json", func(s ops.Sinks) bool { return s.SLO != nil }},
-	{"/debug/calibration", "application/json", func(s ops.Sinks) bool { return s.Calibration != nil }},
 	{"/debug/model", "application/json", func(s ops.Sinks) bool { return s.Model != nil }},
-	{"/debug/profiles", "application/json", func(s ops.Sinks) bool { return s.Profiles != nil }},
 	{"/debug/goroutines", "text/plain", always},
 	{"/debug/pprof/", "text/html", always},
 	{"/debug/pprof/cmdline", "text/plain", always},

@@ -15,12 +15,12 @@ import (
 // the real /v1/select handler over a two-database tenant. Whatever the
 // decoder or check can refuse is the caller's mistake: it is never a
 // panic and never a 5xx, and a refused request searches no backend and
-// is not an SLO observation. The seeds — the bad-request table, one good
+// is not a served selection. The seeds — the bad-request table, one good
 // GET and one good POST — run as an ordinary test.
 func FuzzSelectRequest(f *testing.F) {
-	slo := metaprobe.NewSLO(metaprobe.SLOConfig{})
+	reg := metaprobe.NewMetrics()
 	var searches atomic.Int64
-	ms, qs := buildTestMetasearcherN(f, 2, &metaprobe.Config{SLO: slo}, func(db metaprobe.Database) metaprobe.Database {
+	ms, qs := buildTestMetasearcherN(f, 2, &metaprobe.Config{Metrics: reg}, func(db metaprobe.Database) metaprobe.Database {
 		return searchCounter{db, &searches}
 	})
 	s := New(Config{})
@@ -42,7 +42,7 @@ func FuzzSelectRequest(f *testing.F) {
 			t.Skip("not a request:", err)
 		}
 		r.URL.RawQuery = query
-		searched, observed := searches.Load(), slo.Snapshot().Total
+		searched, observed := searches.Load(), servedSelections(reg)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
 		switch {
@@ -52,8 +52,8 @@ func FuzzSelectRequest(f *testing.F) {
 			if got := searches.Load() - searched; got != 0 {
 				t.Fatalf("%s ?%s %q = %d after %d backend searches", method, query, body, rec.Code, got)
 			}
-			if got := slo.Snapshot().Total - observed; got != 0 {
-				t.Fatalf("%s ?%s %q = %d and %d SLO observations", method, query, body, rec.Code, got)
+			if got := servedSelections(reg); got != observed {
+				t.Fatalf("%s ?%s %q = %d and the selection series moved %v -> %v", method, query, body, rec.Code, observed, got)
 			}
 		}
 	})

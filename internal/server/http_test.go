@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"reflect"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -183,15 +185,14 @@ func badSelectRequests(q string) []selectRow {
 // TestHandlerRejectsBadThresholdAndK: a threshold that is NaN or outside
 // [0, 1] and a k beyond the tenant's databases are the caller's
 // mistakes. They are answered 400 and counted as client errors before
-// the request is admitted: no backend is searched and the SLO tracker,
-// which measures serving, sees nothing. (NaN used to pass both range
-// checks, meet no certainty and so probe every database of the tenant;
-// t=7 and k=999 reached the engine, came back 500 and burnt SLO budget.)
+// the request is admitted: no backend is searched and the tenant's
+// selection series, which measure serving, do not move. (NaN used to
+// pass both range checks, meet no certainty and so probe every database
+// of the tenant; t=7 and k=999 reached the engine and came back 500.)
 func TestHandlerRejectsBadThresholdAndK(t *testing.T) {
 	reg := obs.NewRegistry()
-	slo := metaprobe.NewSLO(metaprobe.SLOConfig{})
 	var searches atomic.Int64
-	ms, qs := buildTestMetasearcher(t, &metaprobe.Config{Metrics: reg, SLO: slo}, func(db metaprobe.Database) metaprobe.Database {
+	ms, qs := buildTestMetasearcher(t, &metaprobe.Config{Metrics: reg}, func(db metaprobe.Database) metaprobe.Database {
 		return searchCounter{db, &searches}
 	})
 	s := New(Config{Metrics: reg})
@@ -200,7 +201,7 @@ func TestHandlerRejectsBadThresholdAndK(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	h := s.Handler()
-	trained := searches.Load()
+	trained, served := searches.Load(), servedSelections(reg)
 
 	var bad []*http.Request
 	for _, row := range badSelectRequests(qs[0]) {
@@ -216,8 +217,8 @@ func TestHandlerRejectsBadThresholdAndK(t *testing.T) {
 	if got := searches.Load() - trained; got != 0 {
 		t.Errorf("rejected requests caused %d backend searches, want 0", got)
 	}
-	if snap := slo.Snapshot(); snap.Total != 0 {
-		t.Errorf("SLO tracker observed %d requests (%d failures), want none: client errors are not serving", snap.Total, snap.AvailabilityFails)
+	if got := servedSelections(reg); got != served {
+		t.Errorf("selection series moved %v -> %v: client errors are not serving", served, got)
 	}
 	if got := reg.Counter("mp_server_errors_total", obs.Labels{"kind": "client"}).Value(); got != int64(len(bad)) {
 		t.Errorf(`mp_server_errors_total{kind="client"} = %d, want %d`, got, len(bad))
@@ -229,11 +230,12 @@ func TestHandlerRejectsBadThresholdAndK(t *testing.T) {
 		t.Errorf("peak inflight %d: a rejected request was admitted", st.PeakInflight)
 	}
 
-	// The same query with a legal threshold is served, and probes.
+	// The same query with a legal threshold is served, probes, and moves
+	// the series the refusals left alone.
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/select?q="+url.QueryEscape(qs[0])+"&t=1", nil))
-	if rec.Code != http.StatusOK || searches.Load() == trained {
-		t.Errorf("t=1 = %d %s with %d searches, want a probing 200", rec.Code, rec.Body, searches.Load()-trained)
+	if rec.Code != http.StatusOK || searches.Load() == trained || servedSelections(reg) == served {
+		t.Errorf("t=1 = %d %s with %d searches, selection series %v, want a probing, counted 200", rec.Code, rec.Body, searches.Load()-trained, servedSelections(reg))
 	}
 }
 
@@ -304,4 +306,51 @@ func TestHandlerSelectionRecord(t *testing.T) {
 	}
 
 	opstest.CheckRoutes(t, h, ops.Sinks{Metrics: reg, Spans: spans, Model: func() any { return nil }})
+}
+
+// docRoute finds the daemon's routes in prose: a /v1/…, /debug/…,
+// /metrics, /healthz or /readyz path that does not continue a longer
+// word (runtime/metrics is a package, not a route).
+var docRoute = regexp.MustCompile(`(?:^|[^A-Za-z])(/v1/[a-z]+|/debug/[a-z]+(?:/[a-z]+)*/?|/metrics|/healthz|/readyz)`)
+
+// TestDocsNameOnlyServedRoutes reads README.md and DESIGN.md and asks
+// the daemon's handler, built the way cmd/metaprobed builds it, for
+// every route they name: a walkthrough may not send an operator to a
+// 404. The two pprof endpoints that block for seconds are looked up in
+// the mux instead of fetched.
+func TestDocsNameOnlyServedRoutes(t *testing.T) {
+	s := New(Config{Metrics: obs.NewRegistry(), Spans: span.NewTracer(0)})
+	t.Cleanup(s.Close)
+	mux := s.Handler().(*http.ServeMux)
+	blocking := map[string]bool{"/debug/pprof/profile": true, "/debug/pprof/trace": true}
+
+	named := make(map[string]string) // route → the first file naming it
+	for _, file := range []string{"../../README.md", "../../DESIGN.md"} {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docRoute.FindAllSubmatch(text, -1) {
+			if _, ok := named[string(m[1])]; !ok {
+				named[string(m[1])] = file
+			}
+		}
+	}
+	if _, ok := named["/v1/select"]; !ok {
+		t.Fatalf("found no /v1/select among the %d routes the docs name: %v", len(named), named)
+	}
+	for route, file := range named {
+		r := httptest.NewRequest("GET", route, nil)
+		if blocking[route] {
+			if _, pattern := mux.Handler(r); pattern != route {
+				t.Errorf("%s names %s, which the daemon's mux routes to %q", file, route, pattern)
+			}
+			continue
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, r)
+		if rec.Code == http.StatusNotFound {
+			t.Errorf("%s names %s, which the daemon answers 404", file, route)
+		}
+	}
 }

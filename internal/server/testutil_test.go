@@ -107,3 +107,15 @@ func (g *gate) Search(query string, topK int) (hidden.Result, error) {
 	}
 	return g.Database.Search(query, topK)
 }
+
+// servedSelections reads the tenant's selection series off its
+// registry: the latency histogram's count and the two
+// metaprobe_selections_total counters. A request the handler refuses
+// moves none of them.
+func servedSelections(reg *metaprobe.Metrics) [3]int64 {
+	return [3]int64{
+		reg.Histogram("metaprobe_select_latency_seconds", nil).Count(),
+		reg.Counter("metaprobe_selections_total", map[string]string{"reached": "false"}).Value(),
+		reg.Counter("metaprobe_selections_total", map[string]string{"reached": "true"}).Value(),
+	}
+}

@@ -46,7 +46,6 @@ import (
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/estimate"
-	"metaprobe/internal/eval"
 	"metaprobe/internal/fusion"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/modelhost"
@@ -89,25 +88,11 @@ type (
 	SpanTracer = span.Tracer
 	// Span is one recorded span (exported for waterfall rendering).
 	Span = span.Span
-	// SLO tracks latency and availability objectives with multi-window
-	// (5m/1h) burn rates. See Config.SLO and NewSLO.
-	SLO = obs.SLO
-	// SLOConfig sets an SLO tracker's objectives.
-	SLOConfig = obs.SLOConfig
-	// SLOSnapshot is a point-in-time burn-rate view (the /debug/slo
-	// endpoint renders it as JSON).
-	SLOSnapshot = obs.SLOSnapshot
 	// CostSummary is one selection's probe-cost account. See
 	// SelectionResult.Cost.
 	CostSummary = obs.CostSummary
 	// BackendCost is the per-backend slice of a CostSummary.
 	BackendCost = obs.BackendCost
-	// Calibration is a concurrency-safe reliability accumulator binning
-	// predicted certainty against realized correctness. See
-	// Config.Calibration and NewCalibration.
-	Calibration = obs.Calibration
-	// CalibrationSnapshot is a point-in-time reliability view.
-	CalibrationSnapshot = obs.CalibrationSnapshot
 	// DriftConfig tunes online ED drift detection. See Config.Drift.
 	DriftConfig = obs.DriftConfig
 	// DriftAlert reports one detected error-distribution drift.
@@ -141,17 +126,6 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // of capacity spans (≤ 0 defaults to 8192; the oldest spans are
 // evicted and counted once full) for Config.Spans.
 func NewSpanTracer(capacity int) *SpanTracer { return span.NewTracer(capacity) }
-
-// NewSLO returns a latency/availability SLO tracker for Config.SLO.
-// The zero config selects a 250ms @ 99% latency objective and 99.9%
-// availability; call Bind to export mp_slo_* series into a registry.
-func NewSLO(cfg SLOConfig) *SLO { return obs.NewSLO(cfg) }
-
-// NewCalibration returns a reliability accumulator with numBins
-// equal-width certainty bins over [0, 1] (≤ 0 defaults to 10). Feed it
-// (predicted certainty, realized correctness) pairs wherever ground
-// truth is available — Metasearcher.Audit does so by live-probing.
-func NewCalibration(numBins int) *Calibration { return obs.NewCalibration(numBins) }
 
 // InstrumentDatabase wraps db so that every search and fetch records
 // per-database latency, count and error metrics into reg; when db is a
@@ -267,17 +241,12 @@ type Config struct {
 	// bucket links to a concrete trace. Nil — the default — keeps the
 	// selection path span-free.
 	Spans *SpanTracer
-	// SLO, when non-nil, feeds every selection's latency and outcome
-	// into multi-window burn-rate tracking. Call SLO.Bind(Metrics) to
-	// export mp_slo_* series; /debug/slo serves its snapshot. Nil
-	// disables SLO accounting.
-	SLO *SLO
 }
 
 // observed reports whether any per-selection observability sink is
 // configured.
 func (c *Config) observed() bool {
-	return c.Metrics != nil || c.Spans != nil || c.SLO != nil
+	return c.Metrics != nil || c.Spans != nil
 }
 
 // DocFrequencyRelevancy returns the paper's default relevancy: number
@@ -468,8 +437,8 @@ func (m *Metasearcher) SelectContext(ctx context.Context, query string, k int, m
 type SelectionResult struct {
 	// ID is the selection's correlation identifier ("sel-000042"),
 	// shared with the root span's "id" attribute and intended for
-	// structured logs. Empty when no observability sink (Metrics, Spans
-	// or SLO) is configured (the disabled path allocates nothing).
+	// structured logs. Empty when no observability sink (Metrics or
+	// Spans) is configured (the disabled path allocates nothing).
 	ID string
 	// Databases are the selected database names (testbed order).
 	Databases []string
@@ -496,8 +465,8 @@ type SelectionResult struct {
 	TraceID string
 	// Cost is the selection's probe-cost account — probes issued,
 	// hedges won and wasted, cache hits, bytes fetched and per-backend
-	// wall time — populated when any observability sink (Metrics,
-	// Spans or SLO) is configured; nil otherwise.
+	// wall time — populated when any observability sink (Metrics or
+	// Spans) is configured; nil otherwise.
 	Cost *CostSummary
 }
 
@@ -608,9 +577,6 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	}
 	res, err := m.exec.APro(ctx, sel, m.dbName, probe, policy, t, maxProbes)
 	if err != nil {
-		if m.cfg.SLO != nil {
-			m.cfg.SLO.Observe(time.Since(start), false)
-		}
 		sp.EndErr(err)
 		return SelectionResult{}, fmt.Errorf("metaprobe: %w", err)
 	}
@@ -831,42 +797,6 @@ func (m *Metasearcher) Explain(query string, k int) ([]Explanation, error) {
 	}
 	m.recycleSelection(sel)
 	return out, nil
-}
-
-// Audit computes the realized correctness of a returned answer by
-// live-probing every database for the true top-k — the ground truth
-// behind online calibration tracking. It returns the realized
-// correctness of selected under metric and, when cal is non-nil,
-// records the (certainty, realized) pair into it. One audit costs one
-// probe per mediated database, so high-traffic deployments should
-// sample (audit every Nth answer) rather than audit everything.
-func (m *Metasearcher) Audit(cal *Calibration, query string, metric Metric, selected []string, certainty float64) (float64, error) {
-	actual := make([]float64, m.tb.Len())
-	for i := range actual {
-		v, err := m.rel.Probe(m.tb.DB(i), query)
-		if err != nil {
-			return 0, fmt.Errorf("metaprobe: audit probe %s: %w", m.tb.DB(i).Name(), err)
-		}
-		actual[i] = v
-	}
-	set := make([]int, 0, len(selected))
-	for _, name := range selected {
-		i := m.tb.IndexOf(name)
-		if i < 0 {
-			return 0, fmt.Errorf("metaprobe: audit: unknown database %q", name)
-		}
-		set = append(set, i)
-	}
-	sort.Ints(set)
-	topk := core.TopKByScore(actual, len(selected))
-	var realized float64
-	if metric == Partial {
-		realized = eval.CorP(set, topk)
-	} else {
-		realized = eval.CorA(set, topk)
-	}
-	cal.Observe(certainty, realized)
-	return realized, nil
 }
 
 // NewLocalDatabase builds an in-process database from raw documents

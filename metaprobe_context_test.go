@@ -72,7 +72,6 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 		ProbeConcurrency: ProbeLimits{Global: 8, PerBackend: 2},
 	}
 	ms, testQueries := buildTestMetasearcherWith(t, cfg, nil)
-	cal := NewCalibration(10)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 4; g++ {
@@ -81,22 +80,15 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 			defer wg.Done()
 			for qi := 0; qi < 8; qi++ {
 				q := testQueries[(g*8+qi)%len(testQueries)]
-				var res *SelectionResult
 				var err error
 				if qi%2 == 0 {
-					res, err = ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1)
+					_, err = ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1)
 				} else {
-					res, err = ms.SelectWithCertaintyContext(context.Background(), q, 2, Absolute, 0.9, -1)
+					_, err = ms.SelectWithCertaintyContext(context.Background(), q, 2, Absolute, 0.9, -1)
 				}
 				if err != nil {
 					errs <- err
 					return
-				}
-				if qi == 3 {
-					if _, err := ms.Audit(cal, q, Absolute, res.Databases, res.Certainty); err != nil {
-						errs <- err
-						return
-					}
 				}
 			}
 		}(g)
@@ -121,9 +113,6 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 	}
 	if len(ids) != len(traces) {
 		t.Errorf("%d distinct selection IDs over %d traces", len(ids), len(traces))
-	}
-	if cal.Snapshot().Samples == 0 {
-		t.Error("no calibration observations recorded")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"metaprobe/internal/corpus"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/obs/ops/opstest"
-	"metaprobe/internal/obs/prof"
 	"metaprobe/internal/obs/span"
 )
 
@@ -36,12 +35,23 @@ func readSelection(t testing.TB, spans *SpanTracer, traceID string) opstest.Sele
 
 func TestSelectionMetricsRecorded(t *testing.T) {
 	ms, queries, reg, _ := buildObservedMetasearcher(t)
+	// The series are registered with the metasearcher: a scrape before
+	// the first query already shows them, at zero.
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"metaprobe_select_latency_seconds_count 0", "# TYPE metaprobe_probes_total counter", `metaprobe_selections_total{reached="true"} 0`} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition before the first query missing %q", want)
+		}
+	}
 	for _, q := range queries[:8] {
 		if _, err := ms.SelectWithCertainty(q, 2, Absolute, 0.9, -1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var sb strings.Builder
+	sb.Reset()
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +215,9 @@ func TestMetasearchRecordsOneTrace(t *testing.T) {
 // correlate with logs.
 func TestEverySinkAloneGetsIDClockAndCost(t *testing.T) {
 	spans := NewSpanTracer(0)
-	slo := NewSLO(SLOConfig{})
 	for name, cfg := range map[string]*Config{
 		"metrics": {Metrics: NewMetrics()},
 		"spans":   {Spans: spans},
-		"slo":     {SLO: slo},
 	} {
 		ms, queries := buildTestMetasearcherWith(t, cfg, nil)
 		res, err := ms.SelectWithCertainty(queries[0], 2, Absolute, 0.9, -1)
@@ -224,9 +232,6 @@ func TestEverySinkAloneGetsIDClockAndCost(t *testing.T) {
 		t.Fatalf("spans only: %d traces, want 1", len(traces))
 	} else if rec := readSelection(t, spans, traces[0].TraceID); rec.Attrs["id"] != "sel-000001" {
 		t.Errorf("spans only: root span id attribute = %q, want sel-000001", rec.Attrs["id"])
-	}
-	if snap := slo.Snapshot(); snap.Total != 1 {
-		t.Errorf("slo only: tracker counted %d requests, want 1", snap.Total)
 	}
 }
 
@@ -301,16 +306,14 @@ func TestStepAndStageEventsSurviveEventCap(t *testing.T) {
 // are against remote databases: one trained model serves the same
 // workload behind backends that each add 20 ms per search, bare, then
 // with a bound span tracer (every selection records its full span
-// tree), then with the profile captor and the runtime sampler running —
-// at a 200 ms CPU window per second, a far harsher duty cycle than the
-// 30 s production default. The probe trajectories are identical, so
-// the injected delay is too, and each configuration's mean selection
-// latency must stay within 5 % of bare. Each mean is the best of three
-// rounds, since interference from the rest of the machine only ever
-// adds, after one round that is not timed: a fresh executor has measured
-// no backend latency yet, so it keeps the lookahead shut for each
-// backend's first probes and its first round runs some 5 % slower than
-// every later one — the whole budget, were it one of the samples.
+// tree). The probe trajectories are identical, so the injected delay is
+// too, and the traced configuration's mean selection latency must stay
+// within 5 % of bare. Each mean is the best of three rounds, since
+// interference from the rest of the machine only ever adds, after one
+// round that is not timed: a fresh executor has measured no backend
+// latency yet, so it keeps the lookahead shut for each backend's first
+// probes and its first round runs some 5 % slower than every later one —
+// the whole budget, were it one of the samples.
 func TestObservabilityOverheadOnProbeBoundSelections(t *testing.T) {
 	const (
 		delay  = 20 * time.Millisecond
@@ -378,22 +381,4 @@ func TestObservabilityOverheadOnProbeBoundSelections(t *testing.T) {
 	if spans.Recorded() == 0 {
 		t.Error("the traced configuration recorded no spans")
 	}
-
-	reg = NewMetrics()
-	captor, err := prof.New(prof.Config{Interval: time.Second, CPUDuration: 200 * time.Millisecond, Capacity: 16, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler := prof.NewSampler(prof.SamplerConfig{Interval: 200 * time.Millisecond, Metrics: reg})
-	captor.Start(context.Background())
-	sampler.Start(context.Background())
-	// The captor's first CPU window (1.0–1.2 s in) falls past the
-	// warm-up, inside the first timed round.
-	profiled := best(build(&Config{Metrics: reg}))
-	captor.Stop()
-	sampler.Stop()
-	if reg.Counter("mp_prof_captures_total", map[string]string{"kind": prof.KindCPU}).Value() == 0 {
-		t.Error("the profiled configuration was measured without a single CPU capture")
-	}
-	check("continuous profiling", profiled)
 }

@@ -123,12 +123,12 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 
 // observe publishes one finished selection to the configured sinks:
 // the answer and the per-probe trajectory onto the root span (closing
-// it), then the SLO tracker and the selection metrics. One walk over
-// the steps feeds both the per-database probe counters and the span's
-// "step" events. The latency observation carries the trace ID as an
-// exemplar, so a latency bucket in /metrics links back to the span
-// tree that filled it. Client errors (untrained model, k out of range)
-// never get here: the sinks measure serving, not caller mistakes.
+// it), then the selection metrics. One walk over the steps feeds both
+// the per-database probe counters and the span's "step" events. The
+// latency observation carries the trace ID as an exemplar, so a latency
+// bucket in /metrics links back to the span tree that filled it. Client
+// errors (untrained model, k out of range) never get here: the sinks
+// measure serving, not caller mistakes.
 func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.StageRecorder, sel *core.Selection, res *core.Outcome, start time.Time) {
 	ser := m.series
 	work := sel.Work()
@@ -190,12 +190,8 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 	}
 	m.flushStages(rec, sp)
 	sp.End()
-	elapsed := time.Since(start)
-	if m.cfg.SLO != nil {
-		m.cfg.SLO.Observe(elapsed, true)
-	}
 	if ser != nil {
-		ser.latency.ObserveExemplar(elapsed.Seconds(), out.TraceID)
+		ser.latency.ObserveExemplar(time.Since(start).Seconds(), out.TraceID)
 		reached := 0
 		if res.Reached {
 			reached = 1
