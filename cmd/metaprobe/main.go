@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -67,6 +68,31 @@ func usage() {
 	os.Exit(2)
 }
 
+// checkScale refuses a -scale that would build another testbed than the
+// one asked for: corpus.HealthTestbed reads a scale <= 0 as the paper's
+// full size and floors every database of a NaN one at 50 documents.
+func checkScale(fs *flag.FlagSet, scale float64) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		usageError(fs, fmt.Errorf("-scale must be a positive finite number, got %v", scale))
+	}
+}
+
+// checkTrain refuses a -train below 1; a negative one panics in the
+// query generator.
+func checkTrain(fs *flag.FlagSet, n int) {
+	if n < 1 {
+		usageError(fs, fmt.Errorf("-train must be at least 1, got %d", n))
+	}
+}
+
+// usageError reports a flag value out of range the way the flag package
+// reports one it cannot parse: the message, the usage, exit status 2.
+func usageError(fs *flag.FlagSet, err error) {
+	fmt.Fprintln(fs.Output(), err)
+	fs.Usage()
+	os.Exit(2)
+}
+
 // serve generates the health testbed and exposes every database under
 // /db/<name>/search on one listener.
 func serve(args []string) {
@@ -75,6 +101,7 @@ func serve(args []string) {
 	scale := fs.Float64("scale", 0.02, "testbed size multiplier")
 	seed := fs.Int64("seed", 2004, "random seed")
 	fs.Parse(args)
+	checkScale(fs, *scale)
 
 	logger.Info("generating the 20-database health testbed", "scale", *scale)
 	world := corpus.HealthWorld()
@@ -101,6 +128,7 @@ func remoteQuery(args []string) {
 	html := fs.Bool("html", true, "scrape HTML answer pages (false: JSON)")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline (0 = none)")
 	fs.Parse(args)
+	checkTrain(fs, *trainN)
 	if fs.NArg() == 0 {
 		fatal(fmt.Errorf("query: need query terms"))
 	}
@@ -156,6 +184,8 @@ func demo(args []string) {
 	trainLog := fs.String("trainlog", "", "file with training queries (one per line) instead of generated ones")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline (0 = none)")
 	fs.Parse(args)
+	checkScale(fs, *scale)
+	checkTrain(fs, *trainN)
 	query := "breast cancer"
 	if fs.NArg() > 0 {
 		query = strings.Join(fs.Args(), " ")

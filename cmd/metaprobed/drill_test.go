@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,16 +55,33 @@ func (d *daemon) stderr() string {
 
 var servingAddr = regexp.MustCompile(`msg="metaprobed serving" addr=(\S+)`)
 
-// bootDaemon builds cmd/metaprobed, starts it on a free port and returns
-// once /readyz answers 200. The process is killed when the test ends,
-// however it ends.
+// daemonBin is cmd/metaprobed built from this checkout, once for every
+// test that runs it.
+var daemonBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "metaprobed-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	daemonBin = filepath.Join(dir, "metaprobed")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", daemonBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// bootDaemon starts the daemon on a free port and returns once /readyz
+// answers 200. The process is killed when the test ends, however it
+// ends.
 func bootDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "metaprobed")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	d := &daemon{cmd: exec.Command(bin, args...), exited: make(chan struct{})}
+	d := &daemon{cmd: exec.Command(daemonBin, args...), exited: make(chan struct{})}
 	pipe, err := d.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +138,35 @@ func bootDaemon(t *testing.T, args ...string) *daemon {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("GET /readyz never answered 200 (last error %v)", err)
+		}
+	}
+}
+
+// TestSizeFlagsOutOfRangeRefused holds the daemon to refusing, before it
+// builds anything, a -scale or -train that would build another testbed
+// than the one asked for (a scale <= 0 is the paper's full size, a NaN
+// one 50 documents a database) or panic (a negative -train).
+func TestSizeFlagsOutOfRangeRefused(t *testing.T) {
+	for _, bad := range [][2]string{
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
+		{"-train", "0"}, {"-train", "-1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, daemonBin, "-addr", "127.0.0.1:0", bad[0], bad[1]).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		var exit *exec.ExitError
+		switch {
+		case timedOut:
+			t.Errorf("%s %s: still running after 10s", bad[0], bad[1])
+		case !errors.As(err, &exit) || exit.ExitCode() != 2:
+			t.Errorf("%s %s: exit %v, want a usage error (status 2)", bad[0], bad[1], err)
+		}
+		if !strings.Contains(string(out), bad[0]+" must be") {
+			t.Errorf("%s %s: the output does not name the flag:\n%s", bad[0], bad[1], out)
+		}
+		if strings.Contains(string(out), "building testbed") {
+			t.Errorf("%s %s: began building a testbed:\n%s", bad[0], bad[1], out)
 		}
 	}
 }

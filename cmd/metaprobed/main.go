@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -68,6 +69,13 @@ func main() {
 	runTimeout := fs.Duration("run-timeout", 30*time.Second, "cap on one coalesced selection run")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 	fs.Parse(os.Args[1:])
+	if err := checkSizes(*scale, *trainN); err != nil {
+		// A usage error, reported the way the flag package reports a
+		// value it cannot parse.
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		os.Exit(2)
+	}
 
 	names := splitTenants(*tenants)
 	if len(names) == 0 {
@@ -129,6 +137,20 @@ func main() {
 		st := srv.Stats()
 		logger.Info("metaprobed stopped", "peak_inflight", st.PeakInflight)
 	}
+}
+
+// checkSizes refuses a -scale or -train that would not build the asked
+// for testbed: corpus.HealthTestbed reads a scale <= 0 as the paper's
+// full size and floors every database of a NaN one at 50 documents, and
+// a negative -train panics in the query generator.
+func checkSizes(scale float64, trainN int) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale must be a positive finite number, got %v", scale)
+	}
+	if trainN < 1 {
+		return fmt.Errorf("-train must be at least 1, got %d", trainN)
+	}
+	return nil
 }
 
 // splitTenants parses the -tenants flag.

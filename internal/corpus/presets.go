@@ -171,7 +171,9 @@ func HealthWorld() *World {
 // specialties, 4 broader-science databases, and 3 daily-news sites with
 // health coverage (Figure 14 lists samples such as MedWeb, PubMed
 // Central, NIH and Science). scale multiplies every collection size so
-// tests can shrink the testbed; sizes are floored at 50 documents.
+// tests can shrink the testbed; sizes are floored at 50 documents. A
+// scale <= 0 is read as 1, the paper's full size (397 396 documents),
+// so a caller taking scale from a user should refuse one <= 0 itself.
 func HealthTestbed(scale float64) []DatabaseSpec {
 	if scale <= 0 {
 		scale = 1

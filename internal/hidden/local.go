@@ -2,6 +2,7 @@ package hidden
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"metaprobe/internal/corpus"
@@ -49,15 +50,28 @@ func (l *Local) Fetch(id string) (string, error) {
 // the default tokenizer. The corpus generator emits pre-tokenized
 // terms, which are indexed via the fast path.
 func BuildLocal(name string, docs []corpus.Document) *Local {
+	return buildLocal(name, docs, make(map[string][]string))
+}
+
+// buildLocal is BuildLocal with a memo of normalized terms to start
+// from, which it extends. Generator terms are normalized exactly like
+// free text so the index, summaries and queries all live in the same
+// term space; Tokenize is a pure function of its input, so each
+// distinct term is tokenized once and its result reused.
+func buildLocal(name string, docs []corpus.Document, normalized map[string][]string) *Local {
 	ix := textindex.NewIndex(nil)
 	tok := textindex.DefaultTokenizer()
 	l := NewLocal(name, ix)
+	var norm []string // reused per document: AddTerms keeps no reference
 	for _, d := range docs {
-		// Normalize generator terms exactly like free text so the
-		// index, summaries and queries all live in the same term space.
-		norm := make([]string, 0, len(d.Terms))
+		norm = norm[:0]
 		for _, t := range d.Terms {
-			norm = append(norm, tok.Tokenize(t)...)
+			nt, ok := normalized[t]
+			if !ok {
+				nt = tok.Tokenize(t)
+				normalized[t] = nt
+			}
+			norm = append(norm, nt...)
 		}
 		ix.AddTerms(d.ID, norm)
 		l.StoreText(d.ID, d.Text())
@@ -133,6 +147,19 @@ func (t *Testbed) IndexOf(name string) int {
 func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) (*Testbed, error) {
 	dbs := make([]Database, len(specs))
 	errs := make([]error, len(specs))
+	// Every word the world generates, normalized once and copied to each
+	// database.
+	tok := textindex.DefaultTokenizer()
+	vocab := make(map[string][]string)
+	words := [][]string{world.Background}
+	for _, topic := range world.Topics {
+		words = append(append(words, topic.Terms), topic.Concepts...)
+	}
+	for _, ws := range words {
+		for _, t := range ws {
+			vocab[t] = tok.Tokenize(t)
+		}
+	}
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)
@@ -144,7 +171,7 @@ func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) 
 				errs[i] = err
 				return
 			}
-			dbs[i] = BuildLocal(spec.Name, docs)
+			dbs[i] = buildLocal(spec.Name, docs, maps.Clone(vocab))
 		}(i, spec)
 	}
 	wg.Wait()

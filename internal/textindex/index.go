@@ -31,6 +31,10 @@ type Index struct {
 	// however many readers arrive together; Add and AddTerms re-arm it.
 	docNorm  []float64
 	normOnce sync.Once
+
+	// counts is the term-frequency scratch of Add and AddTerms: one map
+	// for every document, left empty between documents.
+	counts map[string]int32
 }
 
 // posting records one (document, term frequency) pair. Documents are
@@ -49,6 +53,7 @@ func NewIndex(tok *Tokenizer) *Index {
 	return &Index{
 		tokenizer: tok,
 		postings:  make(map[string][]posting),
+		counts:    make(map[string]int32),
 	}
 }
 
@@ -58,18 +63,13 @@ func NewIndex(tok *Tokenizer) *Index {
 func (ix *Index) Add(id, text string) int {
 	ord := int32(len(ix.docIDs))
 	ix.docIDs = append(ix.docIDs, id)
-
-	counts := make(map[string]int32)
 	n := 0
 	ix.tokenizer.TokenizeTo(text, func(term string) {
-		counts[term]++
+		ix.counts[term]++
 		n++
 	})
 	ix.docLen = append(ix.docLen, n)
-	for term, tf := range counts {
-		ix.postings[term] = append(ix.postings[term], posting{doc: ord, tf: tf})
-	}
-	ix.normOnce = sync.Once{}
+	ix.post(ord)
 	return int(ord)
 }
 
@@ -78,16 +78,24 @@ func (ix *Index) Add(id, text string) int {
 func (ix *Index) AddTerms(id string, terms []string) int {
 	ord := int32(len(ix.docIDs))
 	ix.docIDs = append(ix.docIDs, id)
-	counts := make(map[string]int32, len(terms))
 	for _, t := range terms {
-		counts[t]++
+		ix.counts[t]++
 	}
 	ix.docLen = append(ix.docLen, len(terms))
-	for term, tf := range counts {
+	ix.post(ord)
+	return int(ord)
+}
+
+// post appends document ord's counted terms to their posting lists and
+// empties the scratch counts. Each list gains at most one posting, at
+// its end, so the lists stay in ordinal order whatever order the map
+// yields its terms in.
+func (ix *Index) post(ord int32) {
+	for term, tf := range ix.counts {
 		ix.postings[term] = append(ix.postings[term], posting{doc: ord, tf: tf})
 	}
+	clear(ix.counts)
 	ix.normOnce = sync.Once{}
-	return int(ord)
 }
 
 // Size returns the number of indexed documents (|db| in Eq. 1).

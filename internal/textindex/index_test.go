@@ -351,6 +351,63 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 	}
 }
 
+// TestCountsCarryNothingToTheNextDocument indexes a 40-term document
+// with repeats, then a 3-term one, through AddTerms and through Add: the
+// second document's postings, term frequencies and length must be those
+// a fresh index gives it, so the counting scratch both share is empty
+// again between documents.
+func TestCountsCarryNothingToTheNextDocument(t *testing.T) {
+	long := make([]string, 40)
+	for i := range long {
+		long[i] = fmt.Sprintf("t%d", i%10) // ten terms, four times each
+	}
+	short := []string{"t1", "t2", "t2"}
+	// docPostings returns every term the index posts for document ord,
+	// with its tf.
+	docPostings := func(ix *Index, ord int32) map[string]int32 {
+		out := map[string]int32{}
+		for term, pl := range ix.postings {
+			for _, p := range pl {
+				if p.doc == ord {
+					out[term] = p.tf
+				}
+			}
+		}
+		return out
+	}
+	for _, add := range []struct {
+		name string
+		fn   func(ix *Index, id string, terms []string)
+	}{
+		{"AddTerms", func(ix *Index, id string, terms []string) { ix.AddTerms(id, terms) }},
+		{"Add", func(ix *Index, id string, terms []string) { ix.Add(id, strings.Join(terms, " ")) }},
+	} {
+		t.Run(add.name, func(t *testing.T) {
+			ix := NewIndex(NewTokenizer(TokenizerConfig{}))
+			add.fn(ix, "long", long)
+			add.fn(ix, "short", short)
+			fresh := NewIndex(NewTokenizer(TokenizerConfig{}))
+			add.fn(fresh, "short", short)
+
+			got, want := docPostings(ix, 1), docPostings(fresh, 0)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("second document's postings %v, a fresh index's %v", got, want)
+			}
+			if ix.DocLength(1) != fresh.DocLength(0) {
+				t.Errorf("DocLength = %d, a fresh index's %d", ix.DocLength(1), fresh.DocLength(0))
+			}
+			if got := docPostings(ix, 0)["t1"]; got != 4 {
+				t.Errorf("first document's tf(t1) = %d, want 4", got)
+			}
+			for _, x := range []*Index{ix, fresh} {
+				if err := x.Validate(); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMatchCount(b *testing.B) {
 	ix := NewIndex(nil)
 	for i := 0; i < 5000; i++ {
