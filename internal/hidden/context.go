@@ -58,9 +58,6 @@ type boundContext struct {
 // Name implements Database.
 func (b *boundContext) Name() string { return b.db.Name() }
 
-// Unwrap returns the wrapped database.
-func (b *boundContext) Unwrap() Database { return b.db }
-
 // Search implements Database under the bound context.
 func (b *boundContext) Search(query string, topK int) (Result, error) {
 	return SearchContext(b.ctx, b.db, query, topK)
@@ -84,9 +81,9 @@ func (b *boundContext) Fetch(id string) (string, error) {
 func (b *boundContext) Size() int { return sizeOf(b.db) }
 
 // sleepContext blocks for d or until ctx is done, whichever comes
-// first, returning ctx.Err() in the latter case. It is the middleware's
-// sleep (tests replace it), so politeness delays, backoffs and injected
-// latency all abort promptly on cancellation.
+// first, returning ctx.Err() in the latter case. It is Latency's sleep
+// (tests replace it), so injected latency aborts promptly on
+// cancellation.
 func sleepContext(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

@@ -16,8 +16,9 @@
 //   - Client — a remote database spoken to over HTTP, scraping either a
 //     JSON or an HTML answer page produced by Server (the end-to-end
 //     path with real network failure modes);
-//   - Counting, FailEvery, Flaky — wrappers adding probe accounting and
-//     failure injection.
+//   - Counting, FailEvery, Latency — wrappers adding search counting,
+//     failure injection and latency injection;
+//   - Static, Table — canned-answer databases for tests.
 package hidden
 
 import (

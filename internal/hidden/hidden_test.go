@@ -1,11 +1,14 @@
 package hidden
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"metaprobe/internal/corpus"
@@ -131,14 +134,6 @@ func TestCounting(t *testing.T) {
 	}
 	if db.Searches() != 3 {
 		t.Errorf("Searches = %d, want 3", db.Searches())
-	}
-	db.CostPerProbe = 2.5
-	if db.Cost() != 7.5 {
-		t.Errorf("Cost = %v, want 7.5", db.Cost())
-	}
-	db.Reset()
-	if db.Searches() != 0 {
-		t.Error("Reset did not zero the counter")
 	}
 	if db.Size() != 4 {
 		t.Errorf("Size passthrough = %d, want 4", db.Size())
@@ -374,5 +369,62 @@ func TestHTMLAnswerPageSnippets(t *testing.T) {
 	}
 	if res.Docs[0].Snippet == "" {
 		t.Error("JSON answer missing snippet")
+	}
+}
+
+// htmlAnswerPageOfSize renders a valid HTML answer page of exactly n
+// bytes: as many result entries as fit, then padding.
+func htmlAnswerPageOfSize(n int) string {
+	const foot = "</ol>\n</body></html>\n"
+	var b strings.Builder
+	b.WriteString("<html><body>\n<p>Results 1 - 10 of about <b>1,000,000</b> documents.</p>\n<ol>\n")
+	for i := 0; ; i++ {
+		entry := fmt.Sprintf(`<li><a href="/doc/d%d">d%d</a> <span class="score">1.0000</span></li>`+"\n", i, i)
+		if b.Len()+len(entry)+len(foot) > n {
+			break
+		}
+		b.WriteString(entry)
+	}
+	b.WriteString(strings.Repeat(" ", n-b.Len()-len(foot)))
+	b.WriteString(foot)
+	return b.String()
+}
+
+// TestClientRefusesOversizedResponses checks that an answer page or
+// document over maxResponseBytes fails instead of coming back cut at
+// the bound (a cut HTML list would scrape as a shorter, successful
+// result), and that one exactly at the bound still parses.
+func TestClientRefusesOversizedResponses(t *testing.T) {
+	var size atomic.Int64 // the handler runs on the server's goroutines
+	size.Store(maxResponseBytes)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/doc") {
+			io.WriteString(w, strings.Repeat("a", int(size.Load())))
+			return
+		}
+		io.WriteString(w, htmlAnswerPageOfSize(int(size.Load())))
+	}))
+	defer srv.Close()
+	client := NewClient("big", srv.URL)
+	client.UseHTML = true
+	ctx := context.Background()
+
+	res, err := client.SearchContext(ctx, "q", 10)
+	if err != nil {
+		t.Fatalf("page at the bound: %v", err)
+	}
+	if res.MatchCount != 1000000 || len(res.Docs) == 0 {
+		t.Errorf("page at the bound scraped %d matches, %d docs", res.MatchCount, len(res.Docs))
+	}
+	if text, err := client.FetchContext(ctx, "d0"); err != nil || len(text) != maxResponseBytes {
+		t.Errorf("document at the bound: %d bytes, %v", len(text), err)
+	}
+
+	size.Store(maxResponseBytes + 1)
+	if _, err := client.SearchContext(ctx, "q", 10); !errors.Is(err, errResponseTooLarge) || errors.Is(err, ErrUnavailable) {
+		t.Errorf("page over the bound: %v, want errResponseTooLarge and not ErrUnavailable", err)
+	}
+	if _, err := client.FetchContext(ctx, "d0"); !errors.Is(err, errResponseTooLarge) {
+		t.Errorf("document over the bound: %v, want errResponseTooLarge", err)
 	}
 }

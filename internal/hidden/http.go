@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"metaprobe/internal/obs"
 	"metaprobe/internal/obs/span"
 	"metaprobe/internal/textindex"
 )
@@ -205,6 +204,12 @@ func (c *Client) Name() string { return c.name }
 // unbounded answer page or document.
 const maxResponseBytes = 4 << 20
 
+// errResponseTooLarge fails an answer page or document longer than
+// maxResponseBytes. A page cut at the bound would parse as a shorter
+// result list and a document as a shorter text, so neither is used.
+// It does not wrap ErrUnavailable: asking again gets the same page.
+var errResponseTooLarge = fmt.Errorf("response exceeds the %d-byte bound", maxResponseBytes)
+
 // errBodySnippet is how much of a non-200 response body is surfaced in
 // the error message; real Hidden-Web sources put the useful diagnostic
 // ("rate limit exceeded", "maintenance window") in the first line.
@@ -263,11 +268,11 @@ func (c *Client) FetchContext(ctx context.Context, id string) (string, error) {
 	return string(body), nil
 }
 
-// get performs one bounded GET under ctx, returning the (limited) body
-// and status code. Transport-level failures wrap ErrUnavailable. The
-// response size is charged to the selection's cost account and noted
-// on the ambient trace span, so per-request byte spend is visible end
-// to end.
+// get performs one bounded GET under ctx, returning the body and status
+// code. Transport-level failures wrap ErrUnavailable; a 200 answer over
+// maxResponseBytes fails with errResponseTooLarge. The response size is
+// noted on the ambient trace span, so per-request byte spend is visible
+// end to end.
 func (c *Client) get(ctx context.Context, u string) ([]byte, int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -278,13 +283,16 @@ func (c *Client) get(ctx context.Context, u string) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.name, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	// One byte past the bound tells a page that fits from one cut short.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %s: reading response: %v", ErrUnavailable, c.name, err)
 	}
-	obs.CostFromContext(ctx).AddBytes(c.name, int64(len(body)))
 	span.FromContext(ctx).AddEvent("http_response",
 		"status", strconv.Itoa(resp.StatusCode), "bytes", strconv.Itoa(len(body)))
+	if resp.StatusCode == http.StatusOK && len(body) > maxResponseBytes {
+		return nil, 0, fmt.Errorf("hidden: %s: %w", c.name, errResponseTooLarge)
+	}
 	return body, resp.StatusCode, nil
 }
 
@@ -345,9 +353,14 @@ func parseHTMLAnswerPage(page string) (Result, error) {
 		}
 		doc := DocSummary{ID: id, Score: score}
 		body = body[scoreEnd+len("</span>"):]
-		// Optional preview line.
-		liEnd := strings.Index(body, "</li>")
-		if snipStart := strings.Index(body, `class="snip">`); snipStart >= 0 && (liEnd < 0 || snipStart < liEnd) {
+		// Optional preview line, looked for within this entry only: a
+		// search to the end of the page per entry is quadratic on a long
+		// page without previews.
+		entry := body
+		if liEnd := strings.Index(body, "</li>"); liEnd >= 0 {
+			entry = body[:liEnd]
+		}
+		if snipStart := strings.Index(entry, `class="snip">`); snipStart >= 0 {
 			rest := body[snipStart+len(`class="snip">`):]
 			if snipEnd := strings.Index(rest, "</span>"); snipEnd >= 0 {
 				doc.Snippet = html.UnescapeString(rest[:snipEnd])

@@ -7,29 +7,23 @@ import (
 	"sync/atomic"
 )
 
-// Counting wraps a database and counts searches; the experiment
-// harness uses it to account for probing cost (Section 5.2: "minimizing
-// the probing cost is the same as minimizing the total number of
-// probing"). It also supports a non-uniform per-probe cost for the
-// cost-aware ablation.
+// Counting wraps a database and counts searches — the paper's probing
+// cost (Section 5.2: "minimizing the probing cost is the same as
+// minimizing the total number of probing"). Tests use it to see how
+// many probes a code path spends.
 type Counting struct {
 	db Database
-	// CostPerProbe is the cost charged per search (default 1).
-	CostPerProbe float64
 
 	searches atomic.Int64
 }
 
-// NewCounting wraps db with unit probe cost.
+// NewCounting wraps db with a zeroed search counter.
 func NewCounting(db Database) *Counting {
-	return &Counting{db: db, CostPerProbe: 1}
+	return &Counting{db: db}
 }
 
 // Name implements Database.
 func (c *Counting) Name() string { return c.db.Name() }
-
-// Unwrap returns the wrapped database.
-func (c *Counting) Unwrap() Database { return c.db }
 
 // Search implements Database, incrementing the probe counter.
 func (c *Counting) Search(query string, topK int) (Result, error) {
@@ -53,12 +47,6 @@ func (c *Counting) Fetch(id string) (string, error) { return fetchFrom(c.db, id)
 // Searches returns the number of searches issued so far.
 func (c *Counting) Searches() int64 { return c.searches.Load() }
 
-// Cost returns the accumulated probing cost.
-func (c *Counting) Cost() float64 { return float64(c.searches.Load()) * c.CostPerProbe }
-
-// Reset zeroes the counter.
-func (c *Counting) Reset() { c.searches.Store(0) }
-
 // FailEvery wraps a database and fails deterministically: every n-th
 // search returns ErrUnavailable. Used by failure-injection tests.
 type FailEvery struct {
@@ -75,9 +63,6 @@ func NewFailEvery(db Database, n int) *FailEvery {
 
 // Name implements Database.
 func (f *FailEvery) Name() string { return f.db.Name() }
-
-// Unwrap returns the wrapped database.
-func (f *FailEvery) Unwrap() Database { return f.db }
 
 // Search implements Database with deterministic failures.
 func (f *FailEvery) Search(query string, topK int) (Result, error) {

@@ -73,7 +73,7 @@ type series struct {
 	counter *Counter
 	gauge   *Gauge
 	// fn, when set, supplies the value at exposition time (used to
-	// surface externally owned state such as cache hit counts).
+	// surface externally owned state such as a tracer's span counts).
 	fn   func() float64
 	hist *Histogram
 }

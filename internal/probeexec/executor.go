@@ -153,7 +153,6 @@ type attemptResult struct {
 // caller cancellation is recorded as neutral, not as a backend
 // failure.
 func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.Context) (float64, error)) (float64, error) {
-	acct := obs.CostFromContext(ctx)
 	ctx, ps := span.Start(ctx, "probe")
 	ps.SetAttr("backend", name)
 	be := e.backendFor(name)
@@ -189,14 +188,12 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 	results := make(chan attemptResult, 2)
 	launch := func(hedge bool) {
 		go func() {
-			start := time.Now()
 			actx, as := span.Start(attemptCtx, "probe.attempt")
 			if hedge {
 				as.SetAttr("hedge", "true")
 			}
 			release, err := e.pool.acquire(actx, name)
 			if err != nil {
-				acct.AddProbe(name, time.Since(start), true)
 				as.EndErr(err)
 				results <- attemptResult{err: err, hedge: hedge}
 				return
@@ -210,7 +207,6 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 			// receives it — Probe's caller, a selection's Drain — may count
 			// on the pool no longer holding anything for this attempt.
 			release()
-			acct.AddProbe(name, time.Since(start), err != nil)
 			as.EndErr(err)
 			results <- attemptResult{v: v, err: err, hedge: hedge}
 		}()
@@ -233,7 +229,6 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 			if r.err == nil {
 				if r.hedge {
 					e.hedgeWins.Inc()
-					acct.AddHedgeWin()
 					ps.SetAttr("hedge_won", "true")
 				}
 				record(probeSuccess, nil)
@@ -252,7 +247,6 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 			hedgeC = nil
 			outstanding++
 			e.hedges.Inc()
-			acct.AddHedge()
 			ps.AddEvent("hedge_launched")
 			launch(true)
 		}

@@ -65,13 +65,13 @@ func TestProbeSpanPropagationAcrossPool(t *testing.T) {
 // TestHedgedDuplicateSpansShareTrace verifies that a hedged probe's
 // two attempts record as sibling probe.attempt spans of one trace —
 // the loser included, even though it ends after the probe returns —
-// and that the hedge is charged to the context's cost account.
+// and that the probe span and the executor's counters record the hedge
+// and its win.
 func TestHedgedDuplicateSpansShareTrace(t *testing.T) {
 	tr := span.NewTracer(0)
-	acct := obs.NewCostAccount()
-	e := NewExecutor(Config{HedgeAfter: 5 * time.Millisecond})
+	reg := obs.NewRegistry()
+	e := NewExecutor(Config{HedgeAfter: 5 * time.Millisecond, Metrics: reg})
 	ctx, root := tr.Start(context.Background(), "selection")
-	ctx = obs.WithCost(ctx, acct)
 	var mu sync.Mutex
 	calls := 0
 	v, err := e.Probe(ctx, "slow", func(ctx context.Context) (float64, error) {
@@ -93,12 +93,16 @@ func TestHedgedDuplicateSpansShareTrace(t *testing.T) {
 	// The losing attempt's span ends on its own goroutine after Probe
 	// returns; wait for both attempts to land in the store.
 	var attempts []*span.Span
+	var probe *span.Span
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		attempts = attempts[:0]
+		attempts, probe = attempts[:0], nil
 		for _, s := range tr.TraceSpans(root.Trace()) {
-			if s.Name == "probe.attempt" {
+			switch s.Name {
+			case "probe.attempt":
 				attempts = append(attempts, s)
+			case "probe":
+				probe = s
 			}
 		}
 		if len(attempts) == 2 || time.Now().After(deadline) {
@@ -121,12 +125,15 @@ func TestHedgedDuplicateSpansShareTrace(t *testing.T) {
 	if hedged != 1 {
 		t.Errorf("hedge-marked attempts = %d, want 1", hedged)
 	}
-	sum := acct.Summary()
-	if sum.HedgesLaunched != 1 || sum.HedgesWon != 1 || sum.HedgesWasted != 0 {
-		t.Errorf("cost account hedges = %+v, want 1 launched, 1 won", sum)
+	if probe == nil {
+		t.Error("recorded no probe span")
+	} else if probe.Attrs["hedge_won"] != "true" {
+		t.Errorf("probe span attributes %v, want hedge_won=true", probe.Attrs)
 	}
-	// Both attempts issued a wire call; each is charged.
-	if sum.ProbesIssued != 2 {
-		t.Errorf("probes issued = %d, want 2 (original + hedge)", sum.ProbesIssued)
+	if got := reg.Counter("mp_probe_hedges_total", nil).Value(); got != 1 {
+		t.Errorf("mp_probe_hedges_total = %d, want 1", got)
+	}
+	if got := reg.Counter("mp_probe_hedge_wins_total", nil).Value(); got != 1 {
+		t.Errorf("mp_probe_hedge_wins_total = %d, want 1", got)
 	}
 }

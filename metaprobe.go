@@ -88,11 +88,6 @@ type (
 	SpanTracer = span.Tracer
 	// Span is one recorded span (exported for waterfall rendering).
 	Span = span.Span
-	// CostSummary is one selection's probe-cost account. See
-	// SelectionResult.Cost.
-	CostSummary = obs.CostSummary
-	// BackendCost is the per-backend slice of a CostSummary.
-	BackendCost = obs.BackendCost
 	// DriftConfig tunes online ED drift detection. See Config.Drift.
 	DriftConfig = obs.DriftConfig
 	// DriftAlert reports one detected error-distribution drift.
@@ -126,26 +121,6 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // of capacity spans (≤ 0 defaults to 8192; the oldest spans are
 // evicted and counted once full) for Config.Spans.
 func NewSpanTracer(capacity int) *SpanTracer { return span.NewTracer(capacity) }
-
-// InstrumentDatabase wraps db so that every search and fetch records
-// per-database latency, count and error metrics into reg; when db is a
-// chain of middleware (NewCached, rate limiting, retries — see
-// internal/hidden), their cache hit/miss, retry and wait statistics
-// are wired into reg as well. Wrap outermost, before sharing between
-// goroutines.
-func InstrumentDatabase(db Database, reg *Metrics) Database {
-	return hidden.NewInstrumented(db, reg)
-}
-
-// NewCachedDatabase wraps db with an LRU result cache of the given
-// capacity (entries; ≤ 0 defaults to 1024). Within a metasearch
-// session the same query hits a database repeatedly — training,
-// probing and result fetching overlap — so a small cache pays for
-// itself immediately. Cache statistics surface through
-// InstrumentDatabase.
-func NewCachedDatabase(db Database, capacity int) Database {
-	return hidden.NewCached(db, capacity)
-}
 
 // Correctness metrics (Section 3.2 of the paper).
 const (
@@ -231,8 +206,8 @@ type Config struct {
 	// reached, degraded), one "step" event per folded probe (db,
 	// usefulness, value, certainty_after, error) and one "stage" event
 	// per pipeline stage; each probe, its attempts (hedges included),
-	// breaker transitions, middleware cache/retry events and wire
-	// sizes nest below it. Floats are written with
+	// breaker transitions and, from an HTTP backend, the answer pages'
+	// status and size nest below it. Floats are written with
 	// strconv.FormatFloat(v, 'g', -1, 64), so they parse back exactly.
 	// Retrieve a tree by trace ID (SpanTracer.Tree, or
 	// /debug/spans?trace=<id>). The trace ID is reported on
@@ -279,7 +254,7 @@ type Metasearcher struct {
 	refresher *refresh.Refresher
 	// observed caches cfg.observed(): the one test the selection path
 	// makes before it reads the clock, numbers the selection, opens a
-	// span or allocates a stage recorder and cost account.
+	// span or allocates a stage recorder.
 	observed bool
 	// series are the selection path's metric series in cfg.Metrics,
 	// resolved once; nil without a registry.
@@ -463,11 +438,6 @@ type SelectionResult struct {
 	// Config.Spans is configured (retrieve it via SpanTracer.Tree or
 	// /debug/spans?trace=<id>). Empty otherwise.
 	TraceID string
-	// Cost is the selection's probe-cost account — probes issued,
-	// hedges won and wasted, cache hits, bytes fetched and per-backend
-	// wall time — populated when any observability sink (Metrics or
-	// Spans) is configured; nil otherwise.
-	Cost *CostSummary
 }
 
 // greedy is the default probe policy. Policies hold no per-selection
@@ -531,19 +501,17 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	if !(t >= 0 && t <= 1) {
 		return SelectionResult{}, fmt.Errorf("metaprobe: certainty threshold %v outside [0,1]", t)
 	}
-	// Root span, clock, stage recorder and cost account exist together
-	// or not at all. The span tree nests every probe, attempt and
-	// middleware event below "selection"; the cost account rides the
-	// context so attempts charge it from whatever goroutine they land
-	// on. The span opens before the selection state is built so the
-	// rd_convolve stage — deriving every database's RD — is inside the
-	// root span's window, and the per-stage totals attached as events
-	// sum to ≈ the span's duration.
+	// Root span, clock and stage recorder exist together or not at
+	// all. The span tree nests every probe and attempt below
+	// "selection", which makes it the selection's record of what its
+	// probes cost. The span opens before the selection state is built
+	// so the rd_convolve stage — deriving every database's RD — is
+	// inside the root span's window, and the per-stage totals attached
+	// as events sum to ≈ the span's duration.
 	var (
 		start time.Time
 		sp    *span.Span
 		rec   *obs.StageRecorder
-		acct  *obs.CostAccount
 	)
 	if m.observed {
 		start = time.Now()
@@ -555,8 +523,6 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 			sp.SetAttr("threshold", formatFloat(t))
 		}
 		rec = obs.NewStageRecorder()
-		acct = obs.NewCostAccount()
-		ctx = obs.WithCost(ctx, acct)
 	}
 	sel, _, err := m.selection(query, metric, k, rec)
 	if err != nil {
@@ -593,9 +559,6 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	if m.observed {
 		out.ID = fmt.Sprintf("sel-%06d", m.selSeq.Add(1))
 		m.observe(&out, sp, rec, sel, &res, start)
-		sum := acct.Summary()
-		out.Cost = &sum
-		m.recordCost(numTerms, &sum)
 	}
 	m.recycleSelection(sel)
 	return out, nil

@@ -187,7 +187,7 @@ func TestNilObservabilityUnaffected(t *testing.T) {
 	if len(res.Databases) != 2 {
 		t.Errorf("selected %v", res.Databases)
 	}
-	if res.ID != "" || res.TraceID != "" || res.Cost != nil {
+	if res.ID != "" || res.TraceID != "" {
 		t.Errorf("disabled path filled observability fields: %+v", res)
 	}
 }
@@ -208,15 +208,15 @@ func TestMetasearchRecordsOneTrace(t *testing.T) {
 	}
 }
 
-// TestEverySinkAloneGetsIDClockAndCost pins the one "any sink
-// configured" rule: whichever single sink is set, the selection is
-// numbered, timed and cost-accounted the same way. With only Spans
-// set the ID used to stay empty, so the root span had no "id" to
-// correlate with logs.
-func TestEverySinkAloneGetsIDClockAndCost(t *testing.T) {
+// TestEverySinkAloneGetsIDAndClock pins the one "any sink configured"
+// rule: whichever single sink is set, the selection is numbered and
+// timed the same way. With only Spans set the ID used to stay empty, so
+// the root span had no "id" to correlate with logs.
+func TestEverySinkAloneGetsIDAndClock(t *testing.T) {
 	spans := NewSpanTracer(0)
+	reg := NewMetrics()
 	for name, cfg := range map[string]*Config{
-		"metrics": {Metrics: NewMetrics()},
+		"metrics": {Metrics: reg},
 		"spans":   {Spans: spans},
 	} {
 		ms, queries := buildTestMetasearcherWith(t, cfg, nil)
@@ -224,9 +224,13 @@ func TestEverySinkAloneGetsIDClockAndCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.ID != "sel-000001" || res.Cost == nil {
-			t.Errorf("%s only: ID %q, cost %v; want sel-000001 and a cost account", name, res.ID, res.Cost)
+		if res.ID != "sel-000001" {
+			t.Errorf("%s only: ID %q, want sel-000001", name, res.ID)
 		}
+	}
+	// An unread clock would time the selection from the zero time.
+	if h := reg.Histogram("metaprobe_select_latency_seconds", nil); h.Count() != 1 || h.Sum() > 60 {
+		t.Errorf("metrics only: %d latency observations summing to %gs, want one timed from the call", h.Count(), h.Sum())
 	}
 	if traces := spans.Traces(0); len(traces) != 1 {
 		t.Fatalf("spans only: %d traces, want 1", len(traces))

@@ -1,13 +1,11 @@
 package metaprobe
 
-// Where a finished selection goes: the metric series it feeds, the
-// attributes, step and stage events it leaves on its root span, and its
-// probe-cost account.
+// Where a finished selection goes: the metric series it feeds and the
+// attributes, step and stage events it leaves on its root span.
 
 import (
 	"encoding/json"
 	"strconv"
-	"sync"
 	"time"
 
 	"metaprobe/internal/core"
@@ -16,61 +14,22 @@ import (
 	"metaprobe/internal/obs/span"
 )
 
-// recordCost aggregates one selection's probe-cost account into
-// per-query-type series (labelled by term count), so operators can see
-// what an average "3-term" selection costs in probes, bytes and
-// backend wall time.
-func (m *Metasearcher) recordCost(numTerms int, sum *CostSummary) {
-	if m.series == nil {
-		return
-	}
-	c := m.series.costFor(numTerms)
-	c.probes.Add(int64(sum.ProbesIssued))
-	c.bytes.Add(sum.BytesFetched)
-	c.hedgesWasted.Add(int64(sum.HedgesWasted))
-	c.cacheHits.Add(int64(sum.CacheHits))
-	c.wall.Observe(sum.WallMs / 1000)
-}
-
 // selectionSeries holds the selection path's series. Asking the
 // registry for one builds a label map, sorts it into a key and takes the
 // registry's read lock — some twenty times per request when every use
-// asked — so each is resolved once: per database, per stage and per
-// outcome up front, per query term count on first use.
+// asked — so each is resolved once, up front: per database, per stage
+// and per outcome.
 type selectionSeries struct {
-	reg                  *Metrics
 	latency, certainty   *obs.Histogram
 	selections           [2]*obs.Counter // by reached: false, true
 	probes, probeErrs    []*obs.Counter  // by database
 	stages               [len(stageNames)]*obs.Histogram
 	memoHits, memoMisses *obs.Counter
-	cost                 sync.Map // term count → *costSeries
 }
 
 // stageNames are the hot-path stages a selection reports, in the order
 // their totals are flushed (sorted, as the series come out in /metrics).
 var stageNames = [...]string{core.StageECorDP, core.StageProbe, core.StageRank, core.StageRDConvolve}
-
-// costSeries are the mp_selection_cost_* series of one term count.
-type costSeries struct {
-	probes, bytes, hedgesWasted, cacheHits *obs.Counter
-	wall                                   *obs.Histogram
-}
-
-func (s *selectionSeries) costFor(numTerms int) *costSeries {
-	if c, ok := s.cost.Load(numTerms); ok {
-		return c.(*costSeries)
-	}
-	lbl := obs.Labels{"terms": strconv.Itoa(numTerms)}
-	c, _ := s.cost.LoadOrStore(numTerms, &costSeries{
-		probes:       s.reg.Counter("mp_selection_cost_probes_total", lbl),
-		bytes:        s.reg.Counter("mp_selection_cost_bytes_total", lbl),
-		hedgesWasted: s.reg.Counter("mp_selection_cost_hedges_wasted_total", lbl),
-		cacheHits:    s.reg.Counter("mp_selection_cost_cache_hits_total", lbl),
-		wall:         s.reg.Histogram("mp_selection_cost_wall_seconds", lbl),
-	})
-	return c.(*costSeries)
-}
 
 // registerSelectionMetrics pre-creates the selection-path series (with
 // help texts) so a metrics endpoint shows them at zero before the
@@ -85,17 +44,11 @@ func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) *selectionSeries
 	reg.Help("metaprobe_selection_certainty", "Expected correctness of the returned database set.")
 	reg.Help("metaprobe_probes_total", "Successful live probes, per database.")
 	reg.Help("metaprobe_probe_errors_total", "Failed live probes, per database.")
-	reg.Help("mp_selection_cost_probes_total", "Live probes issued by selections, by query term count.")
-	reg.Help("mp_selection_cost_bytes_total", "Answer-page bytes fetched by selections, by query term count.")
-	reg.Help("mp_selection_cost_hedges_wasted_total", "Hedged attempts that lost their race, by query term count.")
-	reg.Help("mp_selection_cost_cache_hits_total", "Probe searches answered from the result cache, by query term count.")
-	reg.Help("mp_selection_cost_wall_seconds", "Cumulative backend wall time per selection, by query term count.")
 	reg.Help("mp_selection_stage_seconds", "Per-selection wall time spent in one hot-path stage (rd_convolve, ecor_dp, rank, probe).")
 	reg.Help("mp_decision_memo_hits_total", "Selection decisions (a state's best set, a state's greedy head) read from the serving version's decision memo instead of computed.")
 	reg.Help("mp_decision_memo_misses_total", "Selection decisions computed and stored in the serving version's decision memo.")
 	reg.Help("mp_decision_memo_nodes", "States the serving version's decision memo holds; under online refinement it restarts at 0 with every publication of refined RD rows.")
 	s := &selectionSeries{
-		reg:        reg,
 		latency:    reg.Histogram("metaprobe_select_latency_seconds", nil),
 		certainty:  reg.Histogram("metaprobe_selection_certainty", nil),
 		memoHits:   reg.Counter("mp_decision_memo_hits_total", nil),

@@ -15,12 +15,12 @@ import (
 	"metaprobe/internal/obs/span"
 )
 
-// TestSelectionSpanTreeExemplarAndCost drives one traced selection end
-// to end through the public API: the result carries a trace ID whose
-// recorded tree is rooted at a "selection" span with probe children,
-// the latency histogram's exposition carries an exemplar naming that
-// trace, and the cost summary accounts for the probes spent.
-func TestSelectionSpanTreeExemplarAndCost(t *testing.T) {
+// TestSelectionSpanTreeAndExemplar drives one traced selection end to
+// end through the public API: the result carries a trace ID whose
+// recorded tree is rooted at a "selection" span with probe children and
+// at least one probe.attempt per probe spent, and the latency
+// histogram's exposition carries an exemplar naming that trace.
+func TestSelectionSpanTreeAndExemplar(t *testing.T) {
 	reg := NewMetrics()
 	tracer := NewSpanTracer(256)
 	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, Spans: tracer}, nil)
@@ -41,24 +41,23 @@ func TestSelectionSpanTreeExemplarAndCost(t *testing.T) {
 	if root.Attrs["query"] != queries[0] {
 		t.Errorf("root query attr = %q, want %q", root.Attrs["query"], queries[0])
 	}
-	probeSpans := 0
+	probeSpans, attemptSpans := 0, 0
 	for _, n := range span.Flatten(roots) {
-		if n.Span.Name == "probe" {
+		switch n.Span.Name {
+		case "probe":
 			probeSpans++
 			if n.Span.ParentID != root.SpanID {
 				t.Errorf("probe span parented to %q, want root %q", n.Span.ParentID, root.SpanID)
 			}
+		case "probe.attempt":
+			attemptSpans++
 		}
 	}
 	if probeSpans != res.Probes {
 		t.Errorf("trace holds %d probe spans, result reports %d probes", probeSpans, res.Probes)
 	}
-
-	if res.Cost == nil {
-		t.Fatal("traced selection returned no cost summary")
-	}
-	if res.Probes > 0 && res.Cost.ProbesIssued < res.Probes {
-		t.Errorf("cost accounts %d issued probes, result reports %d", res.Cost.ProbesIssued, res.Probes)
+	if attemptSpans < res.Probes {
+		t.Errorf("trace holds %d probe.attempt spans, result reports %d probes", attemptSpans, res.Probes)
 	}
 
 	var sb strings.Builder
