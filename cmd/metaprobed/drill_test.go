@@ -186,23 +186,55 @@ func (d *daemon) get(t *testing.T, path string) []byte {
 	return body
 }
 
-// postSelect issues one POST /v1/select.
-func (d *daemon) postSelect(req server.SelectRequest) (server.SelectResponse, error) {
-	var out server.SelectResponse
+// postWave sends the same POST /v1/select on n connections of its own.
+// The request is encoded once and written to every connection back to
+// back, so the wave reaches the daemon within microseconds of itself
+// however few Ps this process runs on; issued from n goroutines, each
+// paying for its own encoding and transport, the requests of a wave can
+// land further apart than a whole in-memory selection takes, and then
+// there is nothing in flight to coalesce with.
+func (d *daemon) postWave(req server.SelectRequest, n int) ([]server.SelectResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
-	resp, err := http.Post(d.base+"/v1/select", "application/json", bytes.NewReader(body))
+	hreq, err := http.NewRequest(http.MethodPost, d.base+"/v1/select", bytes.NewReader(body))
 	if err != nil {
-		return out, err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return out, fmt.Errorf("POST /v1/select %q = %d %s", req.Query, resp.StatusCode, msg)
+	hreq.Header.Set("Content-Type", "application/json")
+	var wire bytes.Buffer
+	if err := hreq.Write(&wire); err != nil {
+		return nil, err
 	}
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		if conns[i], err = net.Dial("tcp", hreq.URL.Host); err != nil {
+			return nil, err
+		}
+		defer conns[i].Close()
+	}
+	for _, c := range conns {
+		if _, err := c.Write(wire.Bytes()); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]server.SelectResponse, n)
+	for i, c := range conns {
+		resp, err := http.ReadResponse(bufio.NewReader(c), hreq)
+		if err != nil {
+			return nil, err
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out[i])
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("POST /v1/select %q = %d", req.Query, resp.StatusCode)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // TestDaemonDrill boots the real binary at CI scale and holds it to what
@@ -247,21 +279,11 @@ func TestDaemonDrill(t *testing.T) {
 	}
 	coalesced := 0
 	for _, q := range workload {
-		var wg sync.WaitGroup
-		var wave [4]server.SelectResponse
-		var errs [4]error
-		for r := range wave {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wave[r], errs[r] = d.postSelect(server.SelectRequest{Query: q.String(), K: 3, Threshold: 0.9})
-			}()
+		wave, err := d.postWave(server.SelectRequest{Query: q.String(), K: 3, Threshold: 0.9}, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		for r, resp := range wave {
-			if errs[r] != nil {
-				t.Fatal(errs[r])
-			}
+		for _, resp := range wave {
 			if resp.Tier != "full" || resp.ShedReason != "" {
 				t.Errorf("%q served at tier %q (shed reason %q) by an idle daemon", q, resp.Tier, resp.ShedReason)
 			}
@@ -361,10 +383,9 @@ func TestDaemonDrill(t *testing.T) {
 		t.Errorf("half a request line still held its connection %v later: %v", readHeaderTimeout+time.Second, err)
 	}
 
-	// The burst's racing dials left connections this client opened and
-	// never sent a request on; http.Server.Shutdown waits five seconds on
-	// such a connection before it calls it idle. Hang up first, as a
-	// client that is done does.
+	// http.Server.Shutdown waits five seconds on a connection that never
+	// sent a request before it calls it idle. Hang up first, as a client
+	// that is done does.
 	http.DefaultClient.CloseIdleConnections()
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package metaprobe
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,7 +17,7 @@ import (
 // growing ~10× in its own topic profile while the trained summaries
 // and error model go stale — the experiments.DriftStudy scenario with
 // volume rather than topic drift) must trip mp_ed_drift_alerts_total
-// and Config.OnDrift naming the drifted database.
+// and DriftStatuses naming the drifted database.
 func TestDriftDetectionEndToEnd(t *testing.T) {
 	world := corpus.HealthWorld()
 	specs := corpus.HealthTestbed(0.01)[:6]
@@ -34,7 +33,6 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var alerts []DriftAlert
 	reg := NewMetrics()
 	cfg := &Config{
 		Metrics: reg,
@@ -42,8 +40,7 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 		// of KS tests in both phases; the window matches MinSamples so
 		// phase-2 tests see fully post-drift samples rather than a
 		// dilution of both phases.
-		Drift:   &DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8},
-		OnDrift: func(a DriftAlert) { alerts = append(alerts, a) },
+		Drift: &DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8},
 	}
 	ms, err := New(dbs, sums, cfg)
 	if err != nil {
@@ -86,8 +83,8 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	if tests == 0 {
 		t.Fatal("no KS tests ran on the undrifted workload; drift windows never filled")
 	}
-	if len(alerts) != 0 || statusAlerts != 0 {
-		t.Fatalf("undrifted corpus raised %d callback / %d status alerts: %+v", len(alerts), statusAlerts, alerts)
+	if statusAlerts != 0 {
+		t.Fatalf("undrifted corpus raised %d alerts: %+v", statusAlerts, ms.DriftStatuses())
 	}
 
 	// The drift: NeuroBase gains ~10× its size in documents drawn from
@@ -129,29 +126,14 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	// samples.
 	drive()
 	drive()
-	if len(alerts) == 0 {
-		t.Fatal("drifted corpus raised no OnDrift alerts")
-	}
-	sawDrifted := false
-	for _, a := range alerts {
-		if a.DB == driftDB {
-			sawDrifted = true
-			if a.PValue >= ms.DriftConfig().Alpha {
-				t.Errorf("alert p-value %v not below alpha %v", a.PValue, ms.DriftConfig().Alpha)
-			}
-		}
-	}
-	if !sawDrifted {
-		t.Fatalf("no alert names the drifted database %s: %+v", driftDB, alerts)
-	}
-	var driftedStatusAlerts int64
+	var driftedAlerts int64
 	for _, s := range ms.DriftStatuses() {
 		if s.DB == driftDB {
-			driftedStatusAlerts += s.Alerts
+			driftedAlerts += s.Alerts
 		}
 	}
-	if driftedStatusAlerts == 0 {
-		t.Errorf("DriftStatuses records no alerts for %s", driftDB)
+	if driftedAlerts == 0 {
+		t.Fatalf("no alert names the drifted database %s: %+v", driftDB, ms.DriftStatuses())
 	}
 
 	// The alert counter must surface in the Prometheus exposition.
@@ -165,49 +147,6 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, "mp_ed_drift_tests_total") {
 		t.Error("metrics output lacks mp_ed_drift_tests_total")
-	}
-}
-
-// TestOnDriftMaySaveModel: a drift alert is delivered with the writers'
-// lock released, so the callback can do what Config.OnDrift's doc says
-// callers do — here persist the model, which takes that lock. (With the
-// alert raised under the model lock this test never returned.)
-func TestOnDriftMaySaveModel(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.json")
-	var (
-		ms      *Metasearcher
-		queries []string
-		saves   int
-		saveErr error
-	)
-	cfg := &Config{
-		// Alpha 1 fails every KS test whose p-value is below 1, so the
-		// first full window alerts without any drift being injected.
-		Drift: &DriftConfig{WindowSize: 4, MinSamples: 4, Interval: 1, Alpha: 1},
-		OnDrift: func(DriftAlert) {
-			saves++
-			if err := ms.SaveModel(path); err != nil {
-				saveErr = err
-			}
-		},
-	}
-	ms, queries = buildTestMetasearcherWith(t, cfg, nil)
-	for _, q := range queries {
-		if _, err := ms.SelectWithCertainty(q, 2, Absolute, 0.99, -1); err != nil {
-			t.Fatal(err)
-		}
-		if saves > 0 {
-			break
-		}
-	}
-	if saves == 0 {
-		t.Fatal("no drift alert fired; OnDrift was never exercised")
-	}
-	if saveErr != nil {
-		t.Fatalf("SaveModel from OnDrift: %v", saveErr)
-	}
-	if err := ms.ReloadModel(path); err != nil {
-		t.Fatalf("the snapshot OnDrift saved does not load: %v", err)
 	}
 }
 

@@ -17,9 +17,8 @@ type ProbeFunc func(i int) (float64, error)
 
 // Prober is how the APro loop reaches the backends. The loop calls it
 // from one goroutine. ProbeFunc probers answer inline; the probe
-// executor's (internal/probeexec) adds pooling, circuit breakers and
-// hedging behind the same calls, and as an Overlapper probes in the
-// background.
+// executor's (internal/probeexec) adds pooling and circuit breakers
+// behind the same calls, and as an Overlapper probes in the background.
 type Prober interface {
 	// Wait returns database i's relevancy, blocking until it is known.
 	Wait(ctx context.Context, i int) (float64, error)

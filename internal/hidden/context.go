@@ -10,7 +10,7 @@ import (
 // context.Context: cancellation and deadlines propagate into the
 // request (for the HTTP client, all the way into the wire request via
 // http.NewRequestWithContext). The probe-execution engine
-// (internal/probeexec) depends on this to cancel hedged requests and
+// (internal/probeexec) depends on this to enforce its probe timeout and
 // abandon probes whose selection already reached its certainty target.
 type ContextDatabase interface {
 	Database

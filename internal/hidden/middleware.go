@@ -32,8 +32,8 @@ func (l *Latency) Search(query string, topK int) (Result, error) {
 }
 
 // SearchContext implements ContextDatabase: the injected delay is
-// interruptible, so cancelled hedges and abandoned speculative probes
-// return immediately — exactly the behavior of a real remote round
+// interruptible, so timed-out and abandoned speculative probes return
+// immediately — exactly the behavior of a real remote round
 // trip aborted mid-flight.
 func (l *Latency) SearchContext(ctx context.Context, query string, topK int) (Result, error) {
 	if err := l.sleep(ctx, l.delay); err != nil {

@@ -167,8 +167,8 @@ func (h *Host) Observe(db int, query string, numTerms int, actual float64, refin
 	if ver == nil {
 		return
 	}
-	// r̂ is computed from the model, once: the selection may already be
-	// recycled when a losing hedge attempt delivers late.
+	// r̂ is computed from the model, once: the host is not handed the
+	// selection the probe came from.
 	model := ver.Model
 	var key core.TypeKey
 	var rhat float64

@@ -384,8 +384,7 @@ func TestObserveEstimatesOnce(t *testing.T) {
 // TestObserveReturnsAlertUnlocked: the alert Observe returns is the
 // caller's to deliver, with the host's lock released — a handler may
 // read every ED under Locked and publish with Install. (Delivered from
-// inside the critical section, as OnDrift was before PR 18, the handler
-// would never return; the facade's copy is TestOnDriftMaySaveModel.)
+// inside the critical section, the handler would never return.)
 func TestObserveReturnsAlertUnlocked(t *testing.T) {
 	tr := train(t)
 	h := New(tr.names, obs.NewDriftDetector(obs.DriftConfig{WindowSize: 16, MinSamples: 8, Interval: 4, Alpha: 0.05}))

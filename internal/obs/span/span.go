@@ -45,8 +45,8 @@ type Event struct {
 
 // Span is one timed operation in a trace. Fields are exported for JSON
 // rendering; mutate only through the methods, which are safe for
-// concurrent use (hedged attempts annotate their parent from multiple
-// goroutines).
+// concurrent use (a span's context may travel to goroutines other than
+// the one that opened it, such as a selection's background probes).
 type Span struct {
 	TraceID   string            `json:"traceId"`
 	SpanID    string            `json:"spanId"`

@@ -240,7 +240,7 @@ func TestOTLPShape(t *testing.T) {
 	ctx, root := tr.Start(context.Background(), "selection")
 	root.SetAttr("query", "cancer")
 	_, child := Start(ctx, "probe")
-	child.AddEvent("hedge_launched")
+	child.AddEvent("breaker_rejected")
 	child.EndErr(errors.New("timeout"))
 	root.End()
 

@@ -2,7 +2,6 @@ package probeexec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -19,7 +18,7 @@ type Result = core.Outcome
 
 // APro runs the adaptive probing loop (core.AProContext, paper Figure
 // 11) with every probe going through the executor — breaker, pool,
-// timeout, hedge. With a core.Ranker policy one thing may start a probe
+// timeout. With a core.Ranker policy one thing may start a probe
 // before the loop asks for it: the loop's own lookahead, which while
 // one probe is in flight works out whether every outcome of it leads to
 // the same next database (core.Overlapper). The loop still folds exactly
@@ -29,7 +28,7 @@ type Result = core.Outcome
 // the selection finishes and counted as speculative waste.
 //
 // name maps a database index to the backend name used for breaker and
-// per-backend pool accounting. Probe failures and breaker rejections
+// latency accounting. Probe failures and breaker rejections
 // degrade the result (see core.AProContext); the returned error is
 // reserved for bad arguments, policy failures and caller cancellation.
 func (e *Executor) APro(ctx context.Context, s *core.Selection, name func(i int) string, probe ProbeFunc, policy core.Policy, t float64, maxProbes int) (Result, error) {
@@ -138,6 +137,3 @@ func (p *prober) Drain() {
 		p.e.specWaste.Inc()
 	}
 }
-
-// IsBreakerOpen reports whether err is (or wraps) a breaker rejection.
-func IsBreakerOpen(err error) bool { return errors.Is(err, ErrBreakerOpen) }

@@ -1,12 +1,11 @@
 // Package probeexec is the concurrent probe-execution engine: it owns
-// how live probes reach hidden databases — bounded worker pools,
-// per-backend circuit breakers, optional request hedging — and runs
-// the paper's APro loop on top. The engine reproduces the sequential
-// greedy algorithm exactly; a probe the loop proves comes next may leave
-// before the one in flight answers, and is still folded in the policy's
-// order. Backend failures degrade the selection gracefully instead
-// of failing it: broken databases are excluded and the result is
-// flagged Degraded.
+// how live probes reach hidden databases — one bounded pool of probe
+// slots and per-backend circuit breakers — and runs the paper's APro
+// loop on top. The engine reproduces the sequential greedy algorithm
+// exactly; a probe the loop proves comes next may leave before the one
+// in flight answers, and is still folded in the policy's order. Backend
+// failures degrade the selection gracefully instead of failing it:
+// broken databases are excluded and the result is flagged Degraded.
 package probeexec
 
 import (
@@ -39,34 +38,14 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes the per-backend circuit breakers.
-type BreakerConfig struct {
-	// Disabled turns breakers off entirely (every probe is admitted).
-	Disabled bool
-	// FailureThreshold is the number of consecutive failures that opens
-	// the breaker (default 5).
-	FailureThreshold int
-	// Cooldown is how long an open breaker rejects probes before
-	// admitting a half-open trial (default 30s).
-	Cooldown time.Duration
-	// HalfOpenSuccesses is the number of consecutive trial successes
-	// that close a half-open breaker (default 1).
-	HalfOpenSuccesses int
-}
-
-// withDefaults fills zero fields.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.HalfOpenSuccesses <= 0 {
-		c.HalfOpenSuccesses = 1
-	}
-	return c
-}
+const (
+	// breakerFailures is the number of consecutive failures that opens a
+	// backend's breaker.
+	breakerFailures = 5
+	// breakerCooldown is how long an open breaker rejects probes before
+	// it admits a half-open trial.
+	breakerCooldown = 30 * time.Second
+)
 
 // probeOutcome classifies how a probe ended for breaker accounting.
 type probeOutcome int
@@ -74,35 +53,30 @@ type probeOutcome int
 const (
 	probeSuccess probeOutcome = iota
 	probeFailure
-	// probeCancelled means the caller abandoned the probe (hedge loser,
-	// early start never picked, selection done). It says nothing about the
-	// backend's health and must not move the breaker.
+	// probeCancelled means the caller abandoned the probe (early start
+	// never picked, selection done). It says nothing about the backend's
+	// health and must not move the breaker.
 	probeCancelled
 )
 
 // breaker is a closed → open → half-open circuit breaker for one
-// backend. Consecutive failures open it; while open, probes are
-// rejected without touching the backend; after the cooldown a single
-// trial probe is admitted at a time, and enough trial successes close
-// it again.
+// backend. breakerFailures consecutive failures open it; while open,
+// probes are rejected without touching the backend; after
+// breakerCooldown one trial probe is admitted at a time, and its
+// success closes the breaker again.
 type breaker struct {
-	cfg BreakerConfig
 	now func() time.Time
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive failures (closed state)
-	successes int       // consecutive trial successes (half-open state)
-	openedAt  time.Time // when the breaker last opened
-	inTrial   bool      // a half-open trial probe is in flight
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive failures (closed state)
+	openedAt time.Time // when the breaker last opened
+	inTrial  bool      // a half-open trial probe is in flight
 }
 
-// newBreaker returns a closed breaker; now defaults to time.Now.
-func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
-	if now == nil {
-		now = time.Now
-	}
-	return &breaker{cfg: cfg.withDefaults(), now: now}
+// newBreaker returns a closed breaker reading the time from now.
+func newBreaker(now func() time.Time) *breaker {
+	return &breaker{now: now}
 }
 
 // Allow reports whether a probe may proceed, transitioning an expired
@@ -110,20 +84,16 @@ func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
 // claims the single trial slot; the caller must invoke Record with the
 // probe's outcome to release it.
 func (b *breaker) Allow() bool {
-	if b.cfg.Disabled {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.now().Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = BreakerHalfOpen
-		b.successes = 0
 		b.inTrial = true
 		return true
 	case BreakerHalfOpen:
@@ -137,12 +107,9 @@ func (b *breaker) Allow() bool {
 }
 
 // Record feeds one probe outcome back. Cancelled probes release the
-// trial slot without moving the state: a hedge loser or an abandoned
-// early start is not evidence about the backend.
+// trial slot without moving the state: an abandoned early start is not
+// evidence about the backend.
 func (b *breaker) Record(o probeOutcome) {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerHalfOpen {
@@ -152,21 +119,17 @@ func (b *breaker) Record(o probeOutcome) {
 	case probeCancelled:
 		return
 	case probeSuccess:
-		switch b.state {
-		case BreakerClosed:
+		// A probe admitted before the breaker opened may answer while it
+		// is open; only the cooldown's trial closes it.
+		if b.state != BreakerOpen {
+			b.state = BreakerClosed
 			b.failures = 0
-		case BreakerHalfOpen:
-			b.successes++
-			if b.successes >= b.cfg.HalfOpenSuccesses {
-				b.state = BreakerClosed
-				b.failures = 0
-			}
 		}
 	case probeFailure:
 		switch b.state {
 		case BreakerClosed:
 			b.failures++
-			if b.failures >= b.cfg.FailureThreshold {
+			if b.failures >= breakerFailures {
 				b.open()
 			}
 		case BreakerHalfOpen:
@@ -181,7 +144,6 @@ func (b *breaker) open() {
 	b.state = BreakerOpen
 	b.openedAt = b.now()
 	b.failures = 0
-	b.successes = 0
 	b.inTrial = false
 }
 

@@ -18,55 +18,43 @@ var ErrBreakerOpen = errors.New("probeexec: circuit breaker open")
 
 // Config tunes an Executor.
 type Config struct {
-	// Limits bounds probe concurrency (see Limits).
-	Limits Limits
-	// HedgeAfter, when positive, launches a second attempt for a probe
-	// that has not answered after this long; the first answer wins and
-	// the loser is cancelled. 0 disables hedging.
-	HedgeAfter time.Duration
-	// ProbeTimeout bounds each probe (including its hedge) end to end;
-	// 0 means no per-probe deadline beyond the caller's context.
+	// ProbeTimeout bounds each probe end to end; 0 means no per-probe
+	// deadline beyond the caller's context.
 	ProbeTimeout time.Duration
-	// Breaker tunes the per-backend circuit breakers.
-	Breaker BreakerConfig
 	// Metrics receives executor metrics; nil disables them.
 	Metrics *obs.Registry
 }
 
-// Executor runs probes with pooling, breakers and hedging. It is safe
-// for concurrent use by any number of selections; breakers and pool
-// slots are shared across them, keyed by backend name.
+// Executor runs probes through one pool of maxInflight slots and a
+// circuit breaker per backend. It is safe for concurrent use by any
+// number of selections; breakers and pool slots are shared across them,
+// keyed by backend name.
 type Executor struct {
 	cfg  Config
 	pool *pool
-	now  func() time.Time
 
 	mu       sync.Mutex
 	backends map[string]*backendState
 
-	hedges    *obs.Counter
-	hedgeWins *obs.Counter
 	degraded  *obs.Counter
 	specWaste *obs.Counter
 }
 
 // NewExecutor builds an executor from cfg, registering its metrics
-// (mp_probe_inflight, mp_breaker_state per backend, mp_probe_hedges_total,
+// (mp_probe_inflight, mp_breaker_state per backend,
 // mp_selections_degraded_total) in cfg.Metrics.
-func NewExecutor(cfg Config) *Executor {
+func NewExecutor(cfg Config) *Executor { return newExecutor(cfg, maxInflight) }
+
+// newExecutor is NewExecutor with a pool of slots probe slots.
+func newExecutor(cfg Config, slots int) *Executor {
 	reg := cfg.Metrics
 	e := &Executor{
 		cfg:       cfg,
-		pool:      newPool(cfg.Limits, reg),
-		now:       time.Now,
+		pool:      newPool(slots, reg),
 		backends:  make(map[string]*backendState),
-		hedges:    reg.Counter("mp_probe_hedges_total", nil),
-		hedgeWins: reg.Counter("mp_probe_hedge_wins_total", nil),
 		degraded:  reg.Counter("mp_selections_degraded_total", nil),
 		specWaste: reg.Counter("mp_probes_speculative_cancelled_total", nil),
 	}
-	reg.Help("mp_probe_hedges_total", "Hedged (second) probe attempts launched after HedgeAfter.")
-	reg.Help("mp_probe_hedge_wins_total", "Probes whose hedged attempt answered before the original.")
 	reg.Help("mp_selections_degraded_total", "Selections completed with one or more backends excluded.")
 	reg.Help("mp_probes_speculative_cancelled_total", "Probes started early — a lookahead's certain successor — and cancelled because the selection never asked for them.")
 	reg.Help("mp_breaker_state", "Circuit-breaker state per backend: 0 closed, 1 half-open, 2 open.")
@@ -101,7 +89,7 @@ func (e *Executor) backendFor(name string) *backendState {
 	defer e.mu.Unlock()
 	b, ok := e.backends[name]
 	if !ok {
-		b = &backendState{br: newBreaker(e.cfg.Breaker, e.now)}
+		b = &backendState{br: newBreaker(time.Now)}
 		e.backends[name] = b
 		e.cfg.Metrics.GaugeFunc("mp_breaker_state", obs.Labels{"backend": name}, func() float64 {
 			return float64(b.br.State())
@@ -137,21 +125,12 @@ func (e *Executor) Latency(name string) time.Duration {
 // Inflight returns the number of probes currently in flight.
 func (e *Executor) Inflight() int64 { return e.pool.Inflight() }
 
-// attemptResult is one attempt's answer.
-type attemptResult struct {
-	v     float64
-	err   error
-	hedge bool
-}
-
-// Probe runs fn against the named backend under the executor's
-// resilience machinery: the breaker must admit it, a pool slot bounds
-// it, ProbeTimeout caps it, and with hedging enabled a second attempt
-// races the first after HedgeAfter. The winning attempt's answer is
-// returned; the loser is cancelled and its (eventual) result
-// discarded. One outcome per call is fed back to the breaker —
-// caller cancellation is recorded as neutral, not as a backend
-// failure.
+// Probe runs fn against the named backend on the caller's goroutine,
+// inside one "probe" span that fn's context carries: the breaker must
+// admit it, a pool slot bounds it and ProbeTimeout caps it. Its outcome
+// is fed back to the breaker — caller cancellation is recorded as
+// neutral, not as a backend failure — and the slot is free again before
+// Probe returns.
 func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.Context) (float64, error)) (float64, error) {
 	ctx, ps := span.Start(ctx, "probe")
 	ps.SetAttr("backend", name)
@@ -170,87 +149,32 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.ProbeTimeout)
 		defer cancel()
 	}
-	attemptCtx, cancelAttempts := context.WithCancel(ctx)
-	defer cancelAttempts()
-
-	// record feeds the breaker and closes the probe span, emitting a
-	// breaker_transition event when this probe's outcome moved the
-	// state machine.
-	record := func(o probeOutcome, err error) {
-		br.Record(o)
-		if after := br.State(); after != stateBefore {
-			ps.AddEvent("breaker_transition", "from", stateBefore.String(), "to", after.String())
-		}
-		ps.EndErr(err)
+	v, err := e.call(ctx, be, fn)
+	outcome := probeSuccess
+	if err != nil {
+		v, outcome = 0, classify(parent, err)
 	}
-
-	// Buffered to both attempts: a loser can always deliver and exit.
-	results := make(chan attemptResult, 2)
-	launch := func(hedge bool) {
-		go func() {
-			actx, as := span.Start(attemptCtx, "probe.attempt")
-			if hedge {
-				as.SetAttr("hedge", "true")
-			}
-			release, err := e.pool.acquire(actx, name)
-			if err != nil {
-				as.EndErr(err)
-				results <- attemptResult{err: err, hedge: hedge}
-				return
-			}
-			called := time.Now()
-			v, err := fn(actx)
-			if err == nil {
-				be.observeLatency(time.Since(called))
-			}
-			// The slot goes back before the answer goes out: whoever
-			// receives it — Probe's caller, a selection's Drain — may count
-			// on the pool no longer holding anything for this attempt.
-			release()
-			as.EndErr(err)
-			results <- attemptResult{v: v, err: err, hedge: hedge}
-		}()
+	br.Record(outcome)
+	if after := br.State(); after != stateBefore {
+		ps.AddEvent("breaker_transition", "from", stateBefore.String(), "to", after.String())
 	}
-	launch(false)
+	ps.EndErr(err)
+	return v, err
+}
 
-	var hedgeC <-chan time.Time
-	if e.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(e.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
+// call runs fn in a pool slot, timing it for the backend's latency
+// reading when it succeeds.
+func (e *Executor) call(ctx context.Context, be *backendState, fn func(ctx context.Context) (float64, error)) (float64, error) {
+	if err := e.pool.acquire(ctx); err != nil {
+		return 0, err
 	}
-
-	outstanding := 1
-	var firstErr error
-	for {
-		select {
-		case r := <-results:
-			outstanding--
-			if r.err == nil {
-				if r.hedge {
-					e.hedgeWins.Inc()
-					ps.SetAttr("hedge_won", "true")
-				}
-				record(probeSuccess, nil)
-				return r.v, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding > 0 {
-				// The other attempt may still succeed.
-				continue
-			}
-			record(classify(parent, firstErr), firstErr)
-			return 0, firstErr
-		case <-hedgeC:
-			hedgeC = nil
-			outstanding++
-			e.hedges.Inc()
-			ps.AddEvent("hedge_launched")
-			launch(true)
-		}
+	defer e.pool.release()
+	called := time.Now()
+	v, err := fn(ctx)
+	if err == nil {
+		be.observeLatency(time.Since(called))
 	}
+	return v, err
 }
 
 // classify maps a probe error to its breaker outcome: errors caused by

@@ -3,57 +3,34 @@ package probeexec
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"metaprobe/internal/obs"
 )
 
-// Limits bounds probe concurrency. The global cap is shared by every
-// selection running on the executor, so a burst of concurrent queries
-// cannot stampede the backends; the per-backend cap additionally keeps
-// any single database from absorbing the whole pool.
-type Limits struct {
-	// Global is the maximum number of probes in flight across all
-	// backends and all selections (default 16).
-	Global int
-	// PerBackend is the maximum number of probes in flight against any
-	// single backend; 0 means no per-backend cap.
-	PerBackend int
-}
+// maxInflight is the number of probes an executor lets into flight at
+// once, across every backend and every selection running on it, so a
+// burst of concurrent queries cannot stampede the backends.
+const maxInflight = 16
 
-// withDefaults fills zero fields.
-func (l Limits) withDefaults() Limits {
-	if l.Global <= 0 {
-		l.Global = 16
-	}
-	return l
-}
-
-// pool is a two-level counting semaphore: a global slot must be held
-// for every in-flight probe, plus a per-backend slot when PerBackend
-// is set. Acquisition is context-aware so a cancelled selection stops
-// waiting for capacity immediately.
+// pool is a counting semaphore of probe slots. Acquisition is
+// context-aware so a cancelled selection stops waiting for capacity
+// immediately.
 type pool struct {
-	limits  Limits
-	global  chan struct{}
-	mu      sync.Mutex
-	backend map[string]chan struct{}
+	slots chan struct{}
 
 	inflight     atomic.Int64
 	inflightG    *obs.Gauge
 	inflightHist *obs.Histogram
 }
 
-// newPool builds the pool, exporting mp_probe_inflight (current) and
-// mp_probe_inflight_at_acquire (distribution, for p99s) to reg. A nil
-// registry is fine.
-func newPool(limits Limits, reg *obs.Registry) *pool {
-	limits = limits.withDefaults()
+// newPool builds a pool of size slots, exporting mp_probe_inflight
+// (current) and mp_probe_inflight_at_acquire (distribution, for p99s)
+// to reg. A nil registry is fine. Every executor on one registry moves
+// the same gauge by ±1, so it reads the process's in-flight count.
+func newPool(size int, reg *obs.Registry) *pool {
 	p := &pool{
-		limits:       limits,
-		global:       make(chan struct{}, limits.Global),
-		backend:      make(map[string]chan struct{}),
+		slots:        make(chan struct{}, size),
 		inflightG:    reg.Gauge("mp_probe_inflight", nil),
 		inflightHist: reg.Histogram("mp_probe_inflight_at_acquire", nil),
 	}
@@ -62,52 +39,26 @@ func newPool(limits Limits, reg *obs.Registry) *pool {
 	return p
 }
 
-// backendSlots returns the semaphore for name, creating it lazily.
-func (p *pool) backendSlots(name string) chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ch, ok := p.backend[name]
-	if !ok {
-		ch = make(chan struct{}, p.limits.PerBackend)
-		p.backend[name] = ch
-	}
-	return ch
-}
-
-// acquire claims a slot for one probe against name, blocking until
-// capacity frees up or ctx is done. The returned release must be
-// called exactly once, after the underlying call returns — a hedged
-// attempt keeps its slot for as long as the request is actually
-// outstanding.
-func (p *pool) acquire(ctx context.Context, name string) (release func(), err error) {
+// acquire claims a slot for one probe, blocking until capacity frees up
+// or ctx is done. Each successful acquire must be matched by exactly one
+// release, after the underlying call returns.
+func (p *pool) acquire(ctx context.Context) error {
 	select {
-	case p.global <- struct{}{}:
+	case p.slots <- struct{}{}:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("probeexec: waiting for probe slot: %w", ctx.Err())
-	}
-	var per chan struct{}
-	if p.limits.PerBackend > 0 {
-		per = p.backendSlots(name)
-		select {
-		case per <- struct{}{}:
-		case <-ctx.Done():
-			<-p.global
-			return nil, fmt.Errorf("probeexec: waiting for %s slot: %w", name, ctx.Err())
-		}
+		return fmt.Errorf("probeexec: waiting for probe slot: %w", ctx.Err())
 	}
 	n := p.inflight.Add(1)
-	p.inflightG.Set(float64(n))
+	p.inflightG.Add(1)
 	p.inflightHist.Observe(float64(n))
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			p.inflightG.Set(float64(p.inflight.Add(-1)))
-			if per != nil {
-				<-per
-			}
-			<-p.global
-		})
-	}, nil
+	return nil
+}
+
+// release gives back the slot of one finished probe.
+func (p *pool) release() {
+	p.inflight.Add(-1)
+	p.inflightG.Add(-1)
+	<-p.slots
 }
 
 // Inflight returns the number of probes currently holding slots.

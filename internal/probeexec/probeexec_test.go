@@ -15,31 +15,41 @@ import (
 )
 
 func TestBreakerTransitions(t *testing.T) {
+	if breakerFailures != 5 || breakerCooldown != 30*time.Second {
+		t.Fatalf("breaker opens after %d failures for %v, want 5 for 30s", breakerFailures, breakerCooldown)
+	}
 	now := time.Unix(0, 0)
-	b := newBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: 10 * time.Second}, func() time.Time { return now })
+	b := newBreaker(func() time.Time { return now })
 
 	if b.State() != BreakerClosed {
 		t.Fatalf("initial state = %v", b.State())
 	}
-	// Failures below the threshold keep it closed; a success resets.
-	b.Record(probeFailure)
-	b.Record(probeFailure)
-	b.Record(probeSuccess)
-	b.Record(probeFailure)
-	b.Record(probeFailure)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after interleaved failures = %v, want closed", b.State())
+	// Failures below the threshold keep it closed; a success resets the
+	// count, and a cancelled probe neither resets nor adds to it.
+	for i := 0; i < breakerFailures-1; i++ {
+		b.Record(probeFailure)
 	}
-	// Third consecutive failure opens it.
+	b.Record(probeSuccess)
+	for i := 0; i < breakerFailures-1; i++ {
+		b.Record(probeFailure)
+	}
+	b.Record(probeCancelled)
+	if b.State() != BreakerClosed {
+		t.Fatalf("state after %d failures, a success, %d failures and a cancellation = %v, want closed",
+			breakerFailures-1, breakerFailures-1, b.State())
+	}
+	// The fifth consecutive failure opens it.
 	b.Record(probeFailure)
 	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open", b.State())
+		t.Fatalf("state after %d consecutive failures = %v, want open", breakerFailures, b.State())
 	}
+	// It rejects for the whole cooldown.
+	now = now.Add(breakerCooldown - time.Nanosecond)
 	if b.Allow() {
-		t.Fatal("open breaker admitted a probe before cooldown")
+		t.Fatal("open breaker admitted a probe before the cooldown ended")
 	}
 	// After the cooldown, exactly one half-open trial is admitted.
-	now = now.Add(11 * time.Second)
+	now = now.Add(time.Nanosecond)
 	if !b.Allow() {
 		t.Fatal("breaker did not admit the half-open trial")
 	}
@@ -62,8 +72,14 @@ func TestBreakerTransitions(t *testing.T) {
 	if b.State() != BreakerOpen || b.Allow() {
 		t.Fatalf("failed trial should reopen; state = %v", b.State())
 	}
+	// A success from a probe admitted before the breaker opened does not
+	// close it: only the trial does.
+	b.Record(probeSuccess)
+	if b.State() != BreakerOpen {
+		t.Fatalf("late success moved an open breaker to %v", b.State())
+	}
 	// Next trial succeeds and closes the breaker.
-	now = now.Add(11 * time.Second)
+	now = now.Add(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("no trial after second cooldown")
 	}
@@ -73,19 +89,9 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(BreakerConfig{Disabled: true, FailureThreshold: 1}, nil)
-	for i := 0; i < 10; i++ {
-		b.Record(probeFailure)
-	}
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("disabled breaker must always admit")
-	}
-}
-
 func TestPoolSaturation(t *testing.T) {
 	leakcheck.Check(t)
-	e := NewExecutor(Config{Limits: Limits{Global: 2}})
+	e := newExecutor(Config{}, 2)
 	gate := make(chan struct{})
 	started := make(chan struct{}, 3)
 	var wg sync.WaitGroup
@@ -109,7 +115,7 @@ func TestPoolSaturation(t *testing.T) {
 	deadline := time.After(200 * time.Millisecond)
 	select {
 	case <-started:
-		t.Fatal("third probe ran with Global=2")
+		t.Fatal("third probe ran in a pool of 2")
 	case <-deadline:
 	}
 	if got := e.Inflight(); got != 2 {
@@ -125,7 +131,7 @@ func TestPoolSaturation(t *testing.T) {
 
 func TestPoolAcquireHonorsContext(t *testing.T) {
 	leakcheck.Check(t)
-	e := NewExecutor(Config{Limits: Limits{Global: 1}})
+	e := newExecutor(Config{}, 1)
 	gate := make(chan struct{})
 	defer close(gate)
 	entered := make(chan struct{})
@@ -143,49 +149,45 @@ func TestPoolAcquireHonorsContext(t *testing.T) {
 	}
 }
 
-func TestHedgeWinsAndCancelsOriginal(t *testing.T) {
+// TestInflightGaugeSumsExecutors: every executor on one registry — one
+// per tenant in the daemon — moves the same mp_probe_inflight series, so
+// it reads the process's probes in flight, and zero once none are.
+func TestInflightGaugeSumsExecutors(t *testing.T) {
+	leakcheck.Check(t)
 	reg := obs.NewRegistry()
-	e := NewExecutor(Config{HedgeAfter: 10 * time.Millisecond, Metrics: reg})
-	var mu sync.Mutex
-	calls := 0
-	originalCancelled := make(chan struct{})
-	v, err := e.Probe(context.Background(), "slow", func(ctx context.Context) (float64, error) {
-		mu.Lock()
-		n := calls
-		calls++
-		mu.Unlock()
-		if n == 0 {
-			// Original attempt: hang until the executor cancels it.
-			<-ctx.Done()
-			close(originalCancelled)
-			return 0, ctx.Err()
-		}
-		return 42, nil
-	})
-	if err != nil || v != 42 {
-		t.Fatalf("v=%v err=%v, want hedge's 42", v, err)
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	var wg sync.WaitGroup
+	for _, e := range []*Executor{NewExecutor(Config{Metrics: reg}), NewExecutor(Config{Metrics: reg})} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Probe(context.Background(), "db", func(context.Context) (float64, error) {
+				entered <- struct{}{}
+				<-gate
+				return 1, nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	select {
-	case <-originalCancelled:
-	case <-time.After(time.Second):
-		t.Fatal("losing attempt was not cancelled")
+	<-entered
+	<-entered
+	g := reg.Gauge("mp_probe_inflight", nil)
+	if got := g.Value(); got != 2 {
+		t.Errorf("mp_probe_inflight = %v with one probe blocked on each of two executors, want 2", got)
 	}
-	if got := reg.Counter("mp_probe_hedges_total", nil).Value(); got != 1 {
-		t.Errorf("hedges = %d, want 1", got)
-	}
-	if got := reg.Counter("mp_probe_hedge_wins_total", nil).Value(); got != 1 {
-		t.Errorf("hedge wins = %d, want 1", got)
-	}
-	// The winner's success must leave the backend healthy.
-	if s := e.BreakerState("slow"); s != BreakerClosed {
-		t.Errorf("breaker = %v after hedge win", s)
+	close(gate)
+	wg.Wait()
+	if got := g.Value(); got != 0 {
+		t.Errorf("mp_probe_inflight = %v with nothing in flight, want 0", got)
 	}
 }
 
 func TestProbeBreakerOpensAndRejects(t *testing.T) {
-	e := NewExecutor(Config{Breaker: BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}})
+	e := NewExecutor(Config{})
 	fail := func(ctx context.Context) (float64, error) { return 0, fmt.Errorf("backend down") }
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerFailures; i++ {
 		if _, err := e.Probe(context.Background(), "down", fail); err == nil {
 			t.Fatal("want failure")
 		}
@@ -198,7 +200,7 @@ func TestProbeBreakerOpensAndRejects(t *testing.T) {
 		called = true
 		return 1, nil
 	})
-	if !IsBreakerOpen(err) {
+	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want breaker-open", err)
 	}
 	if called {
@@ -207,24 +209,21 @@ func TestProbeBreakerOpensAndRejects(t *testing.T) {
 }
 
 func TestProbeCallerCancellationIsNeutral(t *testing.T) {
-	e := NewExecutor(Config{Breaker: BreakerConfig{FailureThreshold: 1}})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	e := NewExecutor(Config{})
+	// As many abandoned probes as it takes failures to open the breaker.
+	for i := 0; i < breakerFailures; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
 		_, err := e.Probe(ctx, "db", func(c context.Context) (float64, error) {
+			cancel()
 			<-c.Done()
 			return 0, c.Err()
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v", err)
 		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	<-done
-	// Even with FailureThreshold=1 the breaker stays closed: the caller
-	// walked away, the backend did nothing wrong.
+	}
+	// The breaker stays closed: the caller walked away, the backend did
+	// nothing wrong.
 	if s := e.BreakerState("db"); s != BreakerClosed {
 		t.Fatalf("breaker = %v after caller cancellation", s)
 	}

@@ -223,8 +223,8 @@ type Stats struct {
 }
 
 // Refresher is the background model-maintenance worker. Create with
-// New, feed with Alert (typically wired to Config.OnDrift), stop with
-// Stop. A nil *Refresher ignores alerts.
+// New, feed with Alert (the facade wires every drift alert to it), stop
+// with Stop. A nil *Refresher ignores alerts.
 type Refresher struct {
 	cfg  Config
 	host Host

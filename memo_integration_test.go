@@ -53,7 +53,7 @@ func (m *Metasearcher) directOverRows(t testing.TB, query string, k int, thr flo
 // engine runs the memo-less loop on sel, probing inline.
 func (m *Metasearcher) engine(t testing.TB, sel *core.Selection, query string, thr float64) core.Outcome {
 	t.Helper()
-	out, err := core.APro(sel.WithBestSetOptions(m.cfg.BestSet), func(i int) (float64, error) { return m.rel.Probe(m.tb.DB(i), query) }, core.Greedy{}, thr, -1)
+	out, err := core.APro(sel, func(i int) (float64, error) { return m.rel.Probe(m.tb.DB(i), query) }, core.Greedy{}, thr, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

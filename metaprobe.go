@@ -90,19 +90,8 @@ type (
 	Span = span.Span
 	// DriftConfig tunes online ED drift detection. See Config.Drift.
 	DriftConfig = obs.DriftConfig
-	// DriftAlert reports one detected error-distribution drift.
-	DriftAlert = obs.DriftAlert
 	// DriftStatus is the state of one monitored (database, query type).
 	DriftStatus = obs.DriftStatus
-	// ProbeLimits bounds probe concurrency. See
-	// Config.ProbeConcurrency.
-	ProbeLimits = probeexec.Limits
-	// BreakerConfig tunes the per-backend circuit breakers guarding
-	// live probes. See Config.Breaker.
-	BreakerConfig = probeexec.BreakerConfig
-	// BreakerState is a backend circuit breaker's state (closed,
-	// half-open or open), surfaced through the mp_breaker_state metric.
-	BreakerState = probeexec.BreakerState
 	// RefreshConfig tunes the online model refresher that retrains
 	// drifted error distributions in the background. See Config.Refresh.
 	RefreshConfig = refresh.Config
@@ -138,8 +127,6 @@ type Config struct {
 	Relevancy Relevancy
 	// Model is the error-model training configuration.
 	Model core.Config
-	// BestSet bounds the absolute-metric set search.
-	BestSet core.BestSetOptions
 	// OnlineRefinement feeds every live probe back into the error
 	// model (the paper's future-work direction): probes double as free
 	// training samples, so the model tracks database drift.
@@ -154,19 +141,12 @@ type Config struct {
 	// learned error distributions: every live probe's fresh error feeds
 	// a bounded sliding window per (database, query type), periodically
 	// KS-tested against the trained ED. Statistics surface through
-	// Metrics (mp_ed_drift_* series) and failed tests through OnDrift.
-	// The zero DriftConfig value selects sensible defaults. Detection
-	// starts once Train (or NewFromModel) has produced a model; nil —
-	// the default — keeps the probe path free of drift bookkeeping.
+	// Metrics (mp_ed_drift_* series) and DriftStatuses, and failed tests
+	// go to the Refresh worker when one is configured. The zero
+	// DriftConfig value selects sensible defaults. Detection starts once
+	// Train (or NewFromModel) has produced a model; nil — the default —
+	// keeps the probe path free of drift bookkeeping.
 	Drift *DriftConfig
-	// OnDrift, when non-nil alongside Drift, is invoked synchronously
-	// on the probing goroutine for every failed drift test, so callers
-	// can schedule re-probing or re-training (the paper's adaptive loop
-	// closed online). No metasearcher lock is held during the call, so
-	// it may use SaveModel, ReloadModel or Train. Implementations should
-	// be fast and debounce: a persistently drifted key re-alerts every
-	// Drift.Interval probes.
-	OnDrift func(DriftAlert)
 	// Refresh, when non-nil alongside Drift, closes the drift loop
 	// automatically: every drift alert is handed to a background
 	// refresher that re-probes the drifted (database, query type) under
@@ -174,30 +154,18 @@ type Config struct {
 	// candidate model on a probe holdout, and hot-swaps it in — or
 	// rolls it back when validation regresses. RefreshConfig.Queries
 	// must supply workload-like probe queries; without it every refresh
-	// task aborts. Refresh probes run through the same probe-execution
-	// pool as live selections (Config.ProbeConcurrency et al.), so
-	// refresh traffic cannot starve serving. Call Metasearcher.Close to
-	// stop the background worker.
+	// task aborts. Refresh probes run through the same probe slots and
+	// circuit breakers as live selections, so refresh traffic cannot
+	// starve serving. Call Metasearcher.Close to stop the background
+	// worker.
 	Refresh *RefreshConfig
-	// ProbeConcurrency bounds the probes in flight: a global cap shared
-	// by every concurrent selection, plus an optional per-backend cap.
-	// The zero value defaults to 16 global, unlimited per backend.
-	ProbeConcurrency ProbeLimits
-	// HedgeAfter, when positive, launches a second attempt for any
-	// probe that has not answered after this delay; the
-	// first answer wins and the loser is cancelled. Effective against
-	// tail latency; 0 disables hedging.
-	HedgeAfter time.Duration
-	// ProbeTimeout caps each probe (hedge included) end to end; a
-	// timed-out probe counts as a backend failure. 0 leaves probes
-	// bounded only by the caller's context.
+	// ProbeTimeout caps each probe end to end; a timed-out probe counts
+	// as a backend failure. 0 leaves probes bounded only by the caller's
+	// context. Whatever it is, at most 16 probes are in flight at once
+	// across every selection, and a backend that fails 5 probes in a row
+	// is skipped for 30 s (its selections degrade gracefully instead of
+	// waiting on a dead backend), then tried once.
 	ProbeTimeout time.Duration
-	// Breaker tunes the per-backend circuit breakers: consecutive
-	// failures open a backend's breaker, and while open its probes are
-	// skipped (the selection degrades
-	// gracefully instead of waiting on a dead backend). The zero value
-	// opens after 5 consecutive failures with a 30s cooldown.
-	Breaker BreakerConfig
 	// Spans, when non-nil, records a span tree for every selection —
 	// the one per-request record. The root "selection" span carries
 	// the call and its answer as attributes (id, query, k, metric,
@@ -205,9 +173,9 @@ type Config struct {
 	// testbed order —, initial_certainty, selected, certainty, probes,
 	// reached, degraded), one "step" event per folded probe (db,
 	// usefulness, value, certainty_after, error) and one "stage" event
-	// per pipeline stage; each probe, its attempts (hedges included),
-	// breaker transitions and, from an HTTP backend, the answer pages'
-	// status and size nest below it. Floats are written with
+	// per pipeline stage; each probe is a "probe" span below it, with
+	// its breaker transitions and, from an HTTP backend, the answer
+	// page's status and size as events. Floats are written with
 	// strconv.FormatFloat(v, 'g', -1, 64), so they parse back exactly.
 	// Retrieve a tree by trace ID (SpanTracer.Tree, or
 	// /debug/spans?trace=<id>). The trace ID is reported on
@@ -259,8 +227,8 @@ type Metasearcher struct {
 	// series are the selection path's metric series in cfg.Metrics,
 	// resolved once; nil without a registry.
 	series *selectionSeries
-	// exec runs every live probe: worker pool, circuit breakers,
-	// hedging, background probes (internal/probeexec). dbName is the
+	// exec runs every live probe: probe slots, circuit breakers,
+	// background probes (internal/probeexec). dbName is the
 	// index → backend-name mapping it accounts by, a lookup in the host's
 	// name slice built once; dbKey is the same name as a JSON object key
 	// (`"name":`), for the root span's estimates attribute.
@@ -324,10 +292,7 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		dbName:   func(i int) string { return names[i] },
 		dbKey:    make([]string, len(names)),
 		exec: probeexec.NewExecutor(probeexec.Config{
-			Limits:       c.ProbeConcurrency,
-			HedgeAfter:   c.HedgeAfter,
 			ProbeTimeout: c.ProbeTimeout,
-			Breaker:      c.Breaker,
 			Metrics:      c.Metrics,
 		}),
 	}
@@ -462,9 +427,9 @@ func (m *Metasearcher) SelectWithPolicy(query string, k int, metric Metric, t fl
 // certainty cannot be reached (probes exhausted), the best available
 // set is returned with Reached=false.
 //
-// Probes run through the probe-execution engine under the configured
-// concurrency limits, circuit breakers and hedging
-// (Config.ProbeConcurrency, Breaker, HedgeAfter). Against backends much
+// Probes run through the probe-execution engine, under its bound on
+// probes in flight, its circuit breakers and Config.ProbeTimeout (see
+// there). Against backends much
 // slower than a rank the loop starts the next probe early whenever every
 // outcome of the one in flight picks it (core.Overlapper), which costs
 // no extra probe. Cancelling ctx abandons the selection.
@@ -502,9 +467,9 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 		return SelectionResult{}, fmt.Errorf("metaprobe: certainty threshold %v outside [0,1]", t)
 	}
 	// Root span, clock and stage recorder exist together or not at
-	// all. The span tree nests every probe and attempt below
-	// "selection", which makes it the selection's record of what its
-	// probes cost. The span opens before the selection state is built
+	// all. The span tree nests every probe below "selection", which
+	// makes it the selection's record of what its probes cost. The span
+	// opens before the selection state is built
 	// so the rd_convolve stage — deriving every database's RD — is
 	// inside the root span's window, and the per-stage totals attached
 	// as events sum to ≈ the span's duration.
@@ -669,7 +634,7 @@ func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.St
 		rec.Observe(core.StageRDConvolve, time.Since(stageStart).Seconds())
 		sel.WithStageObserver(rec.Observe)
 	}
-	return sel.WithBestSetOptions(m.cfg.BestSet), view, nil
+	return sel, view, nil
 }
 
 // recycleSelection releases sel's pooled scratch and hands the shell

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"metaprobe/internal/hidden"
 )
@@ -69,7 +68,6 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 		Spans:            spans,
 		Drift:            &DriftConfig{},
 		OnlineRefinement: true,
-		ProbeConcurrency: ProbeLimits{Global: 8, PerBackend: 2},
 	}
 	ms, testQueries := buildTestMetasearcherWith(t, cfg, nil)
 	var wg sync.WaitGroup
@@ -122,8 +120,7 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 // backend must stop being contacted at all.
 func TestSelectContextDegradesOnDeadBackend(t *testing.T) {
 	var failers []*toggleFail
-	cfg := &Config{Breaker: BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}}
-	ms, testQueries := buildTestMetasearcherWith(t, cfg, func(i int, db Database) Database {
+	ms, testQueries := buildTestMetasearcherWith(t, nil, func(i int, db Database) Database {
 		f := &toggleFail{Database: db}
 		failers = append(failers, f)
 		return f
@@ -157,11 +154,12 @@ func TestSelectContextDegradesOnDeadBackend(t *testing.T) {
 	if degraded == 0 {
 		t.Fatal("no selection ever touched the dead backend")
 	}
-	// FailureThreshold=2 with a long cooldown: the dead backend may be
-	// contacted at most twice before the breaker eats every further
+	// The breaker opens after five consecutive failures and stays open
+	// for 30 s, far longer than the test: the dead backend may be
+	// contacted at most five times before the breaker eats every further
 	// probe without a network attempt.
-	if calls := dead.downCalls.Load(); calls > 2 {
-		t.Errorf("dead backend contacted %d times; breaker should cap at 2", calls)
+	if calls := dead.downCalls.Load(); calls > 5 {
+		t.Errorf("dead backend contacted %d times; breaker should cap at 5", calls)
 	}
 }
 

@@ -33,17 +33,6 @@ func (m *Metasearcher) Train(trainQueries []string) error {
 	return nil
 }
 
-// onDriftAlert fans one failed drift test out to the user callback and
-// to the background refresher.
-func (m *Metasearcher) onDriftAlert(a DriftAlert) {
-	if m.cfg.OnDrift != nil {
-		m.cfg.OnDrift(a)
-	}
-	if m.refresher != nil {
-		_ = m.RefreshNow(a.DB, a.QueryType) // an alert names a served database and a parsable key
-	}
-}
-
 // RefreshNow enqueues an out-of-band refresh of one (database, query
 // type) — the same path a drift alert takes — for operators who know a
 // collection changed without waiting for detection. queryType is the
@@ -89,18 +78,16 @@ func (m *Metasearcher) DriftConfig() DriftConfig {
 // model state (online refinement, drift detection); many selections, or
 // one selection's probe and the successor started behind it, land here
 // concurrently. The feedback does not touch the selection it came from:
-// a losing hedge attempt can deliver after the winner finished the
-// selection and recycled its shell, so the host recomputes what it needs
-// from the model. A drift alert comes back as a value and is delivered
-// after the host's lock is released: OnDrift is caller code that may
-// save, reload or retrain the model.
+// the host recomputes what it needs from the model. A drift alert comes
+// back as a value and goes to the background refresher (when there is
+// one) after the host's lock is released.
 func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float64) error {
 	if !m.cfg.OnlineRefinement && m.cfg.Drift == nil {
 		return nil
 	}
 	alert, drifted, err := m.host.Observe(i, query, numTerms, v, m.cfg.OnlineRefinement)
-	if drifted {
-		m.onDriftAlert(alert)
+	if drifted && m.refresher != nil {
+		_ = m.RefreshNow(alert.DB, alert.QueryType) // an alert names a served database and a parsable key
 	}
 	return err
 }
@@ -269,8 +256,8 @@ func (m *Metasearcher) Ready() error {
 // refreshHost is what the background refresher runs against: the
 // model host for the one alerted ED (copied out, committed back with an
 // atomic version swap) and the shared executor for its probes, so
-// refresh traffic is subject to the same concurrency limits, breakers
-// and hedging as live selections.
+// refresh traffic is subject to the same probe slots and breakers as
+// live selections.
 type refreshHost struct {
 	*modelhost.Host
 	m *Metasearcher

@@ -255,10 +255,7 @@ func TestStepAndStageEventsSurviveEventCap(t *testing.T) {
 	}
 	var failers []*toggleFail
 	spans := NewSpanTracer(0)
-	cfg := &Config{Spans: spans,
-		// Probe every dead backend rather than short-circuit it.
-		Breaker: BreakerConfig{FailureThreshold: 1 << 20}}
-	ms, queries := buildTestMetasearcherOn(t, specs, cfg, func(i int, db Database) Database {
+	ms, queries := buildTestMetasearcherOn(t, specs, &Config{Spans: spans}, func(i int, db Database) Database {
 		f := &toggleFail{Database: db}
 		failers = append(failers, f)
 		return f

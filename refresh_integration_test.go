@@ -65,7 +65,24 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every refresh task asks the source for queries before it can
+	// commit, and the alert that queued it stays in DriftStatuses until a
+	// commit of its key re-anchors the key's window. So the keys
+	// DriftStatuses shows alerted here include the key of every task
+	// that goes on to replace an ED.
+	var (
+		ms      *Metasearcher
+		alertMu sync.Mutex
+		alerted = make(map[string]bool) // "db|queryType"
+	)
 	source := func(numTerms, n int) []string {
+		alertMu.Lock()
+		for _, s := range ms.DriftStatuses() {
+			if s.Alerts > 0 {
+				alerted[s.DB+"|"+s.QueryType] = true
+			}
+		}
+		alertMu.Unlock()
 		var out []string
 		for _, q := range pool {
 			if q.NumTerms() == numTerms {
@@ -78,17 +95,10 @@ func TestRefreshEndToEnd(t *testing.T) {
 		return out
 	}
 
-	var alertMu sync.Mutex
-	alerted := make(map[string]bool) // "db|queryType"
 	reg := NewMetrics()
 	cfg := &Config{
 		Metrics: reg,
 		Drift:   &DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8},
-		OnDrift: func(a DriftAlert) {
-			alertMu.Lock()
-			alerted[a.DB+"|"+a.QueryType] = true
-			alertMu.Unlock()
-		},
 		Refresh: &RefreshConfig{
 			ProbeBudget:  64,
 			MinProbes:    12,
@@ -99,7 +109,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 			Queries:  source,
 		},
 	}
-	ms, err := New(dbs, sums, cfg)
+	ms, err = New(dbs, sums, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

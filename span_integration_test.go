@@ -2,6 +2,7 @@ package metaprobe
 
 import (
 	"context"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -16,14 +17,20 @@ import (
 )
 
 // TestSelectionSpanTreeAndExemplar drives one traced selection end to
-// end through the public API: the result carries a trace ID whose
-// recorded tree is rooted at a "selection" span with probe children and
-// at least one probe.attempt per probe spent, and the latency
-// histogram's exposition carries an exemplar naming that trace.
+// end through the public API, over databases behind HTTP: the result
+// carries a trace ID whose recorded tree is rooted at a "selection" span
+// with exactly one probe child per probe spent and nothing below them —
+// each probe's answer page is an http_response event on its probe span
+// — and the latency histogram's exposition carries an exemplar naming
+// that trace.
 func TestSelectionSpanTreeAndExemplar(t *testing.T) {
 	reg := NewMetrics()
 	tracer := NewSpanTracer(256)
-	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, Spans: tracer}, nil)
+	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, Spans: tracer}, func(_ int, db Database) Database {
+		srv := httptest.NewServer(hidden.NewServer(db))
+		t.Cleanup(srv.Close)
+		return NewHTTPDatabase(db.Name(), srv.URL, false)
+	})
 
 	res, err := ms.SelectWithCertaintyContext(context.Background(), queries[0], 2, Partial, 0.95, -1)
 	if err != nil {
@@ -41,23 +48,28 @@ func TestSelectionSpanTreeAndExemplar(t *testing.T) {
 	if root.Attrs["query"] != queries[0] {
 		t.Errorf("root query attr = %q, want %q", root.Attrs["query"], queries[0])
 	}
-	probeSpans, attemptSpans := 0, 0
-	for _, n := range span.Flatten(roots) {
-		switch n.Span.Name {
-		case "probe":
-			probeSpans++
-			if n.Span.ParentID != root.SpanID {
-				t.Errorf("probe span parented to %q, want root %q", n.Span.ParentID, root.SpanID)
+	if res.Probes == 0 {
+		t.Fatalf("%q reached %v without a probe: nothing to trace", queries[0], res.Certainty)
+	}
+	probeSpans := 0
+	for _, n := range span.Flatten(roots)[1:] {
+		if n.Span.Name != "probe" || n.Span.ParentID != root.SpanID {
+			t.Errorf("span %q under %q in a selection trace, want only probe spans under the root", n.Span.Name, n.Span.ParentID)
+			continue
+		}
+		probeSpans++
+		pages := 0
+		for _, ev := range n.Span.Events {
+			if ev.Name == "http_response" && ev.Attrs["status"] == "200" {
+				pages++
 			}
-		case "probe.attempt":
-			attemptSpans++
+		}
+		if pages != 1 {
+			t.Errorf("probe of %s carries %d http_response events, want its one answer page: %+v", n.Span.Attrs["backend"], pages, n.Span.Events)
 		}
 	}
 	if probeSpans != res.Probes {
 		t.Errorf("trace holds %d probe spans, result reports %d probes", probeSpans, res.Probes)
-	}
-	if attemptSpans < res.Probes {
-		t.Errorf("trace holds %d probe.attempt spans, result reports %d probes", attemptSpans, res.Probes)
 	}
 
 	var sb strings.Builder
