@@ -297,9 +297,13 @@ func TestDaemonDrill(t *testing.T) {
 		t.Errorf("none of %d responses rode a shared run", 4*len(workload))
 	}
 
-	// /metrics agrees: the coalescer merged, and nothing was shed.
+	// /metrics is the text format it declares, now that every series has
+	// been written to, and agrees: the coalescer merged, and nothing was
+	// shed.
+	metrics := string(d.get(t, "/metrics"))
+	opstest.CheckExposition(t, metrics)
 	merged := false
-	for _, line := range strings.Split(string(d.get(t, "/metrics")), "\n") {
+	for _, line := range strings.Split(metrics, "\n") {
 		if v, ok := strings.CutPrefix(line, `mp_batch_coalesced_total{tenant="default"} `); ok {
 			merged = v != "0"
 		}

@@ -1,4 +1,4 @@
-package metaprobe
+package metaprobe_test
 
 import (
 	"go/ast"
@@ -9,6 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"metaprobe"
+	"metaprobe/internal/server"
 )
 
 // configWithoutCaller names the Config fields that no binary, example
@@ -23,6 +26,21 @@ var configWithoutCaller = map[string]string{
 // every Config field none of them sets, bar configWithoutCaller: a knob
 // that only tests turn is behaviour no deployment runs.
 func TestConfigFieldsHaveCallers(t *testing.T) {
+	checkFieldsHaveCallers(t, reflect.TypeOf(metaprobe.Config{}), configWithoutCaller)
+}
+
+// TestServerConfigFieldsHaveCallers holds server.Config{…} literals to
+// the same rule, with no exemption.
+func TestServerConfigFieldsHaveCallers(t *testing.T) {
+	checkFieldsHaveCallers(t, reflect.TypeOf(server.Config{}), nil)
+}
+
+// checkFieldsHaveCallers fails on every field of the struct type typ
+// that no typ literal under cmd/, examples/ or benchmark/ sets, bar
+// those exempt names, and on every exemption that is stale.
+func checkFieldsHaveCallers(t *testing.T, typ reflect.Type, exempt map[string]string) {
+	t.Helper()
+	pkgName := typ.PkgPath()[strings.LastIndex(typ.PkgPath(), "/")+1:]
 	fset := token.NewFileSet()
 	set := make(map[string][]string) // field → files setting it
 	for _, dir := range []string{"cmd", "examples", "benchmark"} {
@@ -40,10 +58,10 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 					return true
 				}
 				sel, ok := lit.Type.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Config" {
+				if !ok || sel.Sel.Name != typ.Name() {
 					return true
 				}
-				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "metaprobe" {
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != pkgName {
 					return true
 				}
 				for _, elt := range lit.Elts {
@@ -62,22 +80,21 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		}
 	}
 	if len(set) == 0 {
-		t.Fatal("found no metaprobe.Config literal under cmd/, examples/ or benchmark/")
+		t.Fatalf("found no %s literal under cmd/, examples/ or benchmark/", typ)
 	}
-	fields := reflect.TypeOf(Config{})
-	for i := 0; i < fields.NumField(); i++ {
-		name := fields.Field(i).Name
-		why, exempt := configWithoutCaller[name]
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		why, isExempt := exempt[name]
 		switch {
-		case exempt && len(set[name]) > 0:
-			t.Errorf("Config.%s is exempt (%s) but %v set it: drop the exemption", name, why, set[name])
-		case !exempt && len(set[name]) == 0:
-			t.Errorf("Config.%s is set by no binary, example or benchmark workload", name)
+		case isExempt && len(set[name]) > 0:
+			t.Errorf("%s.%s is exempt (%s) but %v set it: drop the exemption", typ, name, why, set[name])
+		case !isExempt && len(set[name]) == 0:
+			t.Errorf("%s.%s is set by no binary, example or benchmark workload", typ, name)
 		}
 	}
-	for name := range configWithoutCaller {
-		if _, ok := fields.FieldByName(name); !ok {
-			t.Errorf("configWithoutCaller names %s, which Config no longer has", name)
+	for name := range exempt {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("the exemptions name %s, which %s no longer has", name, typ)
 		}
 	}
 }

@@ -220,9 +220,6 @@ type Selection struct {
 	estimates []float64
 	probed    []bool
 	opts      BestSetOptions
-	// stageObs, when set, receives hot-path stage timings (see
-	// stage.go). Nil by default: attribution off.
-	stageObs StageObserver
 
 	// scratch is the pooled incremental evaluation state (selstate.go),
 	// acquired lazily on the first Best and handed back by Release. It
@@ -257,6 +254,10 @@ type Selection struct {
 	work RankWork
 	// ahead counts the loop's lookaheads; see AheadWork.
 	ahead AheadWork
+	// stages tallies the loop's stage times while timeStages is on; see
+	// TimeStages.
+	stages     StageTimes
+	timeStages bool
 	// memo is the node of the version's decision memo (memo.go) that
 	// stands for the current state, memoRoot the root it descends from;
 	// both nil when the selection remembers nothing — it was not filled
@@ -476,13 +477,12 @@ func (s *Selection) setScaledRD(i int, tmpl *RD, rhat float64) bool {
 
 // reset re-initializes the selection as an empty unprobed state for n
 // databases, reusing every backing array — the shell half of
-// ModelVersion.FillSelection. Options, stage observer and the
+// ModelVersion.FillSelection. Options, the stage tally and the
 // reference-path pin are cleared; the caller re-attaches what it
 // needs.
 func (s *Selection) reset(query string, metric Metric, k, n int) {
 	s.Metric, s.K, s.Query = metric, k, query
 	s.opts = BestSetOptions{}
-	s.stageObs = nil
 	s.noScratch = false
 	s.memoRoot, s.memo = nil, nil
 	if cap(s.rds) < n {
@@ -502,7 +502,7 @@ func (s *Selection) reset(query string, metric Metric, k, n int) {
 	}
 	s.hypDepth, s.hypVI = 0, -1
 	s.unprobedStale = true
-	s.work, s.ahead = RankWork{}, AheadWork{}
+	s.work, s.ahead, s.stages, s.timeStages = RankWork{}, AheadWork{}, StageTimes{}, false
 	s.invalidate()
 }
 
@@ -646,7 +646,7 @@ func (s *Selection) Reuse(src *Selection) {
 	}
 	s.hypDepth, s.hypVI = 0, -1
 	s.unprobedStale = true
-	s.work, s.ahead = RankWork{}, AheadWork{}
+	s.work, s.ahead, s.stages, s.timeStages = RankWork{}, AheadWork{}, StageTimes{}, false
 	s.invalidate()
 }
 

@@ -178,9 +178,9 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 	}
 	probes := 0 // successful ones, as out.Probes() counts them
 	for {
-		mark := s.BeginStage()
+		mark := s.stageStart()
 		set, e := s.BestView()
-		s.EndStage(mark, StageECorDP)
+		s.stageEnd(StageECorDP, mark)
 		out.Set = append(out.Set[:0], set...)
 		out.Certainty = e
 		// Every iteration re-evaluates the best set, so this is where the
@@ -212,7 +212,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		var usefulness float64
 		var err error
 		var rankTime time.Duration
-		mark = s.BeginStage()
+		mark = s.stageStart()
 		if ranker != nil {
 			var ranked []int
 			var us []float64
@@ -224,7 +224,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		} else {
 			head, err = policy.Next(s, t)
 		}
-		s.EndStage(mark, StageRank)
+		s.stageEnd(StageRank, mark)
 		if errors.Is(err, ErrNoInformativeProbe) {
 			// Every remaining unprobed RD is an impulse: further probes
 			// cannot move E[Cor], so stop with the best available set
@@ -241,7 +241,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		// The probe stage is the time the loop spends on the probe it
 		// needs next: blocked, or thinking ahead while it is in flight. A
 		// probe started early has (partly) paid its latency already.
-		mark = s.BeginStage()
+		mark = s.stageStart()
 		if over != nil && budget >= 2 && over.Latency(head) > thinkRatio*(thinkFixed+rankTime) {
 			over.Start(ctx, head)
 			// Let the probe's goroutine reach the wire before this one
@@ -253,7 +253,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 			}
 		}
 		v, err := p.Wait(ctx, head)
-		s.EndStage(mark, StageProbe)
+		s.stageEnd(StageProbe, mark)
 		if err != nil {
 			if ctx.Err() != nil {
 				return fmt.Errorf("core: selection abandoned: %w", ctx.Err())

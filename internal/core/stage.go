@@ -2,66 +2,77 @@ package core
 
 import "time"
 
-// Hot-path stage names reported through a Selection's StageObserver.
-// They partition where a selection's compute goes, mirroring the
-// algorithmic structure of the paper: deriving RDs from the learned
-// error model, the Poisson-binomial DP behind E[Cor], ranking probe
-// candidates by expected usefulness, and the live probe itself.
+// Stage names one hot-path stage of a selection. The stages partition
+// where a selection's compute goes, mirroring the algorithmic structure
+// of the paper: deriving RDs from the learned error model, the
+// Poisson-binomial DP behind E[Cor], ranking probe candidates by
+// expected usefulness, and the live probe itself. They are numbered in
+// the order of their names.
+type Stage int
+
 const (
-	// StageRDConvolve is RD derivation for all databases
-	// (Model.RDFor across NewSelection — estimate, classify, convolve
-	// the ED into a relevancy distribution).
-	StageRDConvolve = "rd_convolve"
 	// StageECorDP is the best-set search / E[Cor] evaluation
 	// (Selection.Best → BestSet → MembershipProb's DP), as invoked at
 	// the top level of the APro loop.
-	StageECorDP = "ecor_dp"
+	StageECorDP Stage = iota
+	// StageProbe is live probe I/O — for the sequential loop the probe
+	// call itself, for the concurrent executor the time the loop spends
+	// blocked waiting for the probe it needs next.
+	StageProbe
 	// StageRank is probe-candidate selection (Policy.Next /
 	// Ranker.Rank). For the greedy policy this includes the
 	// per-outcome hypothetical Best() evaluations of Figure 13, which
 	// is exactly why it dominates: usefulness is E[Cor] under every
 	// outcome of every candidate probe.
-	StageRank = "rank"
-	// StageProbe is live probe I/O — for the sequential loop the probe
-	// call itself, for the concurrent executor the time the loop
-	// spends blocked waiting for the probe it needs next.
-	StageProbe = "probe"
+	StageRank
+	// StageRDConvolve is RD derivation for all databases (filling the
+	// selection — estimate, classify, look up or convolve the ED into a
+	// relevancy distribution). It runs before there is a selection to
+	// tally on, so its caller times it and hands it to TimeStages.
+	StageRDConvolve
 )
 
-// StageObserver receives one completed hot-path stage: its name and
-// the wall time it took. Implementations must be cheap and must not
-// retain kv state per call; metaprobe binds an obs.StageRecorder here.
-type StageObserver func(stage string, seconds float64)
+var stageNames = [...]string{"ecor_dp", "probe", "rank", "rd_convolve"}
 
-// WithStageObserver attaches a stage observer and returns the
-// selection for chaining. A nil observer (the default) makes
-// BeginStage/EndStage single-branch no-ops, so disabled attribution
-// costs one pointer comparison per stage boundary.
-func (s *Selection) WithStageObserver(obs StageObserver) *Selection {
-	s.stageObs = obs
-	return s
+// String is the stage's name in metric labels and span events.
+func (st Stage) String() string { return stageNames[st] }
+
+// StageTime is one stage's share of a selection: the wall time of its
+// intervals and how many there were.
+type StageTime struct {
+	Time  time.Duration
+	Count int
 }
 
-// StageMark is an open stage interval returned by BeginStage.
-type StageMark struct {
-	start  time.Time
-	active bool
+// StageTimes is a selection's stage tally, indexed by Stage.
+type StageTimes [len(stageNames)]StageTime
+
+// TimeStages turns the stage tally on until the selection is next
+// filled or reused, and charges fill — the time it took to fill the
+// selection — to StageRDConvolve. Off, the default, a stage boundary
+// reads no clock.
+func (s *Selection) TimeStages(fill time.Duration) {
+	s.timeStages = true
+	s.stages[StageRDConvolve] = StageTime{Time: fill, Count: 1}
 }
 
-// BeginStage opens a stage interval. Zero cost (one nil check) when
-// no observer is attached.
-func (s *Selection) BeginStage() StageMark {
-	if s.stageObs == nil {
-		return StageMark{}
+// Stages returns the stage tally since TimeStages; all zero when the
+// tally is off.
+func (s *Selection) Stages() StageTimes { return s.stages }
+
+// stageStart opens a stage interval: the current time with the tally on,
+// the zero time without reading the clock otherwise.
+func (s *Selection) stageStart() time.Time {
+	if !s.timeStages {
+		return time.Time{}
 	}
-	return StageMark{start: time.Now(), active: true}
+	return time.Now()
 }
 
-// EndStage closes a stage interval opened by BeginStage and reports
-// it to the observer. Safe to call with the zero StageMark (no-op).
-func (s *Selection) EndStage(m StageMark, stage string) {
-	if !m.active || s.stageObs == nil {
-		return
+// stageEnd charges the interval opened at start to st.
+func (s *Selection) stageEnd(st Stage, start time.Time) {
+	if s.timeStages {
+		s.stages[st].Time += time.Since(start)
+		s.stages[st].Count++
 	}
-	s.stageObs(stage, time.Since(m.start).Seconds())
 }

@@ -22,9 +22,6 @@ type Histogram struct {
 	sum     atomicFloat
 	min     atomicFloat
 	max     atomicFloat
-	// exemplars backs ObserveExemplar; empty until a trace-linked
-	// observation arrives (see exemplar.go).
-	exemplars exemplarStore
 }
 
 // Bucket layout: bucket i covers (histBounds[i-1], histBounds[i]],
@@ -140,16 +137,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 		v = mx
 	}
 	return v
-}
-
-// Quantiles returns Quantile for each p, sharing one pass convention
-// with the exposition code (p50/p90/p99 by default).
-func (h *Histogram) Quantiles(ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = h.Quantile(p)
-	}
-	return out
 }
 
 // atomicFloat is a float64 with atomic load/add/min/max via CAS on the

@@ -1,12 +1,14 @@
 // Package opstest checks an HTTP handler against the shared ops tree:
-// one route table for every binary that calls ops.Mount, and one reader
-// for the per-request record on the root "selection" span.
+// one route table for every binary that calls ops.Mount, one parser for
+// the /metrics body it declares, and one reader for the per-request
+// record on the root "selection" span.
 package opstest
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,6 +52,53 @@ func CheckRoutes(t *testing.T, h http.Handler, want ops.Sinks) {
 		}
 		if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || !strings.HasPrefix(ct, r.contentType) {
 			t.Errorf("GET %s = %d %q, want 200 %s", r.path, rec.Code, ct, r.contentType)
+		}
+	}
+}
+
+// label is one name="value" pair, with the format's three escapes.
+const label = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"`
+
+var (
+	// sample is name{labels} value; the format's optional timestamp is
+	// not written here, so it is refused.
+	sample   = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{((?:` + label + `,)*(?:` + label + `)?)\})? (\S+)$`)
+	labels   = regexp.MustCompile(label)
+	typeLine = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|summary|histogram|untyped)$`)
+)
+
+// CheckExposition parses body as the Prometheus text format, version
+// 0.0.4, that /metrics declares: every line but a comment is
+// name{labels} value; every sample belongs to the family of the # TYPE
+// line above it — has its name, or for a summary that name's _sum or
+// _count; and only a summary's samples carry a quantile label.
+func CheckExposition(t testing.TB, body string) {
+	t.Helper()
+	var family, kind string
+	for i, line := range strings.Split(body, "\n") {
+		if m := typeLine.FindStringSubmatch(line); m != nil {
+			family, kind = m[1], m[2]
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := sample.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("line %d is not name{labels} value: %q", i+1, line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			t.Errorf("line %d: value %q: %v", i+1, m[3], err)
+		}
+		name, summary := m[1], kind == "summary"
+		if name != family && !(summary && (name == family+"_sum" || name == family+"_count")) {
+			t.Errorf("line %d: sample %s is not of family %s (%s)", i+1, name, family, kind)
+		}
+		for _, pair := range labels.FindAllString(m[2], -1) {
+			if strings.HasPrefix(pair, `quantile="`) && !(summary && name == family) {
+				t.Errorf("line %d: quantile label on %s, not a summary's quantile sample", i+1, name)
+			}
 		}
 	}
 }

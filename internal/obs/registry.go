@@ -213,9 +213,9 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// exposition time — the bridge for state owned elsewhere (e.g.
-// Cached.Stats hit counts). Re-registering the same (name, labels)
-// replaces the function.
+// exposition time — the bridge for counts owned elsewhere (e.g. a span
+// tracer's recorded and dropped spans). Re-registering the same (name,
+// labels) replaces the function.
 func (r *Registry) CounterFunc(name string, labels Labels, fn func() float64) {
 	if r == nil {
 		return
@@ -339,16 +339,8 @@ func writeSeries(w io.Writer, name string, s *series, fn func() float64, kind me
 		if _, err := fmt.Fprintf(w, "%s_sum%s %v\n", name, formatLabels(s.labels, "", 0), s.hist.Sum()); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, formatLabels(s.labels, "", 0), s.hist.Count()); err != nil {
-			return err
-		}
-		// Histograms that carry trace-linked observations additionally
-		// emit a cumulative bucket ladder with OpenMetrics exemplars, so
-		// /metrics links latency regions to concrete trace IDs.
-		if exs := s.hist.Exemplars(); exs != nil {
-			return writeExemplarBuckets(w, name, s.labels, s.hist, exs)
-		}
-		return nil
+		_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, formatLabels(s.labels, "", 0), s.hist.Count())
+		return err
 	}
 }
 

@@ -95,21 +95,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	if strings.Index(out, "cache_hits_total") > strings.Index(out, "probes_total") {
 		t.Error("families not sorted by name")
 	}
-	// Every non-comment line is "name{labels} value", optionally
-	// followed by an OpenMetrics exemplar section
-	// ("# {trace_id=...} value timestamp" on _bucket lines).
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		sample, exemplar, hasExemplar := strings.Cut(line, " # ")
-		if len(strings.Fields(sample)) != 2 {
-			t.Errorf("malformed exposition line %q", line)
-		}
-		if hasExemplar && (len(strings.Fields(exemplar)) != 3 || !strings.HasPrefix(exemplar, "{")) {
-			t.Errorf("malformed exemplar section %q", line)
-		}
-	}
 }
 
 func TestLabelEscaping(t *testing.T) {

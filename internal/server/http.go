@@ -13,8 +13,9 @@ import (
 
 // SelectRequest is the /v1/select request body (or, for GET, its
 // query parameters: tenant, q, k, metric, t, maxProbes). Zero fields
-// take the server defaults; MaxProbes 0 means unbounded (the paper's
-// default), a negative value is passed through unchanged.
+// take the defaults — the default tenant, k 3, absolute, threshold 0.9;
+// MaxProbes 0 means unbounded (the paper's default), a negative value
+// is passed through unchanged.
 type SelectRequest struct {
 	Tenant    string  `json:"tenant,omitempty"`
 	Query     string  `json:"query"`

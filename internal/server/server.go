@@ -58,11 +58,13 @@ type Config struct {
 	// context is detached from the callers', so this is the only bound
 	// on an abandoned run. <= 0 defaults to 30s.
 	RunTimeout time.Duration
-	// DefaultK and DefaultThreshold fill requests that omit k or
-	// threshold (defaults 3 and 0.9).
-	DefaultK         int
-	DefaultThreshold float64
 }
+
+// defaultK and defaultThreshold fill requests that omit k or threshold.
+const (
+	defaultK         = 3
+	defaultThreshold = 0.9
+)
 
 // withDefaults returns cfg with unset fields filled.
 func (cfg Config) withDefaults() Config {
@@ -77,12 +79,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RunTimeout <= 0 {
 		cfg.RunTimeout = 30 * time.Second
-	}
-	if cfg.DefaultK <= 0 {
-		cfg.DefaultK = 3
-	}
-	if cfg.DefaultThreshold <= 0 {
-		cfg.DefaultThreshold = 0.9
 	}
 	return cfg
 }
@@ -343,7 +339,7 @@ func (s *Server) Do(ctx context.Context, req SelectRequest) (*SelectResponse, er
 	}
 	if s.cfg.Metrics != nil {
 		ten.served[tier].Inc()
-		s.latency[tier].ObserveExemplar(time.Since(start).Seconds(), ans.traceID)
+		s.latency[tier].Observe(time.Since(start).Seconds())
 	}
 	return resp, nil
 }
@@ -376,7 +372,7 @@ func (s *Server) check(req SelectRequest) (metaprobe.Metric, *tenant, error) {
 // errDraining is returned for requests arriving after Drain began.
 var errDraining = fmt.Errorf("server draining")
 
-// fillDefaults applies the configured request defaults to the fields
+// fillDefaults applies the request defaults to the fields
 // left at their zero value — an absent parameter, an omitted JSON field.
 // A negative k or threshold is not "unset": it stays for check to refuse.
 func (s *Server) fillDefaults(req SelectRequest) SelectRequest {
@@ -384,10 +380,10 @@ func (s *Server) fillDefaults(req SelectRequest) SelectRequest {
 		req.Tenant = DefaultTenant
 	}
 	if req.K == 0 {
-		req.K = s.cfg.DefaultK
+		req.K = defaultK
 	}
 	if req.Threshold == 0 {
-		req.Threshold = s.cfg.DefaultThreshold
+		req.Threshold = defaultThreshold
 	}
 	if req.Metric == "" {
 		req.Metric = metaprobe.Absolute.String()

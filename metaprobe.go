@@ -178,11 +178,9 @@ type Config struct {
 	// page's status and size as events. Floats are written with
 	// strconv.FormatFloat(v, 'g', -1, 64), so they parse back exactly.
 	// Retrieve a tree by trace ID (SpanTracer.Tree, or
-	// /debug/spans?trace=<id>). The trace ID is reported on
-	// SelectionResult.TraceID and, when Metrics is also set, attached
-	// as an exemplar to the selection-latency histogram so a slow
-	// bucket links to a concrete trace. Nil — the default — keeps the
-	// selection path span-free.
+	// /debug/spans?trace=<id>); the trace ID is reported on
+	// SelectionResult.TraceID. Nil — the default — keeps the selection
+	// path span-free.
 	Spans *SpanTracer
 }
 
@@ -222,7 +220,7 @@ type Metasearcher struct {
 	refresher *refresh.Refresher
 	// observed caches cfg.observed(): the one test the selection path
 	// makes before it reads the clock, numbers the selection, opens a
-	// span or allocates a stage recorder.
+	// span or turns the selection's stage tally on.
 	observed bool
 	// series are the selection path's metric series in cfg.Metrics,
 	// resolved once; nil without a registry.
@@ -466,17 +464,15 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	if !(t >= 0 && t <= 1) {
 		return SelectionResult{}, fmt.Errorf("metaprobe: certainty threshold %v outside [0,1]", t)
 	}
-	// Root span, clock and stage recorder exist together or not at
-	// all. The span tree nests every probe below "selection", which
-	// makes it the selection's record of what its probes cost. The span
-	// opens before the selection state is built
-	// so the rd_convolve stage — deriving every database's RD — is
-	// inside the root span's window, and the per-stage totals attached
-	// as events sum to ≈ the span's duration.
+	// Root span, clock and stage tally exist together or not at all. The
+	// span tree nests every probe below "selection", which makes it the
+	// selection's record of what its probes cost. The span opens before
+	// the selection state is built so the rd_convolve stage — deriving
+	// every database's RD — is inside the root span's window, and the
+	// per-stage totals attached as events sum to ≈ the span's duration.
 	var (
 		start time.Time
 		sp    *span.Span
-		rec   *obs.StageRecorder
 	)
 	if m.observed {
 		start = time.Now()
@@ -487,9 +483,8 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 			sp.SetAttr("metric", metric.String())
 			sp.SetAttr("threshold", formatFloat(t))
 		}
-		rec = obs.NewStageRecorder()
 	}
-	sel, _, err := m.selection(query, metric, k, rec)
+	sel, _, err := m.selection(query, metric, k, m.observed)
 	if err != nil {
 		sp.EndErr(err)
 		return SelectionResult{}, err
@@ -523,7 +518,7 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	}
 	if m.observed {
 		out.ID = fmt.Sprintf("sel-%06d", m.selSeq.Add(1))
-		m.observe(&out, sp, rec, sel, &res, start)
+		m.observe(&out, sp, sel, &res, start)
 	}
 	m.recycleSelection(sel)
 	return out, nil
@@ -611,12 +606,10 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 // published meanwhile does not affect this selection. It also returns
 // the view the selection was filled from.
 //
-// With a non-nil stage recorder the RD work is still charged to the
-// rd_convolve stage, so the stage keeps reporting honestly; it has
-// shrunk to lookup cost, not disappeared from the waterfall. The
-// recorder is attached to the selection so the APro loop reports the
-// remaining stages to it.
-func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.StageRecorder) (*core.Selection, modelhost.View, error) {
+// timed turns the selection's stage tally on, with the fill charged to
+// the rd_convolve stage: it has shrunk to lookup cost, not disappeared
+// from the waterfall. The APro loop tallies the remaining stages.
+func (m *Metasearcher) selection(query string, metric Metric, k int, timed bool) (*core.Selection, modelhost.View, error) {
 	view := m.host.View()
 	if !view.Trained() {
 		return nil, view, fmt.Errorf("metaprobe: model not trained; call Train first or use SelectBaseline")
@@ -624,15 +617,14 @@ func (m *Metasearcher) selection(query string, metric Metric, k int, rec *obs.St
 	if k <= 0 || k > m.tb.Len() {
 		return nil, view, fmt.Errorf("metaprobe: k=%d outside [1, %d]", k, m.tb.Len())
 	}
-	var stageStart time.Time
-	if rec != nil {
-		stageStart = time.Now()
+	var fillStart time.Time
+	if timed {
+		fillStart = time.Now()
 	}
 	shell, _ := m.shells.Get().(*core.Selection) // nil when the pool is empty
 	sel := view.Fill(shell, query, countTerms(query), metric, k)
-	if rec != nil {
-		rec.Observe(core.StageRDConvolve, time.Since(stageStart).Seconds())
-		sel.WithStageObserver(rec.Observe)
+	if timed {
+		sel.TimeStages(time.Since(fillStart))
 	}
 	return sel, view, nil
 }
@@ -706,7 +698,7 @@ type Explanation struct {
 // estimate, the error-corrected expected relevancy, and the membership
 // probability that drives selection. Requires a trained model.
 func (m *Metasearcher) Explain(query string, k int) ([]Explanation, error) {
-	sel, view, err := m.selection(query, Absolute, k, nil)
+	sel, view, err := m.selection(query, Absolute, k, false)
 	if err != nil {
 		return nil, err
 	}

@@ -23,13 +23,9 @@ type selectionSeries struct {
 	latency, certainty   *obs.Histogram
 	selections           [2]*obs.Counter // by reached: false, true
 	probes, probeErrs    []*obs.Counter  // by database
-	stages               [len(stageNames)]*obs.Histogram
+	stages               [len(core.StageTimes{})]*obs.Histogram
 	memoHits, memoMisses *obs.Counter
 }
-
-// stageNames are the hot-path stages a selection reports, in the order
-// their totals are flushed (sorted, as the series come out in /metrics).
-var stageNames = [...]string{core.StageECorDP, core.StageProbe, core.StageRank, core.StageRDConvolve}
 
 // registerSelectionMetrics pre-creates the selection-path series (with
 // help texts) so a metrics endpoint shows them at zero before the
@@ -64,8 +60,8 @@ func registerSelectionMetrics(reg *Metrics, tb *hidden.Testbed) *selectionSeries
 		s.probes[i] = reg.Counter("metaprobe_probes_total", lbl)
 		s.probeErrs[i] = reg.Counter("metaprobe_probe_errors_total", lbl)
 	}
-	for i, stage := range stageNames {
-		s.stages[i] = reg.Histogram("mp_selection_stage_seconds", obs.Labels{"stage": stage})
+	for st := range s.stages {
+		s.stages[st] = reg.Histogram("mp_selection_stage_seconds", obs.Labels{"stage": core.Stage(st).String()})
 	}
 	return s
 }
@@ -77,12 +73,10 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 // observe publishes one finished selection to the configured sinks:
 // the answer and the per-probe trajectory onto the root span (closing
 // it), then the selection metrics. One walk over the steps feeds both
-// the per-database probe counters and the span's "step" events. The
-// latency observation carries the trace ID as an exemplar, so a latency
-// bucket in /metrics links back to the span tree that filled it. Client
+// the per-database probe counters and the span's "step" events. Client
 // errors (untrained model, k out of range) never get here: the sinks
 // measure serving, not caller mistakes.
-func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.StageRecorder, sel *core.Selection, res *core.Outcome, start time.Time) {
+func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, sel *core.Selection, res *core.Outcome, start time.Time) {
 	ser := m.series
 	work := sel.Work()
 	if sp != nil {
@@ -141,10 +135,10 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, rec *obs.Sta
 			sp.AddRecord("step", kv...)
 		}
 	}
-	m.flushStages(rec, sp)
+	m.flushStages(sel, sp)
 	sp.End()
 	if ser != nil {
-		ser.latency.ObserveExemplar(time.Since(start).Seconds(), out.TraceID)
+		ser.latency.Observe(time.Since(start).Seconds())
 		reached := 0
 		if res.Reached {
 			reached = 1
@@ -171,23 +165,22 @@ func (m *Metasearcher) estimatesAttr(sel *core.Selection) string {
 	return string(append(b, '}'))
 }
 
-// flushStages publishes one finished selection's stage totals: a
-// per-stage observation into the mp_selection_stage_seconds histogram and
-// one "stage" event per stage on the root span (added before End, so
+// flushStages publishes one finished selection's stage tally: for each
+// stage it crossed, an observation into the mp_selection_stage_seconds
+// histogram and a "stage" event on the root span (added before End, so
 // the events land in the recorded tree). A nil span is a no-op.
-func (m *Metasearcher) flushStages(rec *obs.StageRecorder, sp *span.Span) {
-	totals := rec.Totals()
-	for i, stage := range stageNames {
-		t, ok := totals[stage]
-		if !ok {
+func (m *Metasearcher) flushStages(sel *core.Selection, sp *span.Span) {
+	for st, t := range sel.Stages() {
+		if t.Count == 0 {
 			continue
 		}
+		sec := t.Time.Seconds()
 		if m.series != nil {
-			m.series.stages[i].Observe(t.Seconds)
+			m.series.stages[st].Observe(sec)
 		}
 		sp.AddRecord("stage",
-			"stage", stage,
-			"seconds", strconv.FormatFloat(t.Seconds, 'g', 6, 64),
-			"count", strconv.FormatInt(t.Count, 10))
+			"stage", core.Stage(st).String(),
+			"seconds", strconv.FormatFloat(sec, 'g', 6, 64),
+			"count", strconv.Itoa(t.Count))
 	}
 }

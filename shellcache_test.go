@@ -17,14 +17,14 @@ func TestShellCacheRecycling(t *testing.T) {
 	seen := map[*core.Selection]bool{}
 	reused := 0
 	for round := 0; round < 64; round++ {
-		s1, v1, err := ms.selection(test[round%len(test)], Absolute, 2, nil)
+		s1, v1, err := ms.selection(test[round%len(test)], Absolute, 2, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v1 != ms.host.View() {
 			t.Fatal("selection filled from a non-serving version")
 		}
-		s2, _, err := ms.selection(test[(round+1)%len(test)], Absolute, 3, nil)
+		s2, _, err := ms.selection(test[(round+1)%len(test)], Absolute, 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 	ms, test := buildTestMetasearcher(t)
 	qs := test[:4]
 	for _, q := range qs {
-		sel, _, err := ms.selection(q, Absolute, 2, nil)
+		sel, _, err := ms.selection(q, Absolute, 2, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 	cycle := testing.AllocsPerRun(200, func() {
 		q := qs[qi%len(qs)]
 		qi++
-		sel, _, err := ms.selection(q, Absolute, 2, nil)
+		sel, _, err := ms.selection(q, Absolute, 2, false)
 		if err != nil {
 			t.Fatal(err)
 		}

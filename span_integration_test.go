@@ -2,6 +2,7 @@ package metaprobe
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
@@ -16,17 +17,16 @@ import (
 	"metaprobe/internal/obs/span"
 )
 
-// TestSelectionSpanTreeAndExemplar drives one traced selection end to
+// TestSelectionSpanTreeAndTraceIndex drives one traced selection end to
 // end through the public API, over databases behind HTTP: the result
 // carries a trace ID whose recorded tree is rooted at a "selection" span
 // with exactly one probe child per probe spent and nothing below them —
 // each probe's answer page is an http_response event on its probe span
-// — and the latency histogram's exposition carries an exemplar naming
-// that trace.
-func TestSelectionSpanTreeAndExemplar(t *testing.T) {
-	reg := NewMetrics()
+// — and /debug/spans?n=1, where an operator looks for the slow request,
+// lists that trace with the root span's duration.
+func TestSelectionSpanTreeAndTraceIndex(t *testing.T) {
 	tracer := NewSpanTracer(256)
-	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: reg, Spans: tracer}, func(_ int, db Database) Database {
+	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: NewMetrics(), Spans: tracer}, func(_ int, db Database) Database {
 		srv := httptest.NewServer(hidden.NewServer(db))
 		t.Cleanup(srv.Close)
 		return NewHTTPDatabase(db.Name(), srv.URL, false)
@@ -72,12 +72,20 @@ func TestSelectionSpanTreeAndExemplar(t *testing.T) {
 		t.Errorf("trace holds %d probe spans, result reports %d probes", probeSpans, res.Probes)
 	}
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	span.Handler(tracer).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/spans?n=1", nil))
+	var index struct {
+		Traces []struct {
+			TraceID    string  `json:"traceId"`
+			DurationMs float64 `json:"durationMs"`
+		} `json:"traces"`
 	}
-	if want := `# {trace_id="` + res.TraceID + `"}`; !strings.Contains(sb.String(), want) {
-		t.Errorf("latency exposition carries no exemplar for trace %s:\n%s", res.TraceID, sb.String())
+	if err := json.Unmarshal(rec.Body.Bytes(), &index); err != nil {
+		t.Fatalf("/debug/spans?n=1 = %d %s: %v", rec.Code, rec.Body, err)
+	}
+	want := float64(root.Duration()) / float64(time.Millisecond)
+	if len(index.Traces) != 1 || index.Traces[0].TraceID != res.TraceID || index.Traces[0].DurationMs != want {
+		t.Errorf("/debug/spans?n=1 lists %+v, want trace %s at %v ms", index.Traces, res.TraceID, want)
 	}
 }
 

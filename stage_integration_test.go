@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"metaprobe/internal/core"
 	"metaprobe/internal/hidden"
 )
 
@@ -104,23 +105,21 @@ func TestStageTotalsSumToSelectionSpan(t *testing.T) {
 }
 
 // TestStageAttributionDisabledByDefault: with no observability sink
-// configured, no stage recorder is created and selections run with
-// the observer nil — the zero-overhead path.
+// configured, selections are filled with the stage tally off — the
+// zero-overhead path, whose stage boundaries read no clock.
 func TestStageAttributionDisabledByDefault(t *testing.T) {
 	ms, queries := buildTestMetasearcher(t)
 	if ms.observed {
 		t.Fatal("observability flag set with no sink configured")
 	}
-	sel, _, err := ms.selection(queries[0], Absolute, 2, nil)
+	sel, _, err := ms.selection(queries[0], Absolute, 2, ms.observed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		m := sel.BeginStage()
-		sel.EndStage(m, "ecor_dp")
-	}); allocs != 0 {
-		t.Fatalf("disabled stage boundary allocates %v objects per op", allocs)
+	if got := sel.Stages(); got != (core.StageTimes{}) {
+		t.Fatalf("the stage tally is on with no sink: %+v", got)
 	}
+	ms.recycleSelection(sel)
 	// The sequential path still works and reports no IDs.
 	res, err := ms.SelectWithCertainty(queries[0], 2, Absolute, 0.9, -1)
 	if err != nil {
