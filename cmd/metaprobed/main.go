@@ -215,10 +215,10 @@ func buildServer(names []string, scale float64, seed int64, trainN int, cfg serv
 	}
 	tenantCfg := func() *metaprobe.Config {
 		return &metaprobe.Config{
-			Metrics: cfg.Metrics,
-			Spans:   cfg.Spans,
-			Drift:   &metaprobe.DriftConfig{},
-			Refresh: &metaprobe.RefreshConfig{Queries: refreshQueries},
+			Metrics:        cfg.Metrics,
+			Spans:          cfg.Spans,
+			Drift:          true,
+			RefreshQueries: refreshQueries,
 		}
 	}
 

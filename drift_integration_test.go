@@ -34,14 +34,7 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewMetrics()
-	cfg := &Config{
-		Metrics: reg,
-		// Small window/interval so the fixed-size workload runs plenty
-		// of KS tests in both phases; the window matches MinSamples so
-		// phase-2 tests see fully post-drift samples rather than a
-		// dilution of both phases.
-		Drift: &DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8},
-	}
+	cfg := &Config{Metrics: reg, Drift: true}
 	ms, err := New(dbs, sums, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +43,10 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test, err := gen.TrainTest(stats.NewRNG(4), 150, 150, 60, 60)
+	// 400 distinct held-out queries: enough probes for the 32-sample
+	// first test on an unchanged corpus in one pass. Replaying a shorter
+	// workload instead repeats the same errors, which the test can flag.
+	train, test, err := gen.TrainTest(stats.NewRNG(4), 150, 150, 200, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package modelhost owns the serving model: the RCU pointer selections
-// read it through, the one lock its writers hold, the drift detector
+// read it through, the one lock its writers hold, the drift windows
 // whose references must move with every publication, and the database
-// names the detector is keyed by. It is a package, not a type inside
+// names alerts and drift series carry. It is a package, not a type inside
 // the facade, because Go has no privacy inside a package: here "readers
 // read what a published version never changes; writers hold the lock"
 // is what compiles, not what a comment asks for.
@@ -30,35 +30,41 @@ import (
 // concurrent use.
 type Host struct {
 	names []string
-	drift *obs.DriftDetector // nil when detection is off; its methods are nil-safe
+	// reg receives the mp_ed_drift_* series; nil disables them.
+	reg *obs.Registry
 	// mu is the writers' lock: whoever writes or reads the serving
-	// model's EDs holds it. Selections do not (see View).
+	// model's EDs, or the drift windows, holds it. Selections do not (see
+	// View).
 	mu sync.Mutex
 	// version is stored only under mu; readers load it without.
 	version atomic.Pointer[core.ModelVersion]
+	// drift holds the windows of the keys the serving model trusts; nil
+	// when detection is off.
+	drift map[driftKey]*window
 }
 
 // New returns a host serving nothing yet. names are the mediated
-// databases in testbed order; drift may be nil.
-func New(names []string, drift *obs.DriftDetector) *Host {
-	return &Host{names: names, drift: drift}
+// databases in testbed order; drift turns detection on, with its series
+// in reg when reg is non-nil.
+func New(names []string, drift bool, reg *obs.Registry) *Host {
+	h := &Host{names: names}
+	if !drift {
+		return h
+	}
+	h.drift, h.reg = make(map[driftKey]*window), reg
+	if reg != nil {
+		reg.Help("mp_ed_drift_alerts_total", "Drift tests that rejected the trained error distribution, per database.")
+		reg.Help("mp_ed_drift_tests_total", "KS drift tests run against trained error distributions.")
+		reg.Help("mp_ed_drift_statistic", "Latest KS distance between fresh probe errors and the trained ED.")
+		reg.Help("mp_ed_drift_pvalue", "Latest KS p-value of fresh probe errors against the trained ED.")
+		reg.Counter("mp_ed_drift_tests_total", nil)
+	}
+	return h
 }
 
 // Names returns the database names in testbed order. The slice is
 // shared; callers must not change it.
 func (h *Host) Names() []string { return h.names }
-
-// DriftStatuses reports every drift-monitored (database, query type).
-func (h *Host) DriftStatuses() []obs.DriftStatus { return h.drift.Snapshot() }
-
-// DriftConfig returns the detector's effective configuration, the zero
-// value without one.
-func (h *Host) DriftConfig() obs.DriftConfig {
-	if h.drift == nil {
-		return obs.DriftConfig{}
-	}
-	return h.drift.Config()
-}
 
 // View is a reader's handle on one published version, one pointer by
 // value: everything it reaches — configuration, summaries, RD-table
@@ -130,11 +136,12 @@ func (h *Host) publish(model *core.Model, source, refreshedDB string) *core.Mode
 	return next
 }
 
-// Install publishes a trained or loaded model and re-anchors the drift
-// detector on it: every (database, query type) whose ED carries at
-// least MinObservations samples gets that ED's reference sample and an
-// empty window. One critical section, because the EDs are open to
-// refinement by Observe from the moment the version is stored.
+// Install publishes a trained or loaded model and re-anchors drift
+// detection on it: every window goes, and each (database, query type)
+// whose ED carries at least MinObservations samples gets that ED's
+// reference sample and an empty window. One critical section, because
+// the EDs are open to refinement by Observe from the moment the version
+// is stored.
 func (h *Host) Install(model *core.Model, source string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -142,10 +149,11 @@ func (h *Host) Install(model *core.Model, source string) {
 	if h.drift == nil {
 		return
 	}
+	clear(h.drift)
 	for i, dm := range model.DBs {
 		for key, ed := range dm.EDs {
 			if ed.Observations() >= model.Cfg.MinObservations {
-				h.drift.SetReference(h.names[i], key.String(), ed.ReferenceSample(0))
+				h.anchor(i, key, ed)
 			}
 		}
 	}
@@ -156,11 +164,11 @@ func (h *Host) Install(model *core.Model, source string) {
 // to the version the probing selection was built from). With refine the
 // observation enters the matching ED, and selections see it when the
 // version next republishes its RD rows (core.ModelVersion.Observe); with
-// a drift detector the fresh error enters that key's window. A failed
-// drift test comes back as the alert (ok true) for the caller to deliver
-// once Observe has returned: the host has no callback, so handlers may
-// save, reload or retrain.
-func (h *Host) Observe(db int, query string, numTerms int, actual float64, refine bool) (alert obs.DriftAlert, ok bool, err error) {
+// detection on the fresh error enters that key's window. A failed drift
+// test comes back as the alert (ok true) for the caller to deliver once
+// Observe has returned: the host has no callback, so handlers may save,
+// reload or retrain.
+func (h *Host) Observe(db int, query string, numTerms int, actual float64, refine bool) (alert refresh.Alert, ok bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ver := h.version.Load()
@@ -184,13 +192,13 @@ func (h *Host) Observe(db int, query string, numTerms int, actual float64, refin
 	// The window takes what the matching ED was trained on — (r − r̂)/r̂,
 	// or r itself in the r̂ = 0 band — quantized onto the ED's bins (see
 	// ED.ReferenceSample) so the KS test compares like with like. A query
-	// type with no trained ED has no reference to be tested against.
+	// type with no trusted ED has no window to be tested in.
 	if ed, tracked := model.DBs[db].EDs[key]; tracked {
 		v := actual
 		if key.Band != core.BandZero {
 			v = (actual - rhat) / rhat
 		}
-		alert, ok = h.drift.Observe(h.names[db], key.String(), ed.Quantize(v))
+		alert, ok = h.observeDrift(db, key, ed.Quantize(v))
 	}
 	return
 }
@@ -231,9 +239,10 @@ func (h *Host) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.E
 	if err != nil {
 		return 0, fmt.Errorf("metaprobe: refresh commit: %w", err)
 	}
-	db := h.names[dbIdx]
-	nv := h.publish(next, "refresh", db)
-	h.drift.SetReference(db, key.String(), ed.ReferenceSample(0))
+	nv := h.publish(next, "refresh", h.names[dbIdx])
+	if h.drift != nil {
+		h.anchor(dbIdx, key, ed)
+	}
 	return nv.Version, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"metaprobe/internal/corpus"
 	"metaprobe/internal/estimate"
 	"metaprobe/internal/hidden"
-	"metaprobe/internal/obs"
 	"metaprobe/internal/queries"
 	"metaprobe/internal/refresh"
 	"metaprobe/internal/stats"
@@ -135,7 +134,7 @@ func (p picture) same(q picture) bool {
 // per database, so with one database moving, what it read is one state.
 func TestViewCoherentUnderWriters(t *testing.T) {
 	tr := train(t)
-	h := New(tr.names, obs.NewDriftDetector(obs.DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8}))
+	h := New(tr.names, true, nil)
 
 	var (
 		wmu    sync.Mutex // writers: one (write, copy) at a time
@@ -291,7 +290,7 @@ func TestViewCoherentUnderWriters(t *testing.T) {
 // observations pending, serves no stale row.
 func TestEpochKeepsVersion(t *testing.T) {
 	tr := train(t)
-	h := New(tr.names, nil)
+	h := New(tr.names, false, nil)
 	h.Install(deepCopy(tr.base), "train")
 	var key core.TypeKey
 	for key = range tr.base.DBs[1].EDs {
@@ -362,11 +361,7 @@ func TestObserveEstimatesOnce(t *testing.T) {
 		{"drift", true, false, 1},
 		{"neither", false, false, 0},
 	} {
-		var drift *obs.DriftDetector
-		if c.drift {
-			drift = obs.NewDriftDetector(obs.DriftConfig{})
-		}
-		h := New(tr.names, drift)
+		h := New(tr.names, c.drift, nil)
 		model := deepCopy(tr.base)
 		rel := &estimateCounter{Relevancy: model.Rel}
 		model.Rel = rel
@@ -387,14 +382,17 @@ func TestObserveEstimatesOnce(t *testing.T) {
 // inside the critical section, the handler would never return.)
 func TestObserveReturnsAlertUnlocked(t *testing.T) {
 	tr := train(t)
-	h := New(tr.names, obs.NewDriftDetector(obs.DriftConfig{WindowSize: 16, MinSamples: 8, Interval: 4, Alpha: 0.05}))
+	h := New(tr.names, true, nil)
 	h.Install(deepCopy(tr.base), "train")
 
 	handled := make(chan int64, 1)
-	handle := func(a obs.DriftAlert) {
+	handle := func(a refresh.Alert) {
+		if a.DBIdx != 0 || a.DB != tr.names[0] {
+			t.Errorf("an alert from database 0's probes names %d (%s)", a.DBIdx, a.DB)
+		}
 		var observations int64
 		h.Locked(func(ver *core.ModelVersion) error {
-			for _, ed := range ver.Model.DBs[slices.Index(tr.names, a.DB)].EDs {
+			for _, ed := range ver.Model.DBs[a.DBIdx].EDs {
 				observations += ed.Observations()
 			}
 			return nil
@@ -431,11 +429,11 @@ func TestObserveReturnsAlertUnlocked(t *testing.T) {
 
 // TestCommitSuperseded: a refresh validated against a version an
 // Install has since replaced is refused, and refusing it moves neither
-// the serving pointer nor a drift reference (SetReference would empty
+// the serving pointer nor a drift reference (re-anchoring would empty
 // the key's window).
 func TestCommitSuperseded(t *testing.T) {
 	tr := train(t)
-	h := New(tr.names, obs.NewDriftDetector(obs.DriftConfig{}))
+	h := New(tr.names, true, nil)
 	h.Install(deepCopy(tr.base), "train")
 
 	// A tracked key of database 0, with something in its window.

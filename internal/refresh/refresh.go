@@ -1,5 +1,5 @@
 // Package refresh closes the drift loop: it consumes error-distribution
-// drift alerts (internal/obs.DriftDetector) and retrains the affected
+// drift alerts (raised by internal/modelhost) and retrains the affected
 // (database, query type) error distributions online, following the
 // paper's Section 4 training procedure — probe the database with
 // workload-like queries and accumulate the fresh estimation errors —
@@ -10,15 +10,14 @@
 // A refresh never mutates the serving model. It works from a private
 // copy of the one drifted ED, trains a replacement from fresh probes,
 // validates it against a holdout slice of those probes (the
-// replacement's distributional fit must not regress beyond
-// Config.MaxRegression), and asks the host to publish it with one
-// atomic pointer swap — or discards it and counts a rollback.
+// replacement's distributional fit must not regress by more than
+// maxRegression), and asks the host to publish it with one atomic
+// pointer swap — or discards it and counts a rollback.
 package refresh
 
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -31,39 +30,40 @@ import (
 	"metaprobe/internal/summary"
 )
 
-// Config tunes a Refresher. The zero value selects the defaults
-// documented on each field.
-type Config struct {
-	// ProbeBudget caps the live probes one refresh task may spend
-	// (default 96). The budget bounds the *cost* of reacting to an
-	// alert; the host's probe pool bounds its *concurrency impact*.
-	ProbeBudget int
-	// MinProbes is the minimum number of successful probes required to
+const (
+	// probeBudget caps the live probes one refresh task may spend. The
+	// budget bounds the *cost* of reacting to an alert; the host's probe
+	// pool bounds its *concurrency impact*.
+	probeBudget = 96
+	// minProbes is the minimum number of successful probes required to
 	// rebuild an ED; tasks that cannot gather that many matching
-	// observations abort without touching the model (default 16).
-	MinProbes int
-	// HoldoutEvery holds out every Nth probe for validation instead of
-	// training (default 4, i.e. a 25% holdout slice).
-	HoldoutEvery int
-	// MaxRegression is the allowed validation regression: the
+	// observations abort without touching the model.
+	minProbes = 16
+	// holdoutEvery holds out every Nth probe for validation instead of
+	// training: a 25% holdout slice.
+	holdoutEvery = 4
+	// maxRegression is the allowed validation regression: the
 	// candidate's holdout score (mean negative log-likelihood, nats —
 	// see holdoutScore) may exceed the serving model's by at most this
-	// much before the refresh rolls back (default 0.1).
-	MaxRegression float64
-	// Cooldown suppresses re-refreshing one (database, query type) for
+	// much before the refresh rolls back.
+	maxRegression = 0.1
+	// cooldown suppresses re-refreshing one (database, query type) for
 	// this long after an attempt, absorbing the detector's periodic
-	// re-alerts while fresh post-refresh samples accumulate
-	// (default 1m).
-	Cooldown time.Duration
-	// QueueSize bounds the pending-alert queue; alerts beyond it are
-	// dropped and counted (default 64).
-	QueueSize int
-	// Concurrency bounds the refresh probes in flight for one task
-	// (default 2). Keep it well below the host pool's global limit so a
-	// refresh only ever nibbles at serving capacity.
-	Concurrency int
-	// TaskTimeout bounds one refresh task end to end (default 2m).
-	TaskTimeout time.Duration
+	// re-alerts while fresh post-refresh samples accumulate.
+	cooldown = time.Minute
+	// queueSize bounds the pending-alert queue; alerts beyond it are
+	// dropped and counted.
+	queueSize = 64
+	// concurrency bounds the refresh probes in flight for one task, well
+	// below the host pool's global limit, so a refresh only ever nibbles
+	// at serving capacity.
+	concurrency = 2
+	// taskTimeout bounds one refresh task end to end.
+	taskTimeout = 2 * time.Minute
+)
+
+// Config wires a Refresher to its query source and sinks.
+type Config struct {
 	// Queries supplies up to n candidate probe queries with the given
 	// term count, workload-like (the paper trains on queries resembling
 	// future traffic). Required: a Refresher without a query source
@@ -76,40 +76,6 @@ type Config struct {
 	// spans nested below), so a model swap landing mid-selection can be
 	// correlated with the selections it raced.
 	Spans *span.Tracer
-	// Logger receives refresh lifecycle logs; nil discards them.
-	Logger *slog.Logger
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.ProbeBudget <= 0 {
-		c.ProbeBudget = 96
-	}
-	if c.MinProbes <= 0 {
-		c.MinProbes = 16
-	}
-	if c.HoldoutEvery <= 1 {
-		c.HoldoutEvery = 4
-	}
-	if c.MaxRegression <= 0 {
-		c.MaxRegression = 0.1
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Minute
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 64
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 2
-	}
-	if c.TaskTimeout <= 0 {
-		c.TaskTimeout = 2 * time.Minute
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	return c
 }
 
 // Serving is what one refresh task works from: the parts of the serving
@@ -154,7 +120,7 @@ var ErrSuperseded = fmt.Errorf("refresh: serving model changed during refresh")
 
 // Alert names one drifted (database, query type).
 type Alert struct {
-	// DB is the database name (for logs and metrics).
+	// DB is the database name (for spans and the validation record).
 	DB string
 	// DBIdx is the database's testbed index.
 	DBIdx int
@@ -243,20 +209,19 @@ type Refresher struct {
 
 // New builds a Refresher over host and starts its worker goroutine.
 func New(cfg Config, host Host) *Refresher {
-	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Refresher{
 		cfg:         cfg,
 		host:        host,
 		ctx:         ctx,
 		cancel:      cancel,
-		ch:          make(chan Alert, cfg.QueueSize),
+		ch:          make(chan Alert, queueSize),
 		queued:      make(map[Alert]bool),
 		lastAttempt: make(map[Alert]time.Time),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		reg.Help("mp_refresh_total", "Completed online model refreshes, by outcome (ok, rollback, aborted, superseded).")
-		reg.Help("mp_refresh_rollbacks_total", "Refresh candidates discarded because validation regressed beyond the configured gap.")
+		reg.Help("mp_refresh_rollbacks_total", "Refresh candidates discarded because validation regressed by more than 0.1 nats.")
 		reg.Help("mp_refresh_probes_total", "Live probes spent by refresh tasks.")
 		reg.Help("mp_refresh_alerts_total", "Drift alerts received, by intake decision (queued, coalesced, cooldown, dropped).")
 		reg.Help("mp_refresh_duration_seconds", "End-to-end duration of refresh tasks.")
@@ -308,7 +273,7 @@ func (r *Refresher) Alert(a Alert) {
 		r.count("mp_refresh_alerts_total", "decision", "coalesced")
 		return
 	}
-	if last, ok := r.lastAttempt[a]; ok && time.Since(last) < r.cfg.Cooldown {
+	if last, ok := r.lastAttempt[a]; ok && time.Since(last) < cooldown {
 		r.stats.Cooldown++
 		r.count("mp_refresh_alerts_total", "decision", "cooldown")
 		return
@@ -424,16 +389,6 @@ func (r *Refresher) runTask(a Alert) {
 		}
 		reg.Histogram("mp_refresh_duration_seconds", nil).Observe(elapsed.Seconds())
 	}
-	log := r.cfg.Logger.With("db", a.DB, "type", a.Key.String(), "outcome", string(out), "elapsed", elapsed)
-	if val != nil {
-		log = log.With("oldScore", val.OldScore, "newScore", val.NewScore,
-			"probes", val.ProbesSpent, "train", val.TrainSamples, "holdout", val.HoldoutSamples)
-	}
-	if err != nil {
-		log.Warn("model refresh did not publish", "err", err)
-	} else {
-		log.Info("model refresh published")
-	}
 }
 
 // probePair is one fresh training observation.
@@ -448,7 +403,7 @@ type probePair struct {
 // record when probing happened, and a diagnostic error for non-ok
 // outcomes.
 func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error) {
-	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.TaskTimeout)
+	ctx, cancel := context.WithTimeout(r.ctx, taskTimeout)
 	defer cancel()
 	ctx, sp := r.cfg.Spans.Start(ctx, "refresh")
 	sp.SetAttr("db", a.DB)
@@ -469,7 +424,7 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 	// Candidate queries that classify into the alerted key need no
 	// probe to identify: classification is summary-only. Over-ask the
 	// source since only a fraction lands in the key.
-	raw := r.cfg.Queries(a.Key.Terms, 8*r.cfg.ProbeBudget)
+	raw := r.cfg.Queries(a.Key.Terms, 8*probeBudget)
 	var cands []probePair
 	seen := make(map[string]bool, len(raw))
 	for _, q := range raw {
@@ -483,17 +438,17 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 			continue
 		}
 		cands = append(cands, probePair{query: q, terms: terms, rhat: rhat})
-		if len(cands) >= r.cfg.ProbeBudget {
+		if len(cands) >= probeBudget {
 			break
 		}
 	}
-	if len(cands) < r.cfg.MinProbes {
+	if len(cands) < minProbes {
 		return outcomeAborted, nil, fmt.Errorf("refresh: only %d workload queries classify as %s on %s (need %d)",
-			len(cands), a.Key, a.DB, r.cfg.MinProbes)
+			len(cands), a.Key, a.DB, minProbes)
 	}
 
 	// Probe the candidates through the host's lane, bounded by
-	// Concurrency — the budget caps total cost, the pool caps impact.
+	// concurrency — the budget caps total cost, the pool caps impact.
 	pctx, psp := span.Start(ctx, "refresh.probe")
 	pairs, probesSpent := r.probeAll(pctx, a.DBIdx, cands)
 	psp.SetAttr("probes", fmt.Sprint(probesSpent))
@@ -503,16 +458,16 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 		DB: a.DB, QueryType: a.Key.String(),
 		ProbesSpent: probesSpent, At: time.Now(),
 	}
-	if len(pairs) < r.cfg.MinProbes {
+	if len(pairs) < minProbes {
 		return outcomeAborted, val, fmt.Errorf("refresh: %d/%d probes succeeded (need %d)",
-			len(pairs), probesSpent, r.cfg.MinProbes)
+			len(pairs), probesSpent, minProbes)
 	}
 
-	// Deterministic interleaved split: every HoldoutEvery-th pair is
+	// Deterministic interleaved split: every holdoutEvery-th pair is
 	// held out for validation, the rest rebuild the ED.
 	var train, holdout []probePair
 	for i, p := range pairs {
-		if i%r.cfg.HoldoutEvery == r.cfg.HoldoutEvery-1 {
+		if i%holdoutEvery == holdoutEvery-1 {
 			holdout = append(holdout, p)
 		} else {
 			train = append(train, p)
@@ -536,9 +491,9 @@ func (r *Refresher) refreshKey(a Alert) (out outcome, val *Validation, err error
 	vsp.SetAttr("old_score", fmt.Sprintf("%.4f", val.OldScore))
 	vsp.SetAttr("new_score", fmt.Sprintf("%.4f", val.NewScore))
 
-	if val.NewScore > val.OldScore+r.cfg.MaxRegression {
+	if val.NewScore > val.OldScore+maxRegression {
 		err := fmt.Errorf("refresh: candidate regressed on holdout: %.4f -> %.4f (gap %.4f allowed)",
-			val.OldScore, val.NewScore, r.cfg.MaxRegression)
+			val.OldScore, val.NewScore, maxRegression)
 		vsp.EndErr(err)
 		return outcomeRollback, val, err
 	}
@@ -566,7 +521,7 @@ func (r *Refresher) probeAll(ctx context.Context, dbIdx int, cands []probePair) 
 		v  float64
 	}
 	results := make([]slot, len(cands))
-	sem := make(chan struct{}, r.cfg.Concurrency)
+	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
 	issued := 0
 	for i := range cands {

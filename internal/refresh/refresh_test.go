@@ -104,11 +104,11 @@ func (h *harness) alertFor(t *testing.T, minCands int) Alert {
 
 // fakeHost implements Host over the harness. probeValue maps a probe
 // to the "current" (possibly drifted) collection's answer; it receives
-// the 0-based probe sequence number, the query's estimate and the real
-// undrifted relevancy.
+// the 0-based probe sequence number, the query, its estimate and the
+// real undrifted relevancy.
 type fakeHost struct {
 	h          *harness
-	probeValue func(call int, rhat, real float64) (float64, error)
+	probeValue func(call int, query string, rhat, real float64) (float64, error)
 
 	mu      sync.Mutex
 	version int64
@@ -120,7 +120,7 @@ type fakeHost struct {
 
 func newFakeHost(h *harness) *fakeHost {
 	return &fakeHost{h: h, version: 1, model: h.model,
-		probeValue: func(_ int, _, real float64) (float64, error) { return real, nil }}
+		probeValue: func(_ int, _ string, _, real float64) (float64, error) { return real, nil }}
 }
 
 func (f *fakeHost) Serving(dbIdx int, key core.TypeKey) (Serving, error) {
@@ -150,7 +150,7 @@ func (f *fakeHost) Probe(ctx context.Context, dbIdx int, query string) (float64,
 	call := f.calls
 	f.calls++
 	f.mu.Unlock()
-	return f.probeValue(call, rhat, real)
+	return f.probeValue(call, query, rhat, real)
 }
 
 func (f *fakeHost) Commit(baseVersion int64, dbIdx int, key core.TypeKey, ed *core.ED) (int64, error) {
@@ -192,14 +192,11 @@ func waitTasks(t *testing.T, r *Refresher, n int64) Stats {
 func TestRefreshRetrainsDriftedKey(t *testing.T) {
 	h := buildHarness(t)
 	host := newFakeHost(h)
-	host.probeValue = func(_ int, rhat, _ float64) (float64, error) { return 3 * rhat, nil }
+	host.probeValue = func(_ int, _ string, rhat, _ float64) (float64, error) { return 3 * rhat, nil }
 	alert := h.alertFor(t, 24)
 
 	reg := obs.NewRegistry()
-	r := New(Config{
-		ProbeBudget: 48, MinProbes: 12, HoldoutEvery: 4,
-		Cooldown: time.Hour, Queries: h.querySource, Metrics: reg,
-	}, host)
+	r := New(Config{Queries: h.querySource, Metrics: reg}, host)
 	defer r.Stop()
 
 	beforeObs := h.model.DBs[0].EDs[alert.Key].Observations()
@@ -223,8 +220,8 @@ func TestRefreshRetrainsDriftedKey(t *testing.T) {
 	if v.NewScore >= v.OldScore {
 		t.Errorf("retrained ED did not improve on holdout: old %.4f new %.4f", v.OldScore, v.NewScore)
 	}
-	if v.ProbesSpent > 48 {
-		t.Errorf("task spent %d probes, budget 48", v.ProbesSpent)
+	if v.ProbesSpent > probeBudget {
+		t.Errorf("task spent %d probes, budget %d", v.ProbesSpent, probeBudget)
 	}
 	if v.DB != alert.DB || v.QueryType != alert.Key.String() {
 		t.Errorf("validation names %s/%s, want %s/%s", v.DB, v.QueryType, alert.DB, alert.Key)
@@ -261,32 +258,40 @@ func TestRefreshRetrainsDriftedKey(t *testing.T) {
 }
 
 // TestRefreshRollsBackRegression forces a candidate that fits its
-// training probes but regresses on holdout: with Concurrency 1 the
-// probe order matches the interleaved split, so train positions
-// observe a near-total collapse (3% of the estimate, error ratio
-// ≈ −0.97) while holdout positions answer truthfully. The candidate ED
-// concentrates its mass in the [−1, −0.9) bin, where truthful
-// high-band errors — overwhelmingly positive on this testbed — never
-// land, so the serving distribution fits the holdout better,
-// validation fails, nothing is committed, and the rollback is counted.
+// training probes but regresses on holdout: the source hands out only
+// queries of the alerted type, each once, so the refresher's i-th
+// candidate is the source's i-th query and the interleaved split is
+// known by query. Train positions observe a near-total collapse (3% of
+// the estimate, error ratio ≈ −0.97) while holdout positions answer
+// truthfully. The candidate ED concentrates its mass in the [−1, −0.9)
+// bin, where truthful high-band errors — overwhelmingly positive on
+// this testbed — never land, so the serving distribution fits the
+// holdout better, validation fails, nothing is committed, and the
+// rollback is counted.
 func TestRefreshRollsBackRegression(t *testing.T) {
 	h := buildHarness(t)
 	host := newFakeHost(h)
-	const holdoutEvery = 4
-	host.probeValue = func(call int, rhat, real float64) (float64, error) {
-		if call%holdoutEvery == holdoutEvery-1 {
+	alert := h.alertFor(t, 24)
+	sum := h.model.Summaries.Summaries[0]
+	pos := make(map[string]int) // query → candidate index
+	var keyed []string
+	for _, q := range h.pool {
+		s := q.String()
+		if _, dup := pos[s]; dup || h.model.Cfg.Classifier.Classify(q.NumTerms(), h.rel.Estimate(sum, s)) != alert.Key {
+			continue
+		}
+		pos[s] = len(keyed)
+		keyed = append(keyed, s)
+	}
+	host.probeValue = func(_ int, q string, rhat, real float64) (float64, error) {
+		if pos[q]%holdoutEvery == holdoutEvery-1 {
 			return real, nil // holdout: no drift
 		}
 		return 0.03 * rhat, nil // training slice: collapse drift
 	}
-	alert := h.alertFor(t, 24)
 
 	reg := obs.NewRegistry()
-	r := New(Config{
-		ProbeBudget: 48, MinProbes: 12, HoldoutEvery: holdoutEvery,
-		Concurrency: 1, MaxRegression: 0.05,
-		Cooldown: time.Hour, Queries: h.querySource, Metrics: reg,
-	}, host)
+	r := New(Config{Queries: func(int, int) []string { return keyed }, Metrics: reg}, host)
 	defer r.Stop()
 
 	r.Alert(alert)
@@ -307,14 +312,14 @@ func TestRefreshRollsBackRegression(t *testing.T) {
 
 // TestRefreshAborts covers the no-publish paths that never touch the
 // model: no query source, not enough matching workload queries, and
-// probe failures below MinProbes.
+// probe failures below minProbes.
 func TestRefreshAborts(t *testing.T) {
 	h := buildHarness(t)
 	alert := h.alertFor(t, 24)
 
 	t.Run("no query source", func(t *testing.T) {
 		host := newFakeHost(h)
-		r := New(Config{Cooldown: time.Hour}, host)
+		r := New(Config{}, host)
 		defer r.Stop()
 		r.Alert(alert)
 		if s := waitTasks(t, r, 1); s.Aborted != 1 {
@@ -326,10 +331,10 @@ func TestRefreshAborts(t *testing.T) {
 	})
 	t.Run("probes fail", func(t *testing.T) {
 		host := newFakeHost(h)
-		host.probeValue = func(int, float64, float64) (float64, error) {
+		host.probeValue = func(int, string, float64, float64) (float64, error) {
 			return 0, fmt.Errorf("backend down")
 		}
-		r := New(Config{ProbeBudget: 32, MinProbes: 8, Cooldown: time.Hour, Queries: h.querySource}, host)
+		r := New(Config{Queries: h.querySource}, host)
 		defer r.Stop()
 		r.Alert(alert)
 		s := waitTasks(t, r, 1)
@@ -342,7 +347,7 @@ func TestRefreshAborts(t *testing.T) {
 	})
 	t.Run("bad database index", func(t *testing.T) {
 		host := newFakeHost(h)
-		r := New(Config{Cooldown: time.Hour, Queries: h.querySource}, host)
+		r := New(Config{Queries: h.querySource}, host)
 		defer r.Stop()
 		r.Alert(Alert{DB: "nope", DBIdx: 99, Key: alert.Key})
 		if s := waitTasks(t, r, 1); s.Aborted != 1 {
@@ -356,7 +361,7 @@ func TestRefreshAborts(t *testing.T) {
 func TestRefreshSuperseded(t *testing.T) {
 	h := buildHarness(t)
 	host := newFakeHost(h)
-	host.probeValue = func(call int, rhat, _ float64) (float64, error) {
+	host.probeValue = func(call int, _ string, rhat, _ float64) (float64, error) {
 		if call == 0 {
 			// Simulate an operator reload racing the refresh.
 			host.mu.Lock()
@@ -366,7 +371,7 @@ func TestRefreshSuperseded(t *testing.T) {
 		return 3 * rhat, nil
 	}
 	alert := h.alertFor(t, 24)
-	r := New(Config{ProbeBudget: 48, MinProbes: 12, Cooldown: time.Hour, Queries: h.querySource}, host)
+	r := New(Config{Queries: h.querySource}, host)
 	defer r.Stop()
 	r.Alert(alert)
 	s := waitTasks(t, r, 1)
@@ -383,25 +388,32 @@ func TestAlertIntake(t *testing.T) {
 	host := newFakeHost(h)
 	release := make(chan struct{})
 	blocking := &blockingHost{Host: host, entered: make(chan struct{}), release: release}
-	r := New(Config{QueueSize: 1, Cooldown: time.Hour, Queries: h.querySource}, blocking)
+	r := New(Config{Queries: h.querySource}, blocking)
 
 	a := Alert{DB: h.model.DBs[0].Name, DBIdx: 0, Key: core.TypeKey{Terms: 2, Band: core.BandHigh}}
-	b := Alert{DB: h.model.DBs[0].Name, DBIdx: 0, Key: core.TypeKey{Terms: 3, Band: core.BandHigh}}
+	// queueSize alerts for databases the host does not have: distinct
+	// keys, and tasks that abort as soon as the worker reaches them.
+	fill := make([]Alert, queueSize)
+	for i := range fill {
+		fill[i] = Alert{DB: "nope", DBIdx: 100 + i, Key: a.Key}
+	}
 	c := Alert{DB: h.model.DBs[0].Name, DBIdx: 0, Key: core.TypeKey{Terms: 2, Band: core.BandLow}}
 
 	r.Alert(a) // picked up by the worker, parked on Serving
 	<-blocking.entered
-	r.Alert(b) // fills the queue
-	r.Alert(b) // coalesced with the queued copy
-	r.Alert(c) // queue full: dropped
-	r.Alert(a) // a is mid-task (cooldown stamped): suppressed
+	for _, b := range fill {
+		r.Alert(b) // fills the queue
+	}
+	r.Alert(fill[0]) // coalesced with the queued copy
+	r.Alert(c)       // queue full: dropped
+	r.Alert(a)       // a is mid-task (cooldown stamped): suppressed
 
 	s := r.Stats()
-	if s.Queued != 2 || s.Coalesced != 1 || s.Dropped != 1 || s.Cooldown != 1 {
-		t.Errorf("intake stats = %+v, want queued=2 coalesced=1 dropped=1 cooldown=1", s)
+	if s.Queued != 1+queueSize || s.Coalesced != 1 || s.Dropped != 1 || s.Cooldown != 1 {
+		t.Errorf("intake stats = %+v, want queued=%d coalesced=1 dropped=1 cooldown=1", s, 1+queueSize)
 	}
 	close(release)
-	waitTasks(t, r, 2)
+	waitTasks(t, r, 1+queueSize)
 	r.Stop()
 	r.Alert(a) // after Stop: dropped, never panics
 	if s := r.Stats(); s.Dropped != 2 {
@@ -430,8 +442,8 @@ func (b *blockingHost) Serving(dbIdx int, key core.TypeKey) (Serving, error) {
 	return b.Host.Serving(dbIdx, key)
 }
 
-// TestParseTypeKeyRoundTrip pins the alert-wiring contract: the string
-// the drift detector reports parses back to the original key.
+// TestParseTypeKeyRoundTrip pins RefreshNow's contract: the query type
+// a DriftStatus reports parses back to the original key.
 func TestParseTypeKeyRoundTrip(t *testing.T) {
 	for _, key := range core.DefaultClassifier().AllKeys() {
 		got, err := core.ParseTypeKey(key.String())
@@ -460,46 +472,24 @@ func TestParseTypeKeyRoundTrip(t *testing.T) {
 func TestRefreshStreakTracking(t *testing.T) {
 	h := buildHarness(t)
 	host := newFakeHost(h)
-	host.probeValue = func(_ int, rhat, _ float64) (float64, error) { return 3 * rhat, nil }
+	host.probeValue = func(_ int, _ string, rhat, _ float64) (float64, error) { return 3 * rhat, nil }
 	alert := h.alertFor(t, 24)
-
-	// The query source is switchable: while off, every task aborts
-	// before probing; once on, the drifted key retrains and publishes.
-	var mu sync.Mutex
-	allow := false
-	src := func(numTerms, n int) []string {
-		mu.Lock()
-		ok := allow
-		mu.Unlock()
-		if !ok {
-			return nil
-		}
-		return h.querySource(numTerms, n)
-	}
 	tr := span.NewTracer(0)
-	r := New(Config{
-		ProbeBudget: 48, MinProbes: 12, HoldoutEvery: 4,
-		Cooldown: time.Millisecond, Queries: src, Spans: tr,
-	}, host)
+	r := New(Config{Queries: h.querySource, Spans: tr}, host)
 	defer r.Stop()
 
-	r.Alert(alert)
-	s := waitTasks(t, r, 1)
-	if s.Aborted != 1 || s.FailureStreak != 1 || s.LastError == "" {
-		t.Fatalf("after one abort: %+v", s)
-	}
-	time.Sleep(5 * time.Millisecond) // let the per-key cooldown lapse
-	r.Alert(alert)
-	if s = waitTasks(t, r, 2); s.FailureStreak != 2 {
-		t.Fatalf("streak should accumulate across aborts: %+v", s)
+	// The workload has no 1-term query, so these two tasks abort before
+	// probing; each is its own key, out of the other's cooldown.
+	for i, band := range []core.EstimateBand{core.BandLow, core.BandHigh} {
+		r.Alert(Alert{DB: alert.DB, DBIdx: alert.DBIdx, Key: core.TypeKey{Terms: 1, Band: band}})
+		s := waitTasks(t, r, int64(i+1))
+		if s.Aborted != int64(i+1) || s.FailureStreak != int64(i+1) || s.LastError == "" {
+			t.Fatalf("streak should accumulate across aborts: after %d, %+v", i+1, s)
+		}
 	}
 
-	mu.Lock()
-	allow = true
-	mu.Unlock()
-	time.Sleep(5 * time.Millisecond)
 	r.Alert(alert)
-	s = waitTasks(t, r, 3)
+	s := waitTasks(t, r, 3)
 	if s.Refreshes != 1 {
 		t.Fatalf("expected the third task to publish: %+v", s)
 	}

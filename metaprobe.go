@@ -88,13 +88,8 @@ type (
 	SpanTracer = span.Tracer
 	// Span is one recorded span (exported for waterfall rendering).
 	Span = span.Span
-	// DriftConfig tunes online ED drift detection. See Config.Drift.
-	DriftConfig = obs.DriftConfig
 	// DriftStatus is the state of one monitored (database, query type).
-	DriftStatus = obs.DriftStatus
-	// RefreshConfig tunes the online model refresher that retrains
-	// drifted error distributions in the background. See Config.Refresh.
-	RefreshConfig = refresh.Config
+	DriftStatus = modelhost.DriftStatus
 	// RefreshStats are the refresher's lifetime counters. See
 	// Metasearcher.RefreshStats.
 	RefreshStats = refresh.Stats
@@ -137,28 +132,28 @@ type Config struct {
 	// recording entirely; the only cost left on the selection path is
 	// one pointer comparison.
 	Metrics *Metrics
-	// Drift, when non-nil, enables online drift detection on the
-	// learned error distributions: every live probe's fresh error feeds
-	// a bounded sliding window per (database, query type), periodically
-	// KS-tested against the trained ED. Statistics surface through
-	// Metrics (mp_ed_drift_* series) and DriftStatuses, and failed tests
-	// go to the Refresh worker when one is configured. The zero
-	// DriftConfig value selects sensible defaults. Detection starts once
-	// Train (or NewFromModel) has produced a model; nil — the default —
-	// keeps the probe path free of drift bookkeeping.
-	Drift *DriftConfig
-	// Refresh, when non-nil alongside Drift, closes the drift loop
-	// automatically: every drift alert is handed to a background
-	// refresher that re-probes the drifted (database, query type) under
-	// a bounded budget, rebuilds its error distribution, validates the
-	// candidate model on a probe holdout, and hot-swaps it in — or
-	// rolls it back when validation regresses. RefreshConfig.Queries
-	// must supply workload-like probe queries; without it every refresh
-	// task aborts. Refresh probes run through the same probe slots and
-	// circuit breakers as live selections, so refresh traffic cannot
-	// starve serving. Call Metasearcher.Close to stop the background
-	// worker.
-	Refresh *RefreshConfig
+	// Drift enables online drift detection on the learned error
+	// distributions: every live probe's fresh error feeds a sliding
+	// window of the last 64 per (database, query type), KS-tested
+	// against the trained ED at the 32nd observation and every 16th
+	// after it; a p-value under 0.005 is an alert. Statistics surface
+	// through Metrics (mp_ed_drift_* series) and DriftStatuses, and
+	// alerts go to the background refresher when RefreshQueries is set.
+	// Detection starts once Train (or NewFromModel) has produced a
+	// model; false — the default — keeps the probe path free of drift
+	// bookkeeping.
+	Drift bool
+	// RefreshQueries, when non-nil, starts a background refresher and
+	// supplies its probe queries: up to n workload-like queries of
+	// numTerms terms. With Drift it closes the loop automatically: every
+	// alert re-probes the drifted (database, query type) with at most
+	// 96 probes, rebuilds its error distribution, validates the candidate
+	// on a quarter of those probes held out, and hot-swaps it in — or
+	// rolls it back when it fits the holdout worse by more than 0.1 nats.
+	// Refresh probes run through the same probe slots and circuit
+	// breakers as live selections, so refresh traffic cannot starve
+	// serving. Call Metasearcher.Close to stop the background worker.
+	RefreshQueries func(numTerms, n int) []string
 	// ProbeTimeout caps each probe end to end; a timed-out probe counts
 	// as a backend failure. 0 leaves probes bounded only by the caller's
 	// context. Whatever it is, at most 16 probes are in flight at once
@@ -210,13 +205,13 @@ type Metasearcher struct {
 	sums *summary.Set
 	rel  Relevancy
 	cfg  Config
-	// host owns the serving model: pointer, writers' lock, drift anchors
+	// host owns the serving model: pointer, writers' lock, drift windows
 	// (internal/modelhost). Selections read it through a View and take no
 	// lock; Train, ReloadModel, probe feedback and the online refresher
 	// go through its writer methods, so a swap never blocks a selection.
 	host *modelhost.Host
 	// refresher retrains drifted EDs in the background (nil unless
-	// cfg.Refresh is set).
+	// cfg.RefreshQueries is set).
 	refresher *refresh.Refresher
 	// observed caches cfg.observed(): the one test the selection path
 	// makes before it reads the clock, numbers the selection, opens a
@@ -274,17 +269,12 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 	for i := range names {
 		names[i] = tb.DB(i).Name()
 	}
-	var drift *obs.DriftDetector
-	if c.Drift != nil {
-		drift = obs.NewDriftDetector(*c.Drift)
-		drift.SetMetrics(c.Metrics)
-	}
 	m := &Metasearcher{
 		tb:       tb,
 		sums:     &summary.Set{Summaries: sums},
 		rel:      c.Relevancy,
 		cfg:      c,
-		host:     modelhost.New(names, drift),
+		host:     modelhost.New(names, c.Drift, c.Metrics),
 		observed: c.observed(),
 		series:   registerSelectionMetrics(c.Metrics, tb),
 		dbName:   func(i int) string { return names[i] },
@@ -305,21 +295,15 @@ func New(dbs []Database, sums []*Summary, cfg *Config) (*Metasearcher, error) {
 		}
 		return 0
 	})
-	if c.Refresh != nil {
-		rc := *c.Refresh
-		if rc.Metrics == nil {
-			rc.Metrics = c.Metrics
-		}
-		if rc.Spans == nil {
-			rc.Spans = c.Spans
-		}
-		m.refresher = refresh.New(rc, refreshHost{m.host, m})
+	if c.RefreshQueries != nil {
+		m.refresher = refresh.New(refresh.Config{Queries: c.RefreshQueries, Metrics: c.Metrics, Spans: c.Spans},
+			refreshHost{m.host, m})
 	}
 	return m, nil
 }
 
 // Close stops the background refresher (a no-op without
-// Config.Refresh). The metasearcher remains usable for selections;
+// Config.RefreshQueries). The metasearcher remains usable for selections;
 // drift alerts arriving after Close are dropped.
 func (m *Metasearcher) Close() {
 	m.refresher.Stop()

@@ -66,7 +66,7 @@ func TestConcurrentSelectionsRace(t *testing.T) {
 	cfg := &Config{
 		Metrics:          reg,
 		Spans:            spans,
-		Drift:            &DriftConfig{},
+		Drift:            true,
 		OnlineRefinement: true,
 	}
 	ms, testQueries := buildTestMetasearcherWith(t, cfg, nil)

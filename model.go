@@ -36,11 +36,11 @@ func (m *Metasearcher) Train(trainQueries []string) error {
 // RefreshNow enqueues an out-of-band refresh of one (database, query
 // type) — the same path a drift alert takes — for operators who know a
 // collection changed without waiting for detection. queryType is the
-// drift-alert form, e.g. "2-term/high". The refresh runs in the
+// DriftStatus form, e.g. "2-term/high". The refresh runs in the
 // background; follow it through RefreshStats or /debug/model.
 func (m *Metasearcher) RefreshNow(db, queryType string) error {
 	if m.refresher == nil {
-		return fmt.Errorf("metaprobe: online refresh not configured (Config.Refresh)")
+		return fmt.Errorf("metaprobe: online refresh not configured (Config.RefreshQueries)")
 	}
 	i := m.tb.IndexOf(db)
 	if i < 0 {
@@ -55,7 +55,8 @@ func (m *Metasearcher) RefreshNow(db, queryType string) error {
 }
 
 // RefreshStats reports the background refresher's lifetime counters
-// and its most recent validation (zero value without Config.Refresh).
+// and its most recent validation (zero value without
+// Config.RefreshQueries).
 func (m *Metasearcher) RefreshStats() RefreshStats {
 	return m.refresher.Stats()
 }
@@ -68,26 +69,20 @@ func (m *Metasearcher) DriftStatuses() []DriftStatus {
 	return m.host.DriftStatuses()
 }
 
-// DriftConfig returns the effective drift-detection configuration with
-// defaults applied, or the zero value when detection is disabled.
-func (m *Metasearcher) DriftConfig() DriftConfig {
-	return m.host.DriftConfig()
-}
-
 // probeFeedback folds one successful live probe back into the shared
 // model state (online refinement, drift detection); many selections, or
 // one selection's probe and the successor started behind it, land here
 // concurrently. The feedback does not touch the selection it came from:
 // the host recomputes what it needs from the model. A drift alert comes
-// back as a value and goes to the background refresher (when there is
-// one) after the host's lock is released.
+// back as a value and goes to the background refresher (a nil one
+// ignores it) after the host's lock is released.
 func (m *Metasearcher) probeFeedback(i int, query string, numTerms int, v float64) error {
-	if !m.cfg.OnlineRefinement && m.cfg.Drift == nil {
+	if !m.cfg.OnlineRefinement && !m.cfg.Drift {
 		return nil
 	}
 	alert, drifted, err := m.host.Observe(i, query, numTerms, v, m.cfg.OnlineRefinement)
-	if drifted && m.refresher != nil {
-		_ = m.RefreshNow(alert.DB, alert.QueryType) // an alert names a served database and a parsable key
+	if drifted {
+		m.refresher.Alert(alert)
 	}
 	return err
 }
@@ -186,7 +181,7 @@ type ModelInfo struct {
 	// (absent for databases never refreshed).
 	RefreshedAt map[string]time.Time `json:"refreshedAt,omitempty"`
 	// Refresh carries the refresher counters and the last validation
-	// scores; nil without Config.Refresh.
+	// scores; nil without Config.RefreshQueries.
 	Refresh *RefreshStats `json:"refresh,omitempty"`
 	// MemoNodes counts the states this version's decision memo holds —
 	// what selections over it have decided already and a repeated query

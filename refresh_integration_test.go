@@ -96,19 +96,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	}
 
 	reg := NewMetrics()
-	cfg := &Config{
-		Metrics: reg,
-		Drift:   &DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8},
-		Refresh: &RefreshConfig{
-			ProbeBudget:  64,
-			MinProbes:    12,
-			HoldoutEvery: 4,
-			// Short cooldown so a rolled-back attempt retries as the
-			// detector re-alerts on the still-drifted key.
-			Cooldown: 50 * time.Millisecond,
-			Queries:  source,
-		},
-	}
+	cfg := &Config{Metrics: reg, Drift: true, RefreshQueries: source}
 	ms, err = New(dbs, sums, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +224,8 @@ func TestRefreshEndToEnd(t *testing.T) {
 	}
 
 	// Drive the workload over the drifted corpus until a refresh of the
-	// drifted database commits: probes fill the drift windows, alerts
-	// queue refreshes, and rolled-back attempts retry after the cooldown.
+	// drifted database commits: probes fill the drift windows, and
+	// alerts queue refreshes of every key that fails its test.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && ms.ModelInfo().RefreshedAt[driftDB].IsZero() {
 		for _, q := range test {
@@ -263,13 +251,13 @@ func TestRefreshEndToEnd(t *testing.T) {
 		t.Fatal("refresher received no alerts")
 	}
 	tasks := st.Refreshes + st.Rollbacks + st.Aborted + st.Superseded
-	if st.ProbesSpent > tasks*64 {
-		t.Errorf("refresh tasks spent %d probes over %d tasks, budget 64 each", st.ProbesSpent, tasks)
+	if st.ProbesSpent > tasks*96 {
+		t.Errorf("refresh tasks spent %d probes over %d tasks, budget 96 each", st.ProbesSpent, tasks)
 	}
 	if v := st.LastValidation; v == nil {
 		t.Error("no validation recorded")
-	} else if v.ProbesSpent > 64 {
-		t.Errorf("last task spent %d probes, budget 64", v.ProbesSpent)
+	} else if v.ProbesSpent > 96 {
+		t.Errorf("last task spent %d probes, budget 96", v.ProbesSpent)
 	}
 
 	info := ms.ModelInfo()
@@ -375,18 +363,15 @@ func TestSelectUnderRefinementAndReload(t *testing.T) {
 	var test []string
 	cfg := &Config{
 		OnlineRefinement: true,
-		Drift:            &DriftConfig{WindowSize: 16, MinSamples: 16, Interval: 8},
-		Refresh: &RefreshConfig{
-			ProbeBudget: 24, MinProbes: 4, Cooldown: time.Millisecond,
-			Queries: func(numTerms, n int) []string {
-				var out []string
-				for _, q := range test {
-					if len(strings.Fields(q)) == numTerms && len(out) < n {
-						out = append(out, q)
-					}
+		Drift:            true,
+		RefreshQueries: func(numTerms, n int) []string {
+			var out []string
+			for _, q := range test {
+				if len(strings.Fields(q)) == numTerms && len(out) < n {
+					out = append(out, q)
 				}
-				return out
-			},
+			}
+			return out
 		},
 	}
 	ms, qs := buildTestMetasearcherWith(t, cfg, nil)
