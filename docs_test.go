@@ -15,6 +15,31 @@ import (
 // snippet: metaprobe.New, metaprobe.Config{…}, metaprobe.Absolute.
 var docName = regexp.MustCompile(`\bmetaprobe\.([A-Z][A-Za-z0-9_]*)`)
 
+// docPath matches a repository path under cmd/, examples/ or internal/
+// in prose, a code span or a layout tree: ./cmd/metaprobed,
+// internal/core/memo.go, examples/quickstart/.
+var docPath = regexp.MustCompile(`\b(?:cmd|examples|internal)/[A-Za-z0-9_./-]*[A-Za-z0-9_]`)
+
+// TestDocsNameOnlyExistingPaths fails on every cmd/…, examples/… or
+// internal/… path that README.md or DESIGN.md names and the repository
+// does not have: a reader may not be sent to a program or package that
+// was removed or renamed.
+func TestDocsNameOnlyExistingPaths(t *testing.T) {
+	for _, file := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, p := range docPath.FindAllString(line, -1) {
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s:%d names %s, which does not exist", file, i+1, p)
+				}
+			}
+		}
+	}
+}
+
 // TestDocsNameOnlyExportedNames reads README.md and DESIGN.md and fails
 // on every metaprobe.<Name> that the package does not declare: a
 // snippet may not show a caller an API that was removed or renamed.

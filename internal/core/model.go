@@ -763,22 +763,5 @@ func TopKByScore(scores []float64, k int) []int {
 	return set
 }
 
-// RankByScore returns all indices ordered by (score desc, index asc) —
-// the golden-standard ordering.
-func RankByScore(scores []float64) []int {
-	order := make([]int, len(scores))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := scores[order[a]], scores[order[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		return order[a] < order[b]
-	})
-	return order
-}
-
 // equalFloat reports approximate equality for expectation comparisons.
 func equalFloat(a, b float64) bool { return math.Abs(a-b) <= probEpsilon }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"metaprobe/internal/estimate"
@@ -21,7 +20,7 @@ import (
 // serializes a trained model so a metasearcher can train once and
 // reload at startup — or hot-reload mid-flight.
 //
-// Snapshot format. Since format 2 a snapshot is an envelope
+// Snapshot format. A snapshot is an envelope
 //
 //	{"format": 2, "checksum": "sha256:…", "savedAt": …, "model": {…}}
 //
@@ -29,48 +28,27 @@ import (
 // (temp file in the target directory + fsync + rename) so a crash
 // mid-write can never clobber the previous snapshot, and loaded with
 // checksum verification so a truncated or bit-rotted file fails with a
-// clear error instead of producing a silently wrong model. Files
-// written before format 2 — a bare model object with no envelope —
-// still load through a legacy path.
+// clear error instead of producing a silently wrong model. LoadModel
+// reads exactly what Save writes: any other envelope format, a bare
+// model object included, is refused by number.
 //
-// The relevancy definition is stored by name and resolved on load;
-// custom definitions can be registered with RegisterRelevancy.
+// The relevancy definition is stored by name and resolved on load.
 
 // FormatVersion is the snapshot envelope format written by Save. Bump
 // it whenever the persisted model schema changes shape — the golden
 // snapshot test enforces that rule.
 const FormatVersion = 2
 
-// relevancyFactories maps relevancy names to constructors for Load,
-// guarded by relevancyMu: registration and loading may run on
-// different goroutines (e.g. plugin init vs. a background hot-reload).
-var (
-	relevancyMu        sync.RWMutex
-	relevancyFactories = map[string]func() estimate.Relevancy{
-		"doc-frequency":  func() estimate.Relevancy { return estimate.NewDocFrequency() },
-		"doc-similarity": func() estimate.Relevancy { return estimate.NewDocSimilarity() },
-	}
-)
-
-// RegisterRelevancy makes a custom relevancy definition loadable by
-// name. Registering a name twice is an error. Safe for concurrent use
-// with LoadModel.
-func RegisterRelevancy(name string, factory func() estimate.Relevancy) error {
-	relevancyMu.Lock()
-	defer relevancyMu.Unlock()
-	if _, dup := relevancyFactories[name]; dup {
-		return fmt.Errorf("core: relevancy %q already registered", name)
-	}
-	relevancyFactories[name] = factory
-	return nil
-}
-
-// relevancyFactory resolves a registered relevancy constructor.
+// relevancyFactory resolves a persisted relevancy name to its
+// constructor.
 func relevancyFactory(name string) (func() estimate.Relevancy, bool) {
-	relevancyMu.RLock()
-	defer relevancyMu.RUnlock()
-	f, ok := relevancyFactories[name]
-	return f, ok
+	switch name {
+	case "doc-frequency":
+		return func() estimate.Relevancy { return estimate.NewDocFrequency() }, true
+	case "doc-similarity":
+		return func() estimate.Relevancy { return estimate.NewDocSimilarity() }, true
+	}
+	return nil, false
 }
 
 // snapshotEnvelope is the on-disk frame around the model payload.
@@ -79,18 +57,6 @@ type snapshotEnvelope struct {
 	Checksum string          `json:"checksum"`
 	SavedAt  time.Time       `json:"savedAt"`
 	Model    json.RawMessage `json:"model"`
-}
-
-// SnapshotInfo describes a snapshot file without the model payload.
-type SnapshotInfo struct {
-	// Format is the envelope format version (1 for pre-envelope legacy
-	// files).
-	Format int
-	// SavedAt is the write time recorded in the envelope (zero for
-	// legacy files).
-	SavedAt time.Time
-	// Checksum is the recorded payload checksum (empty for legacy).
-	Checksum string
 }
 
 // jsonModel is the persisted form of a Model.
@@ -127,8 +93,7 @@ type jsonED struct {
 
 // edgeList carries histogram bin edges through JSON with infinities
 // encoded unambiguously as the strings "+Inf" / "-Inf" (JSON has no
-// Inf literal). Finite values — including math.MaxFloat64, which the
-// pre-format-2 sentinel encoding could not represent — round-trip
+// Inf literal). Finite values — math.MaxFloat64 included — round-trip
 // exactly as numbers.
 type edgeList []float64
 
@@ -177,27 +142,6 @@ func (e *edgeList) UnmarshalJSON(data []byte) error {
 	}
 	*e = out
 	return nil
-}
-
-// legacyInfSentinel is the pre-format-2 stand-in for infinity. Legacy
-// decoding maps it back to ±Inf; format 2 files never contain it as a
-// sentinel, so a legitimate MaxFloat64 edge survives round-trips.
-const legacyInfSentinel = math.MaxFloat64
-
-// decodeLegacyEdges maps the old sentinel values back to infinities.
-func decodeLegacyEdges(edges []float64) []float64 {
-	out := make([]float64, len(edges))
-	for i, e := range edges {
-		switch e {
-		case legacyInfSentinel:
-			out[i] = math.Inf(1)
-		case -legacyInfSentinel:
-			out[i] = math.Inf(-1)
-		default:
-			out[i] = e
-		}
-	}
-	return out
 }
 
 func encodeED(key TypeKey, ed *ED) jsonED {
@@ -344,76 +288,38 @@ func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return nil
 }
 
-// LoadModel reads a model saved by Save. The relevancy definition is
+// LoadModel reads a model saved by Save: a format-2 envelope whose
+// payload matches its checksum. The relevancy definition is
 // reconstructed by name.
 func LoadModel(path string) (*Model, error) {
-	m, _, err := LoadModelInfo(path)
-	return m, err
-}
-
-// LoadModelInfo is LoadModel returning the snapshot metadata (format
-// version, save time, checksum) alongside the model.
-func LoadModelInfo(path string) (*Model, SnapshotInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, SnapshotInfo{}, fmt.Errorf("core: reading model: %w", err)
+		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
-	var info SnapshotInfo
-
-	// Probe the envelope. Legacy (pre-format-2) snapshots are a bare
-	// model object with no "format" member.
-	var probe struct {
-		Format int `json:"format"`
+	var env snapshotEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("core: decoding model %s (truncated or corrupt): %w", path, err)
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, info, fmt.Errorf("core: decoding model %s (truncated or corrupt): %w", path, err)
+	if env.Format != FormatVersion {
+		return nil, fmt.Errorf("core: model %s uses snapshot format %d; this build reads %d",
+			path, env.Format, FormatVersion)
 	}
-	payload := data
-	legacy := probe.Format == 0
-	if legacy {
-		info.Format = 1
-	} else {
-		if probe.Format != FormatVersion {
-			return nil, info, fmt.Errorf("core: model %s uses snapshot format %d; this build reads %d (and legacy format 1)",
-				path, probe.Format, FormatVersion)
-		}
-		var env snapshotEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			return nil, info, fmt.Errorf("core: decoding snapshot envelope %s: %w", path, err)
-		}
-		if len(env.Model) == 0 {
-			return nil, info, fmt.Errorf("core: model %s: snapshot has no model payload (truncated?)", path)
-		}
-		got, err := checksum(env.Model)
-		if err != nil {
-			return nil, info, fmt.Errorf("core: model %s: snapshot payload is not valid JSON (truncated?): %w", path, err)
-		}
-		if got != env.Checksum {
-			return nil, info, fmt.Errorf("core: model %s: checksum mismatch (%s recorded, %s computed) — file is corrupt or was modified",
-				path, env.Checksum, got)
-		}
-		info = SnapshotInfo{Format: env.Format, SavedAt: env.SavedAt, Checksum: env.Checksum}
-		payload = env.Model
+	if len(env.Model) == 0 {
+		return nil, fmt.Errorf("core: model %s: snapshot has no model payload (truncated?)", path)
 	}
-
+	got, err := checksum(env.Model)
+	if err != nil {
+		return nil, fmt.Errorf("core: model %s: snapshot payload is not valid JSON (truncated?): %w", path, err)
+	}
+	if got != env.Checksum {
+		return nil, fmt.Errorf("core: model %s: checksum mismatch (%s recorded, %s computed) — file is corrupt or was modified",
+			path, env.Checksum, got)
+	}
 	var jm jsonModel
-	if err := json.Unmarshal(payload, &jm); err != nil {
-		return nil, info, fmt.Errorf("core: decoding model %s (truncated or corrupt): %w", path, err)
+	if err := json.Unmarshal(env.Model, &jm); err != nil {
+		return nil, fmt.Errorf("core: decoding model %s (truncated or corrupt): %w", path, err)
 	}
-	if legacy {
-		jm.Config.ErrorEdges = decodeLegacyEdges(jm.Config.ErrorEdges)
-		jm.Config.AbsoluteEdges = decodeLegacyEdges(jm.Config.AbsoluteEdges)
-		for di := range jm.DBs {
-			for ei := range jm.DBs[di].EDs {
-				jm.DBs[di].EDs[ei].Edges = decodeLegacyEdges(jm.DBs[di].EDs[ei].Edges)
-			}
-			if jm.DBs[di].Pooled != nil {
-				jm.DBs[di].Pooled.Edges = decodeLegacyEdges(jm.DBs[di].Pooled.Edges)
-			}
-		}
-	}
-	m, err := decodeModel(path, jm)
-	return m, info, err
+	return decodeModel(path, jm)
 }
 
 // maxSnapshotTerms bounds the term-count split a snapshot may ask for:
@@ -425,7 +331,7 @@ const maxSnapshotTerms = 64
 func decodeModel(path string, jm jsonModel) (*Model, error) {
 	factory, ok := relevancyFactory(jm.Relevancy)
 	if !ok {
-		return nil, fmt.Errorf("core: model uses unknown relevancy %q (register it with RegisterRelevancy)", jm.Relevancy)
+		return nil, fmt.Errorf("core: model uses unknown relevancy %q", jm.Relevancy)
 	}
 	if len(jm.DBs) == 0 {
 		return nil, fmt.Errorf("core: model %s has no databases", path)

@@ -29,8 +29,9 @@ func sealSnapshot(t testing.TB, payload []byte) []byte {
 
 // FuzzLoadModel: a snapshot file is untrusted bytes (an operator's
 // reload, a half-written copy, an older build's output). LoadModel must
-// answer every input with a model or an error — never a panic — and a
-// model it accepts must survive Save and LoadModel unchanged.
+// answer every input with a model or an error — never a panic. What it
+// accepts must be a format-2 envelope, as Save writes, and the model
+// must survive Save and LoadModel unchanged.
 func FuzzLoadModel(f *testing.F) {
 	golden, err := os.ReadFile(goldenSnapshotPath)
 	if err != nil {
@@ -63,9 +64,9 @@ func FuzzLoadModel(f *testing.F) {
 		}
 		f.Add(sealSnapshot(f, bent))
 	}
-	// A format-1 file: the bare model object with ±Inf written as
-	// ±MaxFloat64 — which is why it cannot also hold the golden's finite
-	// MaxFloat64 edge.
+	// A file in the layout written before format 2, which must be
+	// refused: the bare model object with ±Inf written as ±MaxFloat64
+	// (so the golden's finite MaxFloat64 edge becomes 2 first).
 	sentinel := []byte(fmt.Sprint(math.MaxFloat64))
 	legacy := bytes.ReplaceAll(env.Model, sentinel, []byte("2"))
 	legacy = bytes.ReplaceAll(legacy, []byte(`"+Inf"`), sentinel)
@@ -80,6 +81,10 @@ func FuzzLoadModel(f *testing.F) {
 		m, err := LoadModel(path)
 		if err != nil {
 			return
+		}
+		var got snapshotEnvelope
+		if err := json.Unmarshal(data, &got); err != nil || got.Format != FormatVersion {
+			t.Fatalf("LoadModel accepted a file that is not a format-%d envelope (format %d, %v)", FormatVersion, got.Format, err)
 		}
 		again := filepath.Join(dir, "again.json")
 		if err := m.Save(again); err != nil {

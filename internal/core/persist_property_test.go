@@ -1,12 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"metaprobe/internal/estimate"
@@ -15,18 +15,13 @@ import (
 
 // tinyModel hand-builds the smallest valid model, with bin edges that
 // exercise the encoding's hard cases: infinities on both sides and a
-// legitimate finite math.MaxFloat64 (which the legacy sentinel
-// encoding could not distinguish from +Inf).
+// legitimate finite math.MaxFloat64 (which a numeric stand-in for
+// infinity could not tell from +Inf).
 func tinyModel(t *testing.T) *Model {
-	t.Helper()
-	return tinyModelEdges(t, []float64{math.Inf(-1), -1, 0, 1, math.MaxFloat64, math.Inf(1)})
-}
-
-func tinyModelEdges(t *testing.T, errorEdges []float64) *Model {
 	t.Helper()
 	cfg := Config{
 		Classifier:      Classifier{Threshold: 100, MaxTerms: 2},
-		ErrorEdges:      errorEdges,
+		ErrorEdges:      []float64{math.Inf(-1), -1, 0, 1, math.MaxFloat64, math.Inf(1)},
 		AbsoluteEdges:   []float64{0, 1, 10, math.Inf(1)},
 		UseBinMean:      true,
 		MinObservations: 1,
@@ -84,15 +79,23 @@ func TestInfEdgesRoundTrip(t *testing.T) {
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, info, err := LoadModelInfo(path)
+	loaded, err := LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Format != FormatVersion {
-		t.Errorf("snapshot format %d, want %d", info.Format, FormatVersion)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if info.SavedAt.IsZero() || !strings.HasPrefix(info.Checksum, "sha256:") {
-		t.Errorf("snapshot metadata incomplete: %+v", info)
+	var env snapshotEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Format != FormatVersion {
+		t.Errorf("snapshot format %d, want %d", env.Format, FormatVersion)
+	}
+	if env.SavedAt.IsZero() || !strings.HasPrefix(env.Checksum, "sha256:") {
+		t.Errorf("snapshot metadata incomplete: format %d, saved %v, checksum %q", env.Format, env.SavedAt, env.Checksum)
 	}
 	edges := loaded.Cfg.ErrorEdges
 	if !math.IsInf(edges[0], -1) {
@@ -111,67 +114,38 @@ func TestInfEdgesRoundTrip(t *testing.T) {
 	}
 	// The file itself must never contain a bare MaxFloat64 standing in
 	// for infinity: the only MaxFloat64 occurrences are our real edge.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(string(data), `"+Inf"`) || !strings.Contains(string(data), `"-Inf"`) {
 		t.Error("snapshot does not use string-encoded infinities")
 	}
 }
 
-// TestLegacySentinelEdgesStillLoad: pre-format-2 files encoded ±Inf as
-// ±math.MaxFloat64; loading one must map the sentinels back.
-func TestLegacySentinelEdgesStillLoad(t *testing.T) {
-	// No finite MaxFloat64 edge here: a legacy file cannot represent
-	// one next to a real infinity — that ambiguity is the point.
-	m := tinyModelEdges(t, []float64{math.Inf(-1), -1, 0, 1, math.Inf(1)})
-	// Render the modern payload, then rewrite it the way the old code
-	// did: bare sentinel numbers instead of the Inf strings.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.json")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	_, info, err := LoadModelInfo(path)
-	if err != nil {
+// TestBareModelObjectRefused: a model payload without its envelope (the
+// layout written before format 2) carries no checksum, so any edit that
+// leaves valid JSON would load unverified. LoadModel refuses it by its
+// format number before reading the model.
+func TestBareModelObjectRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := tinyModel(t).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := string(data)
-	// Strip the envelope down to the bare model object (legacy files
-	// had no envelope) by re-extracting the payload.
-	start := strings.Index(payload, `"model": {`)
-	if start < 0 {
-		t.Fatal("unexpected snapshot layout")
-	}
-	modelJSON := payload[start+len(`"model": `) : strings.LastIndex(payload, "}")]
-	sentinel := fmt.Sprintf("%v", math.MaxFloat64)
-	legacyJSON := strings.ReplaceAll(modelJSON, `"+Inf"`, sentinel)
-	legacyJSON = strings.ReplaceAll(legacyJSON, `"-Inf"`, "-"+sentinel)
-	legacyPath := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacyPath, []byte(legacyJSON), 0o644); err != nil {
+	var env snapshotEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatal(err)
 	}
-	loaded, legacyInfo, err := LoadModelInfo(legacyPath)
-	if err != nil {
+	if err := os.WriteFile(path, env.Model, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if legacyInfo.Format != 1 {
-		t.Errorf("legacy file reported format %d, want 1", legacyInfo.Format)
+	_, err = LoadModel(path)
+	if err == nil {
+		t.Fatal("a bare model object was accepted")
 	}
-	edges := loaded.Cfg.ErrorEdges
-	if !math.IsInf(edges[0], -1) || !math.IsInf(edges[4], 1) {
-		t.Errorf("legacy sentinels not mapped to infinities: %v", edges)
+	if want := fmt.Sprintf("snapshot format 0; this build reads %d", FormatVersion); !strings.Contains(err.Error(), want) {
+		t.Errorf("refusal %q does not name the file's format (want %q)", err, want)
 	}
-	hist := loaded.DBs[0].EDs[TypeKey{Terms: 1, Band: BandLow}].Hist
-	if !math.IsInf(hist.Edges[0], -1) || !math.IsInf(hist.Edges[4], 1) {
-		t.Errorf("legacy ED sentinels not mapped: %v", hist.Edges)
-	}
-	_ = info
 }
 
 // TestSaveRejectsNaNEdges: NaN has no unambiguous encoding; Save must
@@ -264,34 +238,4 @@ func TestCrashSafety(t *testing.T) {
 	if _, err := LoadModel(path); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestConcurrentRegisterAndLoad drives the registry mutex under -race:
-// registrations and factory lookups (via LoadModel) in parallel.
-func TestConcurrentRegisterAndLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := tinyModel(t).Save(path); err != nil {
-		t.Fatal(err)
-	}
-	run := relNameRun.Add(1)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if w%2 == 0 {
-					name := fmt.Sprintf("race-rel-%d-%d-%d", run, w, i)
-					if err := RegisterRelevancy(name, func() estimate.Relevancy { return estimate.NewDocFrequency() }); err != nil {
-						t.Errorf("RegisterRelevancy(%s): %v", name, err)
-						return
-					}
-				} else if _, err := LoadModel(path); err != nil {
-					t.Errorf("LoadModel: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"strings"
 	"testing"
-
-	"metaprobe/internal/estimate"
 )
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
@@ -67,39 +64,18 @@ func TestLoadModelErrors(t *testing.T) {
 	if _, err := LoadModel(bad); err == nil {
 		t.Error("malformed JSON must fail")
 	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"relevancy":"doc-frequency","dbs":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(empty); err == nil {
-		t.Error("model without databases must fail")
-	}
-	unknown := filepath.Join(dir, "unknown.json")
-	if err := os.WriteFile(unknown, []byte(`{"relevancy":"martian","dbs":[{"name":"a"}],"summaries":[{"database":"a"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(unknown); err == nil {
-		t.Error("unknown relevancy must fail")
-	}
-}
-
-// relNameRun numbers the runs of tests that register relevancy names:
-// the registry is process-global, and -cpu 1,4 or -count N run every
-// test several times in one process.
-var relNameRun atomic.Int64
-
-func TestRegisterRelevancy(t *testing.T) {
-	name := fmt.Sprintf("custom-test-rel-%d", relNameRun.Add(1))
-	if err := RegisterRelevancy(name, func() estimate.Relevancy {
-		return estimate.NewDocFrequency()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterRelevancy(name, nil); err == nil {
-		t.Error("duplicate registration must fail")
-	}
-	if err := RegisterRelevancy("doc-frequency", nil); err == nil {
-		t.Error("registering a builtin name must fail")
+	// Sealed payloads reach the model checks behind the checksum.
+	for payload, want := range map[string]string{
+		`{"relevancy":"doc-frequency","dbs":[]}`:                                      "has no databases",
+		`{"relevancy":"martian","dbs":[{"name":"a"}],"summaries":[{"database":"a"}]}`: `unknown relevancy "martian"`,
+	} {
+		path := filepath.Join(dir, "sealed.json")
+		if err := os.WriteFile(path, sealSnapshot(t, []byte(payload)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error naming %q", payload, err, want)
+		}
 	}
 }
 

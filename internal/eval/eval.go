@@ -34,27 +34,18 @@ func (g *Golden) TopK(k int) []int {
 // exact relevancies. Queries are processed concurrently (the testbed
 // is in-process, so this is CPU-bound).
 func BuildGolden(tb *hidden.Testbed, rel estimate.Relevancy, qs []queries.Query) ([]Golden, error) {
-	out := make([]Golden, len(qs))
-	errs := make([]error, len(qs))
-	parallelForEach(len(qs), func(qi int) {
+	return Parallel(len(qs), func(qi int) (Golden, error) {
 		q := qs[qi]
 		actual := make([]float64, tb.Len())
 		for i := 0; i < tb.Len(); i++ {
 			v, err := rel.Probe(tb.DB(i), q.String())
 			if err != nil {
-				errs[qi] = fmt.Errorf("eval: golden standard for %q: %w", q, err)
-				return
+				return Golden{}, fmt.Errorf("eval: golden standard for %q: %w", q, err)
 			}
 			actual[i] = v
 		}
-		out[qi] = Golden{Query: q, Actual: actual}
+		return Golden{Query: q, Actual: actual}, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // CorA is the absolute correctness (Eq. 3): 1 when the selected set
@@ -116,24 +107,21 @@ func Score(golden []Golden, k int, sel Selector) (MethodScore, error) {
 	type res struct {
 		corA, corP float64
 		probes     int
-		err        error
 	}
-	results := make([]res, len(golden))
-	parallelForEach(len(golden), func(i int) {
+	results, err := Parallel(len(golden), func(i int) (res, error) {
 		g := golden[i]
 		set, probes, err := sel(g.Query)
 		if err != nil {
-			results[i].err = err
-			return
+			return res{}, err
 		}
 		topk := g.TopK(k)
-		results[i] = res{corA: CorA(set, topk), corP: CorP(set, topk), probes: probes}
+		return res{corA: CorA(set, topk), corP: CorP(set, topk), probes: probes}, nil
 	})
+	if err != nil {
+		return MethodScore{}, err
+	}
 	var score MethodScore
 	for _, r := range results {
-		if r.err != nil {
-			return MethodScore{}, r.err
-		}
 		score.AvgCorA += r.corA
 		score.AvgCorP += r.corP
 		score.AvgProbes += float64(r.probes)
@@ -146,27 +134,21 @@ func Score(golden []Golden, k int, sel Selector) (MethodScore, error) {
 	return score, nil
 }
 
-// parallelForEach runs f(i) for i in [0, n) on up to GOMAXPROCS
-// workers.
-func parallelForEach(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
+// Parallel runs f(i) for i in [0, n) on up to GOMAXPROCS workers and
+// returns the results in index order, or the error of the lowest index
+// that failed. Every i runs either way. A caller that folds the results
+// in index order adds its floats in the same order at any worker count.
+func Parallel[T any](n int, f func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				f(i)
+				out[i], errs[i] = f(i)
 			}
 		}()
 	}
@@ -175,4 +157,10 @@ func parallelForEach(n int, f func(i int)) {
 	}
 	close(next)
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

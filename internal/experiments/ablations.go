@@ -37,7 +37,7 @@ func AblationPolicies(env *Env, t float64, k int) (*Table, error) {
 }
 
 // shared serves every query with the one policy p: policies hold no
-// per-selection state, so the evalParallel workers may share it.
+// per-selection state, so the eval.Parallel workers may share it.
 func shared(p core.Policy) func(qi int) core.Policy {
 	return func(int) core.Policy { return p }
 }
@@ -56,27 +56,30 @@ func randomPerQuery(seed, label int64) func(qi int) core.Policy {
 // runPolicy evaluates one policy over the golden standard; policy(qi)
 // is the policy for query qi.
 func runPolicy(env *Env, policy func(qi int) core.Policy, t float64, k int) ([]string, error) {
-	var probes, corA, corP, reached float64
-	var firstErr error
-	evalParallel(len(env.Golden), func(qi int, add func(update func())) {
+	type answer struct{ probes, corA, corP, reached float64 }
+	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
 		g := env.Golden[qi]
 		sel := env.Selection(g.Query, core.Absolute, k)
 		out, err := core.APro(sel, env.Probe(g.Query.String()), policy(qi), t, -1)
 		if err != nil {
-			add(func() { firstErr = err })
-			return
+			return answer{}, err
 		}
 		topk := core.TopKByScore(g.Actual, k)
-		ca, cp := eval.CorA(out.Set, topk), eval.CorP(out.Set, topk)
-		p := float64(out.Probes())
-		r := 0.0
+		a := answer{probes: float64(out.Probes()), corA: eval.CorA(out.Set, topk), corP: eval.CorP(out.Set, topk)}
 		if out.Reached {
-			r = 1
+			a.reached = 1
 		}
-		add(func() { probes += p; corA += ca; corP += cp; reached += r })
+		return a, nil
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
+	}
+	var probes, corA, corP, reached float64
+	for _, a := range answers {
+		probes += a.probes
+		corA += a.corA
+		corP += a.corP
+		reached += a.reached
 	}
 	n := float64(len(env.Golden))
 	return []string{policy(0).Name(), f2(probes / n), f3(corA / n), f3(corP / n), f3(reached / n)}, nil
@@ -246,28 +249,30 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 		{"greedy (cost-blind)", core.Greedy{}},
 		{"greedy (cost-aware)", core.Greedy{Cost: func(i int) float64 { return costs[i] }}},
 	} {
-		var probes, cost, corA float64
-		var firstErr error
-		evalParallel(len(env.Golden), func(qi int, add func(update func())) {
+		type answer struct{ probes, cost, corA float64 }
+		answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
 			g := env.Golden[qi]
 			sel := env.Selection(g.Query, core.Absolute, k)
 			out, err := core.APro(sel, env.Probe(g.Query.String()), c.policy, t, -1)
 			if err != nil {
-				add(func() { firstErr = err })
-				return
+				return answer{}, err
 			}
-			var qc float64
+			a := answer{probes: float64(out.Probes()), corA: eval.CorA(out.Set, core.TopKByScore(g.Actual, k))}
 			for _, s := range out.Steps {
 				if s.Err == nil {
-					qc += costs[s.DB]
+					a.cost += costs[s.DB]
 				}
 			}
-			ca := eval.CorA(out.Set, core.TopKByScore(g.Actual, k))
-			p := float64(out.Probes())
-			add(func() { probes += p; cost += qc; corA += ca })
+			return a, nil
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
+		}
+		var probes, cost, corA float64
+		for _, a := range answers {
+			probes += a.probes
+			cost += a.cost
+			corA += a.corA
 		}
 		n := float64(len(env.Golden))
 		table.AddRow(c.label, f2(probes/n), f2(cost/n), f3(corA/n))

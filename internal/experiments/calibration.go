@@ -24,25 +24,22 @@ func CalibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
 		promised float64
 		correct  float64
 	}
-	buckets := make([]bucket, numBuckets)
-	var firstErr error
-	evalParallel(len(env.Golden), func(qi int, add func(update func())) {
+	type answer struct{ certainty, cor float64 }
+	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
 		g := env.Golden[qi]
 		sel := env.Selection(g.Query, core.Absolute, k)
 		set, certainty := sel.Best()
-		cor := eval.CorA(set, core.TopKByScore(g.Actual, k))
-		bi := int(certainty * float64(numBuckets))
-		if bi >= numBuckets {
-			bi = numBuckets - 1
-		}
-		add(func() {
-			buckets[bi].n++
-			buckets[bi].promised += certainty
-			buckets[bi].correct += cor
-		})
+		return answer{certainty, eval.CorA(set, core.TopKByScore(g.Actual, k))}, nil
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
+	}
+	buckets := make([]bucket, numBuckets)
+	for _, a := range answers {
+		bi := min(int(a.certainty*float64(numBuckets)), numBuckets-1)
+		buckets[bi].n++
+		buckets[bi].promised += a.certainty
+		buckets[bi].correct += a.cor
 	}
 
 	table := &Table{

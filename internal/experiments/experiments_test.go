@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"metaprobe/internal/core"
 )
 
 // sharedEnv builds one small environment for the whole test file
@@ -162,6 +166,36 @@ func TestFigure16Shape(t *testing.T) {
 			if cell(t, table, ri, c) < cell(t, table, ri, c-1)-0.05 {
 				t.Errorf("series %q drops at probe %d", apro[0], c-1)
 			}
+		}
+	}
+}
+
+// TestTablesIndependentOfWorkerCount prints Figure 16 at GOMAXPROCS 1
+// and 4 and requires the same bytes, and the same bits in its k = 3
+// partial curve: the queries run on any number of workers, but their
+// results fold in query order.
+func TestTablesIndependentOfWorkerCount(t *testing.T) {
+	env := testEnv(t)
+	run := func(procs int) (string, []float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		table, err := Figure16(env, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curve, baseline, err := probingCurve(env, 3, core.Partial, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table.String(), append(curve, baseline)
+	}
+	table1, sums1 := run(1)
+	table4, sums4 := run(4)
+	if table1 != table4 {
+		t.Errorf("Figure 16 at GOMAXPROCS 1:\n%s\nat GOMAXPROCS 4:\n%s", table1, table4)
+	}
+	for i := range sums1 {
+		if math.Float64bits(sums1[i]) != math.Float64bits(sums4[i]) {
+			t.Errorf("k=3 partial point %d: %v at GOMAXPROCS 1, %v at 4", i, sums1[i], sums4[i])
 		}
 	}
 }

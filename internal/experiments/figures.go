@@ -211,16 +211,19 @@ func Figure16(env *Env, maxProbes int) (*Table, error) {
 // correctness of the reported best set after each probe count, plus
 // the flat baseline average.
 func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64, float64, error) {
-	sums := make([]float64, maxProbes+1)
-	var baselineSum float64
 	cor := func(set, topk []int) float64 {
 		if metric == core.Absolute {
 			return eval.CorA(set, topk)
 		}
 		return eval.CorP(set, topk)
 	}
-	var firstErr error
-	evalParallel(len(env.Golden), func(qi int, add func(update func())) {
+	// answer is one query's correctness after 0…maxProbes probes and its
+	// baseline's.
+	type answer struct {
+		curve    []float64
+		baseline float64
+	}
+	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
 		g := env.Golden[qi]
 		topk := core.TopKByScore(g.Actual, k)
 		sel := env.Selection(g.Query, metric, k)
@@ -239,8 +242,7 @@ func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64
 				err = out.ProbeErrs[0] // the figure is over answered probes only
 			}
 			if err != nil {
-				add(func() { firstErr = err })
-				return
+				return answer{}, err
 			}
 			if len(out.Steps) == 0 {
 				for ; p <= maxProbes; p++ {
@@ -250,15 +252,18 @@ func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64
 			}
 			curve[p] = cor(out.Set, topk)
 		}
-		add(func() {
-			baselineSum += baseCor
-			for p := range curve {
-				sums[p] += curve[p]
-			}
-		})
+		return answer{curve, baseCor}, nil
 	})
-	if firstErr != nil {
-		return nil, 0, firstErr
+	if err != nil {
+		return nil, 0, err
+	}
+	sums := make([]float64, maxProbes+1)
+	var baselineSum float64
+	for _, a := range answers {
+		baselineSum += a.baseline
+		for p := range a.curve {
+			sums[p] += a.curve[p]
+		}
 	}
 	n := float64(len(env.Golden))
 	for p := range sums {
@@ -304,21 +309,21 @@ func Figure17(env *Env, thresholds []float64) (*Table, error) {
 // avgProbesAtThreshold runs APro over the test set at one threshold and
 // returns the average number of successful probes.
 func avgProbesAtThreshold(env *Env, k int, metric core.Metric, t float64) (float64, error) {
-	var total float64
-	var firstErr error
-	evalParallel(len(env.Golden), func(qi int, add func(update func())) {
+	probes, err := eval.Parallel(len(env.Golden), func(qi int) (float64, error) {
 		g := env.Golden[qi]
 		sel := env.Selection(g.Query, metric, k)
 		out, err := core.APro(sel, env.Probe(g.Query.String()), &core.Greedy{}, t, -1)
 		if err != nil {
-			add(func() { firstErr = err })
-			return
+			return 0, err
 		}
-		p := float64(out.Probes())
-		add(func() { total += p })
+		return float64(out.Probes()), nil
 	})
-	if firstErr != nil {
-		return 0, firstErr
+	if err != nil {
+		return 0, err
+	}
+	var total float64
+	for _, p := range probes {
+		total += p
 	}
 	return total / float64(len(env.Golden)), nil
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"metaprobe/internal/core"
+	"metaprobe/internal/eval"
 	"metaprobe/internal/fusion"
 )
 
@@ -32,18 +33,13 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 		},
 	}
 
-	type acc struct {
-		precision float64
-		probes    float64
-		n         int
+	// answer is one query's precision per strategy; found is false for a
+	// query nothing anywhere retrieves, which is skipped.
+	type answer struct {
+		found                        bool
+		weighted, rr, single, probes float64
 	}
-	accs := map[string]*acc{
-		"selected k + weighted merge": {},
-		"selected k + round-robin":    {},
-		"single best estimate":        {},
-	}
-	var firstErr error
-	evalParallel(len(env.Golden), func(qi int, add func(update func())) {
+	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
 		g := env.Golden[qi]
 		query := g.Query.String()
 
@@ -56,15 +52,14 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 		for i := 0; i < env.Testbed.Len(); i++ {
 			res, err := env.Testbed.DB(i).Search(query, topN)
 			if err != nil {
-				add(func() { firstErr = err })
-				return
+				return answer{}, err
 			}
 			for _, d := range res.Docs {
 				global = append(global, scored{d.ID, d.Score})
 			}
 		}
 		if len(global) == 0 {
-			return // nothing retrievable anywhere; skip query
+			return answer{}, nil
 		}
 		sort.Slice(global, func(a, b int) bool {
 			if global[a].score != global[b].score {
@@ -93,15 +88,13 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 		sel := env.Selection(g.Query, core.Partial, k)
 		out, err := core.APro(sel, env.Probe(query), &core.Greedy{}, 0.8, -1)
 		if err != nil {
-			add(func() { firstErr = err })
-			return
+			return answer{}, err
 		}
 		var lists []fusion.SourceList
 		for _, dbIdx := range out.Set {
 			res, err := env.Testbed.DB(dbIdx).Search(query, topN)
 			if err != nil {
-				add(func() { firstErr = err })
-				return
+				return answer{}, err
 			}
 			lists = append(lists, fusion.SourceList{
 				Database: env.Testbed.DB(dbIdx).Name(),
@@ -111,53 +104,52 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 		}
 		weighted, err := fusion.WeightedMerge(lists, topN)
 		if err != nil {
-			add(func() { firstErr = err })
-			return
+			return answer{}, err
 		}
 		rr, err := fusion.RoundRobin(lists, topN)
 		if err != nil {
-			add(func() { firstErr = err })
-			return
+			return answer{}, err
 		}
 
 		// Single best-estimated database, no fusion.
 		best := sel.BaselineSelect()[:1]
 		res, err := env.Testbed.DB(best[0]).Search(query, topN)
 		if err != nil {
-			add(func() { firstErr = err })
-			return
+			return answer{}, err
 		}
 		var single []fusion.Item
 		for _, d := range res.Docs {
 			single = append(single, fusion.Item{Database: env.Testbed.DB(best[0]).Name(), Doc: d})
 		}
-
-		pw, pr, ps := precision(weighted), precision(rr), precision(single)
-		probes := float64(out.Probes())
-		add(func() {
-			a := accs["selected k + weighted merge"]
-			a.precision += pw
-			a.probes += probes
-			a.n++
-			a = accs["selected k + round-robin"]
-			a.precision += pr
-			a.probes += probes
-			a.n++
-			a = accs["single best estimate"]
-			a.precision += ps
-			a.n++
-		})
+		return answer{true, precision(weighted), precision(rr), precision(single), float64(out.Probes())}, nil
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range []string{"selected k + weighted merge", "selected k + round-robin", "single best estimate"} {
-		a := accs[name]
-		if a.n == 0 {
-			table.AddRow(name, "n/a", "n/a")
+	var weighted, rr, single, probes float64
+	n := 0
+	for _, a := range answers {
+		if a.found {
+			weighted += a.weighted
+			rr += a.rr
+			single += a.single
+			probes += a.probes
+			n++
+		}
+	}
+	for _, row := range []struct {
+		name              string
+		precision, probes float64
+	}{
+		{"selected k + weighted merge", weighted, probes},
+		{"selected k + round-robin", rr, probes},
+		{"single best estimate", single, 0},
+	} {
+		if n == 0 {
+			table.AddRow(row.name, "n/a", "n/a")
 			continue
 		}
-		table.AddRow(name, f3(a.precision/float64(a.n)), f2(a.probes/float64(a.n)))
+		table.AddRow(row.name, f3(row.precision/float64(n)), f2(row.probes/float64(n)))
 	}
 	return table, nil
 }

@@ -6,6 +6,7 @@ import (
 	"metaprobe/internal/core"
 	"metaprobe/internal/corpus"
 	"metaprobe/internal/estimate"
+	"metaprobe/internal/eval"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
@@ -114,17 +115,15 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 		Columns: append([]string{"metric"}, sizeCols(cfg.Sizes)...),
 	}
 
-	sumGoodness := make([]float64, len(cfg.Sizes))
-	counted := make([]int, len(cfg.Sizes))
+	// dbRow is one database's pool size and, per sampling size, its mean
+	// goodness; ok is false where the pool is too small to sample.
 	type dbRow struct {
-		name  string
-		pool  int
-		cells []string
+		name     string
+		pool     int
+		goodness []float64
+		ok       []bool
 	}
-	rows := make([]dbRow, tb.Len())
-
-	evalParallel(tb.Len(), func(dbIdx int, add func(update func())) {
-		name := tb.DB(dbIdx).Name()
+	rows, err := eval.Parallel(tb.Len(), func(dbIdx int) (dbRow, error) {
 		sum := sums.Summaries[dbIdx]
 
 		// Q_total for this database: pool queries of the studied type.
@@ -136,21 +135,23 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 			if key.Band != cfg.Band {
 				continue
 			}
-			actual, perr := rel.Probe(tb.DB(dbIdx), qs)
-			if perr != nil {
-				add(func() { err = perr })
-				return
+			actual, err := rel.Probe(tb.DB(dbIdx), qs)
+			if err != nil {
+				return dbRow{}, err
 			}
 			errs = append(errs, (actual-rhat)/rhat)
 		}
-		row := dbRow{name: name, pool: len(errs)}
 		ideal := newStudyED()
 		for _, e := range errs {
 			ideal.Hist.Add(e)
 		}
 		rng := stats.NewRNG(cfg.Seed).Fork(int64(1000 + dbIdx))
-		goodness := make([]float64, len(cfg.Sizes))
-		ok := make([]bool, len(cfg.Sizes))
+		row := dbRow{
+			name:     tb.DB(dbIdx).Name(),
+			pool:     len(errs),
+			goodness: make([]float64, len(cfg.Sizes)),
+			ok:       make([]bool, len(cfg.Sizes)),
+		}
 		for si, s := range cfg.Sizes {
 			if 2*s > len(errs) {
 				// A sample of most of the pool trivially matches the
@@ -166,10 +167,9 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 					for si2, i := range idx {
 						sampleErrs[si2] = errs[i]
 					}
-					res, cerr := stats.KolmogorovSmirnov(sampleErrs, errs)
-					if cerr != nil {
-						add(func() { err = cerr })
-						return
+					res, err := stats.KolmogorovSmirnov(sampleErrs, errs)
+					if err != nil {
+						return dbRow{}, err
 					}
 					total += res.PValue
 					continue
@@ -178,32 +178,16 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 				for _, i := range idx {
 					sample.Hist.Add(errs[i])
 				}
-				res, cerr := sample.Compare(ideal, 0)
-				if cerr != nil {
-					add(func() { err = cerr })
-					return
+				res, err := sample.Compare(ideal, 0)
+				if err != nil {
+					return dbRow{}, err
 				}
 				total += res.PValue
 			}
-			goodness[si] = total / float64(cfg.Reps)
-			ok[si] = true
+			row.goodness[si] = total / float64(cfg.Reps)
+			row.ok[si] = true
 		}
-		for si := range cfg.Sizes {
-			if ok[si] {
-				row.cells = append(row.cells, f3(goodness[si]))
-			} else {
-				row.cells = append(row.cells, "n/a")
-			}
-		}
-		add(func() {
-			rows[dbIdx] = row
-			for si := range cfg.Sizes {
-				if ok[si] {
-					sumGoodness[si] += goodness[si]
-					counted[si]++
-				}
-			}
-		})
+		return row, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -213,8 +197,22 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 	if show <= 0 || show > len(rows) {
 		show = len(rows)
 	}
-	for _, r := range rows[:show] {
-		perDB.AddRow(append([]string{r.name, fmt.Sprintf("%d", r.pool)}, r.cells...)...)
+	sumGoodness := make([]float64, len(cfg.Sizes))
+	counted := make([]int, len(cfg.Sizes))
+	for di, r := range rows {
+		cells := []string{r.name, fmt.Sprintf("%d", r.pool)}
+		for si := range cfg.Sizes {
+			if !r.ok[si] {
+				cells = append(cells, "n/a")
+				continue
+			}
+			cells = append(cells, f3(r.goodness[si]))
+			sumGoodness[si] += r.goodness[si]
+			counted[si]++
+		}
+		if di < show {
+			perDB.AddRow(cells...)
+		}
 	}
 	avgRow := []string{"avg goodness"}
 	for si := range cfg.Sizes {

@@ -16,9 +16,7 @@
 package summary
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"metaprobe/internal/hidden"
@@ -220,7 +218,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 // testbed order.
 type Set struct {
 	// Summaries are ordered like the testbed's databases.
-	Summaries []*Summary `json:"summaries"`
+	Summaries []*Summary
 }
 
 // BuildExact builds exact summaries for every Local database of a
@@ -245,36 +243,6 @@ func (s *Set) ByName(name string) *Summary {
 		}
 	}
 	return nil
-}
-
-// Save writes the set as JSON to path.
-func (s *Set) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", " ")
-	if err != nil {
-		return fmt.Errorf("summary: encoding: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("summary: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// Load reads a set saved by Save and validates it.
-func Load(path string) (*Set, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("summary: reading %s: %w", path, err)
-	}
-	var s Set
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("summary: decoding %s: %w", path, err)
-	}
-	for _, sum := range s.Summaries {
-		if err := sum.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &s, nil
 }
 
 // Prune returns a copy of the summary keeping only the maxTerms most

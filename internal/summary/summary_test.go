@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"metaprobe/internal/corpus"
@@ -171,7 +170,7 @@ func TestSampleOverHTTP(t *testing.T) {
 	}
 }
 
-func TestBuildExactAndSetRoundTrip(t *testing.T) {
+func TestBuildExact(t *testing.T) {
 	w := corpus.HealthWorld()
 	tb, err := hidden.BuildTestbed(w, corpus.HealthTestbed(0.002)[:3], 9)
 	if err != nil {
@@ -186,29 +185,6 @@ func TestBuildExactAndSetRoundTrip(t *testing.T) {
 	}
 	if set.ByName(tb.DB(1).Name()) == nil || set.ByName("zzz") != nil {
 		t.Error("ByName lookup broken")
-	}
-
-	path := filepath.Join(t.TempDir(), "summaries.json")
-	if err := set.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range set.Summaries {
-		a, b := set.Summaries[i], loaded.Summaries[i]
-		if a.Database != b.Database || a.Size != b.Size || len(a.DF) != len(b.DF) {
-			t.Errorf("summary %d did not round-trip", i)
-		}
-		for term, df := range a.DF {
-			if b.DF[term] != df {
-				t.Errorf("summary %d term %q: %d vs %d", i, term, df, b.DF[term])
-			}
-		}
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("loading missing file should fail")
 	}
 }
 

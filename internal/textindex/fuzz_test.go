@@ -1,7 +1,6 @@
 package textindex
 
 import (
-	"bytes"
 	"testing"
 	"unicode/utf8"
 )
@@ -36,30 +35,6 @@ func FuzzTokenize(f *testing.F) {
 			if len(term) < 2 || len(term) > 41 {
 				t.Fatalf("token %q violates length bounds", term)
 			}
-		}
-	})
-}
-
-// FuzzReadIndex: arbitrary bytes must never panic the snapshot loader
-// and any accepted snapshot must pass structural validation.
-func FuzzReadIndex(f *testing.F) {
-	ix := NewIndex(NewTokenizer(TokenizerConfig{}))
-	ix.Add("d0", "alpha beta")
-	ix.Add("d1", "beta gamma")
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("MPIX"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := ReadIndex(bytes.NewReader(data), nil)
-		if err != nil {
-			return
-		}
-		if verr := loaded.Validate(); verr != nil {
-			t.Fatalf("accepted snapshot fails validation: %v", verr)
 		}
 	})
 }

@@ -255,21 +255,32 @@ func (ix *Index) Search(query string, k int) []Hit {
 	}
 	ix.ensureNorms()
 
+	// The query's distinct terms in order of first appearance: every float
+	// sum below adds in that order, so an answer is the same bits on every
+	// build and every call.
 	qtf := make(map[string]float64)
+	var distinct []string
 	for _, t := range terms {
+		if qtf[t] == 0 {
+			distinct = append(distinct, t)
+		}
 		qtf[t]++
 	}
 	n := float64(ix.Size())
 	// Query vector weights and norm.
-	qw := make(map[string]float64, len(qtf))
+	type weighted struct {
+		pl []posting
+		w  float64
+	}
+	var qw []weighted
 	qnorm := 0.0
-	for t, tf := range qtf {
-		df := len(ix.postings[t])
-		if df == 0 {
+	for _, t := range distinct {
+		pl := ix.postings[t]
+		if len(pl) == 0 {
 			continue
 		}
-		w := (1 + math.Log(tf)) * math.Log(1+n/float64(df))
-		qw[t] = w
+		w := (1 + math.Log(qtf[t])) * math.Log(1+n/float64(len(pl)))
+		qw = append(qw, weighted{pl, w})
 		qnorm += w * w
 	}
 	if len(qw) == 0 {
@@ -278,9 +289,9 @@ func (ix *Index) Search(query string, k int) []Hit {
 	qnorm = math.Sqrt(qnorm)
 
 	scores := make(map[int32]float64)
-	for t, w := range qw {
-		for _, p := range ix.postings[t] {
-			scores[p.doc] += w * (1 + math.Log(float64(p.tf)))
+	for _, q := range qw {
+		for _, p := range q.pl {
+			scores[p.doc] += q.w * (1 + math.Log(float64(p.tf)))
 		}
 	}
 	hits := make([]Hit, 0, len(scores))
@@ -309,12 +320,18 @@ func (ix *Index) Search(query string, k int) []Hit {
 
 // ensureNorms computes per-document tf vector norms on the first call
 // after a build. Norms use the same log-tf damping as Search's
-// accumulation so the cosine is consistent.
+// accumulation so the cosine is consistent. Each document's squares are
+// added in term order, so a norm is the same bits on every build.
 func (ix *Index) ensureNorms() {
 	ix.normOnce.Do(func() {
+		terms := make([]string, 0, len(ix.postings))
+		for t := range ix.postings {
+			terms = append(terms, t)
+		}
+		sort.Strings(terms)
 		norms := make([]float64, len(ix.docIDs))
-		for _, pl := range ix.postings {
-			for _, p := range pl {
+		for _, t := range terms {
+			for _, p := range ix.postings[t] {
 				w := 1 + math.Log(float64(p.tf))
 				norms[p.doc] += w * w
 			}

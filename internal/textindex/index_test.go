@@ -351,6 +351,43 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 	}
 }
 
+// TestSearchDeterministicAcrossBuilds builds one collection five times
+// and requires every Search answer to equal the first build's bit for
+// bit: the document norms and the query's scores are float sums, so the
+// order they are added in must not depend on map iteration.
+func TestSearchDeterministicAcrossBuilds(t *testing.T) {
+	build := func() *Index {
+		ix := NewIndex(NewTokenizer(TokenizerConfig{}))
+		state := uint32(2004)
+		for d := 0; d < 300; d++ {
+			terms := make([]string, 40)
+			for i := range terms {
+				state = state*1664525 + 1013904223
+				terms[i] = fmt.Sprintf("w%d", (state>>8)%200)
+			}
+			ix.AddTerms(fmt.Sprintf("d%d", d), terms)
+		}
+		return ix
+	}
+	queries := []string{"w1", "w1 w2", "w3 w17 w3 w150", "w5 w6 w7 w8 w9 w10", "w199 w0 w42 w42 w42"}
+	first := build()
+	for rebuild := 1; rebuild < 5; rebuild++ {
+		ix := build()
+		for _, q := range queries {
+			want, got := first.Search(q, 50), ix.Search(q, 50)
+			if len(got) != len(want) {
+				t.Fatalf("build %d, %q: %d hits, the first build %d", rebuild, q, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Ordinal != want[i].Ordinal || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("build %d, %q, hit %d: (%d, %x), the first build (%d, %x)", rebuild, q, i,
+						got[i].Ordinal, math.Float64bits(got[i].Score), want[i].Ordinal, math.Float64bits(want[i].Score))
+				}
+			}
+		}
+	}
+}
+
 // TestCountsCarryNothingToTheNextDocument indexes a 40-term document
 // with repeats, then a 3-term one, through AddTerms and through Add: the
 // second document's postings, term frequencies and length must be those

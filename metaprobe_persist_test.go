@@ -2,6 +2,8 @@ package metaprobe
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -269,10 +271,12 @@ func TestEstimatesFollowReload(t *testing.T) {
 }
 
 // TestReloadRejectsBadSnapshot: a snapshot ReloadModel refuses — cut
-// short, altered under its checksum, carrying an edge no histogram has,
-// asking for a key space only the file could want, or describing other
-// databases — leaves the serving version and its answers exactly as they
-// were.
+// short, altered under its checksum, without its envelope, carrying an
+// edge no histogram has, asking for a key space only the file could
+// want, or describing other databases — leaves the serving version and
+// its answers exactly as they were. Each refusal comes from its own
+// check: the bent payloads are sealed with the checksum they really
+// have, so only the check named can stop them.
 func TestReloadRejectsBadSnapshot(t *testing.T) {
 	ms, test := buildTestMetasearcher(t)
 	dir := t.TempDir()
@@ -285,26 +289,44 @@ func TestReloadRejectsBadSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var env struct {
-		Model json.RawMessage `json:"model"`
+		Format int             `json:"format"`
+		Model  json.RawMessage `json:"model"`
 	}
 	if err := json.Unmarshal(snapshot, &env); err != nil {
 		t.Fatal(err)
 	}
-	bare := func(old, new string) []byte { // a format-1 file: no envelope, no checksum to trip first
+	sealed := func(old, new string) []byte {
 		bent := bytes.Replace(env.Model, []byte(old), []byte(new), 1)
 		if bytes.Equal(bent, env.Model) {
 			t.Fatalf("the snapshot has no %s to bend", old)
 		}
-		return bent
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, bent); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(compact.Bytes())
+		data, err := json.Marshal(map[string]any{
+			"format":   env.Format,
+			"checksum": "sha256:" + hex.EncodeToString(sum[:]),
+			"model":    json.RawMessage(bent),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	bad := map[string][]byte{
-		"truncated":         snapshot[:len(snapshot)/2],
-		"checksum mismatch": bytes.Replace(snapshot, []byte(`"threshold": 100`), []byte(`"threshold": 101`), 1),
-		"edge string":       bare(`"+Inf"`, `"NaN"`),
-		"key space":         bare(`"maxTerms": 4`, `"maxTerms": 4000`),
-		"other database":    bare(`"name": "`+ms.Databases()[0]+`"`, `"name": "elsewhere"`),
-		"other relevancy":   bare(`"relevancy": "doc-frequency"`, `"relevancy": "doc-similarity"`),
-		"empty":             nil,
+	bad := map[string]struct {
+		data []byte
+		want string // in the refusal
+	}{
+		"truncated":         {snapshot[:len(snapshot)/2], "truncated or corrupt"},
+		"checksum mismatch": {bytes.Replace(snapshot, []byte(`"threshold": 100`), []byte(`"threshold": 101`), 1), "checksum mismatch"},
+		"no envelope":       {env.Model, "snapshot format 0"},
+		"edge string":       {sealed(`"+Inf"`, `"NaN"`), `unknown value "NaN"`},
+		"key space":         {sealed(`"maxTerms": 4`, `"maxTerms": 4000`), "maxTerms 4000 outside"},
+		"other database":    {sealed(`"name": "`+ms.Databases()[0]+`"`, `"name": "elsewhere"`), `the model expects "elsewhere"`},
+		"other relevancy":   {sealed(`"relevancy": "doc-frequency"`, `"relevancy": "doc-similarity"`), `model uses relevancy "doc-similarity"`},
+		"empty":             {nil, "truncated or corrupt"},
 	}
 
 	q := test[0]
@@ -313,13 +335,15 @@ func TestReloadRejectsBadSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range bad {
+	for name, c := range bad {
 		path := filepath.Join(dir, "bad.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := ms.ReloadModel(path); err == nil {
 			t.Errorf("%s: the snapshot was accepted", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: refused by %q, not by the check that says %q", name, err, c.want)
 		}
 		if v := ms.ModelInfo().Version; v != version {
 			t.Errorf("%s: a refused reload left version %d, before %d", name, v, version)

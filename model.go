@@ -144,7 +144,7 @@ func NewFromModel(dbs []Database, modelPath string, cfg *Config) (*Metasearcher,
 // on the reloaded EDs, and any refresh committed against the old
 // version is rejected as superseded.
 func (m *Metasearcher) ReloadModel(path string) error {
-	model, _, err := core.LoadModelInfo(path)
+	model, err := core.LoadModel(path)
 	if err != nil {
 		return fmt.Errorf("metaprobe: %w", err)
 	}
