@@ -277,8 +277,7 @@ func BenchmarkSelectionBest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel := env.Selection(q, core.Absolute, 3)
-		sel.Best()
+		memoless(env.Selection(q, core.Absolute, 3)).Best()
 	}
 }
 
@@ -291,8 +290,7 @@ func BenchmarkGreedyProbeStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel := env.Selection(q, core.Absolute, 1)
-		if _, err := g.Next(sel, 0.9); err != nil {
+		if _, err := g.Next(memoless(env.Selection(q, core.Absolute, 1)), 0.9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,15 +323,15 @@ func precomputedProbe(tb testing.TB, env *experiments.Env) core.ProbeFunc {
 	return func(db int) (float64, error) { return actual[db], nil }
 }
 
-// aproSelectBody is one full adaptive-probing selection: build the
-// per-query state (RD convolution) and run greedy APro to a 0.9
-// certainty.
+// aproSelectBody is one full adaptive-probing selection: fill the
+// per-query state from the version's RD table and run greedy APro to a
+// 0.9 certainty, computing every decision (no memo).
 func aproSelectBody(tb testing.TB) func() {
 	env := benchEnv(tb)
 	q := env.Test[0]
 	probe := precomputedProbe(tb, env)
 	return func() {
-		sel := env.Selection(q, core.Absolute, 3)
+		sel := memoless(env.Selection(q, core.Absolute, 3))
 		if _, err := core.APro(sel, probe, &core.Greedy{}, 0.9, -1); err != nil {
 			tb.Fatal(err)
 		}
@@ -349,8 +347,8 @@ func aproSelectSteadyBody(tb testing.TB) func() {
 	env := benchEnv(tb)
 	q := env.Test[0]
 	probe := precomputedProbe(tb, env)
-	template := env.Selection(q, core.Absolute, 3)
-	sel := env.Selection(q, core.Absolute, 3)
+	template := memoless(env.Selection(q, core.Absolute, 3))
+	sel := &core.Selection{}
 	g := &core.Greedy{}
 	var out core.Outcome
 	run := func() {
@@ -373,8 +371,8 @@ func aproSelectMemoHitBody(tb testing.TB) func() {
 	env := benchEnv(tb)
 	q := env.Test[0]
 	probe := precomputedProbe(tb, env)
-	ver := core.NewModelVersion(env.Model, "bench", time.Now())
-	template := ver.NewSelection(q.String(), q.NumTerms(), core.Absolute, 3).WithBestSetOptions(env.Cfg.BestSetOpts)
+	ver := core.NewModelVersion(env.Version.Model, "bench", time.Now())
+	template := ver.NewSelection(q.String(), q.NumTerms(), core.Absolute, 3)
 	sel := &core.Selection{}
 	g := core.Greedy{}
 	var out core.Outcome
@@ -405,9 +403,8 @@ func BenchmarkAProSelectSteady(b *testing.B) { runHotPath(b, aproSelectSteadyBod
 
 // BenchmarkAProSelectMemoHit measures the same trajectory with every
 // decision read from the version's memo: what is left is folding the
-// probes. The two benchmarks above build memo-less selections
-// (Env.Selection derives from the model, not from a version) and keep
-// measuring rank.
+// probes. The two benchmarks above copy their selections out of the
+// memo's reach and keep measuring rank.
 func BenchmarkAProSelectMemoHit(b *testing.B) { runHotPath(b, aproSelectMemoHitBody) }
 
 // BenchmarkGreedyRankColdTail pins the query shape that sets the serving
@@ -467,32 +464,13 @@ func BenchmarkGreedyRankColdTail(b *testing.B) {
 	}
 }
 
-// observeProbeBody folds one observed (estimate, actual) pair back into
-// the model's error distributions, cycling over the databases.
-func observeProbeBody(tb testing.TB) func() {
-	env := benchEnv(tb)
-	q := env.Test[0]
-	actual, err := env.Rel.Probe(env.Testbed.DB(0), q.String())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	i := 0
-	return func() {
-		db := i % env.Testbed.Len()
-		i++
-		if err := env.Model.ObserveProbe(db, q.String(), q.NumTerms(), actual); err != nil {
-			tb.Fatal(err)
-		}
-	}
-}
-
 // versionObserveProbeBody is the serving write path: one observation
 // folded into a ModelVersion — into the ED at once, into its RD rows
 // with the epoch's publication, which the per-op numbers amortise —
 // cycling over queries × databases so that several keys go dirty.
 func versionObserveProbeBody(tb testing.TB) func() {
 	env := benchEnv(tb)
-	ver := core.NewModelVersion(env.Model, "bench", time.Now())
+	ver := core.NewModelVersion(env.Version.Model, "bench", time.Now())
 	qs := env.Test[:16]
 	actual, err := env.Rel.Probe(env.Testbed.DB(0), qs[0].String())
 	if err != nil {
@@ -508,24 +486,12 @@ func versionObserveProbeBody(tb testing.TB) func() {
 	}
 }
 
-// rdConvolveBody derives every database's relevancy distribution for a
-// fresh query (estimate → classify → convolve the error distribution).
-func rdConvolveBody(tb testing.TB) func() {
-	env := benchEnv(tb)
-	q := env.Test[0]
-	return func() {
-		if sel := env.Model.NewSelection(q.String(), q.NumTerms(), core.Absolute, 3); sel == nil {
-			tb.Fatal("nil selection")
-		}
-	}
-}
-
 // newSelectionBody builds the per-query state through a ModelVersion's
 // precomputed RD table into a recycled shell, cycling over the test
 // queries.
 func newSelectionBody(tb testing.TB) func() {
 	env := benchEnv(tb)
-	ver := core.NewModelVersion(env.Model, "bench", time.Now())
+	ver := core.NewModelVersion(env.Version.Model, "bench", time.Now())
 	qs := env.Test
 	sel := &core.Selection{}
 	i := 0
@@ -563,48 +529,38 @@ func observedSelectBody(tb testing.TB) func() {
 	return run
 }
 
-// BenchmarkObserveProbe measures the per-probe cost of online
-// refinement.
-func BenchmarkObserveProbe(b *testing.B) { runHotPath(b, observeProbeBody) }
-
 // BenchmarkVersionObserveProbe measures what a serving version pays per
-// probe for it: BenchmarkObserveProbe plus the epoch's row publication.
+// probe for online refinement: the observation folded into its ED, and
+// the epoch's row publication.
 func BenchmarkVersionObserveProbe(b *testing.B) { runHotPath(b, versionObserveProbeBody) }
 
-// BenchmarkRDConvolve measures the rd_convolve stage in isolation,
-// derived from scratch.
-func BenchmarkRDConvolve(b *testing.B) { runHotPath(b, rdConvolveBody) }
-
 // BenchmarkNewSelection measures the table-lookup serving path that
-// replaced per-query RD derivation. BenchmarkRDConvolve is kept as the
-// from-scratch comparator: the gap between the two is what
-// precomputation buys.
+// builds a query's initial state.
 func BenchmarkNewSelection(b *testing.B) { runHotPath(b, newSelectionBody) }
 
 // TestHotPathAllocCaps holds the hot paths' heap objects per operation,
 // measured on the benchmarks' own bodies. Each cap is ×1.10 + 2 over
-// the count at the commit that last moved it (488, 9, 12, 417, 11 and
-// 113 allocs/op; the observed selection took 123 while a per-selection
-// stage recorder and a latency exemplar store still stood beside its
-// span), except the steady-state serving path, which stays at ≤ 2
-// absolute, and the memo-hit path, which after the fill allocates
-// nothing. Object counts are the machine-independent gate; time is held
-// by the pipeline's bounds on benchmark/. The observed selection goes
-// through the facade's pooled shells, and under the race detector a
-// sync.Pool drops a random quarter of what is put back, so there it has
-// no count to hold.
+// the count at the commit that last moved it (116, 12, 11 and 113
+// allocs/op; the full selection took 488 while it convolved its RDs
+// instead of reading the version's table, and the observed selection
+// 123 while a per-selection stage recorder and a latency exemplar store
+// still stood beside its span), except the steady-state serving path,
+// which stays at ≤ 2 absolute, and the memo-hit path, which after the
+// fill allocates nothing. Object counts are the machine-independent
+// gate; time is held by the pipeline's bounds on benchmark/. The
+// observed selection goes through the facade's pooled shells, and under
+// the race detector a sync.Pool drops a random quarter of what is put
+// back, so there it has no count to hold.
 func TestHotPathAllocCaps(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		body func(testing.TB) func()
 		max  float64
 	}{
-		{"AProSelect", aproSelectBody, 488*1.10 + 2},
+		{"AProSelect", aproSelectBody, 116*1.10 + 2},
 		{"AProSelectSteady", aproSelectSteadyBody, 2},
 		{"AProSelectMemoHit", aproSelectMemoHitBody, 0},
-		{"ObserveProbe", observeProbeBody, 9*1.10 + 2},
 		{"VersionObserveProbe", versionObserveProbeBody, 12*1.10 + 2},
-		{"RDConvolve", rdConvolveBody, 417*1.10 + 2},
 		{"NewSelection", newSelectionBody, 11*1.10 + 2},
 		{"ObservedSelect", observedSelectBody, 113*1.10 + 2},
 	} {

@@ -186,29 +186,18 @@ func Expected(metric Metric, rds []*RD, set []int) float64 {
 	}
 }
 
-// BestSetOptions tunes the argmax search for the absolute metric.
-type BestSetOptions struct {
-	// ExtraCandidates widens the candidate pool beyond k when
+// The argmax search for the absolute metric.
+const (
+	// extraCandidates widens the candidate pool beyond k when
 	// maximizing E[Cor_a]: subsets are enumerated over the k +
-	// ExtraCandidates databases with the highest membership
-	// probability (default 8).
-	ExtraCandidates int
-	// ExhaustiveLimit enumerates all C(n, k) subsets when their count
-	// is at most this limit (default 2000), making the search exact on
-	// small testbeds.
-	ExhaustiveLimit int
-}
+	// extraCandidates databases with the highest membership probability.
+	extraCandidates = 8
+	// exhaustiveLimit enumerates all C(n, k) subsets when their count is
+	// at most this limit, making the search exact on small testbeds.
+	exhaustiveLimit = 2000
+)
 
-func (o *BestSetOptions) setDefaults() {
-	if o.ExtraCandidates == 0 {
-		o.ExtraCandidates = 8
-	}
-	if o.ExhaustiveLimit == 0 {
-		o.ExhaustiveLimit = 2000
-	}
-}
-
-// BestSet returns the k-set with the highest expected correctness and
+// bestSet returns the k-set with the highest expected correctness and
 // that expectation — the "DBᵏ with the highest E[Cor(DBᵏ)]" the
 // RD-based method returns (Section 6.2) and APro's stopping quantity.
 //
@@ -216,8 +205,7 @@ func (o *BestSetOptions) setDefaults() {
 // sum of membership marginals, maximized by the top-k marginals). For
 // the absolute metric subsets are enumerated exhaustively when C(n, k)
 // is small and over the top marginal candidates otherwise.
-func BestSet(metric Metric, rds []*RD, k int, opts BestSetOptions) ([]int, float64) {
-	opts.setDefaults()
+func bestSet(metric Metric, rds []*RD, k int) ([]int, float64) {
 	n := len(rds)
 	if k <= 0 || n == 0 {
 		return nil, 0
@@ -256,11 +244,11 @@ func BestSet(metric Metric, rds []*RD, k int, opts BestSetOptions) ([]int, float
 	}
 
 	// Absolute: enumerate candidate subsets.
-	m := k + opts.ExtraCandidates
+	m := k + extraCandidates
 	if m > n {
 		m = n
 	}
-	if stats.BinomialCoefficient(n, k) <= float64(opts.ExhaustiveLimit) {
+	if stats.BinomialCoefficient(n, k) <= exhaustiveLimit {
 		m = n
 	}
 	candidates := order[:m]

@@ -31,13 +31,13 @@ func TestPaperExample4Certainty(t *testing.T) {
 	if got := MembershipProb(rds, 0, 1); math.Abs(got-0.15) > 1e-12 {
 		t.Errorf("P(db1 = top1) = %v, want 0.15", got)
 	}
-	// E[Cor_a({db2})] must agree, and BestSet must return db2.
+	// E[Cor_a({db2})] must agree, and bestSet must return db2.
 	if got := ExpectedAbsolute(rds, []int{1}); math.Abs(got-0.85) > 1e-12 {
 		t.Errorf("E[Cor_a({db2})] = %v, want 0.85", got)
 	}
-	set, e := BestSet(Absolute, rds, 1, BestSetOptions{})
+	set, e := bestSet(Absolute, rds, 1)
 	if len(set) != 1 || set[0] != 1 || math.Abs(e-0.85) > 1e-12 {
-		t.Errorf("BestSet = %v with E %v, want [1] at 0.85", set, e)
+		t.Errorf("bestSet = %v with E %v, want [1] at 0.85", set, e)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestBestSetPartialExactness(t *testing.T) {
 			rds[i] = MustRD(vals, probs)
 		}
 		k := 2
-		set, e := BestSet(Partial, rds, k, BestSetOptions{})
+		set, e := bestSet(Partial, rds, k)
 		// Exhaustive check.
 		bestE := -1.0
 		for a := 0; a < n; a++ {
@@ -277,7 +277,7 @@ func TestBestSetPartialExactness(t *testing.T) {
 			}
 		}
 		if math.Abs(e-bestE) > 1e-9 {
-			t.Fatalf("trial %d: BestSet(Partial) = %v at %v, exhaustive best %v", trial, set, e, bestE)
+			t.Fatalf("trial %d: bestSet(Partial) = %v at %v, exhaustive best %v", trial, set, e, bestE)
 		}
 	}
 }
@@ -293,33 +293,33 @@ func TestBestSetAbsoluteExhaustiveAgreement(t *testing.T) {
 			rds[i] = MustRD(vals, probs)
 		}
 		k := 2
-		// Small n: ExhaustiveLimit covers C(5,2)=10 subsets, so the
+		// Small n: exhaustiveLimit covers C(5,2)=10 subsets, so the
 		// result must be the global optimum.
-		set, e := BestSet(Absolute, rds, k, BestSetOptions{})
+		set, e := bestSet(Absolute, rds, k)
 		bestE := -1.0
-		var bestSet []int
+		var exhaustiveSet []int
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
 				if v := ExpectedAbsolute(rds, []int{a, b}); v > bestE {
-					bestE, bestSet = v, []int{a, b}
+					bestE, exhaustiveSet = v, []int{a, b}
 				}
 			}
 		}
 		if math.Abs(e-bestE) > 1e-9 {
-			t.Fatalf("trial %d: BestSet(Absolute) = %v at %v, exhaustive %v at %v", trial, set, e, bestSet, bestE)
+			t.Fatalf("trial %d: bestSet(Absolute) = %v at %v, exhaustive %v at %v", trial, set, e, exhaustiveSet, bestE)
 		}
 	}
 }
 
 func TestBestSetDegenerateInputs(t *testing.T) {
 	rds := paperRDs()
-	if set, e := BestSet(Absolute, rds, 0, BestSetOptions{}); set != nil || e != 0 {
+	if set, e := bestSet(Absolute, rds, 0); set != nil || e != 0 {
 		t.Errorf("k=0: %v, %v", set, e)
 	}
-	if set, e := BestSet(Absolute, rds, 5, BestSetOptions{}); len(set) != 2 || e != 1 {
+	if set, e := bestSet(Absolute, rds, 5); len(set) != 2 || e != 1 {
 		t.Errorf("k>n: %v, %v", set, e)
 	}
-	if set, _ := BestSet(Partial, rds, 2, BestSetOptions{}); len(set) != 2 {
+	if set, _ := bestSet(Partial, rds, 2); len(set) != 2 {
 		t.Errorf("k=n: %v", set)
 	}
 }
@@ -344,7 +344,7 @@ func TestMonteCarloAgreement(t *testing.T) {
 		rds[i] = MustRD(vals, probs)
 	}
 	k := 3
-	set, e := BestSet(Absolute, rds, k, BestSetOptions{})
+	set, e := bestSet(Absolute, rds, k)
 
 	const samples = 200000
 	hits := 0

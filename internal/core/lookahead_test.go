@@ -24,7 +24,7 @@ func bruteCertainNext(s *Selection, head int, t float64) (next int, ok, borderli
 	rd := s.RD(head)
 	next, ok = -1, true
 	for vi := 0; vi < rd.Len(); vi++ {
-		ref := NewSelectionFromRDs(s.rds, s.Metric, s.K).WithBestSetOptions(s.opts)
+		ref := NewSelectionFromRDs(s.rds, s.Metric, s.K)
 		ref.noScratch = true
 		copy(ref.probed, s.probed)
 		ref.ApplyProbe(head, rd.Value(vi))

@@ -2,15 +2,15 @@ package core
 
 // The decision memo: what the loop decides at a state — the best k-set
 // with its E[Cor], the greedy head with its usefulness — is a function
-// of that state alone (the version's RD rows, the query, k, the metric,
-// the set-search options and the probes folded so far), so a
-// ModelVersion remembers it. The memo is a tree. A root is one
-// (query, numTerms, metric, k, BestSetOptions); an edge is one probe
-// answer (database, observed value); a node holds, once somebody has
-// computed them, the two decisions of the state its path leads to. A
-// Selection filled from the version carries a pointer to its state's
-// node: ApplyProbe follows the edge, best() and Greedy.Rank(s, t, 1)
-// read the node or compute exactly as without one and store. Nothing
+// of that state alone (the version's RD rows, the query, k, the metric
+// and the probes folded so far), so a ModelVersion remembers it. The
+// memo is a tree. A root is one (query, numTerms, metric, k); an edge
+// is one probe answer (database, observed value); a node holds, once
+// somebody has computed them, the two decisions of the state its path
+// leads to. A Selection filled from the version carries a pointer to its
+// state's node: ApplyProbe follows the edge, best() and
+// Greedy.Rank(s, t, 1) read the node or compute exactly as without one
+// and store. Nothing
 // about the answer comes from memory — every probe is still sent, and
 // what it returns picks the edge — so the memo cannot be stale towards
 // the backends; towards the model it lives and dies with the version:
@@ -50,12 +50,12 @@ import "sync/atomic"
 const (
 	// memoMaxNodes bounds one version's tree: 32 768 nodes of 80 bytes are
 	// 2.5 MiB. A root adds its key, tree and node pointers and chain link
-	// (88 bytes) and retains the query string (say 64); every root has a
+	// (72 bytes) and retains the query string (say 64); every root has a
 	// node, and a query that takes at least one probe has more nodes than
-	// roots, so at most half the nodes are roots' — another 2.4 MiB. With
-	// the tree's own 17 KiB of bucket and chunk heads a full memo is about
-	// 5 MiB, under the 8 it is allowed. TestDecisionMemoNodeSizes holds the
-	// struct sizes this arithmetic uses.
+	// roots, so at most half the nodes are roots' — another 2.1 MiB. With
+	// the tree's own 17 KiB of bucket and chunk heads a full memo is under
+	// 5 MiB, inside the 8 it is allowed. TestDecisionMemoNodeSizes holds
+	// the struct sizes this arithmetic uses.
 	memoMaxNodes = 1 << 15
 	// memoChunkBits sizes a chunk: 512 nodes, 40 KiB, so a version that
 	// sees a handful of queries pays for one.
@@ -87,14 +87,12 @@ const (
 )
 
 // memoKey identifies a root: everything besides the version's rows that
-// a selection's initial state is derived from, plus the options the set
-// search runs with.
+// a selection's initial state is derived from.
 type memoKey struct {
 	query    string
 	numTerms int
 	metric   Metric
 	k        int
-	opts     BestSetOptions
 }
 
 func (k *memoKey) hash() uint64 {
@@ -103,7 +101,7 @@ func (k *memoKey) hash() uint64 {
 	for i := 0; i < len(k.query); i++ {
 		h = (h ^ uint64(k.query[i])) * prime
 	}
-	for _, x := range [...]int{k.numTerms, int(k.metric), k.k, k.opts.ExtraCandidates, k.opts.ExhaustiveLimit} {
+	for _, x := range [...]int{k.numTerms, int(k.metric), k.k} {
 		h = (h ^ uint64(x)) * prime
 	}
 	return h ^ h>>32
@@ -280,7 +278,7 @@ func (s *Selection) attachMemo(t *memoTree, numTerms int) {
 	if t == nil || s.K <= 0 || s.K >= len(s.rds) || s.K > memoMaxK {
 		return
 	}
-	if r := t.root(memoKey{query: s.Query, numTerms: numTerms, metric: s.Metric, k: s.K, opts: s.opts}); r != nil {
+	if r := t.root(memoKey{query: s.Query, numTerms: numTerms, metric: s.Metric, k: s.K}); r != nil {
 		s.memoRoot, s.memo = r, r.node
 	}
 }

@@ -151,59 +151,55 @@ func trainOne(db hidden.Database, sum *summary.Summary, rel estimate.Relevancy, 
 		if err != nil {
 			return nil, fmt.Errorf("core: training %s on %q: %w", db.Name(), qs, err)
 		}
-		key := cfg.Classifier.Classify(q.NumTerms(), rhat)
-		ed, ok := dm.EDs[key]
-		if !ok {
-			edges := cfg.ErrorEdges
-			absolute := key.Band == BandZero
-			if absolute {
-				edges = cfg.AbsoluteEdges
-			}
-			ed, err = NewED(edges, absolute, cfg.UseBinMean)
-			if err != nil {
-				return nil, err
-			}
-			dm.EDs[key] = ed
-		}
-		if err := ed.Observe(rhat, actual); err != nil {
+		if err := dm.file(&cfg, cfg.Classifier.Classify(q.NumTerms(), rhat), rhat, actual); err != nil {
 			return nil, fmt.Errorf("core: training %s on %q: %w", db.Name(), qs, err)
-		}
-		if key.Band != BandZero {
-			if err := dm.Pooled.Observe(rhat, actual); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return dm, nil
 }
 
-// RDFor derives the relevancy distribution of database dbIdx for an
-// unseen query: estimate, classify, apply the learned ED (falling back
-// to the pooled ED, then to an impulse at the estimate when the
-// database was never observed in a comparable regime).
-func (m *Model) RDFor(dbIdx int, query string, numTerms int) (*RD, float64) {
-	sum := m.Summaries.Summaries[dbIdx]
-	rhat := m.Rel.Estimate(sum, query)
-	key := m.Cfg.Classifier.Classify(numTerms, rhat)
-	dm := m.DBs[dbIdx]
+// observe folds a live probe observation back into the model — the
+// online-refinement extension the paper's future-work section points
+// toward: every probe APro performs is also a free training sample, so
+// the error distributions keep improving (and track database drift)
+// during operation. It reports the query type the observation was filed
+// under and the estimate that classified it.
+func (m *Model) observe(dbIdx int, query string, numTerms int, actual float64) (key TypeKey, rhat float64, err error) {
+	if dbIdx < 0 || dbIdx >= len(m.DBs) {
+		return TypeKey{}, 0, fmt.Errorf("core: observe: database index %d outside [0, %d)", dbIdx, len(m.DBs))
+	}
+	rhat = m.Rel.Estimate(m.Summaries.Summaries[dbIdx], query)
+	key = m.Cfg.Classifier.Classify(numTerms, rhat)
+	if err := m.DBs[dbIdx].file(&m.Cfg, key, rhat, actual); err != nil {
+		return key, rhat, fmt.Errorf("core: observe: %w", err)
+	}
+	return key, rhat, nil
+}
 
-	if ed, ok := dm.EDs[key]; ok && ed.Observations() >= m.Cfg.MinObservations {
-		if rd, err := ed.RD(rhat); err == nil {
-			return rd, rhat
+// file folds one (r̂, actual) observation of a query of type key into dm:
+// into the key's ED, created on the key's first observation, and —
+// outside the zero band — into the pooled ED.
+func (dm *DBModel) file(cfg *Config, key TypeKey, rhat, actual float64) error {
+	ed, ok := dm.EDs[key]
+	if !ok {
+		edges := cfg.ErrorEdges
+		absolute := key.Band == BandZero
+		if absolute {
+			edges = cfg.AbsoluteEdges
 		}
-	}
-	if key.Band != BandZero && dm.Pooled.Observations() >= m.Cfg.MinObservations {
-		if rd, err := dm.Pooled.RD(rhat); err == nil {
-			return rd, rhat
+		var err error
+		if ed, err = NewED(edges, absolute, cfg.UseBinMean); err != nil {
+			return err
 		}
+		dm.EDs[key] = ed
 	}
-	// No usable error model: trust the estimate outright. The r̂ = 0
-	// case — by far the most common cold regime — serves the shared
-	// read-only impulse instead of allocating one per query.
-	if rhat == 0 {
-		return zeroImpulse, rhat
+	if err := ed.Observe(rhat, actual); err != nil {
+		return err
 	}
-	return Impulse(rhat), rhat
+	if key.Band != BandZero {
+		return dm.Pooled.Observe(rhat, actual)
+	}
+	return nil
 }
 
 // Selection is the per-query state: the RDs of all databases, which of
@@ -219,7 +215,6 @@ type Selection struct {
 	rds       []*RD
 	estimates []float64
 	probed    []bool
-	opts      BestSetOptions
 
 	// scratch is the pooled incremental evaluation state (selstate.go),
 	// acquired lazily on the first Best and handed back by Release. It
@@ -300,25 +295,6 @@ type RankWork struct {
 // Work returns the ranking work counted since the selection was filled.
 func (s *Selection) Work() RankWork { return s.work }
 
-// NewSelection builds the initial (unprobed) state for a query.
-func (m *Model) NewSelection(query string, numTerms int, metric Metric, k int) *Selection {
-	n := len(m.DBs)
-	s := &Selection{
-		Metric:        metric,
-		K:             k,
-		Query:         query,
-		rds:           make([]*RD, n),
-		estimates:     make([]float64, n),
-		probed:        make([]bool, n),
-		hypVI:         -1,
-		unprobedStale: true,
-	}
-	for i := 0; i < n; i++ {
-		s.rds[i], s.estimates[i] = m.RDFor(i, query, numTerms)
-	}
-	return s
-}
-
 // NewSelectionFromRDs builds a selection directly from RDs (tests and
 // paper examples).
 func NewSelectionFromRDs(rds []*RD, metric Metric, k int) *Selection {
@@ -335,24 +311,6 @@ func NewSelectionFromRDs(rds []*RD, metric Metric, k int) *Selection {
 		hypVI:         -1,
 		unprobedStale: true,
 	}
-}
-
-// WithBestSetOptions overrides the set-search options used by Best and
-// returns the selection for chaining. The options are part of what a
-// remembered decision depends on, so a selection carrying a memo node
-// moves to the root of its query under the new ones — from its initial
-// state; after a probe it stops remembering instead.
-func (s *Selection) WithBestSetOptions(opts BestSetOptions) *Selection {
-	changed := opts != s.opts
-	s.opts = opts
-	if r := s.memoRoot; r != nil && changed {
-		if s.memo == r.node {
-			s.attachMemo(r.tree, r.key.numTerms)
-		} else {
-			s.memoRoot, s.memo = nil, nil
-		}
-	}
-	return s
 }
 
 // Len returns the number of databases.
@@ -477,12 +435,11 @@ func (s *Selection) setScaledRD(i int, tmpl *RD, rhat float64) bool {
 
 // reset re-initializes the selection as an empty unprobed state for n
 // databases, reusing every backing array — the shell half of
-// ModelVersion.FillSelection. Options, the stage tally and the
-// reference-path pin are cleared; the caller re-attaches what it
+// ModelVersion.FillSelection. The stage tally and the reference-path
+// pin are cleared; the caller re-attaches what it
 // needs.
 func (s *Selection) reset(query string, metric Metric, k, n int) {
 	s.Metric, s.K, s.Query = metric, k, query
-	s.opts = BestSetOptions{}
 	s.noScratch = false
 	s.memoRoot, s.memo = nil, nil
 	if cap(s.rds) < n {
@@ -554,7 +511,7 @@ func (s *Selection) best() ([]int, float64) {
 // hypotheses) and when noScratch pins the reference for tests.
 func (s *Selection) evaluate() ([]int, float64) {
 	if !s.onScratch() || s.hypDepth > 1 {
-		return BestSet(s.Metric, s.rds, s.K, s.opts)
+		return bestSet(s.Metric, s.rds, s.K)
 	}
 	if s.hypDepth == 0 {
 		s.ensureScratch()
@@ -563,12 +520,12 @@ func (s *Selection) evaluate() ([]int, float64) {
 		// cannot be (re)built from base state here — evaluate from
 		// scratch instead. Only reachable when a hypothesis was
 		// opened without the scratch path (see beginHypothesisIdx).
-		return BestSet(s.Metric, s.rds, s.K, s.opts)
+		return bestSet(s.Metric, s.rds, s.K)
 	} else if !sc.hypActive {
 		sc.beginHypothesis(s.hypDB, s.hypVI)
 	}
 	sc := s.scratch
-	set, e := sc.bestFrom(s.Metric, s.opts)
+	set, e := sc.bestFrom(s.Metric)
 	s.work.Sets += sc.sets
 	s.work.SetsShared += sc.shared
 	return set, e
@@ -612,7 +569,7 @@ func (s *Selection) Release() {
 }
 
 // Reuse re-initializes the selection as a fresh (unprobed-state) copy
-// of src — same metric, k, query, options and RDs — reusing this
+// of src — same metric, k, query and RDs — reusing this
 // selection's backing arrays and scratch. It is the zero-allocation
 // way to run many selections over one template state (benchmarks,
 // replay harnesses). src is typically a pristine template: immutable
@@ -624,7 +581,6 @@ func (s *Selection) Release() {
 // can alias the other afterwards.
 func (s *Selection) Reuse(src *Selection) {
 	s.Metric, s.K, s.Query = src.Metric, src.K, src.Query
-	s.opts = src.opts
 	s.memoRoot, s.memo = src.memoRoot, src.memo
 	s.rds = append(s.rds[:0], src.rds...)
 	s.estimates = append(s.estimates[:0], src.estimates...)

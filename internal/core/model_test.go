@@ -72,7 +72,7 @@ func TestRDForProducesValidRDs(t *testing.T) {
 	model, _, test := buildTrainedModel(t)
 	for _, q := range test[:50] {
 		for i := range model.DBs {
-			rd, rhat := model.RDFor(i, q.String(), q.NumTerms())
+			rd, rhat := model.rdFor(i, q.String(), q.NumTerms())
 			if rd == nil {
 				t.Fatalf("nil RD for %q on db %d", q, i)
 			}
@@ -157,7 +157,7 @@ func TestRDSelectionBeatsBaseline(t *testing.T) {
 		}
 		golden := TopKByScore(actual, 1)[0]
 
-		sel := model.NewSelection(qs, q.NumTerms(), Absolute, 1)
+		sel := model.newSelection(qs, q.NumTerms(), Absolute, 1)
 		if sel.BaselineSelect()[0] == golden {
 			baselineHits++
 		}
@@ -169,5 +169,38 @@ func TestRDSelectionBeatsBaseline(t *testing.T) {
 	t.Logf("baseline %d/%d, RD-based %d/%d", baselineHits, len(test), rdHits, len(test))
 	if rdHits < baselineHits {
 		t.Errorf("RD-based selection (%d) worse than baseline (%d)", rdHits, baselineHits)
+	}
+}
+
+// TestObserveAllocCap holds what one live observation costs the model
+// on the heap, which ModelVersion.Observe pays on every probe: the
+// estimate that classifies it allocates (tokenizing the query; 11
+// objects for this query, the figure the cap scales), and filing it into
+// the key's and the pooled ED allocates nothing once the key exists. The
+// root package's VersionObserveProbe row also amortises the epoch's row
+// publication, so it cannot hold this one.
+func TestObserveAllocCap(t *testing.T) {
+	model, tb, test := buildTrainedModel(t)
+	q := test[0]
+	actual, err := estimate.NewDocFrequency().Probe(tb.DB(0), q.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	estOnly := testing.AllocsPerRun(100, func() {
+		model.Rel.Estimate(model.Summaries.Summaries[i%len(model.DBs)], q.String())
+		i++
+	})
+	i = 0
+	got := testing.AllocsPerRun(100, func() {
+		db := i % len(model.DBs)
+		i++
+		if _, _, err := model.observe(db, q.String(), q.NumTerms(), actual); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("observe: %.0f allocs/op, the estimate alone %.0f", got, estOnly)
+	if got > estOnly || got > 11*1.10+2 {
+		t.Errorf("observe allocates %.0f objects per op: want at most the estimate's %.0f, and at most %.1f", got, estOnly, 11*1.10+2)
 	}
 }

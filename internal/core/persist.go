@@ -389,43 +389,3 @@ func decodeModel(path string, jm jsonModel) (*Model, error) {
 	}
 	return m, nil
 }
-
-// ObserveProbe folds a live probe observation back into the model —
-// the online-refinement extension the paper's future-work section
-// points toward: every probe APro performs is also a free training
-// sample, so the error distributions keep improving (and track
-// database drift) during operation.
-func (m *Model) ObserveProbe(dbIdx int, query string, numTerms int, actual float64) error {
-	_, _, err := m.observe(dbIdx, query, numTerms, actual)
-	return err
-}
-
-// observe is ObserveProbe, also reporting the query type the
-// observation was filed under and the estimate that classified it.
-func (m *Model) observe(dbIdx int, query string, numTerms int, actual float64) (key TypeKey, rhat float64, err error) {
-	if dbIdx < 0 || dbIdx >= len(m.DBs) {
-		return TypeKey{}, 0, fmt.Errorf("core: ObserveProbe: database index %d outside [0, %d)", dbIdx, len(m.DBs))
-	}
-	rhat = m.Rel.Estimate(m.Summaries.Summaries[dbIdx], query)
-	key = m.Cfg.Classifier.Classify(numTerms, rhat)
-	dm := m.DBs[dbIdx]
-	ed, ok := dm.EDs[key]
-	if !ok {
-		edges := m.Cfg.ErrorEdges
-		absolute := key.Band == BandZero
-		if absolute {
-			edges = m.Cfg.AbsoluteEdges
-		}
-		if ed, err = NewED(edges, absolute, m.Cfg.UseBinMean); err != nil {
-			return key, rhat, err
-		}
-		dm.EDs[key] = ed
-	}
-	if err := ed.Observe(rhat, actual); err != nil {
-		return key, rhat, fmt.Errorf("core: ObserveProbe: %w", err)
-	}
-	if key.Band != BandZero {
-		err = dm.Pooled.Observe(rhat, actual)
-	}
-	return key, rhat, err
-}

@@ -35,8 +35,8 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	// The loaded model must produce identical RDs on unseen queries.
 	for _, q := range test[:40] {
 		for i := range model.DBs {
-			a, rhatA := model.RDFor(i, q.String(), q.NumTerms())
-			b, rhatB := loaded.RDFor(i, q.String(), q.NumTerms())
+			a, rhatA := model.rdFor(i, q.String(), q.NumTerms())
+			b, rhatB := loaded.rdFor(i, q.String(), q.NumTerms())
 			if rhatA != rhatB {
 				t.Fatalf("estimates differ for %q on db %d: %v vs %v", q, i, rhatA, rhatB)
 			}
@@ -83,7 +83,7 @@ func TestObserveProbeRefinesModel(t *testing.T) {
 	model, tb, test := buildTrainedModel(t)
 	q := test[0]
 	dbIdx := 0
-	before, _ := model.RDFor(dbIdx, q.String(), q.NumTerms())
+	before, _ := model.rdFor(dbIdx, q.String(), q.NumTerms())
 
 	// Feed many consistent observations far from the trained errors:
 	// the RD must shift toward them.
@@ -94,7 +94,7 @@ func TestObserveProbeRefinesModel(t *testing.T) {
 			rhat = model.Rel.Estimate(model.Summaries.Summaries[dbIdx], cand.String())
 			if rhat > 0 {
 				q = cand
-				before, _ = model.RDFor(dbIdx, q.String(), q.NumTerms())
+				before, _ = model.rdFor(dbIdx, q.String(), q.NumTerms())
 				break
 			}
 		}
@@ -104,11 +104,11 @@ func TestObserveProbeRefinesModel(t *testing.T) {
 	}
 	target := rhat * 3 // +200% error
 	for i := 0; i < 5000; i++ {
-		if err := model.ObserveProbe(dbIdx, q.String(), q.NumTerms(), target); err != nil {
+		if err := model.observeProbe(dbIdx, q.String(), q.NumTerms(), target); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, _ := model.RDFor(dbIdx, q.String(), q.NumTerms())
+	after, _ := model.rdFor(dbIdx, q.String(), q.NumTerms())
 	if math.Abs(after.Mean()-target) >= math.Abs(before.Mean()-target) {
 		t.Errorf("RD mean did not converge toward the observed value %v: before %v, after %v",
 			target, before.Mean(), after.Mean())
@@ -117,13 +117,13 @@ func TestObserveProbeRefinesModel(t *testing.T) {
 		t.Errorf("RD mean %v still far from the observed value %v after 5000 observations", after.Mean(), target)
 	}
 	// Bad indices and inputs fail cleanly.
-	if err := model.ObserveProbe(-1, "x", 1, 1); err == nil {
+	if err := model.observeProbe(-1, "x", 1, 1); err == nil {
 		t.Error("negative index must fail")
 	}
-	if err := model.ObserveProbe(len(model.DBs), "x", 1, 1); err == nil {
+	if err := model.observeProbe(len(model.DBs), "x", 1, 1); err == nil {
 		t.Error("out-of-range index must fail")
 	}
-	if err := model.ObserveProbe(0, q.String(), q.NumTerms(), -1); err == nil {
+	if err := model.observeProbe(0, q.String(), q.NumTerms(), -1); err == nil {
 		t.Error("negative observation must fail")
 	}
 	_ = tb

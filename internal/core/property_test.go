@@ -44,7 +44,7 @@ func TestExpectedCorrectnessBounds(t *testing.T) {
 			return true
 		}
 		k := 1 + int(kRaw)%(len(rds))
-		set, eAbs := BestSet(Absolute, rds, k, BestSetOptions{})
+		set, eAbs := bestSet(Absolute, rds, k)
 		if len(set) != min(k, len(rds)) {
 			return false
 		}

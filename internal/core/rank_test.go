@@ -16,7 +16,7 @@ import (
 // rankShape draws one selection and the relevancies its probes observe.
 type rankShape struct {
 	name string
-	opts BestSetOptions
+	k    int // 0: k = 1..3 by trial
 	draw func(rng *rand.Rand) []*RD
 }
 
@@ -56,18 +56,15 @@ var rankShapes = []rankShape{
 	{name: "cold", draw: func(rng *rand.Rand) []*RD {
 		return coldRDs(rng, 12+rng.Intn(6), 3+rng.Intn(3), 4+rng.Intn(5))
 	}},
-	// C(24, 3) = 2024 > ExhaustiveLimit: the set search sees only the
+	// C(24, 3) = 2024 > exhaustiveLimit: the set search sees only the
 	// k+8 highest marginals.
 	{name: "truncated", draw: func(rng *rand.Rand) []*RD {
 		return coldRDs(rng, 24, 12, 3)
 	}},
-	// The same on sizes where the truncated search really misses sets.
-	{name: "narrow", opts: BestSetOptions{ExtraCandidates: 1, ExhaustiveLimit: 1}, draw: func(rng *rand.Rand) []*RD {
-		rds := make([]*RD, 5+rng.Intn(4))
-		for i := range rds {
-			rds[i] = randTestRD(rng)
-		}
-		return rds
+	// The same on instances where the truncated search really misses
+	// sets (see TestRankTruncatedSearchCeiling).
+	{name: "missed", k: 5, draw: func(rng *rand.Rand) []*RD {
+		return missedSetRDs(0.2+0.05*rng.Float64(), 0.02+0.08*rng.Float64())
 	}},
 }
 
@@ -102,8 +99,8 @@ func assertRankPrefix(t *testing.T, label string, g Greedy, s *Selection, thr fl
 // TestRankMatchesFullSweep walks full APro runs and, at every step,
 // requires Rank(m) for m = 1, 2, 4 to be the prefix of the sweep that
 // evaluates every candidate — over tie-heavy grids, the cold serving
-// shape, truncated set searches, k = 1..3 and uniform and non-uniform
-// probe costs.
+// shape, truncated set searches (ones that miss the best set among
+// them), k = 1..3 and 5, and uniform and non-uniform probe costs.
 func TestRankMatchesFullSweep(t *testing.T) {
 	policies := map[string]Greedy{
 		"uniform": {},
@@ -117,7 +114,10 @@ func TestRankMatchesFullSweep(t *testing.T) {
 			for trial := 0; trial < 12; trial++ {
 				rds := shape.draw(rng)
 				k := 1 + trial%3
-				sel := NewSelectionFromRDs(rds, Absolute, k).WithBestSetOptions(shape.opts)
+				if shape.k > 0 {
+					k = shape.k
+				}
+				sel := NewSelectionFromRDs(rds, Absolute, k)
 				for {
 					if _, e := sel.Best(); e >= 0.95 {
 						break
@@ -217,12 +217,12 @@ func TestRankPartialKeepsFullSweep(t *testing.T) {
 }
 
 // referenceUsefulness is Figure 13 from the reference formulas alone.
-func referenceUsefulness(rds []*RD, h, k int, opts BestSetOptions) float64 {
+func referenceUsefulness(rds []*RD, h, k int) float64 {
 	hyp := append([]*RD(nil), rds...)
 	u := 0.0
 	for vi := 0; vi < rds[h].Len(); vi++ {
 		hyp[h] = Impulse(rds[h].Value(vi))
-		_, e := BestSet(Absolute, hyp, k, opts)
+		_, e := bestSet(Absolute, hyp, k)
 		u += rds[h].Prob(vi) * e
 	}
 	return u
@@ -230,10 +230,9 @@ func referenceUsefulness(rds []*RD, h, k int, opts BestSetOptions) float64 {
 
 // TestUsefulnessMarginalBound is the inequality Rank skips by, on the
 // reference evaluation: U_h ≤ B + 2·min(p_h, 1 − p_h) with B the best
-// E[Cor_a] over every k-set.
+// E[Cor_a] over every k-set (n ≤ 7: the search is exhaustive).
 func TestUsefulnessMarginalBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	all := BestSetOptions{ExhaustiveLimit: 1 << 20}
 	for trial := 0; trial < 300; trial++ {
 		n := 3 + rng.Intn(5)
 		k := 1 + rng.Intn(n-1)
@@ -241,10 +240,10 @@ func TestUsefulnessMarginalBound(t *testing.T) {
 		for i := range rds {
 			rds[i] = randTestRD(rng)
 		}
-		_, b := BestSet(Absolute, rds, k, all)
+		_, b := bestSet(Absolute, rds, k)
 		for h := range rds {
 			p := MembershipProb(rds, h, k)
-			u := referenceUsefulness(rds, h, k, all)
+			u := referenceUsefulness(rds, h, k)
 			if bound := b + 2*min(p, 1-p); u > bound+pruneSlack {
 				t.Fatalf("trial %d n=%d k=%d db %d: usefulness %v above B %v + 2·min(%v, 1−%v) = %v", trial, n, k, h, u, b, p, p, bound)
 			}
@@ -316,7 +315,7 @@ func TestBestFromMatchesBruteForce(t *testing.T) {
 		for i := range rds {
 			rds[i] = randTestRD(rng)
 		}
-		sel := NewSelectionFromRDs(rds, Absolute, k).WithBestSetOptions(BestSetOptions{ExhaustiveLimit: 1 << 20})
+		sel := NewSelectionFromRDs(rds, Absolute, k) // n ≤ 8: exhaustive
 		for _, i := range rng.Perm(n) {
 			set, e := sel.Best()
 			best := -1.0
@@ -335,32 +334,49 @@ func TestBestFromMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestRankTruncatedSearchCeiling: when the set search sees only the top
-// marginals, the E[Cor] it returns is not a proven maximum. Here it
-// finds 0.18 although a set outside its candidates scores more, and
-// database 1 (P(in top-3) ≈ 0.01) has usefulness 0.32 — above
-// current + 2·0.01 — and ranks fourth. The bound's B must then come from
-// the marginals, min(p₍k₎, 1 − p₍k+1₎), or database 1 is skipped.
-func TestRankTruncatedSearchCeiling(t *testing.T) {
-	rds := []*RD{
-		Impulse(50),
-		MustRD([]float64{10.01, 50}, []float64{0.964, 0.036}),
-		MustRD([]float64{30.02, 40.01, 50}, []float64{0.052, 0.002, 0.946}),
-		MustRD([]float64{10.01, 10.02, 60}, []float64{0.079, 0.568, 0.352}),
-		MustRD([]float64{60, 60.01}, []float64{0.958, 0.042}),
-		MustRD([]float64{10.01, 10.02, 50, 60.03}, []float64{0.139, 0.304, 0.250, 0.306}),
-		MustRD([]float64{0, 40.01, 70.02}, []float64{0.260, 0.487, 0.254}),
+// missedSetRDs draws k = 5 of n = 15 (C(15, 5) = 3003 > exhaustiveLimit,
+// so the set search sees the 13 top marginals): three certain databases,
+// X at 50, Y at 49, nine decoys at 90 with probability q, and a last
+// database, d, at 60 with probability r. For q near 0.225 the decoys'
+// marginals sit just above Y's, so the search leaves Y out and misses
+// the best set, the certain three with X and Y; d's low answer lifts Y
+// back in.
+func missedSetRDs(q, r float64) []*RD {
+	rds := []*RD{Impulse(200), Impulse(201), Impulse(202), Impulse(50), Impulse(49)}
+	for i := 0; i < 9; i++ {
+		rds = append(rds, MustRD([]float64{1 + 0.01*float64(i), 90 + 0.01*float64(i)}, []float64{1 - q, q}))
 	}
-	narrow := BestSetOptions{ExtraCandidates: 1, ExhaustiveLimit: 1}
-	sel := NewSelectionFromRDs(rds, Absolute, 3).WithBestSetOptions(narrow)
+	return append(rds, MustRD([]float64{2, 60}, []float64{1 - r, r}))
+}
+
+// TestRankTruncatedSearchCeiling: when the set search sees only the top
+// marginals, the E[Cor] it returns is not a proven maximum. On
+// missedSetRDs(0.225, 0.05) it finds 0.051 although the best set scores
+// 0.096. Probing d, P(in top-5) ≈ 0.018, has usefulness 0.101, above
+// current + 2·p_d, and at half the decoys' cost it ranks first. The
+// bound's B must then come from the marginals, min(p₍k₎, 1 − p₍k+1₎), or
+// d is skipped.
+func TestRankTruncatedSearchCeiling(t *testing.T) {
+	rds := missedSetRDs(0.225, 0.05)
+	d := len(rds) - 1
+	const k = 5
+	sel := NewSelectionFromRDs(rds, Absolute, k)
+	defer sel.Release()
 	_, current := sel.Best()
-	if _, proven := BestSet(Absolute, rds, 3, BestSetOptions{ExhaustiveLimit: 1 << 20}); proven <= current+probEpsilon {
+	proven := -1.0
+	forEachKSet(len(rds), k, func(s []int) { proven = max(proven, ExpectedAbsolute(rds, s)) })
+	if proven <= current+probEpsilon {
 		t.Fatalf("truncated search found %v, exhaustive %v: the instance no longer separates them", current, proven)
 	}
-	g := Greedy{}
+	g := Greedy{Cost: func(i int) float64 {
+		if i == d {
+			return 0.5
+		}
+		return 1
+	}}
 	fullDBs, fullUs := rankCopy(t, g, sel, 1, 0)
-	if p := sel.Marginals()[1]; len(fullDBs) < 4 || fullDBs[3] != 1 || fullUs[3] <= current+2*p+probEpsilon {
-		t.Fatalf("full sweep = %v %v with current %v: database 1 should rank fourth, above current + 2·%v", fullDBs, fullUs, current, p)
+	if p := sel.Marginals()[d]; fullDBs[0] != d || fullUs[0] <= current+2*p+probEpsilon {
+		t.Fatalf("full sweep = %v %v with current %v: database %d should rank first, above current + 2·%v", fullDBs, fullUs, current, d, p)
 	}
 	assertRankPrefix(t, "ceiling", g, sel, 1, fullDBs, fullUs)
 }

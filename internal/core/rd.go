@@ -133,7 +133,7 @@ func (r *RD) setImpulse(v float64) {
 
 // zeroImpulse is the shared read-only impulse at relevancy 0 — the
 // result for the overwhelmingly common cold regime (r̂ = 0, never
-// observed). RDFor and the version RD table hand it out instead of
+// observed). The version RD table hands it out instead of
 // allocating a fresh impulse per query. Like every published RD it
 // must never be mutated: ApplyProbe replaces selection entries, and
 // setImpulse is reserved for selection-owned impulses.

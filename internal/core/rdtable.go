@@ -1,9 +1,9 @@
 package core
 
-// Precomputed RD tables: the per-query cost of NewSelection used to be
-// dominated by RD derivation — for every database: estimate, classify,
-// then convolve the error distribution into a relevancy distribution
-// (Model.RDFor). That convolution is a pure function of (database,
+// Precomputed RD tables: deriving a query's RDs from scratch costs, for
+// every database: estimate, classify, then convolve the error
+// distribution into a relevancy distribution (rdFor, the reference the
+// tests keep). That convolution is a pure function of (database,
 // query type) plus a per-query scale: for the relative-error bands,
 // ED.RD(r̂) produces values r̂·(1 + e_bin) with probabilities that do
 // not depend on r̂ at all, and for the r̂ = 0 band the whole RD is
@@ -19,14 +19,14 @@ package core
 //     the query's RD by multiplying the template support by r̂ — the
 //     identical float expression r̂·(1 + e_bin) the from-scratch path
 //     computes, so table-lookup selections are bit-equal to
-//     RDFor-derived ones — while sharing the template's probabilities
+//     rdFor-derived ones — while sharing the template's probabilities
 //     and cumulative tails (both scale-invariant). The row also keeps
 //     the frozenED it was built from, for the estimates a template
 //     cannot be scaled by.
 //   - rdEntryAbsolute: the r̂ = 0 band's RD, shared outright (its
 //     values ignore r̂).
 //   - rdEntryCold: no usable error model for the key; selections fall
-//     back to an impulse at the estimate, exactly like RDFor.
+//     back to an impulse at the estimate, exactly like rdFor.
 //
 // Coherence: readers read summaries, configuration and table rows —
 // never an ED. A row is immutable and always present. Online refinement
@@ -64,7 +64,7 @@ type rdEntryKind uint8
 
 const (
 	// rdEntryCold marks a key with no usable error model: serve an
-	// impulse at the query's estimate (RDFor's final fallback).
+	// impulse at the query's estimate (rdFor's final fallback).
 	rdEntryCold rdEntryKind = iota
 	// rdEntryScaled holds an ED.RD(1) template whose support must be
 	// multiplied by the query's estimate.
@@ -153,7 +153,7 @@ func edRow(ed *ED, minObs int64, zeroBand bool) *rdEntry {
 	return &rdEntry{kind: kind, rd: rd, src: f}
 }
 
-// keyRow builds the row at key offset k, replicating RDFor's fallback
+// keyRow builds the row at key offset k, replicating rdFor's fallback
 // chain: the key's own ED when trusted, else — for the relative bands
 // — the database's pooled row, else cold.
 func (t *rdTable) keyRow(m *Model, dbIdx, k int, pooled *rdEntry) *rdEntry {
@@ -254,8 +254,8 @@ func (t *rdTable) derive(oldM, newM *Model) *rdTable {
 // unscaled derives database dbIdx's RD for an estimate that scaled
 // row e's template cannot take — a non-finite r̂, or one that makes two
 // support points collide or overflow — from the frozen EDs instead, in
-// RDFor's order: the row's own, the pooled row's, an impulse at the
-// estimate. Rare, and bit-equal to RDFor.
+// rdFor's order: the row's own, the pooled row's, an impulse at the
+// estimate. Rare, and bit-equal to rdFor.
 func (t *rdTable) unscaled(dbIdx int, e *rdEntry, rhat float64) *RD {
 	for _, c := range [2]*rdEntry{e, t.row(dbIdx, t.nKeys).Load()} {
 		if c.kind != rdEntryScaled {
@@ -269,8 +269,7 @@ func (t *rdTable) unscaled(dbIdx int, e *rdEntry, rhat float64) *RD {
 }
 
 // NewSelection builds the initial (unprobed) state for a query through
-// the version's RD table — the table-lookup counterpart of
-// Model.NewSelection, producing bit-identical selections.
+// the version's RD table: FillSelection into a new selection.
 func (v *ModelVersion) NewSelection(query string, numTerms int, metric Metric, k int) *Selection {
 	return v.FillSelection(nil, query, numTerms, metric, k)
 }
@@ -339,7 +338,7 @@ func (v *ModelVersion) ObserveProbe(dbIdx int, query string, numTerms int, actua
 }
 
 // Observe folds a live probe observation into this version's model
-// (Model.ObserveProbe) — at once, so whoever reads the EDs reads it — and
+// (Model.observe) — at once, so whoever reads the EDs reads it — and
 // returns the query type it was filed under with the estimate that
 // classified it. Selections read rows, and see it when the epoch's rows
 // are published: with the epochObservations-th observation since the

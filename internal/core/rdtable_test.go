@@ -86,7 +86,7 @@ func TestVersionSelectionMatchesModel(t *testing.T) {
 	ver := NewModelVersion(&model, "train", time.Now())
 	shell := &Selection{}
 	check := func(qs string, numTerms int, metric Metric, k int) {
-		want := model.NewSelection(qs, numTerms, metric, k)
+		want := model.newSelection(qs, numTerms, metric, k)
 		requireSameSelection(t, ver.NewSelection(qs, numTerms, metric, k), want, qs)
 		// The recycled-shell path must be identical to the fresh one.
 		requireSameSelection(t, ver.FillSelection(shell, qs, numTerms, metric, k), want, qs+" (reused shell)")
@@ -184,9 +184,9 @@ func TestRDTableRefreshSwapCOW(t *testing.T) {
 	for _, q := range test[:30] {
 		qs := q.String()
 		requireSameSelection(t, next.NewSelection(qs, q.NumTerms(), Absolute, 2),
-			nm.NewSelection(qs, q.NumTerms(), Absolute, 2), qs+" (new version)")
+			nm.newSelection(qs, q.NumTerms(), Absolute, 2), qs+" (new version)")
 		requireSameSelection(t, ver.NewSelection(qs, q.NumTerms(), Absolute, 2),
-			model.NewSelection(qs, q.NumTerms(), Absolute, 2), qs+" (old version)")
+			model.newSelection(qs, q.NumTerms(), Absolute, 2), qs+" (old version)")
 	}
 }
 
@@ -258,7 +258,7 @@ func TestObserveProbeRebuildsRDTable(t *testing.T) {
 		for _, q := range test[:20] {
 			qs := q.String()
 			requireSameSelection(t, ver.NewSelection(qs, q.NumTerms(), Absolute, 2),
-				model.NewSelection(qs, q.NumTerms(), Absolute, 2), qs+" (after a whole epoch)")
+				model.newSelection(qs, q.NumTerms(), Absolute, 2), qs+" (after a whole epoch)")
 		}
 	}
 
@@ -346,7 +346,7 @@ func TestVersionSwapUnderTraffic(t *testing.T) {
 	for _, q := range test[:40] {
 		qs := q.String()
 		requireSameSelection(t, v.NewSelection(qs, q.NumTerms(), Absolute, 2),
-			v.Model.NewSelection(qs, q.NumTerms(), Absolute, 2), qs+" (writer done)")
+			v.Model.newSelection(qs, q.NumTerms(), Absolute, 2), qs+" (writer done)")
 	}
 }
 
@@ -409,11 +409,11 @@ func TestRDForSharesZeroImpulse(t *testing.T) {
 			if nm.Rel.Estimate(nm.Summaries.Summaries[i], qs) != 0 {
 				continue
 			}
-			rd, rhat := nm.RDFor(i, qs, q.NumTerms())
+			rd, rhat := nm.rdFor(i, qs, q.NumTerms())
 			if rhat != 0 || rd != zeroImpulse {
 				t.Fatalf("cold r̂=0 regime returned %v (r̂=%v), want the shared zero impulse", rd, rhat)
 			}
-			again, _ := nm.RDFor(i, qs, q.NumTerms())
+			again, _ := nm.rdFor(i, qs, q.NumTerms())
 			if again != rd {
 				t.Fatalf("cold r̂=0 regime allocated a fresh impulse on repeat")
 			}

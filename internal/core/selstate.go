@@ -10,7 +10,7 @@ import (
 // Selection scratch state: the incremental evaluation engine behind
 // Selection.Best on the serving hot path.
 //
-// The from-scratch evaluation (BestSet/MembershipProb) rebuilds, for
+// The from-scratch evaluation (bestSet/MembershipProb) rebuilds, for
 // every membership marginal, a truncated Poisson-binomial DP over the
 // "beats" probabilities of all other databases — O(n·bins²·k) per
 // probe step, allocating fresh slices throughout. The scratch keeps
@@ -54,7 +54,7 @@ import (
 //
 // The base (no-hypothesis) tables replicate the reference arithmetic
 // operation for operation — same factor order, same clamps, same early
-// exits — so base results are bit-identical to BestSet, and so is the
+// exits — so base results are bit-identical to bestSet, and so is the
 // E[Cor] of any one set under a hypothesis; only a hypothesis's
 // marginals deviate, by deconvolution round-off far below the
 // probEpsilon the policies compare with. The differential tests in
@@ -152,10 +152,9 @@ type selScratch struct {
 	shared    int
 
 	// Best-set enumeration buffers; pool is how many of the top-marginal
-	// candidates the absolute search enumerates over under poolOpts (all
-	// n: the search is exhaustive), 0 until decided for this (n, k).
+	// candidates the absolute search enumerates over (all n: the search
+	// is exhaustive), 0 until decided for this (n, k).
 	pool     int
-	poolOpts BestSetOptions
 	order    []int
 	comboIdx []int
 	combo    []int
@@ -716,26 +715,24 @@ func (sc *selScratch) termVector(set []int) []float64 {
 }
 
 // searchPool returns how many of the top-marginal candidates the
-// absolute search enumerates over under opts — BestSet's rule, decided
-// once per (n, k, options) instead of once per call.
-func (sc *selScratch) searchPool(opts BestSetOptions) int {
-	if sc.pool == 0 || opts != sc.poolOpts {
-		sc.poolOpts = opts
-		opts.setDefaults()
-		sc.pool = min(sc.k+opts.ExtraCandidates, sc.n)
-		if stats.BinomialCoefficient(sc.n, sc.k) <= float64(opts.ExhaustiveLimit) {
+// absolute search enumerates over — bestSet's rule, decided once per
+// (n, k) instead of once per call.
+func (sc *selScratch) searchPool() int {
+	if sc.pool == 0 {
+		sc.pool = min(sc.k+extraCandidates, sc.n)
+		if stats.BinomialCoefficient(sc.n, sc.k) <= exhaustiveLimit {
 			sc.pool = sc.n
 		}
 	}
 	return sc.pool
 }
 
-// bestFrom runs BestSet's search over the scratch tables (the base
+// bestFrom runs bestSet's search over the scratch tables (the base
 // state, or the hypothesis when one is active), without allocating: the
 // returned set lives in sc.bestBuf and is valid until the next call.
 // Requires 0 < k < n. The candidate ordering, enumeration order,
-// pruning and tie-breaking replicate BestSet exactly.
-func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float64) {
+// pruning and tie-breaking replicate bestSet exactly.
+func (sc *selScratch) bestFrom(metric Metric) ([]int, float64) {
 	n, k := sc.n, sc.k
 	marg := sc.marg
 	if sc.hypActive {
@@ -762,7 +759,7 @@ func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float
 		return set, total / float64(k)
 	}
 
-	m := sc.searchPool(opts)
+	m := sc.searchPool()
 	sc.exhaustive = m == n
 	candidates := order[:m]
 
@@ -772,7 +769,7 @@ func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float
 	sc.chosen = growInts(sc.chosen, k)
 
 	// Iterative combination enumeration — the same visit order as
-	// BestSet's recursion (idx[d] is the loop variable at depth d, gap[d]
+	// bestSet's recursion (idx[d] is the loop variable at depth d, gap[d]
 	// its skipped argument), with the same two marginal-bound prunes,
 	// kept loop-shaped so the hot path allocates no closures.
 	bestE := -1.0
@@ -819,7 +816,7 @@ func (sc *selScratch) bestFrom(metric Metric, opts BestSetOptions) ([]int, float
 }
 
 // insertionSortByDesc stably sorts order by score descending (ties
-// keep ascending-index order) — the same result as BestSet's stable
+// keep ascending-index order) — the same result as bestSet's stable
 // sort, without sort.SliceStable's closure allocation.
 func insertionSortByDesc(order []int, score []float64) {
 	for i := 1; i < len(order); i++ {

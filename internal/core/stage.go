@@ -12,7 +12,7 @@ type Stage int
 
 const (
 	// StageECorDP is the best-set search / E[Cor] evaluation
-	// (Selection.Best → BestSet → MembershipProb's DP), as invoked at
+	// (Selection.Best → bestSet → MembershipProb's DP), as invoked at
 	// the top level of the APro loop.
 	StageECorDP Stage = iota
 	// StageProbe is live probe I/O — for the sequential loop the probe

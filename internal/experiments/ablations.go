@@ -5,7 +5,6 @@ import (
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/eval"
-	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
 )
 
@@ -278,15 +277,4 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 		table.AddRow(c.label, f2(probes/n), f2(cost/n), f3(corA/n))
 	}
 	return table, nil
-}
-
-// scoreRDSelection scores a model's RD-based (no probing) selection on
-// the environment's golden standard.
-func scoreRDSelection(env *Env, model *core.Model, k int) (eval.MethodScore, error) {
-	return eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
-		sel := model.NewSelection(q.String(), q.NumTerms(), core.Absolute, k).
-			WithBestSetOptions(env.Cfg.BestSetOpts)
-		set, _ := sel.Best()
-		return set, 0, nil
-	})
 }

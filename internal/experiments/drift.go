@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/corpus"
@@ -13,7 +14,7 @@ import (
 
 // DriftStudy (E-DRIFT) exercises the online-refinement extension
 // (Section 8's future-work direction, implemented as
-// core.Model.ObserveProbe): one database's content drifts after
+// core.ModelVersion.Observe): one database's content drifts after
 // training — here a news site suddenly saturating with oncology
 // coverage, the scenario the paper's "daily news websites that have
 // constant update on health-related topics" framing invites — while
@@ -45,14 +46,13 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 		},
 	}
 	// record scores the stale/refreshed model overall and on the
-	// queries the drift actually re-ranked.
+	// queries the drift actually re-ranked, as ver serves it.
+	ver := env.Version
 	record := func(phase string, golden []eval.Golden) error {
 		var overallN, overallHit, affectedN, affectedHit int
 		for _, g := range golden {
 			topk := g.TopK(1)
-			sel := env.Model.NewSelection(g.Query.String(), g.Query.NumTerms(), core.Absolute, 1).
-				WithBestSetOptions(env.Cfg.BestSetOpts)
-			set, _ := sel.Best()
+			set, _ := ver.NewSelection(g.Query.String(), g.Query.NumTerms(), core.Absolute, 1).Best()
 			hit := eval.CorA(set, topk) == 1
 			overallN++
 			if hit {
@@ -113,8 +113,10 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 	}
 
 	// Phase 3: online refinement — live probes on the drifted database
-	// feed the error model (as Config.OnlineRefinement does during
-	// normal operation). Refresh queries come from the training pool.
+	// feed the serving version's error model (as Config.OnlineRefinement
+	// does during normal operation), and the refined model is scored as
+	// the next version, with every observation's rows published.
+	// Refresh queries come from the training pool.
 	refreshed := 0
 	for _, q := range env.Train {
 		if refreshed >= refreshProbes {
@@ -124,11 +126,12 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 		if err != nil {
 			return nil, err
 		}
-		if err := env.Model.ObserveProbe(dbIdx, q.String(), q.NumTerms(), actual); err != nil {
+		if _, _, err := ver.Observe(dbIdx, q.String(), q.NumTerms(), actual); err != nil {
 			return nil, err
 		}
 		refreshed++
 	}
+	ver = ver.Next(ver.Model, "reload", "", time.Time{})
 	if err := record("after online refinement", postGolden); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/corpus"
@@ -33,8 +34,6 @@ type Config struct {
 	Test2, Test3 int
 	// Model is the training configuration.
 	Model core.Config
-	// BestSetOpts bounds the absolute-metric set search.
-	BestSetOpts core.BestSetOptions
 	// MaxDatabases truncates the Figure 14 roster (0 = all 20); the
 	// optimal-policy ablation needs a tiny testbed (its cost is
 	// factorial).
@@ -63,8 +62,7 @@ func DefaultConfig() Config {
 		Scale:  0.05,
 		Train2: 1000, Train3: 1000,
 		Test2: 1000, Test3: 1000,
-		Model:       core.DefaultConfig(),
-		BestSetOpts: core.BestSetOptions{ExtraCandidates: 4, ExhaustiveLimit: 300},
+		Model: core.DefaultConfig(),
 	}
 }
 
@@ -92,8 +90,10 @@ type Env struct {
 	Summaries *summary.Set
 	// Rel is the relevancy definition (document frequency, Eq. 1).
 	Rel estimate.Relevancy
-	// Model is the trained probabilistic relevancy model.
-	Model *core.Model
+	// Version is the trained probabilistic relevancy model (its Model),
+	// published as the daemon publishes its model: selections are filled
+	// from its RD table and decided through its memo.
+	Version *core.ModelVersion
 	// Train and Test are the disjoint query sets.
 	Train, Test []queries.Query
 	// Golden is the test queries' ground truth.
@@ -135,10 +135,11 @@ func Setup(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: query sets: %w", err)
 	}
-	env.Model, err = core.Train(env.Testbed, env.Summaries, env.Rel, env.Train, cfg.Model)
+	model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.Train, cfg.Model)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training: %w", err)
 	}
+	env.Version = serve(model)
 	env.Golden, err = eval.BuildGolden(env.Testbed, env.Rel, env.Test)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: golden standard: %w", err)
@@ -154,11 +155,41 @@ func (e *Env) Probe(query string) core.ProbeFunc {
 	}
 }
 
-// Selection builds a query's initial selection state with the
-// environment's best-set options applied.
+// Selection builds a query's initial selection state the way the
+// daemon does: filled from the environment's model version.
 func (e *Env) Selection(q queries.Query, metric core.Metric, k int) *core.Selection {
-	sel := e.Model.NewSelection(q.String(), q.NumTerms(), metric, k)
-	return sel.WithBestSetOptions(e.Cfg.BestSetOpts)
+	return e.Version.NewSelection(q.String(), q.NumTerms(), metric, k)
+}
+
+// serve publishes a trained model as a version of its own, so that every
+// table, retrained models' included, is printed by the serving engine.
+// The time is fixed: nothing printed reads it.
+func serve(m *core.Model) *core.ModelVersion {
+	return core.NewModelVersion(m, "train", time.Time{})
+}
+
+// scoreEstimates scores the term-independence baseline over summaries
+// sums on the environment's golden standard: each query's k databases
+// with the highest estimates.
+func scoreEstimates(env *Env, sums *summary.Set, k int) (eval.MethodScore, error) {
+	return eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
+		ests := make([]float64, len(sums.Summaries))
+		for i, s := range sums.Summaries {
+			ests[i] = env.Rel.Estimate(s, q.String())
+		}
+		return core.TopKByScore(ests, k), 0, nil
+	})
+}
+
+// scoreRDSelection scores RD-based selection (no probing) over a model on
+// the environment's golden standard: each query's best k-set under the
+// absolute metric.
+func scoreRDSelection(env *Env, model *core.Model, k int) (eval.MethodScore, error) {
+	ver := serve(model)
+	return eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
+		set, _ := ver.NewSelection(q.String(), q.NumTerms(), core.Absolute, k).Best()
+		return set, 0, nil
+	})
 }
 
 // Table is a printable experiment result mirroring one paper artifact.

@@ -30,6 +30,14 @@ func testEnv(t *testing.T) *Env {
 	return envVal
 }
 
+// freshEnv is the shared environment with its model published afresh:
+// a table run on it computes every decision into an empty memo.
+func freshEnv(t *testing.T) *Env {
+	env := *testEnv(t)
+	env.Version = serve(env.Version.Model)
+	return &env
+}
+
 func cell(t *testing.T, table *Table, row, col int) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(table.Rows[row][col], 64)
@@ -173,11 +181,12 @@ func TestFigure16Shape(t *testing.T) {
 // TestTablesIndependentOfWorkerCount prints Figure 16 at GOMAXPROCS 1
 // and 4 and requires the same bytes, and the same bits in its k = 3
 // partial curve: the queries run on any number of workers, but their
-// results fold in query order.
+// results fold in query order. Each run starts a fresh version, so
+// both compute every decision.
 func TestTablesIndependentOfWorkerCount(t *testing.T) {
-	env := testEnv(t)
 	run := func(procs int) (string, []float64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		env := freshEnv(t)
 		table, err := Figure16(env, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -197,6 +206,33 @@ func TestTablesIndependentOfWorkerCount(t *testing.T) {
 		if math.Float64bits(sums1[i]) != math.Float64bits(sums4[i]) {
 			t.Errorf("k=3 partial point %d: %v at GOMAXPROCS 1, %v at 4", i, sums1[i], sums4[i])
 		}
+	}
+}
+
+// TestTablesPrintedFromTheServingVersion: a table is the serving
+// engine's, its selections filled from the environment's ModelVersion
+// and decided through the version's memo. A first Figure 16 fills a
+// fresh version's memo; a second prints the same bytes from it and adds
+// no node.
+func TestTablesPrintedFromTheServingVersion(t *testing.T) {
+	env := freshEnv(t)
+	first, err := Figure16(env, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled, on := env.Version.Memo()
+	if !on || filled == 0 {
+		t.Fatalf("Figure 16 left the version's memo on=%v with %d nodes", on, filled)
+	}
+	again, err := Figure16(env, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != first.String() {
+		t.Errorf("Figure 16 computed:\n%s\nread from the memo:\n%s", first, again)
+	}
+	if nodes, _ := env.Version.Memo(); nodes != filled {
+		t.Errorf("the second Figure 16 grew the memo from %d to %d nodes: it decided something afresh", filled, nodes)
 	}
 }
 

@@ -37,7 +37,7 @@ func Figure9(env *Env, dbName string) (*Table, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("experiments: unknown database %q", dbName)
 	}
-	dm := env.Model.DBs[idx]
+	dm := env.Version.Model.DBs[idx]
 	t := &Table{
 		ID:      "F9",
 		Title:   fmt.Sprintf("Figure 9: per-query-type error distributions on %s", dbName),

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"metaprobe/internal/core"
-	"metaprobe/internal/eval"
-	"metaprobe/internal/queries"
 	"metaprobe/internal/summary"
 )
 
@@ -39,22 +37,11 @@ func PrunedSummariesStudy(env *Env, budgets []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseScore, err := eval.Score(env.Golden, 1, func(q queries.Query) ([]int, int, error) {
-			ests := make([]float64, env.Testbed.Len())
-			for i := range ests {
-				ests[i] = env.Rel.Estimate(pruned.Summaries[i], q.String())
-			}
-			return core.TopKByScore(ests, 1), 0, nil
-		})
+		baseScore, err := scoreEstimates(env, pruned, 1)
 		if err != nil {
 			return nil, err
 		}
-		rdScore, err := eval.Score(env.Golden, 1, func(q queries.Query) ([]int, int, error) {
-			sel := model.NewSelection(q.String(), q.NumTerms(), core.Absolute, 1).
-				WithBestSetOptions(env.Cfg.BestSetOpts)
-			set, _ := sel.Best()
-			return set, 0, nil
-		})
+		rdScore, err := scoreRDSelection(env, model, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/eval"
-	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
 	"metaprobe/internal/summary"
 )
@@ -57,24 +56,11 @@ func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 			fmt.Sprintf("sampling: %d probe queries per database, %d seed terms, documents fetched through the search interface", probesPerDB, len(seedTerms)),
 		},
 	}
-	score := func(model *core.Model, sums *summary.Set, baseline bool) (float64, error) {
-		s, err := eval.Score(env.Golden, 1, func(q queries.Query) ([]int, int, error) {
-			if baseline {
-				ests := make([]float64, env.Testbed.Len())
-				for i := range ests {
-					ests[i] = env.Rel.Estimate(sums.Summaries[i], q.String())
-				}
-				return core.TopKByScore(ests, 1), 0, nil
-			}
-			sel := model.NewSelection(q.String(), q.NumTerms(), core.Absolute, 1).
-				WithBestSetOptions(env.Cfg.BestSetOpts)
-			set, _ := sel.Best()
-			return set, 0, nil
-		})
-		if err != nil {
-			return 0, err
+	score := func(model *core.Model, sums *summary.Set, baseline bool) (eval.MethodScore, error) {
+		if baseline {
+			return scoreEstimates(env, sums, 1)
 		}
-		return s.AvgCorA, nil
+		return scoreRDSelection(env, model, 1)
 	}
 
 	for _, row := range []struct {
@@ -83,8 +69,8 @@ func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 		sums     *summary.Set
 		baseline bool
 	}{
-		{"exact", env.Model, env.Summaries, true},
-		{"exact", env.Model, env.Summaries, false},
+		{"exact", env.Version.Model, env.Summaries, true},
+		{"exact", env.Version.Model, env.Summaries, false},
 		{"sampled", sampledModel, sampled, true},
 		{"sampled", sampledModel, sampled, false},
 	} {
@@ -96,7 +82,7 @@ func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 		if row.baseline {
 			method = "term-independence"
 		}
-		table.AddRow(row.label, method, f3(v))
+		table.AddRow(row.label, method, f3(v.AvgCorA))
 	}
 	return table, nil
 }

@@ -108,6 +108,15 @@ func depict(sel *core.Selection) picture {
 	return p
 }
 
+// fromScratch fills q's selection from a version published afresh over
+// m: rows built from m's EDs as they stand, and a memo that remembers
+// nothing yet.
+func fromScratch(m *core.Model, q queries.Query, k int) picture {
+	sel := core.NewModelVersion(m, "scratch", time.Time{}).NewSelection(q.String(), q.NumTerms(), core.Absolute, k)
+	defer sel.Release()
+	return depict(sel)
+}
+
 // same compares bit for bit (no NaN reaches an RD or a certainty).
 func (p picture) same(q picture) bool {
 	return slices.Equal(p.est, q.est) && slices.Equal(p.set, q.set) && p.cor == q.cor &&
@@ -119,9 +128,9 @@ func (p picture) same(q picture) bool {
 // set — against the three ways the serving model changes: Install (a
 // reload), Observe with refinement, and a refresh's Serving + Commit.
 // Every selection a reader filled must equal, bit for bit, a selection
-// derived from scratch over a deep copy of the model taken under Locked
-// at the version the reader's Provenance names; and the versions a
-// reader sees only grow.
+// filled from a version published afresh over a deep copy of the model
+// taken under Locked at the version the reader's Provenance names; and
+// the versions a reader sees only grow.
 //
 // The writers take a test mutex around each (write, copy) pair, so that
 // no state a reader can see goes uncopied; they still meet the readers,
@@ -262,10 +271,7 @@ func TestViewCoherentUnderWriters(t *testing.T) {
 		for _, s := range ss {
 			found := false
 			for _, m := range copies[s.version] {
-				fresh := m.NewSelection(s.q.String(), s.q.NumTerms(), core.Absolute, k)
-				found = s.pic.same(depict(fresh))
-				fresh.Release()
-				if found {
+				if found = s.pic.same(fromScratch(m, s.q, k)); found {
 					break
 				}
 			}
@@ -327,11 +333,9 @@ func TestEpochKeepsVersion(t *testing.T) {
 		return nil
 	})
 	for _, q := range tr.test[:40] {
-		fresh := model.NewSelection(q.String(), q.NumTerms(), core.Absolute, 2)
-		if !fill(q).same(depict(fresh)) {
+		if !fill(q).same(fromScratch(model, q, 2)) {
 			t.Errorf("%q on the committed version is not what its EDs derive from scratch", q)
 		}
-		fresh.Release()
 	}
 }
 

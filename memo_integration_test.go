@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"metaprobe/internal/core"
 	"metaprobe/internal/leakcheck"
@@ -30,11 +31,23 @@ func memoAttrs(t *testing.T, tracer *SpanTracer, traceID string) map[string]int 
 	return out
 }
 
+// memoless copies sel's RDs into a selection that remembers nothing:
+// what it decides, the engine computes.
+func memoless(sel *core.Selection) *core.Selection {
+	rds := make([]*core.RD, sel.Len())
+	for i := range rds {
+		rds[i] = sel.RD(i)
+	}
+	return core.NewSelectionFromRDs(rds, sel.Metric, sel.K)
+}
+
 // direct answers query with the memo-less engine over the serving model:
-// a selection derived from the EDs, probed inline, no feedback.
+// a selection over rows built afresh from its EDs, probed inline, no
+// feedback.
 func (m *Metasearcher) direct(t testing.TB, query string, k int, thr float64) core.Outcome {
 	t.Helper()
-	return m.engine(t, m.serving().NewSelection(query, countTerms(query), Absolute, k), query, thr)
+	fresh := core.NewModelVersion(m.serving(), "direct", time.Time{})
+	return m.engine(t, memoless(fresh.NewSelection(query, countTerms(query), Absolute, k)), query, thr)
 }
 
 // directOverRows is direct over what selections read: the RD rows the
@@ -42,12 +55,7 @@ func (m *Metasearcher) direct(t testing.TB, query string, k int, thr float64) co
 // EDs by up to an epoch of observations.
 func (m *Metasearcher) directOverRows(t testing.TB, query string, k int, thr float64) core.Outcome {
 	t.Helper()
-	filled := m.host.View().Fill(nil, query, countTerms(query), Absolute, k)
-	rds := make([]*core.RD, filled.Len())
-	for i := range rds {
-		rds[i] = filled.RD(i)
-	}
-	return m.engine(t, core.NewSelectionFromRDs(rds, Absolute, k), query, thr)
+	return m.engine(t, memoless(m.host.View().Fill(nil, query, countTerms(query), Absolute, k)), query, thr)
 }
 
 // engine runs the memo-less loop on sel, probing inline.
