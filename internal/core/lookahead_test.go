@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -14,16 +15,30 @@ import (
 
 func never() bool { return false }
 
-// bruteCertainNext is what certainNext has to compute, written the slow
-// way: every support value of head's RD is applied to a fresh
-// reference-path copy of s, and the loop's next two decisions — stop?
-// else which database? — are read off it. borderline reports a state on
-// which the two evaluations may legitimately differ: a hypothetical
-// certainty within round-off of t.
-func bruteCertainNext(s *Selection, head int, t float64) (next int, ok, borderline bool) {
+// bruteProbableNext is what probableNext has to compute, written the
+// slow way: every support value of head's RD is applied to a fresh
+// reference-path copy of s, the loop's next two decisions — stop? else
+// which database? — are read off it, and the value's probability goes to
+// the database picked, or to no database when the loop stops. next is the
+// database with the most mass and ok whether that is at least 1 −
+// maxDissent. certain replays the lookahead's order — outcomes that do
+// not stop, most probable first — and reports whether, when next's mass
+// reaches 1 − maxDissent, no outcome had been seen to stop or to lead
+// elsewhere. tooManyStops reports whether the outcomes that stop carry
+// more than maxDissent of the mass. borderline reports a state on which
+// the two evaluations may legitimately differ: a hypothetical certainty
+// within round-off of t, or a mass within round-off of 1 − maxDissent or
+// of maxDissent.
+func bruteProbableNext(s *Selection, head int, t float64) (next int, ok, certain, tooManyStops, borderline bool) {
 	rd := s.RD(head)
-	next, ok = -1, true
-	for vi := 0; vi < rd.Len(); vi++ {
+	need := 1 - maxDissent
+	// The database each outcome leads to: -1 where the rank fails, -2
+	// where the loop stops.
+	picks := make([]int, rd.Len())
+	mass := map[int]float64{}
+	stopped := 0.0
+	next = -1
+	for vi := range picks {
 		ref := NewSelectionFromRDs(s.rds, s.Metric, s.K)
 		ref.noScratch = true
 		copy(ref.probed, s.probed)
@@ -33,21 +48,62 @@ func bruteCertainNext(s *Selection, head int, t float64) (next int, ok, borderli
 			borderline = true
 		}
 		if e >= t {
-			return 0, false, borderline
+			picks[vi] = -2
+			stopped += rd.Prob(vi)
+			continue
 		}
-		db, err := Greedy{}.Next(ref, t)
-		if err != nil || (next >= 0 && db != next) {
-			ok = false
+		picks[vi] = -1
+		if db, err := (Greedy{}).Next(ref, t); err == nil {
+			picks[vi] = db
+			if mass[db] += rd.Prob(vi); next < 0 || mass[db] > mass[next] {
+				next = db
+			}
 		}
-		next = db
 	}
-	return next, ok, borderline
+	tooManyStops = stopped > maxDissent
+	if math.Abs(stopped-maxDissent) <= diffTol {
+		borderline = true
+	}
+	if next < 0 {
+		return -1, false, false, tooManyStops, borderline
+	}
+	ok = mass[next] >= need
+	if math.Abs(mass[next]-need) <= diffTol {
+		borderline = true
+	}
+	order := []int{}
+	for vi, db := range picks {
+		if db != -2 {
+			order = append(order, vi)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return rd.Prob(order[a]) > rd.Prob(order[b]) })
+	dissent, seen := stopped > 0, 0.0
+	for _, vi := range order {
+		dissent = dissent || picks[vi] != next
+		if picks[vi] == next {
+			seen += rd.Prob(vi)
+		}
+		if math.Abs(seen-need) <= diffTol {
+			borderline = true
+		}
+		if seen >= need {
+			return next, ok, !dissent, tooManyStops, borderline
+		}
+	}
+	return next, ok, false, tooManyStops, borderline
 }
 
-// walkCertainNext follows the greedy trajectory of one RD set, and at
-// every state on it holds certainNext to the brute force. It reports how
-// many states it compared and how many had a certain next probe.
-func walkCertainNext(t *testing.T, id string, la *lookahead, rds []*RD, truth []float64, metric Metric, k int, thr float64) (states, certain int) {
+// lookaheadVerdicts counts how often walkProbableNext saw each verdict.
+type lookaheadVerdicts struct{ states, certain, probable, disagreed, stops int }
+
+// walkProbableNext follows the greedy trajectory of one RD set, and at
+// every state on it holds probableNext to the brute force: it starts a
+// database exactly when the brute force gives it 1 − maxDissent of the
+// mass, calls that certain exactly when the brute force's replay of its
+// order saw no dissent, and blames stops exactly when the outcomes that
+// stop carry more than maxDissent of the mass.
+func walkProbableNext(t *testing.T, id string, la *lookahead, rds []*RD, truth []float64, metric Metric, k int, thr float64, v *lookaheadVerdicts) {
 	t.Helper()
 	s := NewSelectionFromRDs(rds, metric, k)
 	defer s.Release()
@@ -60,44 +116,53 @@ func walkCertainNext(t *testing.T, id string, la *lookahead, rds []*RD, truth []
 			return
 		}
 		head := ranked[0]
-		wantNext, wantOK, borderline := bruteCertainNext(s, head, thr)
+		wantNext, wantOK, wantCertain, wantStops, borderline := bruteProbableNext(s, head, thr)
 		_, e := s.Best()
-		work, rdsBefore := s.Work(), fmt.Sprint(s.rds)
-		next, ok := la.certainNext(s, Greedy{}, head, thr, never)
+		work, rdsBefore, before := s.Work(), fmt.Sprint(s.rds), s.Ahead()
+		next, ok := la.probableNext(s, Greedy{}, head, thr, never)
 		if s.Work() != work {
 			t.Fatalf("%s: lookahead work leaked into RankWork: %+v → %+v", id, work, s.Work())
 		}
 		if _, after := s.Best(); after != e || fmt.Sprint(s.rds) != rdsBefore {
-			t.Fatalf("%s: certainNext changed the state it was asked about", id)
+			t.Fatalf("%s: probableNext changed the state it was asked about", id)
+		}
+		after := s.Ahead()
+		certain, probable := after.Certain-before.Certain, after.Probable-before.Probable
+		disagreed, stops := after.Disagreed-before.Disagreed, after.Stops-before.Stops
+		if certain+probable+disagreed+stops != 1 || after.Abandoned != before.Abandoned || ok != (certain+probable == 1) {
+			t.Fatalf("%s: one lookahead moved the verdicts %+v → %+v and returned ok = %v", id, before, after, ok)
 		}
 		if !borderline {
-			states++
-			if ok != wantOK || (ok && next != wantNext) {
-				t.Fatalf("%s after %d probes, head %d: certainNext = (%d, %v), brute force (%d, %v)",
-					id, len(s.rds)-len(s.UnprobedView()), head, next, ok, wantNext, wantOK)
+			v.states++
+			if ok != wantOK || (ok && next != wantNext) || (ok && (certain == 1) != wantCertain) {
+				t.Fatalf("%s after %d probes, head %d: probableNext = (%d, %v), verdicts %+v → %+v; brute force (%d, %v), certain %v",
+					id, len(s.rds)-len(s.UnprobedView()), head, next, ok, before, after, wantNext, wantOK, wantCertain)
 			}
-			if ok {
-				certain++
+			if (stops == 1) != wantStops {
+				t.Fatalf("%s: the lookahead's verdict is stops = %v, the brute force's stopping outcomes carry more than maxDissent = %v", id, stops == 1, wantStops)
 			}
+			v.certain += certain
+			v.probable += probable
+			v.disagreed += disagreed
+			v.stops += stops
 		}
 		s.ApplyProbe(head, truth[head])
 	}
 }
 
-// TestCertainNextMatchesBruteForce: on randomised RD sets and on the
-// states of the golden fixture's trajectories, certainNext names a next
+// TestProbableNextMatchesBruteForce: on randomised RD sets and on the
+// states of the golden fixture's trajectories, probableNext names a next
 // database exactly when applying every support value to a fresh
-// reference-path selection stops nowhere and picks that database
-// everywhere.
-func TestCertainNextMatchesBruteForce(t *testing.T) {
+// reference-path selection gives that database at least 1 − maxDissent
+// of the RD's mass, outcomes that stop counting against it.
+func TestProbableNextMatchesBruteForce(t *testing.T) {
 	leakcheck.Check(t)
 	la := lookaheadPool.Get().(*lookahead)
 	defer la.release()
-	states, certain := 0, 0
-	add := func(s, c int) { states, certain = states+s, certain+c }
+	var v lookaheadVerdicts
 
 	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		n := 3 + rng.Intn(6)
 		rds, truth := make([]*RD, n), make([]float64, n)
 		for i := range rds {
@@ -105,10 +170,10 @@ func TestCertainNextMatchesBruteForce(t *testing.T) {
 			truth[i] = rds[i].Value(rng.Intn(rds[i].Len()))
 		}
 		metric := Metric(trial % 2)
-		add(walkCertainNext(t, fmt.Sprintf("trial %d", trial), la, rds, truth, metric, 1+rng.Intn(n-1), 0.5+0.5*rng.Float64()))
+		walkProbableNext(t, fmt.Sprintf("trial %d", trial), la, rds, truth, metric, 1+rng.Intn(n-1), 0.5+0.5*rng.Float64(), &v)
 	}
-	if states < 300 || certain < 30 {
-		t.Errorf("random sets compared %d states, %d with a certain next probe: too few to mean anything", states, certain)
+	if v.states < 600 || v.certain < 60 || v.probable < 20 || v.disagreed < 60 || v.stops < 60 {
+		t.Errorf("random sets compared %+v: too few of some verdict to mean anything", v)
 	}
 
 	names, sets, truths := goldenRDSets(t)
@@ -117,9 +182,9 @@ func TestCertainNextMatchesBruteForce(t *testing.T) {
 		metric := Metric(ci % 2)
 		k := 1 + ci%min(3, len(rds)-1)
 		thr := []float64{0.5, 0.8, 0.95}[ci%3]
-		add(walkCertainNext(t, names[ci], la, rds, truths[ci], metric, k, thr))
+		walkProbableNext(t, names[ci], la, rds, truths[ci], metric, k, thr, &v)
 	}
-	t.Logf("%d states compared, %d with a certain next probe", states, certain)
+	t.Logf("states compared and their verdicts: %+v", v)
 }
 
 // countingGreedy is Greedy counting its Rank calls.
@@ -133,10 +198,10 @@ func (g countingGreedy) Rank(s *Selection, t float64, m int) ([]int, []float64, 
 	return g.Greedy.Rank(s, t, m)
 }
 
-// certainState searches seeded random RD sets for a state whose head has
-// at least minOutcomes support values and a certain next probe: a
-// lookahead on it runs through every outcome.
-func certainState(t *testing.T, la *lookahead, minOutcomes int) (s *Selection, head int, thr float64) {
+// startingState searches seeded random RD sets for a state whose head
+// has no outcome that stops and whose lookahead starts a probe after at
+// least minRanks ranks. It returns how many ranks that takes.
+func startingState(t *testing.T, la *lookahead, minRanks int) (s *Selection, head int, thr float64, ranks int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 2000; trial++ {
@@ -147,34 +212,36 @@ func certainState(t *testing.T, la *lookahead, minOutcomes int) (s *Selection, h
 		}
 		s, thr = NewSelectionFromRDs(rds, Absolute, 2), 0.9
 		ranked, _, err := Greedy{}.Rank(s, thr, 1)
-		if err == nil && s.RD(ranked[0]).Len() >= minOutcomes {
-			if _, ok := la.certainNext(s, Greedy{}, ranked[0], thr, never); ok {
-				return s, ranked[0], thr
+		if err == nil {
+			ranks = 0
+			_, ok := la.probableNext(s, countingGreedy{ranks: &ranks}, ranked[0], thr, never)
+			if ok && ranks >= minRanks && len(la.order) == s.RD(ranked[0]).Len() {
+				return s, ranked[0], thr, ranks
 			}
 		}
 		s.Release()
 	}
-	t.Fatal("no random state with a certain next probe")
-	return nil, 0, 0
+	t.Fatal("no random state whose lookahead starts a probe after enough ranks")
+	return nil, 0, 0, 0
 }
 
-// TestCertainNextAbandonsWithinOneOutcome: whenever the head's answer
+// TestProbableNextAbandonsWithinOneOutcome: whenever the head's answer
 // arrives, the lookahead evaluates no further outcome — it returns
 // before the next Rank — and counts itself abandoned; left alone on a
 // warm shell it allocates nothing.
-func TestCertainNextAbandonsWithinOneOutcome(t *testing.T) {
+func TestProbableNextAbandonsWithinOneOutcome(t *testing.T) {
 	la := lookaheadPool.Get().(*lookahead)
 	defer la.release()
-	s, head, thr := certainState(t, la, 3)
+	s, head, thr, full := startingState(t, la, 3)
 	defer s.Release()
 	n := s.RD(head).Len()
 
 	// answered is asked before each of the n stop hypotheses and before
-	// each of the n ranks: 2n times on a lookahead that runs to the end.
-	for at := 1; at <= 2*n; at++ {
+	// each rank: n + full times on a lookahead that runs to its verdict.
+	for at := 1; at <= n+full; at++ {
 		ranks, asked, ranksWhenAnswered := 0, 0, -1
 		before := s.Ahead()
-		_, ok := la.certainNext(s, countingGreedy{ranks: &ranks}, head, thr, func() bool {
+		_, ok := la.probableNext(s, countingGreedy{ranks: &ranks}, head, thr, func() bool {
 			if asked++; asked == at {
 				ranksWhenAnswered = ranks
 				return true
@@ -182,7 +249,7 @@ func TestCertainNextAbandonsWithinOneOutcome(t *testing.T) {
 			return false
 		})
 		after := s.Ahead()
-		if ok || after.Abandoned != before.Abandoned+1 || after.Certain != before.Certain {
+		if ok || after.Abandoned != before.Abandoned+1 || after.Certain != before.Certain || after.Probable != before.Probable {
 			t.Fatalf("answer at check %d: ok %v, ahead %+v → %+v", at, ok, before, after)
 		}
 		if ranks != ranksWhenAnswered {
@@ -193,21 +260,23 @@ func TestCertainNextAbandonsWithinOneOutcome(t *testing.T) {
 		}
 	}
 
-	if allocs := testing.AllocsPerRun(50, func() { la.certainNext(s, Greedy{}, head, thr, never) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { la.probableNext(s, Greedy{}, head, thr, never) }); allocs != 0 {
 		t.Errorf("a steady-state lookahead allocates %.0f objects, want 0", allocs)
 	}
 }
 
 // scriptedOverlapper is an Overlapper over a truth table that records
-// what the loop asked of it: the heads it started, and as (head, next)
-// every probe started while a head was out. Its probes "take" latency
-// and are never answered early, so an offered lookahead always runs to
-// its verdict.
+// what the loop asked of it: the heads it started, as (head, next) every
+// probe started while a head was out, and which of those were never
+// waited for — what Drain cancels. Its probes "take" latency and are
+// never answered early, so an offered lookahead always runs to its
+// verdict.
 type scriptedOverlapper struct {
 	truth   []float64
 	latency time.Duration
 	started []int
 	early   [][2]int
+	pending map[int]bool
 	headOut bool
 }
 
@@ -215,6 +284,10 @@ func (p *scriptedOverlapper) Latency(int) time.Duration { return p.latency }
 func (p *scriptedOverlapper) Start(_ context.Context, i int) {
 	if p.headOut {
 		p.early = append(p.early, [2]int{p.started[len(p.started)-1], i})
+		if p.pending == nil {
+			p.pending = map[int]bool{}
+		}
+		p.pending[i] = true
 		return
 	}
 	p.headOut = true
@@ -224,18 +297,21 @@ func (p *scriptedOverlapper) Answered(int) bool { return false }
 func (p *scriptedOverlapper) Drain()            {}
 func (p *scriptedOverlapper) Wait(_ context.Context, i int) (float64, error) {
 	p.headOut = false
+	delete(p.pending, i)
 	return p.truth[i], nil
 }
 
 // TestAProLookaheadGate: the loop thinks behind a probe only when the
 // prober's latency dwarfs the step's rank, only with two probes of
-// budget left, and only for a Ranker; when it does, every certain
-// verdict starts next's probe while head's is out and the next step's
-// head is that next. The outcome is the inline one in every case.
+// budget left, and only for a Ranker; when it does, every start made
+// early is the database of a later step or is cancelled by Drain, and a
+// certain verdict's is the very next step. The outcome is the inline one
+// in every case.
 func TestAProLookaheadGate(t *testing.T) {
 	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(23))
 	total := AheadWork{}
+	wasted, startedEarly := 0, 0
 	for trial := 0; trial < 80; trial++ {
 		n := 4 + rng.Intn(5)
 		rds, truth := make([]*RD, n), make([]float64, n)
@@ -264,20 +340,39 @@ func TestAProLookaheadGate(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: outcome with lookahead %+v, inline %+v", trial, got, want)
 		}
-		if started := ahead.Certain + ahead.Disagreed + ahead.Stops + ahead.Abandoned; started != len(eager.started) || ahead.Abandoned != 0 || ahead.Certain != len(eager.early) {
+		if started := ahead.Certain + ahead.Probable + ahead.Disagreed + ahead.Stops + ahead.Abandoned; started != len(eager.started) ||
+			ahead.Abandoned != 0 || ahead.Certain+ahead.Probable != len(eager.early) {
 			t.Fatalf("trial %d: %d heads started, %d early starts, ahead %+v", trial, len(eager.started), len(eager.early), ahead)
 		}
+		unpicked := map[int]bool{}
+		nextStep := 0
 		for _, pair := range eager.early {
-			// On-support truths: what was certain is what came next.
 			step := 0
 			for step < len(got.Steps) && got.Steps[step].DB != pair[0] {
 				step++
 			}
-			if step+1 >= len(got.Steps) || got.Steps[step+1].DB != pair[1] {
-				t.Fatalf("trial %d: started early %v, steps %+v", trial, pair, got.Steps)
+			later := false
+			for _, s := range got.Steps[step+1:] {
+				later = later || s.DB == pair[1]
+			}
+			if !later {
+				unpicked[pair[1]] = true
+			}
+			if step+1 < len(got.Steps) && got.Steps[step+1].DB == pair[1] {
+				nextStep++
 			}
 		}
+		if fmt.Sprint(unpicked) != fmt.Sprint(eager.pending) {
+			t.Fatalf("trial %d: started early %v, steps %+v: never picked %v, left for Drain %v", trial, eager.early, got.Steps, unpicked, eager.pending)
+		}
+		// On-support truths: what was certain is what came next.
+		if nextStep < ahead.Certain {
+			t.Fatalf("trial %d: %d certain verdicts, %d early starts were the next step: %v, steps %+v", trial, ahead.Certain, nextStep, eager.early, got.Steps)
+		}
+		wasted += len(unpicked)
+		startedEarly += len(eager.early)
 		total.Certain += ahead.Certain
+		total.Probable += ahead.Probable
 		total.Disagreed += ahead.Disagreed
 		total.Stops += ahead.Stops
 
@@ -298,10 +393,10 @@ func TestAProLookaheadGate(t *testing.T) {
 			}
 		}
 	}
-	if total.Certain == 0 || total.Disagreed == 0 || total.Stops == 0 {
+	if total.Certain == 0 || total.Probable == 0 || total.Disagreed == 0 || total.Stops == 0 {
 		t.Errorf("80 trials never reached every verdict: %+v", total)
 	}
-	t.Logf("lookaheads over 80 trials: %+v", total)
+	t.Logf("lookaheads over 80 trials: %+v; %d of %d early starts never picked", total, wasted, startedEarly)
 }
 
 // TestInlineProberIsNoOverlapper: a ProbeFunc answers on the loop's

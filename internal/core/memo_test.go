@@ -604,31 +604,53 @@ func TestDecisionMemoNodeSizes(t *testing.T) {
 	}
 }
 
-// rankWatch is Greedy recording, for every Rank on one selection,
-// whether it swept any candidate.
+// rankWatch is Greedy recording, for every Rank on one selection, the
+// state it ranked and whether it swept any candidate, and the states it
+// ranked on any other selection: a lookahead's shell.
 type rankWatch struct {
 	Greedy
 	on       *Selection
+	states   []string
 	computed []bool
+	ahead    map[string]bool
+}
+
+// stateKey names a selection's state by what has been probed: each
+// probed database with the value its RD collapsed to.
+func stateKey(s *Selection) string {
+	var b strings.Builder
+	for i, probed := range s.probed {
+		if probed {
+			fmt.Fprintf(&b, "%d=%x ", i, math.Float64bits(s.rds[i].Value(0)))
+		}
+	}
+	return b.String()
 }
 
 func (g *rankWatch) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	before := s.work.Swept
 	dbs, us, err := g.Greedy.Rank(s, t, m)
 	if s == g.on {
+		g.states = append(g.states, stateKey(s))
 		g.computed = append(g.computed, s.work.Swept != before)
+	} else {
+		if g.ahead == nil {
+			g.ahead = map[string]bool{}
+		}
+		g.ahead[stateKey(s)] = true
 	}
 	return dbs, us, err
 }
 
 // TestDecisionMemoLookahead: a lookahead ranks the state after each
-// outcome of the probe in flight on a second shell; with a memo those
-// ranks land in the children of the real state's node, so when the
-// verdict was "certain" and the answer is on the support, the real next
-// step finds its head there and sweeps nothing.
+// outcome of the probe in flight it gets to on a second shell; with a
+// memo those ranks land in the children of the real state's node, so when
+// the answer is one of the outcomes it ranked, the real next step finds
+// its head there and sweeps nothing, and when it is not, the step sweeps
+// as it would have without a lookahead.
 func TestDecisionMemoLookahead(t *testing.T) {
 	_, sets, truths := goldenRDSets(t)
-	certain, remembered := 0, 0
+	remembered, computed := 0, 0
 	for ci := 2; ci < len(sets); ci++ {
 		rds, truth := sets[ci], truths[ci] // fixture truths are support values
 		want, err := APro(NewSelectionFromRDs(rds, Absolute, 2), tableProbe(truth), Greedy{}, 0.95, -1)
@@ -645,26 +667,25 @@ func TestDecisionMemoLookahead(t *testing.T) {
 		if outcomeBits(got) != outcomeBits(want) {
 			t.Fatalf("case %d with lookahead and memo:\n got %s\nwant %s", ci, outcomeBits(got), outcomeBits(want))
 		}
-		if len(watch.computed) != len(got.Steps) || len(p.early) != s.Ahead().Certain {
-			t.Fatalf("case %d: %d ranks for %d steps, %d early starts for %d certain verdicts",
-				ci, len(watch.computed), len(got.Steps), len(p.early), s.Ahead().Certain)
+		if ahead := s.Ahead(); len(watch.computed) != len(got.Steps) || len(p.early) != ahead.Certain+ahead.Probable {
+			t.Fatalf("case %d: %d ranks for %d steps, %d early starts for %+v", ci, len(watch.computed), len(got.Steps), len(p.early), ahead)
 		}
-		for _, pair := range p.early {
-			certain++
-			for step := 1; step < len(got.Steps); step++ {
-				if got.Steps[step-1].DB == pair[0] && got.Steps[step].DB == pair[1] {
-					if watch.computed[step] {
-						t.Fatalf("case %d: step %d ranked again what the lookahead behind step %d had ranked", ci, step, step-1)
-					}
-					remembered++
-				}
+		for step, state := range watch.states {
+			if watch.computed[step] == watch.ahead[state] {
+				t.Fatalf("case %d step %d: swept %v, ranked by a lookahead %v", ci, step, watch.computed[step], watch.ahead[state])
+			}
+			if watch.ahead[state] {
+				remembered++
+			} else if step > 0 {
+				computed++
 			}
 		}
 		s.Release()
 	}
-	if certain < 20 || remembered != certain {
-		t.Errorf("%d certain verdicts, %d next steps read from the memo", certain, remembered)
+	if remembered < 20 || computed == 0 {
+		t.Errorf("%d steps read from the memo a lookahead filled, %d later steps computed", remembered, computed)
 	}
+	t.Logf("%d steps read from the memo a lookahead filled, %d later steps computed", remembered, computed)
 }
 
 // TestDecisionMemoFailedProbeAndNaN: a failed probe folds as relevancy 0,

@@ -248,7 +248,7 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 			// takes the processor for the lookahead; without the yield the
 			// probe leaves late by about as much as the overlap saves.
 			runtime.Gosched()
-			if next, ok := la.certainNext(s, ranker, head, t, func() bool { return over.Answered(head) }); ok {
+			if next, ok := la.probableNext(s, ranker, head, t, func() bool { return over.Answered(head) }); ok {
 				over.Start(ctx, next)
 			}
 		}

@@ -20,12 +20,13 @@ type Result = core.Outcome
 // 11) with every probe going through the executor — breaker, pool,
 // timeout. With a core.Ranker policy one thing may start a probe
 // before the loop asks for it: the loop's own lookahead, which while
-// one probe is in flight works out whether every outcome of it leads to
-// the same next database (core.Overlapper). The loop still folds exactly
-// the database the policy picks each round, so the trajectory is the
-// sequential one; a probe started early and picked later has its
-// latency already (partly) paid, and one never picked is cancelled when
-// the selection finishes and counted as speculative waste.
+// one probe is in flight works out whether outcomes carrying most of its
+// RD's mass lead to the same next database (core.Overlapper). The loop
+// still folds exactly the database the policy picks each round, so the
+// trajectory is the sequential one; a probe started early and picked
+// later has its latency already (partly) paid, and one never picked is
+// cancelled when the selection finishes and counted as speculative
+// waste.
 //
 // name maps a database index to the backend name used for breaker and
 // latency accounting. Probe failures and breaker rejections
@@ -79,7 +80,7 @@ func (p *prober) Latency(i int) time.Duration { return p.e.Latency(p.name(i)) }
 // background, unless that is under way already. The answer is delivered
 // to a buffered channel, so Answered can ask for it without blocking.
 // The loop starts the probe it waits on next and then, at most, the one
-// it is certain to want after it; that second one is started early.
+// it most likely wants after it; that second one is started early.
 func (p *prober) Start(ctx context.Context, i int) {
 	early := p.headOut
 	p.headOut = true

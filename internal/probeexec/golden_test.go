@@ -237,6 +237,7 @@ func TestGoldenTrajectories(t *testing.T) {
 				ahead := sel.Ahead()
 				l.steps.Add(int64(len(out.Steps)))
 				l.ahead.Certain += ahead.Certain
+				l.ahead.Probable += ahead.Probable
 				l.ahead.Disagreed += ahead.Disagreed
 				l.ahead.Stops += ahead.Stops
 				l.ahead.Abandoned += ahead.Abandoned
@@ -248,18 +249,21 @@ func TestGoldenTrajectories(t *testing.T) {
 			continue
 		}
 		// A probe that reached its backend and was never folded was
-		// cancelled by Drain and counted (so were those cancelled before
-		// they got that far). With on-support truths a certain successor is
-		// always the next head, so there are none.
+		// cancelled by Drain and counted. With on-support truths a certain
+		// successor is always the next head; a probable one misses only
+		// when the answer is one of the outcomes carrying at most
+		// maxDissent of the mass, and costs a search only if no later step
+		// picks it. The waste stays under the benchmark's 2 % bound on
+		// probes per query.
 		orphans := l.started.Load() - l.steps.Load()
 		cancelled := l.e.cfg.Metrics.Counter("mp_probes_speculative_cancelled_total", nil).Value()
 		t.Logf("%s: %d steps, lookaheads %+v, %d probes reached a backend and were never picked, %d cancelled",
 			via, l.steps.Load(), l.ahead, orphans, cancelled)
-		if cancelled < orphans || cancelled != 0 {
-			t.Errorf("%s: %d probes never picked, mp_probes_speculative_cancelled_total = %d", via, orphans, cancelled)
+		if cancelled != orphans || float64(cancelled) > 0.02*float64(l.steps.Load()) {
+			t.Errorf("%s: %d probes never picked, mp_probes_speculative_cancelled_total = %d, over %d steps", via, orphans, cancelled, l.steps.Load())
 		}
-		if l.ahead.Certain == 0 {
-			t.Errorf("%s: no lookahead ever found a certain successor: %+v", via, l.ahead)
+		if l.ahead.Certain == 0 || l.ahead.Probable == 0 {
+			t.Errorf("%s: no lookahead ever started a certain or a probable successor: %+v", via, l.ahead)
 		}
 		if got := l.e.Inflight(); got != 0 {
 			t.Errorf("%s: %d probes in flight after the last selection", via, got)

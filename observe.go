@@ -108,9 +108,11 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, sel *core.Se
 		sp.SetAttr("memo_misses", strconv.Itoa(work.MemoMisses))
 		// What the loop thought out while probes were in flight (all zero
 		// where probes answer faster than a rank): how many lookaheads
-		// found the certain next probe, and why the others did not.
+		// started the next probe, on every outcome or on most of the RD's
+		// mass, and why the others did not.
 		ahead := sel.Ahead()
 		sp.SetAttr("ahead_certain", strconv.Itoa(ahead.Certain))
+		sp.SetAttr("ahead_probable", strconv.Itoa(ahead.Probable))
 		sp.SetAttr("ahead_disagreed", strconv.Itoa(ahead.Disagreed))
 		sp.SetAttr("ahead_stops", strconv.Itoa(ahead.Stops))
 		sp.SetAttr("ahead_abandoned", strconv.Itoa(ahead.Abandoned))

@@ -174,14 +174,14 @@ func (d farDB) Search(query string, topK int) (hidden.Result, error) {
 
 // TestSelectionSpanAheadWork: the root span says what the loop thought
 // out behind its probes. Over in-memory backends, which answer faster
-// than a rank, no lookahead ever starts and all five attributes read
+// than a rank, no lookahead ever starts and all six attributes read
 // zero; over backends milliseconds away lookaheads run, their time lies
 // inside the probe stage, and every answer and probe count is what the
-// in-memory run gave — the overlap buys no probe and changes no
-// selection.
+// in-memory run gave — the overlap changes no selection and no probe the
+// loop folds.
 func TestSelectionSpanAheadWork(t *testing.T) {
 	leakcheck.Check(t)
-	aheadAttrs := []string{"ahead_certain", "ahead_disagreed", "ahead_stops", "ahead_abandoned", "ahead_us"}
+	aheadAttrs := []string{"ahead_certain", "ahead_probable", "ahead_disagreed", "ahead_stops", "ahead_abandoned", "ahead_us"}
 	var far atomic.Bool
 	tracer := NewSpanTracer(1024)
 	// All twenty databases: a rank over them costs what it does when
@@ -239,8 +239,8 @@ func TestSelectionSpanAheadWork(t *testing.T) {
 			total[name] += v
 		}
 	}
-	if total["ahead_certain"] == 0 || total["ahead_us"] == 0 {
-		t.Errorf("no lookahead found a certain successor over %d probe-bound selections: %v", len(queries), total)
+	if total["ahead_certain"]+total["ahead_probable"] == 0 || total["ahead_us"] == 0 {
+		t.Errorf("no lookahead started a successor over %d probe-bound selections: %v", len(queries), total)
 	}
 	t.Logf("lookaheads over %d probe-bound selections: %v", len(queries), total)
 }
