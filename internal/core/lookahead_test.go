@@ -15,62 +15,76 @@ import (
 
 func never() bool { return false }
 
-// bruteProbableNext is what probableNext has to compute, written the
-// slow way: every support value of head's RD is applied to a fresh
+// bruteVerdict is what probableNext has to decide about one state,
+// worked out by bruteProbableNext.
+type bruteVerdict struct {
+	// next is the database the most outcome mass leads to, -1 when none
+	// does; ok is whether starting it is expected to waste at most
+	// maxDissent.
+	next int
+	ok   bool
+	// certain replays the lookahead's order — outcomes that do not stop,
+	// most probable first — and reports whether, at the first prefix whose
+	// reckoning lets next start, no outcome had been seen to stop, to end
+	// or to lead elsewhere and at most maxDissent of the mass was left.
+	certain bool
+	// tooManyStops is whether the outcomes that stop carry more than
+	// maxDissent of the mass.
+	tooManyStops bool
+	// firstRanked is the support index of the outcome the lookahead ranks
+	// first, -1 when every outcome stops.
+	firstRanked int
+	// okAtOne and okEndedAtW are ok as it would be with missWeight read as
+	// 1, and with the mass of outcomes that end the loop weighed at
+	// missWeight instead of in full.
+	okAtOne, okEndedAtW bool
+	// borderline reports a state on which the two evaluations may
+	// legitimately differ: a hypothetical certainty within round-off of t,
+	// or a waste or a mass within round-off of a bound it is held to.
+	borderline bool
+}
+
+// bruteProbableNext works out the slow way what probableNext has to
+// decide: every support value of head's RD is applied to a fresh
 // reference-path copy of s, the loop's next two decisions — stop? else
-// which database? — are read off it, and the value's probability goes to
-// the database picked, or to no database when the loop stops. next is the
-// database with the most mass and ok whether that is at least 1 −
-// maxDissent. certain replays the lookahead's order — outcomes that do
-// not stop, most probable first — and reports whether, when next's mass
-// reaches 1 − maxDissent, no outcome had been seen to stop or to lead
-// elsewhere. tooManyStops reports whether the outcomes that stop carry
-// more than maxDissent of the mass. borderline reports a state on which
-// the two evaluations may legitimately differ: a hypothetical certainty
-// within round-off of t, or a mass within round-off of 1 − maxDissent or
-// of maxDissent.
-func bruteProbableNext(s *Selection, head int, t float64) (next int, ok, certain, tooManyStops, borderline bool) {
+// which database, if ranker finds one? — are read off it, and the value's
+// probability is tallied as stopping, as ending (ranker fails) or under
+// the database picked. Starting the leader wastes stopping and ending mass
+// in full and the mass that leads elsewhere at missWeight.
+func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVerdict {
 	rd := s.RD(head)
-	need := 1 - maxDissent
+	near := func(a, b float64) bool { return math.Abs(a-b) <= diffTol }
 	// The database each outcome leads to: -1 where the rank fails, -2
 	// where the loop stops.
 	picks := make([]int, rd.Len())
 	mass := map[int]float64{}
-	stopped := 0.0
-	next = -1
+	stopped, ended := 0.0, 0.0
+	v := bruteVerdict{next: -1, firstRanked: -1}
 	for vi := range picks {
 		ref := NewSelectionFromRDs(s.rds, s.Metric, s.K)
 		ref.noScratch = true
 		copy(ref.probed, s.probed)
 		ref.ApplyProbe(head, rd.Value(vi))
 		_, e := ref.Best()
-		if math.Abs(e-t) <= diffTol {
-			borderline = true
-		}
+		v.borderline = v.borderline || near(e, t)
 		if e >= t {
 			picks[vi] = -2
 			stopped += rd.Prob(vi)
 			continue
 		}
 		picks[vi] = -1
-		if db, err := (Greedy{}).Next(ref, t); err == nil {
+		if dbs, _, err := ranker.Rank(ref, t, 1); err == nil {
+			db := dbs[0]
 			picks[vi] = db
-			if mass[db] += rd.Prob(vi); next < 0 || mass[db] > mass[next] {
-				next = db
+			if mass[db] += rd.Prob(vi); v.next < 0 || mass[db] > mass[v.next] {
+				v.next = db
 			}
+		} else {
+			ended += rd.Prob(vi)
 		}
 	}
-	tooManyStops = stopped > maxDissent
-	if math.Abs(stopped-maxDissent) <= diffTol {
-		borderline = true
-	}
-	if next < 0 {
-		return -1, false, false, tooManyStops, borderline
-	}
-	ok = mass[next] >= need
-	if math.Abs(mass[next]-need) <= diffTol {
-		borderline = true
-	}
+	v.tooManyStops = stopped > maxDissent
+	v.borderline = v.borderline || near(stopped, maxDissent)
 	order := []int{}
 	for vi, db := range picks {
 		if db != -2 {
@@ -78,31 +92,128 @@ func bruteProbableNext(s *Selection, head int, t float64) (next int, ok, certain
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return rd.Prob(order[a]) > rd.Prob(order[b]) })
-	dissent, seen := stopped > 0, 0.0
-	for _, vi := range order {
-		dissent = dissent || picks[vi] != next
-		if picks[vi] == next {
-			seen += rd.Prob(vi)
-		}
-		if math.Abs(seen-need) <= diffTol {
-			borderline = true
-		}
-		if seen >= need {
-			return next, ok, !dissent, tooManyStops, borderline
+	if len(order) > 0 {
+		v.firstRanked = order[0]
+	}
+	if v.next < 0 {
+		return v
+	}
+	elsewhere := 0.0
+	for db, m := range mass {
+		if db != v.next {
+			elsewhere += m
 		}
 	}
-	return next, ok, false, tooManyStops, borderline
+	waste := stopped + ended + missWeight*elsewhere
+	v.ok = waste <= maxDissent
+	v.okAtOne = stopped+ended+elsewhere <= maxDissent
+	v.okEndedAtW = stopped+missWeight*(ended+elsewhere) <= maxDissent
+	v.borderline = v.borderline || near(waste, maxDissent)
+	if !v.ok {
+		return v
+	}
+	// The replay: outcomes not yet ranked are reckoned to lead elsewhere.
+	dissent, seen, endedSeen, left := stopped > 0, 0.0, 0.0, 1-stopped
+	for _, vi := range order {
+		switch picks[vi] {
+		case v.next:
+			seen += rd.Prob(vi)
+		case -1:
+			endedSeen += rd.Prob(vi)
+			dissent = true
+		default:
+			dissent = true
+		}
+		left -= rd.Prob(vi)
+		reckoned := stopped + endedSeen + missWeight*(1-stopped-endedSeen-seen)
+		v.borderline = v.borderline || near(reckoned, maxDissent)
+		if reckoned <= maxDissent {
+			v.borderline = v.borderline || near(left, maxDissent)
+			v.certain = !dissent && left <= maxDissent
+			break
+		}
+	}
+	return v
 }
 
-// lookaheadVerdicts counts how often walkProbableNext saw each verdict.
-type lookaheadVerdicts struct{ states, certain, probable, disagreed, stops int }
+// endingRanker is Greedy but for one outcome of head's probe, value,
+// after which it finds nothing to pick: that outcome ends the loop.
+// Greedy's own Rank fails on every outcome of a probe or on none — when
+// no unprobed database is left informative — so only a ranker like this
+// one shows how the mass of an outcome that ends the loop is weighed.
+type endingRanker struct {
+	head  int
+	value float64
+}
 
-// walkProbableNext follows the greedy trajectory of one RD set, and at
-// every state on it holds probableNext to the brute force: it starts a
-// database exactly when the brute force gives it 1 − maxDissent of the
-// mass, calls that certain exactly when the brute force's replay of its
-// order saw no dissent, and blames stops exactly when the outcomes that
-// stop carry more than maxDissent of the mass.
+func (r endingRanker) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
+	if s.Probed(r.head) && s.RD(r.head).Value(0) == r.value {
+		return nil, nil, ErrNoInformativeProbe
+	}
+	return Greedy{}.Rank(s, t, m)
+}
+
+// lookaheadVerdicts counts how often walkProbableNext saw each verdict,
+// and on how many states the two miscounts the brute force tells apart
+// would have changed it: missWeight read as 1, or an outcome that ends
+// the loop weighed at missWeight.
+type lookaheadVerdicts struct {
+	states, certain, probable, disagreed, stops int
+	atOneDiffers, endedAtWDiffers               int
+}
+
+// checkProbableNext holds probableNext on s's state to the brute force
+// under ranker: it starts a database exactly when the brute force
+// reckons that start's waste within maxDissent, calls that certain
+// exactly when the brute force's replay of its order does, and blames
+// stops exactly when the outcomes that stop carry more than maxDissent of
+// the mass.
+func checkProbableNext(t *testing.T, id string, la *lookahead, s *Selection, ranker Ranker, head int, thr float64, v *lookaheadVerdicts) bruteVerdict {
+	t.Helper()
+	want := bruteProbableNext(s, ranker, head, thr)
+	_, e := s.Best()
+	work, rdsBefore, before := s.Work(), fmt.Sprint(s.rds), s.Ahead()
+	next, ok := la.probableNext(s, ranker, head, thr, never)
+	if s.Work() != work {
+		t.Fatalf("%s: lookahead work leaked into RankWork: %+v → %+v", id, work, s.Work())
+	}
+	if _, after := s.Best(); after != e || fmt.Sprint(s.rds) != rdsBefore {
+		t.Fatalf("%s: probableNext changed the state it was asked about", id)
+	}
+	after := s.Ahead()
+	certain, probable := after.Certain-before.Certain, after.Probable-before.Probable
+	disagreed, stops := after.Disagreed-before.Disagreed, after.Stops-before.Stops
+	if certain+probable+disagreed+stops != 1 || after.Abandoned != before.Abandoned || ok != (certain+probable == 1) {
+		t.Fatalf("%s: one lookahead moved the verdicts %+v → %+v and returned ok = %v", id, before, after, ok)
+	}
+	if want.borderline {
+		return want
+	}
+	v.states++
+	if ok != want.ok || (ok && next != want.next) || (ok && (certain == 1) != want.certain) {
+		t.Fatalf("%s after %d probes, head %d: probableNext = (%d, %v), verdicts %+v → %+v; brute force %+v",
+			id, len(s.rds)-len(s.UnprobedView()), head, next, ok, before, after, want)
+	}
+	if (stops == 1) != want.tooManyStops {
+		t.Fatalf("%s: the lookahead's verdict is stops = %v, the brute force's stopping outcomes carry more than maxDissent = %v", id, stops == 1, want.tooManyStops)
+	}
+	if want.okAtOne != want.ok {
+		v.atOneDiffers++
+	}
+	if want.okEndedAtW != want.ok {
+		v.endedAtWDiffers++
+	}
+	v.certain += certain
+	v.probable += probable
+	v.disagreed += disagreed
+	v.stops += stops
+	return want
+}
+
+// walkProbableNext follows the greedy trajectory of one RD set and holds
+// probableNext to the brute force at every state on it twice: under
+// Greedy, and under an endingRanker that ends the loop on the outcome
+// the lookahead ranks first.
 func walkProbableNext(t *testing.T, id string, la *lookahead, rds []*RD, truth []float64, metric Metric, k int, thr float64, v *lookaheadVerdicts) {
 	t.Helper()
 	s := NewSelectionFromRDs(rds, metric, k)
@@ -116,35 +227,10 @@ func walkProbableNext(t *testing.T, id string, la *lookahead, rds []*RD, truth [
 			return
 		}
 		head := ranked[0]
-		wantNext, wantOK, wantCertain, wantStops, borderline := bruteProbableNext(s, head, thr)
-		_, e := s.Best()
-		work, rdsBefore, before := s.Work(), fmt.Sprint(s.rds), s.Ahead()
-		next, ok := la.probableNext(s, Greedy{}, head, thr, never)
-		if s.Work() != work {
-			t.Fatalf("%s: lookahead work leaked into RankWork: %+v → %+v", id, work, s.Work())
-		}
-		if _, after := s.Best(); after != e || fmt.Sprint(s.rds) != rdsBefore {
-			t.Fatalf("%s: probableNext changed the state it was asked about", id)
-		}
-		after := s.Ahead()
-		certain, probable := after.Certain-before.Certain, after.Probable-before.Probable
-		disagreed, stops := after.Disagreed-before.Disagreed, after.Stops-before.Stops
-		if certain+probable+disagreed+stops != 1 || after.Abandoned != before.Abandoned || ok != (certain+probable == 1) {
-			t.Fatalf("%s: one lookahead moved the verdicts %+v → %+v and returned ok = %v", id, before, after, ok)
-		}
-		if !borderline {
-			v.states++
-			if ok != wantOK || (ok && next != wantNext) || (ok && (certain == 1) != wantCertain) {
-				t.Fatalf("%s after %d probes, head %d: probableNext = (%d, %v), verdicts %+v → %+v; brute force (%d, %v), certain %v",
-					id, len(s.rds)-len(s.UnprobedView()), head, next, ok, before, after, wantNext, wantOK, wantCertain)
-			}
-			if (stops == 1) != wantStops {
-				t.Fatalf("%s: the lookahead's verdict is stops = %v, the brute force's stopping outcomes carry more than maxDissent = %v", id, stops == 1, wantStops)
-			}
-			v.certain += certain
-			v.probable += probable
-			v.disagreed += disagreed
-			v.stops += stops
+		want := checkProbableNext(t, id, la, s, Greedy{}, head, thr, v)
+		if want.firstRanked >= 0 {
+			ending := endingRanker{head: head, value: s.RD(head).Value(want.firstRanked)}
+			checkProbableNext(t, id+" (first outcome ends the loop)", la, s, ending, head, thr, v)
 		}
 		s.ApplyProbe(head, truth[head])
 	}
@@ -153,8 +239,11 @@ func walkProbableNext(t *testing.T, id string, la *lookahead, rds []*RD, truth [
 // TestProbableNextMatchesBruteForce: on randomised RD sets and on the
 // states of the golden fixture's trajectories, probableNext names a next
 // database exactly when applying every support value to a fresh
-// reference-path selection gives that database at least 1 − maxDissent
-// of the RD's mass, outcomes that stop counting against it.
+// reference-path selection says that starting it wastes at most
+// maxDissent of a search: the mass of outcomes that stop or end the loop
+// in full, and missWeight of the mass that leads elsewhere. The states
+// compared include enough on which missWeight read as 1, or an ending
+// outcome weighed at missWeight, would have changed the verdict.
 func TestProbableNextMatchesBruteForce(t *testing.T) {
 	leakcheck.Check(t)
 	la := lookaheadPool.Get().(*lookahead)
@@ -172,7 +261,7 @@ func TestProbableNextMatchesBruteForce(t *testing.T) {
 		metric := Metric(trial % 2)
 		walkProbableNext(t, fmt.Sprintf("trial %d", trial), la, rds, truth, metric, 1+rng.Intn(n-1), 0.5+0.5*rng.Float64(), &v)
 	}
-	if v.states < 600 || v.certain < 60 || v.probable < 20 || v.disagreed < 60 || v.stops < 60 {
+	if v.states < 600 || v.certain < 60 || v.probable < 20 || v.disagreed < 60 || v.stops < 60 || v.atOneDiffers < 20 || v.endedAtWDiffers < 20 {
 		t.Errorf("random sets compared %+v: too few of some verdict to mean anything", v)
 	}
 

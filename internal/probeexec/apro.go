@@ -63,13 +63,24 @@ type prober struct {
 	headOut bool
 }
 
+// probeResult is one probe's answer. ran reports whether the probe
+// function was called: a probe the breaker rejected, or cancelled while
+// it waited for a pool slot, never reached its backend.
 type probeResult struct {
 	v   float64
 	err error
+	ran bool
 }
 
-func (p *prober) run(ctx context.Context, i int) (float64, error) {
-	return p.e.Probe(ctx, p.name(i), func(c context.Context) (float64, error) { return p.probe(c, i) })
+// run probes database i through the executor. Executor.Probe calls the
+// probe function on run's goroutine, so ran needs no synchronisation.
+func (p *prober) run(ctx context.Context, i int) probeResult {
+	var r probeResult
+	r.v, r.err = p.e.Probe(ctx, p.name(i), func(c context.Context) (float64, error) {
+		r.ran = true
+		return p.probe(c, i)
+	})
+	return r
 }
 
 // Latency implements core.Overlapper with the executor's reading for
@@ -93,10 +104,7 @@ func (p *prober) Start(ctx context.Context, i int) {
 	}
 	ch := make(chan probeResult, 1)
 	p.pending[i] = ch
-	go func() {
-		v, err := p.run(p.specCtx, i)
-		ch <- probeResult{v: v, err: err}
-	}()
+	go func() { ch <- p.run(p.specCtx, i) }()
 	if early {
 		p.sp.AddEvent("speculative_prefetch", "backend", p.name(i))
 	}
@@ -114,7 +122,7 @@ func (p *prober) Wait(ctx context.Context, i int) (float64, error) {
 		r = <-ch
 		delete(p.pending, i)
 	} else {
-		r.v, r.err = p.run(ctx, i)
+		r = p.run(ctx, i)
 	}
 	if r.err != nil && ctx.Err() == nil {
 		p.sp.AddEvent("backend_excluded", "backend", p.name(i), "error", r.err.Error())
@@ -124,7 +132,8 @@ func (p *prober) Wait(ctx context.Context, i int) (float64, error) {
 
 // Drain cancels the background probes the loop never picked and waits
 // for them, so every probe has returned — and its pool slot is released
-// — before APro does.
+// — before APro does. Those that reached their backend are counted as
+// speculative waste; one cancelled before it did cost no search.
 func (p *prober) Drain() {
 	if p.cancel == nil {
 		return
@@ -134,7 +143,8 @@ func (p *prober) Drain() {
 		p.sp.AddEvent("speculation_cancelled", "count", strconv.Itoa(len(p.pending)))
 	}
 	for _, ch := range p.pending {
-		<-ch
-		p.e.specWaste.Inc()
+		if r := <-ch; r.ran {
+			p.e.specWaste.Inc()
+		}
 	}
 }

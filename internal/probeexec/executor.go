@@ -56,7 +56,7 @@ func newExecutor(cfg Config, slots int) *Executor {
 		specWaste: reg.Counter("mp_probes_speculative_cancelled_total", nil),
 	}
 	reg.Help("mp_selections_degraded_total", "Selections completed with one or more backends excluded.")
-	reg.Help("mp_probes_speculative_cancelled_total", "Probes started early — the successor a lookahead found most of the head's outcome mass agreeing on — and cancelled because the selection never asked for them.")
+	reg.Help("mp_probes_speculative_cancelled_total", "Probes started early — the successor a lookahead expected to waste at most a fifth of a search — that reached their backend and were cancelled because the selection never asked for them.")
 	reg.Help("mp_breaker_state", "Circuit-breaker state per backend: 0 closed, 1 half-open, 2 open.")
 	return e
 }

@@ -249,12 +249,13 @@ func TestGoldenTrajectories(t *testing.T) {
 			continue
 		}
 		// A probe that reached its backend and was never folded was
-		// cancelled by Drain and counted. With on-support truths a certain
-		// successor is always the next head; a probable one misses only
-		// when the answer is one of the outcomes carrying at most
-		// maxDissent of the mass, and costs a search only if no later step
-		// picks it. The waste stays under the benchmark's 2 % bound on
-		// probes per query.
+		// cancelled by Drain and counted; one Drain cancelled before it
+		// reached its backend cost no search and is not. A successor is
+		// started when the search it wastes is expected to be at most
+		// maxDissent — outcomes that end the loop counting in full, those
+		// that lead elsewhere at missWeight — and a miss costs a search
+		// only if no later step picks it. The waste stays under the
+		// benchmark's 2 % bound on probes per query.
 		orphans := l.started.Load() - l.steps.Load()
 		cancelled := l.e.cfg.Metrics.Counter("mp_probes_speculative_cancelled_total", nil).Value()
 		t.Logf("%s: %d steps, lookaheads %+v, %d probes reached a backend and were never picked, %d cancelled",

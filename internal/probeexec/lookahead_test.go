@@ -166,19 +166,67 @@ func TestLookaheadOffSupportHeadDrainsOrphan(t *testing.T) {
 	}
 }
 
-// cancelOnSecondRank walks away during the first rank of the lookahead
-// (the loop's own rank is the first).
-type cancelOnSecondRank struct {
+// onRank is Greedy calling do as it starts its nth rank (the loop's own
+// rank is the first, the lookahead's follow).
+type onRank struct {
 	core.Greedy
-	ranks  *int
-	cancel context.CancelFunc
+	ranks *int
+	n     int
+	do    func()
 }
 
-func (p cancelOnSecondRank) Rank(s *core.Selection, t float64, m int) ([]int, []float64, error) {
-	if *p.ranks++; *p.ranks == 2 {
-		p.cancel()
+func (p onRank) Rank(s *core.Selection, t float64, m int) ([]int, []float64, error) {
+	if *p.ranks++; *p.ranks == p.n {
+		p.do()
 	}
 	return p.Greedy.Rank(s, t, m)
+}
+
+// TestDrainCountsOnlyProbesThatRan: a successor started early that never
+// reached its backend — here db1's open breaker rejects it; under load it
+// is as often cancelled waiting for a pool slot — cost no search, so Drain
+// does not count it as speculative waste. db0 answers above its support,
+// which settles the selection, once the lookahead has ranked both of its
+// outcomes (the loop's own rank is the first of three), so db1 is started
+// and never asked for.
+func TestDrainCountsOnlyProbesThatRan(t *testing.T) {
+	leakcheck.Check(t)
+	reg := obs.NewRegistry()
+	e := NewExecutor(Config{Metrics: reg})
+	for e.BreakerState(dbName(1)) != BreakerOpen {
+		e.Probe(context.Background(), dbName(1), func(context.Context) (float64, error) { return 0, errors.New("down") })
+	}
+	e.farAway(3)
+	ranks, thought := 0, make(chan struct{})
+	probe := func(ctx context.Context, i int) (float64, error) {
+		if i != 0 {
+			t.Errorf("db%d reached its backend", i)
+			return 0, nil
+		}
+		select {
+		case <-thought:
+		case <-time.After(10 * time.Second):
+			t.Error("the lookahead never ranked both outcomes")
+		}
+		return 1000, nil
+	}
+	sel := core.NewSelectionFromRDs(orphanRDs(), core.Absolute, 1)
+	got, err := e.APro(context.Background(), sel, dbName, probe, onRank{ranks: &ranks, n: 3, do: func() { close(thought) }}, 0.95, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Degraded || !got.Reached || len(got.Steps) != 1 || got.Steps[0].DB != 0 {
+		t.Fatalf("outcome %+v", got)
+	}
+	if ahead := sel.Ahead(); ahead.Certain != 1 {
+		t.Errorf("ahead = %+v, want one certain lookahead, which starts db1", ahead)
+	}
+	if got := reg.Counter("mp_probes_speculative_cancelled_total", nil).Value(); got != 0 {
+		t.Errorf("mp_probes_speculative_cancelled_total = %d, want 0: db1's probe never reached its backend", got)
+	}
+	if got := e.Inflight(); got != 0 {
+		t.Errorf("inflight after APro = %d", got)
+	}
 }
 
 // TestLookaheadCancelledMidThought: the caller gives up while the loop
@@ -197,7 +245,8 @@ func TestLookaheadCancelledMidThought(t *testing.T) {
 		return 0, c.Err()
 	}
 	sel := core.NewSelectionFromRDs(orphanRDs(), core.Absolute, 1)
-	_, err := e.APro(ctx, sel, dbName, probe, cancelOnSecondRank{ranks: &ranks, cancel: cancel}, 0.95, -1)
+	// The caller walks away as the lookahead starts its first rank.
+	_, err := e.APro(ctx, sel, dbName, probe, onRank{ranks: &ranks, n: 2, do: cancel}, 0.95, -1)
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "selection abandoned") {
 		t.Fatalf("err = %v, want selection abandoned by the caller", err)
 	}
