@@ -2,19 +2,22 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Overlapper is a Prober whose probes can run while the loop computes.
 // With one the loop starts the probe it needs, and until the answer is
-// in works out which probe it will most likely want after it: when
-// starting the database that most support values of the head's RD lead
-// the policy to is expected to waste at most maxDissent of a search,
-// that database's probe is started too. What is folded, and in what
-// order, stays the policy's decision on the observed value, so the
-// trajectory is the sequential one; a prediction only moves the moment
-// a probe is sent.
+// in works out which probes it will likely want after it: when starting
+// the database that most support values of the head's RD lead the policy
+// to is expected to waste at most maxDissent of a search, that
+// database's probe is started too. From the wideFrom-th step on, where
+// the long queries that set the tail are, it starts every database an
+// outcome leads to and the ranking's runners-up instead. What is folded,
+// and in what order, stays the policy's decision on the observed value,
+// so the trajectory is the sequential one; a prediction only moves the
+// moment a probe is sent.
 //
 // A prediction misses when the answer is one of the outcomes that end
 // the loop or lead elsewhere, and also when a backend answers with a
@@ -28,7 +31,8 @@ type Overlapper interface {
 	// when that is not known.
 	Latency(i int) time.Duration
 	// Start begins database i's probe without waiting for it. Wait
-	// collects the answer.
+	// collects the answer. A start made while the head is out may be
+	// dropped; Wait then probes the database itself.
 	Start(ctx context.Context, i int)
 	// Answered reports, without blocking, whether the probe Start began
 	// for database i has finished.
@@ -66,6 +70,25 @@ func leaderNeeds(ended float64) float64 {
 	return 1 - ended - (maxDissent-ended)/missWeight
 }
 
+// wideFrom is the number of steps folded after which the lookahead starts
+// wide: every database an outcome of the head leads to, and the second
+// and third of the ranking on the current state, whenever outcomes ending
+// the loop carry at most maxDissent of the mass. One successor per round
+// leaves a long trajectory at two probes a round at best, and the
+// queries of seven or more probes set slow-probe's p99. Pinned with
+// wideRunners by a virtual-clock replay of the slow-probe population
+// (EXPERIMENTS.md, E-WIDE, TestWideFromReplay): starting wide from the
+// seventh probe takes p99 from 104.2 to 86.3 ms for +1.0 % searches,
+// from the sixth or fifth it takes no more for up to +2.9 %, and from
+// the eighth it takes one round of the two.
+const wideFrom = 6
+
+// wideRunners is how deep a wide lookahead reads the ranking on the
+// current state: its head is the probe in flight, and the next two are
+// started. In the same replay reading one or two leaves p99 at 96.5–96.8
+// ms, and four takes 2 ms more for +0.5 % searches (E-WIDE).
+const wideRunners = 3
+
 // The loop thinks behind a probe when the backend's recent latency is
 // more than thinkRatio times what the thought is reckoned to cost: the
 // rank of the step just taken plus thinkFixed. A lookahead is one
@@ -87,14 +110,18 @@ func leaderNeeds(ended float64) float64 {
 // from memory (tens of microseconds, against a rank of a hundred) never
 // starts one, and neither does a step whose rank alone takes
 // milliseconds of a ten-millisecond probe: on slow-probe 36–44 steps in
-// 10 200, ranked in about 2 ms each.
+// 10 200, ranked in about 2 ms each. A wide lookahead ranks every outcome
+// and the current state once more: about eight ranks and 0.8 ms on the
+// replayed slow-probe population (E-WIDE), a twelfth of the round it
+// hides behind, so the gate does not tell the two kinds apart.
 const (
 	thinkRatio = 8
 	thinkFixed = 10 * time.Microsecond
 )
 
 // AheadWork counts what one selection's lookaheads came to. Every one
-// started ends as exactly one of the five.
+// run ends as exactly one of the five verdicts; Wide counts the extra
+// starts of those that started more than one database.
 type AheadWork struct {
 	// Certain counts lookaheads that started the next database's probe
 	// with no outcome seen to end the loop or to lead elsewhere: the
@@ -104,16 +131,21 @@ type AheadWork struct {
 	// Probable counts the other starts: outcomes seen to end the loop or
 	// to lead elsewhere, or more than maxDissent of the mass left
 	// unranked, with the start's expected waste within maxDissent all the
-	// same.
+	// same — or, on a wide step, with the outcomes that end the loop
+	// carrying at most maxDissent of the mass.
 	Probable int
 	// Disagreed counts those where no database could gather the mass
-	// leaderNeeds asks for.
+	// leaderNeeds asks for, or, on a wide step, where the outcomes that end
+	// the loop, some because the policy finds nothing to pick after them,
+	// carry more than maxDissent of the mass.
 	Disagreed int
 	// Stops counts those where outcomes carrying more than maxDissent of
 	// the mass reach the threshold, so no next probe is likely enough.
 	Stops int
 	// Abandoned counts those the head's answer cut short.
 	Abandoned int
+	// Wide counts the starts wide lookaheads made beyond their first.
+	Wide int
 	// Time is the wall time they took, all of it inside the probe stage.
 	Time time.Duration
 }
@@ -124,12 +156,13 @@ func (s *Selection) Ahead() AheadWork { return s.ahead }
 
 // lookahead is the state probableNext works on: a second selection shell
 // to rank hypothetical next states on, kept apart from the one the loop
-// is folding probes into, the outcomes still to rank, and the mass each
-// database has gathered.
+// is folding probes into, the outcomes still to rank, the mass each
+// database has gathered, and the databases it starts.
 type lookahead struct {
-	shell Selection
-	order []int
-	mass  []float64
+	shell  Selection
+	order  []int
+	mass   []float64
+	starts []int
 }
 
 var lookaheadPool = sync.Pool{New: func() any { return new(lookahead) }}
@@ -139,15 +172,21 @@ func (la *lookahead) release() {
 	lookaheadPool.Put(la)
 }
 
-// probableNext reports the database ranker picks after head's probe, if
-// starting it is expected to waste at most maxDissent of a search over the
-// outcomes of head's RD: those that end the selection count in full, those
-// that lead to another database at missWeight, and those not yet ranked as
-// leading elsewhere — exact for Greedy, whose Rank fails on every outcome
-// of one probe or on none. It asks answered before each outcome and gives
-// up as soon as the real answer is in. s is left as it was, RankWork
-// included: those counts describe the critical path.
-func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float64, answered func() bool) (next int, ok bool) {
+// probableNext returns the databases to start behind head's probe, the
+// likeliest first, reckoned over the outcomes of head's RD. Unless wide,
+// that is at most the database ranker picks after most of them, if
+// starting it is expected to waste at most maxDissent of a search: the
+// outcomes that end the selection count in full, those that lead to
+// another database at missWeight, and those not yet ranked as leading
+// elsewhere — exact for Greedy, whose Rank fails on every outcome of one
+// probe or on none. A wide lookahead ranks every outcome and, when those
+// that end the selection carry at most maxDissent of the mass, starts
+// every database an outcome leads to, by mass, and then the runners-up
+// of Rank(s, t, wideRunners). It asks answered before each outcome and
+// gives up as soon as the real answer is in. s is left as it was,
+// RankWork included: those counts describe the critical path. The slice
+// is la's, valid until its next call.
+func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float64, wide bool, answered func() bool) []int {
 	start := time.Now()
 	work := s.work
 	defer func() {
@@ -165,7 +204,7 @@ func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float
 	for vi := 0; vi < n; vi++ {
 		if answered() {
 			s.ahead.Abandoned++
-			return 0, false
+			return nil
 		}
 		old := s.beginHypothesisIdx(head, vi)
 		_, e := s.best()
@@ -177,7 +216,7 @@ func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float
 		}
 		if stopped += rd.Prob(vi); stopped > maxDissent {
 			s.ahead.Stops++
-			return 0, false
+			return nil
 		}
 	}
 	// The others go most probable first (ties to the lower index), so the
@@ -201,7 +240,7 @@ func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float
 	for _, vi := range la.order {
 		if answered() {
 			s.ahead.Abandoned++
-			return 0, false
+			return nil
 		}
 		// Each outcome is a child of s's state, not of the outcome before
 		// it: that is the node the real step finds when the answer is vi's.
@@ -221,18 +260,63 @@ func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float
 				next, lead = d, la.mass[d]
 			}
 		}
+		if wide {
+			continue
+		}
 		if lead >= need {
 			if !dissent && rest <= maxDissent {
 				s.ahead.Certain++
 			} else {
 				s.ahead.Probable++
 			}
-			return next, true
+			la.starts = append(la.starts[:0], next)
+			return la.starts
 		}
 		if lead+rest < need {
 			break
 		}
 	}
-	s.ahead.Disagreed++
-	return 0, false
+	if !wide || ended > maxDissent {
+		s.ahead.Disagreed++
+		return nil
+	}
+	return la.startWide(s, ranker, head, t, next, dissent, answered)
+}
+
+// startWide lists a wide lookahead's starts once every outcome is ranked
+// (la.mass) and next is the leader: the leader, the other databases an
+// outcome leads to by mass (ties to the lower index), then the runners-up
+// of the ranking on s's own state, each once.
+func (la *lookahead) startWide(s *Selection, ranker Ranker, head int, t float64, next int, dissent bool, answered func() bool) []int {
+	la.starts = append(la.starts[:0], next)
+	for {
+		d := -1
+		for i, m := range la.mass {
+			if m > 0 && !slices.Contains(la.starts, i) && (d < 0 || m > la.mass[d]) {
+				d = i
+			}
+		}
+		if d < 0 {
+			break
+		}
+		la.starts = append(la.starts, d)
+	}
+	if answered() {
+		s.ahead.Abandoned++
+		return nil
+	}
+	if dbs, _, err := ranker.Rank(s, t, wideRunners); err == nil {
+		for _, d := range dbs {
+			if d != head && !slices.Contains(la.starts, d) {
+				la.starts = append(la.starts, d)
+			}
+		}
+	}
+	if dissent {
+		s.ahead.Probable++
+	} else {
+		s.ahead.Certain++
+	}
+	s.ahead.Wide += len(la.starts) - 1
+	return la.starts
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -38,6 +39,16 @@ type bruteVerdict struct {
 	// 1, and with the mass of outcomes that end the loop weighed at
 	// missWeight instead of in full.
 	okAtOne, okEndedAtW bool
+	// wide is what a wide lookahead starts, in order: the leader, the other
+	// databases some outcome leads to by mass (ties to the lower index),
+	// then the runners-up of Rank(s, t, wideRunners) — none when the
+	// outcomes that stop or end the loop carry more than maxDissent of the
+	// mass. wideVerdict is the AheadWork field it counts under, and
+	// wideBorderline is borderline or two databases' masses within
+	// round-off of each other, which may order them either way.
+	wide           []int
+	wideVerdict    string
+	wideBorderline bool
 	// borderline reports a state on which the two evaluations may
 	// legitimately differ: a hypothetical certainty within round-off of t,
 	// or a waste or a mass within round-off of a bound it is held to.
@@ -85,6 +96,13 @@ func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVe
 	}
 	v.tooManyStops = stopped > maxDissent
 	v.borderline = v.borderline || near(stopped, maxDissent)
+	v.wide, v.wideVerdict = bruteWide(s, ranker, head, t, mass, v.next, stopped, ended)
+	v.wideBorderline = near(stopped+ended, maxDissent)
+	for a, ma := range mass {
+		for b, mb := range mass {
+			v.wideBorderline = v.wideBorderline || (a != b && near(ma, mb))
+		}
+	}
 	order := []int{}
 	for vi, db := range picks {
 		if db != -2 {
@@ -136,6 +154,48 @@ func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVe
 	return v
 }
 
+// bruteWide is what a wide lookahead has to start on s, given the mass
+// each database's outcomes carry, the leader next, and the mass of the
+// outcomes that stop or end the loop, and the verdict it counts.
+func bruteWide(s *Selection, ranker Ranker, head int, t float64, mass map[int]float64, next int, stopped, ended float64) ([]int, string) {
+	switch {
+	case stopped > maxDissent:
+		return nil, "stops"
+	case stopped+ended > maxDissent:
+		return nil, "disagreed"
+	}
+	verdict := "certain"
+	if stopped+ended > 0 || len(mass) > 1 {
+		verdict = "probable"
+	}
+	others := []int{}
+	for db := range mass {
+		if db != next {
+			others = append(others, db)
+		}
+	}
+	sort.Slice(others, func(a, b int) bool {
+		if mass[others[a]] != mass[others[b]] {
+			return mass[others[a]] > mass[others[b]]
+		}
+		return others[a] < others[b]
+	})
+	starts := append([]int{next}, others...)
+	ref := NewSelectionFromRDs(s.rds, s.Metric, s.K)
+	ref.noScratch = true
+	copy(ref.probed, s.probed)
+	dbs, _, err := ranker.Rank(ref, t, wideRunners)
+	if err != nil {
+		return starts, verdict
+	}
+	for _, db := range dbs[1:] {
+		if !slices.Contains(starts, db) {
+			starts = append(starts, db)
+		}
+	}
+	return starts, verdict
+}
+
 // endingRanker is Greedy but for one outcome of head's probe, value,
 // after which it finds nothing to pick: that outcome ends the loop.
 // Greedy's own Rank fails on every outcome of a probe or on none — when
@@ -160,6 +220,10 @@ func (r endingRanker) Rank(s *Selection, t float64, m int) ([]int, []float64, er
 type lookaheadVerdicts struct {
 	states, certain, probable, disagreed, stops int
 	atOneDiffers, endedAtWDiffers               int
+	// What the same states came to on a wide step: how many were compared,
+	// how many started more than the narrow rule would have, and how many
+	// started nothing.
+	wideStates, wider, wideNone int
 }
 
 // checkProbableNext holds probableNext on s's state to the brute force
@@ -173,7 +237,14 @@ func checkProbableNext(t *testing.T, id string, la *lookahead, s *Selection, ran
 	want := bruteProbableNext(s, ranker, head, thr)
 	_, e := s.Best()
 	work, rdsBefore, before := s.Work(), fmt.Sprint(s.rds), s.Ahead()
-	next, ok := la.probableNext(s, ranker, head, thr, never)
+	starts := la.probableNext(s, ranker, head, thr, false, never)
+	next, ok := -1, len(starts) > 0
+	if ok {
+		next = starts[0]
+	}
+	if len(starts) > 1 || s.Ahead().Wide != before.Wide {
+		t.Fatalf("%s: a narrow lookahead started %v and counted %d wide starts", id, starts, s.Ahead().Wide-before.Wide)
+	}
 	if s.Work() != work {
 		t.Fatalf("%s: lookahead work leaked into RankWork: %+v → %+v", id, work, s.Work())
 	}
@@ -207,7 +278,50 @@ func checkProbableNext(t *testing.T, id string, la *lookahead, s *Selection, ran
 	v.probable += probable
 	v.disagreed += disagreed
 	v.stops += stops
+	checkWideNext(t, id, la, s, ranker, head, thr, want, len(starts), v)
 	return want
+}
+
+// checkWideNext holds probableNext on a wide step to the brute force: it
+// starts exactly want.wide, in that order, counts the verdict the brute
+// force names and every start past the first as Wide, and leaves s and
+// its RankWork as they were.
+func checkWideNext(t *testing.T, id string, la *lookahead, s *Selection, ranker Ranker, head int, thr float64, want bruteVerdict, narrow int, v *lookaheadVerdicts) {
+	t.Helper()
+	_, e := s.Best()
+	work, rdsBefore, before := s.Work(), fmt.Sprint(s.rds), s.Ahead()
+	starts := slices.Clone(la.probableNext(s, ranker, head, thr, true, never))
+	if s.Work() != work {
+		t.Fatalf("%s: wide lookahead work leaked into RankWork: %+v → %+v", id, work, s.Work())
+	}
+	if _, after := s.Best(); after != e || fmt.Sprint(s.rds) != rdsBefore {
+		t.Fatalf("%s: a wide probableNext changed the state it was asked about", id)
+	}
+	after := s.Ahead()
+	moved := map[string]int{
+		"certain":   after.Certain - before.Certain,
+		"probable":  after.Probable - before.Probable,
+		"disagreed": after.Disagreed - before.Disagreed,
+		"stops":     after.Stops - before.Stops,
+	}
+	if moved["certain"]+moved["probable"]+moved["disagreed"]+moved["stops"] != 1 || after.Abandoned != before.Abandoned ||
+		after.Wide-before.Wide != max(0, len(starts)-1) {
+		t.Fatalf("%s: one wide lookahead started %v and moved the verdicts %+v → %+v", id, starts, before, after)
+	}
+	if want.borderline || want.wideBorderline {
+		return
+	}
+	if !slices.Equal(starts, want.wide) || moved[want.wideVerdict] != 1 {
+		t.Fatalf("%s after %d probes, head %d: wide lookahead started %v, verdicts %+v → %+v; brute force starts %v (%s)",
+			id, len(s.rds)-len(s.UnprobedView()), head, starts, before, after, want.wide, want.wideVerdict)
+	}
+	v.wideStates++
+	if len(starts) > narrow {
+		v.wider++
+	}
+	if len(starts) == 0 {
+		v.wideNone++
+	}
 }
 
 // walkProbableNext follows the greedy trajectory of one RD set and holds
@@ -243,7 +357,11 @@ func walkProbableNext(t *testing.T, id string, la *lookahead, rds []*RD, truth [
 // maxDissent of a search: the mass of outcomes that stop or end the loop
 // in full, and missWeight of the mass that leads elsewhere. The states
 // compared include enough on which missWeight read as 1, or an ending
-// outcome weighed at missWeight, would have changed the verdict.
+// outcome weighed at missWeight, would have changed the verdict. On the
+// same states taken as wide steps it starts every database some outcome
+// that does not stop leads to, and the runners-up of Rank(s, t,
+// wideRunners), or nothing once stopping and ending outcomes carry more
+// than maxDissent of the mass.
 func TestProbableNextMatchesBruteForce(t *testing.T) {
 	leakcheck.Check(t)
 	la := lookaheadPool.Get().(*lookahead)
@@ -261,7 +379,8 @@ func TestProbableNextMatchesBruteForce(t *testing.T) {
 		metric := Metric(trial % 2)
 		walkProbableNext(t, fmt.Sprintf("trial %d", trial), la, rds, truth, metric, 1+rng.Intn(n-1), 0.5+0.5*rng.Float64(), &v)
 	}
-	if v.states < 600 || v.certain < 60 || v.probable < 20 || v.disagreed < 60 || v.stops < 60 || v.atOneDiffers < 20 || v.endedAtWDiffers < 20 {
+	if v.states < 600 || v.certain < 60 || v.probable < 20 || v.disagreed < 60 || v.stops < 60 || v.atOneDiffers < 20 || v.endedAtWDiffers < 20 ||
+		v.wideStates < 600 || v.wider < 200 || v.wideNone < 60 {
 		t.Errorf("random sets compared %+v: too few of some verdict to mean anything", v)
 	}
 
@@ -303,7 +422,7 @@ func startingState(t *testing.T, la *lookahead, minRanks int) (s *Selection, hea
 		ranked, _, err := Greedy{}.Rank(s, thr, 1)
 		if err == nil {
 			ranks = 0
-			_, ok := la.probableNext(s, countingGreedy{ranks: &ranks}, ranked[0], thr, never)
+			ok := len(la.probableNext(s, countingGreedy{ranks: &ranks}, ranked[0], thr, false, never)) > 0
 			if ok && ranks >= minRanks && len(la.order) == s.RD(ranked[0]).Len() {
 				return s, ranked[0], thr, ranks
 			}
@@ -330,13 +449,13 @@ func TestProbableNextAbandonsWithinOneOutcome(t *testing.T) {
 	for at := 1; at <= n+full; at++ {
 		ranks, asked, ranksWhenAnswered := 0, 0, -1
 		before := s.Ahead()
-		_, ok := la.probableNext(s, countingGreedy{ranks: &ranks}, head, thr, func() bool {
+		ok := len(la.probableNext(s, countingGreedy{ranks: &ranks}, head, thr, false, func() bool {
 			if asked++; asked == at {
 				ranksWhenAnswered = ranks
 				return true
 			}
 			return false
-		})
+		})) > 0
 		after := s.Ahead()
 		if ok || after.Abandoned != before.Abandoned+1 || after.Certain != before.Certain || after.Probable != before.Probable {
 			t.Fatalf("answer at check %d: ok %v, ahead %+v → %+v", at, ok, before, after)
@@ -349,8 +468,10 @@ func TestProbableNextAbandonsWithinOneOutcome(t *testing.T) {
 		}
 	}
 
-	if allocs := testing.AllocsPerRun(50, func() { la.probableNext(s, Greedy{}, head, thr, never) }); allocs != 0 {
-		t.Errorf("a steady-state lookahead allocates %.0f objects, want 0", allocs)
+	for _, wide := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(50, func() { la.probableNext(s, Greedy{}, head, thr, wide, never) }); allocs != 0 {
+			t.Errorf("a steady-state lookahead (wide %v) allocates %.0f objects, want 0", wide, allocs)
+		}
 	}
 }
 
@@ -430,7 +551,7 @@ func TestAProLookaheadGate(t *testing.T) {
 			t.Fatalf("trial %d: outcome with lookahead %+v, inline %+v", trial, got, want)
 		}
 		if started := ahead.Certain + ahead.Probable + ahead.Disagreed + ahead.Stops + ahead.Abandoned; started != len(eager.started) ||
-			ahead.Abandoned != 0 || ahead.Certain+ahead.Probable != len(eager.early) {
+			ahead.Abandoned != 0 || ahead.Certain+ahead.Probable+ahead.Wide != len(eager.early) {
 			t.Fatalf("trial %d: %d heads started, %d early starts, ahead %+v", trial, len(eager.started), len(eager.early), ahead)
 		}
 		unpicked := map[int]bool{}
@@ -503,4 +624,72 @@ func TestInlineProberIsNoOverlapper(t *testing.T) {
 	if s.Ahead() != (AheadWork{}) {
 		t.Fatalf("inline APro counted lookaheads: %+v", s.Ahead())
 	}
+}
+
+// longTrajectories returns seeded random sets of 20 RDs, with the
+// relevancies their probes observe, whose greedy trajectories at k = 3
+// and t = 0.9 run ten steps or more, with each one's inline outcome.
+func longTrajectories(t *testing.T, count int) (sets [][]*RD, truths [][]float64, want []Outcome) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(42))
+	for len(sets) < count {
+		rds, truth := make([]*RD, 20), make([]float64, 20)
+		for i := range rds {
+			rds[i] = randTestRD(rng)
+			truth[i] = rds[i].Value(rng.Intn(rds[i].Len()))
+		}
+		out, err := APro(NewSelectionFromRDs(rds, Absolute, 3), func(i int) (float64, error) { return truth[i], nil }, Greedy{}, 0.9, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Steps) >= 10 {
+			sets, truths, want = append(sets, rds), append(truths, truth), append(want, out)
+		}
+	}
+	return sets, truths, want
+}
+
+// TestLookaheadWideOnLongTrajectories: on the virtual clock, selections
+// over 20 databases whose trajectories run ten steps or more fold the
+// inline trajectory with the lookahead narrow throughout and with it wide
+// from wideFrom on. Every probe sent is folded or left for Drain, every
+// early start is one the lookaheads counted, and the wide starts take
+// virtual time off these long queries.
+func TestLookaheadWideOnLongTrajectories(t *testing.T) {
+	leakcheck.Check(t)
+	const latency, rankCost = 10 * time.Millisecond, 110 * time.Microsecond
+	sets, truths, want := longTrajectories(t, 12)
+	elapsed := map[int]time.Duration{}
+	var ahead AheadWork
+	for ci, rds := range sets {
+		for _, wideAt := range []int{math.MaxInt, wideFrom} {
+			s := NewSelectionFromRDs(rds, Absolute, 3)
+			r, err := ReplayVirtual(s, func(i int) float64 { return truths[ci][i] }, 0.9, true, wideAt, latency, rankCost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := s.Ahead()
+			s.Release()
+			if !reflect.DeepEqual(r.Out, want[ci]) {
+				t.Fatalf("set %d, wide from %d: outcome %+v, inline %+v", ci, wideAt, r.Out, want[ci])
+			}
+			if r.Searches != len(r.Out.Steps)+r.Orphans || r.Early != a.Certain+a.Probable+a.Wide {
+				t.Fatalf("set %d, wide from %d: %d searches, %d steps, %d left for Drain; %d early starts, lookaheads %+v",
+					ci, wideAt, r.Searches, len(r.Out.Steps), r.Orphans, r.Early, a)
+			}
+			if wideAt == math.MaxInt && a.Wide != 0 {
+				t.Fatalf("set %d: narrow lookaheads counted %d wide starts", ci, a.Wide)
+			}
+			elapsed[wideAt] += r.Elapsed
+			if wideAt == wideFrom {
+				ahead.Certain += a.Certain
+				ahead.Probable += a.Probable
+				ahead.Wide += a.Wide
+			}
+		}
+	}
+	if ahead.Wide == 0 || elapsed[wideFrom] >= elapsed[math.MaxInt] {
+		t.Errorf("wide lookaheads %+v took %v of virtual time, narrow ones %v", ahead, elapsed[wideFrom], elapsed[math.MaxInt])
+	}
+	t.Logf("%d long selections: %v of virtual time narrow, %v wide; wide lookaheads %+v", len(sets), elapsed[math.MaxInt], elapsed[wideFrom], ahead)
 }

@@ -157,6 +157,12 @@ func AProInto(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes
 // best available set is returned with Reached=false. The returned
 // error is reserved for bad arguments, policy failures and ctx ending.
 func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t float64, maxProbes int, out *Outcome) error {
+	return aproContext(ctx, s, p, policy, t, maxProbes, wideFrom, out)
+}
+
+// aproContext is AProContext with the lookahead starting wide once wideAt
+// steps are folded (wideFrom in production; replays sweep it).
+func aproContext(ctx context.Context, s *Selection, p Prober, policy Policy, t float64, maxProbes, wideAt int, out *Outcome) error {
 	*out = Outcome{Set: out.Set[:0], Steps: out.Steps[:0], Excluded: out.Excluded[:0], ProbeErrs: out.ProbeErrs[:0]}
 	if !(t >= 0 && t <= 1) { // written so that NaN fails it
 		return fmt.Errorf("core: certainty threshold %v outside [0,1]", t)
@@ -248,7 +254,8 @@ func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 			// takes the processor for the lookahead; without the yield the
 			// probe leaves late by about as much as the overlap saves.
 			runtime.Gosched()
-			if next, ok := la.probableNext(s, ranker, head, t, func() bool { return over.Answered(head) }); ok {
+			wide := len(out.Steps) >= wideAt
+			for _, next := range la.probableNext(s, ranker, head, t, wide, func() bool { return over.Answered(head) }) {
 				over.Start(ctx, next)
 			}
 		}

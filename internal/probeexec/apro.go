@@ -18,12 +18,14 @@ type Result = core.Outcome
 
 // APro runs the adaptive probing loop (core.AProContext, paper Figure
 // 11) with every probe going through the executor — breaker, pool,
-// timeout. With a core.Ranker policy one thing may start a probe
-// before the loop asks for it: the loop's own lookahead, which while
-// one probe is in flight works out whether outcomes carrying most of its
-// RD's mass lead to the same next database (core.Overlapper). The loop
-// still folds exactly the database the policy picks each round, so the
-// trajectory is the sequential one; a probe started early and picked
+// timeout. With a core.Ranker policy one thing may start probes before
+// the loop asks for them: the loop's own lookahead, which while one
+// probe is in flight works out whether outcomes carrying most of its
+// RD's mass lead to the same next database, and from the seventh probe
+// on starts every database an outcome leads to and the ranking's
+// runners-up (core.Overlapper), each only into an idle pool slot. The
+// loop still folds exactly the database the policy picks each round, so
+// the trajectory is the sequential one; a probe started early and picked
 // later has its latency already (partly) paid, and one never picked is
 // cancelled when the selection finishes and counted as speculative
 // waste.
@@ -59,7 +61,7 @@ type prober struct {
 	cancel  context.CancelFunc
 	pending map[int]chan probeResult
 	// headOut is set between the Start of the probe the loop waits on
-	// next and its Wait: a Start in that window is a successor's.
+	// next and its Wait: a Start in that window is speculative.
 	headOut bool
 }
 
@@ -72,14 +74,15 @@ type probeResult struct {
 	ran bool
 }
 
-// run probes database i through the executor. Executor.Probe calls the
-// probe function on run's goroutine, so ran needs no synchronisation.
-func (p *prober) run(ctx context.Context, i int) probeResult {
+// run probes database i through the executor, in a pool slot the caller
+// already holds when held. Executor.probe calls the probe function on
+// run's goroutine, so ran needs no synchronisation.
+func (p *prober) run(ctx context.Context, i int, held bool) probeResult {
 	var r probeResult
-	r.v, r.err = p.e.Probe(ctx, p.name(i), func(c context.Context) (float64, error) {
+	r.v, r.err = p.e.probe(ctx, p.name(i), func(c context.Context) (float64, error) {
 		r.ran = true
 		return p.probe(c, i)
-	})
+	}, held)
 	return r
 }
 
@@ -90,12 +93,19 @@ func (p *prober) Latency(i int) time.Duration { return p.e.Latency(p.name(i)) }
 // Start implements core.Overlapper: it probes database i in the
 // background, unless that is under way already. The answer is delivered
 // to a buffered channel, so Answered can ask for it without blocking.
-// The loop starts the probe it waits on next and then, at most, the one
-// it most likely wants after it; that second one is started early.
+// The loop starts the probe it waits on next and then, behind it, the
+// databases its lookahead expects to want after it: one, or on a wide
+// step several. Those speculative starts take only an idle pool slot.
+// When every slot is held the start is dropped, and Wait probes the
+// database if the loop asks for it, so speculation never queues ahead of
+// another selection's head.
 func (p *prober) Start(ctx context.Context, i int) {
 	early := p.headOut
 	p.headOut = true
 	if _, ok := p.pending[i]; ok {
+		return
+	}
+	if early && !p.e.pool.tryAcquire() {
 		return
 	}
 	if p.pending == nil {
@@ -104,7 +114,7 @@ func (p *prober) Start(ctx context.Context, i int) {
 	}
 	ch := make(chan probeResult, 1)
 	p.pending[i] = ch
-	go func() { ch <- p.run(p.specCtx, i) }()
+	go func() { ch <- p.run(p.specCtx, i, early) }()
 	if early {
 		p.sp.AddEvent("speculative_prefetch", "backend", p.name(i))
 	}
@@ -122,7 +132,7 @@ func (p *prober) Wait(ctx context.Context, i int) (float64, error) {
 		r = <-ch
 		delete(p.pending, i)
 	} else {
-		r = p.run(ctx, i)
+		r = p.run(ctx, i, false)
 	}
 	if r.err != nil && ctx.Err() == nil {
 		p.sp.AddEvent("backend_excluded", "backend", p.name(i), "error", r.err.Error())

@@ -56,7 +56,7 @@ func newExecutor(cfg Config, slots int) *Executor {
 		specWaste: reg.Counter("mp_probes_speculative_cancelled_total", nil),
 	}
 	reg.Help("mp_selections_degraded_total", "Selections completed with one or more backends excluded.")
-	reg.Help("mp_probes_speculative_cancelled_total", "Probes started early — the successor a lookahead expected to waste at most a fifth of a search — that reached their backend and were cancelled because the selection never asked for them.")
+	reg.Help("mp_probes_speculative_cancelled_total", "Probes a lookahead started early, into idle slots behind the probe in flight, that reached their backend and were cancelled because the selection never asked for them.")
 	reg.Help("mp_breaker_state", "Circuit-breaker state per backend: 0 closed, 1 half-open, 2 open.")
 	return e
 }
@@ -132,6 +132,12 @@ func (e *Executor) Inflight() int64 { return e.pool.Inflight() }
 // neutral, not as a backend failure — and the slot is free again before
 // Probe returns.
 func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.Context) (float64, error)) (float64, error) {
+	return e.probe(ctx, name, fn, false)
+}
+
+// probe is Probe; held reports that the caller already claimed the pool
+// slot (pool.tryAcquire), which probe then releases however it ends.
+func (e *Executor) probe(ctx context.Context, name string, fn func(ctx context.Context) (float64, error), held bool) (float64, error) {
 	ctx, ps := span.Start(ctx, "probe")
 	ps.SetAttr("backend", name)
 	be := e.backendFor(name)
@@ -141,6 +147,9 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 		err := fmt.Errorf("probeexec: %s: %w", name, ErrBreakerOpen)
 		ps.AddEvent("breaker_rejected", "state", br.State().String())
 		ps.EndErr(err)
+		if held {
+			e.pool.release()
+		}
 		return 0, err
 	}
 	parent := ctx
@@ -149,7 +158,7 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.ProbeTimeout)
 		defer cancel()
 	}
-	v, err := e.call(ctx, be, fn)
+	v, err := e.call(ctx, be, fn, held)
 	outcome := probeSuccess
 	if err != nil {
 		v, outcome = 0, classify(parent, err)
@@ -162,13 +171,19 @@ func (e *Executor) Probe(ctx context.Context, name string, fn func(ctx context.C
 	return v, err
 }
 
-// call runs fn in a pool slot, timing it for the backend's latency
-// reading when it succeeds.
-func (e *Executor) call(ctx context.Context, be *backendState, fn func(ctx context.Context) (float64, error)) (float64, error) {
-	if err := e.pool.acquire(ctx); err != nil {
-		return 0, err
+// call runs fn in a pool slot — claimed here unless held — timing it for
+// the backend's latency reading when it succeeds. A probe whose context
+// ended before it got to its backend does not go.
+func (e *Executor) call(ctx context.Context, be *backendState, fn func(ctx context.Context) (float64, error), held bool) (float64, error) {
+	if !held {
+		if err := e.pool.acquire(ctx); err != nil {
+			return 0, err
+		}
 	}
 	defer e.pool.release()
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("probeexec: before the probe: %w", err)
+	}
 	called := time.Now()
 	v, err := fn(ctx)
 	if err == nil {

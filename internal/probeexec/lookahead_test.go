@@ -3,9 +3,11 @@ package probeexec
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,4 +258,82 @@ func TestLookaheadCancelledMidThought(t *testing.T) {
 	if got := e.Inflight(); got != 0 {
 		t.Errorf("inflight after APro = %d", got)
 	}
+}
+
+// longSelections returns seeded random sets of 20 RDs on the golden
+// fixture's value grid, with the relevancies their probes observe, whose
+// greedy trajectories at k = 3 and t = 0.9 run ten steps or more, with
+// each one's inline outcome.
+func longSelections(t *testing.T, count int) (sets [][]*core.RD, truths [][]float64, want []core.Outcome) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	for len(sets) < count {
+		rds, truth := make([]*core.RD, 20), make([]float64, 20)
+		for i := range rds {
+			seen := map[float64]bool{}
+			var vals, weights []float64
+			for n := 1 + rng.Intn(5); len(vals) < n; {
+				if v := float64(5 * rng.Intn(20)); !seen[v] {
+					seen[v] = true
+					vals, weights = append(vals, v), append(weights, float64(1+rng.Intn(9)))
+				}
+			}
+			rds[i], truth[i] = core.MustRD(vals, weights), vals[rng.Intn(len(vals))]
+		}
+		out, err := core.APro(core.NewSelectionFromRDs(rds, core.Absolute, 3), func(i int) (float64, error) { return truth[i], nil }, core.Greedy{}, 0.9, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Steps) >= 10 {
+			sets, truths, want = append(sets, rds), append(truths, truth), append(want, out)
+		}
+	}
+	return sets, truths, want
+}
+
+// TestLookaheadLongTrajectories: selections over 20 databases whose
+// trajectories run ten steps or more, so that the lookahead starts wide
+// from the seventh probe on, fold through a thinking executor exactly
+// what they fold inline — step, value, usefulness, set and certainty, bit
+// for bit. Every probe that reached a backend and was never folded is
+// counted in mp_probes_speculative_cancelled_total, and none is in flight
+// once the last selection returns.
+func TestLookaheadLongTrajectories(t *testing.T) {
+	leakcheck.Check(t)
+	sets, truths, want := longSelections(t, 16)
+	e := NewExecutor(Config{Metrics: obs.NewRegistry()})
+	e.farAway(20)
+	var started, steps int64
+	var ahead core.AheadWork
+	for ci, rds := range sets {
+		truth := truths[ci]
+		probe := func(_ context.Context, i int) (float64, error) {
+			atomic.AddInt64(&started, 1)
+			time.Sleep(5 * time.Millisecond)
+			return truth[i], nil
+		}
+		sel := core.NewSelectionFromRDs(rds, core.Absolute, 3)
+		got, err := e.APro(context.Background(), sel, dbName, probe, core.Greedy{}, 0.9, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[ci]) {
+			t.Fatalf("set %d: outcome through the thinking executor %+v, inline %+v", ci, got, want[ci])
+		}
+		a := sel.Ahead()
+		ahead.Certain += a.Certain
+		ahead.Probable += a.Probable
+		ahead.Abandoned += a.Abandoned
+		ahead.Wide += a.Wide
+		steps += int64(len(got.Steps))
+	}
+	orphans := atomic.LoadInt64(&started) - steps
+	cancelled := e.cfg.Metrics.Counter("mp_probes_speculative_cancelled_total", nil).Value()
+	if cancelled != orphans {
+		t.Errorf("%d probes reached a backend and were never picked, mp_probes_speculative_cancelled_total = %d", orphans, cancelled)
+	}
+	if got := e.Inflight(); got != 0 {
+		t.Errorf("%d probes in flight after the last selection", got)
+	}
+	t.Logf("%d long selections, %d steps: lookaheads %+v, %d probes never picked", len(sets), steps, ahead, orphans)
 }

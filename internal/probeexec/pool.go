@@ -48,10 +48,27 @@ func (p *pool) acquire(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("probeexec: waiting for probe slot: %w", ctx.Err())
 	}
+	p.took()
+	return nil
+}
+
+// tryAcquire claims a slot only if one is free now, and reports whether
+// it did. A true return is matched by one release, as acquire's is.
+func (p *pool) tryAcquire() bool {
+	select {
+	case p.slots <- struct{}{}:
+		p.took()
+		return true
+	default:
+		return false
+	}
+}
+
+// took counts a slot just claimed.
+func (p *pool) took() {
 	n := p.inflight.Add(1)
 	p.inflightG.Add(1)
 	p.inflightHist.Observe(float64(n))
-	return nil
 }
 
 // release gives back the slot of one finished probe.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +127,95 @@ func TestPoolSaturation(t *testing.T) {
 	wg.Wait()
 	if got := e.Inflight(); got != 0 {
 		t.Fatalf("inflight after drain = %d", got)
+	}
+}
+
+// TestPoolSaturationDropsSpeculation: a start made while the selection's
+// head is out takes a pool slot only if one is idle. With both slots of a
+// 2-slot executor held by two other heads, a selection's own head queues
+// for a slot, but its speculative start is dropped: nothing is pending
+// for it and Inflight() stays 2. When the loop asks for that database,
+// Wait probes it itself, so every answer is the one the loop would have
+// had. A whole selection run while the pool is full folds the inline
+// trajectory.
+func TestPoolSaturationDropsSpeculation(t *testing.T) {
+	leakcheck.Check(t)
+	e := newExecutor(Config{Metrics: obs.NewRegistry()}, 2)
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	holdSlots := func() {
+		held := make(chan struct{}, 2)
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := e.Probe(context.Background(), "other", func(context.Context) (float64, error) {
+					held <- struct{}{}
+					<-gate
+					return 1, nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		<-held
+		<-held
+	}
+	holdSlots()
+	var calls [2]atomic.Int64
+	p := &prober{e: e, name: dbName, probe: func(_ context.Context, i int) (float64, error) {
+		calls[i].Add(1)
+		return float64(10 + i), nil
+	}}
+	ctx := context.Background()
+	p.Start(ctx, 0) // the head queues for a slot
+	p.Start(ctx, 1) // a speculative start finds none idle
+	if _, ok := p.pending[1]; ok || len(p.pending) != 1 {
+		t.Fatalf("pending after a speculative start into a full pool: %v", p.pending)
+	}
+	if got := e.Inflight(); got != 2 {
+		t.Fatalf("inflight = %d, want the two heads' 2", got)
+	}
+	close(gate)
+	wg.Wait()
+	for i := range calls {
+		if v, err := p.Wait(ctx, i); err != nil || v != float64(10+i) {
+			t.Fatalf("Wait(%d) = %v, %v", i, v, err)
+		}
+	}
+	p.Drain()
+	if calls[0].Load() != 1 || calls[1].Load() != 1 {
+		t.Fatalf("probe calls %d and %d, want one each", calls[0].Load(), calls[1].Load())
+	}
+
+	// A selection that starts while two other heads hold the pool, which
+	// frees up at some point during it.
+	gate = make(chan struct{})
+	holdSlots()
+	time.AfterFunc(5*time.Millisecond, func() { close(gate) })
+	rds := orphanRDs()
+	truth := []float64{60, 90, 10}
+	want, err := core.APro(core.NewSelectionFromRDs(rds, core.Absolute, 1), func(i int) (float64, error) { return truth[i], nil }, core.Greedy{}, 0.95, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.farAway(len(rds))
+	var started atomic.Int64
+	got, err := e.APro(ctx, core.NewSelectionFromRDs(rds, core.Absolute, 1), dbName, func(_ context.Context, i int) (float64, error) {
+		started.Add(1)
+		time.Sleep(time.Millisecond)
+		return truth[i], nil
+	}, core.Greedy{}, 0.95, -1)
+	wg.Wait()
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("outcome through a full pool %+v (%v), inline %+v", got, err, want)
+	}
+	orphans := started.Load() - int64(len(got.Steps))
+	if cancelled := e.cfg.Metrics.Counter("mp_probes_speculative_cancelled_total", nil).Value(); cancelled != orphans {
+		t.Errorf("%d probes never picked, mp_probes_speculative_cancelled_total = %d", orphans, cancelled)
+	}
+	if got := e.Inflight(); got != 0 {
+		t.Errorf("inflight after the selection = %d", got)
 	}
 }
 

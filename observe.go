@@ -109,13 +109,15 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, sel *core.Se
 		// What the loop thought out while probes were in flight (all zero
 		// where probes answer faster than a rank): how many lookaheads
 		// started the next probe, on every outcome or on most of the RD's
-		// mass, and why the others did not.
+		// mass, why the others did not, and how many more starts the wide
+		// ones made.
 		ahead := sel.Ahead()
 		sp.SetAttr("ahead_certain", strconv.Itoa(ahead.Certain))
 		sp.SetAttr("ahead_probable", strconv.Itoa(ahead.Probable))
 		sp.SetAttr("ahead_disagreed", strconv.Itoa(ahead.Disagreed))
 		sp.SetAttr("ahead_stops", strconv.Itoa(ahead.Stops))
 		sp.SetAttr("ahead_abandoned", strconv.Itoa(ahead.Abandoned))
+		sp.SetAttr("ahead_wide", strconv.Itoa(ahead.Wide))
 		sp.SetAttr("ahead_us", strconv.FormatInt(ahead.Time.Microseconds(), 10))
 	}
 	for _, step := range res.Steps {

@@ -158,36 +158,34 @@ func TestSelectionSpanRankWork(t *testing.T) {
 	}
 }
 
-// farDB answers from memory until far is set, and two milliseconds late
-// from then on, so training stays fast and serving is probe-bound.
+// farDB answers from memory until delay is set, and that late from then
+// on, so training stays fast and serving is probe-bound.
 type farDB struct {
 	Database
-	far *atomic.Bool
+	delay *atomic.Int64 // nanoseconds
 }
 
 func (d farDB) Search(query string, topK int) (hidden.Result, error) {
-	if d.far.Load() {
-		time.Sleep(2 * time.Millisecond)
-	}
+	time.Sleep(time.Duration(d.delay.Load()))
 	return d.Database.Search(query, topK)
 }
 
 // TestSelectionSpanAheadWork: the root span says what the loop thought
 // out behind its probes. Over in-memory backends, which answer faster
-// than a rank, no lookahead ever starts and all six attributes read
+// than a rank, no lookahead ever starts and all seven attributes read
 // zero; over backends milliseconds away lookaheads run, their time lies
-// inside the probe stage, and every answer and probe count is what the
-// in-memory run gave — the overlap changes no selection and no probe the
-// loop folds.
+// inside the probe stage, the long trajectories among them start wide,
+// and every answer and probe count is what the in-memory run gave — the
+// overlap changes no selection and no probe the loop folds.
 func TestSelectionSpanAheadWork(t *testing.T) {
 	leakcheck.Check(t)
-	aheadAttrs := []string{"ahead_certain", "ahead_probable", "ahead_disagreed", "ahead_stops", "ahead_abandoned", "ahead_us"}
-	var far atomic.Bool
+	aheadAttrs := []string{"ahead_certain", "ahead_probable", "ahead_disagreed", "ahead_stops", "ahead_abandoned", "ahead_wide", "ahead_us"}
+	var delay atomic.Int64
 	tracer := NewSpanTracer(1024)
 	// All twenty databases: a rank over them costs what it does when
 	// serving, many times an in-memory search.
 	ms, queries := buildTestMetasearcherOn(t, corpus.HealthTestbed(0.01), &Config{Spans: tracer}, func(_ int, db Database) Database {
-		return farDB{Database: db, far: &far}
+		return farDB{Database: db, delay: &delay}
 	})
 	run := func(q string) (*SelectionResult, map[string]int, float64) {
 		t.Helper()
@@ -224,10 +222,14 @@ func TestSelectionSpanAheadWork(t *testing.T) {
 		}
 	}
 
-	far.Store(true)
+	delay.Store(int64(2 * time.Millisecond))
 	total := map[string]int{}
+	longest := 0
 	for i, q := range queries {
 		res, ahead, probeSec := run(q)
+		if res.Probes > near[longest].Probes {
+			longest = i
+		}
 		if !reflect.DeepEqual(res.Databases, near[i].Databases) || res.Probes != near[i].Probes || res.Certainty != near[i].Certainty {
 			t.Fatalf("%q: far backends gave %v after %d probes (%v), in-memory ones %v after %d (%v)",
 				q, res.Databases, res.Probes, res.Certainty, near[i].Databases, near[i].Probes, near[i].Certainty)
@@ -243,4 +245,24 @@ func TestSelectionSpanAheadWork(t *testing.T) {
 		t.Errorf("no lookahead started a successor over %d probe-bound selections: %v", len(queries), total)
 	}
 	t.Logf("lookaheads over %d probe-bound selections: %v", len(queries), total)
+
+	// The longest trajectory behind backends slow enough for a wide
+	// lookahead to finish under the race detector too. The executor's
+	// latency readings lag by a few probes, hence a few tries.
+	q := queries[longest]
+	if near[longest].Probes <= 7 {
+		t.Fatalf("the longest of %d selections takes %d probes: none starts wide", len(queries), near[longest].Probes)
+	}
+	delay.Store(int64(40 * time.Millisecond))
+	wide := 0
+	for try := 0; try < 3 && wide == 0; try++ {
+		res, ahead, _ := run(q)
+		if !reflect.DeepEqual(res.Databases, near[longest].Databases) || res.Probes != near[longest].Probes {
+			t.Fatalf("%q: slow backends gave %v after %d probes, in-memory ones %v after %d", q, res.Databases, res.Probes, near[longest].Databases, near[longest].Probes)
+		}
+		wide = ahead["ahead_wide"]
+	}
+	if wide == 0 {
+		t.Errorf("%q: %d probes behind 40 ms backends, and no lookahead started wide", q, near[longest].Probes)
+	}
 }
