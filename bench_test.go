@@ -277,7 +277,7 @@ func BenchmarkSelectionBest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		memoless(env.Selection(q, core.Absolute, 3)).Best()
+		memoless(env.Selection(q, core.Absolute, 3), core.Absolute, 3).Best()
 	}
 }
 
@@ -290,7 +290,7 @@ func BenchmarkGreedyProbeStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Next(memoless(env.Selection(q, core.Absolute, 1)), 0.9); err != nil {
+		if _, err := g.Next(memoless(env.Selection(q, core.Absolute, 1), core.Absolute, 1), 0.9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,7 +331,7 @@ func aproSelectBody(tb testing.TB) func() {
 	q := env.Test[0]
 	probe := precomputedProbe(tb, env)
 	return func() {
-		sel := memoless(env.Selection(q, core.Absolute, 3))
+		sel := memoless(env.Selection(q, core.Absolute, 3), core.Absolute, 3)
 		if _, err := core.APro(sel, probe, &core.Greedy{}, 0.9, -1); err != nil {
 			tb.Fatal(err)
 		}
@@ -347,7 +347,7 @@ func aproSelectSteadyBody(tb testing.TB) func() {
 	env := benchEnv(tb)
 	q := env.Test[0]
 	probe := precomputedProbe(tb, env)
-	template := memoless(env.Selection(q, core.Absolute, 3))
+	template := memoless(env.Selection(q, core.Absolute, 3), core.Absolute, 3)
 	sel := &core.Selection{}
 	g := &core.Greedy{}
 	var out core.Outcome
@@ -437,7 +437,7 @@ func BenchmarkGreedyRankColdTail(b *testing.B) {
 	}
 	template := core.NewSelectionFromRDs(rds, core.Absolute, 3)
 	for i, rd := range rds {
-		if rd.IsImpulse() {
+		if rd.Len() == 1 { // the cold impulses
 			template.ApplyProbe(i, 0)
 		}
 	}

@@ -1,11 +1,8 @@
 package metaprobe
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"go/types"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -40,50 +37,46 @@ func TestDocsNameOnlyExistingPaths(t *testing.T) {
 	}
 }
 
+// docCode matches a code span; docInternalName matches, inside one, a
+// <pkg>.<Name> or <pkg>.<Type>.<Member> of an internal package:
+// core.ModelVersion, hidden.Client, modelhost.Host.View.
+var (
+	docCode         = regexp.MustCompile("`[^`]+`")
+	docInternalName = regexp.MustCompile(`\b([a-z]+)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
+)
+
 // TestDocsNameOnlyExportedNames reads README.md and DESIGN.md and fails
-// on every metaprobe.<Name> that the package does not declare: a
-// snippet may not show a caller an API that was removed or renamed.
-// The declared names come from the package's non-test sources, so a
-// name only a test declares does not count.
+// on every metaprobe.<Name> that the package does not export, and on
+// every <pkg>.<Name> or <pkg>.<Type>.<Member> in a code span, pkg an
+// internal package, that the package does not declare: a snippet may
+// not show a caller an API that was removed or renamed, nor send a
+// reader to an internal name that is gone. Names resolve against the
+// non-test sources, so a name only a test declares does not count;
+// test functions (Test…, Benchmark…, Fuzz…) are not looked up.
 func TestDocsNameOnlyExportedNames(t *testing.T) {
-	sources, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	exported := make(map[string]bool)
-	for _, name := range sources {
-		if strings.HasSuffix(name, "_test.go") {
+	m := loadModule(t)
+	root := m.pkgs["metaprobe"].pkg
+	internal := make(map[string]*types.Package)
+	for path, l := range m.pkgs {
+		if !strings.HasPrefix(path, "metaprobe/internal/") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
+		if other, dup := internal[l.pkg.Name()]; dup {
+			t.Fatalf("packages %s and %s share the name %s", other.Path(), path, l.pkg.Name())
 		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					exported[d.Name.Name] = d.Name.IsExported()
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec: // aliases included
-						exported[s.Name.Name] = s.Name.IsExported()
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							exported[n.Name] = n.IsExported()
-						}
-					}
-				}
-			}
+		internal[l.pkg.Name()] = l.pkg
+	}
+	declares := func(pkg *types.Package, name, member string) bool {
+		obj := pkg.Scope().Lookup(name)
+		if obj == nil || member == "" {
+			return obj != nil
 		}
+		if _, ok := obj.(*types.TypeName); !ok {
+			return false
+		}
+		sel, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), false, pkg, member)
+		return sel != nil
 	}
-	if !exported["New"] || !exported["Config"] || !exported["Metrics"] {
-		t.Fatalf("parsed %d top-level names without New, Config and the Metrics alias: %v", len(exported), exported)
-	}
-
 	for _, file := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(file)
 		if err != nil {
@@ -91,8 +84,19 @@ func TestDocsNameOnlyExportedNames(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, m := range docName.FindAllStringSubmatch(line, -1) {
-				if !exported[m[1]] {
+				if obj := root.Scope().Lookup(m[1]); obj == nil || !obj.Exported() {
 					t.Errorf("%s:%d names metaprobe.%s, which the package does not export", file, i+1, m[1])
+				}
+			}
+			for _, code := range docCode.FindAllString(line, -1) {
+				for _, m := range docInternalName.FindAllStringSubmatch(code, -1) {
+					pkg := internal[m[1]]
+					if pkg == nil || strings.HasPrefix(m[2], "Test") || strings.HasPrefix(m[2], "Benchmark") || strings.HasPrefix(m[2], "Fuzz") {
+						continue
+					}
+					if !declares(pkg, m[2], m[3]) {
+						t.Errorf("%s:%d names %s, which %s does not declare", file, i+1, m[0], pkg.Path())
+					}
 				}
 			}
 		}

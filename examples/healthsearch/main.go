@@ -13,7 +13,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"metaprobe"
@@ -23,19 +25,29 @@ import (
 	"metaprobe/internal/stats"
 )
 
-func main() {
-	k := flag.Int("k", 3, "number of databases to select")
-	t := flag.Float64("t", 0.9, "user-required certainty level")
-	scale := flag.Float64("scale", 0.02, "testbed size multiplier")
-	seed := flag.Int64("seed", 2004, "random seed")
-	train := flag.Int("train", 400, "training queries per term-count")
-	flag.Parse()
+var (
+	k     = flag.Int("k", 3, "number of databases to select")
+	t     = flag.Float64("t", 0.9, "user-required certainty level")
+	scale = flag.Float64("scale", 0.02, "testbed size multiplier")
+	seed  = flag.Int64("seed", 2004, "random seed")
+	train = flag.Int("train", 400, "training queries per term-count")
+)
 
-	fmt.Printf("building the 20-database health testbed (scale %g)...\n", *scale)
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w, for the flags' values and the
+// query in the arguments (the demonstration batch without one).
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "building the 20-database health testbed (scale %g)...\n", *scale)
 	world := corpus.HealthWorld()
 	tb, err := hidden.BuildTestbed(world, corpus.HealthTestbed(*scale), *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbs := make([]metaprobe.Database, tb.Len())
 	for i := range dbs {
@@ -43,28 +55,28 @@ func main() {
 	}
 	sums, err := metaprobe.ExactSummaries(dbs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ms, err := metaprobe.New(dbs, sums, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("training the error model on %d queries...\n", 2**train)
+	fmt.Fprintf(w, "training the error model on %d queries...\n", 2**train)
 	gen, err := queries.NewGenerator(world, queries.Config{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pool, err := gen.Pool(stats.NewRNG(*seed).Fork(1), *train, *train)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	trainStrs := make([]string, len(pool))
 	for i, q := range pool {
 		trainStrs[i] = q.String()
 	}
 	if err := ms.Train(trainStrs); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var batch []string
@@ -77,38 +89,42 @@ func main() {
 		}
 	}
 	for _, query := range batch {
-		answer(ms, query, *k, *t)
+		if err := answer(w, ms, query, *k, *t); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// answer prints the three selection tiers for one query.
-func answer(ms *metaprobe.Metasearcher, query string, k int, t float64) {
-	fmt.Printf("\n=== %q (k=%d, t=%.2f) ===\n", query, k, t)
-	fmt.Printf("  baseline:  %v\n", ms.SelectBaseline(query, k))
+// answer writes the three selection tiers for one query to w.
+func answer(w io.Writer, ms *metaprobe.Metasearcher, query string, k int, t float64) error {
+	fmt.Fprintf(w, "\n=== %q (k=%d, t=%.2f) ===\n", query, k, t)
+	fmt.Fprintf(w, "  baseline:  %v\n", ms.SelectBaseline(query, k))
 
 	set, certainty, err := ms.Select(query, k, metaprobe.Absolute)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  RD-based:  %v (certainty %.3f)\n", set, certainty)
+	fmt.Fprintf(w, "  RD-based:  %v (certainty %.3f)\n", set, certainty)
 
 	res, err := ms.SelectWithCertainty(query, k, metaprobe.Absolute, t, -1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	status := "reached"
 	if !res.Reached {
 		status = "NOT reached"
 	}
-	fmt.Printf("  APro:      %v (certainty %.3f, %d probes, %s)\n",
+	fmt.Fprintf(w, "  APro:      %v (certainty %.3f, %d probes, %s)\n",
 		res.Databases, res.Certainty, res.Probes, status)
 
 	items, _, err := ms.Metasearch(query, k, metaprobe.Partial, t, 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("  top fused results:")
+	fmt.Fprintln(w, "  top fused results:")
 	for i, it := range items {
-		fmt.Printf("    %d. [%s] %s (%.3f)\n", i+1, it.Database, it.Doc.ID, it.Score)
+		fmt.Fprintf(w, "    %d. [%s] %s (%.3f)\n", i+1, it.Database, it.Doc.ID, it.Score)
 	}
+	return nil
 }

@@ -12,9 +12,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
+	"os"
 
 	"metaprobe"
 	"metaprobe/internal/corpus"
@@ -24,6 +26,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w. The servers it starts listen
+// on free loopback ports, so the addresses it prints differ run to run.
+func run(w io.Writer) error {
 	// Generate four topical collections and put each behind its own
 	// HTTP search interface on a loopback port.
 	world := corpus.HealthWorld()
@@ -42,19 +52,19 @@ func main() {
 	for i, spec := range specs {
 		docs, err := world.Generate(spec, rng.Fork(int64(i)))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		local := hidden.BuildLocal(spec.Name, docs)
 
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		srv := &http.Server{Handler: hidden.NewServer(local)}
 		go srv.Serve(ln)
 		defer srv.Close()
 		url := "http://" + ln.Addr().String()
-		fmt.Printf("serving %-10s at %s (%d docs)\n", spec.Name, url, local.Size())
+		fmt.Fprintf(w, "serving %-10s at %s (%d docs)\n", spec.Name, url, local.Size())
 
 		// The metasearcher side: an HTML-scraping client, exactly how
 		// the paper's metasearcher reads real answer pages.
@@ -63,53 +73,54 @@ func main() {
 
 	// The remote databases do not export statistics: build content
 	// summaries by query-based sampling through the search interface.
-	fmt.Println("\nsampling content summaries through the search interfaces...")
+	fmt.Fprintln(w, "\nsampling content summaries through the search interfaces...")
 	sums, err := metaprobe.SampleSummaries(dbs,
 		[]string{"cancer", "heart", "child", "health", "report"}, 60, 11)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, s := range sums {
-		fmt.Printf("  %-10s: sampled %d docs, %d distinct terms, size estimate %d\n",
+		fmt.Fprintf(w, "  %-10s: sampled %d docs, %d distinct terms, size estimate %d\n",
 			s.Database, s.DocCount, len(s.DF), s.Size)
 		_ = i
 	}
 
 	ms, err := metaprobe.New(dbs, sums, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("\ntraining the error model over the wire...")
+	fmt.Fprintln(w, "\ntraining the error model over the wire...")
 	gen, err := queries.NewGenerator(world, queries.Config{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pool, err := gen.Pool(stats.NewRNG(3), 120, 120)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	train := make([]string, len(pool))
 	for i, q := range pool {
 		train[i] = q.String()
 	}
 	if err := ms.Train(train); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	for _, query := range []string{"breast cancer", "heart attack", "child asthma"} {
 		res, err := ms.SelectWithCertainty(query, 1, metaprobe.Absolute, 0.9, -1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\n%-14q → %v (certainty %.2f, %d live probes)\n",
+		fmt.Fprintf(w, "\n%-14q → %v (certainty %.2f, %d live probes)\n",
 			query, res.Databases, res.Certainty, res.Probes)
 		items, _, err := ms.Metasearch(query, 2, metaprobe.Partial, 0.8, 3)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for i, it := range items {
-			fmt.Printf("  %d. [%s] %s\n", i+1, it.Database, it.Doc.ID)
+			fmt.Fprintf(w, "  %d. [%s] %s\n", i+1, it.Database, it.Doc.ID)
 		}
 	}
+	return nil
 }

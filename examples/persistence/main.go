@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -22,9 +23,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "metaprobe-example")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	modelPath := filepath.Join(dir, "model.json")
@@ -33,7 +41,7 @@ func main() {
 	world := corpus.HealthWorld()
 	tb, err := hidden.BuildTestbed(world, corpus.HealthTestbed(0.01), 2004)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbs := make([]metaprobe.Database, tb.Len())
 	for i := range dbs {
@@ -41,50 +49,51 @@ func main() {
 	}
 	sums, err := metaprobe.ExactSummaries(dbs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ms, err := metaprobe.New(dbs, sums, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	gen, err := queries.NewGenerator(world, queries.Config{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pool, err := gen.Pool(stats.NewRNG(1), 200, 200)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	train := make([]string, len(pool))
 	for i, q := range pool {
 		train[i] = q.String()
 	}
-	fmt.Printf("session 1: training on %d queries and saving the model...\n", len(train))
+	fmt.Fprintf(w, "session 1: training on %d queries and saving the model...\n", len(train))
 	if err := ms.Train(train); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := ms.SaveModel(modelPath); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	info, _ := os.Stat(modelPath)
-	fmt.Printf("session 1: model saved (%d KiB)\n\n", info.Size()/1024)
+	fmt.Fprintf(w, "session 1: model saved (%d KiB)\n\n", info.Size()/1024)
 
 	// --- Session 2: reload without training, refine online. ---
-	fmt.Println("session 2: reloading the model (no training)...")
+	fmt.Fprintln(w, "session 2: reloading the model (no training)...")
 	ms2, err := metaprobe.NewFromModel(dbs, modelPath, &metaprobe.Config{
 		OnlineRefinement: true, // every live probe refines the EDs
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, query := range []string{"breast cancer", "blood pressure", "weight loss"} {
 		res, err := ms2.SelectWithCertainty(query, 2, metaprobe.Absolute, 0.9, -1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-16q → %v (certainty %.2f, %d probes fed back into the model)\n",
+		fmt.Fprintf(w, "  %-16q → %v (certainty %.2f, %d probes fed back into the model)\n",
 			query, res.Databases, res.Certainty, res.Probes)
 	}
-	fmt.Println("\nthe probes above doubled as training observations: the reloaded")
-	fmt.Println("model keeps learning while it serves (Section 8's future work).")
+	fmt.Fprintln(w, "\nthe probes above doubled as training observations: the reloaded")
+	fmt.Fprintln(w, "model keeps learning while it serves (Section 8's future work).")
+	return nil
 }

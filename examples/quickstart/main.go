@@ -9,12 +9,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"metaprobe"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	// Three "Hidden-Web databases": an oncology archive, a cardiology
 	// archive, and a general health news site. In real use these would
 	// be metaprobe.NewHTTPDatabase clients pointed at remote search
@@ -47,11 +56,11 @@ func main() {
 	// would use metaprobe.SampleSummaries.
 	sums, err := metaprobe.ExactSummaries(dbs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ms, err := metaprobe.New(dbs, sums, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Learn each database's estimation-error behaviour from a small
@@ -63,38 +72,39 @@ func main() {
 		"cancer staging", "emergency response", "disease prevention",
 	}
 	if err := ms.Train(training); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	query := "breast cancer"
-	fmt.Printf("query: %q\n\n", query)
+	fmt.Fprintf(w, "query: %q\n\n", query)
 
 	// Tier 1: the classic estimator baseline.
-	fmt.Println("baseline (term-independence estimator):",
+	fmt.Fprintln(w, "baseline (term-independence estimator):",
 		ms.SelectBaseline(query, 1))
 
 	// Tier 2: probabilistic selection, no probing.
 	set, certainty, err := ms.Select(query, 1, metaprobe.Absolute)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("RD-based selection: %v (certainty %.2f)\n", set, certainty)
+	fmt.Fprintf(w, "RD-based selection: %v (certainty %.2f)\n", set, certainty)
 
 	// Tier 3: adaptive probing until 95% certainty.
 	res, err := ms.SelectWithCertainty(query, 1, metaprobe.Absolute, 0.95, -1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("APro selection: %v (certainty %.2f after %d probes)\n\n",
+	fmt.Fprintf(w, "APro selection: %v (certainty %.2f after %d probes)\n\n",
 		res.Databases, res.Certainty, res.Probes)
 
 	// Full metasearch: select, forward, fuse.
 	items, sel, err := ms.Metasearch(query, 2, metaprobe.Partial, 0.8, 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("metasearch over %v:\n", sel.Databases)
+	fmt.Fprintf(w, "metasearch over %v:\n", sel.Databases)
 	for i, it := range items {
-		fmt.Printf("  %d. [%s] %s (score %.3f)\n", i+1, it.Database, it.Doc.ID, it.Score)
+		fmt.Fprintf(w, "  %d. [%s] %s (score %.3f)\n", i+1, it.Database, it.Doc.ID, it.Score)
 	}
+	return nil
 }

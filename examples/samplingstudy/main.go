@@ -13,17 +13,28 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"metaprobe/internal/experiments"
 )
 
-func main() {
-	scale := flag.Float64("scale", 0.1, "newsgroup collection size multiplier")
-	pool := flag.Int("pool", 6000, "size of the 2-term query pool")
-	reps := flag.Int("reps", 5, "repetitions per sampling size")
-	flag.Parse()
+var (
+	scale = flag.Float64("scale", 0.1, "newsgroup collection size multiplier")
+	pool  = flag.Int("pool", 6000, "size of the 2-term query pool")
+	reps  = flag.Int("reps", 5, "repetitions per sampling size")
+)
 
+func main() {
+	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the study's tables to w, for the flags' values.
+func run(w io.Writer) error {
 	cfg := experiments.DefaultSamplingConfig()
 	cfg.Scale = *scale
 	cfg.PoolSize = *pool
@@ -37,16 +48,17 @@ func main() {
 		cfg.Threshold = 3
 	}
 
-	fmt.Println("running the sampling-size study (this builds 20 databases and")
-	fmt.Printf("issues %d pool queries to each)...\n\n", *pool)
+	fmt.Fprintln(w, "running the sampling-size study (this builds 20 databases and")
+	fmt.Fprintf(w, "issues %d pool queries to each)...\n\n", *pool)
 	perDB, avg, err := experiments.SamplingStudy(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println(perDB)
-	fmt.Println(avg)
-	fmt.Println("reading the tables: values are chi-square p-values (goodness);")
-	fmt.Println("anything above 0.05 means the sampled ED is statistically")
-	fmt.Println("indistinguishable from the ideal one — the paper's conclusion is")
-	fmt.Println("that 100-200 sample queries per type already suffice.")
+	fmt.Fprintln(w, perDB)
+	fmt.Fprintln(w, avg)
+	fmt.Fprintln(w, "reading the tables: values are chi-square p-values (goodness);")
+	fmt.Fprintln(w, "anything above 0.05 means the sampled ED is statistically")
+	fmt.Fprintln(w, "indistinguishable from the ideal one — the paper's conclusion is")
+	fmt.Fprintln(w, "that 100-200 sample queries per type already suffice.")
+	return nil
 }

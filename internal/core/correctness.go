@@ -44,36 +44,36 @@ func (m Metric) String() string {
 // prKeyLess returns P(κ_j < K) for K = (v, pivot): j's key is below K
 // when its value is below v, or equal with a larger index.
 func prKeyLess(rd *RD, j int, v float64, pivot int) float64 {
-	p := rd.PrLess(v)
+	p := rd.prLess(v)
 	if j > pivot {
-		p += rd.PrEq(v)
+		p += rd.prEq(v)
 	}
 	return p
 }
 
 // prKeyGE returns P(κ_i ≥ K) for K = (v, pivot).
 func prKeyGE(rd *RD, i int, v float64, pivot int) float64 {
-	p := rd.PrGreater(v)
+	p := rd.prGreater(v)
 	if i <= pivot {
-		p += rd.PrEq(v)
+		p += rd.prEq(v)
 	}
 	return p
 }
 
 // prKeyGreater returns P(κ_i > K) for K = (v, pivot).
 func prKeyGreater(rd *RD, i int, v float64, pivot int) float64 {
-	p := rd.PrGreater(v)
+	p := rd.prGreater(v)
 	if i < pivot {
-		p += rd.PrEq(v)
+		p += rd.prEq(v)
 	}
 	return p
 }
 
-// MembershipProb returns P(dbᵢ ∈ DB_topk): the probability that at
+// membershipProb returns P(dbᵢ ∈ DB_topk): the probability that at
 // most k−1 other databases beat dbᵢ. Computed exactly by conditioning
 // on dbᵢ's value and evaluating a Poisson-binomial tail over the
 // independent "beats" events (Section 5.1's machinery).
-func MembershipProb(rds []*RD, i, k int) float64 {
+func membershipProb(rds []*RD, i, k int) float64 {
 	n := len(rds)
 	if k >= n {
 		return 1
@@ -93,9 +93,9 @@ func MembershipProb(rds []*RD, i, k int) float64 {
 				continue
 			}
 			// P(beats(j, i) | rᵢ = v) = P(rⱼ > v) + [j < i]·P(rⱼ = v).
-			p := rd.PrGreater(v)
+			p := rd.prGreater(v)
 			if j < i {
-				p += rd.PrEq(v)
+				p += rd.prEq(v)
 			}
 			beatProbs = append(beatProbs, p)
 		}
@@ -107,23 +107,23 @@ func MembershipProb(rds []*RD, i, k int) float64 {
 	return total
 }
 
-// ExpectedPartial returns E[Cor_p(set)] (Eq. 6): the expected fraction
+// expectedPartial returns E[Cor_p(set)] (Eq. 6): the expected fraction
 // of the set that belongs to the true top-k. Because
 // Cor_p = |set ∩ topk|/k = Σ_{i∈set} 1{i ∈ topk} / k, the expectation
 // is the mean of exact membership probabilities.
-func ExpectedPartial(rds []*RD, set []int) float64 {
+func expectedPartial(rds []*RD, set []int) float64 {
 	if len(set) == 0 {
 		return 0
 	}
 	k := len(set)
 	total := 0.0
 	for _, i := range set {
-		total += MembershipProb(rds, i, k)
+		total += membershipProb(rds, i, k)
 	}
 	return total / float64(k)
 }
 
-// ExpectedAbsolute returns E[Cor_a(set)] = P(set = DB_topk) (Eq. 5):
+// expectedAbsolute returns E[Cor_a(set)] = P(set = DB_topk) (Eq. 5):
 // the probability that every member of the set beats every non-member.
 // In key space that is P(min_{i∈set} κᵢ > max_{j∉set} κⱼ), evaluated
 // exactly by conditioning on the minimum key K over the set:
@@ -131,7 +131,7 @@ func ExpectedPartial(rds []*RD, set []int) float64 {
 //	P = Σ_K [ Π_{i∈set} P(κᵢ ≥ K) − Π_{i∈set} P(κᵢ > K) ] · Π_{j∉set} P(κⱼ < K)
 //
 // where K ranges over the achievable keys (v, i) of set members.
-func ExpectedAbsolute(rds []*RD, set []int) float64 {
+func expectedAbsolute(rds []*RD, set []int) float64 {
 	n := len(rds)
 	if len(set) == 0 {
 		return 0
@@ -173,19 +173,6 @@ func ExpectedAbsolute(rds []*RD, set []int) float64 {
 	return total
 }
 
-// Expected dispatches on the metric. The set must have the target size
-// k; both formulas use len(set) as k.
-func Expected(metric Metric, rds []*RD, set []int) float64 {
-	switch metric {
-	case Absolute:
-		return ExpectedAbsolute(rds, set)
-	case Partial:
-		return ExpectedPartial(rds, set)
-	default:
-		panic(fmt.Sprintf("core: unknown metric %d", int(metric)))
-	}
-}
-
 // The argmax search for the absolute metric.
 const (
 	// extraCandidates widens the candidate pool beyond k when
@@ -220,7 +207,7 @@ func bestSet(metric Metric, rds []*RD, k int) ([]int, float64) {
 
 	marginals := make([]float64, n)
 	for i := range rds {
-		marginals[i] = MembershipProb(rds, i, k)
+		marginals[i] = membershipProb(rds, i, k)
 	}
 	order := make([]int, n)
 	for i := range order {
@@ -264,7 +251,7 @@ func bestSet(metric Metric, rds []*RD, k int) ([]int, float64) {
 		if depth == k {
 			copy(chosen, set)
 			sort.Ints(chosen)
-			e := ExpectedAbsolute(rds, chosen)
+			e := expectedAbsolute(rds, chosen)
 			if e > bestE {
 				bestE = e
 				copy(best, chosen)

@@ -23,16 +23,16 @@ func paperRDs() []*RD {
 // beating 50).
 func TestPaperExample4Certainty(t *testing.T) {
 	rds := paperRDs()
-	got := MembershipProb(rds, 1, 1)
+	got := membershipProb(rds, 1, 1)
 	if math.Abs(got-0.85) > 1e-12 {
 		t.Errorf("P(db2 = top1) = %v, want 0.85", got)
 	}
 	// Complementarily, db1 wins with probability 0.15.
-	if got := MembershipProb(rds, 0, 1); math.Abs(got-0.15) > 1e-12 {
+	if got := membershipProb(rds, 0, 1); math.Abs(got-0.15) > 1e-12 {
 		t.Errorf("P(db1 = top1) = %v, want 0.15", got)
 	}
 	// E[Cor_a({db2})] must agree, and bestSet must return db2.
-	if got := ExpectedAbsolute(rds, []int{1}); math.Abs(got-0.85) > 1e-12 {
+	if got := expectedAbsolute(rds, []int{1}); math.Abs(got-0.85) > 1e-12 {
 		t.Errorf("E[Cor_a({db2})] = %v, want 0.85", got)
 	}
 	set, e := bestSet(Absolute, rds, 1)
@@ -55,7 +55,7 @@ func TestPaperSection34Probing(t *testing.T) {
 	if set[0] != 1 || math.Abs(e-1) > 1e-12 {
 		t.Errorf("post-probe best = %v at %v, want db2 at 1", set, e)
 	}
-	if !sel.Probed(0) || sel.Probed(1) {
+	if !sel.isProbed(0) || sel.isProbed(1) {
 		t.Error("probed flags wrong")
 	}
 }
@@ -80,9 +80,9 @@ func TestExpectedPartialIsMeanOfMarginals(t *testing.T) {
 		}
 	}
 	set := []int{0, 2}
-	want := (MembershipProb(rds, 0, 2) + MembershipProb(rds, 2, 2)) / 2
-	if got := ExpectedPartial(rds, set); math.Abs(got-want) > 1e-12 {
-		t.Errorf("ExpectedPartial = %v, want %v", got, want)
+	want := (membershipProb(rds, 0, 2) + membershipProb(rds, 2, 2)) / 2
+	if got := expectedPartial(rds, set); math.Abs(got-want) > 1e-12 {
+		t.Errorf("expectedPartial = %v, want %v", got, want)
 	}
 }
 
@@ -163,7 +163,10 @@ func TestExpectedCorrectnessAgainstBruteForce(t *testing.T) {
 		k := 1 + rng.Intn(n-1)
 		set := stats.SampleWithoutReplacement(rng, n, k)
 		for _, metric := range []Metric{Absolute, Partial} {
-			got := Expected(metric, rds, set)
+			got := expectedAbsolute(rds, set)
+			if metric == Partial {
+				got = expectedPartial(rds, set)
+			}
 			want := enumerate(rds, set, metric)
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("trial %d: %v metric k=%d set=%v: got %v, want %v (rds=%v)",
@@ -172,7 +175,7 @@ func TestExpectedCorrectnessAgainstBruteForce(t *testing.T) {
 		}
 		// Membership marginals against brute force too.
 		for i := 0; i < n; i++ {
-			got := MembershipProb(rds, i, k)
+			got := membershipProb(rds, i, k)
 			want := enumerate(rds, []int{i}, Partial) // k=1 overlap of {i}... not the same k!
 			_ = want
 			// Brute-force membership with the real k:
@@ -219,38 +222,38 @@ func bruteMembership(rds []*RD, target, k int) float64 {
 // with identical impulse RDs, the lower index wins.
 func TestTieBreakingMatchesGoldenOrder(t *testing.T) {
 	rds := []*RD{Impulse(10), Impulse(10), Impulse(10)}
-	if got := MembershipProb(rds, 0, 1); got != 1 {
+	if got := membershipProb(rds, 0, 1); got != 1 {
 		t.Errorf("P(db0 = top1) = %v, want 1 (ties go to lower index)", got)
 	}
-	if got := MembershipProb(rds, 1, 1); got != 0 {
+	if got := membershipProb(rds, 1, 1); got != 0 {
 		t.Errorf("P(db1 = top1) = %v, want 0", got)
 	}
-	if got := MembershipProb(rds, 1, 2); got != 1 {
+	if got := membershipProb(rds, 1, 2); got != 1 {
 		t.Errorf("P(db1 ∈ top2) = %v, want 1", got)
 	}
-	if got := ExpectedAbsolute(rds, []int{0, 1}); got != 1 {
+	if got := expectedAbsolute(rds, []int{0, 1}); got != 1 {
 		t.Errorf("E[Cor_a({0,1})] = %v, want 1", got)
 	}
-	if got := ExpectedAbsolute(rds, []int{1, 2}); got != 0 {
+	if got := expectedAbsolute(rds, []int{1, 2}); got != 0 {
 		t.Errorf("E[Cor_a({1,2})] = %v, want 0", got)
 	}
 }
 
 func TestExpectedEdgeCases(t *testing.T) {
 	rds := paperRDs()
-	if got := ExpectedPartial(rds, nil); got != 0 {
+	if got := expectedPartial(rds, nil); got != 0 {
 		t.Errorf("empty set partial = %v", got)
 	}
-	if got := ExpectedAbsolute(rds, nil); got != 0 {
+	if got := expectedAbsolute(rds, nil); got != 0 {
 		t.Errorf("empty set absolute = %v", got)
 	}
-	if got := ExpectedAbsolute(rds, []int{0, 1}); got != 1 {
+	if got := expectedAbsolute(rds, []int{0, 1}); got != 1 {
 		t.Errorf("full set absolute = %v, want 1", got)
 	}
-	if got := MembershipProb(rds, 0, 2); got != 1 {
+	if got := membershipProb(rds, 0, 2); got != 1 {
 		t.Errorf("membership with k=n = %v, want 1", got)
 	}
-	if got := MembershipProb(rds, 0, 0); got != 0 {
+	if got := membershipProb(rds, 0, 0); got != 0 {
 		t.Errorf("membership with k=0 = %v, want 0", got)
 	}
 }
@@ -271,7 +274,7 @@ func TestBestSetPartialExactness(t *testing.T) {
 		bestE := -1.0
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				if v := ExpectedPartial(rds, []int{a, b}); v > bestE {
+				if v := expectedPartial(rds, []int{a, b}); v > bestE {
 					bestE = v
 				}
 			}
@@ -300,7 +303,7 @@ func TestBestSetAbsoluteExhaustiveAgreement(t *testing.T) {
 		var exhaustiveSet []int
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				if v := ExpectedAbsolute(rds, []int{a, b}); v > bestE {
+				if v := expectedAbsolute(rds, []int{a, b}); v > bestE {
 					bestE, exhaustiveSet = v, []int{a, b}
 				}
 			}

@@ -17,10 +17,10 @@ type ED struct {
 	Absolute bool
 	// Hist accumulates the observations.
 	Hist *stats.Histogram
-	// UseBinMean selects the per-bin observed mean as each bin's
+	// useBinMean selects the per-bin observed mean as each bin's
 	// representative value in derived RDs (sharper); false uses the
 	// bin midpoint (the ablation A3 baseline).
-	UseBinMean bool
+	useBinMean bool
 }
 
 // NewED creates an empty error distribution with the given bin edges.
@@ -29,7 +29,7 @@ func NewED(edges []float64, absolute, useBinMean bool) (*ED, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ED: %w", err)
 	}
-	return &ED{Absolute: absolute, Hist: h, UseBinMean: useBinMean}, nil
+	return &ED{Absolute: absolute, Hist: h, useBinMean: useBinMean}, nil
 }
 
 // Observe records one training observation: the estimate r̂ and the
@@ -52,21 +52,12 @@ func (e *ED) Observe(rhat, actual float64) error {
 // Observations returns the number of recorded training observations.
 func (e *ED) Observations() int64 { return e.Hist.Total() }
 
-// RD derives the relevancy distribution for a new query with estimate
-// rhat (Section 3.1, Example 3): each occupied bin contributes its
-// probability at value r̂·(1 + e_bin) — or at the bin's absolute value
-// for the zero band. Values are floored at 0 (relevancies cannot be
-// negative).
-func (e *ED) RD(rhat float64) (*RD, error) {
-	f := e.freeze()
-	return f.rd(rhat, f.reps) // in place: the snapshot is this call's own
-}
-
-// frozenED is everything ED.RD reads of an ED — the representative
-// value and probability of each occupied bin — copied out of the
-// histogram, so it stays fixed while online refinement keeps observing.
-// RD-table rows hold one (rdtable.go); ED.RD goes through a transient
-// one, which is what makes the two derivations bit-identical.
+// frozenED is everything an RD derivation reads of an ED — the
+// representative value and probability of each occupied bin — copied
+// out of the histogram, so it stays fixed while online refinement keeps
+// observing. RD-table rows hold one (rdtable.go); the tests' from-scratch
+// derivation (ED.rd, reference_test.go) goes through a transient one,
+// which is what makes the two derivations bit-identical.
 type frozenED struct {
 	absolute    bool
 	reps, probs []float64
@@ -81,7 +72,7 @@ func (e *ED) freeze() frozenED {
 			continue
 		}
 		rep := e.Hist.Midpoint(i)
-		if e.UseBinMean {
+		if e.useBinMean {
 			rep = e.Hist.BinMean(i)
 		}
 		f.reps = append(f.reps, rep)
@@ -106,12 +97,12 @@ func (f frozenED) rd(rhat float64, values []float64) (*RD, error) {
 		}
 		values[i] = v
 	}
-	return NewRD(values, f.probs)
+	return newRD(values, f.probs)
 }
 
-// Probs returns the per-bin probabilities (for chi-square comparisons
+// probs returns the per-bin probabilities (for chi-square comparisons
 // and reports).
-func (e *ED) Probs() []float64 { return e.Hist.Probs() }
+func (e *ED) probs() []float64 { return e.Hist.Probs() }
 
 // ReferenceSample materializes up to max points (max ≤ 0 defaults to
 // 256) distributed like this ED, for the drift monitor's two-sample KS
@@ -164,7 +155,7 @@ func (e *ED) Quantize(v float64) float64 {
 
 // Clone deep-copies the distribution.
 func (e *ED) Clone() *ED {
-	return &ED{Absolute: e.Absolute, Hist: e.Hist.Clone(), UseBinMean: e.UseBinMean}
+	return &ED{Absolute: e.Absolute, Hist: e.Hist.Clone(), useBinMean: e.useBinMean}
 }
 
 // Compare runs the Pearson chi-square test of this (sampled) ED's
@@ -176,7 +167,7 @@ func (e *ED) Compare(ideal *ED, minExpected float64) (stats.ChiSquareResult, err
 	if len(e.Hist.Edges) != len(ideal.Hist.Edges) {
 		return stats.ChiSquareResult{}, fmt.Errorf("core: comparing EDs with different binning")
 	}
-	return stats.PearsonChiSquare(e.Hist.Counts, ideal.Probs(), minExpected)
+	return stats.PearsonChiSquare(e.Hist.Counts, ideal.probs(), minExpected)
 }
 
 // DefaultErrorEdges are the relative-error bins used for document
@@ -187,21 +178,21 @@ func DefaultErrorEdges() []float64 {
 	return []float64{-1, -0.9, -0.75, -0.5, -0.25, -0.05, 0.05, 0.25, 0.5, 1.0, 2.0, 4.0, math.Inf(1)}
 }
 
-// DefaultAbsoluteEdges are the bins for the r̂ = 0 band of document
+// defaultAbsoluteEdges are the bins for the r̂ = 0 band of document
 // frequency relevancy: most mass sits at exactly 0, with a geometric
 // tail for sampled-summary surprises.
-func DefaultAbsoluteEdges() []float64 {
+func defaultAbsoluteEdges() []float64 {
 	return []float64{0, 1, 2, 5, 10, 25, 50, 100, 500, math.Inf(1)}
 }
 
-// SimilarityErrorEdges are relative-error bins suited to cosine
+// similarityErrorEdges are relative-error bins suited to cosine
 // relevancy in [0, 1] (errors are milder than for counts).
-func SimilarityErrorEdges() []float64 {
+func similarityErrorEdges() []float64 {
 	return []float64{-1, -0.75, -0.5, -0.3, -0.15, -0.05, 0.05, 0.15, 0.3, 0.5, 1.0, math.Inf(1)}
 }
 
-// SimilarityAbsoluteEdges are absolute bins for the r̂ = 0 band of
+// similarityAbsoluteEdges are absolute bins for the r̂ = 0 band of
 // cosine relevancy.
-func SimilarityAbsoluteEdges() []float64 {
+func similarityAbsoluteEdges() []float64 {
 	return []float64{0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0000001}
 }

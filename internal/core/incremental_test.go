@@ -40,7 +40,7 @@ func randTestRD(rng *rand.Rand) *RD {
 	for i := range probs {
 		probs[i] /= total
 	}
-	rd, err := NewRD(values, probs)
+	rd, err := newRD(values, probs)
 	if err != nil {
 		panic(err)
 	}
@@ -102,8 +102,8 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		order := rng.Perm(n)
 		for step, i := range order {
 			for _, u := range inc.UnprobedView() {
-				uRef := gRef.Usefulness(ref, u)
-				uInc := gInc.Usefulness(inc, u)
+				uRef := gRef.usefulness(ref, u)
+				uInc := gInc.usefulness(inc, u)
 				if math.Abs(uRef-uInc) > diffTol {
 					t.Fatalf("trial %d step %d: usefulness(%d) differs: ref %v inc %v",
 						trial, step, u, uRef, uInc)

@@ -72,7 +72,7 @@ func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVe
 	stopped, ended := 0.0, 0.0
 	v := bruteVerdict{next: -1, firstRanked: -1}
 	for vi := range picks {
-		ref := NewSelectionFromRDs(s.rds, s.Metric, s.K)
+		ref := NewSelectionFromRDs(s.rds, s.metric, s.k)
 		ref.noScratch = true
 		copy(ref.probed, s.probed)
 		ref.ApplyProbe(head, rd.Value(vi))
@@ -181,7 +181,7 @@ func bruteWide(s *Selection, ranker Ranker, head int, t float64, mass map[int]fl
 		return others[a] < others[b]
 	})
 	starts := append([]int{next}, others...)
-	ref := NewSelectionFromRDs(s.rds, s.Metric, s.K)
+	ref := NewSelectionFromRDs(s.rds, s.metric, s.k)
 	ref.noScratch = true
 	copy(ref.probed, s.probed)
 	dbs, _, err := ranker.Rank(ref, t, wideRunners)
@@ -207,7 +207,7 @@ type endingRanker struct {
 }
 
 func (r endingRanker) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
-	if s.Probed(r.head) && s.RD(r.head).Value(0) == r.value {
+	if s.isProbed(r.head) && s.RD(r.head).Value(0) == r.value {
 		return nil, nil, ErrNoInformativeProbe
 	}
 	return Greedy{}.Rank(s, t, m)

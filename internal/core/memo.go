@@ -275,10 +275,10 @@ func (n *memoNode) child(t *memoTree, db int, v float64) *memoNode {
 // node has room for.
 func (s *Selection) attachMemo(t *memoTree, numTerms int) {
 	s.memoRoot, s.memo = nil, nil
-	if t == nil || s.K <= 0 || s.K >= len(s.rds) || s.K > memoMaxK {
+	if t == nil || s.k <= 0 || s.k >= len(s.rds) || s.k > memoMaxK {
 		return
 	}
-	if r := t.root(memoKey{query: s.Query, numTerms: numTerms, metric: s.Metric, k: s.K}); r != nil {
+	if r := t.root(memoKey{query: s.query, numTerms: numTerms, metric: s.metric, k: s.k}); r != nil {
 		s.memoRoot, s.memo = r, r.node
 	}
 }

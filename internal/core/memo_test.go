@@ -550,7 +550,7 @@ func TestDecisionMemoBound(t *testing.T) {
 	run := func(n int) (Outcome, RankWork) {
 		ci := 2 + n%200 // the random cases; the two paper examples are tiny
 		s := NewSelectionFromRDs(sets[ci], Absolute, 2)
-		s.Query = "q" + strconv.Itoa(n)
+		s.query = "q" + strconv.Itoa(n)
 		defer s.Release()
 		out, err := APro(memo.attach(s), tableProbe(truths[ci]), Greedy{}, 0.95, -1)
 		if err != nil {

@@ -21,7 +21,7 @@ type Config struct {
 	// DefaultErrorEdges).
 	ErrorEdges []float64
 	// AbsoluteEdges are the bins for the r̂ = 0 band (default
-	// DefaultAbsoluteEdges).
+	// defaultAbsoluteEdges).
 	AbsoluteEdges []float64
 	// UseBinMean selects per-bin observed means as RD support values
 	// (default true; false = midpoints, ablation A3).
@@ -36,9 +36,9 @@ type Config struct {
 // evaluation (document-frequency relevancy).
 func DefaultConfig() Config {
 	return Config{
-		Classifier:      DefaultClassifier(),
+		Classifier:      defaultClassifier(),
 		ErrorEdges:      DefaultErrorEdges(),
-		AbsoluteEdges:   DefaultAbsoluteEdges(),
+		AbsoluteEdges:   defaultAbsoluteEdges(),
 		UseBinMean:      true,
 		MinObservations: 10,
 	}
@@ -49,8 +49,8 @@ func DefaultConfig() Config {
 func SimilarityConfig() Config {
 	return Config{
 		Classifier:      Classifier{Threshold: 0.3, MaxTerms: 4},
-		ErrorEdges:      SimilarityErrorEdges(),
-		AbsoluteEdges:   SimilarityAbsoluteEdges(),
+		ErrorEdges:      similarityErrorEdges(),
+		AbsoluteEdges:   similarityAbsoluteEdges(),
 		UseBinMean:      true,
 		MinObservations: 10,
 	}
@@ -58,13 +58,13 @@ func SimilarityConfig() Config {
 
 func (c *Config) setDefaults() {
 	if c.Classifier == (Classifier{}) {
-		c.Classifier = DefaultClassifier()
+		c.Classifier = defaultClassifier()
 	}
 	if c.ErrorEdges == nil {
 		c.ErrorEdges = DefaultErrorEdges()
 	}
 	if c.AbsoluteEdges == nil {
-		c.AbsoluteEdges = DefaultAbsoluteEdges()
+		c.AbsoluteEdges = defaultAbsoluteEdges()
 	}
 	if c.MinObservations == 0 {
 		c.MinObservations = 10
@@ -205,12 +205,12 @@ func (dm *DBModel) file(cfg *Config, key TypeKey, rhat, actual float64) error {
 // Selection is the per-query state: the RDs of all databases, which of
 // them have been probed, and the target metric and k.
 type Selection struct {
-	// Metric is the correctness definition being optimized.
-	Metric Metric
-	// K is the number of databases to select.
-	K int
-	// Query is the user's query string.
-	Query string
+	// metric is the correctness definition being optimized.
+	metric Metric
+	// k is the number of databases to select.
+	k int
+	// query is the user's query string.
+	query string
 
 	rds       []*RD
 	estimates []float64
@@ -303,8 +303,8 @@ func NewSelectionFromRDs(rds []*RD, metric Metric, k int) *Selection {
 		ests[i] = rd.Mean()
 	}
 	return &Selection{
-		Metric:        metric,
-		K:             k,
+		metric:        metric,
+		k:             k,
 		rds:           append([]*RD(nil), rds...),
 		estimates:     ests,
 		probed:        make([]bool, len(rds)),
@@ -322,13 +322,13 @@ func (s *Selection) RD(i int) *RD { return s.rds[i] }
 // Estimate returns r̂ for database i.
 func (s *Selection) Estimate(i int) float64 { return s.estimates[i] }
 
-// Probed reports whether database i has been probed.
-func (s *Selection) Probed(i int) bool { return s.probed[i] }
+// isProbed reports whether database i has been probed.
+func (s *Selection) isProbed(i int) bool { return s.probed[i] }
 
-// Unprobed lists the databases not yet probed, in index order. The
+// unprobed lists the databases not yet probed, in index order. The
 // returned slice is a fresh copy the caller may keep; hot paths that
 // only read use UnprobedView.
-func (s *Selection) Unprobed() []int {
+func (s *Selection) unprobed() []int {
 	v := s.UnprobedView()
 	if len(v) == 0 {
 		return nil
@@ -391,7 +391,7 @@ func (s *Selection) ownedImpulse(i int, v float64) *RD {
 // tmpl's multiplied by rhat (> 0), sharing tmpl's probabilities and
 // cumulative tails. This is the table-lookup path's per-query RD: the
 // template support is (1 + e_bin), so rhat·support is the identical
-// expression the from-scratch ED.RD(rhat) computes. Returns false —
+// expression the from-scratch ED.rd(rhat) computes. Returns false —
 // installing nothing — when the scaled support is unusable (two
 // points collide after rounding, or the product overflows); the
 // caller then falls back to the from-scratch derivation.
@@ -439,7 +439,7 @@ func (s *Selection) setScaledRD(i int, tmpl *RD, rhat float64) bool {
 // pin are cleared; the caller re-attaches what it
 // needs.
 func (s *Selection) reset(query string, metric Metric, k, n int) {
-	s.Metric, s.K, s.Query = metric, k, query
+	s.metric, s.k, s.query = metric, k, query
 	s.noScratch = false
 	s.memoRoot, s.memo = nil, nil
 	if cap(s.rds) < n {
@@ -495,7 +495,7 @@ func (s *Selection) best() ([]int, float64) {
 	if n == nil {
 		return s.evaluate()
 	}
-	s.memoSet = growInts(s.memoSet, s.K)
+	s.memoSet = growInts(s.memoSet, s.k)
 	if set, e, ok := n.bestInto(s.memoSet); ok {
 		s.work.MemoHits++
 		return set, e
@@ -511,21 +511,21 @@ func (s *Selection) best() ([]int, float64) {
 // hypotheses) and when noScratch pins the reference for tests.
 func (s *Selection) evaluate() ([]int, float64) {
 	if !s.onScratch() || s.hypDepth > 1 {
-		return bestSet(s.Metric, s.rds, s.K)
+		return bestSet(s.metric, s.rds, s.k)
 	}
 	if s.hypDepth == 0 {
 		s.ensureScratch()
-	} else if sc := s.scratch; sc == nil || !sc.valid || sc.k != s.K || sc.n != len(s.rds) || s.hypVI < 0 {
+	} else if sc := s.scratch; sc == nil || !sc.valid || sc.k != s.k || sc.n != len(s.rds) || s.hypVI < 0 {
 		// The hypothesis swap is already in s.rds, so the scratch
 		// cannot be (re)built from base state here — evaluate from
 		// scratch instead. Only reachable when a hypothesis was
 		// opened without the scratch path (see beginHypothesisIdx).
-		return bestSet(s.Metric, s.rds, s.K)
+		return bestSet(s.metric, s.rds, s.k)
 	} else if !sc.hypActive {
 		sc.beginHypothesis(s.hypDB, s.hypVI)
 	}
 	sc := s.scratch
-	set, e := sc.bestFrom(s.Metric)
+	set, e := sc.bestFrom(s.metric)
 	s.work.Sets += sc.sets
 	s.work.SetsShared += sc.shared
 	return set, e
@@ -534,7 +534,7 @@ func (s *Selection) evaluate() ([]int, float64) {
 // onScratch reports whether the selection evaluates on the incremental
 // scratch: 0 < K < n and the reference path not pinned.
 func (s *Selection) onScratch() bool {
-	return !s.noScratch && s.K > 0 && s.K < len(s.rds)
+	return !s.noScratch && s.k > 0 && s.k < len(s.rds)
 }
 
 // ensureScratch acquires the pooled scratch and, when stale, repairs it
@@ -546,13 +546,13 @@ func (s *Selection) ensureScratch() {
 		s.scratch = acquireScratch()
 	}
 	sc := s.scratch
-	switch same := sc.k == s.K && sc.n == len(s.rds); {
+	switch same := sc.k == s.k && sc.n == len(s.rds); {
 	case same && sc.valid:
 	case same && sc.collapsed >= 0:
 		sc.collapse(s.rds, sc.collapsed)
 		s.work.GridReuses++
 	default:
-		sc.build(s.rds, s.K)
+		sc.build(s.rds, s.k)
 	}
 }
 
@@ -580,7 +580,7 @@ func (s *Selection) Release() {
 // selection's own impulses and derived buffers, so neither selection
 // can alias the other afterwards.
 func (s *Selection) Reuse(src *Selection) {
-	s.Metric, s.K, s.Query = src.Metric, src.K, src.Query
+	s.metric, s.k, s.query = src.metric, src.k, src.query
 	s.memoRoot, s.memo = src.memoRoot, src.memo
 	s.rds = append(s.rds[:0], src.rds...)
 	s.estimates = append(s.estimates[:0], src.estimates...)
@@ -591,7 +591,7 @@ func (s *Selection) Reuse(src *Selection) {
 	copy(s.probed, src.probed)
 	for i, rd := range s.rds {
 		switch {
-		case rd.IsImpulse():
+		case rd.isImpulse():
 			s.rds[i] = s.ownedImpulse(i, rd.Value(0))
 		case i < len(src.derived) && rd == src.derived[i]:
 			// Scaling by 1 copies the support exactly while sharing the
@@ -613,12 +613,12 @@ func (s *Selection) Marginals() []float64 {
 	out := make([]float64, len(s.rds))
 	if !s.noScratch && s.hypDepth == 0 && s.scratch != nil &&
 		s.scratch.valid && !s.scratch.hypActive &&
-		s.scratch.k == s.K && s.scratch.n == len(s.rds) {
+		s.scratch.k == s.k && s.scratch.n == len(s.rds) {
 		copy(out, s.scratch.marg)
 		return out
 	}
 	for i := range s.rds {
-		out[i] = MembershipProb(s.rds, i, s.K)
+		out[i] = membershipProb(s.rds, i, s.k)
 	}
 	return out
 }
@@ -627,7 +627,7 @@ func (s *Selection) Marginals() []float64 {
 // (ties by index) — the term-independence-estimator baseline the paper
 // compares against. The result is sorted by index.
 func (s *Selection) BaselineSelect() []int {
-	return TopKByScore(s.estimates, s.K)
+	return TopKByScore(s.estimates, s.k)
 }
 
 // beginHypothesisIdx swaps database i's RD for an impulse at its vi-th

@@ -6,6 +6,7 @@ import (
 	"metaprobe/internal/corpus"
 	"metaprobe/internal/estimate"
 	"metaprobe/internal/hidden"
+	"metaprobe/internal/hidden/hiddentest"
 	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
 	"metaprobe/internal/summary"
@@ -85,9 +86,9 @@ func TestRDForProducesValidRDs(t *testing.T) {
 			// With exact summaries, r̂ = 0 implies the database cannot
 			// match the query (AND semantics): the RD must be an
 			// impulse at 0 unless sparse-type fallback kicked in.
-			if rhat == 0 && !rd.IsImpulse() {
+			if rhat == 0 && !rd.isImpulse() {
 				// Acceptable only if it still has all mass at tiny values.
-				if rd.Value(rd.Len()-1) > 0 && rd.PrEq(0) < 0.5 {
+				if rd.Value(rd.Len()-1) > 0 && rd.prEq(0) < 0.5 {
 					t.Errorf("query %q db %d: r̂=0 but RD=%v", q, i, rd)
 				}
 			}
@@ -124,7 +125,7 @@ func TestTrainPropagatesProbeFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrap one database so every probe fails.
-	flaky := hidden.NewFailEvery(tb0.DB(0), 1)
+	flaky := hiddentest.NewFailEvery(tb0.DB(0), 1)
 	tb, err := hidden.NewTestbed([]hidden.Database{flaky, tb0.DB(1)})
 	if err != nil {
 		t.Fatal(err)

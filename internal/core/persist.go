@@ -191,7 +191,7 @@ func (m *Model) encode() jsonModel {
 	for _, dm := range m.DBs {
 		jd := jsonDBModel{Name: dm.Name}
 		// Stable order: iterate the classifier's key enumeration.
-		for _, key := range m.Cfg.Classifier.AllKeys() {
+		for _, key := range m.Cfg.Classifier.allKeys() {
 			if ed, ok := dm.EDs[key]; ok {
 				jd.EDs = append(jd.EDs, encodeED(key, ed))
 			}
@@ -324,7 +324,7 @@ func LoadModel(path string) (*Model, error) {
 
 // maxSnapshotTerms bounds the term-count split a snapshot may ask for:
 // the file is outside input, and that number sizes the classifier's key
-// space — AllKeys, the rows of every version's RD table.
+// space — allKeys, the rows of every version's RD table.
 const maxSnapshotTerms = 64
 
 // decodeModel reconstructs a Model from its persisted form.

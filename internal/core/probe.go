@@ -42,7 +42,7 @@ type Policy interface {
 	Name() string
 	// Next picks an unprobed database given the selection state and
 	// the user-required certainty t; it must only return indices for
-	// which s.Probed(i) is false.
+	// which s.isProbed(i) is false.
 	Next(s *Selection, t float64) (int, error)
 }
 
@@ -240,7 +240,7 @@ func aproContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 		if err != nil {
 			return fmt.Errorf("core: probe policy %s: %w", policy.Name(), err)
 		}
-		if s.Probed(head) {
+		if s.isProbed(head) {
 			return fmt.Errorf("core: policy %s chose already-probed database %d", policy.Name(), head)
 		}
 
@@ -292,11 +292,11 @@ type Greedy struct {
 // Name implements Policy.
 func (g Greedy) Name() string { return "greedy" }
 
-// Usefulness computes the expected usefulness of probing database i:
+// usefulness computes the expected usefulness of probing database i:
 // Σ_v P(rᵢ = v) · max_set E[Cor(set) | rᵢ = v] (Figure 13). The
 // hypothesis scope is an explicit begin/end pair, not a callback, so
 // the per-support-value sweep does not allocate a closure.
-func (g Greedy) Usefulness(s *Selection, i int) float64 {
+func (g Greedy) usefulness(s *Selection, i int) float64 {
 	rd := s.RD(i)
 	s.work.Hypotheses += rd.Len()
 	u := 0.0
@@ -386,7 +386,7 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	sc.candIdx = growInts(sc.candIdx, len(unprobed))[:0]
 	sc.candCost = growFloats(sc.candCost, len(unprobed))[:0]
 	for _, i := range unprobed {
-		if s.RD(i).IsImpulse() {
+		if s.RD(i).isImpulse() {
 			// Probing a known value cannot change E[Cor]; skip it.
 			continue
 		}
@@ -423,7 +423,7 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 
 	// The bound needs the cached marginals, so the partial metric and
 	// the reference path keep the full sweep.
-	bounded := m < nCand && s.Metric == Absolute && s.onScratch() && s.hypDepth == 0
+	bounded := m < nCand && s.metric == Absolute && s.onScratch() && s.hypDepth == 0
 	if bounded {
 		// When the set search was truncated to the top marginals, current
 		// is not a proven maximum; min(p₍k₎, 1 − p₍k+1₎) over the sorted
@@ -431,7 +431,7 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 		// leaves out one at or above the k+1-th).
 		ceiling := current
 		if !sc.exhaustive {
-			ceiling = min(sc.marg[sc.order[s.K-1]], 1-sc.marg[sc.order[s.K]])
+			ceiling = min(sc.marg[sc.order[s.k-1]], 1-sc.marg[sc.order[s.k]])
 		}
 		sc.candBound = growFloats(sc.candBound, nCand)
 		for ci, i := range sc.candIdx {
@@ -450,7 +450,7 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 			s.work.Skipped += nCand - n
 			break
 		}
-		raw := g.Usefulness(s, sc.candIdx[ci])
+		raw := g.usefulness(s, sc.candIdx[ci])
 		score := raw
 		if g.Cost != nil {
 			// Normalize the *gain* by cost, not the absolute level:
@@ -514,7 +514,7 @@ func (r *Random) Name() string { return "random" }
 
 // Next implements Policy.
 func (r *Random) Next(s *Selection, t float64) (int, error) {
-	unprobed := s.Unprobed()
+	unprobed := s.unprobed()
 	if len(unprobed) == 0 {
 		return 0, fmt.Errorf("no unprobed database left")
 	}
@@ -531,7 +531,7 @@ func (ByEstimate) Name() string { return "by-estimate" }
 // Next implements Policy.
 func (ByEstimate) Next(s *Selection, t float64) (int, error) {
 	best := -1
-	for _, i := range s.Unprobed() {
+	for _, i := range s.unprobed() {
 		if best < 0 || s.Estimate(i) > s.Estimate(best) {
 			best = i
 		}
@@ -554,8 +554,8 @@ func (MaxEntropy) Name() string { return "max-entropy" }
 func (MaxEntropy) Next(s *Selection, t float64) (int, error) {
 	best := -1
 	bestH := -1.0
-	for _, i := range s.Unprobed() {
-		if h := s.RD(i).Entropy(); h > bestH {
+	for _, i := range s.unprobed() {
+		if h := s.RD(i).entropy(); h > bestH {
 			best, bestH = i, h
 		}
 	}
@@ -588,7 +588,7 @@ func (o *Optimal) Next(s *Selection, t float64) (int, error) {
 	if s.Len() > maxDBs {
 		return 0, fmt.Errorf("optimal policy limited to %d databases, got %d", maxDBs, s.Len())
 	}
-	unprobed := s.Unprobed()
+	unprobed := s.unprobed()
 	if len(unprobed) == 0 {
 		return 0, fmt.Errorf("no unprobed database left")
 	}
@@ -618,7 +618,7 @@ func (o *Optimal) expectedRemaining(s *Selection, i int, t float64) float64 {
 				// Reached: no further probes in this branch.
 				return
 			}
-			rest := s.Unprobed()
+			rest := s.unprobed()
 			if len(rest) == 0 {
 				// Exhausted without reaching t: no further probes
 				// possible.

@@ -24,8 +24,8 @@ func example6RDs() []*RD {
 func TestPaperExample6GreedyUsefulness(t *testing.T) {
 	sel := NewSelectionFromRDs(example6RDs(), Absolute, 1)
 	g := &Greedy{}
-	u1 := g.Usefulness(sel, 0)
-	u2 := g.Usefulness(sel, 1)
+	u1 := g.usefulness(sel, 0)
+	u2 := g.usefulness(sel, 1)
 	if math.Abs(u1-0.84) > 1e-12 {
 		t.Errorf("usefulness(db1) = %v, want 0.84", u1)
 	}
@@ -65,7 +65,7 @@ func TestUsefulnessNeverBelowCurrent(t *testing.T) {
 			sel := NewSelectionFromRDs(rds, metric, k)
 			_, current := sel.Best()
 			for i := 0; i < n; i++ {
-				if u := g.Usefulness(sel, i); u < current-1e-9 {
+				if u := g.usefulness(sel, i); u < current-1e-9 {
 					t.Fatalf("trial %d metric %v: usefulness(%d) = %v < current %v", trial, metric, i, u, current)
 				}
 			}
@@ -204,7 +204,7 @@ func TestAProAllProbesFail(t *testing.T) {
 		t.Errorf("steps = %+v, want two failed steps", out.Steps)
 	}
 	for i := range rds {
-		if rd := sel.RD(i); !rd.IsImpulse() || rd.Value(0) != 0 {
+		if rd := sel.RD(i); !rd.isImpulse() || rd.Value(0) != 0 {
 			t.Errorf("db%d RD not collapsed to relevancy 0", i)
 		}
 	}
@@ -244,7 +244,7 @@ func TestRandomPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sel.Probed(next) {
+		if sel.isProbed(next) {
 			t.Fatal("random policy returned probed database")
 		}
 		seen[next] = true

@@ -51,7 +51,7 @@ func TestExpectedCorrectnessBounds(t *testing.T) {
 		if eAbs < -probEpsilon || eAbs > 1+probEpsilon {
 			return false
 		}
-		ePart := ExpectedPartial(rds, set)
+		ePart := expectedPartial(rds, set)
 		if ePart < eAbs-1e-9 {
 			return false // partial credit can never be below absolute
 		}
@@ -82,7 +82,7 @@ func TestMembershipSumsToK(t *testing.T) {
 		k := 1 + int(kRaw)%len(rds)
 		total := 0.0
 		for i := range rds {
-			total += MembershipProb(rds, i, k)
+			total += membershipProb(rds, i, k)
 		}
 		return math.Abs(total-float64(k)) < 1e-9
 	}
@@ -152,7 +152,7 @@ func TestCertaintyNeverDecreasesWithInformation(t *testing.T) {
 		_, before := sel.Best()
 		target := rng.Intn(n)
 		g := &Greedy{}
-		if u := g.Usefulness(sel, target); u < before-1e-9 {
+		if u := g.usefulness(sel, target); u < before-1e-9 {
 			t.Fatalf("trial %d: expected usefulness %v below current certainty %v", trial, u, before)
 		}
 	}

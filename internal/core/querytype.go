@@ -64,9 +64,9 @@ type Classifier struct {
 	MaxTerms int
 }
 
-// DefaultClassifier returns the paper's configuration: threshold 100,
+// defaultClassifier returns the paper's configuration: threshold 100,
 // term counts 1..4.
-func DefaultClassifier() Classifier {
+func defaultClassifier() Classifier {
 	return Classifier{Threshold: 100, MaxTerms: 4}
 }
 
@@ -92,9 +92,9 @@ func (c Classifier) Classify(numTerms int, rhat float64) TypeKey {
 	return TypeKey{Terms: numTerms, Band: band}
 }
 
-// AllKeys enumerates every type key the classifier can produce, in a
+// allKeys enumerates every type key the classifier can produce, in a
 // stable order (for reports like Figure 9's panel of EDs).
-func (c Classifier) AllKeys() []TypeKey {
+func (c Classifier) allKeys() []TypeKey {
 	maxTerms := c.MaxTerms
 	if maxTerms <= 0 {
 		maxTerms = 4

@@ -242,7 +242,7 @@ func TestUsefulnessMarginalBound(t *testing.T) {
 		}
 		_, b := bestSet(Absolute, rds, k)
 		for h := range rds {
-			p := MembershipProb(rds, h, k)
+			p := membershipProb(rds, h, k)
 			u := referenceUsefulness(rds, h, k)
 			if bound := b + 2*min(p, 1-p); u > bound+pruneSlack {
 				t.Fatalf("trial %d n=%d k=%d db %d: usefulness %v above B %v + 2·min(%v, 1−%v) = %v", trial, n, k, h, u, b, p, p, bound)
@@ -282,10 +282,10 @@ func TestExpectedAbsoluteMarginalBounds(t *testing.T) {
 			rds[i] = randTestRD(rng)
 		}
 		for i := range rds {
-			marg[i] = MembershipProb(rds, i, k)
+			marg[i] = membershipProb(rds, i, k)
 		}
 		forEachKSet(n, k, func(set []int) {
-			e := ExpectedAbsolute(rds, set)
+			e := expectedAbsolute(rds, set)
 			in := make([]bool, n)
 			for _, i := range set {
 				in[i] = true
@@ -320,12 +320,12 @@ func TestBestFromMatchesBruteForce(t *testing.T) {
 			set, e := sel.Best()
 			best := -1.0
 			forEachKSet(n, k, func(s []int) {
-				best = max(best, ExpectedAbsolute(sel.rds, s))
+				best = max(best, expectedAbsolute(sel.rds, s))
 			})
 			if math.Float64bits(e) != math.Float64bits(best) {
 				t.Fatalf("trial %d: best E[Cor_a] %v, brute force %v", trial, e, best)
 			}
-			if got := ExpectedAbsolute(sel.rds, set); math.Float64bits(got) != math.Float64bits(e) {
+			if got := expectedAbsolute(sel.rds, set); math.Float64bits(got) != math.Float64bits(e) {
 				t.Fatalf("trial %d: set %v scores %v, reported %v", trial, set, got, e)
 			}
 			sel.ApplyProbe(i, rds[i].Value(rng.Intn(rds[i].Len())))
@@ -364,7 +364,7 @@ func TestRankTruncatedSearchCeiling(t *testing.T) {
 	defer sel.Release()
 	_, current := sel.Best()
 	proven := -1.0
-	forEachKSet(len(rds), k, func(s []int) { proven = max(proven, ExpectedAbsolute(rds, s)) })
+	forEachKSet(len(rds), k, func(s []int) { proven = max(proven, expectedAbsolute(rds, s)) })
 	if proven <= current+probEpsilon {
 		t.Fatalf("truncated search found %v, exhaustive %v: the instance no longer separates them", current, proven)
 	}

@@ -39,17 +39,17 @@ type RD struct {
 	probs  []float64
 	// cumLT[i] = Σ_{t<i} probs[t] and cumGE[i] = Σ_{t≥i} probs[t]
 	// (both length len(values)+1, cumLT[0] = cumGE[len] = 0). Built at
-	// construction so PrLess/PrGreater answer with one binary search
+	// construction so prLess/prGreater answer with one binary search
 	// instead of a linear sum — they sit inside the innermost loop of
 	// MembershipProb and the selection scratch rebuild.
 	cumLT []float64
 	cumGE []float64
 }
 
-// NewRD builds an RD from (value, probability) pairs. Duplicate values
+// newRD builds an RD from (value, probability) pairs. Duplicate values
 // are merged, zero-probability entries dropped, and probabilities
 // normalized; at least one positive-probability value is required.
-func NewRD(values, probs []float64) (*RD, error) {
+func newRD(values, probs []float64) (*RD, error) {
 	if len(values) != len(probs) {
 		return nil, fmt.Errorf("core: RD needs matching slices, got %d values and %d probs", len(values), len(probs))
 	}
@@ -105,9 +105,9 @@ func (r *RD) finalize() {
 	}
 }
 
-// MustRD is NewRD that panics on error (for tests and literals).
+// MustRD is newRD that panics on error (for tests and literals).
 func MustRD(values, probs []float64) *RD {
-	rd, err := NewRD(values, probs)
+	rd, err := newRD(values, probs)
 	if err != nil {
 		panic(err)
 	}
@@ -139,8 +139,8 @@ func (r *RD) setImpulse(v float64) {
 // setImpulse is reserved for selection-owned impulses.
 var zeroImpulse = Impulse(0)
 
-// IsImpulse reports whether the RD has a single support point.
-func (r *RD) IsImpulse() bool { return len(r.values) == 1 }
+// isImpulse reports whether the RD has a single support point.
+func (r *RD) isImpulse() bool { return len(r.values) == 1 }
 
 // Len returns the number of support points.
 func (r *RD) Len() int { return len(r.values) }
@@ -151,9 +151,6 @@ func (r *RD) Value(i int) float64 { return r.values[i] }
 // Prob returns the probability of the i-th support value.
 func (r *RD) Prob(i int) float64 { return r.probs[i] }
 
-// Support returns a copy of the support values in ascending order.
-func (r *RD) Support() []float64 { return append([]float64(nil), r.values...) }
-
 // Mean returns the expected relevancy.
 func (r *RD) Mean() float64 {
 	m := 0.0
@@ -163,20 +160,9 @@ func (r *RD) Mean() float64 {
 	return m
 }
 
-// Variance returns the relevancy variance.
-func (r *RD) Variance() float64 {
-	m := r.Mean()
-	s := 0.0
-	for i, v := range r.values {
-		d := v - m
-		s += d * d * r.probs[i]
-	}
-	return s
-}
-
-// Entropy returns the Shannon entropy (nats) of the distribution; an
+// entropy returns the Shannon entropy (nats) of the distribution; an
 // impulse has entropy 0. The max-uncertainty probing policy uses it.
-func (r *RD) Entropy() float64 {
+func (r *RD) entropy() float64 {
 	h := 0.0
 	for _, p := range r.probs {
 		if p > 0 {
@@ -186,8 +172,8 @@ func (r *RD) Entropy() float64 {
 	return h
 }
 
-// PrGreater returns P(X > v).
-func (r *RD) PrGreater(v float64) float64 {
+// prGreater returns P(X > v).
+func (r *RD) prGreater(v float64) float64 {
 	// First index with value > v.
 	i := sort.SearchFloat64s(r.values, v)
 	if i < len(r.values) && r.values[i] == v {
@@ -196,8 +182,8 @@ func (r *RD) PrGreater(v float64) float64 {
 	return r.cumGE[i]
 }
 
-// PrEq returns P(X = v).
-func (r *RD) PrEq(v float64) float64 {
+// prEq returns P(X = v).
+func (r *RD) prEq(v float64) float64 {
 	i := sort.SearchFloat64s(r.values, v)
 	if i < len(r.values) && r.values[i] == v {
 		return r.probs[i]
@@ -205,8 +191,8 @@ func (r *RD) PrEq(v float64) float64 {
 	return 0
 }
 
-// PrLess returns P(X < v).
-func (r *RD) PrLess(v float64) float64 {
+// prLess returns P(X < v).
+func (r *RD) prLess(v float64) float64 {
 	// First index with value ≥ v; everything before it is below v.
 	return r.cumLT[sort.SearchFloat64s(r.values, v)]
 }
@@ -237,7 +223,7 @@ func (r *RD) validate() error {
 
 // String renders the RD compactly for diagnostics.
 func (r *RD) String() string {
-	if r.IsImpulse() {
+	if r.isImpulse() {
 		return fmt.Sprintf("impulse(%g)", r.values[0])
 	}
 	s := "RD{"

@@ -2,13 +2,14 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewRDNormalizesAndSorts(t *testing.T) {
-	rd, err := NewRD([]float64{100, 50, 150, 50}, []float64{2, 1, 1, 1})
+	rd, err := newRD([]float64{100, 50, 150, 50}, []float64{2, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,7 @@ func TestNewRDNormalizesAndSorts(t *testing.T) {
 		t.Fatalf("Len = %d, want 3 (duplicate merged)", rd.Len())
 	}
 	if rd.Value(0) != 50 || rd.Value(1) != 100 || rd.Value(2) != 150 {
-		t.Errorf("values = %v", rd.Support())
+		t.Errorf("values = %v", rd.values)
 	}
 	if math.Abs(rd.Prob(0)-0.4) > 1e-12 || math.Abs(rd.Prob(1)-0.4) > 1e-12 || math.Abs(rd.Prob(2)-0.2) > 1e-12 {
 		t.Errorf("probs = %v %v %v", rd.Prob(0), rd.Prob(1), rd.Prob(2))
@@ -39,7 +40,7 @@ func TestNewRDErrors(t *testing.T) {
 		{[]float64{1}, []float64{math.NaN()}},
 	}
 	for i, c := range cases {
-		if _, err := NewRD(c.v, c.p); err == nil {
+		if _, err := newRD(c.v, c.p); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
@@ -47,7 +48,7 @@ func TestNewRDErrors(t *testing.T) {
 
 func TestImpulse(t *testing.T) {
 	rd := Impulse(42)
-	if !rd.IsImpulse() || rd.Mean() != 42 || rd.Variance() != 0 || rd.Entropy() != 0 {
+	if !rd.isImpulse() || rd.Mean() != 42 || rd.entropy() != 0 {
 		t.Errorf("impulse properties wrong: %v", rd)
 	}
 	if got := rd.String(); got != "impulse(42)" {
@@ -69,14 +70,14 @@ func TestRDCDFOps(t *testing.T) {
 		{200, 0, 0, 1},
 	}
 	for _, c := range cases {
-		if got := rd.PrGreater(c.v); math.Abs(got-c.greater) > 1e-12 {
-			t.Errorf("PrGreater(%v) = %v, want %v", c.v, got, c.greater)
+		if got := rd.prGreater(c.v); math.Abs(got-c.greater) > 1e-12 {
+			t.Errorf("prGreater(%v) = %v, want %v", c.v, got, c.greater)
 		}
-		if got := rd.PrEq(c.v); math.Abs(got-c.eq) > 1e-12 {
-			t.Errorf("PrEq(%v) = %v, want %v", c.v, got, c.eq)
+		if got := rd.prEq(c.v); math.Abs(got-c.eq) > 1e-12 {
+			t.Errorf("prEq(%v) = %v, want %v", c.v, got, c.eq)
 		}
-		if got := rd.PrLess(c.v); math.Abs(got-c.less) > 1e-12 {
-			t.Errorf("PrLess(%v) = %v, want %v", c.v, got, c.less)
+		if got := rd.prLess(c.v); math.Abs(got-c.less) > 1e-12 {
+			t.Errorf("prLess(%v) = %v, want %v", c.v, got, c.less)
 		}
 	}
 }
@@ -86,11 +87,8 @@ func TestRDMeanVarianceEntropy(t *testing.T) {
 	if rd.Mean() != 5 {
 		t.Errorf("Mean = %v", rd.Mean())
 	}
-	if rd.Variance() != 25 {
-		t.Errorf("Variance = %v", rd.Variance())
-	}
-	if math.Abs(rd.Entropy()-math.Log(2)) > 1e-12 {
-		t.Errorf("Entropy = %v, want ln 2", rd.Entropy())
+	if math.Abs(rd.entropy()-math.Log(2)) > 1e-12 {
+		t.Errorf("entropy = %v, want ln 2", rd.entropy())
 	}
 	if !strings.HasPrefix(rd.String(), "RD{") {
 		t.Errorf("String = %q", rd.String())
@@ -118,15 +116,15 @@ func TestRDPartitionProperty(t *testing.T) {
 		if !positive {
 			return true
 		}
-		rd, err := NewRD(vals, probs)
+		rd, err := newRD(vals, probs)
 		if err != nil {
 			return false
 		}
 		if rd.validate() != nil {
 			return false
 		}
-		for _, v := range append(rd.Support(), -1e9, 0.5, 1e9) {
-			s := rd.PrLess(v) + rd.PrEq(v) + rd.PrGreater(v)
+		for _, v := range append(slices.Clone(rd.values), -1e9, 0.5, 1e9) {
+			s := rd.prLess(v) + rd.prEq(v) + rd.prGreater(v)
 			if math.Abs(s-1) > 1e-9 {
 				return false
 			}
@@ -156,7 +154,7 @@ func TestEDToRDPaperExample3(t *testing.T) {
 	}
 	mustObserve(t, ed, 100, 150) // err = +0.5
 
-	rd, err := ed.RD(100)
+	rd, err := ed.rd(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func mustObserve(t *testing.T, ed *ED, rhat, actual float64) {
 }
 
 func TestEDZeroBandAbsolute(t *testing.T) {
-	ed, err := NewED(DefaultAbsoluteEdges(), true, true)
+	ed, err := NewED(defaultAbsoluteEdges(), true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,21 +185,21 @@ func TestEDZeroBandAbsolute(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustObserve(t, ed, 0, 0)
 	}
-	rd, err := ed.RD(0)
+	rd, err := ed.rd(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rd.IsImpulse() || rd.Value(0) != 0 {
+	if !rd.isImpulse() || rd.Value(0) != 0 {
 		t.Errorf("zero-band RD = %v, want impulse(0)", rd)
 	}
 	// Sampled summaries: a few surprises.
 	mustObserve(t, ed, 0, 3)
 	mustObserve(t, ed, 0, 30)
-	rd, err = ed.RD(0)
+	rd, err = ed.rd(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.IsImpulse() {
+	if rd.isImpulse() {
 		t.Errorf("zero-band RD with surprises should not be an impulse: %v", rd)
 	}
 	if rd.Value(0) != 0 {
@@ -223,7 +221,7 @@ func TestEDErrors(t *testing.T) {
 	if err := ed.Observe(math.NaN(), 5); err == nil {
 		t.Error("NaN rhat must be rejected")
 	}
-	if _, err := ed.RD(100); err == nil {
+	if _, err := ed.rd(100); err == nil {
 		t.Error("empty ED cannot derive an RD")
 	}
 	if _, err := NewED([]float64{1}, false, true); err == nil {
@@ -240,7 +238,7 @@ func TestEDRDFloorsNegativeValues(t *testing.T) {
 	}
 	ed.Hist.Add(-1.8)
 	ed.Hist.Add(0.5)
-	rd, err := ed.RD(100)
+	rd, err := ed.rd(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +298,7 @@ func TestEDClone(t *testing.T) {
 }
 
 func TestClassifier(t *testing.T) {
-	c := DefaultClassifier()
+	c := defaultClassifier()
 	cases := []struct {
 		terms int
 		rhat  float64
@@ -323,7 +321,7 @@ func TestClassifier(t *testing.T) {
 	if got := (TypeKey{2, BandHigh}).String(); got != "2-term/high" {
 		t.Errorf("TypeKey.String = %q", got)
 	}
-	if len(c.AllKeys()) != 12 {
-		t.Errorf("AllKeys = %d keys, want 12", len(c.AllKeys()))
+	if len(c.allKeys()) != 12 {
+		t.Errorf("allKeys = %d keys, want 12", len(c.allKeys()))
 	}
 }

@@ -5,7 +5,7 @@ package core
 // distribution into a relevancy distribution (rdFor, the reference the
 // tests keep). That convolution is a pure function of (database,
 // query type) plus a per-query scale: for the relative-error bands,
-// ED.RD(r̂) produces values r̂·(1 + e_bin) with probabilities that do
+// ED.rd(r̂) produces values r̂·(1 + e_bin) with probabilities that do
 // not depend on r̂ at all, and for the r̂ = 0 band the whole RD is
 // independent of r̂.
 //
@@ -14,7 +14,7 @@ package core
 // when the version is published (NewModelVersion / Next). Rows come in
 // three kinds:
 //
-//   - rdEntryScaled: a template RD built with ED.RD(1), so its support
+//   - rdEntryScaled: a template RD built with ED.rd(1), so its support
 //     is exactly the per-bin factors (1 + e_bin). A selection derives
 //     the query's RD by multiplying the template support by r̂ — the
 //     identical float expression r̂·(1 + e_bin) the from-scratch path
@@ -66,7 +66,7 @@ const (
 	// rdEntryCold marks a key with no usable error model: serve an
 	// impulse at the query's estimate (rdFor's final fallback).
 	rdEntryCold rdEntryKind = iota
-	// rdEntryScaled holds an ED.RD(1) template whose support must be
+	// rdEntryScaled holds an ED.rd(1) template whose support must be
 	// multiplied by the query's estimate.
 	rdEntryScaled
 	// rdEntryAbsolute holds the finished RD of an absolute-value

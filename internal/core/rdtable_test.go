@@ -366,7 +366,7 @@ func TestReuseDoesNotAliasTableState(t *testing.T) {
 	snapVals := make([][]float64, cp.Len())
 	snapProbs := make([][]float64, cp.Len())
 	for i := 0; i < cp.Len(); i++ {
-		snapVals[i] = cp.RD(i).Support()
+		snapVals[i] = append([]float64(nil), cp.RD(i).values...)
 		snapProbs[i] = append([]float64(nil), cp.RD(i).probs...)
 	}
 

@@ -5,6 +5,16 @@ package core
 // selection ModelVersion.FillSelection builds must equal, bit for bit,
 // the one newSelection derives by convolving the EDs per query.
 
+// rd derives the relevancy distribution for a new query with estimate
+// rhat (Section 3.1, Example 3): each occupied bin contributes its
+// probability at value r̂·(1 + e_bin) — or at the bin's absolute value
+// for the zero band. Values are floored at 0 (relevancies cannot be
+// negative).
+func (e *ED) rd(rhat float64) (*RD, error) {
+	f := e.freeze()
+	return f.rd(rhat, f.reps) // in place: the snapshot is this call's own
+}
+
 // rdFor derives the relevancy distribution of database dbIdx for an
 // unseen query: estimate, classify, apply the learned ED (falling back
 // to the pooled ED, then to an impulse at the estimate when the
@@ -16,12 +26,12 @@ func (m *Model) rdFor(dbIdx int, query string, numTerms int) (*RD, float64) {
 	dm := m.DBs[dbIdx]
 
 	if ed, ok := dm.EDs[key]; ok && ed.Observations() >= m.Cfg.MinObservations {
-		if rd, err := ed.RD(rhat); err == nil {
+		if rd, err := ed.rd(rhat); err == nil {
 			return rd, rhat
 		}
 	}
 	if key.Band != BandZero && dm.Pooled.Observations() >= m.Cfg.MinObservations {
-		if rd, err := dm.Pooled.RD(rhat); err == nil {
+		if rd, err := dm.Pooled.rd(rhat); err == nil {
 			return rd, rhat
 		}
 	}
@@ -38,9 +48,9 @@ func (m *Model) rdFor(dbIdx int, query string, numTerms int) (*RD, float64) {
 func (m *Model) newSelection(query string, numTerms int, metric Metric, k int) *Selection {
 	n := len(m.DBs)
 	s := &Selection{
-		Metric:        metric,
-		K:             k,
-		Query:         query,
+		metric:        metric,
+		k:             k,
+		query:         query,
 		rds:           make([]*RD, n),
 		estimates:     make([]float64, n),
 		probed:        make([]bool, n),

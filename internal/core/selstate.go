@@ -272,7 +272,7 @@ func (sc *selScratch) build(rds []*RD, k int) {
 	sc.deadNeed = growInts(sc.deadNeed, nK)
 	sc.live = growInts(sc.live, n)[:0]
 	for j, rd := range rds {
-		sc.isLive[j] = !rd.IsImpulse()
+		sc.isLive[j] = !rd.isImpulse()
 		if sc.isLive[j] {
 			sc.live = append(sc.live, j)
 		}
@@ -392,7 +392,7 @@ func (sc *selScratch) sizeTermTable() {
 // dpRowInto fills dst (length k) with the truncated Poisson-binomial
 // DP over factors[j] for j other than skip and skip2 — the same top-down
 // update, factor order and per-factor clamping as
-// stats.PoissonBinomialAtMost on the beat probabilities MembershipProb
+// stats.PoissonBinomialAtMostInto on the beat probabilities membershipProb
 // would gather.
 func (sc *selScratch) dpRowInto(dst, factors []float64, skip, skip2 int) {
 	for c := range dst {
@@ -418,7 +418,7 @@ func (sc *selScratch) dpRowInto(dst, factors []float64, skip, skip2 int) {
 }
 
 // sumTail sums a DP row and clamps to 1 — the P(at most k−1 others
-// beat the owner) tail, with PoissonBinomialAtMost's clamp.
+// beat the owner) tail, with PoissonBinomialAtMostInto's clamp.
 func sumTail(row []float64) float64 {
 	sum := 0.0
 	for _, v := range row {
@@ -551,7 +551,7 @@ func (sc *selScratch) markSet(set []int, on bool) {
 // K)·P(every non-member is below K) for K = key t of set member pivot,
 // with database skip's factor left out of both products (−1: none;
 // skip = pivot: K is the hypothesised key, which dbₕ is at and not
-// above). It mirrors ExpectedAbsolute: identical factor order, clamps and
+// above). It mirrors expectedAbsolute: identical factor order, clamps and
 // early exits, minus the impulse factors that are exactly 1 and the keys
 // an impulse factor of exactly 0 wipes out, which add +0. set must be
 // ascending and, like skip, marked in setMask.

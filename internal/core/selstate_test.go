@@ -61,18 +61,18 @@ func checkHypothesisTerms(t *testing.T, label string, rds []*RD, k int, hs []int
 			old := sel.beginHypothesisIdx(h, vi)
 			set, e := sel.evaluate()
 			sc := sel.scratch
-			if ref := ExpectedAbsolute(sel.rds, set); !sameBits(e, ref) {
+			if ref := expectedAbsolute(sel.rds, set); !sameBits(e, ref) {
 				t.Fatalf("%s: db%d = %v: best set %v scores %x, reference %x", label, h, sel.rds[h].Value(0), set, e, ref)
 			}
 			scored, shared = scored+sc.sets, shared+sc.shared
-			if sc.hypActive != !rds[h].IsImpulse() {
-				t.Fatalf("%s: db%d (impulse %v): hypothesis armed %v", label, h, rds[h].IsImpulse(), sc.hypActive)
+			if sc.hypActive != !rds[h].isImpulse() {
+				t.Fatalf("%s: db%d (impulse %v): hypothesis armed %v", label, h, rds[h].isImpulse(), sc.hypActive)
 			}
 			if sc.hypActive {
 				sc.shared, sets = 0, 0
 				forEachKSet(n, k, func(set []int) {
 					sets++
-					got, ref := sc.hypExpected(set), ExpectedAbsolute(sel.rds, set)
+					got, ref := sc.hypExpected(set), expectedAbsolute(sel.rds, set)
 					if !sameBits(got, ref) {
 						t.Fatalf("%s: db%d = %v, set %v: E[Cor_a] %x, reference %x", label, h, sel.rds[h].Value(0), set, got, ref)
 					}
@@ -106,7 +106,7 @@ func TestHypothesisTermsMatchReference(t *testing.T) {
 		k := 1 + rng.Intn(min(4, n-1))
 		rds := gridRDs(rng, n, 1+rng.Intn(n), 2+rng.Intn(3), 6)
 		scored, shared, sets := checkHypothesisTerms(t, "small", rds, k, allDBs(n))
-		if !rds[n-1].IsImpulse() && shared != scored-sets {
+		if !rds[n-1].isImpulse() && shared != scored-sets {
 			t.Fatalf("trial %d: %d of %d scorings shared over %d sets, want all but one per set", trial, shared, scored, sets)
 		}
 	}
@@ -180,7 +180,7 @@ func TestSwappedTailsFromOneRow(t *testing.T) {
 		factors := make([]float64, n)
 		want := make([]float64, k)
 		for h := range rds {
-			if rds[h].IsImpulse() {
+			if rds[h].isImpulse() {
 				continue
 			}
 			sc.beginHypothesis(h, 0)
@@ -232,7 +232,7 @@ func TestSwappedTailsFromOneRow(t *testing.T) {
 func assertFreshGrid(t *testing.T, label string, sel *Selection) {
 	t.Helper()
 	got, want := sel.scratch, new(selScratch)
-	want.build(sel.rds, sel.K)
+	want.build(sel.rds, sel.k)
 	n, k := want.n, want.k
 	nK := want.keyStart[n]
 	ints := func(name string, a, b []int) {
@@ -283,7 +283,7 @@ func TestGridAfterProbeMatchesFreshBuild(t *testing.T) {
 		rds := gridRDs(rng, n, n-2, 2+rng.Intn(4), 8)
 		var live, cold []int
 		for i, rd := range rds {
-			if rd.IsImpulse() {
+			if rd.isImpulse() {
 				cold = append(cold, i)
 			} else {
 				live = append(live, i)

@@ -16,7 +16,7 @@ func stageTestSelection() *Selection {
 }
 
 func mustRD(values, probs []float64) *RD {
-	rd, err := NewRD(values, probs)
+	rd, err := newRD(values, probs)
 	if err != nil {
 		panic(err)
 	}

@@ -152,7 +152,7 @@ func HealthWorld() *World {
 	// the background with a deterministic synthetic tail so document
 	// frequencies stay realistic.
 	tailRNG := stats.NewRNG(0x4EA17)
-	pool := SyntheticVocabulary(tailRNG, len(topics)*150+600)
+	pool := syntheticVocabulary(tailRNG, len(topics)*150+600)
 	next := 0
 	take := func(n int) []string {
 		s := pool[next : next+n]
@@ -163,7 +163,7 @@ func HealthWorld() *World {
 		topics[i].Terms = append(topics[i].Terms, take(150)...)
 	}
 	background = append(background, take(600)...)
-	return MustWorld(topics, background)
+	return mustWorld(topics, background)
 }
 
 // HealthTestbed returns the 20-database roster mirroring the paper's
@@ -232,9 +232,9 @@ var (
 	synthCodas  = []string{"", "", "", "n", "r", "s", "t", "l", "m", "x"}
 )
 
-// SyntheticWord generates a pronounceable lowercase word of 2-4
+// syntheticWord generates a pronounceable lowercase word of 2-4
 // syllables; distinct draws are deduplicated by the caller.
-func SyntheticWord(rng *stats.RNG) string {
+func syntheticWord(rng *stats.RNG) string {
 	syllables := 2 + rng.Intn(3)
 	var b strings.Builder
 	for i := 0; i < syllables; i++ {
@@ -245,12 +245,12 @@ func SyntheticWord(rng *stats.RNG) string {
 	return b.String()
 }
 
-// SyntheticVocabulary generates n distinct synthetic words.
-func SyntheticVocabulary(rng *stats.RNG, n int) []string {
+// syntheticVocabulary generates n distinct synthetic words.
+func syntheticVocabulary(rng *stats.RNG, n int) []string {
 	seen := make(map[string]struct{}, n)
 	out := make([]string, 0, n)
 	for len(out) < n {
-		w := SyntheticWord(rng)
+		w := syntheticWord(rng)
 		if _, dup := seen[w]; dup {
 			continue
 		}
@@ -260,9 +260,9 @@ func SyntheticVocabulary(rng *stats.RNG, n int) []string {
 	return out
 }
 
-// NewsgroupNames are the testbed labels for the Section 4.2 study; the
+// newsgroupNames are the testbed labels for the Section 4.2 study; the
 // first few match the newsgroups shown in the paper's Figure 7.
-var NewsgroupNames = []string{
+var newsgroupNames = []string{
 	"rec.autos.sport.nascar",
 	"rec.music.beatles",
 	"rec.music.classical.recordings",
@@ -293,9 +293,9 @@ var NewsgroupNames = []string{
 func NewsgroupWorld(seed int64) *World {
 	rng := stats.NewRNG(seed)
 	vocabRNG := rng.Fork(1)
-	topics := make([]Topic, len(NewsgroupNames))
-	for i, name := range NewsgroupNames {
-		terms := SyntheticVocabulary(vocabRNG, 120)
+	topics := make([]Topic, len(newsgroupNames))
+	for i, name := range newsgroupNames {
+		terms := syntheticVocabulary(vocabRNG, 120)
 		var concepts [][]string
 		conceptRNG := rng.Fork(int64(100 + i))
 		for c := 0; c < 12; c++ {
@@ -312,8 +312,8 @@ func NewsgroupWorld(seed int64) *World {
 		}
 		topics[i] = Topic{Name: name, Terms: terms, Concepts: concepts}
 	}
-	background := SyntheticVocabulary(vocabRNG, 400)
-	return MustWorld(topics, background)
+	background := syntheticVocabulary(vocabRNG, 400)
+	return mustWorld(topics, background)
 }
 
 // NewsgroupTestbed returns one database per newsgroup. The paper's

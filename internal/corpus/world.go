@@ -52,8 +52,8 @@ type World struct {
 	backgroundSamp  *stats.WeightedSampler
 }
 
-// NewWorld validates a topic set and precomputes the samplers.
-func NewWorld(topics []Topic, background []string) (*World, error) {
+// newWorld validates a topic set and precomputes the samplers.
+func newWorld(topics []Topic, background []string) (*World, error) {
 	if len(topics) == 0 {
 		return nil, fmt.Errorf("corpus: world needs at least one topic")
 	}
@@ -110,17 +110,17 @@ func NewWorld(topics []Topic, background []string) (*World, error) {
 	return w, nil
 }
 
-// MustWorld is NewWorld that panics on error (for preset construction).
-func MustWorld(topics []Topic, background []string) *World {
-	w, err := NewWorld(topics, background)
+// mustWorld is newWorld that panics on error (for preset construction).
+func mustWorld(topics []Topic, background []string) *World {
+	w, err := newWorld(topics, background)
 	if err != nil {
 		panic(err)
 	}
 	return w
 }
 
-// TopicIndex returns the index of the named topic, or -1.
-func (w *World) TopicIndex(name string) int {
+// topicIndex returns the index of the named topic, or -1.
+func (w *World) topicIndex(name string) int {
 	for i, t := range w.Topics {
 		if t.Name == name {
 			return i
@@ -148,9 +148,9 @@ type DatabaseSpec struct {
 	// concept terms strongly correlated (the independence estimator
 	// underestimates); zero affinity makes terms nearly independent.
 	ConceptAffinity float64
-	// BackgroundFraction is the probability that a slot emits a
+	// backgroundFraction is the probability that a slot emits a
 	// background term (default 0.35 when zero).
-	BackgroundFraction float64
+	backgroundFraction float64
 }
 
 // Document is one generated document.
@@ -193,7 +193,7 @@ func (w *World) Generate(spec DatabaseSpec, rng *stats.RNG) ([]Document, error) 
 	weights := make([]float64, len(w.Topics))
 	positive := false
 	for name, wt := range spec.TopicWeights {
-		i := w.TopicIndex(name)
+		i := w.topicIndex(name)
 		if i < 0 {
 			return nil, fmt.Errorf("corpus: database %q references unknown topic %q", spec.Name, name)
 		}
@@ -212,7 +212,7 @@ func (w *World) Generate(spec DatabaseSpec, rng *stats.RNG) ([]Document, error) 
 	if err != nil {
 		return nil, fmt.Errorf("corpus: database %q: %w", spec.Name, err)
 	}
-	bg := spec.BackgroundFraction
+	bg := spec.backgroundFraction
 	if bg == 0 {
 		bg = 0.35
 	}

@@ -10,25 +10,25 @@ import (
 func TestNewWorldValidation(t *testing.T) {
 	good := []Topic{{Name: "a", Terms: []string{"x", "y"}}}
 	bg := []string{"bg"}
-	if _, err := NewWorld(nil, bg); err == nil {
+	if _, err := newWorld(nil, bg); err == nil {
 		t.Error("no topics should fail")
 	}
-	if _, err := NewWorld(good, nil); err == nil {
+	if _, err := newWorld(good, nil); err == nil {
 		t.Error("no background should fail")
 	}
-	if _, err := NewWorld([]Topic{{Name: "a"}}, bg); err == nil {
+	if _, err := newWorld([]Topic{{Name: "a"}}, bg); err == nil {
 		t.Error("topic without terms should fail")
 	}
-	if _, err := NewWorld([]Topic{{Name: "a", Terms: []string{"x"}, Concepts: [][]string{{"solo"}}}}, bg); err == nil {
+	if _, err := newWorld([]Topic{{Name: "a", Terms: []string{"x"}, Concepts: [][]string{{"solo"}}}}, bg); err == nil {
 		t.Error("1-term concept should fail")
 	}
-	if _, err := NewWorld(good, bg); err != nil {
+	if _, err := newWorld(good, bg); err != nil {
 		t.Errorf("valid world failed: %v", err)
 	}
 }
 
 func TestGenerateValidation(t *testing.T) {
-	w := MustWorld([]Topic{{Name: "a", Terms: []string{"x", "y"}}}, []string{"bg"})
+	w := mustWorld([]Topic{{Name: "a", Terms: []string{"x", "y"}}}, []string{"bg"})
 	rng := stats.NewRNG(1)
 	cases := []DatabaseSpec{
 		{Name: "bad", NumDocs: 0, MeanDocLen: 10, TopicWeights: map[string]float64{"a": 1}},
@@ -179,7 +179,7 @@ func TestHealthTestbedShape(t *testing.T) {
 			maxDocs = s.NumDocs
 		}
 		for topic := range s.TopicWeights {
-			if w.TopicIndex(topic) < 0 {
+			if w.topicIndex(topic) < 0 {
 				t.Errorf("database %s references unknown topic %q", s.Name, topic)
 			}
 		}
@@ -237,7 +237,7 @@ func TestNewsgroupWorldAndTestbed(t *testing.T) {
 
 func TestSyntheticVocabularyDistinct(t *testing.T) {
 	rng := stats.NewRNG(1)
-	words := SyntheticVocabulary(rng, 500)
+	words := syntheticVocabulary(rng, 500)
 	seen := map[string]bool{}
 	for _, w := range words {
 		if seen[w] {

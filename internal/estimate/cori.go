@@ -29,23 +29,20 @@ import (
 // *cross-collection* ranker (it needs cf and avg_cw), so it scores all
 // summaries at once rather than one database at a time.
 type CORI struct {
-	// B is the default belief (default 0.4).
-	B float64
-	// K is the term-frequency saturation constant (default 200).
-	K float64
-	// BS is the word-count mixing weight inside K (default 0.75).
-	BS float64
-	// Tok normalizes query terms (default: the standard tokenizer).
-	Tok *textindex.Tokenizer
+	// b is the default belief (default 0.4).
+	b float64
+	// k is the term-frequency saturation constant (default 200).
+	k float64
+	// bs is the word-count mixing weight inside K (default 0.75).
+	bs float64
+	// tok normalizes query terms (default: the standard tokenizer).
+	tok *textindex.Tokenizer
 }
 
 // NewCORI returns a ranker with the literature's default parameters.
 func NewCORI() *CORI {
-	return &CORI{B: 0.4, K: 200, BS: 0.75, Tok: textindex.DefaultTokenizer()}
+	return &CORI{b: 0.4, k: 200, bs: 0.75, tok: textindex.DefaultTokenizer()}
 }
-
-// Name identifies the ranker.
-func (c *CORI) Name() string { return "cori" }
 
 // Scores ranks every collection of the set for the query; higher is
 // better. Queries with no usable terms score 0 everywhere.
@@ -54,11 +51,11 @@ func (c *CORI) Scores(set *summary.Set, query string) ([]float64, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("estimate: CORI needs at least one summary")
 	}
-	tok := c.Tok
+	tok := c.tok
 	if tok == nil {
 		tok = textindex.DefaultTokenizer()
 	}
-	b, k, bs := c.B, c.K, c.BS
+	b, k, bs := c.b, c.k, c.bs
 	if b == 0 {
 		b = 0.4
 	}

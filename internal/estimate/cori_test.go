@@ -29,7 +29,7 @@ func coriSet() *summary.Set {
 }
 
 func TestCORIRankingSanity(t *testing.T) {
-	c := &CORI{Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	c := &CORI{tok: textindex.DefaultTokenizer()}
 	set := coriSet()
 
 	scores, err := c.Scores(set, "breast cancer")
@@ -54,7 +54,7 @@ func TestCORIRankingSanity(t *testing.T) {
 func TestCORIHandComputedValue(t *testing.T) {
 	// Single collection set degenerates: N=1, cf=1 for present terms,
 	// I = log(1.5)/log(2).
-	c := &CORI{B: 0.4, K: 200, BS: 0.75, Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	c := &CORI{b: 0.4, k: 200, bs: 0.75, tok: textindex.DefaultTokenizer()}
 	set := &summary.Set{Summaries: []*summary.Summary{
 		{Database: "only", Size: 100, DocCount: 100, TermCount: 1000,
 			DF: map[string]int{"cancer": 50}},
@@ -110,9 +110,6 @@ func TestCORIEdgeCases(t *testing.T) {
 			t.Errorf("duplicate terms changed scores: %v vs %v", a, b)
 			break
 		}
-	}
-	if c.Name() != "cori" {
-		t.Errorf("Name = %q", c.Name())
 	}
 }
 

@@ -47,14 +47,14 @@ type Relevancy interface {
 // query terms are deduplicated after normalization, consistent with
 // boolean-AND match semantics.
 type DocFrequency struct {
-	// Tok normalizes query terms into summary term space (default:
+	// tok normalizes query terms into summary term space (default:
 	// the standard tokenizer).
-	Tok *textindex.Tokenizer
+	tok *textindex.Tokenizer
 }
 
 // NewDocFrequency returns the definition with the default tokenizer.
 func NewDocFrequency() *DocFrequency {
-	return &DocFrequency{Tok: textindex.DefaultTokenizer()}
+	return &DocFrequency{tok: textindex.DefaultTokenizer()}
 }
 
 // Name implements Relevancy.
@@ -63,7 +63,7 @@ func (d *DocFrequency) Name() string { return "doc-frequency" }
 // Terms normalizes and deduplicates query words; an empty result means
 // the query cannot match anything.
 func (d *DocFrequency) Terms(query string) []string {
-	tok := d.Tok
+	tok := d.tok
 	if tok == nil {
 		tok = textindex.DefaultTokenizer()
 	}
@@ -125,13 +125,13 @@ func (d *DocFrequency) Probe(db hidden.Database, query string) (float64, error) 
 // terms present in the database. Like Eq. 1, it is deliberately a
 // *biased* estimator whose error the probabilistic model corrects.
 type DocSimilarity struct {
-	// Tok normalizes query terms (default: the standard tokenizer).
-	Tok *textindex.Tokenizer
+	// tok normalizes query terms (default: the standard tokenizer).
+	tok *textindex.Tokenizer
 }
 
 // NewDocSimilarity returns the definition with the default tokenizer.
 func NewDocSimilarity() *DocSimilarity {
-	return &DocSimilarity{Tok: textindex.DefaultTokenizer()}
+	return &DocSimilarity{tok: textindex.DefaultTokenizer()}
 }
 
 // Name implements Relevancy.
@@ -139,7 +139,7 @@ func (d *DocSimilarity) Name() string { return "doc-similarity" }
 
 // Estimate implements Relevancy.
 func (d *DocSimilarity) Estimate(s *summary.Summary, query string) float64 {
-	tok := d.Tok
+	tok := d.tok
 	if tok == nil {
 		tok = textindex.DefaultTokenizer()
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"metaprobe/internal/hidden"
+	"metaprobe/internal/hidden/hiddentest"
 	"metaprobe/internal/summary"
 	"metaprobe/internal/textindex"
 )
@@ -32,7 +33,7 @@ func paperSummaries() (*summary.Summary, *summary.Summary) {
 func TestPaperExample1(t *testing.T) {
 	// The paper's vocabulary is unstemmed; use a non-stemming tokenizer
 	// to match its numbers exactly.
-	rel := &DocFrequency{Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
 	s1, s2 := paperSummaries()
 	if got := rel.Estimate(s1, "breast cancer"); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("r̂(db1) = %v, want 1000", got)
@@ -43,7 +44,7 @@ func TestPaperExample1(t *testing.T) {
 }
 
 func TestDocFrequencyEdgeCases(t *testing.T) {
-	rel := &DocFrequency{Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
 	s1, _ := paperSummaries()
 	if got := rel.Estimate(s1, ""); got != 0 {
 		t.Errorf("empty query estimate = %v", got)
@@ -63,12 +64,12 @@ func TestDocFrequencyEdgeCases(t *testing.T) {
 }
 
 func TestDocFrequencyProbe(t *testing.T) {
-	ix := textindex.NewIndex(textindex.NewTokenizer(textindex.TokenizerConfig{}))
+	ix := textindex.NewIndex(textindex.DefaultTokenizer())
 	ix.Add("a", "breast cancer research")
 	ix.Add("b", "breast cancer care")
 	ix.Add("c", "cancer care")
 	db := hidden.NewLocal("d", ix)
-	rel := &DocFrequency{Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
 	got, err := rel.Probe(db, "breast cancer")
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestDocFrequencyProbe(t *testing.T) {
 	if got != 2 {
 		t.Errorf("Probe = %v, want 2", got)
 	}
-	bad := hidden.NewStaticError("bad", fmt.Errorf("down"))
+	bad := hiddentest.NewStaticError("bad", fmt.Errorf("down"))
 	if _, err := rel.Probe(bad, "x"); err == nil {
 		t.Error("probe of failing database should error")
 	}
@@ -86,14 +87,14 @@ func TestDocFrequencyProbe(t *testing.T) {
 // terms are exactly independent and verifies Eq. 1 is exact there —
 // the estimator's error must come only from correlation.
 func TestEstimatorExactOnIndependentStats(t *testing.T) {
-	ix := textindex.NewIndex(textindex.NewTokenizer(textindex.TokenizerConfig{}))
+	ix := textindex.NewIndex(textindex.DefaultTokenizer())
 	// 4 docs: aa in 2 (d0, d1), bb in 2 (d1, d3): AND = 1 = 4·(2/4)·(2/4).
 	ix.Add("d0", "aa xx")
 	ix.Add("d1", "aa bb")
 	ix.Add("d2", "yy zz")
 	ix.Add("d3", "bb yy")
-	s := summary.FromIndex("d", ix)
-	rel := &DocFrequency{Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	s := summary.FromLocal(hidden.NewLocal("d", ix))
+	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
 	est := rel.Estimate(s, "aa bb")
 	if math.Abs(est-1) > 1e-9 {
 		t.Errorf("estimate = %v, want exactly 1", est)
@@ -105,7 +106,7 @@ func TestEstimatorExactOnIndependentStats(t *testing.T) {
 }
 
 func TestDocSimilarity(t *testing.T) {
-	rel := &DocSimilarity{Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	rel := &DocSimilarity{tok: textindex.DefaultTokenizer()}
 	s1, _ := paperSummaries()
 	got := rel.Estimate(s1, "breast cancer")
 	if got <= 0 || got > 1 {
@@ -135,11 +136,11 @@ func TestDocSimilarity(t *testing.T) {
 }
 
 func TestDocSimilarityProbe(t *testing.T) {
-	ix := textindex.NewIndex(textindex.NewTokenizer(textindex.TokenizerConfig{}))
+	ix := textindex.NewIndex(textindex.DefaultTokenizer())
 	ix.Add("a", "breast cancer")
 	ix.Add("b", "unrelated words")
 	db := hidden.NewLocal("d", ix)
-	rel := &DocSimilarity{Tok: textindex.NewTokenizer(textindex.TokenizerConfig{})}
+	rel := &DocSimilarity{tok: textindex.DefaultTokenizer()}
 	got, err := rel.Probe(db, "breast cancer")
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +161,14 @@ func TestDefaultConstructorsStemConsistently(t *testing.T) {
 	rel := NewDocFrequency()
 	s := &summary.Summary{
 		Database: "d", Size: 100, DocCount: 100,
-		DF: map[string]int{textindex.Stem("cancers"): 40},
+		DF: map[string]int{textindex.DefaultTokenizer().Tokenize("cancers")[0]: 40},
 	}
 	a := rel.Estimate(s, "cancer")
 	b := rel.Estimate(s, "cancers")
 	if a != b || a == 0 {
 		t.Errorf("stemming inconsistency: %v vs %v", a, b)
 	}
-	if NewDocSimilarity().Tok == nil {
+	if NewDocSimilarity().tok == nil {
 		t.Error("NewDocSimilarity has nil tokenizer")
 	}
 }

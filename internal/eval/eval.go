@@ -90,8 +90,6 @@ type MethodScore struct {
 	// AvgProbes is the average number of successful probes per query
 	// (0 for non-probing methods).
 	AvgProbes float64
-	// Queries is the number of queries scored.
-	Queries int
 }
 
 // Selector is any database-selection method: given a query, produce a
@@ -130,7 +128,6 @@ func Score(golden []Golden, k int, sel Selector) (MethodScore, error) {
 	score.AvgCorA /= n
 	score.AvgCorP /= n
 	score.AvgProbes /= n
-	score.Queries = len(golden)
 	return score, nil
 }
 

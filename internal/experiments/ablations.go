@@ -17,11 +17,11 @@ func AblationPolicies(env *Env, t float64, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A1",
 		Title:   fmt.Sprintf("Ablation A1: probe policies (t=%.2f, k=%d, %s metric)", t, k, core.Absolute),
-		Columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
+		columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
 	}
 	policies := []func(qi int) core.Policy{
 		shared(core.Greedy{}),
-		randomPerQuery(env.Cfg.Seed, 99),
+		randomPerQuery(env.cfg.Seed, 99),
 		shared(core.ByEstimate{}),
 		shared(core.MaxEntropy{}),
 	}
@@ -30,7 +30,7 @@ func AblationPolicies(env *Env, t float64, k int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.Rows = append(table.Rows, row)
+		table.rows = append(table.rows, row)
 	}
 	return table, nil
 }
@@ -56,10 +56,10 @@ func randomPerQuery(seed, label int64) func(qi int) core.Policy {
 // is the policy for query qi.
 func runPolicy(env *Env, policy func(qi int) core.Policy, t float64, k int) ([]string, error) {
 	type answer struct{ probes, corA, corP, reached float64 }
-	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
-		g := env.Golden[qi]
+	answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
+		g := env.golden[qi]
 		sel := env.Selection(g.Query, core.Absolute, k)
-		out, err := core.APro(sel, env.Probe(g.Query.String()), policy(qi), t, -1)
+		out, err := core.APro(sel, env.probe(g.Query.String()), policy(qi), t, -1)
 		if err != nil {
 			return answer{}, err
 		}
@@ -80,7 +80,7 @@ func runPolicy(env *Env, policy func(qi int) core.Policy, t float64, k int) ([]s
 		corP += a.corP
 		reached += a.reached
 	}
-	n := float64(len(env.Golden))
+	n := float64(len(env.golden))
 	return []string{policy(0).Name(), f2(probes / n), f3(corA / n), f3(corP / n), f3(reached / n)}, nil
 }
 
@@ -94,7 +94,7 @@ func AblationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
 		numDBs = 5
 	}
 	cfg := base
-	cfg.MaxDatabases = numDBs
+	cfg.maxDatabases = numDBs
 	// The optimal policy's recursion is exponential in support sizes;
 	// keep the evaluation set modest.
 	if cfg.Test2 > 40 {
@@ -110,8 +110,8 @@ func AblationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
 	table := &Table{
 		ID:      "A1b",
 		Title:   fmt.Sprintf("Ablation A1b: greedy vs. exact optimal probing (%d databases, t=%.2f, k=1)", numDBs, t),
-		Columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
-		Notes:   []string{"the optimal policy is expectimin over probe orders and outcomes — O(n!) as the paper notes"},
+		columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
+		notes:   []string{"the optimal policy is expectimin over probe orders and outcomes — O(n!) as the paper notes"},
 	}
 	policies := []func(qi int) core.Policy{
 		shared(core.Greedy{}),
@@ -123,7 +123,7 @@ func AblationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.Rows = append(table.Rows, row)
+		table.rows = append(table.rows, row)
 	}
 	return table, nil
 }
@@ -135,13 +135,13 @@ func AblationTypeThreshold(env *Env, thresholds []float64, k int) (*Table, error
 	table := &Table{
 		ID:      "A2",
 		Title:   fmt.Sprintf("Ablation A2: query-type threshold θ (RD-based, k=%d)", k),
-		Columns: []string{"θ", "Avg(Cor_a)", "Avg(Cor_p)"},
-		Notes:   []string{"the paper found θ=100 a good split on full-size collections; scaled testbeds shift the sweet spot"},
+		columns: []string{"θ", "Avg(Cor_a)", "Avg(Cor_p)"},
+		notes:   []string{"the paper found θ=100 a good split on full-size collections; scaled testbeds shift the sweet spot"},
 	}
 	for _, th := range thresholds {
-		cfg := env.Cfg.Model
+		cfg := env.cfg.model
 		cfg.Classifier = core.Classifier{Threshold: th, MaxTerms: cfg.Classifier.MaxTerms}
-		model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.Train, cfg)
+		model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.train, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func AblationTypeThreshold(env *Env, thresholds []float64, k int) (*Table, error
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(fmt.Sprintf("%g", th), f3(score.AvgCorA), f3(score.AvgCorP))
+		table.addRow(fmt.Sprintf("%g", th), f3(score.AvgCorA), f3(score.AvgCorP))
 	}
 	return table, nil
 }
@@ -160,7 +160,7 @@ func AblationEDBins(env *Env, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A3",
 		Title:   fmt.Sprintf("Ablation A3: ED binning (RD-based, k=%d)", k),
-		Columns: []string{"bins", "representative", "Avg(Cor_a)", "Avg(Cor_p)"},
+		columns: []string{"bins", "representative", "Avg(Cor_a)", "Avg(Cor_p)"},
 	}
 	coarse := []float64{-1, -0.5, 0, 0.5, 1.5, 1e18}
 	standard := core.DefaultErrorEdges()
@@ -177,10 +177,10 @@ func AblationEDBins(env *Env, k int) (*Table, error) {
 		{"default (12)", standard, false},
 	}
 	for _, c := range cases {
-		cfg := env.Cfg.Model
+		cfg := env.cfg.model
 		cfg.ErrorEdges = c.edges
 		cfg.UseBinMean = c.binMean
-		model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.Train, cfg)
+		model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.train, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +192,7 @@ func AblationEDBins(env *Env, k int) (*Table, error) {
 		if !c.binMean {
 			rep = "midpoint"
 		}
-		table.AddRow(c.label, rep, f3(score.AvgCorA), f3(score.AvgCorP))
+		table.addRow(c.label, rep, f3(score.AvgCorA), f3(score.AvgCorP))
 	}
 	return table, nil
 }
@@ -203,13 +203,13 @@ func AblationTrainingSize(env *Env, sizes []int, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A4",
 		Title:   fmt.Sprintf("Ablation A4: training-set size (RD-based, k=%d)", k),
-		Columns: []string{"training queries", "Avg(Cor_a)", "Avg(Cor_p)"},
+		columns: []string{"training queries", "Avg(Cor_a)", "Avg(Cor_p)"},
 	}
 	for _, size := range sizes {
-		if size > len(env.Train) {
-			size = len(env.Train)
+		if size > len(env.train) {
+			size = len(env.train)
 		}
-		model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.Train[:size], env.Cfg.Model)
+		model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.train[:size], env.cfg.model)
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +217,7 @@ func AblationTrainingSize(env *Env, sizes []int, k int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(fmt.Sprintf("%d", size), f3(score.AvgCorA), f3(score.AvgCorP))
+		table.addRow(fmt.Sprintf("%d", size), f3(score.AvgCorA), f3(score.AvgCorP))
 	}
 	return table, nil
 }
@@ -238,8 +238,8 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A5",
 		Title:   fmt.Sprintf("Ablation A5: non-uniform probe costs (t=%.2f, k=%d)", t, k),
-		Columns: []string{"policy", "avg probes", "avg cost", "Avg(Cor_a)"},
-		Notes:   []string{"probe cost per database: 1 + ⌊log10(size)⌋"},
+		columns: []string{"policy", "avg probes", "avg cost", "Avg(Cor_a)"},
+		notes:   []string{"probe cost per database: 1 + ⌊log10(size)⌋"},
 	}
 	for _, c := range []struct {
 		label  string
@@ -249,10 +249,10 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 		{"greedy (cost-aware)", core.Greedy{Cost: func(i int) float64 { return costs[i] }}},
 	} {
 		type answer struct{ probes, cost, corA float64 }
-		answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
-			g := env.Golden[qi]
+		answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
+			g := env.golden[qi]
 			sel := env.Selection(g.Query, core.Absolute, k)
-			out, err := core.APro(sel, env.Probe(g.Query.String()), c.policy, t, -1)
+			out, err := core.APro(sel, env.probe(g.Query.String()), c.policy, t, -1)
 			if err != nil {
 				return answer{}, err
 			}
@@ -273,8 +273,8 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 			cost += a.cost
 			corA += a.corA
 		}
-		n := float64(len(env.Golden))
-		table.AddRow(c.label, f2(probes/n), f2(cost/n), f3(corA/n))
+		n := float64(len(env.golden))
+		table.addRow(c.label, f2(probes/n), f2(cost/n), f3(corA/n))
 	}
 	return table, nil
 }

@@ -19,19 +19,19 @@ func BaselineComparison(env *Env, ks []int) (*Table, error) {
 	table := &Table{
 		ID:      "EBASE",
 		Title:   "E-BASE: selector comparison (classical rankers vs probabilistic selection)",
-		Columns: []string{"method", "k", "Avg(Cor_a)", "Avg(Cor_p)", "avg probes"},
-		Notes: []string{
+		columns: []string{"method", "k", "Avg(Cor_a)", "Avg(Cor_p)", "avg probes"},
+		notes: []string{
 			"CORI: Callan et al., SIGIR 1995, default parameters (b=0.4, k=200, b_s=0.75)",
 		},
 	}
 	cori := estimate.NewCORI()
 	for _, k := range ks {
 		add := func(name string, sel eval.Selector) error {
-			score, err := eval.Score(env.Golden, k, sel)
+			score, err := eval.Score(env.golden, k, sel)
 			if err != nil {
 				return fmt.Errorf("experiments: %s (k=%d): %w", name, k, err)
 			}
-			table.AddRow(name, fmt.Sprintf("%d", k), f3(score.AvgCorA), f3(score.AvgCorP), f2(score.AvgProbes))
+			table.addRow(name, fmt.Sprintf("%d", k), f3(score.AvgCorA), f3(score.AvgCorP), f2(score.AvgProbes))
 			return nil
 		}
 
@@ -61,7 +61,7 @@ func BaselineComparison(env *Env, ks []int) (*Table, error) {
 			budget := probes
 			if err := add(fmt.Sprintf("APro (%d probes)", budget), func(q queries.Query) ([]int, int, error) {
 				sel := env.Selection(q, core.Absolute, k)
-				out, err := core.APro(sel, env.Probe(q.String()), &core.Greedy{}, 1, budget)
+				out, err := core.APro(sel, env.probe(q.String()), &core.Greedy{}, 1, budget)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -25,8 +25,8 @@ func CalibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
 		correct  float64
 	}
 	type answer struct{ certainty, cor float64 }
-	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
-		g := env.Golden[qi]
+	answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
+		g := env.golden[qi]
 		sel := env.Selection(g.Query, core.Absolute, k)
 		set, certainty := sel.Best()
 		return answer{certainty, eval.CorA(set, core.TopKByScore(g.Actual, k))}, nil
@@ -45,8 +45,8 @@ func CalibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
 	table := &Table{
 		ID:      "ECAL",
 		Title:   fmt.Sprintf("E-CAL: certainty calibration of RD-based selection (k=%d, no probing)", k),
-		Columns: []string{"certainty bucket", "queries", "mean promised", "empirical Cor_a", "gap"},
-		Notes: []string{
+		columns: []string{"certainty bucket", "queries", "mean promised", "empirical Cor_a", "gap"},
+		notes: []string{
 			"well-calibrated certainty: empirical accuracy ≈ mean promised certainty per bucket",
 		},
 	}
@@ -56,7 +56,7 @@ func CalibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
 		hi := float64(bi+1) / float64(numBuckets)
 		label := fmt.Sprintf("[%.2f, %.2f)", lo, hi)
 		if b.n == 0 {
-			table.AddRow(label, "0", "n/a", "n/a", "n/a")
+			table.addRow(label, "0", "n/a", "n/a", "n/a")
 			continue
 		}
 		promised := b.promised / float64(b.n)
@@ -65,8 +65,8 @@ func CalibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
 		if math.Abs(gap) > math.Abs(worstGap) && b.n >= 20 {
 			worstGap = gap
 		}
-		table.AddRow(label, fmt.Sprintf("%d", b.n), f3(promised), f3(empirical), fmt.Sprintf("%+.3f", gap))
+		table.addRow(label, fmt.Sprintf("%d", b.n), f3(promised), f3(empirical), fmt.Sprintf("%+.3f", gap))
 	}
-	table.Notes = append(table.Notes, fmt.Sprintf("worst gap over buckets with ≥20 queries: %+.3f", worstGap))
+	table.notes = append(table.notes, fmt.Sprintf("worst gap over buckets with ≥20 queries: %+.3f", worstGap))
 	return table, nil
 }

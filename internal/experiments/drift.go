@@ -38,8 +38,8 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 	table := &Table{
 		ID:      "EDRIFT",
 		Title:   fmt.Sprintf("E-DRIFT: online refinement under content drift (%s grows %.0f%%, k=1)", driftDB, growth*100),
-		Columns: []string{"phase", "overall Cor_a", "affected-query Cor_a", "affected queries"},
-		Notes: []string{
+		columns: []string{"phase", "overall Cor_a", "affected-query Cor_a", "affected queries"},
+		notes: []string{
 			"summaries and estimates stay stale throughout; only the error model refreshes",
 			fmt.Sprintf("refinement: %d live-probe observations on the drifted database", refreshProbes),
 			"affected queries: those whose true top-1 is the drifted database after the drift",
@@ -69,12 +69,12 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 		if affectedN > 0 {
 			affected = f3(float64(affectedHit) / float64(affectedN))
 		}
-		table.AddRow(phase, f3(float64(overallHit)/float64(overallN)), affected, fmt.Sprintf("%d", affectedN))
+		table.addRow(phase, f3(float64(overallHit)/float64(overallN)), affected, fmt.Sprintf("%d", affectedN))
 		return nil
 	}
 
 	// Phase 1: before the drift.
-	if err := record("before drift", env.Golden); err != nil {
+	if err := record("before drift", env.golden); err != nil {
 		return nil, err
 	}
 
@@ -87,7 +87,7 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 		TopicWeights:    map[string]float64{"oncology": 6, "infectious": 2},
 		ConceptAffinity: 0.5,
 	}
-	newDocs, err := env.World.Generate(driftSpec, stats.NewRNG(cfg.Seed).Fork(999))
+	newDocs, err := env.world.Generate(driftSpec, stats.NewRNG(cfg.Seed).Fork(999))
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 	// the next version, with every observation's rows published.
 	// Refresh queries come from the training pool.
 	refreshed := 0
-	for _, q := range env.Train {
+	for _, q := range env.train {
 		if refreshed >= refreshProbes {
 			break
 		}

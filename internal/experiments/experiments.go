@@ -32,16 +32,16 @@ type Config struct {
 	Train2, Train3 int
 	// Test2, Test3 are the 2-/3-term test-query counts.
 	Test2, Test3 int
-	// Model is the training configuration.
-	Model core.Config
-	// MaxDatabases truncates the Figure 14 roster (0 = all 20); the
+	// model is the training configuration.
+	model core.Config
+	// maxDatabases truncates the Figure 14 roster (0 = all 20); the
 	// optimal-policy ablation needs a tiny testbed (its cost is
 	// factorial).
-	MaxDatabases int
-	// Relevancy overrides the relevancy definition (nil: document
+	maxDatabases int
+	// relevancy overrides the relevancy definition (nil: document
 	// frequency, the paper's evaluation setting). Set it together with
 	// a matching Model config — see SimilarityVariant.
-	Relevancy estimate.Relevancy
+	relevancy estimate.Relevancy
 }
 
 // SimilarityVariant returns cfg switched to the document-similarity
@@ -50,8 +50,8 @@ type Config struct {
 // paper states its techniques apply to both definitions; this variant
 // demonstrates it end to end (experiment E-SIM in DESIGN.md).
 func SimilarityVariant(cfg Config) Config {
-	cfg.Relevancy = estimate.NewDocSimilarity()
-	cfg.Model = core.SimilarityConfig()
+	cfg.relevancy = estimate.NewDocSimilarity()
+	cfg.model = core.SimilarityConfig()
 	return cfg
 }
 
@@ -62,7 +62,7 @@ func DefaultConfig() Config {
 		Scale:  0.05,
 		Train2: 1000, Train3: 1000,
 		Test2: 1000, Test3: 1000,
-		Model: core.DefaultConfig(),
+		model: core.DefaultConfig(),
 	}
 }
 
@@ -78,12 +78,12 @@ func SmallConfig() Config {
 // Env is a fully prepared experiment environment: testbed, summaries,
 // trained model, query sets and golden standard.
 type Env struct {
-	// Cfg is the configuration the environment was built with.
-	Cfg Config
-	// World is the vocabulary universe.
-	World *corpus.World
-	// Specs are the database specifications (Figure 14).
-	Specs []corpus.DatabaseSpec
+	// cfg is the configuration the environment was built with.
+	cfg Config
+	// world is the vocabulary universe.
+	world *corpus.World
+	// specs are the database specifications (Figure 14).
+	specs []corpus.DatabaseSpec
 	// Testbed are the live databases.
 	Testbed *hidden.Testbed
 	// Summaries are the exact content summaries.
@@ -94,10 +94,10 @@ type Env struct {
 	// published as the daemon publishes its model: selections are filled
 	// from its RD table and decided through its memo.
 	Version *core.ModelVersion
-	// Train and Test are the disjoint query sets.
-	Train, Test []queries.Query
-	// Golden is the test queries' ground truth.
-	Golden []eval.Golden
+	// train and Test are the disjoint query sets.
+	train, Test []queries.Query
+	// golden is the test queries' ground truth.
+	golden []eval.Golden
 }
 
 // Setup builds the complete pipeline of Section 6.1: generate the 20
@@ -107,18 +107,18 @@ func Setup(cfg Config) (*Env, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("experiments: scale must be positive")
 	}
-	rel := cfg.Relevancy
+	rel := cfg.relevancy
 	if rel == nil {
 		rel = estimate.NewDocFrequency()
 	}
-	env := &Env{Cfg: cfg, World: corpus.HealthWorld(), Rel: rel}
-	env.Specs = corpus.HealthTestbed(cfg.Scale)
-	if cfg.MaxDatabases > 0 && cfg.MaxDatabases < len(env.Specs) {
-		env.Specs = env.Specs[:cfg.MaxDatabases]
+	env := &Env{cfg: cfg, world: corpus.HealthWorld(), Rel: rel}
+	env.specs = corpus.HealthTestbed(cfg.Scale)
+	if cfg.maxDatabases > 0 && cfg.maxDatabases < len(env.specs) {
+		env.specs = env.specs[:cfg.maxDatabases]
 	}
 
 	var err error
-	env.Testbed, err = hidden.BuildTestbed(env.World, env.Specs, cfg.Seed)
+	env.Testbed, err = hidden.BuildTestbed(env.world, env.specs, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building testbed: %w", err)
 	}
@@ -126,30 +126,30 @@ func Setup(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building summaries: %w", err)
 	}
-	gen, err := queries.NewGenerator(env.World, queries.Config{})
+	gen, err := queries.NewGenerator(env.world, queries.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: query generator: %w", err)
 	}
-	env.Train, env.Test, err = gen.TrainTest(stats.NewRNG(cfg.Seed).Fork(1),
+	env.train, env.Test, err = gen.TrainTest(stats.NewRNG(cfg.Seed).Fork(1),
 		cfg.Train2, cfg.Train3, cfg.Test2, cfg.Test3)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: query sets: %w", err)
 	}
-	model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.Train, cfg.Model)
+	model, err := core.Train(env.Testbed, env.Summaries, env.Rel, env.train, cfg.model)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training: %w", err)
 	}
 	env.Version = serve(model)
-	env.Golden, err = eval.BuildGolden(env.Testbed, env.Rel, env.Test)
+	env.golden, err = eval.BuildGolden(env.Testbed, env.Rel, env.Test)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: golden standard: %w", err)
 	}
 	return env, nil
 }
 
-// Probe issues the live query to database i of the testbed (the
+// probe issues the live query to database i of the testbed (the
 // ProbeFunc used by every APro run in the experiments).
-func (e *Env) Probe(query string) core.ProbeFunc {
+func (e *Env) probe(query string) core.ProbeFunc {
 	return func(i int) (float64, error) {
 		return e.Rel.Probe(e.Testbed.DB(i), query)
 	}
@@ -172,7 +172,7 @@ func serve(m *core.Model) *core.ModelVersion {
 // sums on the environment's golden standard: each query's k databases
 // with the highest estimates.
 func scoreEstimates(env *Env, sums *summary.Set, k int) (eval.MethodScore, error) {
-	return eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
+	return eval.Score(env.golden, k, func(q queries.Query) ([]int, int, error) {
 		ests := make([]float64, len(sums.Summaries))
 		for i, s := range sums.Summaries {
 			ests[i] = env.Rel.Estimate(s, q.String())
@@ -186,7 +186,7 @@ func scoreEstimates(env *Env, sums *summary.Set, k int) (eval.MethodScore, error
 // absolute metric.
 func scoreRDSelection(env *Env, model *core.Model, k int) (eval.MethodScore, error) {
 	ver := serve(model)
-	return eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
+	return eval.Score(env.golden, k, func(q queries.Query) ([]int, int, error) {
 		set, _ := ver.NewSelection(q.String(), q.NumTerms(), core.Absolute, k).Best()
 		return set, 0, nil
 	})
@@ -198,26 +198,26 @@ type Table struct {
 	ID string
 	// Title describes the artifact ("Figure 15: ...").
 	Title string
-	// Columns are the header cells.
-	Columns []string
-	// Rows are the data cells, one slice per row.
-	Rows [][]string
-	// Notes carry provenance (configuration, shape expectations).
-	Notes []string
+	// columns are the header cells.
+	columns []string
+	// rows are the data cells, one slice per row.
+	rows [][]string
+	// notes carry provenance (configuration, shape expectations).
+	notes []string
 }
 
-// AddRow appends one row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends one row.
+func (t *Table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
 // String renders the table as aligned text.
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+	widths := make([]int, len(t.columns))
+	for i, c := range t.columns {
 		widths[i] = len(c)
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		for i, cell := range row {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
@@ -233,17 +233,17 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Columns)
+	writeRow(t.columns)
 	total := len(widths)*2 - 2
 	for _, w := range widths {
 		total += w
 	}
 	b.WriteString(strings.Repeat("-", total))
 	b.WriteByte('\n')
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		writeRow(row)
 	}
-	for _, n := range t.Notes {
+	for _, n := range t.notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
@@ -253,9 +253,9 @@ func (t *Table) String() string {
 // needed: cells never contain commas).
 func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
+	b.WriteString(strings.Join(t.columns, ","))
 	b.WriteByte('\n')
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		b.WriteString(strings.Join(row, ","))
 		b.WriteByte('\n')
 	}

@@ -40,9 +40,9 @@ func freshEnv(t *testing.T) *Env {
 
 func cell(t *testing.T, table *Table, row, col int) float64 {
 	t.Helper()
-	v, err := strconv.ParseFloat(table.Rows[row][col], 64)
+	v, err := strconv.ParseFloat(table.rows[row][col], 64)
 	if err != nil {
-		t.Fatalf("cell (%d,%d) = %q is not numeric: %v", row, col, table.Rows[row][col], err)
+		t.Fatalf("cell (%d,%d) = %q is not numeric: %v", row, col, table.rows[row][col], err)
 	}
 	return v
 }
@@ -60,22 +60,22 @@ func TestSetupShapes(t *testing.T) {
 	if env.Testbed.Len() != 20 {
 		t.Errorf("testbed has %d databases, want 20", env.Testbed.Len())
 	}
-	if len(env.Train) != 300 || len(env.Test) != 120 {
-		t.Errorf("query sets %d/%d", len(env.Train), len(env.Test))
+	if len(env.train) != 300 || len(env.Test) != 120 {
+		t.Errorf("query sets %d/%d", len(env.train), len(env.Test))
 	}
-	if len(env.Golden) != len(env.Test) {
-		t.Errorf("golden %d entries for %d test queries", len(env.Golden), len(env.Test))
+	if len(env.golden) != len(env.Test) {
+		t.Errorf("golden %d entries for %d test queries", len(env.golden), len(env.Test))
 	}
 }
 
 func TestFigure14(t *testing.T) {
 	env := testEnv(t)
 	table := Figure14(env)
-	if len(table.Rows) != 20 {
-		t.Fatalf("F14 rows = %d, want 20", len(table.Rows))
+	if len(table.rows) != 20 {
+		t.Fatalf("F14 rows = %d, want 20", len(table.rows))
 	}
 	categories := map[string]int{}
-	for _, row := range table.Rows {
+	for _, row := range table.rows {
 		categories[row[1]]++
 	}
 	if categories["health"] != 13 || categories["science"] != 4 || categories["news"] != 3 {
@@ -95,11 +95,11 @@ func TestFigure9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) == 0 {
+	if len(table.rows) == 0 {
 		t.Fatal("F9 has no rows")
 	}
 	// Each row's three probability cells must sum to ≈ 1.
-	for ri := range table.Rows {
+	for ri := range table.rows {
 		sum := cell(t, table, ri, 3) + cell(t, table, ri, 4) + cell(t, table, ri, 5)
 		if sum < 0.98 || sum > 1.02 {
 			t.Errorf("row %d probabilities sum to %v", ri, sum)
@@ -118,8 +118,8 @@ func TestFigure15Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("F15 rows = %d", len(table.Rows))
+	if len(table.rows) != 4 {
+		t.Fatalf("F15 rows = %d", len(table.rows))
 	}
 	for pair := 0; pair < 2; pair++ {
 		baseA := cell(t, table, 2*pair, 2)
@@ -148,12 +148,12 @@ func TestFigure16Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 6 {
-		t.Fatalf("F16 rows = %d, want 6 (3 panels × APro/baseline)", len(table.Rows))
+	if len(table.rows) != 6 {
+		t.Fatalf("F16 rows = %d, want 6 (3 panels × APro/baseline)", len(table.rows))
 	}
-	for ri := 0; ri < len(table.Rows); ri += 2 {
-		apro := table.Rows[ri]
-		base := table.Rows[ri+1]
+	for ri := 0; ri < len(table.rows); ri += 2 {
+		apro := table.rows[ri]
+		base := table.rows[ri+1]
 		first := cell(t, table, ri, 1)
 		last := cell(t, table, ri, maxProbes+1)
 		if last < first {
@@ -244,14 +244,14 @@ func TestFigure17Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("F17 rows = %d", len(table.Rows))
+	if len(table.rows) != 3 {
+		t.Fatalf("F17 rows = %d", len(table.rows))
 	}
-	for ri := range table.Rows {
+	for ri := range table.rows {
 		lo := cell(t, table, ri, 1)
 		hi := cell(t, table, ri, len(thresholds))
 		if hi < lo-0.01 {
-			t.Errorf("series %q: probes decreased with t (%v → %v)", table.Rows[ri][0], lo, hi)
+			t.Errorf("series %q: probes decreased with t (%v → %v)", table.rows[ri][0], lo, hi)
 		}
 	}
 }
@@ -261,21 +261,21 @@ func TestSamplingStudyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(perDB.Rows) != 3 {
-		t.Fatalf("F7 rows = %d, want ShowDBs=3", len(perDB.Rows))
+	if len(perDB.rows) != 3 {
+		t.Fatalf("F7 rows = %d, want ShowDBs=3", len(perDB.rows))
 	}
-	if len(avg.Rows) != 1 {
-		t.Fatalf("F8 rows = %d", len(avg.Rows))
+	if len(avg.rows) != 1 {
+		t.Fatalf("F8 rows = %d", len(avg.rows))
 	}
 	// The paper's observation: goodness well above the 0.05 acceptance
 	// line for all sizes.
-	for c := 1; c < len(avg.Columns); c++ {
-		if avg.Rows[0][c] == "n/a" {
+	for c := 1; c < len(avg.columns); c++ {
+		if avg.rows[0][c] == "n/a" {
 			continue
 		}
 		v := cell(t, avg, 0, c)
 		if v < 0.05 {
-			t.Errorf("avg goodness %v at %s below the acceptance line", v, avg.Columns[c])
+			t.Errorf("avg goodness %v at %s below the acceptance line", v, avg.columns[c])
 		}
 	}
 	// Invalid configurations fail fast.
@@ -292,13 +292,13 @@ func TestAblationPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("A1 rows = %d", len(table.Rows))
+	if len(table.rows) != 4 {
+		t.Fatalf("A1 rows = %d", len(table.rows))
 	}
 	// Find the greedy and random rows; greedy should need no more
 	// probes than random (allow small noise).
 	probes := map[string]float64{}
-	for ri, row := range table.Rows {
+	for ri, row := range table.rows {
 		probes[row[0]] = cell(t, table, ri, 1)
 	}
 	if probes["greedy"] > probes["random"]+0.5 {
@@ -312,10 +312,10 @@ func TestAblationTypeThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("A2 rows = %d", len(table.Rows))
+	if len(table.rows) != 2 {
+		t.Fatalf("A2 rows = %d", len(table.rows))
 	}
-	for ri := range table.Rows {
+	for ri := range table.rows {
 		if v := cell(t, table, ri, 1); v < 0 || v > 1 {
 			t.Errorf("row %d CorA %v out of range", ri, v)
 		}
@@ -328,8 +328,8 @@ func TestAblationEDBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("A3 rows = %d", len(table.Rows))
+	if len(table.rows) != 4 {
+		t.Fatalf("A3 rows = %d", len(table.rows))
 	}
 }
 
@@ -339,12 +339,12 @@ func TestAblationTrainingSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("A4 rows = %d", len(table.Rows))
+	if len(table.rows) != 3 {
+		t.Fatalf("A4 rows = %d", len(table.rows))
 	}
 	// The oversize request clamps to the actual training-set size.
-	if table.Rows[2][0] != "300" {
-		t.Errorf("clamped size = %s, want 300", table.Rows[2][0])
+	if table.rows[2][0] != "300" {
+		t.Errorf("clamped size = %s, want 300", table.rows[2][0])
 	}
 }
 
@@ -354,8 +354,8 @@ func TestAblationProbeCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("A5 rows = %d", len(table.Rows))
+	if len(table.rows) != 2 {
+		t.Fatalf("A5 rows = %d", len(table.rows))
 	}
 	blind := cell(t, table, 0, 2)
 	aware := cell(t, table, 1, 2)
@@ -368,10 +368,10 @@ func TestTableRendering(t *testing.T) {
 	table := &Table{
 		ID:      "T",
 		Title:   "test",
-		Columns: []string{"a", "b"},
-		Notes:   []string{"hello"},
+		columns: []string{"a", "b"},
+		notes:   []string{"hello"},
 	}
-	table.AddRow("x", "y")
+	table.addRow("x", "y")
 	s := table.String()
 	if !strings.Contains(s, "T — test") || !strings.Contains(s, "note: hello") {
 		t.Errorf("rendering = %q", s)
@@ -393,11 +393,11 @@ func TestAblationOptimalPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.rows) != 3 {
+		t.Fatalf("rows = %d", len(table.rows))
 	}
 	probes := map[string]float64{}
-	for ri, row := range table.Rows {
+	for ri, row := range table.rows {
 		probes[row[0]] = cell(t, table, ri, 1)
 	}
 	if probes["greedy"] > probes["optimal"]+0.75 {
@@ -447,12 +447,12 @@ func TestSamplingStudyKSCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := 1; c < len(avg.Columns); c++ {
-		if avg.Rows[0][c] == "n/a" {
+	for c := 1; c < len(avg.columns); c++ {
+		if avg.rows[0][c] == "n/a" {
 			continue
 		}
 		if v := cell(t, avg, 0, c); v < 0.05 {
-			t.Errorf("KS avg goodness %v at %s below the acceptance line", v, avg.Columns[c])
+			t.Errorf("KS avg goodness %v at %s below the acceptance line", v, avg.columns[c])
 		}
 	}
 }
@@ -466,16 +466,16 @@ func TestSamplingStudyNotesStatistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(perDB.Notes[0], "Kolmogorov") {
-		t.Errorf("KS F7 note: %q", perDB.Notes[0])
+	if !strings.Contains(perDB.notes[0], "Kolmogorov") {
+		t.Errorf("KS F7 note: %q", perDB.notes[0])
 	}
 	cfg.UseKS = false
 	perDB, _, err = SamplingStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(perDB.Notes[0], "chi-square") {
-		t.Errorf("chi-square F7 note: %q", perDB.Notes[0])
+	if !strings.Contains(perDB.notes[0], "chi-square") {
+		t.Errorf("chi-square F7 note: %q", perDB.notes[0])
 	}
 }
 
@@ -487,11 +487,11 @@ func TestBaselineComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 5 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.rows) != 5 {
+		t.Fatalf("rows = %d", len(table.rows))
 	}
 	byName := map[string]float64{}
-	for ri, row := range table.Rows {
+	for ri, row := range table.rows {
 		byName[row[0]] = cell(t, table, ri, 2)
 	}
 	if byName["RD-based"] < byName["term-independence"]-0.02 {
@@ -514,11 +514,11 @@ func TestDriftStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.rows) != 3 {
+		t.Fatalf("rows = %d", len(table.rows))
 	}
-	afterDriftAffected := table.Rows[1][2]
-	afterRefineAffected := table.Rows[2][2]
+	afterDriftAffected := table.rows[1][2]
+	afterRefineAffected := table.rows[2][2]
 	if afterDriftAffected == "n/a" || afterRefineAffected == "n/a" {
 		t.Skip("drift produced no affected queries at this scale")
 	}
@@ -546,10 +546,10 @@ func TestCalibrationStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 5 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.rows) != 5 {
+		t.Fatalf("rows = %d", len(table.rows))
 	}
-	for ri, row := range table.Rows {
+	for ri, row := range table.rows {
 		if row[1] == "0" {
 			continue
 		}
@@ -565,8 +565,8 @@ func TestCalibrationStudy(t *testing.T) {
 		}
 	}
 	// Default bucket count.
-	if table2, err := CalibrationStudy(env, 1, 0); err != nil || len(table2.Rows) != 5 {
-		t.Errorf("default buckets: %v rows, err %v", len(table2.Rows), err)
+	if table2, err := CalibrationStudy(env, 1, 0); err != nil || len(table2.rows) != 5 {
+		t.Errorf("default buckets: %v rows, err %v", len(table2.rows), err)
 	}
 }
 
@@ -579,11 +579,11 @@ func TestFusionStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.rows) != 3 {
+		t.Fatalf("rows = %d", len(table.rows))
 	}
 	byName := map[string]float64{}
-	for ri, row := range table.Rows {
+	for ri, row := range table.rows {
 		byName[row[0]] = cell(t, table, ri, 1)
 	}
 	single := byName["single best estimate"]
@@ -624,8 +624,8 @@ func TestSampledSummariesStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.rows) != 4 {
+		t.Fatalf("rows = %d", len(table.rows))
 	}
 	sampledBase := cell(t, table, 2, 2)
 	sampledRD := cell(t, table, 3, 2)
@@ -650,17 +650,17 @@ func TestPrunedSummariesStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.rows) != 3 {
+		t.Fatalf("rows = %d", len(table.rows))
 	}
-	for ri := 1; ri < len(table.Rows); ri++ {
+	for ri := 1; ri < len(table.rows); ri++ {
 		base := cell(t, table, ri, 1)
 		rd := cell(t, table, ri, 2)
 		if rd < base-0.03 {
-			t.Errorf("budget %s: RD-based (%v) fell below baseline (%v)", table.Rows[ri][0], rd, base)
+			t.Errorf("budget %s: RD-based (%v) fell below baseline (%v)", table.rows[ri][0], rd, base)
 		}
 	}
-	for ri := range table.Rows {
+	for ri := range table.rows {
 		for ci := 1; ci <= 2; ci++ {
 			if v := cell(t, table, ri, ci); v < 0 || v > 1 {
 				t.Errorf("cell (%d,%d) = %v out of range", ri, ci, v)
@@ -675,7 +675,7 @@ func TestPrunedSummariesStudy(t *testing.T) {
 	if full, f15rd := cell(t, table, 2, 2), cell(t, f15, 1, 2); full != f15rd {
 		t.Errorf("full-budget RD (%v) != Figure 15 RD (%v)", full, f15rd)
 	}
-	if table.Rows[2][0] != "full" {
-		t.Errorf("budget 0 labeled %q, want full", table.Rows[2][0])
+	if table.rows[2][0] != "full" {
+		t.Errorf("budget 0 labeled %q, want full", table.rows[2][0])
 	}
 }

@@ -17,14 +17,14 @@ func Figure14(env *Env) *Table {
 	t := &Table{
 		ID:      "F14",
 		Title:   "Figure 14: databases mediated by the metasearcher",
-		Columns: []string{"database", "category", "documents", "distinct terms"},
-		Notes: []string{
-			fmt.Sprintf("sizes scaled by %g from the paper's 300–160000 range", env.Cfg.Scale),
+		columns: []string{"database", "category", "documents", "distinct terms"},
+		notes: []string{
+			fmt.Sprintf("sizes scaled by %g from the paper's 300–160000 range", env.cfg.Scale),
 		},
 	}
-	for i, spec := range env.Specs {
+	for i, spec := range env.specs {
 		sum := env.Summaries.Summaries[i]
-		t.AddRow(spec.Name, spec.Category, fmt.Sprintf("%d", sum.Size), fmt.Sprintf("%d", len(sum.DF)))
+		t.addRow(spec.Name, spec.Category, fmt.Sprintf("%d", sum.Size), fmt.Sprintf("%d", len(sum.DF)))
 	}
 	return t
 }
@@ -41,8 +41,8 @@ func Figure9(env *Env, dbName string) (*Table, error) {
 	t := &Table{
 		ID:      "F9",
 		Title:   fmt.Sprintf("Figure 9: per-query-type error distributions on %s", dbName),
-		Columns: []string{"query type", "observations", "mean err", "P(err<-5%)", "P(|err|<=5%)", "P(err>5%)"},
-		Notes: []string{
+		columns: []string{"query type", "observations", "mean err", "P(err<-5%)", "P(|err|<=5%)", "P(err>5%)"},
+		notes: []string{
 			"zero-band rows report the distribution of absolute relevancy instead of relative error",
 		},
 	}
@@ -76,7 +76,7 @@ func Figure9(env *Env, dbName string) (*Table, error) {
 				hi += p
 			}
 		}
-		t.AddRow(key.String(), fmt.Sprintf("%d", ed.Observations()),
+		t.addRow(key.String(), fmt.Sprintf("%d", ed.Observations()),
 			f3(mean), f3(lo), f3(mid), f3(hi))
 	}
 	return t, nil
@@ -89,13 +89,13 @@ func Figure15(env *Env, ks []int) (*Table, error) {
 	t := &Table{
 		ID:      "F15",
 		Title:   "Figure 15: RD-based database selection vs. the term-independence estimator",
-		Columns: []string{"method", "k", "Avg(Cor_a)", "Avg(Cor_p)"},
-		Notes: []string{
-			fmt.Sprintf("%d test queries; paper (k=1): baseline 0.507 → RD-based 0.700 (+38.2%%)", len(env.Golden)),
+		columns: []string{"method", "k", "Avg(Cor_a)", "Avg(Cor_p)"},
+		notes: []string{
+			fmt.Sprintf("%d test queries; paper (k=1): baseline 0.507 → RD-based 0.700 (+38.2%%)", len(env.golden)),
 		},
 	}
 	for _, k := range ks {
-		base, err := eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
+		base, err := eval.Score(env.golden, k, func(q queries.Query) ([]int, int, error) {
 			sel := env.Selection(q, core.Absolute, k)
 			return sel.BaselineSelect(), 0, nil
 		})
@@ -105,7 +105,7 @@ func Figure15(env *Env, ks []int) (*Table, error) {
 		// The RD-based method optimizes the metric it is scored on; as
 		// in the paper, report the absolute-optimizing variant's CorA
 		// and the partial-optimizing variant's CorP.
-		rdAbs, err := eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
+		rdAbs, err := eval.Score(env.golden, k, func(q queries.Query) ([]int, int, error) {
 			sel := env.Selection(q, core.Absolute, k)
 			set, _ := sel.Best()
 			return set, 0, nil
@@ -113,7 +113,7 @@ func Figure15(env *Env, ks []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rdPart, err := eval.Score(env.Golden, k, func(q queries.Query) ([]int, int, error) {
+		rdPart, err := eval.Score(env.golden, k, func(q queries.Query) ([]int, int, error) {
 			sel := env.Selection(q, core.Partial, k)
 			set, _ := sel.Best()
 			return set, 0, nil
@@ -121,13 +121,13 @@ func Figure15(env *Env, ks []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow("term-independence (baseline)", fmt.Sprintf("%d", k), f3(base.AvgCorA), f3(base.AvgCorP))
-		t.AddRow("RD-based, no probing", fmt.Sprintf("%d", k), f3(rdAbs.AvgCorA), f3(rdPart.AvgCorP))
+		t.addRow("term-independence (baseline)", fmt.Sprintf("%d", k), f3(base.AvgCorA), f3(base.AvgCorP))
+		t.addRow("RD-based, no probing", fmt.Sprintf("%d", k), f3(rdAbs.AvgCorA), f3(rdPart.AvgCorP))
 
 		// Paired significance: is the RD-based improvement real?
-		baseHits := make([]bool, len(env.Golden))
-		rdHits := make([]bool, len(env.Golden))
-		for qi, g := range env.Golden {
+		baseHits := make([]bool, len(env.golden))
+		rdHits := make([]bool, len(env.golden))
+		for qi, g := range env.golden {
 			topk := g.TopK(k)
 			sel := env.Selection(g.Query, core.Absolute, k)
 			baseHits[qi] = eval.CorA(sel.BaselineSelect(), topk) == 1
@@ -138,7 +138,7 @@ func Figure15(env *Env, ks []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Notes = append(t.Notes, fmt.Sprintf(
+		t.notes = append(t.notes, fmt.Sprintf(
 			"k=%d McNemar: RD fixed %d baseline errors, introduced %d (p = %.2g)",
 			k, mn.Discordant01, mn.Discordant10, mn.PValue))
 
@@ -153,7 +153,7 @@ func Figure15(env *Env, ks []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Notes = append(t.Notes, fmt.Sprintf("k=%d RD-based Cor_a 95%% CI: [%.3f, %.3f]", k, lo, hi))
+		t.notes = append(t.notes, fmt.Sprintf("k=%d RD-based Cor_a 95%% CI: [%.3f, %.3f]", k, lo, hi))
 	}
 	return t, nil
 }
@@ -182,8 +182,8 @@ func Figure16(env *Env, maxProbes int) (*Table, error) {
 	t := &Table{
 		ID:      "F16",
 		Title:   "Figure 16: average correctness vs. number of probes (greedy policy)",
-		Columns: cols,
-		Notes: []string{
+		columns: cols,
+		notes: []string{
 			"column p = average correctness of the best set after p probes",
 			"baseline rows are flat: the estimator ignores probing",
 		},
@@ -197,12 +197,12 @@ func Figure16(env *Env, maxProbes int) (*Table, error) {
 		for _, v := range curve {
 			row = append(row, f3(v))
 		}
-		t.Rows = append(t.Rows, row)
+		t.rows = append(t.rows, row)
 		base := []string{panel.label + " baseline"}
 		for range curve {
 			base = append(base, f3(baseline))
 		}
-		t.Rows = append(t.Rows, base)
+		t.rows = append(t.rows, base)
 	}
 	return t, nil
 }
@@ -223,8 +223,8 @@ func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64
 		curve    []float64
 		baseline float64
 	}
-	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
-		g := env.Golden[qi]
+	answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
+		g := env.golden[qi]
 		topk := core.TopKByScore(g.Actual, k)
 		sel := env.Selection(g.Query, metric, k)
 		baseCor := cor(sel.BaselineSelect(), topk)
@@ -233,7 +233,7 @@ func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64
 		// best set after it. None folded — certainty 1, nothing left to
 		// probe, or nothing informative — and the curve is flat from here.
 		curve := make([]float64, maxProbes+1)
-		probe := env.Probe(g.Query.String())
+		probe := env.probe(g.Query.String())
 		set, _ := sel.Best()
 		curve[0] = cor(set, topk)
 		for p := 1; p <= maxProbes; p++ {
@@ -265,7 +265,7 @@ func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64
 			sums[p] += a.curve[p]
 		}
 	}
-	n := float64(len(env.Golden))
+	n := float64(len(env.golden))
 	for p := range sums {
 		sums[p] /= n
 	}
@@ -285,7 +285,7 @@ func Figure17(env *Env, thresholds []float64) (*Table, error) {
 	table := &Table{
 		ID:      "F17",
 		Title:   "Figure 17: average number of probes to reach the user-required certainty t",
-		Columns: cols,
+		columns: cols,
 	}
 	series := []figure16Panel{
 		{"k=1", 1, core.Absolute},
@@ -301,7 +301,7 @@ func Figure17(env *Env, thresholds []float64) (*Table, error) {
 			}
 			row = append(row, f2(avg))
 		}
-		table.Rows = append(table.Rows, row)
+		table.rows = append(table.rows, row)
 	}
 	return table, nil
 }
@@ -309,10 +309,10 @@ func Figure17(env *Env, thresholds []float64) (*Table, error) {
 // avgProbesAtThreshold runs APro over the test set at one threshold and
 // returns the average number of successful probes.
 func avgProbesAtThreshold(env *Env, k int, metric core.Metric, t float64) (float64, error) {
-	probes, err := eval.Parallel(len(env.Golden), func(qi int) (float64, error) {
-		g := env.Golden[qi]
+	probes, err := eval.Parallel(len(env.golden), func(qi int) (float64, error) {
+		g := env.golden[qi]
 		sel := env.Selection(g.Query, metric, k)
-		out, err := core.APro(sel, env.Probe(g.Query.String()), &core.Greedy{}, t, -1)
+		out, err := core.APro(sel, env.probe(g.Query.String()), &core.Greedy{}, t, -1)
 		if err != nil {
 			return 0, err
 		}
@@ -325,5 +325,5 @@ func avgProbesAtThreshold(env *Env, k int, metric core.Metric, t float64) (float
 	for _, p := range probes {
 		total += p
 	}
-	return total / float64(len(env.Golden)), nil
+	return total / float64(len(env.golden)), nil
 }

@@ -27,8 +27,8 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 	table := &Table{
 		ID:      "EFUSE",
 		Title:   fmt.Sprintf("E-FUSE: result-fusion quality (precision@%d vs querying all databases, k=%d)", topN, k),
-		Columns: []string{"strategy", "precision@N", "avg probes"},
-		Notes: []string{
+		columns: []string{"strategy", "precision@N", "avg probes"},
+		notes: []string{
 			"ground truth: the globally top-N documents over all 20 databases",
 		},
 	}
@@ -39,8 +39,8 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 		found                        bool
 		weighted, rr, single, probes float64
 	}
-	answers, err := eval.Parallel(len(env.Golden), func(qi int) (answer, error) {
-		g := env.Golden[qi]
+	answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
+		g := env.golden[qi]
 		query := g.Query.String()
 
 		// Global ground truth: best topN docs across every database.
@@ -86,7 +86,7 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 
 		// Strategy inputs: APro-selected k databases at t=0.8.
 		sel := env.Selection(g.Query, core.Partial, k)
-		out, err := core.APro(sel, env.Probe(query), &core.Greedy{}, 0.8, -1)
+		out, err := core.APro(sel, env.probe(query), &core.Greedy{}, 0.8, -1)
 		if err != nil {
 			return answer{}, err
 		}
@@ -146,10 +146,10 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 		{"single best estimate", single, 0},
 	} {
 		if n == 0 {
-			table.AddRow(row.name, "n/a", "n/a")
+			table.addRow(row.name, "n/a", "n/a")
 			continue
 		}
-		table.AddRow(row.name, f3(row.precision/float64(n)), f2(row.probes/float64(n)))
+		table.addRow(row.name, f3(row.precision/float64(n)), f2(row.probes/float64(n)))
 	}
 	return table, nil
 }

@@ -21,8 +21,8 @@ func PrunedSummariesStudy(env *Env, budgets []int) (*Table, error) {
 	table := &Table{
 		ID:      "EPRUNE",
 		Title:   "E-PRUNE: selection quality vs summary term budget (RD-based, k=1)",
-		Columns: []string{"terms per summary", "baseline Cor_a", "RD-based Cor_a", "avg stored terms"},
-		Notes: []string{
+		columns: []string{"terms per summary", "baseline Cor_a", "RD-based Cor_a", "avg stored terms"},
+		notes: []string{
 			"budget 'full' keeps the entire vocabulary (the Figure 15 setting)",
 		},
 	}
@@ -33,7 +33,7 @@ func PrunedSummariesStudy(env *Env, budgets []int) (*Table, error) {
 			pruned.Summaries[i] = s.Prune(budget)
 			stored += len(pruned.Summaries[i].DF)
 		}
-		model, err := core.Train(env.Testbed, pruned, env.Rel, env.Train, env.Cfg.Model)
+		model, err := core.Train(env.Testbed, pruned, env.Rel, env.train, env.cfg.model)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func PrunedSummariesStudy(env *Env, budgets []int) (*Table, error) {
 		if budget > 0 {
 			label = fmt.Sprintf("%d", budget)
 		}
-		table.AddRow(label, f3(baseScore.AvgCorA), f3(rdScore.AvgCorA),
+		table.addRow(label, f3(baseScore.AvgCorA), f3(rdScore.AvgCorA),
 			fmt.Sprintf("%d", stored/len(pruned.Summaries)))
 	}
 	return table, nil

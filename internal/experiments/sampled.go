@@ -43,7 +43,7 @@ func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 
 	// Train a second model on the sampled summaries (the error model
 	// now corrects sampling bias *and* correlation bias).
-	sampledModel, err := core.Train(env.Testbed, sampled, env.Rel, env.Train, cfg.Model)
+	sampledModel, err := core.Train(env.Testbed, sampled, env.Rel, env.train, cfg.model)
 	if err != nil {
 		return nil, err
 	}
@@ -51,8 +51,8 @@ func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 	table := &Table{
 		ID:      "ESAMP",
 		Title:   "E-SAMP: exact vs query-sampled content summaries (k=1)",
-		Columns: []string{"summaries", "method", "Avg(Cor_a)"},
-		Notes: []string{
+		columns: []string{"summaries", "method", "Avg(Cor_a)"},
+		notes: []string{
 			fmt.Sprintf("sampling: %d probe queries per database, %d seed terms, documents fetched through the search interface", probesPerDB, len(seedTerms)),
 		},
 	}
@@ -82,7 +82,7 @@ func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 		if row.baseline {
 			method = "term-independence"
 		}
-		table.AddRow(row.label, method, f3(v.AvgCorA))
+		table.addRow(row.label, method, f3(v.AvgCorA))
 	}
 	return table, nil
 }

@@ -18,8 +18,8 @@ import (
 // of one type per database, an ideal ED from the whole pool, and
 // chi-square comparisons of sampled EDs against it.
 type SamplingConfig struct {
-	// Seed drives all randomness.
-	Seed int64
+	// seed drives all randomness.
+	seed int64
 	// Scale multiplies newsgroup collection sizes (paper: 1840–28910
 	// articles).
 	Scale float64
@@ -32,9 +32,9 @@ type SamplingConfig struct {
 	Sizes []int
 	// Reps is the number of repetitions per size (paper: 10).
 	Reps int
-	// Band selects the query type studied; the paper focuses on
+	// band selects the query type studied; the paper focuses on
 	// "2-term queries with r̂ ≥ threshold" (BandHigh).
-	Band core.EstimateBand
+	band core.EstimateBand
 	// Threshold is the r̂ split; it must be scaled along with the
 	// databases (the paper's 100 assumed full-size collections).
 	Threshold float64
@@ -50,12 +50,12 @@ type SamplingConfig struct {
 // cmd/experiments.
 func DefaultSamplingConfig() SamplingConfig {
 	return SamplingConfig{
-		Seed:      42,
+		seed:      42,
 		Scale:     0.2,
 		PoolSize:  50000,
 		Sizes:     []int{100, 200, 500, 1000, 2000},
 		Reps:      10,
-		Band:      core.BandHigh,
+		band:      core.BandHigh,
 		Threshold: 20,
 		ShowDBs:   3,
 	}
@@ -79,9 +79,9 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 	if cfg.PoolSize <= 0 || cfg.Reps <= 0 || len(cfg.Sizes) == 0 {
 		return nil, nil, fmt.Errorf("experiments: invalid sampling config %+v", cfg)
 	}
-	world := corpus.NewsgroupWorld(cfg.Seed)
+	world := corpus.NewsgroupWorld(cfg.seed)
 	specs := corpus.NewsgroupTestbed(world, cfg.Scale)
-	tb, err := hidden.BuildTestbed(world, specs, cfg.Seed)
+	tb, err := hidden.BuildTestbed(world, specs, cfg.seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,7 +93,7 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pool, err := gen.Pool(stats.NewRNG(cfg.Seed).Fork(7), cfg.PoolSize, 0)
+	pool, err := gen.Pool(stats.NewRNG(cfg.seed).Fork(7), cfg.PoolSize, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -103,16 +103,16 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 	perDB = &Table{
 		ID:      "F7",
 		Title:   "Figure 7: average goodness of sampling sizes, per database",
-		Columns: append([]string{"database", "|Q_total|"}, sizeCols(cfg.Sizes)...),
-		Notes: []string{
+		columns: append([]string{"database", "|Q_total|"}, sizeCols(cfg.Sizes)...),
+		notes: []string{
 			fmt.Sprintf("goodness = %s p-value of ED_S vs ED_total; acceptance line 0.05; query type: 2-term, %s band (threshold %g)",
-				statisticName(cfg.UseKS), cfg.Band, cfg.Threshold),
+				statisticName(cfg.UseKS), cfg.band, cfg.Threshold),
 		},
 	}
 	avg = &Table{
 		ID:      "F8",
 		Title:   "Figure 8: average goodness of sampling sizes over all databases",
-		Columns: append([]string{"metric"}, sizeCols(cfg.Sizes)...),
+		columns: append([]string{"metric"}, sizeCols(cfg.Sizes)...),
 	}
 
 	// dbRow is one database's pool size and, per sampling size, its mean
@@ -132,7 +132,7 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 			qs := q.String()
 			rhat := rel.Estimate(sum, qs)
 			key := classifier.Classify(q.NumTerms(), rhat)
-			if key.Band != cfg.Band {
+			if key.Band != cfg.band {
 				continue
 			}
 			actual, err := rel.Probe(tb.DB(dbIdx), qs)
@@ -145,7 +145,7 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 		for _, e := range errs {
 			ideal.Hist.Add(e)
 		}
-		rng := stats.NewRNG(cfg.Seed).Fork(int64(1000 + dbIdx))
+		rng := stats.NewRNG(cfg.seed).Fork(int64(1000 + dbIdx))
 		row := dbRow{
 			name:     tb.DB(dbIdx).Name(),
 			pool:     len(errs),
@@ -211,7 +211,7 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 			counted[si]++
 		}
 		if di < show {
-			perDB.AddRow(cells...)
+			perDB.addRow(cells...)
 		}
 	}
 	avgRow := []string{"avg goodness"}
@@ -222,8 +222,8 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 			avgRow = append(avgRow, "n/a")
 		}
 	}
-	avg.Rows = append(avg.Rows, avgRow)
-	avg.Notes = append(avg.Notes,
+	avg.rows = append(avg.rows, avgRow)
+	avg.notes = append(avg.notes,
 		fmt.Sprintf("averaged over %d databases with sufficient pools; statistical-test bottom line 0.05", tb.Len()))
 	return perDB, avg, nil
 }

@@ -16,9 +16,10 @@
 //   - Client — a remote database spoken to over HTTP, scraping either a
 //     JSON or an HTML answer page produced by Server (the end-to-end
 //     path with real network failure modes);
-//   - Counting, FailEvery, Latency — wrappers adding search counting,
-//     failure injection and latency injection;
-//   - Static, Table — canned-answer databases for tests.
+//   - Latency — a wrapper adding latency injection.
+//
+// The test doubles other packages' tests wrap databases in (search
+// counting, failure injection, canned answers) live in hiddentest.
 package hidden
 
 import (
@@ -72,9 +73,9 @@ type Sizer interface {
 	Size() int
 }
 
-// ErrUnavailable is returned by failure-injection wrappers and by the
-// HTTP client when a database cannot be reached; callers distinguish it
-// from malformed-response errors.
+// ErrUnavailable is returned by the HTTP client when a database cannot
+// be reached, and by hiddentest.FailEvery; callers distinguish it from
+// malformed-response errors.
 var ErrUnavailable = errors.New("hidden: database unavailable")
 
 // EstimateSize estimates a database's size. When db implements Sizer,

@@ -15,9 +15,26 @@ import (
 	"metaprobe/internal/textindex"
 )
 
+// fixed answers every search with res, or fails with err.
+type fixed struct {
+	name string
+	res  Result
+	err  error
+}
+
+func (f fixed) Name() string                       { return f.name }
+func (f fixed) Search(string, int) (Result, error) { return f.res, f.err }
+
+// table answers a query with its match count; unknown queries match
+// nothing.
+type table map[string]int
+
+func (table) Name() string                                 { return "t" }
+func (t table) Search(query string, _ int) (Result, error) { return Result{MatchCount: t[query]}, nil }
+
 func buildSmallLocal(t *testing.T) *Local {
 	t.Helper()
-	ix := textindex.NewIndex(textindex.NewTokenizer(textindex.TokenizerConfig{}))
+	ix := textindex.NewIndex(textindex.DefaultTokenizer())
 	docs := []string{
 		"breast cancer research update",
 		"breast cancer treatment",
@@ -90,8 +107,8 @@ func TestBuildLocalFromCorpus(t *testing.T) {
 }
 
 func TestTestbed(t *testing.T) {
-	a := NewStatic("a", Result{})
-	b := NewStatic("b", Result{})
+	a := fixed{name: "a"}
+	b := fixed{name: "b"}
 	tb, err := NewTestbed([]Database{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +116,7 @@ func TestTestbed(t *testing.T) {
 	if tb.Len() != 2 || tb.DB(1).Name() != "b" || tb.IndexOf("b") != 1 || tb.IndexOf("zzz") != -1 {
 		t.Error("testbed accessors broken")
 	}
-	if _, err := NewTestbed([]Database{a, NewStatic("a", Result{})}); err == nil {
+	if _, err := NewTestbed([]Database{a, fixed{name: "a"}}); err == nil {
 		t.Error("duplicate names should fail")
 	}
 }
@@ -125,41 +142,6 @@ func TestBuildTestbedDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestCounting(t *testing.T) {
-	db := NewCounting(buildSmallLocal(t))
-	for i := 0; i < 3; i++ {
-		if _, err := db.Search("cancer", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.Searches() != 3 {
-		t.Errorf("Searches = %d, want 3", db.Searches())
-	}
-	if db.Size() != 4 {
-		t.Errorf("Size passthrough = %d, want 4", db.Size())
-	}
-}
-
-func TestFailEvery(t *testing.T) {
-	db := NewFailEvery(buildSmallLocal(t), 3)
-	var failures int
-	for i := 0; i < 9; i++ {
-		if _, err := db.Search("cancer", 0); err != nil {
-			if !errors.Is(err, ErrUnavailable) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			failures++
-		}
-	}
-	if failures != 3 {
-		t.Errorf("failures = %d, want 3", failures)
-	}
-	never := NewFailEvery(buildSmallLocal(t), 0)
-	if _, err := never.Search("cancer", 0); err != nil {
-		t.Errorf("n=0 should never fail: %v", err)
-	}
-}
-
 func TestEstimateSize(t *testing.T) {
 	// With Sizer: direct.
 	db := buildSmallLocal(t)
@@ -167,14 +149,14 @@ func TestEstimateSize(t *testing.T) {
 		t.Errorf("EstimateSize = %d, %v; want 4, nil", got, err)
 	}
 	// Without Sizer: probe with common terms.
-	table := NewTable("t", map[string]int{"health": 120, "medical": 80})
+	table := table{"health": 120, "medical": 80}
 	if got, err := EstimateSize(table, []string{"health", "medical"}); err != nil || got != 120 {
 		t.Errorf("EstimateSize = %d, %v; want 120, nil", got, err)
 	}
 	if _, err := EstimateSize(table, nil); err == nil {
 		t.Error("no probe terms should fail")
 	}
-	bad := NewStaticError("bad", errors.New("boom"))
+	bad := fixed{name: "bad", err: errors.New("boom")}
 	if _, err := EstimateSize(bad, []string{"health"}); err == nil {
 		t.Error("all-failing database should fail")
 	}
@@ -226,7 +208,7 @@ func TestHTTPHTMLScraping(t *testing.T) {
 }
 
 func TestHTMLAnswerPageThousands(t *testing.T) {
-	big := NewStatic("big", Result{MatchCount: 1234567})
+	big := fixed{name: "big", res: Result{MatchCount: 1234567}}
 	srv := httptest.NewServer(NewServer(big))
 	defer srv.Close()
 	client := NewClient("big", srv.URL)
@@ -271,7 +253,7 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 	// Backend failure surfaces as 502 and the client wraps it as
 	// unavailable.
-	bad := httptest.NewServer(NewServer(NewStaticError("bad", errors.New("boom"))))
+	bad := httptest.NewServer(NewServer(fixed{name: "bad", err: errors.New("boom")}))
 	defer bad.Close()
 	client := NewClient("bad", bad.URL)
 	if _, err := client.Search("x", 0); !errors.Is(err, ErrUnavailable) {
@@ -300,8 +282,8 @@ func TestParseHTMLAnswerPageMalformed(t *testing.T) {
 }
 
 func TestServeTestbed(t *testing.T) {
-	a := NewStatic("alpha", Result{MatchCount: 7})
-	b := NewStatic("beta", Result{MatchCount: 9})
+	a := fixed{name: "alpha", res: Result{MatchCount: 7}}
+	b := fixed{name: "beta", res: Result{MatchCount: 9}}
 	tb, err := NewTestbed([]Database{a, b})
 	if err != nil {
 		t.Fatal(err)

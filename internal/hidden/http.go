@@ -35,14 +35,14 @@ type answerPage struct {
 //     exactly as the paper's metasearcher scrapes real answer pages.
 type Server struct {
 	db Database
-	// MaxTopK caps the number of returned documents per request
-	// (default 100).
-	MaxTopK int
 }
+
+// maxTopK caps the number of documents a Server returns per request.
+const maxTopK = 100
 
 // NewServer wraps a database as an HTTP handler.
 func NewServer(db Database) *Server {
-	return &Server{db: db, MaxTopK: 100}
+	return &Server{db: db}
 }
 
 // ServeHTTP implements http.Handler: /search answers queries, /doc
@@ -70,9 +70,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		topK = k
 	}
-	if topK > s.MaxTopK {
-		topK = s.MaxTopK
-	}
+	topK = min(topK, maxTopK)
 	res, err := s.db.Search(q, topK)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("search failed: %v", err), http.StatusBadGateway)
@@ -182,17 +180,17 @@ type Client struct {
 	baseURL string
 	// UseHTML selects the scraping path instead of JSON.
 	UseHTML bool
-	// HTTP is the underlying client (default: 10 s timeout).
-	HTTP *http.Client
+	// httpClient is the underlying client (default: 10 s timeout).
+	httpClient *http.Client
 }
 
 // NewClient returns a client for the database at baseURL (the URL
 // serving /search). name is the metasearcher-side identifier.
 func NewClient(name, baseURL string) *Client {
 	return &Client{
-		name:    name,
-		baseURL: strings.TrimRight(baseURL, "/"),
-		HTTP:    &http.Client{Timeout: 10 * time.Second},
+		name:       name,
+		baseURL:    strings.TrimRight(baseURL, "/"),
+		httpClient: &http.Client{Timeout: 10 * time.Second},
 	}
 }
 
@@ -278,7 +276,7 @@ func (c *Client) get(ctx context.Context, u string) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("hidden: %s: %v", c.name, err)
 	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.httpClient.Do(req)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.name, err)
 	}

@@ -8,9 +8,9 @@ import (
 
 // Latency injects a fixed delay before every search — used by
 // benchmarks and examples to simulate remote round-trip times without
-// a network. Like every wrapper in this package it forwards Fetcher
-// and Sizer when the wrapped database supports them, so wrappers
-// compose freely.
+// a network. It forwards Fetcher and Sizer when the wrapped database
+// supports them, as hiddentest's wrappers do, so wrappers compose
+// freely.
 type Latency struct {
 	db    Database
 	delay time.Duration

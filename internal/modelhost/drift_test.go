@@ -223,7 +223,7 @@ func TestInstallResetsWindows(t *testing.T) {
 	// The reload: database 0 keeps its query types, none of them trusted.
 	next := deepCopy(tr.base)
 	for key, ed := range next.DBs[0].EDs {
-		empty, err := core.NewED(ed.Hist.Edges, ed.Absolute, ed.UseBinMean)
+		empty, err := core.NewED(ed.Hist.Edges, ed.Absolute, next.Cfg.UseBinMean)
 		if err != nil {
 			t.Fatal(err)
 		}

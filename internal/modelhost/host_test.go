@@ -94,12 +94,12 @@ func depict(sel *core.Selection) picture {
 	p := picture{}
 	for i := 0; i < sel.Len(); i++ {
 		rd := sel.RD(i)
-		pr := make([]float64, rd.Len())
+		vals, pr := make([]float64, rd.Len()), make([]float64, rd.Len())
 		for j := range pr {
-			pr[j] = rd.Prob(j)
+			vals[j], pr[j] = rd.Value(j), rd.Prob(j)
 		}
 		p.est = append(p.est, sel.Estimate(i))
-		p.vals = append(p.vals, rd.Support())
+		p.vals = append(p.vals, vals)
 		p.probs = append(p.probs, pr)
 	}
 	set, cor := sel.BestView()

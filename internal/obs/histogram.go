@@ -39,9 +39,9 @@ var histBounds = func() []float64 {
 	return b
 }()
 
-// NewHistogram returns an empty histogram. Registry.Histogram is the
+// newHistogram returns an empty histogram. Registry.Histogram is the
 // usual constructor; this one serves tests and standalone use.
-func NewHistogram() *Histogram {
+func newHistogram() *Histogram {
 	h := &Histogram{buckets: make([]atomic.Int64, len(histBounds)+1)}
 	h.min.store(math.Inf(1))
 	h.max.store(math.Inf(-1))
@@ -82,10 +82,10 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Quantile returns an approximation of the p-quantile (p in [0, 1]) of
+// quantile returns an approximation of the p-quantile (p in [0, 1]) of
 // the observations so far, interpolated within the located bucket and
 // clamped to the observed [min, max]. It returns 0 when empty.
-func (h *Histogram) Quantile(p float64) float64 {
+func (h *Histogram) quantile(p float64) float64 {
 	total := h.count.Load()
 	if total == 0 {
 		return 0

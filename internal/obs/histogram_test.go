@@ -8,11 +8,11 @@ import (
 )
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Errorf("empty histogram: count=%d sum=%v", h.Count(), h.Sum())
 	}
-	if q := h.Quantile(0.5); q != 0 {
+	if q := h.quantile(0.5); q != 0 {
 		t.Errorf("empty quantile = %v, want 0", q)
 	}
 }
@@ -20,7 +20,7 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramQuantilesApproximateSorted(t *testing.T) {
 	// Geometric-bucket quantiles must land within one bucket (≈9%) of
 	// the exact sample quantile.
-	h := NewHistogram()
+	h := newHistogram()
 	var vals []float64
 	v := 0.0001
 	for i := 0; i < 1000; i++ {
@@ -31,7 +31,7 @@ func TestHistogramQuantilesApproximateSorted(t *testing.T) {
 	sort.Float64s(vals)
 	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
 		exact := vals[int(math.Ceil(p*float64(len(vals))))-1]
-		got := h.Quantile(p)
+		got := h.quantile(p)
 		if rel := math.Abs(got-exact) / exact; rel > 0.10 {
 			t.Errorf("p%v: got %v want ≈%v (rel err %.3f)", p, got, exact, rel)
 		}
@@ -39,25 +39,25 @@ func TestHistogramQuantilesApproximateSorted(t *testing.T) {
 }
 
 func TestHistogramQuantileClampedToObservedRange(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	for i := 0; i < 100; i++ {
 		h.Observe(0.042) // all identical
 	}
 	for _, p := range []float64{0, 0.5, 0.99, 1} {
-		if q := h.Quantile(p); q != 0.042 {
+		if q := h.quantile(p); q != 0.042 {
 			t.Errorf("p%v = %v, want exactly 0.042 (min/max clamp)", p, q)
 		}
 	}
 }
 
 func TestHistogramOrderingInvariant(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	for _, v := range []float64{0.001, 0.5, 0.003, 2.7, 0.0004, 11, 0.09} {
 		h.Observe(v)
 	}
 	last := -1.0
 	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		q := h.Quantile(p)
+		q := h.quantile(p)
 		if q < last {
 			t.Errorf("quantiles not monotone: p%v=%v < %v", p, q, last)
 		}
@@ -66,7 +66,7 @@ func TestHistogramOrderingInvariant(t *testing.T) {
 }
 
 func TestHistogramClampsNegativeAndNaN(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	h.Observe(-5)
 	h.Observe(math.NaN())
 	if h.Count() != 2 {
@@ -78,7 +78,7 @@ func TestHistogramClampsNegativeAndNaN(t *testing.T) {
 }
 
 func TestHistogramSumCount(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	want := 0.0
 	for i := 1; i <= 50; i++ {
 		h.Observe(float64(i))
@@ -93,7 +93,7 @@ func TestHistogramSumCount(t *testing.T) {
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -38,7 +38,7 @@ func Mount(mux *http.ServeMux, s Sinks) {
 	if s.Model != nil {
 		mux.Handle("/debug/model", obs.JSONHandler(s.Model))
 	}
-	mux.Handle("/debug/goroutines", GoroutineDumpHandler())
+	mux.Handle("/debug/goroutines", goroutineDumpHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -46,12 +46,12 @@ func Mount(mux *http.ServeMux, s Sinks) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// GoroutineDumpHandler serves a plain-text dump of all goroutine
+// goroutineDumpHandler serves a plain-text dump of all goroutine
 // stacks — mount it at /debug/goroutines. ?full=1 switches from the
 // aggregated view (identical stacks collapsed with counts) to the
 // unaggregated per-goroutine view with full frames, which is what you
 // want when hunting a leak's spawn site.
-func GoroutineDumpHandler() http.Handler {
+func goroutineDumpHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		p := rpprof.Lookup("goroutine")
 		if p == nil {

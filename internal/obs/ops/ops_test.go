@@ -37,8 +37,10 @@ func TestMountOneRoutePerSink(t *testing.T) {
 }
 
 func TestGoroutineDumpHandler(t *testing.T) {
+	mux := http.NewServeMux()
+	ops.Mount(mux, ops.Sinks{})
 	rec := httptest.NewRecorder()
-	ops.GoroutineDumpHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/goroutines", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/goroutines", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -46,7 +48,7 @@ func TestGoroutineDumpHandler(t *testing.T) {
 		t.Fatalf("dump does not look like a goroutine profile: %q", rec.Body.String()[:80])
 	}
 	rec = httptest.NewRecorder()
-	ops.GoroutineDumpHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/goroutines?full=1", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/goroutines?full=1", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine ") {
 		t.Fatalf("full dump: %d", rec.Code)
 	}

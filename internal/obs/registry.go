@@ -178,7 +178,7 @@ func (r *Registry) lookup(name string, labels Labels, kind metricKind) *series {
 		case kindGauge:
 			s.gauge = &Gauge{}
 		case kindHistogram:
-			s.hist = NewHistogram()
+			s.hist = newHistogram()
 		}
 		f.series[key] = s
 	}
@@ -243,7 +243,7 @@ func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
 var (
 	nopCounter   = &Counter{}
 	nopGauge     = &Gauge{}
-	nopHistogram = NewHistogram()
+	nopHistogram = newHistogram()
 )
 
 // quantiles exposed for histogram families, in exposition order.
@@ -332,7 +332,7 @@ func writeSeries(w io.Writer, name string, s *series, fn func() float64, kind me
 		return err
 	default:
 		for _, q := range expoQuantiles {
-			if _, err := fmt.Fprintf(w, "%s%s %v\n", name, formatLabels(s.labels, "quantile", q), s.hist.Quantile(q)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %v\n", name, formatLabels(s.labels, "quantile", q), s.hist.quantile(q)); err != nil {
 				return err
 			}
 		}

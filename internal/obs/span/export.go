@@ -18,7 +18,7 @@ func (t *Tracer) Bind(reg *obs.Registry) {
 	reg.Help("mp_spans_recorded_total", "Finished spans stored by the span tracer.")
 	reg.Help("mp_spans_dropped_total", "Finished spans evicted from the bounded span store.")
 	reg.CounterFunc("mp_spans_recorded_total", nil, func() float64 { return float64(t.Recorded()) })
-	reg.CounterFunc("mp_spans_dropped_total", nil, func() float64 { return float64(t.Dropped()) })
+	reg.CounterFunc("mp_spans_dropped_total", nil, func() float64 { return float64(t.droppedSpans()) })
 }
 
 // Node is one span in a rendered trace tree, with timings relative to
@@ -88,11 +88,11 @@ func Flatten(roots []*Node) []*Node {
 	return out
 }
 
-// OTLP renders the stored spans of traceID in the OTLP/JSON resource
+// otlp renders the stored spans of traceID in the OTLP/JSON resource
 // span shape (resourceSpans → scopeSpans → spans), so a trace can be
 // fed to any OTLP-compatible viewer. Attribute values are all string
 // typed; timestamps are unix-nano strings per the OTLP JSON encoding.
-func (t *Tracer) OTLP(traceID, service string) map[string]any {
+func (t *Tracer) otlp(traceID, service string) map[string]any {
 	spans := t.TraceSpans(traceID)
 	out := make([]map[string]any, 0, len(spans))
 	for _, s := range spans {

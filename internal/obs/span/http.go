@@ -24,7 +24,7 @@ func Handler(t *Tracer) http.Handler {
 					http.Error(w, "unknown trace", http.StatusNotFound)
 					return
 				}
-				obs.WriteJSON(w, t.OTLP(id, "metaprobe"))
+				obs.WriteJSON(w, t.otlp(id, "metaprobe"))
 				return
 			}
 			tree := t.Tree(id)
@@ -46,7 +46,7 @@ func Handler(t *Tracer) http.Handler {
 		}
 		obs.WriteJSON(w, map[string]any{
 			"recorded": t.Recorded(),
-			"dropped":  t.Dropped(),
+			"dropped":  t.droppedSpans(),
 			"traces":   t.Traces(n),
 		})
 	})

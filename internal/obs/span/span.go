@@ -32,9 +32,9 @@ import (
 // AddRecord is exempt.
 const maxEventsPerSpan = 64
 
-// DefaultCapacity is the span-store size used when NewTracer is given
+// defaultCapacity is the span-store size used when NewTracer is given
 // a non-positive capacity.
-const DefaultCapacity = 8192
+const defaultCapacity = 8192
 
 // Event is a timestamped point annotation on a span.
 type Event struct {
@@ -74,10 +74,10 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer retaining the most recent capacity
-// finished spans (DefaultCapacity if capacity <= 0).
+// finished spans (defaultCapacity if capacity <= 0).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultCapacity
+		capacity = defaultCapacity
 	}
 	return &Tracer{ring: make([]*Span, 0, capacity)}
 }
@@ -273,8 +273,8 @@ func (t *Tracer) Recorded() int64 {
 	return t.recorded.Load()
 }
 
-// Dropped returns the number of spans evicted due to store overflow.
-func (t *Tracer) Dropped() int64 {
+// droppedSpans returns the number of spans evicted due to store overflow.
+func (t *Tracer) droppedSpans() int64 {
 	if t == nil {
 		return 0
 	}
@@ -309,13 +309,12 @@ func (t *Tracer) TraceSpans(traceID string) []*Span {
 
 // TraceSummary describes one trace held in the store.
 type TraceSummary struct {
-	TraceID    string        `json:"traceId"`
-	Root       string        `json:"root"`
-	Start      time.Time     `json:"start"`
-	Duration   time.Duration `json:"-"`
-	DurationMs float64       `json:"durationMs"`
-	Spans      int           `json:"spans"`
-	Error      string        `json:"error,omitempty"`
+	TraceID    string    `json:"traceId"`
+	Root       string    `json:"root"`
+	Start      time.Time `json:"start"`
+	DurationMs float64   `json:"durationMs"`
+	Spans      int       `json:"spans"`
+	Error      string    `json:"error,omitempty"`
 }
 
 // Traces summarises the most recent n traces in the store, newest
@@ -339,8 +338,7 @@ func (t *Tracer) Traces(n int) []TraceSummary {
 		}
 		if s.ParentID == "" {
 			sum.Root = s.Name
-			sum.Duration = s.EndTime.Sub(s.StartTime)
-			sum.DurationMs = float64(sum.Duration) / float64(time.Millisecond)
+			sum.DurationMs = float64(s.EndTime.Sub(s.StartTime)) / float64(time.Millisecond)
 			sum.Error = s.Error
 		}
 	}

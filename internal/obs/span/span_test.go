@@ -77,7 +77,7 @@ func TestNilSafety(t *testing.T) {
 	if _, c := Start(ctx, "child"); c != nil {
 		t.Error("Start without ambient span returned a span")
 	}
-	if tr.Recorded() != 0 || tr.Dropped() != 0 || tr.TraceSpans("ff") != nil {
+	if tr.Recorded() != 0 || tr.droppedSpans() != 0 || tr.TraceSpans("ff") != nil {
 		t.Error("nil tracer reported state")
 	}
 	tr.Bind(nil)
@@ -143,7 +143,7 @@ func TestStoreOverflowIncrementsDropped(t *testing.T) {
 		lastTrace = s.TraceID
 		s.End()
 	}
-	if got := tr.Dropped(); got != 12 {
+	if got := tr.droppedSpans(); got != 12 {
 		t.Errorf("dropped = %d, want 12", got)
 	}
 	if got := tr.Recorded(); got != 20 {
@@ -244,7 +244,7 @@ func TestOTLPShape(t *testing.T) {
 	child.EndErr(errors.New("timeout"))
 	root.End()
 
-	doc := tr.OTLP(root.TraceID, "metaprobe")
+	doc := tr.otlp(root.TraceID, "metaprobe")
 	raw, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)

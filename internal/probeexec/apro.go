@@ -10,11 +10,8 @@ import (
 	"metaprobe/internal/obs/span"
 )
 
-// ProbeFunc issues the live probe to database i under ctx.
-type ProbeFunc func(ctx context.Context, i int) (float64, error)
-
-// Result is the outcome of an APro run through the executor.
-type Result = core.Outcome
+// probeFunc issues the live probe to database i under ctx.
+type probeFunc func(ctx context.Context, i int) (float64, error)
 
 // APro runs the adaptive probing loop (core.AProContext, paper Figure
 // 11) with every probe going through the executor — breaker, pool,
@@ -34,11 +31,11 @@ type Result = core.Outcome
 // latency accounting. Probe failures and breaker rejections
 // degrade the result (see core.AProContext); the returned error is
 // reserved for bad arguments, policy failures and caller cancellation.
-func (e *Executor) APro(ctx context.Context, s *core.Selection, name func(i int) string, probe ProbeFunc, policy core.Policy, t float64, maxProbes int) (Result, error) {
+func (e *Executor) APro(ctx context.Context, s *core.Selection, name func(i int) string, probe probeFunc, policy core.Policy, t float64, maxProbes int) (core.Outcome, error) {
 	if probe == nil || name == nil {
-		return Result{}, fmt.Errorf("probeexec: APro needs a probe function and a name mapping")
+		return core.Outcome{}, fmt.Errorf("probeexec: APro needs a probe function and a name mapping")
 	}
-	var out Result
+	var out core.Outcome
 	p := &prober{e: e, name: name, probe: probe, sp: span.FromContext(ctx)}
 	err := core.AProContext(ctx, s, p, policy, t, maxProbes, &out)
 	if err == nil && out.Degraded {
@@ -52,7 +49,7 @@ func (e *Executor) APro(ctx context.Context, s *core.Selection, name func(i int)
 type prober struct {
 	e     *Executor
 	name  func(i int) string
-	probe ProbeFunc
+	probe probeFunc
 	sp    *span.Span // selection root (nil when tracing is off)
 
 	// Background probes run under one context for the whole selection, so
@@ -88,7 +85,7 @@ func (p *prober) run(ctx context.Context, i int, held bool) probeResult {
 
 // Latency implements core.Overlapper with the executor's reading for
 // database i's backend.
-func (p *prober) Latency(i int) time.Duration { return p.e.Latency(p.name(i)) }
+func (p *prober) Latency(i int) time.Duration { return p.e.latency(p.name(i)) }
 
 // Start implements core.Overlapper: it probes database i in the
 // background, unless that is under way already. The answer is delivered

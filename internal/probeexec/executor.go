@@ -12,9 +12,9 @@ import (
 	"metaprobe/internal/obs/span"
 )
 
-// ErrBreakerOpen is returned (wrapped) when a backend's circuit
+// errBreakerOpen is returned (wrapped) when a backend's circuit
 // breaker rejects a probe without contacting the backend.
-var ErrBreakerOpen = errors.New("probeexec: circuit breaker open")
+var errBreakerOpen = errors.New("probeexec: circuit breaker open")
 
 // Config tunes an Executor.
 type Config struct {
@@ -98,21 +98,9 @@ func (e *Executor) backendFor(name string) *backendState {
 	return b
 }
 
-// BreakerState reports the current breaker state for a backend
-// (BreakerClosed for backends never probed).
-func (e *Executor) BreakerState(name string) BreakerState {
-	e.mu.Lock()
-	b := e.backends[name]
-	e.mu.Unlock()
-	if b == nil {
-		return BreakerClosed
-	}
-	return b.br.State()
-}
-
-// Latency reports how long the named backend's successful probes have
+// latency reports how long the named backend's successful probes have
 // recently taken (0 for a backend that has not answered one yet).
-func (e *Executor) Latency(name string) time.Duration {
+func (e *Executor) latency(name string) time.Duration {
 	e.mu.Lock()
 	b := e.backends[name]
 	e.mu.Unlock()
@@ -121,9 +109,6 @@ func (e *Executor) Latency(name string) time.Duration {
 	}
 	return time.Duration(b.latency.Load())
 }
-
-// Inflight returns the number of probes currently in flight.
-func (e *Executor) Inflight() int64 { return e.pool.Inflight() }
 
 // Probe runs fn against the named backend on the caller's goroutine,
 // inside one "probe" span that fn's context carries: the breaker must
@@ -144,7 +129,7 @@ func (e *Executor) probe(ctx context.Context, name string, fn func(ctx context.C
 	br := be.br
 	stateBefore := br.State()
 	if !br.Allow() {
-		err := fmt.Errorf("probeexec: %s: %w", name, ErrBreakerOpen)
+		err := fmt.Errorf("probeexec: %s: %w", name, errBreakerOpen)
 		ps.AddEvent("breaker_rejected", "state", br.State().String())
 		ps.EndErr(err)
 		if held {

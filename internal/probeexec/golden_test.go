@@ -266,7 +266,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		if l.ahead.Certain == 0 || l.ahead.Probable == 0 {
 			t.Errorf("%s: no lookahead ever started a certain or a probable successor: %+v", via, l.ahead)
 		}
-		if got := l.e.Inflight(); got != 0 {
+		if got := l.e.inflight(); got != 0 {
 			t.Errorf("%s: %d probes in flight after the last selection", via, got)
 		}
 	}

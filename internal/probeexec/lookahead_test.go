@@ -47,21 +47,21 @@ func orphanRDs() []*core.RD {
 func TestLatencyReading(t *testing.T) {
 	leakcheck.Check(t)
 	e := NewExecutor(Config{})
-	if got := e.Latency("db"); got != 0 {
+	if got := e.latency("db"); got != 0 {
 		t.Fatalf("latency of an unknown backend = %v", got)
 	}
 	slow := func(context.Context) (float64, error) { time.Sleep(5 * time.Millisecond); return 1, nil }
 	if _, err := e.Probe(context.Background(), "db", slow); err != nil {
 		t.Fatal(err)
 	}
-	first := e.Latency("db")
+	first := e.latency("db")
 	if first < 5*time.Millisecond || first > time.Second {
 		t.Fatalf("latency after one 5 ms probe = %v", first)
 	}
 	if _, err := e.Probe(context.Background(), "db", func(context.Context) (float64, error) { return 0, errors.New("down") }); err == nil {
 		t.Fatal("failing probe succeeded")
 	}
-	if got := e.Latency("db"); got != first {
+	if got := e.latency("db"); got != first {
 		t.Fatalf("a failed probe moved the reading: %v → %v", first, got)
 	}
 	for i := 0; i < 64; i++ {
@@ -69,7 +69,7 @@ func TestLatencyReading(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.Latency("db"); got >= first/8 {
+	if got := e.latency("db"); got >= first/8 {
 		t.Fatalf("64 instant probes left the reading at %v (from %v)", got, first)
 	}
 }
@@ -120,10 +120,10 @@ func runOrphan(t *testing.T, head func() (float64, error)) core.Outcome {
 	if h := reg.Histogram("mp_probe_inflight_at_acquire", nil); h.Sum() <= float64(h.Count()) {
 		t.Errorf("mp_probe_inflight_at_acquire: %d acquires summing to %v, none saw a second probe in flight", h.Count(), h.Sum())
 	}
-	if got := e.Inflight(); got != 0 {
+	if got := e.inflight(); got != 0 {
 		t.Errorf("inflight after APro = %d", got)
 	}
-	if s := e.BreakerState(dbName(1)); s != BreakerClosed {
+	if s := e.breakerState(dbName(1)); s != BreakerClosed {
 		t.Errorf("cancelled successor moved db1's breaker to %v", s)
 	}
 	return got
@@ -195,7 +195,7 @@ func TestDrainCountsOnlyProbesThatRan(t *testing.T) {
 	leakcheck.Check(t)
 	reg := obs.NewRegistry()
 	e := NewExecutor(Config{Metrics: reg})
-	for e.BreakerState(dbName(1)) != BreakerOpen {
+	for e.breakerState(dbName(1)) != BreakerOpen {
 		e.Probe(context.Background(), dbName(1), func(context.Context) (float64, error) { return 0, errors.New("down") })
 	}
 	e.farAway(3)
@@ -226,7 +226,7 @@ func TestDrainCountsOnlyProbesThatRan(t *testing.T) {
 	if got := reg.Counter("mp_probes_speculative_cancelled_total", nil).Value(); got != 0 {
 		t.Errorf("mp_probes_speculative_cancelled_total = %d, want 0: db1's probe never reached its backend", got)
 	}
-	if got := e.Inflight(); got != 0 {
+	if got := e.inflight(); got != 0 {
 		t.Errorf("inflight after APro = %d", got)
 	}
 }
@@ -255,7 +255,7 @@ func TestLookaheadCancelledMidThought(t *testing.T) {
 	if ranks < 2 {
 		t.Fatalf("%d ranks: the lookahead never ran", ranks)
 	}
-	if got := e.Inflight(); got != 0 {
+	if got := e.inflight(); got != 0 {
 		t.Errorf("inflight after APro = %d", got)
 	}
 }
@@ -332,7 +332,7 @@ func TestLookaheadLongTrajectories(t *testing.T) {
 	if cancelled != orphans {
 		t.Errorf("%d probes reached a backend and were never picked, mp_probes_speculative_cancelled_total = %d", orphans, cancelled)
 	}
-	if got := e.Inflight(); got != 0 {
+	if got := e.inflight(); got != 0 {
 		t.Errorf("%d probes in flight after the last selection", got)
 	}
 	t.Logf("%d long selections, %d steps: lookaheads %+v, %d probes never picked", len(sets), steps, ahead, orphans)

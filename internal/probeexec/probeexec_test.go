@@ -119,13 +119,13 @@ func TestPoolSaturation(t *testing.T) {
 		t.Fatal("third probe ran in a pool of 2")
 	case <-deadline:
 	}
-	if got := e.Inflight(); got != 2 {
+	if got := e.inflight(); got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
 	close(gate)
 	<-started
 	wg.Wait()
-	if got := e.Inflight(); got != 0 {
+	if got := e.inflight(); got != 0 {
 		t.Fatalf("inflight after drain = %d", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestPoolSaturation(t *testing.T) {
 // head is out takes a pool slot only if one is idle. With both slots of a
 // 2-slot executor held by two other heads, a selection's own head queues
 // for a slot, but its speculative start is dropped: nothing is pending
-// for it and Inflight() stays 2. When the loop asks for that database,
+// for it and inflight() stays 2. When the loop asks for that database,
 // Wait probes it itself, so every answer is the one the loop would have
 // had. A whole selection run while the pool is full folds the inline
 // trajectory.
@@ -173,7 +173,7 @@ func TestPoolSaturationDropsSpeculation(t *testing.T) {
 	if _, ok := p.pending[1]; ok || len(p.pending) != 1 {
 		t.Fatalf("pending after a speculative start into a full pool: %v", p.pending)
 	}
-	if got := e.Inflight(); got != 2 {
+	if got := e.inflight(); got != 2 {
 		t.Fatalf("inflight = %d, want the two heads' 2", got)
 	}
 	close(gate)
@@ -214,7 +214,7 @@ func TestPoolSaturationDropsSpeculation(t *testing.T) {
 	if cancelled := e.cfg.Metrics.Counter("mp_probes_speculative_cancelled_total", nil).Value(); cancelled != orphans {
 		t.Errorf("%d probes never picked, mp_probes_speculative_cancelled_total = %d", orphans, cancelled)
 	}
-	if got := e.Inflight(); got != 0 {
+	if got := e.inflight(); got != 0 {
 		t.Errorf("inflight after the selection = %d", got)
 	}
 }
@@ -282,7 +282,7 @@ func TestProbeBreakerOpensAndRejects(t *testing.T) {
 			t.Fatal("want failure")
 		}
 	}
-	if s := e.BreakerState("down"); s != BreakerOpen {
+	if s := e.breakerState("down"); s != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", s)
 	}
 	called := false
@@ -290,7 +290,7 @@ func TestProbeBreakerOpensAndRejects(t *testing.T) {
 		called = true
 		return 1, nil
 	})
-	if !errors.Is(err, ErrBreakerOpen) {
+	if !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("err = %v, want breaker-open", err)
 	}
 	if called {
@@ -314,7 +314,7 @@ func TestProbeCallerCancellationIsNeutral(t *testing.T) {
 	}
 	// The breaker stays closed: the caller walked away, the backend did
 	// nothing wrong.
-	if s := e.BreakerState("db"); s != BreakerClosed {
+	if s := e.breakerState("db"); s != BreakerClosed {
 		t.Fatalf("breaker = %v after caller cancellation", s)
 	}
 }
@@ -435,3 +435,18 @@ func TestAProMaxProbesBudget(t *testing.T) {
 		t.Fatalf("budget exceeded: %d successful probes", res.Probes())
 	}
 }
+
+// breakerState reports the current breaker state for a backend
+// (BreakerClosed for backends never probed).
+func (e *Executor) breakerState(name string) BreakerState {
+	e.mu.Lock()
+	b := e.backends[name]
+	e.mu.Unlock()
+	if b == nil {
+		return BreakerClosed
+	}
+	return b.br.State()
+}
+
+// inflight returns the number of probes currently in flight.
+func (e *Executor) inflight() int64 { return e.pool.Inflight() }

@@ -19,7 +19,6 @@ package queries
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"metaprobe/internal/corpus"
@@ -40,27 +39,27 @@ func (q Query) NumTerms() int { return len(q.Terms) }
 
 // Config tunes the query generator.
 type Config struct {
-	// ConceptFraction is the probability that a query is built around
+	// conceptFraction is the probability that a query is built around
 	// one of a topic's concepts (a correlated term group such as
 	// "breast cancer"), as real queries overwhelmingly are. Default 0.45.
-	ConceptFraction float64
-	// BackgroundFraction is the probability that one slot of a
+	conceptFraction float64
+	// backgroundFraction is the probability that one slot of a
 	// non-concept query uses a background term. Default 0.25.
-	BackgroundFraction float64
-	// MaxAttempts bounds rejection sampling per requested query
+	backgroundFraction float64
+	// maxAttempts bounds rejection sampling per requested query
 	// (duplicates and degenerate draws are rejected). Default 200.
-	MaxAttempts int
+	maxAttempts int
 }
 
 func (c *Config) setDefaults() {
-	if c.ConceptFraction == 0 {
-		c.ConceptFraction = 0.45
+	if c.conceptFraction == 0 {
+		c.conceptFraction = 0.45
 	}
-	if c.BackgroundFraction == 0 {
-		c.BackgroundFraction = 0.25
+	if c.backgroundFraction == 0 {
+		c.backgroundFraction = 0.25
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 200
+	if c.maxAttempts == 0 {
+		c.maxAttempts = 200
 	}
 }
 
@@ -113,19 +112,19 @@ func NewGenerator(world *corpus.World, cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// One draws a single query with the given term count (2 or more). It
+// one draws a single query with the given term count (2 or more). It
 // never returns a query with repeated terms.
-func (g *Generator) One(rng *stats.RNG, numTerms int) (Query, error) {
+func (g *Generator) one(rng *stats.RNG, numTerms int) (Query, error) {
 	if numTerms < 1 {
 		return Query{}, fmt.Errorf("queries: numTerms %d < 1", numTerms)
 	}
-	for attempt := 0; attempt < g.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < g.cfg.maxAttempts; attempt++ {
 		q := g.draw(rng, numTerms)
 		if len(q.Terms) == numTerms && distinct(q.Terms) {
 			return q, nil
 		}
 	}
-	return Query{}, fmt.Errorf("queries: failed to draw a %d-term query after %d attempts", numTerms, g.cfg.MaxAttempts)
+	return Query{}, fmt.Errorf("queries: failed to draw a %d-term query after %d attempts", numTerms, g.cfg.maxAttempts)
 }
 
 func (g *Generator) draw(rng *stats.RNG, numTerms int) Query {
@@ -133,7 +132,7 @@ func (g *Generator) draw(rng *stats.RNG, numTerms int) Query {
 	t := &g.world.Topics[topic]
 	terms := make([]string, 0, numTerms)
 
-	if g.concSamp[topic] != nil && rng.Float64() < g.cfg.ConceptFraction {
+	if g.concSamp[topic] != nil && rng.Float64() < g.cfg.conceptFraction {
 		c := t.Concepts[g.concSamp[topic].Sample(rng)]
 		for _, w := range c {
 			if len(terms) < numTerms {
@@ -143,7 +142,7 @@ func (g *Generator) draw(rng *stats.RNG, numTerms int) Query {
 	}
 	for len(terms) < numTerms {
 		var w string
-		if rng.Float64() < g.cfg.BackgroundFraction {
+		if rng.Float64() < g.cfg.backgroundFraction {
 			w = g.world.Background[g.bgSamp.Sample(rng)]
 		} else {
 			w = t.Terms[g.termSamp[topic].Sample(rng)]
@@ -173,7 +172,7 @@ func (g *Generator) Pool(rng *stats.RNG, num2, num3 int) ([]Query, error) {
 	add := func(numTerms, count int) error {
 		misses := 0
 		for added := 0; added < count; {
-			q, err := g.One(rng, numTerms)
+			q, err := g.one(rng, numTerms)
 			if err != nil {
 				return err
 			}
@@ -219,15 +218,4 @@ func (g *Generator) TrainTest(rng *stats.RNG, numTrain2, numTrain3, numTest2, nu
 	test = append(test, two[numTrain2:]...)
 	test = append(test, three[numTrain3:]...)
 	return train, test, nil
-}
-
-// SortQueries orders queries deterministically (by term count, then
-// lexicographically); useful for stable golden files and tests.
-func SortQueries(qs []Query) {
-	sort.Slice(qs, func(i, j int) bool {
-		if len(qs[i].Terms) != len(qs[j].Terms) {
-			return len(qs[i].Terms) < len(qs[j].Terms)
-		}
-		return qs[i].String() < qs[j].String()
-	})
 }

@@ -1,7 +1,10 @@
 package queries
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +24,7 @@ func TestOneTermCounts(t *testing.T) {
 	rng := stats.NewRNG(1)
 	for _, n := range []int{1, 2, 3, 4} {
 		for i := 0; i < 50; i++ {
-			q, err := g.One(rng, n)
+			q, err := g.one(rng, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +40,7 @@ func TestOneTermCounts(t *testing.T) {
 			}
 		}
 	}
-	if _, err := g.One(rng, 0); err == nil {
+	if _, err := g.one(rng, 0); err == nil {
 		t.Error("numTerms 0 should fail")
 	}
 }
@@ -134,7 +137,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestConceptFractionShowsUp(t *testing.T) {
 	w := testWorld()
-	g, _ := NewGenerator(w, Config{ConceptFraction: 0.9})
+	g, _ := NewGenerator(w, Config{conceptFraction: 0.9})
 	rng := stats.NewRNG(4)
 	// With ConceptFraction 0.9, many 2-term queries should literally be
 	// concept pairs such as "breast cancer".
@@ -149,7 +152,7 @@ func TestConceptFractionShowsUp(t *testing.T) {
 	hits := 0
 	const n = 300
 	for i := 0; i < n; i++ {
-		q, err := g.One(rng, 2)
+		q, err := g.one(rng, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,18 +162,6 @@ func TestConceptFractionShowsUp(t *testing.T) {
 	}
 	if hits < n/4 {
 		t.Errorf("only %d/%d queries were concept pairs; concept path looks broken", hits, n)
-	}
-}
-
-func TestSortQueries(t *testing.T) {
-	qs := []Query{
-		{Terms: []string{"b", "a", "c"}},
-		{Terms: []string{"z", "a"}},
-		{Terms: []string{"a", "b"}},
-	}
-	SortQueries(qs)
-	if qs[0].String() != "a b" || qs[1].String() != "z a" || qs[2].String() != "b a c" {
-		t.Errorf("sorted order wrong: %v", qs)
 	}
 }
 
@@ -184,7 +175,11 @@ func TestQueryLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "queries.txt")
-	if err := SaveLog(path, qs); err != nil {
+	var log bytes.Buffer
+	if err := writeLog(&log, qs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadLog(path)
@@ -203,7 +198,7 @@ func TestQueryLogRoundTrip(t *testing.T) {
 
 func TestReadLogSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# a trace\n\nbreast cancer\n   \nheart attack  \n# end\n"
-	qs, err := ReadLog(strings.NewReader(in))
+	qs, err := readLog(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +207,10 @@ func TestReadLogSkipsCommentsAndBlanks(t *testing.T) {
 	}
 }
 
-// TestWriteLogRejectsEmptyQuery: WriteLog refuses, by index, every query
-// ReadLog would not return as written.
+// TestWriteLogRejectsEmptyQuery: writeLog, the inverse FuzzReadLog
+// holds readLog to, refuses by index every query readLog would not
+// return as written, and for each readLog indeed reads its line back
+// otherwise.
 func TestWriteLogRejectsEmptyQuery(t *testing.T) {
 	ok := Query{Terms: []string{"breast", "#cancer"}}
 	for name, bad := range map[string]Query{
@@ -226,9 +223,13 @@ func TestWriteLogRejectsEmptyQuery(t *testing.T) {
 		"line over the cap":    {Terms: []string{strings.Repeat("a", 1<<20)}},
 	} {
 		var sb strings.Builder
-		err := WriteLog(&sb, []Query{ok, bad})
+		err := writeLog(&sb, []Query{ok, bad})
 		if err == nil || !strings.Contains(err.Error(), "query 1 ") {
-			t.Errorf("%s: WriteLog = %v, want an error naming query 1", name, err)
+			t.Errorf("%s: writeLog = %v, want an error naming query 1", name, err)
+		}
+		got, err := readLog(strings.NewReader(bad.String() + "\n"))
+		if err == nil && len(got) == 1 && slices.Equal(got[0].Terms, bad.Terms) {
+			t.Errorf("%s: readLog reads the line back as written, %v", name, got)
 		}
 	}
 }

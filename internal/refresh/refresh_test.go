@@ -443,13 +443,23 @@ func (b *blockingHost) Serving(dbIdx int, key core.TypeKey) (Serving, error) {
 }
 
 // TestParseTypeKeyRoundTrip pins RefreshNow's contract: the query type
-// a DriftStatus reports parses back to the original key.
+// a DriftStatus reports parses back to the original key. The keys are
+// every type the paper's classifier (threshold 100, 1..4 terms) yields.
 func TestParseTypeKeyRoundTrip(t *testing.T) {
-	for _, key := range core.DefaultClassifier().AllKeys() {
-		got, err := core.ParseTypeKey(key.String())
-		if err != nil || got != key {
-			t.Errorf("ParseTypeKey(%q) = %v, %v", key.String(), got, err)
+	c := core.Classifier{Threshold: 100, MaxTerms: 4}
+	seen := map[core.TypeKey]bool{}
+	for terms := 1; terms <= 4; terms++ {
+		for _, rhat := range []float64{0, 50, 150} {
+			key := c.Classify(terms, rhat)
+			seen[key] = true
+			got, err := core.ParseTypeKey(key.String())
+			if err != nil || got != key {
+				t.Errorf("ParseTypeKey(%q) = %v, %v", key.String(), got, err)
+			}
 		}
+	}
+	if len(seen) != 12 {
+		t.Errorf("round-tripped %d distinct keys, want 12", len(seen))
 	}
 	for _, bad := range []string{"", "x", "2-term/", "2-term/mid", "-term/high", "0-term/low", "two-term/low"} {
 		if _, err := core.ParseTypeKey(bad); err == nil {

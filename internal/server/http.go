@@ -96,14 +96,14 @@ func (e *badRequestError) Error() string { return e.msg }
 // /debug/spans when Config.Metrics and Config.Spans are set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/select", s.SelectHandler())
-	mux.Handle("/v1/tenants", obs.JSONHandler(func() any { return s.Tenants() }))
+	mux.Handle("/v1/select", s.selectHandler())
+	mux.Handle("/v1/tenants", obs.JSONHandler(func() any { return s.tenantNames() }))
 	mux.Handle("/debug/server", obs.JSONHandler(func() any { return s.debugState() }))
 	ops.Mount(mux, ops.Sinks{
 		Metrics: s.cfg.Metrics,
 		Spans:   s.cfg.Spans,
-		Model:   func() any { return s.ModelsInfo() },
-		Ready:   s.Ready,
+		Model:   func() any { return s.modelsInfo() },
+		Ready:   s.ready,
 	})
 	return mux
 }
@@ -113,21 +113,21 @@ func (s *Server) debugState() any {
 	st := s.Stats()
 	return map[string]any{
 		"uptimeSeconds": s.uptime().Seconds(),
-		"tenants":       st.Tenants,
+		"tenants":       st.tenants,
 		"inflight":      st.Inflight,
 		"peakInflight":  st.PeakInflight,
 		"softInflight":  s.cfg.SoftInflight,
 		"hardInflight":  s.cfg.HardInflight,
 		"tenantRate":    s.cfg.TenantRate,
 		"tenantBurst":   s.cfg.TenantBurst,
-		"draining":      s.Draining(),
+		"draining":      s.draining(),
 	}
 }
 
-// SelectHandler serves /v1/select. POST carries a SelectRequest JSON
+// selectHandler serves /v1/select. POST carries a SelectRequest JSON
 // body; GET maps query parameters (tenant, q, k, metric, t,
 // maxProbes) for curl-friendly exploration.
-func (s *Server) SelectHandler() http.Handler {
+func (s *Server) selectHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req, err := decodeSelectRequest(r)
 		if err != nil {

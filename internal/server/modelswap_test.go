@@ -40,7 +40,7 @@ func TestPerTenantModelSwapIsolation(t *testing.T) {
 	for _, q := range qs[:8] {
 		before = append(before, answer{ask("a", q), ask("b", q)})
 	}
-	preInfo := s.ModelsInfo()
+	preInfo := s.modelsInfo()
 
 	path := filepath.Join(t.TempDir(), "model.bin")
 	if err := msA.SaveModel(path); err != nil {
@@ -50,7 +50,7 @@ func TestPerTenantModelSwapIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	info := s.ModelsInfo()
+	info := s.modelsInfo()
 	if got, want := info.Tenants["a"].Version, preInfo.Tenants["a"].Version+1; got != want {
 		t.Fatalf("tenant a at version %d after reload, want %d", got, want)
 	}

@@ -181,8 +181,8 @@ func (s *Server) AddTenant(name string, ms *metaprobe.Metasearcher) error {
 // DefaultTenant is substituted for requests that omit a tenant.
 const DefaultTenant = "default"
 
-// Tenants returns the registered tenant names, sorted.
-func (s *Server) Tenants() []string {
+// tenantNames returns the registered tenant names, sorted.
+func (s *Server) tenantNames() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.tenants))
@@ -213,11 +213,11 @@ type unknownTenantError struct{ name string }
 
 func (e *unknownTenantError) Error() string { return fmt.Sprintf("unknown tenant %q", e.name) }
 
-// Ready reports whether the server can serve selections at quality:
+// ready reports whether the server can serve selections at quality:
 // at least one tenant, every tenant's model trained and healthy, and
 // not draining.
-func (s *Server) Ready() error {
-	if s.Draining() {
+func (s *Server) ready() error {
+	if s.draining() {
 		return fmt.Errorf("draining")
 	}
 	s.mu.RLock()
@@ -233,8 +233,8 @@ func (s *Server) Ready() error {
 	return nil
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
+// draining reports whether Drain has begun.
+func (s *Server) draining() bool {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	return s.drainOn
@@ -298,7 +298,7 @@ type selectAnswer struct {
 // cost no probe and reach no serving sink; under load the answer
 // degrades instead of failing.
 func (s *Server) Do(ctx context.Context, req SelectRequest) (*SelectResponse, error) {
-	if s.Draining() {
+	if s.draining() {
 		return nil, errDraining
 	}
 	req = s.fillDefaults(req)
@@ -497,9 +497,9 @@ type ModelsInfo struct {
 	Skew    ModelSkew                  `json:"skew"`
 }
 
-// ModelsInfo snapshots every tenant's serving model version and the
+// modelsInfo snapshots every tenant's serving model version and the
 // skew between them.
-func (s *Server) ModelsInfo() ModelsInfo {
+func (s *Server) modelsInfo() ModelsInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := ModelsInfo{Tenants: make(map[string]TenantModelInfo, len(s.tenants))}
@@ -538,7 +538,7 @@ func (s *Server) ModelsInfo() ModelsInfo {
 type Stats struct {
 	Inflight     int64
 	PeakInflight int64
-	Tenants      int
+	tenants      int
 }
 
 // Stats snapshots the admission state.
@@ -546,7 +546,7 @@ func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	n := len(s.tenants)
 	s.mu.RUnlock()
-	return Stats{Inflight: s.adm.Inflight(), PeakInflight: s.adm.Peak(), Tenants: n}
+	return Stats{Inflight: s.adm.Inflight(), PeakInflight: s.adm.Peak(), tenants: n}
 }
 
 // uptime is exposed for the debug handler.

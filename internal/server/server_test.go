@@ -263,7 +263,7 @@ func TestDoClientErrors(t *testing.T) {
 // Drain returns once in-flight requests finish.
 func TestDrainLifecycle(t *testing.T) {
 	s, _, qs := buildTestServer(t, Config{})
-	if err := s.Ready(); err != nil {
+	if err := s.ready(); err != nil {
 		t.Fatalf("trained single-tenant server not ready: %v", err)
 	}
 	if _, err := s.Do(context.Background(), SelectRequest{Query: qs[0]}); err != nil {
@@ -272,7 +272,7 @@ func TestDrainLifecycle(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain with idle server: %v", err)
 	}
-	if err := s.Ready(); err == nil {
+	if err := s.ready(); err == nil {
 		t.Error("draining server reports ready")
 	}
 	if _, err := s.Do(context.Background(), SelectRequest{Query: qs[0]}); !errors.Is(err, errDraining) {
@@ -299,7 +299,7 @@ func TestModelsInfoSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	info := s.ModelsInfo()
+	info := s.modelsInfo()
 	if len(info.Tenants) != 2 || info.Skew.Tenants != 2 {
 		t.Fatalf("got %d tenants (skew %d), want 2", len(info.Tenants), info.Skew.Tenants)
 	}
@@ -340,7 +340,7 @@ func TestAddTenantValidation(t *testing.T) {
 	if err := s.AddTenant("a", ms); err == nil {
 		t.Error("duplicate tenant accepted")
 	}
-	if got := s.Tenants(); len(got) != 1 || got[0] != "a" {
+	if got := s.tenantNames(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("Tenants() = %v, want [a]", got)
 	}
 }

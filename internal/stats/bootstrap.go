@@ -31,7 +31,7 @@ func BootstrapCI(values []float64, confidence float64, reps int, g *RNG) (lo, hi
 	}
 	sort.Float64s(means)
 	alpha := (1 - confidence) / 2
-	lo = Quantile(means, alpha)
-	hi = Quantile(means, 1-alpha)
+	lo = quantile(means, alpha)
+	hi = quantile(means, 1-alpha)
 	return lo, hi, nil
 }

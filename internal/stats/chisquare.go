@@ -7,19 +7,19 @@ import (
 
 // ChiSquareResult reports a Pearson chi-square goodness-of-fit test.
 type ChiSquareResult struct {
-	// Statistic is the Pearson X² statistic.
-	Statistic float64
-	// DegreesOfFreedom used for the p-value (bins − 1 unless bins were
+	// statistic is the Pearson X² statistic.
+	statistic float64
+	// degreesOfFreedom used for the p-value (bins − 1 unless bins were
 	// pooled; pooling reduces it accordingly).
-	DegreesOfFreedom int
+	degreesOfFreedom int
 	// PValue is P(X² ≥ Statistic) under the null hypothesis that the
 	// observations were drawn from the expected distribution. Section
 	// 4.2 of the paper accepts the hypothesis when this value exceeds
 	// 0.05 and interprets it as the "goodness" of a sampling size.
 	PValue float64
-	// Bins is the number of bins that actually entered the statistic
+	// bins is the number of bins that actually entered the statistic
 	// after pooling near-empty expected bins.
-	Bins int
+	bins int
 }
 
 // PearsonChiSquare tests observed counts against expected probabilities.
@@ -99,46 +99,32 @@ func PearsonChiSquare(observed []int64, expected []float64, minExpected float64)
 	}
 	df := len(cells) - 1
 	return ChiSquareResult{
-		Statistic:        stat,
-		DegreesOfFreedom: df,
-		PValue:           ChiSquareSurvival(stat, df),
-		Bins:             len(cells),
+		statistic:        stat,
+		degreesOfFreedom: df,
+		PValue:           chiSquareSurvival(stat, df),
+		bins:             len(cells),
 	}, nil
 }
 
-// ChiSquareSurvival returns P(X ≥ x) for a chi-square distribution with
+// chiSquareSurvival returns P(X ≥ x) for a chi-square distribution with
 // df degrees of freedom: the regularized upper incomplete gamma function
 // Q(df/2, x/2).
-func ChiSquareSurvival(x float64, df int) float64 {
+func chiSquareSurvival(x float64, df int) float64 {
 	if df <= 0 {
 		panic(fmt.Sprintf("stats: chi-square needs positive df, got %d", df))
 	}
 	if x <= 0 {
 		return 1
 	}
-	return RegularizedGammaQ(float64(df)/2, x/2)
+	return regularizedGammaQ(float64(df)/2, x/2)
 }
 
-// RegularizedGammaP computes the regularized lower incomplete gamma
-// function P(a, x) = γ(a, x)/Γ(a) using the series expansion for
-// x < a+1 and the continued fraction for x ≥ a+1 (Numerical Recipes
-// §6.2). Accuracy is ~1e-14 over the ranges used here.
-func RegularizedGammaP(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 0
-	case x < a+1:
-		return gammaPSeries(a, x)
-	default:
-		return 1 - gammaQContinuedFraction(a, x)
-	}
-}
-
-// RegularizedGammaQ computes the regularized upper incomplete gamma
-// function Q(a, x) = 1 − P(a, x).
-func RegularizedGammaQ(a, x float64) float64 {
+// regularizedGammaQ computes the regularized upper incomplete gamma
+// function Q(a, x) = 1 − P(a, x), with P(a, x) = γ(a, x)/Γ(a) the
+// regularized lower one, using the series expansion for x < a+1 and the
+// continued fraction for x ≥ a+1 (Numerical Recipes §6.2). Accuracy is
+// ~1e-14 over the ranges used here.
+func regularizedGammaQ(a, x float64) float64 {
 	switch {
 	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
 		return math.NaN()

@@ -21,21 +21,15 @@ func TestRegularizedGamma(t *testing.T) {
 		{100, 90, 0.15822098918643017},
 	}
 	for _, c := range cases {
-		if got := RegularizedGammaP(c.a, c.x); math.Abs(got-c.wantP) > 1e-9 {
-			t.Errorf("P(%v,%v) = %.12f, want %.12f", c.a, c.x, got, c.wantP)
-		}
-		if got := RegularizedGammaQ(c.a, c.x); math.Abs(got-(1-c.wantP)) > 1e-9 {
+		if got := regularizedGammaQ(c.a, c.x); math.Abs(got-(1-c.wantP)) > 1e-9 {
 			t.Errorf("Q(%v,%v) = %.12f, want %.12f", c.a, c.x, got, 1-c.wantP)
 		}
 	}
-	if got := RegularizedGammaP(1, 0); got != 0 {
-		t.Errorf("P(1,0) = %v, want 0", got)
-	}
-	if got := RegularizedGammaQ(1, -1); got != 1 {
+	if got := regularizedGammaQ(1, -1); got != 1 {
 		t.Errorf("Q(1,-1) = %v, want 1", got)
 	}
-	if !math.IsNaN(RegularizedGammaP(-1, 1)) {
-		t.Error("P with non-positive a should be NaN")
+	if !math.IsNaN(regularizedGammaQ(-1, 1)) {
+		t.Error("Q with non-positive a should be NaN")
 	}
 }
 
@@ -53,7 +47,7 @@ func TestChiSquareSurvival(t *testing.T) {
 		{100, 9, 1.5735176303753984e-17},
 	}
 	for _, c := range cases {
-		got := ChiSquareSurvival(c.x, c.df)
+		got := chiSquareSurvival(c.x, c.df)
 		if math.Abs(got-c.want) > 1e-8*math.Max(1, c.want) && math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("sf(%v, df=%d) = %.12g, want %.12g", c.x, c.df, got, c.want)
 		}
@@ -69,14 +63,14 @@ func TestPearsonChiSquareExactFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Statistic != 0 {
-		t.Errorf("statistic = %v, want 0", res.Statistic)
+	if res.statistic != 0 {
+		t.Errorf("statistic = %v, want 0", res.statistic)
 	}
 	if res.PValue != 1 {
 		t.Errorf("p = %v, want 1", res.PValue)
 	}
-	if res.DegreesOfFreedom != 3 {
-		t.Errorf("df = %d, want 3", res.DegreesOfFreedom)
+	if res.degreesOfFreedom != 3 {
+		t.Errorf("df = %d, want 3", res.degreesOfFreedom)
 	}
 }
 
@@ -90,11 +84,11 @@ func TestPearsonChiSquareKnownValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := (25.0 + 4 + 1 + 4 + 0 + 100) / 10
-	if math.Abs(res.Statistic-want) > 1e-12 {
-		t.Errorf("statistic = %v, want %v", res.Statistic, want)
+	if math.Abs(res.statistic-want) > 1e-12 {
+		t.Errorf("statistic = %v, want %v", res.statistic, want)
 	}
-	if res.DegreesOfFreedom != 5 {
-		t.Errorf("df = %d, want 5", res.DegreesOfFreedom)
+	if res.degreesOfFreedom != 5 {
+		t.Errorf("df = %d, want 5", res.degreesOfFreedom)
 	}
 	// mpmath chi-square sf(13.4, df=5) = 0.019905220334774378
 	if math.Abs(res.PValue-0.019905220334774378) > 1e-9 {
@@ -110,11 +104,11 @@ func TestPearsonChiSquarePooling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bins != 2 {
-		t.Errorf("bins after pooling = %d, want 2", res.Bins)
+	if res.bins != 2 {
+		t.Errorf("bins after pooling = %d, want 2", res.bins)
 	}
-	if res.DegreesOfFreedom != 1 {
-		t.Errorf("df = %d, want 1", res.DegreesOfFreedom)
+	if res.degreesOfFreedom != 1 {
+		t.Errorf("df = %d, want 1", res.degreesOfFreedom)
 	}
 }
 
@@ -145,7 +139,7 @@ func TestPearsonChiSquareErrors(t *testing.T) {
 func TestChiSquareAcceptsTrueDistribution(t *testing.T) {
 	g := NewRNG(2024)
 	exp := []float64{0.1, 0.2, 0.3, 0.25, 0.15}
-	ws := MustWeightedSampler(exp)
+	ws := mustWeightedSampler(exp)
 	rejections := 0
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {

@@ -52,15 +52,6 @@ func NewHistogram(edges []float64) (*Histogram, error) {
 	}, nil
 }
 
-// MustHistogram is NewHistogram that panics on invalid edges.
-func MustHistogram(edges []float64) *Histogram {
-	h, err := NewHistogram(edges)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Bins returns the number of bins.
 func (h *Histogram) Bins() int { return len(h.Counts) }
 
@@ -155,24 +146,6 @@ func (h *Histogram) Midpoint(i int) float64 {
 	}
 }
 
-// Merge adds the contents of other into h. The histograms must share
-// identical edges.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.Edges) != len(other.Edges) {
-		return fmt.Errorf("stats: cannot merge histograms with %d vs %d edges", len(h.Edges), len(other.Edges))
-	}
-	for i := range h.Edges {
-		if h.Edges[i] != other.Edges[i] {
-			return fmt.Errorf("stats: cannot merge histograms with differing edge %d: %v vs %v", i, h.Edges[i], other.Edges[i])
-		}
-	}
-	for i := range h.Counts {
-		h.Counts[i] += other.Counts[i]
-		h.Sums[i] += other.Sums[i]
-	}
-	return nil
-}
-
 // Clone returns a deep copy of the histogram.
 func (h *Histogram) Clone() *Histogram {
 	return &Histogram{
@@ -180,16 +153,4 @@ func (h *Histogram) Clone() *Histogram {
 		Counts: append([]int64(nil), h.Counts...),
 		Sums:   append([]float64(nil), h.Sums...),
 	}
-}
-
-// UniformEdges returns n+1 equally spaced edges spanning [lo, hi].
-func UniformEdges(lo, hi float64, n int) []float64 {
-	if n < 1 || !(hi > lo) {
-		panic(fmt.Sprintf("stats: invalid uniform edges lo=%v hi=%v n=%d", lo, hi, n))
-	}
-	edges := make([]float64, n+1)
-	for i := range edges {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(n)
-	}
-	return edges
 }

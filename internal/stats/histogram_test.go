@@ -6,8 +6,17 @@ import (
 	"testing/quick"
 )
 
+// mustHistogram is NewHistogram that fails the process on invalid edges.
+func mustHistogram(edges []float64) *Histogram {
+	h, err := NewHistogram(edges)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func TestHistogramBasics(t *testing.T) {
-	h := MustHistogram([]float64{0, 1, 2, 3})
+	h := mustHistogram([]float64{0, 1, 2, 3})
 	for _, v := range []float64{0, 0.5, 1, 1.5, 2.99, 3, 5, -1} {
 		h.Add(v)
 	}
@@ -35,7 +44,7 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramBinIndexEdges(t *testing.T) {
-	h := MustHistogram([]float64{-1, 0, 1, math.Inf(1)})
+	h := mustHistogram([]float64{-1, 0, 1, math.Inf(1)})
 	cases := []struct {
 		v    float64
 		want int
@@ -53,7 +62,7 @@ func TestHistogramBinIndexEdges(t *testing.T) {
 }
 
 func TestHistogramBinMeanAndMidpoint(t *testing.T) {
-	h := MustHistogram([]float64{0, 1, 2, math.Inf(1)})
+	h := mustHistogram([]float64{0, 1, 2, math.Inf(1)})
 	h.Add(0.25)
 	h.Add(0.75)
 	h.Add(5)
@@ -82,30 +91,8 @@ func TestHistogramInvalidEdges(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := MustHistogram([]float64{0, 1, 2})
-	b := MustHistogram([]float64{0, 1, 2})
-	a.Add(0.5)
-	b.Add(1.5)
-	b.Add(0.25)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 3 || a.Counts[0] != 2 || a.Counts[1] != 1 {
-		t.Errorf("merged counts = %v", a.Counts)
-	}
-	c := MustHistogram([]float64{0, 2, 4})
-	if err := a.Merge(c); err == nil {
-		t.Error("merging mismatched edges should fail")
-	}
-	d := MustHistogram([]float64{0, 1})
-	if err := a.Merge(d); err == nil {
-		t.Error("merging different bin counts should fail")
-	}
-}
-
 func TestHistogramClone(t *testing.T) {
-	a := MustHistogram([]float64{0, 1, 2})
+	a := mustHistogram([]float64{0, 1, 2})
 	a.Add(0.5)
 	b := a.Clone()
 	b.Add(1.5)
@@ -119,7 +106,7 @@ func TestHistogramClone(t *testing.T) {
 // (up to clamping).
 func TestHistogramAllObservationsLand(t *testing.T) {
 	f := func(raw []int16) bool {
-		h := MustHistogram([]float64{-10, -1, 0, 1, 10})
+		h := mustHistogram([]float64{-10, -1, 0, 1, 10})
 		for _, r := range raw {
 			h.Add(float64(r) / 100)
 		}
@@ -128,20 +115,4 @@ func TestHistogramAllObservationsLand(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestUniformEdges(t *testing.T) {
-	e := UniformEdges(0, 1, 4)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range e {
-		if math.Abs(e[i]-want[i]) > 1e-12 {
-			t.Errorf("edge %d = %v, want %v", i, e[i], want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid uniform edges should panic")
-		}
-	}()
-	UniformEdges(1, 0, 3)
 }

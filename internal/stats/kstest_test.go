@@ -43,10 +43,10 @@ func TestKSSameDistributionAccepted(t *testing.T) {
 		a := make([]float64, 300)
 		b := make([]float64, 400)
 		for i := range a {
-			a[i] = g.NormFloat64()
+			a[i] = g.normFloat64()
 		}
 		for i := range b {
-			b[i] = g.NormFloat64()
+			b[i] = g.normFloat64()
 		}
 		res, err := KolmogorovSmirnov(a, b)
 		if err != nil {
@@ -66,8 +66,8 @@ func TestKSShiftedDistributionRejected(t *testing.T) {
 	a := make([]float64, 500)
 	b := make([]float64, 500)
 	for i := range a {
-		a[i] = g.NormFloat64()
-		b[i] = g.NormFloat64() + 1 // clearly shifted
+		a[i] = g.normFloat64()
+		b[i] = g.normFloat64() + 1 // clearly shifted
 	}
 	res, err := KolmogorovSmirnov(a, b)
 	if err != nil {

@@ -9,9 +9,9 @@ type McNemarResult struct {
 	Discordant01 int
 	// Discordant10 counts cases where method A succeeded and B failed.
 	Discordant10 int
-	// Statistic is the continuity-corrected chi-square statistic
+	// statistic is the continuity-corrected chi-square statistic
 	// (|b−c|−1)²/(b+c).
-	Statistic float64
+	statistic float64
 	// PValue is the two-sided p-value (chi-square with 1 df).
 	PValue float64
 }
@@ -51,7 +51,7 @@ func McNemar(a, b []bool) (McNemarResult, error) {
 	if d < 0 {
 		d = 0
 	}
-	res.Statistic = d * d / float64(n)
-	res.PValue = ChiSquareSurvival(res.Statistic, 1)
+	res.statistic = d * d / float64(n)
+	res.PValue = chiSquareSurvival(res.statistic, 1)
 	return res, nil
 }

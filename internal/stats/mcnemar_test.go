@@ -28,8 +28,8 @@ func TestMcNemarKnownValue(t *testing.T) {
 	if res.Discordant01 != 30 || res.Discordant10 != 10 {
 		t.Errorf("discordant counts %d/%d", res.Discordant01, res.Discordant10)
 	}
-	if math.Abs(res.Statistic-9.025) > 1e-12 {
-		t.Errorf("statistic = %v, want 9.025", res.Statistic)
+	if math.Abs(res.statistic-9.025) > 1e-12 {
+		t.Errorf("statistic = %v, want 9.025", res.statistic)
 	}
 	if math.Abs(res.PValue-0.002663119259) > 1e-9 {
 		t.Errorf("p = %.12f, want 0.002663119259", res.PValue)
@@ -40,12 +40,12 @@ func TestMcNemarEdgeCases(t *testing.T) {
 	// Identical methods: p = 1.
 	a := []bool{true, false, true}
 	res, err := McNemar(a, a)
-	if err != nil || res.PValue != 1 || res.Statistic != 0 {
+	if err != nil || res.PValue != 1 || res.statistic != 0 {
 		t.Errorf("identical: %+v, %v", res, err)
 	}
 	// One discordant pair: continuity correction clamps to 0.
 	res, err = McNemar([]bool{true}, []bool{false})
-	if err != nil || res.Statistic != 0 || res.PValue != 1 {
+	if err != nil || res.statistic != 0 || res.PValue != 1 {
 		t.Errorf("single discordant: %+v, %v", res, err)
 	}
 	// Validation.

@@ -2,7 +2,7 @@ package stats
 
 import "fmt"
 
-// PoissonBinomialAtMost returns P(X ≤ k) where X is the number of
+// PoissonBinomialAtMostInto returns P(X ≤ k) where X is the number of
 // successes among independent Bernoulli trials with the given success
 // probabilities (the Poisson-binomial distribution).
 //
@@ -12,21 +12,9 @@ import "fmt"
 // k−1 others beat it (Section 5.1 of the paper).
 //
 // The computation is an O(n·k) dynamic program that only tracks counts
-// up to k (everything above k is irrelevant to the tail).
-func PoissonBinomialAtMost(k int, probs []float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= len(probs) {
-		return 1
-	}
-	return PoissonBinomialAtMostInto(k, probs, make([]float64, k+1))
-}
-
-// PoissonBinomialAtMostInto is PoissonBinomialAtMost with a
-// caller-provided DP buffer of length ≥ k+1, letting hot paths run the
-// tail without allocating. The buffer is overwritten; the arithmetic
-// is identical to PoissonBinomialAtMost.
+// up to k (everything above k is irrelevant to the tail), in a
+// caller-provided buffer of length ≥ k+1, so hot paths run the tail
+// without allocating. The buffer is overwritten.
 func PoissonBinomialAtMostInto(k int, probs, dp []float64) float64 {
 	if k < 0 {
 		return 0
@@ -63,28 +51,6 @@ func PoissonBinomialAtMostInto(k int, probs, dp []float64) float64 {
 		sum = 1
 	}
 	return sum
-}
-
-// PoissonBinomialPMF returns the full probability mass function
-// P(X = j) for j = 0..len(probs) of the Poisson-binomial distribution,
-// via the standard O(n²) convolution DP. Used in tests as the reference
-// implementation and by the optimal probing policy.
-func PoissonBinomialPMF(probs []float64) []float64 {
-	dp := make([]float64, len(probs)+1)
-	dp[0] = 1
-	for i, p := range probs {
-		if p < 0 {
-			p = 0
-		} else if p > 1 {
-			p = 1
-		}
-		q := 1 - p
-		for j := i + 1; j >= 1; j-- {
-			dp[j] = dp[j]*q + dp[j-1]*p
-		}
-		dp[0] *= q
-	}
-	return dp
 }
 
 // BinomialCoefficient returns C(n, k) as a float64; it panics on

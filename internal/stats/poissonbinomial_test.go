@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// atMost is P(X ≤ k) with a fresh buffer.
+func atMost(k int, probs []float64) float64 {
+	return PoissonBinomialAtMostInto(k, probs, make([]float64, max(k+1, 0)))
+}
+
 func TestPoissonBinomialAtMostBinomialCase(t *testing.T) {
 	// Equal probabilities reduce to a plain binomial distribution.
 	p := 0.3
@@ -25,20 +30,35 @@ func TestPoissonBinomialAtMostBinomialCase(t *testing.T) {
 		if k < 0 {
 			want = 0
 		}
-		got := PoissonBinomialAtMost(k, probs)
+		got := atMost(k, probs)
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("P(X<=%d) = %.15f, want %.15f", k, got, want)
 		}
 	}
 }
 
+// pmf is P(X = j) for j = 0..len(probs), by the O(n²) convolution DP:
+// an oracle independent of the tail DP PoissonBinomialAtMostInto runs.
+func pmf(probs []float64) []float64 {
+	dp := make([]float64, len(probs)+1)
+	dp[0] = 1
+	for i, p := range probs {
+		q := 1 - p
+		for j := i + 1; j >= 1; j-- {
+			dp[j] = dp[j]*q + dp[j-1]*p
+		}
+		dp[0] *= q
+	}
+	return dp
+}
+
 func TestPoissonBinomialPMFAgainstAtMost(t *testing.T) {
 	probs := []float64{0.1, 0.9, 0.5, 0.3, 0.7}
-	pmf := PoissonBinomialPMF(probs)
+	mass := pmf(probs)
 	cum := 0.0
-	for k := 0; k < len(pmf); k++ {
-		cum += pmf[k]
-		got := PoissonBinomialAtMost(k, probs)
+	for k := range mass {
+		cum += mass[k]
+		got := atMost(k, probs)
 		if math.Abs(got-cum) > 1e-12 {
 			t.Errorf("CDF mismatch at k=%d: AtMost=%v, PMF cumsum=%v", k, got, cum)
 		}
@@ -67,10 +87,11 @@ func TestPoissonBinomialAgainstBruteForce(t *testing.T) {
 		}
 		exact[ones] += p
 	}
-	pmf := PoissonBinomialPMF(probs)
+	cum := 0.0
 	for k := 0; k <= n; k++ {
-		if math.Abs(pmf[k]-exact[k]) > 1e-12 {
-			t.Errorf("PMF[%d] = %v, want %v", k, pmf[k], exact[k])
+		cum += exact[k]
+		if got := atMost(k, probs); math.Abs(got-cum) > 1e-12 {
+			t.Errorf("P(X<=%d) = %v, want %v", k, got, cum)
 		}
 	}
 }
@@ -88,7 +109,7 @@ func TestPoissonBinomialCDFProperties(t *testing.T) {
 		}
 		prev := 0.0
 		for k := 0; k <= len(probs); k++ {
-			v := PoissonBinomialAtMost(k, probs)
+			v := atMost(k, probs)
 			if v < prev-1e-12 || v < 0 || v > 1+1e-12 {
 				return false
 			}

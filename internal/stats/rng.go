@@ -51,11 +51,8 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Int63 returns a non-negative uniform 63-bit integer.
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 
-// NormFloat64 returns a standard normal variate.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
-// Perm returns a uniform random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+// normFloat64 returns a standard normal variate.
+func (g *RNG) normFloat64() float64 { return g.r.NormFloat64() }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
@@ -70,7 +67,7 @@ func (g *RNG) Poisson(mean float64) int {
 	if mean > 64 {
 		// Normal approximation with continuity correction is ample for
 		// document-length sampling.
-		v := mean + g.NormFloat64()*math.Sqrt(mean) + 0.5
+		v := mean + g.normFloat64()*math.Sqrt(mean) + 0.5
 		if v < 0 {
 			return 0
 		}

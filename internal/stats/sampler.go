@@ -74,16 +74,6 @@ func NewWeightedSampler(weights []float64) (*WeightedSampler, error) {
 	return ws, nil
 }
 
-// MustWeightedSampler is NewWeightedSampler that panics on error; for
-// use with weights known to be valid at construction time.
-func MustWeightedSampler(weights []float64) *WeightedSampler {
-	ws, err := NewWeightedSampler(weights)
-	if err != nil {
-		panic(err)
-	}
-	return ws
-}
-
 // Sample draws one index according to the weights.
 func (ws *WeightedSampler) Sample(g *RNG) int {
 	i := g.Intn(len(ws.prob))
@@ -92,9 +82,6 @@ func (ws *WeightedSampler) Sample(g *RNG) int {
 	}
 	return ws.alias[i]
 }
-
-// Len returns the number of weights the sampler was built from.
-func (ws *WeightedSampler) Len() int { return len(ws.prob) }
 
 // ZipfWeights returns n weights following a Zipf power law with the
 // given exponent s: weight(i) ∝ 1/(i+1)^s. Term popularity in both the
@@ -128,9 +115,9 @@ func SampleWithoutReplacement(g *RNG, n, k int) []int {
 	return out
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the values using linear
+// quantile returns the q-quantile (0 ≤ q ≤ 1) of the values using linear
 // interpolation between order statistics. It does not modify values.
-func Quantile(values []float64, q float64) float64 {
+func quantile(values []float64, q float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
 	}
@@ -152,29 +139,14 @@ func Quantile(values []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Mean returns the arithmetic mean of values, or NaN for an empty slice.
-func Mean(values []float64) float64 {
+// mean returns the arithmetic mean of values, or NaN for an empty slice.
+func mean(values []float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
 	}
 	sum := 0.0
 	for _, v := range values {
 		sum += v
-	}
-	return sum / float64(len(values))
-}
-
-// Variance returns the population variance of values, or NaN for an
-// empty slice.
-func Variance(values []float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	m := Mean(values)
-	sum := 0.0
-	for _, v := range values {
-		d := v - m
-		sum += d * d
 	}
 	return sum / float64(len(values))
 }

@@ -6,9 +6,18 @@ import (
 	"testing/quick"
 )
 
+// mustWeightedSampler is NewWeightedSampler for weights known valid.
+func mustWeightedSampler(weights []float64) *WeightedSampler {
+	ws, err := NewWeightedSampler(weights)
+	if err != nil {
+		panic(err)
+	}
+	return ws
+}
+
 func TestWeightedSamplerMatchesWeights(t *testing.T) {
 	weights := []float64{1, 2, 3, 0, 4}
-	ws := MustWeightedSampler(weights)
+	ws := mustWeightedSampler(weights)
 	g := NewRNG(99)
 	const n = 200000
 	counts := make([]int, len(weights))
@@ -124,22 +133,27 @@ func TestSampleWithoutReplacement(t *testing.T) {
 
 func TestQuantileMeanVariance(t *testing.T) {
 	vals := []float64{4, 1, 3, 2}
-	if got := Quantile(vals, 0); got != 1 {
+	if got := quantile(vals, 0); got != 1 {
 		t.Errorf("Quantile 0 = %v, want 1", got)
 	}
-	if got := Quantile(vals, 1); got != 4 {
+	if got := quantile(vals, 1); got != 4 {
 		t.Errorf("Quantile 1 = %v, want 4", got)
 	}
-	if got := Quantile(vals, 0.5); math.Abs(got-2.5) > 1e-12 {
+	if got := quantile(vals, 0.5); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("median = %v, want 2.5", got)
 	}
-	if got := Mean(vals); math.Abs(got-2.5) > 1e-12 {
+	if got := mean(vals); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("mean = %v, want 2.5", got)
 	}
-	if got := Variance(vals); math.Abs(got-1.25) > 1e-12 {
+	// The population variance, as the mean of squared deviations.
+	sq := make([]float64, len(vals))
+	for i, v := range vals {
+		sq[i] = (v - mean(vals)) * (v - mean(vals))
+	}
+	if got := mean(sq); math.Abs(got-1.25) > 1e-12 {
 		t.Errorf("variance = %v, want 1.25", got)
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance(nil)) || !math.IsNaN(Quantile(nil, 0.5)) {
+	if !math.IsNaN(mean(nil)) || !math.IsNaN(quantile(nil, 0.5)) {
 		t.Error("empty input should yield NaN")
 	}
 	// Quantile must not mutate its input.

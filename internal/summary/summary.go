@@ -26,7 +26,7 @@ import (
 
 // Summary is the metasearcher's local statistics for one database. All
 // terms are stored normalized (lowercased, stemmed) in the same term
-// space the databases index, so lookups must go through Frequency.
+// space the databases index, so a raw query word is tokenized before its lookup.
 type Summary struct {
 	// Database is the database's name.
 	Database string `json:"database"`
@@ -48,19 +48,6 @@ type Summary struct {
 	// Sampled records whether the summary came from query-based
 	// sampling.
 	Sampled bool `json:"sampled"`
-}
-
-// Frequency returns the document frequency of a raw query word,
-// normalizing it first.
-func (s *Summary) Frequency(word string, tok *textindex.Tokenizer) int {
-	if tok == nil {
-		tok = textindex.DefaultTokenizer()
-	}
-	terms := tok.Tokenize(word)
-	if len(terms) == 0 {
-		return 0
-	}
-	return s.DF[terms[0]]
 }
 
 // Fraction returns df/DocCount for a normalized term (already in index
@@ -88,8 +75,8 @@ func (s *Summary) Validate() error {
 	return nil
 }
 
-// FromIndex builds an exact summary from a database's own index.
-func FromIndex(name string, ix *textindex.Index) *Summary {
+// fromIndex builds an exact summary from a database's own index.
+func fromIndex(name string, ix *textindex.Index) *Summary {
 	return &Summary{
 		Database:  name,
 		Size:      ix.Size(),
@@ -101,7 +88,7 @@ func FromIndex(name string, ix *textindex.Index) *Summary {
 
 // FromLocal builds an exact summary from a Local database.
 func FromLocal(db *hidden.Local) *Summary {
-	return FromIndex(db.Name(), db.Index())
+	return fromIndex(db.Name(), db.Index())
 }
 
 // SampleConfig tunes query-based sampling.
@@ -110,12 +97,12 @@ type SampleConfig struct {
 	SeedTerms []string
 	// NumQueries is how many probe queries to issue (default 80).
 	NumQueries int
-	// DocsPerQuery is how many top documents to fetch per probe
+	// docsPerQuery is how many top documents to fetch per probe
 	// (default 4).
-	DocsPerQuery int
-	// SizeProbeTerms estimate |db| via hidden.EstimateSize when the
+	docsPerQuery int
+	// sizeProbeTerms estimate |db| via hidden.EstimateSize when the
 	// database does not export its size; defaults to SeedTerms.
-	SizeProbeTerms []string
+	sizeProbeTerms []string
 }
 
 // Sample builds a summary through the database's public interface
@@ -134,11 +121,11 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 	if cfg.NumQueries == 0 {
 		cfg.NumQueries = 80
 	}
-	if cfg.DocsPerQuery == 0 {
-		cfg.DocsPerQuery = 4
+	if cfg.docsPerQuery == 0 {
+		cfg.docsPerQuery = 4
 	}
-	if len(cfg.SizeProbeTerms) == 0 {
-		cfg.SizeProbeTerms = cfg.SeedTerms
+	if len(cfg.sizeProbeTerms) == 0 {
+		cfg.sizeProbeTerms = cfg.SeedTerms
 	}
 
 	tok := textindex.DefaultTokenizer()
@@ -180,7 +167,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 			word = cfg.SeedTerms[rng.Intn(len(cfg.SeedTerms))]
 		}
 		probes++
-		res, err := db.Search(word, cfg.DocsPerQuery)
+		res, err := db.Search(word, cfg.docsPerQuery)
 		if err != nil {
 			failures++
 			if failures > cfg.NumQueries {
@@ -199,7 +186,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 	if len(seenDocs) == 0 {
 		return nil, fmt.Errorf("summary: sampling %s retrieved no documents; seed terms may not match", db.Name())
 	}
-	size, err := hidden.EstimateSize(db, cfg.SizeProbeTerms)
+	size, err := hidden.EstimateSize(db, cfg.sizeProbeTerms)
 	if err != nil {
 		return nil, fmt.Errorf("summary: sampling %s: %w", db.Name(), err)
 	}
@@ -235,16 +222,6 @@ func BuildExact(tb *hidden.Testbed) (*Set, error) {
 	return set, nil
 }
 
-// ByName returns the summary for the named database, or nil.
-func (s *Set) ByName(name string) *Summary {
-	for _, sum := range s.Summaries {
-		if sum.Database == name {
-			return sum
-		}
-	}
-	return nil
-}
-
 // Prune returns a copy of the summary keeping only the maxTerms most
 // frequent terms (ties broken lexicographically). Real metasearchers
 // cap summary size — a full vocabulary per mediated database does not
@@ -267,7 +244,7 @@ func (s *Summary) Prune(maxTerms int) *Summary {
 		}
 		return out
 	}
-	keep := s.TopTerms(maxTerms)
+	keep := s.topTerms(maxTerms)
 	out.DF = make(map[string]int, len(keep))
 	for _, t := range keep {
 		out.DF[t] = s.DF[t]
@@ -275,9 +252,9 @@ func (s *Summary) Prune(maxTerms int) *Summary {
 	return out
 }
 
-// TopTerms returns the n most frequent terms of a summary (for
+// topTerms returns the n most frequent terms of a summary (for
 // diagnostics and seed-term selection), ties broken lexicographically.
-func (s *Summary) TopTerms(n int) []string {
+func (s *Summary) topTerms(n int) []string {
 	type tf struct {
 		term string
 		df   int

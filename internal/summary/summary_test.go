@@ -8,6 +8,7 @@ import (
 
 	"metaprobe/internal/corpus"
 	"metaprobe/internal/hidden"
+	"metaprobe/internal/hidden/hiddentest"
 	"metaprobe/internal/stats"
 	"metaprobe/internal/textindex"
 )
@@ -38,15 +39,11 @@ func TestFromLocalExact(t *testing.T) {
 	}
 	// The summary df must equal the index df for every term.
 	res, _ := db.Search("cancer", 0)
-	tok := textindex.DefaultTokenizer()
-	if got := s.Frequency("cancer", tok); got < res.MatchCount {
+	if got := s.DF[textindex.DefaultTokenizer().Tokenize("cancer")[0]]; got < res.MatchCount {
 		t.Errorf("df(cancer) = %d, < match count %d", got, res.MatchCount)
 	}
-	if got := s.Frequency("zzzz", tok); got != 0 {
+	if got := s.DF["zzzz"]; got != 0 {
 		t.Errorf("df(zzzz) = %d, want 0", got)
-	}
-	if got := s.Frequency("", tok); got != 0 {
-		t.Errorf("df(empty) = %d, want 0", got)
 	}
 }
 
@@ -58,12 +55,12 @@ func TestFractionAndTopTerms(t *testing.T) {
 	if got := s.Fraction("zz"); got != 0 {
 		t.Errorf("Fraction(zz) = %v, want 0", got)
 	}
-	top := s.TopTerms(2)
+	top := s.topTerms(2)
 	if len(top) != 2 || top[0] != "aa" || top[1] != "cc" {
-		t.Errorf("TopTerms = %v, want [aa cc] (df desc, lexicographic ties)", top)
+		t.Errorf("topTerms = %v, want [aa cc] (df desc, lexicographic ties)", top)
 	}
-	if got := s.TopTerms(10); len(got) != 3 {
-		t.Errorf("TopTerms(10) returned %d terms, want 3", len(got))
+	if got := s.topTerms(10); len(got) != 3 {
+		t.Errorf("topTerms(10) returned %d terms, want 3", len(got))
 	}
 	empty := &Summary{Database: "e"}
 	if got := empty.Fraction("aa"); got != 0 {
@@ -88,11 +85,11 @@ func TestValidate(t *testing.T) {
 func TestSampleSummaryApproximatesExact(t *testing.T) {
 	db := buildLocal(t, "onco", 1500)
 	exact := FromLocal(db)
-	counting := hidden.NewCounting(db)
+	counting := hiddentest.NewCounting(db)
 	sampled, err := Sample(counting, SampleConfig{
 		SeedTerms:    []string{"cancer", "health", "treatment"},
 		NumQueries:   150,
-		DocsPerQuery: 5,
+		docsPerQuery: 5,
 	}, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +133,7 @@ func TestSampleErrors(t *testing.T) {
 		t.Error("no seed terms should fail")
 	}
 	// A database without Fetcher support.
-	table := hidden.NewTable("t", map[string]int{"x": 1})
+	table := hiddentest.NewTable("t", map[string]int{"x": 1})
 	if _, err := Sample(table, SampleConfig{SeedTerms: []string{"x"}}, rng); err == nil {
 		t.Error("non-fetcher database should fail")
 	}
@@ -154,8 +151,8 @@ func TestSampleOverHTTP(t *testing.T) {
 	sampled, err := Sample(client, SampleConfig{
 		SeedTerms:      []string{"cancer", "health"},
 		NumQueries:     30,
-		DocsPerQuery:   3,
-		SizeProbeTerms: []string{"health", "cancer", "medical"},
+		docsPerQuery:   3,
+		sizeProbeTerms: []string{"health", "cancer", "medical"},
 	}, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
@@ -183,13 +180,13 @@ func TestBuildExact(t *testing.T) {
 	if len(set.Summaries) != 3 {
 		t.Fatalf("got %d summaries", len(set.Summaries))
 	}
-	if set.ByName(tb.DB(1).Name()) == nil || set.ByName("zzz") != nil {
-		t.Error("ByName lookup broken")
+	if set.Summaries[1].Database != tb.DB(1).Name() {
+		t.Errorf("summary 1 is %s's, want %s's", set.Summaries[1].Database, tb.DB(1).Name())
 	}
 }
 
 func TestBuildExactRejectsNonLocal(t *testing.T) {
-	table := hidden.NewTable("t", nil)
+	table := hiddentest.NewTable("t", nil)
 	tb, err := hidden.NewTestbed([]hidden.Database{table})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ func FuzzStem(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, word string) {
-		got := Stem(word)
+		got := stem(word)
 		if len(got) > len(word)+1 {
 			t.Fatalf("Stem(%q) grew to %q", word, got)
 		}

@@ -101,9 +101,6 @@ func (ix *Index) post(ord int32) {
 // Size returns the number of indexed documents (|db| in Eq. 1).
 func (ix *Index) Size() int { return len(ix.docIDs) }
 
-// Terms returns the number of distinct terms in the index.
-func (ix *Index) Terms() int { return len(ix.postings) }
-
 // TotalTerms returns the total number of term occurrences indexed (the
 // collection word count cw used by CORI-style selection).
 func (ix *Index) TotalTerms() int {
@@ -112,22 +109,6 @@ func (ix *Index) TotalTerms() int {
 		total += n
 	}
 	return total
-}
-
-// DocID returns the external ID of document ordinal ord.
-func (ix *Index) DocID(ord int) string { return ix.docIDs[ord] }
-
-// DocLength returns the number of index terms in document ord.
-func (ix *Index) DocLength(ord int) int { return ix.docLen[ord] }
-
-// DocumentFrequency returns the number of documents containing term
-// after the index's own normalization (so callers may pass raw words).
-func (ix *Index) DocumentFrequency(term string) int {
-	norm := ix.normalizeTerm(term)
-	if norm == "" {
-		return 0
-	}
-	return len(ix.postings[norm])
 }
 
 // VocabularyFrequencies returns (term, document frequency) for every
@@ -141,16 +122,6 @@ func (ix *Index) VocabularyFrequencies() map[string]int {
 	return out
 }
 
-// normalizeTerm runs a single query word through the tokenizer; it
-// returns "" if the word normalizes away (stopword, too short).
-func (ix *Index) normalizeTerm(term string) string {
-	toks := ix.tokenizer.Tokenize(term)
-	if len(toks) == 0 {
-		return ""
-	}
-	return toks[0]
-}
-
 // MatchCount returns the number of documents containing all query
 // terms (boolean AND over the normalized terms). A query that
 // normalizes to no terms matches nothing; duplicate terms are
@@ -161,21 +132,6 @@ func (ix *Index) MatchCount(query string) int {
 		return 0
 	}
 	return len(intersect(lists))
-}
-
-// MatchingDocs returns the ordinals of documents containing all query
-// terms, in increasing ordinal order.
-func (ix *Index) MatchingDocs(query string) []int {
-	lists := ix.queryPostings(query)
-	if lists == nil {
-		return nil
-	}
-	docs := intersect(lists)
-	out := make([]int, len(docs))
-	for i, d := range docs {
-		out[i] = int(d)
-	}
-	return out
 }
 
 // queryPostings normalizes a query and gathers the posting list of each
@@ -236,8 +192,8 @@ func intersect(lists [][]posting) []int32 {
 type Hit struct {
 	// DocID is the external identifier passed to Add.
 	DocID string
-	// Ordinal is the internal document number.
-	Ordinal int
+	// ordinal is the internal document number.
+	ordinal int
 	// Score is the tf·idf cosine similarity to the query in [0, 1].
 	Score float64
 }
@@ -302,7 +258,7 @@ func (ix *Index) Search(query string, k int) []Hit {
 		}
 		hits = append(hits, Hit{
 			DocID:   ix.docIDs[doc],
-			Ordinal: int(doc),
+			ordinal: int(doc),
 			Score:   s / denom,
 		})
 	}
@@ -310,7 +266,7 @@ func (ix *Index) Search(query string, k int) []Hit {
 		if hits[i].Score != hits[j].Score {
 			return hits[i].Score > hits[j].Score
 		}
-		return hits[i].Ordinal < hits[j].Ordinal
+		return hits[i].ordinal < hits[j].ordinal
 	})
 	if len(hits) > k {
 		hits = hits[:k]

@@ -11,7 +11,7 @@ import (
 )
 
 func TestTokenizer(t *testing.T) {
-	tok := NewTokenizer(TokenizerConfig{})
+	tok := newTokenizer(tokenizerConfig{})
 	got := tok.Tokenize("The QUICK brown-fox, jumps; over 2 lazy dogs!")
 	want := []string{"quick", "brown", "fox", "jumps", "lazy", "dogs"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -29,7 +29,7 @@ func TestTokenizerStemming(t *testing.T) {
 }
 
 func TestTokenizerKeepStopwords(t *testing.T) {
-	tok := NewTokenizer(TokenizerConfig{KeepStopwords: true})
+	tok := newTokenizer(tokenizerConfig{KeepStopwords: true})
 	got := tok.Tokenize("the cat")
 	if len(got) != 2 || got[0] != "the" {
 		t.Errorf("Tokenize = %v, want [the cat]", got)
@@ -37,7 +37,7 @@ func TestTokenizerKeepStopwords(t *testing.T) {
 }
 
 func TestTokenizerLengthBounds(t *testing.T) {
-	tok := NewTokenizer(TokenizerConfig{MinLength: 3, MaxLength: 5})
+	tok := newTokenizer(tokenizerConfig{MinLength: 3, MaxLength: 5})
 	got := tok.Tokenize("ab abc abcde abcdef")
 	want := []string{"abc", "abcde"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -46,7 +46,7 @@ func TestTokenizerLengthBounds(t *testing.T) {
 }
 
 func TestTokenizerUnicode(t *testing.T) {
-	tok := NewTokenizer(TokenizerConfig{})
+	tok := newTokenizer(tokenizerConfig{})
 	got := tok.Tokenize("Café Français naïve")
 	want := []string{"café", "français", "naïve"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -56,7 +56,7 @@ func TestTokenizerUnicode(t *testing.T) {
 
 // newTestIndex builds a small collection with known statistics.
 func newTestIndex() *Index {
-	ix := NewIndex(NewTokenizer(TokenizerConfig{})) // no stemming: exact term control
+	ix := NewIndex(newTokenizer(tokenizerConfig{})) // no stemming: exact term control
 	docs := []string{
 		"breast cancer research",             // 0
 		"breast cancer treatment options",    // 1
@@ -95,28 +95,43 @@ func TestMatchCount(t *testing.T) {
 	}
 }
 
+// TestMatchingDocs: the AND of a query's posting lists is the ordinals
+// of the documents holding every term, in increasing order.
 func TestMatchingDocs(t *testing.T) {
 	ix := newTestIndex()
-	got := ix.MatchingDocs("breast cancer")
-	want := []int{0, 1, 6}
+	got := intersect(ix.queryPostings("breast cancer"))
+	want := []int32{0, 1, 6}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("MatchingDocs = %v, want %v", got, want)
+		t.Errorf("matching docs = %v, want %v", got, want)
 	}
 }
 
+// TestDocumentFrequency: a query word finds the posting list of its
+// normalized term, whose length is the document frequency the summary
+// reports; a word that normalizes away or is absent finds none.
 func TestDocumentFrequency(t *testing.T) {
 	ix := newTestIndex()
-	if got := ix.DocumentFrequency("cancer"); got != 5 {
+	df := func(word string) int {
+		lists := ix.queryPostings(word)
+		if len(lists) != 1 {
+			return 0
+		}
+		return len(lists[0])
+	}
+	if got := df("cancer"); got != 5 {
 		t.Errorf("df(cancer) = %d, want 5", got)
 	}
-	if got := ix.DocumentFrequency("CANCER"); got != 5 {
+	if got := df("CANCER"); got != 5 {
 		t.Errorf("df(CANCER) = %d, want 5 (normalization)", got)
 	}
-	if got := ix.DocumentFrequency("zzz"); got != 0 {
+	if got := df("zzz"); got != 0 {
 		t.Errorf("df(zzz) = %d, want 0", got)
 	}
-	if got := ix.DocumentFrequency("the"); got != 0 {
+	if got := df("the"); got != 0 {
 		t.Errorf("df(stopword) = %d, want 0", got)
+	}
+	if got := ix.VocabularyFrequencies()["cancer"]; got != df("cancer") {
+		t.Errorf("VocabularyFrequencies()[cancer] = %d, the posting list %d", got, df("cancer"))
 	}
 }
 
@@ -218,11 +233,11 @@ func TestAddTerms(t *testing.T) {
 	if got := ix.MatchCount("alpha beta"); got != 1 {
 		t.Errorf("MatchCount = %d, want 1", got)
 	}
-	if ix.DocLength(0) != 3 {
-		t.Errorf("DocLength = %d, want 3", ix.DocLength(0))
+	if ix.docLen[0] != 3 {
+		t.Errorf("document length = %d, want 3", ix.docLen[0])
 	}
-	if ix.DocID(0) != "d0" {
-		t.Errorf("DocID = %q", ix.DocID(0))
+	if ix.docIDs[0] != "d0" {
+		t.Errorf("document ID = %q", ix.docIDs[0])
 	}
 }
 
@@ -234,7 +249,7 @@ func TestMatchCountAgainstLinearScan(t *testing.T) {
 		if len(docSeeds) > 30 {
 			docSeeds = docSeeds[:30]
 		}
-		ix := NewIndex(NewTokenizer(TokenizerConfig{}))
+		ix := NewIndex(newTokenizer(tokenizerConfig{}))
 		docs := make([][]string, len(docSeeds))
 		for i, seed := range docSeeds {
 			var terms []string
@@ -273,7 +288,7 @@ func TestMatchCountAgainstLinearScan(t *testing.T) {
 // TestSearchAgainstBruteForceCosine verifies the ranked retrieval path
 // against a straightforward full-scan cosine computation.
 func TestSearchAgainstBruteForceCosine(t *testing.T) {
-	ix := NewIndex(NewTokenizer(TokenizerConfig{}))
+	ix := NewIndex(newTokenizer(tokenizerConfig{}))
 	docs := []string{
 		"alpha beta beta gamma",
 		"alpha alpha alpha",
@@ -290,7 +305,7 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 	// Brute force with the same weighting scheme.
 	n := float64(len(docs))
 	df := map[string]float64{}
-	tok := NewTokenizer(TokenizerConfig{})
+	tok := newTokenizer(tokenizerConfig{})
 	parsed := make([]map[string]float64, len(docs))
 	for i, d := range docs {
 		m := map[string]float64{}
@@ -345,8 +360,8 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 		t.Fatalf("got %d hits, want %d", len(hits), len(want))
 	}
 	for i := range hits {
-		if hits[i].Ordinal != want[i].ord || math.Abs(hits[i].Score-want[i].score) > 1e-12 {
-			t.Errorf("hit %d = (%d, %v), want (%d, %v)", i, hits[i].Ordinal, hits[i].Score, want[i].ord, want[i].score)
+		if hits[i].ordinal != want[i].ord || math.Abs(hits[i].Score-want[i].score) > 1e-12 {
+			t.Errorf("hit %d = (%d, %v), want (%d, %v)", i, hits[i].ordinal, hits[i].Score, want[i].ord, want[i].score)
 		}
 	}
 }
@@ -357,7 +372,7 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 // order they are added in must not depend on map iteration.
 func TestSearchDeterministicAcrossBuilds(t *testing.T) {
 	build := func() *Index {
-		ix := NewIndex(NewTokenizer(TokenizerConfig{}))
+		ix := NewIndex(newTokenizer(tokenizerConfig{}))
 		state := uint32(2004)
 		for d := 0; d < 300; d++ {
 			terms := make([]string, 40)
@@ -379,9 +394,9 @@ func TestSearchDeterministicAcrossBuilds(t *testing.T) {
 				t.Fatalf("build %d, %q: %d hits, the first build %d", rebuild, q, len(got), len(want))
 			}
 			for i := range got {
-				if got[i].Ordinal != want[i].Ordinal || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				if got[i].ordinal != want[i].ordinal || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 					t.Fatalf("build %d, %q, hit %d: (%d, %x), the first build (%d, %x)", rebuild, q, i,
-						got[i].Ordinal, math.Float64bits(got[i].Score), want[i].Ordinal, math.Float64bits(want[i].Score))
+						got[i].ordinal, math.Float64bits(got[i].Score), want[i].ordinal, math.Float64bits(want[i].Score))
 				}
 			}
 		}
@@ -420,18 +435,18 @@ func TestCountsCarryNothingToTheNextDocument(t *testing.T) {
 		{"Add", func(ix *Index, id string, terms []string) { ix.Add(id, strings.Join(terms, " ")) }},
 	} {
 		t.Run(add.name, func(t *testing.T) {
-			ix := NewIndex(NewTokenizer(TokenizerConfig{}))
+			ix := NewIndex(newTokenizer(tokenizerConfig{}))
 			add.fn(ix, "long", long)
 			add.fn(ix, "short", short)
-			fresh := NewIndex(NewTokenizer(TokenizerConfig{}))
+			fresh := NewIndex(newTokenizer(tokenizerConfig{}))
 			add.fn(fresh, "short", short)
 
 			got, want := docPostings(ix, 1), docPostings(fresh, 0)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("second document's postings %v, a fresh index's %v", got, want)
 			}
-			if ix.DocLength(1) != fresh.DocLength(0) {
-				t.Errorf("DocLength = %d, a fresh index's %d", ix.DocLength(1), fresh.DocLength(0))
+			if ix.docLen[1] != fresh.docLen[0] {
+				t.Errorf("document length = %d, a fresh index's %d", ix.docLen[1], fresh.docLen[0])
 			}
 			if got := docPostings(ix, 0)["t1"]; got != 4 {
 				t.Errorf("first document's tf(t1) = %d, want 4", got)

@@ -1,10 +1,10 @@
 package textindex
 
-// Stem reduces an English word to its stem using the classic Porter
+// stem reduces an English word to its stem using the classic Porter
 // algorithm (M. F. Porter, "An algorithm for suffix stripping",
 // Program 14(3), 1980). The input must already be lowercase; words of
 // length ≤ 2 are returned unchanged, as in the original algorithm.
-func Stem(word string) string {
+func stem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}

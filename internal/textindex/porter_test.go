@@ -95,7 +95,7 @@ func TestStemVectors(t *testing.T) {
 		"medicine":  "medicin",
 	}
 	for in, want := range cases {
-		if got := Stem(in); got != want {
+		if got := stem(in); got != want {
 			t.Errorf("Stem(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestStemVectors(t *testing.T) {
 
 func TestStemShortAndNonAlpha(t *testing.T) {
 	for _, w := range []string{"", "a", "at", "x9", "b2b2", "covid19"} {
-		if got := Stem(w); got != w {
+		if got := stem(w); got != w {
 			t.Errorf("Stem(%q) = %q, want unchanged", w, got)
 		}
 	}
@@ -120,7 +120,7 @@ func TestStemNeverGrowsMuchAndNeverPanics(t *testing.T) {
 			w = append(w, 'a'+b%26)
 		}
 		word := string(w)
-		got := Stem(word)
+		got := stem(word)
 		// The algorithm appends at most one letter ('e') net of what it
 		// strips, so the result can exceed the input by at most 1.
 		return len(got) <= len(word)+1
@@ -134,6 +134,6 @@ func BenchmarkStem(b *testing.B) {
 	words := []string{"relational", "hopefulness", "cancer", "metasearching", "probabilistically"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Stem(words[i%len(words)])
+		stem(words[i%len(words)])
 	}
 }

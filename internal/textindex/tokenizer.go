@@ -16,13 +16,13 @@ import (
 )
 
 // Tokenizer converts raw text into index terms. The zero value is not
-// usable; construct one with NewTokenizer.
+// usable; construct one with DefaultTokenizer.
 type Tokenizer struct {
-	cfg TokenizerConfig
+	cfg tokenizerConfig
 }
 
-// TokenizerConfig controls token normalization.
-type TokenizerConfig struct {
+// tokenizerConfig controls token normalization.
+type tokenizerConfig struct {
 	// Stem applies the Porter stemmer to each token.
 	Stem bool
 	// KeepStopwords disables English stopword removal.
@@ -32,9 +32,9 @@ type TokenizerConfig struct {
 	MinLength, MaxLength int
 }
 
-// NewTokenizer returns a tokenizer with the given configuration,
+// newTokenizer returns a tokenizer with the given configuration,
 // applying defaults for unset bounds.
-func NewTokenizer(cfg TokenizerConfig) *Tokenizer {
+func newTokenizer(cfg tokenizerConfig) *Tokenizer {
 	if cfg.MinLength <= 0 {
 		cfg.MinLength = 2
 	}
@@ -47,7 +47,7 @@ func NewTokenizer(cfg TokenizerConfig) *Tokenizer {
 // DefaultTokenizer returns the tokenizer used by the metaprobe testbed:
 // lowercasing, stopword removal and Porter stemming.
 func DefaultTokenizer() *Tokenizer {
-	return NewTokenizer(TokenizerConfig{Stem: true})
+	return newTokenizer(tokenizerConfig{Stem: true})
 }
 
 // Tokenize splits text into normalized terms: lowercase alphanumeric
@@ -71,11 +71,11 @@ func (t *Tokenizer) TokenizeTo(text string, emit func(term string)) {
 		if len(tok) < t.cfg.MinLength || len(tok) > t.cfg.MaxLength {
 			return
 		}
-		if !t.cfg.KeepStopwords && IsStopword(tok) {
+		if !t.cfg.KeepStopwords && isStopword(tok) {
 			return
 		}
 		if t.cfg.Stem {
-			tok = Stem(tok)
+			tok = stem(tok)
 		}
 		if len(tok) >= t.cfg.MinLength {
 			emit(tok)
@@ -112,8 +112,8 @@ while who whom why will with you your yours yourself yourselves`) {
 	}
 }
 
-// IsStopword reports whether the lowercase term is an English stopword.
-func IsStopword(term string) bool {
+// isStopword reports whether the lowercase term is an English stopword.
+func isStopword(term string) bool {
 	_, ok := stopwords[term]
 	return ok
 }

@@ -31,14 +31,14 @@ func memoAttrs(t *testing.T, tracer *SpanTracer, traceID string) map[string]int 
 	return out
 }
 
-// memoless copies sel's RDs into a selection that remembers nothing:
-// what it decides, the engine computes.
-func memoless(sel *core.Selection) *core.Selection {
+// memoless copies sel's RDs into a selection for metric and k that
+// remembers nothing: what it decides, the engine computes.
+func memoless(sel *core.Selection, metric core.Metric, k int) *core.Selection {
 	rds := make([]*core.RD, sel.Len())
 	for i := range rds {
 		rds[i] = sel.RD(i)
 	}
-	return core.NewSelectionFromRDs(rds, sel.Metric, sel.K)
+	return core.NewSelectionFromRDs(rds, metric, k)
 }
 
 // direct answers query with the memo-less engine over the serving model:
@@ -47,7 +47,7 @@ func memoless(sel *core.Selection) *core.Selection {
 func (m *Metasearcher) direct(t testing.TB, query string, k int, thr float64) core.Outcome {
 	t.Helper()
 	fresh := core.NewModelVersion(m.serving(), "direct", time.Time{})
-	return m.engine(t, memoless(fresh.NewSelection(query, countTerms(query), Absolute, k)), query, thr)
+	return m.engine(t, memoless(fresh.NewSelection(query, countTerms(query), Absolute, k), Absolute, k), query, thr)
 }
 
 // directOverRows is direct over what selections read: the RD rows the
@@ -55,7 +55,7 @@ func (m *Metasearcher) direct(t testing.TB, query string, k int, thr float64) co
 // EDs by up to an epoch of observations.
 func (m *Metasearcher) directOverRows(t testing.TB, query string, k int, thr float64) core.Outcome {
 	t.Helper()
-	return m.engine(t, memoless(m.host.View().Fill(nil, query, countTerms(query), Absolute, k)), query, thr)
+	return m.engine(t, memoless(m.host.View().Fill(nil, query, countTerms(query), Absolute, k), Absolute, k), query, thr)
 }
 
 // engine runs the memo-less loop on sel, probing inline.

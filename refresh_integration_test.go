@@ -311,8 +311,8 @@ func TestRefreshEndToEnd(t *testing.T) {
 	// What the loop buys: staleness cost correctness against the
 	// post-drift golden standard, and the refreshed model recovers it.
 	refreshed := scoreRD(ms)
-	t.Logf("RD selection, k=%d, %d queries: pre-drift Cor_a %.3f Cor_p %.3f; stale %.3f %.3f; after %d refreshes %.3f %.3f",
-		k, preDrift.Queries, preDrift.AvgCorA, preDrift.AvgCorP, stale.AvgCorA, stale.AvgCorP,
+	t.Logf("RD selection, k=%d: pre-drift Cor_a %.3f Cor_p %.3f; stale %.3f %.3f; after %d refreshes %.3f %.3f",
+		k, preDrift.AvgCorA, preDrift.AvgCorP, stale.AvgCorA, stale.AvgCorP,
 		st.Refreshes, refreshed.AvgCorA, refreshed.AvgCorP)
 	if stale.AvgCorP >= preDrift.AvgCorP {
 		t.Errorf("stale Cor_p %v did not drop below the pre-drift %v", stale.AvgCorP, preDrift.AvgCorP)
