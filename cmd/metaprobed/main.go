@@ -116,7 +116,7 @@ func main() {
 	// port and this line is where a caller reads which one it got.
 	logger.Info("metaprobed serving",
 		"addr", ln.Addr().String(), "tenants", len(names),
-		"endpoints", "/v1/select /v1/tenants /debug/server /metrics /debug/spans /debug/model /debug/goroutines /debug/pprof /healthz /readyz")
+		"endpoints", "/v1/select /v1/tenants /debug/server /metrics /debug/spans /debug/model /debug/pprof /healthz /readyz")
 
 	select {
 	case err := <-errc:

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The incremental scratch path (selstate.go) must be indistinguishable
@@ -182,34 +183,158 @@ func TestAProDifferentialTrajectory(t *testing.T) {
 	}
 }
 
-// TestOptimalPolicyThroughHypothesisAPI: the optimal policy's
-// expectimin — nested probed hypotheses — must agree between the two
-// paths (the recursion runs on the reference path below depth 1, but
-// the depth-0/1 evaluations ride the scratch).
-func TestOptimalPolicyThroughHypothesisAPI(t *testing.T) {
+// optimalReference is the optimal policy's expectimin as it read before
+// it recursed on selection shells: every state "probe dbᵢ, see its vi-th
+// value" made by swapping rds[i] for an impulse, evaluated from scratch
+// by bestSet, and nothing kept from one state to the next. It returns
+// the pick and its expected number of probes, the pick included.
+func optimalReference(rds []*RD, probed []bool, metric Metric, k int, t float64) (int, float64) {
+	best, bestCost := -1, 0.0
+	for i, p := range probed {
+		if p {
+			continue
+		}
+		cost := 1 + remainingReference(rds, probed, metric, k, t, i)
+		if best < 0 || cost < bestCost-probEpsilon {
+			best, bestCost = i, cost
+		}
+	}
+	return best, bestCost
+}
+
+func remainingReference(rds []*RD, probed []bool, metric Metric, k int, t float64, i int) float64 {
+	rd := rds[i]
+	total := 0.0
+	for vi := 0; vi < rd.Len(); vi++ {
+		rds[i], probed[i] = Impulse(rd.Value(vi)), true
+		if _, e := bestSet(metric, rds, k); e < t {
+			bestCost := -1.0
+			for j, p := range probed {
+				if p {
+					continue
+				}
+				if c := 1 + remainingReference(rds, probed, metric, k, t, j); bestCost < 0 || c < bestCost {
+					bestCost = c
+				}
+			}
+			if bestCost >= 0 {
+				total += rd.Prob(vi) * bestCost
+			}
+		}
+	}
+	rds[i], probed[i] = rd, false
+	return total
+}
+
+// TestOptimalMatchesUnmemoizedReference: the optimal policy's pick and
+// expected cost, recursed on selection shells and kept per state, are
+// the bits of the unmemoized recursion over bestSet — on random states
+// of 3–6 databases, some partly probed, under both metrics. A state key
+// that drops the observed values, or the database just probed, merges
+// states whose costs differ and fails it.
+func TestOptimalMatchesUnmemoizedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		n := 3 + rng.Intn(2)
+	const trials = 60
+	deep := 0 // trials where some outcome of the first probe falls short of t
+	for trial := 0; trial < trials; trial++ {
+		n := 3 + rng.Intn(4)
+		k := 1 + rng.Intn(n-1)
+		metric := Partial
+		if trial%2 == 0 {
+			metric = Absolute
+		}
+		thr := []float64{0.8, 0.9, 0.95}[rng.Intn(3)]
 		rds := make([]*RD, n)
 		for i := range rds {
 			rds[i] = randTestRD(rng)
 		}
-		ref := NewSelectionFromRDs(rds, Partial, 1)
-		ref.noScratch = true
-		inc := NewSelectionFromRDs(rds, Partial, 1)
+		s := NewSelectionFromRDs(rds, metric, k)
+		// At most four databases left to probe keep the reference's tree
+		// small; a fifth of the smaller states start one probe in.
+		probes := max(0, n-4)
+		if probes == 0 && n > 3 && rng.Intn(5) == 0 {
+			probes = 1
+		}
+		for _, i := range rng.Perm(n)[:probes] {
+			rd := s.RD(i)
+			s.ApplyProbe(i, rd.Value(rng.Intn(rd.Len())))
+		}
+		refRDs := append([]*RD(nil), s.rds...)
+		refProbed := append([]bool(nil), s.probed...)
+		wantDB, wantCost := optimalReference(refRDs, refProbed, metric, k, thr)
+		if wantCost > 1 {
+			deep++
+		}
+
 		o := &Optimal{}
-		iRef, errRef := o.Next(ref, 0.95)
-		iInc, errInc := o.Next(inc, 0.95)
-		inc.Release()
-		if (errRef == nil) != (errInc == nil) {
-			t.Fatalf("trial %d: errors differ: ref %v inc %v", trial, errRef, errInc)
+		gotDB, gotCost, err := o.next(s, thr)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if iRef != iInc {
-			t.Fatalf("trial %d: optimal choice differs: ref %d inc %d", trial, iRef, iInc)
+		if gotDB != wantDB || gotCost != wantCost {
+			t.Fatalf("trial %d (n=%d k=%d %v t=%v, %d probed): optimal picks %d at %v probes, the reference %d at %v",
+				trial, n, k, metric, thr, probes, gotDB, gotCost, wantDB, wantCost)
 		}
-		// The hypothesis scopes must have fully unwound.
-		if inc.hypDepth != 0 {
-			t.Fatalf("trial %d: hypothesis depth %d left open", trial, inc.hypDepth)
+		if i, err := o.Next(s, thr); err != nil || i != gotDB {
+			t.Fatalf("trial %d: Next = %d, %v; next picked %d", trial, i, err, gotDB)
+		}
+		// The state asked about is left as it was.
+		if !reflect.DeepEqual(s.rds, refRDs) || !reflect.DeepEqual(s.probed, refProbed) || s.hyp {
+			t.Fatalf("trial %d: Next changed the selection it was asked about", trial)
+		}
+		s.Release()
+	}
+	if deep < trials/2 {
+		t.Fatalf("only %d of %d trials recurse past the first probe", deep, trials)
+	}
+}
+
+// TestNestedHypothesisPanics: a hypothesis is one database's swap on
+// the one-factor overlay; a second one opened inside it is a bug.
+func TestNestedHypothesisPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := NewSelectionFromRDs([]*RD{randTestRD(rng), randTestRD(rng), randTestRD(rng)}, Absolute, 1)
+	defer s.Release()
+	old := s.beginHypothesisIdx(0, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a nested hypothesis opened")
+		}
+		s.endHypothesisIdx(0, old)
+	}()
+	s.beginHypothesisIdx(1, 0)
+}
+
+// TestMarginalsReadTheScratch: on a selection freshly filled from a
+// version, and again after a probe, Marginals are membershipProb's bits
+// — they come from the scratch the evaluation builds, which reproduces
+// that arithmetic operation for operation.
+func TestMarginalsReadTheScratch(t *testing.T) {
+	model, _, test := buildTrainedModel(t)
+	ver := NewModelVersion(model, "train", time.Now())
+	shell := &Selection{}
+	check := func(stage string, s *Selection) {
+		t.Helper()
+		got := s.Marginals()
+		if s.scratch == nil || !s.scratch.valid {
+			t.Fatalf("%s: Marginals did not go through the scratch", stage)
+		}
+		for i, m := range got {
+			if want := membershipProb(s.rds, i, s.k); m != want {
+				t.Fatalf("%s: marginal[%d] = %v, membershipProb %v", stage, i, m, want)
+			}
+		}
+	}
+	for _, metric := range []Metric{Absolute, Partial} {
+		for _, k := range []int{1, 3} {
+			for _, q := range test[:20] {
+				s := ver.FillSelection(shell, q.String(), q.NumTerms(), metric, k)
+				check(q.String()+" (filled)", s)
+				d := s.UnprobedView()[0]
+				s.ApplyProbe(d, s.RD(d).Value(0))
+				check(q.String()+" (probed)", s)
+				shell.Release()
+			}
 		}
 	}
 }

@@ -288,7 +288,7 @@ func (s *Selection) attachMemo(t *memoTree, numTerms int) {
 // (those states are the sweep's own) or pinned to the reference path
 // (whose usefulness differs from the scratch's by round-off).
 func (s *Selection) memoNode() *memoNode {
-	if s.hypDepth != 0 || s.noScratch {
+	if s.hyp || s.noScratch {
 		return nil
 	}
 	return s.memo

@@ -225,12 +225,12 @@ type Selection struct {
 	// differential tests use it to pin the incremental path against
 	// the original evaluation.
 	noScratch bool
-	// hypDepth tracks nested withHypothesis scopes. Depth 1 runs on
-	// the scratch's one-factor overlay; deeper nesting (the optimal
-	// policy's expectimin) falls back to the reference path.
-	hypDepth int
-	hypDB    int
-	hypVI    int
+	// hyp is set while a hypothesis is open (beginHypothesisIdx):
+	// database hypDB's RD is swapped for an impulse at its hypVI-th
+	// support value, which the scratch's one-factor overlay evaluates.
+	hyp   bool
+	hypDB int
+	hypVI int
 	// impulses are selection-owned impulse RDs reused by ApplyProbe
 	// (one per database) so steady-state probing does not allocate.
 	impulses []*RD
@@ -308,7 +308,6 @@ func NewSelectionFromRDs(rds []*RD, metric Metric, k int) *Selection {
 		rds:           append([]*RD(nil), rds...),
 		estimates:     ests,
 		probed:        make([]bool, len(rds)),
-		hypVI:         -1,
 		unprobedStale: true,
 	}
 }
@@ -457,7 +456,7 @@ func (s *Selection) reset(query string, metric Metric, k, n int) {
 	for i := range s.probed {
 		s.probed[i] = false
 	}
-	s.hypDepth, s.hypVI = 0, -1
+	s.hyp = false
 	s.unprobedStale = true
 	s.work, s.ahead, s.stages, s.timeStages = RankWork{}, AheadWork{}, StageTimes{}, false
 	s.invalidate()
@@ -507,22 +506,17 @@ func (s *Selection) best() ([]int, float64) {
 }
 
 // evaluate routes the evaluation: the incremental scratch on the serving
-// path, the from-scratch reference on edge cases (k ≥ n, nested
-// hypotheses) and when noScratch pins the reference for tests.
+// path, the from-scratch reference when k ≥ n and when noScratch pins
+// the reference for tests. Inside a hypothesis the scratch was made
+// current by beginHypothesisIdx, before the swap.
 func (s *Selection) evaluate() ([]int, float64) {
-	if !s.onScratch() || s.hypDepth > 1 {
+	if !s.onScratch() {
 		return bestSet(s.metric, s.rds, s.k)
 	}
-	if s.hypDepth == 0 {
+	if !s.hyp {
 		s.ensureScratch()
-	} else if sc := s.scratch; sc == nil || !sc.valid || sc.k != s.k || sc.n != len(s.rds) || s.hypVI < 0 {
-		// The hypothesis swap is already in s.rds, so the scratch
-		// cannot be (re)built from base state here — evaluate from
-		// scratch instead. Only reachable when a hypothesis was
-		// opened without the scratch path (see beginHypothesisIdx).
-		return bestSet(s.metric, s.rds, s.k)
-	} else if !sc.hypActive {
-		sc.beginHypothesis(s.hypDB, s.hypVI)
+	} else if !s.scratch.hypActive {
+		s.scratch.beginHypothesis(s.hypDB, s.hypVI)
 	}
 	sc := s.scratch
 	set, e := sc.bestFrom(s.metric)
@@ -561,7 +555,7 @@ func (s *Selection) ensureScratch() {
 // does, once per query); the selection stays usable afterwards — the
 // scratch is simply re-acquired on demand.
 func (s *Selection) Release() {
-	if s.scratch == nil || s.hypDepth != 0 {
+	if s.scratch == nil || s.hyp {
 		return
 	}
 	s.scratch.release()
@@ -600,7 +594,7 @@ func (s *Selection) Reuse(src *Selection) {
 			s.setScaledRD(i, rd, 1)
 		}
 	}
-	s.hypDepth, s.hypVI = 0, -1
+	s.hyp = false
 	s.unprobedStale = true
 	s.work, s.ahead, s.stages, s.timeStages = RankWork{}, AheadWork{}, StageTimes{}, false
 	s.invalidate()
@@ -608,12 +602,12 @@ func (s *Selection) Reuse(src *Selection) {
 
 // Marginals returns P(dbᵢ ∈ top-k) for every database — the
 // membership probabilities behind the selection, useful for
-// explaining a decision to a user or operator.
+// explaining a decision to a user or operator. On the scratch path they
+// are the ones finish computed, bit for bit membershipProb's.
 func (s *Selection) Marginals() []float64 {
 	out := make([]float64, len(s.rds))
-	if !s.noScratch && s.hypDepth == 0 && s.scratch != nil &&
-		s.scratch.valid && !s.scratch.hypActive &&
-		s.scratch.k == s.k && s.scratch.n == len(s.rds) {
+	if s.onScratch() && !s.hyp {
+		s.ensureScratch()
 		copy(out, s.scratch.marg)
 		return out
 	}
@@ -635,26 +629,27 @@ func (s *Selection) BaselineSelect() []int {
 // probing dbᵢ", Figure 13) and returns the displaced RD for
 // endHypothesisIdx. The begin/end pair is deliberately not a
 // callback: the usefulness sweep calls it per support value, and a
-// closure there would allocate on every hypothesis.
+// closure there would allocate on every hypothesis. One hypothesis is
+// open at a time, and opening another inside it panics: a state two
+// probes away is a shell of its own (Reuse, then ApplyProbe), as the
+// lookahead and the optimal policy build them.
 //
-// At depth 1 on the serving path the swap uses the scratch's reusable
-// impulse and arms the one-factor overlay (built lazily by best());
-// nested hypotheses — the optimal policy's expectimin — get a plain
-// impulse and evaluate via the reference path.
+// On the serving path the swap uses the scratch's reusable impulse and
+// arms the one-factor overlay (built lazily by best()); the reference
+// path gets a plain impulse.
 func (s *Selection) beginHypothesisIdx(i, vi int) *RD {
+	if s.hyp {
+		panic("core: hypothesis opened inside another")
+	}
 	old := s.rds[i]
 	v := old.Value(vi)
-	s.hypDepth++
-	if s.hypDepth == 1 {
-		s.hypDB, s.hypVI = i, vi
-		if s.onScratch() {
-			// Build (or refresh) the scratch from the base RDs before
-			// the swap; afterwards the base state is unobservable.
-			s.ensureScratch()
-			s.rds[i] = s.scratch.hypImpulse(v)
-			return old
-		}
-		s.hypVI = -1
+	s.hyp, s.hypDB, s.hypVI = true, i, vi
+	if s.onScratch() {
+		// Build (or refresh) the scratch from the base RDs before the
+		// swap; afterwards the base state is unobservable.
+		s.ensureScratch()
+		s.rds[i] = s.scratch.hypImpulse(v)
+		return old
 	}
 	s.rds[i] = Impulse(v)
 	return old
@@ -663,34 +658,10 @@ func (s *Selection) beginHypothesisIdx(i, vi int) *RD {
 // endHypothesisIdx restores the RD displaced by beginHypothesisIdx.
 func (s *Selection) endHypothesisIdx(i int, old *RD) {
 	s.rds[i] = old
-	if s.hypDepth == 1 {
-		if s.scratch != nil {
-			s.scratch.hypActive = false
-		}
-		s.hypVI = -1
+	if s.scratch != nil {
+		s.scratch.hypActive = false
 	}
-	s.hypDepth--
-}
-
-// withHypothesisIdx evaluates f inside a hypothesis scope.
-func (s *Selection) withHypothesisIdx(i, vi int, f func()) {
-	old := s.beginHypothesisIdx(i, vi)
-	f()
-	s.endHypothesisIdx(i, old)
-}
-
-// withProbedHypothesisIdx additionally marks database i probed for the
-// duration of f — the optimal policy's "suppose we probed dbᵢ and saw
-// its vi-th value" recursion step. Routing it through the hypothesis
-// API keeps the selection-state invalidation (scratch, unprobed view)
-// correct instead of mutating rds/probed behind the caches.
-func (s *Selection) withProbedHypothesisIdx(i, vi int, f func()) {
-	wasProbed := s.probed[i]
-	s.probed[i] = true
-	s.unprobedStale = true
-	s.withHypothesisIdx(i, vi, f)
-	s.probed[i] = wasProbed
-	s.unprobedStale = true
+	s.hyp = false
 }
 
 // TopKByScore returns the indices of the k highest scores, ties broken

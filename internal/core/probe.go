@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -423,7 +425,7 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 
 	// The bound needs the cached marginals, so the partial metric and
 	// the reference path keep the full sweep.
-	bounded := m < nCand && s.metric == Absolute && s.onScratch() && s.hypDepth == 0
+	bounded := m < nCand && s.metric == Absolute && s.onScratch()
 	if bounded {
 		// When the set search was truncated to the top marginals, current
 		// is not a proven maximum; min(p₍k₎, 1 − p₍k+1₎) over the sorted
@@ -581,58 +583,101 @@ func (o *Optimal) Name() string { return "optimal" }
 
 // Next implements Policy.
 func (o *Optimal) Next(s *Selection, t float64) (int, error) {
+	i, _, err := o.next(s, t)
+	return i, err
+}
+
+// next returns the database to probe and the expected number of probes,
+// itself included, that probing it first leads to.
+func (o *Optimal) next(s *Selection, t float64) (int, float64, error) {
 	maxDBs := o.MaxDBs
 	if maxDBs == 0 {
 		maxDBs = 7
 	}
 	if s.Len() > maxDBs {
-		return 0, fmt.Errorf("optimal policy limited to %d databases, got %d", maxDBs, s.Len())
+		return 0, 0, fmt.Errorf("optimal policy limited to %d databases, got %d", maxDBs, s.Len())
 	}
 	unprobed := s.unprobed()
 	if len(unprobed) == 0 {
-		return 0, fmt.Errorf("no unprobed database left")
+		return 0, 0, fmt.Errorf("no unprobed database left")
 	}
+	x := expectimin{t: t, cost: make(map[string]float64)}
+	defer x.release()
 	best := -1
 	bestCost := 0.0
 	for _, i := range unprobed {
-		cost := 1 + o.expectedRemaining(s, i, t)
+		cost := 1 + x.remaining(s, i, 0)
 		if best < 0 || cost < bestCost-probEpsilon {
 			best, bestCost = i, cost
 		}
 	}
-	return best, nil
+	return best, bestCost, nil
 }
 
-// expectedRemaining returns E[#further probes after probing i], the
-// expectimin recursion over i's outcomes. Each "suppose we probed dbᵢ
-// and saw its vi-th value" branch goes through the selection's probed
-// hypothesis scope, which keeps the incremental caches (scratch,
-// unprobed view) coherent instead of mutating rds/probed behind them.
-func (o *Optimal) expectedRemaining(s *Selection, i int, t float64) float64 {
+// expectimin is one Optimal.Next's recursion. The state each outcome
+// leads to is a selection shell of its own, one per depth, rebuilt from
+// the state above it (Reuse, then ApplyProbe) and evaluated on the
+// scratch like any other state; the decision memo stays out of it. The
+// expected probes still to come from a state are a function of the state
+// alone, so they are kept by state — the probed databases and the bits
+// of their values — and a state that several probe orders reach is
+// evaluated once.
+type expectimin struct {
+	t      float64
+	shells []*Selection
+	cost   map[string]float64
+	key    []byte
+}
+
+// remaining returns E[#further probes after probing database i on s]:
+// over i's support values, the probability of each times the expected
+// probes still to come from the state it leads to.
+func (x *expectimin) remaining(s *Selection, i, depth int) float64 {
+	if depth == len(x.shells) {
+		x.shells = append(x.shells, new(Selection))
+	}
+	c := x.shells[depth]
 	rd := s.RD(i)
 	total := 0.0
 	for vi := 0; vi < rd.Len(); vi++ {
-		p := rd.Prob(vi)
-		s.withProbedHypothesisIdx(i, vi, func() {
-			if _, e := s.Best(); e >= t {
-				// Reached: no further probes in this branch.
-				return
-			}
-			rest := s.unprobed()
-			if len(rest) == 0 {
-				// Exhausted without reaching t: no further probes
-				// possible.
-				return
-			}
-			bestCost := -1.0
-			for _, j := range rest {
-				c := 1 + o.expectedRemaining(s, j, t)
-				if bestCost < 0 || c < bestCost {
-					bestCost = c
-				}
-			}
-			total += p * bestCost
-		})
+		c.Reuse(s)
+		c.memoRoot, c.memo = nil, nil
+		c.ApplyProbe(i, rd.Value(vi))
+		total += rd.Prob(vi) * x.toCome(c, depth)
 	}
 	return total
+}
+
+// toCome returns the expected probes still to come from state c at
+// depth: none once its best set reaches t or nothing is left to probe,
+// otherwise the cheapest of one probe plus what it leaves.
+func (x *expectimin) toCome(c *Selection, depth int) float64 {
+	x.key = x.key[:0]
+	for j, p := range c.probed {
+		if p {
+			x.key = binary.AppendUvarint(x.key, uint64(j))
+			x.key = binary.LittleEndian.AppendUint64(x.key, math.Float64bits(c.rds[j].Value(0)))
+		}
+	}
+	if cost, ok := x.cost[string(x.key)]; ok {
+		return cost
+	}
+	key := string(x.key)
+	cost := 0.0
+	if _, e := c.BestView(); e < x.t {
+		for n, j := range c.UnprobedView() {
+			if cj := 1 + x.remaining(c, j, depth+1); n == 0 || cj < cost {
+				cost = cj
+			}
+		}
+	}
+	x.cost[key] = cost
+	return cost
+}
+
+// release hands the shells' scratches back to the pool.
+func (x *expectimin) release() {
+	for _, c := range x.shells {
+		c.Release()
+	}
 }

@@ -54,7 +54,6 @@ func (m *Model) newSelection(query string, numTerms int, metric Metric, k int) *
 		rds:           make([]*RD, n),
 		estimates:     make([]float64, n),
 		probed:        make([]bool, n),
-		hypVI:         -1,
 		unprobedStale: true,
 	}
 	for i := 0; i < n; i++ {

@@ -8,9 +8,12 @@ import (
 )
 
 // Selection scratch state: the incremental evaluation engine behind
-// Selection.Best on the serving hot path.
+// Selection.Best and Selection.Marginals. Every state is evaluated here
+// — the loop's, a one-probe hypothesis of it, and the shells that the
+// lookahead and the optimal policy build for states further on — except
+// when k = n or noScratch pins the reference.
 //
-// The from-scratch evaluation (bestSet/MembershipProb) rebuilds, for
+// The from-scratch evaluation (bestSet/membershipProb) rebuilds, for
 // every membership marginal, a truncated Poisson-binomial DP over the
 // "beats" probabilities of all other databases — O(n·bins²·k) per
 // probe step, allocating fresh slices throughout. The scratch keeps
@@ -121,7 +124,7 @@ type selScratch struct {
 	isLive   []bool
 	deadNeed []int
 
-	// The active hypothesis "dbₕ = w" (depth-1 greedy hypotheses only):
+	// The active hypothesis "dbₕ = w" (Selection.beginHypothesisIdx):
 	// h, the key (w, h), and per database i ≠ h where w falls among i's
 	// keys — κₕ > K for the keys [keyStart[i], hypGTEnd[i]) and κₕ < K for
 	// [hypLessStart[i], keyStart[i+1]); the two meet unless i is an
@@ -205,9 +208,8 @@ func (sc *selScratch) invalidate() {
 }
 
 // hypImpulse returns the scratch-owned impulse RD re-pointed at v. It
-// backs the depth-1 hypothesis swap in Selection.rds so greedy
-// usefulness sweeps allocate nothing; nested hypotheses allocate a
-// regular Impulse instead.
+// backs the hypothesis swap in Selection.rds so greedy usefulness
+// sweeps allocate nothing.
 func (sc *selScratch) hypImpulse(v float64) *RD {
 	if sc.impulse == nil {
 		sc.impulse = Impulse(v)

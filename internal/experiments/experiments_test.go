@@ -384,8 +384,8 @@ func TestTableRendering(t *testing.T) {
 
 // TestAblationOptimalPolicy validates the paper's Section 5.4 claim on
 // a tiny testbed where the exact optimal policy is computable: the
-// greedy policy's probe count is close to optimal, and both clearly
-// beat random probing.
+// greedy policy's probe count is within 5 % of optimal, and optimal
+// probes no more than random probing.
 func TestAblationOptimalPolicy(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Test2, cfg.Test3 = 15, 15
@@ -400,8 +400,8 @@ func TestAblationOptimalPolicy(t *testing.T) {
 	for ri, row := range table.rows {
 		probes[row[0]] = cell(t, table, ri, 1)
 	}
-	if probes["greedy"] > probes["optimal"]+0.75 {
-		t.Errorf("greedy %v probes vs optimal %v; too far from optimal", probes["greedy"], probes["optimal"])
+	if probes["greedy"] > 1.05*probes["optimal"] {
+		t.Errorf("greedy %v probes vs optimal %v; more than 5 %% above optimal", probes["greedy"], probes["optimal"])
 	}
 	if probes["optimal"] > probes["random"] {
 		t.Errorf("optimal (%v) should not probe more than random (%v)", probes["optimal"], probes["random"])

@@ -6,7 +6,6 @@ package ops
 import (
 	"net/http"
 	"net/http/pprof"
-	rpprof "runtime/pprof"
 
 	"metaprobe/internal/obs"
 	"metaprobe/internal/obs/span"
@@ -23,9 +22,9 @@ type Sinks struct {
 	Ready func() error
 }
 
-// Mount registers the ops tree on mux: /healthz, /readyz,
-// /debug/goroutines and /debug/pprof/* always, and one route per
-// non-nil sink.
+// Mount registers the ops tree on mux: /healthz, /readyz and
+// /debug/pprof/* always (stacks are /debug/pprof/goroutine?debug=1,
+// unaggregated with debug=2), and one route per non-nil sink.
 func Mount(mux *http.ServeMux, s Sinks) {
 	mux.Handle("/healthz", obs.HealthzHandler())
 	mux.Handle("/readyz", obs.ReadyzCheckHandler(s.Ready))
@@ -38,31 +37,9 @@ func Mount(mux *http.ServeMux, s Sinks) {
 	if s.Model != nil {
 		mux.Handle("/debug/model", obs.JSONHandler(s.Model))
 	}
-	mux.Handle("/debug/goroutines", goroutineDumpHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// goroutineDumpHandler serves a plain-text dump of all goroutine
-// stacks — mount it at /debug/goroutines. ?full=1 switches from the
-// aggregated view (identical stacks collapsed with counts) to the
-// unaggregated per-goroutine view with full frames, which is what you
-// want when hunting a leak's spawn site.
-func goroutineDumpHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		p := rpprof.Lookup("goroutine")
-		if p == nil {
-			http.Error(w, "goroutine profile unavailable", http.StatusInternalServerError)
-			return
-		}
-		debug := 1
-		if req.URL.Query().Get("full") == "1" {
-			debug = 2
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		p.WriteTo(w, debug)
-	})
 }

@@ -36,19 +36,21 @@ func TestMountOneRoutePerSink(t *testing.T) {
 	}
 }
 
+// TestGoroutineDumpHandler: the stack dump is pprof's goroutine
+// profile, aggregated at debug=1 and one stack per goroutine at debug=2.
 func TestGoroutineDumpHandler(t *testing.T) {
 	mux := http.NewServeMux()
 	ops.Mount(mux, ops.Sinks{})
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/goroutines", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/goroutine?debug=1", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
-	if !strings.Contains(rec.Body.String(), "goroutine") {
+	if !strings.Contains(rec.Body.String(), "goroutine profile:") {
 		t.Fatalf("dump does not look like a goroutine profile: %q", rec.Body.String()[:80])
 	}
 	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/goroutines?full=1", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/goroutine?debug=2", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine ") {
 		t.Fatalf("full dump: %d", rec.Code)
 	}

@@ -29,7 +29,7 @@ var routes = []struct {
 	{"/metrics", "text/plain; version=0.0.4", func(s ops.Sinks) bool { return s.Metrics != nil }},
 	{"/debug/spans", "application/json", func(s ops.Sinks) bool { return s.Spans != nil }},
 	{"/debug/model", "application/json", func(s ops.Sinks) bool { return s.Model != nil }},
-	{"/debug/goroutines", "text/plain", always},
+	{"/debug/pprof/goroutine?debug=2", "text/plain", always},
 	{"/debug/pprof/", "text/html", always},
 	{"/debug/pprof/cmdline", "text/plain", always},
 	{"/debug/pprof/symbol", "text/plain", always},

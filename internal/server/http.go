@@ -91,8 +91,8 @@ func (e *badRequestError) Error() string { return e.msg }
 //	GET /debug/server     — admission/coalescer counters
 //
 // plus the shared ops tree (ops.Mount): /healthz, /readyz
-// (drain-aware), /debug/model (per-tenant model versions + skew),
-// /debug/goroutines and /debug/pprof/* always, /metrics and
+// (drain-aware), /debug/model (per-tenant model versions + skew)
+// and /debug/pprof/* always, /metrics and
 // /debug/spans when Config.Metrics and Config.Spans are set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

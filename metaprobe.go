@@ -74,8 +74,6 @@ type (
 	Relevancy = estimate.Relevancy
 	// Metric selects absolute or partial correctness.
 	Metric = core.Metric
-	// Policy chooses which database to probe next.
-	Policy = core.Policy
 	// MergedResult is one fused result document.
 	MergedResult = fusion.Item
 	// Metrics is a concurrency-safe metrics registry (counters, gauges,
@@ -351,7 +349,7 @@ func (m *Metasearcher) Select(query string, k int, metric Metric) ([]string, flo
 // computation issues no probes and runs in microseconds, so the bound
 // is a fail-fast check at entry, not a mid-flight cancellation point.
 func (m *Metasearcher) SelectContext(ctx context.Context, query string, k int, metric Metric) ([]string, float64, error) {
-	res, err := m.selectWithPolicyContext(ctx, query, k, metric, 0, 0, greedy)
+	res, err := m.selectWithPolicyContext(ctx, query, k, metric, 0, 0)
 	return res.Databases, res.Certainty, err
 }
 
@@ -387,19 +385,10 @@ type SelectionResult struct {
 	TraceID string
 }
 
-// greedy is the default probe policy. Policies hold no per-selection
-// state, so one value serves every request.
-var greedy Policy = core.Greedy{}
-
 // SelectWithCertainty is SelectWithCertaintyContext without
 // cancellation.
 func (m *Metasearcher) SelectWithCertainty(query string, k int, metric Metric, t float64, maxProbes int) (*SelectionResult, error) {
-	return m.SelectWithPolicyContext(context.Background(), query, k, metric, t, maxProbes, greedy)
-}
-
-// SelectWithPolicy is SelectWithPolicyContext without cancellation.
-func (m *Metasearcher) SelectWithPolicy(query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (*SelectionResult, error) {
-	return m.SelectWithPolicyContext(context.Background(), query, k, metric, t, maxProbes, policy)
+	return m.SelectWithCertaintyContext(context.Background(), query, k, metric, t, maxProbes)
 }
 
 // SelectWithCertaintyContext runs the paper's APro algorithm: select k
@@ -420,15 +409,7 @@ func (m *Metasearcher) SelectWithPolicy(query string, k int, metric Metric, t fl
 // or whose breaker is open — is treated as serving nothing for this
 // query and excluded, and the result reports Degraded/ExcludedDBs.
 func (m *Metasearcher) SelectWithCertaintyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int) (*SelectionResult, error) {
-	return m.SelectWithPolicyContext(ctx, query, k, metric, t, maxProbes, greedy)
-}
-
-// SelectWithPolicyContext is SelectWithCertaintyContext with a custom
-// probe policy. Policies implementing the internal Ranker interface
-// (the greedy policy does) can have their next probe started early;
-// others are probed strictly one at a time.
-func (m *Metasearcher) SelectWithPolicyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (*SelectionResult, error) {
-	res, err := m.selectWithPolicyContext(ctx, query, k, metric, t, maxProbes, policy)
+	res, err := m.selectWithPolicyContext(ctx, query, k, metric, t, maxProbes)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +419,7 @@ func (m *Metasearcher) SelectWithPolicyContext(ctx context.Context, query string
 // selectWithPolicyContext is the one selection body behind every
 // Select* entry point. It returns the result by value so that Select,
 // which hands back only the set and its certainty, allocates none.
-func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int, policy Policy) (SelectionResult, error) {
+func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int) (SelectionResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SelectionResult{}, err
 	}
@@ -485,7 +466,7 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 		}
 		return v, err
 	}
-	res, err := m.exec.APro(ctx, sel, m.dbName, probe, policy, t, maxProbes)
+	res, err := m.exec.APro(ctx, sel, m.dbName, probe, core.Greedy{}, t, maxProbes)
 	if err != nil {
 		sp.EndErr(err)
 		return SelectionResult{}, fmt.Errorf("metaprobe: %w", err)
