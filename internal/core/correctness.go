@@ -107,22 +107,6 @@ func membershipProb(rds []*RD, i, k int) float64 {
 	return total
 }
 
-// expectedPartial returns E[Cor_p(set)] (Eq. 6): the expected fraction
-// of the set that belongs to the true top-k. Because
-// Cor_p = |set ∩ topk|/k = Σ_{i∈set} 1{i ∈ topk} / k, the expectation
-// is the mean of exact membership probabilities.
-func expectedPartial(rds []*RD, set []int) float64 {
-	if len(set) == 0 {
-		return 0
-	}
-	k := len(set)
-	total := 0.0
-	for _, i := range set {
-		total += membershipProb(rds, i, k)
-	}
-	return total / float64(k)
-}
-
 // expectedAbsolute returns E[Cor_a(set)] = P(set = DB_topk) (Eq. 5):
 // the probability that every member of the set beats every non-member.
 // In key space that is P(min_{i∈set} κᵢ > max_{j∉set} κⱼ), evaluated

@@ -231,7 +231,6 @@ func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float
 	}
 	la.mass = growFloats(la.mass, s.Len())
 	clear(la.mass)
-	la.shell.Reuse(s)
 	// An outcome Rank finds nothing to pick after ends the loop too, so
 	// its mass joins the stopping mass in ended.
 	ended := stopped
@@ -243,8 +242,9 @@ func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float
 			return nil
 		}
 		// Each outcome is a child of s's state, not of the outcome before
-		// it: that is the node the real step finds when the answer is vi's.
-		la.shell.memo = s.memo
+		// it: that is the memo node the real step finds when the answer is
+		// vi's, and s's grid is the one the real step repairs.
+		la.shell.Reuse(s)
 		la.shell.ApplyProbe(head, rd.Value(vi))
 		dbs, _, err := ranker.Rank(&la.shell, t, 1)
 		p := rd.Prob(vi)

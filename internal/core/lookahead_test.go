@@ -406,6 +406,69 @@ func (g countingGreedy) Rank(s *Selection, t float64, m int) ([]int, []float64, 
 	return g.Greedy.Rank(s, t, m)
 }
 
+// gridWatch is Greedy recording, for every Rank on shell, whether the
+// memo answered it, and whether a rank that evaluated the state repaired
+// the grid Reuse copied instead of building one.
+type gridWatch struct {
+	shell                     *Selection
+	evaluated, hits, rebuilds int
+}
+
+func (g *gridWatch) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
+	dbs, us, err := Greedy{}.Rank(s, t, m)
+	if s == g.shell && len(s.UnprobedView()) > 0 {
+		switch w := s.Work(); {
+		case w.MemoHits > 0:
+			g.hits++
+		case w.GridReuses == 1:
+			g.evaluated++
+		default:
+			g.evaluated++
+			g.rebuilds++
+		}
+	}
+	return dbs, us, err
+}
+
+// TestProbableNextRepairsTheGrid: every outcome the lookahead ranks on
+// its shell without a memo hit is evaluated on s's grid repaired for the
+// one probe (a GridReuses), never on a grid built afresh — narrow and
+// wide, along greedy trajectories of random RD sets with a memo, where
+// the second lookahead on a state finds the first one's ranks.
+func TestProbableNextRepairsTheGrid(t *testing.T) {
+	la := lookaheadPool.Get().(*lookahead)
+	defer la.release()
+	watch := &gridWatch{shell: &la.shell}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 600; trial++ {
+		n := 3 + rng.Intn(6)
+		rds, truth := make([]*RD, n), make([]float64, n)
+		for i := range rds {
+			rds[i] = randTestRD(rng)
+			truth[i] = rds[i].Value(rng.Intn(rds[i].Len()))
+		}
+		s := newTestMemo().attach(NewSelectionFromRDs(rds, Metric(trial%2), 1+rng.Intn(n-1)))
+		thr := 0.5 + 0.5*rng.Float64()
+		for {
+			if _, e := s.Best(); e >= thr {
+				break
+			}
+			ranked, _, err := Greedy{}.Rank(s, thr, 1)
+			if err != nil {
+				break
+			}
+			la.probableNext(s, watch, ranked[0], thr, false, never)
+			la.probableNext(s, watch, ranked[0], thr, true, never)
+			s.ApplyProbe(ranked[0], truth[ranked[0]])
+		}
+		s.Release()
+	}
+	if watch.rebuilds > 0 || watch.evaluated < 800 || watch.hits < 500 {
+		t.Errorf("the shell evaluated %d outcomes, %d of them on a rebuilt grid, and read %d from the memo", watch.evaluated, watch.rebuilds, watch.hits)
+	}
+	t.Logf("the shell evaluated %d outcomes on a repaired grid and read %d from the memo", watch.evaluated, watch.hits)
+}
+
 // startingState searches seeded random RD sets for a state whose head
 // has no outcome that stops and whose lookahead starts a probe after at
 // least minRanks ranks. It returns how many ranks that takes.

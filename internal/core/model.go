@@ -572,7 +572,11 @@ func (s *Selection) Release() {
 // RDs (probed or cold-key) and table-derived scaled RDs, whose
 // buffers src would overwrite on its next fill — is copied into this
 // selection's own impulses and derived buffers, so neither selection
-// can alias the other afterwards.
+// can alias the other afterwards. When src's key grid is current (and
+// no hypothesis is open on it) the grid is copied too, so the first
+// probe applied to this selection repairs it (collapse) instead of
+// rebuilding it — how the lookahead and the optimal policy evaluate the
+// state one probe on.
 func (s *Selection) Reuse(src *Selection) {
 	s.metric, s.k, s.query = src.metric, src.k, src.query
 	s.memoRoot, s.memo = src.memoRoot, src.memo
@@ -597,7 +601,16 @@ func (s *Selection) Reuse(src *Selection) {
 	s.hyp = false
 	s.unprobedStale = true
 	s.work, s.ahead, s.stages, s.timeStages = RankWork{}, AheadWork{}, StageTimes{}, false
-	s.invalidate()
+	// src's grid is the one build would make from these RDs: copied, a
+	// probe on this selection next is a collapse, not a rebuild.
+	if sc := src.scratch; sc != nil && sc.valid && !src.hyp {
+		if s.scratch == nil {
+			s.scratch = acquireScratch()
+		}
+		s.scratch.copyGrid(sc)
+	} else {
+		s.invalidate()
+	}
 }
 
 // Marginals returns P(dbᵢ ∈ top-k) for every database — the

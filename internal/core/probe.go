@@ -616,12 +616,12 @@ func (o *Optimal) next(s *Selection, t float64) (int, float64, error) {
 
 // expectimin is one Optimal.Next's recursion. The state each outcome
 // leads to is a selection shell of its own, one per depth, rebuilt from
-// the state above it (Reuse, then ApplyProbe) and evaluated on the
-// scratch like any other state; the decision memo stays out of it. The
-// expected probes still to come from a state are a function of the state
-// alone, so they are kept by state — the probed databases and the bits
-// of their values — and a state that several probe orders reach is
-// evaluated once.
+// the state above it (Reuse, then ApplyProbe, which repairs the grid
+// Reuse copied) and evaluated on the scratch like any other state; the
+// decision memo stays out of it. The expected probes still to come from
+// a state are a function of the state alone, so they are kept by state —
+// the probed databases and the bits of their values — and a state that
+// several probe orders reach is evaluated once.
 type expectimin struct {
 	t      float64
 	shells []*Selection
@@ -631,7 +631,8 @@ type expectimin struct {
 
 // remaining returns E[#further probes after probing database i on s]:
 // over i's support values, the probability of each times the expected
-// probes still to come from the state it leads to.
+// probes still to come from the state it leads to. A state already
+// costed is read from x.cost before any shell is made for it.
 func (x *expectimin) remaining(s *Selection, i, depth int) float64 {
 	if depth == len(x.shells) {
 		x.shells = append(x.shells, new(Selection))
@@ -640,38 +641,53 @@ func (x *expectimin) remaining(s *Selection, i, depth int) float64 {
 	rd := s.RD(i)
 	total := 0.0
 	for vi := 0; vi < rd.Len(); vi++ {
-		c.Reuse(s)
-		c.memoRoot, c.memo = nil, nil
-		c.ApplyProbe(i, rd.Value(vi))
-		total += rd.Prob(vi) * x.toCome(c, depth)
+		v := rd.Value(vi)
+		x.stateKey(s, i, v)
+		cost, ok := x.cost[string(x.key)]
+		if !ok {
+			key := string(x.key)
+			c.Reuse(s)
+			c.memoRoot, c.memo = nil, nil
+			c.ApplyProbe(i, v)
+			cost = x.toCome(c, depth)
+			x.cost[key] = cost
+		}
+		total += rd.Prob(vi) * cost
 	}
 	return total
+}
+
+// stateKey writes to x.key the key of the state s leads to when database
+// i answers v: every probed database, ascending, with the bits of its
+// value.
+func (x *expectimin) stateKey(s *Selection, i int, v float64) {
+	x.key = x.key[:0]
+	for j, p := range s.probed {
+		val := v
+		if j != i {
+			if !p {
+				continue
+			}
+			val = s.rds[j].Value(0)
+		}
+		x.key = binary.AppendUvarint(x.key, uint64(j))
+		x.key = binary.LittleEndian.AppendUint64(x.key, math.Float64bits(val))
+	}
 }
 
 // toCome returns the expected probes still to come from state c at
 // depth: none once its best set reaches t or nothing is left to probe,
 // otherwise the cheapest of one probe plus what it leaves.
 func (x *expectimin) toCome(c *Selection, depth int) float64 {
-	x.key = x.key[:0]
-	for j, p := range c.probed {
-		if p {
-			x.key = binary.AppendUvarint(x.key, uint64(j))
-			x.key = binary.LittleEndian.AppendUint64(x.key, math.Float64bits(c.rds[j].Value(0)))
-		}
+	if _, e := c.BestView(); e >= x.t {
+		return 0
 	}
-	if cost, ok := x.cost[string(x.key)]; ok {
-		return cost
-	}
-	key := string(x.key)
 	cost := 0.0
-	if _, e := c.BestView(); e < x.t {
-		for n, j := range c.UnprobedView() {
-			if cj := 1 + x.remaining(c, j, depth+1); n == 0 || cj < cost {
-				cost = cj
-			}
+	for n, j := range c.UnprobedView() {
+		if cj := 1 + x.remaining(c, j, depth+1); n == 0 || cj < cost {
+			cost = cj
 		}
 	}
-	x.cost[key] = cost
 	return cost
 }
 

@@ -67,3 +67,19 @@ func (m *Model) observeProbe(dbIdx int, query string, numTerms int, actual float
 	_, _, err := m.observe(dbIdx, query, numTerms, actual)
 	return err
 }
+
+// expectedPartial returns E[Cor_p(set)] (Eq. 6): the expected fraction
+// of the set that belongs to the true top-k. Because
+// Cor_p = |set ∩ topk|/k = Σ_{i∈set} 1{i ∈ topk} / k, the expectation
+// is the mean of exact membership probabilities.
+func expectedPartial(rds []*RD, set []int) float64 {
+	if len(set) == 0 {
+		return 0
+	}
+	k := len(set)
+	total := 0.0
+	for _, i := range set {
+		total += membershipProb(rds, i, k)
+	}
+	return total / float64(k)
+}

@@ -245,11 +245,6 @@ func growBools(buf []bool, n int) []bool {
 // repairs (fresh scratch, a refill, two probes). Requires 0 < k < n.
 func (sc *selScratch) build(rds []*RD, k int) {
 	n := len(rds)
-	if n != sc.n || k != sc.k {
-		sc.n, sc.k, sc.pool = n, k, 0
-		sc.sizeTermTable()
-	}
-
 	sc.keyStart = growInts(sc.keyStart, n+1)
 	nK := 0
 	for i, rd := range rds {
@@ -257,7 +252,52 @@ func (sc *selScratch) build(rds []*RD, k int) {
 		nK += rd.Len()
 	}
 	sc.keyStart[n] = nK
+	sc.size(n, k, nK)
 
+	sc.live = sc.live[:0]
+	for j, rd := range rds {
+		sc.isLive[j] = !rd.isImpulse()
+		if sc.isLive[j] {
+			sc.live = append(sc.live, j)
+		}
+	}
+
+	for i, rd := range rds {
+		for vi := 0; vi < rd.Len(); vi++ {
+			sc.fillKey(rds, sc.keyStart[i]+vi, i, rd.Value(vi), rd.Prob(vi))
+		}
+	}
+	sc.finish()
+}
+
+// copyGrid makes sc the valid grid of src, which must be valid: the
+// keys, their rows of gt and less, the DP rows, the marginals and the
+// live list — everything build would compute from the same RDs — with
+// nothing kept for a candidate.
+func (sc *selScratch) copyGrid(src *selScratch) {
+	n, nK := src.n, src.keyStart[src.n]
+	sc.keyStart = append(sc.keyStart[:0], src.keyStart[:n+1]...)
+	sc.size(n, src.k, nK)
+	copy(sc.keyVal, src.keyVal[:nK])
+	copy(sc.keyEq, src.keyEq[:nK])
+	copy(sc.gt, src.gt[:nK*n])
+	copy(sc.less, src.less[:nK*n])
+	copy(sc.dp, src.dp[:nK*src.k])
+	copy(sc.marg, src.marg[:n])
+	copy(sc.isLive, src.isLive[:n])
+	copy(sc.deadNeed, src.deadNeed[:nK])
+	sc.live = append(sc.live[:0], src.live...)
+	sc.tailDB, sc.hypActive = -1, false
+	sc.valid, sc.collapsed = true, -1
+}
+
+// size sets sc up for n databases, k and nK keys: the term table when n
+// or k changed, and every per-key and per-database buffer at its length.
+func (sc *selScratch) size(n, k, nK int) {
+	if n != sc.n || k != sc.k {
+		sc.n, sc.k, sc.pool = n, k, 0
+		sc.sizeTermTable()
+	}
 	sc.keyVal = growFloats(sc.keyVal, nK)
 	sc.keyEq = growFloats(sc.keyEq, nK)
 	sc.gt = growFloats(sc.gt, nK*n)
@@ -272,20 +312,7 @@ func (sc *selScratch) build(rds []*RD, k int) {
 	sc.setMask = growBools(sc.setMask, n)
 	sc.isLive = growBools(sc.isLive, n)
 	sc.deadNeed = growInts(sc.deadNeed, nK)
-	sc.live = growInts(sc.live, n)[:0]
-	for j, rd := range rds {
-		sc.isLive[j] = !rd.isImpulse()
-		if sc.isLive[j] {
-			sc.live = append(sc.live, j)
-		}
-	}
-
-	for i, rd := range rds {
-		for vi := 0; vi < rd.Len(); vi++ {
-			sc.fillKey(rds, sc.keyStart[i]+vi, i, rd.Value(vi), rd.Prob(vi))
-		}
-	}
-	sc.finish()
+	sc.live = growInts(sc.live, n)
 }
 
 // fillKey writes key t = (v, i) of the grid: its value, P(rᵢ = v), its

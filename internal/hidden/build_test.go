@@ -2,6 +2,7 @@ package hidden
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"metaprobe/internal/corpus"
@@ -61,15 +62,78 @@ func TestBuildTestbedMatchesPerOccurrenceTokenizing(t *testing.T) {
 	}
 }
 
+// TestBuildTestbedLeavesNoSpareCapacity: every posting list of every
+// database BuildTestbed builds is exactly as long as its capacity.
+func TestBuildTestbedLeavesNoSpareCapacity(t *testing.T) {
+	tb, err := BuildTestbed(corpus.HealthWorld(), corpus.HealthTestbed(0.02), 2004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range tb.Databases() {
+		if n := spareLists(db.(*Local).Index()); n > 0 {
+			t.Errorf("%s: %d posting lists have spare capacity", db.Name(), n)
+		}
+	}
+}
+
+// spareLists counts the posting lists of ix whose capacity exceeds their
+// length, reading the unexported map through reflection.
+func spareLists(ix *textindex.Index) int {
+	n := 0
+	it := reflect.ValueOf(ix).Elem().FieldByName("postings").MapRange()
+	for it.Next() {
+		if pl := it.Value(); pl.Cap() != pl.Len() {
+			n++
+		}
+	}
+	return n
+}
+
+// liveBytesPerDocCeiling bounds BenchmarkBuildTestbed's live-B/doc,
+// 10 % over the 435 B/doc it reads with the texts stored as word ids and
+// the posting lists compacted (632 B/doc with a string per text and
+// append-grown lists).
+const liveBytesPerDocCeiling = 480
+
 // BenchmarkBuildTestbed builds the benchmark's testbed: the 20 health
-// databases at scale 0.1, seed 2004.
+// databases at scale 0.1, seed 2004. It reports the heap the testbed
+// keeps per document, live-B/doc: the HeapAlloc the build adds, read
+// after two GCs with the testbed still referenced, and fails above
+// liveBytesPerDocCeiling.
 func BenchmarkBuildTestbed(b *testing.B) {
 	world := corpus.HealthWorld()
 	specs := corpus.HealthTestbed(0.1)
 	b.ReportAllocs()
+	var live float64
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildTestbed(world, specs, 2004); err != nil {
+		b.StopTimer()
+		before := heapAfterGC()
+		b.StartTimer()
+		tb, err := BuildTestbed(world, specs, 2004)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		kept := heapAfterGC() - before
+		docs := 0
+		for _, db := range tb.Databases() {
+			docs += db.(*Local).Size()
+		}
+		runtime.KeepAlive(tb)
+		live = float64(kept) / float64(docs)
+		b.StartTimer()
 	}
+	b.ReportMetric(live, "live-B/doc")
+	if live > liveBytesPerDocCeiling {
+		b.Fatalf("the testbed keeps %.0f B/doc live, over the ceiling of %d", live, liveBytesPerDocCeiling)
+	}
+}
+
+// heapAfterGC returns the live heap after two forced GCs.
+func heapAfterGC() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

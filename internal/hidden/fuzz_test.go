@@ -3,6 +3,8 @@ package hidden
 import (
 	"strings"
 	"testing"
+
+	"metaprobe/internal/textindex"
 )
 
 // FuzzParseHTMLAnswerPage hardens the scraper against arbitrary pages:
@@ -28,5 +30,54 @@ func FuzzParseHTMLAnswerPage(f *testing.F) {
 				t.Fatalf("unescaped markup in doc ID %q", d.ID)
 			}
 		}
+	})
+}
+
+// FuzzLocalText holds the text store to byte-exact round trips: any
+// text comes back from Fetch as stored — empty fields, leading, trailing
+// and repeated spaces and invalid UTF-8 included — an ID stored again
+// fetches its new text, and a word new to a shared word table leaves the
+// table, and every database that shares it, as they were.
+func FuzzLocalText(f *testing.F) {
+	f.Add("breast cancer research", "")
+	f.Add(" leading", "trailing ")
+	f.Add("double  space", "\xff\xfe not utf-8")
+	f.Add("", " ")
+	f.Add("cancer", "cancer cancer")
+	f.Fuzz(func(t *testing.T, text, again string) {
+		shared := newWordTable()
+		for _, w := range []string{"breast", "cancer", "lung"} {
+			shared.add(w)
+		}
+		a := newLocal("a", textindex.NewIndex(nil), shared)
+		b := newLocal("b", textindex.NewIndex(nil), shared)
+		fetch := func(l *Local, id, want string) {
+			t.Helper()
+			if got, err := l.Fetch(id); err != nil || got != want {
+				t.Fatalf("%s: Fetch(%s) = %q, %v; want %q", l.Name(), id, got, err, want)
+			}
+		}
+		b.StoreText("b1", "lung cancer")
+		a.StoreText("a1", text)
+		a.StoreText("a2", again)
+		fetch(a, "a1", text)
+		fetch(a, "a2", again)
+		a.StoreText("a1", again)
+		fetch(a, "a1", again)
+		fetch(a, "a2", again)
+		fetch(b, "b1", "lung cancer")
+		b.StoreText("b2", text)
+		fetch(b, "b2", text)
+		fetch(b, "b1", "lung cancer")
+		fetch(a, "a1", again)
+		if len(shared.list) != 3 || len(shared.ids) != 3 {
+			t.Fatalf("the shared table grew to %d words", len(shared.list))
+		}
+		if _, err := a.Fetch("b1"); err == nil {
+			t.Fatal("a fetched b's document")
+		}
+		// A document of no words, as BuildLocal stores one with no terms.
+		a.storeWords("a3", nil)
+		fetch(a, "a3", "")
 	})
 }

@@ -3,6 +3,8 @@ package hidden
 import (
 	"fmt"
 	"maps"
+	"slices"
+	"strings"
 	"sync"
 
 	"metaprobe/internal/corpus"
@@ -20,48 +22,127 @@ func newSpecRNG(seed, label int64) *stats.RNG {
 // Local is an in-process Hidden-Web database backed by an inverted
 // index. It is the workhorse of the experiment suite: semantics are
 // identical to the HTTP path but with zero latency.
+//
+// Each document's text is held once, as word ids: the words of every
+// stored text back to back in text, slot s's at text[offs[s]:offs[s+1]],
+// and slots maps a document ID to its slot. A text is its words joined
+// by single spaces, so Fetch returns the stored bytes exactly; offsets
+// are uint32, so a database stores fewer than 2³² words. The word
+// table may be shared with the other databases of a testbed: a database
+// copies it before adding a word of its own (ownWords), so a table it
+// did not copy is never written.
 type Local struct {
-	name  string
-	index *textindex.Index
-	texts map[string]string
+	name     string
+	index    *textindex.Index
+	words    *wordTable
+	ownWords bool
+	text     []uint32
+	offs     []uint32
+	slots    map[string]uint32
+}
+
+// wordTable numbers distinct words: list[id] is the word, ids its
+// inverse.
+type wordTable struct {
+	list []string
+	ids  map[string]uint32
+}
+
+func newWordTable() *wordTable { return &wordTable{ids: make(map[string]uint32)} }
+
+// add numbers w if it is new and returns its id.
+func (wt *wordTable) add(w string) uint32 {
+	id, ok := wt.ids[w]
+	if !ok {
+		id = uint32(len(wt.list))
+		wt.list = append(wt.list, w)
+		wt.ids[w] = id
+	}
+	return id
 }
 
 // NewLocal wraps an already-built index as a database. Fetch is only
 // available for documents registered with StoreText (BuildLocal does
 // this automatically).
 func NewLocal(name string, index *textindex.Index) *Local {
-	return &Local{name: name, index: index, texts: make(map[string]string)}
+	return newLocal(name, index, newWordTable())
+}
+
+func newLocal(name string, index *textindex.Index, words *wordTable) *Local {
+	return &Local{name: name, index: index, words: words, offs: []uint32{0}, slots: make(map[string]uint32)}
 }
 
 // StoreText registers the retrievable text of a document so Fetch can
-// serve it.
-func (l *Local) StoreText(id, text string) { l.texts[id] = text }
+// serve it. Storing an ID again replaces its text.
+func (l *Local) StoreText(id, text string) { l.storeWords(id, strings.Split(text, " ")) }
+
+// storeWords stores the text that words joined by single spaces make as
+// the document's. An ID stored again gets a new slot; its old words stay
+// behind, unreferenced.
+func (l *Local) storeWords(id string, words []string) {
+	for _, w := range words {
+		wid, ok := l.words.ids[w]
+		if !ok {
+			if !l.ownWords {
+				l.words = &wordTable{list: slices.Clone(l.words.list), ids: maps.Clone(l.words.ids)}
+				l.ownWords = true
+			}
+			// A word split from a text would keep the whole text alive.
+			wid = l.words.add(strings.Clone(w))
+		}
+		l.text = append(l.text, wid)
+	}
+	l.slots[id] = uint32(len(l.offs) - 1)
+	l.offs = append(l.offs, uint32(len(l.text)))
+}
 
 // Fetch implements Fetcher.
 func (l *Local) Fetch(id string) (string, error) {
-	text, ok := l.texts[id]
+	s, ok := l.slots[id]
 	if !ok {
 		return "", fmt.Errorf("hidden: %s: no document %q", l.name, id)
 	}
-	return text, nil
+	ids := l.text[l.offs[s]:l.offs[s+1]]
+	n := 0
+	for _, wid := range ids {
+		n += 1 + len(l.words.list[wid])
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, wid := range ids {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(l.words.list[wid])
+	}
+	return b.String(), nil
 }
 
 // BuildLocal indexes the given documents into a fresh database using
 // the default tokenizer. The corpus generator emits pre-tokenized
 // terms, which are indexed via the fast path.
 func BuildLocal(name string, docs []corpus.Document) *Local {
-	return buildLocal(name, docs, make(map[string][]string))
+	return buildLocal(name, docs, make(map[string][]string), newWordTable())
 }
 
 // buildLocal is BuildLocal with a memo of normalized terms to start
-// from, which it extends. Generator terms are normalized exactly like
-// free text so the index, summaries and queries all live in the same
-// term space; Tokenize is a pure function of its input, so each
-// distinct term is tokenized once and its result reused.
-func buildLocal(name string, docs []corpus.Document, normalized map[string][]string) *Local {
+// from, which it extends, and a word table to store the texts with.
+// Generator terms are normalized exactly like free text so the index,
+// summaries and queries all live in the same term space; Tokenize is a
+// pure function of its input, so each distinct term is tokenized once
+// and its result reused. A document's text is its terms joined by single
+// spaces (corpus.Document.Text).
+func buildLocal(name string, docs []corpus.Document, normalized map[string][]string, words *wordTable) *Local {
 	ix := textindex.NewIndex(nil)
 	tok := textindex.DefaultTokenizer()
-	l := NewLocal(name, ix)
+	l := newLocal(name, ix, words)
+	size := 0
+	for _, d := range docs {
+		size += len(d.Terms)
+	}
+	l.text = make([]uint32, 0, size)
+	l.offs = slices.Grow(l.offs, len(docs))
+	l.slots = make(map[string]uint32, len(docs))
 	var norm []string // reused per document: AddTerms keeps no reference
 	for _, d := range docs {
 		norm = norm[:0]
@@ -74,8 +155,9 @@ func buildLocal(name string, docs []corpus.Document, normalized map[string][]str
 			norm = append(norm, nt...)
 		}
 		ix.AddTerms(d.ID, norm)
-		l.StoreText(d.ID, d.Text())
+		l.storeWords(d.ID, d.Terms)
 	}
+	ix.Compact()
 	return l
 }
 
@@ -148,9 +230,10 @@ func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) 
 	dbs := make([]Database, len(specs))
 	errs := make([]error, len(specs))
 	// Every word the world generates, normalized once and copied to each
-	// database.
+	// database, and numbered once in the word table they all share.
 	tok := textindex.DefaultTokenizer()
 	vocab := make(map[string][]string)
+	table := newWordTable()
 	words := [][]string{world.Background}
 	for _, topic := range world.Topics {
 		words = append(append(words, topic.Terms), topic.Concepts...)
@@ -158,6 +241,7 @@ func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) 
 	for _, ws := range words {
 		for _, t := range ws {
 			vocab[t] = tok.Tokenize(t)
+			table.add(t)
 		}
 	}
 	var wg sync.WaitGroup
@@ -171,7 +255,7 @@ func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) 
 				errs[i] = err
 				return
 			}
-			dbs[i] = buildLocal(spec.Name, docs, maps.Clone(vocab))
+			dbs[i] = buildLocal(spec.Name, docs, maps.Clone(vocab), table)
 		}(i, spec)
 	}
 	wg.Wait()

@@ -19,12 +19,14 @@ import (
 //     fusion.
 //
 // An Index is safe for concurrent readers once building has finished;
-// Add must not race with queries.
+// Add, AddTerms and Compact must not race with queries.
 type Index struct {
 	tokenizer *Tokenizer
-	postings  map[string][]posting
-	docIDs    []string
-	docLen    []int // number of terms per document
+	// postings holds each term's list in ordinal order; after Compact the
+	// lists are capped windows of one arena.
+	postings map[string][]posting
+	docIDs   []string
+	docLen   []int // number of terms per document
 
 	// docNorm holds the tf·idf vector norms of the current build. The
 	// first Search after a change computes them, once, under normOnce
@@ -96,6 +98,24 @@ func (ix *Index) post(ord int32) {
 	}
 	clear(ix.counts)
 	ix.normOnce = sync.Once{}
+}
+
+// Compact moves every posting list into one arena sized to their
+// total, so no list keeps the spare capacity that appending left it.
+// Call it once building is done. Each list is capped where it ends, so a
+// later Add or AddTerms re-grows only the lists it touches; the lists
+// keep their ordinal order.
+func (ix *Index) Compact() {
+	total := 0
+	for _, pl := range ix.postings {
+		total += len(pl)
+	}
+	arena := make([]posting, 0, total)
+	for term, pl := range ix.postings {
+		at := len(arena)
+		arena = append(arena, pl...)
+		ix.postings[term] = arena[at:len(arena):len(arena)]
+	}
 }
 
 // Size returns the number of indexed documents (|db| in Eq. 1).

@@ -227,6 +227,54 @@ func TestIndexValidate(t *testing.T) {
 	}
 }
 
+// TestCompact: compacting leaves every answer as it was and no list
+// with room to grow, and a document added afterwards re-grows only the
+// lists it touches, without writing over the list beside one of them in
+// the arena.
+func TestCompact(t *testing.T) {
+	queries := []string{"breast cancer", "cancer", "research", "heart disease", "awareness walk"}
+	answers := func(ix *Index) string {
+		var b strings.Builder
+		for _, q := range queries {
+			fmt.Fprintln(&b, q, ix.MatchCount(q), ix.Search(q, 10))
+		}
+		return b.String()
+	}
+	want := answers(newTestIndex())
+	ix := newTestIndex()
+	ix.Compact()
+	if got := answers(ix); got != want {
+		t.Fatalf("compacted answers:\n%s\nwant:\n%s", got, want)
+	}
+	for term, pl := range ix.postings {
+		if cap(pl) != len(pl) {
+			t.Errorf("term %q: capacity %d for %d postings", term, cap(pl), len(pl))
+		}
+	}
+	before := make(map[string][]posting, len(ix.postings))
+	for term, pl := range ix.postings {
+		before[term] = append([]posting(nil), pl...)
+	}
+	ix.Add("late", "research research surgery")
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for term, pl := range ix.postings {
+		old := before[term]
+		switch term {
+		case "research", "surgery":
+			want := append(old, posting{doc: 7, tf: map[string]int32{"research": 2, "surgery": 1}[term]})
+			if fmt.Sprint(pl) != fmt.Sprint(want) {
+				t.Errorf("term %q after Add: %v, want %v", term, pl, want)
+			}
+		default:
+			if fmt.Sprint(pl) != fmt.Sprint(old) || cap(pl) != len(pl) {
+				t.Errorf("term %q changed by an Add that does not contain it: %v (cap %d), was %v", term, pl, cap(pl), old)
+			}
+		}
+	}
+}
+
 func TestAddTerms(t *testing.T) {
 	ix := NewIndex(nil)
 	ix.AddTerms("d0", []string{"alpha", "beta", "alpha"})

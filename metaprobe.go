@@ -699,6 +699,7 @@ func NewLocalDatabase(name string, docs map[string]string) Database {
 		ix.Add(id, docs[id])
 		local.StoreText(id, docs[id])
 	}
+	ix.Compact()
 	return local
 }
 

@@ -3,6 +3,7 @@ package metaprobe
 import (
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -300,6 +301,28 @@ func TestExactSummariesRejectsRemote(t *testing.T) {
 	db := NewHTTPDatabase("r", "http://127.0.0.1:1", false)
 	if _, err := ExactSummaries([]Database{db}); err == nil {
 		t.Error("remote database must be rejected")
+	}
+}
+
+// TestNewLocalDatabaseLeavesNoSpareCapacity: NewLocalDatabase compacts
+// its index, so no posting list has room to grow, and every document
+// fetches back the text it was given.
+func TestNewLocalDatabaseLeavesNoSpareCapacity(t *testing.T) {
+	docs := map[string]string{}
+	for i := 0; i < 50; i++ {
+		docs[fmt.Sprintf("doc%02d", i)] = fmt.Sprintf("term%d cancer  health ", i%7)
+	}
+	local := NewLocalDatabase("d", docs).(*hidden.Local)
+	it := reflect.ValueOf(local.Index()).Elem().FieldByName("postings").MapRange()
+	for it.Next() {
+		if pl := it.Value(); pl.Cap() != pl.Len() {
+			t.Errorf("term %v: capacity %d for %d postings", it.Key(), pl.Cap(), pl.Len())
+		}
+	}
+	for id, text := range docs {
+		if got, err := local.Fetch(id); err != nil || got != text {
+			t.Errorf("Fetch(%s) = %q, %v; want %q", id, got, err, text)
+		}
 	}
 }
 
