@@ -11,6 +11,7 @@ package metaprobe
 // larger default configuration.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -353,7 +354,7 @@ func aproSelectSteadyBody(tb testing.TB) func() {
 	var out core.Outcome
 	run := func() {
 		sel.Reuse(template)
-		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
+		if err := core.AProContext(context.Background(), sel, probe, g, 0.9, -1, &out); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -378,7 +379,7 @@ func aproSelectMemoHitBody(tb testing.TB) func() {
 	var out core.Outcome
 	run := func() {
 		sel.Reuse(template)
-		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
+		if err := core.AProContext(context.Background(), sel, probe, g, 0.9, -1, &out); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -413,7 +414,7 @@ func BenchmarkAProSelectMemoHit(b *testing.B) { runHotPath(b, aproSelectMemoHitB
 // 8 wide RDs of 11 support values each that overlap so heavily that the
 // best E[Cor] stays far under t until almost all are probed — so every
 // rank step sweeps many hypotheses and the marginal prune cuts little.
-// One iteration is Reuse + AProInto from that state to t = 0.9 at k = 3;
+// One iteration is Reuse + AProContext from that state to t = 0.9 at k = 3;
 // it must not allocate.
 func BenchmarkGreedyRankColdTail(b *testing.B) {
 	const n, cold, bins = 20, 12, 11
@@ -441,13 +442,13 @@ func BenchmarkGreedyRankColdTail(b *testing.B) {
 			template.ApplyProbe(i, 0)
 		}
 	}
-	probe := func(db int) (float64, error) { return truth[db], nil }
+	probe := core.ProbeFunc(func(db int) (float64, error) { return truth[db], nil })
 	sel := core.NewSelectionFromRDs(rds, core.Absolute, 3)
 	g := core.Greedy{}
 	var out core.Outcome
 	run := func() {
 		sel.Reuse(template)
-		if err := core.AProInto(sel, probe, g, 0.9, -1, &out); err != nil {
+		if err := core.AProContext(context.Background(), sel, probe, g, 0.9, -1, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,7 +48,6 @@ var allowReasons = []string{whyHarness, whyObserve, whyAPI, whyOptional}
 // non-test Go outside their package refers to, each with its reason.
 // Keys are <package>.<Name> or <package>.<Type>.<Member>.
 var exportsWithoutCaller = map[string]string{
-	"core.AProInto":                   whyHarness,
 	"core.DBModel.Pooled":             whyHarness,
 	"core.Impulse":                    whyHarness,
 	"core.MustRD":                     whyHarness,

@@ -1,20 +1,23 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
 // The incremental scratch path (selstate.go) must be indistinguishable
-// from the from-scratch reference evaluation: identical selected sets
-// and certainties within 1e-9 on every state APro can visit. These
-// tests pin the two paths together over randomized RDs, both metrics
-// and random probe orders; the noScratch flag forces the reference.
+// from the from-scratch reference evaluation (reference_test.go):
+// identical selected sets and certainties within 1e-9 on every state
+// APro can visit. These tests pin the two together over randomized RDs,
+// both metrics and random probe orders.
 
 const diffTol = 1e-9
 
@@ -48,11 +51,11 @@ func randTestRD(rng *rand.Rand) *RD {
 	return rd
 }
 
-// assertSameBest compares the two paths' best-set evaluation on the
-// current state.
+// assertSameBest compares the reference's best-set evaluation of ref's
+// state with inc's.
 func assertSameBest(t *testing.T, trial int, stage string, ref, inc *Selection) {
 	t.Helper()
-	refSet, refE := ref.Best()
+	refSet, refE := refBest(ref)
 	incSet, incE := inc.Best()
 	if len(refSet) != len(incSet) {
 		t.Fatalf("trial %d %s: set sizes differ: ref %v inc %v", trial, stage, refSet, incSet)
@@ -66,11 +69,9 @@ func assertSameBest(t *testing.T, trial int, stage string, ref, inc *Selection) 
 	if math.Abs(refE-incE) > diffTol {
 		t.Fatalf("trial %d %s: certainty differs: ref %v inc %v", trial, stage, refE, incE)
 	}
-	refM := ref.Marginals()
-	incM := inc.Marginals()
-	for i := range refM {
-		if math.Abs(refM[i]-incM[i]) > diffTol {
-			t.Fatalf("trial %d %s: marginal[%d] differs: ref %v inc %v", trial, stage, i, refM[i], incM[i])
+	for i, m := range inc.Marginals() {
+		if want := membershipProb(ref.rds, i, ref.k); math.Abs(want-m) > diffTol {
+			t.Fatalf("trial %d %s: marginal[%d] differs: ref %v inc %v", trial, stage, i, want, m)
 		}
 	}
 }
@@ -94,17 +95,15 @@ func TestIncrementalMatchesReference(t *testing.T) {
 			rds[i] = randTestRD(rng)
 		}
 		ref := NewSelectionFromRDs(rds, metric, k)
-		ref.noScratch = true
 		inc := NewSelectionFromRDs(rds, metric, k)
 
 		assertSameBest(t, trial, "initial", ref, inc)
 
-		gRef, gInc := &Greedy{}, &Greedy{}
 		order := rng.Perm(n)
 		for step, i := range order {
 			for _, u := range inc.UnprobedView() {
-				uRef := gRef.usefulness(ref, u)
-				uInc := gInc.usefulness(inc, u)
+				uRef := refUsefulness(ref, u)
+				uInc := Greedy{}.usefulness(inc, u)
 				if math.Abs(uRef-uInc) > diffTol {
 					t.Fatalf("trial %d step %d: usefulness(%d) differs: ref %v inc %v",
 						trial, step, u, uRef, uInc)
@@ -119,10 +118,10 @@ func TestIncrementalMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAProDifferentialTrajectory runs full APro loops on both paths
-// with identical deterministic probes and requires the trajectories to
-// match step for step: same probe choices, same sets, certainties
-// within 1e-9, same Reached.
+// TestAProDifferentialTrajectory runs full APro loops on the engine and
+// on the reference (refAPro) with identical deterministic probes and
+// requires the trajectories to match step for step: same probe choices,
+// same sets, certainties within 1e-9, same Reached.
 func TestAProDifferentialTrajectory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -139,14 +138,12 @@ func TestAProDifferentialTrajectory(t *testing.T) {
 			truth[i] = rds[i].Value(rng.Intn(rds[i].Len()))
 		}
 		thr := 0.5 + 0.5*rng.Float64()
-		probe := func(i int) (float64, error) { return truth[i], nil }
 
 		ref := NewSelectionFromRDs(rds, metric, k)
-		ref.noScratch = true
 		inc := NewSelectionFromRDs(rds, metric, k)
 
-		outRef, errRef := APro(ref, probe, &Greedy{}, thr, -1)
-		outInc, errInc := APro(inc, probe, &Greedy{}, thr, -1)
+		outRef, errRef := refAPro(ref, func(i int) float64 { return truth[i] }, thr)
+		outInc, errInc := APro(inc, func(i int) (float64, error) { return truth[i], nil }, &Greedy{}, thr, -1)
 		inc.Release()
 		if (errRef == nil) != (errInc == nil) {
 			t.Fatalf("trial %d: errors differ: ref %v inc %v", trial, errRef, errInc)
@@ -279,7 +276,7 @@ func TestOptimalMatchesUnmemoizedReference(t *testing.T) {
 			t.Fatalf("trial %d: Next = %d, %v; next picked %d", trial, i, err, gotDB)
 		}
 		// The state asked about is left as it was.
-		if !reflect.DeepEqual(s.rds, refRDs) || !reflect.DeepEqual(s.probed, refProbed) || s.hyp {
+		if !reflect.DeepEqual(s.rds, refRDs) || !reflect.DeepEqual(s.probed, refProbed) {
 			t.Fatalf("trial %d: Next changed the selection it was asked about", trial)
 		}
 		s.Release()
@@ -289,20 +286,75 @@ func TestOptimalMatchesUnmemoizedReference(t *testing.T) {
 	}
 }
 
-// TestNestedHypothesisPanics: a hypothesis is one database's swap on
-// the one-factor overlay; a second one opened inside it is a bug.
-func TestNestedHypothesisPanics(t *testing.T) {
+// TestHypothesisMatchesAShell: a hypothesis is a probe that did not
+// happen. On random states, partly probed, under both metrics and at
+// k ∈ {1, 3}, bestIf(i, vi) for every unprobed database i and every
+// support index vi picks the set, with E[Cor] within 1e-9, that a shell
+// of the state with i probed at its vi-th value picks. It leaves the
+// state's RDs, probed set and memo node as they were, counts nothing but
+// the sets it scores, and allocates nothing.
+func TestHypothesisMatchesAShell(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := NewSelectionFromRDs([]*RD{randTestRD(rng), randTestRD(rng), randTestRD(rng)}, Absolute, 1)
-	defer s.Release()
-	old := s.beginHypothesisIdx(0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a nested hypothesis opened")
+	shell := &Selection{}
+	defer shell.Release()
+	hypotheses := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(5)
+		rds := make([]*RD, n)
+		for i := range rds {
+			rds[i] = randTestRD(rng)
 		}
-		s.endHypothesisIdx(0, old)
-	}()
-	s.beginHypothesisIdx(1, 0)
+		probes := rng.Perm(n)[:rng.Intn(n-2)]
+		for _, metric := range []Metric{Absolute, Partial} {
+			for _, k := range []int{1, 3} {
+				memo := newTestMemo()
+				s := memo.attach(NewSelectionFromRDs(rds, metric, k))
+				for _, i := range probes {
+					s.ApplyProbe(i, rds[i].Value(rng.Intn(rds[i].Len())))
+				}
+				s.BestView() // the grid is current from here on
+				rdsBefore, probedBefore := slices.Clone(s.rds), slices.Clone(s.probed)
+				node, nodes := s.memo, memo.nodes()
+				unprobed := slices.Clone(s.UnprobedView())
+				for _, i := range unprobed {
+					for vi := 0; vi < s.RD(i).Len(); vi++ {
+						id := fmt.Sprintf("trial %d, %v, k=%d, db%d = %v", trial, metric, k, i, s.RD(i).Value(vi))
+						before := s.Work()
+						set, e := s.bestIf(i, vi)
+						set = slices.Clone(set)
+						after := s.Work()
+						after.Sets, after.SetsShared = before.Sets, before.SetsShared
+						if after != before {
+							t.Fatalf("%s: bestIf moved a count other than the sets: %+v → %+v", id, before, s.Work())
+						}
+						shell.Reuse(s)
+						shell.memoRoot, shell.memo = nil, nil
+						shell.ApplyProbe(i, s.RD(i).Value(vi))
+						want, wantE := shell.BestView()
+						if !slices.Equal(set, want) || math.Abs(e-wantE) > diffTol {
+							t.Fatalf("%s: bestIf picks %v at %v, the shell %v at %v", id, set, e, want, wantE)
+						}
+						if !slices.Equal(s.rds, rdsBefore) || !slices.Equal(s.probed, probedBefore) || s.memo != node || memo.nodes() != nodes {
+							t.Fatalf("%s: bestIf changed the state it was asked about", id)
+						}
+						hypotheses++
+					}
+				}
+				allocs := testing.AllocsPerRun(5, func() {
+					for _, i := range unprobed {
+						for vi := 0; vi < s.RD(i).Len(); vi++ {
+							s.bestIf(i, vi)
+						}
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("trial %d, %v, k=%d: the hypotheses allocate %.0f objects, want 0", trial, metric, k, allocs)
+				}
+				s.Release()
+			}
+		}
+	}
+	t.Logf("%d hypotheses matched their shells", hypotheses)
 }
 
 // TestMarginalsReadTheScratch: on a selection freshly filled from a
@@ -396,7 +448,7 @@ func sharedPolicyCases(seed int64, count int) []sharedPolicyCase {
 }
 
 func (c sharedPolicyCase) run(policy Policy, sel *Selection, out *Outcome) error {
-	return AProInto(sel, func(i int) (float64, error) { return c.truth[i], nil }, policy, 0.95, -1, out)
+	return AProContext(context.Background(), sel, ProbeFunc(func(i int) (float64, error) { return c.truth[i], nil }), policy, 0.95, -1, out)
 }
 
 // TestSharedPolicyAcrossGoroutines: a probe policy is an immutable
@@ -472,7 +524,7 @@ func BenchmarkSelectParallel(b *testing.B) {
 }
 
 // TestSteadyStateSelectionDoesNotAllocate: after warm-up, a full
-// Reuse + AProInto cycle over a template selection must stay within
+// Reuse + AProContext cycle over a template selection must stay within
 // the 2 allocs/op budget TestHotPathAllocCaps holds the benchmark to.
 func TestSteadyStateSelectionDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -487,10 +539,10 @@ func TestSteadyStateSelectionDoesNotAllocate(t *testing.T) {
 	sel := NewSelectionFromRDs(rds, Absolute, 3)
 	g := &Greedy{}
 	var out Outcome
-	probe := func(i int) (float64, error) { return truth[i], nil }
+	probe := ProbeFunc(func(i int) (float64, error) { return truth[i], nil })
 	run := func() {
 		sel.Reuse(template)
-		if err := AProInto(sel, probe, g, 0.95, -1, &out); err != nil {
+		if err := AProContext(context.Background(), sel, probe, g, 0.95, -1, &out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -498,7 +550,7 @@ func TestSteadyStateSelectionDoesNotAllocate(t *testing.T) {
 		run() // warm-up: grow buffers, allocate owned impulses
 	}
 	if allocs := testing.AllocsPerRun(50, run); allocs > 2 {
-		t.Errorf("steady-state Reuse+AProInto allocates %.1f/op, want ≤ 2", allocs)
+		t.Errorf("steady-state Reuse+AProContext allocates %.1f/op, want ≤ 2", allocs)
 	}
 }
 

@@ -206,10 +206,7 @@ func (la *lookahead) probableNext(s *Selection, ranker Ranker, head int, t float
 			s.ahead.Abandoned++
 			return nil
 		}
-		old := s.beginHypothesisIdx(head, vi)
-		_, e := s.best()
-		s.endHypothesisIdx(head, old)
-		if e < t {
+		if _, e := s.bestIf(head, vi); e < t {
 			la.order = append(la.order, vi)
 			rest += rd.Prob(vi)
 			continue

@@ -56,13 +56,14 @@ type bruteVerdict struct {
 }
 
 // bruteProbableNext works out the slow way what probableNext has to
-// decide: every support value of head's RD is applied to a fresh
-// reference-path copy of s, the loop's next two decisions — stop? else
-// which database, if ranker finds one? — are read off it, and the value's
-// probability is tallied as stopping, as ending (ranker fails) or under
-// the database picked. Starting the leader wastes stopping and ending mass
-// in full and the mass that leads elsewhere at missWeight.
-func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVerdict {
+// decide: every support value of head's RD is applied to a fresh copy of
+// s, the loop's next two decisions — stop? else which database, if ref
+// finds one? — are read off it by the reference (bestSet, and ref ranking
+// on it), and the value's probability is tallied as stopping, as ending
+// (ref fails) or under the database picked. Starting the leader wastes
+// stopping and ending mass in full and the mass that leads elsewhere at
+// missWeight.
+func bruteProbableNext(s *Selection, ref Ranker, head int, t float64) bruteVerdict {
 	rd := s.RD(head)
 	near := func(a, b float64) bool { return math.Abs(a-b) <= diffTol }
 	// The database each outcome leads to: -1 where the rank fails, -2
@@ -72,11 +73,10 @@ func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVe
 	stopped, ended := 0.0, 0.0
 	v := bruteVerdict{next: -1, firstRanked: -1}
 	for vi := range picks {
-		ref := NewSelectionFromRDs(s.rds, s.metric, s.k)
-		ref.noScratch = true
-		copy(ref.probed, s.probed)
-		ref.ApplyProbe(head, rd.Value(vi))
-		_, e := ref.Best()
+		next := NewSelectionFromRDs(s.rds, s.metric, s.k)
+		copy(next.probed, s.probed)
+		next.ApplyProbe(head, rd.Value(vi))
+		_, e := refBest(next)
 		v.borderline = v.borderline || near(e, t)
 		if e >= t {
 			picks[vi] = -2
@@ -84,7 +84,7 @@ func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVe
 			continue
 		}
 		picks[vi] = -1
-		if dbs, _, err := ranker.Rank(ref, t, 1); err == nil {
+		if dbs, _, err := ref.Rank(next, t, 1); err == nil {
 			db := dbs[0]
 			picks[vi] = db
 			if mass[db] += rd.Prob(vi); v.next < 0 || mass[db] > mass[v.next] {
@@ -96,7 +96,7 @@ func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVe
 	}
 	v.tooManyStops = stopped > maxDissent
 	v.borderline = v.borderline || near(stopped, maxDissent)
-	v.wide, v.wideVerdict = bruteWide(s, ranker, head, t, mass, v.next, stopped, ended)
+	v.wide, v.wideVerdict = bruteWide(s, ref, t, mass, v.next, stopped, ended)
 	v.wideBorderline = near(stopped+ended, maxDissent)
 	for a, ma := range mass {
 		for b, mb := range mass {
@@ -156,8 +156,9 @@ func bruteProbableNext(s *Selection, ranker Ranker, head int, t float64) bruteVe
 
 // bruteWide is what a wide lookahead has to start on s, given the mass
 // each database's outcomes carry, the leader next, and the mass of the
-// outcomes that stop or end the loop, and the verdict it counts.
-func bruteWide(s *Selection, ranker Ranker, head int, t float64, mass map[int]float64, next int, stopped, ended float64) ([]int, string) {
+// outcomes that stop or end the loop, and the verdict it counts. The
+// runners-up are ref's ranking of s.
+func bruteWide(s *Selection, ref Ranker, t float64, mass map[int]float64, next int, stopped, ended float64) ([]int, string) {
 	switch {
 	case stopped > maxDissent:
 		return nil, "stops"
@@ -181,10 +182,7 @@ func bruteWide(s *Selection, ranker Ranker, head int, t float64, mass map[int]fl
 		return others[a] < others[b]
 	})
 	starts := append([]int{next}, others...)
-	ref := NewSelectionFromRDs(s.rds, s.metric, s.k)
-	ref.noScratch = true
-	copy(ref.probed, s.probed)
-	dbs, _, err := ranker.Rank(ref, t, wideRunners)
+	dbs, _, err := ref.Rank(s, t, wideRunners)
 	if err != nil {
 		return starts, verdict
 	}
@@ -196,21 +194,23 @@ func bruteWide(s *Selection, ranker Ranker, head int, t float64, mass map[int]fl
 	return starts, verdict
 }
 
-// endingRanker is Greedy but for one outcome of head's probe, value,
-// after which it finds nothing to pick: that outcome ends the loop.
-// Greedy's own Rank fails on every outcome of a probe or on none — when
-// no unprobed database is left informative — so only a ranker like this
-// one shows how the mass of an outcome that ends the loop is weighed.
+// endingRanker is Ranker — Greedy, or refGreedy for the brute force —
+// but for one outcome of head's probe, value, after which it finds
+// nothing to pick: that outcome ends the loop. Greedy's own Rank fails on
+// every outcome of a probe or on none — when no unprobed database is left
+// informative — so only a ranker like this one shows how the mass of an
+// outcome that ends the loop is weighed.
 type endingRanker struct {
 	head  int
 	value float64
+	Ranker
 }
 
 func (r endingRanker) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	if s.isProbed(r.head) && s.RD(r.head).Value(0) == r.value {
 		return nil, nil, ErrNoInformativeProbe
 	}
-	return Greedy{}.Rank(s, t, m)
+	return r.Ranker.Rank(s, t, m)
 }
 
 // lookaheadVerdicts counts how often walkProbableNext saw each verdict,
@@ -226,15 +226,15 @@ type lookaheadVerdicts struct {
 	wideStates, wider, wideNone int
 }
 
-// checkProbableNext holds probableNext on s's state to the brute force
-// under ranker: it starts a database exactly when the brute force
-// reckons that start's waste within maxDissent, calls that certain
-// exactly when the brute force's replay of its order does, and blames
-// stops exactly when the outcomes that stop carry more than maxDissent of
-// the mass.
-func checkProbableNext(t *testing.T, id string, la *lookahead, s *Selection, ranker Ranker, head int, thr float64, v *lookaheadVerdicts) bruteVerdict {
+// checkProbableNext holds probableNext on s's state under ranker to the
+// brute force under ref, ranker's reference twin: it starts a database
+// exactly when the brute force reckons that start's waste within
+// maxDissent, calls that certain exactly when the brute force's replay of
+// its order does, and blames stops exactly when the outcomes that stop
+// carry more than maxDissent of the mass.
+func checkProbableNext(t *testing.T, id string, la *lookahead, s *Selection, ranker, ref Ranker, head int, thr float64, v *lookaheadVerdicts) bruteVerdict {
 	t.Helper()
-	want := bruteProbableNext(s, ranker, head, thr)
+	want := bruteProbableNext(s, ref, head, thr)
 	_, e := s.Best()
 	work, rdsBefore, before := s.Work(), fmt.Sprint(s.rds), s.Ahead()
 	starts := la.probableNext(s, ranker, head, thr, false, never)
@@ -341,10 +341,11 @@ func walkProbableNext(t *testing.T, id string, la *lookahead, rds []*RD, truth [
 			return
 		}
 		head := ranked[0]
-		want := checkProbableNext(t, id, la, s, Greedy{}, head, thr, v)
+		want := checkProbableNext(t, id, la, s, Greedy{}, refGreedy{}, head, thr, v)
 		if want.firstRanked >= 0 {
-			ending := endingRanker{head: head, value: s.RD(head).Value(want.firstRanked)}
-			checkProbableNext(t, id+" (first outcome ends the loop)", la, s, ending, head, thr, v)
+			value := s.RD(head).Value(want.firstRanked)
+			checkProbableNext(t, id+" (first outcome ends the loop)", la, s,
+				endingRanker{head, value, Greedy{}}, endingRanker{head, value, refGreedy{}}, head, thr, v)
 		}
 		s.ApplyProbe(head, truth[head])
 	}
@@ -352,8 +353,8 @@ func walkProbableNext(t *testing.T, id string, la *lookahead, rds []*RD, truth [
 
 // TestProbableNextMatchesBruteForce: on randomised RD sets and on the
 // states of the golden fixture's trajectories, probableNext names a next
-// database exactly when applying every support value to a fresh
-// reference-path selection says that starting it wastes at most
+// database exactly when applying every support value to a fresh copy of
+// the state, evaluated by the reference, says that starting it wastes at most
 // maxDissent of a search: the mass of outcomes that stop or end the loop
 // in full, and missWeight of the mass that leads elsewhere. The states
 // compared include enough on which missWeight read as 1, or an ending
@@ -676,7 +677,7 @@ func TestAProLookaheadGate(t *testing.T) {
 // goroutine, so there is nothing to think behind and APro counts no
 // lookahead.
 func TestInlineProberIsNoOverlapper(t *testing.T) {
-	var p Prober = inlineProber(func(int) (float64, error) { return 0, nil })
+	var p Prober = ProbeFunc(func(int) (float64, error) { return 0, nil })
 	if _, ok := p.(Overlapper); ok {
 		t.Fatal("the inline prober offers lookahead")
 	}

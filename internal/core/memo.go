@@ -283,17 +283,6 @@ func (s *Selection) attachMemo(t *memoTree, numTerms int) {
 	}
 }
 
-// memoNode returns the node decisions at the current state are read from
-// and stored to: nil when the selection is detached, inside a hypothesis
-// (those states are the sweep's own) or pinned to the reference path
-// (whose usefulness differs from the scratch's by round-off).
-func (s *Selection) memoNode() *memoNode {
-	if s.hyp || s.noScratch {
-		return nil
-	}
-	return s.memo
-}
-
 // Memo reports how many nodes the version's decision memo holds and
 // whether it is on (it is except while rows are being republished).
 func (v *ModelVersion) Memo() (nodes int, on bool) {

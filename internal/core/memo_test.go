@@ -750,9 +750,9 @@ func TestDecisionMemoFailedProbeAndNaN(t *testing.T) {
 
 // TestDecisionMemoOutsideThePureForms: what a node remembers is the
 // state's decision, so the forms of Rank that depend on more — a cost
-// function, more than one candidate — a hypothesis, the reference path
-// and the optimal policy's expectimin (whose states are its own) neither
-// read it nor write it, nor add a node.
+// function, more than one candidate — a hypothesis and the optimal
+// policy's expectimin (whose states are its own) neither read it nor
+// write it, nor add a node.
 func TestDecisionMemoOutsideThePureForms(t *testing.T) {
 	_, sets, _ := goldenRDSets(t)
 	rds := sets[5]
@@ -766,9 +766,7 @@ func TestDecisionMemoOutsideThePureForms(t *testing.T) {
 	if _, _, err := (Greedy{}).Rank(s, 0.9, 0); err != nil {
 		t.Fatal(err)
 	}
-	old := s.beginHypothesisIdx(0, 0)
-	s.Best()
-	s.endHypothesisIdx(0, old)
+	s.bestIf(0, 0)
 	nodes := memo.nodes()
 	if _, err := (&Optimal{}).Next(s, 0.9); err != nil {
 		t.Fatal(err)
@@ -776,12 +774,6 @@ func TestDecisionMemoOutsideThePureForms(t *testing.T) {
 	if memo.nodes() != nodes {
 		t.Fatalf("the optimal policy added %d memo nodes", memo.nodes()-nodes)
 	}
-	s.noScratch = true
-	s.Best()
-	if _, _, err := (Greedy{}).Rank(s, 0.9, 1); err != nil {
-		t.Fatal(err)
-	}
-	s.noScratch = false
 	if w := s.Work(); w.MemoHits != 0 || w.MemoMisses != 0 || s.memo.best.Load() != memoUnset || s.memo.rank.Load() != memoUnset {
 		t.Fatalf("a form outside the memo touched it: %+v", w)
 	}

@@ -221,16 +221,6 @@ type Selection struct {
 	// caches the key grid, Poisson-binomial DP rows and membership
 	// marginals of the current RDs; ApplyProbe marks it stale.
 	scratch *selScratch
-	// noScratch forces the from-scratch reference path — the
-	// differential tests use it to pin the incremental path against
-	// the original evaluation.
-	noScratch bool
-	// hyp is set while a hypothesis is open (beginHypothesisIdx):
-	// database hypDB's RD is swapped for an impulse at its hypVI-th
-	// support value, which the scratch's one-factor overlay evaluates.
-	hyp   bool
-	hypDB int
-	hypVI int
 	// impulses are selection-owned impulse RDs reused by ApplyProbe
 	// (one per database) so steady-state probing does not allocate.
 	impulses []*RD
@@ -268,10 +258,9 @@ type Selection struct {
 
 // RankWork counts what one selection's greedy ranking paid for — the
 // numbers behind "why was this selection slow?". Counts accumulate over
-// the selection's probe steps on the serving path (the reference path
-// counts no sets). A decision read from the version's memo pays for
-// nothing: a selection whose every step was decided before counts hits
-// and zeros.
+// the selection's probe steps. A decision read from the version's memo
+// pays for nothing: a selection whose every step was decided before
+// counts hits and zeros.
 type RankWork struct {
 	// Swept counts probe candidates whose usefulness was evaluated,
 	// Skipped those the marginal bound ruled out unevaluated.
@@ -337,7 +326,7 @@ func (s *Selection) unprobed() []int {
 
 // UnprobedView returns the unprobed database indices in ascending
 // order without allocating. The slice is owned by the selection and
-// valid only until the next probe or probed hypothesis.
+// valid only until the next probe.
 func (s *Selection) UnprobedView() []int {
 	if s.unprobedStale {
 		s.unprobedBuf = s.unprobedBuf[:0]
@@ -434,12 +423,10 @@ func (s *Selection) setScaledRD(i int, tmpl *RD, rhat float64) bool {
 
 // reset re-initializes the selection as an empty unprobed state for n
 // databases, reusing every backing array — the shell half of
-// ModelVersion.FillSelection. The stage tally and the reference-path
-// pin are cleared; the caller re-attaches what it
-// needs.
+// ModelVersion.FillSelection. The stage tally is cleared; the caller
+// re-attaches what it needs.
 func (s *Selection) reset(query string, metric Metric, k, n int) {
 	s.metric, s.k, s.query = metric, k, query
-	s.noScratch = false
 	s.memoRoot, s.memo = nil, nil
 	if cap(s.rds) < n {
 		s.rds = make([]*RD, n)
@@ -456,7 +443,6 @@ func (s *Selection) reset(query string, metric Metric, k, n int) {
 	for i := range s.probed {
 		s.probed[i] = false
 	}
-	s.hyp = false
 	s.unprobedStale = true
 	s.work, s.ahead, s.stages, s.timeStages = RankWork{}, AheadWork{}, StageTimes{}, false
 	s.invalidate()
@@ -480,8 +466,8 @@ func (s *Selection) Best() ([]int, float64) {
 }
 
 // BestView is Best without allocating: the returned slice is owned by
-// the selection and valid only until the next Best/BestView call,
-// probe or hypothesis. APro's loop uses it.
+// the selection and valid only until the next evaluation or probe.
+// APro's loop uses it.
 func (s *Selection) BestView() ([]int, float64) {
 	return s.best()
 }
@@ -490,7 +476,7 @@ func (s *Selection) BestView() ([]int, float64) {
 // state's memo node when it has one that knows, evaluated and — with a
 // node — stored otherwise.
 func (s *Selection) best() ([]int, float64) {
-	n := s.memoNode()
+	n := s.memo
 	if n == nil {
 		return s.evaluate()
 	}
@@ -505,19 +491,37 @@ func (s *Selection) best() ([]int, float64) {
 	return set, e
 }
 
-// evaluate routes the evaluation: the incremental scratch on the serving
-// path, the from-scratch reference when k ≥ n and when noScratch pins
-// the reference for tests. Inside a hypothesis the scratch was made
-// current by beginHypothesisIdx, before the swap.
+// evaluate is the current state's best k-set and its E[Cor], searched on
+// the scratch. The set is valid until the next evaluation.
 func (s *Selection) evaluate() ([]int, float64) {
-	if !s.onScratch() {
-		return bestSet(s.metric, s.rds, s.k)
+	if s.degenerate() {
+		return s.degenerateBest()
 	}
-	if !s.hyp {
-		s.ensureScratch()
-	} else if !s.scratch.hypActive {
-		s.scratch.beginHypothesis(s.hypDB, s.hypVI)
+	s.ensureScratch()
+	return s.search()
+}
+
+// bestIf is the best k-set and its E[Cor] were database i to answer its
+// vi-th support value — the greedy policy's "consider all the outcomes
+// of probing dbᵢ" (Figure 13). The scratch's one-factor overlay answers
+// it without a second state: s's RDs, probed set, memo and grid stay as
+// they were, and only the sets it scores are counted. The set is valid
+// until the next evaluation.
+func (s *Selection) bestIf(i, vi int) ([]int, float64) {
+	if s.degenerate() {
+		return s.degenerateBest()
 	}
+	s.ensureScratch()
+	sc := s.scratch
+	sc.beginHypothesis(i, vi)
+	set, e := s.search()
+	sc.hypActive = false
+	return set, e
+}
+
+// search runs the best-set search on the current scratch and counts the
+// sets it scored.
+func (s *Selection) search() ([]int, float64) {
 	sc := s.scratch
 	set, e := sc.bestFrom(s.metric)
 	s.work.Sets += sc.sets
@@ -525,16 +529,27 @@ func (s *Selection) evaluate() ([]int, float64) {
 	return set, e
 }
 
-// onScratch reports whether the selection evaluates on the incremental
-// scratch: 0 < K < n and the reference path not pinned.
-func (s *Selection) onScratch() bool {
-	return !s.noScratch && s.k > 0 && s.k < len(s.rds)
+// degenerate reports a k that needs no search: k ≤ 0 selects nothing and
+// k ≥ n every database.
+func (s *Selection) degenerate() bool { return s.k <= 0 || s.k >= len(s.rds) }
+
+// degenerateBest is the best set of a degenerate k, whatever the RDs:
+// none at 0 for k ≤ 0 or no databases, every database at 1 for k ≥ n.
+func (s *Selection) degenerateBest() ([]int, float64) {
+	n := len(s.rds)
+	if s.k <= 0 || n == 0 {
+		return nil, 0
+	}
+	set := make([]int, n)
+	for i := range set {
+		set[i] = i
+	}
+	return set, 1
 }
 
 // ensureScratch acquires the pooled scratch and, when stale, repairs it
 // (one live database probed since) or rebuilds it from the current RDs.
-// Callers guarantee 0 < K < len(rds) and no active hypothesis swap in
-// s.rds.
+// Callers guarantee a k that is not degenerate.
 func (s *Selection) ensureScratch() {
 	if s.scratch == nil {
 		s.scratch = acquireScratch()
@@ -555,7 +570,7 @@ func (s *Selection) ensureScratch() {
 // does, once per query); the selection stays usable afterwards — the
 // scratch is simply re-acquired on demand.
 func (s *Selection) Release() {
-	if s.scratch == nil || s.hyp {
+	if s.scratch == nil {
 		return
 	}
 	s.scratch.release()
@@ -572,11 +587,10 @@ func (s *Selection) Release() {
 // RDs (probed or cold-key) and table-derived scaled RDs, whose
 // buffers src would overwrite on its next fill — is copied into this
 // selection's own impulses and derived buffers, so neither selection
-// can alias the other afterwards. When src's key grid is current (and
-// no hypothesis is open on it) the grid is copied too, so the first
-// probe applied to this selection repairs it (collapse) instead of
-// rebuilding it — how the lookahead and the optimal policy evaluate the
-// state one probe on.
+// can alias the other afterwards. When src's key grid is current the
+// grid is copied too, so the first probe applied to this selection
+// repairs it (collapse) instead of rebuilding it — how the lookahead and
+// the optimal policy evaluate the state one probe on.
 func (s *Selection) Reuse(src *Selection) {
 	s.metric, s.k, s.query = src.metric, src.k, src.query
 	s.memoRoot, s.memo = src.memoRoot, src.memo
@@ -598,12 +612,11 @@ func (s *Selection) Reuse(src *Selection) {
 			s.setScaledRD(i, rd, 1)
 		}
 	}
-	s.hyp = false
 	s.unprobedStale = true
 	s.work, s.ahead, s.stages, s.timeStages = RankWork{}, AheadWork{}, StageTimes{}, false
 	// src's grid is the one build would make from these RDs: copied, a
 	// probe on this selection next is a collapse, not a rebuild.
-	if sc := src.scratch; sc != nil && sc.valid && !src.hyp {
+	if sc := src.scratch; sc != nil && sc.valid {
 		if s.scratch == nil {
 			s.scratch = acquireScratch()
 		}
@@ -615,17 +628,19 @@ func (s *Selection) Reuse(src *Selection) {
 
 // Marginals returns P(dbᵢ ∈ top-k) for every database — the
 // membership probabilities behind the selection, useful for
-// explaining a decision to a user or operator. On the scratch path they
-// are the ones finish computed, bit for bit membershipProb's.
+// explaining a decision to a user or operator. They are the ones the
+// scratch's evaluation computed; a degenerate k has every database in
+// (k ≥ n) or none (k ≤ 0).
 func (s *Selection) Marginals() []float64 {
 	out := make([]float64, len(s.rds))
-	if s.onScratch() && !s.hyp {
+	switch {
+	case !s.degenerate():
 		s.ensureScratch()
 		copy(out, s.scratch.marg)
-		return out
-	}
-	for i := range s.rds {
-		out[i] = membershipProb(s.rds, i, s.k)
+	case s.k > 0:
+		for i := range out {
+			out[i] = 1
+		}
 	}
 	return out
 }
@@ -635,46 +650,6 @@ func (s *Selection) Marginals() []float64 {
 // compares against. The result is sorted by index.
 func (s *Selection) BaselineSelect() []int {
 	return TopKByScore(s.estimates, s.k)
-}
-
-// beginHypothesisIdx swaps database i's RD for an impulse at its vi-th
-// support value (the greedy policy's "consider all the outcomes of
-// probing dbᵢ", Figure 13) and returns the displaced RD for
-// endHypothesisIdx. The begin/end pair is deliberately not a
-// callback: the usefulness sweep calls it per support value, and a
-// closure there would allocate on every hypothesis. One hypothesis is
-// open at a time, and opening another inside it panics: a state two
-// probes away is a shell of its own (Reuse, then ApplyProbe), as the
-// lookahead and the optimal policy build them.
-//
-// On the serving path the swap uses the scratch's reusable impulse and
-// arms the one-factor overlay (built lazily by best()); the reference
-// path gets a plain impulse.
-func (s *Selection) beginHypothesisIdx(i, vi int) *RD {
-	if s.hyp {
-		panic("core: hypothesis opened inside another")
-	}
-	old := s.rds[i]
-	v := old.Value(vi)
-	s.hyp, s.hypDB, s.hypVI = true, i, vi
-	if s.onScratch() {
-		// Build (or refresh) the scratch from the base RDs before the
-		// swap; afterwards the base state is unobservable.
-		s.ensureScratch()
-		s.rds[i] = s.scratch.hypImpulse(v)
-		return old
-	}
-	s.rds[i] = Impulse(v)
-	return old
-}
-
-// endHypothesisIdx restores the RD displaced by beginHypothesisIdx.
-func (s *Selection) endHypothesisIdx(i int, old *RD) {
-	s.rds[i] = old
-	if s.scratch != nil {
-		s.scratch.hypActive = false
-	}
-	s.hyp = false
 }
 
 // TopKByScore returns the indices of the k highest scores, ties broken

@@ -18,7 +18,7 @@ import (
 type ProbeFunc func(i int) (float64, error)
 
 // Prober is how the APro loop reaches the backends. The loop calls it
-// from one goroutine. ProbeFunc probers answer inline; the probe
+// from one goroutine. A ProbeFunc answers inline; the probe
 // executor's (internal/probeexec) adds pooling and circuit breakers
 // behind the same calls, and as an Overlapper probes in the background.
 type Prober interface {
@@ -29,11 +29,12 @@ type Prober interface {
 	Drain()
 }
 
-// inlineProber probes on the loop's goroutine, one database at a time.
-type inlineProber ProbeFunc
+// Wait implements Prober: a ProbeFunc probes on the loop's goroutine,
+// one database at a time.
+func (p ProbeFunc) Wait(_ context.Context, i int) (float64, error) { return p(i) }
 
-func (p inlineProber) Wait(_ context.Context, i int) (float64, error) { return p(i) }
-func (inlineProber) Drain()                                           {}
+// Drain implements Prober: an inline probe leaves nothing in flight.
+func (ProbeFunc) Drain() {}
 
 // Policy chooses which database to probe next (the SelectDb step of
 // the APro algorithm, Figure 11). Policies are immutable values: Next
@@ -127,19 +128,11 @@ var ErrNoInformativeProbe = errors.New("core: no informative probe available")
 // probe.
 func APro(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes int) (Outcome, error) {
 	var out Outcome
-	err := AProInto(s, probe, policy, t, maxProbes, &out)
-	return out, err
-}
-
-// AProInto is APro writing into a caller-owned Outcome, reusing its
-// slices' capacity — the steady-state form for callers that run many
-// selections back to back (paired with Selection.Reuse it keeps the
-// whole probe loop allocation-free).
-func AProInto(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes int, out *Outcome) error {
 	if probe == nil {
-		return fmt.Errorf("core: APro needs a probe function")
+		return out, fmt.Errorf("core: APro needs a probe function")
 	}
-	return AProContext(context.Background(), s, inlineProber(probe), policy, t, maxProbes, out)
+	err := AProContext(context.Background(), s, probe, policy, t, maxProbes, &out)
+	return out, err
 }
 
 // AProContext is the adaptive probing algorithm (Figure 11): starting
@@ -147,8 +140,10 @@ func AProInto(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes
 // the user-required expected correctness t; if not, pick a database
 // with the policy, probe it live, collapse its RD to an impulse, and
 // try again. maxProbes < 0 means unbounded (bounded anyway by the
-// number of databases). out is reset first and holds the best
-// available selection on every return.
+// number of databases). out is reset first, reusing its slices'
+// capacity, and holds the best available selection on every return;
+// paired with Selection.Reuse, a caller running many selections back to
+// back keeps the whole probe loop allocation-free.
 //
 // A failed probe does not fail the selection: the database is treated
 // as serving nothing for this query — its RD collapses to relevancy 0,
@@ -295,19 +290,14 @@ type Greedy struct {
 func (g Greedy) Name() string { return "greedy" }
 
 // usefulness computes the expected usefulness of probing database i:
-// Σ_v P(rᵢ = v) · max_set E[Cor(set) | rᵢ = v] (Figure 13). The
-// hypothesis scope is an explicit begin/end pair, not a callback, so
-// the per-support-value sweep does not allocate a closure.
+// Σ_v P(rᵢ = v) · max_set E[Cor(set) | rᵢ = v] (Figure 13).
 func (g Greedy) usefulness(s *Selection, i int) float64 {
 	rd := s.RD(i)
 	s.work.Hypotheses += rd.Len()
 	u := 0.0
 	for vi := 0; vi < rd.Len(); vi++ {
-		p := rd.Prob(vi)
-		old := s.beginHypothesisIdx(i, vi)
-		_, e := s.best()
-		s.endHypothesisIdx(i, old)
-		u += p * e
+		_, e := s.bestIf(i, vi)
+		u += rd.Prob(vi) * e
 	}
 	return u
 }
@@ -360,7 +350,7 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	// The head and its usefulness are a function of the state when no cost
 	// function weighs in (t never does), so with a memo node they are read
 	// from it, or computed below and stored.
-	node := s.memoNode()
+	node := s.memo
 	if m != 1 || g.Cost != nil {
 		node = nil
 	}
@@ -380,8 +370,8 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	// leaves behind, which a remembered best set would not have built.
 	_, current := s.evaluate()
 	if s.scratch == nil {
-		// Reference-path and degenerate-k selections evaluate without the
-		// scratch; they take one for the rank buffers, once.
+		// Degenerate-k selections evaluate without the scratch; they take
+		// one for the rank buffers, once.
 		s.scratch = acquireScratch()
 	}
 	sc := s.scratch
@@ -423,9 +413,9 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 		sc.picked[ci] = true // until swept
 	}
 
-	// The bound needs the cached marginals, so the partial metric and
-	// the reference path keep the full sweep.
-	bounded := m < nCand && s.metric == Absolute && s.onScratch()
+	// The bound needs the cached marginals, so the partial metric and a
+	// degenerate k keep the full sweep.
+	bounded := m < nCand && s.metric == Absolute && !s.degenerate()
 	if bounded {
 		// When the set search was truncated to the top marginals, current
 		// is not a proven maximum; min(p₍k₎, 1 − p₍k+1₎) over the sorted

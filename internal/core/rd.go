@@ -41,7 +41,7 @@ type RD struct {
 	// (both length len(values)+1, cumLT[0] = cumGE[len] = 0). Built at
 	// construction so prLess/prGreater answer with one binary search
 	// instead of a linear sum — they sit inside the innermost loop of
-	// MembershipProb and the selection scratch rebuild.
+	// the selection scratch's grid build.
 	cumLT []float64
 	cumGE []float64
 }

@@ -7,17 +7,18 @@ import (
 	"metaprobe/internal/stats"
 )
 
-// Selection scratch state: the incremental evaluation engine behind
-// Selection.Best and Selection.Marginals. Every state is evaluated here
-// — the loop's, a one-probe hypothesis of it, and the shells that the
-// lookahead and the optimal policy build for states further on — except
-// when k = n or noScratch pins the reference.
+// Selection scratch state: the one evaluation engine behind
+// Selection.Best, Selection.Marginals and the greedy usefulness. Every
+// state is evaluated here — the loop's, a one-probe hypothesis of it
+// (Selection.bestIf), and the shells that the lookahead and the optimal
+// policy build for states further on — unless k ≤ 0 or k ≥ n, which
+// need no search.
 //
-// The from-scratch evaluation (bestSet/membershipProb) rebuilds, for
-// every membership marginal, a truncated Poisson-binomial DP over the
-// "beats" probabilities of all other databases — O(n·bins²·k) per
-// probe step, allocating fresh slices throughout. The scratch keeps
-// all of that state flat and reusable:
+// Evaluated from scratch (the reference the tests keep in
+// reference_test.go), every membership marginal rebuilds a truncated
+// Poisson-binomial DP over the "beats" probabilities of all other
+// databases — O(n·bins²·k) per probe step, allocating fresh slices
+// throughout. The scratch keeps all of that state flat and reusable:
 //
 //   - a key grid: every support value v of every database dbᵢ defines a
 //     candidate key K = (v, i) in the paper's tie-breaking key order
@@ -55,13 +56,35 @@ import (
 // other product multiplies the live factors only, in the same
 // ascending order.
 //
-// The base (no-hypothesis) tables replicate the reference arithmetic
+// The base (no-hypothesis) tables replicate the from-scratch arithmetic
 // operation for operation — same factor order, same clamps, same early
-// exits — so base results are bit-identical to bestSet, and so is the
-// E[Cor] of any one set under a hypothesis; only a hypothesis's
+// exits — so base results are bit-identical to the reference's, and so
+// is the E[Cor] of any one set under a hypothesis; only a hypothesis's
 // marginals deviate, by deconvolution round-off far below the
 // probEpsilon the policies compare with. The differential tests in
-// incremental_test.go pin both paths together.
+// incremental_test.go pin the two together.
+//
+// Coherence. Three caches stand between a selection and that
+// evaluation, each with one rule; the test named after each fails
+// without it.
+//
+//   - The grid and the term arena (this file) describe the selection's
+//     current RDs, and the kept tails and terms one candidate of them:
+//     every write to Selection.rds marks the grid stale (ApplyProbe hands
+//     collapse the one live database it changed; reset and Reuse
+//     invalidate, or copy a current grid), and a grid built or repaired
+//     (finish) or a new candidate (beginHypothesis) voids hypTail and the
+//     term arena. TestIncrementalMatchesReference.
+//   - The RD-table rows (rdtable.go) are immutable and lag their EDs by
+//     less than one epoch: refinement marks rows dirty, and every
+//     epochObservations observations, and before Next, publishRows
+//     builds the dirty rows anew and stores them through the rows'
+//     atomic pointers. TestObserveProbeRebuildsRDTable.
+//   - The memo slot (memo.go) holds the tree of decisions made from the
+//     rows in place: publishRows stores nil in it before the rows and a
+//     fresh tree after, and FillSelection attaches only when the slot
+//     holds, after its last row read, the tree it held before its first.
+//     TestDecisionMemoFillStraddlesEpoch.
 
 // deconvMaxP bounds the Bernoulli success probability up to which the
 // one-factor deconvolution update is used: each deconvolution step
@@ -124,18 +147,16 @@ type selScratch struct {
 	isLive   []bool
 	deadNeed []int
 
-	// The active hypothesis "dbₕ = w" (Selection.beginHypothesisIdx):
-	// h, the key (w, h), and per database i ≠ h where w falls among i's
-	// keys — κₕ > K for the keys [keyStart[i], hypGTEnd[i]) and κₕ < K for
-	// [hypLessStart[i], keyStart[i+1]); the two meet unless i is an
-	// impulse at NaN.
+	// The active hypothesis "dbₕ = w" (Selection.bestIf), whose h is
+	// the candidate tailDB: the key (w, h), and per database i ≠ h where
+	// w falls among i's keys — κₕ > K for the keys [keyStart[i],
+	// hypGTEnd[i]) and κₕ < K for [hypLessStart[i], keyStart[i+1]); the
+	// two meet unless i is an impulse at NaN.
 	hypActive    bool
-	hypDB        int
 	hypKey       int
 	hypGTEnd     []int
 	hypLessStart []int
 	hypMarg      []float64 // marginals under the hypothesis
-	impulse      *RD       // reusable impulse RD for the rds swap
 	// hypTail[2t+p'] is the tail of key t's DP row with factor tailDB
 	// swapped to p' ∈ {0, 1}, or tailUnset. It is wiped when the
 	// candidate changes and when the scratch is rebuilt.
@@ -204,19 +225,7 @@ func (sc *selScratch) release() {
 
 // invalidate marks the whole scratch stale.
 func (sc *selScratch) invalidate() {
-	sc.valid, sc.collapsed, sc.hypActive = false, -1, false
-}
-
-// hypImpulse returns the scratch-owned impulse RD re-pointed at v. It
-// backs the hypothesis swap in Selection.rds so greedy usefulness
-// sweeps allocate nothing.
-func (sc *selScratch) hypImpulse(v float64) *RD {
-	if sc.impulse == nil {
-		sc.impulse = Impulse(v)
-		return sc.impulse
-	}
-	sc.impulse.setImpulse(v)
-	return sc.impulse
+	sc.valid, sc.collapsed = false, -1
 }
 
 func growInts(buf []int, n int) []int {
@@ -287,7 +296,7 @@ func (sc *selScratch) copyGrid(src *selScratch) {
 	copy(sc.isLive, src.isLive[:n])
 	copy(sc.deadNeed, src.deadNeed[:nK])
 	sc.live = append(sc.live[:0], src.live...)
-	sc.tailDB, sc.hypActive = -1, false
+	sc.tailDB = -1
 	sc.valid, sc.collapsed = true, -1
 }
 
@@ -371,7 +380,7 @@ func (sc *selScratch) collapse(rds []*RD, h int) {
 }
 
 // finish derives the DP rows and marginals from the grid, replicating
-// MembershipProb exactly: for key t of dbᵢ the row's factors are
+// the reference's membership marginal exactly: for key t of dbᵢ the row's factors are
 // P(beats(j, i) | rᵢ = v) = gt[t][j] over j ≠ i ascending, and the
 // marginal is the prob-weighted sum of row tails. What was cached for a
 // candidate is void afterwards.
@@ -420,9 +429,8 @@ func (sc *selScratch) sizeTermTable() {
 
 // dpRowInto fills dst (length k) with the truncated Poisson-binomial
 // DP over factors[j] for j other than skip and skip2 — the same top-down
-// update, factor order and per-factor clamping as
-// stats.PoissonBinomialAtMostInto on the beat probabilities membershipProb
-// would gather.
+// update, factor order and per-factor clamping as the reference's
+// Poisson-binomial tail over the beat probabilities it gathers.
 func (sc *selScratch) dpRowInto(dst, factors []float64, skip, skip2 int) {
 	for c := range dst {
 		dst[c] = 0
@@ -447,7 +455,7 @@ func (sc *selScratch) dpRowInto(dst, factors []float64, skip, skip2 int) {
 }
 
 // sumTail sums a DP row and clamps to 1 — the P(at most k−1 others
-// beat the owner) tail, with PoissonBinomialAtMostInto's clamp.
+// beat the owner) tail, with the reference's clamp.
 func sumTail(row []float64) float64 {
 	sum := 0.0
 	for _, v := range row {
@@ -482,7 +490,7 @@ func (sc *selScratch) beginHypothesis(h, vi int) {
 		return
 	}
 	n, k := sc.n, sc.k
-	sc.hypDB, sc.hypKey = h, sc.keyStart[h]+vi
+	sc.hypKey = sc.keyStart[h] + vi
 	w := sc.keyVal[sc.hypKey]
 	if sc.tailDB != h {
 		tails := sc.hypTail[:2*sc.keyStart[n]]
@@ -580,7 +588,7 @@ func (sc *selScratch) markSet(set []int, on bool) {
 // K)·P(every non-member is below K) for K = key t of set member pivot,
 // with database skip's factor left out of both products (−1: none;
 // skip = pivot: K is the hypothesised key, which dbₕ is at and not
-// above). It mirrors expectedAbsolute: identical factor order, clamps and
+// above). It mirrors the reference E[Cor_a]: identical factor order, clamps and
 // early exits, minus the impulse factors that are exactly 1 and the keys
 // an impulse factor of exactly 0 wipes out, which add +0. set must be
 // ascending and, like skip, marked in setMask.
@@ -635,9 +643,9 @@ func (sc *selScratch) keyTerm(t, pivot int, set []int, skip int) float64 {
 	return pMinEq * pBelow
 }
 
-// expectedAbsolute evaluates E[Cor_a(set)] of the base state from the
-// grid. set must be ascending.
-func (sc *selScratch) expectedAbsolute(set []int) float64 {
+// baseExpected evaluates E[Cor_a(set)] of the base state from the grid.
+// set must be ascending.
+func (sc *selScratch) baseExpected(set []int) float64 {
 	sc.markSet(set, true)
 	total := 0.0
 	for _, pivot := range set {
@@ -662,7 +670,7 @@ func (sc *selScratch) expectedAbsolute(set []int) float64 {
 // counted terms in key order gives the bits the full products would.
 // set must be ascending.
 func (sc *selScratch) hypExpected(set []int) float64 {
-	h := sc.hypDB
+	h := sc.tailDB
 	inSet := false
 	for _, i := range set {
 		inSet = inSet || i == h
@@ -700,7 +708,7 @@ func (sc *selScratch) hypExpected(set []int) float64 {
 // scored the set, computed and, room permitting, kept otherwise. Valid
 // until the next call.
 func (sc *selScratch) termVector(set []int) []float64 {
-	h := sc.hypDB
+	h := sc.tailDB
 	size := 0
 	for _, i := range set {
 		if i != h {
@@ -744,7 +752,7 @@ func (sc *selScratch) termVector(set []int) []float64 {
 }
 
 // searchPool returns how many of the top-marginal candidates the
-// absolute search enumerates over — bestSet's rule, decided once per
+// absolute search enumerates over — the reference's rule, decided once per
 // (n, k) instead of once per call.
 func (sc *selScratch) searchPool() int {
 	if sc.pool == 0 {
@@ -756,11 +764,11 @@ func (sc *selScratch) searchPool() int {
 	return sc.pool
 }
 
-// bestFrom runs bestSet's search over the scratch tables (the base
+// bestFrom runs the best-set search over the scratch tables (the base
 // state, or the hypothesis when one is active), without allocating: the
 // returned set lives in sc.bestBuf and is valid until the next call.
 // Requires 0 < k < n. The candidate ordering, enumeration order,
-// pruning and tie-breaking replicate bestSet exactly.
+// pruning and tie-breaking replicate the reference's exactly.
 func (sc *selScratch) bestFrom(metric Metric) ([]int, float64) {
 	n, k := sc.n, sc.k
 	marg := sc.marg
@@ -797,10 +805,17 @@ func (sc *selScratch) bestFrom(metric Metric) ([]int, float64) {
 	sc.combo = growInts(sc.combo, k)
 	sc.chosen = growInts(sc.chosen, k)
 
-	// Iterative combination enumeration — the same visit order as
-	// bestSet's recursion (idx[d] is the loop variable at depth d, gap[d]
-	// its skipped argument), with the same two marginal-bound prunes,
-	// kept loop-shaped so the hot path allocates no closures.
+	// Iterative combination enumeration — the same visit order as the
+	// reference's recursion (idx[d] is the loop variable at depth d,
+	// gap[d] the first candidate position the combination leaves out, −1
+	// while it is a gapless prefix), kept loop-shaped so the hot path
+	// allocates no closures. Two exact bounds prune it: a correct set has
+	// every member in the true top-k and every non-member outside it, so
+	// E[Cor_a(S)] ≤ min_{i∈S} P(i ∈ topk) and
+	// E[Cor_a(S)] ≤ 1 − max_{j∉S} P(j ∈ topk). Candidates go by
+	// decreasing marginal, so the best excluded database is the first
+	// position skipped, and once either bound cannot beat the incumbent
+	// the whole suffix at this depth goes with it.
 	bestE := -1.0
 	idx, gap := sc.comboIdx, sc.comboGap
 	depth := 0
@@ -829,7 +844,7 @@ func (sc *selScratch) bestFrom(metric Metric) ([]int, float64) {
 			if sc.hypActive {
 				e = sc.hypExpected(sc.chosen)
 			} else {
-				e = sc.expectedAbsolute(sc.chosen)
+				e = sc.baseExpected(sc.chosen)
 			}
 			if e > bestE {
 				bestE = e
@@ -845,7 +860,7 @@ func (sc *selScratch) bestFrom(metric Metric) ([]int, float64) {
 }
 
 // insertionSortByDesc stably sorts order by score descending (ties
-// keep ascending-index order) — the same result as bestSet's stable
+// keep ascending-index order) — the same result as the reference's stable
 // sort, without sort.SliceStable's closure allocation.
 func insertionSortByDesc(order []int, score []float64) {
 	for i := 1; i < len(order); i++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -44,27 +45,32 @@ func gridRDs(rng *rand.Rand, n, live, nVals, span int) []*RD {
 	return rds
 }
 
-// checkHypothesisTerms opens every hypothesis of every candidate in hs
+// checkHypothesisTerms takes every hypothesis of every candidate in hs
 // and compares, for the searched best set and then for every k-set, the
-// scratch's E[Cor_a] with the reference on the RD slice the hypothesis
-// swapped its impulse into. It returns, over the last candidate, how
-// many set scorings there were, how many found their term vector kept,
-// and the number of k-sets.
+// scratch's E[Cor_a] with the reference on the RDs with the hypothesis's
+// impulse swapped in. It returns, over the last candidate, how many set
+// scorings there were, how many found their term vector kept, and the
+// number of k-sets.
 func checkHypothesisTerms(t *testing.T, label string, rds []*RD, k int, hs []int) (scored, shared, sets int) {
 	t.Helper()
 	n := len(rds)
 	sel := NewSelectionFromRDs(rds, Absolute, k)
 	defer sel.Release()
+	hypRDs := slices.Clone(rds)
 	for _, h := range hs {
 		scored, shared = 0, 0
 		for vi := 0; vi < rds[h].Len(); vi++ {
-			old := sel.beginHypothesisIdx(h, vi)
-			set, e := sel.evaluate()
+			w := rds[h].Value(vi)
+			hypRDs[h] = Impulse(w)
+			set, e := sel.bestIf(h, vi)
 			sc := sel.scratch
-			if ref := expectedAbsolute(sel.rds, set); !sameBits(e, ref) {
-				t.Fatalf("%s: db%d = %v: best set %v scores %x, reference %x", label, h, sel.rds[h].Value(0), set, e, ref)
+			if ref := expectedAbsolute(hypRDs, set); !sameBits(e, ref) {
+				t.Fatalf("%s: db%d = %v: best set %v scores %x, reference %x", label, h, w, set, e, ref)
 			}
 			scored, shared = scored+sc.sets, shared+sc.shared
+			// Re-armed, the overlay scores every k-set; an impulse arms
+			// nothing.
+			sc.beginHypothesis(h, vi)
 			if sc.hypActive != !rds[h].isImpulse() {
 				t.Fatalf("%s: db%d (impulse %v): hypothesis armed %v", label, h, rds[h].isImpulse(), sc.hypActive)
 			}
@@ -72,15 +78,16 @@ func checkHypothesisTerms(t *testing.T, label string, rds []*RD, k int, hs []int
 				sc.shared, sets = 0, 0
 				forEachKSet(n, k, func(set []int) {
 					sets++
-					got, ref := sc.hypExpected(set), expectedAbsolute(sel.rds, set)
+					got, ref := sc.hypExpected(set), expectedAbsolute(hypRDs, set)
 					if !sameBits(got, ref) {
-						t.Fatalf("%s: db%d = %v, set %v: E[Cor_a] %x, reference %x", label, h, sel.rds[h].Value(0), set, got, ref)
+						t.Fatalf("%s: db%d = %v, set %v: E[Cor_a] %x, reference %x", label, h, w, set, got, ref)
 					}
 				})
 				scored, shared = scored+sets, shared+sc.shared
+				sc.hypActive = false
 			}
-			sel.endHypothesisIdx(h, old)
 		}
+		hypRDs[h] = rds[h]
 	}
 	return scored, shared, sets
 }

@@ -12,8 +12,9 @@ type Stage int
 
 const (
 	// StageECorDP is the best-set search / E[Cor] evaluation
-	// (Selection.Best → bestSet → MembershipProb's DP), as invoked at
-	// the top level of the APro loop.
+	// (Selection.BestView: the decision memo, else the scratch's
+	// marginal DP and set search), as invoked at the top level of the
+	// APro loop.
 	StageECorDP Stage = iota
 	// StageProbe is live probe I/O — for the sequential loop the probe
 	// call itself, for the concurrent executor the time the loop spends
@@ -21,7 +22,7 @@ const (
 	StageProbe
 	// StageRank is probe-candidate selection (Policy.Next /
 	// Ranker.Rank). For the greedy policy this includes the
-	// per-outcome hypothetical Best() evaluations of Figure 13, which
+	// per-outcome hypothetical best-set evaluations of Figure 13, which
 	// is exactly why it dominates: usefulness is E[Cor] under every
 	// outcome of every candidate probe.
 	StageRank

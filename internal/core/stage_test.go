@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -28,11 +29,11 @@ func mustRD(values, probs []float64) *RD {
 // tallies nothing, so none of its stage boundaries read the clock.
 func TestStageObserverDisabledIsFree(t *testing.T) {
 	template, s := stageTestSelection(), stageTestSelection()
-	probe := func(i int) (float64, error) { return template.Estimate(i), nil }
+	probe := ProbeFunc(func(i int) (float64, error) { return template.Estimate(i), nil })
 	var out Outcome
 	run := func() {
 		s.Reuse(template)
-		if err := AProInto(s, probe, Greedy{}, 0.999999, -1, &out); err != nil {
+		if err := AProContext(context.Background(), s, probe, Greedy{}, 0.999999, -1, &out); err != nil {
 			t.Fatal(err)
 		}
 	}

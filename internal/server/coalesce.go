@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"metaprobe"
 	"metaprobe/internal/obs"
 )
 
@@ -28,7 +29,7 @@ import (
 // call is one in-flight coalesced selection.
 type call struct {
 	done chan struct{}
-	res  *selectAnswer
+	res  *metaprobe.SelectionResult
 	err  error
 	// waiters is written under coalescer.mu while the call is listed;
 	// the final value is published before done closes.
@@ -124,7 +125,7 @@ func coalesceKey(tenant, query string, k int, metric string, t float64, maxProbe
 // already-inflight run (false for the leader), and fanout how many
 // requests the completed run served (0 when the caller's ctx expired
 // before the run finished).
-func (c *coalescer) do(ctx context.Context, tenant, key string, fn func(ctx context.Context) (*selectAnswer, error)) (ans *selectAnswer, joined bool, fanout int64, err error) {
+func (c *coalescer) do(ctx context.Context, tenant, key string, fn func(ctx context.Context) (*metaprobe.SelectionResult, error)) (ans *metaprobe.SelectionResult, joined bool, fanout int64, err error) {
 	c.mu.Lock()
 	ser := c.seriesFor(tenant)
 	ser.requests.Inc()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"metaprobe"
 	"metaprobe/internal/obs"
 )
 
@@ -19,15 +20,15 @@ func TestCoalesceFanout(t *testing.T) {
 	var runs atomic.Int64
 	release := make(chan struct{})
 	entered := make(chan struct{}, n)
-	want := &selectAnswer{databases: []string{"a", "b"}, certainty: 0.93}
-	fn := func(ctx context.Context) (*selectAnswer, error) {
+	want := &metaprobe.SelectionResult{Databases: []string{"a", "b"}, Certainty: 0.93}
+	fn := func(ctx context.Context) (*metaprobe.SelectionResult, error) {
 		runs.Add(1)
 		<-release
 		return want, nil
 	}
 
 	var wg sync.WaitGroup
-	results := make([]*selectAnswer, n)
+	results := make([]*metaprobe.SelectionResult, n)
 	joins := make([]bool, n)
 	fans := make([]int64, n)
 	for i := 0; i < n; i++ {
@@ -89,9 +90,9 @@ func TestCoalesceFanout(t *testing.T) {
 func TestCoalesceWaiterCancelKeepsRun(t *testing.T) {
 	c := newCoalescer(context.Background(), nil)
 	release := make(chan struct{})
-	want := &selectAnswer{databases: []string{"x"}}
+	want := &metaprobe.SelectionResult{Databases: []string{"x"}}
 	var runCanceled atomic.Bool
-	fn := func(ctx context.Context) (*selectAnswer, error) {
+	fn := func(ctx context.Context) (*metaprobe.SelectionResult, error) {
 		<-release
 		if ctx.Err() != nil {
 			runCanceled.Store(true)
@@ -102,7 +103,7 @@ func TestCoalesceWaiterCancelKeepsRun(t *testing.T) {
 
 	// Leader in one goroutine.
 	type out struct {
-		ans *selectAnswer
+		ans *metaprobe.SelectionResult
 		err error
 	}
 	leaderDone := make(chan out, 1)
@@ -156,9 +157,9 @@ func TestCoalesceWaiterCancelKeepsRun(t *testing.T) {
 func TestCoalesceCompletedRunNotReused(t *testing.T) {
 	c := newCoalescer(context.Background(), nil)
 	var runs atomic.Int64
-	fn := func(ctx context.Context) (*selectAnswer, error) {
+	fn := func(ctx context.Context) (*metaprobe.SelectionResult, error) {
 		n := runs.Add(1)
-		return &selectAnswer{id: fmt.Sprintf("run-%d", n)}, nil
+		return &metaprobe.SelectionResult{ID: fmt.Sprintf("run-%d", n)}, nil
 	}
 	a1, _, _, err := c.do(context.Background(), "default", "k", fn)
 	if err != nil {
@@ -171,8 +172,8 @@ func TestCoalesceCompletedRunNotReused(t *testing.T) {
 	if joined {
 		t.Error("sequential request reported joined")
 	}
-	if runs.Load() != 2 || a1.id == a2.id {
-		t.Errorf("sequential requests shared a run: %d runs, ids %q/%q", runs.Load(), a1.id, a2.id)
+	if runs.Load() != 2 || a1.ID == a2.ID {
+		t.Errorf("sequential requests shared a run: %d runs, ids %q/%q", runs.Load(), a1.ID, a2.ID)
 	}
 }
 

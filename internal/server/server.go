@@ -276,20 +276,6 @@ func (s *Server) Close() {
 	}
 }
 
-// selectAnswer is the service-internal result of one selection run —
-// the coalescer's fan-out unit. All waiters of a coalesced run share
-// one instance; it is read-only after publication.
-type selectAnswer struct {
-	databases []string
-	certainty float64
-	probes    int
-	reached   bool
-	degraded  bool
-	excluded  []string
-	id        string
-	traceID   string
-}
-
 // Do serves one selection request end to end: admission (tier
 // decision), coalescing, tiered execution, metrics. It is the
 // transport-independent core the HTTP handler and in-process callers
@@ -312,7 +298,7 @@ func (s *Server) Do(ctx context.Context, req SelectRequest) (*SelectResponse, er
 	defer s.adm.release()
 
 	key := coalesceKey(ten.name, req.Query, req.K, req.Metric, req.Threshold, req.MaxProbes, tier)
-	ans, joined, fanout, err := s.coal.do(ctx, ten.name, key, func(runCtx context.Context) (*selectAnswer, error) {
+	ans, joined, fanout, err := s.coal.do(ctx, ten.name, key, func(runCtx context.Context) (*metaprobe.SelectionResult, error) {
 		runCtx, cancel := context.WithTimeout(runCtx, s.cfg.RunTimeout)
 		defer cancel()
 		return s.run(runCtx, ten, tier, req, metric)
@@ -327,14 +313,14 @@ func (s *Server) Do(ctx context.Context, req SelectRequest) (*SelectResponse, er
 		ShedReason:  shedReason,
 		Coalesced:   joined,
 		Fanout:      fanout,
-		Databases:   ans.databases,
-		Certainty:   ans.certainty,
-		Probes:      ans.probes,
-		Reached:     ans.reached,
-		Degraded:    ans.degraded,
-		ExcludedDBs: ans.excluded,
-		ID:          ans.id,
-		TraceID:     ans.traceID,
+		Databases:   ans.Databases,
+		Certainty:   ans.Certainty,
+		Probes:      ans.Probes,
+		Reached:     ans.Reached,
+		Degraded:    ans.Degraded,
+		ExcludedDBs: ans.ExcludedDBs,
+		ID:          ans.ID,
+		TraceID:     ans.TraceID,
 		ElapsedMs:   float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if s.cfg.Metrics != nil {
@@ -409,32 +395,19 @@ func parseMetric(s string) (metaprobe.Metric, error) {
 // run executes one selection at the admitted tier. Every tier answers
 // from the tenant's current serving model version; only TierFull
 // issues live probes.
-func (s *Server) run(ctx context.Context, ten *tenant, tier Tier, req SelectRequest, metric metaprobe.Metric) (*selectAnswer, error) {
+func (s *Server) run(ctx context.Context, ten *tenant, tier Tier, req SelectRequest, metric metaprobe.Metric) (*metaprobe.SelectionResult, error) {
 	switch tier {
 	case TierFull:
-		res, err := ten.ms.SelectWithCertaintyContext(ctx, req.Query, req.K, metric, req.Threshold, req.MaxProbes)
-		if err != nil {
-			return nil, err
-		}
-		return &selectAnswer{
-			databases: res.Databases,
-			certainty: res.Certainty,
-			probes:    res.Probes,
-			reached:   res.Reached,
-			degraded:  res.Degraded,
-			excluded:  res.ExcludedDBs,
-			id:        res.ID,
-			traceID:   res.TraceID,
-		}, nil
+		return ten.ms.SelectWithCertaintyContext(ctx, req.Query, req.K, metric, req.Threshold, req.MaxProbes)
 	case TierRDOnly:
 		names, certainty, err := ten.ms.SelectContext(ctx, req.Query, req.K, metric)
 		if err != nil {
 			return nil, err
 		}
-		return &selectAnswer{
-			databases: names,
-			certainty: certainty,
-			reached:   certainty >= req.Threshold,
+		return &metaprobe.SelectionResult{
+			Databases: names,
+			Certainty: certainty,
+			Reached:   certainty >= req.Threshold,
 		}, nil
 	default: // TierRhatOnly
 		// The baseline needs no trained model and issues no probes; it
@@ -442,7 +415,7 @@ func (s *Server) run(ctx context.Context, ten *tenant, tier Tier, req SelectRequ
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return &selectAnswer{databases: ten.ms.SelectBaseline(req.Query, req.K)}, nil
+		return &metaprobe.SelectionResult{Databases: ten.ms.SelectBaseline(req.Query, req.K)}, nil
 	}
 }
 

@@ -56,22 +56,22 @@ func TestDoTierExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rd.databases, wantSet) || rd.certainty != wantE {
-		t.Errorf("rd_only answered (%v, %v), want (%v, %v)", rd.databases, rd.certainty, wantSet, wantE)
+	if !reflect.DeepEqual(rd.Databases, wantSet) || rd.Certainty != wantE {
+		t.Errorf("rd_only answered (%v, %v), want (%v, %v)", rd.Databases, rd.Certainty, wantSet, wantE)
 	}
-	if rd.probes != 0 {
-		t.Errorf("rd_only spent %d probes, want 0", rd.probes)
+	if rd.Probes != 0 {
+		t.Errorf("rd_only spent %d probes, want 0", rd.Probes)
 	}
 
 	rhat, err := s.run(context.Background(), ten, TierRhatOnly, req, metaprobe.Absolute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rhat.databases, ms.SelectBaseline(q, 3)) {
-		t.Errorf("rhat_only answered %v, want the baseline ranking", rhat.databases)
+	if !reflect.DeepEqual(rhat.Databases, ms.SelectBaseline(q, 3)) {
+		t.Errorf("rhat_only answered %v, want the baseline ranking", rhat.Databases)
 	}
-	if rhat.probes != 0 || rhat.certainty != 0 {
-		t.Errorf("rhat_only claimed probes=%d certainty=%v, want 0/0", rhat.probes, rhat.certainty)
+	if rhat.Probes != 0 || rhat.Certainty != 0 {
+		t.Errorf("rhat_only claimed probes=%d certainty=%v, want 0/0", rhat.Probes, rhat.Certainty)
 	}
 }
 

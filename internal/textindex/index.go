@@ -26,7 +26,8 @@ type Index struct {
 	// lists are capped windows of one arena.
 	postings map[string][]posting
 	docIDs   []string
-	docLen   []int // number of terms per document
+	// totalTerms is the number of term occurrences indexed so far.
+	totalTerms int
 
 	// docNorm holds the tf·idf vector norms of the current build. The
 	// first Search after a change computes them, once, under normOnce
@@ -70,7 +71,7 @@ func (ix *Index) Add(id, text string) int {
 		ix.counts[term]++
 		n++
 	})
-	ix.docLen = append(ix.docLen, n)
+	ix.totalTerms += n
 	ix.post(ord)
 	return int(ord)
 }
@@ -83,7 +84,7 @@ func (ix *Index) AddTerms(id string, terms []string) int {
 	for _, t := range terms {
 		ix.counts[t]++
 	}
-	ix.docLen = append(ix.docLen, len(terms))
+	ix.totalTerms += len(terms)
 	ix.post(ord)
 	return int(ord)
 }
@@ -101,11 +102,12 @@ func (ix *Index) post(ord int32) {
 }
 
 // Compact moves every posting list into one arena sized to their
-// total, so no list keeps the spare capacity that appending left it.
-// Call it once building is done. Each list is capped where it ends, so a
-// later Add or AddTerms re-grows only the lists it touches; the lists
-// keep their ordinal order.
+// total, so no list keeps the spare capacity that appending left it, and
+// trims the document IDs to their length. Call it once building is done.
+// Each list is capped where it ends, so a later Add or AddTerms re-grows
+// only the lists it touches; the lists keep their ordinal order.
 func (ix *Index) Compact() {
+	ix.docIDs = append(make([]string, 0, len(ix.docIDs)), ix.docIDs...)
 	total := 0
 	for _, pl := range ix.postings {
 		total += len(pl)
@@ -123,13 +125,7 @@ func (ix *Index) Size() int { return len(ix.docIDs) }
 
 // TotalTerms returns the total number of term occurrences indexed (the
 // collection word count cw used by CORI-style selection).
-func (ix *Index) TotalTerms() int {
-	total := 0
-	for _, n := range ix.docLen {
-		total += n
-	}
-	return total
-}
+func (ix *Index) TotalTerms() int { return ix.totalTerms }
 
 // VocabularyFrequencies returns (term, document frequency) for every
 // distinct term — the raw material of a content summary (Figure 2 of

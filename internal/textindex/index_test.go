@@ -251,6 +251,9 @@ func TestCompact(t *testing.T) {
 			t.Errorf("term %q: capacity %d for %d postings", term, cap(pl), len(pl))
 		}
 	}
+	if cap(ix.docIDs) != len(ix.docIDs) {
+		t.Errorf("document IDs: capacity %d for %d documents", cap(ix.docIDs), len(ix.docIDs))
+	}
 	before := make(map[string][]posting, len(ix.postings))
 	for term, pl := range ix.postings {
 		before[term] = append([]posting(nil), pl...)
@@ -277,12 +280,13 @@ func TestCompact(t *testing.T) {
 
 func TestAddTerms(t *testing.T) {
 	ix := NewIndex(nil)
+	before := ix.TotalTerms()
 	ix.AddTerms("d0", []string{"alpha", "beta", "alpha"})
 	if got := ix.MatchCount("alpha beta"); got != 1 {
 		t.Errorf("MatchCount = %d, want 1", got)
 	}
-	if ix.docLen[0] != 3 {
-		t.Errorf("document length = %d, want 3", ix.docLen[0])
+	if n := ix.TotalTerms() - before; n != 3 {
+		t.Errorf("document length = %d, want 3", n)
 	}
 	if ix.docIDs[0] != "d0" {
 		t.Errorf("document ID = %q", ix.docIDs[0])
@@ -485,6 +489,7 @@ func TestCountsCarryNothingToTheNextDocument(t *testing.T) {
 		t.Run(add.name, func(t *testing.T) {
 			ix := NewIndex(newTokenizer(tokenizerConfig{}))
 			add.fn(ix, "long", long)
+			afterLong := ix.TotalTerms()
 			add.fn(ix, "short", short)
 			fresh := NewIndex(newTokenizer(tokenizerConfig{}))
 			add.fn(fresh, "short", short)
@@ -493,8 +498,8 @@ func TestCountsCarryNothingToTheNextDocument(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("second document's postings %v, a fresh index's %v", got, want)
 			}
-			if ix.docLen[1] != fresh.docLen[0] {
-				t.Errorf("document length = %d, a fresh index's %d", ix.docLen[1], fresh.docLen[0])
+			if n := ix.TotalTerms() - afterLong; n != fresh.TotalTerms() {
+				t.Errorf("document length = %d, a fresh index's %d", n, fresh.TotalTerms())
 			}
 			if got := docPostings(ix, 0)["t1"]; got != 4 {
 				t.Errorf("first document's tf(t1) = %d, want 4", got)
