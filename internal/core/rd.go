@@ -87,6 +87,11 @@ func newRD(values, probs []float64) (*RD, error) {
 		rd.values = append(rd.values, pr.v)
 		rd.probs = append(rd.probs, p)
 	}
+	if len(rd.probs) == 1 {
+		// Merged duplicates' normalised sum can round below 1; an impulse
+		// is exact, as the selection scratch assumes of every impulse.
+		rd.probs[0] = 1
+	}
 	rd.finalize()
 	return rd, nil
 }

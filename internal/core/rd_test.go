@@ -56,6 +56,21 @@ func TestImpulse(t *testing.T) {
 	}
 }
 
+// TestOnePointRDIsExactImpulse: merged duplicates that leave one support
+// value must give it probability exactly 1, not the round-off of their
+// normalised sum. The scratch treats every impulse's factors as exactly 0
+// or 1 (keyTerm leaves them out, the DP rows shift for them), so an
+// impulse whose P(X > v) is 1 − 2⁻⁵³ would change bits.
+func TestOnePointRDIsExactImpulse(t *testing.T) {
+	rd := MustRD([]float64{5, 5, 5}, []float64{0.73, 0.93, 0.43})
+	if !rd.isImpulse() || rd.Prob(0) != 1 {
+		t.Fatalf("one-point RD %v has P(5) = %x, want exactly 1", rd, rd.Prob(0))
+	}
+	if rd.prGreater(4) != 1 || rd.prLess(6) != 1 || rd.prEq(5) != 1 {
+		t.Fatalf("one-point RD: P(X > 4) = %x, P(X < 6) = %x, P(X = 5) = %x, want 1", rd.prGreater(4), rd.prLess(6), rd.prEq(5))
+	}
+}
+
 func TestRDCDFOps(t *testing.T) {
 	rd := MustRD([]float64{50, 100, 150}, []float64{0.4, 0.5, 0.1})
 	cases := []struct {
