@@ -263,9 +263,10 @@ type Selection struct {
 // counts hits and zeros.
 type RankWork struct {
 	// Swept counts probe candidates whose usefulness was evaluated,
-	// Skipped those the marginal bound ruled out unevaluated.
-	Swept, Skipped int
-	// Hypotheses counts "suppose dbₕ yields w" evaluations.
+	// Skipped those the per-value bound ruled out unevaluated, and
+	// Abandoned those it ruled out part way through their support values.
+	Swept, Skipped, Abandoned int
+	// Hypotheses counts the "suppose dbₕ yields w" evaluations made.
 	Hypotheses int
 	// Sets counts k-sets whose E[Cor] was computed, in the base and the
 	// hypothesis searches alike; SetsShared those of them, all under a

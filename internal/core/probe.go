@@ -302,6 +302,58 @@ func (g Greedy) usefulness(s *Selection, i int) float64 {
 	return u
 }
 
+// boundedUsefulness is usefulness for a candidate that may be left out:
+// it evaluates h's support values most probable first and gives up,
+// reporting false, as soon as what it has found plus the caps of the
+// values still to go (Σ P·E + Σ P·cap, valueCaps) scores below cut. A
+// candidate that finishes sums its terms in ascending value order, as
+// usefulness does, so its bits are the same.
+func (g Greedy) boundedUsefulness(s *Selection, h int, ceiling, current, cost, cut float64) (float64, bool) {
+	sc := s.scratch
+	rd := s.RD(h)
+	nv := rd.Len()
+	sc.valCap = growFloats(sc.valCap, nv)
+	sc.valE = growFloats(sc.valE, nv)
+	sc.valRest = growFloats(sc.valRest, nv+1)
+	sc.valOrder = growInts(sc.valOrder, nv)
+	sc.valueCaps(rd, h, ceiling, sc.valCap)
+	for vi := range sc.valOrder {
+		sc.valOrder[vi] = vi
+	}
+	insertionSortByDesc(sc.valOrder, rd.probs)
+	sc.valRest[nv] = 0
+	for x := nv - 1; x >= 0; x-- {
+		vi := sc.valOrder[x]
+		sc.valRest[x] = sc.valRest[x+1] + rd.Prob(vi)*sc.valCap[vi]
+	}
+	found := 0.0
+	for x, vi := range sc.valOrder {
+		_, e := s.bestIf(h, vi)
+		s.work.Hypotheses++
+		sc.valE[vi] = e
+		found += rd.Prob(vi) * e
+		if x < nv-1 && g.score(found+sc.valRest[x+1], current, cost) < cut {
+			return 0, false
+		}
+	}
+	u := 0.0
+	for vi := 0; vi < nv; vi++ {
+		u += rd.Prob(vi) * sc.valE[vi]
+	}
+	return u, true
+}
+
+// score is what Rank compares a usefulness u of a probe costing cost by:
+// u itself, or with a cost function the gain over current per unit of
+// cost — the gain, not the level, so that two candidates of equal
+// usefulness but different cost prefer the cheaper probe.
+func (g Greedy) score(u, current, cost float64) float64 {
+	if g.Cost == nil {
+		return u
+	}
+	return (u - current) / cost
+}
+
 // Next implements Policy: the top-ranked candidate.
 func (g Greedy) Next(s *Selection, t float64) (int, error) {
 	dbs, _, err := g.Rank(s, t, 1)
@@ -320,16 +372,24 @@ func (g Greedy) Next(s *Selection, t float64) (int, error) {
 // does not allocate and the policy itself holds no state.
 //
 // When fewer than all candidates are asked for, the absolute metric
-// lets Rank leave some unevaluated. With B the best E[Cor] over all
-// k-sets now and p = P(dbₕ ∈ top-k), the usefulness of probing dbₕ is
-// at most B + 2·min(p, 1−p): a set without h is the true top-k only if
-// it is the top-k of the others, an event independent of r_h whose
-// probability is at most B + p, and a set with h is the top-k only if
-// h is in it, which given r_h = w has probability P(h ∈ top-k | w);
-// max ≤ sum, and averaging over w gives B + 2p. Trading "without" and
-// "with" gives B + 2(1−p). Candidates are swept in decreasing order of
-// that bound, and the sweep stops once the bound, plus a margin, is
-// below the m-th best exact score so far.
+// lets Rank leave some unevaluated, or unfinished. Take C ≥ the best
+// E[Cor] over all k-sets now, p = P(dbₕ ∈ top-k) and, for each support
+// value v of dbₕ, tail_v = P(h ∈ top-k | r_h = v), the tail of key
+// (v, h)'s DP row. Given r_h = v, a set without h is the true top-k only
+// if it is the top-k of the others, an event independent of r_h whose
+// probability is at most C + p, and only if h is not in the top-k,
+// which has probability 1 − tail_v; a set with h is the top-k only if h
+// is in it (tail_v), and only if the set without h is the top-(k−1) of
+// the others, which has probability at most C + 1 − p. So
+// max_S E[Cor(S) | v] ≤ cap_v = min(max(min(1, C + p), tail_v),
+// max(min(1, C + 1 − p), 1 − tail_v)), and the usefulness of probing dbₕ
+// is at most Σ_v P(v)·cap_v, never more than the B + 2·min(p, 1−p) the
+// same argument gives averaged over v. Candidates are swept in
+// decreasing order of that bound, and the sweep stops once the bound,
+// plus a margin, is below the m-th best exact score so far. Once m
+// scores are in, a candidate's values go most probable first, and it is
+// given up (Abandoned) as soon as the values evaluated plus the caps of
+// the rest, plus the margin, fall below that score too.
 //
 // The margin is (candidates + 2)·probEpsilon + pruneSlack and not one
 // epsilon, because the comparison rule is not transitive: it lets an
@@ -340,8 +400,9 @@ func (g Greedy) Next(s *Selection, t float64) (int, error) {
 // candidate more than that many epsilons below the m-th best score can
 // hold the lead only while every score seen is as low as its own, and
 // loses it to the first of the top m to arrive, so leaving it out of the
-// scan changes none of the first m places: the ranking returned is
-// exactly the first m entries of the full sweep's.
+// scan, unevaluated or unfinished, changes none of the first m places:
+// the ranking returned is exactly the first m entries of the full
+// sweep's.
 func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	unprobed := s.UnprobedView()
 	if len(unprobed) == 0 {
@@ -416,40 +477,41 @@ func (g Greedy) Rank(s *Selection, t float64, m int) ([]int, []float64, error) {
 	// The bound needs the cached marginals, so the partial metric and a
 	// degenerate k keep the full sweep.
 	bounded := m < nCand && s.metric == Absolute && !s.degenerate()
+	ceiling := current
 	if bounded {
 		// When the set search was truncated to the top marginals, current
 		// is not a proven maximum; min(p₍k₎, 1 − p₍k+1₎) over the sorted
 		// marginals is (every k-set has a member at or below the k-th and
 		// leaves out one at or above the k+1-th).
-		ceiling := current
 		if !sc.exhaustive {
 			ceiling = min(sc.marg[sc.order[s.k-1]], 1-sc.marg[sc.order[s.k]])
 		}
 		sc.candBound = growFloats(sc.candBound, nCand)
 		for ci, i := range sc.candIdx {
-			bound := ceiling + 2*min(sc.marg[i], 1-sc.marg[i])
-			if g.Cost != nil {
-				bound = (bound - current) / sc.candCost[ci]
-			}
-			sc.candBound[ci] = bound
+			rd := s.RD(i)
+			sc.valCap = growFloats(sc.valCap, rd.Len())
+			sc.candBound[ci] = g.score(sc.valueCaps(rd, i, ceiling, sc.valCap), current, sc.candCost[ci])
 		}
 		insertionSortByDesc(sc.sweep, sc.candBound)
 	}
 	margin := float64(nCand+2)*probEpsilon + pruneSlack
 	top := growFloats(sc.topScores, m)[:0] // best scores so far, descending
 	for n, ci := range sc.sweep {
-		if bounded && len(top) == m && sc.candBound[ci]+margin < top[m-1] {
-			s.work.Skipped += nCand - n
-			break
+		var raw float64
+		if bounded && len(top) == m {
+			if sc.candBound[ci]+margin < top[m-1] {
+				s.work.Skipped += nCand - n
+				break
+			}
+			var placed bool
+			if raw, placed = g.boundedUsefulness(s, sc.candIdx[ci], ceiling, current, sc.candCost[ci], top[m-1]-margin); !placed {
+				s.work.Abandoned++
+				continue
+			}
+		} else {
+			raw = g.usefulness(s, sc.candIdx[ci])
 		}
-		raw := g.usefulness(s, sc.candIdx[ci])
-		score := raw
-		if g.Cost != nil {
-			// Normalize the *gain* by cost, not the absolute level:
-			// two candidates with equal usefulness but different cost
-			// should prefer the cheaper probe.
-			score = (score - current) / sc.candCost[ci]
-		}
+		score := g.score(raw, current, sc.candCost[ci])
 		sc.candRaw[ci], sc.candScore[ci], sc.picked[ci] = raw, score, false
 		s.work.Swept++
 		if len(top) < m {

@@ -100,12 +100,15 @@ func assertRankPrefix(t *testing.T, label string, g Greedy, s *Selection, thr fl
 // requires Rank(m) for m = 1, 2, 4 to be the prefix of the sweep that
 // evaluates every candidate — over tie-heavy grids, the cold serving
 // shape, truncated set searches (ones that miss the best set among
-// them), k = 1..3 and 5, and uniform and non-uniform probe costs.
+// them), k = 1..3 and 5, and uniform and non-uniform probe costs. Every
+// shape must skip candidates, and some must give candidates up part way
+// through their support values.
 func TestRankMatchesFullSweep(t *testing.T) {
 	policies := map[string]Greedy{
 		"uniform": {},
 		"costed":  {Cost: func(i int) float64 { return []float64{1, 0.25, 3, 1.5}[i%4] }},
 	}
+	abandoned := 0
 	for _, shape := range rankShapes {
 		for costName, g := range policies {
 			var work RankWork
@@ -136,13 +139,18 @@ func TestRankMatchesFullSweep(t *testing.T) {
 				w := sel.Work()
 				work.Swept += w.Swept
 				work.Skipped += w.Skipped
+				work.Abandoned += w.Abandoned
 				sel.Release()
 			}
 			if steps == 0 || work.Skipped == 0 {
 				t.Errorf("%s/%s: %d steps skipped %d candidates (swept %d): the comparison never met the bound",
 					shape.name, costName, steps, work.Skipped, work.Swept)
 			}
+			abandoned += work.Abandoned
 		}
+	}
+	if abandoned == 0 {
+		t.Error("no candidate was given up part way: the per-value bound never stopped a sweep")
 	}
 }
 
@@ -204,8 +212,8 @@ func TestRankPartialKeepsFullSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := sel.Work()
-		if w.Swept+w.Skipped != len(rds) {
-			t.Errorf("%v: swept %d + skipped %d candidates, want %d", metric, w.Swept, w.Skipped, len(rds))
+		if w.Swept+w.Skipped+w.Abandoned != len(rds) {
+			t.Errorf("%v: swept %d + skipped %d + abandoned %d candidates, want %d", metric, w.Swept, w.Skipped, w.Abandoned, len(rds))
 		}
 		skipped[metric] = w.Skipped
 		sel.Release()
@@ -230,7 +238,10 @@ func referenceUsefulness(rds []*RD, h, k int) float64 {
 
 // TestUsefulnessMarginalBound is the inequality Rank skips by, on the
 // reference evaluation: U_h ≤ B + 2·min(p_h, 1 − p_h) with B the best
-// E[Cor_a] over every k-set (n ≤ 7: the search is exhaustive).
+// E[Cor_a] over every k-set (n ≤ 7: the search is exhaustive), and per
+// support value, the one Rank skips and gives up by: the best E[Cor_a]
+// given r_h = v is at most cap_v = min(max(min(1, B + p), tail_v),
+// max(min(1, B + 1 − p), 1 − tail_v)), with tail_v = P(h ∈ top-k | r_h = v).
 func TestUsefulnessMarginalBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
@@ -246,6 +257,17 @@ func TestUsefulnessMarginalBound(t *testing.T) {
 			u := referenceUsefulness(rds, h, k)
 			if bound := b + 2*min(p, 1-p); u > bound+pruneSlack {
 				t.Fatalf("trial %d n=%d k=%d db %d: usefulness %v above B %v + 2·min(%v, 1−%v) = %v", trial, n, k, h, u, b, p, p, bound)
+			}
+			hyp := append([]*RD(nil), rds...)
+			for vi := 0; vi < rds[h].Len(); vi++ {
+				hyp[h] = Impulse(rds[h].Value(vi))
+				_, e := bestSet(Absolute, hyp, k)
+				tail := membershipProb(hyp, h, k)
+				c := min(max(min(1, b+p), tail), max(min(1, b+1-p), 1-tail))
+				if e > c+pruneSlack {
+					t.Fatalf("trial %d n=%d k=%d db %d = %v: best E[Cor] %v above cap %v (B %v, p %v, tail %v)",
+						trial, n, k, h, rds[h].Value(vi), e, c, b, p, tail)
+				}
 			}
 		}
 	}

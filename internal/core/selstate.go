@@ -142,10 +142,12 @@ type selScratch struct {
 	// Impulse bookkeeping: the non-impulse databases ascending, the same
 	// as a per-database flag, and per key the number of impulse databases
 	// j with less[t][j] == 0 — the ones a set must contain for the key to
-	// contribute at all.
-	live     []int
-	isLive   []bool
-	deadNeed []int
+	// contribute at all — and the number with gt[t][j] == 1, each a
+	// one-cell shift of the key's DP row.
+	live      []int
+	isLive    []bool
+	deadNeed  []int
+	deadAbove []int
 
 	// The active hypothesis "dbₕ = w" (Selection.bestIf), whose h is
 	// the candidate tailDB: the key (w, h), and per database i ≠ h where
@@ -197,7 +199,10 @@ type selScratch struct {
 	// order with their cost, usefulness upper bound, and — once swept —
 	// raw usefulness and score; the order they are swept in; the best
 	// scores seen so far; and the ranking handed back to the caller
-	// (rankDBs/rankUs, valid until the next Rank).
+	// (rankDBs/rankUs, valid until the next Rank). For the candidate being
+	// swept under the bound: each support value's cap, its E once
+	// evaluated, the values in sweep order and the caps still unswept
+	// after each (valRest[x] sums the terms from position x on).
 	candIdx   []int
 	candRaw   []float64
 	candScore []float64
@@ -208,6 +213,10 @@ type selScratch struct {
 	picked    []bool
 	rankDBs   []int
 	rankUs    []float64
+	valCap    []float64
+	valE      []float64
+	valOrder  []int
+	valRest   []float64
 }
 
 var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
@@ -295,6 +304,7 @@ func (sc *selScratch) copyGrid(src *selScratch) {
 	copy(sc.marg, src.marg[:n])
 	copy(sc.isLive, src.isLive[:n])
 	copy(sc.deadNeed, src.deadNeed[:nK])
+	copy(sc.deadAbove, src.deadAbove[:nK])
 	sc.live = append(sc.live[:0], src.live...)
 	sc.tailDB = -1
 	sc.valid, sc.collapsed = true, -1
@@ -321,38 +331,46 @@ func (sc *selScratch) size(n, k, nK int) {
 	sc.setMask = growBools(sc.setMask, n)
 	sc.isLive = growBools(sc.isLive, n)
 	sc.deadNeed = growInts(sc.deadNeed, nK)
+	sc.deadAbove = growInts(sc.deadAbove, nK)
 	sc.live = growInts(sc.live, n)
 }
 
 // fillKey writes key t = (v, i) of the grid: its value, P(rᵢ = v), its
-// row of gt and less against every database, and its deadNeed.
+// row of gt and less against every database, its deadNeed and its
+// deadAbove.
 func (sc *selScratch) fillKey(rds []*RD, t, i int, v, eq float64) {
 	n := sc.n
 	sc.keyVal[t], sc.keyEq[t] = v, eq
 	gtRow := sc.gt[t*n : t*n+n]
 	lessRow := sc.less[t*n : t*n+n]
-	dead := 0
+	dead, above := 0, 0
 	for j, rdj := range rds {
 		gtRow[j] = prKeyGreater(rdj, j, v, i)
 		lessRow[j] = prKeyLess(rdj, j, v, i)
-		if !sc.isLive[j] && lessRow[j] == 0 {
-			dead++
+		if !sc.isLive[j] {
+			if lessRow[j] == 0 {
+				dead++
+			}
+			if gtRow[j] == 1 {
+				above++
+			}
 		}
 	}
-	sc.deadNeed[t] = dead
+	sc.deadNeed[t], sc.deadAbove[t] = dead, above
 }
 
 // collapse repairs a grid built before database h's RD became the
 // impulse rds[h], with the calls build would make: h's key block shrinks
 // to its one key, column h and h's own row are recomputed, h leaves the
-// live list and enters deadNeed. The caller guarantees h was live in the
-// grid and nothing else changed.
+// live list and enters deadNeed and deadAbove. The caller guarantees h
+// was live in the grid and nothing else changed.
 func (sc *selScratch) collapse(rds []*RD, h int) {
 	n := sc.n
 	hb, he, nK := sc.keyStart[h], sc.keyStart[h+1], sc.keyStart[n]
 	copy(sc.keyVal[hb+1:], sc.keyVal[he:nK])
 	copy(sc.keyEq[hb+1:], sc.keyEq[he:nK])
 	copy(sc.deadNeed[hb+1:], sc.deadNeed[he:nK])
+	copy(sc.deadAbove[hb+1:], sc.deadAbove[he:nK])
 	copy(sc.gt[(hb+1)*n:], sc.gt[he*n:nK*n])
 	copy(sc.less[(hb+1)*n:], sc.less[he*n:nK*n])
 	for j := h + 1; j <= n; j++ {
@@ -374,6 +392,9 @@ func (sc *selScratch) collapse(rds []*RD, h int) {
 			if sc.less[t*n+h] == 0 {
 				sc.deadNeed[t]++
 			}
+			if sc.gt[t*n+h] == 1 {
+				sc.deadAbove[t]++
+			}
 		}
 	}
 	sc.finish()
@@ -390,7 +411,7 @@ func (sc *selScratch) finish() {
 		m := 0.0
 		for t := sc.keyStart[i]; t < sc.keyStart[i+1]; t++ {
 			row := sc.dp[t*k : t*k+k]
-			sc.dpRowInto(row, sc.gt[t*n:t*n+n], i, -1)
+			sc.dpRowInto(row, t, i, -1)
 			m += sc.keyEq[t] * sumTail(row)
 		}
 		if m > 1 {
@@ -428,19 +449,25 @@ func (sc *selScratch) sizeTermTable() {
 }
 
 // dpRowInto fills dst (length k) with the truncated Poisson-binomial
-// DP over factors[j] for j other than skip and skip2 — the same top-down
-// update, factor order and per-factor clamping as the reference's
-// Poisson-binomial tail over the beat probabilities it gathers.
-func (sc *selScratch) dpRowInto(dst, factors []float64, skip, skip2 int) {
-	for c := range dst {
-		dst[c] = 0
-	}
+// DP over key t's factors gt[t][j] for j other than skip and skip2, with
+// the bits of the reference's Poisson-binomial tail over the beat
+// probabilities it gathers: the live factors go through the same
+// top-down update, ascending and clamped alike, and the impulses are
+// left out of it. An impulse's factor is exactly 0, the identity, or
+// exactly 1, which maps every cell to the one below it without rounding
+// and commutes with every other factor; so the row is shifted up one
+// cell per such impulse (deadAbove) at the end instead.
+func (sc *selScratch) dpRowInto(dst []float64, t, skip, skip2 int) {
+	n := sc.n
+	factors := sc.gt[t*n : t*n+n]
+	clear(dst)
 	dst[0] = 1
 	hi := len(dst) - 1
-	for j, p := range factors {
+	for _, j := range sc.live {
 		if j == skip || j == skip2 {
 			continue
 		}
+		p := factors[j]
 		if p < 0 {
 			p = 0
 		} else if p > 1 {
@@ -451,6 +478,18 @@ func (sc *selScratch) dpRowInto(dst, factors []float64, skip, skip2 int) {
 			dst[c] = dst[c]*q + dst[c-1]*p
 		}
 		dst[0] *= q
+	}
+	shift := sc.deadAbove[t]
+	for _, j := range [2]int{skip, skip2} {
+		if j >= 0 && !sc.isLive[j] && factors[j] == 1 {
+			shift--
+		}
+	}
+	if shift >= len(dst) {
+		clear(dst)
+	} else if shift > 0 {
+		copy(dst[shift:], dst[:len(dst)-shift])
+		clear(dst[:shift])
 	}
 }
 
@@ -570,11 +609,31 @@ func (sc *selScratch) swappedTails(t, i, want int) float64 {
 		deconvolveBernoulli(sc.pbRow, row, oldP)
 		row = sc.pbRow
 	default:
-		sc.dpRowInto(sc.pbRow, sc.gt[t*n:t*n+n], i, h)
+		sc.dpRowInto(sc.pbRow, t, i, h)
 		row = sc.pbRow
 	}
 	tails[0], tails[1] = sumTail(row), sumTail(row[:k-1])
 	return tails[want]
+}
+
+// valueCaps writes into caps, for each support value v of the live
+// candidate h, the cap on max_S E[Cor(S) | r_h = v] that Greedy.Rank
+// derives from the ceiling C on every k-set's E[Cor] now, h's marginal p
+// and the tail of key (v, h)'s DP row: min(max(min(1, C + p), tail_v),
+// max(min(1, C + 1 − p), 1 − tail_v)). It returns Σ_v P(v)·cap_v in
+// ascending value order.
+func (sc *selScratch) valueCaps(rd *RD, h int, ceiling float64, caps []float64) float64 {
+	k := sc.k
+	p := sc.marg[h]
+	without, with := min(1, ceiling+p), min(1, ceiling+1-p)
+	sum := 0.0
+	for vi := range caps {
+		t := sc.keyStart[h] + vi
+		tail := sumTail(sc.dp[t*k : t*k+k])
+		caps[vi] = min(max(without, tail), max(with, 1-tail))
+		sum += rd.Prob(vi) * caps[vi]
+	}
+	return sum
 }
 
 // markSet sets the set-membership mask of set's members.

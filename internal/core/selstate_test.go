@@ -214,7 +214,7 @@ func TestSwappedTailsFromOneRow(t *testing.T) {
 						} else {
 							copy(factors, sc.gt[t2*n:t2*n+n])
 							factors[h] = float64(newP)
-							sc.dpRowInto(want, factors, i, -1)
+							dpRowAll(want, factors, i, -1)
 						}
 						sc.hypTail[2*t2], sc.hypTail[2*t2+1] = tailUnset, tailUnset
 						got := sc.swappedTails(t2, i, newP)
@@ -232,6 +232,98 @@ func TestSwappedTailsFromOneRow(t *testing.T) {
 	if zero == 0 || one == 0 || small == 0 || large == 0 || k1 == 0 {
 		t.Fatalf("cases hit: factor 0 %d, factor 1 %d, deconvolved %d, rebuilt %d, k = 1 %d", zero, one, small, large, k1)
 	}
+}
+
+// dpRowAll is the DP row as the reference computes it, over every factor
+// but skip and skip2 in ascending order, impulses included: the top-down
+// update with each factor clamped to [0, 1].
+func dpRowAll(dst, factors []float64, skip, skip2 int) {
+	clear(dst)
+	dst[0] = 1
+	hi := len(dst) - 1
+	for j, p := range factors {
+		if j == skip || j == skip2 {
+			continue
+		}
+		if p < 0 {
+			p = 0
+		} else if p > 1 {
+			p = 1
+		}
+		q := 1 - p
+		for c := hi; c >= 1; c-- {
+			dst[c] = dst[c]*q + dst[c-1]*p
+		}
+		dst[0] *= q
+	}
+}
+
+// TestLiveRowsMatchAllFactors: the DP rows the scratch multiplies over
+// its live factors only, shifting once per impulse above the key, are
+// the rows over every factor bit for bit — after a build and after a
+// probe's repair (collapse), for k = 1–6, with impulses at 0 and at
+// values on the keys' grid, each row with its owner left out and with its
+// owner and a live database left out (swappedTails' rebuild).
+func TestLiveRowsMatchAllFactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	rows, shifted, emptied := 0, 0, 0
+	check := func(label string, sc *selScratch) {
+		t.Helper()
+		n, k := sc.n, sc.k
+		got, want := make([]float64, k), make([]float64, k)
+		for i := 0; i < n; i++ {
+			for key := sc.keyStart[i]; key < sc.keyStart[i+1]; key++ {
+				factors := sc.gt[key*n : key*n+n]
+				dpRowAll(want, factors, i, -1)
+				for c := range want {
+					if !sameBits(sc.dp[key*k+c], want[c]) {
+						t.Fatalf("%s: key %d of db %d, cell %d: %x, over every factor %x", label, key, i, c, sc.dp[key*k+c], want[c])
+					}
+				}
+				rows++
+				if sc.deadAbove[key] > 0 {
+					shifted++
+				}
+				if sc.deadAbove[key] >= k {
+					emptied++
+				}
+				for _, h := range sc.live {
+					if h == i {
+						continue
+					}
+					sc.dpRowInto(got, key, i, h)
+					dpRowAll(want, factors, i, h)
+					for c := range want {
+						if !sameBits(got[c], want[c]) {
+							t.Fatalf("%s: key %d of db %d without db %d, cell %d: %x, over every factor %x", label, key, i, h, c, got[c], want[c])
+						}
+					}
+					rows++
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 4 + rng.Intn(12)
+		k := 1 + trial%6
+		if k >= n {
+			k = n - 1
+		}
+		rds := gridRDs(rng, n, 2+rng.Intn(n-2), 2+rng.Intn(4), 8)
+		sel := NewSelectionFromRDs(rds, Absolute, k)
+		sel.ensureScratch()
+		check("built", sel.scratch)
+		for _, h := range sel.scratch.live[:1] {
+			sel.ApplyProbe(h, rds[h].Value(rng.Intn(rds[h].Len())))
+			sel.ensureScratch()
+			check("collapsed", sel.scratch)
+		}
+		sel.Release()
+	}
+	if shifted == 0 || emptied == 0 {
+		t.Fatalf("%d rows: %d shifted, %d shifted out of the row: the impulses above a key were never met", rows, shifted, emptied)
+	}
+	t.Logf("%d rows, %d shifted, %d emptied", rows, shifted, emptied)
 }
 
 // assertFreshGrid compares the selection's scratch, field by field, with
@@ -265,6 +357,7 @@ func assertFreshGrid(t *testing.T, label string, sel *Selection) {
 	floats("gt", got.gt, want.gt[:nK*n])
 	floats("less", got.less, want.less[:nK*n])
 	ints("deadNeed", got.deadNeed, want.deadNeed[:nK])
+	ints("deadAbove", got.deadAbove, want.deadAbove[:nK])
 	if len(got.live) != len(want.live) {
 		t.Fatalf("%s: live %v, fresh build %v", label, got.live, want.live)
 	}

@@ -21,7 +21,7 @@ func memoAttrs(t *testing.T, tracer *SpanTracer, traceID string) map[string]int 
 	t.Helper()
 	attrs := tracer.Tree(traceID)[0].Span.Attrs
 	out := map[string]int{}
-	for _, name := range []string{"rank_swept", "rank_skipped", "rank_hypotheses", "rank_sets", "memo_hits", "memo_misses"} {
+	for _, name := range []string{"rank_swept", "rank_skipped", "rank_abandoned", "rank_hypotheses", "rank_sets", "memo_hits", "memo_misses"} {
 		v, err := strconv.Atoi(attrs[name])
 		if err != nil {
 			t.Fatalf("root span attribute %s = %q: %v", name, attrs[name], err)
@@ -121,7 +121,7 @@ func TestDecisionMemoFacade(t *testing.T) {
 	if was["memo_hits"] != 0 || was["memo_misses"] != 2*first.Probes+1 || was["rank_sets"] == 0 {
 		t.Errorf("first sight of %q (%d probes): %v", q, first.Probes, was)
 	}
-	if now["memo_hits"] != was["memo_misses"] || now["memo_misses"]+now["rank_swept"]+now["rank_skipped"]+now["rank_hypotheses"]+now["rank_sets"] != 0 {
+	if now["memo_hits"] != was["memo_misses"] || now["memo_misses"]+now["rank_swept"]+now["rank_skipped"]+now["rank_abandoned"]+now["rank_hypotheses"]+now["rank_sets"] != 0 {
 		t.Errorf("second sight of %q: %v after a first sight of %v", q, now, was)
 	}
 

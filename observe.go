@@ -93,13 +93,15 @@ func (m *Metasearcher) observe(out *SelectionResult, sp *span.Span, sel *core.Se
 		}
 		// What the greedy sweeps paid for: a slow selection with few
 		// probes and many sets is the set search, many hypotheses the
-		// wide RDs, few skips a state the marginal bound cannot thin. A
-		// decision the version's memo remembered is a hit and pays for
-		// none of it: a selection decided before end to end reads 0 in
-		// all six rank_* counts and 0 misses. The last two say how much
-		// of the work was shared (core.RankWork).
+		// wide RDs, few skips or abandoned candidates a state the
+		// per-value bound cannot thin. A decision the version's memo
+		// remembered is a hit and pays for none of it: a selection decided
+		// before end to end reads 0 in all seven rank_* counts and 0
+		// misses. The last two say how much of the work was shared
+		// (core.RankWork).
 		sp.SetAttr("rank_swept", strconv.Itoa(work.Swept))
 		sp.SetAttr("rank_skipped", strconv.Itoa(work.Skipped))
+		sp.SetAttr("rank_abandoned", strconv.Itoa(work.Abandoned))
 		sp.SetAttr("rank_hypotheses", strconv.Itoa(work.Hypotheses))
 		sp.SetAttr("rank_sets", strconv.Itoa(work.Sets))
 		sp.SetAttr("rank_sets_shared", strconv.Itoa(work.SetsShared))

@@ -125,7 +125,7 @@ func TestSelectionSpanRankWork(t *testing.T) {
 	}
 	attrs := tracer.Tree(slow.TraceID)[0].Span.Attrs
 	work := map[string]int{}
-	for _, name := range []string{"rank_swept", "rank_skipped", "rank_hypotheses", "rank_sets", "rank_sets_shared", "rank_grid_reuses"} {
+	for _, name := range []string{"rank_swept", "rank_skipped", "rank_abandoned", "rank_hypotheses", "rank_sets", "rank_sets_shared", "rank_grid_reuses"} {
 		v, err := strconv.Atoi(attrs[name])
 		if err != nil {
 			t.Fatalf("root span attribute %s = %q: %v", name, attrs[name], err)
