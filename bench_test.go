@@ -406,9 +406,8 @@ func BenchmarkAProSelect(b *testing.B) { runHotPath(b, aproSelectBody) }
 
 // steadyHypothesesCeiling bounds BenchmarkAProSelectSteady's
 // hypotheses/op, 10 % over the 86 that Greedy.Rank evaluates on the first
-// test query now that its per-value bound skips and gives up candidates
-// (145 with the marginal bound alone). The count is deterministic: a
-// ProbeFunc runs no lookahead.
+// test query, where its per-value bound skips and gives up candidates.
+// The count is deterministic: a ProbeFunc runs no lookahead.
 const steadyHypothesesCeiling = 86 * 1.1
 
 // BenchmarkAProSelectSteady measures the steady-state serving path.

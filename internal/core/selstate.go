@@ -54,7 +54,11 @@ import (
 // and, per key, how many impulses are not below it (deadNeed); a set
 // that leaves one of those out scores exactly 0 at that key, and every
 // other product multiplies the live factors only, in the same
-// ascending order.
+// ascending order. The DP rows do the same: an impulse's factor there
+// is exactly 0, the identity, or exactly 1, a one-cell shift that
+// commutes with every other factor, so a row multiplies the live
+// factors and is then shifted once per impulse above its key
+// (deadAbove). Both rest on newRD making every impulse exact.
 //
 // The base (no-hypothesis) tables replicate the from-scratch arithmetic
 // operation for operation — same factor order, same clamps, same early
@@ -65,8 +69,8 @@ import (
 // incremental_test.go pin the two together.
 //
 // Coherence. Three caches stand between a selection and that
-// evaluation, each with one rule; the test named after each fails
-// without it.
+// evaluation, each with one rule, and the grid's impulse counts have a
+// rule of their own; the test named after each fails without it.
 //
 //   - The grid and the term arena (this file) describe the selection's
 //     current RDs, and the kept tails and terms one candidate of them:
@@ -75,6 +79,12 @@ import (
 //     invalidate, or copy a current grid), and a grid built or repaired
 //     (finish) or a new candidate (beginHypothesis) voids hypTail and the
 //     term arena. TestIncrementalMatchesReference.
+//   - The live list, deadNeed and deadAbove describe the grid's impulses:
+//     fillKey counts a key's, collapse moves the probed database out of
+//     the live list and into both counts of every other key, and copyGrid
+//     copies all three, so that a DP row over the live factors, shifted
+//     deadAbove cells, is the row over every factor.
+//     TestGridAfterProbeMatchesFreshBuild, TestLiveRowsMatchAllFactors.
 //   - The RD-table rows (rdtable.go) are immutable and lag their EDs by
 //     less than one epoch: refinement marks rows dirty, and every
 //     epochObservations observations, and before Next, publishRows

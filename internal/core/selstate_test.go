@@ -261,9 +261,10 @@ func dpRowAll(dst, factors []float64, skip, skip2 int) {
 // TestLiveRowsMatchAllFactors: the DP rows the scratch multiplies over
 // its live factors only, shifting once per impulse above the key, are
 // the rows over every factor bit for bit — after a build and after a
-// probe's repair (collapse), for k = 1–6, with impulses at 0 and at
-// values on the keys' grid, each row with its owner left out and with its
-// owner and a live database left out (swappedTails' rebuild).
+// probe's repair (collapse), on a grid of its own and on one a shell
+// copied (copyGrid), for k = 1–6, with impulses at 0 and at values on
+// the keys' grid, each row with its owner left out and with its owner
+// and a live database left out (swappedTails' rebuild).
 func TestLiveRowsMatchAllFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	rows, shifted, emptied := 0, 0, 0
@@ -313,11 +314,18 @@ func TestLiveRowsMatchAllFactors(t *testing.T) {
 		sel := NewSelectionFromRDs(rds, Absolute, k)
 		sel.ensureScratch()
 		check("built", sel.scratch)
-		for _, h := range sel.scratch.live[:1] {
-			sel.ApplyProbe(h, rds[h].Value(rng.Intn(rds[h].Len())))
-			sel.ensureScratch()
-			check("collapsed", sel.scratch)
+		// A shell copies the current grid (copyGrid) and repairs it after
+		// its probe; the selection repairs its own.
+		shell := new(Selection)
+		shell.Reuse(sel)
+		live := sel.scratch.live
+		for x, c := range []*Selection{shell, sel} {
+			h := live[x%len(live)]
+			c.ApplyProbe(h, rds[h].Value(rng.Intn(rds[h].Len())))
+			c.ensureScratch()
+			check("collapsed", c.scratch)
 		}
+		shell.Release()
 		sel.Release()
 	}
 	if shifted == 0 || emptied == 0 {
