@@ -9,6 +9,7 @@
 //	F17    probes vs. certainty threshold (Figure 17)
 //	A1–A5  ablations (probe policies, type threshold, ED bins,
 //	       training size, probe costs)
+//	EWORK  what the greedy probe loop computes (RankWork counts)
 //
 // Usage:
 //
@@ -32,7 +33,7 @@ import (
 )
 
 func main() {
-	runList := flag.String("run", "all", "comma-separated experiment ids (F7,F8,F9,F14,F15,F16,F17,A1,A1B,A2,A3,A4,A5,ESIM,EBASE,ECAL,EDRIFT,EFUSE,ESAMP,EPRUNE) or 'all'")
+	runList := flag.String("run", "all", "comma-separated experiment ids (F7,F8,F9,F14,F15,F16,F17,A1,A1B,A2,A3,A4,A5,ESIM,EBASE,ECAL,EDRIFT,EFUSE,ESAMP,EPRUNE,EWORK) or 'all'")
 	scale := flag.Float64("scale", 0.05, "health-testbed size multiplier")
 	trainN := flag.Int("train", 1000, "training queries per term-count (2-term and 3-term)")
 	testN := flag.Int("test", 1000, "test queries per term-count")
@@ -113,7 +114,7 @@ func main() {
 	}
 
 	needEnv := false
-	for _, id := range []string{"F9", "F14", "F15", "F16", "F17", "A1", "A2", "A3", "A4", "A5", "EBASE", "ECAL", "EDRIFT", "EFUSE", "ESAMP", "EPRUNE"} {
+	for _, id := range []string{"F9", "F14", "F15", "F16", "F17", "A1", "A2", "A3", "A4", "A5", "EBASE", "ECAL", "EDRIFT", "EFUSE", "ESAMP", "EPRUNE", "EWORK"} {
 		if wanted(id) {
 			needEnv = true
 		}
@@ -254,6 +255,15 @@ func main() {
 	if wanted("EBASE") {
 		step("E-BASE (selector comparison incl. CORI)", func() error {
 			t, err := experiments.BaselineComparison(env, []int{1, 3})
+			if err == nil {
+				emit(t)
+			}
+			return err
+		})
+	}
+	if wanted("EWORK") {
+		step("E-WORK (engine work counts)", func() error {
+			t, err := experiments.WorkStudy(env, []int{1, 3}, 0.9)
 			if err == nil {
 				emit(t)
 			}

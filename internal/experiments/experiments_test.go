@@ -679,3 +679,49 @@ func TestPrunedSummariesStudy(t *testing.T) {
 		t.Errorf("budget 0 labeled %q, want full", table.rows[2][0])
 	}
 }
+
+// TestWorkStudy (E-WORK): the counts partition as RankWork says they
+// do, and the table is a function of the environment alone — the same
+// bytes at GOMAXPROCS 1 and 4, and after another table has filled the
+// environment's memo.
+func TestWorkStudy(t *testing.T) {
+	run := func(procs int) *Table {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		table, err := WorkStudy(testEnv(t), []int{1, 3}, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table
+	}
+	table := run(1)
+	if _, err := Figure16(testEnv(t), 2); err != nil {
+		t.Fatal(err)
+	}
+	if again := run(4); again.String() != table.String() {
+		t.Errorf("E-WORK at GOMAXPROCS 1:\n%s\nat 4, after Figure 16:\n%s", table, again)
+	}
+	if len(table.rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(table.rows))
+	}
+	for ri, row := range table.rows {
+		probes, hyps := cell(t, table, ri, 3), cell(t, table, ri, 7)
+		sets, shared, reuses := cell(t, table, ri, 8), cell(t, table, ri, 9), cell(t, table, ri, 10)
+		if probes == 0 || hyps == 0 {
+			t.Errorf("row %v: no probes or no hypotheses", row)
+		}
+		// Greedy probes only live databases, and each probe's next
+		// evaluation repairs the grid.
+		if reuses != probes {
+			t.Errorf("row %v: %v grid reuses for %v probes", row, reuses, probes)
+		}
+		if shared > sets {
+			t.Errorf("row %v: %v shared sets of %v", row, shared, sets)
+		}
+		if partial := row[1] == core.Partial.String(); partial != (sets == 0) {
+			t.Errorf("row %v: %v sets scored under the %s metric", row, sets, row[1])
+		}
+		if partial := row[1] == core.Partial.String(); partial && (cell(t, table, ri, 5) != 0 || cell(t, table, ri, 6) != 0) {
+			t.Errorf("row %v: the partial metric ranks by the full sweep, yet candidates were skipped or abandoned", row)
+		}
+	}
+}
