@@ -381,10 +381,10 @@ func (g Greedy) Next(s *Selection, t float64) (int, error) {
 // which has probability 1 − tail_v; a set with h is the top-k only if h
 // is in it (tail_v), and only if the set without h is the top-(k−1) of
 // the others, which has probability at most C + 1 − p. So
-// max_S E[Cor(S) | v] ≤ cap_v = min(max(min(1, C + p), tail_v),
-// max(min(1, C + 1 − p), 1 − tail_v)), and the usefulness of probing dbₕ
-// is at most Σ_v P(v)·cap_v, never more than the B + 2·min(p, 1−p) the
-// same argument gives averaged over v. Candidates are swept in
+// max_S E[Cor(S) | v] ≤ cap_v = max(min(C + p, 1 − tail_v),
+// min(C + 1 − p, tail_v)), and the usefulness of probing dbₕ is at most
+// Σ_v P(v)·cap_v, never more than the B + 2·min(p, 1−p) the same
+// argument gives averaged over v. Candidates are swept in
 // decreasing order of that bound, and the sweep stops once the bound,
 // plus a margin, is below the m-th best exact score so far. Once m
 // scores are in, a candidate's values go most probable first, and it is

@@ -240,8 +240,8 @@ func referenceUsefulness(rds []*RD, h, k int) float64 {
 // reference evaluation: U_h ≤ B + 2·min(p_h, 1 − p_h) with B the best
 // E[Cor_a] over every k-set (n ≤ 7: the search is exhaustive), and per
 // support value, the one Rank skips and gives up by: the best E[Cor_a]
-// given r_h = v is at most cap_v = min(max(min(1, B + p), tail_v),
-// max(min(1, B + 1 − p), 1 − tail_v)), with tail_v = P(h ∈ top-k | r_h = v).
+// given r_h = v is at most cap_v = max(min(B + p, 1 − tail_v),
+// min(B + 1 − p, tail_v)), with tail_v = P(h ∈ top-k | r_h = v).
 func TestUsefulnessMarginalBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
@@ -263,7 +263,7 @@ func TestUsefulnessMarginalBound(t *testing.T) {
 				hyp[h] = Impulse(rds[h].Value(vi))
 				_, e := bestSet(Absolute, hyp, k)
 				tail := membershipProb(hyp, h, k)
-				c := min(max(min(1, b+p), tail), max(min(1, b+1-p), 1-tail))
+				c := max(min(b+p, 1-tail), min(b+1-p, tail))
 				if e > c+pruneSlack {
 					t.Fatalf("trial %d n=%d k=%d db %d = %v: best E[Cor] %v above cap %v (B %v, p %v, tail %v)",
 						trial, n, k, h, rds[h].Value(vi), e, c, b, p, tail)
