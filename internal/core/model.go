@@ -493,12 +493,17 @@ func (s *Selection) best() ([]int, float64) {
 }
 
 // evaluate is the current state's best k-set and its E[Cor], searched on
-// the scratch. The set is valid until the next evaluation.
+// the scratch unless the scratch's last search was this state's (the
+// loop's BestView, then Rank's evaluate). The set is valid until the next
+// evaluation.
 func (s *Selection) evaluate() ([]int, float64) {
 	if s.degenerate() {
 		return s.degenerateBest()
 	}
 	s.ensureScratch()
+	if sc := s.scratch; sc.baseDone {
+		return sc.bestBuf, sc.baseE
+	}
 	return s.search()
 }
 
