@@ -45,25 +45,6 @@ func (m Metric) String() string {
 // (Eq. 6) is the mean of S's membership marginals, so its best set is
 // the top-k marginals.
 
-// prKeyLess returns P(κ_j < K) for K = (v, pivot): j's key is below K
-// when its value is below v, or equal with a larger index.
-func prKeyLess(rd *RD, j int, v float64, pivot int) float64 {
-	p := rd.prLess(v)
-	if j > pivot {
-		p += rd.prEq(v)
-	}
-	return p
-}
-
-// prKeyGreater returns P(κ_i > K) for K = (v, pivot).
-func prKeyGreater(rd *RD, i int, v float64, pivot int) float64 {
-	p := rd.prGreater(v)
-	if i < pivot {
-		p += rd.prEq(v)
-	}
-	return p
-}
-
 // The argmax search for the absolute metric.
 const (
 	// extraCandidates widens the candidate pool beyond k when

@@ -39,9 +39,9 @@ type RD struct {
 	probs  []float64
 	// cumLT[i] = Σ_{t<i} probs[t] and cumGE[i] = Σ_{t≥i} probs[t]
 	// (both length len(values)+1, cumLT[0] = cumGE[len] = 0). Built at
-	// construction so prLess/prGreater answer with one binary search
-	// instead of a linear sum — they sit inside the innermost loop of
-	// the selection scratch's grid build.
+	// construction so that P(X < v) and P(X > v) are one read at the
+	// index of v — the selection scratch's grid build walks each
+	// support once per column and reads them there.
 	cumLT []float64
 	cumGE []float64
 }
@@ -175,31 +175,6 @@ func (r *RD) entropy() float64 {
 		}
 	}
 	return h
-}
-
-// prGreater returns P(X > v).
-func (r *RD) prGreater(v float64) float64 {
-	// First index with value > v.
-	i := sort.SearchFloat64s(r.values, v)
-	if i < len(r.values) && r.values[i] == v {
-		i++
-	}
-	return r.cumGE[i]
-}
-
-// prEq returns P(X = v).
-func (r *RD) prEq(v float64) float64 {
-	i := sort.SearchFloat64s(r.values, v)
-	if i < len(r.values) && r.values[i] == v {
-		return r.probs[i]
-	}
-	return 0
-}
-
-// prLess returns P(X < v).
-func (r *RD) prLess(v float64) float64 {
-	// First index with value ≥ v; everything before it is below v.
-	return r.cumLT[sort.SearchFloat64s(r.values, v)]
 }
 
 // validate checks RD invariants; used by tests.

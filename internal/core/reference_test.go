@@ -100,6 +100,51 @@ func expectedPartial(rds []*RD, set []int) float64 {
 	return total / float64(k)
 }
 
+// prGreater returns P(X > v).
+func (r *RD) prGreater(v float64) float64 {
+	// First index with value > v.
+	i := sort.SearchFloat64s(r.values, v)
+	if i < len(r.values) && r.values[i] == v {
+		i++
+	}
+	return r.cumGE[i]
+}
+
+// prEq returns P(X = v).
+func (r *RD) prEq(v float64) float64 {
+	i := sort.SearchFloat64s(r.values, v)
+	if i < len(r.values) && r.values[i] == v {
+		return r.probs[i]
+	}
+	return 0
+}
+
+// prLess returns P(X < v).
+func (r *RD) prLess(v float64) float64 {
+	// First index with value ≥ v; everything before it is below v.
+	return r.cumLT[sort.SearchFloat64s(r.values, v)]
+}
+
+// prKeyLess returns P(κ_j < K) for K = (v, pivot): j's key is below K
+// when its value is below v, or equal with a larger index. The scratch's
+// column walks (fillColumn) write the same values into the grid.
+func prKeyLess(rd *RD, j int, v float64, pivot int) float64 {
+	p := rd.prLess(v)
+	if j > pivot {
+		p += rd.prEq(v)
+	}
+	return p
+}
+
+// prKeyGreater returns P(κ_i > K) for K = (v, pivot).
+func prKeyGreater(rd *RD, i int, v float64, pivot int) float64 {
+	p := rd.prGreater(v)
+	if i < pivot {
+		p += rd.prEq(v)
+	}
+	return p
+}
+
 // prKeyGE returns P(κ_i ≥ K) for K = (v, pivot).
 func prKeyGE(rd *RD, i int, v float64, pivot int) float64 {
 	p := rd.prGreater(v)
