@@ -407,13 +407,19 @@ func BenchmarkAProSelect(b *testing.B) { runHotPath(b, aproSelectBody) }
 // steadyHypothesesCeiling bounds BenchmarkAProSelectSteady's
 // hypotheses/op, 10 % over the 86 that Greedy.Rank evaluates on the first
 // test query, where its per-value bound skips and gives up candidates.
-// The count is deterministic: a ProbeFunc runs no lookahead.
-const steadyHypothesesCeiling = 86 * 1.1
+// steadySetsCeiling bounds its sets/op the same way, 10 % over the 702
+// k-sets the base and hypothesis searches score there. Both counts are
+// deterministic: a ProbeFunc runs no lookahead.
+const (
+	steadyHypothesesCeiling = 86 * 1.1
+	steadySetsCeiling       = 702 * 1.1
+)
 
 // BenchmarkAProSelectSteady measures the steady-state serving path.
 // TestHotPathAllocCaps holds it to ≤ 2 allocs/op absolute, whatever an
 // earlier commit measured. It reports the hypotheses one selection
-// evaluates, hypotheses/op, and fails above steadyHypothesesCeiling.
+// evaluates, hypotheses/op, and the k-sets it scores, sets/op, and fails
+// above steadyHypothesesCeiling or steadySetsCeiling.
 func BenchmarkAProSelectSteady(b *testing.B) {
 	run, sel := aproSelectSteady(b)
 	b.ReportAllocs()
@@ -421,10 +427,15 @@ func BenchmarkAProSelectSteady(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run()
 	}
-	hyps := float64(sel.Work().Hypotheses)
+	w := sel.Work()
+	hyps, sets := float64(w.Hypotheses), float64(w.Sets)
 	b.ReportMetric(hyps, "hypotheses/op")
+	b.ReportMetric(sets, "sets/op")
 	if hyps > steadyHypothesesCeiling {
 		b.Fatalf("one selection evaluates %.0f hypotheses, over the ceiling of %.1f", hyps, steadyHypothesesCeiling)
+	}
+	if sets > steadySetsCeiling {
+		b.Fatalf("one selection scores %.0f sets, over the ceiling of %.1f", sets, steadySetsCeiling)
 	}
 }
 
