@@ -82,7 +82,32 @@ func assertSameBest(t *testing.T, trial int, stage string, ref, inc *Selection) 
 // and marginals within 1e-9 of the reference, and greedy usefulness
 // (the hypothesis overlay) must agree on every unprobed database.
 func TestIncrementalMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	checkDifferential(t, 42, func(rng *rand.Rand, rd *RD) float64 {
+		return rd.Value(rng.Intn(rd.Len()))
+	})
+}
+
+// oddAnswers are probe answers no RD's support holds: NaN, which equals
+// nothing and makes the key order partial, the infinities, and −0,
+// which ties with every 0 in the grid.
+var oddAnswers = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+
+// TestIncrementalMatchesReferenceOnOddAnswers is the differential test
+// with probes that answer NaN, ±Inf or −0 half the time.
+func TestIncrementalMatchesReferenceOnOddAnswers(t *testing.T) {
+	checkDifferential(t, 43, func(rng *rand.Rand, rd *RD) float64 {
+		if rng.Intn(2) == 0 {
+			return oddAnswers[rng.Intn(len(oddAnswers))]
+		}
+		return rd.Value(rng.Intn(rd.Len()))
+	})
+}
+
+// checkDifferential runs the differential property test on 150 states
+// seeded by seed, each probe answering answer(rng, the probed RD).
+func checkDifferential(t *testing.T, seed int64, answer func(*rand.Rand, *RD) float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 150; trial++ {
 		n := 3 + rng.Intn(6)
 		k := 1 + rng.Intn(n-1)
@@ -109,10 +134,10 @@ func TestIncrementalMatchesReference(t *testing.T) {
 						trial, step, u, uRef, uInc)
 				}
 			}
-			v := rds[i].Value(rng.Intn(rds[i].Len()))
+			v := answer(rng, rds[i])
 			ref.ApplyProbe(i, v)
 			inc.ApplyProbe(i, v)
-			assertSameBest(t, trial, "after probe", ref, inc)
+			assertSameBest(t, trial, fmt.Sprintf("after probing db%d = %v", i, v), ref, inc)
 		}
 		inc.Release()
 	}
