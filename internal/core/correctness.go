@@ -56,8 +56,10 @@ const (
 	exhaustiveLimit = 2000
 )
 
-// pruneSlack pads the marginal-bound prunes in the best-set search and
-// in Greedy.Rank: the bounds are exact in real arithmetic, and the slack
+// pruneSlack pads the bound prunes in the best-set search and in
+// Greedy.Rank: the bounds are exact in real arithmetic, and the slack
 // keeps float rounding from pruning a subset or a candidate that would
-// have (numerically) won by an ulp.
+// have (numerically) won by an ulp. The residual-mass bound's identity
+// holds to 8.9e-16 (TestSetMassPartitionsMarginals), three orders under
+// it.
 const pruneSlack = 1e-12
