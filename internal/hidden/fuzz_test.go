@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 
 // FuzzParseHTMLAnswerPage hardens the scraper against arbitrary pages:
 // it must either parse or return an error — never panic, never return
-// a negative count.
+// a negative count or a score that is not finite, which the JSON answer
+// cannot carry either.
 func FuzzParseHTMLAnswerPage(f *testing.F) {
 	f.Add("<html><body><p>Results 1 - 2 of about <b>1,234</b> documents.</p></body></html>")
 	f.Add("No documents matched your query.")
@@ -17,6 +19,9 @@ func FuzzParseHTMLAnswerPage(f *testing.F) {
 	f.Add(`of about <b>7</b><li><a href="/doc/x">x</a> <span class="score">0.5</span></li>`)
 	f.Add(`of about <b>7</b><li><a href="/doc/x">x</a> <span class="score">oops</span></li>`)
 	f.Add("")
+	f.Add("of about <b>-5</b>")
+	f.Add(`of about <b>7</b><li><a href="/doc/x">x</a> <span class="score">NaN</span></li>`)
+	f.Add(`of about <b>7</b><li><a href="/doc/x">x</a> <span class="score">-Inf</span></li>`)
 	f.Fuzz(func(t *testing.T, page string) {
 		res, err := parseHTMLAnswerPage(page)
 		if err != nil {
@@ -28,6 +33,9 @@ func FuzzParseHTMLAnswerPage(f *testing.F) {
 		for _, d := range res.Docs {
 			if strings.Contains(d.ID, "<") {
 				t.Fatalf("unescaped markup in doc ID %q", d.ID)
+			}
+			if math.IsNaN(d.Score) || math.IsInf(d.Score, 0) {
+				t.Fatalf("score %v from %q", d.Score, page)
 			}
 		}
 	})

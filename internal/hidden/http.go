@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"html"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -323,8 +324,8 @@ func parseHTMLAnswerPage(page string) (Result, error) {
 		return Result{}, fmt.Errorf("hidden: answer page match count not terminated")
 	}
 	count, err := strconv.Atoi(strings.ReplaceAll(rest[:j], ",", ""))
-	if err != nil {
-		return Result{}, fmt.Errorf("hidden: answer page match count %q: %v", rest[:j], err)
+	if err != nil || count < 0 { // decodeJSON refuses a negative count too
+		return Result{}, fmt.Errorf("hidden: answer page match count %q is not a count", rest[:j])
 	}
 	res := Result{MatchCount: count}
 	// Result entries: <li><a href="/doc/ID">ID</a> <span class="score">S</span></li>
@@ -345,9 +346,10 @@ func parseHTMLAnswerPage(page string) (Result, error) {
 		if scoreStart < 0 || scoreEnd < 0 {
 			return res, fmt.Errorf("hidden: result entry missing score")
 		}
-		score, err := strconv.ParseFloat(body[scoreStart+len(`class="score">`):scoreEnd], 64)
-		if err != nil {
-			return res, fmt.Errorf("hidden: malformed score in answer page: %v", err)
+		raw := body[scoreStart+len(`class="score">`) : scoreEnd]
+		score, err := strconv.ParseFloat(raw, 64)
+		if err != nil || math.IsNaN(score) || math.IsInf(score, 0) { // JSON carries neither
+			return res, fmt.Errorf("hidden: malformed score %q in answer page", raw)
 		}
 		doc := DocSummary{ID: id, Score: score}
 		body = body[scoreEnd+len("</span>"):]
