@@ -33,9 +33,9 @@ func NewED(edges []float64, absolute, useBinMean bool) (*ED, error) {
 }
 
 // Observe records one training observation: the estimate r̂ and the
-// actual relevancy r for a sample query.
+// actual relevancy r, which must pass CheckAnswer, for a sample query.
 func (e *ED) Observe(rhat, actual float64) error {
-	if math.IsNaN(rhat) || math.IsNaN(actual) || actual < 0 {
+	if _, err := CheckAnswer(actual, nil); err != nil || math.IsNaN(rhat) {
 		return fmt.Errorf("core: ED observation rhat=%v actual=%v is invalid", rhat, actual)
 	}
 	if e.Absolute {

@@ -239,12 +239,8 @@ func (t *memoTree) root(key memoKey) *memoRoot {
 }
 
 // child returns the node the answer v from database db leads to, adding
-// it if need be; nil when the tree is full, or v is NaN — which equals
-// nothing, itself included, so no edge could ever be found again.
+// it if need be; nil when the tree is full.
 func (n *memoNode) child(t *memoTree, db int, v float64) *memoNode {
-	if v != v {
-		return nil
-	}
 	var fresh *memoNode
 	var index int32
 	for {

@@ -690,8 +690,8 @@ func TestDecisionMemoLookahead(t *testing.T) {
 
 // TestDecisionMemoFailedProbeAndNaN: a failed probe folds as relevancy 0,
 // so its edge is the one a genuine answer of 0 takes and either run finds
-// the other's decisions; an answer of NaN equals nothing, so the
-// selection stops remembering there and stores no node for it.
+// the other's decisions; an answer of NaN is a failed probe (it fails
+// CheckAnswer), so it takes that edge too and adds no node.
 func TestDecisionMemoFailedProbeAndNaN(t *testing.T) {
 	rds := []*RD{
 		MustRD([]float64{0, 40, 90}, []float64{1, 2, 3}),
@@ -735,16 +735,17 @@ func TestDecisionMemoFailedProbeAndNaN(t *testing.T) {
 
 	nan := append([]float64(nil), truth...)
 	nan[head] = math.NaN()
-	for pass := 0; pass < 2; pass++ {
-		s := memo.attach(NewSelectionFromRDs(rds, Absolute, 2))
-		before := memo.nodes()
-		if _, err := APro(s, tableProbe(nan), Greedy{}, 0.99, -1); err != nil {
-			t.Fatal(err)
-		}
-		// The root's two decisions are remembered; nothing after the NaN is.
-		if w := s.Work(); s.memo != nil || memo.nodes() != before || w.MemoHits != 2 || w.MemoMisses != 0 {
-			t.Errorf("pass %d over a NaN answer: attached %v, nodes %d → %d, work %+v", pass, s.memo != nil, before, memo.nodes(), w)
-		}
+	s := memo.attach(NewSelectionFromRDs(rds, Absolute, 2))
+	out, err := APro(s, tableProbe(nan), Greedy{}, 0.99, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := s.Work(); s.memo == nil || w.MemoMisses != 0 || memo.nodes() != filled {
+		t.Errorf("a NaN from db %d took another path than its failure: attached %v, work %+v, nodes %d → %d", head, s.memo != nil, w, filled, memo.nodes())
+	}
+	if !out.Degraded || len(out.ProbeErrs) != 1 || fmt.Sprint(out.Excluded) != fmt.Sprint([]int{head}) || out.Steps[0].Value != 0 ||
+		out.Certainty != failed.Certainty || fmt.Sprint(out.Set) != fmt.Sprint(failed.Set) || len(out.Steps) != len(failed.Steps) {
+		t.Errorf("NaN answer: %s\nfailed probe: %s", outcomeBits(out), outcomeBits(failed))
 	}
 }
 

@@ -246,9 +246,9 @@ type Selection struct {
 	// memo is the node of the version's decision memo (memo.go) that
 	// stands for the current state, memoRoot the root it descends from;
 	// both nil when the selection remembers nothing — it was not filled
-	// from a version, the version's memo is off or full, or a probe
-	// answered NaN. memoSet, memoHead and memoU are where a remembered
-	// best set and one-entry ranking are handed out from.
+	// from a version, or the version's memo is off or full. memoSet,
+	// memoHead and memoU are where a remembered best set and one-entry
+	// ranking are handed out from.
 	memoRoot *memoRoot
 	memo     *memoNode
 	memoSet  []int
@@ -342,9 +342,9 @@ func (s *Selection) UnprobedView() []int {
 }
 
 // ApplyProbe records a probe outcome: database i's RD collapses to an
-// impulse at the observed relevancy. The impulse is selection-owned
-// and reused across Reuse cycles, so steady-state probing allocates
-// nothing after warm-up.
+// impulse at the observed relevancy, never NaN (APro folds only answers
+// CheckAnswer passes). The impulse is selection-owned and reused across
+// Reuse cycles, so steady-state probing allocates nothing after warm-up.
 func (s *Selection) ApplyProbe(i int, value float64) {
 	if s.memo != nil {
 		s.memo = s.memo.child(s.memoRoot.tree, i, value)

@@ -17,6 +17,16 @@ import (
 // relevancy (the caller binds the query and the testbed).
 type ProbeFunc func(i int) (float64, error)
 
+// CheckAnswer holds a probe's answer to the rule every live answer meets
+// where it enters: a relevancy is finite and ≥ 0 (§2.1). It returns v and
+// err, with an error in err's place for any other v: a failed probe.
+func CheckAnswer(v float64, err error) (float64, error) {
+	if err == nil && !(v >= 0 && v < math.Inf(1)) { // written so that NaN fails it
+		err = fmt.Errorf("core: probe answer %v is not a relevancy", v)
+	}
+	return v, err
+}
+
 // Prober is how the APro loop reaches the backends. The loop calls it
 // from one goroutine. A ProbeFunc answers inline; the probe
 // executor's (internal/probeexec) adds pooling and circuit breakers
@@ -145,14 +155,15 @@ func APro(s *Selection, probe ProbeFunc, policy Policy, t float64, maxProbes int
 // paired with Selection.Reuse, a caller running many selections back to
 // back keeps the whole probe loop allocation-free.
 //
-// A failed probe does not fail the selection: the database is treated
-// as serving nothing for this query — its RD collapses to relevancy 0,
-// pushing it out of the best set whenever a live alternative exists —
-// and the run continues, reporting it in out.Excluded and its error in
-// out.ProbeErrs. If the threshold remains unreachable after every
-// database is probed, or the policy reports ErrNoInformativeProbe, the
-// best available set is returned with Reached=false. The returned
-// error is reserved for bad arguments, policy failures and ctx ending.
+// A failed probe — an error, or an answer CheckAnswer refuses — does not
+// fail the selection: the database is treated as serving nothing for
+// this query (its RD collapses to relevancy 0, pushing it out of the best
+// set whenever a live alternative exists) and the run continues,
+// reporting it in out.Excluded and its error in out.ProbeErrs. If the
+// threshold remains unreachable after every database is probed, or the
+// policy reports ErrNoInformativeProbe, the best available set is
+// returned with Reached=false. The returned error is reserved for bad
+// arguments, policy failures and ctx ending.
 func AProContext(ctx context.Context, s *Selection, p Prober, policy Policy, t float64, maxProbes int, out *Outcome) error {
 	return aproContext(ctx, s, p, policy, t, maxProbes, wideFrom, out)
 }
@@ -256,7 +267,7 @@ func aproContext(ctx context.Context, s *Selection, p Prober, policy Policy, t f
 				over.Start(ctx, next)
 			}
 		}
-		v, err := p.Wait(ctx, head)
+		v, err := CheckAnswer(p.Wait(ctx, head))
 		s.stageEnd(StageProbe, mark)
 		if err != nil {
 			if ctx.Err() != nil {

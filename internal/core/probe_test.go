@@ -142,6 +142,8 @@ func TestAProMaxProbesBudget(t *testing.T) {
 	}
 }
 
+// TestAProProbeFailuresAreSkipped: a probe that errs, and one whose
+// answer is not a relevancy (NaN, negative, infinite), fails alike.
 func TestAProProbeFailuresAreSkipped(t *testing.T) {
 	// db1 can observe 0, so once db0's failed probe collapses it to 0 the
 	// tie (broken towards the lower index) keeps the answer uncertain and
@@ -150,31 +152,30 @@ func TestAProProbeFailuresAreSkipped(t *testing.T) {
 		MustRD([]float64{0, 100}, []float64{0.5, 0.5}),
 		MustRD([]float64{0, 99}, []float64{0.5, 0.5}),
 	}
-	sel := NewSelectionFromRDs(rds, Absolute, 1)
 	boom := errors.New("db down")
-	probe := func(i int) (float64, error) {
-		if i == 0 {
-			return 0, boom
+	for _, bad := range []struct {
+		v   float64
+		err error
+	}{{0, boom}, {math.NaN(), nil}, {-3, nil}, {math.Inf(1), nil}, {math.Inf(-1), nil}} {
+		sel := NewSelectionFromRDs(rds, Absolute, 1)
+		probe := func(i int) (float64, error) {
+			if i == 0 {
+				return bad.v, bad.err
+			}
+			return 99, nil
 		}
-		return 99, nil
-	}
-	out, err := APro(sel, probe, &ByEstimate{}, 0.99, -1)
-	// ByEstimate picks the higher estimate (db0); the failed probe must
-	// be recorded and the run continues with the other database.
-	if out.Probes() != 1 {
-		t.Errorf("successful probes = %d, want 1 (outcome %+v, err %v)", out.Probes(), out, err)
-	}
-	failed := 0
-	for _, s := range out.Steps {
-		if s.Err != nil {
-			failed++
+		out, err := APro(sel, probe, &ByEstimate{}, 0.99, -1)
+		// ByEstimate picks the higher estimate (db0); the failed probe must
+		// be recorded and the run continues with the other database.
+		if out.Probes() != 1 {
+			t.Errorf("%v: successful probes = %d, want 1 (outcome %+v, err %v)", bad, out.Probes(), out, err)
 		}
-	}
-	if failed != 1 {
-		t.Errorf("failed steps = %d, want 1", failed)
-	}
-	if err != nil || !out.Reached || len(out.Set) != 1 || out.Set[0] != 1 {
-		t.Errorf("outcome = %+v, err %v; want db1 selected without error", out, err)
+		if len(out.Steps) != 2 || out.Steps[0].Err == nil || out.Steps[0].Value != 0 || out.Steps[1].Err != nil {
+			t.Errorf("%v: steps %+v, want db0 failed at 0, then db1", bad, out.Steps)
+		}
+		if err != nil || !out.Reached || len(out.Set) != 1 || out.Set[0] != 1 {
+			t.Errorf("%v: outcome = %+v, err %v; want db1 selected without error", bad, out, err)
+		}
 	}
 }
 

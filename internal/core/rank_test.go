@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -353,7 +352,7 @@ func massGap(n, k int, e func([]int) float64, marg []float64) float64 {
 func oddImpulses(rng *rand.Rand, rds []*RD) []*RD {
 	for i, rd := range rds {
 		if rd.isImpulse() && rng.Intn(3) == 0 {
-			rds[i] = Impulse(oddAnswers[1+rng.Intn(len(oddAnswers)-1)])
+			rds[i] = Impulse(oddAnswers[rng.Intn(len(oddAnswers))])
 		}
 	}
 	return rds
@@ -364,8 +363,8 @@ func oddImpulses(rng *rand.Rand, rds []*RD) []*RD {
 // summed over every k-set is 1 and over the sets holding i is
 // P(i ∈ topk). It must hold to three orders under pruneSlack, which pads
 // the bound, in the base state and under every hypothesis, with ties,
-// cold zeros, impulses at ±Inf and −0, and on C(20, 3)-sized states. A
-// NaN key breaks it, and the search must keep the bound off there.
+// cold zeros, impulses at ±Inf and −0, and on C(20, 3)-sized states.
+// (It needs the key order total; no NaN reaches a selection.)
 func TestSetMassPartitionsMarginals(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	check := func(label string, rds []*RD, k int) float64 {
@@ -375,9 +374,6 @@ func TestSetMassPartitionsMarginals(t *testing.T) {
 		defer sel.Release()
 		sel.ensureScratch()
 		sc := sel.scratch
-		if sc.nanKeys != 0 {
-			t.Fatalf("%s: %d NaN keys on a grid without NaN", label, sc.nanKeys)
-		}
 		gap := massGap(n, k, sc.baseExpected, sc.marg)
 		for _, h := range sc.live {
 			for vi := 0; vi < rds[h].Len(); vi++ {
@@ -403,47 +399,13 @@ func TestSetMassPartitionsMarginals(t *testing.T) {
 		wide = max(wide, check(fmt.Sprintf("C(20, 3) trial %d", trial), rds, 3))
 	}
 	t.Logf("largest gap %g on 4–9 databases, %g on C(20, 3)", small, wide)
-
-	// An impulse at NaN is below every other key and every other key is
-	// below it: at k ≥ 2 every set holding it scores 0 while its marginal
-	// is 1, and the identity fails. The grid counts the NaN key, which
-	// turns the third bound off, and the search scores the sets the
-	// reference scores with two. (The third could not prune there anyway:
-	// every set enumerated after the first to score over pruneSlack skips
-	// a database of marginal 1, so the second bound has cut it first.)
-	nanGap := 0.0
-	for trial := 0; trial < 40; trial++ {
-		n := 4 + rng.Intn(6)
-		k := 2 + rng.Intn(min(3, n-2))
-		rds := gridRDs(rng, n, n-1, 2+rng.Intn(3), 8)
-		sel := NewSelectionFromRDs(rds, Absolute, k)
-		for _, i := range rng.Perm(n)[:1+rng.Intn(2)] {
-			sel.ApplyProbe(i, math.NaN())
-		}
-		set, e := sel.BestView()
-		sc := sel.scratch
-		if sc.nanKeys == 0 {
-			t.Fatalf("NaN trial %d: the grid counts no NaN key", trial)
-		}
-		want, wantE, sets := searchSets(Absolute, sel.rds, k, true)
-		if _, _, two := searchSets(Absolute, sel.rds, k, false); sets != two {
-			t.Fatalf("NaN trial %d: the reference pruned by the third bound", trial)
-		}
-		if !slices.Equal(set, want) || !sameBits(e, wantE) || sc.sets != sets {
-			t.Fatalf("NaN trial %d: search found %v at %v scoring %d sets, the two-bound reference %v at %v scoring %d", trial, set, e, sc.sets, want, wantE, sets)
-		}
-		nanGap = max(nanGap, massGap(n, k, sc.baseExpected, sc.marg))
-		sel.Release()
-	}
-	t.Logf("largest gap with a NaN key %g", nanGap)
 }
 
 // TestBestFromMatchesBruteForce: the scratch's pruned, impulse-free
 // search returns the maximum of the reference E[Cor_a] over every k-set,
 // bit for bit, on unprobed states and with probed impulses in the mix,
-// a quarter of them at NaN, ±Inf or −0 (NaN aside: there the key order
-// is partial and the maximum may be missed), and scores the sets the
-// reference's search with the same three bounds scores.
+// a quarter of them at ±Inf or −0, and scores the sets the reference's
+// search with the same three bounds scores.
 func TestBestFromMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 120; trial++ {
@@ -460,10 +422,7 @@ func TestBestFromMatchesBruteForce(t *testing.T) {
 			forEachKSet(n, k, func(s []int) {
 				best = max(best, expectedAbsolute(sel.rds, s))
 			})
-			// A NaN key makes the key order partial, and then not even the
-			// first two bounds are exact: the search may miss the maximum.
-			nan := slices.ContainsFunc(sel.rds, func(rd *RD) bool { return math.IsNaN(rd.Value(0)) })
-			if !nan && math.Float64bits(e) != math.Float64bits(best) {
+			if math.Float64bits(e) != math.Float64bits(best) {
 				t.Fatalf("trial %d: best E[Cor_a] %v, brute force %v", trial, e, best)
 			}
 			if got := expectedAbsolute(sel.rds, set); math.Float64bits(got) != math.Float64bits(e) {

@@ -233,6 +233,9 @@ func TestEDErrors(t *testing.T) {
 	if err := ed.Observe(10, -1); err == nil {
 		t.Error("negative actual must be rejected")
 	}
+	if err := ed.Observe(10, math.Inf(1)); err == nil {
+		t.Error("infinite actual must be rejected")
+	}
 	if err := ed.Observe(math.NaN(), 5); err == nil {
 		t.Error("NaN rhat must be rejected")
 	}

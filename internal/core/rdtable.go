@@ -252,7 +252,7 @@ func (t *rdTable) derive(oldM, newM *Model) *rdTable {
 }
 
 // unscaled derives database dbIdx's RD for an estimate that scaled
-// row e's template cannot take — a non-finite r̂, or one that makes two
+// row e's template cannot take — an infinite r̂, or one that makes two
 // support points collide or overflow — from the frozen EDs instead, in
 // rdFor's order: the row's own, the pooled row's, an impulse at the
 // estimate. Rare, and bit-equal to rdFor.
@@ -279,11 +279,11 @@ func (v *ModelVersion) NewSelection(query string, numTerms int, metric Metric, k
 // table: a shared RD for the absolute band, the template support
 // scaled by the estimate for the relative bands (into selection-owned
 // buffers, sharing the template's probabilities and cumulative tails),
-// and a reusable impulse for cold keys. sel may be nil (one is
-// allocated) or a recycled shell from any earlier query or model
-// version — every field is rewritten, so after warm-up the fill
-// allocates nothing. Returns sel for chaining. Safe to call from any
-// number of goroutines, whatever the writers are doing.
+// and a reusable impulse for cold keys; a NaN estimate is served as 0.
+// sel may be nil (one is allocated) or a recycled shell from any earlier
+// query or model version — every field is rewritten, so after warm-up
+// the fill allocates nothing. Returns sel for chaining. Safe to call
+// from any number of goroutines, whatever the writers are doing.
 func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int, metric Metric, k int) *Selection {
 	if sel == nil {
 		sel = &Selection{}
@@ -306,6 +306,9 @@ func (v *ModelVersion) FillSelection(sel *Selection, query string, numTerms int,
 			rhat = te.EstimateTerms(m.Summaries.Summaries[i], terms)
 		} else {
 			rhat = m.Rel.Estimate(m.Summaries.Summaries[i], query)
+		}
+		if rhat != rhat {
+			rhat = 0 // a NaN estimate is no evidence
 		}
 		sel.estimates[i] = rhat
 		e := tab.row(i, keyOffset(m.Cfg.Classifier.Classify(numTerms, rhat))).Load()

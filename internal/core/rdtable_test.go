@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -109,6 +110,34 @@ func TestVersionSelectionMatchesModel(t *testing.T) {
 					t.Fatalf("%s: no database serves it from a scaled row", qs)
 				}
 			}
+		}
+	}
+}
+
+// TestFillServesNaNEstimateAsZero: an estimator that returns NaN leaves
+// no NaN in the selection. The fill serves the estimate as 0 — the
+// estimates, RDs and best set a genuine 0 gets — as the reference does.
+func TestFillServesNaNEstimateAsZero(t *testing.T) {
+	trained, _, _ := buildTrainedModel(t)
+	model := *trained
+	model.Rel = fixedEstimate{trained.Rel, map[string]float64{"nan estimate": math.NaN(), "zero estimate": 0}}
+	ver := NewModelVersion(&model, "train", time.Now())
+	for _, metric := range []Metric{Absolute, Partial} {
+		for _, k := range []int{1, 3} {
+			sel := ver.NewSelection("nan estimate", 2, metric, k)
+			requireSameSelection(t, sel, ver.NewSelection("zero estimate", 2, metric, k), "NaN against 0")
+			requireSameSelection(t, sel, model.newSelection("nan estimate", 2, metric, k), "NaN against the reference")
+			for i := 0; i < sel.Len(); i++ {
+				for j := 0; j < sel.RD(i).Len(); j++ {
+					if v := sel.RD(i).Value(j); math.IsNaN(v) {
+						t.Fatalf("db %d holds a NaN value", i)
+					}
+				}
+			}
+			if _, e := sel.Best(); math.IsNaN(e) {
+				t.Fatal("the best set's certainty is NaN")
+			}
+			sel.Release()
 		}
 	}
 }

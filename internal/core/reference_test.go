@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -40,6 +39,9 @@ func (e *ED) rd(rhat float64) (*RD, error) {
 func (m *Model) rdFor(dbIdx int, query string, numTerms int) (*RD, float64) {
 	sum := m.Summaries.Summaries[dbIdx]
 	rhat := m.Rel.Estimate(sum, query)
+	if rhat != rhat {
+		rhat = 0 // as the fill serves it
+	}
 	key := m.Cfg.Classifier.Classify(numTerms, rhat)
 	dm := m.DBs[dbIdx]
 
@@ -210,9 +212,7 @@ func expectedAbsolute(rds []*RD, set []int) float64 {
 		for vi := 0; vi < rds[pivot].Len(); vi++ {
 			v := rds[pivot].Value(vi)
 			// P(min over the set = K), with K = (v, pivot): the two
-			// products differ at the pivot only, by P(r_pivot = v), read
-			// at vi itself and not looked up by v, which for a NaN v
-			// would find no value, not even its own.
+			// products differ at the pivot only, by P(r_pivot = v).
 			pGE, pGT := 1.0, 1.0
 			for _, i := range set {
 				f := prKeyGreater(rds[i], i, v, pivot)
@@ -257,8 +257,8 @@ func bestSet(metric Metric, rds []*RD, k int) ([]int, float64) {
 
 // searchSets is bestSet that also returns how many k-sets it scored.
 // With mass it prunes by the third bound as well, the residual of each
-// member's marginal, unless an RD has a NaN value: the pruning the
-// engine's search does, so that its count is the engine's.
+// member's marginal: the pruning the engine's search does, so that its
+// count is the engine's.
 func searchSets(metric Metric, rds []*RD, k int, mass bool) ([]int, float64, int) {
 	n := len(rds)
 	if k <= 0 || n == 0 {
@@ -307,11 +307,6 @@ func searchSets(metric Metric, rds []*RD, k int, mass bool) ([]int, float64, int
 	}
 	candidates := order[:m]
 
-	for _, rd := range rds {
-		for _, v := range rd.values {
-			mass = mass && !math.IsNaN(v)
-		}
-	}
 	resid := slices.Clone(marginals)
 	sets := 0
 	bestE := -1.0

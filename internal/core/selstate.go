@@ -74,7 +74,11 @@ import (
 //
 // Coherence. Four caches stand between a selection and that
 // evaluation, each with one rule, and the grid's impulse counts have a
-// rule of their own; the test named after each fails without it.
+// rule of their own; the test named after each fails without it. No value
+// a selection holds is NaN (answers pass CheckAnswer where they enter, the
+// fill serves a NaN estimate as 0), so the key order is total and Eq. 5,
+// which bestFrom's third bound rests on, holds.
+// TestInvalidAnswerIsAFailedProbe, TestFillServesNaNEstimateAsZero.
 //
 //   - The grid and the term arena (this file) describe the selection's
 //     current RDs, and the kept tails and terms one candidate of them:
@@ -89,10 +93,6 @@ import (
 //     copies all three, so that a DP row over the live factors, shifted
 //     deadAbove cells, is the row over every factor.
 //     TestGridAfterProbeMatchesFreshBuild, TestLiveRowsMatchAllFactors.
-//     nanKeys counts the grid's NaN keys the same way (fillKeys adds a
-//     database's, collapse through fillKeys, copyGrid copies it), and
-//     while it is non-zero bestFrom leaves out the bound that needs the
-//     key order total. TestGridColumnsMatchKeyFormulas.
 //   - The base answer (baseDone, baseE and bestBuf) is the current
 //     state's best set only while the scratch's last search was that
 //     state's base search: bestFrom clears it before every search and
@@ -168,19 +168,16 @@ type selScratch struct {
 	// as a per-database flag, and per key the number of impulse databases
 	// j with less[t][j] == 0 — the ones a set must contain for the key to
 	// contribute at all — and the number with gt[t][j] == 1, each a
-	// one-cell shift of the key's DP row; and how many keys are NaN (an
-	// impulse at NaN, which only a probe answer makes).
+	// one-cell shift of the key's DP row.
 	live      []int
 	isLive    []bool
 	deadNeed  []int
 	deadAbove []int
-	nanKeys   int
 
 	// The active hypothesis "dbₕ = w" (Selection.bestIf), whose h is
 	// the candidate tailDB: the key (w, h), and per database i ≠ h where
 	// w falls among i's keys — κₕ > K for the keys [keyStart[i],
-	// hypGTEnd[i]) and κₕ < K for the rest, as fillColumn would write
-	// them (so h is below an impulse at NaN).
+	// hypGTEnd[i]) and κₕ < K for the rest, as fillColumn writes them.
 	hypActive bool
 	hypKey    int
 	hypGTEnd  []int
@@ -312,7 +309,7 @@ func (sc *selScratch) build(rds []*RD, k int) {
 	sc.keyStart[n] = nK
 	sc.size(n, k, nK)
 
-	sc.live, sc.nanKeys = sc.live[:0], 0
+	sc.live = sc.live[:0]
 	for j, rd := range rds {
 		sc.isLive[j] = !rd.isImpulse()
 		if sc.isLive[j] {
@@ -344,7 +341,6 @@ func (sc *selScratch) copyGrid(src *selScratch) {
 	copy(sc.deadNeed, src.deadNeed[:nK])
 	copy(sc.deadAbove, src.deadAbove[:nK])
 	sc.live = append(sc.live[:0], src.live...)
-	sc.nanKeys = src.nanKeys
 	sc.tailDB = -1
 	sc.valid, sc.collapsed, sc.baseDone = true, -1, false
 }
@@ -376,8 +372,7 @@ func (sc *selScratch) size(n, k, nK int) {
 
 // fillKeys writes database i's keys of the grid: their values and
 // P(rᵢ = v), their rows of gt and less against every database, one
-// column at a time, and their deadNeed and deadAbove; it adds its NaN
-// keys to nanKeys.
+// column at a time, and their deadNeed and deadAbove.
 func (sc *selScratch) fillKeys(rds []*RD, i int) {
 	n := sc.n
 	lo, hi := sc.keyStart[i], sc.keyStart[i+1]
@@ -387,9 +382,6 @@ func (sc *selScratch) fillKeys(rds []*RD, i int) {
 		sc.fillColumn(rdj, j, i, lo, hi)
 	}
 	for t := lo; t < hi; t++ {
-		if v := sc.keyVal[t]; v != v {
-			sc.nanKeys++
-		}
 		dead, above := 0, 0
 		for j, live := range sc.isLive[:n] {
 			if !live {
@@ -408,17 +400,16 @@ func (sc *selScratch) fillKeys(rds []*RD, i int) {
 // fillColumn writes column j of gt and less for the keys [lo, hi) of
 // database i: P(κⱼ > K) and P(κⱼ < K) for K = (v, i), v = keyVal[t].
 // Those keys ascend, so one index walks j's support once, advancing
-// while !(vals[x] >= v): x is the first index with vals[x] >= v, the one
-// sort.SearchFloat64s returns, and a NaN on either side puts it past the
-// end as the search does. P(rⱼ = v), when vals[x] is v, goes to the side
-// the index tie-break puts it on.
+// while vals[x] < v: x is the first index with vals[x] >= v, the one
+// sort.SearchFloat64s returns. P(rⱼ = v), when vals[x] is v, goes to the
+// side the index tie-break puts it on.
 func (sc *selScratch) fillColumn(rdj *RD, j, i, lo, hi int) {
 	n := sc.n
 	vals := rdj.values
 	x := 0
 	for t := lo; t < hi; t++ {
 		v := sc.keyVal[t]
-		for x < len(vals) && !(vals[x] >= v) {
+		for x < len(vals) && vals[x] < v {
 			x++
 		}
 		gt, less := rdj.cumGE[x], rdj.cumLT[x]
@@ -437,9 +428,8 @@ func (sc *selScratch) fillColumn(rdj *RD, j, i, lo, hi int) {
 // collapse repairs a grid built before database h's RD became the
 // impulse rds[h], with the calls build would make: h's key block shrinks
 // to its one key, column h and h's own row are recomputed, h leaves the
-// live list and enters deadNeed and deadAbove, and nanKeys if its key is
-// NaN (a live RD has no NaN value). The caller guarantees h was live in
-// the grid and nothing else changed.
+// live list and enters deadNeed and deadAbove. The caller guarantees h
+// was live in the grid and nothing else changed.
 func (sc *selScratch) collapse(rds []*RD, h int) {
 	n := sc.n
 	hb, he, nK := sc.keyStart[h], sc.keyStart[h+1], sc.keyStart[n]
@@ -627,8 +617,6 @@ func (sc *selScratch) beginHypothesis(h, vi int) {
 		}
 		// An impulse at w against key K = (v, i): P(κₕ > K) and P(κₕ < K)
 		// are indicators with the index tie-break, and i's keys ascend.
-		// Against a NaN key fillColumn writes 0 and 1, as for a key
-		// above w: the impulse is below it.
 		gtEnd := lo
 		for gtEnd < hi && (w > sc.keyVal[gtEnd] || (w == sc.keyVal[gtEnd] && h < i)) {
 			gtEnd++
@@ -961,11 +949,9 @@ func (sc *selScratch) bestFrom(metric Metric) ([]int, float64) {
 	// P(i ∈ topk): a set not scored yet is bounded by min over its members
 	// of the residual, the marginal less the E of every set scored with
 	// that member. That bound is not monotone in i, so it skips the node
-	// and its subtree, not the suffix. A NaN key makes the key order
-	// partial and the sum fail, so a grid with one keeps the first two
-	// bounds only.
+	// and its subtree, not the suffix.
 	bestE := -1.0
-	resid, useResid := sc.resid, sc.nanKeys == 0
+	resid := sc.resid
 	copy(resid, marg[:n])
 	idx, gap := sc.comboIdx, sc.comboGap
 	depth := 0
@@ -986,15 +972,13 @@ func (sc *selScratch) bestFrom(metric Metric) ([]int, float64) {
 			continue
 		}
 		sc.combo[depth] = candidates[i]
-		if useResid {
-			r := resid[candidates[i]]
-			for _, c := range sc.combo[:depth] {
-				r = min(r, resid[c])
-			}
-			if r+pruneSlack <= bestE {
-				idx[depth]++
-				continue
-			}
+		r := resid[candidates[i]]
+		for _, c := range sc.combo[:depth] {
+			r = min(r, resid[c])
+		}
+		if r+pruneSlack <= bestE {
+			idx[depth]++
+			continue
 		}
 		if depth == k-1 {
 			copy(sc.chosen, sc.combo)

@@ -366,7 +366,6 @@ func assertFreshGrid(t *testing.T, label string, sel *Selection) {
 	floats("less", got.less, want.less[:nK*n])
 	ints("deadNeed", got.deadNeed, want.deadNeed[:nK])
 	ints("deadAbove", got.deadAbove, want.deadAbove[:nK])
-	ints("nanKeys", []int{got.nanKeys}, []int{want.nanKeys})
 	if len(got.live) != len(want.live) {
 		t.Fatalf("%s: live %v, fresh build %v", label, got.live, want.live)
 	}
@@ -404,7 +403,7 @@ func TestGridAfterProbeMatchesFreshBuild(t *testing.T) {
 			float64(rng.Intn(8)) + 0.5,                       // off every support
 			other.Value(rng.Intn(other.Len())),               // another database's key
 			0,                                                // a failed probe
-			math.NaN(),
+			math.Inf(1),                                      // above every key
 		}
 		src := NewSelectionFromRDs(rds, Absolute, k)
 		sel := NewSelectionFromRDs(rds, Absolute, k)
@@ -442,25 +441,15 @@ func TestGridAfterProbeMatchesFreshBuild(t *testing.T) {
 // TestGridColumnsMatchKeyFormulas: every gt and less cell the column
 // walks write equals prKeyGreater and prKeyLess, the per-cell binary
 // searches they replaced, bit for bit — on fresh builds, after a
-// repair, and on a copied grid, which also count their NaN keys. The
-// RDs share an integer grid, so ties across databases fall on both sides
-// of the index tie-break, and impulses sit at 0 and at NaN, on both
-// sides of a column.
+// repair, and on a copied grid. The RDs share an integer grid, so ties
+// across databases fall on both sides of the index tie-break, and
+// impulses sit at 0 and at +Inf, on both sides of a column.
 func TestGridColumnsMatchKeyFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	var cells, tieBelow, tieAbove, nanKeys, nanColumns int
+	var cells, tieBelow, tieAbove, infKeys, infColumns int
 	check := func(label string, sc *selScratch, rds []*RD) {
 		t.Helper()
 		n := sc.n
-		nan := 0
-		for _, v := range sc.keyVal[:sc.keyStart[n]] {
-			if math.IsNaN(v) {
-				nan++
-			}
-		}
-		if sc.nanKeys != nan {
-			t.Fatalf("%s: the grid counts %d NaN keys and holds %d", label, sc.nanKeys, nan)
-		}
 		for i := 0; i < n; i++ {
 			for key := sc.keyStart[i]; key < sc.keyStart[i+1]; key++ {
 				v := sc.keyVal[key]
@@ -477,11 +466,11 @@ func TestGridColumnsMatchKeyFormulas(t *testing.T) {
 					case eq > 0 && j > i:
 						tieAbove++
 					}
-					if math.IsNaN(v) {
-						nanKeys++
+					if math.IsInf(v, 1) {
+						infKeys++
 					}
-					if rd.isImpulse() && math.IsNaN(rd.Value(0)) {
-						nanColumns++
+					if rd.isImpulse() && math.IsInf(rd.Value(0), 1) {
+						infColumns++
 					}
 				}
 			}
@@ -493,7 +482,7 @@ func TestGridColumnsMatchKeyFormulas(t *testing.T) {
 		rds := gridRDs(rng, n, 2+rng.Intn(n-2), 2+rng.Intn(5), 8)
 		for i, rd := range rds {
 			if rd.isImpulse() && rng.Intn(4) == 0 {
-				rds[i] = Impulse(math.NaN())
+				rds[i] = Impulse(math.Inf(1))
 			}
 		}
 		sel := NewSelectionFromRDs(rds, Absolute, k)
@@ -511,7 +500,7 @@ func TestGridColumnsMatchKeyFormulas(t *testing.T) {
 				other.Value(rng.Intn(other.Len())),   // another database's key
 				float64(rng.Intn(8)) + 0.5,           // off every support
 				0,                                    // a failed probe
-				math.NaN(),                           // a NaN answer
+				math.Inf(1),                          // above every key
 			}[trial%5 : trial%5+1] {
 				c.ApplyProbe(h, v)
 			}
@@ -524,10 +513,10 @@ func TestGridColumnsMatchKeyFormulas(t *testing.T) {
 		shell.Release()
 		sel.Release()
 	}
-	if tieBelow == 0 || tieAbove == 0 || nanKeys == 0 || nanColumns == 0 {
-		t.Fatalf("%d cells: %d ties below, %d above, %d at NaN keys, %d against NaN impulses; want each met", cells, tieBelow, tieAbove, nanKeys, nanColumns)
+	if tieBelow == 0 || tieAbove == 0 || infKeys == 0 || infColumns == 0 {
+		t.Fatalf("%d cells: %d ties below, %d above, %d at +Inf keys, %d against +Inf impulses; want each met", cells, tieBelow, tieAbove, infKeys, infColumns)
 	}
-	t.Logf("%d cells: %d ties below, %d above, %d at NaN keys, %d against NaN impulses", cells, tieBelow, tieAbove, nanKeys, nanColumns)
+	t.Logf("%d cells: %d ties below, %d above, %d at +Inf keys, %d against +Inf impulses", cells, tieBelow, tieAbove, infKeys, infColumns)
 }
 
 // TestBaseSearchReuse: evaluate answers from the scratch's last search

@@ -122,7 +122,9 @@ type Config struct {
 	Model core.Config
 	// OnlineRefinement feeds every live probe back into the error
 	// model (the paper's future-work direction): probes double as free
-	// training samples, so the model tracks database drift.
+	// training samples, so the model tracks database drift. With or
+	// without it and Drift, an answer that is not a finite relevancy ≥ 0
+	// is a failed probe that no ED or drift window sees.
 	OnlineRefinement bool
 	// Metrics, when non-nil, receives selection and probe metrics
 	// (selection latency quantiles, probe counters per database,
@@ -139,7 +141,7 @@ type Config struct {
 	// alerts go to the background refresher when RefreshQueries is set.
 	// Detection starts once Train (or NewFromModel) has produced a
 	// model; false — the default — keeps the probe path free of drift
-	// bookkeeping.
+	// bookkeeping. A failed probe (see OnlineRefinement) enters no window.
 	Drift bool
 	// RefreshQueries, when non-nil, starts a background refresher and
 	// supplies its probe queries: up to n workload-like queries of
@@ -405,9 +407,10 @@ func (m *Metasearcher) SelectWithCertainty(query string, k int, metric Metric, t
 // outcome of the one in flight picks it (core.Overlapper), which costs
 // no extra probe. Cancelling ctx abandons the selection.
 //
-// Failures degrade instead of erroring: a backend whose probe fails —
-// or whose breaker is open — is treated as serving nothing for this
-// query and excluded, and the result reports Degraded/ExcludedDBs.
+// Failures degrade instead of erroring: a backend whose probe fails or
+// answers no finite relevancy ≥ 0, or whose breaker is open, is treated
+// as serving nothing for this query and excluded, and the result
+// reports Degraded/ExcludedDBs.
 func (m *Metasearcher) SelectWithCertaintyContext(ctx context.Context, query string, k int, metric Metric, t float64, maxProbes int) (*SelectionResult, error) {
 	res, err := m.selectWithPolicyContext(ctx, query, k, metric, t, maxProbes)
 	if err != nil {
@@ -456,13 +459,9 @@ func (m *Metasearcher) selectWithPolicyContext(ctx context.Context, query string
 	}
 	numTerms := countTerms(query)
 	probe := func(ctx context.Context, i int) (float64, error) {
-		// The bound-context view routes the relevancy prober's searches
-		// through SearchContext, so cancellation reaches the wire.
-		v, err := m.rel.Probe(hidden.WithContext(ctx, m.tb.DB(i)), query)
+		v, err := m.probe(ctx, i, query)
 		if err == nil {
-			if ferr := m.probeFeedback(i, query, numTerms, v); ferr != nil {
-				return 0, ferr
-			}
+			err = m.probeFeedback(i, query, numTerms, v)
 		}
 		return v, err
 	}

@@ -69,6 +69,13 @@ func (m *Metasearcher) DriftStatuses() []DriftStatus {
 	return m.host.DriftStatuses()
 }
 
+// probe issues query live to database i under ctx (the bound-context view
+// carries cancellation to the wire); an answer core.CheckAnswer refuses is
+// a failed probe, which no selection, feedback or refresh sees.
+func (m *Metasearcher) probe(ctx context.Context, i int, query string) (float64, error) {
+	return core.CheckAnswer(m.rel.Probe(hidden.WithContext(ctx, m.tb.DB(i)), query))
+}
+
 // probeFeedback folds one successful live probe back into the shared
 // model state (online refinement, drift detection); many selections, or
 // one selection's probe and the successor started behind it, land here
@@ -259,9 +266,7 @@ type refreshHost struct {
 }
 
 func (h refreshHost) Probe(ctx context.Context, dbIdx int, query string) (float64, error) {
-	m := h.m
-	db := m.tb.DB(dbIdx)
-	return m.exec.Probe(ctx, db.Name(), func(ctx context.Context) (float64, error) {
-		return m.rel.Probe(hidden.WithContext(ctx, db), query)
+	return h.m.exec.Probe(ctx, h.m.dbName(dbIdx), func(ctx context.Context) (float64, error) {
+		return h.m.probe(ctx, dbIdx, query)
 	})
 }
