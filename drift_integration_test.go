@@ -8,7 +8,6 @@ import (
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
-	"metaprobe/internal/textindex"
 )
 
 // TestDriftDetectionEndToEnd is the acceptance test for the drift
@@ -107,15 +106,7 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := textindex.DefaultTokenizer()
-	for _, d := range newDocs {
-		terms := make([]string, 0, len(d.Terms))
-		for _, term := range d.Terms {
-			terms = append(terms, tok.Tokenize(term)...)
-		}
-		local.Index().AddTerms(d.ID, terms)
-		local.StoreText(d.ID, d.Text())
-	}
+	local.AddDocuments(newDocs)
 
 	// Phase 2: same workload over the shifted corpus, twice, so every
 	// sparse (database, query type) window fills with post-drift

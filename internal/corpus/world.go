@@ -161,23 +161,6 @@ type Document struct {
 	Terms []string
 }
 
-// Text renders the document as a whitespace-joined string (for code
-// paths that exercise the tokenizer).
-func (d Document) Text() string {
-	n := 0
-	for _, t := range d.Terms {
-		n += len(t) + 1
-	}
-	buf := make([]byte, 0, n)
-	for i, t := range d.Terms {
-		if i > 0 {
-			buf = append(buf, ' ')
-		}
-		buf = append(buf, t...)
-	}
-	return string(buf)
-}
-
 // Generate produces the documents of one database. Generation is
 // deterministic given the RNG state.
 func (w *World) Generate(spec DatabaseSpec, rng *stats.RNG) ([]Document, error) {

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Text() != b[i].Text() {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("doc %d differs between runs", i)
 		}
 	}
@@ -250,16 +251,5 @@ func TestSyntheticVocabularyDistinct(t *testing.T) {
 		if strings.ToLower(w) != w {
 			t.Fatalf("word %q not lowercase", w)
 		}
-	}
-}
-
-func TestDocumentText(t *testing.T) {
-	d := Document{ID: "x", Terms: []string{"alpha", "beta", "gamma"}}
-	if got := d.Text(); got != "alpha beta gamma" {
-		t.Errorf("Text() = %q", got)
-	}
-	empty := Document{ID: "y"}
-	if got := empty.Text(); got != "" {
-		t.Errorf("empty Text() = %q", got)
 	}
 }

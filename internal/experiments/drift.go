@@ -9,7 +9,6 @@ import (
 	"metaprobe/internal/eval"
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/stats"
-	"metaprobe/internal/textindex"
 )
 
 // DriftStudy (E-DRIFT) exercises the online-refinement extension
@@ -91,17 +90,7 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 	if err != nil {
 		return nil, err
 	}
-	// Index the new documents exactly like hidden.BuildLocal does:
-	// generator terms normalized into the shared term space.
-	tok := textindex.DefaultTokenizer()
-	for _, d := range newDocs {
-		terms := make([]string, 0, len(d.Terms))
-		for _, t := range d.Terms {
-			terms = append(terms, tok.Tokenize(t)...)
-		}
-		local.Index().AddTerms(d.ID, terms)
-		local.StoreText(d.ID, d.Text())
-	}
+	local.AddDocuments(newDocs)
 
 	// Phase 2: after the drift, stale model, fresh ground truth.
 	postGolden, err := eval.BuildGolden(env.Testbed, env.Rel, env.Test)

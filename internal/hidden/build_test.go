@@ -3,6 +3,7 @@ package hidden
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"metaprobe/internal/corpus"
@@ -43,7 +44,7 @@ func TestBuildTestbedMatchesPerOccurrenceTokenizing(t *testing.T) {
 						terms = append(terms, tok.Tokenize(term)...)
 					}
 					ref.Index().AddTerms(d.ID, terms)
-					ref.StoreText(d.ID, d.Text())
+					ref.StoreText(strings.Join(d.Terms, " "))
 				}
 
 				got := tb.DB(i).(*Local)

@@ -44,7 +44,8 @@ func FuzzParseHTMLAnswerPage(f *testing.F) {
 // FuzzLocalText holds the text store to byte-exact round trips: any
 // text comes back from Fetch as stored — empty fields, leading, trailing
 // and repeated spaces and invalid UTF-8 included — an ID stored again
-// fetches its new text, and a word new to a shared word table leaves the
+// fetches its new text, any string serves as an ID, an ID with no text
+// stored is unknown, and a word new to a shared word table leaves the
 // table, and every database that shares it, as they were.
 func FuzzLocalText(f *testing.F) {
 	f.Add("breast cancer research", "")
@@ -52,6 +53,8 @@ func FuzzLocalText(f *testing.F) {
 	f.Add("double  space", "\xff\xfe not utf-8")
 	f.Add("", " ")
 	f.Add("cancer", "cancer cancer")
+	f.Add("a1", "a1")
+	f.Add("b1", "a2")
 	f.Fuzz(func(t *testing.T, text, again string) {
 		shared := newWordTable()
 		for _, w := range []string{"breast", "cancer", "lung"} {
@@ -59,33 +62,68 @@ func FuzzLocalText(f *testing.F) {
 		}
 		a := newLocal("a", textindex.NewIndex(nil), shared)
 		b := newLocal("b", textindex.NewIndex(nil), shared)
+		stored := map[*Local]map[string]string{a: {}, b: {}}
+		store := func(l *Local, id, text string) {
+			l.Index().Add(id, text)
+			l.StoreText(text)
+			stored[l][id] = text
+		}
 		fetch := func(l *Local, id, want string) {
 			t.Helper()
 			if got, err := l.Fetch(id); err != nil || got != want {
-				t.Fatalf("%s: Fetch(%s) = %q, %v; want %q", l.Name(), id, got, err, want)
+				t.Fatalf("%s: Fetch(%q) = %q, %v; want %q", l.Name(), id, got, err, want)
 			}
 		}
-		b.StoreText("b1", "lung cancer")
-		a.StoreText("a1", text)
-		a.StoreText("a2", again)
-		fetch(a, "a1", text)
-		fetch(a, "a2", again)
-		a.StoreText("a1", again)
+		fetchAll := func() {
+			t.Helper()
+			for l, texts := range stored {
+				for id, want := range texts {
+					fetch(l, id, want)
+				}
+			}
+		}
+		store(b, "b1", "lung cancer")
+		store(a, "a1", text)
+		store(a, "a2", again)
+		fetchAll()
+		store(a, "a1", again)
 		fetch(a, "a1", again)
-		fetch(a, "a2", again)
-		fetch(b, "b1", "lung cancer")
-		b.StoreText("b2", text)
-		fetch(b, "b2", text)
-		fetch(b, "b1", "lung cancer")
-		fetch(a, "a1", again)
+		store(b, "b2", text)
+		fetchAll()
+		// The fuzzed strings as IDs, stored among the others; each stored
+		// again, so the index holds it twice.
+		store(a, text, "cancer")
+		store(a, again, "breast")
+		store(a, text, again)
+		fetchAll()
 		if len(shared.list) != 3 || len(shared.ids) != 3 {
 			t.Fatalf("the shared table grew to %d words", len(shared.list))
 		}
-		if _, err := a.Fetch("b1"); err == nil {
-			t.Fatal("a fetched b's document")
+		if _, ok := stored[a]["b1"]; !ok {
+			if _, err := a.Fetch("b1"); err == nil {
+				t.Fatal("a fetched b's document")
+			}
+		}
+		unknown := "unknown"
+		for _, ok := stored[a][unknown]; ok; _, ok = stored[a][unknown] {
+			unknown += "!"
+		}
+		if _, err := a.Fetch(unknown); err == nil {
+			t.Fatalf("a fetched %q, which it never stored", unknown)
 		}
 		// A document of no words, as BuildLocal stores one with no terms.
-		a.storeWords("a3", nil)
-		fetch(a, "a3", "")
+		a.Index().AddTerms(unknown, nil)
+		if _, err := a.Fetch(unknown); err == nil {
+			t.Fatalf("a fetched %q, which its index holds with no text stored", unknown)
+		}
+		a.storeWords(nil)
+		fetch(a, unknown, "")
+		// A text for a document the index does not hold is refused.
+		defer func() {
+			if recover() == nil {
+				t.Fatal("StoreText took a text with every document of the index stored")
+			}
+		}()
+		b.StoreText(text)
 	})
 }

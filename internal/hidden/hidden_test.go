@@ -45,7 +45,7 @@ func buildSmallLocal(t *testing.T) *Local {
 	for i, d := range docs {
 		id := fmt.Sprintf("d%d", i)
 		ix.Add(id, d)
-		l.StoreText(id, d)
+		l.StoreText(d)
 	}
 	return l
 }
@@ -76,6 +76,28 @@ func TestLocalSearch(t *testing.T) {
 	}
 	if db.Name() != "testdb" {
 		t.Errorf("Name = %q", db.Name())
+	}
+}
+
+// TestLocalDuplicateIDsFetchTheNewest: documents that share an ID, built
+// together or added after the build, fetch the text stored last under
+// it; every other ID fetches its own text, and an unknown one none.
+func TestLocalDuplicateIDsFetchTheNewest(t *testing.T) {
+	doc := func(id string, terms ...string) corpus.Document { return corpus.Document{ID: id, Terms: terms} }
+	l := BuildLocal("dups", []corpus.Document{doc("b", "lung"), doc("a", "breast"), doc("b", "cancer", "care"), doc("c")})
+	l.AddDocuments([]corpus.Document{doc("a", "heart"), doc("0", "first"), doc("b", "late")})
+	for id, want := range map[string]string{"a": "heart", "b": "late", "c": "", "0": "first"} {
+		if got, err := l.Fetch(id); err != nil || got != want {
+			t.Errorf("Fetch(%q) = %q, %v; want %q", id, got, err, want)
+		}
+	}
+	for _, id := range []string{"", "aa", "d"} {
+		if got, err := l.Fetch(id); err == nil {
+			t.Errorf("Fetch(%q) = %q for an ID never stored", id, got)
+		}
+	}
+	if l.Size() != 7 {
+		t.Errorf("Size = %d, want 7", l.Size())
 	}
 }
 

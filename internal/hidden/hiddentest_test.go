@@ -25,7 +25,7 @@ func buildSmallLocal(t *testing.T) *hidden.Local {
 	for i, d := range docs {
 		id := fmt.Sprintf("d%d", i)
 		ix.Add(id, d)
-		l.StoreText(id, d)
+		l.StoreText(d)
 	}
 	return l
 }

@@ -24,13 +24,14 @@ func newSpecRNG(seed, label int64) *stats.RNG {
 // identical to the HTTP path but with zero latency.
 //
 // Each document's text is held once, as word ids: the words of every
-// stored text back to back in text, slot s's at text[offs[s]:offs[s+1]],
-// and slots maps a document ID to its slot. A text is its words joined
-// by single spaces, so Fetch returns the stored bytes exactly; offsets
-// are uint32, so a database stores fewer than 2³² words. The word
-// table may be shared with the other databases of a testbed: a database
-// copies it before adding a word of its own (ownWords), so a table it
-// did not copy is never written.
+// stored text back to back in text, slot s's at text[offs[s]:offs[s+1]].
+// Slot s is the index's document s; byID lists the slots by their
+// documents' IDs, newest first. A text is its words joined by single
+// spaces, so Fetch returns the stored bytes exactly; offsets are uint32,
+// so a database stores fewer than 2³² words. The word table may be
+// shared with the other databases of a testbed: a database copies it
+// before adding a word of its own (ownWords), so a table it did not
+// copy is never written.
 type Local struct {
 	name     string
 	index    *textindex.Index
@@ -38,7 +39,7 @@ type Local struct {
 	ownWords bool
 	text     []uint32
 	offs     []uint32
-	slots    map[string]uint32
+	byID     []uint32
 }
 
 // wordTable numbers distinct words: list[id] is the word, ids its
@@ -69,17 +70,20 @@ func NewLocal(name string, index *textindex.Index) *Local {
 }
 
 func newLocal(name string, index *textindex.Index, words *wordTable) *Local {
-	return &Local{name: name, index: index, words: words, offs: []uint32{0}, slots: make(map[string]uint32)}
+	return &Local{name: name, index: index, words: words, offs: []uint32{0}}
 }
 
-// StoreText registers the retrievable text of a document so Fetch can
-// serve it. Storing an ID again replaces its text.
-func (l *Local) StoreText(id, text string) { l.storeWords(id, strings.Split(text, " ")) }
+// StoreText registers text as the retrievable text of the index's first
+// document without one: add a document to the index, then store its
+// text. Storing an ID again, after adding it again, replaces its text.
+func (l *Local) StoreText(text string) { l.storeWords(strings.Split(text, " ")) }
 
 // storeWords stores the text that words joined by single spaces make as
-// the document's. An ID stored again gets a new slot; its old words stay
+// the next slot's. An ID stored again gets a new slot; its old words stay
 // behind, unreferenced.
-func (l *Local) storeWords(id string, words []string) {
+func (l *Local) storeWords(words []string) {
+	slot := len(l.offs) - 1
+	at, _ := l.find(l.index.DocID(slot))
 	for _, w := range words {
 		wid, ok := l.words.ids[w]
 		if !ok {
@@ -92,16 +96,22 @@ func (l *Local) storeWords(id string, words []string) {
 		}
 		l.text = append(l.text, wid)
 	}
-	l.slots[id] = uint32(len(l.offs) - 1)
+	l.byID = slices.Insert(l.byID, at, uint32(slot))
 	l.offs = append(l.offs, uint32(len(l.text)))
+}
+
+// find returns where id's newest slot is, or would go, in byID.
+func (l *Local) find(id string) (int, bool) {
+	return slices.BinarySearchFunc(l.byID, id, func(s uint32, id string) int { return strings.Compare(l.index.DocID(int(s)), id) })
 }
 
 // Fetch implements Fetcher.
 func (l *Local) Fetch(id string) (string, error) {
-	s, ok := l.slots[id]
+	at, ok := l.find(id)
 	if !ok {
 		return "", fmt.Errorf("hidden: %s: no document %q", l.name, id)
 	}
+	s := l.byID[at]
 	ids := l.text[l.offs[s]:l.offs[s+1]]
 	n := 0
 	for _, wid := range ids {
@@ -127,22 +137,32 @@ func BuildLocal(name string, docs []corpus.Document) *Local {
 
 // buildLocal is BuildLocal with a memo of normalized terms to start
 // from, which it extends, and a word table to store the texts with.
-// Generator terms are normalized exactly like free text so the index,
-// summaries and queries all live in the same term space; Tokenize is a
-// pure function of its input, so each distinct term is tokenized once
-// and its result reused. A document's text is its terms joined by single
-// spaces (corpus.Document.Text).
 func buildLocal(name string, docs []corpus.Document, normalized map[string][]string, words *wordTable) *Local {
-	ix := textindex.NewIndex(nil)
-	tok := textindex.DefaultTokenizer()
-	l := newLocal(name, ix, words)
+	l := newLocal(name, textindex.NewIndex(nil), words)
 	size := 0
 	for _, d := range docs {
 		size += len(d.Terms)
 	}
 	l.text = make([]uint32, 0, size)
 	l.offs = slices.Grow(l.offs, len(docs))
-	l.slots = make(map[string]uint32, len(docs))
+	l.byID = make([]uint32, 0, len(docs))
+	l.addDocs(docs, normalized)
+	l.index.Compact()
+	return l
+}
+
+// AddDocuments indexes generated documents and stores their texts, as
+// BuildLocal does.
+func (l *Local) AddDocuments(docs []corpus.Document) { l.addDocs(docs, make(map[string][]string)) }
+
+// addDocs indexes docs and stores their texts, extending a memo of
+// normalized terms. Generator terms are normalized exactly like free
+// text so the index, summaries and queries all live in the same term
+// space; Tokenize is a pure function of its input, so each distinct term
+// is tokenized once and its result reused. A document's text is its
+// terms joined by single spaces.
+func (l *Local) addDocs(docs []corpus.Document, normalized map[string][]string) {
+	tok := textindex.DefaultTokenizer()
 	var norm []string // reused per document: AddTerms keeps no reference
 	for _, d := range docs {
 		norm = norm[:0]
@@ -154,11 +174,9 @@ func buildLocal(name string, docs []corpus.Document, normalized map[string][]str
 			}
 			norm = append(norm, nt...)
 		}
-		ix.AddTerms(d.ID, norm)
-		l.storeWords(d.ID, d.Terms)
+		l.index.AddTerms(d.ID, norm)
+		l.storeWords(d.Terms)
 	}
-	ix.Compact()
-	return l
 }
 
 // Name implements Database.

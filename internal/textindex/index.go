@@ -123,6 +123,9 @@ func (ix *Index) Compact() {
 // Size returns the number of indexed documents (|db| in Eq. 1).
 func (ix *Index) Size() int { return len(ix.docIDs) }
 
+// DocID returns the external ID of the document at ordinal ord.
+func (ix *Index) DocID(ord int) string { return ix.docIDs[ord] }
+
 // TotalTerms returns the total number of term occurrences indexed (the
 // collection word count cw used by CORI-style selection).
 func (ix *Index) TotalTerms() int { return ix.totalTerms }

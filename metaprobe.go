@@ -696,7 +696,7 @@ func NewLocalDatabase(name string, docs map[string]string) Database {
 	sort.Strings(ids)
 	for _, id := range ids {
 		ix.Add(id, docs[id])
-		local.StoreText(id, docs[id])
+		local.StoreText(docs[id])
 	}
 	ix.Compact()
 	return local

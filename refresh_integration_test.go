@@ -16,7 +16,6 @@ import (
 	"metaprobe/internal/leakcheck"
 	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
-	"metaprobe/internal/textindex"
 )
 
 // TestRefreshEndToEnd is the acceptance test for the closed drift
@@ -177,15 +176,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := textindex.DefaultTokenizer()
-	for _, d := range newDocs {
-		terms := make([]string, 0, len(d.Terms))
-		for _, term := range d.Terms {
-			terms = append(terms, tok.Tokenize(term)...)
-		}
-		local.Index().AddTerms(d.ID, terms)
-		local.StoreText(d.ID, d.Text())
-	}
+	local.AddDocuments(newDocs)
 
 	staleMs, err := NewFromModel(dbs, stalePath, nil)
 	if err != nil {
