@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"metaprobe/internal/corpus"
+	"metaprobe/internal/queries"
 	"metaprobe/internal/stats"
 	"metaprobe/internal/textindex"
 )
@@ -77,13 +78,13 @@ func TestBuildTestbedLeavesNoSpareCapacity(t *testing.T) {
 	}
 }
 
-// spareLists counts the posting lists of ix whose capacity exceeds their
-// length, reading the unexported map through reflection.
+// spareLists counts the posting lists of ix whose bytes' capacity
+// exceeds their length, reading the unexported map through reflection.
 func spareLists(ix *textindex.Index) int {
 	n := 0
 	it := reflect.ValueOf(ix).Elem().FieldByName("postings").MapRange()
 	for it.Next() {
-		if pl := it.Value(); pl.Cap() != pl.Len() {
+		if data := it.Value().FieldByName("data"); data.Cap() != data.Len() {
 			n++
 		}
 	}
@@ -91,10 +92,11 @@ func spareLists(ix *textindex.Index) int {
 }
 
 // liveBytesPerDocCeiling bounds BenchmarkBuildTestbed's live-B/doc,
-// 10 % over the 435 B/doc it reads with the texts stored as word ids and
-// the posting lists compacted (632 B/doc with a string per text and
-// append-grown lists).
-const liveBytesPerDocCeiling = 480
+// 10 % over the 260 B/doc it reads with the posting lists encoded as
+// uvarint blocks and the texts found by a sorted permutation of slots
+// (424 B/doc with 8-byte postings and an ID → slot map, 632 B/doc with
+// a string per text and append-grown lists).
+const liveBytesPerDocCeiling = 286
 
 // BenchmarkBuildTestbed builds the benchmark's testbed: the 20 health
 // databases at scale 0.1, seed 2004. It reports the heap the testbed
@@ -128,6 +130,40 @@ func BenchmarkBuildTestbed(b *testing.B) {
 	if live > liveBytesPerDocCeiling {
 		b.Fatalf("the testbed keeps %.0f B/doc live, over the ceiling of %d", live, liveBytesPerDocCeiling)
 	}
+}
+
+// BenchmarkMatchCount counts the matches of the benchmark's training
+// queries, 300 of two terms and 300 of three, on each database of the
+// benchmark's testbed (the 20 health databases at scale 0.1, seed 2004)
+// and reports ns/search, one query on one database. It pins the block
+// length of internal/textindex's posting lists.
+func BenchmarkMatchCount(b *testing.B) {
+	world := corpus.HealthWorld()
+	tb, err := BuildTestbed(world, corpus.HealthTestbed(0.1), 2004)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := queries.NewGenerator(world, queries.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := gen.Pool(stats.NewRNG(2004).Fork(1), 300, 300)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]string, len(pool))
+	for i, q := range pool {
+		qs[i] = q.String()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		for _, db := range tb.Databases() {
+			db.(*Local).Index().MatchCount(q)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tb.Len()), "ns/search")
 }
 
 // heapAfterGC returns the live heap after two forced GCs.

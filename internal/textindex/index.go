@@ -1,8 +1,10 @@
 package textindex
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -22,9 +24,9 @@ import (
 // Add, AddTerms and Compact must not race with queries.
 type Index struct {
 	tokenizer *Tokenizer
-	// postings holds each term's list in ordinal order; after Compact the
-	// lists are capped windows of one arena.
-	postings map[string][]posting
+	// postings holds each term's list; after Compact the lists' bytes
+	// are capped windows of one arena.
+	postings map[string]plist
 	docIDs   []string
 	// totalTerms is the number of term occurrences indexed so far.
 	totalTerms int
@@ -40,11 +42,144 @@ type Index struct {
 	counts map[string]int32
 }
 
-// posting records one (document, term frequency) pair. Documents are
-// identified by their dense internal ordinal.
-type posting struct {
-	doc int32
-	tf  int32
+// blockLen is the number of postings in a complete block of a posting
+// list (BenchmarkMatchCount in internal/hidden pins it).
+const blockLen = 64
+
+// plist is one term's posting list, its postings in ordinal order
+// encoded as one byte string: n/blockLen complete blocks, then a tail of
+// the other n%blockLen postings. A posting is a pair of uvarints, its
+// ordinal's gap from the posting before it and its term frequency; the
+// first posting's gap counts from ordinal −1, so every gap is at least 1.
+// A complete block is a header of two uvarints followed by its blockLen
+// pairs. The header holds the gap from the previous block's last ordinal
+// (−1 for the first block) to this block's, and the byte length of the
+// pairs, so a reader steps over a block that ends before the document
+// it seeks on its header alone. The tail has no header: a posting
+// appended to it goes at the end of the bytes, and the header goes in
+// front of its pairs when they make a block.
+type plist struct {
+	data []byte
+	// n is the number of postings, the term's document frequency.
+	n int32
+	// last is the ordinal of the last posting, when n > 0.
+	last int32
+}
+
+// add appends a posting for document doc, which must follow every
+// document on the list, with term frequency tf.
+func (pl *plist) add(doc, tf int32) {
+	prev := pl.last
+	if pl.n == 0 {
+		prev = -1
+	}
+	pl.data = binary.AppendUvarint(pl.data, uint64(doc-prev))
+	pl.data = binary.AppendUvarint(pl.data, uint64(tf))
+	pl.last = doc
+	pl.n++
+	if pl.n%blockLen == 0 {
+		pl.seal()
+	}
+}
+
+// seal puts a header in front of the tail's pairs, which make a block.
+// The bytes move up only when the list has room for the header beside
+// them; a list capped where it ends (Compact) is copied, so no other
+// list is written over.
+func (pl *plist) seal() {
+	c := pl.cursor()
+	for c.rest > blockLen {
+		c.enter()
+		c.skipBlock()
+	}
+	var buf [2 * binary.MaxVarintLen32]byte
+	hdr := binary.AppendUvarint(buf[:0], uint64(pl.last-c.doc))
+	hdr = binary.AppendUvarint(hdr, uint64(len(pl.data)-c.at))
+	pl.data = slices.Insert(pl.data, c.at, hdr...)
+}
+
+// cursor reads one posting list in ordinal order; doc and tf are the
+// posting it stands on, doc −1 before the first.
+type cursor struct {
+	data []byte
+	// at is the next byte to read.
+	at int
+	// rest counts the postings not yet read, left those of the current
+	// block or tail.
+	rest, left int32
+	// blockLast and end are the current block's last ordinal and the
+	// end of its pairs; in the tail, blockLast is MaxInt32.
+	blockLast int32
+	end       int
+	doc, tf   int32
+}
+
+func (pl plist) cursor() cursor { return cursor{data: pl.data, rest: pl.n, doc: -1} }
+
+// next moves to the next posting and reports whether there was one.
+func (c *cursor) next() bool {
+	if c.left == 0 {
+		if c.rest == 0 {
+			return false
+		}
+		c.enter()
+	}
+	c.step()
+	return true
+}
+
+// seek moves to the first posting at or after ordinal d, staying put if
+// the cursor stands on one, and reports whether there is one. It steps
+// over every block that ends before d on its header.
+func (c *cursor) seek(d int32) bool {
+	for c.doc < d {
+		if c.left == 0 {
+			if c.rest == 0 {
+				return false
+			}
+			c.enter()
+		}
+		if d > c.blockLast {
+			c.skipBlock()
+			continue
+		}
+		c.step()
+	}
+	return true
+}
+
+// enter starts the block or the tail at c.at, reading a block's header.
+// A block starts there when blockLen or more postings are left.
+func (c *cursor) enter() {
+	if c.rest < blockLen {
+		c.left, c.blockLast = c.rest, math.MaxInt32
+		return
+	}
+	c.blockLast = c.doc + int32(c.uvarint())
+	size := int(c.uvarint())
+	c.left, c.end = blockLen, c.at+size
+}
+
+// skipBlock leaves the current block's unread postings behind, standing
+// on its last one.
+func (c *cursor) skipBlock() {
+	c.at, c.doc = c.end, c.blockLast
+	c.rest -= c.left
+	c.left = 0
+}
+
+// step reads the current block's next posting.
+func (c *cursor) step() {
+	c.doc += int32(c.uvarint())
+	c.tf = int32(c.uvarint())
+	c.left--
+	c.rest--
+}
+
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.data[c.at:])
+	c.at += n
+	return v
 }
 
 // NewIndex returns an empty index that normalizes text with tok
@@ -55,7 +190,7 @@ func NewIndex(tok *Tokenizer) *Index {
 	}
 	return &Index{
 		tokenizer: tok,
-		postings:  make(map[string][]posting),
+		postings:  make(map[string]plist),
 		counts:    make(map[string]int32),
 	}
 }
@@ -95,7 +230,9 @@ func (ix *Index) AddTerms(id string, terms []string) int {
 // yields its terms in.
 func (ix *Index) post(ord int32) {
 	for term, tf := range ix.counts {
-		ix.postings[term] = append(ix.postings[term], posting{doc: ord, tf: tf})
+		pl := ix.postings[term]
+		pl.add(ord, tf)
+		ix.postings[term] = pl
 	}
 	clear(ix.counts)
 	ix.normOnce = sync.Once{}
@@ -105,18 +242,19 @@ func (ix *Index) post(ord int32) {
 // total, so no list keeps the spare capacity that appending left it, and
 // trims the document IDs to their length. Call it once building is done.
 // Each list is capped where it ends, so a later Add or AddTerms re-grows
-// only the lists it touches; the lists keep their ordinal order.
+// only the lists it touches.
 func (ix *Index) Compact() {
 	ix.docIDs = append(make([]string, 0, len(ix.docIDs)), ix.docIDs...)
 	total := 0
 	for _, pl := range ix.postings {
-		total += len(pl)
+		total += len(pl.data)
 	}
-	arena := make([]posting, 0, total)
+	arena := make([]byte, 0, total)
 	for term, pl := range ix.postings {
 		at := len(arena)
-		arena = append(arena, pl...)
-		ix.postings[term] = arena[at:len(arena):len(arena)]
+		arena = append(arena, pl.data...)
+		pl.data = arena[at:len(arena):len(arena)]
+		ix.postings[term] = pl
 	}
 }
 
@@ -136,7 +274,7 @@ func (ix *Index) TotalTerms() int { return ix.totalTerms }
 func (ix *Index) VocabularyFrequencies() map[string]int {
 	out := make(map[string]int, len(ix.postings))
 	for term, pl := range ix.postings {
-		out[term] = len(pl)
+		out[term] = int(pl.n)
 	}
 	return out
 }
@@ -144,67 +282,73 @@ func (ix *Index) VocabularyFrequencies() map[string]int {
 // MatchCount returns the number of documents containing all query
 // terms (boolean AND over the normalized terms). A query that
 // normalizes to no terms matches nothing; duplicate terms are
-// deduplicated.
+// deduplicated. Beyond what tokenizing the query takes, it allocates
+// nothing for up to eight distinct terms.
 func (ix *Index) MatchCount(query string) int {
-	lists := ix.queryPostings(query)
-	if lists == nil {
+	var buf [8]cursor
+	cs := ix.queryCursors(query, buf[:0])
+	switch len(cs) {
+	case 0:
 		return 0
+	case 1:
+		return int(cs[0].rest)
 	}
-	return len(intersect(lists))
+	n := 0
+	for nextCommon(cs) {
+		n++
+	}
+	return n
 }
 
-// queryPostings normalizes a query and gathers the posting list of each
-// distinct term, shortest first; it returns nil if any term is missing
-// (AND can never match) or if no terms survive normalization.
-func (ix *Index) queryPostings(query string) [][]posting {
+// queryCursors normalizes a query and appends to cs a cursor on the
+// posting list of each distinct term, shortest list first; it returns
+// none if any term is missing (AND can never match) or if no terms
+// survive normalization.
+func (ix *Index) queryCursors(query string, cs []cursor) []cursor {
 	terms := ix.tokenizer.Tokenize(query)
-	if len(terms) == 0 {
-		return nil
-	}
-	seen := make(map[string]struct{}, len(terms))
-	var lists [][]posting
-	for _, t := range terms {
-		if _, dup := seen[t]; dup {
+	for i, t := range terms {
+		if slices.Contains(terms[:i], t) {
 			continue
 		}
-		seen[t] = struct{}{}
 		pl, ok := ix.postings[t]
 		if !ok {
 			return nil
 		}
-		lists = append(lists, pl)
+		j := len(cs)
+		cs = append(cs, cursor{})
+		for ; j > 0 && cs[j-1].rest > pl.n; j-- {
+			cs[j] = cs[j-1]
+		}
+		cs[j] = pl.cursor()
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	return lists
+	return cs
 }
 
-// intersect computes the docs common to every posting list. Lists are
-// sorted by doc ordinal (documents are appended in increasing order),
-// so a galloping merge against the shortest list is efficient.
-func intersect(lists [][]posting) []int32 {
-	if len(lists) == 0 {
-		return nil
-	}
-	// Seed with the shortest list's docs.
-	cur := make([]int32, len(lists[0]))
-	for i, p := range lists[0] {
-		cur[i] = p.doc
-	}
-	for _, pl := range lists[1:] {
-		if len(cur) == 0 {
-			return nil
+// nextCommon moves the cursors to the next document on every one of
+// their lists and reports whether there was one; cs[0].doc is then that
+// document. It leapfrogs: each cursor seeks the largest document seen
+// so far, the shortest list leading, so no cursor reads a block that
+// ends before the document it seeks.
+func nextCommon(cs []cursor) bool {
+	d := cs[0].doc + 1
+	for {
+		if !cs[0].seek(d) {
+			return false
 		}
-		next := cur[:0]
-		for _, d := range cur {
-			// Binary search pl for d.
-			i := sort.Search(len(pl), func(i int) bool { return pl[i].doc >= d })
-			if i < len(pl) && pl[i].doc == d {
-				next = append(next, d)
+		d = cs[0].doc
+		agree := true
+		for i := 1; i < len(cs) && agree; i++ {
+			if !cs[i].seek(d) {
+				return false
+			}
+			if cs[i].doc > d {
+				d, agree = cs[i].doc, false
 			}
 		}
-		cur = next
+		if agree {
+			return true
+		}
 	}
-	return cur
 }
 
 // Hit is one ranked search result.
@@ -244,17 +388,17 @@ func (ix *Index) Search(query string, k int) []Hit {
 	n := float64(ix.Size())
 	// Query vector weights and norm.
 	type weighted struct {
-		pl []posting
+		pl plist
 		w  float64
 	}
 	var qw []weighted
 	qnorm := 0.0
 	for _, t := range distinct {
 		pl := ix.postings[t]
-		if len(pl) == 0 {
+		if pl.n == 0 {
 			continue
 		}
-		w := (1 + math.Log(qtf[t])) * math.Log(1+n/float64(len(pl)))
+		w := (1 + math.Log(qtf[t])) * math.Log(1+n/float64(pl.n))
 		qw = append(qw, weighted{pl, w})
 		qnorm += w * w
 	}
@@ -265,8 +409,8 @@ func (ix *Index) Search(query string, k int) []Hit {
 
 	scores := make(map[int32]float64)
 	for _, q := range qw {
-		for _, p := range q.pl {
-			scores[p.doc] += q.w * (1 + math.Log(float64(p.tf)))
+		for c := q.pl.cursor(); c.next(); {
+			scores[c.doc] += q.w * (1 + math.Log(float64(c.tf)))
 		}
 	}
 	hits := make([]Hit, 0, len(scores))
@@ -306,9 +450,9 @@ func (ix *Index) ensureNorms() {
 		sort.Strings(terms)
 		norms := make([]float64, len(ix.docIDs))
 		for _, t := range terms {
-			for _, p := range ix.postings[t] {
-				w := 1 + math.Log(float64(p.tf))
-				norms[p.doc] += w * w
+			for c := ix.postings[t].cursor(); c.next(); {
+				w := 1 + math.Log(float64(c.tf))
+				norms[c.doc] += w * w
 			}
 		}
 		for i := range norms {
@@ -318,22 +462,71 @@ func (ix *Index) ensureNorms() {
 	})
 }
 
-// Validate checks internal invariants (sorted posting lists, ordinals
-// within range); it is used by tests and returns the first violation.
+// Validate checks internal invariants (each posting list well formed,
+// its ordinals strictly increasing and within range, its term
+// frequencies positive, each block's header true to its pairs); it is
+// used by tests and returns the first violation.
 func (ix *Index) Validate() error {
-	n := int32(len(ix.docIDs))
 	for term, pl := range ix.postings {
-		for i, p := range pl {
-			if p.doc < 0 || p.doc >= n {
-				return fmt.Errorf("textindex: term %q posting %d has out-of-range doc %d", term, i, p.doc)
-			}
-			if p.tf <= 0 {
-				return fmt.Errorf("textindex: term %q posting %d has non-positive tf %d", term, i, p.tf)
-			}
-			if i > 0 && pl[i-1].doc >= p.doc {
-				return fmt.Errorf("textindex: term %q postings not strictly increasing at %d", term, i)
-			}
+		if err := pl.validate(int32(len(ix.docIDs))); err != nil {
+			return fmt.Errorf("textindex: term %q: %w", term, err)
 		}
+	}
+	return nil
+}
+
+// validate checks one list against the format plist describes, for an
+// index of docs documents.
+func (pl plist) validate(docs int32) error {
+	at := 0
+	uvarint := func() (int64, error) {
+		v, n := binary.Uvarint(pl.data[at:])
+		if n <= 0 || v > math.MaxInt32 {
+			return 0, fmt.Errorf("bad uvarint at byte %d", at)
+		}
+		at += n
+		return int64(v), nil
+	}
+	doc := int64(-1)
+	for i := int32(0); i < pl.n; {
+		pairs, blockLast, end := min(pl.n-i, blockLen), int64(-1), -1
+		if pairs == blockLen {
+			delta, err := uvarint()
+			if err != nil {
+				return err
+			}
+			length, err := uvarint()
+			if err != nil {
+				return err
+			}
+			blockLast, end = doc+delta, at+int(length)
+		}
+		for ; pairs > 0; pairs-- {
+			gap, err := uvarint()
+			if err != nil {
+				return err
+			}
+			tf, err := uvarint()
+			if err != nil {
+				return err
+			}
+			doc += gap
+			switch {
+			case gap == 0:
+				return fmt.Errorf("postings not strictly increasing at %d", i)
+			case doc >= int64(docs):
+				return fmt.Errorf("posting %d has out-of-range doc %d", i, doc)
+			case tf == 0:
+				return fmt.Errorf("posting %d has non-positive tf %d", i, tf)
+			}
+			i++
+		}
+		if end >= 0 && (at != end || doc != blockLast) {
+			return fmt.Errorf("block ending at posting %d: header says doc %d at byte %d, pairs end at doc %d, byte %d", i, blockLast, end, doc, at)
+		}
+	}
+	if at != len(pl.data) || (pl.n > 0 && doc != int64(pl.last)) {
+		return fmt.Errorf("%d postings end at doc %d, byte %d; the list holds %d bytes, last doc %d", pl.n, doc, at, len(pl.data), pl.last)
 	}
 	return nil
 }

@@ -315,8 +315,8 @@ func TestNewLocalDatabaseLeavesNoSpareCapacity(t *testing.T) {
 	local := NewLocalDatabase("d", docs).(*hidden.Local)
 	it := reflect.ValueOf(local.Index()).Elem().FieldByName("postings").MapRange()
 	for it.Next() {
-		if pl := it.Value(); pl.Cap() != pl.Len() {
-			t.Errorf("term %v: capacity %d for %d postings", it.Key(), pl.Cap(), pl.Len())
+		if data := it.Value().FieldByName("data"); data.Cap() != data.Len() {
+			t.Errorf("term %v: capacity %d for %d bytes", it.Key(), data.Cap(), data.Len())
 		}
 	}
 	for id, text := range docs {
