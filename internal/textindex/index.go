@@ -476,57 +476,25 @@ func (ix *Index) Validate() error {
 }
 
 // validate checks one list against the format plist describes, for an
-// index of docs documents.
+// index of docs documents: it reads the list as every reader does, and
+// holds each block's header to the pairs behind it.
 func (pl plist) validate(docs int32) error {
-	at := 0
-	uvarint := func() (int64, error) {
-		v, n := binary.Uvarint(pl.data[at:])
-		if n <= 0 || v > math.MaxInt32 {
-			return 0, fmt.Errorf("bad uvarint at byte %d", at)
+	c, prev := pl.cursor(), int32(-1)
+	for c.next() {
+		switch {
+		case c.doc <= prev:
+			return fmt.Errorf("postings not strictly increasing at doc %d", c.doc)
+		case c.doc >= docs:
+			return fmt.Errorf("posting has out-of-range doc %d", c.doc)
+		case c.tf <= 0:
+			return fmt.Errorf("doc %d has non-positive tf %d", c.doc, c.tf)
+		case c.left == 0 && c.blockLast != math.MaxInt32 && (c.doc != c.blockLast || c.at != c.end):
+			return fmt.Errorf("block ends at doc %d, byte %d; its header says doc %d, byte %d", c.doc, c.at, c.blockLast, c.end)
 		}
-		at += n
-		return int64(v), nil
+		prev = c.doc
 	}
-	doc := int64(-1)
-	for i := int32(0); i < pl.n; {
-		pairs, blockLast, end := min(pl.n-i, blockLen), int64(-1), -1
-		if pairs == blockLen {
-			delta, err := uvarint()
-			if err != nil {
-				return err
-			}
-			length, err := uvarint()
-			if err != nil {
-				return err
-			}
-			blockLast, end = doc+delta, at+int(length)
-		}
-		for ; pairs > 0; pairs-- {
-			gap, err := uvarint()
-			if err != nil {
-				return err
-			}
-			tf, err := uvarint()
-			if err != nil {
-				return err
-			}
-			doc += gap
-			switch {
-			case gap == 0:
-				return fmt.Errorf("postings not strictly increasing at %d", i)
-			case doc >= int64(docs):
-				return fmt.Errorf("posting %d has out-of-range doc %d", i, doc)
-			case tf == 0:
-				return fmt.Errorf("posting %d has non-positive tf %d", i, tf)
-			}
-			i++
-		}
-		if end >= 0 && (at != end || doc != blockLast) {
-			return fmt.Errorf("block ending at posting %d: header says doc %d at byte %d, pairs end at doc %d, byte %d", i, blockLast, end, doc, at)
-		}
-	}
-	if at != len(pl.data) || (pl.n > 0 && doc != int64(pl.last)) {
-		return fmt.Errorf("%d postings end at doc %d, byte %d; the list holds %d bytes, last doc %d", pl.n, doc, at, len(pl.data), pl.last)
+	if c.at != len(pl.data) || pl.n > 0 && c.doc != pl.last {
+		return fmt.Errorf("%d postings end at doc %d, byte %d; the list holds %d bytes, last doc %d", pl.n, c.doc, c.at, len(pl.data), pl.last)
 	}
 	return nil
 }
