@@ -287,11 +287,8 @@ func (ix *Index) VocabularyFrequencies() map[string]int {
 func (ix *Index) MatchCount(query string) int {
 	var buf [8]cursor
 	cs := ix.queryCursors(query, buf[:0])
-	switch len(cs) {
-	case 0:
+	if len(cs) == 0 {
 		return 0
-	case 1:
-		return int(cs[0].rest)
 	}
 	n := 0
 	for nextCommon(cs) {
