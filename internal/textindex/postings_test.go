@@ -250,16 +250,16 @@ func FuzzPostingList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, from uint16) {
 		// Each byte pair is a gap and a tf; a byte's top bit scales it,
 		// so gaps and tfs of 128 and 16 384 and over occur.
+		scale := func(b byte) int32 {
+			if b&0x80 != 0 {
+				return int32(b&0x7f)*300 + 1
+			}
+			return int32(b) + 1
+		}
 		var want []posting
 		var pl plist
 		doc := int32(-1)
 		for i := 0; i+1 < len(raw) && len(want) < 400; i += 2 {
-			scale := func(b byte) int32 {
-				if b&0x80 != 0 {
-					return int32(b&0x7f)*300 + 1
-				}
-				return int32(b) + 1
-			}
 			doc += scale(raw[i])
 			p := posting{doc, scale(raw[i+1])}
 			pl.add(p.doc, p.tf)
