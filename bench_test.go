@@ -1,10 +1,10 @@
 package metaprobe
 
-// Benchmark harness: one benchmark per paper table/figure (DESIGN.md's
-// experiment index) plus the ablations and micro-benchmarks. Each
-// figure benchmark regenerates the corresponding table and prints it
-// once, so `go test -bench=.` reproduces the paper's evaluation
-// artifacts end to end.
+// Benchmark harness: BenchmarkTables runs every table of the paper's
+// evaluation, ablations and extensions (experiments.Registry, DESIGN.md's
+// experiment index) and prints each once, so `go test -bench Tables`
+// reproduces the evaluation artifacts end to end; the micro-benchmarks
+// time the hot paths behind them.
 //
 // Benchmarks run on a scaled-down testbed (see experiments.SmallConfig)
 // so the full suite finishes in minutes; run cmd/experiments for the
@@ -13,6 +13,7 @@ package metaprobe
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,180 +60,30 @@ func printTable(name string, tables ...*experiments.Table) {
 	}
 }
 
-// BenchmarkFigure07SamplingGoodnessPerDB regenerates Figure 7: the
-// chi-square goodness of sampled error distributions per database.
-func BenchmarkFigure07SamplingGoodnessPerDB(b *testing.B) {
-	cfg := experiments.SmallSamplingConfig()
-	for i := 0; i < b.N; i++ {
-		perDB, _, err := experiments.SamplingStudy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("F7", perDB)
-	}
-}
-
-// BenchmarkFigure08SamplingGoodnessAvg regenerates Figure 8: average
-// goodness over the 20 newsgroup databases.
-func BenchmarkFigure08SamplingGoodnessAvg(b *testing.B) {
-	cfg := experiments.SmallSamplingConfig()
-	for i := 0; i < b.N; i++ {
-		_, avg, err := experiments.SamplingStudy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("F8", avg)
-	}
-}
-
-// BenchmarkFigure09QueryTypeEDs regenerates Figure 9: the per-type
-// error distributions of one database.
-func BenchmarkFigure09QueryTypeEDs(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.Figure9(env, "OncoLink")
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("F9", table)
-	}
-}
-
-// BenchmarkFigure14DatabaseInventory regenerates Figure 14: the
-// mediated-database table.
-func BenchmarkFigure14DatabaseInventory(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		printTable("F14", experiments.Figure14(env))
-	}
-}
-
-// BenchmarkFigure15RDVsBaseline regenerates Figure 15: RD-based
-// selection vs. the term-independence baseline at k ∈ {1, 3}.
-func BenchmarkFigure15RDVsBaseline(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.Figure15(env, []int{1, 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("F15", table)
-	}
-}
-
-// BenchmarkFigure16CorrectnessVsProbes regenerates Figure 16: average
-// correctness after 0..p probes for the three panels.
-func BenchmarkFigure16CorrectnessVsProbes(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.Figure16(env, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("F16", table)
-	}
-}
-
-// BenchmarkFigure17ProbesVsThreshold regenerates Figure 17: average
-// probes needed per user-required certainty level.
-func BenchmarkFigure17ProbesVsThreshold(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.Figure17(env, []float64{0.70, 0.75, 0.80, 0.85, 0.90, 0.95})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("F17", table)
-	}
-}
-
-// BenchmarkAblationProbePolicies regenerates ablation A1: greedy vs
-// random vs by-estimate vs max-entropy probing.
-func BenchmarkAblationProbePolicies(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationPolicies(env, 0.8, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("A1", table)
-	}
-}
-
-// BenchmarkAblationTypeThreshold regenerates ablation A2: the
-// query-type split threshold θ.
-func BenchmarkAblationTypeThreshold(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationTypeThreshold(env, []float64{10, 50, 100, 500}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("A2", table)
-	}
-}
-
-// BenchmarkAblationEDBins regenerates ablation A3: histogram
-// resolution and bin representative.
-func BenchmarkAblationEDBins(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationEDBins(env, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("A3", table)
-	}
-}
-
-// BenchmarkAblationTrainingSize regenerates ablation A4: error-model
-// quality vs training-set size.
-func BenchmarkAblationTrainingSize(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationTrainingSize(env, []int{50, 100, 200, 300}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("A4", table)
-	}
-}
-
-// BenchmarkAblationProbeCosts regenerates ablation A5: cost-aware vs
-// cost-blind greedy probing under non-uniform probe costs.
-func BenchmarkAblationProbeCosts(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationProbeCosts(env, 0.8, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("A5", table)
-	}
-}
-
-// BenchmarkExtensionBaselineComparison regenerates E-BASE: classical
-// selectors (term-independence, CORI) against RD-based selection and
-// fixed-budget APro.
-func BenchmarkExtensionBaselineComparison(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.BaselineComparison(env, []int{1, 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("EBASE", table)
+// BenchmarkTables regenerates every table of experiments.Registry, one
+// sub-benchmark per entry, at SmallConfig and SmallSamplingConfig, and
+// prints each table once.
+func BenchmarkTables(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(strings.Join(e.IDs, "+"), func(b *testing.B) {
+			var env *experiments.Env
+			if e.NeedsEnv {
+				env = benchEnv(b)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tables, err := e.Run(experiments.SmallConfig(), experiments.SmallSamplingConfig(), env)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j, t := range tables {
+					if t.ID != e.IDs[j] {
+						b.Fatalf("table %d is %s, the registry says %s", j, t.ID, e.IDs[j])
+					}
+				}
+				printTable(strings.Join(e.IDs, "+"), tables...)
+			}
+		})
 	}
 }
 
@@ -659,60 +510,5 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hidden.BuildLocal("bench", docs)
-	}
-}
-
-// BenchmarkExtensionCalibration regenerates E-CAL: certainty
-// calibration of RD-based selection.
-func BenchmarkExtensionCalibration(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.CalibrationStudy(env, 1, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("ECAL", table)
-	}
-}
-
-// BenchmarkExtensionDrift regenerates E-DRIFT: online refinement under
-// content drift (each iteration builds its own environment — the study
-// mutates a database).
-func BenchmarkExtensionDrift(b *testing.B) {
-	cfg := experiments.SmallConfig()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.DriftStudy(cfg, "CNNHealthNews", 8, 400)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("EDRIFT", table)
-	}
-}
-
-// BenchmarkExtensionFusion regenerates E-FUSE: result-fusion quality
-// against the global top-N ground truth.
-func BenchmarkExtensionFusion(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.FusionStudy(env, 3, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("EFUSE", table)
-	}
-}
-
-// BenchmarkExtensionSampledSummaries regenerates E-SAMP: the pipeline
-// under query-based-sampled content summaries.
-func BenchmarkExtensionSampledSummaries(b *testing.B) {
-	cfg := experiments.SmallConfig()
-	for i := 0; i < b.N; i++ {
-		table, err := experiments.SampledSummariesStudy(cfg, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("ESAMP", table)
 	}
 }

@@ -20,9 +20,9 @@ type Config struct {
 	// ErrorEdges are the relative-error histogram bins (default
 	// DefaultErrorEdges).
 	ErrorEdges []float64
-	// AbsoluteEdges are the bins for the r̂ = 0 band (default
+	// absoluteEdges are the bins for the r̂ = 0 band (default
 	// defaultAbsoluteEdges).
-	AbsoluteEdges []float64
+	absoluteEdges []float64
 	// UseBinMean selects per-bin observed means as RD support values
 	// (default true; false = midpoints, ablation A3).
 	UseBinMean bool
@@ -38,7 +38,7 @@ func DefaultConfig() Config {
 	return Config{
 		Classifier:      defaultClassifier(),
 		ErrorEdges:      DefaultErrorEdges(),
-		AbsoluteEdges:   defaultAbsoluteEdges(),
+		absoluteEdges:   defaultAbsoluteEdges(),
 		UseBinMean:      true,
 		MinObservations: 10,
 	}
@@ -50,7 +50,7 @@ func SimilarityConfig() Config {
 	return Config{
 		Classifier:      Classifier{Threshold: 0.3, MaxTerms: 4},
 		ErrorEdges:      similarityErrorEdges(),
-		AbsoluteEdges:   similarityAbsoluteEdges(),
+		absoluteEdges:   similarityAbsoluteEdges(),
 		UseBinMean:      true,
 		MinObservations: 10,
 	}
@@ -63,12 +63,22 @@ func (c *Config) setDefaults() {
 	if c.ErrorEdges == nil {
 		c.ErrorEdges = DefaultErrorEdges()
 	}
-	if c.AbsoluteEdges == nil {
-		c.AbsoluteEdges = defaultAbsoluteEdges()
+	if c.absoluteEdges == nil {
+		c.absoluteEdges = defaultAbsoluteEdges()
 	}
 	if c.MinObservations == 0 {
 		c.MinObservations = 10
 	}
+}
+
+// EDFor returns an empty ED for query type key, on the histogram that
+// type's ED uses: absolute relevancies on absoluteEdges for the r̂ = 0
+// band, relative errors on ErrorEdges for every other band.
+func (c *Config) EDFor(key TypeKey) (*ED, error) {
+	if key.Band == BandZero {
+		return NewED(c.absoluteEdges, true, c.UseBinMean)
+	}
+	return NewED(c.ErrorEdges, false, c.UseBinMean)
 }
 
 // DBModel holds the learned distributions for one database: one ED per
@@ -182,13 +192,8 @@ func (m *Model) observe(dbIdx int, query string, numTerms int, actual float64) (
 func (dm *DBModel) file(cfg *Config, key TypeKey, rhat, actual float64) error {
 	ed, ok := dm.EDs[key]
 	if !ok {
-		edges := cfg.ErrorEdges
-		absolute := key.Band == BandZero
-		if absolute {
-			edges = cfg.AbsoluteEdges
-		}
 		var err error
-		if ed, err = NewED(edges, absolute, cfg.UseBinMean); err != nil {
+		if ed, err = cfg.EDFor(key); err != nil {
 			return err
 		}
 		dm.EDs[key] = ed
@@ -313,17 +318,6 @@ func (s *Selection) Estimate(i int) float64 { return s.estimates[i] }
 
 // isProbed reports whether database i has been probed.
 func (s *Selection) isProbed(i int) bool { return s.probed[i] }
-
-// unprobed lists the databases not yet probed, in index order. The
-// returned slice is a fresh copy the caller may keep; hot paths that
-// only read use UnprobedView.
-func (s *Selection) unprobed() []int {
-	v := s.UnprobedView()
-	if len(v) == 0 {
-		return nil
-	}
-	return append([]int(nil), v...)
-}
 
 // UnprobedView returns the unprobed database indices in ascending
 // order without allocating. The slice is owned by the selection and

@@ -182,7 +182,7 @@ func (m *Model) encode() jsonModel {
 			Threshold:       m.Cfg.Classifier.Threshold,
 			MaxTerms:        m.Cfg.Classifier.MaxTerms,
 			ErrorEdges:      edgeList(m.Cfg.ErrorEdges),
-			AbsoluteEdges:   edgeList(m.Cfg.AbsoluteEdges),
+			AbsoluteEdges:   edgeList(m.Cfg.absoluteEdges),
 			UseBinMean:      m.Cfg.UseBinMean,
 			MinObservations: m.Cfg.MinObservations,
 		},
@@ -351,7 +351,7 @@ func decodeModel(path string, jm jsonModel) (*Model, error) {
 		Cfg: Config{
 			Classifier:      Classifier{Threshold: jm.Config.Threshold, MaxTerms: jm.Config.MaxTerms},
 			ErrorEdges:      jm.Config.ErrorEdges,
-			AbsoluteEdges:   jm.Config.AbsoluteEdges,
+			absoluteEdges:   jm.Config.AbsoluteEdges,
 			UseBinMean:      jm.Config.UseBinMean,
 			MinObservations: jm.Config.MinObservations,
 		},

@@ -22,7 +22,7 @@ func tinyModel(t *testing.T) *Model {
 	cfg := Config{
 		Classifier:      Classifier{Threshold: 100, MaxTerms: 2},
 		ErrorEdges:      []float64{math.Inf(-1), -1, 0, 1, math.MaxFloat64, math.Inf(1)},
-		AbsoluteEdges:   []float64{0, 1, 10, math.Inf(1)},
+		absoluteEdges:   []float64{0, 1, 10, math.Inf(1)},
 		UseBinMean:      true,
 		MinObservations: 1,
 	}
@@ -35,7 +35,7 @@ func tinyModel(t *testing.T) *Model {
 			t.Fatal(err)
 		}
 	}
-	zed, err := NewED(cfg.AbsoluteEdges, true, cfg.UseBinMean)
+	zed, err := NewED(cfg.absoluteEdges, true, cfg.UseBinMean)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -579,7 +579,7 @@ func (r *Random) Name() string { return "random" }
 
 // Next implements Policy.
 func (r *Random) Next(s *Selection, t float64) (int, error) {
-	unprobed := s.unprobed()
+	unprobed := s.UnprobedView()
 	if len(unprobed) == 0 {
 		return 0, fmt.Errorf("no unprobed database left")
 	}
@@ -596,7 +596,7 @@ func (ByEstimate) Name() string { return "by-estimate" }
 // Next implements Policy.
 func (ByEstimate) Next(s *Selection, t float64) (int, error) {
 	best := -1
-	for _, i := range s.unprobed() {
+	for _, i := range s.UnprobedView() {
 		if best < 0 || s.Estimate(i) > s.Estimate(best) {
 			best = i
 		}
@@ -619,7 +619,7 @@ func (MaxEntropy) Name() string { return "max-entropy" }
 func (MaxEntropy) Next(s *Selection, t float64) (int, error) {
 	best := -1
 	bestH := -1.0
-	for _, i := range s.unprobed() {
+	for _, i := range s.UnprobedView() {
 		if h := s.RD(i).entropy(); h > bestH {
 			best, bestH = i, h
 		}
@@ -660,7 +660,7 @@ func (o *Optimal) next(s *Selection, t float64) (int, float64, error) {
 	if s.Len() > maxDBs {
 		return 0, 0, fmt.Errorf("optimal policy limited to %d databases, got %d", maxDBs, s.Len())
 	}
-	unprobed := s.unprobed()
+	unprobed := s.UnprobedView()
 	if len(unprobed) == 0 {
 		return 0, 0, fmt.Errorf("no unprobed database left")
 	}

@@ -432,7 +432,7 @@ func refUsefulness(s *Selection, i int) float64 {
 // picked with Rank's comparison rule — a score above an epsilon margin
 // wins, remaining ties go to the lower index (all probes cost the same).
 func refRank(s *Selection, m int) ([]int, []float64, error) {
-	unprobed := s.unprobed()
+	unprobed := s.UnprobedView()
 	if len(unprobed) == 0 {
 		return nil, nil, fmt.Errorf("no unprobed database left")
 	}

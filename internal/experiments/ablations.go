@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"metaprobe/internal/core"
-	"metaprobe/internal/eval"
 	"metaprobe/internal/stats"
 )
 
-// AblationPolicies (A1) compares probe policies: for a fixed certainty
+// ablationPolicies (A1) compares probe policies: for a fixed certainty
 // threshold, the average number of probes each policy spends and the
 // realized correctness. The greedy policy should dominate the naive
 // baselines; the exact optimal policy is run on a truncated testbed
 // (its cost is factorial, Section 5.3).
-func AblationPolicies(env *Env, t float64, k int) (*Table, error) {
+func ablationPolicies(env *Env, t float64, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A1",
-		Title:   fmt.Sprintf("Ablation A1: probe policies (t=%.2f, k=%d, %s metric)", t, k, core.Absolute),
+		title:   fmt.Sprintf("Ablation A1: probe policies (t=%.2f, k=%d, %s metric)", t, k, core.Absolute),
 		columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
 	}
 	policies := []func(qi int) core.Policy{
@@ -35,12 +34,6 @@ func AblationPolicies(env *Env, t float64, k int) (*Table, error) {
 	return table, nil
 }
 
-// shared serves every query with the one policy p: policies hold no
-// per-selection state, so the eval.Parallel workers may share it.
-func shared(p core.Policy) func(qi int) core.Policy {
-	return func(int) core.Policy { return p }
-}
-
 // randomPerQuery gives every query its own Random policy whose stream
 // is a function of (seed, label, query index) alone. A stats.RNG is not
 // safe for concurrent use, and one shared across the workers would also
@@ -55,41 +48,20 @@ func randomPerQuery(seed, label int64) func(qi int) core.Policy {
 // runPolicy evaluates one policy over the golden standard; policy(qi)
 // is the policy for query qi.
 func runPolicy(env *Env, policy func(qi int) core.Policy, t float64, k int) ([]string, error) {
-	type answer struct{ probes, corA, corP, reached float64 }
-	answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
-		g := env.golden[qi]
-		sel := env.Selection(g.Query, core.Absolute, k)
-		out, err := core.APro(sel, env.probe(g.Query.String()), policy(qi), t, -1)
-		if err != nil {
-			return answer{}, err
-		}
-		topk := core.TopKByScore(g.Actual, k)
-		a := answer{probes: float64(out.Probes()), corA: eval.CorA(out.Set, topk), corP: eval.CorP(out.Set, topk)}
-		if out.Reached {
-			a.reached = 1
-		}
-		return a, nil
-	})
+	outs, err := env.apro(core.Absolute, k, policy, t, -1)
 	if err != nil {
 		return nil, err
 	}
-	var probes, corA, corP, reached float64
-	for _, a := range answers {
-		probes += a.probes
-		corA += a.corA
-		corP += a.corP
-		reached += a.reached
-	}
-	n := float64(len(env.golden))
-	return []string{policy(0).Name(), f2(probes / n), f3(corA / n), f3(corP / n), f3(reached / n)}, nil
+	s := env.score(outs, k)
+	return []string{policy(0).Name(), f2(s.probes), f3(s.corA), f3(s.corP), f3(s.reached)}, nil
 }
 
-// AblationOptimalPolicy (A1b) compares the greedy policy against the
+// ablationOptimalPolicy (A1b) compares the greedy policy against the
 // exact expectimin-optimal policy (Section 5.3: cost O(n!), so the
 // testbed is truncated to a handful of databases). The shape to
 // observe: greedy spends nearly as few probes as optimal at a tiny
 // fraction of the computational cost.
-func AblationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
+func ablationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
 	if numDBs <= 0 || numDBs > 7 {
 		numDBs = 5
 	}
@@ -109,7 +81,7 @@ func AblationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
 	}
 	table := &Table{
 		ID:      "A1b",
-		Title:   fmt.Sprintf("Ablation A1b: greedy vs. exact optimal probing (%d databases, t=%.2f, k=1)", numDBs, t),
+		title:   fmt.Sprintf("Ablation A1b: greedy vs. exact optimal probing (%d databases, t=%.2f, k=1)", numDBs, t),
 		columns: []string{"policy", "avg probes", "Avg(Cor_a)", "Avg(Cor_p)", "reached t"},
 		notes:   []string{"the optimal policy is expectimin over probe orders and outcomes — O(n!) as the paper notes"},
 	}
@@ -128,13 +100,13 @@ func AblationOptimalPolicy(base Config, numDBs int, t float64) (*Table, error) {
 	return table, nil
 }
 
-// AblationTypeThreshold (A2) re-trains the model with different
+// ablationTypeThreshold (A2) re-trains the model with different
 // query-type split thresholds θ (Section 4.1 studied this choice) and
 // reports RD-based selection quality for each.
-func AblationTypeThreshold(env *Env, thresholds []float64, k int) (*Table, error) {
+func ablationTypeThreshold(env *Env, thresholds []float64, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A2",
-		Title:   fmt.Sprintf("Ablation A2: query-type threshold θ (RD-based, k=%d)", k),
+		title:   fmt.Sprintf("Ablation A2: query-type threshold θ (RD-based, k=%d)", k),
 		columns: []string{"θ", "Avg(Cor_a)", "Avg(Cor_p)"},
 		notes:   []string{"the paper found θ=100 a good split on full-size collections; scaled testbeds shift the sweet spot"},
 	}
@@ -154,12 +126,12 @@ func AblationTypeThreshold(env *Env, thresholds []float64, k int) (*Table, error
 	return table, nil
 }
 
-// AblationEDBins (A3) varies the histogram resolution and the bin
+// ablationEDBins (A3) varies the histogram resolution and the bin
 // representative (per-bin mean vs midpoint).
-func AblationEDBins(env *Env, k int) (*Table, error) {
+func ablationEDBins(env *Env, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A3",
-		Title:   fmt.Sprintf("Ablation A3: ED binning (RD-based, k=%d)", k),
+		title:   fmt.Sprintf("Ablation A3: ED binning (RD-based, k=%d)", k),
 		columns: []string{"bins", "representative", "Avg(Cor_a)", "Avg(Cor_p)"},
 	}
 	coarse := []float64{-1, -0.5, 0, 0.5, 1.5, 1e18}
@@ -197,12 +169,12 @@ func AblationEDBins(env *Env, k int) (*Table, error) {
 	return table, nil
 }
 
-// AblationTrainingSize (A4) trains on nested prefixes of the training
+// ablationTrainingSize (A4) trains on nested prefixes of the training
 // set, the end-to-end counterpart of the Figure 7/8 sampling study.
-func AblationTrainingSize(env *Env, sizes []int, k int) (*Table, error) {
+func ablationTrainingSize(env *Env, sizes []int, k int) (*Table, error) {
 	table := &Table{
 		ID:      "A4",
-		Title:   fmt.Sprintf("Ablation A4: training-set size (RD-based, k=%d)", k),
+		title:   fmt.Sprintf("Ablation A4: training-set size (RD-based, k=%d)", k),
 		columns: []string{"training queries", "Avg(Cor_a)", "Avg(Cor_p)"},
 	}
 	for _, size := range sizes {
@@ -222,10 +194,10 @@ func AblationTrainingSize(env *Env, sizes []int, k int) (*Table, error) {
 	return table, nil
 }
 
-// AblationProbeCosts (A5) assigns synthetic per-database probe costs
+// ablationProbeCosts (A5) assigns synthetic per-database probe costs
 // (large databases cost more, as real ones do) and compares the
 // cost-aware greedy against the cost-blind one on total probing cost.
-func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
+func ablationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 	costs := make([]float64, env.Testbed.Len())
 	for i := range costs {
 		// Cost grows with collection size: 1 + log10(size).
@@ -237,7 +209,7 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 	}
 	table := &Table{
 		ID:      "A5",
-		Title:   fmt.Sprintf("Ablation A5: non-uniform probe costs (t=%.2f, k=%d)", t, k),
+		title:   fmt.Sprintf("Ablation A5: non-uniform probe costs (t=%.2f, k=%d)", t, k),
 		columns: []string{"policy", "avg probes", "avg cost", "Avg(Cor_a)"},
 		notes:   []string{"probe cost per database: 1 + ⌊log10(size)⌋"},
 	}
@@ -248,33 +220,22 @@ func AblationProbeCosts(env *Env, t float64, k int) (*Table, error) {
 		{"greedy (cost-blind)", core.Greedy{}},
 		{"greedy (cost-aware)", core.Greedy{Cost: func(i int) float64 { return costs[i] }}},
 	} {
-		type answer struct{ probes, cost, corA float64 }
-		answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
-			g := env.golden[qi]
-			sel := env.Selection(g.Query, core.Absolute, k)
-			out, err := core.APro(sel, env.probe(g.Query.String()), c.policy, t, -1)
-			if err != nil {
-				return answer{}, err
-			}
-			a := answer{probes: float64(out.Probes()), corA: eval.CorA(out.Set, core.TopKByScore(g.Actual, k))}
-			for _, s := range out.Steps {
-				if s.Err == nil {
-					a.cost += costs[s.DB]
-				}
-			}
-			return a, nil
-		})
+		outs, err := env.apro(core.Absolute, k, shared(c.policy), t, -1)
 		if err != nil {
 			return nil, err
 		}
-		var probes, cost, corA float64
-		for _, a := range answers {
-			probes += a.probes
-			cost += a.cost
-			corA += a.corA
+		var cost float64
+		for _, out := range outs {
+			var spent float64
+			for _, st := range out.Steps {
+				if st.Err == nil {
+					spent += costs[st.DB]
+				}
+			}
+			cost += spent
 		}
-		n := float64(len(env.golden))
-		table.addRow(c.label, f2(probes/n), f2(cost/n), f3(corA/n))
+		s := env.score(outs, k)
+		table.addRow(c.label, f2(s.probes), f2(cost/float64(len(outs))), f3(s.corA))
 	}
 	return table, nil
 }

@@ -9,16 +9,16 @@ import (
 	"metaprobe/internal/queries"
 )
 
-// BaselineComparison (E-BASE) widens Figure 15 with selectors from the
+// baselineComparison (E-BASE) widens Figure 15 with selectors from the
 // wider database-selection literature: the CORI inference-network
 // ranker joins the term-independence estimator, RD-based selection,
 // and APro with small fixed probe budgets. The paper's claim in
 // context: error-aware selection beats *both* classical summary-based
 // rankers, and a probe or two closes most of the remaining gap.
-func BaselineComparison(env *Env, ks []int) (*Table, error) {
+func baselineComparison(env *Env, ks []int) (*Table, error) {
 	table := &Table{
 		ID:      "EBASE",
-		Title:   "E-BASE: selector comparison (classical rankers vs probabilistic selection)",
+		title:   "E-BASE: selector comparison (classical rankers vs probabilistic selection)",
 		columns: []string{"method", "k", "Avg(Cor_a)", "Avg(Cor_p)", "avg probes"},
 		notes: []string{
 			"CORI: Callan et al., SIGIR 1995, default parameters (b=0.4, k=200, b_s=0.75)",
@@ -57,18 +57,14 @@ func BaselineComparison(env *Env, ks []int) (*Table, error) {
 		}); err != nil {
 			return nil, err
 		}
-		for _, probes := range []int{1, 2} {
-			budget := probes
-			if err := add(fmt.Sprintf("APro (%d probes)", budget), func(q queries.Query) ([]int, int, error) {
-				sel := env.Selection(q, core.Absolute, k)
-				out, err := core.APro(sel, env.probe(q.String()), &core.Greedy{}, 1, budget)
-				if err != nil {
-					return nil, 0, err
-				}
-				return out.Set, out.Probes(), nil
-			}); err != nil {
-				return nil, err
+		for _, budget := range []int{1, 2} {
+			name := fmt.Sprintf("APro (%d probes)", budget)
+			outs, err := env.apro(core.Absolute, k, shared(&core.Greedy{}), 1, budget)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s (k=%d): %w", name, k, err)
 			}
+			s := env.score(outs, k)
+			table.addRow(name, fmt.Sprintf("%d", k), f3(s.corA), f3(s.corP), f2(s.probes))
 		}
 	}
 	return table, nil

@@ -8,14 +8,14 @@ import (
 	"metaprobe/internal/eval"
 )
 
-// CalibrationStudy (E-CAL) validates the semantic heart of the paper:
+// calibrationStudy (E-CAL) validates the semantic heart of the paper:
 // the expected correctness returned with an answer is meant to be a
 // *probability the user can rely on* ("suppose we select the top-1
 // database for 100 queries each with 0.85 certainty ... for around 85
 // queries we have got the correct answer", Section 3.3). We bucket the
 // RD-based answers by their reported certainty and compare the bucket's
 // promise with its empirical accuracy.
-func CalibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
+func calibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
 	if numBuckets <= 0 {
 		numBuckets = 5
 	}
@@ -44,7 +44,7 @@ func CalibrationStudy(env *Env, k int, numBuckets int) (*Table, error) {
 
 	table := &Table{
 		ID:      "ECAL",
-		Title:   fmt.Sprintf("E-CAL: certainty calibration of RD-based selection (k=%d, no probing)", k),
+		title:   fmt.Sprintf("E-CAL: certainty calibration of RD-based selection (k=%d, no probing)", k),
 		columns: []string{"certainty bucket", "queries", "mean promised", "empirical Cor_a", "gap"},
 		notes: []string{
 			"well-calibrated certainty: empirical accuracy ≈ mean promised certainty per bucket",

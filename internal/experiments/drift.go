@@ -11,7 +11,7 @@ import (
 	"metaprobe/internal/stats"
 )
 
-// DriftStudy (E-DRIFT) exercises the online-refinement extension
+// driftStudy (E-DRIFT) exercises the online-refinement extension
 // (Section 8's future-work direction, implemented as
 // core.ModelVersion.Observe): one database's content drifts after
 // training — here a news site suddenly saturating with oncology
@@ -20,7 +20,7 @@ import (
 // the metasearcher's summary and error model go stale. We measure
 // RD-based selection accuracy before the drift, after it, and after
 // the model has absorbed live-probe observations.
-func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (*Table, error) {
+func driftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (*Table, error) {
 	env, err := Setup(cfg)
 	if err != nil {
 		return nil, err
@@ -36,7 +36,7 @@ func DriftStudy(cfg Config, driftDB string, growth float64, refreshProbes int) (
 
 	table := &Table{
 		ID:      "EDRIFT",
-		Title:   fmt.Sprintf("E-DRIFT: online refinement under content drift (%s grows %.0f%%, k=1)", driftDB, growth*100),
+		title:   fmt.Sprintf("E-DRIFT: online refinement under content drift (%s grows %.0f%%, k=1)", driftDB, growth*100),
 		columns: []string{"phase", "overall Cor_a", "affected-query Cor_a", "affected queries"},
 		notes: []string{
 			"summaries and estimates stay stale throughout; only the error model refreshes",

@@ -1,7 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 6 plus the Section 4.2 sampling-size study), and
-// the design-choice ablations listed in DESIGN.md. Each experiment
-// returns a Table whose rows mirror the rows/series the paper reports.
+// the design-choice ablations and extensions listed in DESIGN.md. Each
+// experiment returns a Table whose rows mirror the rows/series the paper
+// reports; Registry lists them all with the arguments they are printed
+// with.
 package experiments
 
 import (
@@ -40,16 +42,16 @@ type Config struct {
 	maxDatabases int
 	// relevancy overrides the relevancy definition (nil: document
 	// frequency, the paper's evaluation setting). Set it together with
-	// a matching Model config — see SimilarityVariant.
+	// a matching Model config — see similarityVariant.
 	relevancy estimate.Relevancy
 }
 
-// SimilarityVariant returns cfg switched to the document-similarity
+// similarityVariant returns cfg switched to the document-similarity
 // relevancy definition (Section 2.1's second definition): best-document
 // cosine, GlOSS-style estimation, similarity-scaled error bins. The
 // paper states its techniques apply to both definitions; this variant
 // demonstrates it end to end (experiment E-SIM in DESIGN.md).
-func SimilarityVariant(cfg Config) Config {
+func similarityVariant(cfg Config) Config {
 	cfg.relevancy = estimate.NewDocSimilarity()
 	cfg.model = core.SimilarityConfig()
 	return cfg
@@ -155,6 +157,45 @@ func (e *Env) probe(query string) core.ProbeFunc {
 	}
 }
 
+// apro is every table's APro run over the golden standard: query qi is
+// probed with policy(qi) to certainty t, at most maxProbes probes (-1:
+// no bound), on the eval.Parallel workers. The outcomes come back in
+// query index order, so a caller folding them adds its floats in one
+// order at any worker count.
+func (e *Env) apro(metric core.Metric, k int, policy func(qi int) core.Policy, t float64, maxProbes int) ([]core.Outcome, error) {
+	return eval.Parallel(len(e.golden), func(qi int) (core.Outcome, error) {
+		q := e.golden[qi].Query
+		return core.APro(e.Selection(q, metric, k), e.probe(q.String()), policy(qi), t, maxProbes)
+	})
+}
+
+// shared serves every query with the one policy p: policies hold no
+// per-selection state, so the eval.Parallel workers may share it.
+func shared(p core.Policy) func(qi int) core.Policy {
+	return func(int) core.Policy { return p }
+}
+
+// aproScore is an apro run averaged over the golden standard: probes
+// spent, Cor_a and Cor_p against each query's true top k, and the share
+// that reached the threshold.
+type aproScore struct{ probes, corA, corP, reached float64 }
+
+// score folds apro's outcomes, in query index order, into their means.
+func (e *Env) score(outs []core.Outcome, k int) aproScore {
+	var s aproScore
+	for qi, out := range outs {
+		topk := e.golden[qi].TopK(k)
+		s.probes += float64(out.Probes())
+		s.corA += eval.CorA(out.Set, topk)
+		s.corP += eval.CorP(out.Set, topk)
+		if out.Reached {
+			s.reached++
+		}
+	}
+	n := float64(len(outs))
+	return aproScore{s.probes / n, s.corA / n, s.corP / n, s.reached / n}
+}
+
 // Selection builds a query's initial selection state the way the
 // daemon does: filled from the environment's model version.
 func (e *Env) Selection(q queries.Query, metric core.Metric, k int) *core.Selection {
@@ -196,8 +237,8 @@ func scoreRDSelection(env *Env, model *core.Model, k int) (eval.MethodScore, err
 type Table struct {
 	// ID is the experiment identifier ("F15", "A1", ...).
 	ID string
-	// Title describes the artifact ("Figure 15: ...").
-	Title string
+	// title describes the artifact ("Figure 15: ...").
+	title string
 	// columns are the header cells.
 	columns []string
 	// rows are the data cells, one slice per row.
@@ -212,7 +253,7 @@ func (t *Table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 // String renders the table as aligned text.
 func (t *Table) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
+	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.title)
 	widths := make([]int, len(t.columns))
 	for i, c := range t.columns {
 		widths[i] = len(c)
@@ -260,13 +301,6 @@ func (t *Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // f3 formats a float with three decimals (the paper's precision).

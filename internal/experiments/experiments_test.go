@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -70,7 +71,7 @@ func TestSetupShapes(t *testing.T) {
 
 func TestFigure14(t *testing.T) {
 	env := testEnv(t)
-	table := Figure14(env)
+	table := figure14(env)
 	if len(table.rows) != 20 {
 		t.Fatalf("F14 rows = %d, want 20", len(table.rows))
 	}
@@ -91,7 +92,7 @@ func TestFigure14(t *testing.T) {
 
 func TestFigure9(t *testing.T) {
 	env := testEnv(t)
-	table, err := Figure9(env, "OncoLink")
+	table, err := figure9(env, "OncoLink")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestFigure9(t *testing.T) {
 			t.Errorf("row %d probabilities sum to %v", ri, sum)
 		}
 	}
-	if _, err := Figure9(env, "NoSuchDB"); err == nil {
+	if _, err := figure9(env, "NoSuchDB"); err == nil {
 		t.Error("unknown database must fail")
 	}
 }
@@ -114,7 +115,7 @@ func TestFigure9(t *testing.T) {
 // selection is at least as correct as the baseline in every cell.
 func TestFigure15Shape(t *testing.T) {
 	env := testEnv(t)
-	table, err := Figure15(env, []int{1, 3})
+	table, err := figure15(env, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestFigure15Shape(t *testing.T) {
 func TestFigure16Shape(t *testing.T) {
 	env := testEnv(t)
 	const maxProbes = 4
-	table, err := Figure16(env, maxProbes)
+	table, err := figure16(env, maxProbes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestTablesIndependentOfWorkerCount(t *testing.T) {
 	run := func(procs int) (string, []float64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		env := freshEnv(t)
-		table, err := Figure16(env, 4)
+		table, err := figure16(env, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func TestTablesIndependentOfWorkerCount(t *testing.T) {
 // no node.
 func TestTablesPrintedFromTheServingVersion(t *testing.T) {
 	env := freshEnv(t)
-	first, err := Figure16(env, 4)
+	first, err := figure16(env, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestTablesPrintedFromTheServingVersion(t *testing.T) {
 	if !on || filled == 0 {
 		t.Fatalf("Figure 16 left the version's memo on=%v with %d nodes", on, filled)
 	}
-	again, err := Figure16(env, 4)
+	again, err := figure16(env, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestTablesPrintedFromTheServingVersion(t *testing.T) {
 func TestFigure17Shape(t *testing.T) {
 	env := testEnv(t)
 	thresholds := []float64{0.7, 0.8, 0.9}
-	table, err := Figure17(env, thresholds)
+	table, err := figure17(env, thresholds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestSamplingStudyShapes(t *testing.T) {
 
 func TestAblationPolicies(t *testing.T) {
 	env := testEnv(t)
-	table, err := AblationPolicies(env, 0.8, 1)
+	table, err := ablationPolicies(env, 0.8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestAblationPolicies(t *testing.T) {
 
 func TestAblationTypeThreshold(t *testing.T) {
 	env := testEnv(t)
-	table, err := AblationTypeThreshold(env, []float64{10, 100}, 1)
+	table, err := ablationTypeThreshold(env, []float64{10, 100}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestAblationTypeThreshold(t *testing.T) {
 
 func TestAblationEDBins(t *testing.T) {
 	env := testEnv(t)
-	table, err := AblationEDBins(env, 1)
+	table, err := ablationEDBins(env, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestAblationEDBins(t *testing.T) {
 
 func TestAblationTrainingSize(t *testing.T) {
 	env := testEnv(t)
-	table, err := AblationTrainingSize(env, []int{50, 300, 10000}, 1)
+	table, err := ablationTrainingSize(env, []int{50, 300, 10000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestAblationTrainingSize(t *testing.T) {
 
 func TestAblationProbeCosts(t *testing.T) {
 	env := testEnv(t)
-	table, err := AblationProbeCosts(env, 0.8, 1)
+	table, err := ablationProbeCosts(env, 0.8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestAblationProbeCosts(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	table := &Table{
 		ID:      "T",
-		Title:   "test",
+		title:   "test",
 		columns: []string{"a", "b"},
 		notes:   []string{"hello"},
 	}
@@ -389,7 +390,7 @@ func TestTableRendering(t *testing.T) {
 func TestAblationOptimalPolicy(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Test2, cfg.Test3 = 15, 15
-	table, err := AblationOptimalPolicy(cfg, 5, 0.85)
+	table, err := ablationOptimalPolicy(cfg, 5, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestAblationOptimalPolicy(t *testing.T) {
 		t.Errorf("optimal (%v) should not probe more than random (%v)", probes["optimal"], probes["random"])
 	}
 	// Degenerate inputs clamp.
-	if _, err := AblationOptimalPolicy(cfg, 99, 0.85); err != nil {
+	if _, err := ablationOptimalPolicy(cfg, 99, 0.85); err != nil {
 		t.Errorf("oversized numDBs should clamp, got %v", err)
 	}
 }
@@ -416,7 +417,7 @@ func TestAblationOptimalPolicy(t *testing.T) {
 // end to end (E-SIM): the probabilistic selection must remain at least
 // as correct as the raw estimator under the alternative definition too.
 func TestSimilarityVariantPipeline(t *testing.T) {
-	cfg := SimilarityVariant(SmallConfig())
+	cfg := similarityVariant(SmallConfig())
 	cfg.Test2, cfg.Test3 = 40, 40
 	env, err := Setup(cfg)
 	if err != nil {
@@ -425,7 +426,7 @@ func TestSimilarityVariantPipeline(t *testing.T) {
 	if env.Rel.Name() != "doc-similarity" {
 		t.Fatalf("relevancy = %q", env.Rel.Name())
 	}
-	table, err := Figure15(env, []int{1})
+	table, err := figure15(env, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +484,7 @@ func TestSamplingStudyNotesStatistic(t *testing.T) {
 // to either classical ranker, and probing must improve on RD-based.
 func TestBaselineComparison(t *testing.T) {
 	env := testEnv(t)
-	table, err := BaselineComparison(env, []int{1})
+	table, err := baselineComparison(env, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +511,7 @@ func TestBaselineComparison(t *testing.T) {
 // refinement must recover accuracy on the queries the drift re-ranked,
 // without collapsing overall accuracy.
 func TestDriftStudy(t *testing.T) {
-	table, err := DriftStudy(SmallConfig(), "CNNHealthNews", 8, 400)
+	table, err := driftStudy(SmallConfig(), "CNNHealthNews", 8, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +534,7 @@ func TestDriftStudy(t *testing.T) {
 		t.Errorf("refinement cost too much overall: %v -> %v", overallStale, overallRefined)
 	}
 	// Unknown databases fail.
-	if _, err := DriftStudy(SmallConfig(), "NoSuchDB", 2, 10); err == nil {
+	if _, err := driftStudy(SmallConfig(), "NoSuchDB", 2, 10); err == nil {
 		t.Error("unknown drift database must fail")
 	}
 }
@@ -542,7 +543,7 @@ func TestDriftStudy(t *testing.T) {
 // empirical accuracy bucket by bucket.
 func TestCalibrationStudy(t *testing.T) {
 	env := testEnv(t)
-	table, err := CalibrationStudy(env, 1, 5)
+	table, err := calibrationStudy(env, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestCalibrationStudy(t *testing.T) {
 		}
 	}
 	// Default bucket count.
-	if table2, err := CalibrationStudy(env, 1, 0); err != nil || len(table2.rows) != 5 {
+	if table2, err := calibrationStudy(env, 1, 0); err != nil || len(table2.rows) != 5 {
 		t.Errorf("default buckets: %v rows, err %v", len(table2.rows), err)
 	}
 }
@@ -575,7 +576,7 @@ func TestCalibrationStudy(t *testing.T) {
 // best-estimated database.
 func TestFusionStudy(t *testing.T) {
 	env := testEnv(t)
-	table, err := FusionStudy(env, 3, 10)
+	table, err := fusionStudy(env, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +592,7 @@ func TestFusionStudy(t *testing.T) {
 		t.Errorf("fusion never beat the single database: %v", byName)
 	}
 	// Default topN.
-	if _, err := FusionStudy(env, 2, 0); err != nil {
+	if _, err := fusionStudy(env, 2, 0); err != nil {
 		t.Errorf("default topN failed: %v", err)
 	}
 }
@@ -601,11 +602,11 @@ func TestFusionStudy(t *testing.T) {
 // the RD-based method of Figure 15.
 func TestFigure16ZeroProbeMatchesFigure15(t *testing.T) {
 	env := testEnv(t)
-	f15, err := Figure15(env, []int{1})
+	f15, err := figure15(env, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f16, err := Figure16(env, 1)
+	f16, err := figure16(env, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +621,7 @@ func TestFigure16ZeroProbeMatchesFigure15(t *testing.T) {
 // error model must still clearly beat the raw estimator — it corrects
 // sampling bias on top of correlation bias.
 func TestSampledSummariesStudy(t *testing.T) {
-	table, err := SampledSummariesStudy(SmallConfig(), 60)
+	table, err := sampledSummariesStudy(SmallConfig(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +647,7 @@ func TestSampledSummariesStudy(t *testing.T) {
 // so the first row only needs to hold valid values.
 func TestPrunedSummariesStudy(t *testing.T) {
 	env := testEnv(t)
-	table, err := PrunedSummariesStudy(env, []int{100, 500, 0})
+	table, err := prunedSummariesStudy(env, []int{100, 500, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +669,7 @@ func TestPrunedSummariesStudy(t *testing.T) {
 		}
 	}
 	// The full budget must match Figure 15's RD value on this env.
-	f15, err := Figure15(env, []int{1})
+	f15, err := figure15(env, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,14 +688,14 @@ func TestPrunedSummariesStudy(t *testing.T) {
 func TestWorkStudy(t *testing.T) {
 	run := func(procs int) *Table {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		table, err := WorkStudy(testEnv(t), []int{1, 3}, 0.9)
+		table, err := workStudy(testEnv(t), []int{1, 3}, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return table
 	}
 	table := run(1)
-	if _, err := Figure16(testEnv(t), 2); err != nil {
+	if _, err := figure16(testEnv(t), 2); err != nil {
 		t.Fatal(err)
 	}
 	if again := run(4); again.String() != table.String() {
@@ -727,5 +728,36 @@ func TestWorkStudy(t *testing.T) {
 		if partial && (cell(t, table, ri, 5) != 0 || cell(t, table, ri, 6) != 0) {
 			t.Errorf("row %v: the partial metric ranks by the full sweep, yet candidates were skipped or abandoned", row)
 		}
+	}
+}
+
+// TestRegistryMatchesResults holds the registry and results/ to one
+// list: every registry id has its .txt and .csv there, and every file
+// there is a registry id's.
+func TestRegistryMatchesResults(t *testing.T) {
+	want := map[string]bool{}
+	for _, e := range Registry {
+		for _, id := range e.IDs {
+			for _, ext := range []string{".txt", ".csv"} {
+				name := strings.ToLower(id) + ext
+				if want[name] {
+					t.Errorf("registry lists %s twice", id)
+				}
+				want[name] = true
+			}
+		}
+	}
+	files, err := os.ReadDir("../../results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !want[f.Name()] {
+			t.Errorf("results/%s belongs to no registry id", f.Name())
+		}
+		delete(want, f.Name())
+	}
+	for name := range want {
+		t.Errorf("results/%s is missing", name)
 	}
 }

@@ -10,13 +10,13 @@ import (
 	"metaprobe/internal/stats"
 )
 
-// Figure14 reproduces the testbed inventory table ("Sample Web
+// figure14 reproduces the testbed inventory table ("Sample Web
 // databases used in our experiment"): name, category, collection size
 // and vocabulary size per mediated database.
-func Figure14(env *Env) *Table {
+func figure14(env *Env) *Table {
 	t := &Table{
 		ID:      "F14",
-		Title:   "Figure 14: databases mediated by the metasearcher",
+		title:   "Figure 14: databases mediated by the metasearcher",
 		columns: []string{"database", "category", "documents", "distinct terms"},
 		notes: []string{
 			fmt.Sprintf("sizes scaled by %g from the paper's 300–160000 range", env.cfg.Scale),
@@ -29,10 +29,10 @@ func Figure14(env *Env) *Table {
 	return t
 }
 
-// Figure9 reproduces the per-type error distributions of one database
+// figure9 reproduces the per-type error distributions of one database
 // (Figure 9's decision-tree leaves): for each query type, the number
 // of training observations and the ED's bin probabilities.
-func Figure9(env *Env, dbName string) (*Table, error) {
+func figure9(env *Env, dbName string) (*Table, error) {
 	idx := env.Testbed.IndexOf(dbName)
 	if idx < 0 {
 		return nil, fmt.Errorf("experiments: unknown database %q", dbName)
@@ -40,7 +40,7 @@ func Figure9(env *Env, dbName string) (*Table, error) {
 	dm := env.Version.Model.DBs[idx]
 	t := &Table{
 		ID:      "F9",
-		Title:   fmt.Sprintf("Figure 9: per-query-type error distributions on %s", dbName),
+		title:   fmt.Sprintf("Figure 9: per-query-type error distributions on %s", dbName),
 		columns: []string{"query type", "observations", "mean err", "P(err<-5%)", "P(|err|<=5%)", "P(err>5%)"},
 		notes: []string{
 			"zero-band rows report the distribution of absolute relevancy instead of relative error",
@@ -82,13 +82,13 @@ func Figure9(env *Env, dbName string) (*Table, error) {
 	return t, nil
 }
 
-// Figure15 reproduces the headline comparison table: the
+// figure15 reproduces the headline comparison table: the
 // term-independence estimator baseline versus RD-based selection
 // (no probing), reporting Avg(Cor_a) and Avg(Cor_p) for each k.
-func Figure15(env *Env, ks []int) (*Table, error) {
+func figure15(env *Env, ks []int) (*Table, error) {
 	t := &Table{
 		ID:      "F15",
-		Title:   "Figure 15: RD-based database selection vs. the term-independence estimator",
+		title:   "Figure 15: RD-based database selection vs. the term-independence estimator",
 		columns: []string{"method", "k", "Avg(Cor_a)", "Avg(Cor_p)"},
 		notes: []string{
 			fmt.Sprintf("%d test queries; paper (k=1): baseline 0.507 → RD-based 0.700 (+38.2%%)", len(env.golden)),
@@ -165,11 +165,11 @@ type figure16Panel struct {
 	metric core.Metric
 }
 
-// Figure16 reproduces the probing-impact curves: average correctness
+// figure16 reproduces the probing-impact curves: average correctness
 // of APro's current best answer after 0, 1, ..., maxProbes probes,
 // with the flat term-independence baseline for comparison. Panels:
 // (a) k=1, (b) k=3 absolute, (c) k=3 partial.
-func Figure16(env *Env, maxProbes int) (*Table, error) {
+func figure16(env *Env, maxProbes int) (*Table, error) {
 	panels := []figure16Panel{
 		{"(a) k=1", 1, core.Absolute},
 		{"(b) k=3 absolute", 3, core.Absolute},
@@ -181,7 +181,7 @@ func Figure16(env *Env, maxProbes int) (*Table, error) {
 	}
 	t := &Table{
 		ID:      "F16",
-		Title:   "Figure 16: average correctness vs. number of probes (greedy policy)",
+		title:   "Figure 16: average correctness vs. number of probes (greedy policy)",
 		columns: cols,
 		notes: []string{
 			"column p = average correctness of the best set after p probes",
@@ -272,9 +272,9 @@ func probingCurve(env *Env, k int, metric core.Metric, maxProbes int) ([]float64
 	return sums, baselineSum / n, nil
 }
 
-// Figure17 reproduces the cost-of-certainty curve: the average number
+// figure17 reproduces the cost-of-certainty curve: the average number
 // of probes APro needs to reach each user-required threshold t.
-func Figure17(env *Env, thresholds []float64) (*Table, error) {
+func figure17(env *Env, thresholds []float64) (*Table, error) {
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.70, 0.75, 0.80, 0.85, 0.90, 0.95}
 	}
@@ -284,7 +284,7 @@ func Figure17(env *Env, thresholds []float64) (*Table, error) {
 	}
 	table := &Table{
 		ID:      "F17",
-		Title:   "Figure 17: average number of probes to reach the user-required certainty t",
+		title:   "Figure 17: average number of probes to reach the user-required certainty t",
 		columns: cols,
 	}
 	series := []figure16Panel{
@@ -295,35 +295,13 @@ func Figure17(env *Env, thresholds []float64) (*Table, error) {
 	for _, s := range series {
 		row := []string{s.label}
 		for _, th := range thresholds {
-			avg, err := avgProbesAtThreshold(env, s.k, s.metric, th)
+			outs, err := env.apro(s.metric, s.k, shared(&core.Greedy{}), th, -1)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f2(avg))
+			row = append(row, f2(env.score(outs, s.k).probes))
 		}
 		table.rows = append(table.rows, row)
 	}
 	return table, nil
-}
-
-// avgProbesAtThreshold runs APro over the test set at one threshold and
-// returns the average number of successful probes.
-func avgProbesAtThreshold(env *Env, k int, metric core.Metric, t float64) (float64, error) {
-	probes, err := eval.Parallel(len(env.golden), func(qi int) (float64, error) {
-		g := env.golden[qi]
-		sel := env.Selection(g.Query, metric, k)
-		out, err := core.APro(sel, env.probe(g.Query.String()), &core.Greedy{}, t, -1)
-		if err != nil {
-			return 0, err
-		}
-		return float64(out.Probes()), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, p := range probes {
-		total += p
-	}
-	return total / float64(len(env.golden)), nil
 }

@@ -9,7 +9,7 @@ import (
 	"metaprobe/internal/fusion"
 )
 
-// FusionStudy (E-FUSE) evaluates task 2 of the paper's Figure 1 —
+// fusionStudy (E-FUSE) evaluates task 2 of the paper's Figure 1 —
 // result fusion — which the paper describes but does not measure: after
 // database selection picks k sources, how much of the *globally* best
 // document set does the fused answer recover?
@@ -20,13 +20,13 @@ import (
 // ground truth. Strategies: APro-selected databases with weighted
 // score fusion, the same with round-robin interleaving, and the single
 // best-estimated database (no fusion).
-func FusionStudy(env *Env, k, topN int) (*Table, error) {
+func fusionStudy(env *Env, k, topN int) (*Table, error) {
 	if topN <= 0 {
 		topN = 10
 	}
 	table := &Table{
 		ID:      "EFUSE",
-		Title:   fmt.Sprintf("E-FUSE: result-fusion quality (precision@%d vs querying all databases, k=%d)", topN, k),
+		title:   fmt.Sprintf("E-FUSE: result-fusion quality (precision@%d vs querying all databases, k=%d)", topN, k),
 		columns: []string{"strategy", "precision@N", "avg probes"},
 		notes: []string{
 			"ground truth: the globally top-N documents over all 20 databases",
@@ -38,6 +38,11 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 	type answer struct {
 		found                        bool
 		weighted, rr, single, probes float64
+	}
+	// Strategy inputs: APro-selected k databases at t=0.8.
+	outs, err := env.apro(core.Partial, k, shared(&core.Greedy{}), 0.8, -1)
+	if err != nil {
+		return nil, err
 	}
 	answers, err := eval.Parallel(len(env.golden), func(qi int) (answer, error) {
 		g := env.golden[qi]
@@ -84,12 +89,7 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 			return float64(hits) / float64(len(truth))
 		}
 
-		// Strategy inputs: APro-selected k databases at t=0.8.
-		sel := env.Selection(g.Query, core.Partial, k)
-		out, err := core.APro(sel, env.probe(query), &core.Greedy{}, 0.8, -1)
-		if err != nil {
-			return answer{}, err
-		}
+		out := outs[qi]
 		var lists []fusion.SourceList
 		for _, dbIdx := range out.Set {
 			res, err := env.Testbed.DB(dbIdx).Search(query, topN)
@@ -112,7 +112,7 @@ func FusionStudy(env *Env, k, topN int) (*Table, error) {
 		}
 
 		// Single best-estimated database, no fusion.
-		best := sel.BaselineSelect()[:1]
+		best := env.Selection(g.Query, core.Partial, k).BaselineSelect()[:1]
 		res, err := env.Testbed.DB(best[0]).Search(query, topN)
 		if err != nil {
 			return answer{}, err

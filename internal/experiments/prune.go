@@ -7,20 +7,20 @@ import (
 	"metaprobe/internal/summary"
 )
 
-// PrunedSummariesStudy (E-PRUNE) measures the cost of bounding summary
+// prunedSummariesStudy (E-PRUNE) measures the cost of bounding summary
 // storage: a metasearcher mediating hundreds of thousands of sources
 // cannot keep every source's full vocabulary, so summaries keep only
 // their top-N terms. For each budget, the model is retrained on the
 // pruned summaries and RD-based selection is scored (k=1). The error
 // model partially compensates for the terms the estimator can no
 // longer see (they fall into the learned zero-estimate band).
-func PrunedSummariesStudy(env *Env, budgets []int) (*Table, error) {
+func prunedSummariesStudy(env *Env, budgets []int) (*Table, error) {
 	if len(budgets) == 0 {
 		budgets = []int{100, 250, 500, 1000, 0}
 	}
 	table := &Table{
 		ID:      "EPRUNE",
-		Title:   "E-PRUNE: selection quality vs summary term budget (RD-based, k=1)",
+		title:   "E-PRUNE: selection quality vs summary term budget (RD-based, k=1)",
 		columns: []string{"terms per summary", "baseline Cor_a", "RD-based Cor_a", "avg stored terms"},
 		notes: []string{
 			"budget 'full' keeps the entire vocabulary (the Figure 15 setting)",

@@ -9,7 +9,7 @@ import (
 	"metaprobe/internal/summary"
 )
 
-// SampledSummariesStudy (E-SAMP) replays Figure 15 in the realistic
+// sampledSummariesStudy (E-SAMP) replays Figure 15 in the realistic
 // deployment setting the paper's reference [8] addresses: the
 // metasearcher cannot read the databases' indexes, so content
 // summaries come from *query-based sampling* through the public search
@@ -17,7 +17,7 @@ import (
 // is how much selection quality survives — and how much of the loss
 // the error model recovers (its zero-estimate band explicitly learns
 // "this estimate said nothing matches, but things did").
-func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
+func sampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 	env, err := Setup(cfg)
 	if err != nil {
 		return nil, err
@@ -50,7 +50,7 @@ func SampledSummariesStudy(cfg Config, probesPerDB int) (*Table, error) {
 
 	table := &Table{
 		ID:      "ESAMP",
-		Title:   "E-SAMP: exact vs query-sampled content summaries (k=1)",
+		title:   "E-SAMP: exact vs query-sampled content summaries (k=1)",
 		columns: []string{"summaries", "method", "Avg(Cor_a)"},
 		notes: []string{
 			fmt.Sprintf("sampling: %d probe queries per database, %d seed terms, documents fetched through the search interface", probesPerDB, len(seedTerms)),

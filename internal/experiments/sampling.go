@@ -102,7 +102,7 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 
 	perDB = &Table{
 		ID:      "F7",
-		Title:   "Figure 7: average goodness of sampling sizes, per database",
+		title:   "Figure 7: average goodness of sampling sizes, per database",
 		columns: append([]string{"database", "|Q_total|"}, sizeCols(cfg.Sizes)...),
 		notes: []string{
 			fmt.Sprintf("goodness = %s p-value of ED_S vs ED_total; acceptance line 0.05; query type: 2-term, %s band (threshold %g)",
@@ -111,7 +111,7 @@ func SamplingStudy(cfg SamplingConfig) (perDB, avg *Table, err error) {
 	}
 	avg = &Table{
 		ID:      "F8",
-		Title:   "Figure 8: average goodness of sampling sizes over all databases",
+		title:   "Figure 8: average goodness of sampling sizes over all databases",
 		columns: append([]string{"metric"}, sizeCols(cfg.Sizes)...),
 	}
 

@@ -11,7 +11,7 @@ import (
 	"metaprobe/internal/core"
 )
 
-// WorkStudy (E-WORK) counts what the engine does on the sequential path:
+// workStudy (E-WORK) counts what the engine does on the sequential path:
 // for each (k, metric) it runs APro with the greedy policy to certainty t
 // over every test query, in index order, through a model version
 // published afresh for the row, and sums each selection's RankWork. The
@@ -20,10 +20,10 @@ import (
 // bits before and after, and each step's database, usefulness bits and
 // certainty after — so a change that must keep every decision shows as
 // a change of the counts only.
-func WorkStudy(env *Env, ks []int, t float64) (*Table, error) {
+func workStudy(env *Env, ks []int, t float64) (*Table, error) {
 	table := &Table{
 		ID:    "EWORK",
-		Title: fmt.Sprintf("E-WORK: what the greedy probe loop computes, sequential APro to t = %.2f over the test queries", t),
+		title: fmt.Sprintf("E-WORK: what the greedy probe loop computes, sequential APro to t = %.2f over the test queries", t),
 		columns: []string{"k", "metric", "queries", "probes", "swept", "skipped", "abandoned",
 			"hypotheses", "sets", "sets shared", "grid reuses", "memo hits", "memo misses", "outcomes hash"},
 		notes: []string{

@@ -220,12 +220,10 @@ func New(cfg Config, host Host) *Refresher {
 		lastAttempt: make(map[Alert]time.Time),
 	}
 	if reg := cfg.Metrics; reg != nil {
-		reg.Help("mp_refresh_total", "Completed online model refreshes, by outcome (ok, rollback, aborted, superseded).")
-		reg.Help("mp_refresh_rollbacks_total", "Refresh candidates discarded because validation regressed by more than 0.1 nats.")
+		reg.Help("mp_refresh_total", "Completed online model refreshes, by outcome (ok; rollback, validation regressed by more than 0.1 nats; aborted; superseded).")
 		reg.Help("mp_refresh_probes_total", "Live probes spent by refresh tasks.")
 		reg.Help("mp_refresh_alerts_total", "Drift alerts received, by intake decision (queued, coalesced, cooldown, dropped).")
 		reg.Help("mp_refresh_duration_seconds", "End-to-end duration of refresh tasks.")
-		reg.Counter("mp_refresh_rollbacks_total", nil)
 		for _, o := range []string{"ok", "rollback", "aborted", "superseded"} {
 			reg.Counter("mp_refresh_total", obs.Labels{"outcome": o})
 		}
@@ -381,9 +379,6 @@ func (r *Refresher) runTask(a Alert) {
 
 	if reg := r.cfg.Metrics; reg != nil {
 		reg.Counter("mp_refresh_total", obs.Labels{"outcome": string(out)}).Inc()
-		if out == outcomeRollback {
-			reg.Counter("mp_refresh_rollbacks_total", nil).Inc()
-		}
 		if val != nil {
 			reg.Counter("mp_refresh_probes_total", nil).Add(int64(val.ProbesSpent))
 		}
@@ -557,12 +552,7 @@ func (r *Refresher) probeAll(ctx context.Context, dbIdx int, cands []probePair) 
 // pooled ED is left alone: it is a long-run aggregate across all query
 // types, and the serving fallback semantics expect it to change slowly.
 func trainED(cfg core.Config, a Alert, train []probePair) (*core.ED, error) {
-	edges := cfg.ErrorEdges
-	absolute := a.Key.Band == core.BandZero
-	if absolute {
-		edges = cfg.AbsoluteEdges
-	}
-	ed, err := core.NewED(edges, absolute, cfg.UseBinMean)
+	ed, err := cfg.EDFor(a.Key)
 	if err != nil {
 		return nil, err
 	}

@@ -305,8 +305,8 @@ func TestRefreshRollsBackRegression(t *testing.T) {
 	if host.commits != 0 || host.version != 1 {
 		t.Fatalf("rollback must not publish: commits=%d version=%d", host.commits, host.version)
 	}
-	if c := reg.Counter("mp_refresh_rollbacks_total", nil).Value(); c != 1 {
-		t.Errorf("mp_refresh_rollbacks_total = %d", c)
+	if c := reg.Counter("mp_refresh_total", obs.Labels{"outcome": "rollback"}).Value(); c != 1 {
+		t.Errorf(`mp_refresh_total{outcome="rollback"} = %d`, c)
 	}
 }
 
