@@ -148,10 +148,11 @@ type DatabaseSpec struct {
 	// concept terms strongly correlated (the independence estimator
 	// underestimates); zero affinity makes terms nearly independent.
 	ConceptAffinity float64
-	// backgroundFraction is the probability that a slot emits a
-	// background term (default 0.35 when zero).
-	backgroundFraction float64
 }
+
+// backgroundFraction is the probability that a slot of a generated
+// document emits a background term.
+const backgroundFraction = 0.35
 
 // Document is one generated document.
 type Document struct {
@@ -195,10 +196,6 @@ func (w *World) Generate(spec DatabaseSpec, rng *stats.RNG) ([]Document, error) 
 	if err != nil {
 		return nil, fmt.Errorf("corpus: database %q: %w", spec.Name, err)
 	}
-	bg := spec.backgroundFraction
-	if bg == 0 {
-		bg = 0.35
-	}
 
 	docs := make([]Document, spec.NumDocs)
 	for d := range docs {
@@ -209,7 +206,7 @@ func (w *World) Generate(spec DatabaseSpec, rng *stats.RNG) ([]Document, error) 
 		}
 		terms := make([]string, 0, length+2)
 		for len(terms) < length {
-			if rng.Float64() < bg {
+			if rng.Float64() < backgroundFraction {
 				terms = append(terms, w.Background[w.backgroundSamp.Sample(rng)])
 				continue
 			}

@@ -21,28 +21,25 @@ import (
 //	p(t|Cᵢ) = b + (1 − b) · T · I
 //
 // with N the number of collections, cf_t the number of collections
-// containing t, cwᵢ collection i's word count, and the usual defaults
-// b = 0.4, k = 200, b_s = 0.75. The collection score is the mean of
-// p(t|Cᵢ) over the query terms.
+// containing t, cwᵢ collection i's word count, and the literature's
+// constants b = 0.4, k = 200, b_s = 0.75. The collection score is the
+// mean of p(t|Cᵢ) over the query's distinct terms.
 //
 // Unlike the Relevancy implementations, CORI is inherently a
 // *cross-collection* ranker (it needs cf and avg_cw), so it scores all
 // summaries at once rather than one database at a time.
-type CORI struct {
-	// b is the default belief (default 0.4).
-	b float64
-	// k is the term-frequency saturation constant (default 200).
-	k float64
-	// bs is the word-count mixing weight inside K (default 0.75).
-	bs float64
-	// tok normalizes query terms (default: the standard tokenizer).
-	tok *textindex.Tokenizer
-}
+type CORI struct{}
 
-// NewCORI returns a ranker with the literature's default parameters.
-func NewCORI() *CORI {
-	return &CORI{b: 0.4, k: 200, bs: 0.75, tok: textindex.DefaultTokenizer()}
-}
+// CORI's constants: the default belief b, the term-frequency saturation
+// constant k, and the word-count mixing weight b_s inside K.
+const (
+	coriB  float64 = 0.4
+	coriK  float64 = 200
+	coriBS float64 = 0.75
+)
+
+// NewCORI returns the ranker.
+func NewCORI() *CORI { return &CORI{} }
 
 // Scores ranks every collection of the set for the query; higher is
 // better. Queries with no usable terms score 0 everywhere.
@@ -51,32 +48,7 @@ func (c *CORI) Scores(set *summary.Set, query string) ([]float64, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("estimate: CORI needs at least one summary")
 	}
-	tok := c.tok
-	if tok == nil {
-		tok = textindex.DefaultTokenizer()
-	}
-	b, k, bs := c.b, c.k, c.bs
-	if b == 0 {
-		b = 0.4
-	}
-	if k == 0 {
-		k = 200
-	}
-	if bs == 0 {
-		bs = 0.75
-	}
-
-	// Distinct normalized query terms.
-	raw := tok.Tokenize(query)
-	seen := make(map[string]struct{}, len(raw))
-	terms := raw[:0]
-	for _, t := range raw {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		terms = append(terms, t)
-	}
+	terms := textindex.QueryTerms(query)
 	scores := make([]float64, n)
 	if len(terms) == 0 {
 		return scores, nil
@@ -105,9 +77,9 @@ func (c *CORI) Scores(set *summary.Set, query string) ([]float64, error) {
 
 	logN1 := math.Log(float64(n) + 1)
 	for i, s := range set.Summaries {
-		kc := k
+		kc := coriK
 		if avgCW > 0 && s.TermCount > 0 {
-			kc = k * ((1 - bs) + bs*float64(s.TermCount)/avgCW)
+			kc = coriK * ((1 - coriBS) + coriBS*float64(s.TermCount)/avgCW)
 		}
 		total := 0.0
 		for ti, t := range terms {
@@ -116,9 +88,9 @@ func (c *CORI) Scores(set *summary.Set, query string) ([]float64, error) {
 			if df > 0 && cf[ti] > 0 {
 				T := df / (df + kc)
 				I := math.Log((float64(n)+0.5)/float64(cf[ti])) / logN1
-				belief = b + (1-b)*T*I
+				belief = coriB + (1-coriB)*T*I
 			} else {
-				belief = b
+				belief = coriB
 			}
 			total += belief
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"metaprobe/internal/summary"
-	"metaprobe/internal/textindex"
 )
 
 // coriSet builds three collections with controlled statistics: an
@@ -29,7 +28,7 @@ func coriSet() *summary.Set {
 }
 
 func TestCORIRankingSanity(t *testing.T) {
-	c := &CORI{tok: textindex.DefaultTokenizer()}
+	c := NewCORI()
 	set := coriSet()
 
 	scores, err := c.Scores(set, "breast cancer")
@@ -54,7 +53,7 @@ func TestCORIRankingSanity(t *testing.T) {
 func TestCORIHandComputedValue(t *testing.T) {
 	// Single collection set degenerates: N=1, cf=1 for present terms,
 	// I = log(1.5)/log(2).
-	c := &CORI{b: 0.4, k: 200, bs: 0.75, tok: textindex.DefaultTokenizer()}
+	c := NewCORI()
 	set := &summary.Set{Summaries: []*summary.Summary{
 		{Database: "only", Size: 100, DocCount: 100, TermCount: 1000,
 			DF: map[string]int{"cancer": 50}},
@@ -109,6 +108,16 @@ func TestCORIEdgeCases(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("duplicate terms changed scores: %v vs %v", a, b)
 			break
+		}
+	}
+	for _, q := range repeatedForms {
+		a, _ := c.Scores(set, q[0])
+		b, _ := c.Scores(set, q[1])
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Errorf("Scores(%q) = %v, Scores(%q) = %v", q[0], a, q[1], b)
+				break
+			}
 		}
 	}
 }

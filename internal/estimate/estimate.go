@@ -21,6 +21,7 @@ package estimate
 
 import (
 	"fmt"
+	"math"
 
 	"metaprobe/internal/hidden"
 	"metaprobe/internal/summary"
@@ -46,39 +47,18 @@ type Relevancy interface {
 // (Eq. 1; N is the summary's document-count denominator). Repeated
 // query terms are deduplicated after normalization, consistent with
 // boolean-AND match semantics.
-type DocFrequency struct {
-	// tok normalizes query terms into summary term space (default:
-	// the standard tokenizer).
-	tok *textindex.Tokenizer
-}
+type DocFrequency struct{}
 
-// NewDocFrequency returns the definition with the default tokenizer.
-func NewDocFrequency() *DocFrequency {
-	return &DocFrequency{tok: textindex.DefaultTokenizer()}
-}
+// NewDocFrequency returns the definition.
+func NewDocFrequency() *DocFrequency { return &DocFrequency{} }
 
 // Name implements Relevancy.
 func (d *DocFrequency) Name() string { return "doc-frequency" }
 
-// Terms normalizes and deduplicates query words; an empty result means
-// the query cannot match anything.
-func (d *DocFrequency) Terms(query string) []string {
-	tok := d.tok
-	if tok == nil {
-		tok = textindex.DefaultTokenizer()
-	}
-	raw := tok.Tokenize(query)
-	seen := make(map[string]struct{}, len(raw))
-	out := raw[:0]
-	for _, t := range raw {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
-}
+// Terms is textindex.QueryTerms: the query's distinct normalized terms
+// in order of first appearance; an empty result means the query cannot
+// match anything.
+func (d *DocFrequency) Terms(query string) []string { return textindex.QueryTerms(query) }
 
 // Estimate implements Relevancy (Eq. 1).
 func (d *DocFrequency) Estimate(s *summary.Summary, query string) float64 {
@@ -124,34 +104,19 @@ func (d *DocFrequency) Probe(db hidden.Database, query string) (float64, error) 
 // with idf weights w(t) = log(1 + N/df(t)) and m the number of query
 // terms present in the database. Like Eq. 1, it is deliberately a
 // *biased* estimator whose error the probabilistic model corrects.
-type DocSimilarity struct {
-	// tok normalizes query terms (default: the standard tokenizer).
-	tok *textindex.Tokenizer
-}
+type DocSimilarity struct{}
 
-// NewDocSimilarity returns the definition with the default tokenizer.
-func NewDocSimilarity() *DocSimilarity {
-	return &DocSimilarity{tok: textindex.DefaultTokenizer()}
-}
+// NewDocSimilarity returns the definition.
+func NewDocSimilarity() *DocSimilarity { return &DocSimilarity{} }
 
 // Name implements Relevancy.
 func (d *DocSimilarity) Name() string { return "doc-similarity" }
 
 // Estimate implements Relevancy.
 func (d *DocSimilarity) Estimate(s *summary.Summary, query string) float64 {
-	tok := d.tok
-	if tok == nil {
-		tok = textindex.DefaultTokenizer()
-	}
-	raw := tok.Tokenize(query)
-	seen := make(map[string]struct{}, len(raw))
 	var dot, qnorm float64
 	matched := 0
-	for _, t := range raw {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
+	for _, t := range textindex.QueryTerms(query) {
 		frac := s.Fraction(t)
 		// idf weight relative to this database.
 		var w float64
@@ -162,15 +127,19 @@ func (d *DocSimilarity) Estimate(s *summary.Summary, query string) float64 {
 		} else {
 			// Terms absent from the database still contribute to the
 			// query norm with a high idf (they are rare by evidence).
-			w = logIDF(float64(maxInt(s.DocCount, 2)))
+			w = logIDF(float64(max(s.DocCount, 2)))
 		}
 		qnorm += w * w
 	}
 	if matched == 0 || qnorm == 0 {
 		return 0
 	}
-	return dot / (sqrt(qnorm) * sqrt(float64(matched)))
+	return dot / (math.Sqrt(qnorm) * math.Sqrt(float64(matched)))
 }
+
+// logIDF is log(1 + x), the idf damping used by both the index and the
+// similarity estimator.
+func logIDF(x float64) float64 { return math.Log(1 + x) }
 
 // Probe implements Relevancy: the score of the top returned document.
 func (d *DocSimilarity) Probe(db hidden.Database, query string) (float64, error) {

@@ -31,9 +31,9 @@ func paperSummaries() (*summary.Summary, *summary.Summary) {
 // (10000/20000) = 1000 and r̂(db2) = 20000 · (2600/20000) ·
 // (5000/20000) = 650.
 func TestPaperExample1(t *testing.T) {
-	// The paper's vocabulary is unstemmed; use a non-stemming tokenizer
-	// to match its numbers exactly.
-	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
+	// "breast" and "cancer" are their own stems, so the paper's
+	// unstemmed vocabulary gives its numbers exactly.
+	rel := NewDocFrequency()
 	s1, s2 := paperSummaries()
 	if got := rel.Estimate(s1, "breast cancer"); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("r̂(db1) = %v, want 1000", got)
@@ -43,8 +43,16 @@ func TestPaperExample1(t *testing.T) {
 	}
 }
 
+// repeatedForms pairs a query with one holding the same distinct terms
+// in the same order of first appearance, repeated, inflected, recased
+// and mixed with a stopword: every estimator must read the two as one.
+var repeatedForms = [][2]string{
+	{"cancer", "cancer cancers the Cancer"},
+	{"breast cancer", "Breast cancers the breast CANCER"},
+}
+
 func TestDocFrequencyEdgeCases(t *testing.T) {
-	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
+	rel := NewDocFrequency()
 	s1, _ := paperSummaries()
 	if got := rel.Estimate(s1, ""); got != 0 {
 		t.Errorf("empty query estimate = %v", got)
@@ -58,18 +66,23 @@ func TestDocFrequencyEdgeCases(t *testing.T) {
 	if single != dup {
 		t.Errorf("duplicate term changed estimate: %v vs %v", single, dup)
 	}
+	for _, q := range repeatedForms {
+		if a, b := rel.Estimate(s1, q[0]), rel.Estimate(s1, q[1]); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("Estimate(%q) = %v, Estimate(%q) = %v", q[0], a, q[1], b)
+		}
+	}
 	if got := rel.Name(); got != "doc-frequency" {
 		t.Errorf("Name = %q", got)
 	}
 }
 
 func TestDocFrequencyProbe(t *testing.T) {
-	ix := textindex.NewIndex(textindex.DefaultTokenizer())
-	ix.Add("a", "breast cancer research")
-	ix.Add("b", "breast cancer care")
-	ix.Add("c", "cancer care")
+	ix := textindex.NewIndex()
+	ix.AddTerms("a", textindex.Tokenize("breast cancer research"))
+	ix.AddTerms("b", textindex.Tokenize("breast cancer care"))
+	ix.AddTerms("c", textindex.Tokenize("cancer care"))
 	db := hidden.NewLocal("d", ix)
-	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
+	rel := NewDocFrequency()
 	got, err := rel.Probe(db, "breast cancer")
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +100,14 @@ func TestDocFrequencyProbe(t *testing.T) {
 // terms are exactly independent and verifies Eq. 1 is exact there —
 // the estimator's error must come only from correlation.
 func TestEstimatorExactOnIndependentStats(t *testing.T) {
-	ix := textindex.NewIndex(textindex.DefaultTokenizer())
+	ix := textindex.NewIndex()
 	// 4 docs: aa in 2 (d0, d1), bb in 2 (d1, d3): AND = 1 = 4·(2/4)·(2/4).
-	ix.Add("d0", "aa xx")
-	ix.Add("d1", "aa bb")
-	ix.Add("d2", "yy zz")
-	ix.Add("d3", "bb yy")
+	ix.AddTerms("d0", textindex.Tokenize("aa xx"))
+	ix.AddTerms("d1", textindex.Tokenize("aa bb"))
+	ix.AddTerms("d2", textindex.Tokenize("yy zz"))
+	ix.AddTerms("d3", textindex.Tokenize("bb yy"))
 	s := summary.FromLocal(hidden.NewLocal("d", ix))
-	rel := &DocFrequency{tok: textindex.DefaultTokenizer()}
+	rel := NewDocFrequency()
 	est := rel.Estimate(s, "aa bb")
 	if math.Abs(est-1) > 1e-9 {
 		t.Errorf("estimate = %v, want exactly 1", est)
@@ -106,7 +119,7 @@ func TestEstimatorExactOnIndependentStats(t *testing.T) {
 }
 
 func TestDocSimilarity(t *testing.T) {
-	rel := &DocSimilarity{tok: textindex.DefaultTokenizer()}
+	rel := NewDocSimilarity()
 	s1, _ := paperSummaries()
 	got := rel.Estimate(s1, "breast cancer")
 	if got <= 0 || got > 1 {
@@ -126,6 +139,11 @@ func TestDocSimilarity(t *testing.T) {
 	if full <= partial {
 		t.Errorf("full coverage %v should beat partial coverage %v", full, partial)
 	}
+	for _, q := range repeatedForms {
+		if a, b := rel.Estimate(s1, q[0]), rel.Estimate(s1, q[1]); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("Estimate(%q) = %v, Estimate(%q) = %v", q[0], a, q[1], b)
+		}
+	}
 	// A single present term is a perfect best-doc match by assumption.
 	if got := rel.Estimate(s1, "breast"); math.Abs(got-1) > 1e-12 {
 		t.Errorf("single-term estimate = %v, want 1", got)
@@ -136,11 +154,11 @@ func TestDocSimilarity(t *testing.T) {
 }
 
 func TestDocSimilarityProbe(t *testing.T) {
-	ix := textindex.NewIndex(textindex.DefaultTokenizer())
-	ix.Add("a", "breast cancer")
-	ix.Add("b", "unrelated words")
+	ix := textindex.NewIndex()
+	ix.AddTerms("a", textindex.Tokenize("breast cancer"))
+	ix.AddTerms("b", textindex.Tokenize("unrelated words"))
 	db := hidden.NewLocal("d", ix)
-	rel := &DocSimilarity{tok: textindex.DefaultTokenizer()}
+	rel := NewDocSimilarity()
 	got, err := rel.Probe(db, "breast cancer")
 	if err != nil {
 		t.Fatal(err)
@@ -156,19 +174,20 @@ func TestDocSimilarityProbe(t *testing.T) {
 }
 
 func TestDefaultConstructorsStemConsistently(t *testing.T) {
-	// With the default (stemming) tokenizer, "cancers" and "cancer"
-	// estimate identically.
+	// Queries are stemmed, so "cancers" and "cancer" estimate
+	// identically.
 	rel := NewDocFrequency()
 	s := &summary.Summary{
 		Database: "d", Size: 100, DocCount: 100,
-		DF: map[string]int{textindex.DefaultTokenizer().Tokenize("cancers")[0]: 40},
+		DF: map[string]int{textindex.Tokenize("cancers")[0]: 40},
 	}
 	a := rel.Estimate(s, "cancer")
 	b := rel.Estimate(s, "cancers")
 	if a != b || a == 0 {
 		t.Errorf("stemming inconsistency: %v vs %v", a, b)
 	}
-	if NewDocSimilarity().tok == nil {
-		t.Error("NewDocSimilarity has nil tokenizer")
+	sim := NewDocSimilarity()
+	if a, b := sim.Estimate(s, "cancer"), sim.Estimate(s, "cancers"); a != b || a == 0 {
+		t.Errorf("similarity stemming inconsistency: %v vs %v", a, b)
 	}
 }

@@ -32,17 +32,16 @@ func TestBuildTestbedMatchesPerOccurrenceTokenizing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tok := textindex.DefaultTokenizer()
 			for i, spec := range tc.specs {
 				docs, err := tc.world.Generate(spec, stats.NewRNG(seed).Fork(int64(i)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := NewLocal(spec.Name, textindex.NewIndex(nil))
+				ref := NewLocal(spec.Name, textindex.NewIndex())
 				for _, d := range docs {
 					var terms []string
 					for _, term := range d.Terms {
-						terms = append(terms, tok.Tokenize(term)...)
+						terms = append(terms, textindex.Tokenize(term)...)
 					}
 					ref.Index().AddTerms(d.ID, terms)
 					ref.StoreText(strings.Join(d.Terms, " "))

@@ -60,11 +60,11 @@ func FuzzLocalText(f *testing.F) {
 		for _, w := range []string{"breast", "cancer", "lung"} {
 			shared.add(w)
 		}
-		a := newLocal("a", textindex.NewIndex(nil), shared)
-		b := newLocal("b", textindex.NewIndex(nil), shared)
+		a := newLocal("a", textindex.NewIndex(), shared)
+		b := newLocal("b", textindex.NewIndex(), shared)
 		stored := map[*Local]map[string]string{a: {}, b: {}}
 		store := func(l *Local, id, text string) {
-			l.Index().Add(id, text)
+			l.Index().AddTerms(id, textindex.Tokenize(text))
 			l.StoreText(text)
 			stored[l][id] = text
 		}

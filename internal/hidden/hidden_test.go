@@ -34,7 +34,7 @@ func (t table) Search(query string, _ int) (Result, error) { return Result{Match
 
 func buildSmallLocal(t *testing.T) *Local {
 	t.Helper()
-	ix := textindex.NewIndex(textindex.DefaultTokenizer())
+	ix := textindex.NewIndex()
 	docs := []string{
 		"breast cancer research update",
 		"breast cancer treatment",
@@ -44,7 +44,7 @@ func buildSmallLocal(t *testing.T) *Local {
 	l := NewLocal("testdb", ix)
 	for i, d := range docs {
 		id := fmt.Sprintf("d%d", i)
-		ix.Add(id, d)
+		ix.AddTerms(id, textindex.Tokenize(d))
 		l.StoreText(d)
 	}
 	return l

@@ -14,7 +14,7 @@ import (
 
 func buildSmallLocal(t *testing.T) *hidden.Local {
 	t.Helper()
-	ix := textindex.NewIndex(textindex.DefaultTokenizer())
+	ix := textindex.NewIndex()
 	docs := []string{
 		"breast cancer research update",
 		"breast cancer treatment",
@@ -24,7 +24,7 @@ func buildSmallLocal(t *testing.T) *hidden.Local {
 	l := hidden.NewLocal("testdb", ix)
 	for i, d := range docs {
 		id := fmt.Sprintf("d%d", i)
-		ix.Add(id, d)
+		ix.AddTerms(id, textindex.Tokenize(d))
 		l.StoreText(d)
 	}
 	return l

@@ -80,13 +80,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Real answer pages show a preview line per hit; synthesize one
 	// when documents are fetchable.
 	if f, ok := s.db.(Fetcher); ok {
-		tok := textindex.DefaultTokenizer()
 		for i := range res.Docs {
 			if res.Docs[i].Snippet != "" {
 				continue
 			}
 			if text, err := f.Fetch(res.Docs[i].ID); err == nil {
-				res.Docs[i].Snippet = tok.Snippet(text, q, 12, false)
+				res.Docs[i].Snippet = textindex.Snippet(text, q, 12, false)
 			}
 		}
 	}

@@ -128,9 +128,8 @@ func (l *Local) Fetch(id string) (string, error) {
 	return b.String(), nil
 }
 
-// BuildLocal indexes the given documents into a fresh database using
-// the default tokenizer. The corpus generator emits pre-tokenized
-// terms, which are indexed via the fast path.
+// BuildLocal indexes the given documents into a fresh database, each
+// generated term normalized by textindex.Tokenize.
 func BuildLocal(name string, docs []corpus.Document) *Local {
 	return buildLocal(name, docs, make(map[string][]string), newWordTable())
 }
@@ -138,7 +137,7 @@ func BuildLocal(name string, docs []corpus.Document) *Local {
 // buildLocal is BuildLocal with a memo of normalized terms to start
 // from, which it extends, and a word table to store the texts with.
 func buildLocal(name string, docs []corpus.Document, normalized map[string][]string, words *wordTable) *Local {
-	l := newLocal(name, textindex.NewIndex(nil), words)
+	l := newLocal(name, textindex.NewIndex(), words)
 	size := 0
 	for _, d := range docs {
 		size += len(d.Terms)
@@ -162,14 +161,13 @@ func (l *Local) AddDocuments(docs []corpus.Document) { l.addDocs(docs, make(map[
 // is tokenized once and its result reused. A document's text is its
 // terms joined by single spaces.
 func (l *Local) addDocs(docs []corpus.Document, normalized map[string][]string) {
-	tok := textindex.DefaultTokenizer()
 	var norm []string // reused per document: AddTerms keeps no reference
 	for _, d := range docs {
 		norm = norm[:0]
 		for _, t := range d.Terms {
 			nt, ok := normalized[t]
 			if !ok {
-				nt = tok.Tokenize(t)
+				nt = textindex.Tokenize(t)
 				normalized[t] = nt
 			}
 			norm = append(norm, nt...)
@@ -249,7 +247,6 @@ func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) 
 	errs := make([]error, len(specs))
 	// Every word the world generates, normalized once and copied to each
 	// database, and numbered once in the word table they all share.
-	tok := textindex.DefaultTokenizer()
 	vocab := make(map[string][]string)
 	table := newWordTable()
 	words := [][]string{world.Background}
@@ -258,7 +255,7 @@ func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) 
 	}
 	for _, ws := range words {
 		for _, t := range ws {
-			vocab[t] = tok.Tokenize(t)
+			vocab[t] = textindex.Tokenize(t)
 			table.add(t)
 		}
 	}

@@ -50,9 +50,10 @@ type coalescer struct {
 	fanout *obs.Histogram
 }
 
-// batchSeries are one tenant's coalescer counters.
+// batchSeries are one tenant's coalescer counters; their sum is the
+// requests that entered the coalescer.
 type batchSeries struct {
-	requests, runs, coalesced *obs.Counter
+	runs, coalesced *obs.Counter
 }
 
 // newCoalescer wires the coalescer's metrics into reg (nil disables
@@ -66,7 +67,6 @@ func newCoalescer(runCtx context.Context, reg *obs.Registry) *coalescer {
 		series: make(map[string]*batchSeries),
 	}
 	if reg != nil {
-		reg.Help("mp_batch_requests_total", "Selection requests entering the batch coalescer, per tenant.")
 		reg.Help("mp_batch_runs_total", "Underlying selection runs executed (coalesce leaders), per tenant.")
 		reg.Help("mp_batch_coalesced_total", "Requests that joined an already-inflight identical selection, per tenant.")
 		reg.Help("mp_batch_fanout", "Waiters served per completed coalesced run (1 = no sharing).")
@@ -82,7 +82,6 @@ func (c *coalescer) seriesFor(tenant string) *batchSeries {
 	if !ok {
 		lbl := obs.Labels{"tenant": tenant}
 		s = &batchSeries{
-			requests:  c.reg.Counter("mp_batch_requests_total", lbl),
 			runs:      c.reg.Counter("mp_batch_runs_total", lbl),
 			coalesced: c.reg.Counter("mp_batch_coalesced_total", lbl),
 		}
@@ -128,7 +127,6 @@ func coalesceKey(tenant, query string, k int, metric string, t float64, maxProbe
 func (c *coalescer) do(ctx context.Context, tenant, key string, fn func(ctx context.Context) (*metaprobe.SelectionResult, error)) (ans *metaprobe.SelectionResult, joined bool, fanout int64, err error) {
 	c.mu.Lock()
 	ser := c.seriesFor(tenant)
-	ser.requests.Inc()
 	if cl, ok := c.calls[key]; ok {
 		cl.waiters++
 		c.mu.Unlock()

@@ -126,7 +126,7 @@ func TestHandlerSelect(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
-	for _, want := range []string{"mp_server_requests_total", "mp_batch_requests_total", "mp_shed_total", "mp_server_inflight"} {
+	for _, want := range []string{"mp_server_requests_total", "mp_batch_runs_total", "mp_shed_total", "mp_server_inflight"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)
 		}

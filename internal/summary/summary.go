@@ -93,17 +93,16 @@ func FromLocal(db *hidden.Local) *Summary {
 
 // SampleConfig tunes query-based sampling.
 type SampleConfig struct {
-	// SeedTerms start the sampling (e.g. a handful of domain words).
+	// SeedTerms start the sampling (e.g. a handful of domain words),
+	// and estimate |db| through hidden.EstimateSize when the database
+	// does not export its size.
 	SeedTerms []string
 	// NumQueries is how many probe queries to issue (default 80).
 	NumQueries int
-	// docsPerQuery is how many top documents to fetch per probe
-	// (default 4).
-	docsPerQuery int
-	// sizeProbeTerms estimate |db| via hidden.EstimateSize when the
-	// database does not export its size; defaults to SeedTerms.
-	sizeProbeTerms []string
 }
+
+// docsPerQuery is how many top documents Sample fetches per probe.
+const docsPerQuery = 4
 
 // Sample builds a summary through the database's public interface
 // only: issue a probe query, fetch a few top documents, accumulate
@@ -121,14 +120,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 	if cfg.NumQueries == 0 {
 		cfg.NumQueries = 80
 	}
-	if cfg.docsPerQuery == 0 {
-		cfg.docsPerQuery = 4
-	}
-	if len(cfg.sizeProbeTerms) == 0 {
-		cfg.sizeProbeTerms = cfg.SeedTerms
-	}
 
-	tok := textindex.DefaultTokenizer()
 	df := make(map[string]int)
 	seenDocs := make(map[string]struct{})
 	sampledTokens := 0
@@ -141,10 +133,10 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 		}
 		seenDocs[id] = struct{}{}
 		inDoc := make(map[string]struct{})
-		tok.TokenizeTo(text, func(term string) {
+		for _, term := range textindex.Tokenize(text) {
 			sampledTokens++
 			if _, dup := inDoc[term]; dup {
-				return
+				continue
 			}
 			inDoc[term] = struct{}{}
 			df[term]++
@@ -152,7 +144,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 				inVocab[term] = struct{}{}
 				vocabulary = append(vocabulary, term)
 			}
-		})
+		}
 	}
 
 	probes := 0
@@ -167,7 +159,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 			word = cfg.SeedTerms[rng.Intn(len(cfg.SeedTerms))]
 		}
 		probes++
-		res, err := db.Search(word, cfg.docsPerQuery)
+		res, err := db.Search(word, docsPerQuery)
 		if err != nil {
 			failures++
 			if failures > cfg.NumQueries {
@@ -186,7 +178,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 	if len(seenDocs) == 0 {
 		return nil, fmt.Errorf("summary: sampling %s retrieved no documents; seed terms may not match", db.Name())
 	}
-	size, err := hidden.EstimateSize(db, cfg.sizeProbeTerms)
+	size, err := hidden.EstimateSize(db, cfg.SeedTerms)
 	if err != nil {
 		return nil, fmt.Errorf("summary: sampling %s: %w", db.Name(), err)
 	}

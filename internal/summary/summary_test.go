@@ -39,7 +39,7 @@ func TestFromLocalExact(t *testing.T) {
 	}
 	// The summary df must equal the index df for every term.
 	res, _ := db.Search("cancer", 0)
-	if got := s.DF[textindex.DefaultTokenizer().Tokenize("cancer")[0]]; got < res.MatchCount {
+	if got := s.DF[textindex.Tokenize("cancer")[0]]; got < res.MatchCount {
 		t.Errorf("df(cancer) = %d, < match count %d", got, res.MatchCount)
 	}
 	if got := s.DF["zzzz"]; got != 0 {
@@ -87,9 +87,8 @@ func TestSampleSummaryApproximatesExact(t *testing.T) {
 	exact := FromLocal(db)
 	counting := hiddentest.NewCounting(db)
 	sampled, err := Sample(counting, SampleConfig{
-		SeedTerms:    []string{"cancer", "health", "treatment"},
-		NumQueries:   150,
-		docsPerQuery: 5,
+		SeedTerms:  []string{"cancer", "health", "treatment"},
+		NumQueries: 150,
 	}, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +108,8 @@ func TestSampleSummaryApproximatesExact(t *testing.T) {
 	// Fractions of common terms should be in the same ballpark as the
 	// exact ones (query-based sampling is biased toward matching docs,
 	// so require agreement only within a loose factor).
-	tok := textindex.DefaultTokenizer()
 	for _, term := range []string{"cancer", "tumor", "heart"} {
-		norm := tok.Tokenize(term)[0]
+		norm := textindex.Tokenize(term)[0]
 		e := exact.Fraction(norm)
 		g := sampled.Fraction(norm)
 		if e == 0 {
@@ -149,10 +147,8 @@ func TestSampleOverHTTP(t *testing.T) {
 	defer srv.Close()
 	client := hidden.NewClient("onco-remote", srv.URL)
 	sampled, err := Sample(client, SampleConfig{
-		SeedTerms:      []string{"cancer", "health"},
-		NumQueries:     30,
-		docsPerQuery:   3,
-		sizeProbeTerms: []string{"health", "cancer", "medical"},
+		SeedTerms:  []string{"cancer", "health"},
+		NumQueries: 30,
 	}, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
@@ -212,10 +208,9 @@ func TestSummaryFractionsMatchIndependenceOnUncorrelatedDB(t *testing.T) {
 	}
 	db := hidden.BuildLocal("indep", docs)
 	s := FromLocal(db)
-	tok := textindex.DefaultTokenizer()
 
 	for _, q := range [][2]string{{"tumor", "radiation"}, {"biopsy", "screening"}} {
-		nt1, nt2 := tok.Tokenize(q[0])[0], tok.Tokenize(q[1])[0]
+		nt1, nt2 := textindex.Tokenize(q[0])[0], textindex.Tokenize(q[1])[0]
 		pred := s.Fraction(nt1) * s.Fraction(nt2) * float64(s.Size)
 		res, _ := db.Search(fmt.Sprintf("%s %s", q[0], q[1]), 0)
 		actual := float64(res.MatchCount)

@@ -21,9 +21,8 @@ import (
 //     fusion.
 //
 // An Index is safe for concurrent readers once building has finished;
-// Add, AddTerms and Compact must not race with queries.
+// AddTerms and Compact must not race with queries.
 type Index struct {
-	tokenizer *Tokenizer
 	// postings holds each term's list; after Compact the lists' bytes
 	// are capped windows of one arena.
 	postings map[string]plist
@@ -33,12 +32,12 @@ type Index struct {
 
 	// docNorm holds the tf·idf vector norms of the current build. The
 	// first Search after a change computes them, once, under normOnce
-	// however many readers arrive together; Add and AddTerms re-arm it.
+	// however many readers arrive together; AddTerms re-arms it.
 	docNorm  []float64
 	normOnce sync.Once
 
-	// counts is the term-frequency scratch of Add and AddTerms: one map
-	// for every document, left empty between documents.
+	// counts is AddTerms' term-frequency scratch: one map for every
+	// document, left empty between documents.
 	counts map[string]int32
 }
 
@@ -182,37 +181,20 @@ func (c *cursor) uvarint() uint64 {
 	return v
 }
 
-// NewIndex returns an empty index that normalizes text with tok
-// (DefaultTokenizer when nil).
-func NewIndex(tok *Tokenizer) *Index {
-	if tok == nil {
-		tok = DefaultTokenizer()
-	}
+// NewIndex returns an empty index.
+func NewIndex() *Index {
 	return &Index{
-		tokenizer: tok,
-		postings:  make(map[string]plist),
-		counts:    make(map[string]int32),
+		postings: make(map[string]plist),
+		counts:   make(map[string]int32),
 	}
 }
 
-// Add indexes one document under the given external ID and returns its
-// internal ordinal. IDs need not be unique, but distinct IDs make
-// search results easier to interpret.
-func (ix *Index) Add(id, text string) int {
-	ord := int32(len(ix.docIDs))
-	ix.docIDs = append(ix.docIDs, id)
-	n := 0
-	ix.tokenizer.TokenizeTo(text, func(term string) {
-		ix.counts[term]++
-		n++
-	})
-	ix.totalTerms += n
-	ix.post(ord)
-	return int(ord)
-}
-
-// AddTerms indexes a document given as pre-normalized terms, bypassing
-// the tokenizer. The synthetic corpus generator uses this path.
+// AddTerms indexes one document, given as its normalized terms (from
+// Tokenize), under the given external ID and returns its internal
+// ordinal. IDs need not be unique, but distinct IDs make search results
+// easier to interpret. Each posting list gains at most one posting, at
+// its end, so the lists stay in ordinal order whatever order the map
+// yields its terms in.
 func (ix *Index) AddTerms(id string, terms []string) int {
 	ord := int32(len(ix.docIDs))
 	ix.docIDs = append(ix.docIDs, id)
@@ -220,15 +202,6 @@ func (ix *Index) AddTerms(id string, terms []string) int {
 		ix.counts[t]++
 	}
 	ix.totalTerms += len(terms)
-	ix.post(ord)
-	return int(ord)
-}
-
-// post appends document ord's counted terms to their posting lists and
-// empties the scratch counts. Each list gains at most one posting, at
-// its end, so the lists stay in ordinal order whatever order the map
-// yields its terms in.
-func (ix *Index) post(ord int32) {
 	for term, tf := range ix.counts {
 		pl := ix.postings[term]
 		pl.add(ord, tf)
@@ -236,13 +209,14 @@ func (ix *Index) post(ord int32) {
 	}
 	clear(ix.counts)
 	ix.normOnce = sync.Once{}
+	return int(ord)
 }
 
 // Compact moves every posting list into one arena sized to their
 // total, so no list keeps the spare capacity that appending left it, and
 // trims the document IDs to their length. Call it once building is done.
-// Each list is capped where it ends, so a later Add or AddTerms re-grows
-// only the lists it touches.
+// Each list is capped where it ends, so a later AddTerms re-grows only
+// the lists it touches.
 func (ix *Index) Compact() {
 	ix.docIDs = append(make([]string, 0, len(ix.docIDs)), ix.docIDs...)
 	total := 0
@@ -302,11 +276,7 @@ func (ix *Index) MatchCount(query string) int {
 // none if any term is missing (AND can never match) or if no terms
 // survive normalization.
 func (ix *Index) queryCursors(query string, cs []cursor) []cursor {
-	terms := ix.tokenizer.Tokenize(query)
-	for i, t := range terms {
-		if slices.Contains(terms[:i], t) {
-			continue
-		}
+	for _, t := range QueryTerms(query) {
 		pl, ok := ix.postings[t]
 		if !ok {
 			return nil
@@ -350,7 +320,7 @@ func nextCommon(cs []cursor) bool {
 
 // Hit is one ranked search result.
 type Hit struct {
-	// DocID is the external identifier passed to Add.
+	// DocID is the external identifier passed to AddTerms.
 	DocID string
 	// ordinal is the internal document number.
 	ordinal int
@@ -365,7 +335,7 @@ func (ix *Index) Search(query string, k int) []Hit {
 	if k <= 0 {
 		return nil
 	}
-	terms := ix.tokenizer.Tokenize(query)
+	terms := Tokenize(query)
 	if len(terms) == 0 {
 		return nil
 	}
@@ -410,28 +380,58 @@ func (ix *Index) Search(query string, k int) []Hit {
 			scores[c.doc] += q.w * (1 + math.Log(float64(c.tf)))
 		}
 	}
-	hits := make([]Hit, 0, len(scores))
+	hits := make([]Hit, 0, min(k, len(scores)))
 	for doc, s := range scores {
 		denom := qnorm * ix.docNorm[doc]
 		if denom == 0 {
 			continue
 		}
-		hits = append(hits, Hit{
-			DocID:   ix.docIDs[doc],
-			ordinal: int(doc),
-			Score:   s / denom,
-		})
+		hits = keepBest(hits, Hit{ordinal: int(doc), Score: s / denom}, k)
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].ordinal < hits[j].ordinal
-	})
-	if len(hits) > k {
-		hits = hits[:k]
+	sort.Slice(hits, func(i, j int) bool { return below(hits[j], hits[i]) })
+	for i := range hits {
+		hits[i].DocID = ix.docIDs[hits[i].ordinal]
 	}
 	return hits
+}
+
+// below reports whether hit a ranks after hit b: a lower score, or the
+// same score and a later ordinal.
+func below(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.ordinal > b.ordinal
+}
+
+// keepBest offers h to top, the k best hits offered so far held as a
+// heap whose root ranks below the others, and returns the heap. A hit
+// that ranks below a full heap's root costs one comparison.
+func keepBest(top []Hit, h Hit, k int) []Hit {
+	i := len(top)
+	switch {
+	case i < k:
+		top = append(top, h)
+		for ; i > 0 && below(h, top[(i-1)/2]); i = (i - 1) / 2 {
+			top[i] = top[(i-1)/2]
+		}
+	case below(top[0], h):
+		i = 0
+		for c := 1; c < len(top); c = 2*i + 1 {
+			if c+1 < len(top) && below(top[c+1], top[c]) {
+				c++
+			}
+			if !below(top[c], h) {
+				break
+			}
+			top[i] = top[c]
+			i = c
+		}
+	default:
+		return top
+	}
+	top[i] = h
+	return top
 }
 
 // ensureNorms computes per-document tf vector norms on the first call

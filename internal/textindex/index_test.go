@@ -13,52 +13,70 @@ import (
 )
 
 func TestTokenizer(t *testing.T) {
-	tok := newTokenizer(tokenizerConfig{})
-	got := tok.Tokenize("The QUICK brown-fox, jumps; over 2 lazy dogs!")
-	want := []string{"quick", "brown", "fox", "jumps", "lazy", "dogs"}
+	got := Tokenize("The QUICK brown-fox, jumps; over 2 lazy dogs!")
+	want := []string{"quick", "brown", "fox", "jump", "lazi", "dog"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
 	}
 }
 
 func TestTokenizerStemming(t *testing.T) {
-	tok := DefaultTokenizer()
-	got := tok.Tokenize("running runner runs")
+	got := Tokenize("running runner runs")
 	want := []string{"run", "runner", "run"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
 	}
 }
 
-func TestTokenizerKeepStopwords(t *testing.T) {
-	tok := newTokenizer(tokenizerConfig{KeepStopwords: true})
-	got := tok.Tokenize("the cat")
-	if len(got) != 2 || got[0] != "the" {
-		t.Errorf("Tokenize = %v, want [the cat]", got)
-	}
-}
-
+// TestTokenizerLengthBounds: a run of 1 or of 41 characters is dropped,
+// one of 2 or of 40 kept.
 func TestTokenizerLengthBounds(t *testing.T) {
-	tok := newTokenizer(tokenizerConfig{MinLength: 3, MaxLength: 5})
-	got := tok.Tokenize("ab abc abcde abcdef")
-	want := []string{"abc", "abcde"}
+	long := strings.Repeat("7", maxTermLen)
+	got := Tokenize("x ab " + long + " " + long + "7")
+	want := []string{"ab", long}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
 	}
 }
 
+// TestTokenizerUnicode: letters beyond ASCII are lowercased and kept,
+// and the stemmer leaves a word holding one as it is.
 func TestTokenizerUnicode(t *testing.T) {
-	tok := newTokenizer(tokenizerConfig{})
-	got := tok.Tokenize("Café Français naïve")
+	got := Tokenize("Café Français naïve")
 	want := []string{"café", "français", "naïve"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
 	}
 }
 
+// TestQueryTerms: a query's terms are Tokenize's with each repeat
+// dropped where it recurs, the first appearance kept in place, and
+// deduplicating allocates nothing beyond tokenizing.
+func TestQueryTerms(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		want  []string
+	}{
+		{"breast cancer", []string{"breast", "cancer"}},
+		{"cancer cancers the Cancer", []string{"cancer"}},
+		{"heart CANCER heart breast cancer", []string{"heart", "cancer", "breast"}},
+		{"running runs runner run", []string{"run", "runner"}},
+		{"the of and", nil},
+		{"", nil},
+	} {
+		if got := QueryTerms(c.query); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("QueryTerms(%q) = %v, want %v", c.query, got, c.want)
+		}
+		tok := testing.AllocsPerRun(100, func() { Tokenize(c.query) })
+		if got := testing.AllocsPerRun(100, func() { QueryTerms(c.query) }); got != tok {
+			t.Errorf("QueryTerms(%q): %v allocations, Tokenize %v", c.query, got, tok)
+		}
+	}
+}
+
 // newTestIndex builds a small collection with known statistics.
 func newTestIndex() *Index {
-	ix := NewIndex(newTokenizer(tokenizerConfig{})) // no stemming: exact term control
+	ix := NewIndex()
 	docs := []string{
 		"breast cancer research",             // 0
 		"breast cancer treatment options",    // 1
@@ -69,7 +87,7 @@ func newTestIndex() *Index {
 		"breast cancer awareness month walk", // 6
 	}
 	for i, d := range docs {
-		ix.Add(fmt.Sprintf("doc%d", i), d)
+		ix.AddTerms(fmt.Sprintf("doc%d", i), Tokenize(d))
 	}
 	return ix
 }
@@ -104,7 +122,7 @@ func TestMatchCountAllocatesOnlyTokenizing(t *testing.T) {
 	ix := newTestIndex()
 	ix.Compact()
 	for _, q := range []string{"cancer", "breast cancer", "breast cancer treatment", "cancer breast cancer", "breast nonexistent", "heart research walk"} {
-		tok := testing.AllocsPerRun(100, func() { ix.tokenizer.Tokenize(q) })
+		tok := testing.AllocsPerRun(100, func() { Tokenize(q) })
 		if got := testing.AllocsPerRun(100, func() { ix.MatchCount(q) }); got != tok {
 			t.Errorf("MatchCount(%q): %v allocations, tokenizing it %v", q, got, tok)
 		}
@@ -210,7 +228,7 @@ func TestSearchEdgeCases(t *testing.T) {
 func TestSearchAfterIncrementalAdd(t *testing.T) {
 	ix := newTestIndex()
 	before := ix.Search("cancer", 10)
-	ix.Add("new", "cancer cancer cancer cancer cancer")
+	ix.AddTerms("new", Tokenize("cancer cancer cancer cancer cancer"))
 	after := ix.Search("cancer", 10)
 	if len(after) != len(before)+1 {
 		t.Errorf("after add: %d hits, want %d", len(after), len(before)+1)
@@ -284,28 +302,28 @@ func TestCompact(t *testing.T) {
 		pl.data = slices.Clone(pl.data)
 		before[term] = pl
 	}
-	ix.Add("late", "research research surgery")
+	ix.AddTerms("late", Tokenize("research research surgery"))
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for term, pl := range ix.postings {
 		old := before[term]
 		switch term {
-		case "research", "surgery":
-			want := append(decode(old), posting{doc: 7, tf: map[string]int32{"research": 2, "surgery": 1}[term]})
+		case "research", "surgeri":
+			want := append(decode(old), posting{doc: 7, tf: map[string]int32{"research": 2, "surgeri": 1}[term]})
 			if got := decode(pl); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("term %q after Add: %v, want %v", term, got, want)
+				t.Errorf("term %q after AddTerms: %v, want %v", term, got, want)
 			}
 		default:
 			if !reflect.DeepEqual(pl, old) || cap(pl.data) != len(pl.data) {
-				t.Errorf("term %q changed by an Add that does not contain it: %v (cap %d), was %v", term, pl, cap(pl.data), old)
+				t.Errorf("term %q changed by an AddTerms that does not contain it: %v (cap %d), was %v", term, pl, cap(pl.data), old)
 			}
 		}
 	}
 }
 
 func TestAddTerms(t *testing.T) {
-	ix := NewIndex(nil)
+	ix := NewIndex()
 	before := ix.TotalTerms()
 	ix.AddTerms("d0", []string{"alpha", "beta", "alpha"})
 	if got := ix.MatchCount("alpha beta"); got != 1 {
@@ -327,7 +345,7 @@ func TestMatchCountAgainstLinearScan(t *testing.T) {
 		if len(docSeeds) > 30 {
 			docSeeds = docSeeds[:30]
 		}
-		ix := NewIndex(newTokenizer(tokenizerConfig{}))
+		ix := NewIndex()
 		docs := make([][]string, len(docSeeds))
 		for i, seed := range docSeeds {
 			var terms []string
@@ -366,7 +384,7 @@ func TestMatchCountAgainstLinearScan(t *testing.T) {
 // TestSearchAgainstBruteForceCosine verifies the ranked retrieval path
 // against a straightforward full-scan cosine computation.
 func TestSearchAgainstBruteForceCosine(t *testing.T) {
-	ix := NewIndex(newTokenizer(tokenizerConfig{}))
+	ix := NewIndex()
 	docs := []string{
 		"alpha beta beta gamma",
 		"alpha alpha alpha",
@@ -375,7 +393,7 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 		"alpha beta gamma delta epsilon",
 	}
 	for i, d := range docs {
-		ix.Add(fmt.Sprintf("d%d", i), d)
+		ix.AddTerms(fmt.Sprintf("d%d", i), Tokenize(d))
 	}
 	query := "alpha gamma"
 	hits := ix.Search(query, len(docs))
@@ -383,11 +401,10 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 	// Brute force with the same weighting scheme.
 	n := float64(len(docs))
 	df := map[string]float64{}
-	tok := newTokenizer(tokenizerConfig{})
 	parsed := make([]map[string]float64, len(docs))
 	for i, d := range docs {
 		m := map[string]float64{}
-		for _, t := range tok.Tokenize(d) {
+		for _, t := range Tokenize(d) {
 			m[t]++
 		}
 		parsed[i] = m
@@ -396,7 +413,7 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 		}
 	}
 	qv := map[string]float64{}
-	for _, t := range tok.Tokenize(query) {
+	for _, t := range Tokenize(query) {
 		qv[t]++
 	}
 	var qnorm float64
@@ -450,7 +467,7 @@ func TestSearchAgainstBruteForceCosine(t *testing.T) {
 // order they are added in must not depend on map iteration.
 func TestSearchDeterministicAcrossBuilds(t *testing.T) {
 	build := func() *Index {
-		ix := NewIndex(newTokenizer(tokenizerConfig{}))
+		ix := NewIndex()
 		state := uint32(2004)
 		for d := 0; d < 300; d++ {
 			terms := make([]string, 40)
@@ -482,10 +499,9 @@ func TestSearchDeterministicAcrossBuilds(t *testing.T) {
 }
 
 // TestCountsCarryNothingToTheNextDocument indexes a 40-term document
-// with repeats, then a 3-term one, through AddTerms and through Add: the
-// second document's postings, term frequencies and length must be those
-// a fresh index gives it, so the counting scratch both share is empty
-// again between documents.
+// with repeats, then a 3-term one: the second document's postings, term
+// frequencies and length must be those a fresh index gives it, so the
+// counting scratch is empty again between documents.
 func TestCountsCarryNothingToTheNextDocument(t *testing.T) {
 	long := make([]string, 40)
 	for i := range long {
@@ -505,44 +521,36 @@ func TestCountsCarryNothingToTheNextDocument(t *testing.T) {
 		}
 		return out
 	}
-	for _, add := range []struct {
-		name string
-		fn   func(ix *Index, id string, terms []string)
-	}{
-		{"AddTerms", func(ix *Index, id string, terms []string) { ix.AddTerms(id, terms) }},
-		{"Add", func(ix *Index, id string, terms []string) { ix.Add(id, strings.Join(terms, " ")) }},
-	} {
-		t.Run(add.name, func(t *testing.T) {
-			ix := NewIndex(newTokenizer(tokenizerConfig{}))
-			add.fn(ix, "long", long)
-			afterLong := ix.TotalTerms()
-			add.fn(ix, "short", short)
-			fresh := NewIndex(newTokenizer(tokenizerConfig{}))
-			add.fn(fresh, "short", short)
+	t.Run("AddTerms", func(t *testing.T) {
+		ix := NewIndex()
+		ix.AddTerms("long", long)
+		afterLong := ix.TotalTerms()
+		ix.AddTerms("short", short)
+		fresh := NewIndex()
+		fresh.AddTerms("short", short)
 
-			got, want := docPostings(ix, 1), docPostings(fresh, 0)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("second document's postings %v, a fresh index's %v", got, want)
+		got, want := docPostings(ix, 1), docPostings(fresh, 0)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("second document's postings %v, a fresh index's %v", got, want)
+		}
+		if n := ix.TotalTerms() - afterLong; n != fresh.TotalTerms() {
+			t.Errorf("document length = %d, a fresh index's %d", n, fresh.TotalTerms())
+		}
+		if got := docPostings(ix, 0)["t1"]; got != 4 {
+			t.Errorf("first document's tf(t1) = %d, want 4", got)
+		}
+		for _, x := range []*Index{ix, fresh} {
+			if err := x.Validate(); err != nil {
+				t.Error(err)
 			}
-			if n := ix.TotalTerms() - afterLong; n != fresh.TotalTerms() {
-				t.Errorf("document length = %d, a fresh index's %d", n, fresh.TotalTerms())
-			}
-			if got := docPostings(ix, 0)["t1"]; got != 4 {
-				t.Errorf("first document's tf(t1) = %d, want 4", got)
-			}
-			for _, x := range []*Index{ix, fresh} {
-				if err := x.Validate(); err != nil {
-					t.Error(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkSearch(b *testing.B) {
-	ix := NewIndex(nil)
+	ix := NewIndex()
 	for i := 0; i < 5000; i++ {
-		ix.Add(fmt.Sprintf("d%d", i), fmt.Sprintf("term%d cancer breast term%d health", i%50, i%7))
+		ix.AddTerms(fmt.Sprintf("d%d", i), Tokenize(fmt.Sprintf("term%d cancer breast term%d health", i%50, i%7)))
 	}
 	ix.Search("warmup", 1)
 	b.ResetTimer()

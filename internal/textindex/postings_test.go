@@ -134,7 +134,7 @@ func repeat(term string, n int) []string { return strings.Fields(strings.Repeat(
 // and MatchCount, Search (scores compared with ==), VocabularyFrequencies
 // and Validate must agree with it.
 func TestEncodedIndexMatchesReference(t *testing.T) {
-	ix := NewIndex(newTokenizer(tokenizerConfig{}))
+	ix := NewIndex()
 	ref := &refIndex{post: map[string][]posting{}}
 	add := func(id string, terms []string) {
 		ix.AddTerms(id, terms)
@@ -199,9 +199,8 @@ func TestEncodedIndexMatchesReference(t *testing.T) {
 				t.Errorf("%s: VocabularyFrequencies()[%q] = %d, want %d", stage, term, vocab[term], len(want))
 			}
 		}
-		tok := newTokenizer(tokenizerConfig{})
 		for _, q := range queries {
-			terms := tok.Tokenize(q)
+			terms := Tokenize(q)
 			distinct := slices.Clone(terms)
 			slices.Sort(distinct)
 			distinct = slices.Compact(distinct)
@@ -234,9 +233,58 @@ func TestEncodedIndexMatchesReference(t *testing.T) {
 	// more document takes an ID already used.
 	add("late0", []string{"alpha", "beta", "gamma", "omega", "filler"})
 	add("dup", append(repeat("kappa", 17000), "beta", "filler"))
-	ix.Add("late2", "sigma theta delta filler alpha")
-	ref.add("late2", strings.Fields("sigma theta delta filler alpha"))
+	add("late2", strings.Fields("sigma theta delta filler alpha"))
 	check("appended after Compact")
+}
+
+// TestSearchKeepsTheFullSortsBest holds Search to the reference's full
+// sort over random collections drawn from five terms with term
+// frequencies of 1 or 2, so that many documents tie on score: for every
+// k, the hits must be the full sort's first k, ties by ordinal, scores
+// compared with ==.
+func TestSearchKeepsTheFullSortsBest(t *testing.T) {
+	vocab := []string{"alpha", "beta", "gamma", "delta", "sigma"}
+	queries := []string{"alpha", "alpha beta", "gamma delta sigma", "beta beta alpha", "sigma alpha delta gamma beta"}
+	state := uint32(58)
+	rand := func(n uint32) uint32 {
+		state = state*1664525 + 1013904223
+		return (state >> 8) % n
+	}
+	ties := 0
+	for trial := 0; trial < 20; trial++ {
+		ix := NewIndex()
+		ref := &refIndex{post: map[string][]posting{}}
+		docs := 1 + int(rand(120))
+		for d := 0; d < docs; d++ {
+			var terms []string
+			for _, v := range vocab {
+				for n := rand(4); n > 1; n-- {
+					terms = append(terms, v)
+				}
+			}
+			id := fmt.Sprintf("d%d", d)
+			ix.AddTerms(id, terms)
+			ref.add(id, terms)
+		}
+		for _, q := range queries {
+			terms := Tokenize(q)
+			all := ref.search(terms, docs)
+			for i := 1; i < len(all); i++ {
+				if all[i].Score == all[i-1].Score {
+					ties++
+				}
+			}
+			for _, k := range []int{1, 2, 3, 5, 10, docs, docs + 1} {
+				got, want := ix.Search(q, k), ref.search(terms, k)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: Search(%q, %d) = %v, the full sort's %v", trial, q, k, got, want)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two hits tied: the collections do not test tie-breaking")
+	}
 }
 
 // FuzzPostingList holds one list's encoding to the postings appended to
@@ -308,7 +356,7 @@ func FuzzPostingList(f *testing.F) {
 // not hold what its header, length or count say.
 func TestValidateFindsBrokenLists(t *testing.T) {
 	build := func() *Index {
-		ix := NewIndex(newTokenizer(tokenizerConfig{}))
+		ix := NewIndex()
 		for d := 0; d < 130; d++ {
 			ix.AddTerms(fmt.Sprintf("d%d", d), []string{"alpha"})
 		}

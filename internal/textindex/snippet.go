@@ -1,6 +1,7 @@
 package textindex
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -12,14 +13,11 @@ import (
 // maxTerms bounds the window length in whitespace tokens (default 16
 // when ≤ 0). Matched regions are wrapped in the del/ins-free markers
 // "[" and "]" only if mark is true.
-func (t *Tokenizer) Snippet(text, query string, maxTerms int, mark bool) string {
+func Snippet(text, query string, maxTerms int, mark bool) string {
 	if maxTerms <= 0 {
 		maxTerms = 16
 	}
-	queryTerms := make(map[string]struct{})
-	for _, qt := range t.Tokenize(query) {
-		queryTerms[qt] = struct{}{}
-	}
+	queryTerms := QueryTerms(query)
 	words := strings.Fields(text)
 	if len(words) == 0 {
 		return ""
@@ -28,9 +26,8 @@ func (t *Tokenizer) Snippet(text, query string, maxTerms int, mark bool) string 
 	matched := make([]bool, len(words))
 	if len(queryTerms) > 0 {
 		for i, w := range words {
-			toks := t.Tokenize(w)
-			for _, tok := range toks {
-				if _, ok := queryTerms[tok]; ok {
+			for _, tok := range Tokenize(w) {
+				if slices.Contains(queryTerms, tok) {
 					matched[i] = true
 					break
 				}

@@ -6,9 +6,8 @@ import (
 )
 
 func TestSnippetCentersOnMatches(t *testing.T) {
-	tok := DefaultTokenizer()
 	text := "aaa bbb ccc ddd eee breast cancer fff ggg hhh iii jjj kkk lll mmm nnn ooo ppp qqq rrr"
-	got := tok.Snippet(text, "breast cancer", 6, true)
+	got := Snippet(text, "breast cancer", 6, true)
 	if !strings.Contains(got, "[breast]") || !strings.Contains(got, "[cancer]") {
 		t.Errorf("snippet %q does not mark matches", got)
 	}
@@ -23,36 +22,34 @@ func TestSnippetCentersOnMatches(t *testing.T) {
 }
 
 func TestSnippetStemAwareMatching(t *testing.T) {
-	tok := DefaultTokenizer()
-	got := tok.Snippet("Multiple Cancers were studied here", "cancer", 10, true)
+	got := Snippet("Multiple Cancers were studied here", "cancer", 10, true)
 	if !strings.Contains(got, "[Cancers]") {
 		t.Errorf("stem-aware match failed: %q", got)
 	}
 }
 
 func TestSnippetEdgeCases(t *testing.T) {
-	tok := DefaultTokenizer()
-	if got := tok.Snippet("", "cancer", 8, true); got != "" {
+	if got := Snippet("", "cancer", 8, true); got != "" {
 		t.Errorf("empty text → %q", got)
 	}
 	// No matches: the head of the document is returned.
-	got := tok.Snippet("one two three four five six seven eight nine ten", "zzz", 4, true)
+	got := Snippet("one two three four five six seven eight nine ten", "zzz", 4, true)
 	if got != "one two three four …" {
 		t.Errorf("no-match snippet = %q", got)
 	}
 	// Text shorter than the window.
-	got = tok.Snippet("only three words", "words", 10, false)
+	got = Snippet("only three words", "words", 10, false)
 	if got != "only three words" {
 		t.Errorf("short text snippet = %q", got)
 	}
 	// Default window size when maxTerms <= 0.
 	long := strings.Repeat("pad ", 40) + "cancer"
-	got = tok.Snippet(long, "cancer", 0, false)
+	got = Snippet(long, "cancer", 0, false)
 	if n := len(strings.Fields(strings.Trim(got, "… "))); n > 17 {
 		t.Errorf("default window too wide: %d words", n)
 	}
 	// Empty query: unmarked head window.
-	got = tok.Snippet("alpha beta gamma", "", 2, true)
+	got = Snippet("alpha beta gamma", "", 2, true)
 	if got != "alpha beta …" {
 		t.Errorf("empty-query snippet = %q", got)
 	}

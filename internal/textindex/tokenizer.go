@@ -1,9 +1,9 @@
 // Package textindex implements the full-text retrieval substrate that
-// every simulated Hidden-Web database in metaprobe is built on: a
-// tokenizer with English stopword removal, the classic Porter stemmer,
-// and an inverted index supporting boolean-AND match counting (the
-// paper's document-frequency relevancy, Section 2.1) and tf·idf cosine
-// ranking (the paper's document-similarity relevancy).
+// every simulated Hidden-Web database in metaprobe is built on: one
+// text normaliser (English stopword removal and the classic Porter
+// stemmer) and an inverted index supporting boolean-AND match counting
+// (the paper's document-frequency relevancy, Section 2.1) and tf·idf
+// cosine ranking (the paper's document-similarity relevancy).
 //
 // The package is deliberately self-contained — the paper's testbed
 // consists of real search engines over free-text collections, and this
@@ -11,56 +11,24 @@
 package textindex
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
 
-// Tokenizer converts raw text into index terms. The zero value is not
-// usable; construct one with DefaultTokenizer.
-type Tokenizer struct {
-	cfg tokenizerConfig
-}
-
-// tokenizerConfig controls token normalization.
-type tokenizerConfig struct {
-	// Stem applies the Porter stemmer to each token.
-	Stem bool
-	// KeepStopwords disables English stopword removal.
-	KeepStopwords bool
-	// MinLength and MaxLength bound the length of kept tokens
-	// (defaults 2 and 40).
-	MinLength, MaxLength int
-}
-
-// newTokenizer returns a tokenizer with the given configuration,
-// applying defaults for unset bounds.
-func newTokenizer(cfg tokenizerConfig) *Tokenizer {
-	if cfg.MinLength <= 0 {
-		cfg.MinLength = 2
-	}
-	if cfg.MaxLength <= 0 {
-		cfg.MaxLength = 40
-	}
-	return &Tokenizer{cfg: cfg}
-}
-
-// DefaultTokenizer returns the tokenizer used by the metaprobe testbed:
-// lowercasing, stopword removal and Porter stemming.
-func DefaultTokenizer() *Tokenizer {
-	return newTokenizer(tokenizerConfig{Stem: true})
-}
+// minTermLen and maxTermLen bound the length in bytes of a kept term:
+// a longer run is dropped before stemming, a shorter stem after it.
+const (
+	minTermLen = 2
+	maxTermLen = 40
+)
 
 // Tokenize splits text into normalized terms: lowercase alphanumeric
-// runs, stopwords removed, stemmed when configured.
-func (t *Tokenizer) Tokenize(text string) []string {
+// runs, stopwords removed, Porter-stemmed. It is the one normalisation:
+// summaries, indexes and queries all go through it, so an estimate and
+// the probe that corrects it count the same terms.
+func Tokenize(text string) []string {
 	var out []string
-	t.TokenizeTo(text, func(term string) { out = append(out, term) })
-	return out
-}
-
-// TokenizeTo streams normalized terms to emit without accumulating a
-// slice; the indexer uses this on large documents.
-func (t *Tokenizer) TokenizeTo(text string, emit func(term string)) {
 	var b strings.Builder
 	flush := func() {
 		if b.Len() == 0 {
@@ -68,17 +36,11 @@ func (t *Tokenizer) TokenizeTo(text string, emit func(term string)) {
 		}
 		tok := b.String()
 		b.Reset()
-		if len(tok) < t.cfg.MinLength || len(tok) > t.cfg.MaxLength {
+		if len(tok) < minTermLen || len(tok) > maxTermLen || isStopword(tok) {
 			return
 		}
-		if !t.cfg.KeepStopwords && isStopword(tok) {
-			return
-		}
-		if t.cfg.Stem {
-			tok = stem(tok)
-		}
-		if len(tok) >= t.cfg.MinLength {
-			emit(tok)
+		if tok = stem(tok); len(tok) >= minTermLen {
+			out = append(out, tok)
 		}
 	}
 	for _, r := range text {
@@ -94,6 +56,22 @@ func (t *Tokenizer) TokenizeTo(text string, emit func(term string)) {
 		}
 	}
 	flush()
+	return out
+}
+
+// QueryTerms is Tokenize with repeats dropped, each term kept where it
+// first appears: a query's terms for boolean AND and for the
+// estimators. It deduplicates in place, allocating nothing beyond what
+// Tokenize does.
+func QueryTerms(query string) []string {
+	terms := Tokenize(query)
+	out := terms[:0]
+	for _, t := range terms {
+		if !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // stopwords is a standard English stopword list (the SMART subset that

@@ -544,7 +544,6 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 	if err != nil {
 		return nil, fmt.Errorf("metaprobe: %w", err)
 	}
-	tok := textindex.DefaultTokenizer()
 	for i := range items {
 		if ctx.Err() != nil {
 			// The caller has gone: the merged list stands as it is.
@@ -557,7 +556,7 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 		if err != nil {
 			continue
 		}
-		items[i].Snippet = tok.Snippet(text, query, 16, true)
+		items[i].Snippet = textindex.Snippet(text, query, 16, true)
 	}
 	return items, nil
 }
@@ -686,7 +685,7 @@ func (m *Metasearcher) Explain(query string, k int) ([]Explanation, error) {
 // NewLocalDatabase builds an in-process database from raw documents
 // (ID → text). It implements Database, Sizer and Fetcher.
 func NewLocalDatabase(name string, docs map[string]string) Database {
-	ix := textindex.NewIndex(nil)
+	ix := textindex.NewIndex()
 	local := hidden.NewLocal(name, ix)
 	// Deterministic insertion order: sort IDs.
 	ids := make([]string, 0, len(docs))
@@ -695,7 +694,7 @@ func NewLocalDatabase(name string, docs map[string]string) Database {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		ix.Add(id, docs[id])
+		ix.AddTerms(id, textindex.Tokenize(docs[id]))
 		local.StoreText(docs[id])
 	}
 	ix.Compact()
