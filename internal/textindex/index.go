@@ -374,19 +374,25 @@ func (ix *Index) Search(query string, k int) []Hit {
 	}
 	qnorm = math.Sqrt(qnorm)
 
-	scores := make(map[int32]float64)
+	// Sums by ordinal. Every posting adds a positive weight, so the
+	// documents the query matches are exactly those whose sum is > 0.
+	scores := make([]float64, len(ix.docIDs))
+	matched := 0
 	for _, q := range qw {
 		for c := q.pl.cursor(); c.next(); {
+			if scores[c.doc] == 0 {
+				matched++
+			}
 			scores[c.doc] += q.w * (1 + math.Log(float64(c.tf)))
 		}
 	}
-	hits := make([]Hit, 0, min(k, len(scores)))
+	hits := make([]Hit, 0, min(k, matched))
 	for doc, s := range scores {
 		denom := qnorm * ix.docNorm[doc]
-		if denom == 0 {
+		if s == 0 || denom == 0 {
 			continue
 		}
-		hits = keepBest(hits, Hit{ordinal: int(doc), Score: s / denom}, k)
+		hits = keepBest(hits, Hit{ordinal: doc, Score: s / denom}, k)
 	}
 	sort.Slice(hits, func(i, j int) bool { return below(hits[j], hits[i]) })
 	for i := range hits {
