@@ -125,7 +125,6 @@ func remoteQuery(args []string) {
 	t := fs.Float64("t", 0.9, "certainty threshold")
 	trainN := fs.Int("train", 200, "training queries per term count")
 	sampleN := fs.Int("sample", 60, "sampling probes per database for summaries")
-	html := fs.Bool("html", true, "scrape HTML answer pages (false: JSON)")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline (0 = none)")
 	fs.Parse(args)
 	checkTrain(fs, *trainN)
@@ -139,7 +138,7 @@ func remoteQuery(args []string) {
 	var dbs []metaprobe.Database
 	for _, spec := range corpus.HealthTestbed(1) {
 		dbs = append(dbs, metaprobe.NewHTTPDatabase(spec.Name,
-			strings.TrimRight(*base, "/")+"/db/"+spec.Name, *html))
+			strings.TrimRight(*base, "/")+"/db/"+spec.Name))
 	}
 	logger.Info("sampling summaries", "databases", len(dbs))
 	sums, err := metaprobe.SampleSummaries(dbs,

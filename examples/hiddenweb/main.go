@@ -68,7 +68,7 @@ func run(w io.Writer) error {
 
 		// The metasearcher side: an HTML-scraping client, exactly how
 		// the paper's metasearcher reads real answer pages.
-		dbs = append(dbs, metaprobe.NewHTTPDatabase(spec.Name, url, true))
+		dbs = append(dbs, metaprobe.NewHTTPDatabase(spec.Name, url))
 	}
 
 	// The remote databases do not export statistics: build content

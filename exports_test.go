@@ -36,13 +36,12 @@ var testSupport = map[string]bool{
 // The reasons an exported name may stay without a caller outside its
 // package. An allowlist entry gives one of them, word for word.
 const (
-	whyHarness  = "constructor, entry point or seam that other packages' tests and benchmarks build with"
-	whyObserve  = "accessor or invariant check through which other packages' tests observe state"
-	whyAPI      = "member of a type the root package re-exports, which library callers read"
-	whyOptional = "optional interface the library checks a caller's database for"
+	whyHarness = "constructor, entry point or seam that other packages' tests and benchmarks build with"
+	whyObserve = "accessor or invariant check through which other packages' tests observe state"
+	whyAPI     = "member of a type the root package re-exports, which library callers read"
 )
 
-var allowReasons = []string{whyHarness, whyObserve, whyAPI, whyOptional}
+var allowReasons = []string{whyHarness, whyObserve, whyAPI}
 
 // exportsWithoutCaller names the exported internal names that no
 // non-test Go outside their package refers to, each with its reason.
@@ -74,6 +73,7 @@ var exportsWithoutCaller = map[string]string{
 	"obs.Histogram.Sum":        whyObserve,
 	"textindex.Index.Validate": whyObserve,
 
+	"hidden.DocSummary.Snippet":           whyAPI,
 	"modelhost.DriftStatus.Alerts":        whyAPI,
 	"modelhost.DriftStatus.DB":            whyAPI,
 	"modelhost.DriftStatus.LastPValue":    whyAPI,
@@ -87,9 +87,6 @@ var exportsWithoutCaller = map[string]string{
 	"span.Tracer.TraceSpans":              whyAPI,
 	"span.Tracer.Traces":                  whyAPI,
 	"span.Tracer.Tree":                    whyAPI,
-
-	"hidden.ContextFetcher":              whyOptional,
-	"hidden.ContextFetcher.FetchContext": whyOptional,
 }
 
 // configWithoutCaller names the Config fields that no binary, example

@@ -20,6 +20,7 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -35,7 +36,8 @@ type Relevancy interface {
 	// Estimate computes r̂(db, q) from the database's summary.
 	Estimate(s *summary.Summary, query string) float64
 	// Probe issues the query to the database and returns the exact
-	// relevancy r(db, q).
+	// relevancy r(db, q). It searches under the Background context; a
+	// caller's context reaches it through hidden.WithContext.
 	Probe(db hidden.Database, query string) (float64, error)
 }
 
@@ -86,7 +88,7 @@ func (d *DocFrequency) EstimateTerms(s *summary.Summary, terms []string) float64
 // Probe implements Relevancy: the exact number of matching documents,
 // read off the answer page.
 func (d *DocFrequency) Probe(db hidden.Database, query string) (float64, error) {
-	res, err := db.Search(query, 0)
+	res, err := db.SearchContext(context.Background(), query, 0)
 	if err != nil {
 		return 0, fmt.Errorf("estimate: probing %s: %w", db.Name(), err)
 	}
@@ -143,7 +145,7 @@ func logIDF(x float64) float64 { return math.Log(1 + x) }
 
 // Probe implements Relevancy: the score of the top returned document.
 func (d *DocSimilarity) Probe(db hidden.Database, query string) (float64, error) {
-	res, err := db.Search(query, 1)
+	res, err := db.SearchContext(context.Background(), query, 1)
 	if err != nil {
 		return 0, fmt.Errorf("estimate: probing %s: %w", db.Name(), err)
 	}

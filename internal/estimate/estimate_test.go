@@ -1,6 +1,8 @@
 package estimate
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -93,6 +95,24 @@ func TestDocFrequencyProbe(t *testing.T) {
 	bad := hiddentest.NewStaticError("bad", fmt.Errorf("down"))
 	if _, err := rel.Probe(bad, "x"); err == nil {
 		t.Error("probe of failing database should error")
+	}
+}
+
+// TestProbeRunsUnderTheBoundContext: Probe searches under the Background
+// context, so a context reaches it only through hidden.WithContext, and
+// the bound one is the one the search runs under.
+func TestProbeRunsUnderTheBoundContext(t *testing.T) {
+	ix := textindex.NewIndex()
+	ix.AddTerms("a", textindex.Tokenize("breast cancer"))
+	db := hidden.NewLocal("d", ix)
+	rel := NewDocFrequency()
+	if got, err := rel.Probe(hidden.WithContext(context.Background(), db), "breast cancer"); err != nil || got != 1 {
+		t.Errorf("Probe under a live context = %v, %v; want 1", got, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := rel.Probe(hidden.WithContext(ctx, db), "breast cancer"); !errors.Is(err, context.Canceled) {
+		t.Errorf("Probe under a cancelled context: %v, want context.Canceled", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -55,7 +56,7 @@ func fusionStudy(env *Env, k, topN int) (*Table, error) {
 		}
 		var global []scored
 		for i := 0; i < env.Testbed.Len(); i++ {
-			res, err := env.Testbed.DB(i).Search(query, topN)
+			res, err := env.Testbed.DB(i).SearchContext(context.Background(), query, topN)
 			if err != nil {
 				return answer{}, err
 			}
@@ -92,7 +93,7 @@ func fusionStudy(env *Env, k, topN int) (*Table, error) {
 		out := outs[qi]
 		var lists []fusion.SourceList
 		for _, dbIdx := range out.Set {
-			res, err := env.Testbed.DB(dbIdx).Search(query, topN)
+			res, err := env.Testbed.DB(dbIdx).SearchContext(context.Background(), query, topN)
 			if err != nil {
 				return answer{}, err
 			}
@@ -113,7 +114,7 @@ func fusionStudy(env *Env, k, topN int) (*Table, error) {
 
 		// Single best-estimated database, no fusion.
 		best := env.Selection(g.Query, core.Partial, k).BaselineSelect()[:1]
-		res, err := env.Testbed.DB(best[0]).Search(query, topN)
+		res, err := env.Testbed.DB(best[0]).SearchContext(context.Background(), query, topN)
 		if err != nil {
 			return answer{}, err
 		}

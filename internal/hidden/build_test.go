@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -52,8 +53,8 @@ func TestBuildTestbedMatchesPerOccurrenceTokenizing(t *testing.T) {
 					t.Errorf("%s: index differs from the per-occurrence reference", spec.Name)
 				}
 				for _, d := range docs {
-					gotText, err := got.Fetch(d.ID)
-					wantText, _ := ref.Fetch(d.ID)
+					gotText, err := got.Fetch(context.Background(), d.ID)
+					wantText, _ := ref.Fetch(context.Background(), d.ID)
 					if err != nil || gotText != wantText {
 						t.Fatalf("%s: Fetch(%s) = %q, %v; want %q", spec.Name, d.ID, gotText, err, wantText)
 					}

@@ -2,54 +2,26 @@ package hidden
 
 import (
 	"context"
-	"fmt"
 	"time"
 )
 
-// ContextDatabase is a Database whose searches honor a
-// context.Context: cancellation and deadlines propagate into the
-// request (for the HTTP client, all the way into the wire request via
-// http.NewRequestWithContext). The probe-execution engine
-// (internal/probeexec) depends on this to enforce its probe timeout and
-// abandon probes whose selection already reached its certainty target.
-type ContextDatabase interface {
-	Database
-	// SearchContext is Search bounded by ctx. Implementations return
-	// promptly once ctx is done; the error then wraps ctx.Err().
-	SearchContext(ctx context.Context, query string, topK int) (Result, error)
-}
-
-// ContextFetcher is the context-aware analogue of Fetcher.
-type ContextFetcher interface {
-	Fetcher
-	// FetchContext is Fetch bounded by ctx.
-	FetchContext(ctx context.Context, id string) (string, error)
-}
-
-// SearchContext issues a search through db honoring ctx: databases
-// implementing ContextDatabase get the context natively; for everything
-// else the search runs synchronously after a cancellation pre-check
-// (in-process databases answer in microseconds, so mid-flight
-// cancellation buys nothing there).
+// SearchContext is db.SearchContext. It stays only because the
+// benchmark's backend wrapper (benchmark/setup.go) calls it; delete it
+// once that wrapper calls the method.
 func SearchContext(ctx context.Context, db Database, query string, topK int) (Result, error) {
-	if cd, ok := db.(ContextDatabase); ok {
-		return cd.SearchContext(ctx, query, topK)
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, fmt.Errorf("hidden: %s: %w", db.Name(), err)
-	}
-	return db.Search(query, topK)
+	return db.SearchContext(ctx, query, topK)
 }
 
-// WithContext binds ctx into a plain Database view of db, so
-// context-free APIs that accept a Database (estimate.Relevancy.Probe,
-// EstimateSize) transparently run their searches under the context.
-// Fetcher and Sizer pass through when db supports them.
+// WithContext binds ctx into a view of db whose searches run under ctx
+// whatever context they are handed. It serves
+// estimate.Relevancy.Probe(db, query), which searches under the
+// Background context and whose signature the benchmark's replay
+// (benchmark/trace.go) pins.
 func WithContext(ctx context.Context, db Database) Database {
 	return &boundContext{ctx: ctx, db: db}
 }
 
-// boundContext adapts (ctx, db) to the context-free Database surface.
+// boundContext is db searched under ctx.
 type boundContext struct {
 	ctx context.Context
 	db  Database
@@ -58,27 +30,11 @@ type boundContext struct {
 // Name implements Database.
 func (b *boundContext) Name() string { return b.db.Name() }
 
-// Search implements Database under the bound context.
-func (b *boundContext) Search(query string, topK int) (Result, error) {
-	return SearchContext(b.ctx, b.db, query, topK)
+// SearchContext implements Database under the bound context, in place
+// of the one passed.
+func (b *boundContext) SearchContext(_ context.Context, query string, topK int) (Result, error) {
+	return b.db.SearchContext(b.ctx, query, topK)
 }
-
-// Fetch passes through under the bound context when supported.
-func (b *boundContext) Fetch(id string) (string, error) {
-	if cf, ok := b.db.(ContextFetcher); ok {
-		return cf.FetchContext(b.ctx, id)
-	}
-	if f, ok := b.db.(Fetcher); ok {
-		if err := b.ctx.Err(); err != nil {
-			return "", fmt.Errorf("hidden: %s: %w", b.db.Name(), err)
-		}
-		return f.Fetch(id)
-	}
-	return "", fmt.Errorf("hidden: %s does not support document fetching", b.db.Name())
-}
-
-// Size passes through when available.
-func (b *boundContext) Size() int { return sizeOf(b.db) }
 
 // sleepContext blocks for d or until ctx is done, whichever comes
 // first, returning ctx.Err() in the latter case. It is Latency's sleep

@@ -13,9 +13,9 @@
 //
 //   - Local — an in-process collection over textindex (the experiment
 //     path, zero latency);
-//   - Client — a remote database spoken to over HTTP, scraping either a
-//     JSON or an HTML answer page produced by Server (the end-to-end
-//     path with real network failure modes);
+//   - Client — a remote database spoken to over HTTP, scraping the HTML
+//     answer page Server produces (the end-to-end path with real network
+//     failure modes);
 //   - Latency — a wrapper adding latency injection.
 //
 // The test doubles other packages' tests wrap databases in (search
@@ -23,6 +23,7 @@
 package hidden
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -36,7 +37,7 @@ type DocSummary struct {
 	Score float64
 	// Snippet is a query-centered text preview, when the source
 	// provides one (the HTTP server does for fetchable databases).
-	Snippet string `json:",omitempty"`
+	Snippet string
 }
 
 // Result is the answer page for one query.
@@ -52,18 +53,23 @@ type Result struct {
 type Database interface {
 	// Name identifies the database.
 	Name() string
-	// Search runs a keyword query and returns the answer page with up
-	// to topK ranked documents. topK 0 requests the match count only
-	// (the cheapest form of probe).
-	Search(query string, topK int) (Result, error)
+	// SearchContext runs a keyword query under ctx and returns the
+	// answer page with up to topK ranked documents. topK 0 requests the
+	// match count only (the cheapest form of probe). Cancellation and
+	// deadlines reach the request (for Client, the wire request); once
+	// ctx is done an implementation returns promptly with an error that
+	// wraps ctx.Err(). The probe engine (internal/probeexec) relies on
+	// this to enforce its probe timeout and abandon probes whose
+	// selection no longer needs them.
+	SearchContext(ctx context.Context, query string, topK int) (Result, error)
 }
 
 // Fetcher is implemented by databases whose documents can be retrieved
 // by ID (on the real Web: following a result link). Query-based
 // sampling of content summaries requires it.
 type Fetcher interface {
-	// Fetch returns the text of the identified document.
-	Fetch(id string) (string, error)
+	// Fetch returns the text of the identified document, under ctx.
+	Fetch(ctx context.Context, id string) (string, error)
 }
 
 // Sizer is implemented by databases that export their collection size
@@ -92,7 +98,7 @@ func EstimateSize(db Database, probeTerms []string) (int, error) {
 	var firstErr error
 	ok := false
 	for _, term := range probeTerms {
-		res, err := db.Search(term, 0)
+		res, err := db.SearchContext(context.Background(), term, 0)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -114,9 +120,9 @@ func EstimateSize(db Database, probeTerms []string) (int, error) {
 }
 
 // fetchFrom fetches a document through db when it supports fetching.
-func fetchFrom(db Database, id string) (string, error) {
+func fetchFrom(ctx context.Context, db Database, id string) (string, error) {
 	if f, ok := db.(Fetcher); ok {
-		return f.Fetch(id)
+		return f.Fetch(ctx, id)
 	}
 	return "", fmt.Errorf("hidden: %s does not support document fetching", db.Name())
 }

@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func FuzzLocalText(f *testing.F) {
 		}
 		fetch := func(l *Local, id, want string) {
 			t.Helper()
-			if got, err := l.Fetch(id); err != nil || got != want {
+			if got, err := l.Fetch(context.Background(), id); err != nil || got != want {
 				t.Fatalf("%s: Fetch(%q) = %q, %v; want %q", l.Name(), id, got, err, want)
 			}
 		}
@@ -100,7 +101,7 @@ func FuzzLocalText(f *testing.F) {
 			t.Fatalf("the shared table grew to %d words", len(shared.list))
 		}
 		if _, ok := stored[a]["b1"]; !ok {
-			if _, err := a.Fetch("b1"); err == nil {
+			if _, err := a.Fetch(context.Background(), "b1"); err == nil {
 				t.Fatal("a fetched b's document")
 			}
 		}
@@ -108,12 +109,12 @@ func FuzzLocalText(f *testing.F) {
 		for _, ok := stored[a][unknown]; ok; _, ok = stored[a][unknown] {
 			unknown += "!"
 		}
-		if _, err := a.Fetch(unknown); err == nil {
+		if _, err := a.Fetch(context.Background(), unknown); err == nil {
 			t.Fatalf("a fetched %q, which it never stored", unknown)
 		}
 		// A document of no words, as BuildLocal stores one with no terms.
 		a.Index().AddTerms(unknown, nil)
-		if _, err := a.Fetch(unknown); err == nil {
+		if _, err := a.Fetch(context.Background(), unknown); err == nil {
 			t.Fatalf("a fetched %q, which its index holds with no text stored", unknown)
 		}
 		a.storeWords(nil)

@@ -22,15 +22,19 @@ type fixed struct {
 	err  error
 }
 
-func (f fixed) Name() string                       { return f.name }
-func (f fixed) Search(string, int) (Result, error) { return f.res, f.err }
+func (f fixed) Name() string { return f.name }
+func (f fixed) SearchContext(context.Context, string, int) (Result, error) {
+	return f.res, f.err
+}
 
 // table answers a query with its match count; unknown queries match
 // nothing.
 type table map[string]int
 
-func (table) Name() string                                 { return "t" }
-func (t table) Search(query string, _ int) (Result, error) { return Result{MatchCount: t[query]}, nil }
+func (table) Name() string { return "t" }
+func (t table) SearchContext(_ context.Context, query string, _ int) (Result, error) {
+	return Result{MatchCount: t[query]}, nil
+}
 
 func buildSmallLocal(t *testing.T) *Local {
 	t.Helper()
@@ -52,7 +56,7 @@ func buildSmallLocal(t *testing.T) *Local {
 
 func TestLocalSearch(t *testing.T) {
 	db := buildSmallLocal(t)
-	res, err := db.Search("breast cancer", 10)
+	res, err := db.SearchContext(context.Background(), "breast cancer", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func TestLocalSearch(t *testing.T) {
 		t.Errorf("got %d ranked docs, want 3", len(res.Docs))
 	}
 	// topK = 0: count only.
-	res0, err := db.Search("breast cancer", 0)
+	res0, err := db.SearchContext(context.Background(), "breast cancer", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +83,21 @@ func TestLocalSearch(t *testing.T) {
 	}
 }
 
+// TestLocalSearchOnDoneContext: a search on a done context fails with
+// its error and answers nothing.
+func TestLocalSearchOnDoneContext(t *testing.T) {
+	db := buildSmallLocal(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := db.SearchContext(ctx, "breast cancer", 10)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("search on a cancelled context: %v, want context.Canceled", err)
+	}
+	if res.MatchCount != 0 || res.Docs != nil {
+		t.Errorf("search on a cancelled context answered %+v", res)
+	}
+}
+
 // TestLocalDuplicateIDsFetchTheNewest: documents that share an ID, built
 // together or added after the build, fetch the text stored last under
 // it; every other ID fetches its own text, and an unknown one none.
@@ -87,12 +106,12 @@ func TestLocalDuplicateIDsFetchTheNewest(t *testing.T) {
 	l := BuildLocal("dups", []corpus.Document{doc("b", "lung"), doc("a", "breast"), doc("b", "cancer", "care"), doc("c")})
 	l.AddDocuments([]corpus.Document{doc("a", "heart"), doc("0", "first"), doc("b", "late")})
 	for id, want := range map[string]string{"a": "heart", "b": "late", "c": "", "0": "first"} {
-		if got, err := l.Fetch(id); err != nil || got != want {
+		if got, err := l.Fetch(context.Background(), id); err != nil || got != want {
 			t.Errorf("Fetch(%q) = %q, %v; want %q", id, got, err, want)
 		}
 	}
 	for _, id := range []string{"", "aa", "d"} {
-		if got, err := l.Fetch(id); err == nil {
+		if got, err := l.Fetch(context.Background(), id); err == nil {
 			t.Errorf("Fetch(%q) = %q for an ID never stored", id, got)
 		}
 	}
@@ -116,7 +135,7 @@ func TestBuildLocalFromCorpus(t *testing.T) {
 	if db.Size() != 300 {
 		t.Fatalf("Size = %d, want 300", db.Size())
 	}
-	res, err := db.Search("cancer", 0)
+	res, err := db.SearchContext(context.Background(), "cancer", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +175,8 @@ func TestBuildTestbedDeterministicAcrossRuns(t *testing.T) {
 	}
 	for i := 0; i < tb1.Len(); i++ {
 		q := "cancer treatment"
-		r1, _ := tb1.DB(i).Search(q, 0)
-		r2, _ := tb2.DB(i).Search(q, 0)
+		r1, _ := tb1.DB(i).SearchContext(context.Background(), q, 0)
+		r2, _ := tb2.DB(i).SearchContext(context.Background(), q, 0)
 		if r1.MatchCount != r2.MatchCount {
 			t.Errorf("db %d: counts differ %d vs %d", i, r1.MatchCount, r2.MatchCount)
 		}
@@ -184,32 +203,16 @@ func TestEstimateSize(t *testing.T) {
 	}
 }
 
-func TestHTTPJSONRoundTrip(t *testing.T) {
-	local := buildSmallLocal(t)
-	srv := httptest.NewServer(NewServer(local))
-	defer srv.Close()
-
-	client := NewClient("remote-testdb", srv.URL)
-	res, err := client.Search("breast cancer", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MatchCount != 2 || len(res.Docs) != 3 {
-		t.Errorf("remote result %+v, want 2 matches / 3 ranked docs", res)
-	}
-	if client.Name() != "remote-testdb" {
-		t.Errorf("Name = %q", client.Name())
-	}
-}
-
 func TestHTTPHTMLScraping(t *testing.T) {
 	local := buildSmallLocal(t)
 	srv := httptest.NewServer(NewServer(local))
 	defer srv.Close()
 
-	client := NewClient("remote", srv.URL)
-	client.UseHTML = true
-	res, err := client.Search("breast cancer", 2)
+	client := NewClient("remote-testdb", srv.URL)
+	if client.Name() != "remote-testdb" {
+		t.Errorf("Name = %q", client.Name())
+	}
+	res, err := client.SearchContext(context.Background(), "breast cancer", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +222,16 @@ func TestHTTPHTMLScraping(t *testing.T) {
 	if len(res.Docs) != 2 || res.Docs[0].ID == "" {
 		t.Errorf("scraped docs %+v", res.Docs)
 	}
+	// Every document the query scores is ranked, matching or not.
+	res, err = client.SearchContext(context.Background(), "breast cancer", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MatchCount != 2 || len(res.Docs) != 3 {
+		t.Errorf("remote result %+v, want 2 matches / 3 ranked docs", res)
+	}
 	// Zero-match page.
-	res, err = client.Search("zzzz qqqq", 2)
+	res, err = client.SearchContext(context.Background(), "zzzz qqqq", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +245,7 @@ func TestHTMLAnswerPageThousands(t *testing.T) {
 	srv := httptest.NewServer(NewServer(big))
 	defer srv.Close()
 	client := NewClient("big", srv.URL)
-	client.UseHTML = true
-	res, err := client.Search("anything", 0)
+	res, err := client.SearchContext(context.Background(), "anything", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +269,9 @@ func TestServerErrorPaths(t *testing.T) {
 	defer srv.Close()
 
 	for _, u := range []string{
-		srv.URL + "/search",                          // missing q
-		srv.URL + "/search?q=cancer&k=-1",            // bad k
-		srv.URL + "/search?q=cancer&k=x",             // non-numeric k
-		srv.URL + "/search?q=cancer&format=protobuf", // unknown format
+		srv.URL + "/search",               // missing q
+		srv.URL + "/search?q=cancer&k=-1", // bad k
+		srv.URL + "/search?q=cancer&k=x",  // non-numeric k
 	} {
 		resp, err := srv.Client().Get(u)
 		if err != nil {
@@ -278,14 +287,14 @@ func TestServerErrorPaths(t *testing.T) {
 	bad := httptest.NewServer(NewServer(fixed{name: "bad", err: errors.New("boom")}))
 	defer bad.Close()
 	client := NewClient("bad", bad.URL)
-	if _, err := client.Search("x", 0); !errors.Is(err, ErrUnavailable) {
+	if _, err := client.SearchContext(context.Background(), "x", 0); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("want ErrUnavailable, got %v", err)
 	}
 }
 
 func TestClientUnreachable(t *testing.T) {
 	client := NewClient("gone", "http://127.0.0.1:1")
-	if _, err := client.Search("x", 0); !errors.Is(err, ErrUnavailable) {
+	if _, err := client.SearchContext(context.Background(), "x", 0); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("want ErrUnavailable, got %v", err)
 	}
 }
@@ -314,7 +323,7 @@ func TestServeTestbed(t *testing.T) {
 	defer srv.Close()
 
 	ca := NewClient("alpha", srv.URL+"/db/alpha")
-	res, err := ca.Search("anything", 0)
+	res, err := ca.SearchContext(context.Background(), "anything", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +331,7 @@ func TestServeTestbed(t *testing.T) {
 		t.Errorf("alpha count = %d, want 7", res.MatchCount)
 	}
 	cb := NewClient("beta", srv.URL+"/db/beta")
-	res, err = cb.Search("anything", 0)
+	res, err = cb.SearchContext(context.Background(), "anything", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +358,7 @@ func TestHTMLAnswerPageSnippets(t *testing.T) {
 	srv := httptest.NewServer(NewServer(db))
 	defer srv.Close()
 	client := NewClient("remote", srv.URL)
-	client.UseHTML = true
-	res, err := client.Search("breast cancer", 2)
+	res, err := client.SearchContext(context.Background(), "breast cancer", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,15 +372,6 @@ func TestHTMLAnswerPageSnippets(t *testing.T) {
 		if strings.Contains(d.Snippet, "<") {
 			t.Errorf("snippet %q contains markup", d.Snippet)
 		}
-	}
-	// JSON path carries snippets too.
-	client.UseHTML = false
-	res, err = client.Search("breast cancer", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Docs[0].Snippet == "" {
-		t.Error("JSON answer missing snippet")
 	}
 }
 
@@ -410,7 +409,6 @@ func TestClientRefusesOversizedResponses(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := NewClient("big", srv.URL)
-	client.UseHTML = true
 	ctx := context.Background()
 
 	res, err := client.SearchContext(ctx, "q", 10)
@@ -420,7 +418,7 @@ func TestClientRefusesOversizedResponses(t *testing.T) {
 	if res.MatchCount != 1000000 || len(res.Docs) == 0 {
 		t.Errorf("page at the bound scraped %d matches, %d docs", res.MatchCount, len(res.Docs))
 	}
-	if text, err := client.FetchContext(ctx, "d0"); err != nil || len(text) != maxResponseBytes {
+	if text, err := client.Fetch(ctx, "d0"); err != nil || len(text) != maxResponseBytes {
 		t.Errorf("document at the bound: %d bytes, %v", len(text), err)
 	}
 
@@ -428,7 +426,7 @@ func TestClientRefusesOversizedResponses(t *testing.T) {
 	if _, err := client.SearchContext(ctx, "q", 10); !errors.Is(err, errResponseTooLarge) || errors.Is(err, ErrUnavailable) {
 		t.Errorf("page over the bound: %v, want errResponseTooLarge and not ErrUnavailable", err)
 	}
-	if _, err := client.FetchContext(ctx, "d0"); !errors.Is(err, errResponseTooLarge) {
+	if _, err := client.Fetch(ctx, "d0"); !errors.Is(err, errResponseTooLarge) {
 		t.Errorf("document over the bound: %v, want errResponseTooLarge", err)
 	}
 }

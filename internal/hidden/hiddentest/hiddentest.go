@@ -29,16 +29,11 @@ func NewCounting(db hidden.Database) *Counting {
 // Name implements hidden.Database.
 func (c *Counting) Name() string { return c.db.Name() }
 
-// Search implements hidden.Database, incrementing the probe counter.
-func (c *Counting) Search(query string, topK int) (hidden.Result, error) {
-	return c.SearchContext(context.Background(), query, topK)
-}
-
-// SearchContext implements hidden.ContextDatabase with the same
-// accounting.
+// SearchContext implements hidden.Database, incrementing the probe
+// counter.
 func (c *Counting) SearchContext(ctx context.Context, query string, topK int) (hidden.Result, error) {
 	c.searches.Add(1)
-	return hidden.SearchContext(ctx, c.db, query, topK)
+	return c.db.SearchContext(ctx, query, topK)
 }
 
 // Size passes through when the wrapped database exports its size.
@@ -47,7 +42,9 @@ func (c *Counting) Size() int { return sizeOf(c.db) }
 // Fetch passes through when the wrapped database supports fetching.
 // Document fetches are not counted as probes (the paper's probing cost
 // counts queries, and fetches only occur during offline sampling).
-func (c *Counting) Fetch(id string) (string, error) { return fetchFrom(c.db, id) }
+func (c *Counting) Fetch(ctx context.Context, id string) (string, error) {
+	return fetchFrom(ctx, c.db, id)
+}
 
 // Searches returns the number of searches issued so far.
 func (c *Counting) Searches() int64 { return c.searches.Load() }
@@ -69,23 +66,19 @@ func NewFailEvery(db hidden.Database, n int) *FailEvery {
 // Name implements hidden.Database.
 func (f *FailEvery) Name() string { return f.db.Name() }
 
-// Search implements hidden.Database with deterministic failures.
-func (f *FailEvery) Search(query string, topK int) (hidden.Result, error) {
-	return f.SearchContext(context.Background(), query, topK)
-}
-
-// SearchContext implements hidden.ContextDatabase with the same
-// failure schedule.
+// SearchContext implements hidden.Database with deterministic failures.
 func (f *FailEvery) SearchContext(ctx context.Context, query string, topK int) (hidden.Result, error) {
 	c := f.calls.Add(1)
 	if f.n > 0 && c%f.n == 0 {
 		return hidden.Result{}, fmt.Errorf("%w: injected failure on call %d to %s", hidden.ErrUnavailable, c, f.db.Name())
 	}
-	return hidden.SearchContext(ctx, f.db, query, topK)
+	return f.db.SearchContext(ctx, query, topK)
 }
 
 // Fetch passes through when the wrapped database supports fetching.
-func (f *FailEvery) Fetch(id string) (string, error) { return fetchFrom(f.db, id) }
+func (f *FailEvery) Fetch(ctx context.Context, id string) (string, error) {
+	return fetchFrom(ctx, f.db, id)
+}
 
 // Static is a database whose every search fails with one error.
 type Static struct {
@@ -101,8 +94,10 @@ func NewStaticError(name string, err error) *Static {
 // Name implements hidden.Database.
 func (s *Static) Name() string { return s.name }
 
-// Search implements hidden.Database.
-func (s *Static) Search(string, int) (hidden.Result, error) { return hidden.Result{}, s.err }
+// SearchContext implements hidden.Database.
+func (s *Static) SearchContext(context.Context, string, int) (hidden.Result, error) {
+	return hidden.Result{}, s.err
+}
 
 // Table is a map-backed database: exact query string → match count.
 type Table struct {
@@ -119,15 +114,15 @@ func NewTable(name string, counts map[string]int) *Table {
 // Name implements hidden.Database.
 func (t *Table) Name() string { return t.name }
 
-// Search implements hidden.Database.
-func (t *Table) Search(query string, topK int) (hidden.Result, error) {
+// SearchContext implements hidden.Database.
+func (t *Table) SearchContext(_ context.Context, query string, _ int) (hidden.Result, error) {
 	return hidden.Result{MatchCount: t.counts[query]}, nil
 }
 
 // fetchFrom fetches a document through db when it supports fetching.
-func fetchFrom(db hidden.Database, id string) (string, error) {
+func fetchFrom(ctx context.Context, db hidden.Database, id string) (string, error) {
 	if f, ok := db.(hidden.Fetcher); ok {
-		return f.Fetch(id)
+		return f.Fetch(ctx, id)
 	}
 	return "", fmt.Errorf("hiddentest: %s does not support document fetching", db.Name())
 }

@@ -1,8 +1,13 @@
 package hidden_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httptrace"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,7 +38,7 @@ func buildSmallLocal(t *testing.T) *hidden.Local {
 func TestCounting(t *testing.T) {
 	db := hiddentest.NewCounting(buildSmallLocal(t))
 	for i := 0; i < 3; i++ {
-		if _, err := db.Search("cancer", 0); err != nil {
+		if _, err := db.SearchContext(context.Background(), "cancer", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +54,7 @@ func TestFailEvery(t *testing.T) {
 	db := hiddentest.NewFailEvery(buildSmallLocal(t), 3)
 	var failures int
 	for i := 0; i < 9; i++ {
-		if _, err := db.Search("cancer", 0); err != nil {
+		if _, err := db.SearchContext(context.Background(), "cancer", 0); err != nil {
 			if !errors.Is(err, hidden.ErrUnavailable) {
 				t.Fatalf("unexpected error type: %v", err)
 			}
@@ -60,7 +65,7 @@ func TestFailEvery(t *testing.T) {
 		t.Errorf("failures = %d, want 3", failures)
 	}
 	never := hiddentest.NewFailEvery(buildSmallLocal(t), 0)
-	if _, err := never.Search("cancer", 0); err != nil {
+	if _, err := never.SearchContext(context.Background(), "cancer", 0); err != nil {
 		t.Errorf("n=0 should never fail: %v", err)
 	}
 }
@@ -72,21 +77,64 @@ func TestMiddlewareComposition(t *testing.T) {
 	counting := hiddentest.NewCounting(local)
 	lat := hidden.NewLatency(hiddentest.NewFailEvery(counting, 2), 0)
 
-	res, err := lat.Search("breast cancer", 0)
+	res, err := lat.SearchContext(context.Background(), "breast cancer", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MatchCount != 2 {
 		t.Errorf("MatchCount = %d", res.MatchCount)
 	}
-	if _, err := lat.Search("breast cancer", 0); !errors.Is(err, hidden.ErrUnavailable) {
+	if _, err := lat.SearchContext(context.Background(), "breast cancer", 0); !errors.Is(err, hidden.ErrUnavailable) {
 		t.Errorf("second search through FailEvery(2): %v, want hidden.ErrUnavailable", err)
 	}
 	if counting.Searches() != 1 {
 		t.Errorf("counted %d searches, want 1 (the failed one never reached the backend)", counting.Searches())
 	}
-	if _, err := lat.Fetch("d1"); err != nil {
+	if _, err := lat.Fetch(context.Background(), "d1"); err != nil {
 		t.Errorf("Fetch through the chain: %v", err)
+	}
+}
+
+// TestFetchThroughWrappersRidesTheWire: a fetch through Latency,
+// Counting and FailEvery reaches the HTTP client with the caller's
+// context, which its wire request then carries: the caller's client
+// trace sees the connection, and once the caller's context is done no
+// request reaches the server and the error wraps the context's, which
+// the probe engine reads to tell a cancelled probe from a failed one.
+func TestFetchThroughWrappersRidesTheWire(t *testing.T) {
+	var docRequests atomic.Int64
+	inner := hidden.NewServer(buildSmallLocal(t))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/doc") {
+			docRequests.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	client := hidden.NewClient("remote", srv.URL)
+	chain := hidden.NewLatency(hiddentest.NewCounting(hiddentest.NewFailEvery(client, 0)), 0)
+
+	var conns atomic.Int64
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(httptrace.GotConnInfo) { conns.Add(1) },
+	})
+	if text, err := chain.Fetch(ctx, "d1"); err != nil || text != "breast cancer treatment" {
+		t.Fatalf("Fetch = %q, %v", text, err)
+	}
+	if conns.Load() != 1 || docRequests.Load() != 1 {
+		t.Errorf("the caller's trace saw %d connections and the server %d requests, want 1 and 1", conns.Load(), docRequests.Load())
+	}
+
+	ctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := chain.Fetch(ctx, "d1"); !errors.Is(err, context.Canceled) {
+		t.Errorf("Fetch on a cancelled context: %v, want context.Canceled", err)
+	}
+	if _, err := client.SearchContext(ctx, "cancer", 0); !errors.Is(err, context.Canceled) || !errors.Is(err, hidden.ErrUnavailable) {
+		t.Errorf("search on a cancelled context: %v, want context.Canceled and hidden.ErrUnavailable", err)
+	}
+	if docRequests.Load() != 1 {
+		t.Errorf("the server saw %d requests, want none after the cancel", docRequests.Load()-1)
 	}
 }
 
@@ -104,7 +152,7 @@ func TestFullChainConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := chain.Search("cancer", 0); err != nil {
+				if _, err := chain.SearchContext(context.Background(), "cancer", 0); err != nil {
 					if !errors.Is(err, hidden.ErrUnavailable) {
 						t.Errorf("unexpected error: %v", err)
 					}

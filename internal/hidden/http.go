@@ -2,7 +2,6 @@ package hidden
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"html"
 	"io"
@@ -17,23 +16,11 @@ import (
 	"metaprobe/internal/textindex"
 )
 
-// answerPage is the JSON wire format of a search response.
-type answerPage struct {
-	Database   string       `json:"database"`
-	Query      string       `json:"query"`
-	MatchCount int          `json:"matchCount"`
-	Docs       []DocSummary `json:"docs,omitempty"`
-}
-
 // Server exposes one database over HTTP the way real Hidden-Web
-// sources do: a keyword-search endpoint returning an answer page. Two
-// formats are served so both metasearcher ingestion paths can be
-// exercised:
-//
-//   - format=json — a structured answer (the friendly case);
-//   - format=html (default) — a human-oriented answer page stating
-//     "Results 1 - k of about N documents", which the Client scrapes
-//     exactly as the paper's metasearcher scrapes real answer pages.
+// sources do: a keyword-search endpoint returning a human-oriented HTML
+// answer page stating "Results 1 - k of about N documents", which the
+// Client scrapes exactly as the paper's metasearcher scrapes real
+// answer pages.
 type Server struct {
 	db Database
 }
@@ -72,7 +59,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		topK = k
 	}
 	topK = min(topK, maxTopK)
-	res, err := s.db.Search(q, topK)
+	res, err := s.db.SearchContext(r.Context(), q, topK)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("search failed: %v", err), http.StatusBadGateway)
 		return
@@ -84,26 +71,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if res.Docs[i].Snippet != "" {
 				continue
 			}
-			if text, err := f.Fetch(res.Docs[i].ID); err == nil {
+			if text, err := f.Fetch(r.Context(), res.Docs[i].ID); err == nil {
 				res.Docs[i].Snippet = textindex.Snippet(text, q, 12, false)
 			}
 		}
 	}
-	switch r.URL.Query().Get("format") {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(answerPage{
-			Database:   s.db.Name(),
-			Query:      q,
-			MatchCount: res.MatchCount,
-			Docs:       res.Docs,
-		})
-	case "", "html":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeHTMLAnswerPage(w, s.db.Name(), q, res)
-	default:
-		http.Error(w, "unknown format (want json or html)", http.StatusBadRequest)
-	}
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	writeHTMLAnswerPage(w, s.db.Name(), q, res)
 }
 
 // serveDoc returns a document's text as text/plain.
@@ -118,7 +92,7 @@ func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing document id", http.StatusBadRequest)
 		return
 	}
-	text, err := f.Fetch(id)
+	text, err := f.Fetch(r.Context(), id)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("fetch failed: %v", err), http.StatusNotFound)
 		return
@@ -174,12 +148,10 @@ func groupThousands(n int) string {
 }
 
 // Client speaks to a remote database served by Server (or anything
-// wire-compatible). It implements Database.
+// wire-compatible). It implements Database and Fetcher.
 type Client struct {
 	name    string
 	baseURL string
-	// UseHTML selects the scraping path instead of JSON.
-	UseHTML bool
 	// httpClient is the underlying client (default: 10 s timeout).
 	httpClient *http.Client
 }
@@ -222,19 +194,11 @@ func truncateForError(body []byte) string {
 	return s
 }
 
-// Search implements Database over HTTP.
-func (c *Client) Search(query string, topK int) (Result, error) {
-	return c.SearchContext(context.Background(), query, topK)
-}
-
-// SearchContext implements ContextDatabase: the context rides the wire
-// request, so deadlines and cancellation abort the round trip itself.
+// SearchContext implements Database over HTTP by scraping the answer
+// page. The context rides the wire request, so deadlines and
+// cancellation abort the round trip itself.
 func (c *Client) SearchContext(ctx context.Context, query string, topK int) (Result, error) {
-	format := "json"
-	if c.UseHTML {
-		format = "html"
-	}
-	u := fmt.Sprintf("%s/search?q=%s&k=%d&format=%s", c.baseURL, url.QueryEscape(query), topK, format)
+	u := fmt.Sprintf("%s/search?q=%s&k=%d", c.baseURL, url.QueryEscape(query), topK)
 	body, status, err := c.get(ctx, u)
 	if err != nil {
 		return Result{}, err
@@ -242,19 +206,12 @@ func (c *Client) SearchContext(ctx context.Context, query string, topK int) (Res
 	if status != http.StatusOK {
 		return Result{}, fmt.Errorf("%w: %s: HTTP %d: %s", ErrUnavailable, c.name, status, truncateForError(body))
 	}
-	if c.UseHTML {
-		return parseHTMLAnswerPage(string(body))
-	}
-	return c.decodeJSON(body)
+	return parseHTMLAnswerPage(string(body))
 }
 
-// Fetch implements Fetcher over HTTP.
-func (c *Client) Fetch(id string) (string, error) {
-	return c.FetchContext(context.Background(), id)
-}
-
-// FetchContext implements ContextFetcher over HTTP.
-func (c *Client) FetchContext(ctx context.Context, id string) (string, error) {
+// Fetch implements Fetcher over HTTP, the context riding the wire
+// request.
+func (c *Client) Fetch(ctx context.Context, id string) (string, error) {
 	u := fmt.Sprintf("%s/doc?id=%s", c.baseURL, url.QueryEscape(id))
 	body, status, err := c.get(ctx, u)
 	if err != nil {
@@ -267,7 +224,9 @@ func (c *Client) FetchContext(ctx context.Context, id string) (string, error) {
 }
 
 // get performs one bounded GET under ctx, returning the body and status
-// code. Transport-level failures wrap ErrUnavailable; a 200 answer over
+// code. Transport-level failures wrap ErrUnavailable and the transport's
+// error, so a done ctx's error shows through (the probe engine does not
+// hold a cancelled probe against the backend); a 200 answer over
 // maxResponseBytes fails with errResponseTooLarge. The response size is
 // noted on the ambient trace span, so per-request byte spend is visible
 // end to end.
@@ -278,13 +237,13 @@ func (c *Client) get(ctx context.Context, u string) ([]byte, int, error) {
 	}
 	resp, err := c.httpClient.Do(req)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.name, err)
+		return nil, 0, fmt.Errorf("%w: %s: %w", ErrUnavailable, c.name, err)
 	}
 	defer resp.Body.Close()
 	// One byte past the bound tells a page that fits from one cut short.
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %s: reading response: %v", ErrUnavailable, c.name, err)
+		return nil, 0, fmt.Errorf("%w: %s: reading response: %w", ErrUnavailable, c.name, err)
 	}
 	span.FromContext(ctx).AddEvent("http_response",
 		"status", strconv.Itoa(resp.StatusCode), "bytes", strconv.Itoa(len(body)))
@@ -292,17 +251,6 @@ func (c *Client) get(ctx context.Context, u string) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("hidden: %s: %w", c.name, errResponseTooLarge)
 	}
 	return body, resp.StatusCode, nil
-}
-
-func (c *Client) decodeJSON(body []byte) (Result, error) {
-	var page answerPage
-	if err := json.Unmarshal(body, &page); err != nil {
-		return Result{}, fmt.Errorf("hidden: %s: malformed JSON answer: %v", c.name, err)
-	}
-	if page.MatchCount < 0 {
-		return Result{}, fmt.Errorf("hidden: %s: negative match count %d", c.name, page.MatchCount)
-	}
-	return Result{MatchCount: page.MatchCount, Docs: page.Docs}, nil
 }
 
 // parseHTMLAnswerPage scrapes the match count and result list out of an
@@ -323,7 +271,7 @@ func parseHTMLAnswerPage(page string) (Result, error) {
 		return Result{}, fmt.Errorf("hidden: answer page match count not terminated")
 	}
 	count, err := strconv.Atoi(strings.ReplaceAll(rest[:j], ",", ""))
-	if err != nil || count < 0 { // decodeJSON refuses a negative count too
+	if err != nil || count < 0 {
 		return Result{}, fmt.Errorf("hidden: answer page match count %q is not a count", rest[:j])
 	}
 	res := Result{MatchCount: count}
@@ -347,7 +295,7 @@ func parseHTMLAnswerPage(page string) (Result, error) {
 		}
 		raw := body[scoreStart+len(`class="score">`) : scoreEnd]
 		score, err := strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(score) || math.IsInf(score, 0) { // JSON carries neither
+		if err != nil || math.IsNaN(score) || math.IsInf(score, 0) {
 			return res, fmt.Errorf("hidden: malformed score %q in answer page", raw)
 		}
 		doc := DocSummary{ID: id, Score: score}

@@ -1,6 +1,7 @@
 package hidden
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -105,8 +106,9 @@ func (l *Local) find(id string) (int, bool) {
 	return slices.BinarySearchFunc(l.byID, id, func(s uint32, id string) int { return strings.Compare(l.index.DocID(int(s)), id) })
 }
 
-// Fetch implements Fetcher.
-func (l *Local) Fetch(id string) (string, error) {
+// Fetch implements Fetcher. An in-process fetch answers at once, so it
+// does not look at the context.
+func (l *Local) Fetch(_ context.Context, id string) (string, error) {
 	at, ok := l.find(id)
 	if !ok {
 		return "", fmt.Errorf("hidden: %s: no document %q", l.name, id)
@@ -186,9 +188,13 @@ func (l *Local) Size() int { return l.index.Size() }
 // Index exposes the underlying index (summaries are built from it).
 func (l *Local) Index() *textindex.Index { return l.index }
 
-// Search implements Database: boolean-AND match count plus the topK
-// cosine-ranked documents.
-func (l *Local) Search(query string, topK int) (Result, error) {
+// SearchContext implements Database: boolean-AND match count plus the
+// topK cosine-ranked documents. An in-process search answers in
+// microseconds, so ctx is checked once, before it starts.
+func (l *Local) SearchContext(ctx context.Context, query string, topK int) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, fmt.Errorf("hidden: %s: %w", l.name, err)
+	}
 	res := Result{MatchCount: l.index.MatchCount(query)}
 	if topK > 0 {
 		for _, h := range l.index.Search(query, topK) {

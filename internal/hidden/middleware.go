@@ -26,12 +26,7 @@ func NewLatency(db Database, delay time.Duration) *Latency {
 // Name implements Database.
 func (l *Latency) Name() string { return l.db.Name() }
 
-// Search implements Database with the injected delay.
-func (l *Latency) Search(query string, topK int) (Result, error) {
-	return l.SearchContext(context.Background(), query, topK)
-}
-
-// SearchContext implements ContextDatabase: the injected delay is
+// SearchContext implements Database with the injected delay. The delay is
 // interruptible, so timed-out and abandoned speculative probes return
 // immediately — exactly the behavior of a real remote round
 // trip aborted mid-flight.
@@ -39,13 +34,15 @@ func (l *Latency) SearchContext(ctx context.Context, query string, topK int) (Re
 	if err := l.sleep(ctx, l.delay); err != nil {
 		return Result{}, fmt.Errorf("hidden: %s: %w", l.db.Name(), err)
 	}
-	return SearchContext(ctx, l.db, query, topK)
+	return l.db.SearchContext(ctx, query, topK)
 }
 
 // Fetch passes through, undelayed, when the wrapped database supports
 // fetching: the delay models a search round trip, and fetches only
 // occur during offline sampling and result-snippet retrieval.
-func (l *Latency) Fetch(id string) (string, error) { return fetchFrom(l.db, id) }
+func (l *Latency) Fetch(ctx context.Context, id string) (string, error) {
+	return fetchFrom(ctx, l.db, id)
+}
 
 // Size passes through when available.
 func (l *Latency) Size() int { return sizeOf(l.db) }

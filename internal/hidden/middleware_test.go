@@ -11,7 +11,7 @@ func TestLatencyInjectsDelay(t *testing.T) {
 	l := NewLatency(inner, 42*time.Millisecond)
 	var got time.Duration
 	l.sleep = func(_ context.Context, d time.Duration) error { got = d; return nil }
-	res, err := l.Search("q", 0)
+	res, err := l.SearchContext(context.Background(), "q", 0)
 	if err != nil || res.MatchCount != 2 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -31,14 +31,14 @@ func TestLatencyPassthroughs(t *testing.T) {
 		t.Error("a fetch must not be delayed")
 		return nil
 	}
-	if text, err := lat.Fetch("d0"); err != nil || text == "" {
+	if text, err := lat.Fetch(context.Background(), "d0"); err != nil || text == "" {
 		t.Errorf("Fetch = %q, %v", text, err)
 	}
 	if lat.Size() != 4 {
 		t.Errorf("Size = %d", lat.Size())
 	}
 	table := NewLatency(table{}, 0)
-	if _, err := table.Fetch("x"); err == nil {
+	if _, err := table.Fetch(context.Background(), "x"); err == nil {
 		t.Error("fetch on non-fetcher must fail")
 	}
 	if table.Size() != 0 {

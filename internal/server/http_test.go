@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -157,9 +158,9 @@ type searchCounter struct {
 	n *atomic.Int64
 }
 
-func (c searchCounter) Search(query string, topK int) (hidden.Result, error) {
+func (c searchCounter) SearchContext(ctx context.Context, query string, topK int) (hidden.Result, error) {
 	c.n.Add(1)
-	return c.Database.Search(query, topK)
+	return c.Database.SearchContext(ctx, query, topK)
 }
 
 // selectRow is one /v1/select request as the tests and the fuzzer's seeds

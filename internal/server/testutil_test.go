@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -101,11 +102,11 @@ type gate struct {
 	ctl *gateCtl
 }
 
-func (g *gate) Search(query string, topK int) (hidden.Result, error) {
+func (g *gate) SearchContext(ctx context.Context, query string, topK int) (hidden.Result, error) {
 	if g.ctl.armed.Load() {
 		<-g.ctl.open
 	}
-	return g.Database.Search(query, topK)
+	return g.Database.SearchContext(ctx, query, topK)
 }
 
 // servedSelections reads the tenant's selection series off its

@@ -16,6 +16,7 @@
 package summary
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -159,7 +160,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 			word = cfg.SeedTerms[rng.Intn(len(cfg.SeedTerms))]
 		}
 		probes++
-		res, err := db.Search(word, docsPerQuery)
+		res, err := db.SearchContext(context.Background(), word, docsPerQuery)
 		if err != nil {
 			failures++
 			if failures > cfg.NumQueries {
@@ -168,7 +169,7 @@ func Sample(db hidden.Database, cfg SampleConfig, rng *stats.RNG) (*Summary, err
 			continue
 		}
 		for _, d := range res.Docs {
-			text, err := fetcher.Fetch(d.ID)
+			text, err := fetcher.Fetch(context.Background(), d.ID)
 			if err != nil {
 				continue
 			}

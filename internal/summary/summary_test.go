@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -38,7 +39,7 @@ func TestFromLocalExact(t *testing.T) {
 		t.Errorf("summary header wrong: %+v", s)
 	}
 	// The summary df must equal the index df for every term.
-	res, _ := db.Search("cancer", 0)
+	res, _ := db.SearchContext(context.Background(), "cancer", 0)
 	if got := s.DF[textindex.Tokenize("cancer")[0]]; got < res.MatchCount {
 		t.Errorf("df(cancer) = %d, < match count %d", got, res.MatchCount)
 	}
@@ -212,7 +213,7 @@ func TestSummaryFractionsMatchIndependenceOnUncorrelatedDB(t *testing.T) {
 	for _, q := range [][2]string{{"tumor", "radiation"}, {"biopsy", "screening"}} {
 		nt1, nt2 := textindex.Tokenize(q[0])[0], textindex.Tokenize(q[1])[0]
 		pred := s.Fraction(nt1) * s.Fraction(nt2) * float64(s.Size)
-		res, _ := db.Search(fmt.Sprintf("%s %s", q[0], q[1]), 0)
+		res, _ := db.SearchContext(context.Background(), fmt.Sprintf("%s %s", q[0], q[1]), 0)
 		actual := float64(res.MatchCount)
 		if pred < 3 {
 			continue // too rare for a stable ratio

@@ -528,7 +528,7 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 	var lists []fusion.SourceList
 	for _, name := range selRes.Databases {
 		db := m.tb.DB(m.tb.IndexOf(name))
-		res, err := hidden.SearchContext(ctx, db, query, perDB)
+		res, err := db.SearchContext(ctx, query, perDB)
 		if err != nil {
 			// A database that fails at fetch time contributes nothing;
 			// selection already paid its certainty cost.
@@ -549,10 +549,11 @@ func (m *Metasearcher) fuse(ctx context.Context, query string, selRes *Selection
 			// The caller has gone: the merged list stands as it is.
 			break
 		}
-		// The bound view fetches under ctx where the database can, and
-		// answers with an error where it cannot fetch at all.
-		db := hidden.WithContext(ctx, m.tb.DB(m.tb.IndexOf(items[i].Database)))
-		text, err := db.(hidden.Fetcher).Fetch(items[i].Doc.ID)
+		f, ok := m.tb.DB(m.tb.IndexOf(items[i].Database)).(hidden.Fetcher)
+		if !ok {
+			continue
+		}
+		text, err := f.Fetch(ctx, items[i].Doc.ID)
 		if err != nil {
 			continue
 		}
@@ -702,12 +703,10 @@ func NewLocalDatabase(name string, docs map[string]string) Database {
 }
 
 // NewHTTPDatabase returns a client for a remote database serving the
-// metaprobe answer-page protocol at baseURL (see hidden.Server). Set
-// scrapeHTML to exercise the HTML answer-page scraper instead of JSON.
-func NewHTTPDatabase(name, baseURL string, scrapeHTML bool) Database {
-	c := hidden.NewClient(name, baseURL)
-	c.UseHTML = scrapeHTML
-	return c
+// metaprobe answer page at baseURL (see hidden.Server), which it
+// scrapes for the match count and the ranked documents.
+func NewHTTPDatabase(name, baseURL string) Database {
+	return hidden.NewClient(name, baseURL)
 }
 
 // ExactSummaries builds exact content summaries for databases that are

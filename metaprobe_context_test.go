@@ -19,12 +19,12 @@ type toggleFail struct {
 	downCalls atomic.Int64
 }
 
-func (f *toggleFail) Search(query string, topK int) (hidden.Result, error) {
+func (f *toggleFail) SearchContext(ctx context.Context, query string, topK int) (hidden.Result, error) {
 	if f.down.Load() {
 		f.downCalls.Add(1)
 		return hidden.Result{}, fmt.Errorf("%w: %s is down", hidden.ErrUnavailable, f.Name())
 	}
-	return f.Database.Search(query, topK)
+	return f.Database.SearchContext(ctx, query, topK)
 }
 
 // TestSelectContextMatchesSequential: with default configuration and
@@ -163,39 +163,32 @@ func TestSelectContextDegradesOnDeadBackend(t *testing.T) {
 	}
 }
 
-// fetchLog is what a testbed of fetchRecorders saw: calls to the
-// context-free Fetch, and the context of every FetchContext.
+// fetchLog is what a testbed of fetchRecorders saw: the context of
+// every Fetch.
 type fetchLog struct {
-	plain   int
 	ctxs    []context.Context
-	onFetch func() // runs inside each FetchContext
+	onFetch func() // runs inside each Fetch
 }
 
-// fetchRecorder is a database that fetches both ways and says which way
-// it was asked.
+// fetchRecorder is a database that records the context of each fetch.
 type fetchRecorder struct {
 	Database
 	log *fetchLog
 }
 
-func (f fetchRecorder) Fetch(id string) (string, error) {
-	f.log.plain++
-	return f.Database.(hidden.Fetcher).Fetch(id)
-}
-
-func (f fetchRecorder) FetchContext(ctx context.Context, id string) (string, error) {
+func (f fetchRecorder) Fetch(ctx context.Context, id string) (string, error) {
 	f.log.ctxs = append(f.log.ctxs, ctx)
 	if f.log.onFetch != nil {
 		f.log.onFetch()
 	}
-	return f.Database.(hidden.Fetcher).Fetch(id)
+	return f.Database.(hidden.Fetcher).Fetch(ctx, id)
 }
 
 // TestMetasearchFetchesSnippetsUnderContext: the enrichment half of the
-// pipeline runs under the caller's context like the rest — a database
-// that can fetch under a context is asked to, with a context descended
-// from the caller's, and once that context is done no further document
-// is fetched.
+// pipeline runs under the caller's context like the rest — each fused
+// result's document is fetched once, with a context descended from the
+// caller's, and once that context is done no further document is
+// fetched.
 func TestMetasearchFetchesSnippetsUnderContext(t *testing.T) {
 	log := &fetchLog{}
 	ms, test := buildTestMetasearcherWith(t, nil, func(_ int, db Database) Database {
@@ -218,12 +211,12 @@ func TestMetasearchFetchesSnippetsUnderContext(t *testing.T) {
 	if query == "" {
 		t.Fatal("no test query fused two results")
 	}
-	if log.plain != 0 || len(log.ctxs) != fused {
-		t.Errorf("%d fused results: %d FetchContext and %d context-free Fetch calls from a pipeline that holds a context", fused, len(log.ctxs), log.plain)
+	if len(log.ctxs) != fused {
+		t.Errorf("%d fused results, %d Fetch calls", fused, len(log.ctxs))
 	}
 	for _, c := range log.ctxs {
 		if c.Value(callerKey{}) != "caller" {
-			t.Fatal("FetchContext saw a context that does not descend from the caller's")
+			t.Fatal("Fetch saw a context that does not descend from the caller's")
 		}
 	}
 
@@ -234,7 +227,7 @@ func TestMetasearchFetchesSnippetsUnderContext(t *testing.T) {
 	if err != nil || len(items) < 2 {
 		t.Fatalf("cancelled while enriching: %d items, err %v", len(items), err)
 	}
-	if len(log.ctxs) != 1 || log.plain != 0 {
-		t.Errorf("%d FetchContext and %d Fetch calls, want the one that cancelled and none after", len(log.ctxs), log.plain)
+	if len(log.ctxs) != 1 {
+		t.Errorf("%d Fetch calls, want the one that cancelled and none after", len(log.ctxs))
 	}
 }

@@ -1,6 +1,7 @@
 package metaprobe
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"reflect"
@@ -262,19 +263,16 @@ func TestHTTPDatabaseThroughFacade(t *testing.T) {
 	srv := httptest.NewServer(hidden.NewServer(local))
 	defer srv.Close()
 
-	for _, scrape := range []bool{false, true} {
-		db := NewHTTPDatabase("remote", srv.URL, scrape)
-		res, err := db.Search("cancer", 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MatchCount != 2 {
-			t.Errorf("scrape=%v: MatchCount = %d, want 2", scrape, res.MatchCount)
-		}
+	db := NewHTTPDatabase("remote", srv.URL)
+	res, err := db.SearchContext(context.Background(), "cancer", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MatchCount != 2 {
+		t.Errorf("MatchCount = %d, want 2", res.MatchCount)
 	}
 
 	// Sampled summaries through the remote interface.
-	db := NewHTTPDatabase("remote", srv.URL, false)
 	sums, err := SampleSummaries([]Database{db}, []string{"cancer", "diet"}, 10, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +296,7 @@ func TestSelectParameterValidation(t *testing.T) {
 }
 
 func TestExactSummariesRejectsRemote(t *testing.T) {
-	db := NewHTTPDatabase("r", "http://127.0.0.1:1", false)
+	db := NewHTTPDatabase("r", "http://127.0.0.1:1")
 	if _, err := ExactSummaries([]Database{db}); err == nil {
 		t.Error("remote database must be rejected")
 	}
@@ -320,7 +318,7 @@ func TestNewLocalDatabaseLeavesNoSpareCapacity(t *testing.T) {
 		}
 	}
 	for id, text := range docs {
-		if got, err := local.Fetch(id); err != nil || got != text {
+		if got, err := local.Fetch(context.Background(), id); err != nil || got != text {
 			t.Errorf("Fetch(%s) = %q, %v; want %q", id, got, err, text)
 		}
 	}
@@ -333,8 +331,8 @@ func TestNewLocalDatabaseDeterminism(t *testing.T) {
 	}
 	a := NewLocalDatabase("a", docs)
 	b := NewLocalDatabase("b", docs)
-	ra, _ := a.Search("cancer", 5)
-	rb, _ := b.Search("cancer", 5)
+	ra, _ := a.SearchContext(context.Background(), "cancer", 5)
+	rb, _ := b.SearchContext(context.Background(), "cancer", 5)
 	if ra.MatchCount != rb.MatchCount || len(ra.Docs) != len(rb.Docs) {
 		t.Fatal("construction not deterministic")
 	}

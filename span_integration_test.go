@@ -29,7 +29,7 @@ func TestSelectionSpanTreeAndTraceIndex(t *testing.T) {
 	ms, queries := buildTestMetasearcherWith(t, &Config{Metrics: NewMetrics(), Spans: tracer}, func(_ int, db Database) Database {
 		srv := httptest.NewServer(hidden.NewServer(db))
 		t.Cleanup(srv.Close)
-		return NewHTTPDatabase(db.Name(), srv.URL, false)
+		return NewHTTPDatabase(db.Name(), srv.URL)
 	})
 
 	res, err := ms.SelectWithCertaintyContext(context.Background(), queries[0], 2, Partial, 0.95, -1)
@@ -165,9 +165,9 @@ type farDB struct {
 	delay *atomic.Int64 // nanoseconds
 }
 
-func (d farDB) Search(query string, topK int) (hidden.Result, error) {
+func (d farDB) SearchContext(ctx context.Context, query string, topK int) (hidden.Result, error) {
 	time.Sleep(time.Duration(d.delay.Load()))
-	return d.Database.Search(query, topK)
+	return d.Database.SearchContext(ctx, query, topK)
 }
 
 // TestSelectionSpanAheadWork: the root span says what the loop thought

@@ -18,9 +18,9 @@ type delayDB struct {
 	d time.Duration
 }
 
-func (d *delayDB) Search(query string, topK int) (hidden.Result, error) {
+func (d *delayDB) SearchContext(ctx context.Context, query string, topK int) (hidden.Result, error) {
 	time.Sleep(d.d)
-	return d.Database.Search(query, topK)
+	return d.Database.SearchContext(ctx, query, topK)
 }
 
 // TestStageTotalsSumToSelectionSpan drives a traced selection with
