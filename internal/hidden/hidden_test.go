@@ -203,15 +203,34 @@ func TestEstimateSize(t *testing.T) {
 	}
 }
 
-func TestHTTPHTMLScraping(t *testing.T) {
+// TestHTTPJSONRoundTrip sends a search through the server and the
+// client and checks that the counts and the ranking survive the trip.
+// The server answers with its one HTML answer page.
+func TestHTTPJSONRoundTrip(t *testing.T) {
 	local := buildSmallLocal(t)
 	srv := httptest.NewServer(NewServer(local))
 	defer srv.Close()
 
 	client := NewClient("remote-testdb", srv.URL)
+	// Every document the query scores is ranked, matching or not.
+	res, err := client.SearchContext(context.Background(), "breast cancer", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MatchCount != 2 || len(res.Docs) != 3 {
+		t.Errorf("remote result %+v, want 2 matches / 3 ranked docs", res)
+	}
 	if client.Name() != "remote-testdb" {
 		t.Errorf("Name = %q", client.Name())
 	}
+}
+
+func TestHTTPHTMLScraping(t *testing.T) {
+	local := buildSmallLocal(t)
+	srv := httptest.NewServer(NewServer(local))
+	defer srv.Close()
+
+	client := NewClient("remote", srv.URL)
 	res, err := client.SearchContext(context.Background(), "breast cancer", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -221,14 +240,6 @@ func TestHTTPHTMLScraping(t *testing.T) {
 	}
 	if len(res.Docs) != 2 || res.Docs[0].ID == "" {
 		t.Errorf("scraped docs %+v", res.Docs)
-	}
-	// Every document the query scores is ranked, matching or not.
-	res, err = client.SearchContext(context.Background(), "breast cancer", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MatchCount != 2 || len(res.Docs) != 3 {
-		t.Errorf("remote result %+v, want 2 matches / 3 ranked docs", res)
 	}
 	// Zero-match page.
 	res, err = client.SearchContext(context.Background(), "zzzz qqqq", 2)
