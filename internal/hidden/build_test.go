@@ -2,9 +2,11 @@ package hidden
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"metaprobe/internal/corpus"
@@ -17,6 +19,9 @@ import (
 // reference built from exported API alone, one Tokenize call per term
 // occurrence: every database's index must hold the same postings,
 // document IDs and lengths, and every document must fetch the same text.
+// The databases number their terms in the testbed's shared table and
+// the reference in one of its own, so the indexes are compared term by
+// term string (indexView).
 func TestBuildTestbedMatchesPerOccurrenceTokenizing(t *testing.T) {
 	const seed = 2004
 	news := corpus.NewsgroupWorld(11)
@@ -49,7 +54,10 @@ func TestBuildTestbedMatchesPerOccurrenceTokenizing(t *testing.T) {
 				}
 
 				got := tb.DB(i).(*Local)
-				if !reflect.DeepEqual(got.Index(), ref.Index()) {
+				if err := got.Index().Validate(); err != nil {
+					t.Errorf("%s: %v", spec.Name, err)
+				}
+				if !reflect.DeepEqual(indexView(got.Index()), indexView(ref.Index())) {
 					t.Errorf("%s: index differs from the per-occurrence reference", spec.Name)
 				}
 				for _, d := range docs {
@@ -61,6 +69,89 @@ func TestBuildTestbedMatchesPerOccurrenceTokenizing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// indexView is what an index holds: each posting list (its bytes, count
+// and last ordinal) under its term, read from the unexported fields
+// through reflection, and the document IDs and the term count.
+func indexView(ix *textindex.Index) map[string]string {
+	v := reflect.ValueOf(ix).Elem()
+	ids, lists := v.FieldByName("ids"), v.FieldByName("lists")
+	out := map[string]string{"": fmt.Sprint(ix.TotalTerms())}
+	for d := 0; d < ix.Size(); d++ {
+		out[""] += " " + ix.DocID(d)
+	}
+	for i := 0; i < ids.Len(); i++ {
+		pl := lists.Index(i)
+		term := ix.Terms().Term(int32(ids.Index(i).Int()))
+		out[term] = fmt.Sprintf("%x %d %d", pl.FieldByName("data").Bytes(), pl.FieldByName("n").Int(), pl.FieldByName("last").Int())
+	}
+	return out
+}
+
+// TestAddDocumentsLeavesSharedTablesAlone: a database of a testbed that
+// adds a document with a word, and so a term, new to the tables the
+// testbed's databases share copies them first. While it does, the other
+// databases answer queries that name the new term; their answers, and
+// the tables they share, stay as they were. Run with -race.
+func TestAddDocumentsLeavesSharedTablesAlone(t *testing.T) {
+	tb, err := BuildTestbed(corpus.HealthWorld(), corpus.HealthTestbed(0.01), 2004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const word = "zyxwvut" // its own term
+	queries := []string{"cancer", "breast cancer", "heart disease", word, word + " cancer"}
+	answers := func(db Database) string {
+		var b strings.Builder
+		for _, q := range queries {
+			res, err := db.SearchContext(context.Background(), q, 5)
+			fmt.Fprintln(&b, q, res, err)
+		}
+		return b.String()
+	}
+	grower, others := tb.DB(0).(*Local), tb.Databases()[1:]
+	before := make([]string, len(others))
+	for i, db := range others {
+		before[i] = answers(db)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, db := range others[:2] {
+		wg.Add(1)
+		go func(db Database) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					answers(db)
+				}
+			}
+		}(db)
+	}
+	grower.AddDocuments([]corpus.Document{{ID: "added", Terms: []string{word, "cancer"}}})
+	close(done)
+	wg.Wait()
+
+	if res, err := grower.SearchContext(context.Background(), word+" cancer", 1); err != nil || res.MatchCount != 1 || len(res.Docs) != 1 || res.Docs[0].ID != "added" {
+		t.Errorf("the grown database answers %q with %+v, %v", word+" cancer", res, err)
+	}
+	if text, err := grower.Fetch(context.Background(), "added"); err != nil || text != word+" cancer" {
+		t.Errorf("Fetch(added) = %q, %v", text, err)
+	}
+	for i, db := range others {
+		if got := answers(db); got != before[i] {
+			t.Errorf("%s answers\n%s\nafter another database grew; before:\n%s", db.Name(), got, before[i])
+		}
+		l := db.(*Local)
+		if _, ok := l.Index().Terms().ID(word); ok {
+			t.Errorf("%s: its term table numbers %q", db.Name(), word)
+		}
+		if _, ok := l.words.ID(word); ok {
+			t.Errorf("%s: its word table numbers %q", db.Name(), word)
+		}
 	}
 }
 
@@ -79,12 +170,12 @@ func TestBuildTestbedLeavesNoSpareCapacity(t *testing.T) {
 }
 
 // spareLists counts the posting lists of ix whose bytes' capacity
-// exceeds their length, reading the unexported map through reflection.
+// exceeds their length, reading the unexported lists through reflection.
 func spareLists(ix *textindex.Index) int {
 	n := 0
-	it := reflect.ValueOf(ix).Elem().FieldByName("postings").MapRange()
-	for it.Next() {
-		if data := it.Value().FieldByName("data"); data.Cap() != data.Len() {
+	lists := reflect.ValueOf(ix).Elem().FieldByName("lists")
+	for i := 0; i < lists.Len(); i++ {
+		if data := lists.Index(i).FieldByName("data"); data.Cap() != data.Len() {
 			n++
 		}
 	}
@@ -92,11 +183,11 @@ func spareLists(ix *textindex.Index) int {
 }
 
 // liveBytesPerDocCeiling bounds BenchmarkBuildTestbed's live-B/doc,
-// 10 % over the 260 B/doc it reads with the posting lists encoded as
-// uvarint blocks and the texts found by a sorted permutation of slots
-// (424 B/doc with 8-byte postings and an ID → slot map, 632 B/doc with
-// a string per text and append-grown lists).
-const liveBytesPerDocCeiling = 286
+// 10 % over the 229 B/doc it reads with the posting lists held by term
+// id over one term table for the testbed (260 B/doc with a term →
+// list map in each index, 424 B/doc with 8-byte postings and an ID →
+// slot map, 632 B/doc with a string per text and append-grown lists).
+const liveBytesPerDocCeiling = 252
 
 // BenchmarkBuildTestbed builds the benchmark's testbed: the 20 health
 // databases at scale 0.1, seed 2004. It reports the heap the testbed
@@ -136,7 +227,8 @@ func BenchmarkBuildTestbed(b *testing.B) {
 // queries, 300 of two terms and 300 of three, on each database of the
 // benchmark's testbed (the 20 health databases at scale 0.1, seed 2004)
 // and reports ns/search, one query on one database. It pins the block
-// length of internal/textindex's posting lists.
+// length of internal/textindex's posting lists, and fails if any of
+// those searches allocates.
 func BenchmarkMatchCount(b *testing.B) {
 	world := corpus.HealthWorld()
 	tb, err := BuildTestbed(world, corpus.HealthTestbed(0.1), 2004)
@@ -154,6 +246,15 @@ func BenchmarkMatchCount(b *testing.B) {
 	qs := make([]string, len(pool))
 	for i, q := range pool {
 		qs[i] = q.String()
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for _, q := range qs {
+			for _, db := range tb.Databases() {
+				db.(*Local).Index().MatchCount(q)
+			}
+		}
+	}); allocs != 0 {
+		b.Fatalf("%d searches allocate %v objects", len(qs)*tb.Len(), allocs)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,7 +3,6 @@ package hidden
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -29,74 +28,54 @@ func newSpecRNG(seed, label int64) *stats.RNG {
 // Slot s is the index's document s; byID lists the slots by their
 // documents' IDs, newest first. A text is its words joined by single
 // spaces, so Fetch returns the stored bytes exactly; offsets are uint32,
-// so a database stores fewer than 2³² words. The word table may be
-// shared with the other databases of a testbed: a database copies it
-// before adding a word of its own (ownWords), so a table it did not
-// copy is never written.
+// so a database stores fewer than 2³² words. The word table, like the
+// index's term table, may be shared with the other databases of a
+// testbed: a database copies it before adding a word of its own
+// (textindex.Table), so a table it did not copy is never written.
 type Local struct {
-	name     string
-	index    *textindex.Index
-	words    *wordTable
-	ownWords bool
-	text     []uint32
-	offs     []uint32
-	byID     []uint32
-}
-
-// wordTable numbers distinct words: list[id] is the word, ids its
-// inverse.
-type wordTable struct {
-	list []string
-	ids  map[string]uint32
-}
-
-func newWordTable() *wordTable { return &wordTable{ids: make(map[string]uint32)} }
-
-// add numbers w if it is new and returns its id.
-func (wt *wordTable) add(w string) uint32 {
-	id, ok := wt.ids[w]
-	if !ok {
-		id = uint32(len(wt.list))
-		wt.list = append(wt.list, w)
-		wt.ids[w] = id
-	}
-	return id
+	name  string
+	index *textindex.Index
+	words textindex.Table
+	text  []int32
+	offs  []uint32
+	byID  []uint32
 }
 
 // NewLocal wraps an already-built index as a database. Fetch is only
 // available for documents registered with StoreText (BuildLocal does
 // this automatically).
 func NewLocal(name string, index *textindex.Index) *Local {
-	return newLocal(name, index, newWordTable())
+	return newLocal(name, index, textindex.NewTable())
 }
 
-func newLocal(name string, index *textindex.Index, words *wordTable) *Local {
+func newLocal(name string, index *textindex.Index, words textindex.Table) *Local {
 	return &Local{name: name, index: index, words: words, offs: []uint32{0}}
 }
 
 // StoreText registers text as the retrievable text of the index's first
 // document without one: add a document to the index, then store its
 // text. Storing an ID again, after adding it again, replaces its text.
-func (l *Local) StoreText(text string) { l.storeWords(strings.Split(text, " ")) }
+func (l *Local) StoreText(text string) {
+	words := strings.Split(text, " ")
+	ids := make([]int32, len(words))
+	for i, w := range words {
+		id, ok := l.words.ID(w)
+		if !ok {
+			// A word split from a text would keep the whole text alive.
+			id = l.words.Add(strings.Clone(w))
+		}
+		ids[i] = id
+	}
+	l.storeWords(ids)
+}
 
-// storeWords stores the text that words joined by single spaces make as
-// the next slot's. An ID stored again gets a new slot; its old words stay
-// behind, unreferenced.
-func (l *Local) storeWords(words []string) {
+// storeWords stores the text that the words numbered ids joined by
+// single spaces make as the next slot's. An ID stored again gets a new
+// slot; its old words stay behind, unreferenced.
+func (l *Local) storeWords(ids []int32) {
 	slot := len(l.offs) - 1
 	at, _ := l.find(l.index.DocID(slot))
-	for _, w := range words {
-		wid, ok := l.words.ids[w]
-		if !ok {
-			if !l.ownWords {
-				l.words = &wordTable{list: slices.Clone(l.words.list), ids: maps.Clone(l.words.ids)}
-				l.ownWords = true
-			}
-			// A word split from a text would keep the whole text alive.
-			wid = l.words.add(strings.Clone(w))
-		}
-		l.text = append(l.text, wid)
-	}
+	l.text = append(l.text, ids...)
 	l.byID = slices.Insert(l.byID, at, uint32(slot))
 	l.offs = append(l.offs, uint32(len(l.text)))
 }
@@ -117,7 +96,7 @@ func (l *Local) Fetch(_ context.Context, id string) (string, error) {
 	ids := l.text[l.offs[s]:l.offs[s+1]]
 	n := 0
 	for _, wid := range ids {
-		n += 1 + len(l.words.list[wid])
+		n += 1 + len(l.words.Term(wid))
 	}
 	var b strings.Builder
 	b.Grow(n)
@@ -125,57 +104,83 @@ func (l *Local) Fetch(_ context.Context, id string) (string, error) {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(l.words.list[wid])
+		b.WriteString(l.words.Term(wid))
 	}
 	return b.String(), nil
+}
+
+// norm is a generated word as a database stores and indexes it: its id
+// in the word table, and the ids of its normalized terms in the term
+// table.
+type norm struct {
+	word  int32
+	terms []int32
+}
+
+// normalize numbers a word in words and its terms, normalized by
+// textindex.Tokenize, in terms.
+func normalize(word string, words, terms *textindex.Table) norm {
+	n := norm{word: words.Add(word)}
+	for _, t := range textindex.Tokenize(word) {
+		n.terms = append(n.terms, terms.Add(t))
+	}
+	return n
 }
 
 // BuildLocal indexes the given documents into a fresh database, each
 // generated term normalized by textindex.Tokenize.
 func BuildLocal(name string, docs []corpus.Document) *Local {
-	return buildLocal(name, docs, make(map[string][]string), newWordTable())
+	return buildLocal(name, docs, nil, textindex.NewTable(), textindex.NewTable())
 }
 
-// buildLocal is BuildLocal with a memo of normalized terms to start
-// from, which it extends, and a word table to store the texts with.
-func buildLocal(name string, docs []corpus.Document, normalized map[string][]string, words *wordTable) *Local {
-	l := newLocal(name, textindex.NewIndex(), words)
+// buildLocal is BuildLocal over a word table and a term table that it
+// shares, with vocab, the words normalized into them, to start from.
+func buildLocal(name string, docs []corpus.Document, vocab map[string]norm, words, terms textindex.Table) *Local {
+	l := newLocal(name, textindex.NewIndexOn(terms), words.Share())
 	size := 0
 	for _, d := range docs {
 		size += len(d.Terms)
 	}
-	l.text = make([]uint32, 0, size)
+	l.text = make([]int32, 0, size)
 	l.offs = slices.Grow(l.offs, len(docs))
 	l.byID = make([]uint32, 0, len(docs))
-	l.addDocs(docs, normalized)
+	l.addDocs(docs, vocab)
 	l.index.Compact()
 	return l
 }
 
 // AddDocuments indexes generated documents and stores their texts, as
 // BuildLocal does.
-func (l *Local) AddDocuments(docs []corpus.Document) { l.addDocs(docs, make(map[string][]string)) }
+func (l *Local) AddDocuments(docs []corpus.Document) { l.addDocs(docs, nil) }
 
-// addDocs indexes docs and stores their texts, extending a memo of
-// normalized terms. Generator terms are normalized exactly like free
-// text so the index, summaries and queries all live in the same term
-// space; Tokenize is a pure function of its input, so each distinct term
-// is tokenized once and its result reused. A document's text is its
-// terms joined by single spaces.
-func (l *Local) addDocs(docs []corpus.Document, normalized map[string][]string) {
-	var norm []string // reused per document: AddTerms keeps no reference
+// addDocs indexes docs and stores their texts. Generator terms are
+// normalized exactly like free text so the index, summaries and queries
+// all live in the same term space; Tokenize is a pure function of its
+// input, so each distinct word is normalized once, and a word vocab
+// holds not at all. A document's text is its terms joined by single
+// spaces.
+func (l *Local) addDocs(docs []corpus.Document, vocab map[string]norm) {
+	var met map[string]norm // the words vocab does not hold
+	// Reused per document: neither the index nor the store keeps them.
+	var words, terms []int32
 	for _, d := range docs {
-		norm = norm[:0]
-		for _, t := range d.Terms {
-			nt, ok := normalized[t]
+		words, terms = words[:0], terms[:0]
+		for _, w := range d.Terms {
+			n, ok := vocab[w]
 			if !ok {
-				nt = textindex.Tokenize(t)
-				normalized[t] = nt
+				if n, ok = met[w]; !ok {
+					n = normalize(w, &l.words, l.index.Terms())
+					if met == nil {
+						met = make(map[string]norm)
+					}
+					met[w] = n
+				}
 			}
-			norm = append(norm, nt...)
+			words = append(words, n.word)
+			terms = append(terms, n.terms...)
 		}
-		l.index.AddTerms(d.ID, norm)
-		l.storeWords(d.Terms)
+		l.index.AddTermIDs(d.ID, terms)
+		l.storeWords(words)
 	}
 }
 
@@ -251,18 +256,19 @@ func (t *Testbed) IndexOf(name string) int {
 func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) (*Testbed, error) {
 	dbs := make([]Database, len(specs))
 	errs := make([]error, len(specs))
-	// Every word the world generates, normalized once and copied to each
-	// database, and numbered once in the word table they all share.
-	vocab := make(map[string][]string)
-	table := newWordTable()
-	words := [][]string{world.Background}
+	// Every word the world generates, normalized once and numbered once
+	// in the word table and the term table that every database shares.
+	vocab := make(map[string]norm)
+	words, terms := textindex.NewTable(), textindex.NewTable()
+	lists := [][]string{world.Background}
 	for _, topic := range world.Topics {
-		words = append(append(words, topic.Terms), topic.Concepts...)
+		lists = append(append(lists, topic.Terms), topic.Concepts...)
 	}
-	for _, ws := range words {
-		for _, t := range ws {
-			vocab[t] = textindex.Tokenize(t)
-			table.add(t)
+	for _, ws := range lists {
+		for _, w := range ws {
+			if _, ok := vocab[w]; !ok {
+				vocab[w] = normalize(w, &words, &terms)
+			}
 		}
 	}
 	var wg sync.WaitGroup
@@ -276,7 +282,7 @@ func BuildTestbed(world *corpus.World, specs []corpus.DatabaseSpec, seed int64) 
 				errs[i] = err
 				return
 			}
-			dbs[i] = buildLocal(spec.Name, docs, maps.Clone(vocab), table)
+			dbs[i] = buildLocal(spec.Name, docs, vocab, words, terms)
 		}(i, spec)
 	}
 	wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -23,10 +24,15 @@ import (
 // An Index is safe for concurrent readers once building has finished;
 // AddTerms and Compact must not race with queries.
 type Index struct {
-	// postings holds each term's list; after Compact the lists' bytes
+	// terms numbers the index's terms, and may be shared with other
+	// indexes (Table).
+	terms Table
+	// ids lists the index's terms by id, increasing, and lists[i] is
+	// the posting list of term ids[i]; after Compact the lists' bytes
 	// are capped windows of one arena.
-	postings map[string]plist
-	docIDs   []string
+	ids    []int32
+	lists  []plist
+	docIDs []string
 	// totalTerms is the number of term occurrences indexed so far.
 	totalTerms int
 
@@ -36,9 +42,12 @@ type Index struct {
 	docNorm  []float64
 	normOnce sync.Once
 
-	// counts is AddTerms' term-frequency scratch: one map for every
-	// document, left empty between documents.
-	counts map[string]int32
+	// counts and seen are the adding scratch: counts[id] is the current
+	// document's frequency of term id, and seen the terms it has
+	// counted. Both are left empty between documents, and Compact drops
+	// them.
+	counts []int32
+	seen   []int32
 }
 
 // blockLen is the number of postings in a complete block of a posting
@@ -181,55 +190,95 @@ func (c *cursor) uvarint() uint64 {
 	return v
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{
-		postings: make(map[string]plist),
-		counts:   make(map[string]int32),
-	}
-}
+// NewIndex returns an empty index that numbers its terms in a table of
+// its own.
+func NewIndex() *Index { return &Index{terms: NewTable()} }
+
+// NewIndexOn returns an empty index that numbers its terms in terms,
+// which it shares: it copies the table before it numbers a term of its
+// own (Table.Share).
+func NewIndexOn(terms Table) *Index { return &Index{terms: terms.Share()} }
+
+// Terms returns the table the index numbers its terms in. Adding a term
+// to it copies it first if it is shared (Table.Add).
+func (ix *Index) Terms() *Table { return &ix.terms }
 
 // AddTerms indexes one document, given as its normalized terms (from
 // Tokenize), under the given external ID and returns its internal
 // ordinal. IDs need not be unique, but distinct IDs make search results
-// easier to interpret. Each posting list gains at most one posting, at
-// its end, so the lists stay in ordinal order whatever order the map
-// yields its terms in.
+// easier to interpret.
 func (ix *Index) AddTerms(id string, terms []string) int {
+	for _, t := range terms {
+		ix.count(ix.terms.Add(t))
+	}
+	return ix.post(id, len(terms))
+}
+
+// AddTermIDs is AddTerms for a document given as the ids of its terms,
+// each numbered in the index's table (Terms).
+func (ix *Index) AddTermIDs(id string, terms []int32) int {
+	for _, t := range terms {
+		ix.count(t)
+	}
+	return ix.post(id, len(terms))
+}
+
+// count counts one occurrence of term id in the current document.
+func (ix *Index) count(id int32) {
+	if int(id) >= len(ix.counts) {
+		ix.counts = append(ix.counts, make([]int32, int(id)+1-len(ix.counts))...)
+	}
+	if ix.counts[id] == 0 {
+		ix.seen = append(ix.seen, id)
+	}
+	ix.counts[id]++
+}
+
+// post adds the counted document, of length terms, under ID id and
+// returns its ordinal. Each posting list gains at most one posting, at
+// its end, so the lists stay in ordinal order whatever order the terms
+// were counted in.
+func (ix *Index) post(id string, length int) int {
 	ord := int32(len(ix.docIDs))
 	ix.docIDs = append(ix.docIDs, id)
-	for _, t := range terms {
-		ix.counts[t]++
+	ix.totalTerms += length
+	for _, t := range ix.seen {
+		i, ok := slices.BinarySearch(ix.ids, t)
+		if !ok {
+			ix.ids = slices.Insert(ix.ids, i, t)
+			ix.lists = slices.Insert(ix.lists, i, plist{})
+		}
+		ix.lists[i].add(ord, ix.counts[t])
+		ix.counts[t] = 0
 	}
-	ix.totalTerms += len(terms)
-	for term, tf := range ix.counts {
-		pl := ix.postings[term]
-		pl.add(ord, tf)
-		ix.postings[term] = pl
-	}
-	clear(ix.counts)
+	ix.seen = ix.seen[:0]
 	ix.normOnce = sync.Once{}
 	return int(ord)
 }
 
 // Compact moves every posting list into one arena sized to their
-// total, so no list keeps the spare capacity that appending left it, and
-// trims the document IDs to their length. Call it once building is done.
-// Each list is capped where it ends, so a later AddTerms re-grows only
-// the lists it touches.
+// total, so no list keeps the spare capacity that appending left it,
+// trims the document IDs and the lists' slices to their length, and
+// drops the adding scratch. Call it once building is done. Each list is
+// capped where it ends, so a later AddTerms re-grows only the lists it
+// touches.
 func (ix *Index) Compact() {
 	ix.docIDs = append(make([]string, 0, len(ix.docIDs)), ix.docIDs...)
+	ix.ids = append(make([]int32, 0, len(ix.ids)), ix.ids...)
 	total := 0
-	for _, pl := range ix.postings {
+	for _, pl := range ix.lists {
 		total += len(pl.data)
 	}
 	arena := make([]byte, 0, total)
-	for term, pl := range ix.postings {
+	lists := make([]plist, len(ix.lists))
+	for i, pl := range ix.lists {
 		at := len(arena)
 		arena = append(arena, pl.data...)
 		pl.data = arena[at:len(arena):len(arena)]
-		ix.postings[term] = pl
+		lists[i] = pl
 	}
+	ix.lists = lists
+	ix.counts, ix.seen = nil, nil
 }
 
 // Size returns the number of indexed documents (|db| in Eq. 1).
@@ -246,9 +295,9 @@ func (ix *Index) TotalTerms() int { return ix.totalTerms }
 // distinct term — the raw material of a content summary (Figure 2 of
 // the paper).
 func (ix *Index) VocabularyFrequencies() map[string]int {
-	out := make(map[string]int, len(ix.postings))
-	for term, pl := range ix.postings {
-		out[term] = int(pl.n)
+	out := make(map[string]int, len(ix.ids))
+	for i, id := range ix.ids {
+		out[ix.terms.Term(id)] = int(ix.lists[i].n)
 	}
 	return out
 }
@@ -256,8 +305,7 @@ func (ix *Index) VocabularyFrequencies() map[string]int {
 // MatchCount returns the number of documents containing all query
 // terms (boolean AND over the normalized terms). A query that
 // normalizes to no terms matches nothing; duplicate terms are
-// deduplicated. Beyond what tokenizing the query takes, it allocates
-// nothing for up to eight distinct terms.
+// deduplicated. It allocates nothing for up to eight distinct terms.
 func (ix *Index) MatchCount(query string) int {
 	var buf [8]cursor
 	cs := ix.queryCursors(query, buf[:0])
@@ -276,11 +324,19 @@ func (ix *Index) MatchCount(query string) int {
 // none if any term is missing (AND can never match) or if no terms
 // survive normalization.
 func (ix *Index) queryCursors(query string, cs []cursor) []cursor {
-	for _, t := range QueryTerms(query) {
-		pl, ok := ix.postings[t]
+	var buf [termBufLen]byte
+	var onBuf [8]int
+	on := onBuf[:0] // the lists cs holds cursors on
+	for term, at := nextTerm(query, 0, buf[:0]); term != nil; term, at = nextTerm(query, at, buf[:0]) {
+		i, ok := ix.find(term)
 		if !ok {
 			return nil
 		}
+		if slices.Contains(on, i) {
+			continue
+		}
+		on = append(on, i)
+		pl := ix.lists[i]
 		j := len(cs)
 		cs = append(cs, cursor{})
 		for ; j > 0 && cs[j-1].rest > pl.n; j-- {
@@ -289,6 +345,16 @@ func (ix *Index) queryCursors(query string, cs []cursor) []cursor {
 		cs[j] = pl.cursor()
 	}
 	return cs
+}
+
+// find returns where the posting list of a normalized term is in
+// lists, and whether the index holds the term.
+func (ix *Index) find(term []byte) (int, bool) {
+	id, ok := ix.terms.lookup(term)
+	if !ok {
+		return 0, false
+	}
+	return slices.BinarySearch(ix.ids, id)
 }
 
 // nextCommon moves the cursors to the next document on every one of
@@ -335,42 +401,43 @@ func (ix *Index) Search(query string, k int) []Hit {
 	if k <= 0 {
 		return nil
 	}
-	terms := Tokenize(query)
-	if len(terms) == 0 {
-		return nil
-	}
-	ix.ensureNorms()
-
-	// The query's distinct terms in order of first appearance: every float
-	// sum below adds in that order, so an answer is the same bits on every
+	// The query's distinct terms that the index holds, in order of first
+	// appearance, each with its frequency in the query: every float sum
+	// below adds in that order, so an answer is the same bits on every
 	// build and every call.
-	qtf := make(map[string]float64)
-	var distinct []string
-	for _, t := range terms {
-		if qtf[t] == 0 {
-			distinct = append(distinct, t)
-		}
-		qtf[t]++
-	}
-	n := float64(ix.Size())
-	// Query vector weights and norm.
 	type weighted struct {
-		pl plist
-		w  float64
+		at    int // where the term's list is in lists
+		pl    plist
+		tf, w float64
 	}
-	var qw []weighted
-	qnorm := 0.0
-	for _, t := range distinct {
-		pl := ix.postings[t]
-		if pl.n == 0 {
+	var qbuf [8]weighted
+	qw := qbuf[:0]
+	var buf [termBufLen]byte
+	for term, at := nextTerm(query, 0, buf[:0]); term != nil; term, at = nextTerm(query, at, buf[:0]) {
+		i, ok := ix.find(term)
+		if !ok {
 			continue
 		}
-		w := (1 + math.Log(qtf[t])) * math.Log(1+n/float64(pl.n))
-		qw = append(qw, weighted{pl, w})
-		qnorm += w * w
+		j := 0
+		for j < len(qw) && qw[j].at != i {
+			j++
+		}
+		if j == len(qw) {
+			qw = append(qw, weighted{at: i, pl: ix.lists[i]})
+		}
+		qw[j].tf++
 	}
 	if len(qw) == 0 {
 		return nil
+	}
+	ix.ensureNorms()
+	// Query vector weights and norm.
+	n := float64(ix.Size())
+	qnorm := 0.0
+	for j := range qw {
+		q := &qw[j]
+		q.w = (1 + math.Log(q.tf)) * math.Log(1+n/float64(q.pl.n))
+		qnorm += q.w * q.w
 	}
 	qnorm = math.Sqrt(qnorm)
 
@@ -446,14 +513,14 @@ func keepBest(top []Hit, h Hit, k int) []Hit {
 // added in term order, so a norm is the same bits on every build.
 func (ix *Index) ensureNorms() {
 	ix.normOnce.Do(func() {
-		terms := make([]string, 0, len(ix.postings))
-		for t := range ix.postings {
-			terms = append(terms, t)
+		byTerm := make([]int, len(ix.ids))
+		for i := range byTerm {
+			byTerm[i] = i
 		}
-		sort.Strings(terms)
+		slices.SortFunc(byTerm, func(a, b int) int { return strings.Compare(ix.terms.Term(ix.ids[a]), ix.terms.Term(ix.ids[b])) })
 		norms := make([]float64, len(ix.docIDs))
-		for _, t := range terms {
-			for c := ix.postings[t].cursor(); c.next(); {
+		for _, i := range byTerm {
+			for c := ix.lists[i].cursor(); c.next(); {
 				w := 1 + math.Log(float64(c.tf))
 				norms[c.doc] += w * w
 			}
@@ -465,14 +532,23 @@ func (ix *Index) ensureNorms() {
 	})
 }
 
-// Validate checks internal invariants (each posting list well formed,
-// its ordinals strictly increasing and within range, its term
+// Validate checks internal invariants (one list for each term id, the
+// ids increasing and numbered in the table, each posting list well
+// formed, its ordinals strictly increasing and within range, its term
 // frequencies positive, each block's header true to its pairs); it is
 // used by tests and returns the first violation.
 func (ix *Index) Validate() error {
-	for term, pl := range ix.postings {
+	if len(ix.ids) != len(ix.lists) {
+		return fmt.Errorf("textindex: %d term ids for %d lists", len(ix.ids), len(ix.lists))
+	}
+	for i, id := range ix.ids {
+		if id < 0 || int(id) >= ix.terms.size() || i > 0 && id <= ix.ids[i-1] {
+			return fmt.Errorf("textindex: term id %d at %d is out of order or not in the table of %d terms", id, i, ix.terms.size())
+		}
+	}
+	for i, pl := range ix.lists {
 		if err := pl.validate(int32(len(ix.docIDs))); err != nil {
-			return fmt.Errorf("textindex: term %q: %w", term, err)
+			return fmt.Errorf("textindex: term %q: %w", ix.terms.Term(ix.ids[i]), err)
 		}
 	}
 	return nil

@@ -1,10 +1,13 @@
 package textindex
 
-// stem reduces an English word to its stem using the classic Porter
-// algorithm (M. F. Porter, "An algorithm for suffix stripping",
-// Program 14(3), 1980). The input must already be lowercase; words of
-// length ≤ 2 are returned unchanged, as in the original algorithm.
-func stem(word string) string {
+// stemInPlace reduces an English word to its stem using the classic
+// Porter algorithm (M. F. Porter, "An algorithm for suffix stripping",
+// Program 14(3), 1980), rewriting the bytes of word and returning the
+// stem. The input must already be lowercase; words of length ≤ 2 are
+// returned unchanged, as in the original algorithm. No step leaves the
+// word longer than it found it, so the stem is written over the word's
+// bytes, and stemming allocates nothing.
+func stemInPlace(word []byte) []byte {
 	if len(word) <= 2 {
 		return word
 	}
@@ -15,7 +18,7 @@ func stem(word string) string {
 			return word
 		}
 	}
-	s := stemmer{b: []byte(word)}
+	s := stemmer{b: word}
 	s.step1a()
 	s.step1b()
 	s.step1c()
@@ -24,11 +27,12 @@ func stem(word string) string {
 	s.step4()
 	s.step5a()
 	s.step5b()
-	return string(s.b)
+	return s.b
 }
 
 // stemmer holds the word being stemmed. All the step functions operate
-// on b in place (via reslicing and suffix rewriting).
+// on b in place, by reslicing within the bytes the word had: a suffix
+// rewritten is never longer than the suffix a step strips before it.
 type stemmer struct {
 	b []byte
 }
@@ -124,7 +128,9 @@ func (s *stemmer) stemLen(suf string) int { return len(s.b) - len(suf) }
 // replace rewrites the trailing suffix with repl (the caller must have
 // checked hasSuffix).
 func (s *stemmer) replace(suf, repl string) {
-	s.b = append(s.b[:len(s.b)-len(suf)], repl...)
+	n := len(s.b) - len(suf)
+	s.b = s.b[:n+len(repl)]
+	copy(s.b[n:], repl)
 }
 
 // replaceIfM replaces suf with repl when the measure of the remaining
@@ -188,7 +194,8 @@ func (s *stemmer) step1b() {
 			s.b = s.b[:len(s.b)-1]
 		}
 	case s.measure(len(s.b)) == 1 && s.endsCVC(len(s.b)):
-		s.b = append(s.b, 'e')
+		s.b = s.b[:len(s.b)+1]
+		s.b[len(s.b)-1] = 'e'
 	}
 }
 

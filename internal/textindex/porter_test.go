@@ -130,6 +130,14 @@ func TestStemNeverGrowsMuchAndNeverPanics(t *testing.T) {
 	}
 }
 
+// stem is stemInPlace on a copy of word with no room beside it, so a
+// step that outgrew the word would panic.
+func stem(word string) string {
+	b := make([]byte, len(word))
+	copy(b, word)
+	return string(stemInPlace(b))
+}
+
 func BenchmarkStem(b *testing.B) {
 	words := []string{"relational", "hopefulness", "cancer", "metasearching", "probabilistically"}
 	b.ReportAllocs()

@@ -16,6 +16,15 @@ type posting struct {
 	doc, tf int32
 }
 
+// lists returns every posting list of ix by its term.
+func lists(ix *Index) map[string]plist {
+	out := make(map[string]plist, len(ix.ids))
+	for i, id := range ix.ids {
+		out[ix.terms.Term(id)] = ix.lists[i]
+	}
+	return out
+}
+
 // decode reads every posting of a list in order.
 func decode(pl plist) []posting {
 	var out []posting
@@ -132,12 +141,22 @@ func repeat(term string, n int) []string { return strings.Fields(strings.Repeat(
 // over (two- and three-byte uvarints), long lists of many blocks, and
 // documents that share an ID. Every list must decode to the reference's,
 // and MatchCount, Search (scores compared with ==), VocabularyFrequencies
-// and Validate must agree with it.
+// and Validate must agree with it. It is built twice: on a table of its
+// own, and on a shared table that numbers the terms in another order,
+// holds a query term no document has, and lacks one the index then
+// numbers; the shared table must end as it began.
 func TestEncodedIndexMatchesReference(t *testing.T) {
-	ix := NewIndex()
+	seeded := []string{"nonexistent", "omega", "filler", "kappa", "sigma", "delta", "gamma", "beta", "alpha"}
+	shared := NewTable()
+	for _, term := range seeded {
+		shared.Add(term)
+	}
+	indexes := map[string]*Index{"own table": NewIndex(), "shared table": NewIndexOn(shared)}
 	ref := &refIndex{post: map[string][]posting{}}
 	add := func(id string, terms []string) {
-		ix.AddTerms(id, terms)
+		for _, ix := range indexes {
+			ix.AddTerms(id, terms)
+		}
 		ref.add(id, terms)
 	}
 	state := uint32(56)
@@ -184,15 +203,50 @@ func TestEncodedIndexMatchesReference(t *testing.T) {
 		"alpha beta gamma delta sigma theta omega kappa filler", "filler sigma delta theta alpha beta gamma omega sigma"}
 	check := func(stage string) {
 		t.Helper()
+		for name, ix := range indexes {
+			checkAgainstReference(t, stage+", "+name, ix, ref, queries)
+		}
+	}
+	for term, want := range map[string]int{"alpha": 63, "beta": 64, "gamma": 65, "delta": 128} {
+		if n := len(ref.post[term]); n != want {
+			t.Fatalf("%s has %d postings, the collection means %d", term, n, want)
+		}
+	}
+	check("built")
+	for _, ix := range indexes {
+		ix.Compact()
+	}
+	check("compacted")
+	// Appended after Compact: alpha reaches a block, beta and gamma grow
+	// past one, omega gains a small gap, kappa a three-byte tf, and one
+	// more document takes an ID already used.
+	add("late0", []string{"alpha", "beta", "gamma", "omega", "filler"})
+	add("dup", append(repeat("kappa", 17000), "beta", "filler"))
+	add("late2", strings.Fields("sigma theta delta filler alpha"))
+	check("appended after Compact")
+	if shared.size() != len(seeded) {
+		t.Errorf("the shared table numbers %d terms; it was seeded with %d", shared.size(), len(seeded))
+	}
+	if _, ok := shared.ID("theta"); ok {
+		t.Error("an index numbered a term in the table it shares")
+	}
+}
+
+// checkAgainstReference holds ix to ref: its lists, its vocabulary, and
+// its answers to queries.
+func checkAgainstReference(t *testing.T, stage string, ix *Index, ref *refIndex, queries []string) {
+	t.Helper()
+	{
 		if err := ix.Validate(); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		if len(ix.postings) != len(ref.post) {
-			t.Fatalf("%s: %d lists, the reference %d", stage, len(ix.postings), len(ref.post))
+		if len(ix.lists) != len(ref.post) {
+			t.Fatalf("%s: %d lists, the reference %d", stage, len(ix.lists), len(ref.post))
 		}
 		vocab := ix.VocabularyFrequencies()
+		byTerm := lists(ix)
 		for term, want := range ref.post {
-			if got := decode(ix.postings[term]); !reflect.DeepEqual(got, want) {
+			if got := decode(byTerm[term]); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: term %q decodes to %d postings unlike the reference's %d", stage, term, len(got), len(want))
 			}
 			if vocab[term] != len(want) {
@@ -220,21 +274,6 @@ func TestEncodedIndexMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for term, want := range map[string]int{"alpha": 63, "beta": 64, "gamma": 65, "delta": 128} {
-		if n := len(ref.post[term]); n != want {
-			t.Fatalf("%s has %d postings, the collection means %d", term, n, want)
-		}
-	}
-	check("built")
-	ix.Compact()
-	check("compacted")
-	// Appended after Compact: alpha reaches a block, beta and gamma grow
-	// past one, omega gains a small gap, kappa a three-byte tf, and one
-	// more document takes an ID already used.
-	add("late0", []string{"alpha", "beta", "gamma", "omega", "filler"})
-	add("dup", append(repeat("kappa", 17000), "beta", "filler"))
-	add("late2", strings.Fields("sigma theta delta filler alpha"))
-	check("appended after Compact")
 }
 
 // TestSearchKeepsTheFullSortsBest holds Search to the reference's full
@@ -380,9 +419,7 @@ func TestValidateFindsBrokenLists(t *testing.T) {
 		if err := ix.Validate(); err != nil {
 			t.Fatalf("before breaking %s: %v", name, err)
 		}
-		pl := ix.postings["alpha"]
-		breakIt(&pl)
-		ix.postings["alpha"] = pl
+		breakIt(&ix.lists[0])
 		if err := ix.Validate(); err == nil {
 			t.Errorf("Validate accepts a list with a broken %s", name)
 		}

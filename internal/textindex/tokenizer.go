@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // minTermLen and maxTermLen bound the length in bytes of a kept term:
@@ -23,46 +24,29 @@ const (
 	maxTermLen = 40
 )
 
+// termBufLen is the room a buffer needs for nextTerm to write any term
+// into it without allocating: the longest run kept, which its stem
+// never outgrows.
+const termBufLen = maxTermLen
+
 // Tokenize splits text into normalized terms: lowercase alphanumeric
 // runs, stopwords removed, Porter-stemmed. It is the one normalisation:
 // summaries, indexes and queries all go through it, so an estimate and
-// the probe that corrects it count the same terms.
+// the probe that corrects it count the same terms. It allocates each
+// term it returns; the index's query path reads the same terms through
+// nextTerm, which allocates nothing.
 func Tokenize(text string) []string {
 	var out []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() == 0 {
-			return
-		}
-		tok := b.String()
-		b.Reset()
-		if len(tok) < minTermLen || len(tok) > maxTermLen || isStopword(tok) {
-			return
-		}
-		if tok = stem(tok); len(tok) >= minTermLen {
-			out = append(out, tok)
-		}
+	var buf [termBufLen]byte
+	for term, at := nextTerm(text, 0, buf[:0]); term != nil; term, at = nextTerm(text, at, buf[:0]) {
+		out = append(out, string(term))
 	}
-	for _, r := range text {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-		case r >= 'A' && r <= 'Z':
-			b.WriteRune(r + ('a' - 'A'))
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
-		}
-	}
-	flush()
 	return out
 }
 
 // QueryTerms is Tokenize with repeats dropped, each term kept where it
-// first appears: a query's terms for boolean AND and for the
-// estimators. It deduplicates in place, allocating nothing beyond what
-// Tokenize does.
+// first appears: a query's terms for the estimators. It deduplicates in
+// place, allocating nothing beyond what Tokenize does.
 func QueryTerms(query string) []string {
 	terms := Tokenize(query)
 	out := terms[:0]
@@ -72,6 +56,56 @@ func QueryTerms(query string) []string {
 		}
 	}
 	return out
+}
+
+// nextTerm reads text from byte at to its next kept term, which it
+// writes over buf[:0], lowercased and stemmed, and returns with the
+// byte after the run it came from; the term is nil when none is left.
+// A run is a maximal run of letters and digits. It is dropped when it
+// is shorter than minTermLen or longer than maxTermLen bytes once
+// lowercased, or a stopword, and its stem is dropped when shorter than
+// minTermLen. With termBufLen bytes of room in buf, it allocates
+// nothing.
+func nextTerm(text string, at int, buf []byte) ([]byte, int) {
+	for at < len(text) {
+		run, n := buf[:0], 0
+		for at < len(text) {
+			r, size := rune(text[at]), 1
+			if r >= utf8.RuneSelf {
+				r, size = utf8.DecodeRuneInString(text[at:])
+			}
+			at += size
+			if r = fold(r); r < 0 {
+				break
+			}
+			// A run past maxTermLen is dropped, so its bytes past it
+			// are counted and not kept.
+			if n += utf8.RuneLen(r); n <= maxTermLen {
+				run = utf8.AppendRune(run, r)
+			}
+		}
+		if n < minTermLen || n > maxTermLen || isStopword(run) {
+			continue
+		}
+		if run = stemInPlace(run); len(run) >= minTermLen {
+			return run, at
+		}
+	}
+	return nil, at
+}
+
+// fold returns the lowercase of a letter or digit, and −1 for any other
+// rune, which ends a run.
+func fold(r rune) rune {
+	switch {
+	case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
+		return r
+	case r >= 'A' && r <= 'Z':
+		return r + ('a' - 'A')
+	case r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r)):
+		return unicode.ToLower(r)
+	}
+	return -1
 }
 
 // stopwords is a standard English stopword list (the SMART subset that
@@ -91,7 +125,7 @@ while who whom why will with you your yours yourself yourselves`) {
 }
 
 // isStopword reports whether the lowercase term is an English stopword.
-func isStopword(term string) bool {
-	_, ok := stopwords[term]
+func isStopword(term []byte) bool {
+	_, ok := stopwords[string(term)]
 	return ok
 }

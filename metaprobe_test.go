@@ -311,10 +311,10 @@ func TestNewLocalDatabaseLeavesNoSpareCapacity(t *testing.T) {
 		docs[fmt.Sprintf("doc%02d", i)] = fmt.Sprintf("term%d cancer  health ", i%7)
 	}
 	local := NewLocalDatabase("d", docs).(*hidden.Local)
-	it := reflect.ValueOf(local.Index()).Elem().FieldByName("postings").MapRange()
-	for it.Next() {
-		if data := it.Value().FieldByName("data"); data.Cap() != data.Len() {
-			t.Errorf("term %v: capacity %d for %d bytes", it.Key(), data.Cap(), data.Len())
+	lists := reflect.ValueOf(local.Index()).Elem().FieldByName("lists")
+	for i := 0; i < lists.Len(); i++ {
+		if data := lists.Index(i).FieldByName("data"); data.Cap() != data.Len() {
+			t.Errorf("list %d: capacity %d for %d bytes", i, data.Cap(), data.Len())
 		}
 	}
 	for id, text := range docs {
