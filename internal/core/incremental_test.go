@@ -317,7 +317,8 @@ func TestOptimalMatchesUnmemoizedReference(t *testing.T) {
 // support index vi picks the set, with E[Cor] within 1e-9, that a shell
 // of the state with i probed at its vi-th value picks. It leaves the
 // state's RDs, probed set and memo node as they were, counts nothing but
-// the sets it scores, and allocates nothing.
+// the sets it scores and the DP rows and swapped tails it computes, and
+// allocates nothing.
 func TestHypothesisMatchesAShell(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shell := &Selection{}
@@ -349,8 +350,10 @@ func TestHypothesisMatchesAShell(t *testing.T) {
 						set = slices.Clone(set)
 						after := s.Work()
 						after.Sets, after.SetsShared = before.Sets, before.SetsShared
+						after.RowBuilds, after.RowLive = before.RowBuilds, before.RowLive
+						after.TailRebuilds, after.TailDeconvolutions = before.TailRebuilds, before.TailDeconvolutions
 						if after != before {
-							t.Fatalf("%s: bestIf moved a count other than the sets: %+v → %+v", id, before, s.Work())
+							t.Fatalf("%s: bestIf moved a count other than the sets and rows: %+v → %+v", id, before, s.Work())
 						}
 						shell.Reuse(s)
 						shell.memoRoot, shell.memo = nil, nil

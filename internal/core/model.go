@@ -281,6 +281,12 @@ type RankWork struct {
 	// GridReuses counts evaluations after a probe that kept the key grid
 	// and recomputed the probed database's part of it only.
 	GridReuses int
+	// RowBuilds counts the DP rows built, and RowLive sums the live
+	// databases each one's build multiplied over (RowLive / RowBuilds
+	// is the mean live-list length at a row build). TailRebuilds and
+	// TailDeconvolutions count the swapped tails of a hypothesis that
+	// rebuilt a row and that deconvolved one (selstate.go).
+	RowBuilds, RowLive, TailRebuilds, TailDeconvolutions int
 	// MemoHits counts decisions (a state's best set, a state's greedy
 	// head) read from the version's decision memo, MemoMisses those
 	// computed and stored there. Both stay 0 on a selection without one.
@@ -514,6 +520,7 @@ func (s *Selection) bestIf(i, vi int) ([]int, float64) {
 	s.ensureScratch()
 	sc := s.scratch
 	sc.beginHypothesis(i, vi)
+	s.countRows()
 	set, e := s.search()
 	sc.hypActive = false
 	return set, e
@@ -563,6 +570,18 @@ func (s *Selection) ensureScratch() {
 	default:
 		sc.build(s.rds, s.k)
 	}
+	s.countRows()
+}
+
+// countRows moves the row counts the scratch kept into the selection's
+// work.
+func (s *Selection) countRows() {
+	sc := s.scratch
+	s.work.RowBuilds += sc.rows
+	s.work.RowLive += sc.rowLive
+	s.work.TailRebuilds += sc.tailRebuilds
+	s.work.TailDeconvolutions += sc.tailDeconvs
+	sc.rows, sc.rowLive, sc.tailRebuilds, sc.tailDeconvs = 0, 0, 0, 0
 }
 
 // Release hands the selection's pooled scratch state back for reuse by

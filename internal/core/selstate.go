@@ -219,6 +219,11 @@ type selScratch struct {
 	// k-sets it scored.
 	exhaustive bool
 	sets       int
+	// rows counts the DP rows built since the selection last took the
+	// counts (Selection.countRows), rowLive the live databases each
+	// row's build found, and tailRebuilds and tailDeconvs the swapped
+	// tails that took a row rebuild and a deconvolution.
+	rows, rowLive, tailRebuilds, tailDeconvs int
 	// baseDone reports that the last bestFrom searched the base state of
 	// the current grid, with bestBuf and baseE its answer; order,
 	// exhaustive and marg are then that search's too. Any other search,
@@ -266,6 +271,7 @@ func acquireScratch() *selScratch {
 
 func (sc *selScratch) release() {
 	sc.invalidate()
+	sc.rows, sc.rowLive, sc.tailRebuilds, sc.tailDeconvs = 0, 0, 0, 0
 	selScratchPool.Put(sc)
 }
 
@@ -524,6 +530,8 @@ func (sc *selScratch) sizeTermTable() {
 // cell per such impulse (deadAbove) at the end instead.
 func (sc *selScratch) dpRowInto(dst []float64, t, skip, skip2 int) {
 	n := sc.n
+	sc.rows++
+	sc.rowLive += len(sc.live)
 	factors := sc.gt[t*n : t*n+n]
 	clear(dst)
 	dst[0] = 1
@@ -669,9 +677,11 @@ func (sc *selScratch) swappedTails(t, i, want int) float64 {
 	case oldP <= deconvMaxP && k <= deconvMaxK:
 		deconvolveBernoulli(sc.pbRow, row, oldP)
 		row = sc.pbRow
+		sc.tailDeconvs++
 	default:
 		sc.dpRowInto(sc.pbRow, t, i, h)
 		row = sc.pbRow
+		sc.tailRebuilds++
 	}
 	tails[0], tails[1] = sumTail(row), sumTail(row[:k-1])
 	return tails[want]

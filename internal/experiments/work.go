@@ -25,9 +25,11 @@ func workStudy(env *Env, ks []int, t float64) (*Table, error) {
 		ID:    "EWORK",
 		title: fmt.Sprintf("E-WORK: what the greedy probe loop computes, sequential APro to t = %.2f over the test queries", t),
 		columns: []string{"k", "metric", "queries", "probes", "swept", "skipped", "abandoned",
-			"hypotheses", "sets", "sets shared", "grid reuses", "memo hits", "memo misses", "outcomes hash"},
+			"hypotheses", "sets", "sets shared", "grid reuses", "memo hits", "memo misses",
+			"row builds", "live per row", "tail rebuilds", "tail deconvolutions", "outcomes hash"},
 		notes: []string{
 			"counts are RankWork summed over the queries in index order; a fresh model version per row, so the memo counts are one serial pass's",
+			"row builds: DP rows built, by grid builds and repairs and by swapped tails; live per row: the mean live-list length at a row build; tail rebuilds and tail deconvolutions: the swapped tails of a hypothesis that rebuilt a row and that deconvolved one",
 			"outcomes hash: FNV-1a over every selected set, the initial and final certainty bits, and every step's database, usefulness bits and certainty after",
 		},
 	}
@@ -57,6 +59,10 @@ func workStudy(env *Env, ks []int, t float64) (*Table, error) {
 				work.GridReuses += w.GridReuses
 				work.MemoHits += w.MemoHits
 				work.MemoMisses += w.MemoMisses
+				work.RowBuilds += w.RowBuilds
+				work.RowLive += w.RowLive
+				work.TailRebuilds += w.TailRebuilds
+				work.TailDeconvolutions += w.TailDeconvolutions
 				probes += out.Probes()
 				put(uint64(len(out.Set)))
 				for _, i := range out.Set {
@@ -75,7 +81,9 @@ func workStudy(env *Env, ks []int, t float64) (*Table, error) {
 			table.addRow(d(k), metric.String(), d(len(env.Test)), d(probes),
 				d(work.Swept), d(work.Skipped), d(work.Abandoned), d(work.Hypotheses),
 				d(work.Sets), d(work.SetsShared), d(work.GridReuses),
-				d(work.MemoHits), d(work.MemoMisses), fmt.Sprintf("%016x", h.Sum64()))
+				d(work.MemoHits), d(work.MemoMisses), d(work.RowBuilds),
+				fmt.Sprintf("%.2f", float64(work.RowLive)/float64(max(work.RowBuilds, 1))),
+				d(work.TailRebuilds), d(work.TailDeconvolutions), fmt.Sprintf("%016x", h.Sum64()))
 		}
 	}
 	return table, nil
