@@ -156,8 +156,8 @@ func (l *Local) AddDocuments(docs []corpus.Document) { l.addDocs(docs, nil) }
 // addDocs indexes docs and stores their texts. Generator terms are
 // normalized exactly like free text so the index, summaries and queries
 // all live in the same term space; Tokenize is a pure function of its
-// input, so each distinct word is normalized once, and a word vocab
-// holds not at all. A document's text is its terms joined by single
+// input, so a word vocab holds is not normalized again, and any other
+// is normalized once. A document's text is its terms joined by single
 // spaces.
 func (l *Local) addDocs(docs []corpus.Document, vocab map[string]norm) {
 	var met map[string]norm // the words vocab does not hold

@@ -77,7 +77,7 @@ func tokenizeReference(text string) []string {
 }
 
 // FuzzNextTerm: for any text, the terms nextTerm writes into a buffer of
-// termBufLen bytes, as MatchCount and Search read them, are exactly the
+// maxTermLen bytes, as MatchCount and Search read them, are exactly the
 // reference tokenizer's, each written in the buffer itself, and Tokenize
 // returns the same terms. The seeds hold runs whose lowercase is shorter
 // in bytes (İ is two bytes, its lowercase i one) and longer (Ⱥ two, ⱥ
@@ -99,7 +99,7 @@ func FuzzNextTerm(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		want := tokenizeReference(text)
 		var got []string
-		var buf [termBufLen]byte
+		var buf [maxTermLen]byte
 		for term, at := nextTerm(text, 0, buf[:0]); term != nil; term, at = nextTerm(text, at, buf[:0]) {
 			if &term[0] != &buf[0] {
 				t.Fatalf("term %q of %q was written outside the buffer", term, text)

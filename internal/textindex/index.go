@@ -324,7 +324,7 @@ func (ix *Index) MatchCount(query string) int {
 // none if any term is missing (AND can never match) or if no terms
 // survive normalization.
 func (ix *Index) queryCursors(query string, cs []cursor) []cursor {
-	var buf [termBufLen]byte
+	var buf [maxTermLen]byte
 	var onBuf [8]int
 	on := onBuf[:0] // the lists cs holds cursors on
 	for term, at := nextTerm(query, 0, buf[:0]); term != nil; term, at = nextTerm(query, at, buf[:0]) {
@@ -412,7 +412,7 @@ func (ix *Index) Search(query string, k int) []Hit {
 	}
 	var qbuf [8]weighted
 	qw := qbuf[:0]
-	var buf [termBufLen]byte
+	var buf [maxTermLen]byte
 	for term, at := nextTerm(query, 0, buf[:0]); term != nil; term, at = nextTerm(query, at, buf[:0]) {
 		i, ok := ix.find(term)
 		if !ok {

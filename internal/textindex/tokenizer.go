@@ -24,11 +24,6 @@ const (
 	maxTermLen = 40
 )
 
-// termBufLen is the room a buffer needs for nextTerm to write any term
-// into it without allocating: the longest run kept, which its stem
-// never outgrows.
-const termBufLen = maxTermLen
-
 // Tokenize splits text into normalized terms: lowercase alphanumeric
 // runs, stopwords removed, Porter-stemmed. It is the one normalisation:
 // summaries, indexes and queries all go through it, so an estimate and
@@ -37,7 +32,7 @@ const termBufLen = maxTermLen
 // nextTerm, which allocates nothing.
 func Tokenize(text string) []string {
 	var out []string
-	var buf [termBufLen]byte
+	var buf [maxTermLen]byte
 	for term, at := nextTerm(text, 0, buf[:0]); term != nil; term, at = nextTerm(text, at, buf[:0]) {
 		out = append(out, string(term))
 	}
@@ -64,8 +59,8 @@ func QueryTerms(query string) []string {
 // A run is a maximal run of letters and digits. It is dropped when it
 // is shorter than minTermLen or longer than maxTermLen bytes once
 // lowercased, or a stopword, and its stem is dropped when shorter than
-// minTermLen. With termBufLen bytes of room in buf, it allocates
-// nothing.
+// minTermLen. A stem never outgrows its run, so with maxTermLen bytes of
+// room in buf it allocates nothing.
 func nextTerm(text string, at int, buf []byte) ([]byte, int) {
 	for at < len(text) {
 		run, n := buf[:0], 0
